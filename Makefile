@@ -53,11 +53,11 @@ loadtest-smoke:  ## tiny serving-layer run guarding repro.service end to end
 	$(PYTHON) -m repro.cli loadtest --backend memory --workers 2 \
 	    --requests 50 --concurrency 4 --output BENCH_service.json
 
-bench-export:    ## BENCH_core.json: per-algorithm/backend/representation timings
+bench-export:    ## BENCH_core.json: per-algorithm/backend timings
 	$(PYTHON) -m repro.cli bench-export --backend memory --backend sqlite \
 	    --repetitions 3 --output BENCH_core.json
 
-perf-smoke:      ## one tiny packed-vs-object query with the parity guard (CI)
+perf-smoke:      ## one tiny query checked against the naive LCA oracle (CI)
 	$(PYTHON) -m repro.cli bench-export --limit 1 --repetitions 1 \
 	    --output /tmp/bench_core_smoke.json
 

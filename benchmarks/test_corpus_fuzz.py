@@ -38,19 +38,15 @@ def test_deep_corpus_union_sweep(backend):
     for seed in DEEP_SEEDS:
         trees = random_corpus(seed, max_nodes=80)
         references = reference_engines(trees)
-        for representation in ("packed", "object"):
-            corpus = build_corpus_engine(trees, backend, representation,
-                                         shard_count=3)
-            for query in random_queries(seed, count=4):
-                for algorithm in ALGORITHM_NAMES:
-                    assert_corpus_equals_union(
-                        corpus.search(query, algorithm), references, query,
-                        algorithm,
-                        context=("deep", seed, backend, representation))
+        corpus = build_corpus_engine(trees, backend, shard_count=3)
+        for query in random_queries(seed, count=4):
+            for algorithm in ALGORITHM_NAMES:
+                assert_corpus_equals_union(
+                    corpus.search(query, algorithm), references, query,
+                    algorithm, context=("deep", seed, backend))
 
 
-@pytest.mark.parametrize("representation", ("packed", "object"))
-def test_deep_mutation_sequence_sweep(representation):
+def test_deep_mutation_sequence_sweep():
     """Long seeded mutation sequences on larger documents: every
     intermediate segmented state must equal the fresh-rebuild oracle
     byte-for-byte (canonical search / compare / rank payloads)."""
@@ -64,8 +60,7 @@ def test_deep_mutation_sequence_sweep(representation):
         def check(label, state=state, store=store, queries=queries,
                   seed=seed):
             assert_segmented_matches_fresh(
-                store, state, queries, representation,
-                context=("deep", seed, representation, label))
+                store, state, queries, context=("deep", seed, label))
 
         check("initial")
         run_mutation_sequence(store, state, seed, steps=12, check=check,

@@ -3,14 +3,14 @@
 
 The companion of ``repro.cli bench-export``: where BENCH_core.json tells you
 *whether* a path got faster, this tells you *where the time goes*.  Runs one
-workload query through a fresh engine for the chosen dataset / backend /
-representation and prints the top functions by cumulative time.
+workload query through a fresh engine for the chosen dataset / backend and
+prints the top functions by cumulative time.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/profile_query.py
     PYTHONPATH=src python scripts/profile_query.py --dataset dblp --query QD3 \\
-        --algorithm maxmatch --backend sqlite --representation object
+        --algorithm maxmatch --backend sqlite
     PYTHONPATH=src python scripts/profile_query.py --top 40 --repeat 10
 
 ``--query`` accepts a workload label (e.g. ``QD3``), a paper query name
@@ -53,8 +53,6 @@ def main(argv=None) -> int:
                         choices=("validrtf", "maxmatch", "validrtf-slca",
                                  "maxmatch-slca"))
     parser.add_argument("--backend", default="memory", choices=BACKEND_NAMES)
-    parser.add_argument("--representation", default="packed",
-                        choices=("packed", "object"))
     parser.add_argument("--shards", type=int, default=2,
                         help="shard count for --backend sharded")
     parser.add_argument("--repeat", type=int, default=5,
@@ -69,12 +67,10 @@ def main(argv=None) -> int:
     query = _resolve_query(spec, arguments.query)
     engine = engine_for_backend(spec.tree_factory(), arguments.backend,
                                 shards=arguments.shards,
-                                document=arguments.dataset,
-                                representation=arguments.representation)
+                                document=arguments.dataset)
     engine.search(query, arguments.algorithm)  # warm-up, excluded
 
     print(f"dataset={arguments.dataset} backend={arguments.backend} "
-          f"representation={arguments.representation} "
           f"algorithm={arguments.algorithm} repeat={arguments.repeat}")
     print(f"query: {query!r}")
     profiler = cProfile.Profile()

@@ -45,7 +45,7 @@ The rules and what they protect:
 ``bench-honesty``
     A function that writes a ``BENCH_*.json`` artefact must first call one
     of the verification guards (``require_verified_payload``,
-    ``verify_service_reports``, ``_verify_parity``, ``_verify_corpus_union``,
+    ``verify_service_reports``, ``_verify_answers``, ``_verify_corpus_union``,
     ``_verify_ranking_equivalence`` or ``run_core_bench`` itself) so no
     fast-but-wrong number is ever persisted.
 
@@ -654,7 +654,7 @@ class BenchHonestyRule(Rule):
     GUARDS = frozenset({
         "require_verified_payload",
         "verify_service_reports",
-        "_verify_parity",
+        "_verify_answers",
         "_verify_corpus_union",
         "_verify_ranking_equivalence",
         "run_core_bench",

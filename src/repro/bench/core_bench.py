@@ -1,16 +1,19 @@
 """BENCH_core.json — the core-engine perf trajectory artefact.
 
 The Figure 5/6 drivers measure MaxMatch-vs-ValidRTF per query; this module
-records the *systems* axes on top of the paper's: per-algorithm, per-backend
-and per-**representation** (packed flat columns vs. boxed ``DeweyCode``
-lists) timings over the same workloads, so every PR that touches a hot path
-leaves a comparable number behind.
+records the *systems* axes on top of the paper's: per-algorithm and
+per-backend timings over the same workloads, so every PR that touches a hot
+path leaves a comparable number behind.
 
-The run doubles as a correctness guard: before anything is timed, the packed
-and object engines answer every (query, algorithm) pair and the results must
-be identical — roots, kept node sets, SLCA flags.  A representation that
-drifts from parity fails the bench instead of producing fast-but-wrong
-numbers (this is what the CI perf-smoke step runs, scaled down).
+The run doubles as a correctness guard: before anything is timed, every
+measured backend answers every (query, algorithm) pair and the results must
+equal the memory engine's — roots, kept node sets, SLCA flags — whose
+ELCA/SLCA roots must in turn equal the naive definitions
+(:func:`~repro.lca.naive_elca` / :func:`~repro.lca.naive_slca`) on the same
+posting lists.  A drifting backend or hot loop fails the bench instead of
+producing fast-but-wrong numbers (this is what the CI perf-smoke step runs,
+scaled down, on the memory backend alone — so the independent oracle is what
+it checks against).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core import SearchEngine
 from ..corpus import CorpusSearchEngine
 from ..datasets import DBLPConfig, dblp_workload, generate_dblp
+from ..lca import naive_elca, naive_slca
 from ..obs import MetricsRegistry
 from ..obs import names as metric_names
 from ..xmltree import TreeBuilder, XMLTree
@@ -34,12 +38,15 @@ from .harness import (
 
 #: Axes measured by default.
 DEFAULT_BACKENDS = ("memory",)
-DEFAULT_REPRESENTATIONS = ("packed", "object")
 DEFAULT_ALGORITHMS = ("validrtf", "maxmatch")
 
 
-class RepresentationParityError(AssertionError):
-    """Packed and object engines disagreed on a query (never acceptable)."""
+class AnswerParityError(AssertionError):
+    """A measured engine answered wrong (never acceptable).
+
+    Raised when a backend disagrees with the memory engine, when the memory
+    engine's LCA roots disagree with the naive definitions, or when a corpus
+    answer is not the union of its per-document answers."""
 
 
 class RankingEquivalenceError(AssertionError):
@@ -51,7 +58,7 @@ class RankingEquivalenceError(AssertionError):
 
 
 def _result_fingerprint(result) -> Tuple:
-    """Everything that must match across representations (not the timing)."""
+    """Everything that must match across engines (not the timing)."""
     return (
         tuple(str(code) for code in result.lca_nodes),
         tuple((str(fragment.root), fragment.is_slca,
@@ -64,7 +71,6 @@ def _result_fingerprint(result) -> Tuple:
 
 def run_core_bench(datasets: Sequence[str] = ("dblp",),
                    backends: Sequence[str] = DEFAULT_BACKENDS,
-                   representations: Sequence[str] = DEFAULT_REPRESENTATIONS,
                    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
                    repetitions: int = 2,
                    limit: Optional[int] = None,
@@ -73,18 +79,16 @@ def run_core_bench(datasets: Sequence[str] = ("dblp",),
                    specs: Optional[Dict[str, DatasetSpec]] = None,
                    corpus_docs: int = 3
                    ) -> Dict[str, object]:
-    """Measure the workload over every (dataset, backend, representation).
+    """Measure the workload over every (dataset, backend).
 
     Returns the ``BENCH_core.json`` payload: one entry per (dataset, backend,
-    representation, algorithm, query) with the Figure-5 protocol average
-    (``repetitions`` timed passes after a discarded warm-up), plus per-
-    (dataset, backend, algorithm) summaries with the packed/object total-time
-    ratio when both representations were measured.
+    algorithm, query) with the Figure-5 protocol average (``repetitions``
+    timed passes after a discarded warm-up), plus per-(dataset, backend,
+    algorithm) total-time summaries.
 
     ``limit`` trims each dataset's workload to its first N queries (the CI
-    perf-smoke uses 1); ``verify=True`` cross-checks result parity between
-    every representation pair before timing and raises
-    :class:`RepresentationParityError` on any mismatch.
+    perf-smoke uses 1); ``verify=True`` runs :func:`_verify_answers` before
+    timing and raises :class:`AnswerParityError` on any mismatch.
     """
     specs = specs if specs is not None else default_datasets()
     entries: List[Dict[str, object]] = []
@@ -94,18 +98,12 @@ def run_core_bench(datasets: Sequence[str] = ("dblp",),
         if limit is not None:
             queries = queries[:limit]
         tree = spec.tree_factory()
-        engines = {
-            (backend, representation): engine_for_backend(
-                tree, backend, shards=shards,
-                document=f"{dataset}-{representation}",
-                representation=representation)
-            for backend in backends
-            for representation in representations
-        }
+        engines = {backend: engine_for_backend(tree, backend, shards=shards,
+                                               document=dataset)
+                   for backend in backends}
         if verify:
-            _verify_parity(dataset, queries, algorithms, backends,
-                           representations, engines)
-        for (backend, representation), engine in engines.items():
+            _verify_answers(dataset, tree, queries, algorithms, engines)
+        for backend, engine in engines.items():
             for query in queries:
                 for algorithm in algorithms:
                     seconds = time_algorithm(engine, query.text, algorithm,
@@ -113,7 +111,6 @@ def run_core_bench(datasets: Sequence[str] = ("dblp",),
                     entries.append({
                         "dataset": dataset,
                         "backend": backend,
-                        "representation": representation,
                         "algorithm": algorithm,
                         "query": query.label,
                         "keywords": query.text,
@@ -414,58 +411,57 @@ def _verify_corpus_union(corpus_engine, per_doc_engines, query,
                  for doc_id, engine in per_doc_engines.items())
                 if result.count or result.lca_nodes}
     if set(by_doc) != set(expected):
-        raise RepresentationParityError(
+        raise AnswerParityError(
             f"corpus/{algorithm}/{query.label}: corpus answered documents "
             f"{sorted(by_doc)} but the per-document union holds "
             f"{sorted(expected)}")
     for doc_id, reference in expected.items():
         if _result_fingerprint(by_doc[doc_id]) != _result_fingerprint(reference):
-            raise RepresentationParityError(
+            raise AnswerParityError(
                 f"corpus/{algorithm}/{query.label}: document {doc_id!r} "
                 f"disagrees with its single-document engine")
 
 
-def _verify_parity(dataset, queries, algorithms, backends, representations,
-                   engines) -> None:
-    """All representations of one backend must answer identically."""
-    for backend in backends:
-        reference_repr = representations[0]
-        reference_engine = engines[(backend, reference_repr)]
-        for representation in representations[1:]:
-            candidate_engine = engines[(backend, representation)]
-            for query in queries:
-                for algorithm in algorithms:
-                    reference = _result_fingerprint(
-                        reference_engine.search(query.text, algorithm))
-                    candidate = _result_fingerprint(
-                        candidate_engine.search(query.text, algorithm))
-                    if reference != candidate:
-                        raise RepresentationParityError(
-                            f"{dataset}/{backend}/{algorithm}/{query.label}: "
-                            f"{representation!r} postings disagree with "
-                            f"{reference_repr!r}")
+def _verify_answers(dataset, tree, queries, algorithms, engines) -> None:
+    """Check every measured answer against two references before timing.
+
+    1. The memory engine's ELCA and SLCA roots equal :func:`naive_elca` /
+       :func:`naive_slca` on the same posting lists — the independent
+       oracle, so a memory-only run is still checked.
+    2. Every measured backend answers every (query, algorithm) pair exactly
+       like the memory engine (reused when measured, else built over
+       ``tree``).
+    """
+    reference = engines["memory"] if "memory" in engines \
+        else SearchEngine(tree)
+    for query in queries:
+        lists = reference.keyword_nodes(query.text)
+        for pipeline, oracle in (("validrtf", naive_elca),
+                                 ("validrtf-slca", naive_slca)):
+            roots = reference.algorithm(pipeline).lca_function(lists)
+            if roots != oracle(lists):
+                raise AnswerParityError(
+                    f"{dataset}/memory/{pipeline}/{query.label}: LCA roots "
+                    f"differ from {oracle.__name__}")
+        for algorithm in algorithms:
+            expected = _result_fingerprint(
+                reference.search(query.text, algorithm))
+            for backend, engine in engines.items():
+                if engine is reference:
+                    continue
+                if _result_fingerprint(
+                        engine.search(query.text, algorithm)) != expected:
+                    raise AnswerParityError(
+                        f"{dataset}/{backend}/{algorithm}/{query.label}: "
+                        f"answer differs from the memory engine")
 
 
 def _summaries(entries: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
-    """Per (dataset, backend, algorithm) totals + packed/object ratio."""
-    totals: Dict[Tuple[str, str, str], Dict[str, float]] = {}
+    """Per (dataset, backend, algorithm) total time."""
+    totals: Dict[Tuple[str, str, str], float] = {}
     for entry in entries:
         key = (entry["dataset"], entry["backend"], entry["algorithm"])
-        totals.setdefault(key, {})
-        representation = entry["representation"]
-        totals[key][representation] = (
-            totals[key].get(representation, 0.0) + entry["ms"])
-    summaries = []
-    for (dataset, backend, algorithm), per_repr in sorted(totals.items()):
-        summary: Dict[str, object] = {
-            "dataset": dataset,
-            "backend": backend,
-            "algorithm": algorithm,
-        }
-        for representation, total in sorted(per_repr.items()):
-            summary[f"{representation}_total_ms"] = round(total, 4)
-        if "packed" in per_repr and "object" in per_repr and per_repr["object"]:
-            summary["packed_over_object"] = round(
-                per_repr["packed"] / per_repr["object"], 4)
-        summaries.append(summary)
-    return summaries
+        totals[key] = totals.get(key, 0.0) + entry["ms"]
+    return [{"dataset": dataset, "backend": backend, "algorithm": algorithm,
+             "total_ms": round(total, 4)}
+            for (dataset, backend, algorithm), total in sorted(totals.items())]

@@ -109,20 +109,20 @@ def export_run(run: WorkloadRun, directory: PathLike,
 def require_verified_payload(payload: Dict[str, object]) -> None:
     """Refuse core-bench payloads whose verification guards did not run.
 
-    :func:`~repro.bench.core_bench.run_core_bench` records whether the
-    packed-vs-object parity sweep (and the corpus union check) ran under
-    ``protocol.verified_parity``, and whether the ranking section's
-    early-vs-exhaustive equality guard ran under
-    ``ranking.verified_equivalence``.  An unverified payload may contain
+    :func:`~repro.bench.core_bench.run_core_bench` records whether its answer
+    checks (backends vs. memory, memory vs. the naive LCA definitions, and
+    the corpus union check) ran under ``protocol.verified_parity``, and
+    whether the ranking section's early-vs-exhaustive equality guard ran
+    under ``ranking.verified_equivalence``.  An unverified payload may contain
     fast-but-wrong numbers, so persisting it as the ``BENCH_core.json``
     artefact is forbidden — re-run with verify=True.
     """
-    from .core_bench import RankingEquivalenceError, RepresentationParityError
+    from .core_bench import AnswerParityError, RankingEquivalenceError
 
     protocol = payload.get("protocol")
     verified = isinstance(protocol, dict) and protocol.get("verified_parity")
     if not verified:
-        raise RepresentationParityError(
+        raise AnswerParityError(
             "refusing to persist an unverified core-bench payload "
             "(protocol.verified_parity is not set); re-run with verify=True")
     ranking = payload.get("ranking")
@@ -141,7 +141,7 @@ def write_core_bench(payload: Dict[str, object],
     """Persist a :func:`~repro.bench.core_bench.run_core_bench` payload.
 
     Calls :func:`require_verified_payload` first: the artefact is only ever
-    written from a parity-verified run (the bench-honesty contract the lint
+    written from an answer-verified run (the bench-honesty contract the lint
     gate enforces on every ``BENCH_*.json`` writer).
     """
     require_verified_payload(payload)

@@ -138,8 +138,7 @@ BACKEND_NAMES = ("memory", "sqlite", "sharded", "corpus")
 def engine_for_backend(tree: XMLTree, backend: str = "memory",
                        cache_size: int = 0, shards: int = 2,
                        db_path: Optional[str] = None,
-                       document: str = "bench",
-                       representation: str = "packed") -> SearchEngine:
+                       document: str = "bench") -> SearchEngine:
     """Build a :class:`SearchEngine` over ``tree`` for one posting backend.
 
     ``memory`` builds the classic in-memory inverted index (tree resident).
@@ -150,14 +149,9 @@ def engine_for_backend(tree: XMLTree, backend: str = "memory",
     construction, the cold-disk counterpart the Figure 5/6 drivers compare
     against hot-memory retrieval.  ``sharded`` fans the document out over
     ``shards`` sqlite stores and merge-sorts posting lists at query time.
-
-    ``representation`` selects the physical posting form — packed flat
-    columns (the default) or boxed ``DeweyCode`` lists — so the drivers can
-    measure the representation ablation on every backend.
     """
     if backend == "memory":
-        return SearchEngine(tree, cache_size=cache_size,
-                            representation=representation)
+        return SearchEngine(tree, cache_size=cache_size)
     if backend == "sqlite":
         store = SQLiteStore(db_path if db_path else ":memory:")
         if document in store.documents():
@@ -170,15 +164,13 @@ def engine_for_backend(tree: XMLTree, backend: str = "memory",
         else:
             store.store_tree(tree, document)
         return SearchEngine(
-            source=SQLitePostingSource(store, document,
-                                       representation=representation),
+            source=SQLitePostingSource(store, document),
             cache_size=cache_size)
     if backend == "sharded":
         if shards < 1:
             raise ValueError(f"shards must be positive, got {shards}")
         source = ShardedPostingSource.from_tree(tree, shard_count=shards,
-                                                name=document,
-                                                representation=representation)
+                                                name=document)
         return SearchEngine(source=source, cache_size=cache_size)
     if backend == "corpus":
         from ..corpus import CorpusSearchEngine
@@ -186,8 +178,7 @@ def engine_for_backend(tree: XMLTree, backend: str = "memory",
         # A one-document corpus over the dataset: measures the corpus
         # layer's per-document dispatch overhead against the flat backends.
         return CorpusSearchEngine.from_trees(
-            {document: tree}, backend="memory",
-            representation=representation, cache_size=cache_size)
+            {document: tree}, backend="memory", cache_size=cache_size)
     raise ValueError(
         f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}")
 
@@ -250,8 +241,7 @@ def run_workload(spec: DatasetSpec, engine: Optional[SearchEngine] = None,
                  queries: Optional[Sequence[WorkloadQuery]] = None,
                  cache_size: int = 0, backend: str = "memory",
                  shards: int = 2,
-                 db_path: Optional[str] = None,
-                 representation: str = "packed") -> WorkloadRun:
+                 db_path: Optional[str] = None) -> WorkloadRun:
     """Run a dataset's whole workload and collect every measurement.
 
     ``cache_size`` > 0 builds the engine with a query-result cache, so the
@@ -264,7 +254,7 @@ def run_workload(spec: DatasetSpec, engine: Optional[SearchEngine] = None,
     """
     engine = engine if engine is not None else engine_for_backend(
         spec.tree_factory(), backend, cache_size=cache_size, shards=shards,
-        db_path=db_path, document=spec.name, representation=representation)
+        db_path=db_path, document=spec.name)
     run = WorkloadRun(dataset=spec.name)
     for query in (queries if queries is not None else spec.workload):
         run.measurements.append(measure_query(engine, spec.name, query, repetitions))

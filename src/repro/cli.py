@@ -221,16 +221,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default: in-process database)")
     bench.add_argument("--shards", type=int, default=2,
                        help="shard count for --backend sharded")
-    bench.add_argument("--representation", default="packed",
-                       choices=("packed", "object"),
-                       help="posting representation the timed engine serves "
-                            "(default: packed)")
     bench.set_defaults(handler=_command_bench)
 
     bench_export = subparsers.add_parser(
         "bench-export",
-        help="write BENCH_core.json: per-algorithm / per-backend / "
-             "per-representation timings with a packed-vs-object parity guard")
+        help="write BENCH_core.json: per-algorithm / per-backend timings, "
+             "checked against the memory engine and the naive LCA "
+             "definitions before timing")
     bench_export.add_argument("--dataset", action="append", default=None,
                               choices=sorted(default_datasets()),
                               help="dataset(s) to measure (repeatable; "
@@ -253,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_export.add_argument("--shards", type=int, default=2,
                               help="shard count for --backend sharded")
     bench_export.add_argument("--no-verify", action="store_true",
-                              help="skip the packed-vs-object result parity "
-                                   "check before timing")
+                              help="skip the answer checks (memory engine, "
+                                   "naive LCA definitions) before timing")
     bench_export.add_argument("--output", default="BENCH_core.json",
                               help="artefact path ('-' prints to stdout only)")
     bench_export.set_defaults(handler=_command_bench_export)
@@ -349,11 +346,6 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
                              "stored document)")
     parser.add_argument("--shards", type=int, default=2,
                         help="shard count for --backend sharded")
-    parser.add_argument("--representation", default="packed",
-                        choices=("packed", "object"),
-                        help="physical posting-list form: packed flat columns "
-                             "(default, zero-object hot loops) or boxed "
-                             "DeweyCode lists; results are identical")
 
 
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
@@ -686,8 +678,7 @@ def _command_bench(arguments: argparse.Namespace) -> int:
         engine = engine_for_backend(spec.tree_factory(), arguments.backend,
                                     cache_size=cache_size,
                                     shards=arguments.shards,
-                                    db_path=arguments.db, document=spec.name,
-                                    representation=arguments.representation)
+                                    db_path=arguments.db, document=spec.name)
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2
@@ -704,11 +695,7 @@ def _command_bench(arguments: argparse.Namespace) -> int:
 
 
 def _command_bench_export(arguments: argparse.Namespace) -> int:
-    from .bench import (
-        RepresentationParityError,
-        run_core_bench,
-        write_core_bench,
-    )
+    from .bench import AnswerParityError, run_core_bench, write_core_bench
 
     datasets = arguments.dataset or ["dblp"]
     backends = arguments.backend or ["memory"]
@@ -723,17 +710,12 @@ def _command_bench_export(arguments: argparse.Namespace) -> int:
             shards=arguments.shards,
             verify=not arguments.no_verify,
         )
-    except RepresentationParityError as error:
-        print(f"representation parity violated: {error}", file=sys.stderr)
+    except AnswerParityError as error:
+        print(f"answer parity violated: {error}", file=sys.stderr)
         return 1
     for summary in payload["summary"]:
-        ratio = summary.get("packed_over_object")
-        ratio_text = f"  packed/object: {ratio:.3f}" if ratio else ""
         print(f"{summary['dataset']}/{summary['backend']}/"
-              f"{summary['algorithm']}: "
-              f"packed {summary.get('packed_total_ms', 0.0):.2f} ms, "
-              f"object {summary.get('object_total_ms', 0.0):.2f} ms"
-              f"{ratio_text}")
+              f"{summary['algorithm']}: {summary['total_ms']:.2f} ms")
     corpus = payload.get("corpus")
     if corpus:
         ratio = corpus.get("corpus_over_sequential")
@@ -745,7 +727,7 @@ def _command_bench_export(arguments: argparse.Namespace) -> int:
     if arguments.output and arguments.output != "-":
         try:
             path = write_core_bench(payload, arguments.output)
-        except RepresentationParityError as error:
+        except AnswerParityError as error:
             # --no-verify runs can print summaries but never persist the
             # artefact: BENCH_core.json is only written from verified runs.
             print(f"artefact not written: {error}", file=sys.stderr)
@@ -1036,7 +1018,6 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
         batch_window_seconds=arguments.batch_window / 1000.0,
         max_inflight=arguments.max_inflight,
         timeout_seconds=arguments.request_timeout,
-        representation=getattr(arguments, "representation", "packed"),
         documents=documents,
         slow_query_seconds=(arguments.slow_query_ms / 1000.0
                             if arguments.slow_query_ms is not None else None),
@@ -1083,7 +1064,6 @@ def _build_engine(arguments: argparse.Namespace) -> SearchEngine:
     from .bench import engine_for_backend
 
     backend = arguments.backend or ("sqlite" if arguments.db else "memory")
-    representation = getattr(arguments, "representation", "packed")
     if backend == "corpus" and arguments.db:
         # Corpus path: serve every document of the database (or the --doc
         # subset) with doc-id-tagged answers, no XML parse at all.  The
@@ -1091,21 +1071,18 @@ def _build_engine(arguments: argparse.Namespace) -> SearchEngine:
         # (index --update) exactly like base-generation ones.
         documents = _resolve_corpus_documents(arguments)
         store = SegmentedStore(arguments.db)
-        return CorpusSearchEngine.from_store(store, documents=documents,
-                                             representation=representation)
+        return CorpusSearchEngine.from_store(store, documents=documents)
     if backend == "sqlite" and arguments.db:
         # Disk-backed path: open an indexed database, no XML parse at all.
         document = _resolve_stored_document(arguments)
         store = SegmentedStore(arguments.db)
-        return SearchEngine(source=source_for_store(
-            store, document, representation=representation))
+        return SearchEngine(source=source_for_store(store, document))
     if arguments.db:
         raise CliError(f"--db needs --backend sqlite or corpus, "
                        f"not {backend!r}")
     try:
         return engine_for_backend(_load_tree(arguments), backend,
-                                  shards=arguments.shards, document="cli",
-                                  representation=representation)
+                                  shards=arguments.shards, document="cli")
     except ValueError as error:
         raise CliError(str(error)) from None
 

@@ -10,12 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..index import (
-    InvertedIndex,
-    PostingSource,
-    REPRESENTATIONS,
-    keyword_impact,
-)
+from ..index import InvertedIndex, PackedDeweyList, PostingSource, keyword_impact
 from ..obs import MetricsRegistry, Trace
 from ..obs import names as metric_names
 from ..text import ContentAnalyzer
@@ -81,15 +76,6 @@ class SearchEngine:
         Defaults to an in-memory :class:`InvertedIndex` over ``tree``; pass a
         disk-backed or sharded source from :mod:`repro.storage` to search
         without (re)building the memory index.
-    representation:
-        ``"packed"`` (the default) serves posting lists as flat columnar
-        :class:`~repro.index.packed.PackedDeweyList` arrays and runs the
-        SLCA/RTF stages through their zero-object hot loops; ``"object"``
-        keeps the classic boxed-:class:`DeweyCode` lists.  Results are
-        byte-identical either way (enforced by the parity suites) — only the
-        physical posting representation and therefore the speed differ.  When
-        a prebuilt ``source`` is passed its own representation governs and
-        must not contradict an explicit ``representation=``.
     metrics:
         An optional :class:`~repro.obs.MetricsRegistry`.  When given, every
         query reports per-stage timing histograms, candidate/fragment
@@ -99,25 +85,13 @@ class SearchEngine:
 
     def __init__(self, tree: Optional[XMLTree] = None, cid_mode: str = "minmax",
                  cache_size: int = 0, source: Optional[PostingSource] = None,
-                 representation: Optional[str] = None,
                  metrics: Optional[MetricsRegistry] = None):
         if tree is None and source is None:
             raise ValueError("SearchEngine needs a tree, a source=, or both")
-        if representation is not None and representation not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {representation!r}; "
-                             f"expected one of {REPRESENTATIONS}")
         self.tree = tree
         self.cid_mode = cid_mode
-        if source is None:
-            source = InvertedIndex(tree,
-                                   representation=representation or "packed")
-        elif representation is not None and \
-                getattr(source, "representation", representation) != representation:
-            raise ValueError(
-                f"source serves {source.representation!r} postings but "
-                f"representation={representation!r} was requested")
-        self.source: PostingSource = source
-        self.representation: str = getattr(source, "representation", "object")
+        self.source: PostingSource = (
+            source if source is not None else InvertedIndex(tree))
         # Legacy alias: before the PostingSource seam the engine always owned
         # an InvertedIndex under this name.
         self.index = self.source
@@ -405,7 +379,7 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     # Introspection helpers used by examples / CLI
     # ------------------------------------------------------------------ #
-    def keyword_nodes(self, query: QueryLike) -> Dict[str, List[DeweyCode]]:
+    def keyword_nodes(self, query: QueryLike) -> Dict[str, PackedDeweyList]:
         """The ``D_i`` posting lists of a query."""
         parsed = Query.parse(query)
         return self.source.keyword_nodes(parsed.keywords)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from ..index import InvertedIndex, PostingSource
+from ..index import InvertedIndex, PackedDeweyList, PostingSource
 from ..lca import elca_is_slca, indexed_stack_elca, indexed_lookup_eager_slca
 from ..obs import MetricsRegistry, Trace
 from ..obs import names as metric_names
@@ -104,7 +104,7 @@ class FragmentPipeline:
     # ------------------------------------------------------------------ #
     # Stage helpers (also exposed individually for tests and examples)
     # ------------------------------------------------------------------ #
-    def keyword_nodes(self, query: QueryLike) -> Dict[str, List[DeweyCode]]:
+    def keyword_nodes(self, query: QueryLike) -> Dict[str, PackedDeweyList]:
         """Stage 1 — ``getKeywordNodes`` (served by the posting source)."""
         parsed = Query.parse(query)
         return self.source.keyword_nodes(parsed.keywords)
@@ -121,7 +121,7 @@ class FragmentPipeline:
         if not roots:
             return []
         flags = elca_is_slca(roots)
-        return build_rtfs(self.tree, parsed, roots, lists, flags)
+        return build_rtfs(roots, lists, flags)
 
     def record_tree(self, query: QueryLike, fragment: Fragment) -> RecordTree:
         """The constructing step of ``pruneRTF`` for one fragment."""
@@ -243,7 +243,7 @@ class FragmentPipeline:
         fragments: List[PrunedFragment] = []
         if roots:
             flags = elca_is_slca(roots)
-            for fragment in build_rtfs(self.tree, parsed, roots, lists, flags):
+            for fragment in build_rtfs(roots, lists, flags):
                 fragments.append(self.pruner(self.record_tree(parsed, fragment)))
         elapsed = time.perf_counter() - started
         if observing:

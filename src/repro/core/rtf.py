@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from ..index.packed import all_packed, iter_matches
-from ..xmltree import DeweyCode, XMLTree
-from .fragments import Fragment, build_fragment
-from .query import Query
+from ..index.packed import as_packed, iter_matches
+from ..xmltree import DeweyCode
+from .fragments import Fragment
 
 
 def assign_keyword_nodes(
@@ -33,13 +32,16 @@ def assign_keyword_nodes(
     Returns a mapping ``lca -> sorted keyword nodes``; LCA nodes with no
     assigned keyword node (possible only when the input lists are
     inconsistent) map to an empty list so callers see every requested root.
+    This is the readable per-code reference for :func:`build_rtfs`: with
+    :func:`~repro.core.fragments.build_fragment` it rebuilds the same
+    fragments, which the property suites check.
     """
     sorted_lcas = sorted(lca_nodes)
     assignment: Dict[DeweyCode, List[DeweyCode]] = {code: [] for code in sorted_lcas}
     seen: set = set()
     for deweys in keyword_lists.values():
         for dewey in deweys:
-            # lint: allow(hot-loop-purity) object path's input normalization
+            # lint: allow(hot-loop-purity) the reference's input normalization
             code = DeweyCode.coerce(dewey)
             if code in seen:
                 continue
@@ -53,8 +55,6 @@ def assign_keyword_nodes(
 
 
 def build_rtfs(
-    tree: Optional[XMLTree],
-    query: Query,
     lca_nodes: Sequence[DeweyCode],
     keyword_lists: Mapping[str, Sequence[DeweyCode]],
     slca_flags: Sequence[bool] = (),
@@ -63,11 +63,22 @@ def build_rtfs(
 
     ``slca_flags`` (parallel to ``lca_nodes``) marks which roots are also SLCA
     nodes; when omitted it is derived from the node set itself (an LCA node is
-    an SLCA iff no other LCA node is its strict descendant).  ``tree`` may be
-    ``None``; fragments are then assembled from Dewey arithmetic alone (see
-    :func:`~repro.core.fragments.build_fragment`).
+    an SLCA iff no other LCA node is its strict descendant).  Fragments are
+    assembled from Dewey arithmetic alone, so no tree is needed.
+
+    The merged document-order stream comes straight from the packed posting
+    columns (non-packed lists are packed once with
+    :func:`~repro.index.packed.as_packed`; the k-way merge deduplicates
+    across lists); each node is dispatched by one ``bisect_right`` over the
+    roots' component arrays and a backward prefix-compare scan, and the
+    fragment node set is the union of root-to-keyword-node prefix tuples.
+    :class:`DeweyCode` objects are materialized only for the fragments
+    actually returned — dropped keyword nodes (outside every interesting LCA)
+    never become objects at all.
     """
     sorted_lcas = sorted(lca_nodes)
+    if not sorted_lcas:
+        return []
     if slca_flags and len(slca_flags) == len(lca_nodes):
         # lint: allow(hot-loop-purity) boxed LCA roots are the result keys
         flag_by_code = {DeweyCode.coerce(code): flag
@@ -77,36 +88,7 @@ def build_rtfs(
             code: not any(code.is_ancestor_of(other) for other in sorted_lcas)
             for code in sorted_lcas
         }
-
-    packed = all_packed(keyword_lists.values()) if keyword_lists else None
-    if packed is not None and sorted_lcas:
-        return _build_rtfs_packed(sorted_lcas, flag_by_code, packed)
-
-    assignment = assign_keyword_nodes(sorted_lcas, keyword_lists)
-    fragments: List[Fragment] = []
-    for root in sorted_lcas:
-        keyword_nodes = assignment[root]
-        if not keyword_nodes:
-            continue
-        fragments.append(
-            build_fragment(tree, root, keyword_nodes, is_slca=flag_by_code[root])
-        )
-    return fragments
-
-
-def _build_rtfs_packed(sorted_lcas: Sequence[DeweyCode],
-                       flag_by_code: Mapping[DeweyCode, bool],
-                       packed: Sequence) -> List[Fragment]:
-    """``getRTF`` over flat columns: assignment and path union without objects.
-
-    The merged document-order stream comes straight from the packed posting
-    columns (deduplicated across lists by the k-way merge); each node is
-    dispatched by one ``bisect_right`` over the roots' component arrays and a
-    backward prefix-compare scan, and the fragment node set is the union of
-    root-to-keyword-node prefix tuples.  :class:`DeweyCode` objects are
-    materialized only for the fragments actually returned — dropped keyword
-    nodes (outside every interesting LCA) never become objects at all.
-    """
+    packed = [as_packed(deweys) for deweys in keyword_lists.values()]
     # lint: allow(hot-loop-purity) unpacking the (small) root set once
     lca_arrays = [array("I", code.components) for code in sorted_lcas]
     assigned: List[List[Tuple[int, ...]]] = [[] for _ in sorted_lcas]
@@ -138,7 +120,7 @@ def _build_rtfs_packed(sorted_lcas: Sequence[DeweyCode],
         fragments.append(Fragment(
             root=root,
             # The merged stream is in document order, so per-root assignment
-            # order already matches the object path's sorted keyword list.
+            # order already matches the sorted keyword list.
             # lint: allow(hot-loop-purity) result boundary: only surviving
             keyword_nodes=tuple(from_tuple(parts)
                                 for parts in keyword_tuples),

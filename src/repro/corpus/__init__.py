@@ -17,8 +17,7 @@ forking it:
 
 The correctness contract — **corpus results equal the union of per-document
 single-document results** — is enforced by the differential fuzz harness
-(``tests/test_corpus_fuzz.py``) across backends, representations and all
-four algorithms.
+(``tests/test_corpus_fuzz.py``) across backends and all four algorithms.
 """
 
 from .engine import CorpusComparisonOutcome, CorpusSearchEngine

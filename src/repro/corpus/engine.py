@@ -136,7 +136,7 @@ class CorpusSearchEngine:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_trees(cls, trees: Mapping[str, XMLTree], backend: str = "memory",
-                   representation: str = "packed", shard_count: int = 1,
+                   shard_count: int = 1,
                    cid_mode: str = "minmax", cache_size: int = 0,
                    doc_shards: int = 2,
                    metrics: Optional[MetricsRegistry] = None
@@ -148,7 +148,6 @@ class CorpusSearchEngine:
         backend keeps the trees resident; the disk backends run tree-free.
         """
         source = corpus_from_trees(trees, backend=backend,
-                                   representation=representation,
                                    shard_count=shard_count,
                                    doc_shards=doc_shards)
         resident = trees if backend == "memory" else None
@@ -158,13 +157,12 @@ class CorpusSearchEngine:
     @classmethod
     def from_store(cls, store: "Union[MemoryStore, SQLiteStore]",
                    documents: Optional[Sequence[str]] = None,
-                   representation: str = "packed", cid_mode: str = "minmax",
+                   cid_mode: str = "minmax",
                    cache_size: int = 0,
                    metrics: Optional[MetricsRegistry] = None
                    ) -> "CorpusSearchEngine":
         """A corpus engine over the documents of an already-indexed store."""
-        source = corpus_from_store(store, documents=documents,
-                                   representation=representation)
+        source = corpus_from_store(store, documents=documents)
         return cls(source, cid_mode=cid_mode, cache_size=cache_size,
                    metrics=metrics)
 
@@ -175,11 +173,6 @@ class CorpusSearchEngine:
     def backend_id(self) -> str:
         """The corpus source's identity (cache keys carry it per document)."""
         return self.source.source_id
-
-    @property
-    def representation(self) -> str:
-        """The physical posting representation the corpus serves."""
-        return self.source.representation
 
     @property
     def doc_ids(self) -> Tuple[str, ...]:
@@ -548,5 +541,4 @@ class CorpusSearchEngine:
 
     def __repr__(self) -> str:
         return (f"CorpusSearchEngine(documents={len(self.doc_ids)}, "
-                f"shards={len(self.source.shards)}, "
-                f"representation={self.representation!r})")
+                f"shards={len(self.source.shards)})")

@@ -43,9 +43,8 @@ from ..index import InvertedIndex, PostingList, PostingSource
 from ..index.packed import (
     EMPTY_PACKED,
     PackedDeweyList,
-    REPRESENTATIONS,
     concat_packed,
-    prefix_postings,
+    prefix_packed,
 )
 from ..storage import (
     DEFAULT_POSTING_LRU_SIZE,
@@ -98,7 +97,7 @@ class CorpusShard:
         return self._sources[doc_id]
 
     def keyword_nodes_by_doc(self, keywords: Sequence[str]
-                             ) -> Dict[str, Dict[str, Sequence[DeweyCode]]]:
+                             ) -> Dict[str, Dict[str, PackedDeweyList]]:
         """Per-document ``D_i`` lists for every owned document (batched)."""
         return {doc_id: self._sources[doc_id].keyword_nodes(keywords)
                 for doc_id in self.doc_ids}
@@ -142,9 +141,6 @@ class CorpusPostingSource:
             CorpusShard(index, tuple(bucket),
                         {doc_id: self._sources[doc_id] for doc_id in bucket})
             for index, bucket in enumerate(buckets))
-        self.representation = (
-            "packed" if all(getattr(source, "representation", "object") == "packed"
-                            for source in self._sources.values()) else "object")
         self.tokenizer = getattr(items[0][1], "tokenizer", None)
         if self.tokenizer is None:
             from ..text import DEFAULT_TOKENIZER
@@ -180,55 +176,38 @@ class CorpusPostingSource:
     # ------------------------------------------------------------------ #
     @property
     def source_id(self) -> str:
-        """Composite identity of the corpus (representation-free)."""
+        """Composite identity of the corpus."""
         inner = ",".join(
             f"{doc_id}={self._sources[doc_id].source_id}"
             for doc_id in self.doc_ids)
         return f"corpus[{inner}]"
 
-    def _concat(self, lists: Sequence[Sequence[DeweyCode]]
-                ) -> Sequence[DeweyCode]:
-        """Stitch per-document prefixed lists (already globally sorted)."""
-        if all(isinstance(plist, PackedDeweyList) for plist in lists):
-            return concat_packed(list(lists))
-        merged: List[DeweyCode] = []
-        for plist in lists:
-            merged.extend(plist)
-        return tuple(merged)
-
     def postings(self, keyword: str) -> PostingList:
-        """The corpus-wide, doc-ordinal-prefixed posting list of one keyword."""
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        lists: List[Sequence[DeweyCode]] = []
-        for doc_id in self.doc_ids:
-            source = self._sources[doc_id]
-            ordinal = self._ordinals[doc_id]
-            if isinstance(source, InvertedIndex):
-                prefixed = source.prefixed_postings(normalized, ordinal)
-            else:
-                prefixed = prefix_postings(
-                    source.postings(normalized).deweys, ordinal)
-            if len(prefixed):
-                lists.append(prefixed)
-        merged = self._concat(lists) if lists else self._empty()
-        return PostingList(normalized, merged)
+        """The corpus-wide, doc-ordinal-prefixed posting list of one keyword.
 
-    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, Sequence[DeweyCode]]:
+        Per-document prefixed lists are already globally sorted (ordinals
+        strictly increase), so they are stitched with
+        :func:`~repro.index.packed.concat_packed`, never merged.
+        """
+        normalized = self.tokenizer.normalize_keyword(keyword)
+        return PostingList(normalized, concat_packed([
+            prefix_packed(self._sources[doc_id].postings(normalized).deweys,
+                          self._ordinals[doc_id])
+            for doc_id in self.doc_ids]))
+
+    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
         """Corpus-wide ``D_i`` lists, fetched shard by shard, doc-batched."""
         normalized = self.tokenizer.normalize_query(query)
-        per_doc: Dict[str, Dict[str, Sequence[DeweyCode]]] = {}
+        per_doc: Dict[str, Dict[str, PackedDeweyList]] = {}
         for shard in self.shards:
             per_doc.update(shard.keyword_nodes_by_doc(normalized))
-        result: Dict[str, Sequence[DeweyCode]] = {}
-        for keyword in normalized:
-            lists = []
-            for doc_id in self.doc_ids:
-                deweys = per_doc[doc_id].get(keyword, ())
-                if len(deweys):
-                    lists.append(prefix_postings(
-                        deweys, self._ordinals[doc_id]))
-            result[keyword] = self._concat(lists) if lists else self._empty()
-        return result
+        return {
+            keyword: concat_packed([
+                prefix_packed(per_doc[doc_id].get(keyword, EMPTY_PACKED),
+                              self._ordinals[doc_id])
+                for doc_id in self.doc_ids])
+            for keyword in normalized
+        }
 
     def frequency(self, keyword: str) -> int:
         """Corpus-wide keyword-node count (documents partition the corpus)."""
@@ -281,9 +260,6 @@ class CorpusPostingSource:
                          keyword_buckets.get(ordinal, ()))
 
     # ------------------------------------------------------------------ #
-    def _empty(self) -> Sequence[DeweyCode]:
-        return EMPTY_PACKED if self.representation == "packed" else ()
-
     def _route(self, dewey: DeweyCode
                ) -> Optional[Tuple[PostingSource, DeweyCode]]:
         """``(source, inner code)`` of a corpus-wide code, or ``None``."""
@@ -295,15 +271,14 @@ class CorpusPostingSource:
 
     def __repr__(self) -> str:
         return (f"CorpusPostingSource(documents={len(self.doc_ids)}, "
-                f"shards={len(self.shards)}, "
-                f"representation={self.representation!r})")
+                f"shards={len(self.shards)})")
 
 
 # ---------------------------------------------------------------------- #
 # Construction helpers
 # ---------------------------------------------------------------------- #
 def corpus_from_trees(trees: Mapping[str, XMLTree], backend: str = "memory",
-                      representation: str = "packed", shard_count: int = 1,
+                      shard_count: int = 1,
                       lru_size: int = DEFAULT_POSTING_LRU_SIZE,
                       doc_shards: int = 2) -> CorpusPostingSource:
     """Build a corpus source by ingesting one tree per doc id.
@@ -315,9 +290,6 @@ def corpus_from_trees(trees: Mapping[str, XMLTree], backend: str = "memory",
     document over ``doc_shards`` stores (a sharded source per document,
     inside the doc-partitioned corpus).
     """
-    if representation not in REPRESENTATIONS:
-        raise ValueError(f"unknown representation {representation!r}; "
-                         f"expected one of {REPRESENTATIONS}")
     if backend not in CORPUS_DOC_BACKENDS:
         raise ValueError(f"unknown corpus document backend {backend!r}; "
                          f"expected one of {CORPUS_DOC_BACKENDS}")
@@ -327,27 +299,23 @@ def corpus_from_trees(trees: Mapping[str, XMLTree], backend: str = "memory",
     sources: Dict[str, object] = {}
     if backend == "memory":
         for doc_id in doc_ids:
-            sources[doc_id] = InvertedIndex(trees[doc_id],
-                                            representation=representation)
+            sources[doc_id] = InvertedIndex(trees[doc_id])
     elif backend == "sqlite":
         count = max(1, min(shard_count, len(doc_ids)))
         stores = [SQLiteStore() for _ in range(count)]
         for doc_id in doc_ids:
             store = stores[shard_of_document(doc_id, count)]
             store.store_tree(trees[doc_id], doc_id)
-            sources[doc_id] = source_for_store(store, doc_id, lru_size,
-                                               representation)
+            sources[doc_id] = source_for_store(store, doc_id, lru_size)
     else:  # sharded: Dewey-sharded per document, doc-partitioned overall
         for doc_id in doc_ids:
             sources[doc_id] = ShardedPostingSource.from_tree(
-                trees[doc_id], shard_count=doc_shards, name=doc_id,
-                representation=representation)
+                trees[doc_id], shard_count=doc_shards, name=doc_id)
     return CorpusPostingSource(sources, shard_count=shard_count)
 
 
 def corpus_from_store(store: Union[MemoryStore, SQLiteStore],
                       documents: Optional[Sequence[str]] = None,
-                      representation: str = "packed",
                       lru_size: int = DEFAULT_POSTING_LRU_SIZE,
                       ) -> CorpusPostingSource:
     """A corpus source over the documents of one (already-ingested) store.
@@ -362,7 +330,6 @@ def corpus_from_store(store: Union[MemoryStore, SQLiteStore],
     unknown = sorted(set(doc_ids) - stored)
     if unknown:
         raise unknown_documents_error(unknown, sorted(stored))
-    sources = {doc_id: source_for_store(store, doc_id, lru_size,
-                                        representation)
+    sources = {doc_id: source_for_store(store, doc_id, lru_size)
                for doc_id in doc_ids}
     return CorpusPostingSource(sources, shard_count=1)

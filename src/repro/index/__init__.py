@@ -4,7 +4,6 @@ from .inverted import InvertedIndex, PostingList, build_index, merge_keyword_nod
 from .packed import (
     EMPTY_PACKED,
     PackedDeweyList,
-    REPRESENTATIONS,
     as_packed,
     iter_matches,
     merge_packed,
@@ -37,7 +36,6 @@ __all__ = [
     "PackedDeweyList",
     "PostingList",
     "PostingSource",
-    "REPRESENTATIONS",
     "as_packed",
     "iter_matches",
     "merge_packed",

@@ -22,31 +22,25 @@ from typing import (
 
 from ..text import ContentAnalyzer, DEFAULT_TOKENIZER, Tokenizer
 from ..xmltree import DeweyCode, XMLTree
-from .packed import (
-    EMPTY_PACKED,
-    PackedDeweyList,
-    REPRESENTATIONS,
-    pack_deweys,
-    prefix_postings,
-)
+from .packed import EMPTY_PACKED, PackedDeweyList, as_packed, pack_deweys
 
 
 @dataclass(frozen=True)
 class PostingList:
     """The sorted Dewey codes of the nodes containing one keyword.
 
-    ``deweys`` is frozen at construction: mutable sequences are copied into a
-    tuple (immutable packed columns pass through untouched), so a posting list
-    can never alias — and later observe mutations of — a caller's list, and
-    packed↔object conversions are always built from a stable snapshot.
+    ``deweys`` is always a :class:`~repro.index.packed.PackedDeweyList`:
+    immutable packed columns pass through untouched and any other Dewey
+    sequence is packed once with :func:`~repro.index.packed.as_packed`, so a
+    posting list can never alias — and later observe mutations of — a
+    caller's list.
     """
 
     keyword: str
-    deweys: Sequence[DeweyCode]
+    deweys: PackedDeweyList
 
     def __post_init__(self) -> None:
-        if not isinstance(self.deweys, (tuple, PackedDeweyList)):
-            object.__setattr__(self, "deweys", tuple(self.deweys))
+        object.__setattr__(self, "deweys", as_packed(self.deweys))
 
     def __len__(self) -> int:
         return len(self.deweys)
@@ -73,24 +67,18 @@ class InvertedIndex:
     tokenizer:
         Tokenizer shared with the query side so document words and query
         keywords normalize identically.
-    representation:
-        ``"packed"`` (the default) stores every posting list as flat
-        :class:`~repro.index.packed.PackedDeweyList` columns, which the
-        rewritten SLCA/RTF hot loops consume without materializing
-        :class:`DeweyCode` objects; ``"object"`` keeps the classic tuples of
-        codes.  Both produce byte-identical search results.
+
+    Every posting list is stored as flat
+    :class:`~repro.index.packed.PackedDeweyList` columns, which the SLCA/RTF
+    hot loops consume without materializing :class:`DeweyCode` objects.
     """
 
-    def __init__(self, tree: XMLTree, tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-                 representation: str = "packed") -> None:
-        if representation not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {representation!r}; "
-                             f"expected one of {REPRESENTATIONS}")
+    def __init__(self, tree: XMLTree,
+                 tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> None:
         self.tree = tree
         self.tokenizer = tokenizer
-        self.representation = representation
         self.analyzer = ContentAnalyzer(tree, tokenizer)
-        self._postings: Dict[str, Sequence[DeweyCode]] = {}
+        self._postings: Dict[str, PackedDeweyList] = {}
         self._node_words: Dict[DeweyCode, FrozenSet[str]] = {}
         self._impacts: Dict[str, "KeywordImpact"] = {}
         self._build()
@@ -104,15 +92,8 @@ class InvertedIndex:
                 postings.setdefault(word, []).append(node.dewey)
         # iter_preorder yields document order, so the per-word lists are
         # already sorted and duplicate-free (node_content is a set per node).
-        if self.representation == "packed":
-            self._postings = {word: pack_deweys(deweys, presorted=True)
-                              for word, deweys in postings.items()}
-        else:
-            self._postings = {word: tuple(deweys)
-                              for word, deweys in postings.items()}
-
-    def _empty(self) -> Sequence[DeweyCode]:
-        return EMPTY_PACKED if self.representation == "packed" else ()
+        self._postings = {word: pack_deweys(deweys, presorted=True)
+                          for word, deweys in postings.items()}
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -121,40 +102,17 @@ class InvertedIndex:
         """The posting list for a (raw, un-normalized) keyword."""
         normalized = self.tokenizer.normalize_keyword(keyword)
         return PostingList(normalized,
-                           self._postings.get(normalized, self._empty()))
+                           self._postings.get(normalized, EMPTY_PACKED))
 
-    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, Sequence[DeweyCode]]:
+    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
         """The ``D_i`` lists for every keyword of a query (getKeywordNodes).
 
         The result maps each *normalized* keyword to its sorted Dewey list;
-        keywords with no match map to an empty list.  Under the packed
-        representation the shared immutable columns themselves are returned
-        (they are never mutated); the object representation hands out copies.
+        keywords with no match map to an empty list.  The shared immutable
+        columns themselves are returned (they are never mutated).
         """
-        result: Dict[str, Sequence[DeweyCode]] = {}
-        if self.representation == "packed":
-            for keyword in self.tokenizer.normalize_query(query):
-                result[keyword] = self._postings.get(keyword, EMPTY_PACKED)
-        else:
-            for keyword in self.tokenizer.normalize_query(query):
-                result[keyword] = list(self._postings.get(keyword, ()))
-        return result
-
-    def prefixed_postings(self, keyword: str, ordinal: int) -> Sequence[DeweyCode]:
-        """The posting list with a corpus doc ordinal prepended to every code.
-
-        The corpus layer (:mod:`repro.corpus`) keeps one index per document
-        and serves corpus-wide posting lists as the concatenation of the
-        per-document lists, each prefixed with the document's ordinal
-        (:func:`~repro.index.packed.prefix_postings` — a flat column rebuild
-        under the packed representation, boxed prefixed codes under the
-        object one).
-        """
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        deweys = self._postings.get(normalized)
-        if deweys is None:
-            return self._empty()
-        return prefix_postings(deweys, ordinal)
+        return {keyword: self._postings.get(keyword, EMPTY_PACKED)
+                for keyword in self.tokenizer.normalize_query(query)}
 
     def frequency(self, keyword: str) -> int:
         """Number of keyword nodes containing ``keyword``."""
@@ -172,7 +130,8 @@ class InvertedIndex:
         normalized = self.tokenizer.normalize_keyword(keyword)
         cached = self._impacts.get(normalized)
         if cached is None:
-            cached = impact_from_postings(self._postings.get(normalized, ()))
+            cached = impact_from_postings(
+                self._postings.get(normalized, EMPTY_PACKED))
             self._impacts[normalized] = cached
         return cached
 
@@ -210,11 +169,10 @@ class InvertedIndex:
                 f"postings={self.total_postings()})")
 
 
-def build_index(tree: XMLTree, tokenizer: Optional[Tokenizer] = None,
-                representation: str = "packed") -> InvertedIndex:
+def build_index(tree: XMLTree,
+                tokenizer: Optional[Tokenizer] = None) -> InvertedIndex:
     """Convenience factory mirroring the facade naming used in examples."""
-    return InvertedIndex(tree, tokenizer or DEFAULT_TOKENIZER,
-                         representation=representation)
+    return InvertedIndex(tree, tokenizer or DEFAULT_TOKENIZER)
 
 
 def merge_keyword_nodes(lists: Mapping[str, Sequence[DeweyCode]]) -> List[DeweyCode]:

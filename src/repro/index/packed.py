@@ -27,9 +27,9 @@ codes — each code stores only the suffix it does not share with its
 predecessor — which is what the sqlite backend persists as one blob per
 keyword, so disk loads rebuild the columns without decoding per-row strings.
 
-Everything here is representation-level plumbing: the packed and object paths
-must produce byte-identical search results (``tests/test_backend_parity.py``
-and the property suites enforce this across backends and seeds).
+This is the one posting form of the library: every backend serves it and
+every stage consumes it, with ``lca/naive.py`` as the independent oracle the
+property suites check the packed loops against.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import sys
 from array import array
 from collections.abc import Sequence as _SequenceABC
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from ..xmltree import DeweyCode
 from ..xmltree.errors import InvalidDeweyCode
@@ -46,8 +46,6 @@ from ..xmltree.errors import InvalidDeweyCode
 __all__ = [
     "EMPTY_PACKED",
     "PackedDeweyList",
-    "REPRESENTATIONS",
-    "all_packed",
     "as_packed",
     "common_prefix_len",
     "concat_packed",
@@ -56,11 +54,7 @@ __all__ = [
     "pack_component_tuples",
     "pack_deweys",
     "prefix_packed",
-    "prefix_postings",
 ]
-
-#: The representations a posting backend can serve.
-REPRESENTATIONS = ("packed", "object")
 
 #: Blob header magic (versioned so the on-disk format can evolve).
 _BLOB_MAGIC = b"PKD1"
@@ -109,7 +103,7 @@ class PackedDeweyList(_SequenceABC):
             if step != 1:
                 # A non-contiguous or reversed selection cannot stay packed —
                 # the class invariant is strict document order — so it
-                # degrades to the object form (a tuple of codes).
+                # degrades to a plain tuple of codes.
                 return self.materialize()[index]
             if stop <= start:
                 return PackedDeweyList(array("I"), array("I", [0]))
@@ -155,11 +149,11 @@ class PackedDeweyList(_SequenceABC):
 
     def __hash__(self) -> int:
         # Instances are immutable; hashing keeps containers of posting lists
-        # (e.g. a frozen PostingList dataclass) hashable under both
-        # representations.  Hashing the materialized code tuple keeps the
-        # eq/hash contract intact with the tuple-of-codes form __eq__ accepts
-        # — mixed-representation containers see one entry, not two.  Computed
-        # lazily and cached; hashing posting lists is rare and cold.
+        # (e.g. a frozen PostingList dataclass) hashable.  Hashing the
+        # materialized code tuple keeps the eq/hash contract intact with the
+        # tuple-of-codes form __eq__ accepts — a container holding both sees
+        # one entry, not two.  Computed lazily and cached; hashing posting
+        # lists is rare and cold.
         if self._hash is None:
             self._hash = hash(self.materialize())
         return self._hash
@@ -384,10 +378,10 @@ def deepest_neighbor_prefix_len(node: Sequence[int], plist: PackedDeweyList,
     """Depth of the deepest LCA of ``node`` with ``plist``'s neighbors.
 
     The shared predecessor/successor probe of the Indexed Lookup and Scan
-    Eager packed paths: only the elements at ``position - 1`` and ``position``
+    Eager algorithms: only the elements at ``position - 1`` and ``position``
     (the node's document-order neighbors) can give the deepest common prefix.
     Raises :class:`InvalidDeweyCode` when neither neighbor shares a prefix
-    (the codes then belong to different roots), mirroring the object path's
+    (the codes then belong to different roots), like
     ``DeweyCode.common_prefix``.
     """
     best = 0
@@ -513,21 +507,6 @@ def prefix_packed(plist: PackedDeweyList, prefix: int) -> PackedDeweyList:
     return PackedDeweyList(data, offsets)
 
 
-def prefix_postings(deweys: Sequence, prefix: int) -> Sequence:
-    """Doc-ordinal prefixing for either posting representation.
-
-    Packed lists go through :func:`prefix_packed`; object lists come back as
-    a tuple of prefixed :class:`DeweyCode`.  The single implementation shared
-    by :meth:`~repro.index.inverted.InvertedIndex.prefixed_postings` and the
-    corpus source.
-    """
-    if isinstance(deweys, PackedDeweyList):
-        return prefix_packed(deweys, prefix)
-    # lint: allow(hot-loop-purity) object representation's own path
-    return tuple(DeweyCode._from_tuple((prefix,) + code.components)
-                 for code in deweys)
-
-
 def concat_packed(lists: Sequence[PackedDeweyList]) -> PackedDeweyList:
     """Concatenate packed lists that are already globally sorted.
 
@@ -550,16 +529,3 @@ def concat_packed(lists: Sequence[PackedDeweyList]) -> PackedDeweyList:
         offsets.extend(array("I", (base + cut for cut in plist.offsets[1:])))
     return PackedDeweyList(data, offsets)
 
-
-def all_packed(values: Iterable) -> Optional[List[PackedDeweyList]]:
-    """The values as a list when every one is packed, else ``None``.
-
-    The dispatch guard the rewritten algorithms use to choose between their
-    packed and object hot loops.
-    """
-    packed: List[PackedDeweyList] = []
-    for value in values:
-        if not isinstance(value, PackedDeweyList):
-            return None
-        packed.append(value)
-    return packed

@@ -36,15 +36,17 @@ from typing import (
 
 from ..xmltree import DeweyCode
 from .inverted import PostingList
-from .packed import PackedDeweyList
+from .packed import PackedDeweyList, as_packed
 
 
 @runtime_checkable
 class PostingSource(Protocol):
     """What every posting-list backend must provide.
 
-    Implementations promise that posting lists are **strictly sorted in
-    document (Dewey) order and duplicate-free**, that keywords are normalized
+    Implementations promise that posting lists are
+    :class:`~repro.index.packed.PackedDeweyList` columns (``postings`` wraps
+    them in a :class:`~repro.index.inverted.PostingList`), **strictly sorted
+    in document (Dewey) order and duplicate-free**, that keywords are normalized
     with the same tokenizer the query side uses, and that ``frequency(w) ==
     len(postings(w))`` — the invariants the property suite
     (``tests/test_posting_properties.py``) checks across backends.
@@ -59,10 +61,11 @@ class PostingSource(Protocol):
         """The posting list of one (raw, un-normalized) keyword."""
         ...
 
-    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, List[DeweyCode]]:
+    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
         """The ``D_i`` lists of a whole query (``getKeywordNodes``).
 
-        Maps each *normalized* keyword to its sorted Dewey list; keywords
+        Maps each *normalized* keyword to its sorted Dewey list in the one
+        posting form, :class:`~repro.index.packed.PackedDeweyList`; keywords
         with no match map to an empty list.  Backends are encouraged to batch
         this (one round-trip for the whole query) — the engine's
         ``search_many`` fast path funnels the union of a batch's keywords
@@ -121,16 +124,15 @@ def impact_from_postings(deweys: Sequence[DeweyCode]) -> KeywordImpact:
 
     This is the lazy fallback every source without precomputed metadata
     shares, and the definition the precomputed paths must agree with.
+    Non-packed input (a store's decoded rows) is packed once first; the
+    depths then come straight off the offset table — no DeweyCode objects
+    are materialized (depth = component count = level + 1).
     """
-    count = len(deweys)
+    packed = as_packed(deweys)
+    count = len(packed)
     if not count:
         return EMPTY_IMPACT
-    if isinstance(deweys, PackedDeweyList):
-        # Component counts straight off the offset table — no DeweyCode
-        # objects are materialized (depth = component count = level + 1).
-        deepest = max(deweys.depth(index) for index in range(count)) - 1
-    else:
-        deepest = max(dewey.level for dewey in deweys)
+    deepest = max(packed.depth(index) for index in range(count)) - 1
     return KeywordImpact(count=count, max_depth=deepest)
 
 

@@ -21,7 +21,7 @@ from .naive import (
     naive_lca_candidates,
     naive_slca,
 )
-from .indexed_lookup import closest_match_lca, indexed_lookup_eager_slca
+from .indexed_lookup import indexed_lookup_eager_slca
 from .scan_eager import scan_eager_slca
 from .stack_slca import stack_slca
 from .indexed_stack import elca_is_slca, indexed_stack_elca
@@ -59,7 +59,6 @@ __all__ = [
     "naive_elca",
     "naive_elca_exhaustive",
     "indexed_lookup_eager_slca",
-    "closest_match_lca",
     "scan_eager_slca",
     "stack_slca",
     "indexed_stack_elca",

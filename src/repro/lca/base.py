@@ -19,9 +19,9 @@ Terminology used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from ..index.packed import PackedDeweyList
+from ..index.packed import PackedDeweyList, as_packed
 from ..xmltree import DeweyCode
 
 KeywordLists = Mapping[str, Sequence[DeweyCode]]
@@ -52,7 +52,7 @@ def normalize_lists(lists: KeywordLists) -> List[List[DeweyCode]]:
     """
     normalized: List[List[DeweyCode]] = []
     for keyword, deweys in lists.items():
-        # lint: allow(hot-loop-purity) object path's input normalization
+        # lint: allow(hot-loop-purity) the naive oracle's input normalization
         unique = sorted(set(DeweyCode.coerce(code) for code in deweys))
         if not unique:
             raise EmptyKeywordList(f"keyword {keyword!r} has no occurrence")
@@ -62,17 +62,14 @@ def normalize_lists(lists: KeywordLists) -> List[List[DeweyCode]]:
     return normalized
 
 
-def prepare_lists(lists: KeywordLists
-                  ) -> Tuple[Optional[List[PackedDeweyList]],
-                             Optional[List[List[DeweyCode]]]]:
-    """Dispatch helper: ``(packed, None)`` or ``(None, normalized)``.
+def prepare_lists(lists: KeywordLists) -> List[PackedDeweyList]:
+    """The posting lists in packed form, ready for the hot loops.
 
-    When every posting list is a :class:`PackedDeweyList` (sorted and
-    duplicate-free by construction) the algorithms run their zero-object hot
-    loops on the flat columns directly; any other input falls back to
-    :func:`normalize_lists` and the classic object path.  Raises
-    :class:`EmptyKeywordList` exactly like :func:`normalize_lists` when the
-    query is empty or any keyword has no occurrence.
+    Packed lists (sorted and duplicate-free by construction) pass through
+    untouched; any other Dewey sequence is packed once with
+    :func:`~repro.index.packed.as_packed`, which sorts and deduplicates it.
+    Raises :class:`EmptyKeywordList` exactly like :func:`normalize_lists`
+    when the query is empty or any keyword has no occurrence.
     """
     if not lists:
         raise EmptyKeywordList("the query has no keywords")
@@ -80,23 +77,8 @@ def prepare_lists(lists: KeywordLists
     for keyword, deweys in lists.items():
         if not deweys:
             raise EmptyKeywordList(f"keyword {keyword!r} has no occurrence")
-        if not isinstance(deweys, PackedDeweyList):
-            return None, normalize_lists(lists)
-        packed.append(deweys)
-    return packed, None
-
-
-def iter_object_matches(normalized: Sequence[Sequence[DeweyCode]]
-                        ) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """The object-path ``(components, mask)`` stream.
-
-    Adapter so the stack algorithms consume one stream shape for both
-    representations: this wraps :func:`merge_matches`, while the packed path
-    feeds :func:`repro.index.packed.iter_matches` straight from the columns.
-    """
-    for match in merge_matches(normalized):
-        # lint: allow(hot-loop-purity) unboxing adapter: objects → components
-        yield match.dewey.components, match.mask
+        packed.append(as_packed(deweys))
+    return packed
 
 
 def remove_ancestors_slices(candidates: List) -> List:

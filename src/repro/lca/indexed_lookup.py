@@ -16,46 +16,32 @@ The fold starts from the smallest list so the per-step work is
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import List, Optional, Sequence
+from typing import List
 
-from ..index.packed import PackedDeweyList, deepest_neighbor_prefix_len
+from ..index.packed import deepest_neighbor_prefix_len
 from ..xmltree import DeweyCode
 from .base import (
     EmptyKeywordList,
     KeywordLists,
     prepare_lists,
-    remove_ancestors,
     remove_ancestors_slices,
 )
 
 
 def indexed_lookup_eager_slca(lists: KeywordLists) -> List[DeweyCode]:
-    """SLCA nodes of the posting lists via the Indexed Lookup Eager strategy."""
+    """SLCA nodes of the posting lists via the Indexed Lookup Eager strategy.
+
+    The fold runs on flat columns: the working set is a list of raw component
+    slices, the predecessor / successor lookups bisect the packed ``offsets``
+    column directly and the deepest-LCA choice is a pair of
+    common-prefix-length computations.  Codes are materialized only for the
+    final SLCA set.
+    """
     try:
-        packed, normalized = prepare_lists(lists)
+        packed = prepare_lists(lists)
     except EmptyKeywordList:
         return []
-    if packed is not None:
-        return _packed_fold(packed)
     # Fold starting from the smallest list (the paper's eager strategy).
-    ordered = sorted(normalized, key=len)
-    current = remove_ancestors(ordered[0])
-    for other in ordered[1:]:
-        current = _slca_of_two(current, other)
-        if not current:
-            return []
-    return sorted(current)
-
-
-def _packed_fold(packed: List[PackedDeweyList]) -> List[DeweyCode]:
-    """The same fold on flat columns: binary search + prefix-length compares.
-
-    The working set is a list of raw component slices; the predecessor /
-    successor lookups bisect the packed ``offsets`` column directly and the
-    deepest-LCA choice is a pair of common-prefix-length computations.  Codes
-    are materialized only for the final SLCA set.
-    """
     ordered = sorted(packed, key=len)
     current = remove_ancestors_slices(list(ordered[0].iter_slices()))
     for other in ordered[1:]:
@@ -70,30 +56,3 @@ def _packed_fold(packed: List[PackedDeweyList]) -> List[DeweyCode]:
             return []
     # lint: allow(hot-loop-purity) result boundary: the final SLCA set
     return [DeweyCode._from_tuple(tuple(comps)) for comps in current]
-
-
-def closest_match_lca(node: DeweyCode, sorted_list: Sequence[DeweyCode]) -> DeweyCode:
-    """The deepest LCA of ``node`` with any element of ``sorted_list``.
-
-    Implements the predecessor/successor lookup of the Indexed Lookup
-    algorithm: only the two neighbours of ``node`` in document order can give
-    the deepest LCA.
-    """
-    if not sorted_list:
-        raise EmptyKeywordList("cannot match against an empty list")
-    position = bisect_left(sorted_list, node)
-    best: Optional[DeweyCode] = None
-    for index in (position - 1, position):
-        if 0 <= index < len(sorted_list):
-            candidate = node.common_prefix(sorted_list[index])
-            if best is None or len(candidate) > len(best):
-                best = candidate
-    assert best is not None  # at least one neighbour exists
-    return best
-
-
-def _slca_of_two(left: Sequence[DeweyCode],
-                 right: Sequence[DeweyCode]) -> List[DeweyCode]:
-    """``slca(left, right)`` where both inputs are document-order sorted."""
-    candidates = [closest_match_lca(node, right) for node in left]
-    return remove_ancestors(candidates)

@@ -30,13 +30,7 @@ from typing import Iterable, Iterator, List, Tuple
 
 from ..index.packed import iter_matches
 from ..xmltree import DeweyCode
-from .base import (
-    EmptyKeywordList,
-    KeywordLists,
-    full_mask,
-    iter_object_matches,
-    prepare_lists,
-)
+from .base import EmptyKeywordList, KeywordLists, full_mask, prepare_lists
 
 
 def indexed_stack_elca(lists: KeywordLists) -> List[DeweyCode]:
@@ -45,23 +39,16 @@ def indexed_stack_elca(lists: KeywordLists) -> List[DeweyCode]:
     This is the drop-in ``getLCA`` of Algorithm 1: the returned Dewey codes
     are sorted in document (pre-order) order as the later stages require.
 
-    The scan consumes a document-order ``(components, mask)`` stream — fed
-    from the flat packed columns (heap merge with galloping skips) when the
-    posting lists are packed, from :func:`~repro.lca.base.merge_matches`
-    otherwise — and keeps the path stack as three parallel lists of unboxed
-    values; only the reported ELCAs are materialized as :class:`DeweyCode`.
+    The scan consumes a document-order ``(components, mask)`` stream fed
+    from the flat packed columns (heap merge with galloping skips) and keeps
+    the path stack as three parallel lists of unboxed values; only the
+    reported ELCAs are materialized as :class:`DeweyCode`.
     """
     try:
-        packed, normalized = prepare_lists(lists)
+        packed = prepare_lists(lists)
     except EmptyKeywordList:
         return []
-    if packed is not None:
-        stream: Iterator[Tuple[Iterable[int], int]] = iter_matches(packed)
-        target = full_mask(len(packed))
-    else:
-        stream = iter_object_matches(normalized)
-        target = full_mask(len(normalized))
-    return _scan(stream, target)
+    return _scan(iter_matches(packed), full_mask(len(packed)))
 
 
 def _scan(stream: Iterator[Tuple[Iterable[int], int]],

@@ -9,54 +9,31 @@ that only move forward.  The asymptotic cost is the sum of the list lengths
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from ..index.packed import PackedDeweyList, deepest_neighbor_prefix_len
+from ..index.packed import deepest_neighbor_prefix_len
 from ..xmltree import DeweyCode
 from .base import (
     EmptyKeywordList,
     KeywordLists,
     prepare_lists,
-    remove_ancestors,
     remove_ancestors_slices,
 )
 
 
 def scan_eager_slca(lists: KeywordLists) -> List[DeweyCode]:
-    """SLCA nodes computed with forward-only cursors over every list."""
+    """SLCA nodes computed with forward-only cursors over every list.
+
+    The cursors gallop over the flat packed columns.  For every anchor slice
+    the per-list deepest-LCA depth is the larger common-prefix length with
+    the cursor's predecessor/successor; the combined candidate is the anchor
+    prefix cut at the *shallowest* of those depths (every keyword must be
+    reachable below it).  Nothing is materialized until the final SLCA set.
+    """
     try:
-        packed, normalized = prepare_lists(lists)
+        packed = prepare_lists(lists)
     except EmptyKeywordList:
         return []
-    if packed is not None:
-        return _packed_scan(packed)
-    if len(normalized) == 1:
-        return remove_ancestors(normalized[0])
-
-    anchor = min(normalized, key=len)
-    others = [deweys for deweys in normalized if deweys is not anchor]
-    cursors = [0] * len(others)
-
-    candidates: List[DeweyCode] = []
-    for node in anchor:
-        deepest: Optional[DeweyCode] = None
-        for which, deweys in enumerate(others):
-            cursors[which] = _advance(deweys, cursors[which], node)
-            best = _closest_lca(node, deweys, cursors[which])
-            deepest = best if deepest is None else _shallower(deepest, best)
-        if deepest is not None:
-            candidates.append(deepest)
-    return remove_ancestors(candidates)
-
-
-def _packed_scan(packed: List[PackedDeweyList]) -> List[DeweyCode]:
-    """Forward-only cursors over flat columns (galloping advances).
-
-    For every anchor slice the per-list deepest-LCA depth is the larger
-    common-prefix length with the cursor's predecessor/successor; the combined
-    candidate is the anchor prefix cut at the *shallowest* of those depths.
-    Nothing is materialized until the final SLCA set.
-    """
     if len(packed) == 1:
         # lint: allow(hot-loop-purity) result boundary: the final SLCA set
         return [DeweyCode._from_tuple(tuple(comps))
@@ -80,33 +57,3 @@ def _packed_scan(packed: List[PackedDeweyList]) -> List[DeweyCode]:
     # lint: allow(hot-loop-purity) result boundary: the final SLCA set
     return [DeweyCode._from_tuple(tuple(comps))
             for comps in remove_ancestors_slices(candidates)]
-
-
-def _advance(deweys: Sequence[DeweyCode], cursor: int, node: DeweyCode) -> int:
-    """Move the cursor forward to the first element >= node (never backward)."""
-    while cursor < len(deweys) and deweys[cursor] < node:
-        cursor += 1
-    return cursor
-
-
-def _closest_lca(node: DeweyCode, deweys: Sequence[DeweyCode], cursor: int) -> DeweyCode:
-    """Deepest LCA of ``node`` with the predecessor/successor at the cursor."""
-    best: Optional[DeweyCode] = None
-    for index in (cursor - 1, cursor):
-        if 0 <= index < len(deweys):
-            candidate = node.common_prefix(deweys[index])
-            if best is None or len(candidate) > len(best):
-                best = candidate
-    assert best is not None
-    return best
-
-
-def _shallower(first: DeweyCode, second: DeweyCode) -> DeweyCode:
-    """Of two ancestors of a common node, the one closer to the root.
-
-    When folding the per-list deepest LCAs for one anchor node, the combined
-    SLCA candidate is the shallowest of them (every keyword must be reachable
-    below it), and since both are ancestors of the same anchor they are
-    comparable by depth.
-    """
-    return first if len(first) <= len(second) else second

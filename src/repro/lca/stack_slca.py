@@ -10,12 +10,11 @@ It is provided both as an additional baseline for the ablation benchmark and
 as an independent implementation to cross-check the Indexed Lookup / Scan
 Eager algorithms in the property-based tests.
 
-The scan consumes a ``(components, mask)`` stream and keeps the path stack as
-three parallel lists of unboxed values (component, mask, descendant flag).
-Packed posting lists feed the stream straight from their flat columns
-(:func:`repro.index.packed.iter_matches` — heap merge with galloping skips);
-object lists go through the classic :func:`~repro.lca.base.merge_matches`.
-:class:`DeweyCode` objects are materialized only for the reported SLCAs.
+The scan consumes a ``(components, mask)`` stream fed straight from the
+packed posting columns (:func:`repro.index.packed.iter_matches` — heap merge
+with galloping skips) and keeps the path stack as three parallel lists of
+unboxed values (component, mask, descendant flag).  :class:`DeweyCode`
+objects are materialized only for the reported SLCAs.
 """
 
 from __future__ import annotations
@@ -24,28 +23,16 @@ from typing import Iterable, Iterator, List, Tuple
 
 from ..index.packed import iter_matches
 from ..xmltree import DeweyCode
-from .base import (
-    EmptyKeywordList,
-    KeywordLists,
-    full_mask,
-    iter_object_matches,
-    prepare_lists,
-)
+from .base import EmptyKeywordList, KeywordLists, full_mask, prepare_lists
 
 
 def stack_slca(lists: KeywordLists) -> List[DeweyCode]:
     """SLCA nodes computed with the merged-stream stack algorithm."""
     try:
-        packed, normalized = prepare_lists(lists)
+        packed = prepare_lists(lists)
     except EmptyKeywordList:
         return []
-    if packed is not None:
-        stream: Iterator[Tuple[Iterable[int], int]] = iter_matches(packed)
-        target = full_mask(len(packed))
-    else:
-        stream = iter_object_matches(normalized)
-        target = full_mask(len(normalized))
-    return _scan(stream, target)
+    return _scan(iter_matches(packed), full_mask(len(packed)))
 
 
 def _scan(stream: Iterator[Tuple[Iterable[int], int]],

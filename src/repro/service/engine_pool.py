@@ -125,7 +125,6 @@ class EnginePool:
                     shards: int = 2, db_path: Optional[str] = None,
                     document: str = "service",
                     lru_size: int = DEFAULT_POSTING_LRU_SIZE,
-                    representation: str = "packed",
                     trees: Optional[Dict[str, XMLTree]] = None,
                     documents: Optional[Sequence[str]] = None,
                     fault_plan: Optional[FaultPlan] = None) -> "EnginePool":
@@ -141,12 +140,10 @@ class EnginePool:
         database it builds a memory corpus from ``trees`` (doc id -> tree)
         or a one-document corpus from ``tree``.
 
-        ``representation`` selects the physical posting form every worker
-        serves (see :class:`~repro.core.engine.SearchEngine`).  Under
-        ``memory`` + ``"packed"`` the snapshot shared by all workers holds
-        **one** set of flat posting columns — immutable arrays handed to every
-        worker engine by reference, so N workers cost no more posting memory
-        than one.
+        Under ``memory`` the snapshot shared by all workers holds **one** set
+        of flat posting columns — immutable arrays handed to every worker
+        engine by reference, so N workers cost no more posting memory than
+        one.
         """
         if fault_plan is not None and backend not in ("sqlite", "sharded",
                                                       "corpus"):
@@ -156,7 +153,7 @@ class EnginePool:
         if backend == "memory":
             if tree is None:
                 raise ValueError("the memory backend needs a tree")
-            snapshot = InvertedIndex(tree, representation=representation)
+            snapshot = InvertedIndex(tree)
             return cls(lambda: SearchEngine(tree, source=snapshot,
                                             cache_size=cache_size),
                        workers=workers)
@@ -172,8 +169,7 @@ class EnginePool:
             if fault_plan is not None:
                 store.set_fault_plan(fault_plan)
             return cls(lambda: SearchEngine(
-                source=SQLitePostingSource(store, document, lru_size,
-                                           representation=representation),
+                source=SQLitePostingSource(store, document, lru_size),
                 cache_size=cache_size), workers=workers)
         if backend == "sharded":
             if tree is None:
@@ -187,8 +183,7 @@ class EnginePool:
                     store.set_fault_plan(fault_plan)
 
             def sharded_engine() -> SearchEngine:
-                sources = [source_for_store(store, name, lru_size,
-                                            representation)
+                sources = [source_for_store(store, name, lru_size)
                            for store in stores]
                 return SearchEngine(
                     source=ShardedPostingSource(sources, routed=True),
@@ -220,7 +215,6 @@ class EnginePool:
                     store.set_fault_plan(fault_plan)
                 pool = cls(lambda: CorpusSearchEngine.from_store(
                     store, documents=served,
-                    representation=representation,
                     cache_size=cache_size), workers=workers)
                 if served is None:
                     # A pinned subset cannot absorb adds/deletes coherently,
@@ -238,7 +232,6 @@ class EnginePool:
             # One set of immutable per-document memory indexes, shared by
             # every worker engine — same snapshot economics as `memory`.
             snapshot = corpus_from_trees(corpus_trees, backend="memory",
-                                         representation=representation,
                                          shard_count=shards)
             return cls(lambda: CorpusSearchEngine(snapshot,
                                                   trees=corpus_trees,

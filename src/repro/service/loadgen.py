@@ -353,7 +353,7 @@ def verify_service_reports(reports: Sequence[LoadReport]) -> None:
     A report that answered nothing, recorded a negative latency or whose
     percentiles are out of order is a harness bug, not a measurement —
     writing it to ``BENCH_service.json`` would archive a lie.  This is the
-    service-side analogue of the core bench's representation-parity guard.
+    service-side analogue of the core bench's answer-parity guard.
     """
     if not reports:
         raise ServiceBenchIntegrityError("no load reports to persist")

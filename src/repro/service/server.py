@@ -131,7 +131,6 @@ class ServiceConfig:
     batch_window_seconds: float = DEFAULT_MAX_WAIT_SECONDS
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     timeout_seconds: Optional[float] = None
-    representation: str = "packed"
     #: Corpus backend only: serve this doc-id subset of the database
     #: instead of every stored document.
     documents: Optional[Tuple[str, ...]] = None
@@ -161,7 +160,6 @@ class ServiceConfig:
             self.backend, tree=tree, workers=self.workers,
             cache_size=self.cache_size, shards=self.shards,
             db_path=self.db_path, document=self.document,
-            representation=self.representation,
             documents=self.documents,
             fault_plan=plan)
         metrics = MetricsRegistry()

@@ -24,12 +24,12 @@ from .posting_source import (
     ShardedPostingSource,
     SQLitePostingSource,
     StorePostingSource,
+    agreement_with_index,
     shard_of,
     shard_shredded,
     shard_stores,
     source_for_store,
 )
-from .query import StoredDocumentSearch, StoreQuerySession, agreement_with_index
 from .verify import IntegrityFinding, IntegrityReport, verify_database
 
 __all__ = [
@@ -60,8 +60,6 @@ __all__ = [
     "shard_of",
     "shard_shredded",
     "shard_stores",
-    "StoredDocumentSearch",
-    "StoreQuerySession",
     "agreement_with_index",
     "IntegrityFinding",
     "IntegrityReport",

@@ -7,18 +7,20 @@ EMBANKS-style disk-based retrieval setup of the paper's Section 5, without the
 full document resident in RAM.
 
 * :class:`StorePostingSource` — generic adapter over any store backend
-  (memory or sqlite).  Lazy: nothing is fetched at construction; decoded
+  (memory or sqlite).  Lazy: nothing is fetched at construction; packed
   posting lists are kept in a per-keyword LRU so hot keywords pay the
-  SQL + Dewey-decode cost once.
+  store round-trip once.
 * :class:`SQLitePostingSource` — specialization for :class:`SQLiteStore` that
-  fetches all of a query's uncached posting lists in **one** batched
-  ``IN (...)`` statement, which is what the engine's ``search_many`` batch
-  path funnels a whole workload's keyword union through.
+  loads each keyword as one packed blob and fetches all of a query's
+  uncached posting lists in **one** batched ``IN (...)`` statement, which is
+  what the engine's ``search_many`` batch path funnels a whole workload's
+  keyword union through.
 * :class:`ShardedPostingSource` — fans one logical document out over N
-  stores and merge-sorts the per-shard posting lists back together.
+  stores and merge-sorts the per-shard packed cursors back together.
 
-All three satisfy the parity contract: posting lists strictly sorted in
-document order, duplicate-free, and identical to the memory backend's
+All three serve :class:`~repro.index.packed.PackedDeweyList` columns and
+satisfy the parity contract: posting lists strictly sorted in document
+order, duplicate-free, and identical to the memory backend's
 (``tests/test_backend_parity.py`` / ``tests/test_posting_properties.py``).
 """
 
@@ -26,16 +28,13 @@ from __future__ import annotations
 
 import zlib
 from collections import OrderedDict
-from heapq import merge as _heap_merge
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from ..index import PostingList
+from ..index import InvertedIndex, PostingList
 from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
 from ..index.packed import (
     EMPTY_PACKED,
     PackedDeweyList,
-    REPRESENTATIONS,
-    all_packed,
     merge_packed,
     pack_component_tuples,
     pack_deweys,
@@ -70,30 +69,19 @@ class StorePostingSource:
     document:
         Name of the stored document to serve.
     lru_size:
-        Capacity of the per-keyword LRU of decoded Dewey lists; ``0``
+        Capacity of the per-keyword LRU of packed posting lists; ``0``
         disables caching (every lookup goes back to the store).
-    representation:
-        ``"packed"`` (the default) serves posting lists as flat
-        :class:`~repro.index.packed.PackedDeweyList` columns; ``"object"``
-        keeps the classic tuples of :class:`DeweyCode`.  Both answer
-        identically — the packed form just skips per-posting object
-        materialization (and, on the sqlite specialization, per-row decoding).
     """
 
     def __init__(self, store, document: str,
                  lru_size: int = DEFAULT_POSTING_LRU_SIZE,
-                 node_lru_size: int = DEFAULT_NODE_LRU_SIZE,
-                 representation: str = "packed"):
-        if representation not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {representation!r}; "
-                             f"expected one of {REPRESENTATIONS}")
+                 node_lru_size: int = DEFAULT_NODE_LRU_SIZE):
         self.store = store
         self.document = document
         self.tokenizer = store.tokenizer
         self.lru_size = lru_size
         self.node_lru_size = node_lru_size
-        self.representation = representation
-        self._lru: "OrderedDict[str, Sequence[DeweyCode]]" = OrderedDict()
+        self._lru: "OrderedDict[str, PackedDeweyList]" = OrderedDict()
         self._labels: "OrderedDict[DeweyCode, Optional[str]]" = OrderedDict()
         self._words: "OrderedDict[DeweyCode, FrozenSet[str]]" = OrderedDict()
         self.lru_hits = 0
@@ -117,18 +105,13 @@ class StorePostingSource:
         normalized = self.tokenizer.normalize_keyword(keyword)
         return PostingList(normalized, self._deweys(normalized))
 
-    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, Sequence[DeweyCode]]:
+    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
         """The ``D_i`` lists for every keyword of a query.
 
-        Packed representation: the immutable cached columns themselves are
-        returned; object representation: per-call list copies, as before.
+        The immutable cached columns themselves are returned.
         """
-        result: Dict[str, Sequence[DeweyCode]] = {}
-        for keyword in self.tokenizer.normalize_query(query):
-            deweys = self._deweys(keyword)
-            result[keyword] = (deweys if isinstance(deweys, PackedDeweyList)
-                               else list(deweys))
-        return result
+        return {keyword: self._deweys(keyword)
+                for keyword in self.tokenizer.normalize_query(query)}
 
     def frequency(self, keyword: str) -> int:
         """Number of keyword nodes containing ``keyword``."""
@@ -190,17 +173,13 @@ class StorePostingSource:
     # ------------------------------------------------------------------ #
     # LRU plumbing (shared with the sqlite batch path)
     # ------------------------------------------------------------------ #
-    def _deweys(self, normalized: str) -> Sequence[DeweyCode]:
+    def _deweys(self, normalized: str) -> PackedDeweyList:
         cached = self._lru_get(normalized)
         if cached is not None:
             return cached
-        if self.representation == "packed":
-            decoded: Sequence[DeweyCode] = self._fetch_packed(normalized)
-        else:
-            decoded = tuple(self.store.keyword_deweys(self.document, normalized))
-            self.fallback_fetches += 1
-        self._lru_put(normalized, decoded)
-        return decoded
+        packed = self._fetch_packed(normalized)
+        self._lru_put(normalized, packed)
+        return packed
 
     def _fetch_packed(self, normalized: str) -> PackedDeweyList:
         """One keyword's packed columns from the store.
@@ -223,7 +202,7 @@ class StorePostingSource:
             "fallback_fetches": self.fallback_fetches,
         }
 
-    def _lru_get(self, normalized: str) -> Optional[Sequence[DeweyCode]]:
+    def _lru_get(self, normalized: str) -> Optional[PackedDeweyList]:
         cached = self._lru.get(normalized)
         if cached is None:
             self.lru_misses += 1
@@ -232,7 +211,7 @@ class StorePostingSource:
         self.lru_hits += 1
         return cached
 
-    def _lru_put(self, normalized: str, deweys: Sequence[DeweyCode]) -> None:
+    def _lru_put(self, normalized: str, deweys: PackedDeweyList) -> None:
         if self.lru_size <= 0:
             return
         self._lru[normalized] = deweys
@@ -262,22 +241,21 @@ class SQLitePostingSource(StorePostingSource):
     Identical semantics to :class:`StorePostingSource`, with two additions: a
     multi-keyword :meth:`keyword_nodes` call fetches every LRU-missed posting
     list in a single batched ``SELECT ... WHERE keyword IN (...)`` statement
-    instead of one round-trip per keyword, and under the packed representation
-    each list is loaded as **one prefix-truncated blob** from the ``posting``
-    table — one row per keyword, rebuilt into flat columns at C speed, with no
-    per-posting string decode and no per-posting object.  Database files
-    written before packed ingestion existed (no ``posting`` rows) fall back to
-    the per-row decode transparently.
+    instead of one round-trip per keyword, and each list is loaded as **one
+    prefix-truncated blob** from the ``posting`` table — one row per keyword,
+    rebuilt into flat columns at C speed, with no per-posting string decode
+    and no per-posting object.  Database files written before packed
+    ingestion existed (no ``posting`` rows) fall back to a per-row decode,
+    packed once, transparently.
     """
 
     def __init__(self, store: SQLiteStore, document: str,
                  lru_size: int = DEFAULT_POSTING_LRU_SIZE,
-                 node_lru_size: int = DEFAULT_NODE_LRU_SIZE,
-                 representation: str = "packed"):
+                 node_lru_size: int = DEFAULT_NODE_LRU_SIZE):
         if not isinstance(store, SQLiteStore):
             raise TypeError(
                 f"SQLitePostingSource needs a SQLiteStore, got {type(store).__name__}")
-        super().__init__(store, document, lru_size, node_lru_size, representation)
+        super().__init__(store, document, lru_size, node_lru_size)
         self._document_checked = False
         self._blobs_on_disk: Optional[bool] = None
 
@@ -317,30 +295,15 @@ class SQLitePostingSource(StorePostingSource):
         """Backend identity including the database path."""
         return f"sqlite:{self.store.path}#{self.document}"
 
-    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, Sequence[DeweyCode]]:
+    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
         """Batched ``getKeywordNodes``: one ``IN (...)`` fetch for all misses.
 
-        Packed representation: the batch statement reads whole blobs from the
-        ``posting`` table (one row per keyword); object representation: the
-        classic per-row decode, unchanged.
+        The batch statement reads whole blobs from the ``posting`` table (one
+        row per LRU-missed keyword).
         """
         self._check_document()
         normalized = self.tokenizer.normalize_query(query)
-        if self.representation == "packed":
-            return self._keyword_nodes_packed(normalized)
-        result, missing = self._split_cached(normalized, materialize=True)
-        if missing:
-            rows = self._fetch_value_rows(missing)
-            for keyword in missing:
-                deweys = [DeweyCode(parts) for parts in rows.get(keyword, [])]
-                self._lru_put(keyword, tuple(deweys))
-                result[keyword] = deweys
-        return {keyword: result[keyword] for keyword in normalized}
-
-    def _keyword_nodes_packed(self, normalized: List[str]
-                              ) -> Dict[str, Sequence[DeweyCode]]:
-        """The packed batch path: one blob row per LRU-missed keyword."""
-        result, missing = self._split_cached(normalized, materialize=False)
+        result, missing = self._split_cached(normalized)
         if missing:
             if self._has_blobs():
                 fetched: Dict[str, PackedDeweyList] = \
@@ -357,15 +320,15 @@ class SQLitePostingSource(StorePostingSource):
                 result[keyword] = packed
         return {keyword: result[keyword] for keyword in normalized}
 
-    def _split_cached(self, normalized: List[str], materialize: bool
-                      ) -> Tuple[Dict[str, Sequence[DeweyCode]], List[str]]:
+    def _split_cached(self, normalized: List[str]
+                      ) -> Tuple[Dict[str, PackedDeweyList], List[str]]:
         """Partition a query into LRU-answered results and missed keywords."""
-        result: Dict[str, Sequence[DeweyCode]] = {}
+        result: Dict[str, PackedDeweyList] = {}
         missing: List[str] = []
         for keyword in normalized:
             cached = self._lru_get(keyword)
             if cached is not None:
-                result[keyword] = list(cached) if materialize else cached
+                result[keyword] = cached
             elif keyword not in missing:
                 missing.append(keyword)
         return result, missing
@@ -465,11 +428,6 @@ class ShardedPostingSource:
         # from_tree / shard_stores ingestion), node lookups go straight to
         # the owning shard instead of probing all of them.
         self.routed = routed
-        # Packed only when every shard serves packed columns: the per-shard
-        # cursors are then merge-sorted flat (merge_packed) with no decoding.
-        self.representation = (
-            "packed" if all(getattr(shard, "representation", "object") == "packed"
-                            for shard in self.shards) else "object")
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -477,15 +435,15 @@ class ShardedPostingSource:
     @classmethod
     def from_tree(cls, tree: XMLTree, shard_count: int = 2, name: str = "",
                   store_factory=SQLiteStore,
-                  lru_size: int = DEFAULT_POSTING_LRU_SIZE,
-                  representation: str = "packed") -> "ShardedPostingSource":
+                  lru_size: int = DEFAULT_POSTING_LRU_SIZE
+                  ) -> "ShardedPostingSource":
         """Shred ``tree`` once and distribute it over ``shard_count`` stores."""
         if shard_count < 1:
             raise ValueError(f"shard_count must be positive, got {shard_count}")
         document = name or tree.name or "document"
         stores = [store_factory() for _ in range(shard_count)]
         shard_stores(tree, stores, document)
-        sources = [source_for_store(store, document, lru_size, representation)
+        sources = [source_for_store(store, document, lru_size)
                    for store in stores]
         return cls(sources, routed=True)
 
@@ -510,18 +468,10 @@ class ShardedPostingSource:
         return DocumentNotFound(
             f"no shard holds a document named {document!r}")
 
-    def _merge_shard_lists(self, lists: Sequence[Sequence[DeweyCode]]
-                           ) -> Sequence[DeweyCode]:
-        """Merge per-shard posting lists, staying packed when they all are."""
-        packed = all_packed(lists)
-        if packed is not None:
-            return merge_packed(packed)
-        return _merge_sorted(lists)
-
     def postings(self, keyword: str) -> PostingList:
         """Merge-sorted posting list of one keyword across all shards."""
         normalized = self.tokenizer.normalize_keyword(keyword)
-        lists: List[Sequence[DeweyCode]] = []
+        lists: List[PackedDeweyList] = []
         found = False
         for shard in self.shards:
             try:
@@ -531,15 +481,16 @@ class ShardedPostingSource:
                 continue  # a shard whose partition was empty holds no rows
         if not found:
             raise self._missing_everywhere()
-        merged = self._merge_shard_lists(lists)
-        if not isinstance(merged, PackedDeweyList):
-            merged = tuple(merged)
-        return PostingList(normalized, merged)
+        return PostingList(normalized, merge_packed(lists))
 
-    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, Sequence[DeweyCode]]:
-        """Per-shard (batched) fetches, merge-sorted keyword by keyword."""
+    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
+        """Per-shard (batched) fetches, merge-sorted keyword by keyword.
+
+        The per-shard packed cursors are merge-sorted flat
+        (:func:`~repro.index.packed.merge_packed`) with no decoding.
+        """
         normalized = self.tokenizer.normalize_query(query)
-        per_shard: List[Dict[str, Sequence[DeweyCode]]] = []
+        per_shard: List[Dict[str, PackedDeweyList]] = []
         for shard in self.shards:
             try:
                 per_shard.append(shard.keyword_nodes(normalized))
@@ -547,11 +498,9 @@ class ShardedPostingSource:
                 continue
         if not per_shard:
             raise self._missing_everywhere()
-        empty: Sequence[DeweyCode] = (
-            EMPTY_PACKED if self.representation == "packed" else [])
         return {
-            keyword: self._merge_shard_lists(
-                [lists.get(keyword, empty) for lists in per_shard])
+            keyword: merge_packed(
+                [lists.get(keyword, EMPTY_PACKED) for lists in per_shard])
             for keyword in normalized
         }
 
@@ -703,31 +652,33 @@ def _chunked(items: Sequence[DeweyCode],
         yield items[start:start + size]
 
 
-def _merge_sorted(lists: Sequence[Sequence[DeweyCode]]) -> List[DeweyCode]:
-    """K-way merge of sorted, internally-duplicate-free Dewey lists."""
-    merged: List[DeweyCode] = []
-    previous: Optional[DeweyCode] = None
-    for code in _heap_merge(*lists):
-        if code != previous:
-            merged.append(code)
-            previous = code
-    return merged
-
-
 def source_for_store(store, document: str,
-                     lru_size: int = DEFAULT_POSTING_LRU_SIZE,
-                     representation: str = "packed") -> StorePostingSource:
+                     lru_size: int = DEFAULT_POSTING_LRU_SIZE
+                     ) -> StorePostingSource:
     """The most specific posting source for a store backend."""
     # Local import: segments.py builds on this module's classes.
     from .segments import SegmentedPostingSource, SegmentedStore
     if isinstance(store, SegmentedStore):
-        return SegmentedPostingSource(store, document, lru_size,
-                                      representation=representation)
+        return SegmentedPostingSource(store, document, lru_size)
     if isinstance(store, SQLiteStore):
-        return SQLitePostingSource(store, document, lru_size,
-                                   representation=representation)
-    return StorePostingSource(store, document, lru_size,
-                              representation=representation)
+        return SQLitePostingSource(store, document, lru_size)
+    return StorePostingSource(store, document, lru_size)
+
+
+def agreement_with_index(tree: XMLTree, store, name: str,
+                         keywords) -> Dict[str, bool]:
+    """Check that store-backed posting lists equal the inverted-index ones.
+
+    The backend-parity suite exposes this as the ``store_agreement`` fixture;
+    the function form stays for scripts.
+    """
+    index = InvertedIndex(tree)
+    agreement: Dict[str, bool] = {}
+    for keyword in keywords:
+        from_store = store.keyword_deweys(name, keyword)
+        from_index = list(index.postings(keyword).deweys)
+        agreement[keyword] = from_store == from_index
+    return agreement
 
 
 def shard_of(dewey_text: str, shard_count: int) -> int:

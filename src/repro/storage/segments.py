@@ -768,13 +768,11 @@ class SegmentedPostingSource(SQLitePostingSource):
 
     def __init__(self, store: SegmentedStore, document: str,
                  lru_size: int = DEFAULT_POSTING_LRU_SIZE,
-                 node_lru_size: int = DEFAULT_NODE_LRU_SIZE,
-                 representation: str = "packed"):
+                 node_lru_size: int = DEFAULT_NODE_LRU_SIZE):
         if not isinstance(store, SegmentedStore):
             raise TypeError(f"SegmentedPostingSource needs a SegmentedStore, "
                             f"got {type(store).__name__}")
-        super().__init__(store, document, lru_size, node_lru_size,
-                         representation)
+        super().__init__(store, document, lru_size, node_lru_size)
         self._location: Optional[int] = None
         # How many posting fetches were resolved from a delta segment vs the
         # base generation (one increment per fetched keyword, hoisted after

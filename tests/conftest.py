@@ -132,3 +132,19 @@ def store_agreement():
             f"store postings disagree with the inverted index for {disagreeing}")
 
     return check
+
+
+@pytest.fixture
+def store_engine():
+    """Build a tree-free engine whose every stage reads from a store.
+
+    Call it with ``(tree, store, name)``: the tree is stored under ``name``
+    and the engine searches it through ``source_for_store`` alone.
+    """
+    from repro.storage import source_for_store
+
+    def build(tree, store, name):
+        store.store_tree(tree, name)
+        return SearchEngine(source=source_for_store(store, name))
+
+    return build

@@ -1,7 +1,7 @@
 """Shared helpers of the differential corpus fuzz harness.
 
 The corpus correctness contract is *differential*: for any corpus, any
-backend, any representation and any algorithm, the corpus answer must equal
+backend and any algorithm, the corpus answer must equal
 the **union of the per-document single-document answers** computed by the
 plain in-memory :class:`~repro.core.engine.SearchEngine` (the most-tested
 reference path in the repo).  These helpers generate seeded random corpora
@@ -87,11 +87,9 @@ def random_queries(seed: int, count: int = 4,
 
 
 def build_corpus_engine(trees: Dict[str, XMLTree], backend: str,
-                        representation: str,
                         shard_count: int = 2) -> CorpusSearchEngine:
-    """A corpus engine over ``trees`` for one (backend, representation)."""
+    """A corpus engine over ``trees`` for one backend."""
     return CorpusSearchEngine.from_trees(trees, backend=backend,
-                                         representation=representation,
                                          shard_count=shard_count)
 
 
@@ -167,31 +165,28 @@ def wire_lines(engine: CorpusSearchEngine,
     return lines
 
 
-def segmented_engine(store: SegmentedStore, state: Dict[str, XMLTree],
-                     representation: str) -> CorpusSearchEngine:
+def segmented_engine(store: SegmentedStore,
+                     state: Dict[str, XMLTree]) -> CorpusSearchEngine:
     """A corpus engine over the segmented store's current live documents.
 
     ``state`` supplies the resident trees ranking needs; its keys must be
     exactly the store's live document set.
     """
-    source = corpus_from_store(store, representation=representation)
-    return CorpusSearchEngine(source, trees=state)
+    return CorpusSearchEngine(corpus_from_store(store), trees=state)
 
 
-def fresh_oracle(state: Dict[str, XMLTree],
-                 representation: str) -> CorpusSearchEngine:
+def fresh_oracle(state: Dict[str, XMLTree]) -> CorpusSearchEngine:
     """The update oracle: the live state re-shredded from scratch."""
-    return CorpusSearchEngine.from_trees(state, backend="memory",
-                                         representation=representation)
+    return CorpusSearchEngine.from_trees(state, backend="memory")
 
 
 def assert_segmented_matches_fresh(store: SegmentedStore,
                                    state: Dict[str, XMLTree],
-                                   queries: List[str], representation: str,
+                                   queries: List[str],
                                    context=()) -> None:
     """Byte-identity of the mutated store against the fresh-rebuild oracle."""
-    got = wire_lines(segmented_engine(store, state, representation), queries)
-    want = wire_lines(fresh_oracle(state, representation), queries)
+    got = wire_lines(segmented_engine(store, state), queries)
+    want = wire_lines(fresh_oracle(state), queries)
     assert got == want, (
         "mutated segmented corpus diverged from a fresh rebuild", *context)
 

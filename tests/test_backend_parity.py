@@ -11,10 +11,9 @@ The sqlite and sharded engines deliberately run *without* a resident tree, so
 this suite also proves the purely source-backed pipeline (Dewey-arithmetic
 fragments, lookup-driven record trees) against the tree-backed one.
 
-The plain backend names serve the default **packed** columnar posting
-representation; the ``-object`` variants serve boxed ``DeweyCode`` lists, so
-the matrix also enforces packed ↔ object representation parity on every
-backend (the memory reference engine is packed).
+Next to the backends the matrix runs the ``ROW_DECODE_INPUTS``: stores whose
+postings are decoded from value rows and packed once instead of loaded as
+packed blobs, so the one packed form is reached by its second way in.
 """
 
 from __future__ import annotations
@@ -35,22 +34,31 @@ from repro.storage import (
     source_for_store,
 )
 
-BACKENDS = ("memory", "sqlite", "sharded", "corpus", "segmented",
-            "memory-object", "sqlite-object", "sharded-object",
-            "corpus-object", "segmented-object")
+BACKENDS = ("memory", "sqlite", "sharded", "corpus", "segmented")
 
 #: The registration contract the lint gate (``parity-registration``)
 #: machine-checks: every class in ``src/`` that implements the
 #: ``PostingSource`` protocol must appear here, mapped to the ``BACKENDS``
 #: entries it serves, and together the entries must cover all of BACKENDS.
 PARITY_SOURCES = {
-    "InvertedIndex": ("memory", "memory-object"),
-    "StorePostingSource": ("sqlite", "sqlite-object"),
-    "SQLitePostingSource": ("sqlite", "sqlite-object"),
-    "ShardedPostingSource": ("sharded", "sharded-object"),
-    "CorpusPostingSource": ("corpus", "corpus-object"),
-    "SegmentedPostingSource": ("segmented", "segmented-object"),
+    "InvertedIndex": ("memory",),
+    "StorePostingSource": ("sqlite",),
+    "SQLitePostingSource": ("sqlite",),
+    "ShardedPostingSource": ("sharded",),
+    "CorpusPostingSource": ("corpus",),
+    "SegmentedPostingSource": ("segmented",),
 }
+
+#: Store inputs the matrix runs besides BACKENDS, all tree-free.
+#: ``memorystore`` is the generic ``StorePostingSource`` over a
+#: ``MemoryStore``, which packs the codes the store decodes; the ``-legacy``
+#: entries are sqlite and segmented databases with no ``posting`` rows (a
+#: file written before packed ingestion, a supported input), which fall back
+#: to the value-row decode, packed once.
+ROW_DECODE_INPUTS = ("memorystore", "sqlite-legacy", "segmented-legacy")
+
+#: Everything the matrix compares against the memory reference engine.
+CANDIDATES = tuple(b for b in BACKENDS if b != "memory") + ROW_DECODE_INPUTS
 
 #: (dataset fixture name, queries) pairs the parity matrix runs over.
 DATASETS = (
@@ -61,28 +69,23 @@ DATASETS = (
 SMALL_DBLP_QUERIES = ("xml keyword", "data algorithm", "tree query pattern")
 
 
-def build_engine(tree, backend: str, name: str = "doc") -> SearchEngine:
-    """An engine over ``tree`` for one backend (tree-free for disk backends)."""
-    kind, _, variant = backend.partition("-")
-    representation = variant or "packed"
-    if kind == "memory":
-        return SearchEngine(tree, representation=representation)
-    if kind == "sqlite":
+def drop_packed_postings(store, name: str) -> None:
+    """Make ``name`` a legacy document: no packed ``posting`` rows."""
+    store._connection.execute("DELETE FROM posting WHERE document = ?",
+                              (name,))
+    store._connection.commit()
+    assert not store.has_packed_postings(name)
+
+
+def build_source(tree, backend: str, name: str = "doc"):
+    """The posting source of one single-document backend or store input."""
+    if backend == "sqlite":
         store = SQLiteStore()
         store.store_tree(tree, name)
-        return SearchEngine(source=SQLitePostingSource(
-            store, name, representation=representation))
-    if kind == "sharded":
-        return SearchEngine(source=ShardedPostingSource.from_tree(
-            tree, shard_count=3, name=name, representation=representation))
-    if kind == "corpus":
-        # A one-document corpus over disk-backed per-document stores: the
-        # corpus answer must equal the single-document answer exactly (the
-        # union of one document is that document's result).
-        return CorpusSearchEngine.from_trees(
-            {name: tree}, backend="sqlite", representation=representation,
-            shard_count=2)
-    if kind == "segmented":
+        return SQLitePostingSource(store, name)
+    if backend == "sharded":
+        return ShardedPostingSource.from_tree(tree, shard_count=3, name=name)
+    if backend == "segmented":
         # Store the tree, then shadow the base copy with an identical
         # delta-segment version: parity runs through the segment read path
         # (segment_posting / segment_value / segment_element), not just the
@@ -90,9 +93,37 @@ def build_engine(tree, backend: str, name: str = "doc") -> SearchEngine:
         store = SegmentedStore()
         store.store_tree(tree, name)
         store.update_document(tree, name)
-        return SearchEngine(source=SegmentedPostingSource(
-            store, name, representation=representation))
+        return SegmentedPostingSource(store, name)
+    if backend == "memorystore":
+        store = MemoryStore()
+        store.store_tree(tree, name)
+        return StorePostingSource(store, name)
+    if backend == "sqlite-legacy":
+        store = SQLiteStore()
+        store.store_tree(tree, name)
+        drop_packed_postings(store, name)
+        return SQLitePostingSource(store, name)
+    if backend == "segmented-legacy":
+        # A legacy base document served through the segmented source's
+        # base-generation routing (no delta segment shadows it).
+        store = SegmentedStore()
+        store.store_tree(tree, name)
+        drop_packed_postings(store, name)
+        return SegmentedPostingSource(store, name)
     raise ValueError(backend)
+
+
+def build_engine(tree, backend: str, name: str = "doc") -> SearchEngine:
+    """An engine over ``tree`` for one backend (tree-free for disk backends)."""
+    if backend == "memory":
+        return SearchEngine(tree)
+    if backend == "corpus":
+        # A one-document corpus over disk-backed per-document stores: the
+        # corpus answer must equal the single-document answer exactly (the
+        # union of one document is that document's result).
+        return CorpusSearchEngine.from_trees(
+            {name: tree}, backend="sqlite", shard_count=2)
+    return SearchEngine(source=build_source(tree, backend, name))
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +133,7 @@ def engines(publications, team, small_dblp):
              "small_dblp": small_dblp}
     return {(dataset, backend): build_engine(tree, backend, dataset)
             for dataset, tree in trees.items()
-            for backend in BACKENDS}
+            for backend in ("memory",) + CANDIDATES}
 
 
 def assert_same_result(reference, candidate, context):
@@ -124,7 +155,7 @@ def assert_same_result(reference, candidate, context):
 # ---------------------------------------------------------------------- #
 # The parity matrix: paper examples x algorithms x backends
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "memory"])
+@pytest.mark.parametrize("backend", CANDIDATES)
 @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
 @pytest.mark.parametrize("dataset,query_names", DATASETS)
 def test_paper_examples_identical_across_backends(engines, dataset, query_names,
@@ -139,7 +170,7 @@ def test_paper_examples_identical_across_backends(engines, dataset, query_names,
                            (dataset, query_name, algorithm, backend))
 
 
-@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "memory"])
+@pytest.mark.parametrize("backend", CANDIDATES)
 @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
 def test_synthetic_corpus_identical_across_backends(engines, algorithm, backend):
     reference_engine = engines[("small_dblp", "memory")]
@@ -151,7 +182,7 @@ def test_synthetic_corpus_identical_across_backends(engines, algorithm, backend)
                            ("small_dblp", query, algorithm, backend))
 
 
-@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "memory"])
+@pytest.mark.parametrize("backend", CANDIDATES)
 def test_batch_search_parity(engines, backend):
     """search_many (the batched union fetch) agrees with looped search."""
     reference_engine = engines[("publications", "memory")]
@@ -161,6 +192,26 @@ def test_batch_search_parity(engines, backend):
     for query, candidate in zip(queries, batched):
         assert_same_result(reference_engine.search(query, "validrtf"),
                            candidate, (query, backend))
+
+
+@pytest.mark.parametrize("store_input", ROW_DECODE_INPUTS)
+def test_row_decode_inputs_never_load_packed_blobs(publications, store_input):
+    """Each row-decode input builds its packed lists from decoded rows only.
+
+    Guards the matrix entries above: a store input that loaded packed blobs
+    after all would repeat a backend's entries instead of covering the
+    decode-then-pack path, through both the batched and the per-keyword
+    fetch.
+    """
+    source = build_source(publications, store_input, "publications")
+    engine = SearchEngine(source=source)
+    engine.search_many([PAPER_QUERIES[name] for name in ("Q1", "Q2", "Q3")])
+    batched = source.read_stats()["fallback_fetches"]
+    assert batched > 0, store_input
+    assert list(source.postings("proceedings").deweys), store_input
+    stats = source.read_stats()
+    assert stats["fallback_fetches"] == batched + 1, stats
+    assert stats["packed_fetches"] == 0, stats
 
 
 # ---------------------------------------------------------------------- #
@@ -225,15 +276,10 @@ def test_parity_sources_cover_backends():
 # Cache keys carry backend identity
 # ---------------------------------------------------------------------- #
 def test_backend_ids_are_distinct(engines):
-    ids = {backend: engines[("publications", backend)].backend_id
+    ids = {engines[("publications", backend)].backend_id
            for backend in BACKENDS}
-    # The five backend *kinds* must never share cache identity...
-    assert len({ids["memory"], ids["sqlite"], ids["sharded"],
-                ids["corpus"], ids["segmented"]}) == 5
-    # ...while the representation variants of one kind answer byte-identically
-    # (that is this suite's parity guarantee), so they deliberately share it.
-    for kind in ("memory", "sqlite", "sharded", "corpus", "segmented"):
-        assert ids[f"{kind}-object"] == ids[kind]
+    # The five backends must never share cache identity.
+    assert len(ids) == len(BACKENDS)
 
 
 def test_cached_results_keyed_by_backend(publications):
@@ -257,21 +303,3 @@ def test_cached_results_keyed_by_backend(publications):
     sqlite_key = QueryResultCache.key_for("validrtf", parsed, "minmax",
                                           sqlite_engine.backend_id)
     assert memory_key != sqlite_key
-
-
-# ---------------------------------------------------------------------- #
-# The deprecation shim still answers through the engine path
-# ---------------------------------------------------------------------- #
-def test_stored_document_search_is_a_shim(publications, publications_engine):
-    from repro.storage import StoredDocumentSearch, StoreQuerySession
-
-    assert StoreQuerySession is StoredDocumentSearch
-    with pytest.warns(DeprecationWarning):
-        import repro.storage.query as legacy
-        legacy._DEPRECATION_EMITTED = False  # the warning fires once per run
-        shim = StoredDocumentSearch(publications, SQLiteStore(), "pub")
-    result = shim.search(PAPER_QUERIES["Q2"], "validrtf")
-    assert result.algorithm == "validrtf@store"
-    reference = publications_engine.search(PAPER_QUERIES["Q2"], "validrtf")
-    assert result.roots() == reference.roots()
-    assert [f.kept_set() for f in result] == [f.kept_set() for f in reference]

@@ -1,16 +1,16 @@
 """Differential corpus fuzz (fast, tier-1): corpus == union of per-doc.
 
 Seeded random corpora (2–8 random trees) are searched through the corpus
-engine across every corpus document backend × representation × all four
-algorithms, and each answer is cross-checked against the union of the
+engine across every corpus document backend (memory, sqlite, sharded) × all
+four algorithms, and each answer is cross-checked against the union of the
 per-document results computed by plain single-document memory engines.  This
 is the corpus layer's core correctness contract (see ROADMAP, "Corpus
 retrieval").
 
 This module is the *bounded* version wired into tier-1 (a few seeds, tiny
-trees); the deep sweep with more seeds, larger documents and the per-document
-sharded backend lives behind the ``bench`` marker in
-``benchmarks/test_corpus_fuzz.py``.  Both share ``tests/fuzz_util.py``.
+trees); the deep sweep with more seeds and larger documents lives behind the
+``bench`` marker in ``benchmarks/test_corpus_fuzz.py``.  Both share
+``tests/fuzz_util.py``.
 """
 
 from __future__ import annotations
@@ -33,31 +33,31 @@ from fuzz_util import (
     wire_lines,
 )
 from repro.core import ALGORITHM_NAMES
+from repro.corpus import CORPUS_DOC_BACKENDS
 from repro.faults import InjectedCrash
 from repro.service.protocol import encode_message, ranking_payload
 from repro.storage import SegmentedStore, verify_database
 
 SEEDS = (1, 2, 3)
-BACKENDS = ("memory", "sqlite")
-REPRESENTATIONS = ("packed", "object")
+#: Every per-document source kind a corpus is built over.
+BACKENDS = CORPUS_DOC_BACKENDS
 
 #: Bounded mutation-sequence fuzz (the deep sweep lives in benchmarks/).
 MUTATION_SEEDS = (7, 8)
 MUTATION_STEPS = 5
 
 
-@pytest.mark.parametrize("representation", REPRESENTATIONS)
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_corpus_equals_per_document_union(backend, representation):
+def test_corpus_equals_per_document_union(backend):
     for seed in SEEDS:
         trees = random_corpus(seed)
-        corpus = build_corpus_engine(trees, backend, representation)
+        corpus = build_corpus_engine(trees, backend)
         references = reference_engines(trees)
         for query in random_queries(seed):
             for algorithm in ALGORITHM_NAMES:
                 assert_corpus_equals_union(
                     corpus.search(query, algorithm), references, query,
-                    algorithm, context=(seed, backend, representation))
+                    algorithm, context=(seed, backend))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -65,7 +65,7 @@ def test_corpus_batch_equals_per_document_union(backend):
     """search_many (per-document batch fast path) honours the same union."""
     seed = 4
     trees = random_corpus(seed)
-    corpus = build_corpus_engine(trees, backend, "packed")
+    corpus = build_corpus_engine(trees, backend)
     references = reference_engines(trees)
     queries = random_queries(seed, count=5)
     batched = corpus.search_many(queries, "validrtf")
@@ -78,7 +78,7 @@ def test_corpus_doc_filter_is_a_sub_union():
     """A doc_filter answer equals the union restricted to the filter."""
     seed = 5
     trees = random_corpus(seed, min_docs=3, max_docs=5)
-    corpus = build_corpus_engine(trees, "memory", "packed")
+    corpus = build_corpus_engine(trees, "memory")
     references = reference_engines(trees)
     subset = sorted(trees)[::2]
     for query in random_queries(seed, count=3):
@@ -89,8 +89,7 @@ def test_corpus_doc_filter_is_a_sub_union():
         assert set(result.doc_ids) <= set(subset)
 
 
-@pytest.mark.parametrize("representation", REPRESENTATIONS)
-def test_mutated_corpus_equals_fresh_rebuild(representation):
+def test_mutated_corpus_equals_fresh_rebuild():
     """The update-oracle contract: any mutation sequence == fresh rebuild.
 
     Every intermediate state (after each add / update / delete / compact)
@@ -108,8 +107,7 @@ def test_mutated_corpus_equals_fresh_rebuild(representation):
         def check(label, state=state, store=store, queries=queries,
                   seed=seed):
             assert_segmented_matches_fresh(
-                store, state, queries, representation,
-                context=(seed, representation, label))
+                store, state, queries, context=(seed, label))
 
         check("initial")
         run_mutation_sequence(store, state, seed, MUTATION_STEPS, check)
@@ -130,7 +128,7 @@ def test_mutated_corpus_equals_per_document_union():
         store.store_tree(state[name], name)
 
     def check(label):
-        corpus = segmented_engine(store, state, "packed")
+        corpus = segmented_engine(store, state)
         references = reference_engines(state)
         for query in random_queries(seed, count=2):
             assert_corpus_equals_union(
@@ -176,8 +174,7 @@ def _apply(store, state, kind, name, tree):
         store.compact()
 
 
-@pytest.mark.parametrize("representation", REPRESENTATIONS)
-def test_crash_at_every_kill_point_recovers(representation, tmp_path):
+def test_crash_at_every_kill_point_recovers(tmp_path):
     """The crash-point differential contract.
 
     For every mutation of a seeded sequence and every journaled fault
@@ -209,10 +206,8 @@ def test_crash_at_every_kill_point_recovers(representation, tmp_path):
             post_state[name] = tree
         elif kind == "delete":
             del post_state[name]
-        pre_lines = wire_lines(fresh_oracle(pre_state, representation),
-                               queries)
-        post_lines = wire_lines(fresh_oracle(post_state, representation),
-                                queries)
+        pre_lines = wire_lines(fresh_oracle(pre_state), queries)
+        post_lines = wire_lines(fresh_oracle(post_state), queries)
         store.close()
         for point, tear in CRASH_POINTS[kind]:
             trial_no += 1
@@ -232,10 +227,9 @@ def test_crash_at_every_kill_point_recovers(representation, tmp_path):
             forward = recovery["rolled_forward"] == 1
             outcome = post_state if forward else pre_state
             assert set(survivor.documents()) == set(outcome), (kind, point)
-            got = wire_lines(
-                segmented_engine(survivor, outcome, representation), queries)
+            got = wire_lines(segmented_engine(survivor, outcome), queries)
             assert got == (post_lines if forward else pre_lines), \
-                (kind, point, representation, forward)
+                (kind, point, forward)
             survivor.close()
             report = verify_database(trial)
             assert report.clean, (kind, point, report.render())
@@ -252,7 +246,7 @@ def test_crash_at_every_kill_point_recovers(representation, tmp_path):
 # early-termination contract of ``CorpusSearchEngine.rank_search``).
 # ---------------------------------------------------------------------- #
 def test_ranked_answers_deterministic_across_backends():
-    """Every backend × representation serves the same ranked wire bytes.
+    """Every backend serves the same ranked wire bytes.
 
     Ranking reads impact metadata (count, max node depth) from the posting
     store, so a backend that shreds or migrates that metadata differently
@@ -268,19 +262,17 @@ def test_ranked_answers_deterministic_across_backends():
         queries = random_queries(seed)
         rankings = {}
         for backend in BACKENDS:
-            for representation in REPRESENTATIONS:
-                source = corpus_from_trees(trees, backend=backend,
-                                           representation=representation,
-                                           shard_count=2)
-                engine = CorpusSearchEngine(source, trees=trees)
-                rankings[(backend, representation)] = [
-                    encode_message({"query": query,
-                                    "ranking": ranking_payload(
-                                        engine.search_ranked(query))})
-                    for query in queries]
-        reference = rankings[("memory", "packed")]
-        for key, lines in rankings.items():
-            assert lines == reference, (seed, *key)
+            source = corpus_from_trees(trees, backend=backend,
+                                       shard_count=2)
+            engine = CorpusSearchEngine(source, trees=trees)
+            rankings[backend] = [
+                encode_message({"query": query,
+                                "ranking": ranking_payload(
+                                    engine.search_ranked(query))})
+                for query in queries]
+        reference = rankings["memory"]
+        for backend, lines in rankings.items():
+            assert lines == reference, (seed, backend)
 
 
 def test_early_termination_is_byte_identical_to_exhaustive():
@@ -294,7 +286,7 @@ def test_early_termination_is_byte_identical_to_exhaustive():
     """
     for seed in SEEDS:
         trees = random_corpus(seed)
-        engine = build_corpus_engine(trees, "memory", "packed")
+        engine = build_corpus_engine(trees, "memory")
         for query in random_queries(seed):
             for top_k in (0, 1, 2, len(trees), len(trees) + 3):
                 exhaustive = engine.rank_search(query, top_k=top_k)
@@ -318,7 +310,7 @@ def test_corpus_sharding_never_changes_answers():
     seed = 6
     trees = random_corpus(seed, min_docs=4, max_docs=6)
     references = reference_engines(trees)
-    engines = [build_corpus_engine(trees, "sqlite", "packed",
+    engines = [build_corpus_engine(trees, "sqlite",
                                    shard_count=shard_count)
                for shard_count in (1, 2, 4)]
     for query in random_queries(seed, count=3):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.index import InvertedIndex
+from repro.index import InvertedIndex, PackedDeweyList, pack_deweys
 from repro.lca import (
-    closest_match_lca,
+    ELCA_ALGORITHMS,
+    SLCA_ALGORITHMS,
+    EmptyKeywordList,
     elca_is_slca,
     indexed_lookup_eager_slca,
     indexed_stack_elca,
@@ -16,6 +18,7 @@ from repro.lca import (
     naive_elca_exhaustive,
     naive_lca_candidates,
     naive_slca,
+    prepare_lists,
     remove_ancestors,
     remove_descendants,
     scan_eager_slca,
@@ -55,10 +58,22 @@ class TestHelpers:
         by_code = {str(match.dewey): match.mask for match in matches}
         assert by_code == {"0.1": 1, "0.2": 3}
 
-    def test_closest_match_lca(self):
-        sorted_list = codes("0.0.1", "0.2.5", "0.4")
-        assert str(closest_match_lca(D("0.2.3"), sorted_list)) == "0.2"
-        assert str(closest_match_lca(D("0.9"), sorted_list)) == "0"
+    def test_prepare_lists_passes_packed_lists_through(self):
+        packed = pack_deweys(codes("0.1", "0.2"))
+        assert prepare_lists({"w1": packed})[0] is packed
+
+    def test_prepare_lists_packs_unsorted_repeats_once(self):
+        prepared = prepare_lists({"w1": codes("0.2", "0.1", "0.2"),
+                                  "w2": (D("0.0"),)})
+        assert all(isinstance(deweys, PackedDeweyList) for deweys in prepared)
+        assert [list(deweys) for deweys in prepared] == \
+            [codes("0.1", "0.2"), codes("0.0")]
+
+    def test_prepare_lists_rejects_empty_queries_and_lists(self):
+        with pytest.raises(EmptyKeywordList):
+            prepare_lists({})
+        with pytest.raises(EmptyKeywordList, match="w2"):
+            prepare_lists({"w1": codes("0.1"), "w2": []})
 
 
 class TestNaive:
@@ -165,3 +180,48 @@ class TestIndexedStackELCA:
         flags = elca_is_slca(codes("0.2.0", "0.2.0.3.0"))
         assert flags == [False, True]
         assert elca_is_slca(codes("0.1", "0.2")) == [True, True]
+
+
+# ---------------------------------------------------------------------- #
+# Input forms: every algorithm takes any Dewey sequence
+# ---------------------------------------------------------------------- #
+#: Every registered algorithm, with the naive reference of its family.
+ALGORITHMS = {
+    **{f"slca-{name}": (function, naive_slca)
+       for name, function in SLCA_ALGORITHMS.items()},
+    **{f"elca-{name}": (function, naive_elca)
+       for name, function in ELCA_ALGORITHMS.items()},
+}
+
+#: Ways to hand over one sorted posting list: the packed columns every
+#: posting source serves, a plain list of codes, and the same codes out of
+#: order with a repeat.
+INPUT_FORMS = {
+    "packed": pack_deweys,
+    "list": list,
+    "unsorted-repeats": lambda deweys: list(reversed(deweys)) + deweys[:1],
+}
+
+
+@pytest.mark.parametrize("form", sorted(INPUT_FORMS))
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_every_input_form_answers_like_the_reference(
+        figure_lists, make_random_tree, make_random_keyword_lists,
+        algorithm, form):
+    """Any form of the same lists gives the family reference's answer.
+
+    Non-packed input is packed once on entry, so the order and repeats of
+    the given codes must not change the result.
+    """
+    function, reference = ALGORITHMS[algorithm]
+    cases = [figure_lists]
+    for seed in range(4):
+        tree = make_random_tree(seed, max_children=4, max_depth=5,
+                                max_nodes=60)
+        cases.append(make_random_keyword_lists(tree, seed, keyword_count=3))
+    for lists in cases:
+        expected = reference({keyword: pack_deweys(deweys)
+                              for keyword, deweys in lists.items()})
+        given = {keyword: INPUT_FORMS[form](list(deweys))
+                 for keyword, deweys in lists.items()}
+        assert function(given) == expected, (algorithm, form, lists)

@@ -3,7 +3,9 @@
 Random Dewey-code posting lists are generated directly (no tree needed — every
 algorithm works purely on codes), and the optimized algorithms must agree with
 the naive reference implementations, plus the structural invariants relating
-CA, SLCA and ELCA.
+CA, SLCA and ELCA.  The lists are plain ``DeweyCode`` lists, which every
+optimized algorithm (and ``build_rtfs``) packs once on entry, so these
+properties exercise the packed loops that ship.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from typing import Dict, List
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import assign_keyword_nodes, build_fragment, build_rtfs
 from repro.lca import (
+    elca_is_slca,
     indexed_lookup_eager_slca,
     indexed_stack_elca,
     naive_common_ancestors,
@@ -53,6 +57,18 @@ def test_optimized_slca_algorithms_match_naive(lists: Dict[str, List[DeweyCode]]
 @given(keyword_lists)
 def test_indexed_stack_elca_matches_naive(lists: Dict[str, List[DeweyCode]]):
     assert indexed_stack_elca(lists) == naive_elca(lists)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyword_lists)
+def test_build_rtfs_matches_reference_dispatch(lists: Dict[str, List[DeweyCode]]):
+    """The packed ``getRTF`` loop equals the per-code reference dispatch."""
+    roots = naive_elca(lists)
+    flags = elca_is_slca(roots)
+    assignment = assign_keyword_nodes(roots, lists)
+    expected = [build_fragment(None, root, assignment[root], is_slca=flag)
+                for root, flag in zip(roots, flags) if assignment[root]]
+    assert build_rtfs(roots, lists, flags) == expected
 
 
 @settings(max_examples=150, deadline=None)

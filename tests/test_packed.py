@@ -3,9 +3,9 @@
 Covers the flat-column invariants, the Sequence[DeweyCode] drop-in contract,
 the binary-search/galloping cursor primitives, the prefix-truncated blob codec
 and the k-way merge kernels — each against a straightforward object-side
-reference.  Cross-backend and cross-representation *search* parity lives in
-``test_backend_parity.py`` / ``test_posting_properties.py``; this file pins
-down the packed module itself.
+reference.  Cross-backend *search* parity lives in ``test_backend_parity.py``
+/ ``test_posting_properties.py``; this file pins down the packed module
+itself.
 """
 
 from __future__ import annotations
@@ -19,16 +19,16 @@ import pytest
 from repro.index.packed import (
     EMPTY_PACKED,
     PackedDeweyList,
-    REPRESENTATIONS,
-    all_packed,
     as_packed,
     common_prefix_len,
+    deepest_neighbor_prefix_len,
     iter_matches,
     merge_packed,
     pack_component_tuples,
     pack_deweys,
 )
 from repro.xmltree import DeweyCode
+from repro.xmltree.errors import InvalidDeweyCode
 
 
 def codes(*texts):
@@ -59,9 +59,6 @@ class TestConstruction:
         packed = pack_deweys(codes("0.2", "0.1", "0.2", "0"))
         assert list(packed) == codes("0", "0.1", "0.2")
 
-    def test_representations_constant(self):
-        assert REPRESENTATIONS == ("packed", "object")
-
     def test_empty_packed_is_falsy_and_shared(self):
         assert len(EMPTY_PACKED) == 0
         assert not EMPTY_PACKED
@@ -77,11 +74,6 @@ class TestConstruction:
         packed = pack_deweys(codes("0", "0.1"))
         assert as_packed(packed) is packed
         assert list(as_packed(["0.1", "0"])) == codes("0", "0.1")
-
-    def test_all_packed_guard(self):
-        packed = pack_deweys(codes("0"))
-        assert all_packed([packed, EMPTY_PACKED]) == [packed, EMPTY_PACKED]
-        assert all_packed([packed, [DeweyCode.parse("0")]]) is None
 
 
 class TestSequenceProtocol:
@@ -125,8 +117,8 @@ class TestSequenceProtocol:
         # eq/hash contract with the tuple form __eq__ accepts: one entry.
         assert hash(first) == hash(tuple(original))
         assert len({first, tuple(original)}) == 1
-        # PostingList is a frozen dataclass; it must stay hashable under the
-        # default packed representation just as with tuple deweys.
+        # PostingList is a frozen dataclass holding packed columns; it must
+        # stay hashable.
         assert hash(PostingList("w", first)) == hash(PostingList("w", second))
 
     def test_depth_and_slice_cursors(self):
@@ -165,6 +157,17 @@ class TestSearchPrimitives:
         assert common_prefix_len((0, 1, 2), (0, 1, 5)) == 2
         assert common_prefix_len((0,), (0, 1)) == 1
         assert common_prefix_len((1,), (2,)) == 0
+
+    def test_deepest_neighbor_prefix_len(self):
+        # The Indexed Lookup probe: only the document-order neighbours of a
+        # node can give its deepest LCA with the list.
+        plist = pack_deweys(codes("0.0.1", "0.2.5", "0.4"))
+        for node, depth in (((0, 2, 3), 2), ((0, 9), 1), ((0, 2, 5, 1), 3)):
+            comps = array("I", node)
+            assert deepest_neighbor_prefix_len(
+                comps, plist, plist.bisect_left(comps)) == depth
+        with pytest.raises(InvalidDeweyCode):
+            deepest_neighbor_prefix_len(array("I", [1]), plist, 3)
 
 
 # ---------------------------------------------------------------------- #
@@ -245,51 +248,16 @@ class TestMergeKernels:
 
 
 # ---------------------------------------------------------------------- #
-# Engine-level representation selection
+# PostingList holds the one posting form
 # ---------------------------------------------------------------------- #
-class TestEngineRepresentation:
-    def test_engine_defaults_to_packed(self, publications):
-        from repro.core import SearchEngine
-
-        engine = SearchEngine(publications)
-        assert engine.representation == "packed"
-        assert engine.source.representation == "packed"
-
-    def test_engine_object_representation(self, publications):
-        from repro.core import SearchEngine
-
-        packed = SearchEngine(publications)
-        boxed = SearchEngine(publications, representation="object")
-        assert boxed.representation == "object"
-        result_packed = packed.search("xml keyword search")
-        result_boxed = boxed.search("xml keyword search")
-        assert result_packed.roots() == result_boxed.roots()
-        assert [f.kept_nodes for f in result_packed] == \
-            [f.kept_nodes for f in result_boxed]
-
-    def test_engine_rejects_unknown_representation(self, publications):
-        from repro.core import SearchEngine
-
-        with pytest.raises(ValueError, match="representation"):
-            SearchEngine(publications, representation="columnar")
-
-    def test_engine_rejects_contradicting_source(self, publications):
-        from repro.core import SearchEngine
-        from repro.index import InvertedIndex
-
-        source = InvertedIndex(publications, representation="object")
-        with pytest.raises(ValueError, match="object"):
-            SearchEngine(publications, source=source, representation="packed")
-        engine = SearchEngine(publications, source=source,
-                              representation="object")
-        assert engine.representation == "object"
-
-    def test_posting_list_freezes_mutable_input(self, publications):
+class TestPostingList:
+    def test_posting_list_packs_mutable_input(self):
         from repro.index import PostingList
 
-        deweys = [DeweyCode.parse("0.1"), DeweyCode.parse("0.2")]
+        deweys = [DeweyCode.parse("0.2"), DeweyCode.parse("0.1")]
         posting = PostingList("word", deweys)
-        assert isinstance(posting.deweys, tuple)
+        assert isinstance(posting.deweys, PackedDeweyList)
+        assert list(posting) == codes("0.1", "0.2")  # sorted once, packed
         deweys.append(DeweyCode.parse("0.3"))
         assert len(posting) == 2  # no aliasing of the caller's list
         packed = pack_deweys(deweys)

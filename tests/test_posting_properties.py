@@ -3,16 +3,17 @@
 Seeded random documents (the shared ``random_tree`` generator from
 ``conftest``) are indexed three ways — in-memory inverted index, sqlite
 store, sharded stores — and for every word of the vocabulary the backends
-must agree on the :class:`PostingSource` contract:
+must agree on the :class:`PostingSource` contract (the segmented source and
+the parity matrix's row-decode store inputs are checked one by one against
+the memory index):
 
 * posting lists strictly sorted in document (Dewey) order, duplicate-free;
 * ``encode_dewey`` / ``decode_dewey`` round-trips every posting;
 * ``frequency(w) == len(postings(w))``;
 * identical vocabularies and identical posting lists across backends;
 * the batched ``keyword_nodes`` path equals per-keyword ``postings``;
-* the **packed** representation of every backend answers identically to the
-  **object** representation (and its blobs round-trip), so the flat-column
-  hot loops can never drift from the boxed reference.
+* every backend serves :class:`PackedDeweyList` columns whose stored blobs
+  round-trip, and legacy databases without blobs answer identically.
 """
 
 from __future__ import annotations
@@ -27,19 +28,23 @@ from repro.storage import (
     decode_dewey,
     encode_dewey,
 )
+from test_backend_parity import ROW_DECODE_INPUTS, build_source
 
 SEEDS = (3, 11, 29, 47, 101)
 
+#: Sources the cross-backend loops leave out: the segmented delta-segment
+#: path and the store inputs whose postings are decoded from rows.
+SINGLE_SOURCES = ("segmented",) + ROW_DECODE_INPUTS
 
-def build_sources(tree, representation: str = "packed"):
+
+def build_sources(tree):
     """The three backends over one document, keyed by name."""
-    index = InvertedIndex(tree, representation=representation)
+    index = InvertedIndex(tree)
     store = SQLiteStore()
     store.store_tree(tree, tree.name)
-    sqlite_source = SQLitePostingSource(store, tree.name,
-                                        representation=representation)
+    sqlite_source = SQLitePostingSource(store, tree.name)
     sharded_source = ShardedPostingSource.from_tree(
-        tree, shard_count=3, name=tree.name, representation=representation)
+        tree, shard_count=3, name=tree.name)
     return {"memory": index, "sqlite": sqlite_source, "sharded": sharded_source}
 
 
@@ -51,6 +56,11 @@ def sources(request, make_random_tree):
 def test_sources_satisfy_protocol(sources):
     for source in sources.values():
         assert isinstance(source, PostingSource)
+        word = source.vocabulary()[0]
+        assert isinstance(source.postings(word).deweys, PackedDeweyList)
+        batch = source.keyword_nodes([word, "definitelyabsentword"])
+        assert all(isinstance(deweys, PackedDeweyList)
+                   for deweys in batch.values())
 
 
 def test_vocabulary_equal_across_backends(sources):
@@ -99,6 +109,35 @@ def test_batched_keyword_nodes_equals_postings(sources):
                 (name, word)
 
 
+@pytest.mark.parametrize("backend", SINGLE_SOURCES)
+@pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"seed{seed}")
+def test_source_serves_memory_postings(make_random_tree, seed, backend):
+    """One source serves the memory index's lists, packed, on every path.
+
+    A cold batched lookup (with an absent keyword), then ``frequency`` and
+    ``postings`` of every keyword (cold past the five batched ones), must
+    each equal the in-memory index as a :class:`PackedDeweyList`.
+    """
+    tree = make_random_tree(seed)
+    reference = InvertedIndex(tree)
+    source = build_source(tree, backend, tree.name)
+    vocabulary = reference.vocabulary()
+    assert source.vocabulary() == vocabulary, backend
+    probe = vocabulary[:5] + ["definitelyabsentword"]
+    batched = source.keyword_nodes(probe)
+    assert list(batched) == probe, backend
+    for word in probe:
+        assert isinstance(batched[word], PackedDeweyList), (backend, word)
+        assert batched[word] == reference.postings(word).deweys, \
+            (backend, word)
+    for word in vocabulary + ["definitelyabsentword"]:
+        expected = reference.postings(word).deweys
+        assert source.frequency(word) == len(expected), (backend, word)
+        deweys = source.postings(word).deweys
+        assert isinstance(deweys, PackedDeweyList), (backend, word)
+        assert deweys == expected, (backend, word)
+
+
 def test_node_lookups_agree_with_tree(make_random_tree):
     """node_label / node_words of disk backends match the document."""
     tree = make_random_tree(7)
@@ -109,38 +148,6 @@ def test_node_lookups_agree_with_tree(make_random_tree):
             assert sources[name].node_label(node.dewey) == node.label, name
             assert sources[name].node_words(node.dewey) == \
                 index.node_words(node.dewey), name
-
-
-@pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"seed{seed}")
-def test_packed_and_object_representations_agree(make_random_tree, seed):
-    """Packed ↔ object parity on every backend of every seeded tree.
-
-    Both representations are built over the same random document and every
-    posting list, frequency and batched lookup must match element for
-    element.
-    """
-    tree = make_random_tree(seed)
-    sources = build_sources(tree, representation="packed")
-    object_sources = build_sources(tree, representation="object")
-    vocabulary = sources["memory"].vocabulary()
-    probe = vocabulary[:4] + ["definitelyabsentword"]
-    for name, packed_source in sources.items():
-        object_source = object_sources[name]
-        assert packed_source.representation == "packed"
-        assert object_source.representation == "object"
-        for word in vocabulary:
-            packed_list = packed_source.postings(word).deweys
-            object_list = object_source.postings(word).deweys
-            assert isinstance(packed_list, PackedDeweyList), (name, word)
-            assert not isinstance(object_list, PackedDeweyList), (name, word)
-            assert list(packed_list) == list(object_list), (name, word)
-            assert packed_source.frequency(word) == \
-                object_source.frequency(word), (name, word)
-        packed_batch = packed_source.keyword_nodes(probe)
-        object_batch = object_source.keyword_nodes(probe)
-        for word in probe:
-            assert list(packed_batch[word]) == list(object_batch[word]), \
-                (name, word)
 
 
 def test_packed_blobs_round_trip_per_keyword(sources):
@@ -165,8 +172,8 @@ def test_legacy_store_without_blobs_falls_back(make_random_tree):
                               ("doc",))
     store._connection.commit()
     assert not store.has_packed_postings("doc")
-    legacy = SQLitePostingSource(store, "doc", representation="packed")
-    reference = InvertedIndex(tree, representation="object")
+    legacy = SQLitePostingSource(store, "doc")
+    reference = InvertedIndex(tree)
     words = reference.vocabulary()
     for word in words[:10]:
         packed = legacy.postings(word).deweys
@@ -228,34 +235,26 @@ def test_predates_posting_table_row_decode_identical_to_packed(
     words = InvertedIndex(tree).vocabulary()
     # A query mixing present keywords with an empty (zero-posting) keyword.
     mixed_query = words[:2] + ["definitelyabsentword"]
-    for representation in ("packed", "object"):
-        legacy = SQLitePostingSource(legacy_store, "doc",
-                                     representation=representation)
-        packed = SQLitePostingSource(packed_store, "doc",
-                                     representation=representation)
-        legacy_lists = legacy.keyword_nodes(mixed_query)
-        packed_lists = packed.keyword_nodes(mixed_query)
-        assert set(legacy_lists) == set(packed_lists)
-        for keyword in legacy_lists:
-            assert list(legacy_lists[keyword]) == \
-                list(packed_lists[keyword]), (keyword, representation)
-        assert list(legacy.postings("definitelyabsentword").deweys) == []
-        assert legacy.frequency("definitelyabsentword") == 0
-        for algorithm in ("validrtf", "maxmatch"):
-            legacy_result = SearchEngine(
-                source=SQLitePostingSource(
-                    legacy_store, "doc",
-                    representation=representation)).search(
-                        " ".join(mixed_query), algorithm)
-            packed_result = SearchEngine(
-                source=SQLitePostingSource(
-                    packed_store, "doc",
-                    representation=representation)).search(
-                        " ".join(mixed_query), algorithm)
-            assert legacy_result.roots() == packed_result.roots()
-            assert [f.kept_nodes for f in legacy_result] == \
-                [f.kept_nodes for f in packed_result], (algorithm,
-                                                        representation)
+    legacy = SQLitePostingSource(legacy_store, "doc")
+    packed = SQLitePostingSource(packed_store, "doc")
+    legacy_lists = legacy.keyword_nodes(mixed_query)
+    packed_lists = packed.keyword_nodes(mixed_query)
+    assert set(legacy_lists) == set(packed_lists)
+    for keyword in legacy_lists:
+        assert list(legacy_lists[keyword]) == \
+            list(packed_lists[keyword]), keyword
+    assert list(legacy.postings("definitelyabsentword").deweys) == []
+    assert legacy.frequency("definitelyabsentword") == 0
+    for algorithm in ("validrtf", "maxmatch"):
+        legacy_result = SearchEngine(
+            source=SQLitePostingSource(legacy_store, "doc")).search(
+                " ".join(mixed_query), algorithm)
+        packed_result = SearchEngine(
+            source=SQLitePostingSource(packed_store, "doc")).search(
+                " ".join(mixed_query), algorithm)
+        assert legacy_result.roots() == packed_result.roots()
+        assert [f.kept_nodes for f in legacy_result] == \
+            [f.kept_nodes for f in packed_result], algorithm
     legacy_store.close()
     packed_store.close()
 

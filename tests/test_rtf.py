@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Query, assign_keyword_nodes, build_rtfs
+from repro.core import Query, assign_keyword_nodes, build_fragment, build_rtfs
 from repro.index import InvertedIndex
 from repro.lca import elca_is_slca, indexed_stack_elca
 from repro.xmltree import DeweyCode
+from test_lca_algorithms import INPUT_FORMS
 
 D = DeweyCode.parse
 
@@ -51,25 +52,25 @@ class TestBuildRtfs:
 
     def test_one_fragment_per_interesting_lca(self, q2_pieces):
         tree, query, lists, roots = q2_pieces
-        fragments = build_rtfs(tree, query, roots, lists, elca_is_slca(roots))
+        fragments = build_rtfs(roots, lists, elca_is_slca(roots))
         assert [str(fragment.root) for fragment in fragments] == \
             ["0.2.0", "0.2.0.3.0"]
 
     def test_slca_flags(self, q2_pieces):
         tree, query, lists, roots = q2_pieces
-        fragments = build_rtfs(tree, query, roots, lists, elca_is_slca(roots))
+        fragments = build_rtfs(roots, lists, elca_is_slca(roots))
         flags = {str(f.root): f.is_slca for f in fragments}
         assert flags == {"0.2.0": False, "0.2.0.3.0": True}
 
     def test_slca_flags_derived_when_missing(self, q2_pieces):
         tree, query, lists, roots = q2_pieces
-        fragments = build_rtfs(tree, query, roots, lists)
+        fragments = build_rtfs(roots, lists)
         flags = {str(f.root): f.is_slca for f in fragments}
         assert flags == {"0.2.0": False, "0.2.0.3.0": True}
 
     def test_fragment_nodes_are_paths(self, q2_pieces):
         tree, query, lists, roots = q2_pieces
-        fragments = build_rtfs(tree, query, roots, lists)
+        fragments = build_rtfs(roots, lists)
         article_fragment = fragments[0]
         assert [str(code) for code in article_fragment.nodes] == \
             ["0.2.0", "0.2.0.0", "0.2.0.0.0", "0.2.0.0.0.0", "0.2.0.1", "0.2.0.2"]
@@ -77,7 +78,7 @@ class TestBuildRtfs:
     def test_every_fragment_covers_the_query(self, q2_pieces):
         tree, query, lists, roots = q2_pieces
         index = InvertedIndex(tree)
-        for fragment in build_rtfs(tree, query, roots, lists):
+        for fragment in build_rtfs(roots, lists):
             covered = set()
             for dewey in fragment.keyword_nodes:
                 covered |= {keyword for keyword in query.keywords
@@ -86,13 +87,25 @@ class TestBuildRtfs:
 
     def test_fragments_partition_assigned_keyword_nodes(self, q2_pieces):
         tree, query, lists, roots = q2_pieces
-        fragments = build_rtfs(tree, query, roots, lists)
+        fragments = build_rtfs(roots, lists)
         seen = set()
         for fragment in fragments:
             overlap = seen & set(fragment.keyword_nodes)
             assert not overlap
             seen |= set(fragment.keyword_nodes)
 
-    def test_no_roots_yields_no_fragments(self, publications):
-        query = Query.parse("xml")
-        assert build_rtfs(publications, query, [], {"xml": []}) == []
+    def test_no_roots_yields_no_fragments(self):
+        assert build_rtfs([], {"xml": []}) == []
+
+    @pytest.mark.parametrize("form", sorted(INPUT_FORMS))
+    def test_every_list_form_builds_the_reference_fragments(self, q2_pieces,
+                                                            form):
+        """Packed or not, in order or not: the reference dispatch's RTFs."""
+        tree, query, lists, roots = q2_pieces
+        flags = elca_is_slca(roots)
+        assignment = assign_keyword_nodes(roots, lists)
+        expected = [build_fragment(None, root, assignment[root], is_slca=flag)
+                    for root, flag in zip(roots, flags)]
+        given = {keyword: INPUT_FORMS[form](list(deweys))
+                 for keyword, deweys in lists.items()}
+        assert build_rtfs(roots, given, flags) == expected

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SearchEngine
+from repro.core import SearchEngine, UnknownAlgorithmError
 from repro.storage import (
     DocumentAlreadyStored,
     DocumentNotFound,
     MemoryStore,
     SQLitePostingSource,
     SQLiteStore,
-    StoredDocumentSearch,
     agreement_with_index,
     decode_dewey,
     encode_dewey,
@@ -223,9 +222,10 @@ class TestSQLiteSpecifics:
             assert impact.count == reopened.keyword_frequency("pub", "liu")
 
 
-class TestStoredDocumentSearch:
-    def test_search_matches_engine(self, publications, publications_engine):
-        search = StoredDocumentSearch(publications, SQLiteStore(), "pub")
+class TestStoreBackedSearch:
+    def test_search_matches_engine(self, store_engine, publications,
+                                   publications_engine):
+        search = store_engine(publications, SQLiteStore(), "pub")
         for query_name in ("Q1", "Q2", "Q3"):
             query = PAPER_QUERIES[query_name]
             stored_result = search.search(query, "validrtf")
@@ -235,26 +235,24 @@ class TestStoredDocumentSearch:
             engine_nodes = [fragment.kept_set() for fragment in engine_result]
             assert stored_nodes == engine_nodes
 
-    def test_maxmatch_via_store(self, team):
-        search = StoredDocumentSearch(team, MemoryStore(), "team")
+    def test_maxmatch_via_store(self, store_engine, team):
+        search = store_engine(team, MemoryStore(), "team")
         result = search.search(PAPER_QUERIES["Q4"], "maxmatch")
         assert result.count == 1
-        assert result.algorithm == "maxmatch@store"
 
-    def test_unknown_algorithm_rejected(self, team):
-        search = StoredDocumentSearch(team, MemoryStore(), "team")
-        with pytest.raises(ValueError):
+    def test_unknown_algorithm_rejected(self, store_engine, team):
+        search = store_engine(team, MemoryStore(), "team")
+        with pytest.raises(UnknownAlgorithmError):
             search.search("grizzlies", "bogus")
 
-    def test_frequency_report(self, publications):
-        search = StoredDocumentSearch(publications, MemoryStore(), "pub")
-        report = search.frequency_report(["xml", "vldb", "absent"])
+    def test_frequency_report(self, store_engine, publications):
+        search = store_engine(publications, MemoryStore(), "pub")
+        report = {keyword: search.source.frequency(keyword)
+                  for keyword in ("xml", "vldb", "absent")}
         assert report == {"xml": 3, "vldb": 1, "absent": 0}
 
-    def test_reuses_existing_document(self, publications):
-        store = MemoryStore()
-        store.store_tree(publications, "pub")
-        search = StoredDocumentSearch(publications, store, "pub")
+    def test_keyword_nodes_from_store(self, store_engine, publications):
+        search = store_engine(publications, MemoryStore(), "pub")
         assert search.keyword_nodes("xml")["xml"]
 
 

@@ -1,10 +1,9 @@
 """Deep differential corpus fuzz (opt-in, ``bench`` marker).
 
-The unbounded sibling of ``tests/test_corpus_fuzz.py``: more seeds, larger
-random documents, the per-document *sharded* backend and higher shard
-counts.  Seeded and deterministic — a failure reproduces from its parametrized
-seed.  Runs with the benchmark suite (``pytest benchmarks``) and with
-``make fuzz-smoke``.
+The unbounded sibling of ``tests/test_corpus_fuzz.py``: more seeds and
+larger random documents.  Seeded and deterministic — a failure reproduces
+from its parametrized seed.  Runs with the benchmark suite
+(``pytest benchmarks``) and with ``make fuzz-smoke``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.core import ALGORITHM_NAMES  # noqa: E402
 from repro.storage import SegmentedStore  # noqa: E402
 
 DEEP_SEEDS = tuple(range(10, 18))
-BACKENDS = ("memory", "sqlite", "sharded")
+BACKENDS = ("memory", "sqlite")
 MUTATION_DEEP_SEEDS = tuple(range(20, 26))
 
 
@@ -38,7 +37,7 @@ def test_deep_corpus_union_sweep(backend):
     for seed in DEEP_SEEDS:
         trees = random_corpus(seed, max_nodes=80)
         references = reference_engines(trees)
-        corpus = build_corpus_engine(trees, backend, shard_count=3)
+        corpus = build_corpus_engine(trees, backend)
         for query in random_queries(seed, count=4):
             for algorithm in ALGORITHM_NAMES:
                 assert_corpus_equals_union(

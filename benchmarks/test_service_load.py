@@ -32,7 +32,7 @@ def test_service_loadtest_emits_bench(dataset_specs):
     reports = []
 
     # Closed loop across the pooled backends.
-    for backend in ("memory", "sqlite", "sharded"):
+    for backend in ("memory", "sqlite"):
         config = ServiceConfig(backend=backend, workers=WORKERS,
                                document=spec.name)
         report = loadtest(config, queries, tree=tree, mode="closed",

@@ -53,8 +53,6 @@ def main(argv=None) -> int:
                         choices=("validrtf", "maxmatch", "validrtf-slca",
                                  "maxmatch-slca"))
     parser.add_argument("--backend", default="memory", choices=BACKEND_NAMES)
-    parser.add_argument("--shards", type=int, default=2,
-                        help="shard count for --backend sharded")
     parser.add_argument("--repeat", type=int, default=5,
                         help="profiled repetitions (after one warm-up run)")
     parser.add_argument("--top", type=int, default=20,
@@ -66,7 +64,6 @@ def main(argv=None) -> int:
     spec = default_datasets()[arguments.dataset]
     query = _resolve_query(spec, arguments.query)
     engine = engine_for_backend(spec.tree_factory(), arguments.backend,
-                                shards=arguments.shards,
                                 document=arguments.dataset)
     engine.search(query, arguments.algorithm)  # warm-up, excluded
 

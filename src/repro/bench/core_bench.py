@@ -74,7 +74,6 @@ def run_core_bench(datasets: Sequence[str] = ("dblp",),
                    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
                    repetitions: int = 2,
                    limit: Optional[int] = None,
-                   shards: int = 2,
                    verify: bool = True,
                    specs: Optional[Dict[str, DatasetSpec]] = None,
                    corpus_docs: int = 3
@@ -98,8 +97,7 @@ def run_core_bench(datasets: Sequence[str] = ("dblp",),
         if limit is not None:
             queries = queries[:limit]
         tree = spec.tree_factory()
-        engines = {backend: engine_for_backend(tree, backend, shards=shards,
-                                               document=dataset)
+        engines = {backend: engine_for_backend(tree, backend, document=dataset)
                    for backend in backends}
         if verify:
             _verify_answers(dataset, tree, queries, algorithms, engines)
@@ -280,10 +278,10 @@ def run_ranking_bench(doc_count: int = 6, publications_per_doc: int = 120,
     """The ranked-retrieval row of ``BENCH_core.json``.
 
     Partitions one ``doc_count * publications_per_doc``-record DBLP
-    bibliography into ``doc_count`` per-document shards (the realistic
-    corpus shape: rare workload terms — plant counts of a handful across
-    the whole bibliography — genuinely live in only a few shards, the
-    regime where keyword-impact upper bounds have teeth) and, per workload
+    bibliography into ``doc_count`` documents (the realistic corpus shape:
+    rare workload terms — plant counts of a handful across the whole
+    bibliography — genuinely live in only a few documents, the regime
+    where keyword-impact upper bounds have teeth) and, per workload
     query, times top-k retrieval exhaustively versus with the
     threshold-algorithm driver.
 
@@ -352,24 +350,24 @@ def run_ranking_bench(doc_count: int = 6, publications_per_doc: int = 120,
 
 def _partitioned_dblp_corpus(doc_count: int, publications_per_doc: int,
                              seed: int = 2009) -> Dict[str, "XMLTree"]:
-    """One DBLP bibliography split into ``doc_count`` per-shard documents.
+    """One DBLP bibliography split into ``doc_count`` documents.
 
     Unlike generating each document independently (which plants every
     vocabulary term at least once per document), partitioning preserves the
     bibliography's global term frequencies — a term planted 3 times lands
-    in at most 3 shards, so per-document keyword impacts actually differ.
+    in at most 3 documents, so per-document keyword impacts actually differ.
     """
     whole = generate_dblp(DBLPConfig(
         publications=doc_count * publications_per_doc, seed=seed))
     records = whole.root.children
-    shards: Dict[str, XMLTree] = {}
+    parts: Dict[str, XMLTree] = {}
     for index in range(doc_count):
         builder = TreeBuilder("dblp", name=f"dblp-part-{index:02d}")
         start = index * publications_per_doc
         for record in records[start:start + publications_per_doc]:
             _copy_subtree(builder, record)
-        shards[f"dblp-{index:02d}"] = builder.build()
-    return shards
+        parts[f"dblp-{index:02d}"] = builder.build()
+    return parts
 
 
 def _copy_subtree(builder: "TreeBuilder", node) -> None:

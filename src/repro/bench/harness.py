@@ -15,11 +15,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import SearchEngine, effectiveness
 from ..core.metrics import EffectivenessReport
-from ..storage import (
-    ShardedPostingSource,
-    SQLitePostingSource,
-    SQLiteStore,
-)
+from ..storage import SQLitePostingSource, SQLiteStore
 from ..datasets import (
     DBLPConfig,
     WorkloadQuery,
@@ -132,11 +128,11 @@ def cached_engine(dataset_name: str, dblp_publications: int = 600,
 # Backend selection
 # ---------------------------------------------------------------------- #
 #: Backends accepted by :func:`engine_for_backend` / ``run_workload``.
-BACKEND_NAMES = ("memory", "sqlite", "sharded", "corpus")
+BACKEND_NAMES = ("memory", "sqlite", "corpus")
 
 
 def engine_for_backend(tree: XMLTree, backend: str = "memory",
-                       cache_size: int = 0, shards: int = 2,
+                       cache_size: int = 0,
                        db_path: Optional[str] = None,
                        document: str = "bench") -> SearchEngine:
     """Build a :class:`SearchEngine` over ``tree`` for one posting backend.
@@ -147,9 +143,12 @@ def engine_for_backend(tree: XMLTree, backend: str = "memory",
     through the disk-backed posting source — no tree resident, so the
     measured times include SQL posting retrieval and SQL-backed record
     construction, the cold-disk counterpart the Figure 5/6 drivers compare
-    against hot-memory retrieval.  ``sharded`` fans the document out over
-    ``shards`` sqlite stores and merge-sorts posting lists at query time.
+    against hot-memory retrieval.  ``db_path`` belongs to ``sqlite`` alone;
+    any other backend raises :class:`ValueError` rather than ignore it.
     """
+    if db_path and backend != "sqlite":
+        raise ValueError(f"a database path needs the sqlite backend, "
+                         f"not {backend!r}")
     if backend == "memory":
         return SearchEngine(tree, cache_size=cache_size)
     if backend == "sqlite":
@@ -166,12 +165,6 @@ def engine_for_backend(tree: XMLTree, backend: str = "memory",
         return SearchEngine(
             source=SQLitePostingSource(store, document),
             cache_size=cache_size)
-    if backend == "sharded":
-        if shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
-        source = ShardedPostingSource.from_tree(tree, shard_count=shards,
-                                                name=document)
-        return SearchEngine(source=source, cache_size=cache_size)
     if backend == "corpus":
         from ..corpus import CorpusSearchEngine
 
@@ -240,7 +233,6 @@ def run_workload(spec: DatasetSpec, engine: Optional[SearchEngine] = None,
                  repetitions: int = 3,
                  queries: Optional[Sequence[WorkloadQuery]] = None,
                  cache_size: int = 0, backend: str = "memory",
-                 shards: int = 2,
                  db_path: Optional[str] = None) -> WorkloadRun:
     """Run a dataset's whole workload and collect every measurement.
 
@@ -249,11 +241,11 @@ def run_workload(spec: DatasetSpec, engine: Optional[SearchEngine] = None,
     pipeline cost every time.  Keep it at 0 to reproduce the paper's cold
     per-repetition protocol.  ``backend`` selects the posting backend the
     engine is built over (see :func:`engine_for_backend`), so the figure
-    drivers can compare cold-disk (``sqlite``/``sharded``) against hot-memory
+    drivers can compare cold-disk (``sqlite``) against hot-memory
     retrieval.  All of these are ignored when an ``engine`` is passed in.
     """
     engine = engine if engine is not None else engine_for_backend(
-        spec.tree_factory(), backend, cache_size=cache_size, shards=shards,
+        spec.tree_factory(), backend, cache_size=cache_size,
         db_path=db_path, document=spec.name)
     run = WorkloadRun(dataset=spec.name)
     for query in (queries if queries is not None else spec.workload):

@@ -25,8 +25,7 @@ Sub-commands
     metrics together with the differing fragments.
 ``bench``
     Regenerate the Figure 5 / Figure 6 panels for the built-in datasets,
-    optionally over the disk-backed (``--backend sqlite``) or sharded
-    posting backend.
+    optionally over the disk-backed (``--backend sqlite``) posting backend.
 ``datasets``
     Generate and describe the built-in synthetic datasets (optionally writing
     them to XML files).
@@ -215,12 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(only with --cache)")
     bench.add_argument("--backend", default="memory", choices=BACKEND_NAMES,
                        help="posting backend: hot in-memory index, disk-backed "
-                            "sqlite, or sharded stores (default: memory)")
+                            "sqlite, or a one-document corpus "
+                            "(default: memory)")
     bench.add_argument("--db", default=None,
                        help="sqlite database file for --backend sqlite "
                             "(default: in-process database)")
-    bench.add_argument("--shards", type=int, default=2,
-                       help="shard count for --backend sharded")
     bench.set_defaults(handler=_command_bench)
 
     bench_export = subparsers.add_parser(
@@ -247,8 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_export.add_argument("--limit", type=int, default=None,
                               help="only the first N workload queries per "
                                    "dataset (smoke runs use 1)")
-    bench_export.add_argument("--shards", type=int, default=2,
-                              help="shard count for --backend sharded")
     bench_export.add_argument("--no-verify", action="store_true",
                               help="skip the answer checks (memory engine, "
                                    "naive LCA definitions) before timing")
@@ -344,8 +340,6 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--doc", default=None,
                         help="document name inside --db (default: the only "
                              "stored document)")
-    parser.add_argument("--shards", type=int, default=2,
-                        help="shard count for --backend sharded")
 
 
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
@@ -677,7 +671,6 @@ def _command_bench(arguments: argparse.Namespace) -> int:
     try:
         engine = engine_for_backend(spec.tree_factory(), arguments.backend,
                                     cache_size=cache_size,
-                                    shards=arguments.shards,
                                     db_path=arguments.db, document=spec.name)
     except ValueError as error:
         print(error, file=sys.stderr)
@@ -707,7 +700,6 @@ def _command_bench_export(arguments: argparse.Namespace) -> int:
             algorithms=algorithms,
             repetitions=arguments.repetitions,
             limit=arguments.limit,
-            shards=arguments.shards,
             verify=not arguments.no_verify,
         )
     except AnswerParityError as error:
@@ -966,8 +958,6 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
         document = getattr(arguments, "dataset", None) or "service"
     if arguments.workers < 1:
         raise CliError(f"--workers must be positive, got {arguments.workers}")
-    if arguments.shards < 1:
-        raise CliError(f"--shards must be positive, got {arguments.shards}")
     if arguments.batch_size < 1:
         raise CliError(f"--batch-size must be positive, got "
                        f"{arguments.batch_size}")
@@ -992,10 +982,10 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
             FaultPlan.parse(arguments.fault_plan)
         except ValueError as error:
             raise CliError(f"bad --fault-plan: {error}") from None
-        if backend not in ("sqlite", "sharded", "corpus") or \
+        if backend not in ("sqlite", "corpus") or \
                 (backend == "corpus" and not arguments.db):
             raise CliError("--fault-plan needs a store-backed backend "
-                           "(--backend sqlite/sharded, or corpus with --db)")
+                           "(--backend sqlite, or corpus with --db)")
     if arguments.compact_segments is not None and not remote:
         if arguments.compact_segments < 1:
             raise CliError(f"--compact-segments must be positive, got "
@@ -1010,7 +1000,6 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
         backend=backend,
         workers=arguments.workers,
         cache_size=max(0, arguments.cache_size),
-        shards=arguments.shards,
         db_path=arguments.db,
         document=document,
         cid_mode=arguments.cid_mode,
@@ -1058,8 +1047,7 @@ def _build_engine(arguments: argparse.Namespace) -> SearchEngine:
     searches the in-memory index.  ``--backend sqlite`` with ``--db`` opens an
     indexed store and searches **disk-backed, without the document in RAM**
     (rendering degrades to Dewey/label output); without ``--db`` the document
-    is shredded into an in-process store first.  ``--backend sharded`` fans
-    the document out over ``--shards`` in-process stores.
+    is shredded into an in-process store first.
     """
     from .bench import engine_for_backend
 
@@ -1082,7 +1070,7 @@ def _build_engine(arguments: argparse.Namespace) -> SearchEngine:
                        f"not {backend!r}")
     try:
         return engine_for_backend(_load_tree(arguments), backend,
-                                  shards=arguments.shards, document="cli")
+                                  document="cli")
     except ValueError as error:
         raise CliError(str(error)) from None
 

@@ -74,8 +74,8 @@ class SearchEngine:
     source:
         The :class:`~repro.index.source.PostingSource` serving posting lists.
         Defaults to an in-memory :class:`InvertedIndex` over ``tree``; pass a
-        disk-backed or sharded source from :mod:`repro.storage` to search
-        without (re)building the memory index.
+        disk-backed source from :mod:`repro.storage` to search without
+        (re)building the memory index.
     metrics:
         An optional :class:`~repro.obs.MetricsRegistry`.  When given, every
         query reports per-stage timing histograms, candidate/fragment

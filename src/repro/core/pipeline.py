@@ -50,9 +50,9 @@ class FragmentPipeline:
         stage then runs off the posting source's node lookups).
     index:
         Any :class:`~repro.index.source.PostingSource` serving stage 1 —
-        the in-memory :class:`InvertedIndex`, a disk-backed source, or a
-        sharded one.  Built on demand (as an inverted index) when omitted
-        and a tree is given.
+        the in-memory :class:`InvertedIndex` or a disk-backed source.
+        Built on demand (as an inverted index) when omitted and a tree is
+        given.
     lca_function:
         The ``getLCA`` stage; defaults to the ELCA (Indexed Stack) semantics
         used by the paper.
@@ -194,7 +194,6 @@ class FragmentPipeline:
         "fallback_fetches": metric_names.POSTING_FALLBACK_FETCHES,
         "segment_reads": metric_names.SEGMENT_READS,
         "base_reads": metric_names.SEGMENT_BASE_READS,
-        "merged_cursors": metric_names.SEGMENT_MERGED_CURSORS,
         "tombstone_hits": metric_names.SEGMENT_TOMBSTONE_HITS,
     }
 

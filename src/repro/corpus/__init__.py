@@ -7,7 +7,7 @@ forking it:
 
 * :mod:`repro.corpus.source` — :class:`CorpusPostingSource`, the
   doc-partitioned posting organisation (one per-document posting source per
-  doc id, grouped into shards that own whole documents), honouring the
+  doc id, in sorted doc-id order), honouring the
   :class:`~repro.index.source.PostingSource` protocol corpus-wide through
   doc-ordinal-prefixed Dewey codes;
 * :mod:`repro.corpus.engine` — :class:`CorpusSearchEngine`, which runs the
@@ -25,10 +25,8 @@ from .result import CorpusSearchResult, DocumentResult
 from .source import (
     CORPUS_DOC_BACKENDS,
     CorpusPostingSource,
-    CorpusShard,
     corpus_from_store,
     corpus_from_trees,
-    shard_of_document,
 )
 
 __all__ = [
@@ -37,9 +35,7 @@ __all__ = [
     "CorpusPostingSource",
     "CorpusSearchEngine",
     "CorpusSearchResult",
-    "CorpusShard",
     "DocumentResult",
     "corpus_from_store",
     "corpus_from_trees",
-    "shard_of_document",
 ]

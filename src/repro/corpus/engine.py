@@ -136,9 +136,7 @@ class CorpusSearchEngine:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_trees(cls, trees: Mapping[str, XMLTree], backend: str = "memory",
-                   shard_count: int = 1,
                    cid_mode: str = "minmax", cache_size: int = 0,
-                   doc_shards: int = 2,
                    metrics: Optional[MetricsRegistry] = None
                    ) -> "CorpusSearchEngine":
         """Ingest one tree per doc id and build the corpus engine.
@@ -147,9 +145,7 @@ class CorpusSearchEngine:
         :func:`~repro.corpus.source.corpus_from_trees`).  Only the memory
         backend keeps the trees resident; the disk backends run tree-free.
         """
-        source = corpus_from_trees(trees, backend=backend,
-                                   shard_count=shard_count,
-                                   doc_shards=doc_shards)
+        source = corpus_from_trees(trees, backend=backend)
         resident = trees if backend == "memory" else None
         return cls(source, trees=resident, cid_mode=cid_mode,
                    cache_size=cache_size, metrics=metrics)
@@ -540,5 +536,4 @@ class CorpusSearchEngine:
         return "\n\n".join(blocks) if blocks else "(no results)"
 
     def __repr__(self) -> str:
-        return (f"CorpusSearchEngine(documents={len(self.doc_ids)}, "
-                f"shards={len(self.source.shards)})")
+        return f"CorpusSearchEngine(documents={len(self.doc_ids)})"

@@ -8,13 +8,11 @@ reasons, in order:
   run the SLCA/ELCA/RTF hot loops per document anyway — a fused cross-corpus
   posting list would be split right back apart before stage 2, after paying
   an extra component on every comparison and ancestor test.
-* Sharding by document (each shard owns *whole* documents) means a shard
-  never merges across documents internally, and incremental ingestion
-  (``repro.cli index --add``) appends one new column set without rewriting
-  any existing one.
+* Incremental ingestion (``repro.cli index --add``) appends one new column
+  set without rewriting any existing one.
 * The per-document sources are the existing, already-parity-tested backends
-  (:class:`~repro.index.inverted.InvertedIndex`, the sqlite/sharded sources),
-  reused unchanged.
+  (:class:`~repro.index.inverted.InvertedIndex`, the sqlite/segmented
+  sources), reused unchanged.
 
 The corpus still honours the :class:`~repro.index.source.PostingSource`
 protocol: corpus-wide posting lists are served as the concatenation of the
@@ -26,7 +24,6 @@ doc-id order.  Node lookups route on the ordinal component.
 
 from __future__ import annotations
 
-import zlib
 from typing import (
     Dict,
     FrozenSet,
@@ -49,7 +46,6 @@ from ..index.packed import (
 from ..storage import (
     DEFAULT_POSTING_LRU_SIZE,
     MemoryStore,
-    ShardedPostingSource,
     SQLiteStore,
     source_for_store,
 )
@@ -57,7 +53,7 @@ from ..storage.errors import DocumentNotFound
 from ..xmltree import DeweyCode, XMLTree
 
 #: Per-document backends :func:`corpus_from_trees` can build.
-CORPUS_DOC_BACKENDS = ("memory", "sqlite", "sharded")
+CORPUS_DOC_BACKENDS = ("memory", "sqlite")
 
 
 def unknown_documents_error(unknown: Sequence[str],
@@ -69,48 +65,8 @@ def unknown_documents_error(unknown: Sequence[str],
         f"stored: {', '.join(stored)}")
 
 
-def shard_of_document(doc_id: str, shard_count: int) -> int:
-    """Deterministic doc-id -> shard routing (whole documents per shard)."""
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be positive, got {shard_count}")
-    return zlib.crc32(doc_id.encode("utf-8")) % shard_count
-
-
-class CorpusShard:
-    """One shard of a corpus: a group of whole documents.
-
-    A shard owns every posting and node row of its documents and nothing of
-    any other document — the doc-partitioned organisation of disk-based
-    keyword search systems — so per-shard work never merges across documents.
-    """
-
-    __slots__ = ("index", "doc_ids", "_sources")
-
-    def __init__(self, index: int, doc_ids: Tuple[str, ...],
-                 sources: Mapping[str, PostingSource]) -> None:
-        self.index = index
-        self.doc_ids = doc_ids
-        self._sources = dict(sources)
-
-    def source(self, doc_id: str) -> PostingSource:
-        """The posting source of one owned document."""
-        return self._sources[doc_id]
-
-    def keyword_nodes_by_doc(self, keywords: Sequence[str]
-                             ) -> Dict[str, Dict[str, PackedDeweyList]]:
-        """Per-document ``D_i`` lists for every owned document (batched)."""
-        return {doc_id: self._sources[doc_id].keyword_nodes(keywords)
-                for doc_id in self.doc_ids}
-
-    def __len__(self) -> int:
-        return len(self.doc_ids)
-
-    def __repr__(self) -> str:
-        return f"CorpusShard(index={self.index}, documents={len(self.doc_ids)})"
-
-
 class CorpusPostingSource:
-    """Posting source over many documents, sharded by document.
+    """Posting source over many documents, partitioned by document.
 
     Parameters
     ----------
@@ -119,13 +75,9 @@ class CorpusPostingSource:
         :class:`~repro.index.source.PostingSource`.  Doc ids are sorted; the
         position of a doc id in the sorted order is its **ordinal**, the
         component prefixed onto corpus-wide Dewey codes.
-    shard_count:
-        Number of doc-partitioned shards the documents are grouped into
-        (clamped to the document count).  Each shard owns whole documents.
     """
 
-    def __init__(self, documents: Mapping[str, PostingSource],
-                 shard_count: int = 1) -> None:
+    def __init__(self, documents: Mapping[str, PostingSource]) -> None:
         items = sorted(dict(documents).items())
         if not items:
             raise ValueError("a corpus needs at least one document")
@@ -133,14 +85,6 @@ class CorpusPostingSource:
         self._sources = dict(items)
         self._ordinals = {doc_id: ordinal
                           for ordinal, doc_id in enumerate(self.doc_ids)}
-        shard_count = max(1, min(shard_count, len(items)))
-        buckets: List[List[str]] = [[] for _ in range(shard_count)]
-        for doc_id in self.doc_ids:
-            buckets[shard_of_document(doc_id, shard_count)].append(doc_id)
-        self.shards: Tuple[CorpusShard, ...] = tuple(
-            CorpusShard(index, tuple(bucket),
-                        {doc_id: self._sources[doc_id] for doc_id in bucket})
-            for index, bucket in enumerate(buckets))
         self.tokenizer = getattr(items[0][1], "tokenizer", None)
         if self.tokenizer is None:
             from ..text import DEFAULT_TOKENIZER
@@ -162,11 +106,6 @@ class CorpusPostingSource:
             return self._ordinals[doc_id]
         except KeyError:
             raise unknown_documents_error([doc_id], self.doc_ids) from None
-
-    def shard_of(self, doc_id: str) -> CorpusShard:
-        """The shard owning one document."""
-        self.ordinal_of(doc_id)  # raises on unknown ids
-        return self.shards[shard_of_document(doc_id, len(self.shards))]
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -196,11 +135,10 @@ class CorpusPostingSource:
             for doc_id in self.doc_ids]))
 
     def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
-        """Corpus-wide ``D_i`` lists, fetched shard by shard, doc-batched."""
+        """Corpus-wide ``D_i`` lists, one batched fetch per document."""
         normalized = self.tokenizer.normalize_query(query)
-        per_doc: Dict[str, Dict[str, PackedDeweyList]] = {}
-        for shard in self.shards:
-            per_doc.update(shard.keyword_nodes_by_doc(normalized))
+        per_doc = {doc_id: self._sources[doc_id].keyword_nodes(normalized)
+                   for doc_id in self.doc_ids}
         return {
             keyword: concat_packed([
                 prefix_packed(per_doc[doc_id].get(keyword, EMPTY_PACKED),
@@ -270,25 +208,21 @@ class CorpusPostingSource:
         return source, DeweyCode._from_tuple(components[1:])
 
     def __repr__(self) -> str:
-        return (f"CorpusPostingSource(documents={len(self.doc_ids)}, "
-                f"shards={len(self.shards)})")
+        return f"CorpusPostingSource(documents={len(self.doc_ids)})"
 
 
 # ---------------------------------------------------------------------- #
 # Construction helpers
 # ---------------------------------------------------------------------- #
 def corpus_from_trees(trees: Mapping[str, XMLTree], backend: str = "memory",
-                      shard_count: int = 1,
-                      lru_size: int = DEFAULT_POSTING_LRU_SIZE,
-                      doc_shards: int = 2) -> CorpusPostingSource:
+                      lru_size: int = DEFAULT_POSTING_LRU_SIZE
+                      ) -> CorpusPostingSource:
     """Build a corpus source by ingesting one tree per doc id.
 
     ``backend`` selects the per-document source kind: ``memory`` builds one
-    :class:`InvertedIndex` per document; ``sqlite`` creates **one in-process
-    store per corpus shard** and stores each document whole into its shard's
-    store (doc-partitioned disk layout); ``sharded`` Dewey-shards each
-    document over ``doc_shards`` stores (a sharded source per document,
-    inside the doc-partitioned corpus).
+    :class:`InvertedIndex` per document; ``sqlite`` stores every document
+    whole into **one** in-process store and serves it through
+    :func:`corpus_from_store`, the layout a database-served corpus runs.
     """
     if backend not in CORPUS_DOC_BACKENDS:
         raise ValueError(f"unknown corpus document backend {backend!r}; "
@@ -296,22 +230,13 @@ def corpus_from_trees(trees: Mapping[str, XMLTree], backend: str = "memory",
     if not trees:
         raise ValueError("a corpus needs at least one document")
     doc_ids = sorted(trees)
-    sources: Dict[str, object] = {}
     if backend == "memory":
-        for doc_id in doc_ids:
-            sources[doc_id] = InvertedIndex(trees[doc_id])
-    elif backend == "sqlite":
-        count = max(1, min(shard_count, len(doc_ids)))
-        stores = [SQLiteStore() for _ in range(count)]
-        for doc_id in doc_ids:
-            store = stores[shard_of_document(doc_id, count)]
-            store.store_tree(trees[doc_id], doc_id)
-            sources[doc_id] = source_for_store(store, doc_id, lru_size)
-    else:  # sharded: Dewey-sharded per document, doc-partitioned overall
-        for doc_id in doc_ids:
-            sources[doc_id] = ShardedPostingSource.from_tree(
-                trees[doc_id], shard_count=doc_shards, name=doc_id)
-    return CorpusPostingSource(sources, shard_count=shard_count)
+        return CorpusPostingSource({doc_id: InvertedIndex(trees[doc_id])
+                                    for doc_id in doc_ids})
+    store = SQLiteStore()
+    for doc_id in doc_ids:
+        store.store_tree(trees[doc_id], doc_id)
+    return corpus_from_store(store, lru_size=lru_size)
 
 
 def corpus_from_store(store: Union[MemoryStore, SQLiteStore],
@@ -320,8 +245,7 @@ def corpus_from_store(store: Union[MemoryStore, SQLiteStore],
                       ) -> CorpusPostingSource:
     """A corpus source over the documents of one (already-ingested) store.
 
-    ``documents`` defaults to every document the store holds; a store is one
-    shard (it owns its documents whole), so the shard count is 1.
+    ``documents`` defaults to every document the store holds.
     """
     doc_ids = list(documents) if documents is not None else store.documents()
     if not doc_ids:
@@ -332,4 +256,4 @@ def corpus_from_store(store: Union[MemoryStore, SQLiteStore],
         raise unknown_documents_error(unknown, sorted(stored))
     sources = {doc_id: source_for_store(store, doc_id, lru_size)
                for doc_id in doc_ids}
-    return CorpusPostingSource(sources, shard_count=1)
+    return CorpusPostingSource(sources)

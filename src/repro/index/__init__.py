@@ -6,7 +6,6 @@ from .packed import (
     PackedDeweyList,
     as_packed,
     iter_matches,
-    merge_packed,
     pack_component_tuples,
     pack_deweys,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "PostingSource",
     "as_packed",
     "iter_matches",
-    "merge_packed",
     "pack_component_tuples",
     "pack_deweys",
     "build_index",

@@ -50,7 +50,6 @@ __all__ = [
     "common_prefix_len",
     "concat_packed",
     "iter_matches",
-    "merge_packed",
     "pack_component_tuples",
     "pack_deweys",
     "prefix_packed",
@@ -74,7 +73,7 @@ class PackedDeweyList(_SequenceABC):
     for every existing caller, while the flat ``data`` / ``offsets`` columns
     let the rewritten hot loops run without touching objects at all.
 
-    Instances are built by the pack/merge helpers below (or :meth:`from_blob`)
+    Instances are built by the pack helpers below (or :meth:`from_blob`)
     which guarantee the sortedness invariant; the columns are never mutated
     after construction.
     """
@@ -400,7 +399,7 @@ def deepest_neighbor_prefix_len(node: Sequence[int], plist: PackedDeweyList,
 
 
 # ---------------------------------------------------------------------- #
-# K-way merge kernels
+# K-way merge kernel
 # ---------------------------------------------------------------------- #
 def iter_matches(lists: Sequence[PackedDeweyList]
                  ) -> Iterator[Tuple[array, int]]:
@@ -466,21 +465,6 @@ def iter_matches(lists: Sequence[PackedDeweyList]
             cursor = boundary
         if cursor < count:
             heappush(heap, (plist.slice(cursor), index, cursor))
-
-
-def merge_packed(lists: Sequence[PackedDeweyList]) -> PackedDeweyList:
-    """Deduplicating k-way merge into one packed list (zero objects).
-
-    Used by the sharded backend to stitch per-shard posting columns back into
-    one document-order list without round-tripping through ``DeweyCode``.
-    """
-    data = array("I")
-    offsets = array("I", [0])
-    append_offset = offsets.append
-    for comps, _ in iter_matches(lists):
-        data.extend(comps)
-        append_offset(len(data))
-    return PackedDeweyList(data, offsets)
 
 
 def prefix_packed(plist: PackedDeweyList, prefix: int) -> PackedDeweyList:

@@ -4,12 +4,12 @@ Every retrieval path of the library — the search pipelines, the engine's
 batch API, the benchmark drivers — fetches keyword posting lists through the
 :class:`PostingSource` protocol instead of talking to a concrete index.  The
 in-memory :class:`~repro.index.inverted.InvertedIndex` is the reference
-implementation; the disk-backed sources in :mod:`repro.storage.posting_source`
-(sqlite-backed and sharded) implement the same surface, which is what lets
-one :class:`~repro.core.engine.SearchEngine` run over any of them and what the
-backend-parity test suite (``tests/test_backend_parity.py``) enforces: any new
-backend must produce posting lists — and therefore search results — identical
-to the memory backend.
+implementation; the disk-backed sources of :mod:`repro.storage` implement the
+same surface, which is what lets one :class:`~repro.core.engine.SearchEngine`
+run over any of them and what the backend-parity test suite
+(``tests/test_backend_parity.py``) enforces: any new backend must produce
+posting lists — and therefore search results — identical to the memory
+backend.
 
 The protocol has two layers:
 

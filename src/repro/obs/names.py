@@ -44,7 +44,6 @@ POSTING_FALLBACK_FETCHES = "posting.decode.fallback_fetches"
 # Segmented (live-update) stores: where reads were resolved.
 SEGMENT_READS = "segment.reads"
 SEGMENT_BASE_READS = "segment.base_reads"
-SEGMENT_MERGED_CURSORS = "segment.merged_cursors"
 SEGMENT_TOMBSTONE_HITS = "segment.tombstone_hits"
 
 # --------------------------------------------------------------------- #

@@ -13,9 +13,9 @@ immutable substrate exactly once per document:
   :class:`~repro.storage.posting_source.SQLitePostingSource` (private posting
   LRUs); the store hands every thread its own sqlite connection, so disk
   reads genuinely parallelize.
-* ``sharded`` — the shard stores are ingested once and each worker gets its
-  own routed :class:`~repro.storage.posting_source.ShardedPostingSource` view
-  over them.
+* ``corpus`` — one shared segment-aware store (``db_path``) or one shared
+  set of per-document memory indexes, with a
+  :class:`~repro.corpus.engine.CorpusSearchEngine` per worker.
 
 Work is executed on a :class:`~concurrent.futures.ThreadPoolExecutor`; every
 submission receives the calling thread's engine as its first argument.  The
@@ -46,11 +46,8 @@ from .protocol import ERROR_DEGRADED, ServiceError
 from ..storage import (
     DEFAULT_POSTING_LRU_SIZE,
     SegmentedStore,
-    ShardedPostingSource,
     SQLitePostingSource,
     SQLiteStore,
-    shard_stores,
-    source_for_store,
 )
 from ..xmltree import XMLTree
 
@@ -122,7 +119,7 @@ class EnginePool:
     def for_backend(cls, backend: str, tree: Optional[XMLTree] = None,
                     workers: int = DEFAULT_WORKERS,
                     cache_size: int = DEFAULT_CACHE_SIZE,
-                    shards: int = 2, db_path: Optional[str] = None,
+                    db_path: Optional[str] = None,
                     document: str = "service",
                     lru_size: int = DEFAULT_POSTING_LRU_SIZE,
                     trees: Optional[Dict[str, XMLTree]] = None,
@@ -132,9 +129,8 @@ class EnginePool:
 
         ``memory`` needs ``tree``.  ``sqlite`` serves ``db_path`` when given
         (ingesting ``tree`` into it only if the document is absent), else an
-        in-process store ingested from ``tree``.  ``sharded`` fans ``tree``
-        over ``shards`` in-process stores.  ``corpus`` serves every document
-        of ``db_path`` (a multi-document database written by
+        in-process store ingested from ``tree``.  ``corpus`` serves every
+        document of ``db_path`` (a multi-document database written by
         ``repro.cli index``) — or only the ``documents`` subset when given —
         with doc-id-tagged answers and per-request ``doc_filter``; without a
         database it builds a memory corpus from ``trees`` (doc id -> tree)
@@ -145,11 +141,10 @@ class EnginePool:
         engine by reference, so N workers cost no more posting memory than
         one.
         """
-        if fault_plan is not None and backend not in ("sqlite", "sharded",
-                                                      "corpus"):
+        if fault_plan is not None and backend not in ("sqlite", "corpus"):
             raise ValueError(
-                f"a fault plan needs a store-backed backend (sqlite, "
-                f"sharded or corpus), not {backend!r}")
+                f"a fault plan needs a store-backed backend (sqlite or "
+                f"corpus), not {backend!r}")
         if backend == "memory":
             if tree is None:
                 raise ValueError("the memory backend needs a tree")
@@ -171,25 +166,6 @@ class EnginePool:
             return cls(lambda: SearchEngine(
                 source=SQLitePostingSource(store, document, lru_size),
                 cache_size=cache_size), workers=workers)
-        if backend == "sharded":
-            if tree is None:
-                raise ValueError("the sharded backend needs a tree")
-            if shards < 1:
-                raise ValueError(f"shards must be positive, got {shards}")
-            stores = [SQLiteStore() for _ in range(shards)]
-            name = shard_stores(tree, stores, document)
-            if fault_plan is not None:
-                for store in stores:
-                    store.set_fault_plan(fault_plan)
-
-            def sharded_engine() -> SearchEngine:
-                sources = [source_for_store(store, name, lru_size)
-                           for store in stores]
-                return SearchEngine(
-                    source=ShardedPostingSource(sources, routed=True),
-                    cache_size=cache_size)
-
-            return cls(sharded_engine, workers=workers)
         if backend == "corpus":
             if db_path:
                 # Segment-aware store: documents absorbed through
@@ -231,14 +207,13 @@ class EnginePool:
                                  "corpus (pass db_path)")
             # One set of immutable per-document memory indexes, shared by
             # every worker engine — same snapshot economics as `memory`.
-            snapshot = corpus_from_trees(corpus_trees, backend="memory",
-                                         shard_count=shards)
+            snapshot = corpus_from_trees(corpus_trees, backend="memory")
             return cls(lambda: CorpusSearchEngine(snapshot,
                                                   trees=corpus_trees,
                                                   cache_size=cache_size),
                        workers=workers)
         raise ValueError(f"unknown backend {backend!r}; "
-                         f"expected memory, sqlite, sharded or corpus")
+                         f"expected memory, sqlite or corpus")
 
     # ------------------------------------------------------------------ #
     # Execution

@@ -332,7 +332,6 @@ def loadtest(config: ServiceConfig, queries: Sequence[str],
         "backend": config.backend,
         "workers": config.workers,
         "cache_size": config.cache_size,
-        "shards": config.shards,
         "document": config.document,
         "max_batch_size": config.max_batch_size,
         "batch_window_seconds": config.batch_window_seconds,

@@ -123,7 +123,6 @@ class ServiceConfig:
     backend: str = "memory"
     workers: int = DEFAULT_WORKERS
     cache_size: int = DEFAULT_CACHE_SIZE
-    shards: int = 2
     db_path: Optional[str] = None
     document: str = "service"
     cid_mode: str = "minmax"
@@ -139,7 +138,7 @@ class ServiceConfig:
     slow_query_seconds: Optional[float] = None
     #: Fault-plan spec string (``seed=7,error=0.05,...``) injected at the
     #: storage seam; ``None`` serves faithfully.  Needs a store-backed
-    #: backend (sqlite, sharded, or corpus with ``db_path``).
+    #: backend (sqlite, or corpus with ``db_path``).
     fault_plan: Optional[str] = None
     #: Start a background compactor folding delta segments once this many
     #: pile up; ``None`` disables it.  Needs a mutable corpus backend.
@@ -158,8 +157,8 @@ class ServiceConfig:
                 if self.fault_plan else None)
         pool = EnginePool.for_backend(
             self.backend, tree=tree, workers=self.workers,
-            cache_size=self.cache_size, shards=self.shards,
-            db_path=self.db_path, document=self.document,
+            cache_size=self.cache_size, db_path=self.db_path,
+            document=self.document,
             documents=self.documents,
             fault_plan=plan)
         metrics = MetricsRegistry()

@@ -21,13 +21,9 @@ from .segments import (
 )
 from .posting_source import (
     DEFAULT_POSTING_LRU_SIZE,
-    ShardedPostingSource,
     SQLitePostingSource,
     StorePostingSource,
     agreement_with_index,
-    shard_of,
-    shard_shredded,
-    shard_stores,
     source_for_store,
 )
 from .verify import IntegrityFinding, IntegrityReport, verify_database
@@ -54,12 +50,8 @@ __all__ = [
     "SEGMENT_KIND_TOMBSTONE",
     "StorePostingSource",
     "SQLitePostingSource",
-    "ShardedPostingSource",
     "DEFAULT_POSTING_LRU_SIZE",
     "source_for_store",
-    "shard_of",
-    "shard_shredded",
-    "shard_stores",
     "agreement_with_index",
     "IntegrityFinding",
     "IntegrityReport",

@@ -1,4 +1,4 @@
-"""Disk-backed and sharded :class:`~repro.index.source.PostingSource`\\ s.
+"""Disk-backed :class:`~repro.index.source.PostingSource`\\ s.
 
 These adapters put the shredded relational store behind the same posting-list
 interface the in-memory :class:`~repro.index.inverted.InvertedIndex` serves,
@@ -15,34 +15,28 @@ full document resident in RAM.
   uncached posting lists in **one** batched ``IN (...)`` statement, which is
   what the engine's ``search_many`` batch path funnels a whole workload's
   keyword union through.
-* :class:`ShardedPostingSource` — fans one logical document out over N
-  stores and merge-sorts the per-shard packed cursors back together.
 
-All three serve :class:`~repro.index.packed.PackedDeweyList` columns and
-satisfy the parity contract: posting lists strictly sorted in document
-order, duplicate-free, and identical to the memory backend's
+Both serve :class:`~repro.index.packed.PackedDeweyList` columns and satisfy
+the parity contract: posting lists strictly sorted in document order,
+duplicate-free, and identical to the memory backend's
 (``tests/test_backend_parity.py`` / ``tests/test_posting_properties.py``).
 """
 
 from __future__ import annotations
 
-import zlib
 from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..index import InvertedIndex, PostingList
-from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
+from ..index.source import KeywordImpact, impact_from_postings
 from ..index.packed import (
     EMPTY_PACKED,
     PackedDeweyList,
-    merge_packed,
     pack_component_tuples,
     pack_deweys,
 )
 from ..xmltree import DeweyCode, XMLTree
-from .errors import DocumentNotFound
 from .schema import decode_dewey, encode_dewey
-from .shredder import ShreddedDocument, shred_tree
 from .sqlite_backend import SQLiteStore
 
 #: Default capacity of the per-keyword decoded-posting-list LRU.
@@ -374,8 +368,8 @@ class SQLitePostingSource(StorePostingSource):
         """Batch-fetch missing node labels and keyword-node word sets.
 
         One chunked ``IN (...)`` statement per cache instead of one statement
-        per node; absent codes are cached negatively so shards that do not
-        own a node answer later lookups without touching sqlite.
+        per node; absent codes are cached negatively, so a later lookup of a
+        code the document lacks answers without touching sqlite.
         """
         self._check_document()
         missing_labels = [dewey for dewey in nodes if dewey not in self._labels]
@@ -410,240 +404,8 @@ class SQLitePostingSource(StorePostingSource):
                                  frozenset(words.get(dewey_text, ())))
 
 
-class ShardedPostingSource:
-    """One logical document fanned out over N posting sources.
-
-    Every shard holds a disjoint subset of the document's nodes (partitioned
-    by Dewey code), so a keyword's full posting list is the merge-sort of the
-    per-shard lists.  Node lookups are routed by asking each shard in turn —
-    exactly one owns any given node.
-    """
-
-    def __init__(self, shards: Sequence, routed: bool = False):
-        if not shards:
-            raise ValueError("ShardedPostingSource needs at least one shard")
-        self.shards = tuple(shards)
-        self.tokenizer = self.shards[0].tokenizer
-        # When the shard order matches the shard_of() partition (true for
-        # from_tree / shard_stores ingestion), node lookups go straight to
-        # the owning shard instead of probing all of them.
-        self.routed = routed
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_tree(cls, tree: XMLTree, shard_count: int = 2, name: str = "",
-                  store_factory=SQLiteStore,
-                  lru_size: int = DEFAULT_POSTING_LRU_SIZE
-                  ) -> "ShardedPostingSource":
-        """Shred ``tree`` once and distribute it over ``shard_count`` stores."""
-        if shard_count < 1:
-            raise ValueError(f"shard_count must be positive, got {shard_count}")
-        document = name or tree.name or "document"
-        stores = [store_factory() for _ in range(shard_count)]
-        shard_stores(tree, stores, document)
-        sources = [source_for_store(store, document, lru_size)
-                   for store in stores]
-        return cls(sources, routed=True)
-
-    # ------------------------------------------------------------------ #
-    # PostingSource protocol
-    # ------------------------------------------------------------------ #
-    @property
-    def source_id(self) -> str:
-        """Composite identity of all shards."""
-        inner = ",".join(shard.source_id for shard in self.shards)
-        return f"sharded[{inner}]"
-
-    def _missing_everywhere(self) -> DocumentNotFound:
-        """The error for a document no shard knows.
-
-        A shard whose partition came out empty legitimately lacks the
-        document, so per-shard :class:`DocumentNotFound` is tolerated — but
-        when *every* shard lacks it the name is wrong (or the document was
-        dropped), and answering with silent empties would mask that.
-        """
-        document = getattr(self.shards[0], "document", "document")
-        return DocumentNotFound(
-            f"no shard holds a document named {document!r}")
-
-    def postings(self, keyword: str) -> PostingList:
-        """Merge-sorted posting list of one keyword across all shards."""
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        lists: List[PackedDeweyList] = []
-        found = False
-        for shard in self.shards:
-            try:
-                lists.append(shard.postings(normalized).deweys)
-                found = True
-            except DocumentNotFound:
-                continue  # a shard whose partition was empty holds no rows
-        if not found:
-            raise self._missing_everywhere()
-        return PostingList(normalized, merge_packed(lists))
-
-    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
-        """Per-shard (batched) fetches, merge-sorted keyword by keyword.
-
-        The per-shard packed cursors are merge-sorted flat
-        (:func:`~repro.index.packed.merge_packed`) with no decoding.
-        """
-        normalized = self.tokenizer.normalize_query(query)
-        per_shard: List[Dict[str, PackedDeweyList]] = []
-        for shard in self.shards:
-            try:
-                per_shard.append(shard.keyword_nodes(normalized))
-            except DocumentNotFound:
-                continue
-        if not per_shard:
-            raise self._missing_everywhere()
-        return {
-            keyword: merge_packed(
-                [lists.get(keyword, EMPTY_PACKED) for lists in per_shard])
-            for keyword in normalized
-        }
-
-    def read_stats(self) -> Dict[str, int]:
-        """Summed read counters of every shard that exposes them."""
-        totals: Dict[str, int] = {}
-        for shard in self.shards:
-            stats_fn = getattr(shard, "read_stats", None)
-            if stats_fn is None:
-                continue
-            for key, value in stats_fn().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def frequency(self, keyword: str) -> int:
-        """Number of keyword nodes containing ``keyword`` across all shards.
-
-        Shards partition the node set, so the per-shard counts simply add up
-        — no posting list is decoded or merged for a count.
-        """
-        total = 0
-        found = False
-        for shard in self.shards:
-            try:
-                total += shard.frequency(keyword)
-                found = True
-            except DocumentNotFound:
-                continue
-        if not found:
-            raise self._missing_everywhere()
-        return total
-
-    def impact(self, keyword: str) -> KeywordImpact:
-        """Combined impact across shards.
-
-        Shards partition the node set, so counts add and the deepest level
-        is the per-shard maximum.
-        """
-        from ..index.source import keyword_impact as _impact_of
-        count = 0
-        max_depth = 0
-        found = False
-        for shard in self.shards:
-            try:
-                impact = _impact_of(shard, keyword)
-                found = True
-            except DocumentNotFound:
-                continue
-            count += impact.count
-            if impact.count:
-                max_depth = max(max_depth, impact.max_depth)
-        if not found:
-            raise self._missing_everywhere()
-        if not count:
-            return EMPTY_IMPACT
-        return KeywordImpact(count=count, max_depth=max_depth)
-
-    def vocabulary(self) -> List[str]:
-        """Sorted union of the shards' vocabularies."""
-        words = set()
-        found = False
-        for shard in self.shards:
-            try:
-                words.update(shard.vocabulary())
-                found = True
-            except DocumentNotFound:
-                continue
-        if not found:
-            raise self._missing_everywhere()
-        return sorted(words)
-
-    def _owner(self, dewey: DeweyCode):
-        """The shard that owns ``dewey`` under routed ingestion, else None."""
-        if not self.routed:
-            return None
-        return self.shards[shard_of(encode_dewey(dewey.components),
-                                    len(self.shards))]
-
-    def node_label(self, dewey: DeweyCode) -> Optional[str]:
-        """The label of one node, from the shard that owns it."""
-        owner = self._owner(dewey)
-        candidates = (owner,) if owner is not None else self.shards
-        for shard in candidates:
-            try:
-                label = shard.node_label(dewey)
-            except DocumentNotFound:
-                continue
-            if label is not None:
-                return label
-        return None
-
-    def node_words(self, dewey: DeweyCode) -> FrozenSet[str]:
-        """The content word set of one node, from the shard that owns it."""
-        owner = self._owner(dewey)
-        candidates = (owner,) if owner is not None else self.shards
-        for shard in candidates:
-            try:
-                words = shard.node_words(dewey)
-            except DocumentNotFound:
-                continue
-            if words:
-                return words
-        return frozenset()
-
-    def prefetch_nodes(self, nodes: Iterable[DeweyCode],
-                       keyword_nodes: Iterable[DeweyCode]) -> None:
-        """Let every shard batch-fetch the subset of nodes it owns."""
-        nodes = list(nodes)
-        keyword_nodes = list(keyword_nodes)
-        if self.routed:
-            # Bucket each node by its owner once (one encode+crc32 per node)
-            # rather than re-testing every node against every shard.
-            count = len(self.shards)
-            node_buckets: List[List[DeweyCode]] = [[] for _ in self.shards]
-            keyword_buckets: List[List[DeweyCode]] = [[] for _ in self.shards]
-            for dewey in nodes:
-                node_buckets[shard_of(encode_dewey(dewey.components),
-                                      count)].append(dewey)
-            for dewey in keyword_nodes:
-                keyword_buckets[shard_of(encode_dewey(dewey.components),
-                                         count)].append(dewey)
-        for index, shard in enumerate(self.shards):
-            prefetch = getattr(shard, "prefetch_nodes", None)
-            if prefetch is None:
-                continue
-            if self.routed:
-                owned_nodes = node_buckets[index]
-                owned_keyword_nodes = keyword_buckets[index]
-                if not owned_nodes and not owned_keyword_nodes:
-                    continue
-            else:
-                owned_nodes, owned_keyword_nodes = nodes, keyword_nodes
-            try:
-                prefetch(owned_nodes, owned_keyword_nodes)
-            except DocumentNotFound:
-                continue
-
-    def __repr__(self) -> str:
-        return f"ShardedPostingSource(shards={len(self.shards)})"
-
-
 # ---------------------------------------------------------------------- #
-# Sharding / adapter helpers
+# Adapter helpers
 # ---------------------------------------------------------------------- #
 def _chunked(items: Sequence[DeweyCode],
              size: int = _IN_CHUNK) -> Iterable[Sequence[DeweyCode]]:
@@ -679,49 +441,3 @@ def agreement_with_index(tree: XMLTree, store, name: str,
         from_index = list(index.postings(keyword).deweys)
         agreement[keyword] = from_store == from_index
     return agreement
-
-
-def shard_of(dewey_text: str, shard_count: int) -> int:
-    """Deterministic shard routing of one encoded Dewey code."""
-    return zlib.crc32(dewey_text.encode("ascii")) % shard_count
-
-
-def shard_shredded(shredded: ShreddedDocument,
-                   shard_count: int) -> List[ShreddedDocument]:
-    """Partition one shredded document into per-shard row subsets.
-
-    Element and value rows are routed by their (shared) encoded Dewey code so
-    every node's rows land on exactly one shard; the label table is small and
-    replicated to every shard.
-    """
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be positive, got {shard_count}")
-    elements: List[List] = [[] for _ in range(shard_count)]
-    values: List[List] = [[] for _ in range(shard_count)]
-    for row in shredded.elements:
-        elements[shard_of(row.dewey, shard_count)].append(row)
-    for row in shredded.values:
-        values[shard_of(row.dewey, shard_count)].append(row)
-    return [
-        ShreddedDocument(name=shredded.name, labels=shredded.labels,
-                         elements=tuple(elements[index]),
-                         values=tuple(values[index]))
-        for index in range(shard_count)
-    ]
-
-
-def shard_stores(tree: XMLTree, stores: Sequence, name: str = "") -> str:
-    """Shred ``tree`` once and store one partition per backend in ``stores``.
-
-    Returns the stored document name.  A shard whose partition came out empty
-    may not register the document at all (the sqlite backend has no rows to
-    remember it by); :class:`ShardedPostingSource` treats such shards as
-    holding zero postings.
-    """
-    if not stores:
-        raise ValueError("shard_stores needs at least one store")
-    document = name or tree.name or "document"
-    shredded = shred_tree(tree, document, stores[0].tokenizer)
-    for store, partition in zip(stores, shard_shredded(shredded, len(stores))):
-        store.store_shredded(partition)
-    return document

@@ -16,10 +16,7 @@ sequence of immutable **delta segments**:
   segment event wins, and a document with no events lives in the base
   generation.  Because the corpus layer is doc-partitioned (the unit of
   update is a whole document), LCA semantics never mix generations — a
-  keyword read merges the packed cursors of the document's live generation(s)
-  with :func:`~repro.index.packed.merge_packed`; with whole-document
-  replacement exactly one cursor is live, and the merge keeps the read path
-  correct should finer-grained deltas ever land.
+  keyword read loads the one packed blob of the document's live generation.
 * :meth:`SegmentedStore.compact` folds every document's live version into the
   base tables and clears the segment tables, leaving the database
   byte-for-byte equivalent (as observed through every query method) to one
@@ -56,7 +53,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
 from ..faults.plan import InjectedCrash
-from ..index.packed import PackedDeweyList, merge_packed
+from ..index.packed import PackedDeweyList
 from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
 from ..obs import MetricsRegistry
 from ..obs import names as metric_names
@@ -104,7 +101,6 @@ class SegmentedStore(SQLiteStore):
         # Segment-resolution accounting (harvested into the metrics registry
         # by the instrumented pipeline via the posting source's read_stats).
         self.tombstone_hits = 0
-        self.merged_cursors = 0
         #: Crash-simulation hook: called at every journaled fault point with
         #: ``(point_name, connection)``.  A :class:`repro.faults.FaultPlan`
         #: (or the crash-point fuzzer) may tear the write and raise
@@ -658,20 +654,12 @@ class SegmentedStore(SQLiteStore):
         if location == BASE_GENERATION:
             return super().keyword_packed(name, keyword)
         normalized = self.tokenizer.normalize_keyword(keyword)
-        cursors = [PackedDeweyList.from_blob(blob) for (blob,) in
-                   self._connection.execute(
-                       "SELECT blob FROM segment_posting WHERE segment_id = ? "
-                       "AND document = ? AND keyword = ?",
-                       (location, name, normalized))]
-        if not cursors:
-            return None
-        # Whole-document replacement means one live cursor per keyword; the
-        # general merge keeps the read correct if a document's postings ever
-        # span several live segments.
-        if len(cursors) == 1:
-            return cursors[0]
-        self.merged_cursors += len(cursors)
-        return merge_packed(cursors)
+        # (segment_id, document, keyword) is the table's primary key.
+        row = self._connection.execute(
+            "SELECT blob FROM segment_posting WHERE segment_id = ? "
+            "AND document = ? AND keyword = ?",
+            (location, name, normalized)).fetchone()
+        return PackedDeweyList.from_blob(row[0]) if row is not None else None
 
     def keyword_frequency(self, name: str, keyword: str) -> int:
         location = self._live_location(name)
@@ -688,20 +676,17 @@ class SegmentedStore(SQLiteStore):
         if location == BASE_GENERATION:
             return super().keyword_impact(name, keyword)
         normalized = self.tokenizer.normalize_keyword(keyword)
-        rows = self._connection.execute(
+        row = self._connection.execute(
             "SELECT cardinality, max_depth FROM segment_posting "
             "WHERE segment_id = ? AND document = ? AND keyword = ?",
-            (location, name, normalized)).fetchall()
-        if not rows:
+            (location, name, normalized)).fetchone()
+        if row is None:
             # Segments always carry packed rows, so absence means the
             # keyword does not occur in this document version.
             return EMPTY_IMPACT
-        if len(rows) == 1 and int(rows[0][1]) != UNKNOWN_MAX_DEPTH:
-            return KeywordImpact(count=int(rows[0][0]),
-                                 max_depth=int(rows[0][1]))
-        # Several live cursors (or a sentinel row): derive from the merged
-        # posting list — counts cannot simply add across cursors because
-        # they may share Dewey codes.
+        if int(row[1]) != UNKNOWN_MAX_DEPTH:
+            return KeywordImpact(count=int(row[0]), max_depth=int(row[1]))
+        # A sentinel row: derive the impact from the posting list.
         return impact_from_postings(self.keyword_deweys(name, normalized))
 
     def vocabulary(self, name: str) -> List[str]:
@@ -799,7 +784,6 @@ class SegmentedPostingSource(SQLitePostingSource):
         store: SegmentedStore = self.store
         stats["segment_reads"] = self.segment_reads
         stats["base_reads"] = self.base_reads
-        stats["merged_cursors"] = store.merged_cursors
         stats["tombstone_hits"] = store.tombstone_hits
         return stats
 

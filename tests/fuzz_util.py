@@ -86,11 +86,17 @@ def random_queries(seed: int, count: int = 4,
     return queries
 
 
-def build_corpus_engine(trees: Dict[str, XMLTree], backend: str,
-                        shard_count: int = 2) -> CorpusSearchEngine:
-    """A corpus engine over ``trees`` for one backend."""
-    return CorpusSearchEngine.from_trees(trees, backend=backend,
-                                         shard_count=shard_count)
+def build_corpus_engine(trees: Dict[str, XMLTree],
+                        backend: str) -> CorpusSearchEngine:
+    """A corpus engine over ``trees`` for one backend; ``segmented`` stores
+    every document into one :class:`SegmentedStore`, the layout a served
+    corpus database runs."""
+    if backend == "segmented":
+        store = SegmentedStore()
+        for name in sorted(trees):
+            store.store_tree(trees[name], name)
+        return CorpusSearchEngine(corpus_from_store(store))
+    return CorpusSearchEngine.from_trees(trees, backend=backend)
 
 
 def reference_engines(trees: Dict[str, XMLTree]) -> Dict[str, SearchEngine]:

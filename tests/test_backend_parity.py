@@ -2,18 +2,21 @@
 
 This is the repo's cross-backend transparency contract: the paper-example
 documents and a synthetic corpus are searched through the in-memory inverted
-index, the disk-backed sqlite source and the sharded source, and the complete
-:class:`SearchResult` — roots, kept node sets, SLCA flags, LCA node list —
-must be identical for all four algorithms.  **Any new backend must be added
-to ``BACKENDS`` here and pass unchanged** (see ROADMAP, Open items).
+index, the disk-backed sqlite source, a one-document corpus and the segmented
+source, and the complete :class:`SearchResult` — roots, kept node sets, SLCA
+flags, LCA node list — must be identical for all four algorithms.  **Any new
+backend must be added to ``BACKENDS`` here and pass unchanged** (see
+ROADMAP, Open items).
 
-The sqlite and sharded engines deliberately run *without* a resident tree, so
-this suite also proves the purely source-backed pipeline (Dewey-arithmetic
+The disk-backed engines deliberately run *without* a resident tree, so this
+suite also proves the purely source-backed pipeline (Dewey-arithmetic
 fragments, lookup-driven record trees) against the tree-backed one.
 
 Next to the backends the matrix runs the ``ROW_DECODE_INPUTS``: stores whose
 postings are decoded from value rows and packed once instead of loaded as
-packed blobs, so the one packed form is reached by its second way in.
+packed blobs, so the one packed form is reached by its second way in.  The
+``SHARED_STORE_INPUTS`` serve the document from a sqlite store it shares with
+other documents, the one-store layout every disk-backed corpus runs.
 """
 
 from __future__ import annotations
@@ -21,20 +24,20 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ALGORITHM_NAMES, SearchEngine
-from repro.corpus import CorpusSearchEngine
+from repro.corpus import CorpusSearchEngine, corpus_from_trees
 from repro.datasets import PAPER_QUERIES
 from repro.storage import (
     MemoryStore,
     SegmentedPostingSource,
     SegmentedStore,
-    ShardedPostingSource,
     SQLitePostingSource,
     SQLiteStore,
     StorePostingSource,
     source_for_store,
 )
+from repro.xmltree import SubtreeSpec, XMLTree, tree_from_spec
 
-BACKENDS = ("memory", "sqlite", "sharded", "corpus", "segmented")
+BACKENDS = ("memory", "sqlite", "corpus", "segmented")
 
 #: The registration contract the lint gate (``parity-registration``)
 #: machine-checks: every class in ``src/`` that implements the
@@ -44,7 +47,6 @@ PARITY_SOURCES = {
     "InvertedIndex": ("memory",),
     "StorePostingSource": ("sqlite",),
     "SQLitePostingSource": ("sqlite",),
-    "ShardedPostingSource": ("sharded",),
     "CorpusPostingSource": ("corpus",),
     "SegmentedPostingSource": ("segmented",),
 }
@@ -57,8 +59,15 @@ PARITY_SOURCES = {
 #: to the value-row decode, packed once.
 ROW_DECODE_INPUTS = ("memorystore", "sqlite-legacy", "segmented-legacy")
 
+#: Store inputs whose document shares one sqlite store with other
+#: documents: ``corpus-store`` is the document's source in a corpus built by
+#: ``corpus_from_trees(backend="sqlite")``, stored between two mirrored
+#: copies of itself, so every word it holds is also stored for a neighbour.
+SHARED_STORE_INPUTS = ("corpus-store",)
+
 #: Everything the matrix compares against the memory reference engine.
-CANDIDATES = tuple(b for b in BACKENDS if b != "memory") + ROW_DECODE_INPUTS
+CANDIDATES = (tuple(b for b in BACKENDS if b != "memory") + ROW_DECODE_INPUTS
+              + SHARED_STORE_INPUTS)
 
 #: (dataset fixture name, queries) pairs the parity matrix runs over.
 DATASETS = (
@@ -77,14 +86,21 @@ def drop_packed_postings(store, name: str) -> None:
     assert not store.has_packed_postings(name)
 
 
+def mirrored(tree: XMLTree) -> XMLTree:
+    """``tree`` with every node's children reversed: the same labels and
+    words on other Dewey codes."""
+    def spec_of(node) -> SubtreeSpec:
+        return SubtreeSpec(node.label, node.text, node.attributes,
+                           [spec_of(child) for child in reversed(node.children)])
+    return tree_from_spec(spec_of(tree.root), name=f"{tree.name}-mirrored")
+
+
 def build_source(tree, backend: str, name: str = "doc"):
     """The posting source of one single-document backend or store input."""
     if backend == "sqlite":
         store = SQLiteStore()
         store.store_tree(tree, name)
         return SQLitePostingSource(store, name)
-    if backend == "sharded":
-        return ShardedPostingSource.from_tree(tree, shard_count=3, name=name)
     if backend == "segmented":
         # Store the tree, then shadow the base copy with an identical
         # delta-segment version: parity runs through the segment read path
@@ -110,6 +126,15 @@ def build_source(tree, backend: str, name: str = "doc"):
         store.store_tree(tree, name)
         drop_packed_postings(store, name)
         return SegmentedPostingSource(store, name)
+    if backend == "corpus-store":
+        # Doc ids sort "0-mirror" < name < "~mirror": the document's rows
+        # sit between its neighbours' in the one store, and no neighbour
+        # row may reach its answers.
+        mirror = mirrored(tree)
+        corpus = corpus_from_trees(
+            {"0-mirror": mirror, name: tree, "~mirror": mirror},
+            backend="sqlite")
+        return corpus.document_source(name)
     raise ValueError(backend)
 
 
@@ -121,8 +146,7 @@ def build_engine(tree, backend: str, name: str = "doc") -> SearchEngine:
         # A one-document corpus over disk-backed per-document stores: the
         # corpus answer must equal the single-document answer exactly (the
         # union of one document is that document's result).
-        return CorpusSearchEngine.from_trees(
-            {name: tree}, backend="sqlite", shard_count=2)
+        return CorpusSearchEngine.from_trees({name: tree}, backend="sqlite")
     return SearchEngine(source=build_source(tree, backend, name))
 
 
@@ -254,7 +278,6 @@ def test_parity_sources_cover_backends():
         "InvertedIndex": InvertedIndex,
         "StorePostingSource": StorePostingSource,
         "SQLitePostingSource": SQLitePostingSource,
-        "ShardedPostingSource": ShardedPostingSource,
         "CorpusPostingSource": CorpusPostingSource,
         "SegmentedPostingSource": SegmentedPostingSource,
     }

@@ -89,6 +89,17 @@ class TestBenchCommand:
         assert exit_code == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend", ["memory", "corpus"])
+    def test_bench_rejects_db_without_sqlite_backend(self, tmp_path, capsys,
+                                                     backend):
+        db_path = tmp_path / "bench.db"
+        exit_code = main(["bench", "--dataset", "dblp", "--figure", "5",
+                          "--repetitions", "1", "--backend", backend,
+                          "--db", str(db_path)])
+        assert exit_code == 2
+        assert "sqlite" in capsys.readouterr().err
+        assert not db_path.exists()
+
 
 class TestArgumentHandling:
     def test_requires_command(self):

@@ -22,12 +22,13 @@ from repro.core import ALGORITHM_NAMES
 from repro.corpus import (
     CorpusPostingSource,
     CorpusSearchEngine,
+    corpus_from_store,
     corpus_from_trees,
-    shard_of_document,
 )
 from repro.datasets import PAPER_QUERIES, publications_tree, team_tree
 from repro.index.packed import PackedDeweyList
 from repro.service import rank_stats_payload, ranking_payload
+from repro.storage import SQLitePostingSource
 from repro.storage.errors import DocumentNotFound
 from repro.xmltree import SubtreeSpec, tree_from_spec
 
@@ -96,8 +97,7 @@ def corpus_updated_store():
 @pytest.fixture(scope="module")
 def corpus3_engines():
     trees = corpus3_trees()
-    return {backend: CorpusSearchEngine.from_trees(trees, backend=backend,
-                                                   shard_count=2)
+    return {backend: CorpusSearchEngine.from_trees(trees, backend=backend)
             for backend in CORPUS3_BACKENDS}
 
 
@@ -165,7 +165,7 @@ def ranked_corpus3_engines():
     """corpus3 engines with resident trees (ranking needs them) per backend."""
     trees = corpus3_trees()
     return {backend: CorpusSearchEngine(
-        corpus_from_trees(trees, backend=backend, shard_count=2), trees=trees)
+        corpus_from_trees(trees, backend=backend), trees=trees)
         for backend in CORPUS3_BACKENDS}
 
 
@@ -208,8 +208,7 @@ def test_ranked_golden_accounting_is_consistent():
 # ---------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def corpus3_source() -> CorpusPostingSource:
-    return corpus_from_trees(corpus3_trees(), backend="memory",
-                             shard_count=2)
+    return corpus_from_trees(corpus3_trees(), backend="memory")
 
 
 def test_corpus_postings_are_sorted_and_prefixed(corpus3_source):
@@ -248,16 +247,20 @@ def test_corpus_vocabulary_is_document_union(corpus3_source):
             vocabulary
 
 
-def test_corpus_shards_own_whole_documents(corpus3_source):
-    owned = [doc_id for shard in corpus3_source.shards
-             for doc_id in shard.doc_ids]
-    assert sorted(owned) == sorted(corpus3_source.doc_ids)
-    for shard in corpus3_source.shards:
-        for doc_id in shard.doc_ids:
-            assert shard_of_document(doc_id, len(corpus3_source.shards)) == \
-                shard.index
-            assert shard.source(doc_id) is \
-                corpus3_source.document_source(doc_id)
+def test_sqlite_corpus_holds_every_document_in_one_store():
+    """``corpus_from_trees(backend="sqlite")`` stores every document into
+    one store and serves it as ``corpus_from_store`` does (the layout a
+    database-served corpus runs)."""
+    trees = corpus3_trees()
+    source = corpus_from_trees(trees, backend="sqlite")
+    documents = [source.document_source(doc_id) for doc_id in source.doc_ids]
+    assert all(isinstance(document, SQLitePostingSource)
+               for document in documents)
+    store = documents[0].store
+    assert all(document.store is store for document in documents)
+    assert [document.document for document in documents] == \
+        list(source.doc_ids) == store.documents() == sorted(trees)
+    assert source.source_id == corpus_from_store(store).source_id
 
 
 def test_unknown_documents_raise(corpus3_source):
@@ -385,7 +388,7 @@ def _regenerate() -> None:
     print(f"updated-corpus golden regenerated at {path}")
     ranked_trees = corpus3_trees()
     ranked_engine = CorpusSearchEngine(
-        corpus_from_trees(ranked_trees, shard_count=2), trees=ranked_trees)
+        corpus_from_trees(ranked_trees), trees=ranked_trees)
     ranked_payload = {"dataset": "corpus_ranked", "top_k": RANKED_TOP_K,
                       "queries": {}}
     for query_name, text in CORPUS3_QUERIES.items():

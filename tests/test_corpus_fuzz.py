@@ -1,11 +1,11 @@
 """Differential corpus fuzz (fast, tier-1): corpus == union of per-doc.
 
 Seeded random corpora (2–8 random trees) are searched through the corpus
-engine across every corpus document backend (memory, sqlite, sharded) × all
-four algorithms, and each answer is cross-checked against the union of the
-per-document results computed by plain single-document memory engines.  This
-is the corpus layer's core correctness contract (see ROADMAP, "Corpus
-retrieval").
+engine across every corpus document backend (memory, sqlite) and the
+segmented store a served corpus database runs × all four algorithms, and
+each answer is cross-checked against the union of the per-document results
+computed by plain single-document memory engines.  This is the corpus
+layer's core correctness contract (see ROADMAP, "Corpus retrieval").
 
 This module is the *bounded* version wired into tier-1 (a few seeds, tiny
 trees); the deep sweep with more seeds and larger documents lives behind the
@@ -41,13 +41,15 @@ from repro.storage import SegmentedStore, verify_database
 SEEDS = (1, 2, 3)
 #: Every per-document source kind a corpus is built over.
 BACKENDS = CORPUS_DOC_BACKENDS
+#: The backends plus ``segmented``: every document in one segmented store.
+LAYOUTS = BACKENDS + ("segmented",)
 
 #: Bounded mutation-sequence fuzz (the deep sweep lives in benchmarks/).
 MUTATION_SEEDS = (7, 8)
 MUTATION_STEPS = 5
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LAYOUTS)
 def test_corpus_equals_per_document_union(backend):
     for seed in SEEDS:
         trees = random_corpus(seed)
@@ -60,7 +62,7 @@ def test_corpus_equals_per_document_union(backend):
                     algorithm, context=(seed, backend))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LAYOUTS)
 def test_corpus_batch_equals_per_document_union(backend):
     """search_many (per-document batch fast path) honours the same union."""
     seed = 4
@@ -262,8 +264,7 @@ def test_ranked_answers_deterministic_across_backends():
         queries = random_queries(seed)
         rankings = {}
         for backend in BACKENDS:
-            source = corpus_from_trees(trees, backend=backend,
-                                       shard_count=2)
+            source = corpus_from_trees(trees, backend=backend)
             engine = CorpusSearchEngine(source, trees=trees)
             rankings[backend] = [
                 encode_message({"query": query,
@@ -303,18 +304,3 @@ def test_early_termination_is_byte_identical_to_exhaustive():
                     early.docs_selected, context
                 assert exhaustive.docs_visited == \
                     exhaustive.docs_selected, context
-
-
-def test_corpus_sharding_never_changes_answers():
-    """Doc-partitioned shard counts are invisible in the results."""
-    seed = 6
-    trees = random_corpus(seed, min_docs=4, max_docs=6)
-    references = reference_engines(trees)
-    engines = [build_corpus_engine(trees, "sqlite",
-                                   shard_count=shard_count)
-               for shard_count in (1, 2, 4)]
-    for query in random_queries(seed, count=3):
-        for engine in engines:
-            assert_corpus_equals_union(
-                engine.search(query, "validrtf"), references, query,
-                "validrtf", context=(seed, len(engine.source.shards)))

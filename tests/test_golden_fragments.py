@@ -1,8 +1,8 @@
 """Golden regression: paper-example fragments diff against stored truth.
 
 Unlike the parity suite (which compares backends *against each other*), these
-tests compare every backend, and every row-decode store input of the parity
-matrix, against the fragment sets checked in under ``tests/golden/`` — so a
+tests compare every backend, and every store input of the parity matrix,
+against the fragment sets checked in under ``tests/golden/`` — so a
 refactor that breaks all backends identically still fails here.  The golden
 files were generated from the memory backend at the point the paper-example
 tests (``tests/test_paper_examples.py``) last held.
@@ -15,9 +15,15 @@ import pytest
 from golden_loader import golden_datasets, load_golden, result_payload
 from repro.core import ALGORITHM_NAMES
 from repro.datasets import publications_tree, team_tree
-from test_backend_parity import BACKENDS, ROW_DECODE_INPUTS, build_engine
+from test_backend_parity import (
+    BACKENDS,
+    ROW_DECODE_INPUTS,
+    SHARED_STORE_INPUTS,
+    build_engine,
+)
 
 _TREES = {"publications": publications_tree, "team": team_tree}
+GOLDEN_INPUTS = BACKENDS + ROW_DECODE_INPUTS + SHARED_STORE_INPUTS
 
 
 def test_golden_files_exist():
@@ -29,10 +35,10 @@ def test_golden_files_exist():
 def golden_engines():
     return {(dataset, backend): build_engine(_TREES[dataset](), backend, dataset)
             for dataset in _TREES
-            for backend in BACKENDS + ROW_DECODE_INPUTS}
+            for backend in GOLDEN_INPUTS}
 
 
-@pytest.mark.parametrize("backend", BACKENDS + ROW_DECODE_INPUTS)
+@pytest.mark.parametrize("backend", GOLDEN_INPUTS)
 @pytest.mark.parametrize("dataset", sorted(_TREES))
 def test_fragments_match_stored_truth(golden_engines, dataset, backend):
     golden = load_golden(dataset)

@@ -23,7 +23,6 @@ from repro.index.packed import (
     common_prefix_len,
     deepest_neighbor_prefix_len,
     iter_matches,
-    merge_packed,
     pack_component_tuples,
     pack_deweys,
 )
@@ -204,7 +203,7 @@ class TestBlobCodec:
 
 
 # ---------------------------------------------------------------------- #
-# Merge kernels
+# Merge kernel
 # ---------------------------------------------------------------------- #
 class TestMergeKernels:
     def reference_masks(self, lists):
@@ -237,14 +236,6 @@ class TestMergeKernels:
     def test_iter_matches_empty_inputs(self):
         assert list(iter_matches([])) == []
         assert list(iter_matches([EMPTY_PACKED, EMPTY_PACKED])) == []
-
-    def test_merge_packed_deduplicates_across_shards(self):
-        rng = random.Random(17)
-        shard_lists = [random_component_lists(rng, 30) for _ in range(3)]
-        merged = merge_packed([pack_component_tuples(parts, presorted=True)
-                               for parts in shard_lists])
-        expected = sorted({parts for shard in shard_lists for parts in shard})
-        assert [code.components for code in merged] == expected
 
 
 # ---------------------------------------------------------------------- #

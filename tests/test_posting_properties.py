@@ -1,11 +1,11 @@
 """Property-based posting-list invariants, checked across every backend.
 
 Seeded random documents (the shared ``random_tree`` generator from
-``conftest``) are indexed three ways — in-memory inverted index, sqlite
-store, sharded stores — and for every word of the vocabulary the backends
-must agree on the :class:`PostingSource` contract (the segmented source and
-the parity matrix's row-decode store inputs are checked one by one against
-the memory index):
+``conftest``) are indexed two ways — in-memory inverted index and sqlite
+store — and for every word of the vocabulary the backends must agree on the
+:class:`PostingSource` contract (the segmented source and the parity
+matrix's row-decode store inputs are checked one by one against the memory
+index):
 
 * posting lists strictly sorted in document (Dewey) order, duplicate-free;
 * ``encode_dewey`` / ``decode_dewey`` round-trips every posting;
@@ -22,30 +22,32 @@ import pytest
 
 from repro.index import InvertedIndex, PackedDeweyList, PostingSource
 from repro.storage import (
-    ShardedPostingSource,
     SQLitePostingSource,
     SQLiteStore,
     decode_dewey,
     encode_dewey,
 )
-from test_backend_parity import ROW_DECODE_INPUTS, build_source
+from test_backend_parity import (
+    ROW_DECODE_INPUTS,
+    SHARED_STORE_INPUTS,
+    build_source,
+)
 
 SEEDS = (3, 11, 29, 47, 101)
 
 #: Sources the cross-backend loops leave out: the segmented delta-segment
-#: path and the store inputs whose postings are decoded from rows.
-SINGLE_SOURCES = ("segmented",) + ROW_DECODE_INPUTS
+#: path, the store inputs whose postings are decoded from rows and the
+#: document served from a store it shares with other documents.
+SINGLE_SOURCES = ("segmented",) + ROW_DECODE_INPUTS + SHARED_STORE_INPUTS
 
 
 def build_sources(tree):
-    """The three backends over one document, keyed by name."""
+    """The two backends over one document, keyed by name."""
     index = InvertedIndex(tree)
     store = SQLiteStore()
     store.store_tree(tree, tree.name)
     sqlite_source = SQLitePostingSource(store, tree.name)
-    sharded_source = ShardedPostingSource.from_tree(
-        tree, shard_count=3, name=tree.name)
-    return {"memory": index, "sqlite": sqlite_source, "sharded": sharded_source}
+    return {"memory": index, "sqlite": sqlite_source}
 
 
 @pytest.fixture(params=SEEDS, ids=lambda seed: f"seed{seed}")
@@ -66,8 +68,7 @@ def test_sources_satisfy_protocol(sources):
 def test_vocabulary_equal_across_backends(sources):
     vocabularies = {name: source.vocabulary()
                     for name, source in sources.items()}
-    assert vocabularies["memory"] == vocabularies["sqlite"] \
-        == vocabularies["sharded"]
+    assert vocabularies["memory"] == vocabularies["sqlite"]
     assert vocabularies["memory"], "random documents must index something"
 
 
@@ -75,9 +76,8 @@ def test_posting_lists_identical_and_strictly_sorted(sources):
     vocabulary = sources["memory"].vocabulary()
     for word in vocabulary:
         reference = list(sources["memory"].postings(word).deweys)
-        for name in ("sqlite", "sharded"):
-            candidate = list(sources[name].postings(word).deweys)
-            assert candidate == reference, (word, name)
+        assert list(sources["sqlite"].postings(word).deweys) == reference, \
+            word
         assert reference, f"vocabulary word {word!r} with empty postings"
         for left, right in zip(reference, reference[1:]):
             assert left < right, f"posting list of {word!r} not strictly sorted"
@@ -143,11 +143,11 @@ def test_node_lookups_agree_with_tree(make_random_tree):
     tree = make_random_tree(7)
     sources = build_sources(tree)
     index = sources["memory"]
+    sqlite_source = sources["sqlite"]
     for node in tree.iter_preorder():
-        for name in ("sqlite", "sharded"):
-            assert sources[name].node_label(node.dewey) == node.label, name
-            assert sources[name].node_words(node.dewey) == \
-                index.node_words(node.dewey), name
+        assert sqlite_source.node_label(node.dewey) == node.label
+        assert sqlite_source.node_words(node.dewey) == \
+            index.node_words(node.dewey)
 
 
 def test_packed_blobs_round_trip_per_keyword(sources):

@@ -24,6 +24,7 @@ from repro.storage import (
     source_for_store,
 )
 from repro.storage.errors import DocumentAlreadyStored, DocumentNotFound
+from repro.xmltree import spec, tree_from_spec
 
 
 @pytest.fixture
@@ -65,6 +66,30 @@ def test_update_shadows_base_with_a_delta_segment(store):
     events = store.segment_events()
     assert events == [(1, "team", SEGMENT_KIND_DOC),
                       (2, "team", SEGMENT_KIND_DOC)]
+
+
+def test_packed_read_takes_the_live_segment_row():
+    """Every update leaves the older versions' rows in their segments; the
+    packed read answers from the live segment's one row per keyword."""
+    versions = [
+        tree_from_spec(spec("doc", None, spec("title", "xml alpha"),
+                            spec("author", "beta"))),
+        tree_from_spec(spec("doc", None, spec("author", "beta"),
+                            spec("venue", None, spec("title", "xml")))),
+    ]
+    store = SegmentedStore()
+    store.store_tree(versions[0], "doc")
+    for step in range(4):
+        live = versions[step % 2]
+        if step:
+            assert store.update_document(live, "doc") == step
+        fresh = SQLiteStore()
+        fresh.store_tree(live, "doc")
+        for word in ("xml", "alpha", "beta", "title", "author", "venue"):
+            assert store.keyword_packed("doc", word) == \
+                fresh.keyword_packed("doc", word), (step, word)
+        fresh.close()
+    store.close()
 
 
 def test_update_can_add_a_brand_new_document(store):

@@ -6,6 +6,9 @@ for every posting backend and every algorithm, the canonical payload a
 client receives over the wire must be **byte-identical** (canonical JSON
 encoding) to serializing a direct :meth:`SearchEngine.search` on the same
 backend — batching, pooling and admission must be completely transparent.
+The matrix also serves both datasets from one segmented corpus database, the
+``serve --db --backend corpus`` path, diffed against a direct
+:meth:`CorpusSearchEngine.from_store` engine over the same file.
 
 The concurrent-hammer test drives one server from many threads with
 distinct per-thread queries and asserts every response matches its own
@@ -32,9 +35,12 @@ from repro.service import (
     encode_message,
     result_payload,
 )
-from repro.storage import ShardedPostingSource, SQLitePostingSource, SQLiteStore
+from repro.storage import SegmentedStore, SQLitePostingSource, SQLiteStore
 
-BACKENDS = ("memory", "sqlite", "sharded")
+BACKENDS = ("memory", "sqlite")
+#: Everything the parity matrix serves: the single-document backends plus
+#: ``corpus-db``, one database holding both datasets.
+SERVED = BACKENDS + ("corpus-db",)
 
 #: (dataset fixture name, golden paper queries) the parity matrix runs over.
 DATASETS = (
@@ -52,38 +58,46 @@ def build_reference_engine(tree, backend: str, name: str) -> SearchEngine:
         store = SQLiteStore()
         store.store_tree(tree, name)
         return SearchEngine(source=SQLitePostingSource(store, name))
-    if backend == "sharded":
-        return SearchEngine(
-            source=ShardedPostingSource.from_tree(tree, shard_count=3,
-                                                  name=name))
     raise ValueError(backend)
 
 
 @pytest.fixture(scope="module")
-def served(publications, team):
-    """One running server (and reference engine) per (dataset, backend)."""
+def served(publications, team, tmp_path_factory):
+    """One running server (and reference engine) per (dataset, backend);
+    both datasets' ``corpus-db`` entries share the one corpus server."""
     trees = {"publications": publications, "team": team}
     servers = {}
     pools = []
     for dataset, tree in trees.items():
         for backend in BACKENDS:
             pool = EnginePool.for_backend(backend, tree=tree, workers=2,
-                                          shards=3, document=dataset)
+                                          document=dataset)
             pools.append(pool)
             server = ServerThread(pool).start()
             reference = build_reference_engine(tree, backend, dataset)
             servers[(dataset, backend)] = (server, reference)
+    db = str(tmp_path_factory.mktemp("served") / "corpus.db")
+    store = SegmentedStore(db)
+    for dataset, tree in trees.items():
+        store.store_tree(tree, dataset)
+    pool = EnginePool.for_backend("corpus", db_path=db, workers=2)
+    pools.append(pool)
+    server = ServerThread(pool).start()
+    reference = CorpusSearchEngine.from_store(store)
+    for dataset in trees:
+        servers[(dataset, "corpus-db")] = (server, reference)
     yield servers
     for server, _ in servers.values():
         server.stop()
     for pool in pools:
         pool.shutdown()
+    store.close()
 
 
 # ---------------------------------------------------------------------- #
 # The parity matrix: datasets x algorithms x backends, byte-identical
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SERVED)
 @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
 @pytest.mark.parametrize("dataset,query_names", DATASETS)
 def test_served_search_is_byte_identical(served, dataset, query_names,
@@ -98,7 +112,7 @@ def test_served_search_is_byte_identical(served, dataset, query_names,
                 dataset, query_name, algorithm, backend)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SERVED)
 def test_served_compare_is_byte_identical(served, backend):
     server, reference = served[("publications", backend)]
     with ServiceClient(*server.address) as client:
@@ -678,7 +692,7 @@ def test_retrying_client_heals_degraded_transparently():
 # ---------------------------------------------------------------------- #
 # The concurrent hammer: no cross-request bleed under load
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SERVED)
 def test_concurrent_hammer_no_cross_request_bleed(served, backend):
     """Many client threads, distinct interleaved queries and algorithms:
     every response must match its own request's expected bytes, while the

@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.core import SearchEngine
+from repro.corpus import CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES
 from repro.service import (
     ERROR_OVERLOADED,
@@ -26,6 +27,7 @@ from repro.service import (
     encode_message,
     result_payload,
 )
+from repro.storage import SegmentedStore
 
 
 # ---------------------------------------------------------------------- #
@@ -72,16 +74,40 @@ class TestEnginePool:
                 direct = publications_engine.search(PAPER_QUERIES[name])
                 assert result_payload(served) == result_payload(direct)
 
-    @pytest.mark.parametrize("backend", ["sqlite", "sharded"])
-    def test_disk_backends_serve_concurrently(self, publications,
-                                              publications_engine, backend):
-        with EnginePool.for_backend(backend, tree=publications, workers=3,
-                                    shards=3, document="pub") as pool:
-            futures = [pool.search(PAPER_QUERIES["Q2"]) for _ in range(12)]
-            expected = result_payload(
-                publications_engine.search(PAPER_QUERIES["Q2"]))
-            for future in futures:
-                assert result_payload(future.result(30)) == expected
+    @pytest.mark.parametrize("backend", ["sqlite", "corpus"])
+    def test_disk_backends_serve_concurrently(self, tmp_path, publications,
+                                              team, publications_engine,
+                                              backend):
+        """12 concurrent searches through 3 workers answer like one engine.
+
+        ``corpus`` is the ``serve --db --backend corpus`` path: a pool over a
+        segment-aware database file holding two documents.  Its queries mix
+        ``name`` (both documents) with the two-keyword Q2 and Q4 (one
+        document each).
+        """
+        if backend == "corpus":
+            queries = ["name", PAPER_QUERIES["Q2"], PAPER_QUERIES["Q4"]]
+            db_path = str(tmp_path / "corpus.db")
+            store = SegmentedStore(db_path)
+            store.store_tree(publications, "pub")
+            store.store_tree(team, "team")
+            direct = CorpusSearchEngine.from_store(store)
+            expected = {query: result_payload(direct.search(query))
+                        for query in queries}
+            store.close()
+            pool = EnginePool.for_backend("corpus", db_path=db_path,
+                                          workers=3)
+        else:
+            queries = [PAPER_QUERIES["Q2"]]
+            expected = {queries[0]: result_payload(
+                publications_engine.search(queries[0]))}
+            pool = EnginePool.for_backend("sqlite", tree=publications,
+                                          workers=3, document="pub")
+        sent = [queries[i % len(queries)] for i in range(12)]
+        with pool:
+            futures = [pool.search(query) for query in sent]
+            for query, future in zip(sent, futures):
+                assert result_payload(future.result(30)) == expected[query]
 
     def test_per_request_cid_mode_switch(self, publications):
         with EnginePool.for_backend("memory", tree=publications,

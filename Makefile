@@ -57,9 +57,9 @@ bench-export:    ## BENCH_core.json: per-algorithm/backend timings
 	$(PYTHON) -m repro.cli bench-export --backend memory --backend sqlite \
 	    --repetitions 3 --output BENCH_core.json
 
-perf-smoke:      ## one tiny query checked against the naive LCA oracle (CI)
-	$(PYTHON) -m repro.cli bench-export --limit 1 --repetitions 1 \
-	    --output /tmp/bench_core_smoke.json
+perf-smoke:      ## one tiny query per backend (memory, sqlite) checked against the oracles (CI)
+	$(PYTHON) -m repro.cli bench-export --backend memory --backend sqlite \
+	    --limit 1 --repetitions 1 --output /tmp/bench_core_smoke.json
 
 fuzz-smoke:      ## seeded differential corpus fuzz: fast tier-1 + deep sweep
 	$(PYTHON) -m pytest tests/test_corpus_fuzz.py \

@@ -4,7 +4,16 @@
 The companion of ``repro.cli bench-export``: where BENCH_core.json tells you
 *whether* a path got faster, this tells you *where the time goes*.  Runs one
 workload query through a fresh engine for the chosen dataset / backend and
-prints the top functions by cumulative time.
+prints the top functions by cumulative time, twice: once for the first,
+cold run (posting and node caches empty; with ``--backend sqlite`` the only
+run that reaches the node fetches and existence checks) and once for the
+``--repeat`` warm runs after it.
+
+cProfile sees Python frames only.  The time sqlite spends stepping a cursor
+is charged, as own time, to the Python function iterating that cursor, so a
+large own time in ``prefetch_nodes`` can be a sqlite full scan rather than
+Python work: check the statement's ``EXPLAIN QUERY PLAN`` before optimizing
+the loop around it.
 
 Usage (from the repository root)::
 
@@ -54,7 +63,8 @@ def main(argv=None) -> int:
                                  "maxmatch-slca"))
     parser.add_argument("--backend", default="memory", choices=BACKEND_NAMES)
     parser.add_argument("--repeat", type=int, default=5,
-                        help="profiled repetitions (after one warm-up run)")
+                        help="profiled warm repetitions (after the cold "
+                             "first run, which is reported on its own)")
     parser.add_argument("--top", type=int, default=20,
                         help="rows of the cumulative report")
     parser.add_argument("--sort", default="cumulative",
@@ -65,18 +75,21 @@ def main(argv=None) -> int:
     query = _resolve_query(spec, arguments.query)
     engine = engine_for_backend(spec.tree_factory(), arguments.backend,
                                 document=arguments.dataset)
-    engine.search(query, arguments.algorithm)  # warm-up, excluded
 
     print(f"dataset={arguments.dataset} backend={arguments.backend} "
           f"algorithm={arguments.algorithm} repeat={arguments.repeat}")
     print(f"query: {query!r}")
-    profiler = cProfile.Profile()
-    profiler.enable()
-    for _ in range(arguments.repeat):
-        engine.search(query, arguments.algorithm)
-    profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats(arguments.sort).print_stats(arguments.top)
+    for title, runs in (("cold: the first run", 1),
+                        (f"warm: {arguments.repeat} runs after it",
+                         arguments.repeat)):
+        print(f"\n== {title} ==")
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for _ in range(runs):
+            engine.search(query, arguments.algorithm)
+        profiler.disable()
+        stats = pstats.Stats(profiler)
+        stats.sort_stats(arguments.sort).print_stats(arguments.top)
     return 0
 
 

@@ -24,8 +24,9 @@ duplicate-free, and identical to the memory backend's
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from collections import OrderedDict, defaultdict
+from typing import (DefaultDict, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Sized, Tuple)
 
 from ..index import InvertedIndex, PostingList
 from ..index.source import KeywordImpact, impact_from_postings
@@ -46,7 +47,8 @@ DEFAULT_POSTING_LRU_SIZE = 256
 DEFAULT_NODE_LRU_SIZE = 8192
 
 #: Batched ``IN (...)`` statements stay under sqlite's default host-variable
-#: limit (999 in older builds) by chunking at this size.
+#: limit (999 in older builds) by chunking at this size; the scope filter's
+#: parameters (at most two) ride on top of each chunk.
 _IN_CHUNK = 400
 
 _MISSING = object()
@@ -327,17 +329,26 @@ class SQLitePostingSource(StorePostingSource):
                 missing.append(keyword)
         return result, missing
 
+    def _scope(self) -> Tuple[str, str, Tuple[object, ...]]:
+        """The rows this source reads: ``(table prefix, row filter, filter
+        parameters)``, spliced into every batched statement below.
+
+        The segmented source overrides it to read a delta segment's
+        ``segment_*`` tables.
+        """
+        return "", "document = ?", (self.document,)
+
     def _fetch_blob_rows(self, missing: Sequence[str]
                          ) -> Dict[str, PackedDeweyList]:
         """Rebuilt packed columns per keyword, one chunked ``IN`` batch."""
+        prefix, where, scope = self._scope()
         fetched: Dict[str, PackedDeweyList] = {}
         blob_bytes = 0
         for chunk in _chunked(missing):
-            placeholders = ",".join("?" for _ in chunk)
             cursor = self.store._connection.execute(
-                f"SELECT keyword, blob FROM posting "
-                f"WHERE document = ? AND keyword IN ({placeholders})",
-                (self.document, *chunk),
+                f"SELECT keyword, blob FROM {prefix}posting "
+                f"WHERE {where} AND keyword IN ({_placeholders(chunk)})",
+                (*scope, *chunk),
             )
             for keyword, blob in cursor:
                 fetched[keyword] = PackedDeweyList.from_blob(blob)
@@ -349,14 +360,14 @@ class SQLitePostingSource(StorePostingSource):
     def _fetch_value_rows(self, missing: Sequence[str]
                           ) -> Dict[str, List[Tuple[int, ...]]]:
         """Decoded component tuples per keyword, one chunked ``IN`` batch."""
+        prefix, where, scope = self._scope()
         rows: Dict[str, List[Tuple[int, ...]]] = {}
         for chunk in _chunked(missing):
-            placeholders = ",".join("?" for _ in chunk)
             cursor = self.store._connection.execute(
-                f"SELECT DISTINCT keyword, dewey FROM value "
-                f"WHERE document = ? AND keyword IN ({placeholders}) "
+                f"SELECT DISTINCT keyword, dewey FROM {prefix}value "
+                f"WHERE {where} AND keyword IN ({_placeholders(chunk)}) "
                 f"ORDER BY keyword, dewey",
-                (self.document, *chunk),
+                (*scope, *chunk),
             )
             for keyword, dewey_text in cursor:
                 rows.setdefault(keyword, []).append(decode_dewey(dewey_text))
@@ -369,36 +380,35 @@ class SQLitePostingSource(StorePostingSource):
 
         One chunked ``IN (...)`` statement per cache instead of one statement
         per node; absent codes are cached negatively, so a later lookup of a
-        code the document lacks answers without touching sqlite.
+        code the document lacks answers without touching sqlite.  The word
+        statement has no ``DISTINCT``: a word in a node's label, text or
+        attributes has one value row for each, the ``frozenset`` folds them,
+        and with ``DISTINCT`` sqlite plans a one-node fetch as a scan of
+        every value row of the document.
         """
         self._check_document()
+        prefix, where, scope = self._scope()
+        connection = self.store._connection
         missing_labels = [dewey for dewey in nodes if dewey not in self._labels]
         for chunk in _chunked(missing_labels):
             encoded = {encode_dewey(dewey.components): dewey for dewey in chunk}
-            placeholders = ",".join("?" for _ in encoded)
-            cursor = self.store._connection.execute(
-                f"SELECT dewey, label FROM element "
-                f"WHERE document = ? AND dewey IN ({placeholders})",
-                (self.document, *encoded),
-            )
-            found = {}
-            for dewey_text, label in cursor:
-                found[dewey_text] = label
+            found = dict(connection.execute(
+                f"SELECT dewey, label FROM {prefix}element "
+                f"WHERE {where} AND dewey IN ({_placeholders(encoded)})",
+                (*scope, *encoded),
+            ))
             for dewey_text, dewey in encoded.items():
                 self._cache_node(self._labels, dewey, found.get(dewey_text))
         missing_words = [dewey for dewey in keyword_nodes
                          if dewey not in self._words]
         for chunk in _chunked(missing_words):
             encoded = {encode_dewey(dewey.components): dewey for dewey in chunk}
-            placeholders = ",".join("?" for _ in encoded)
-            cursor = self.store._connection.execute(
-                f"SELECT DISTINCT dewey, keyword FROM value "
-                f"WHERE document = ? AND dewey IN ({placeholders})",
-                (self.document, *encoded),
-            )
-            words: Dict[str, set] = {}
-            for dewey_text, keyword in cursor:
-                words.setdefault(dewey_text, set()).add(keyword)
+            words: DefaultDict[str, List[str]] = defaultdict(list)
+            for dewey_text, keyword in connection.execute(
+                    f"SELECT dewey, keyword FROM {prefix}value "
+                    f"WHERE {where} AND dewey IN ({_placeholders(encoded)})",
+                    (*scope, *encoded)):
+                words[dewey_text].append(keyword)
             for dewey_text, dewey in encoded.items():
                 self._cache_node(self._words, dewey,
                                  frozenset(words.get(dewey_text, ())))
@@ -412,6 +422,11 @@ def _chunked(items: Sequence[DeweyCode],
     """Split a sequence into ``IN (...)``-sized chunks."""
     for start in range(0, len(items), size):
         yield items[start:start + size]
+
+
+def _placeholders(values: Sized) -> str:
+    """The ``?,?,...`` placeholder list of one ``IN (...)`` chunk."""
+    return ",".join("?" * len(values))
 
 
 def source_for_store(store, document: str,

@@ -35,9 +35,9 @@ sequence of immutable **delta segments**:
 :class:`~repro.corpus.source.CorpusPostingSource` /
 :func:`~repro.corpus.source.corpus_from_store` unchanged.  It inherits the
 batched ``IN (...)`` machinery of
-:class:`~repro.storage.posting_source.SQLitePostingSource` and reroutes the
-raw-SQL paths to the segment tables when the document lives in a delta
-segment.  Base-resident documents keep the full legacy story: a database file
+:class:`~repro.storage.posting_source.SQLitePostingSource` and points its
+scope at the segment tables when the document lives in a delta segment.
+Base-resident documents keep the full legacy story: a database file
 written before the ``posting`` table existed still answers through the
 per-row decode fallback — absorbing an update must never turn the untouched
 documents of a legacy file into silent empty posting lists.
@@ -49,8 +49,7 @@ import json
 import sqlite3
 import threading
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..faults.plan import InjectedCrash
 from ..index.packed import PackedDeweyList
@@ -64,7 +63,6 @@ from .posting_source import (
     DEFAULT_NODE_LRU_SIZE,
     DEFAULT_POSTING_LRU_SIZE,
     SQLitePostingSource,
-    _chunked,
 )
 from .schema import UNKNOWN_MAX_DEPTH, decode_dewey, encode_dewey
 from .shredder import ShreddedDocument, packed_posting_rows, shred_tree
@@ -316,9 +314,7 @@ class SegmentedStore(SQLiteStore):
                 self.tombstone_hits += 1
                 return None
             return int(segment_id)
-        in_base = self._scalar(
-            "SELECT COUNT(*) FROM element WHERE document = ?", name)
-        return BASE_GENERATION if in_base else None
+        return BASE_GENERATION if self._has_rows("element", name) else None
 
     def _live_location(self, name: str) -> int:
         location = self.location_of(name)
@@ -645,8 +641,8 @@ class SegmentedStore(SQLiteStore):
             # per-row decoding — segments never mask that.
             return super().has_packed_postings(name)
         return bool(self._scalar(
-            "SELECT COUNT(*) FROM segment_posting "
-            "WHERE segment_id = ? AND document = ?", location, name))
+            "SELECT EXISTS (SELECT 1 FROM segment_posting "
+            "WHERE segment_id = ? AND document = ?)", location, name))
 
     def keyword_packed(self, name: str,
                        keyword: str) -> Optional[PackedDeweyList]:
@@ -703,8 +699,9 @@ class SegmentedStore(SQLiteStore):
         location = self._live_location(name)
         if location == BASE_GENERATION:
             return super().node_words(name, dewey)
+        # No DISTINCT, as in SQLiteStore.node_words.
         cursor = self._connection.execute(
-            "SELECT DISTINCT keyword FROM segment_value "
+            "SELECT keyword FROM segment_value "
             "WHERE segment_id = ? AND document = ? AND dewey = ?",
             (location, name, encode_dewey(dewey.components)))
         return frozenset(keyword for (keyword,) in cursor)
@@ -787,83 +784,30 @@ class SegmentedPostingSource(SQLitePostingSource):
         stats["tombstone_hits"] = store.tombstone_hits
         return stats
 
-    def _fetch_blob_rows(self, missing: Sequence[str]
-                         ) -> Dict[str, PackedDeweyList]:
+    def _scope(self) -> Tuple[str, str, Tuple[object, ...]]:
+        """The live generation's rows: the base tables, or one delta
+        segment's ``segment_*`` tables."""
         location = self._resolve_location()
         if location == BASE_GENERATION:
-            fetched = super()._fetch_blob_rows(missing)
-            self.base_reads += len(fetched)
-            return fetched
-        fetched = {}
-        blob_bytes = 0
-        for chunk in _chunked(missing):
-            placeholders = ",".join("?" for _ in chunk)
-            cursor = self.store._connection.execute(
-                f"SELECT keyword, blob FROM segment_posting "
-                f"WHERE segment_id = ? AND document = ? "
-                f"AND keyword IN ({placeholders})",
-                (location, self.document, *chunk))
-            for keyword, blob in cursor:
-                fetched[keyword] = PackedDeweyList.from_blob(blob)
-                blob_bytes += len(blob)
-        self.bytes_read += blob_bytes
-        self.packed_fetches += len(fetched)
-        self.segment_reads += len(fetched)
+            return super()._scope()
+        return ("segment_", "segment_id = ? AND document = ?",
+                (location, self.document))
+
+    def _fetch_blob_rows(self, missing: Sequence[str]
+                         ) -> Dict[str, PackedDeweyList]:
+        fetched = super()._fetch_blob_rows(missing)
+        self._count_reads(len(fetched))
         return fetched
 
     def _fetch_value_rows(self, missing: Sequence[str]
                           ) -> Dict[str, List[Tuple[int, ...]]]:
-        location = self._resolve_location()
-        if location == BASE_GENERATION:
-            rows = super()._fetch_value_rows(missing)
-            self.base_reads += len(rows)
-            return rows
-        rows: Dict[str, List[Tuple[int, ...]]] = {}
-        for chunk in _chunked(missing):
-            placeholders = ",".join("?" for _ in chunk)
-            cursor = self.store._connection.execute(
-                f"SELECT DISTINCT keyword, dewey FROM segment_value "
-                f"WHERE segment_id = ? AND document = ? "
-                f"AND keyword IN ({placeholders}) ORDER BY keyword, dewey",
-                (location, self.document, *chunk))
-            for keyword, dewey_text in cursor:
-                rows.setdefault(keyword, []).append(decode_dewey(dewey_text))
-        self.fallback_fetches += len(rows)
-        self.segment_reads += len(rows)
+        rows = super()._fetch_value_rows(missing)
+        self._count_reads(len(rows))
         return rows
 
-    def prefetch_nodes(self, nodes: Iterable[DeweyCode],
-                       keyword_nodes: Iterable[DeweyCode]) -> None:
-        location = self._resolve_location()
-        if location == BASE_GENERATION:
-            super().prefetch_nodes(nodes, keyword_nodes)
-            return
-        self._check_document()
-        missing_labels = [dewey for dewey in nodes if dewey not in self._labels]
-        for chunk in _chunked(missing_labels):
-            encoded = {encode_dewey(dewey.components): dewey for dewey in chunk}
-            placeholders = ",".join("?" for _ in encoded)
-            cursor = self.store._connection.execute(
-                f"SELECT dewey, label FROM segment_element "
-                f"WHERE segment_id = ? AND document = ? "
-                f"AND dewey IN ({placeholders})",
-                (location, self.document, *encoded))
-            found = {dewey_text: label for dewey_text, label in cursor}
-            for dewey_text, dewey in encoded.items():
-                self._cache_node(self._labels, dewey, found.get(dewey_text))
-        missing_words = [dewey for dewey in keyword_nodes
-                         if dewey not in self._words]
-        for chunk in _chunked(missing_words):
-            encoded = {encode_dewey(dewey.components): dewey for dewey in chunk}
-            placeholders = ",".join("?" for _ in encoded)
-            cursor = self.store._connection.execute(
-                f"SELECT DISTINCT dewey, keyword FROM segment_value "
-                f"WHERE segment_id = ? AND document = ? "
-                f"AND dewey IN ({placeholders})",
-                (location, self.document, *encoded))
-            words: Dict[str, set] = {}
-            for dewey_text, keyword in cursor:
-                words.setdefault(dewey_text, set()).add(keyword)
-            for dewey_text, dewey in encoded.items():
-                self._cache_node(self._words, dewey,
-                                 frozenset(words.get(dewey_text, ())))
+    def _count_reads(self, keywords: int) -> None:
+        """Credit one batch's fetched keywords to the generation read."""
+        if self._resolve_location() == BASE_GENERATION:
+            self.base_reads += keywords
+        else:
+            self.segment_reads += keywords

@@ -143,7 +143,7 @@ class SQLiteStore:
 
     def store_shredded(self, shredded: ShreddedDocument) -> ShreddedDocument:
         """Insert already-shredded rows."""
-        if shredded.name in self.documents():
+        if self._has_rows("element", shredded.name):
             raise DocumentAlreadyStored(f"document {shredded.name!r} already stored")
         cursor = self._connection.cursor()
         cursor.executemany(
@@ -222,8 +222,7 @@ class SQLiteStore:
         Database files written before the ``posting`` table existed answer
         ``False``; the posting sources then fall back to per-row decoding.
         """
-        return bool(self._scalar(
-            "SELECT COUNT(*) FROM posting WHERE document = ?", name))
+        return self._has_rows("posting", name)
 
     def keyword_packed(self, name: str,
                        keyword: str) -> Optional[PackedDeweyList]:
@@ -292,10 +291,15 @@ class SQLiteStore:
         return [keyword for (keyword,) in cursor]
 
     def node_words(self, name: str, dewey: DeweyCode) -> frozenset:
-        """The content word set of one node (empty when the code is absent)."""
+        """The content word set of one node (empty when the code is absent).
+
+        No ``DISTINCT``: the ``frozenset`` folds the repeated rows of a word
+        that is in the node's label, text or attributes more than once, and
+        with ``DISTINCT`` sqlite scans every value row of the document.
+        """
         self._require(name)
         cursor = self._connection.execute(
-            "SELECT DISTINCT keyword FROM value WHERE document = ? AND dewey = ?",
+            "SELECT keyword FROM value WHERE document = ? AND dewey = ?",
             (name, encode_dewey(dewey.components)),
         )
         return frozenset(keyword for (keyword,) in cursor)
@@ -332,9 +336,16 @@ class SQLiteStore:
         row = self._connection.execute(sql, params).fetchone()
         return int(row[0]) if row and row[0] is not None else 0
 
+    def _has_rows(self, table: str, name: str) -> bool:
+        """Whether ``table`` holds any row of document ``name``.
+
+        ``EXISTS`` stops at the first index entry, so the check costs the
+        same on a document of any size (a ``COUNT(*)`` reads every row).
+        """
+        return bool(self._scalar(
+            f"SELECT EXISTS (SELECT 1 FROM {table} WHERE document = ?)",
+            name))
+
     def _require(self, name: str) -> None:
-        exists = self._scalar(
-            "SELECT COUNT(*) FROM element WHERE document = ?", name
-        )
-        if not exists:
+        if not self._has_rows("element", name):
             raise DocumentNotFound(f"no stored document named {name!r}")

@@ -110,6 +110,11 @@ def build_source(tree, backend: str, name: str = "doc"):
         store.store_tree(tree, name)
         store.update_document(tree, name)
         return SegmentedPostingSource(store, name)
+    if backend == "segmented-base":
+        # The segmented source's base-generation routing, blobs intact.
+        store = SegmentedStore()
+        store.store_tree(tree, name)
+        return SegmentedPostingSource(store, name)
     if backend == "memorystore":
         store = MemoryStore()
         store.store_tree(tree, name)

@@ -13,7 +13,10 @@ index):
 * identical vocabularies and identical posting lists across backends;
 * the batched ``keyword_nodes`` path equals per-keyword ``postings``;
 * every backend serves :class:`PackedDeweyList` columns whose stored blobs
-  round-trip, and legacy databases without blobs answer identically.
+  round-trip, and legacy databases without blobs answer identically;
+* node labels and word sets, looked up one node at a time or prefetched in
+  a batch, equal the document's on sqlite and on a segmented base and delta
+  generation, also where the value table repeats a (dewey, keyword) row.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from repro.storage import (
     SQLiteStore,
     decode_dewey,
     encode_dewey,
+    shred_tree,
 )
+from repro.xmltree import spec, tree_from_spec
 from test_backend_parity import (
     ROW_DECODE_INPUTS,
     SHARED_STORE_INPUTS,
@@ -138,16 +143,35 @@ def test_source_serves_memory_postings(make_random_tree, seed, backend):
         assert deweys == expected, (backend, word)
 
 
-def test_node_lookups_agree_with_tree(make_random_tree):
-    """node_label / node_words of disk backends match the document."""
-    tree = make_random_tree(7)
-    sources = build_sources(tree)
-    index = sources["memory"]
-    sqlite_source = sources["sqlite"]
+def repeated_words_tree():
+    """A document whose ``title`` word is in one node's label, text and an
+    attribute, so the value table repeats that (dewey, keyword) row."""
+    return tree_from_spec(spec(
+        "bib", None,
+        spec("title", "title of xml search", attributes={"kind": "title"}),
+        spec("author", "kong")), name="repeated")
+
+
+@pytest.mark.parametrize("layout", ("sqlite", "segmented-base", "segmented"))
+@pytest.mark.parametrize("document", ("random", "repeated-words"))
+def test_node_lookups_agree_with_tree(make_random_tree, document, layout):
+    """node_label / node_words of disk backends match the document, looked
+    up one node at a time and after one batched prefetch."""
+    tree = (make_random_tree(7) if document == "random"
+            else repeated_words_tree())
+    if document == "repeated-words":
+        rows = [(row.dewey, row.keyword) for row in shred_tree(tree).values]
+        assert len(rows) > len(set(rows)), "the input must repeat a row"
+    index = InvertedIndex(tree)
+    single = build_source(tree, layout, tree.name)
+    prefetched = type(single)(single.store, tree.name)
+    nodes = [node.dewey for node in tree.iter_preorder()]
+    prefetched.prefetch_nodes(nodes, nodes)
     for node in tree.iter_preorder():
-        assert sqlite_source.node_label(node.dewey) == node.label
-        assert sqlite_source.node_words(node.dewey) == \
-            index.node_words(node.dewey)
+        for source in (single, prefetched):
+            assert source.node_label(node.dewey) == node.label
+            assert source.node_words(node.dewey) == \
+                index.node_words(node.dewey)
 
 
 def test_packed_blobs_round_trip_per_keyword(sources):

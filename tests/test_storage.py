@@ -17,7 +17,8 @@ from repro.storage import (
     shred_tree,
 )
 from repro.datasets import PAPER_QUERIES
-from repro.xmltree import DeweyCode
+from repro.xmltree import DeweyCode, spec, tree_from_spec
+from test_backend_parity import build_source
 
 D = DeweyCode.parse
 
@@ -220,6 +221,71 @@ class TestSQLiteSpecifics:
             assert "max_depth" in columns
             impact = reopened.keyword_impact("pub", "liu")
             assert impact.count == reopened.keyword_frequency("pub", "liu")
+
+
+# ---------------------------------------------------------------------- #
+# Read cost: a node fetch or an existence check costs the rows it reads
+# ---------------------------------------------------------------------- #
+def bibliography(records: int):
+    """``records`` articles; appending more leaves the first title's Dewey
+    code and its rows as they were."""
+    return tree_from_spec(spec("dblp", None, *[
+        spec("article", None, spec("title", f"xml keyword search {record}"),
+             spec("author", f"kong{record} liu"), spec("year", "2009"))
+        for record in range(records)]))
+
+
+def vm_steps(store, call) -> int:
+    """The sqlite VM instructions ``call`` runs on the store's connection."""
+    steps = 0
+
+    def tick() -> int:
+        nonlocal steps
+        steps += 1
+        return 0
+
+    connection = store._connection
+    connection.set_progress_handler(tick, 1)
+    try:
+        call()
+    finally:
+        connection.set_progress_handler(None, 1)
+    return steps
+
+
+def read_costs(records: int, layout: str):
+    """VM steps of each cold node fetch and existence check of one store."""
+    source = build_source(bibliography(records), layout)
+    store, title = source.store, D("0.0.0")
+    calls = {
+        "prefetch_nodes": lambda: source.prefetch_nodes([title], [title]),
+        "node_words": lambda: store.node_words("doc", title),
+        "_require": lambda: store._require("doc"),
+        "has_packed_postings": lambda: store.has_packed_postings("doc"),
+    }
+    if layout != "sqlite":
+        calls["location_of"] = lambda: store.location_of("doc")
+    costs = {name: vm_steps(store, call) for name, call in calls.items()}
+    # The prefetch filled the caches: the steps bought the right rows.
+    assert source.node_label(title) == "title"
+    assert source.node_words(title) == {"title", "xml", "keyword", "search",
+                                        "0"}
+    store.close()
+    return costs
+
+
+class TestReadCostIsPerRow:
+    """A cold tree-free read must not scan the document: fetching one
+    node's label and words, and checking that a document or its packed
+    postings exist, take the same sqlite VM steps on a document a hundred
+    times larger.  This pins the query plans (index seeks, ``EXISTS``) as a
+    deterministic count, where a scan through the wrong index or a
+    ``COUNT(*)`` grows with the document."""
+
+    @pytest.mark.parametrize("layout", ("sqlite", "segmented-base",
+                                        "segmented"))
+    def test_steps_do_not_grow_with_the_document(self, layout):
+        assert read_costs(3, layout) == read_costs(303, layout)
 
 
 class TestStoreBackedSearch:

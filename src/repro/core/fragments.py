@@ -3,6 +3,7 @@
 A fragment is identified by its root (an interesting LCA node) and carries
 
 * the keyword nodes assigned to that root (the partition of Definitions 1/2),
+  and, when ``getRTF`` built it, each keyword node's keyword mask,
 * the full node set — the union of root-to-keyword-node paths, i.e.
   ``I(ECT_Q,j)`` of Definition 2,
 * after pruning, the subset of nodes kept by the filtering mechanism.
@@ -24,12 +25,20 @@ from .query import Query
 
 @dataclass(frozen=True)
 class Fragment:
-    """A raw (unpruned) result fragment rooted at an interesting LCA node."""
+    """A raw (unpruned) result fragment rooted at an interesting LCA node.
+
+    ``keyword_masks`` runs parallel to ``keyword_nodes``: bit *i* of a mask
+    is set iff the node is in the *i*-th posting list, i.e. contains the
+    *i*-th query keyword.  :func:`~repro.core.rtf.build_rtfs` fills it in;
+    fragments built from codes alone (:func:`build_fragment`) carry none.
+    It is derived data, so it takes no part in equality.
+    """
 
     root: DeweyCode
     keyword_nodes: Tuple[DeweyCode, ...]
     nodes: Tuple[DeweyCode, ...]
     is_slca: bool = True
+    keyword_masks: Tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         for keyword_node in self.keyword_nodes:

@@ -13,13 +13,26 @@ For every node of an RTF the paper keeps:
 
 The constructing step of ``pruneRTF`` (Algorithm 1, lines 1–15) builds this
 record tree bottom-up from the RTF's keyword nodes: every keyword node's
-information is propagated to all its ancestors within the fragment.
+information is propagated to all its ancestors within the fragment.  It runs
+as a seed and a fold on exactly what the record holds:
+
+* **seed** — each keyword node's record takes its keyword mask from the
+  fragment (the mask ``getRTF`` computed while merging the posting lists) and
+  its own content feature from a node lookup: the node's stored cID, or its
+  content word set;
+* **fold** — one pass in reverse document order folds every record into its
+  parent, once per fragment edge: bit-OR for the masks, min/max for cID
+  pairs, union for word sets.
 
 Two content-feature modes are supported:
 
 * ``"minmax"`` — the paper's approximate ``(min, max)`` pair;
 * ``"exact"`` — the full tree content set.  Used by the ablation benchmark to
   quantify how often the approximation misidentifies duplicate content.
+
+:func:`build_record_tree` computes every record from its definition instead
+(node contents, no fold); it is the reference the search path is tested
+against.
 """
 
 from __future__ import annotations
@@ -27,14 +40,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
-from ..text import ContentAnalyzer
+from ..text import EMPTY_CID, ContentAnalyzer, content_id
 from ..xmltree import DeweyCode, XMLTree
 from .fragments import Fragment
 from .query import Query
 
 ContentFeature = Union[Tuple[str, str], FrozenSet[str]]
 
-#: Content-feature modes accepted by the record builder.
+#: Content-feature modes accepted by the record builders.
 CID_MODES = ("minmax", "exact")
 
 
@@ -66,9 +79,9 @@ class NodeRecord:
     dewey: DeweyCode
     label: str
     keyword_mask: int = 0
-    content_words: FrozenSet[str] = frozenset()
+    #: The ``cID``: the ``(min, max)`` word pair, or the exact word set.
+    content_feature: ContentFeature = EMPTY_CID
     is_keyword_node: bool = False
-    cid_mode: str = "minmax"
     children: List["NodeRecord"] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
@@ -78,16 +91,6 @@ class NodeRecord:
     def key_number(self) -> int:
         """The integer value of ``kList`` (the paper's key number)."""
         return self.keyword_mask
-
-    @property
-    def content_feature(self) -> ContentFeature:
-        """The ``cID``: the ``(min, max)`` word pair, or the exact set."""
-        if self.cid_mode == "exact":
-            return self.content_words
-        if not self.content_words:
-            return ("", "")
-        ordered = sorted(self.content_words)
-        return (ordered[0], ordered[-1])
 
     def tree_keyword_set(self, query: Query) -> FrozenSet[str]:
         """``TK_v`` decoded back into keyword strings."""
@@ -145,46 +148,108 @@ def build_record_tree(
     fragment: Fragment,
     cid_mode: str = "minmax",
 ) -> RecordTree:
-    """The constructing step of ``pruneRTF`` (Algorithm 1, lines 1–15).
+    """The constructing step by definition: the reference record tree.
 
-    Builds one :class:`NodeRecord` per fragment node.  A node's keyword mask
-    and content words are the union over the *fragment's own keyword nodes*
-    located in its subtree — the restriction the paper's line 11/12 fix is
-    about: keyword-node information must reach every ancestor within the RTF,
-    but keyword nodes belonging to other (deeper) RTFs never contribute.
+    Every record is computed on its own from node contents, with no fold and
+    no use of the fragment's masks.  A node's tree content set is the union
+    of the contents of the *fragment's own keyword nodes* located in its
+    subtree — the restriction the paper's line 11/12 fix is about:
+    keyword-node information must reach every ancestor within the RTF, but
+    keyword nodes belonging to other (deeper) RTFs never contribute.  Its
+    mask is the query keywords in that set and its feature the set's cID
+    (``minmax``) or the set itself (``exact``).  Quadratic in the fragment;
+    the search path runs :func:`build_record_tree_from_lookups`, and the
+    tests check it against this function.
     """
-    return build_record_tree_from_lookups(
-        label_of=lambda dewey: tree.node(dewey).label,
-        words_of=lambda dewey: analyzer.node_content(tree.node(dewey)),
-        query=query,
-        fragment=fragment,
-        cid_mode=cid_mode,
-    )
+    _check_cid_mode(cid_mode)
+    contents = {dewey: analyzer.node_content(tree.node(dewey))
+                for dewey in fragment.keyword_nodes}
+    records, _, _ = _link(fragment, lambda dewey: tree.node(dewey).label,
+                          EMPTY_CID)
+    for dewey, record in records.items():
+        words = frozenset().union(*(
+            content for keyword_node, content in contents.items()
+            if dewey.is_ancestor_or_self(keyword_node)))
+        record.is_keyword_node = dewey in contents
+        record.keyword_mask = query.mask_of(
+            keyword for keyword in query.keywords if keyword in words)
+        record.content_feature = (content_id(words) if cid_mode == "minmax"
+                                  else words)
+    return RecordTree(fragment=fragment, root=records[fragment.root],
+                      by_dewey=records)
 
 
 def build_record_tree_from_lookups(
     label_of: Callable[[DeweyCode], Optional[str]],
-    words_of: Callable[[DeweyCode], FrozenSet[str]],
-    query: Query,
+    feature_of: Callable[[DeweyCode], ContentFeature],
     fragment: Fragment,
     cid_mode: str = "minmax",
 ) -> RecordTree:
-    """The constructing step driven by node lookups instead of a tree.
+    """The constructing step as a seed and a fold (the search path).
 
-    ``label_of`` and ``words_of`` resolve a fragment node's label and content
-    word set; any :class:`~repro.index.source.PostingSource` provides both
-    (``node_label`` / ``node_words``), which is how disk-backed searches run
-    the pruning stage without the document resident in memory.  Semantics are
-    identical to :func:`build_record_tree` (which delegates here).
+    Each keyword node is seeded with its mask from ``fragment.keyword_masks``
+    and with ``feature_of(node)``, the node's own content feature: its cID
+    pair in ``minmax`` mode, its content word set in ``exact`` mode.  One
+    pass in reverse document order then folds every record into its
+    parent: bit-OR for the mask, min/max for cID pairs, union for word
+    sets.  ``label_of`` resolves a node's label.  Any
+    :class:`~repro.index.source.PostingSource` provides the lookups
+    (``node_label``, ``node_cid``, ``node_words``), which is how disk-backed
+    searches run the pruning stage without the document resident.
     """
+    _check_cid_mode(cid_mode)
+    masks = fragment.keyword_masks
+    if len(masks) != len(fragment.keyword_nodes):
+        raise ValueError(
+            f"fragment {fragment.root} carries {len(masks)} keyword masks for "
+            f"{len(fragment.keyword_nodes)} keyword nodes; build it with "
+            f"build_rtfs, or use build_record_tree")
+    minmax = cid_mode == "minmax"
+    empty: ContentFeature = EMPTY_CID if minmax else frozenset()
+    records, order, parents = _link(fragment, label_of, empty)
+    for dewey, mask in zip(fragment.keyword_nodes, masks):
+        record = records[dewey]
+        record.is_keyword_node = True
+        record.keyword_mask = mask
+        record.content_feature = feature_of(dewey)
+    for record, parent in zip(reversed(order), reversed(parents)):
+        if parent is None:
+            continue
+        parent.keyword_mask |= record.keyword_mask
+        if not minmax:
+            parent.content_feature = parent.content_feature | record.content_feature
+            continue
+        low, high = record.content_feature
+        parent_low, parent_high = parent.content_feature
+        if parent_high:  # an empty pair has an empty maximum
+            parent.content_feature = (min(low, parent_low),
+                                      max(high, parent_high))
+        else:
+            parent.content_feature = record.content_feature
+    return RecordTree(fragment=fragment, root=records[fragment.root],
+                      by_dewey=records)
+
+
+def _check_cid_mode(cid_mode: str) -> None:
     if cid_mode not in CID_MODES:
         raise ValueError(f"unknown cid_mode {cid_mode!r}; expected one of {CID_MODES}")
 
-    # Wire parent/child links within the fragment in ONE document-order pass.
-    # ``fragment.nodes`` is sorted, so a node's nearest fragment ancestor is on
-    # the path stack when the node arrives (prefix compares on raw component
-    # tuples — no ``parent()`` chains, no per-step code materialization), and
-    # children are appended in document order, so no per-parent sort is needed.
+
+def _link(
+    fragment: Fragment,
+    label_of: Callable[[DeweyCode], Optional[str]],
+    empty: ContentFeature,
+) -> Tuple[Dict[DeweyCode, NodeRecord], List[NodeRecord],
+           List[Optional[NodeRecord]]]:
+    """One record per fragment node, wired to its parent record.
+
+    Returns the records by Dewey code, the records in document order and
+    each one's parent record (``None`` for the root).  ``fragment.nodes``
+    is sorted, so a node's nearest fragment ancestor is on the path stack
+    when the node arrives (prefix compares on raw component tuples — no
+    ``parent()`` chains, no per-step code materialization), and children
+    are appended in document order, so no per-parent sort is needed.
+    """
     records: Dict[DeweyCode, NodeRecord] = {}
     order: List[NodeRecord] = []
     parents: List[Optional[NodeRecord]] = []
@@ -193,11 +258,8 @@ def build_record_tree_from_lookups(
     for dewey in fragment.nodes:
         # lint: allow(hot-loop-purity) fragment nodes arrive boxed; unbox once
         comps = dewey.components
-        record = NodeRecord(
-            dewey=dewey,
-            label=label_of(dewey) or "",
-            cid_mode=cid_mode,
-        )
+        record = NodeRecord(dewey=dewey, label=label_of(dewey) or "",
+                            content_feature=empty)
         records[dewey] = record
         while stack:
             top = stack[-1][0]
@@ -205,7 +267,7 @@ def build_record_tree_from_lookups(
                 break
             stack.pop()
         if stack:
-            parent = stack[-1][1]
+            parent: Optional[NodeRecord] = stack[-1][1]
             parent.children.append(record)
         elif dewey != root:
             raise ValueError(f"fragment node {dewey} is not connected to the root")
@@ -214,28 +276,4 @@ def build_record_tree_from_lookups(
         order.append(record)
         parents.append(parent)
         stack.append((comps, record))
-    root_record = records[root]
-
-    # Propagate every keyword node's information to all its fragment ancestors
-    # (the paper's lines 5–12: "transfer the information ... to all its
-    # ancestors").  Keyword nodes are seeded first, then one bottom-up pass in
-    # reverse document order folds each record into its parent — the same
-    # union, computed once per fragment edge instead of once per
-    # (keyword node, ancestor) pair.
-    query_keywords = set(query.keywords)
-    for keyword_dewey in fragment.keyword_nodes:
-        content = words_of(keyword_dewey)
-        mask = query.mask_of(keyword for keyword in query_keywords if keyword in content)
-        record = records[keyword_dewey]
-        record.is_keyword_node = True
-        record.keyword_mask |= mask
-        record.content_words = record.content_words | content
-    for record, parent in zip(reversed(order), reversed(parents)):
-        if parent is None:
-            continue
-        if record.keyword_mask:
-            parent.keyword_mask |= record.keyword_mask
-        if record.content_words:
-            parent.content_words = parent.content_words | record.content_words
-
-    return RecordTree(fragment=fragment, root=root_record, by_dewey=records)
+    return records, order, parents

@@ -19,7 +19,7 @@ from ..obs import names as metric_names
 from ..text import ContentAnalyzer
 from ..xmltree import DeweyCode, XMLTree
 from .fragments import Fragment, PrunedFragment, SearchResult
-from .node_record import RecordTree, build_record_tree, build_record_tree_from_lookups
+from .node_record import RecordTree, build_record_tree_from_lookups
 from .query import Query, QueryLike
 from .rtf import build_rtfs
 
@@ -124,19 +124,31 @@ class FragmentPipeline:
         return build_rtfs(roots, lists, flags)
 
     def record_tree(self, query: QueryLike, fragment: Fragment) -> RecordTree:
-        """The constructing step of ``pruneRTF`` for one fragment."""
-        parsed = Query.parse(query)
+        """The constructing step of ``pruneRTF`` for one fragment.
+
+        The keyword masks ride on the fragment (``build_rtfs`` built it from
+        ``query``'s posting lists), so only labels and each keyword node's
+        own content feature are looked up: from the resident tree and its
+        analyzer when there is one, else from the posting source.
+        """
+        minmax = self.cid_mode == "minmax"
         if self.tree is not None:
-            return build_record_tree(self.tree, self.analyzer, parsed, fragment,
-                                     cid_mode=self.cid_mode)
+            node, analyzer = self.tree.node, self.analyzer
+            content = analyzer.node_cid if minmax else analyzer.node_content
+            return build_record_tree_from_lookups(
+                lambda dewey: node(dewey).label,
+                lambda dewey: content(node(dewey)),
+                fragment, cid_mode=self.cid_mode)
+        source = self.source
         # Batching sources warm their node caches in one round-trip per
-        # fragment instead of one per node.
-        prefetch = getattr(self.source, "prefetch_nodes", None)
+        # fragment instead of one per node.  A cID is read with the label,
+        # so only exact mode fetches the keyword nodes' word sets.
+        prefetch = getattr(source, "prefetch_nodes", None)
         if prefetch is not None:
-            prefetch(fragment.nodes, fragment.keyword_nodes)
+            prefetch(fragment.nodes, () if minmax else fragment.keyword_nodes)
         return build_record_tree_from_lookups(
-            self.source.node_label, self.source.node_words, parsed, fragment,
-            cid_mode=self.cid_mode)
+            source.node_label, source.node_cid if minmax else source.node_words,
+            fragment, cid_mode=self.cid_mode)
 
     # ------------------------------------------------------------------ #
     # Full run

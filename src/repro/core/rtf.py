@@ -75,6 +75,11 @@ def build_rtfs(
     :class:`DeweyCode` objects are materialized only for the fragments
     actually returned — dropped keyword nodes (outside every interesting LCA)
     never become objects at all.
+
+    Each fragment also keeps the merge's mask of every keyword node
+    (``Fragment.keyword_masks``): bit *i* is set iff the node is in the
+    *i*-th list of ``keyword_lists``, which is the node's keyword mask when
+    the lists are in query-keyword order, as the pipeline passes them.
     """
     sorted_lcas = sorted(lca_nodes)
     if not sorted_lcas:
@@ -92,7 +97,8 @@ def build_rtfs(
     # lint: allow(hot-loop-purity) unpacking the (small) root set once
     lca_arrays = [array("I", code.components) for code in sorted_lcas]
     assigned: List[List[Tuple[int, ...]]] = [[] for _ in sorted_lcas]
-    for comps, _ in iter_matches(packed):
+    masks: List[List[int]] = [[] for _ in sorted_lcas]
+    for comps, mask in iter_matches(packed):
         position = bisect_right(lca_arrays, comps)
         for index in range(position - 1, -1, -1):
             candidate = lca_arrays[index]
@@ -102,10 +108,12 @@ def build_rtfs(
                 # document order, so the first ancestor found scanning
                 # backwards is the nearest enclosing one.
                 assigned[index].append(tuple(comps))
+                masks[index].append(mask)
                 break
     from_tuple = DeweyCode._from_tuple
     fragments: List[Fragment] = []
-    for root, keyword_tuples in zip(sorted_lcas, assigned):
+    for root, keyword_tuples, keyword_masks in zip(sorted_lcas, assigned,
+                                                   masks):
         if not keyword_tuples:
             continue
         root_depth = len(root.components)  # lint: allow(hot-loop-purity) per-root, not per-node
@@ -127,6 +135,7 @@ def build_rtfs(
             # lint: allow(hot-loop-purity) fragments are ever boxed
             nodes=tuple(from_tuple(parts) for parts in sorted(prefixes)),
             is_slca=flag_by_code[root],
+            keyword_masks=tuple(keyword_masks),
         ))
     return fragments
 

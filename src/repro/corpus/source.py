@@ -50,6 +50,7 @@ from ..storage import (
     source_for_store,
 )
 from ..storage.errors import DocumentNotFound
+from ..text import EMPTY_CID
 from ..xmltree import DeweyCode, XMLTree
 
 #: Per-document backends :func:`corpus_from_trees` can build.
@@ -166,6 +167,14 @@ class CorpusPostingSource:
             return None
         source, inner = routed
         return source.node_label(inner)
+
+    def node_cid(self, dewey: DeweyCode) -> Tuple[str, str]:
+        """The cID of one corpus node."""
+        routed = self._route(dewey)
+        if routed is None:
+            return EMPTY_CID
+        source, inner = routed
+        return source.node_cid(inner)
 
     def node_words(self, dewey: DeweyCode) -> FrozenSet[str]:
         """The content word set of one corpus node."""

@@ -18,9 +18,10 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple,
 )
 
-from ..text import ContentAnalyzer, DEFAULT_TOKENIZER, Tokenizer
+from ..text import EMPTY_CID, ContentAnalyzer, DEFAULT_TOKENIZER, Tokenizer
 from ..xmltree import DeweyCode, XMLTree
 from .packed import EMPTY_PACKED, PackedDeweyList, as_packed, pack_deweys
 
@@ -148,6 +149,11 @@ class InvertedIndex:
         """The label of one node, or ``None`` when the code is absent."""
         node = self.tree.get(dewey)
         return node.label if node is not None else None
+
+    def node_cid(self, dewey: DeweyCode) -> Tuple[str, str]:
+        """The cID of one node, memoized by the analyzer."""
+        node = self.tree.get(dewey)
+        return self.analyzer.node_cid(node) if node is not None else EMPTY_CID
 
     def vocabulary(self) -> List[str]:
         """Every indexed word, sorted."""

@@ -15,9 +15,11 @@ The protocol has two layers:
 
 * the four retrieval methods (``postings``, ``keyword_nodes``, ``frequency``,
   ``vocabulary``) every stage-1 caller needs, and
-* two node-lookup methods (``node_label``, ``node_words``) that let the later
-  pipeline stages (record-tree construction, degraded rendering) run without a
-  resident :class:`~repro.xmltree.tree.XMLTree`.
+* three node lookups (``node_label``, ``node_cid``, ``node_words``) that let
+  the later pipeline stages (record-tree construction, degraded rendering)
+  run without a resident :class:`~repro.xmltree.tree.XMLTree`.  A ``minmax``
+  record tree needs only labels and cIDs, which a store reads from one
+  element row per node; ``node_words`` serves the ``exact`` mode.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     runtime_checkable,
     Protocol,
 )
@@ -64,9 +67,11 @@ class PostingSource(Protocol):
     def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
         """The ``D_i`` lists of a whole query (``getKeywordNodes``).
 
-        Maps each *normalized* keyword to its sorted Dewey list in the one
-        posting form, :class:`~repro.index.packed.PackedDeweyList`; keywords
-        with no match map to an empty list.  Backends are encouraged to batch
+        Maps each *normalized* keyword, in query order, to its sorted Dewey
+        list in the one posting form,
+        :class:`~repro.index.packed.PackedDeweyList`; keywords with no match
+        map to an empty list.  The order matters: ``getRTF`` gives list *i*
+        bit *i* of the keyword masks.  Backends are encouraged to batch
         this (one round-trip for the whole query) — the engine's
         ``search_many`` fast path funnels the union of a batch's keywords
         through one call.
@@ -83,6 +88,11 @@ class PostingSource(Protocol):
 
     def node_label(self, dewey: DeweyCode) -> Optional[str]:
         """The label of one document node, or ``None`` when absent."""
+        ...
+
+    def node_cid(self, dewey: DeweyCode) -> Tuple[str, str]:
+        """The cID of one document node: the ``(min, max)`` of its
+        ``node_words`` in lexical order, ``("", "")`` when absent."""
         ...
 
     def node_words(self, dewey: DeweyCode) -> FrozenSet[str]:

@@ -26,7 +26,7 @@ class MemoryStore:
         self._documents: Dict[str, ShreddedDocument] = {}
         self._keyword_index: Dict[Tuple[str, str], List[str]] = {}
         self._node_words: Dict[str, Dict[str, set]] = {}
-        self._labels: Dict[str, Dict[str, str]] = {}
+        self._elements: Dict[str, Dict[str, Tuple[str, Tuple[str, str]]]] = {}
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -53,7 +53,7 @@ class MemoryStore:
         self._require(name)
         del self._documents[name]
         self._node_words.pop(name, None)
-        self._labels.pop(name, None)
+        self._elements.pop(name, None)
         for key in [key for key in self._keyword_index if key[0] == name]:
             del self._keyword_index[key]
 
@@ -118,13 +118,16 @@ class MemoryStore:
             self._node_words[name] = by_dewey
         return frozenset(by_dewey.get(encode_dewey(dewey.components), ()))
 
-    def label_of(self, name: str, dewey: DeweyCode) -> Optional[str]:
-        """The label of one node, or ``None`` if absent."""
+    def element_row(self, name: str, dewey: DeweyCode
+                    ) -> Optional[Tuple[str, Tuple[str, str]]]:
+        """One node's ``(label, cID)`` from its element row, or ``None``."""
         shredded = self._require(name)
-        by_dewey = self._labels.get(name)
+        by_dewey = self._elements.get(name)
         if by_dewey is None:
-            by_dewey = {row.dewey: row.label for row in shredded.elements}
-            self._labels[name] = by_dewey
+            by_dewey = {row.dewey: (row.label, (row.content_feature_min,
+                                                row.content_feature_max))
+                        for row in shredded.elements}
+            self._elements[name] = by_dewey
         return by_dewey.get(encode_dewey(dewey.components))
 
     def labels(self, name: str) -> List[str]:

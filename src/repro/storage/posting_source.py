@@ -36,6 +36,7 @@ from ..index.packed import (
     pack_component_tuples,
     pack_deweys,
 )
+from ..text import EMPTY_CID
 from ..xmltree import DeweyCode, XMLTree
 from .schema import decode_dewey, encode_dewey
 from .sqlite_backend import SQLiteStore
@@ -43,7 +44,7 @@ from .sqlite_backend import SQLiteStore
 #: Default capacity of the per-keyword decoded-posting-list LRU.
 DEFAULT_POSTING_LRU_SIZE = 256
 
-#: Default capacity of the per-node label/word-set LRUs.
+#: Default capacity of the per-node element-row and word-set LRUs.
 DEFAULT_NODE_LRU_SIZE = 8192
 
 #: Batched ``IN (...)`` statements stay under sqlite's default host-variable
@@ -78,7 +79,8 @@ class StorePostingSource:
         self.lru_size = lru_size
         self.node_lru_size = node_lru_size
         self._lru: "OrderedDict[str, PackedDeweyList]" = OrderedDict()
-        self._labels: "OrderedDict[DeweyCode, Optional[str]]" = OrderedDict()
+        # One element row per node: ``(label, cID)``, or ``None`` if absent.
+        self._elements: "OrderedDict[DeweyCode, Optional[Tuple[str, Tuple[str, str]]]]" = OrderedDict()
         self._words: "OrderedDict[DeweyCode, FrozenSet[str]]" = OrderedDict()
         self.lru_hits = 0
         self.lru_misses = 0
@@ -138,14 +140,25 @@ class StorePostingSource:
         return self.store.vocabulary(self.document)
 
     def node_label(self, dewey: DeweyCode) -> Optional[str]:
-        """The label of one node, LRU-cached (absence is cached too)."""
-        cached = self._labels.get(dewey, _MISSING)
+        """The label of one node, or ``None`` when the code is absent."""
+        row = self._element_row(dewey)
+        return row[0] if row is not None else None
+
+    def node_cid(self, dewey: DeweyCode) -> Tuple[str, str]:
+        """The cID of one node, stored in its element row."""
+        row = self._element_row(dewey)
+        return row[1] if row is not None else EMPTY_CID
+
+    def _element_row(self, dewey: DeweyCode
+                     ) -> Optional[Tuple[str, Tuple[str, str]]]:
+        """One node's ``(label, cID)``, LRU-cached (absence is cached too)."""
+        cached = self._elements.get(dewey, _MISSING)
         if cached is not _MISSING:
-            self._labels.move_to_end(dewey)
+            self._elements.move_to_end(dewey)
             return cached
-        label = self.store.label_of(self.document, dewey)
-        self._cache_node(self._labels, dewey, label)
-        return label
+        row = self.store.element_row(self.document, dewey)
+        self._cache_node(self._elements, dewey, row)
+        return row
 
     def node_words(self, dewey: DeweyCode) -> FrozenSet[str]:
         """The content word set of one node, LRU-cached."""
@@ -162,8 +175,9 @@ class StorePostingSource:
         """Warm the node caches ahead of record-tree construction.
 
         The generic store adapter has no batch primitive, so this is a no-op;
-        the sqlite specialization fetches all missing labels and word sets in
-        chunked ``IN (...)`` statements.
+        the sqlite specialization fetches the missing element rows of
+        ``nodes`` and word sets of ``keyword_nodes`` in chunked ``IN (...)``
+        statements.
         """
 
     # ------------------------------------------------------------------ #
@@ -376,29 +390,33 @@ class SQLitePostingSource(StorePostingSource):
 
     def prefetch_nodes(self, nodes: Iterable[DeweyCode],
                        keyword_nodes: Iterable[DeweyCode]) -> None:
-        """Batch-fetch missing node labels and keyword-node word sets.
+        """Batch-fetch missing element rows and keyword-node word sets.
 
         One chunked ``IN (...)`` statement per cache instead of one statement
-        per node; absent codes are cached negatively, so a later lookup of a
-        code the document lacks answers without touching sqlite.  The word
-        statement has no ``DISTINCT``: a word in a node's label, text or
-        attributes has one value row for each, the ``frozenset`` folds them,
-        and with ``DISTINCT`` sqlite plans a one-node fetch as a scan of
-        every value row of the document.
+        per node.  The element statement reads each node's label and stored
+        cID together, so a ``minmax`` record tree (which passes no
+        ``keyword_nodes``) touches no value row.  Absent codes are cached
+        negatively, so a later lookup of a code the document lacks answers
+        without touching sqlite.  The word statement has no ``DISTINCT``: a
+        word in a node's label, text or attributes has one value row for
+        each, the ``frozenset`` folds them, and with ``DISTINCT`` sqlite
+        plans a one-node fetch as a scan of every value row of the document.
         """
         self._check_document()
         prefix, where, scope = self._scope()
         connection = self.store._connection
-        missing_labels = [dewey for dewey in nodes if dewey not in self._labels]
-        for chunk in _chunked(missing_labels):
+        missing_rows = [dewey for dewey in nodes if dewey not in self._elements]
+        for chunk in _chunked(missing_rows):
             encoded = {encode_dewey(dewey.components): dewey for dewey in chunk}
-            found = dict(connection.execute(
-                f"SELECT dewey, label FROM {prefix}element "
-                f"WHERE {where} AND dewey IN ({_placeholders(encoded)})",
-                (*scope, *encoded),
-            ))
+            found = {dewey_text: (label, (low, high))
+                     for dewey_text, label, low, high in connection.execute(
+                         f"SELECT dewey, label, content_feature_min, "
+                         f"content_feature_max FROM {prefix}element "
+                         f"WHERE {where} AND dewey IN "
+                         f"({_placeholders(encoded)})",
+                         (*scope, *encoded))}
             for dewey_text, dewey in encoded.items():
-                self._cache_node(self._labels, dewey, found.get(dewey_text))
+                self._cache_node(self._elements, dewey, found.get(dewey_text))
         missing_words = [dewey for dewey in keyword_nodes
                          if dewey not in self._words]
         for chunk in _chunked(missing_words):

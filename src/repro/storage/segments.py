@@ -706,15 +706,17 @@ class SegmentedStore(SQLiteStore):
             (location, name, encode_dewey(dewey.components)))
         return frozenset(keyword for (keyword,) in cursor)
 
-    def label_of(self, name: str, dewey: DeweyCode) -> Optional[str]:
+    def element_row(self, name: str, dewey: DeweyCode
+                    ) -> Optional[Tuple[str, Tuple[str, str]]]:
         location = self._live_location(name)
         if location == BASE_GENERATION:
-            return super().label_of(name, dewey)
+            return super().element_row(name, dewey)
         row = self._connection.execute(
-            "SELECT label FROM segment_element "
+            "SELECT label, content_feature_min, content_feature_max "
+            "FROM segment_element "
             "WHERE segment_id = ? AND document = ? AND dewey = ?",
             (location, name, encode_dewey(dewey.components))).fetchone()
-        return row[0] if row else None
+        return (row[0], (row[1], row[2])) if row else None
 
     def labels(self, name: str) -> List[str]:
         location = self._live_location(name)

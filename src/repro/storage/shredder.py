@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Set, Tuple
 
 from ..index.packed import pack_component_tuples
-from ..text import DEFAULT_TOKENIZER, Tokenizer
+from ..text import DEFAULT_TOKENIZER, Tokenizer, content_id
 from ..xmltree import XMLNode, XMLTree
 from .schema import ElementRow, LabelRow, ValueRow, decode_dewey, encode_dewey
 
@@ -48,7 +48,7 @@ def shred_tree(tree: XMLTree, name: str = "",
         label_id = label_ids.setdefault(node.label, len(label_ids))
         dewey_text = encode_dewey(node.dewey.components)
         sequence = _label_number_sequence(node, label_ids)
-        feature = _content_feature(node, tokenizer)
+        feature = content_id(tokenizer.word_set(node.raw_strings()))
         elements.append(ElementRow(
             document=document,
             label=node.label,
@@ -101,13 +101,6 @@ def _label_number_sequence(node: XMLNode, label_ids: Dict[str, int]) -> str:
     for member in chain:
         numbers.append(str(label_ids.setdefault(member.label, len(label_ids))))
     return ".".join(numbers)
-
-
-def _content_feature(node: XMLNode, tokenizer: Tokenizer) -> Tuple[str, str]:
-    words = sorted(tokenizer.word_set(node.raw_strings()))
-    if not words:
-        return ("", "")
-    return (words[0], words[-1])
 
 
 def _value_rows(document: str, node: XMLNode, dewey_text: str,

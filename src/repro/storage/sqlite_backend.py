@@ -12,7 +12,7 @@ import itertools
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..index.packed import PackedDeweyList
 from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
@@ -304,14 +304,16 @@ class SQLiteStore:
         )
         return frozenset(keyword for (keyword,) in cursor)
 
-    def label_of(self, name: str, dewey: DeweyCode) -> Optional[str]:
-        """The label of one node, or ``None`` if absent."""
+    def element_row(self, name: str, dewey: DeweyCode
+                    ) -> Optional[Tuple[str, Tuple[str, str]]]:
+        """One node's ``(label, cID)`` from its element row, or ``None``."""
         self._require(name)
         row = self._connection.execute(
-            "SELECT label FROM element WHERE document = ? AND dewey = ?",
+            "SELECT label, content_feature_min, content_feature_max "
+            "FROM element WHERE document = ? AND dewey = ?",
             (name, encode_dewey(dewey.components)),
         ).fetchone()
-        return row[0] if row else None
+        return (row[0], (row[1], row[2])) if row else None
 
     def labels(self, name: str) -> List[str]:
         """The distinct labels of one document."""

@@ -19,6 +19,10 @@ Checked invariants:
   its recorded cardinality matches the decoded length, and the decoded
   Dewey list equals the distinct value-row deweys for that
   (document, keyword) — the blob is a faithful derived artefact.
+* **content ids** — each element row's stored cID (``content_feature_min``,
+  ``content_feature_max``, base and segment) equals the MIN/MAX keyword of
+  the node's value rows, or ``("", "")`` without any; ``minmax`` record
+  trees read the cID from there instead of the value rows.
 """
 
 from __future__ import annotations
@@ -114,6 +118,7 @@ def verify_database(path: Union[str, Path]) -> IntegrityReport:
         _check_catalog(connection, report)
         _check_liveness(connection, report)
         _check_posting_blobs(connection, report)
+        _check_content_ids(connection, report)
         return report
     finally:
         store.close()
@@ -240,3 +245,29 @@ def _check_posting_blobs(connection: Any, report: IntegrityReport) -> None:
                     "posting-blob-mismatch",
                     f"{where}: blob deweys for keyword {keyword!r} do not "
                     f"match the {truth_table} ground truth")
+
+
+def _check_content_ids(connection: Any, report: IntegrityReport) -> None:
+    # SQLite compares TEXT bytewise (BINARY), which for UTF-8 is the
+    # code-point order Python's min/max used when the rows were shredded.
+    for element, value, key in (
+            ("element", "value", ("document", "dewey")),
+            ("segment_element", "segment_value",
+             ("segment_id", "document", "dewey"))):
+        columns = ", ".join(f"e.{column}" for column in key)
+        joined = " AND ".join(f"v.{column} = e.{column}" for column in key)
+        for row in connection.execute(
+                f"SELECT {columns} FROM {element} AS e "
+                f"LEFT JOIN {value} AS v ON {joined} GROUP BY {columns} "
+                f"HAVING MIN(e.content_feature_min) "
+                f"IS NOT COALESCE(MIN(v.keyword), '') "
+                f"OR MIN(e.content_feature_max) "
+                f"IS NOT COALESCE(MAX(v.keyword), '')"):
+            *owner, dewey = row
+            where = (f"segment {owner[0]} of {owner[1]!r}" if len(owner) == 2
+                     else f"base document {owner[0]!r}")
+            node = ".".join(str(part) for part in decode_dewey(dewey))
+            report.error(
+                "cid-mismatch",
+                f"{where}: node {node} stores a cID that is not the "
+                f"(min, max) of its {value} keywords")

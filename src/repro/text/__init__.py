@@ -2,7 +2,7 @@
 
 from .stopwords import DEFAULT_STOPWORDS, filter_stopwords, is_stopword
 from .tokenizer import DEFAULT_TOKENIZER, Tokenizer, TokenizerConfig
-from .analyzer import ContentAnalyzer
+from .analyzer import EMPTY_CID, ContentAnalyzer, content_id
 
 __all__ = [
     "DEFAULT_STOPWORDS",
@@ -12,4 +12,6 @@ __all__ = [
     "TokenizerConfig",
     "DEFAULT_TOKENIZER",
     "ContentAnalyzer",
+    "EMPTY_CID",
+    "content_id",
 ]

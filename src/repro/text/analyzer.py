@@ -8,14 +8,31 @@ Implements the paper's notions of node content and tree content:
   all keyword nodes in the subtree rooted at ``v`` (Definition 3).
 * ``TK_v`` — the *tree keyword set*: ``TC_v ∩ Q`` (equal to MaxMatch's
   ``dMatch``).
+* ``cID`` — the *content id* of a word set: its ``(min, max)`` word pair
+  under lexical order (Section 4.1), the approximation of content equality
+  the node records carry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Set
+from typing import Collection, Dict, FrozenSet, Iterable, Set, Tuple
 
 from ..xmltree import DeweyCode, XMLNode, XMLTree
 from .tokenizer import DEFAULT_TOKENIZER, Tokenizer
+
+#: The cID of an empty word set.
+EMPTY_CID: Tuple[str, str] = ("", "")
+
+
+def content_id(words: Collection[str]) -> Tuple[str, str]:
+    """The cID of a word set: ``(min, max)`` in lexical order.
+
+    An empty set maps to :data:`EMPTY_CID`; no word is the empty string, so
+    the pair's maximum is empty exactly for the empty set.
+    """
+    if not words:
+        return EMPTY_CID
+    return (min(words), max(words))
 
 
 class ContentAnalyzer:
@@ -29,6 +46,7 @@ class ContentAnalyzer:
         self.tree = tree
         self.tokenizer = tokenizer
         self._content_cache: Dict[DeweyCode, FrozenSet[str]] = {}
+        self._cid_cache: Dict[DeweyCode, Tuple[str, str]] = {}
         self._subtree_cache: Dict[DeweyCode, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------ #
@@ -42,6 +60,14 @@ class ContentAnalyzer:
         words = frozenset(self.tokenizer.word_set(node.raw_strings()))
         self._content_cache[node.dewey] = words
         return words
+
+    def node_cid(self, node: XMLNode) -> Tuple[str, str]:
+        """The cID of a single node's content ``C_v`` (memoized)."""
+        cached = self._cid_cache.get(node.dewey)
+        if cached is None:
+            cached = content_id(self.node_content(node))
+            self._cid_cache[node.dewey] = cached
+        return cached
 
     def is_keyword_node(self, node: XMLNode, keywords: Iterable[str]) -> bool:
         """True iff the node's own content intersects the query."""
@@ -90,4 +116,5 @@ class ContentAnalyzer:
     def clear_cache(self) -> None:
         """Drop memoized content sets (after tree mutation in tests)."""
         self._content_cache.clear()
+        self._cid_cache.clear()
         self._subtree_cache.clear()

@@ -23,7 +23,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ALGORITHM_NAMES, SearchEngine
+from repro.core import (
+    ALGORITHM_NAMES,
+    CID_MODES,
+    Query,
+    SearchEngine,
+    build_fragment,
+    build_record_tree,
+)
 from repro.corpus import CorpusSearchEngine, corpus_from_trees
 from repro.datasets import PAPER_QUERIES
 from repro.storage import (
@@ -35,7 +42,8 @@ from repro.storage import (
     StorePostingSource,
     source_for_store,
 )
-from repro.xmltree import SubtreeSpec, XMLTree, tree_from_spec
+from repro.text import ContentAnalyzer
+from repro.xmltree import DeweyCode, SubtreeSpec, XMLTree, tree_from_spec
 
 BACKENDS = ("memory", "sqlite", "corpus", "segmented")
 
@@ -223,6 +231,64 @@ def test_batch_search_parity(engines, backend):
                            candidate, (query, backend))
 
 
+# ---------------------------------------------------------------------- #
+# Record trees: the search path's seed-and-fold against the definition
+# ---------------------------------------------------------------------- #
+def record_fields(record, local=lambda code: code):
+    """What a record holds, with its codes mapped into the document."""
+    return (local(record.dewey), record.label, record.keyword_mask,
+            record.content_feature, record.is_keyword_node,
+            [local(child.dewey) for child in record.children])
+
+
+@pytest.mark.parametrize("cid_mode", CID_MODES)
+@pytest.mark.parametrize("backend", BACKENDS + ROW_DECODE_INPUTS)
+@pytest.mark.parametrize("dataset,query_names", DATASETS)
+def test_record_trees_equal_the_definition(request, dataset, query_names,
+                                           backend, cid_mode):
+    """Every record the search path builds — masks from ``getRTF``,
+    features from node lookups, one fold — equals the one
+    ``build_record_tree`` derives from the document's node contents:
+    label, mask, feature, keyword flag and children.  ``corpus`` runs a
+    tree-free engine over the corpus-wide source, so its codes carry the
+    document's ordinal and its lookups route on it."""
+    tree = request.getfixturevalue(dataset)
+    if backend == "memory":
+        engine = SearchEngine(tree, cid_mode=cid_mode)
+    elif backend == "corpus":
+        corpus = corpus_from_trees({dataset: tree}, backend="sqlite")
+        engine = SearchEngine(source=corpus, cid_mode=cid_mode)
+    else:
+        engine = SearchEngine(source=build_source(tree, backend, dataset),
+                              cid_mode=cid_mode)
+
+    def local(code):
+        return DeweyCode(code.components[1:]) if backend == "corpus" else code
+
+    analyzer = ContentAnalyzer(tree)
+    checked = 0
+    for algorithm in ("validrtf", "validrtf-slca"):
+        pipeline = engine.algorithm(algorithm)
+        for query_name in query_names:
+            query = Query.parse(PAPER_QUERIES[query_name])
+            for fragment in pipeline.raw_fragments(query):
+                records = pipeline.record_tree(query, fragment)
+                reference = build_record_tree(
+                    tree, analyzer, query,
+                    build_fragment(tree, local(fragment.root),
+                                   [local(code) for code in fragment.keyword_nodes],
+                                   fragment.is_slca),
+                    cid_mode)
+                assert [local(code) for code in records.by_dewey] == \
+                    list(reference.by_dewey), (algorithm, query_name)
+                for code, record in records.by_dewey.items():
+                    assert record_fields(record, local) == record_fields(
+                        reference.record(local(code))), \
+                        (algorithm, query_name, str(code))
+                    checked += 1
+    assert checked, "the queries must build record trees"
+
+
 @pytest.mark.parametrize("store_input", ROW_DECODE_INPUTS)
 def test_row_decode_inputs_never_load_packed_blobs(publications, store_input):
     """Each row-decode input builds its packed lists from decoded rows only.
@@ -288,7 +354,7 @@ def test_parity_sources_cover_backends():
     }
     assert set(classes) == set(PARITY_SOURCES)
     protocol_members = ("source_id", "postings", "keyword_nodes", "frequency",
-                        "vocabulary", "node_label", "node_words")
+                        "vocabulary", "node_label", "node_cid", "node_words")
     claimed = set()
     for name, entries in PARITY_SOURCES.items():
         for member in protocol_members:

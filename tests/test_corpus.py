@@ -233,10 +233,13 @@ def test_corpus_node_lookups_route_on_ordinal(corpus3_source):
     postings = corpus3_source.postings("name")
     first = postings.deweys[0]
     assert corpus3_source.node_label(first) is not None
-    assert "name" in corpus3_source.node_words(first)
+    words = corpus3_source.node_words(first)
+    assert "name" in words
+    assert corpus3_source.node_cid(first) == (min(words), max(words))
     # Codes outside the corpus answer absently, never raise.
     from repro.xmltree import DeweyCode
     assert corpus3_source.node_label(DeweyCode((99, 0))) is None
+    assert corpus3_source.node_cid(DeweyCode((99, 0))) == ("", "")
     assert corpus3_source.node_words(DeweyCode((99, 0))) == frozenset()
 
 

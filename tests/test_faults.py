@@ -354,6 +354,30 @@ class TestVerifyDatabase:
         assert any(finding.code == "posting-blob-corrupt"
                    for finding in report.findings)
 
+    def test_base_cid_mismatch_is_detected(self, db):
+        with sqlite3.connect(db) as connection:
+            connection.execute(
+                "UPDATE element SET content_feature_max = 'zzzzzz' "
+                "WHERE rowid = (SELECT MIN(rowid) FROM element)")
+        report = verify_database(db)
+        findings = [finding for finding in report.findings
+                    if finding.code == "cid-mismatch"]
+        assert not report.clean
+        assert len(findings) == 1
+        assert "base document 'publications'" in findings[0].message
+
+    def test_segment_cid_mismatch_is_detected(self, db):
+        # A node stripped of its value rows must store ("", "").
+        with sqlite3.connect(db) as connection:
+            connection.execute(
+                "DELETE FROM segment_value WHERE dewey = "
+                "(SELECT MIN(dewey) FROM segment_value)")
+        report = verify_database(db)
+        findings = [finding for finding in report.findings
+                    if finding.code == "cid-mismatch"]
+        assert len(findings) == 1
+        assert "segment 1 of 'team'" in findings[0].message
+
     def test_torn_doc_segment_is_detected(self, db):
         with sqlite3.connect(db) as connection:
             connection.execute("DELETE FROM segment_element")

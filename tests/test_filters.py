@@ -14,7 +14,7 @@ from repro.core import (
     prune_with_valid_contributor,
 )
 from repro.core.node_record import NodeRecord
-from repro.text import ContentAnalyzer
+from repro.text import ContentAnalyzer, content_id
 from repro.xmltree import DeweyCode, spec, tree_from_spec
 
 D = DeweyCode.parse
@@ -22,7 +22,7 @@ D = DeweyCode.parse
 
 def record(dewey: str, label: str, mask: int, words=()) -> NodeRecord:
     return NodeRecord(dewey=D(dewey), label=label, keyword_mask=mask,
-                      content_words=frozenset(words))
+                      content_feature=content_id(frozenset(words)))
 
 
 class TestContributorPredicate:

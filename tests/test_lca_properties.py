@@ -68,7 +68,14 @@ def test_build_rtfs_matches_reference_dispatch(lists: Dict[str, List[DeweyCode]]
     assignment = assign_keyword_nodes(roots, lists)
     expected = [build_fragment(None, root, assignment[root], is_slca=flag)
                 for root, flag in zip(roots, flags) if assignment[root]]
-    assert build_rtfs(roots, lists, flags) == expected
+    fragments = build_rtfs(roots, lists, flags)
+    assert fragments == expected
+    # Bit j of a keyword node's mask is set iff the node is in list j.
+    members = [set(deweys) for deweys in lists.values()]
+    for fragment in fragments:
+        assert fragment.keyword_masks == tuple(
+            sum(1 << j for j, member in enumerate(members) if node in member)
+            for node in fragment.keyword_nodes)
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Query, build_fragment, build_record_tree
+from repro.core import (
+    Query,
+    build_fragment,
+    build_record_tree,
+    build_record_tree_from_lookups,
+)
 from repro.text import ContentAnalyzer
 from repro.xmltree import DeweyCode
 
@@ -53,20 +58,38 @@ class TestConstructingStep:
         assert not records.record(D("0.2")).is_keyword_node
         assert not records.record(D("0.2.0.3")).is_keyword_node
 
-    def test_content_words_union_of_keyword_node_contents(self, q3_records):
+    def test_cid_spans_union_of_keyword_node_contents(self, q3_records,
+                                                       publications):
         query, records = q3_records
-        article_record = records.record(D("0.2.0"))
+        analyzer = ContentAnalyzer(publications)
+        article = D("0.2.0")
         # The article's RTF keyword nodes are title, abstract and ref; their
-        # word sets all flow into the ancestor record.
-        assert {"reasoning", "keyword", "xml", "sigmod"} <= article_record.content_words
+        # word sets all flow into the ancestor record's cID.
+        union = frozenset().union(*(
+            analyzer.node_content(publications.node(keyword_node))
+            for keyword_node in records.fragment.keyword_nodes
+            if article.is_ancestor_or_self(keyword_node)))
+        assert {"reasoning", "keyword", "xml", "sigmod"} <= union
+        assert records.record(article).content_feature == \
+            (min(union), max(union))
 
-    def test_content_feature_is_min_max_pair(self, q3_records):
+    def test_content_feature_is_min_max_pair(self, q3_records, publications):
         query, records = q3_records
         record = records.record(D("0.2.0.1"))
         feature = record.content_feature
         assert isinstance(feature, tuple) and len(feature) == 2
-        ordered = sorted(record.content_words)
+        ordered = sorted(ContentAnalyzer(publications).node_content(
+            publications.node(record.dewey)))
         assert feature == (ordered[0], ordered[-1])
+
+    def test_fold_needs_the_masks_of_getrtf(self, q3_records):
+        # build_fragment carries no masks: only build_rtfs's fragments can
+        # seed the fold.
+        query, records = q3_records
+        with pytest.raises(ValueError, match="build_rtfs"):
+            build_record_tree_from_lookups(lambda dewey: "x",
+                                           lambda dewey: ("", ""),
+                                           records.fragment)
 
     def test_tree_keyword_set_decodes_mask(self, q3_records):
         query, records = q3_records

@@ -14,9 +14,11 @@ index):
 * the batched ``keyword_nodes`` path equals per-keyword ``postings``;
 * every backend serves :class:`PackedDeweyList` columns whose stored blobs
   round-trip, and legacy databases without blobs answer identically;
-* node labels and word sets, looked up one node at a time or prefetched in
-  a batch, equal the document's on sqlite and on a segmented base and delta
-  generation, also where the value table repeats a (dewey, keyword) row.
+* node labels, cIDs and word sets, looked up one node at a time or
+  prefetched in a batch, equal the document's on a memory store, on sqlite
+  and on a segmented base and delta generation, also where the value table
+  repeats a (dewey, keyword) row; a stored cID is the (min, max) of the
+  node's word set.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.storage import (
     encode_dewey,
     shred_tree,
 )
-from repro.xmltree import spec, tree_from_spec
+from repro.xmltree import DeweyCode, spec, tree_from_spec
 from test_backend_parity import (
     ROW_DECODE_INPUTS,
     SHARED_STORE_INPUTS,
@@ -152,11 +154,14 @@ def repeated_words_tree():
         spec("author", "kong")), name="repeated")
 
 
-@pytest.mark.parametrize("layout", ("sqlite", "segmented-base", "segmented"))
+@pytest.mark.parametrize("layout", ("memorystore", "sqlite", "segmented-base",
+                                    "segmented"))
 @pytest.mark.parametrize("document", ("random", "repeated-words"))
 def test_node_lookups_agree_with_tree(make_random_tree, document, layout):
-    """node_label / node_words of disk backends match the document, looked
-    up one node at a time and after one batched prefetch."""
+    """node_label / node_cid / node_words of store backends match the
+    document, looked up one node at a time, after one batched prefetch of
+    every node's element row and words, and after one of element rows
+    alone (the ``minmax`` record-tree prefetch)."""
     tree = (make_random_tree(7) if document == "random"
             else repeated_words_tree())
     if document == "repeated-words":
@@ -165,13 +170,22 @@ def test_node_lookups_agree_with_tree(make_random_tree, document, layout):
     index = InvertedIndex(tree)
     single = build_source(tree, layout, tree.name)
     prefetched = type(single)(single.store, tree.name)
+    element_rows = type(single)(single.store, tree.name)
     nodes = [node.dewey for node in tree.iter_preorder()]
     prefetched.prefetch_nodes(nodes, nodes)
+    element_rows.prefetch_nodes(nodes, ())
     for node in tree.iter_preorder():
-        for source in (single, prefetched):
+        words = index.node_words(node.dewey)
+        cid = (min(words), max(words)) if words else ("", "")
+        assert index.node_cid(node.dewey) == cid
+        for source in (single, prefetched, element_rows):
             assert source.node_label(node.dewey) == node.label
-            assert source.node_words(node.dewey) == \
-                index.node_words(node.dewey)
+            assert source.node_cid(node.dewey) == cid
+            assert source.node_words(node.dewey) == words
+    absent = DeweyCode((0, 999))
+    for source in (index, single, prefetched, element_rows):
+        assert source.node_label(absent) is None
+        assert source.node_cid(absent) == ("", "")
 
 
 def test_packed_blobs_round_trip_per_keyword(sources):

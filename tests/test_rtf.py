@@ -7,6 +7,7 @@ import pytest
 from repro.core import Query, assign_keyword_nodes, build_fragment, build_rtfs
 from repro.index import InvertedIndex
 from repro.lca import elca_is_slca, indexed_stack_elca
+from repro.text import ContentAnalyzer
 from repro.xmltree import DeweyCode
 from test_lca_algorithms import INPUT_FORMS
 
@@ -108,4 +109,11 @@ class TestBuildRtfs:
                     for root, flag in zip(roots, flags)]
         given = {keyword: INPUT_FORMS[form](list(deweys))
                  for keyword, deweys in lists.items()}
-        assert build_rtfs(roots, given, flags) == expected
+        fragments = build_rtfs(roots, given, flags)
+        assert fragments == expected
+        # Each keyword node's mask is the query mask of its content.
+        analyzer = ContentAnalyzer(tree)
+        for fragment in fragments:
+            assert fragment.keyword_masks == tuple(
+                query.mask_of(analyzer.node_content(tree.node(node)))
+                for node in fragment.keyword_nodes)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core import SearchEngine, UnknownAlgorithmError
@@ -17,6 +19,7 @@ from repro.storage import (
     shred_tree,
 )
 from repro.datasets import PAPER_QUERIES
+from repro.text import ContentAnalyzer
 from repro.xmltree import DeweyCode, spec, tree_from_spec
 from test_backend_parity import build_source
 
@@ -109,8 +112,11 @@ class TestBackends:
         store.store_tree(publications, "pub")
         assert store.keyword_frequency("pub", "title") == 3
         assert "article" in store.labels("pub")
-        assert store.label_of("pub", D("0.2.0")) == "article"
-        assert store.label_of("pub", D("0.9.9")) is None
+        words = ContentAnalyzer(publications).node_content(
+            publications.node(D("0.2.0")))
+        assert store.element_row("pub", D("0.2.0")) == \
+            ("article", (min(words), max(words)))
+        assert store.element_row("pub", D("0.9.9")) is None
 
     def test_drop_document(self, backend_class, publications):
         store = backend_class()
@@ -286,6 +292,41 @@ class TestReadCostIsPerRow:
                                         "segmented"))
     def test_steps_do_not_grow_with_the_document(self, layout):
         assert read_costs(3, layout) == read_costs(303, layout)
+
+
+def statements(store, call) -> list:
+    """The SQL statements ``call`` runs on the store's connection."""
+    seen = []
+    connection = store._connection
+    connection.set_trace_callback(seen.append)
+    try:
+        call()
+    finally:
+        connection.set_trace_callback(None)
+    return seen
+
+
+class TestMinmaxReadsNoValueRows:
+    """A ``minmax`` record tree takes each node's cID from the element row
+    its label comes from, so a tree-free search with packed postings runs
+    no statement on the value tables; ``exact`` mode still reads the
+    keyword nodes' words there."""
+
+    @pytest.mark.parametrize("layout", ("sqlite", "segmented-base",
+                                        "segmented"))
+    @pytest.mark.parametrize("cid_mode", ("minmax", "exact"))
+    def test_value_tables_only_in_exact_mode(self, publications, layout,
+                                             cid_mode):
+        source = build_source(publications, layout)
+        engine = SearchEngine(source=source, cid_mode=cid_mode)
+        seen = statements(source.store, lambda: [
+            engine.search(PAPER_QUERIES[name]) for name in ("Q1", "Q2", "Q3")])
+        assert any("FROM element" in statement
+                   or "FROM segment_element" in statement
+                   for statement in seen)
+        value_reads = [statement for statement in seen
+                       if re.search(r"\bFROM (segment_)?value\b", statement)]
+        assert bool(value_reads) == (cid_mode == "exact"), value_reads
 
 
 class TestStoreBackedSearch:

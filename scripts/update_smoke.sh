@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Update smoke: the full segmented-corpus lifecycle through the CLI.
 # ingest -> incremental add -> live update (delta segment) -> doc-tagged
-# search -> delete (tombstone) -> compact -> search again.  Guards the
+# search and ranked top-k -> delete (tombstone) -> compact -> search and
+# rank again.  Guards the
 # `index --update` / `index --delete` / `compact` surface end to end; must
 # stay fast (well under 30 s) — it runs inside `make smoke` and CI.
 set -euo pipefail
@@ -28,6 +29,12 @@ out="$(python -m repro.cli search --db "$db" --backend corpus "Morant guard")"
 echo "$out"
 echo "$out" | grep -q "figure-1b" || { echo "updated text not served"; exit 1; }
 
+echo "== ranked top-k on the tree-free corpus =="
+out="$(python -m repro.cli search --db "$db" --backend corpus --top-k 3 \
+    --early-terminate "Morant guard")"
+echo "$out"
+echo "$out" | grep -q "figure-1b" || { echo "updated text not ranked"; exit 1; }
+
 echo "== delete: tombstone =="
 python -m repro.cli index --delete figure-1a --db "$db"
 
@@ -38,6 +45,10 @@ echo "== search after compaction =="
 out="$(python -m repro.cli search --db "$db" --backend corpus "Morant guard")"
 echo "$out"
 echo "$out" | grep -q "figure-1b" || { echo "compacted corpus lost the update"; exit 1; }
+out="$(python -m repro.cli search --db "$db" --backend corpus --top-k 3 \
+    --early-terminate "Morant guard")"
+echo "$out"
+echo "$out" | grep -q "figure-1b" || { echo "compacted corpus not ranked"; exit 1; }
 if python -m repro.cli search --db "$db" --backend corpus "Dewey XML" | grep -q "figure-1a"; then
     echo "tombstoned document still answering"; exit 1
 fi

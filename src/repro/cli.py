@@ -556,7 +556,7 @@ def _command_search(arguments: argparse.Namespace) -> int:
 
 def _ranked_search(engine, query: str, arguments: argparse.Namespace) -> int:
     """``search --top-k``: corpus-comparable ranked retrieval."""
-    from .core import SearchError, explain_score, render_score_explanation
+    from .core import EmptyQueryError, explain_score, render_score_explanation
 
     if arguments.top_k < 0:
         raise CliError("--top-k must be non-negative")
@@ -577,7 +577,7 @@ def _ranked_search(engine, query: str, arguments: argparse.Namespace) -> int:
             rows = [(None, fragment)
                     for fragment in ranked[:arguments.top_k]]
             visit_note = ""
-    except SearchError as error:
+    except EmptyQueryError as error:
         raise CliError(str(error)) from None
     print(f"query: {query}  algorithm: {arguments.algorithm}  "
           f"backend: {engine.backend_id}  top-k: {arguments.top_k}"

@@ -16,7 +16,7 @@ from ..obs import names as metric_names
 from ..text import ContentAnalyzer
 from ..xmltree import DeweyCode, XMLTree, parse_file, parse_string, render_nodes
 from .cache import CacheStats, QueryResultCache
-from .errors import SearchError, UnknownAlgorithmError
+from .errors import UnknownAlgorithmError
 from .explain import (
     ComparisonExplanation,
     FragmentExplanation,
@@ -330,12 +330,9 @@ class SearchEngine:
         corpus callers pass the corpus-global bounds instead so per-document
         scores stay comparable across documents.
         """
-        if self.tree is None:
-            raise SearchError("ranking needs a resident tree; this engine is "
-                              "running purely source-backed")
         if bounds is None:
             bounds = self.score_bounds(result.query)
-        return rank_result(self.tree, result, weights, bounds=bounds)
+        return rank_result(result, weights, bounds=bounds)
 
     # ------------------------------------------------------------------ #
     # Explanations

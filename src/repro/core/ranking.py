@@ -8,7 +8,8 @@ explainable ranking so downstream users can order results:
   usually more meaningful than the document root);
 * **compactness** — smaller fragments rank higher;
 * **coverage** — fragments whose kept keyword nodes match more distinct query
-  keywords directly (rather than through shared nodes) rank higher.
+  keywords directly (rather than through shared nodes) rank higher.  It is
+  read off ``getRTF``'s keyword masks, so ranking needs no document tree.
 
 The score is a weighted sum of the three components.  Every component is an
 **absolute** quantity in ``[0, 1]``:
@@ -18,7 +19,7 @@ The score is a weighted sum of the three components.  Every component is an
   corpus (derived from the per-keyword impact metadata, see
   :func:`repro.index.source.keyword_impact`), not against the local result;
 * ``compactness = 1 / size`` — no normalization needed;
-* ``coverage = matched keywords / query size``.
+* ``coverage = popcount(OR of the kept keyword nodes' masks) / query size``.
 
 Normalizing against shared bounds (rather than each result's own maxima, as
 an earlier revision did) is what makes scores **comparable across
@@ -37,8 +38,6 @@ from heapq import merge as _heap_merge
 from itertools import islice
 from typing import Iterable, List, Mapping, Optional, Sequence
 
-from ..text import ContentAnalyzer
-from ..xmltree import XMLTree
 from .fragments import PrunedFragment, SearchResult
 from .query import Query
 
@@ -121,7 +120,7 @@ class RankedFragment:
     coverage: float
 
 
-def rank_fragments(tree: XMLTree, query: Query,
+def rank_fragments(query: Query,
                    fragments: Sequence[PrunedFragment],
                    weights: RankingWeights = RankingWeights(),
                    bounds: Optional[ScoreBounds] = None
@@ -136,7 +135,6 @@ def rank_fragments(tree: XMLTree, query: Query,
     if not fragments:
         return []
     normalized = weights.normalized()
-    analyzer = ContentAnalyzer(tree)
     if bounds is None:
         bounds = ScoreBounds(max_depth=max(
             max(fragment.root.level for fragment in fragments), 1))
@@ -145,7 +143,7 @@ def rank_fragments(tree: XMLTree, query: Query,
     for fragment in fragments:
         specificity = fragment.root.level / bounds.max_depth
         compactness = 1.0 / max(fragment.size, 1)
-        coverage = _coverage(tree, analyzer, query, fragment)
+        coverage = _coverage(query, fragment)
         score = combine_score(normalized, specificity, compactness, coverage)
         ranked.append(RankedFragment(fragment, score, specificity, compactness,
                                      coverage))
@@ -198,18 +196,27 @@ def merge_ranked(per_document: Mapping[str, Sequence[RankedFragment]],
     return [entry for _, entry in merged]
 
 
-def rank_result(tree: XMLTree, result: SearchResult,
+def rank_result(result: SearchResult,
                 weights: RankingWeights = RankingWeights(),
                 bounds: Optional[ScoreBounds] = None) -> List[RankedFragment]:
     """Rank the fragments of a whole :class:`SearchResult`."""
-    return rank_fragments(tree, result.query, result.fragments, weights,
+    return rank_fragments(result.query, result.fragments, weights,
                           bounds=bounds)
 
 
-def _coverage(tree: XMLTree, analyzer: ContentAnalyzer, query: Query,
-              fragment: PrunedFragment) -> float:
-    matched = set()
-    for dewey in fragment.kept_keyword_nodes():
-        node = tree.node(dewey)
-        matched |= analyzer.matched_keywords(node, query.keywords)
-    return len(matched) / query.size if query.size else 0.0
+def _coverage(query: Query, fragment: PrunedFragment) -> float:
+    """Distinct query keywords in the kept keyword nodes, over ``|Q|``: bit
+    *i* of a node's mask (``Fragment.keyword_masks``) is set exactly when
+    query keyword *i* is in its content."""
+    raw = fragment.fragment
+    masks = raw.keyword_masks
+    if len(masks) != len(raw.keyword_nodes):
+        raise ValueError(
+            f"fragment {raw.root} carries {len(masks)} keyword masks for "
+            f"{len(raw.keyword_nodes)} keyword nodes; build it with build_rtfs")
+    kept = fragment.kept_set()
+    matched = 0
+    for dewey, mask in zip(raw.keyword_nodes, masks):
+        if dewey in kept:
+            matched |= mask
+    return bin(matched).count("1") / query.size

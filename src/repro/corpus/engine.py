@@ -26,7 +26,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..core.cache import CacheStats
 from ..core.engine import ComparisonOutcome, SearchEngine
 from ..core.fragments import SearchResult
-from ..core.errors import SearchError
 from ..core.metrics import summarize_reports
 from ..core.query import Query, QueryLike
 from ..obs import MetricsRegistry, Trace
@@ -99,7 +98,8 @@ class CorpusSearchEngine:
     trees:
         Optional resident trees per doc id (memory-backed corpora keep them;
         disk-backed corpora run tree-free like the single-document sqlite
-        engines).  Resident trees enable full fragment rendering and ranking.
+        engines).  Resident trees enable full fragment rendering; search
+        and ranking never need them.
     cid_mode, cache_size:
         Forwarded to every per-document engine; cached results are keyed per
         document (each per-document engine owns its cache).
@@ -113,8 +113,8 @@ class CorpusSearchEngine:
                  cid_mode: str = "minmax", cache_size: int = 0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.source = source
-        self.trees: Dict[str, XMLTree] = dict(trees or {})
-        unknown = sorted(set(self.trees) - set(source.doc_ids))
+        trees = trees or {}
+        unknown = sorted(set(trees) - set(source.doc_ids))
         if unknown:
             raise ValueError(f"trees for unknown corpus document(s): "
                              f"{', '.join(unknown)}")
@@ -124,7 +124,7 @@ class CorpusSearchEngine:
         # reports one merged view instead of N disjoint ones.
         self.metrics: Optional[MetricsRegistry] = metrics
         self._engines: Dict[str, SearchEngine] = {
-            doc_id: SearchEngine(tree=self.trees.get(doc_id),
+            doc_id: SearchEngine(tree=trees.get(doc_id),
                                  source=source.document_source(doc_id),
                                  cid_mode=cid_mode, cache_size=cache_size,
                                  metrics=metrics)
@@ -320,11 +320,6 @@ class CorpusSearchEngine:
     # ------------------------------------------------------------------ #
     # Ranking (corpus-level top-k merge + threshold-algorithm driver)
     # ------------------------------------------------------------------ #
-    def _require_trees(self) -> None:
-        if not self.trees:
-            raise SearchError("ranking needs resident trees; this corpus "
-                              "engine is running purely source-backed")
-
     def score_bounds(self, query: QueryLike) -> ScoreBounds:
         """Corpus-global normalization bounds for one query.
 
@@ -357,17 +352,11 @@ class CorpusSearchEngine:
         :class:`ScoreBounds` (derived from impact metadata), so the merged
         scores are genuinely comparable across documents.
         """
-        self._require_trees()
         if bounds is None:
             bounds = self.score_bounds(result.query)
-        per_document = {}
-        for entry in result.documents:
-            tree = self.trees.get(entry.doc_id)
-            if tree is None:
-                raise SearchError(f"no resident tree for corpus document "
-                                  f"{entry.doc_id!r}; cannot rank it")
-            per_document[entry.doc_id] = rank_result(tree, entry.result,
-                                                     weights, bounds=bounds)
+        per_document = {entry.doc_id: rank_result(entry.result, weights,
+                                                  bounds=bounds)
+                        for entry in result.documents}
         return merge_ranked(per_document, top_k=top_k)
 
     def rank_search(self, query: QueryLike, algorithm: str = "validrtf",
@@ -392,7 +381,6 @@ class CorpusSearchEngine:
         result).  Both paths return byte-identical rankings; only the visit
         counters differ.
         """
-        self._require_trees()
         parsed = Query.parse(query)
         if early_terminate and top_k is None:
             raise ValueError("early_terminate=True needs a top_k bound to "
@@ -442,8 +430,7 @@ class CorpusSearchEngine:
                 result = self._engines[doc_id].search(parsed, algorithm)
                 visited += 1
                 if self._contributes(result):
-                    ranked = rank_result(self.trees[doc_id], result, weights,
-                                         bounds=bounds)
+                    ranked = rank_result(result, weights, bounds=bounds)
                     per_document[doc_id] = ranked
                     for item in ranked:
                         if len(kth_best) < top_k:

@@ -24,6 +24,7 @@ from typing import (
 from ..text import EMPTY_CID, ContentAnalyzer, DEFAULT_TOKENIZER, Tokenizer
 from ..xmltree import DeweyCode, XMLTree
 from .packed import EMPTY_PACKED, PackedDeweyList, as_packed, pack_deweys
+from .source import KeywordImpact, impact_from_postings
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class InvertedIndex:
         self.analyzer = ContentAnalyzer(tree, tokenizer)
         self._postings: Dict[str, PackedDeweyList] = {}
         self._node_words: Dict[DeweyCode, FrozenSet[str]] = {}
-        self._impacts: Dict[str, "KeywordImpact"] = {}
+        self._impacts: Dict[str, KeywordImpact] = {}
         self._build()
 
     def _build(self) -> None:
@@ -119,21 +120,19 @@ class InvertedIndex:
         """Number of keyword nodes containing ``keyword``."""
         return len(self.postings(keyword))
 
-    def impact(self, keyword: str) -> "KeywordImpact":
-        """Posting count + deepest node level of one keyword (memoized).
+    def impact(self, keyword: str) -> KeywordImpact:
+        """Posting count + deepest node level of one normalized keyword.
 
         The memory backend has no shred-time metadata to read back, so the
         impact is derived from the resident posting list on first request
         and cached — the lazy-compute arm of the ranking metadata seam
         (:func:`repro.index.source.keyword_impact`).
         """
-        from .source import impact_from_postings  # source.py imports us
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        cached = self._impacts.get(normalized)
+        cached = self._impacts.get(keyword)
         if cached is None:
             cached = impact_from_postings(
-                self._postings.get(normalized, EMPTY_PACKED))
-            self._impacts[normalized] = cached
+                self._postings.get(keyword, EMPTY_PACKED))
+            self._impacts[keyword] = cached
         return cached
 
     @property

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -38,8 +39,10 @@ from typing import (
 )
 
 from ..xmltree import DeweyCode
-from .inverted import PostingList
 from .packed import PackedDeweyList, as_packed
+
+if TYPE_CHECKING:  # inverted.py imports this module at run time
+    from .inverted import PostingList
 
 
 @runtime_checkable
@@ -102,7 +105,7 @@ class PostingSource(Protocol):
 
 @dataclass(frozen=True)
 class KeywordImpact:
-    """Per-(document, keyword) ranking metadata.
+    """Per-(document, normalized keyword) ranking metadata.
 
     ``count`` is the keyword's posting-list length (its document frequency
     within one document) and ``max_depth`` the deepest Dewey **level** (root
@@ -147,13 +150,14 @@ def impact_from_postings(deweys: Sequence[DeweyCode]) -> KeywordImpact:
 
 
 def keyword_impact(source: PostingSource, keyword: str) -> KeywordImpact:
-    """The impact metadata of one (raw) keyword on any posting source.
+    """The impact metadata of one normalized keyword on any posting source.
 
-    Sources that precompute (or cheaply derive) the metadata expose an
-    optional ``impact(keyword)`` method; everything else falls back to a
-    posting-list scan.  ``impact`` is deliberately *not* part of the
-    :class:`PostingSource` protocol — backends opt in, and the fallback keeps
-    every existing source rankable.
+    ``keyword`` is taken as normalized, as every ``Query.keywords`` entry
+    is, and so is the optional ``impact(keyword)`` method that sources
+    precomputing (or cheaply deriving) the metadata expose; everything else
+    falls back to a posting-list scan.  ``impact`` is deliberately *not*
+    part of the :class:`PostingSource` protocol — backends opt in, and the
+    fallback keeps every existing source rankable.
     """
     impact = getattr(source, "impact", None)
     if impact is not None:

@@ -216,7 +216,7 @@ class ServiceClient:
              doc_filter: Optional[list] = None,
              top_k: Optional[int] = None, early_terminate: bool = False,
              explain: bool = False) -> Dict[str, object]:
-        """Ranked fragment payload for one query (memory backend only).
+        """Ranked fragment payload for one query (any backend).
 
         ``top_k`` truncates to the k best fragments; ``early_terminate``
         (corpus backends, requires ``top_k``) lets the threshold driver skip

@@ -358,7 +358,7 @@ class EnginePool:
     def rank(self, query: QueryLike, algorithm: str = "validrtf",
              cid_mode: Optional[str] = None, top_k: Optional[int] = None,
              early_terminate: bool = False) -> Future:
-        """Search then rank on one worker (needs a resident tree).
+        """Search then rank on one worker, on any backend.
 
         Corpus engines run the full ranked-retrieval driver (returning a
         :class:`~repro.corpus.engine.RankedCorpusSearch` with visit

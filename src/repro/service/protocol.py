@@ -45,7 +45,7 @@ ERROR_OVERLOADED = "overloaded"
 #: The per-request deadline elapsed before a result was ready.
 ERROR_TIMEOUT = "timeout"
 #: The operation is valid but not available on this engine configuration
-#: (e.g. ``rank`` on a tree-free disk backend).
+#: (e.g. ``doc_filter`` on a single-document backend).
 ERROR_UNSUPPORTED = "unsupported"
 #: Anything unexpected; the message carries the exception text.
 ERROR_INTERNAL = "internal"

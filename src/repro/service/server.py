@@ -64,7 +64,7 @@ from types import TracebackType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from ..core import ALGORITHM_NAMES, Query, SearchEngine
-from ..core.errors import EmptyQueryError, SearchError
+from ..core.errors import EmptyQueryError
 from ..corpus import CorpusSearchEngine
 from ..corpus.engine import RankedCorpusSearch
 from ..core.node_record import CID_MODES
@@ -436,20 +436,15 @@ class SearchService:
         doc_filter = self._doc_filter(request)
         top_k, early_terminate, explain = self._rank_options(request)
         with self.admission:
-            try:
-                if doc_filter is None:
-                    future = self.pool.rank(query, algorithm, cid_mode,
-                                            top_k=top_k,
-                                            early_terminate=early_terminate)
-                else:
-                    future = self.pool.submit(
-                        self._filtered_rank, query, algorithm, cid_mode,
-                        doc_filter, top_k, early_terminate)
-                ranked = await self.admission.run(asyncio.wrap_future(future))
-            except SearchError as error:
-                # Ranking needs a resident tree; tree-free disk backends
-                # answer with the typed "unsupported" error instead of 500s.
-                raise ServiceError(ERROR_UNSUPPORTED, str(error)) from None
+            if doc_filter is None:
+                future = self.pool.rank(query, algorithm, cid_mode,
+                                        top_k=top_k,
+                                        early_terminate=early_terminate)
+            else:
+                future = self.pool.submit(
+                    self._filtered_rank, query, algorithm, cid_mode,
+                    doc_filter, top_k, early_terminate)
+            ranked = await self.admission.run(asyncio.wrap_future(future))
         if isinstance(ranked, RankedCorpusSearch):
             return ok_response(
                 ranking=ranking_payload(ranked.ranked, explain=explain),

@@ -29,7 +29,7 @@ from typing import (DefaultDict, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Sized, Tuple)
 
 from ..index import InvertedIndex, PostingList
-from ..index.source import KeywordImpact, impact_from_postings
+from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
 from ..index.packed import (
     EMPTY_PACKED,
     PackedDeweyList,
@@ -38,7 +38,7 @@ from ..index.packed import (
 )
 from ..text import EMPTY_CID
 from ..xmltree import DeweyCode, XMLTree
-from .schema import decode_dewey, encode_dewey
+from .schema import UNKNOWN_MAX_DEPTH, decode_dewey, encode_dewey
 from .sqlite_backend import SQLiteStore
 
 #: Default capacity of the per-keyword decoded-posting-list LRU.
@@ -53,6 +53,9 @@ DEFAULT_NODE_LRU_SIZE = 8192
 _IN_CHUNK = 400
 
 _MISSING = object()
+
+#: One node's element row: its label and stored cID pair.
+ElementRow = Tuple[str, Tuple[str, str]]
 
 
 class StorePostingSource:
@@ -80,7 +83,7 @@ class StorePostingSource:
         self.node_lru_size = node_lru_size
         self._lru: "OrderedDict[str, PackedDeweyList]" = OrderedDict()
         # One element row per node: ``(label, cID)``, or ``None`` if absent.
-        self._elements: "OrderedDict[DeweyCode, Optional[Tuple[str, Tuple[str, str]]]]" = OrderedDict()
+        self._elements: "OrderedDict[DeweyCode, Optional[ElementRow]]" = OrderedDict()
         self._words: "OrderedDict[DeweyCode, FrozenSet[str]]" = OrderedDict()
         self.lru_hits = 0
         self.lru_misses = 0
@@ -120,20 +123,19 @@ class StorePostingSource:
         return self.store.keyword_frequency(self.document, normalized)
 
     def impact(self, keyword: str) -> KeywordImpact:
-        """Posting count + deepest node level of one keyword.
+        """Posting count + deepest node level of one normalized keyword.
 
         An LRU-resident posting list answers locally; otherwise the store's
         metadata path (shred-time ``max_depth`` column on sqlite, lazy scan
         elsewhere) answers without decoding a posting list.
         """
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        cached = self._lru_get(normalized)
+        cached = self._lru_get(keyword)
         if cached is not None:
             return impact_from_postings(cached)
         store_impact = getattr(self.store, "keyword_impact", None)
         if store_impact is not None:
-            return store_impact(self.document, normalized)
-        return impact_from_postings(self._deweys(normalized))
+            return store_impact(self.document, keyword)
+        return impact_from_postings(self._deweys(keyword))
 
     def vocabulary(self) -> List[str]:
         """Every indexed word of the document, sorted."""
@@ -149,14 +151,13 @@ class StorePostingSource:
         row = self._element_row(dewey)
         return row[1] if row is not None else EMPTY_CID
 
-    def _element_row(self, dewey: DeweyCode
-                     ) -> Optional[Tuple[str, Tuple[str, str]]]:
+    def _element_row(self, dewey: DeweyCode) -> Optional[ElementRow]:
         """One node's ``(label, cID)``, LRU-cached (absence is cached too)."""
         cached = self._elements.get(dewey, _MISSING)
         if cached is not _MISSING:
             self._elements.move_to_end(dewey)
             return cached
-        row = self.store.element_row(self.document, dewey)
+        row = self._fetch_element_rows([dewey])[dewey]
         self._cache_node(self._elements, dewey, row)
         return row
 
@@ -166,7 +167,7 @@ class StorePostingSource:
         if cached is not _MISSING:
             self._words.move_to_end(dewey)
             return cached
-        words = self.store.node_words(self.document, dewey)
+        words = self._fetch_word_sets([dewey])[dewey]
         self._cache_node(self._words, dewey, words)
         return words
 
@@ -174,11 +175,36 @@ class StorePostingSource:
                        keyword_nodes: Iterable[DeweyCode]) -> None:
         """Warm the node caches ahead of record-tree construction.
 
-        The generic store adapter has no batch primitive, so this is a no-op;
-        the sqlite specialization fetches the missing element rows of
-        ``nodes`` and word sets of ``keyword_nodes`` in chunked ``IN (...)``
-        statements.
+        Fetches the missing element rows of ``nodes`` and word sets of
+        ``keyword_nodes`` through the same two fetches a single cache miss
+        uses; the sqlite specialization serves each in chunked ``IN (...)``
+        statements, one per cache instead of one per node.  Absent codes
+        are cached negatively, so a later lookup of a code the document
+        lacks answers without touching the store.
         """
+        missing_rows = [dewey for dewey in nodes if dewey not in self._elements]
+        for dewey, row in self._fetch_element_rows(missing_rows).items():
+            self._cache_node(self._elements, dewey, row)
+        missing_words = [dewey for dewey in keyword_nodes
+                         if dewey not in self._words]
+        for dewey, words in self._fetch_word_sets(missing_words).items():
+            self._cache_node(self._words, dewey, words)
+
+    def _fetch_element_rows(self, deweys: Sequence[DeweyCode]
+                            ) -> Dict[DeweyCode, Optional[ElementRow]]:
+        """Each node's ``(label, cID)`` element row, ``None`` when absent.
+
+        The generic store interface reads one node per call; the sqlite
+        specialization overrides it with a batched read of its own rows.
+        """
+        return {dewey: self.store.element_row(self.document, dewey)
+                for dewey in deweys}
+
+    def _fetch_word_sets(self, deweys: Sequence[DeweyCode]
+                         ) -> Dict[DeweyCode, FrozenSet[str]]:
+        """Each node's content word set (empty when absent)."""
+        return {dewey: self.store.node_words(self.document, dewey)
+                for dewey in deweys}
 
     # ------------------------------------------------------------------ #
     # LRU plumbing (shared with the sqlite batch path)
@@ -256,7 +282,8 @@ class SQLitePostingSource(StorePostingSource):
     rebuilt into flat columns at C speed, with no per-posting string decode
     and no per-posting object.  Database files written before packed
     ingestion existed (no ``posting`` rows) fall back to a per-row decode,
-    packed once, transparently.
+    packed once, transparently.  Every statement the source runs, batched
+    or single-row, reads the rows :meth:`_scope` names.
     """
 
     def __init__(self, store: SQLiteStore, document: str,
@@ -270,31 +297,71 @@ class SQLitePostingSource(StorePostingSource):
         self._blobs_on_disk: Optional[bool] = None
 
     def _has_blobs(self) -> bool:
-        """Whether this document carries packed blobs (checked once)."""
+        """Whether the rows this source reads carry packed blobs (checked
+        once); documents ingested before the ``posting`` table say no."""
         if self._blobs_on_disk is None:
-            self._blobs_on_disk = self.store.has_packed_postings(self.document)
+            prefix, where, scope = self._scope()
+            self._blobs_on_disk = bool(self.store._scalar(
+                f"SELECT EXISTS (SELECT 1 FROM {prefix}posting "
+                f"WHERE {where})", *scope))
         return self._blobs_on_disk
 
     def _fetch_packed(self, normalized: str) -> PackedDeweyList:
         """Blob-per-keyword load, falling back to row decode on legacy files.
 
-        The (cached) blob-presence check runs first: a legacy document would
-        otherwise pay one doomed ``SELECT ... FROM posting`` per keyword on
-        top of every row-decode fallback.
+        The one-keyword case of the batched fetches, so it reads the same
+        rows.  The (cached) blob-presence check runs first: a legacy
+        document would otherwise pay one doomed ``SELECT ... FROM posting``
+        per keyword on top of every row-decode fallback.
         """
-        if not self._has_blobs():
-            return super()._fetch_packed(normalized)
-        packed = self.store.keyword_packed(self.document, normalized)
-        self.packed_fetches += 1
-        return packed if packed is not None else EMPTY_PACKED
+        if self._has_blobs():
+            return self._fetch_blob_rows([normalized]).get(normalized,
+                                                           EMPTY_PACKED)
+        return pack_component_tuples(
+            self._fetch_value_rows([normalized]).get(normalized, []),
+            presorted=True)
+
+    def frequency(self, keyword: str) -> int:
+        """Number of keyword nodes containing ``keyword`` (its impact's
+        posting count)."""
+        return self.impact(self.tokenizer.normalize_keyword(keyword)).count
+
+    def impact(self, keyword: str) -> KeywordImpact:
+        """Posting count + deepest node level of one normalized keyword.
+
+        An LRU-resident posting list answers locally; otherwise one
+        ``posting`` row of this source's scope answers from its shred-time
+        columns.  Rows predating the ``max_depth`` column and documents
+        predating packed ingestion fall back to the posting list itself.
+        """
+        cached = self._lru_get(keyword)
+        if cached is not None:
+            return impact_from_postings(cached)
+        if self._has_blobs():
+            prefix, where, scope = self._scope()
+            row = self.store._connection.execute(
+                f"SELECT cardinality, max_depth FROM {prefix}posting "
+                f"WHERE {where} AND keyword = ?", (*scope, keyword)).fetchone()
+            if row is None:
+                return EMPTY_IMPACT
+            if int(row[1]) != UNKNOWN_MAX_DEPTH:
+                return KeywordImpact(count=int(row[0]), max_depth=int(row[1]))
+        return impact_from_postings(self._deweys(keyword))
+
+    def vocabulary(self) -> List[str]:
+        """Every indexed word of the document, sorted."""
+        prefix, where, scope = self._scope()
+        cursor = self.store._connection.execute(
+            f"SELECT DISTINCT keyword FROM {prefix}value WHERE {where} "
+            f"ORDER BY keyword", scope)
+        return [keyword for (keyword,) in cursor]
 
     def _check_document(self) -> None:
         """Raise :class:`DocumentNotFound` (once) for a misnamed document.
 
-        The raw-SQL batch paths bypass the store's per-call ``_require``
-        guard for speed; this keeps their error behaviour consistent with
-        ``postings()`` / ``frequency()`` instead of silently answering a
-        typo'd document name with empty lists.
+        This source's raw-SQL reads bypass the store's per-call ``_require``
+        guard for speed; :meth:`_scope` runs this check first, so a typo'd
+        document name raises instead of answering with empty lists.
         """
         if not self._document_checked:
             self.store._require(self.document)
@@ -311,7 +378,6 @@ class SQLitePostingSource(StorePostingSource):
         The batch statement reads whole blobs from the ``posting`` table (one
         row per LRU-missed keyword).
         """
-        self._check_document()
         normalized = self.tokenizer.normalize_query(query)
         result, missing = self._split_cached(normalized)
         if missing:
@@ -345,11 +411,13 @@ class SQLitePostingSource(StorePostingSource):
 
     def _scope(self) -> Tuple[str, str, Tuple[object, ...]]:
         """The rows this source reads: ``(table prefix, row filter, filter
-        parameters)``, spliced into every batched statement below.
+        parameters)``, spliced into every statement this source runs.
 
         The segmented source overrides it to read a delta segment's
-        ``segment_*`` tables.
+        ``segment_*`` tables, so every read of one source, batched or
+        single-row, sees the one generation it pinned.
         """
+        self._check_document()
         return "", "document = ?", (self.document,)
 
     def _fetch_blob_rows(self, missing: Sequence[str]
@@ -388,48 +456,51 @@ class SQLitePostingSource(StorePostingSource):
         self.fallback_fetches += len(rows)
         return rows
 
-    def prefetch_nodes(self, nodes: Iterable[DeweyCode],
-                       keyword_nodes: Iterable[DeweyCode]) -> None:
-        """Batch-fetch missing element rows and keyword-node word sets.
+    def _fetch_element_rows(self, deweys: Sequence[DeweyCode]
+                            ) -> Dict[DeweyCode, Optional[ElementRow]]:
+        """Element rows of ``deweys`` in chunked ``IN (...)`` statements.
 
-        One chunked ``IN (...)`` statement per cache instead of one statement
-        per node.  The element statement reads each node's label and stored
-        cID together, so a ``minmax`` record tree (which passes no
-        ``keyword_nodes``) touches no value row.  Absent codes are cached
-        negatively, so a later lookup of a code the document lacks answers
-        without touching sqlite.  The word statement has no ``DISTINCT``: a
-        word in a node's label, text or attributes has one value row for
-        each, the ``frozenset`` folds them, and with ``DISTINCT`` sqlite
-        plans a one-node fetch as a scan of every value row of the document.
+        The statement reads each node's label and stored cID together, so a
+        ``minmax`` record tree touches no value row.
         """
-        self._check_document()
         prefix, where, scope = self._scope()
-        connection = self.store._connection
-        missing_rows = [dewey for dewey in nodes if dewey not in self._elements]
-        for chunk in _chunked(missing_rows):
+        rows: Dict[DeweyCode, Optional[ElementRow]] = {}
+        for chunk in _chunked(deweys):
             encoded = {encode_dewey(dewey.components): dewey for dewey in chunk}
             found = {dewey_text: (label, (low, high))
-                     for dewey_text, label, low, high in connection.execute(
+                     for dewey_text, label, low, high in
+                     self.store._connection.execute(
                          f"SELECT dewey, label, content_feature_min, "
                          f"content_feature_max FROM {prefix}element "
                          f"WHERE {where} AND dewey IN "
                          f"({_placeholders(encoded)})",
                          (*scope, *encoded))}
             for dewey_text, dewey in encoded.items():
-                self._cache_node(self._elements, dewey, found.get(dewey_text))
-        missing_words = [dewey for dewey in keyword_nodes
-                         if dewey not in self._words]
-        for chunk in _chunked(missing_words):
+                rows[dewey] = found.get(dewey_text)
+        return rows
+
+    def _fetch_word_sets(self, deweys: Sequence[DeweyCode]
+                         ) -> Dict[DeweyCode, FrozenSet[str]]:
+        """Word sets of ``deweys`` in chunked ``IN (...)`` statements.
+
+        No ``DISTINCT``: a word in a node's label, text or attributes has
+        one value row for each, the ``frozenset`` folds them, and with
+        ``DISTINCT`` sqlite plans a one-node fetch as a scan of every value
+        row of the document.
+        """
+        prefix, where, scope = self._scope()
+        sets: Dict[DeweyCode, FrozenSet[str]] = {}
+        for chunk in _chunked(deweys):
             encoded = {encode_dewey(dewey.components): dewey for dewey in chunk}
             words: DefaultDict[str, List[str]] = defaultdict(list)
-            for dewey_text, keyword in connection.execute(
+            for dewey_text, keyword in self.store._connection.execute(
                     f"SELECT dewey, keyword FROM {prefix}value "
                     f"WHERE {where} AND dewey IN ({_placeholders(encoded)})",
                     (*scope, *encoded)):
                 words[dewey_text].append(keyword)
             for dewey_text, dewey in encoded.items():
-                self._cache_node(self._words, dewey,
-                                 frozenset(words.get(dewey_text, ())))
+                sets[dewey] = frozenset(words.get(dewey_text, ()))
+        return sets
 
 
 # ---------------------------------------------------------------------- #

@@ -644,19 +644,6 @@ class SegmentedStore(SQLiteStore):
             "SELECT EXISTS (SELECT 1 FROM segment_posting "
             "WHERE segment_id = ? AND document = ?)", location, name))
 
-    def keyword_packed(self, name: str,
-                       keyword: str) -> Optional[PackedDeweyList]:
-        location = self._live_location(name)
-        if location == BASE_GENERATION:
-            return super().keyword_packed(name, keyword)
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        # (segment_id, document, keyword) is the table's primary key.
-        row = self._connection.execute(
-            "SELECT blob FROM segment_posting WHERE segment_id = ? "
-            "AND document = ? AND keyword = ?",
-            (location, name, normalized)).fetchone()
-        return PackedDeweyList.from_blob(row[0]) if row is not None else None
-
     def keyword_frequency(self, name: str, keyword: str) -> int:
         location = self._live_location(name)
         if location == BASE_GENERATION:

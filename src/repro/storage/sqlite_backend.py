@@ -14,7 +14,6 @@ import threading
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..index.packed import PackedDeweyList
 from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
 from ..text import DEFAULT_TOKENIZER, Tokenizer
 from ..xmltree import DeweyCode, XMLTree
@@ -223,22 +222,6 @@ class SQLiteStore:
         ``False``; the posting sources then fall back to per-row decoding.
         """
         return self._has_rows("posting", name)
-
-    def keyword_packed(self, name: str,
-                       keyword: str) -> Optional[PackedDeweyList]:
-        """The packed posting columns of one keyword, or ``None``.
-
-        ``None`` means "no blob stored" — either the keyword is absent or the
-        document predates packed ingestion; callers disambiguate with
-        :meth:`has_packed_postings`.
-        """
-        self._require(name)
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        row = self._connection.execute(
-            "SELECT blob FROM posting WHERE document = ? AND keyword = ?",
-            (name, normalized),
-        ).fetchone()
-        return PackedDeweyList.from_blob(row[0]) if row else None
 
     def keyword_impact(self, name: str, keyword: str) -> KeywordImpact:
         """Posting count + deepest node level of one keyword.

@@ -171,14 +171,10 @@ def wire_lines(engine: CorpusSearchEngine,
     return lines
 
 
-def segmented_engine(store: SegmentedStore,
-                     state: Dict[str, XMLTree]) -> CorpusSearchEngine:
-    """A corpus engine over the segmented store's current live documents.
-
-    ``state`` supplies the resident trees ranking needs; its keys must be
-    exactly the store's live document set.
-    """
-    return CorpusSearchEngine(corpus_from_store(store), trees=state)
+def segmented_engine(store: SegmentedStore) -> CorpusSearchEngine:
+    """A tree-free corpus engine over the segmented store's current live
+    documents, as a database-served corpus runs."""
+    return CorpusSearchEngine(corpus_from_store(store))
 
 
 def fresh_oracle(state: Dict[str, XMLTree]) -> CorpusSearchEngine:
@@ -191,7 +187,7 @@ def assert_segmented_matches_fresh(store: SegmentedStore,
                                    queries: List[str],
                                    context=()) -> None:
     """Byte-identity of the mutated store against the fresh-rebuild oracle."""
-    got = wire_lines(segmented_engine(store, state), queries)
+    got = wire_lines(segmented_engine(store), queries)
     want = wire_lines(fresh_oracle(state), queries)
     assert got == want, (
         "mutated segmented corpus diverged from a fresh rebuild", *context)

@@ -289,6 +289,41 @@ def test_record_trees_equal_the_definition(request, dataset, query_names,
     assert checked, "the queries must build record trees"
 
 
+# ---------------------------------------------------------------------- #
+# Ranking coverage: the search path's masks against the definition
+# ---------------------------------------------------------------------- #
+def tree_coverage(tree, query, fragment) -> float:
+    """The coverage definition, read off the document: the distinct query
+    keywords in the kept keyword nodes' own content, over ``|Q|``."""
+    analyzer = ContentAnalyzer(tree)
+    matched = set()
+    for dewey in fragment.kept_keyword_nodes():
+        matched |= analyzer.matched_keywords(tree.node(dewey), query.keywords)
+    return len(matched) / query.size
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("dataset,query_names", DATASETS)
+def test_coverage_equals_the_definition(request, engines, dataset,
+                                        query_names, backend):
+    """Every ranked fragment's coverage, scored from the keyword masks of
+    ``getRTF`` on a tree-free backend too, equals the tree-based
+    definition."""
+    tree = request.getfixturevalue(dataset)
+    engine = engines[(dataset, backend)]
+    checked = 0
+    for query_name in query_names:
+        query = Query.parse(PAPER_QUERIES[query_name])
+        for algorithm in ALGORITHM_NAMES:
+            for row in engine.rank(engine.search(query, algorithm)):
+                ranked = getattr(row, "ranked", row)  # corpus rows wrap it
+                assert ranked.coverage == tree_coverage(
+                    tree, query, ranked.fragment), \
+                    (query_name, algorithm, str(ranked.fragment.root))
+                checked += 1
+    assert checked, "the queries must rank fragments"
+
+
 @pytest.mark.parametrize("store_input", ROW_DECODE_INPUTS)
 def test_row_decode_inputs_never_load_packed_blobs(publications, store_input):
     """Each row-decode input builds its packed lists from decoded rows only.

@@ -160,13 +160,22 @@ def test_corpus_golden_spans_multiple_documents():
 RANKED_TOP_K = 3
 
 
+#: The ranked golden's engines: corpus3 per backend with the trees
+#: resident, plus ``sqlite-tree-free``, the layout a database-served corpus
+#: ranks on.
+RANKED_CORPUS3_ENGINES = CORPUS3_BACKENDS + ("sqlite-tree-free",)
+
+
 @pytest.fixture(scope="module")
 def ranked_corpus3_engines():
-    """corpus3 engines with resident trees (ranking needs them) per backend."""
+    """corpus3 engines per entry of :data:`RANKED_CORPUS3_ENGINES`."""
     trees = corpus3_trees()
-    return {backend: CorpusSearchEngine(
+    engines = {backend: CorpusSearchEngine(
         corpus_from_trees(trees, backend=backend), trees=trees)
         for backend in CORPUS3_BACKENDS}
+    engines["sqlite-tree-free"] = CorpusSearchEngine(
+        corpus_from_trees(trees, backend="sqlite"))
+    return engines
 
 
 def _ranked_entry(engine, text, algorithm):
@@ -176,7 +185,7 @@ def _ranked_entry(engine, text, algorithm):
             "rank_stats": rank_stats_payload(outcome)}
 
 
-@pytest.mark.parametrize("backend", CORPUS3_BACKENDS)
+@pytest.mark.parametrize("backend", RANKED_CORPUS3_ENGINES)
 def test_ranked_corpus_matches_stored_truth(ranked_corpus3_engines, backend):
     golden = load_golden("corpus_ranked")
     assert golden["top_k"] == RANKED_TOP_K
@@ -389,9 +398,7 @@ def _regenerate() -> None:
                                        CORPUS_UPDATED_QUERIES))
     store.close()
     print(f"updated-corpus golden regenerated at {path}")
-    ranked_trees = corpus3_trees()
-    ranked_engine = CorpusSearchEngine(
-        corpus_from_trees(ranked_trees), trees=ranked_trees)
+    ranked_engine = CorpusSearchEngine.from_trees(corpus3_trees())
     ranked_payload = {"dataset": "corpus_ranked", "top_k": RANKED_TOP_K,
                       "queries": {}}
     for query_name, text in CORPUS3_QUERIES.items():

@@ -15,6 +15,7 @@ trees); the deep sweep with more seeds and larger documents lives behind the
 
 from __future__ import annotations
 
+import itertools
 import shutil
 
 import pytest
@@ -130,7 +131,7 @@ def test_mutated_corpus_equals_per_document_union():
         store.store_tree(state[name], name)
 
     def check(label):
-        corpus = segmented_engine(store, state)
+        corpus = segmented_engine(store)
         references = reference_engines(state)
         for query in random_queries(seed, count=2):
             assert_corpus_equals_union(
@@ -229,7 +230,7 @@ def test_crash_at_every_kill_point_recovers(tmp_path):
             forward = recovery["rolled_forward"] == 1
             outcome = post_state if forward else pre_state
             assert set(survivor.documents()) == set(outcome), (kind, point)
-            got = wire_lines(segmented_engine(survivor, outcome), queries)
+            got = wire_lines(segmented_engine(survivor), queries)
             assert got == (post_lines if forward else pre_lines), \
                 (kind, point, forward)
             survivor.close()
@@ -254,8 +255,7 @@ def test_ranked_answers_deterministic_across_backends():
     store, so a backend that shreds or migrates that metadata differently
     would silently reorder results — the canonical wire encoding catches
     any drift, including float-formatting differences in the scores.  The
-    disk backends run tree-free under ``from_trees``, so the engines here
-    are built with the trees kept resident explicitly.
+    engines hold no trees: ranking runs on what the search computed.
     """
     from repro.corpus import CorpusSearchEngine, corpus_from_trees
 
@@ -264,8 +264,8 @@ def test_ranked_answers_deterministic_across_backends():
         queries = random_queries(seed)
         rankings = {}
         for backend in BACKENDS:
-            source = corpus_from_trees(trees, backend=backend)
-            engine = CorpusSearchEngine(source, trees=trees)
+            engine = CorpusSearchEngine(corpus_from_trees(trees,
+                                                          backend=backend))
             rankings[backend] = [
                 encode_message({"query": query,
                                 "ranking": ranking_payload(
@@ -279,21 +279,22 @@ def test_ranked_answers_deterministic_across_backends():
 def test_early_termination_is_byte_identical_to_exhaustive():
     """The threshold driver never changes the answer, only the visit count.
 
-    For seeded random corpora and every interesting ``top_k`` (empty, tiny,
-    corpus-sized, oversized), ``early_terminate=True`` must produce wire
-    bytes identical to the exhaustive path, and its visit accounting must
-    stay consistent (visited + skipped == selected, never more visits than
-    the exhaustive pass).
+    For seeded random corpora on every layout (the disk ones tree-free) and
+    every interesting ``top_k`` (empty, tiny, corpus-sized, oversized),
+    ``early_terminate=True`` must produce wire bytes identical to the
+    exhaustive path, and its visit accounting must stay consistent
+    (visited + skipped == selected, never more visits than the exhaustive
+    pass).
     """
-    for seed in SEEDS:
+    for seed, layout in itertools.product(SEEDS, LAYOUTS):
         trees = random_corpus(seed)
-        engine = build_corpus_engine(trees, "memory")
+        engine = build_corpus_engine(trees, layout)
         for query in random_queries(seed):
             for top_k in (0, 1, 2, len(trees), len(trees) + 3):
                 exhaustive = engine.rank_search(query, top_k=top_k)
                 early = engine.rank_search(query, top_k=top_k,
                                            early_terminate=True)
-                context = (seed, query, top_k)
+                context = (seed, layout, query, top_k)
                 assert encode_message(
                     {"ranking": ranking_payload(early.ranked)}) == \
                     encode_message(

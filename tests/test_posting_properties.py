@@ -25,7 +25,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.index import InvertedIndex, PackedDeweyList, PostingSource
+from repro.core import Query
+from repro.index import (
+    InvertedIndex,
+    PackedDeweyList,
+    PostingSource,
+    impact_from_postings,
+    keyword_impact,
+)
 from repro.storage import (
     SQLitePostingSource,
     SQLiteStore,
@@ -145,6 +152,25 @@ def test_source_serves_memory_postings(make_random_tree, seed, backend):
         assert deweys == expected, (backend, word)
 
 
+@pytest.mark.parametrize("layout", ("memory", "sqlite") + SINGLE_SOURCES)
+def test_keyword_impact_is_the_posting_scan(make_random_tree, layout):
+    """``keyword_impact`` on a query's normalized keywords, present and
+    absent, equals the impact of the source's own posting list; the impact
+    is read first, so disk sources answer it from their stored rows."""
+    for seed in SEEDS:
+        tree = make_random_tree(seed)
+        source = (InvertedIndex(tree) if layout == "memory"
+                  else build_source(tree, layout, tree.name))
+        vocabulary = InvertedIndex(tree).vocabulary()
+        for start in range(0, len(vocabulary), 3):
+            query = Query.parse(vocabulary[start:start + 3]
+                                + ["DefinitelyAbsentWord"])
+            for keyword in query.keywords:
+                impact = keyword_impact(source, keyword)
+                assert impact == impact_from_postings(
+                    source.postings(keyword).deweys), (layout, seed, keyword)
+
+
 def repeated_words_tree():
     """A document whose ``title`` word is in one node's label, text and an
     attribute, so the value table repeats that (dewey, keyword) row."""
@@ -195,8 +221,7 @@ def test_packed_blobs_round_trip_per_keyword(sources):
     store = sqlite_source.store
     assert store.has_packed_postings(sqlite_source.document)
     for word in memory.vocabulary():
-        packed = store.keyword_packed(sqlite_source.document, word)
-        assert packed is not None, word
+        packed = sqlite_source.postings(word).deweys
         assert PackedDeweyList.from_blob(packed.to_blob()) == packed
         assert list(packed) == list(memory.postings(word).deweys), word
 
@@ -316,18 +341,14 @@ def test_legacy_fallback_skips_pointless_blob_probes(make_random_tree):
         source.postings(word)  # prime the has-blobs check
 
     probes = []
-    original = store.keyword_packed
-
-    def counting_keyword_packed(name, keyword):
-        probes.append(keyword)
-        return original(name, keyword)
-
-    store.keyword_packed = counting_keyword_packed
+    store._connection.set_trace_callback(
+        lambda statement: probes.append(statement)
+        if "FROM posting" in statement else None)
     try:
         for word in words:
             assert list(source.postings(word).deweys)
     finally:
-        store.keyword_packed = original
+        store._connection.set_trace_callback(None)
     assert probes == [], "legacy documents must not probe the posting table " \
                          "once its absence is known"
 

@@ -9,10 +9,12 @@ from repro.core import (
     RankingWeights,
     ScoreBounds,
     bounds_from_impacts,
+    build_fragment,
     combine_score,
     explain_score,
     rank_fragments,
     rank_result,
+    unpruned,
 )
 from repro.corpus import CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES
@@ -200,12 +202,21 @@ class TestScoreExplanation:
 
 
 class TestRankResult:
-    def test_empty_result_ranks_empty(self, publications):
-        assert rank_fragments(publications, Query.parse("xml"), []) == []
+    def test_empty_result_ranks_empty(self):
+        assert rank_fragments(Query.parse("xml"), []) == []
 
-    def test_deeper_root_ranks_first_for_q2(self, publications_engine, publications):
+    def test_fragment_without_masks_is_refused(self, publications_engine):
+        """Coverage reads getRTF's keyword masks; a fragment rebuilt from
+        its codes alone carries none, and ranking says so."""
         result = publications_engine.search(PAPER_QUERIES["Q2"], "validrtf")
-        ranked = rank_result(publications, result)
+        raw = result.fragments[0].fragment
+        bare = unpruned(build_fragment(None, raw.root, raw.keyword_nodes))
+        with pytest.raises(ValueError, match="keyword masks"):
+            rank_fragments(result.query, [bare])
+
+    def test_deeper_root_ranks_first_for_q2(self, publications_engine):
+        result = publications_engine.search(PAPER_QUERIES["Q2"], "validrtf")
+        ranked = rank_result(result)
         assert len(ranked) == 2
         # The self-contained ref fragment is deeper and more compact than the
         # article fragment, so it comes first.

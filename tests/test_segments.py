@@ -14,12 +14,14 @@ import pytest
 
 from repro.core import SearchEngine
 from repro.datasets import PAPER_QUERIES, publications_tree, team_tree
+from repro.index import InvertedIndex
 from repro.storage import (
     BASE_GENERATION,
     SEGMENT_KIND_DOC,
     SEGMENT_KIND_TOMBSTONE,
     SegmentedPostingSource,
     SegmentedStore,
+    SQLitePostingSource,
     SQLiteStore,
     source_for_store,
 )
@@ -85,9 +87,11 @@ def test_packed_read_takes_the_live_segment_row():
             assert store.update_document(live, "doc") == step
         fresh = SQLiteStore()
         fresh.store_tree(live, "doc")
+        segmented = SegmentedPostingSource(store, "doc")
+        plain = SQLitePostingSource(fresh, "doc")
         for word in ("xml", "alpha", "beta", "title", "author", "venue"):
-            assert store.keyword_packed("doc", word) == \
-                fresh.keyword_packed("doc", word), (step, word)
+            assert segmented.postings(word).deweys == \
+                plain.postings(word).deweys, (step, word)
         fresh.close()
     store.close()
 
@@ -151,6 +155,62 @@ def test_segmented_source_id_carries_the_generation(store):
     # A source pins its snapshot at first resolution: the pre-update source
     # keeps its identity (engine rebuilds pick up the new generation).
     assert base.source_id.endswith("#team@g0")
+
+
+#: Every single-row read of a posting source, over a list of words and
+#: a list of node codes.
+SINGLE_ROW_READS = {
+    "vocabulary": lambda source, words, codes: source.vocabulary(),
+    "postings": lambda source, words, codes: [
+        list(source.postings(word).deweys) for word in words],
+    "frequency": lambda source, words, codes: [
+        source.frequency(word) for word in words],
+    "impact": lambda source, words, codes: [
+        source.impact(word) for word in words],
+    "node_label": lambda source, words, codes: [
+        source.node_label(code) for code in codes],
+    "node_cid": lambda source, words, codes: [
+        source.node_cid(code) for code in codes],
+    "node_words": lambda source, words, codes: [
+        source.node_words(code) for code in codes],
+}
+
+
+def test_pinned_source_reads_only_its_generation():
+    """A source pinned at g0 answers g0 after an update commits: every
+    single-row read, each on its own cold source, takes the pinned
+    generation's rows, not the store's live ones, while a fresh source
+    answers the new version."""
+    old = tree_from_spec(spec("doc", None, spec("title", "xml alpha"),
+                              spec("author", "beta")))
+    new = tree_from_spec(spec(
+        "doc", None, spec("author", "beta gamma"),
+        spec("venue", None, spec("proc", None, spec("title", "xml search"))),
+        spec("note", "xml")))
+    words = sorted(set(InvertedIndex(old).vocabulary())
+                   | set(InvertedIndex(new).vocabulary()))
+    codes = sorted({node.dewey for tree in (old, new)
+                    for node in tree.iter_preorder()})
+    store = SegmentedStore()
+    store.store_tree(old, "doc")
+
+    def pinned() -> SegmentedPostingSource:
+        source = SegmentedPostingSource(store, "doc")
+        assert source.source_id.endswith("#doc@g0")  # resolves and pins
+        return source
+
+    sources = {kind: pinned() for kind in SINGLE_ROW_READS}
+    before = {kind: read(pinned(), words, codes)
+              for kind, read in SINGLE_ROW_READS.items()}
+    store.update_document(new, "doc")
+    memory = InvertedIndex(new)
+    for kind, read in SINGLE_ROW_READS.items():
+        assert read(sources[kind], words, codes) == before[kind], kind
+        fresh = SegmentedPostingSource(store, "doc")
+        assert read(fresh, words, codes) == read(memory, words, codes), kind
+        assert before[kind] != read(memory, words, codes), \
+            f"the two versions must differ on {kind}"
+    store.close()
 
 
 def test_plain_sqlite_store_still_opens_segmented_databases(tmp_path):

@@ -339,12 +339,27 @@ def test_doc_filter_on_single_document_backend_is_unsupported(served):
         assert excinfo.value.code == "unsupported"
 
 
-def test_rank_on_tree_free_backend_is_unsupported(served):
-    server, _ = served[("publications", "sqlite")]
+@pytest.mark.parametrize("dataset,query_names", DATASETS)
+def test_served_tree_free_rank_is_byte_identical(served, dataset,
+                                                 query_names):
+    """The tree-free sqlite server ranks exactly as the memory engine."""
+    from repro.service import ranking_payload
+
+    server, _ = served[(dataset, "sqlite")]
+    _, memory = served[(dataset, "memory")]
     with ServiceClient(*server.address) as client:
-        with pytest.raises(ServiceError) as excinfo:
-            client.rank(PAPER_QUERIES["Q1"])
-        assert excinfo.value.code == "unsupported"
+        for query_name in query_names:
+            query = PAPER_QUERIES[query_name]
+            for algorithm in ALGORITHM_NAMES:
+                for top_k, explain in ((None, False), (1, True)):
+                    over_the_wire = client.rank(query, algorithm,
+                                                top_k=top_k, explain=explain)
+                    ranked = memory.rank(memory.search(query, algorithm))
+                    direct = ranking_payload(ranked[:top_k],
+                                             explain=explain)
+                    assert encode_message({"ranking": over_the_wire}) == \
+                        encode_message({"ranking": direct}), \
+                        (query_name, algorithm, top_k)
 
 
 def test_rank_on_memory_backend_works(served, publications):
@@ -357,31 +372,45 @@ def test_rank_on_memory_backend_works(served, publications):
             [str(fragment.fragment.root) for fragment in direct]
 
 
-def test_rank_on_tree_free_corpus_is_unsupported(tmp_path):
-    """A corpus served from a database runs tree-free: the rank op must
-    answer the typed ``unsupported`` error, not ``internal``."""
-    from repro.storage import SegmentedStore
+#: (doc_filter, rank options) the tree-free corpus server is diffed over.
+TREE_FREE_RANK_CASES = tuple(
+    (doc_filter, options)
+    for doc_filter in (None, ["publications"], ["team", "publications"])
+    for options in ({}, {"explain": True}, {"top_k": 2},
+                    {"top_k": 2, "early_terminate": True},
+                    {"top_k": 1, "early_terminate": True, "explain": True}))
 
-    db = str(tmp_path / "treefree.db")
-    store = SegmentedStore(db)
-    store.store_tree(publications_tree(), "publications")
-    store.store_tree(team_tree(), "team")
-    store.close()
-    pool = EnginePool.for_backend("corpus", db_path=db, workers=2)
-    try:
-        with ServerThread(pool) as server:
-            with ServiceClient(*server.address) as client:
-                with pytest.raises(ServiceError) as excinfo:
-                    client.rank(PAPER_QUERIES["Q1"])
-                assert excinfo.value.code == "unsupported"
-                # The doc-filtered path dispatches differently; it must
-                # answer the same typed error.
-                with pytest.raises(ServiceError) as excinfo:
-                    client.rank(PAPER_QUERIES["Q1"],
-                                doc_filter=["publications"])
-                assert excinfo.value.code == "unsupported"
-    finally:
-        pool.shutdown()
+
+@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+def test_served_tree_free_corpus_rank_is_byte_identical(
+        served, publications, team, algorithm):
+    """A corpus served from a database runs tree-free; its ``rank`` rows
+    and visit accounting equal an in-process memory corpus over the same
+    trees, with and without every rank option."""
+    from repro.service import rank_stats_payload, ranking_payload
+
+    server, _ = served[("publications", "corpus-db")]
+    memory = CorpusSearchEngine.from_trees({"publications": publications,
+                                            "team": team})
+    with ServiceClient(*server.address) as client:
+        for query_name in ("Q1", "Q2", "Q3", "Q4", "Q5"):
+            query = PAPER_QUERIES[query_name]
+            for doc_filter, options in TREE_FREE_RANK_CASES:
+                response = client.rank_response(
+                    query, algorithm, doc_filter=doc_filter, **options)
+                direct = memory.rank_search(
+                    query, algorithm, top_k=options.get("top_k"),
+                    doc_filter=doc_filter,
+                    early_terminate=options.get("early_terminate", False))
+                assert encode_message(
+                    {"ranking": response["ranking"],
+                     "rank_stats": response["rank_stats"]}) == \
+                    encode_message(
+                        {"ranking": ranking_payload(
+                            direct.ranked,
+                            explain=options.get("explain", False)),
+                         "rank_stats": rank_stats_payload(direct)}), \
+                    (query_name, doc_filter, options)
 
 
 def test_served_corpus_rank_top_k_is_byte_identical(served_corpus):

@@ -2,8 +2,8 @@
 # Chaos smoke: the self-healing serving stack under a seeded fault plan.
 # index -> serve with injected storage faults (errors + latency spikes,
 # bounded budget) -> retrying read traffic (zero client-visible failures)
-# -> keyed journaled mutations under chaos -> kill the server -> verify
-# database integrity (journal, catalog, posting blobs).  Deterministic by
+# -> keyed mutations under chaos -> kill the server -> verify database
+# integrity (sqlite pages, ledger, catalog, posting blobs).  Deterministic by
 # construction: the plan is seeded and its fault budget is finite, so a
 # bounded retry policy always wins.  Must stay fast (well under 30 s) —
 # it runs inside `make smoke` and CI.
@@ -52,7 +52,7 @@ print(f"completed {report['completed']}/{report['requests']} requests; "
       f"{report['retries']} retries healed degraded answers")
 PYEOF
 
-echo "== keyed journaled mutations under chaos =="
+echo "== keyed mutations under chaos =="
 python - "$address" <<'PYEOF'
 import sys
 from repro.service import RetryPolicy, ServiceClient
@@ -87,15 +87,15 @@ def total(prefix):
 injected = total("repro_faults_injected_total{")
 assert injected >= 1, "the fault plan injected nothing; chaos never engaged"
 mutations = total("repro_journal_mutations_total{")
-assert mutations >= 3, f"expected journaled update/delete/compact, saw {mutations}"
-print(f"{injected} injected fault(s) absorbed; {mutations} journaled mutation(s)")
+assert mutations >= 3, f"expected committed update/delete/compact, saw {mutations}"
+print(f"{injected} injected fault(s) absorbed; {mutations} committed mutation(s)")
 PYEOF
 
 kill "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
 
-echo "== verify: journal, catalog and posting-blob integrity =="
+echo "== verify: sqlite, ledger, catalog and posting-blob integrity =="
 python -m repro.cli verify --db "$db"
 
 echo "CHAOS SMOKE OK"

@@ -12,9 +12,10 @@ Sub-commands
     Fold the delta segments written by ``index --update`` / ``--delete``
     into the database's base generation.
 ``verify``
-    Run the storage integrity checks (mutation journal, catalog, liveness,
-    posting blobs) against an indexed database; exits nonzero when any
-    check fails, so scripts can gate on a clean store.
+    Run the storage integrity checks (SQLite's page check, mutation
+    ledger, catalog, liveness, posting blobs) against an indexed database;
+    exits nonzero when any check fails, so scripts can gate on a clean
+    store.
 ``search``
     Run a keyword query against an XML file, a built-in dataset, an indexed
     sqlite store (``--db file.db --backend sqlite``), or a whole corpus
@@ -145,8 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
     compact.set_defaults(handler=_command_compact)
 
     verify = subparsers.add_parser(
-        "verify", help="check a database's integrity (journal, catalog, "
-                       "liveness, posting blobs)")
+        "verify", help="check a database's integrity (sqlite pages, "
+                       "ledger, catalog, liveness, posting blobs)")
     verify.add_argument("--db", required=True, help="sqlite database file")
     verify.add_argument("--json", action="store_true",
                         help="emit the typed findings as JSON instead of "
@@ -365,7 +366,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                              "this many milliseconds (default: off)")
     parser.add_argument("--fault-plan", default=None, metavar="SPEC",
                         help="inject deterministic storage faults, e.g. "
-                             "'seed=7,error=0.05,torn=0.01,latency=0.1,"
+                             "'seed=7,error=0.05,latency=0.1,"
                              "latency-ms=2,delay=100,max-faults=25' "
                              "(needs a store-backed backend)")
     parser.add_argument("--compact-segments", type=int, default=None,

@@ -1,22 +1,15 @@
 """Deterministic fault injection for the storage seam.
 
 A :class:`FaultPlan` is a seeded schedule of storage-level misbehaviour —
-transient ``sqlite3.OperationalError``\\ s, latency spikes, and torn writes
-at the journaled fault points of a segmented mutation.  The plan is
+transient ``sqlite3.OperationalError``\\ s and latency spikes.  The plan is
 deterministic: the same seed and the same statement sequence produce the
-same faults, which keeps chaos runs reproducible and lets the crash-point
-fuzzer enumerate every kill site.
+same faults, which keeps chaos runs reproducible.
 
-The plan plugs in at two seams:
-
-* :meth:`FaultPlan.wrap` wraps a ``sqlite3.Connection`` so every
-  ``execute``/``executemany`` consults the plan first (errors + latency).
-  ``SQLiteStore`` wraps each per-thread connection when a plan is set.
-* :meth:`FaultPlan.fault_point` is installed as the ``SegmentedStore``
-  fault hook; at a mid-apply point a torn fault commits the partial
-  transaction and then raises :class:`InjectedCrash`, simulating a torn
-  page followed by process death.  The mutation journal makes the state
-  recoverable either way.
+:meth:`FaultPlan.wrap` wraps a ``sqlite3.Connection`` so every
+``execute``/``executemany`` consults the plan first (errors + latency).
+``SQLiteStore`` wraps each per-thread connection when a plan is set.
+:class:`InjectedCrash` is the crash tests' simulated process death at a
+``SegmentedStore`` fault point.
 
 Injected errors subclass ``sqlite3.OperationalError`` so the serving
 stack's degraded-mode handling treats real and injected storage trouble
@@ -47,12 +40,11 @@ class InjectedFault(sqlite3.OperationalError):
 
 
 class InjectedCrash(sqlite3.OperationalError):
-    """A simulated process death at a journaled mutation fault point.
+    """A simulated process death at a mutation fault point.
 
-    Mutation code must *not* clean up after this exception — the whole
-    point is to leave the database exactly as a crash would, so that the
-    journal recovery path (not a live ``except`` block) restores
-    integrity.
+    Raised before the commit, it rolls the mutation's transaction back,
+    which is the state SQLite's rollback journal restores after a real
+    crash; raised after the commit, the mutation stays applied.
     """
 
 
@@ -64,11 +56,10 @@ class FaultPlan:
     seed:
         Seeds the internal RNG; two plans with the same seed fault the
         same statements in the same order.
-    error_rate / torn_rate / latency_rate:
-        Per-decision probabilities in ``[0, 1]``.  ``error_rate`` governs
-        statement execution, ``torn_rate`` governs journaled mutation
-        fault points, ``latency_rate`` adds a synchronous sleep before a
-        statement.
+    error_rate / latency_rate:
+        Per-statement probabilities in ``[0, 1]``.  ``error_rate`` fails
+        the statement, ``latency_rate`` adds a synchronous sleep before
+        it.
     latency_seconds:
         Duration of one injected latency spike.
     delay:
@@ -76,7 +67,7 @@ class FaultPlan:
         finish startup (schema DDL, catalog validation) before the chaos
         begins.
     max_faults:
-        Total fault budget (errors + tears + spikes); once spent the plan
+        Total fault budget (errors + spikes); once spent the plan
         goes quiet, so a bounded retry policy is guaranteed to win
         eventually.
     """
@@ -85,15 +76,12 @@ class FaultPlan:
         self,
         seed: int = 0,
         error_rate: float = 0.0,
-        torn_rate: float = 0.0,
         latency_rate: float = 0.0,
         latency_seconds: float = 0.002,
         delay: int = 0,
         max_faults: Optional[int] = None,
     ) -> None:
-        for name, rate in (
-            ("error", error_rate), ("torn", torn_rate), ("latency", latency_rate),
-        ):
+        for name, rate in (("error", error_rate), ("latency", latency_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} rate must be in [0, 1], got {rate!r}")
         if latency_seconds < 0:
@@ -104,7 +92,6 @@ class FaultPlan:
             raise ValueError("max_faults must be non-negative")
         self.seed = seed
         self.error_rate = error_rate
-        self.torn_rate = torn_rate
         self.latency_rate = latency_rate
         self.latency_seconds = latency_seconds
         self.delay = delay
@@ -113,7 +100,7 @@ class FaultPlan:
         self._lock = threading.Lock()
         self._statements = 0
         self._metrics: Optional[MetricsRegistry] = None
-        self.injected: Dict[str, int] = {"error": 0, "torn": 0, "latency": 0}
+        self.injected: Dict[str, int] = {"error": 0, "latency": 0}
 
     # ----------------------------------------------------------------- #
     # Construction helpers
@@ -121,7 +108,6 @@ class FaultPlan:
     _SPEC_KEYS = {
         "seed": ("seed", int),
         "error": ("error_rate", float),
-        "torn": ("torn_rate", float),
         "latency": ("latency_rate", float),
         "latency-ms": ("latency_seconds", lambda raw: float(raw) / 1000.0),
         "delay": ("delay", int),
@@ -132,8 +118,8 @@ class FaultPlan:
     def parse(cls, spec: str) -> "FaultPlan":
         """Build a plan from a ``key=value,key=value`` CLI spec string.
 
-        Keys: ``seed``, ``error``, ``torn``, ``latency`` (rates in
-        ``[0,1]``), ``latency-ms``, ``delay``, ``max-faults``.
+        Keys: ``seed``, ``error``, ``latency`` (rates in ``[0,1]``),
+        ``latency-ms``, ``delay``, ``max-faults``.
         """
         settings: Dict[str, Any] = {}
         for part in spec.split(","):
@@ -161,8 +147,8 @@ class FaultPlan:
         budget = "unbounded" if self.max_faults is None else str(self.max_faults)
         return (
             f"FaultPlan(seed={self.seed}, error={self.error_rate}, "
-            f"torn={self.torn_rate}, latency={self.latency_rate}, "
-            f"delay={self.delay}, budget={budget})"
+            f"latency={self.latency_rate}, delay={self.delay}, "
+            f"budget={budget})"
         )
 
     def bind(self, metrics: MetricsRegistry) -> None:
@@ -202,20 +188,6 @@ class FaultPlan:
                 f"{sql.split(None, 1)[0] if sql.split() else sql!r} failed"
             )
 
-    def fault_point(self, name: str, connection: "sqlite3.Connection") -> None:
-        """SegmentedStore fault hook: maybe tear the write and crash.
-
-        At a mid-apply point (``*.apply``) a torn fault commits whatever
-        the mutation has written so far — simulating a torn page — and
-        then raises :class:`InjectedCrash`.  At intent/applied points the
-        crash is clean (uncommitted work rolls back on close).
-        """
-        if not self._spend("torn", self.torn_rate):
-            return
-        if name.endswith(".apply"):
-            connection.commit()
-        raise InjectedCrash(f"injected crash at fault point {name!r}")
-
     def wrap(self, connection: sqlite3.Connection) -> "FaultingConnection":
         return FaultingConnection(connection, self)
 
@@ -248,8 +220,9 @@ class FaultingConnection:
     """Connection proxy that injects plan faults on statement execution.
 
     Only ``execute``/``executemany``/``cursor`` are intercepted; commit,
-    rollback and close pass straight through, so transaction semantics
-    are exactly sqlite's — a plan makes statements *fail*, never lie.
+    rollback, close and the ``with`` transaction block pass straight
+    through, so transaction semantics are exactly sqlite's — a plan makes
+    statements *fail*, never lie.
     """
 
     def __init__(self, connection: sqlite3.Connection, plan: FaultPlan) -> None:
@@ -275,6 +248,12 @@ class FaultingConnection:
 
     def close(self) -> None:
         self._connection.close()
+
+    def __enter__(self) -> "FaultingConnection":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._connection.__exit__(*exc_info)
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._connection, name)

@@ -85,7 +85,6 @@ FAULTS_INJECTED = "faults.injected"
 
 JOURNAL_MUTATIONS = "journal.mutations"
 JOURNAL_REPLAYS = "journal.replays"
-JOURNAL_RECOVERIES = "journal.recoveries"
 
 POOL_REBUILDS = "pool.engine_rebuilds"
 POOL_REBUILD_FAILURES = "pool.rebuild_failures"

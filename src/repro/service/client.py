@@ -11,7 +11,7 @@ requests that fail with a retryable typed error (``overloaded``,
 backoff with deterministic jitter between attempts and reconnecting after
 transport failures.  Mutations (:meth:`update` / :meth:`delete_doc`)
 always carry a generated idempotency key that is reused across retries,
-so a replay of a mutation whose response was lost is a journal-backed
+so a replay of a mutation whose response was lost is a ledger-backed
 no-op answering the original result — retrying a mutation can never
 double-apply it.
 """
@@ -257,7 +257,7 @@ class ServiceClient:
 
         Needs a corpus backend served from a database (typed ``unsupported``
         error otherwise).  A key is generated when not given and reused
-        across retries, so a replayed update is a journal-backed no-op.
+        across retries, so a replayed update is a ledger-backed no-op.
         """
         key = idempotency_key or uuid.uuid4().hex
         response = self._checked({"op": "update", "doc": doc, "xml": xml,

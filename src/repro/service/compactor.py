@@ -104,8 +104,8 @@ class BackgroundCompactor:
             return self.interval_seconds
         except Exception:  # lint: allow(exception-discipline)
             # A failing disk must not spin the policy loop; count the
-            # failure and back off (the journal keeps the half-compacted
-            # store recoverable, so retrying later is always safe).
+            # failure and back off (a failed compaction rolls back whole,
+            # so retrying later is always safe).
             self.metrics.counter(metric_names.COMPACTOR_FAILURES).inc()
             with self._lock:
                 self._failures += 1

@@ -50,8 +50,9 @@ ERROR_UNSUPPORTED = "unsupported"
 #: Anything unexpected; the message carries the exception text.
 ERROR_INTERNAL = "internal"
 #: Transient loss of capacity: a quarantined worker or a storage fault.
-#: Safe (and worthwhile) to retry with backoff — mutations are journaled
-#: and idempotency-keyed, so a replay can never double-apply.
+#: Safe (and worthwhile) to retry with backoff — a mutation commits whole
+#: or not at all, and is idempotency-keyed, so a replay can never
+#: double-apply.
 ERROR_DEGRADED = "degraded"
 
 ERROR_CODES = (ERROR_BAD_REQUEST, ERROR_UNKNOWN_ALGORITHM, ERROR_OVERLOADED,

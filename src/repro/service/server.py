@@ -44,12 +44,12 @@ without a restart; responses carry the delta segment id and the live
 document list.
 
 Mutations may carry an idempotency ``key``: replaying a keyed mutation
-whose response was lost answers the original outcome from the mutation
-journal instead of applying it twice.  ``compact`` folds every delta
+whose response was lost answers the original outcome from the idempotency
+ledger instead of applying it twice.  ``compact`` folds every delta
 segment into the base generation on demand (the background compactor does
 the same on a segment-count trigger).  Storage faults during a mutation
-answer the typed ``degraded`` error — safe to retry, because the journal
-rolls half-applied mutations back or forward.
+answer the typed ``degraded`` error — safe to retry, because each mutation
+is one SQLite transaction that a fault rolls back whole.
 """
 
 from __future__ import annotations
@@ -487,8 +487,8 @@ class SearchService:
     @staticmethod
     def _degraded_message(error: sqlite3.OperationalError) -> str:
         """The message of a storage fault's ``degraded`` answer."""
-        return (f"storage fault during the mutation ({error}); the mutation "
-                f"journal guarantees a clean retry")
+        return (f"storage fault during the mutation ({error}); it rolled "
+                f"back whole, so a retry is clean")
 
     async def _update(self, request: Dict[str, object]) -> Dict[str, object]:
         store = self._mutable_store()

@@ -180,17 +180,14 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
     "CREATE INDEX IF NOT EXISTS idx_segment_value_dewey "
     "ON segment_value (segment_id, document, dewey)",
     # ------------------------------------------------------------------ #
-    # Crash-safe mutations (repro.storage.segments).  Every journaled
-    # mutation (update/delete/compact) writes a ``pending`` intent row in
-    # its own transaction *before* touching any data table, and clears it
-    # only after the apply transaction commits.  A crash in between leaves
-    # the intent behind; startup recovery compares the data tables against
-    # the recorded ``expected`` row counts and rolls the mutation back
-    # (partial/absent apply) or forward (apply committed, clear lost).
-    # Rows carrying an ``idempotency_key`` flip to ``done`` instead of
-    # being deleted — they are the replay ledger that makes a retried
-    # mutation a no-op.  The DDL is idempotent, so legacy databases grow
-    # the journal on first open.
+    # The idempotency ledger (repro.storage.segments).  A mutation that
+    # carries an ``idempotency_key`` writes one ``done`` row inside its own
+    # transaction, so the row exists exactly when the mutation committed
+    # and a retry with the same key answers the recorded ``segment_id``.
+    # ``expected`` is unused (ledger rows store ``'{}'``); ``pending`` rows
+    # exist only in files written by the older two-step journal, and
+    # ``verify --db`` reports them.  The DDL is idempotent, so legacy
+    # databases grow the ledger on first open.
     """
     CREATE TABLE IF NOT EXISTS mutation_journal (
         journal_id      INTEGER PRIMARY KEY AUTOINCREMENT,

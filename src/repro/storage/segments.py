@@ -21,14 +21,13 @@ sequence of immutable **delta segments**:
   base tables and clears the segment tables, leaving the database
   byte-for-byte equivalent (as observed through every query method) to one
   re-shredded from scratch at the same logical state.
-* Every mutation (update/delete/compact) is **crash-safe**: a ``pending``
-  intent row in the ``mutation_journal`` table commits before the apply
-  transaction and is cleared after it, so startup recovery can roll an
-  interrupted mutation back (partial/absent apply) or forward (apply
-  committed, clear lost) — the store always reopens to exactly the pre- or
-  post-mutation state.  Mutations carrying an idempotency key keep their
-  journal row as a ``done`` replay ledger entry, making a retried mutation
-  a no-op that answers the original segment id.
+* Every mutation (update/delete/compact) is **one SQLite transaction**, so
+  it is all-or-nothing under any failure, process death included: SQLite's
+  rollback journal undoes a transaction that never committed the next time
+  the file is opened.  A mutation carrying an idempotency key writes its
+  ``mutation_journal`` ledger row inside that same transaction, so the row
+  exists exactly when the mutation committed and a retry is a no-op that
+  answers the original segment id.
 
 :class:`SegmentedPostingSource` puts a segmented document behind the standard
 :class:`~repro.index.source.PostingSource` seam, so it slots into
@@ -45,13 +44,10 @@ documents of a legacy file into silent empty posting lists.
 
 from __future__ import annotations
 
-import json
-import sqlite3
 import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..faults.plan import InjectedCrash
 from ..index.packed import PackedDeweyList
 from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
 from ..obs import MetricsRegistry
@@ -99,29 +95,20 @@ class SegmentedStore(SQLiteStore):
         # Segment-resolution accounting (harvested into the metrics registry
         # by the instrumented pipeline via the posting source's read_stats).
         self.tombstone_hits = 0
-        #: Crash-simulation hook: called at every journaled fault point with
-        #: ``(point_name, connection)``.  A :class:`repro.faults.FaultPlan`
-        #: (or the crash-point fuzzer) may tear the write and raise
-        #: :class:`~repro.faults.InjectedCrash`; mutation code deliberately
-        #: does not clean up after that exception.
-        self.fault_hook: Optional[
-            Callable[[str, sqlite3.Connection], None]] = None
+        #: Crash-simulation hook: called with the point name at
+        #: ``<kind>.apply`` (the mutation's last statement ran, the commit
+        #: has not) and at ``<kind>.applied`` (right after the commit).
+        #: Crash tests raise :class:`~repro.faults.InjectedCrash` or end
+        #: the process there.
+        self.fault_hook: Optional[Callable[[str], None]] = None
         self._metrics: Optional[MetricsRegistry] = None
-        #: Interrupted mutations resolved by journal recovery so far.
-        self.last_recovery: Dict[str, int] = {"rolled_back": 0,
-                                              "rolled_forward": 0}
-        self._note_recovery(self._recover())
 
     # ------------------------------------------------------------------ #
-    # Mutation journal: crash safety and idempotent replay
+    # Mutation ledger: idempotent replay
     # ------------------------------------------------------------------ #
     def set_metrics(self, metrics: MetricsRegistry) -> None:
-        """Route journal events (and past recoveries) into a registry."""
+        """Route mutation and replay counts into a registry."""
         self._metrics = metrics
-        for action, count in self.last_recovery.items():
-            if count:
-                metrics.counter(metric_names.JOURNAL_RECOVERIES,
-                                {"action": action}).inc(count)
 
     def replay_of(self, idempotency_key: Optional[str]) -> Optional[int]:
         """The recorded segment id of an already-applied keyed mutation.
@@ -145,155 +132,28 @@ class SegmentedStore(SQLiteStore):
     def _fault_point(self, name: str) -> None:
         hook = self.fault_hook
         if hook is not None:
-            hook(name, self._connection)
+            hook(name)
 
-    def _journal_begin(self, kind: str, document: str, segment_id: int,
-                       expected: Dict[str, int],
-                       idempotency_key: Optional[str] = None) -> int:
-        """Commit a ``pending`` intent row in its own transaction."""
-        connection = self._connection
-        try:
-            cursor = connection.cursor()
-            cursor.execute(
+    def _write_ledger_row(self, kind: str, document: str, segment_id: int,
+                          idempotency_key: Optional[str]) -> None:
+        """Record a keyed mutation inside its own open transaction.
+
+        The row commits exactly when the mutation does.  The schema's
+        ``expected`` column is unused; ledger rows fill it with ``'{}'``.
+        """
+        if idempotency_key is not None:
+            self._connection.execute(
                 "INSERT INTO mutation_journal (kind, document, segment_id, "
                 "expected, idempotency_key, state) "
-                "VALUES (?, ?, ?, ?, ?, 'pending')",
-                (kind, document, segment_id,
-                 json.dumps(expected, sort_keys=True), idempotency_key))
-            connection.commit()
-        except BaseException:
-            connection.rollback()
-            raise
-        return int(cursor.lastrowid)
+                "VALUES (?, ?, ?, '{}', ?, 'done')",
+                (kind, document, segment_id, idempotency_key))
 
-    def _journal_finish(self, journal_id: int, kind: str,
-                        idempotency_key: Optional[str]) -> None:
-        """Clear the intent after the apply committed.
-
-        Keyed rows flip to ``done`` (the replay ledger); anonymous rows
-        are deleted.  If this step fails or is lost to a crash, recovery
-        rolls the mutation *forward* — the apply already committed.
-        """
-        connection = self._connection
-        try:
-            if idempotency_key is None:
-                connection.execute(
-                    "DELETE FROM mutation_journal WHERE journal_id = ?",
-                    (journal_id,))
-            else:
-                connection.execute(
-                    "UPDATE mutation_journal SET state = 'done' "
-                    "WHERE journal_id = ?", (journal_id,))
-            connection.commit()
-        except BaseException:
-            connection.rollback()
-            raise
+    def _committed(self, kind: str) -> None:
+        """After the commit: the ``.applied`` fault point, then the count."""
+        self._fault_point(f"{kind}.applied")
         if self._metrics is not None:
             self._metrics.counter(metric_names.JOURNAL_MUTATIONS,
                                   {"kind": kind}).inc()
-
-    def _journal_abort(self, journal_id: int) -> None:
-        """Best-effort intent removal after an in-process apply rollback."""
-        connection = self._connection
-        try:
-            connection.execute(
-                "DELETE FROM mutation_journal WHERE journal_id = ?",
-                (journal_id,))
-            connection.commit()
-        except sqlite3.Error:
-            # The pending intent stays behind; startup or next-mutation
-            # recovery resolves it.  Never mask the original error.
-            connection.rollback()
-
-    def _recover_if_pending(self) -> None:
-        """Heal interrupted mutations before starting a new one."""
-        pending = self._scalar(
-            "SELECT COUNT(*) FROM mutation_journal WHERE state = 'pending'")
-        if pending:
-            self._note_recovery(self._recover())
-
-    def _note_recovery(self, report: Dict[str, int]) -> None:
-        for action, count in report.items():
-            self.last_recovery[action] = (
-                self.last_recovery.get(action, 0) + count)
-            if count and self._metrics is not None:
-                self._metrics.counter(metric_names.JOURNAL_RECOVERIES,
-                                      {"action": action}).inc(count)
-
-    def _recover(self) -> Dict[str, int]:
-        """Resolve every pending journal intent, atomically.
-
-        An intent whose apply committed in full (the data tables match the
-        recorded expected row counts) is rolled **forward** — only the
-        journal clear was lost.  Anything else (absent or torn apply) is
-        rolled **back** by deleting every row under the intent's segment
-        id.  The whole sweep commits once, so recovery itself is
-        crash-safe.
-        """
-        connection = self._connection
-        pending = connection.execute(
-            "SELECT journal_id, kind, document, segment_id, expected, "
-            "idempotency_key FROM mutation_journal WHERE state = 'pending' "
-            "ORDER BY journal_id").fetchall()
-        report = {"rolled_back": 0, "rolled_forward": 0}
-        if not pending:
-            return report
-        try:
-            cursor = connection.cursor()
-            for journal_id, kind, document, segment_id, raw, key in pending:
-                expected = json.loads(raw)
-                if self._mutation_applied(kind, document, int(segment_id),
-                                          expected):
-                    if key is None:
-                        cursor.execute(
-                            "DELETE FROM mutation_journal "
-                            "WHERE journal_id = ?", (journal_id,))
-                    else:
-                        cursor.execute(
-                            "UPDATE mutation_journal SET state = 'done' "
-                            "WHERE journal_id = ?", (journal_id,))
-                    report["rolled_forward"] += 1
-                else:
-                    if kind in ("update", "delete"):
-                        for table in _SEGMENT_TABLES:
-                            cursor.execute(
-                                f"DELETE FROM {table} WHERE segment_id = ?",
-                                (int(segment_id),))
-                    cursor.execute(
-                        "DELETE FROM mutation_journal WHERE journal_id = ?",
-                        (journal_id,))
-                    report["rolled_back"] += 1
-            connection.commit()
-        except BaseException:
-            connection.rollback()
-            raise
-        return report
-
-    def _mutation_applied(self, kind: str, document: str, segment_id: int,
-                          expected: Dict[str, int]) -> bool:
-        """Did the intent's apply transaction commit in full?"""
-        if kind == "compact":
-            # Compaction's apply is one atomic transaction that ends with
-            # every segment table empty; if segments survive, it never
-            # committed.  (A no-op compact over zero segments leaves pre
-            # and post states identical, so either answer is correct.)
-            if int(expected.get("segments", 0)) == 0:
-                return True
-            return self.segment_count() == 0
-        if kind == "delete":
-            row = self._connection.execute(
-                "SELECT kind FROM segment "
-                "WHERE segment_id = ? AND document = ?",
-                (segment_id, document)).fetchone()
-            return row is not None and row[0] == SEGMENT_KIND_TOMBSTONE
-        counts = {
-            table: self._scalar(
-                f"SELECT COUNT(*) FROM {table} "
-                f"WHERE segment_id = ? AND document = ?", segment_id, document)
-            for table in _SEGMENT_TABLES
-        }
-        return counts == {table: int(count)
-                          for table, count in expected.items()}
 
     # ------------------------------------------------------------------ #
     # Location resolution
@@ -361,7 +221,7 @@ class SegmentedStore(SQLiteStore):
 
         Works for brand-new documents too (an add is an update with no
         shadowed predecessor).  Returns the new segment id.  A repeated
-        ``idempotency_key`` makes the call a journal-backed no-op that
+        ``idempotency_key`` makes the call a ledger-backed no-op that
         answers the original segment id.
         """
         document = name or tree.name or "document"
@@ -372,31 +232,16 @@ class SegmentedStore(SQLiteStore):
                         idempotency_key: Optional[str] = None) -> int:
         """Write one already-shredded document version as a delta segment.
 
-        The write is a journaled two-step: a ``pending`` intent row
-        commits first (recording the expected row counts), then the
-        segment rows commit in one apply transaction, then the intent is
-        cleared.  A crash at any point leaves a state that
-        :meth:`_recover` resolves to exactly the pre- or post-mutation
-        store.
+        The segment rows and, for a keyed call, the ledger row commit as
+        one transaction: a failure or crash before the commit leaves the
+        store as it was, with no ledger row to replay.
         """
         with self._write_lock:
-            self._recover_if_pending()
             replayed = self.replay_of(idempotency_key)
             if replayed is not None:
                 return replayed
-            connection = self._connection
-            postings = list(packed_posting_rows(shredded))
-            expected = {"segment": 1,
-                        "segment_label": len(shredded.labels),
-                        "segment_element": len(shredded.elements),
-                        "segment_value": len(shredded.values),
-                        "segment_posting": len(postings)}
             segment_id = self._next_segment_id()
-            journal_id = self._journal_begin("update", shredded.name,
-                                             segment_id, expected,
-                                             idempotency_key)
-            self._fault_point("update.intent")
-            try:
+            with self._connection as connection:
                 cursor = connection.cursor()
                 cursor.execute(
                     "INSERT INTO segment (segment_id, document, kind) "
@@ -407,7 +252,6 @@ class SegmentedStore(SQLiteStore):
                     "id) VALUES (?, ?, ?, ?)",
                     [(segment_id, shredded.name, row.label, row.label_id)
                      for row in shredded.labels])
-                self._fault_point("update.apply")
                 cursor.executemany(
                     "INSERT INTO segment_element (segment_id, document, "
                     "label, dewey, level, label_number_sequence, "
@@ -429,52 +273,36 @@ class SegmentedStore(SQLiteStore):
                     "VALUES (?, ?, ?, ?, ?, ?)",
                     [(segment_id, shredded.name, keyword, cardinality, blob,
                       max_depth)
-                     for keyword, cardinality, blob, max_depth in postings])
-                connection.commit()
-            except InjectedCrash:
-                # Simulated process death: leave the database exactly as
-                # the crash left it; journal recovery restores integrity.
-                raise
-            except BaseException:
-                connection.rollback()
-                self._journal_abort(journal_id)
-                raise
-            self._fault_point("update.applied")
-            self._journal_finish(journal_id, "update", idempotency_key)
+                     for keyword, cardinality, blob, max_depth
+                     in packed_posting_rows(shredded)])
+                self._write_ledger_row("update", shredded.name, segment_id,
+                                       idempotency_key)
+                self._fault_point("update.apply")
+            self._committed("update")
             return segment_id
 
     def delete_document(self, name: str,
                         idempotency_key: Optional[str] = None) -> int:
         """Tombstone one live document; returns the tombstone's segment id.
 
-        Journaled like :meth:`update_shredded`; a repeated
+        One transaction, like :meth:`update_shredded`; a repeated
         ``idempotency_key`` is a no-op answering the original segment id.
         """
         with self._write_lock:
-            self._recover_if_pending()
             replayed = self.replay_of(idempotency_key)
             if replayed is not None:
                 return replayed
             self._require(name)
-            connection = self._connection
             segment_id = self._next_segment_id()
-            journal_id = self._journal_begin("delete", name, segment_id,
-                                             {"segment": 1}, idempotency_key)
-            self._fault_point("delete.intent")
-            try:
+            with self._connection as connection:
                 connection.execute(
                     "INSERT INTO segment (segment_id, document, kind) "
                     "VALUES (?, ?, ?)",
                     (segment_id, name, SEGMENT_KIND_TOMBSTONE))
-                connection.commit()
-            except InjectedCrash:
-                raise
-            except BaseException:
-                connection.rollback()
-                self._journal_abort(journal_id)
-                raise
-            self._fault_point("delete.applied")
-            self._journal_finish(journal_id, "delete", idempotency_key)
+                self._write_ledger_row("delete", name, segment_id,
+                                       idempotency_key)
+                self._fault_point("delete.apply")
+            self._committed("delete")
             return segment_id
 
     def compact(self) -> Dict[str, int]:
@@ -482,19 +310,15 @@ class SegmentedStore(SQLiteStore):
 
         Shadowed base rows and tombstoned documents are physically removed,
         the surviving segment row sets are copied into the base tables, and
-        all segment tables are cleared.  Afterwards the store answers every
-        query exactly as a freshly re-shredded one would.  Returns counters:
-        ``folded`` documents materialized from segments, ``dropped``
-        tombstoned documents removed, ``segments`` delta segments absorbed.
+        all segment tables are cleared, in one transaction.  Afterwards the
+        store answers every query exactly as a freshly re-shredded one
+        would.  Returns counters: ``folded`` documents materialized from
+        segments, ``dropped`` tombstoned documents removed, ``segments``
+        delta segments absorbed.
         """
         with self._write_lock:
-            self._recover_if_pending()
-            connection = self._connection
             segments = self.segment_count()
-            journal_id = self._journal_begin("compact", "", 0,
-                                             {"segments": segments})
-            self._fault_point("compact.intent")
-            try:
+            with self._connection as connection:
                 latest = self._latest_events()
                 folded = dropped = 0
                 cursor = connection.cursor()
@@ -538,15 +362,8 @@ class SegmentedStore(SQLiteStore):
                         dropped += 1
                 for table in _SEGMENT_TABLES:
                     cursor.execute(f"DELETE FROM {table}")
-                connection.commit()
-            except InjectedCrash:
-                raise
-            except BaseException:
-                connection.rollback()
-                self._journal_abort(journal_id)
-                raise
-            self._fault_point("compact.applied")
-            self._journal_finish(journal_id, "compact", None)
+                self._fault_point("compact.apply")
+            self._committed("compact")
             return {"folded": folded, "dropped": dropped,
                     "segments": segments}
 
@@ -556,33 +373,24 @@ class SegmentedStore(SQLiteStore):
         A dead document name (deleted, or replaced by a newer segment that
         was itself deleted) may still own stale base or segment rows; they
         are purged first so re-adding a deleted document behaves exactly like
-        storing it into a fresh database.
+        storing it into a fresh database.  The purge and the base insert
+        share one transaction: the base insert's ``with`` block commits or
+        rolls back both.
         """
         with self._write_lock:
-            self._recover_if_pending()
             if self.location_of(shredded.name) is not None:
                 raise DocumentAlreadyStored(
                     f"document {shredded.name!r} already stored")
-            connection = self._connection
-            try:
+            with self._connection:
                 self._purge(shredded.name)
-            except BaseException:
-                connection.rollback()
-                raise
-            return super().store_shredded(shredded)
+                return super().store_shredded(shredded)
 
     def drop_document(self, name: str) -> None:
         """Physically remove every trace of one live document (all tables)."""
         with self._write_lock:
-            self._recover_if_pending()
             self._require(name)
-            connection = self._connection
-            try:
+            with self._connection:
                 self._purge(name)
-                connection.commit()
-            except BaseException:
-                connection.rollback()
-                raise
 
     def _purge(self, name: str) -> None:
         cursor = self._connection.cursor()

@@ -101,7 +101,6 @@ class SQLiteStore:
             else:
                 connection = sqlite3.connect(self.path,
                                              check_same_thread=False)
-            connection.execute("PRAGMA journal_mode = MEMORY")
             for statement in CREATE_TABLES_SQL:
                 connection.execute(statement)
             # Legacy files predate the impact column; grow it in place.
@@ -141,45 +140,49 @@ class SQLiteStore:
         return self.store_shredded(shredded)
 
     def store_shredded(self, shredded: ShreddedDocument) -> ShreddedDocument:
-        """Insert already-shredded rows."""
+        """Insert already-shredded rows in one transaction.
+
+        A failing statement rolls the whole document back, so none of its
+        rows can ride along with the connection's next commit.
+        """
         if self._has_rows("element", shredded.name):
             raise DocumentAlreadyStored(f"document {shredded.name!r} already stored")
-        cursor = self._connection.cursor()
-        cursor.executemany(
-            "INSERT INTO label (document, label, id) VALUES (?, ?, ?)",
-            [(shredded.name, row.label, row.label_id) for row in shredded.labels],
-        )
-        cursor.executemany(
-            "INSERT INTO element (document, label, dewey, level, "
-            "label_number_sequence, content_feature_min, content_feature_max) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            [(shredded.name, row.label, row.dewey, row.level,
-              row.label_number_sequence, row.content_feature_min,
-              row.content_feature_max) for row in shredded.elements],
-        )
-        cursor.executemany(
-            "INSERT INTO value (document, label, dewey, attribute, keyword) "
-            "VALUES (?, ?, ?, ?, ?)",
-            [(shredded.name, row.label, row.dewey, row.attribute, row.keyword)
-             for row in shredded.values],
-        )
-        cursor.executemany(
-            "INSERT INTO posting (document, keyword, cardinality, blob, "
-            "max_depth) VALUES (?, ?, ?, ?, ?)",
-            [(shredded.name, keyword, cardinality, blob, max_depth)
-             for keyword, cardinality, blob, max_depth
-             in packed_posting_rows(shredded)],
-        )
-        self._connection.commit()
+        with self._connection as connection:
+            cursor = connection.cursor()
+            cursor.executemany(
+                "INSERT INTO label (document, label, id) VALUES (?, ?, ?)",
+                [(shredded.name, row.label, row.label_id) for row in shredded.labels],
+            )
+            cursor.executemany(
+                "INSERT INTO element (document, label, dewey, level, "
+                "label_number_sequence, content_feature_min, content_feature_max) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                [(shredded.name, row.label, row.dewey, row.level,
+                  row.label_number_sequence, row.content_feature_min,
+                  row.content_feature_max) for row in shredded.elements],
+            )
+            cursor.executemany(
+                "INSERT INTO value (document, label, dewey, attribute, keyword) "
+                "VALUES (?, ?, ?, ?, ?)",
+                [(shredded.name, row.label, row.dewey, row.attribute, row.keyword)
+                 for row in shredded.values],
+            )
+            cursor.executemany(
+                "INSERT INTO posting (document, keyword, cardinality, blob, "
+                "max_depth) VALUES (?, ?, ?, ?, ?)",
+                [(shredded.name, keyword, cardinality, blob, max_depth)
+                 for keyword, cardinality, blob, max_depth
+                 in packed_posting_rows(shredded)],
+            )
         return shredded
 
     def drop_document(self, name: str) -> None:
-        """Delete all rows of one document."""
+        """Delete all rows of one document, in one transaction."""
         self._require(name)
-        cursor = self._connection.cursor()
-        for table in ("label", "element", "value", "posting"):
-            cursor.execute(f"DELETE FROM {table} WHERE document = ?", (name,))
-        self._connection.commit()
+        with self._connection as connection:
+            cursor = connection.cursor()
+            for table in ("label", "element", "value", "posting"):
+                cursor.execute(f"DELETE FROM {table} WHERE document = ?", (name,))
 
     # ------------------------------------------------------------------ #
     # Queries

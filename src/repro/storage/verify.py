@@ -1,14 +1,19 @@
 """Database integrity verification (``repro.cli verify --db``).
 
-Treats integrity checking as a first-class database operation: open the
-store (which runs journal recovery), then sweep the catalog, liveness and
-posting-blob invariants that the segmented mutation model guarantees.
-Returns a typed :class:`IntegrityReport` instead of printing, so the CLI,
-the chaos smoke and the crash-point fuzzer all assert on the same object.
+Treats integrity checking as a first-class database operation: run
+SQLite's own page-level check, open the store, then sweep the catalog,
+liveness and posting-blob invariants that the segmented mutation model
+guarantees.  Returns a typed :class:`IntegrityReport` instead of printing,
+so the CLI, the chaos smoke and the crash-point fuzzer all assert on the
+same object.
 
 Checked invariants:
 
-* **journal** — no ``pending`` intent survives recovery.
+* **sqlite** — ``PRAGMA integrity_check`` reads ``ok`` and the store
+  opens; otherwise the report holds this one finding and the sweep stops.
+* **journal** — no ``pending`` ledger row exists.  Only a file written by
+  the older two-step mutation journal can hold one, left by a crash;
+  nothing resolves it now.
 * **catalog** — every ``doc`` segment event owns label *and* element rows;
   tombstone events own no payload rows; no payload row is orphaned from
   the ``segment`` catalog.
@@ -27,6 +32,8 @@ Checked invariants:
 
 from __future__ import annotations
 
+import sqlite3
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
@@ -58,7 +65,6 @@ class IntegrityReport:
     path: str
     documents: int = 0
     segments: int = 0
-    recovered: Dict[str, int] = field(default_factory=dict)
     findings: List[IntegrityFinding] = field(default_factory=list)
 
     @property
@@ -78,7 +84,6 @@ class IntegrityReport:
             "clean": self.clean,
             "documents": self.documents,
             "segments": self.segments,
-            "recovered": dict(self.recovered),
             "findings": [finding.payload() for finding in self.findings],
         }
 
@@ -86,12 +91,6 @@ class IntegrityReport:
         lines = [f"verify {self.path}: "
                  f"{self.documents} live document(s), "
                  f"{self.segments} delta segment(s)"]
-        recovered = sum(self.recovered.values())
-        if recovered:
-            lines.append(
-                f"  recovered {recovered} interrupted mutation(s) at open "
-                f"(back={self.recovered.get('rolled_back', 0)}, "
-                f"forward={self.recovered.get('rolled_forward', 0)})")
         for finding in self.findings:
             lines.append(f"  [{finding.severity}] {finding.code}: "
                          f"{finding.message}")
@@ -101,16 +100,19 @@ class IntegrityReport:
 
 
 def verify_database(path: Union[str, Path]) -> IntegrityReport:
-    """Open ``path`` (running journal recovery) and sweep every invariant."""
-    store = SegmentedStore(path)
+    """Check ``path`` with SQLite, then open it and sweep every invariant.
+
+    A file SQLite cannot read yields the one ``sqlite-integrity`` error
+    finding instead of an exception.
+    """
+    report = IntegrityReport(path=str(path))
     try:
-        report = IntegrityReport(path=str(path))
-        report.recovered = dict(store.last_recovery)
-        if sum(report.recovered.values()):
-            report.info(
-                "journal-recovered",
-                f"resolved {sum(report.recovered.values())} interrupted "
-                f"mutation(s) left by a crash")
+        _check_sqlite(path)
+        store = SegmentedStore(path)
+    except sqlite3.DatabaseError as error:
+        report.error("sqlite-integrity", str(error))
+        return report
+    try:
         report.documents = len(store.documents())
         report.segments = store.segment_count()
         connection = store._connection
@@ -124,14 +126,29 @@ def verify_database(path: Union[str, Path]) -> IntegrityReport:
         store.close()
 
 
+def _check_sqlite(path: Union[str, Path]) -> None:
+    """Raise ``sqlite3.DatabaseError`` unless SQLite's own check passes.
+
+    Runs on a plain connection before the store opens, so the store's
+    schema statements never touch a damaged file.  Like any first reader
+    of a crashed file, it rolls back a hot rollback journal first.
+    """
+    with closing(sqlite3.connect(str(path))) as connection:
+        problems = [problem for (problem,) in
+                    connection.execute("PRAGMA integrity_check")]
+    if problems != ["ok"]:
+        raise sqlite3.DatabaseError(
+            f"PRAGMA integrity_check failed: {'; '.join(problems[:5])}")
+
+
 def _check_journal(connection: Any, report: IntegrityReport) -> None:
     pending = connection.execute(
         "SELECT COUNT(*) FROM mutation_journal "
         "WHERE state = 'pending'").fetchone()[0]
     if pending:
         report.error("journal-pending",
-                     f"{pending} pending journal intent(s) survived "
-                     f"recovery")
+                     f"{pending} pending intent row(s) of an interrupted "
+                     f"mutation under the older two-step journal")
 
 
 def _check_catalog(connection: Any, report: IntegrityReport) -> None:

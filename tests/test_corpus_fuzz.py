@@ -143,25 +143,22 @@ def test_mutated_corpus_equals_per_document_union():
 
 
 # ---------------------------------------------------------------------- #
-# Crash-point differential fuzz: kill the process at every journaled
-# fault point; the reopened database must answer exactly like the fresh
-# pre-mutation or post-mutation oracle (atomicity), never anything else.
+# Crash-point differential fuzz: kill the process at both fault points of
+# every mutation; the reopened database must answer exactly like the fresh
+# pre-mutation oracle (killed before the commit) or the post-mutation one
+# (killed after it), never anything else.
 # ---------------------------------------------------------------------- #
-#: (fault point, tear?) per mutation kind; a torn kill commits the
-#: partial apply transaction first, simulating a torn page + power loss.
+#: ``<kind>.apply`` (last statement ran, no commit) then ``<kind>.applied``
+#: (right after the commit), per mutation kind.
 CRASH_POINTS = {
-    "update": (("update.intent", False), ("update.apply", True),
-               ("update.applied", False)),
-    "delete": (("delete.intent", False), ("delete.applied", False)),
-    "compact": (("compact.intent", False), ("compact.applied", False)),
+    kind: (f"{kind}.apply", f"{kind}.applied")
+    for kind in ("update", "delete", "compact")
 }
 
 
-def _kill_hook(point: str, tear: bool):
-    def hook(name, connection):
+def _kill_hook(point: str):
+    def hook(name):
         if name == point:
-            if tear:
-                connection.commit()
             raise InjectedCrash(f"killed at {name}")
     return hook
 
@@ -180,12 +177,12 @@ def _apply(store, state, kind, name, tree):
 def test_crash_at_every_kill_point_recovers(tmp_path):
     """The crash-point differential contract.
 
-    For every mutation of a seeded sequence and every journaled fault
-    point of that mutation kind, crash a copy of the database mid-flight,
-    reopen it (journal recovery runs), and assert the survivor answers
-    byte-identically to either the pre-mutation or the post-mutation
-    fresh-rebuild oracle — a mutation is all-or-nothing under any crash —
-    and that ``verify_database`` finds a clean store.
+    For every mutation of a seeded sequence and both fault points of that
+    mutation kind, crash a copy of the database mid-flight, reopen it, and
+    assert the survivor answers byte-identically to the pre-mutation
+    fresh-rebuild oracle after a crash before the commit, and to the
+    post-mutation one after a crash past it — a mutation is all-or-nothing
+    — and that ``verify_database`` finds a clean store.
     """
     seed = 11
     state = random_corpus(seed, min_docs=2, max_docs=3, max_nodes=20)
@@ -212,27 +209,22 @@ def test_crash_at_every_kill_point_recovers(tmp_path):
         pre_lines = wire_lines(fresh_oracle(pre_state), queries)
         post_lines = wire_lines(fresh_oracle(post_state), queries)
         store.close()
-        for point, tear in CRASH_POINTS[kind]:
+        for point in CRASH_POINTS[kind]:
             trial_no += 1
             trial = str(tmp_path / f"trial-{trial_no}.db")
             shutil.copy(db, trial)
             victim = SegmentedStore(trial)
-            victim.fault_hook = _kill_hook(point, tear)
+            victim.fault_hook = _kill_hook(point)
             with pytest.raises(InjectedCrash):
                 _apply(victim, dict(state), kind, name, tree)
             victim.close()
-            # "Reboot": recovery runs at open and resolves the intent —
-            # rolled back must answer the pre-mutation oracle, rolled
-            # forward the post-mutation one; nothing in between exists.
+            committed = point.endswith(".applied")
             survivor = SegmentedStore(trial)
-            recovery = dict(survivor.last_recovery)
-            assert sum(recovery.values()) == 1, (kind, point, recovery)
-            forward = recovery["rolled_forward"] == 1
-            outcome = post_state if forward else pre_state
+            outcome = post_state if committed else pre_state
             assert set(survivor.documents()) == set(outcome), (kind, point)
             got = wire_lines(segmented_engine(survivor), queries)
-            assert got == (post_lines if forward else pre_lines), \
-                (kind, point, forward)
+            assert got == (post_lines if committed else pre_lines), \
+                (kind, point)
             survivor.close()
             report = verify_database(trial)
             assert report.clean, (kind, point, report.render())

@@ -1,14 +1,15 @@
-"""Fault injection, journal recovery and integrity verification.
+"""Fault injection, crash atomicity and integrity verification.
 
 Unit coverage of the robustness substrate:
 
 * :class:`repro.faults.FaultPlan` — spec parsing, deterministic schedules,
   fault budget / warm-up delay, metrics routing, connection wrapping.
-* The mutation journal of :class:`repro.storage.SegmentedStore` — a crash
-  at any journaled fault point leaves a database that the next open heals
-  (roll back when the apply never committed, roll forward when only the
-  journal clear was lost), with keyed replays answering the original
-  segment id.
+* One transaction per write of :class:`repro.storage.SQLiteStore` and
+  :class:`repro.storage.SegmentedStore` — a failure or crash before the
+  commit leaves the pre-mutation store, one after it the post-mutation
+  store, with keyed replays answering the original segment id.  Killing
+  a child process with ``SIGKILL`` mid-mutation proves SQLite's rollback
+  journal restores the file.
 * :func:`repro.storage.verify_database` — clean databases pass, and
   hand-corrupted ones surface typed findings.
 * :class:`repro.service.RetryPolicy` — backoff math and validation.
@@ -20,12 +21,23 @@ The end-to-end counterparts live in ``tests/test_service_parity.py``
 
 from __future__ import annotations
 
+import itertools
+import os
+import shutil
+import signal
 import sqlite3
+import subprocess
+import sys
+from contextlib import closing
+from pathlib import Path
 from random import Random
 
 import pytest
 
-from repro.datasets import publications_tree, team_tree
+import repro
+from fuzz_util import fresh_oracle, segmented_engine, wire_lines
+from repro.cli import main
+from repro.datasets import default_dblp_tree, publications_tree, team_tree
 from repro.faults import FaultPlan, InjectedCrash, InjectedFault
 from repro.obs import MetricsRegistry
 from repro.obs import names as metric_names
@@ -38,11 +50,10 @@ from repro.storage import SegmentedStore, SQLiteStore, verify_database
 # ---------------------------------------------------------------------- #
 class TestFaultPlanParsing:
     def test_parse_full_spec(self):
-        plan = FaultPlan.parse("seed=7, error=0.2, torn=0.1, latency=0.05, "
+        plan = FaultPlan.parse("seed=7, error=0.2, latency=0.05, "
                                "latency-ms=3, delay=10, max-faults=5")
         assert plan.seed == 7
         assert plan.error_rate == 0.2
-        assert plan.torn_rate == 0.1
         assert plan.latency_rate == 0.05
         assert plan.latency_seconds == 0.003
         assert plan.delay == 10
@@ -52,7 +63,8 @@ class TestFaultPlanParsing:
         plan = FaultPlan.parse("")
         assert plan.error_rate == 0.0 and plan.max_faults is None
 
-    @pytest.mark.parametrize("spec", ["bogus=1", "error", "error:0.5"])
+    @pytest.mark.parametrize("spec", ["bogus=1", "error", "error:0.5",
+                                      "torn=0.1"])
     def test_parse_rejects_malformed_entries(self, spec):
         with pytest.raises(ValueError, match="bad fault-plan entry"):
             FaultPlan.parse(spec)
@@ -62,7 +74,7 @@ class TestFaultPlanParsing:
             FaultPlan.parse("error=lots")
 
     @pytest.mark.parametrize("kwargs", [
-        {"error_rate": 1.5}, {"torn_rate": -0.1}, {"latency_rate": 2.0},
+        {"error_rate": 1.5}, {"latency_rate": 2.0},
         {"latency_seconds": -1.0}, {"delay": -1}, {"max_faults": -1},
     ])
     def test_constructor_validates_settings(self, kwargs):
@@ -124,28 +136,6 @@ class TestFaultPlanSchedules:
                     if name.startswith(metric_names.FAULTS_INJECTED))
         assert total == 6 == sum(plan.injected.values())
 
-    def test_torn_fault_commits_partial_write_at_apply_points(self):
-        plan = FaultPlan(torn_rate=1.0)
-        connection = sqlite3.connect(":memory:")
-        connection.execute("CREATE TABLE t (x)")
-        connection.commit()
-        connection.execute("INSERT INTO t VALUES (1)")
-        with pytest.raises(InjectedCrash):
-            plan.fault_point("update.apply", connection)
-        connection.rollback()  # the crash-sim close; the tear committed
-        assert connection.execute("SELECT COUNT(*) FROM t").fetchone()[0] == 1
-
-    def test_clean_crash_at_intent_points_does_not_commit(self):
-        plan = FaultPlan(torn_rate=1.0)
-        connection = sqlite3.connect(":memory:")
-        connection.execute("CREATE TABLE t (x)")
-        connection.commit()
-        connection.execute("INSERT INTO t VALUES (1)")
-        with pytest.raises(InjectedCrash):
-            plan.fault_point("update.intent", connection)
-        connection.rollback()
-        assert connection.execute("SELECT COUNT(*) FROM t").fetchone()[0] == 0
-
 
 # ---------------------------------------------------------------------- #
 # The storage seam: wrapped connections and stores
@@ -177,24 +167,44 @@ class TestFaultingConnection:
             store.documents()
         store.close()
 
+    @pytest.mark.parametrize("store_class", [SQLiteStore, SegmentedStore])
+    def test_failed_ingestion_leaks_no_rows_into_the_next_commit(
+            self, tmp_path, store_class):
+        # Fail each statement of store_tree in turn; the same handle's next
+        # write must commit nothing of the failed document.
+        for delay in itertools.count():
+            path = str(tmp_path / f"ingest-{delay}.db")
+            store = store_class(path)
+            store.set_fault_plan(FaultPlan(error_rate=1.0, delay=delay,
+                                           max_faults=1))
+            try:
+                store.store_tree(team_tree(), "team")
+            except InjectedFault:
+                pass
+            else:
+                store.close()
+                break
+            store.store_tree(publications_tree(), "publications")
+            assert store.documents() == ["publications"], delay
+            store.close()
+            with closing(sqlite3.connect(path)) as connection:
+                for table in ("label", "element", "value", "posting"):
+                    assert connection.execute(
+                        f"SELECT COUNT(*) FROM {table} "
+                        f"WHERE document = 'team'").fetchone() == (0,), \
+                        (delay, table)
+        assert delay >= 5  # every statement of store_tree failed once
+
 
 # ---------------------------------------------------------------------- #
-# Journal recovery: every kill point heals on the next open
+# Crash atomicity: a crash before the commit leaves the pre state, one
+# after it the post state
 # ---------------------------------------------------------------------- #
-def crash_at(point: str):
-    """A fault hook simulating process death at one named kill point."""
-    def hook(name, connection):
+def crash_at(point: str, error: type = InjectedCrash):
+    """A fault hook raising ``error`` at one named fault point."""
+    def hook(name):
         if name == point:
-            raise InjectedCrash(f"killed at {name}")
-    return hook
-
-
-def tear_at(point: str):
-    """Like :func:`crash_at` but commits the partial write first."""
-    def hook(name, connection):
-        if name == point:
-            connection.commit()
-            raise InjectedCrash(f"torn at {name}")
+            raise error(f"killed at {name}")
     return hook
 
 
@@ -215,65 +225,55 @@ class TestJournalRecovery:
             store.update_document(team_tree(), "team")
         store.close()
 
-    def test_crash_at_intent_rolls_back(self, db):
-        self.crashed_update(db, crash_at("update.intent"))
+    def test_crash_before_commit_leaves_the_pre_state(self, db):
+        self.crashed_update(db, crash_at("update.apply"))
         store = SegmentedStore(db)
-        assert store.last_recovery == {"rolled_back": 1, "rolled_forward": 0}
         assert store.documents() == ["publications", "team"]
         assert store.segment_count() == 0
         store.close()
         assert verify_database(db).clean
 
-    def test_torn_apply_rolls_back(self, db):
-        self.crashed_update(db, tear_at("update.apply"))
-        store = SegmentedStore(db)
-        assert store.last_recovery == {"rolled_back": 1, "rolled_forward": 0}
-        assert store.segment_count() == 0
-        store.close()
-        assert verify_database(db).clean
-
-    def test_crash_after_apply_rolls_forward(self, db):
+    def test_crash_after_commit_leaves_the_post_state(self, db):
         self.crashed_update(db, crash_at("update.applied"))
         store = SegmentedStore(db)
-        assert store.last_recovery == {"rolled_back": 0, "rolled_forward": 1}
         assert store.segment_count() == 1
         assert store.location_of("team") == 1
         store.close()
         assert verify_database(db).clean
 
-    def test_crash_at_delete_intent_keeps_the_document(self, db):
+    def test_crash_before_delete_commit_keeps_the_document(self, db):
         store = SegmentedStore(db)
-        store.fault_hook = crash_at("delete.intent")
+        store.fault_hook = crash_at("delete.apply")
         with pytest.raises(InjectedCrash):
             store.delete_document("team")
         store.close()
         store = SegmentedStore(db)
-        assert store.last_recovery["rolled_back"] == 1
         assert store.documents() == ["publications", "team"]
+        assert store.segment_count() == 0
         store.close()
+        assert verify_database(db).clean
 
-    def test_crash_after_delete_apply_rolls_forward(self, db):
+    def test_crash_after_delete_commit_removes_the_document(self, db):
         store = SegmentedStore(db)
         store.fault_hook = crash_at("delete.applied")
         with pytest.raises(InjectedCrash):
             store.delete_document("team")
         store.close()
         store = SegmentedStore(db)
-        assert store.last_recovery["rolled_forward"] == 1
         assert store.documents() == ["publications"]
         store.close()
         assert verify_database(db).clean
 
-    def test_next_mutation_recovers_without_a_reopen(self, db):
+    def test_same_handle_applies_the_next_mutation(self, db):
         store = SegmentedStore(db)
-        store.fault_hook = crash_at("update.intent")
+        store.fault_hook = crash_at("update.apply")
         with pytest.raises(InjectedCrash):
             store.update_document(team_tree(), "team")
-        # Same handle, no reopen: the next mutation heals the journal
-        # before it begins (the serving stack's in-process path).
+        # Same handle, no reopen (the serving stack's in-process path):
+        # the failed transaction rolled back, so the next one starts clean.
         store.fault_hook = None
         segment = store.update_document(team_tree(), "team")
-        assert store.last_recovery["rolled_back"] == 1
+        assert segment == 1
         assert store.location_of("team") == segment
         store.close()
         assert verify_database(db).clean
@@ -292,7 +292,7 @@ class TestJournalRecovery:
         assert store.segment_count() == 1
         store.close()
 
-    def test_rolled_forward_keyed_mutation_is_replayable(self, db):
+    def test_keyed_mutation_crashed_after_commit_is_replayable(self, db):
         store = SegmentedStore(db)
         store.fault_hook = crash_at("update.applied")
         with pytest.raises(InjectedCrash):
@@ -300,13 +300,119 @@ class TestJournalRecovery:
                                   idempotency_key="put-9")
         store.close()
         store = SegmentedStore(db)
-        assert store.last_recovery["rolled_forward"] == 1
-        # Recovery flipped the keyed intent to done: a retry is a no-op.
+        # The ledger row committed with the segment: a retry is a no-op.
         assert store.replay_of("put-9") == 1
         assert store.update_document(team_tree(), "team",
                                      idempotency_key="put-9") == 1
         assert store.segment_count() == 1
         store.close()
+
+    def test_failed_keyed_update_leaves_no_ledger_row(self, db):
+        store = SegmentedStore(db)
+        store.fault_hook = crash_at("update.apply", InjectedFault)
+        with pytest.raises(InjectedFault):
+            store.update_document(team_tree(), "team",
+                                  idempotency_key="put-3")
+        assert store.replay_of("put-3") is None
+        store.fault_hook = None
+        segment = store.update_document(team_tree(), "team",
+                                        idempotency_key="put-3")
+        assert store.segment_count() == 1
+        assert store.replay_of("put-3") == segment
+        store.close()
+
+
+# ---------------------------------------------------------------------- #
+# Real crashes: SIGKILL a child process in the middle of a mutation
+# ---------------------------------------------------------------------- #
+#: The child: open a store on ``argv[1]``, arm a kill for case ``argv[2]``,
+#: run one mutation.  A ten-page cache spills the open transaction to the
+#: database file before the kill, as a large write would.
+CRASH_CHILD = """
+import os, signal, sys
+from repro.datasets import default_dblp_tree
+from repro.storage import SegmentedStore
+
+path, case = sys.argv[1], sys.argv[2]
+store = SegmentedStore(path)
+connection = store._connection
+connection.execute("PRAGMA cache_size = 10")
+
+
+def die(*_):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def kill_at(prefix):
+    connection.set_trace_callback(
+        lambda statement: statement.startswith(prefix) and die())
+
+
+dblp = default_dblp_tree(publications=200)
+if case == "update":
+    kill_at("INSERT INTO segment_posting")
+    store.update_document(dblp, "dblp")
+elif case == "compact":
+    store.update_document(dblp, "dblp")
+    kill_at("INSERT INTO posting")
+    store.compact()
+elif case == "add":
+    kill_at("INSERT INTO posting")
+    store.store_tree(dblp, "dblp")
+else:
+    store.fault_hook = lambda name: name == "update.applied" and die()
+    store.update_document(dblp, "dblp", idempotency_key="put-1")
+sys.exit("the mutation finished without being killed")
+"""
+
+CRASH_QUERIES = ["efficient evaluation", "xml keyword", "player name"]
+
+
+class TestRealCrashes:
+    """A killed mutation leaves the store it began from, or the one it
+    committed: SQLite's rollback journal is the recovery mechanism."""
+
+    @pytest.fixture
+    def corpus_file(self, tmp_path):
+        path = str(tmp_path / "corpus.db")
+        store = SegmentedStore(path)
+        store.store_tree(publications_tree(), "publications")
+        store.store_tree(team_tree(), "team")
+        store.close()
+        return path
+
+    @pytest.mark.parametrize("case, committed", [
+        ("update", False), ("compact", True), ("add", False),
+        ("applied", True),
+    ])
+    def test_sigkill_mid_mutation_leaves_a_clean_store(
+            self, corpus_file, tmp_path, case, committed):
+        path = str(tmp_path / "victim.db")
+        shutil.copy(corpus_file, path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-c", CRASH_CHILD, path, case], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        with closing(sqlite3.connect(path)) as connection:
+            assert connection.execute(
+                "PRAGMA integrity_check").fetchall() == [("ok",)]
+        assert verify_database(path).clean
+        # ``committed``: the dblp document is live.  The compact case
+        # committed its update before the killed compaction began.
+        state = {"publications": publications_tree(), "team": team_tree()}
+        if committed:
+            state["dblp"] = default_dblp_tree(publications=200)
+        store = SegmentedStore(path)
+        try:
+            assert wire_lines(segmented_engine(store), CRASH_QUERIES) == \
+                wire_lines(fresh_oracle(state), CRASH_QUERIES)
+            if case == "applied":
+                assert store.replay_of("put-1") == store.location_of("dblp")
+        finally:
+            store.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -385,16 +491,28 @@ class TestVerifyDatabase:
         assert any(finding.code == "catalog-missing-rows"
                    for finding in report.findings)
 
-    def test_report_notes_a_recovery(self, db):
-        store = SegmentedStore(db)
-        store.fault_hook = crash_at("update.intent")
-        with pytest.raises(InjectedCrash):
-            store.update_document(team_tree(), "team")
-        store.close()
+    def test_zeroed_pages_report_sqlite_integrity(self, db, capsys):
+        with open(db, "r+b") as handle:
+            page_size = int.from_bytes(handle.read(18)[16:18], "big")
+            size = handle.seek(0, os.SEEK_END)
+            handle.seek(page_size)
+            handle.write(bytes(size - page_size))
         report = verify_database(db)
-        assert report.clean
-        assert report.recovered["rolled_back"] == 1
-        assert "recovered 1 interrupted mutation(s)" in report.render()
+        assert [finding.code for finding in report.findings] == \
+            ["sqlite-integrity"]
+        assert "FAIL" in report.render()
+        assert main(["verify", "--db", db]) == 1
+        assert "sqlite-integrity" in capsys.readouterr().out
+
+    def test_pending_row_is_reported(self, db):
+        with sqlite3.connect(db) as connection:
+            connection.execute(
+                "INSERT INTO mutation_journal (kind, document, segment_id, "
+                "expected, state) VALUES ('update', 'team', 2, '{}', "
+                "'pending')")
+        report = verify_database(db)
+        assert [finding.code for finding in report.findings] == \
+            ["journal-pending"]
 
 
 # ---------------------------------------------------------------------- #

@@ -2,8 +2,9 @@
 """Quickstart: index an XML document and run an XML keyword search.
 
 Builds a small bibliography, runs one keyword query with ValidRTF (the
-paper's algorithm) and with the MaxMatch baseline, and prints the resulting
-meaningful fragments side by side.
+paper's algorithm) and with the MaxMatch baseline, prints the resulting
+meaningful fragments side by side, and ranks them through the corpus engine
+(one document is a corpus of one).
 
 Run with::
 
@@ -12,7 +13,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro import SearchEngine, parse_string
+from repro import CorpusSearchEngine, SearchEngine, parse_string
 
 DOCUMENT = """
 <bibliography>
@@ -75,9 +76,12 @@ def main() -> None:
         print(f"    root {comparison.root}: MaxMatch keeps {comparison.maxmatch_size} "
               f"nodes, ValidRTF keeps {comparison.validrtf_size} ({marker})")
 
-    # 4. Rank the meaningful RTFs (the paper's future-work extension).
+    # 4. Rank the meaningful RTFs (the paper's future-work extension).  The
+    #    corpus engine ranks across documents; here the corpus holds one.
+    corpus = CorpusSearchEngine.from_trees({tree.name: tree})
+    ranking = corpus.rank_search(query, algorithm="validrtf")
     print("\nRanked fragments (most specific / compact first):")
-    for position, ranked in enumerate(engine.rank(validrtf_result), start=1):
+    for position, ranked in enumerate(ranking.ranked, start=1):
         print(f"  {position}. root {ranked.fragment.root} score={ranked.score:.3f}")
 
 

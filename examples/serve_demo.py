@@ -4,16 +4,18 @@
 The demo walks the whole serving stack of :mod:`repro.service`:
 
 1. builds an :class:`~repro.service.engine_pool.EnginePool` — four worker
-   threads, each with its own :class:`~repro.core.engine.SearchEngine`, all
-   sharing one immutable in-memory posting snapshot of the Figure 1(a)
-   document;
+   threads, each with its own
+   :class:`~repro.corpus.engine.CorpusSearchEngine`, all sharing one
+   immutable in-memory posting snapshot of the Figure 1(a) document, served
+   as the one-document corpus ``figure-1a``;
 2. hosts the newline-delimited-JSON TCP front end on a background thread
    (:class:`~repro.service.server.ServerThread`), with request batching
    (2 ms window) and admission control (bounded in-flight depth);
 3. talks to it like any remote caller would, through
    :class:`~repro.service.client.ServiceClient` — search with a per-request
-   algorithm and ``cid_mode``, a ValidRTF-vs-MaxMatch comparison, and the
-   server's own pool/batcher/admission/server statistics;
+   algorithm and ``cid_mode`` (answers are doc-tagged: one entry per
+   matching document), a ValidRTF-vs-MaxMatch comparison, and the server's
+   own pool/batcher/admission/server statistics;
 4. scrapes the live metrics registry (the same merged snapshot the
    ``stats`` wire op and ``python -m repro.cli metrics`` expose) and prints
    a few headline series;
@@ -44,6 +46,7 @@ from repro.service import (
 def main() -> None:
     tree = publications_tree()
     config = ServiceConfig(backend="memory", workers=4,
+                           document="figure-1a",
                            max_batch_size=16, batch_window_seconds=0.002,
                            max_inflight=64)
 
@@ -57,8 +60,9 @@ def main() -> None:
             query = PAPER_QUERIES["Q2"]
             for algorithm in ("validrtf", "maxmatch"):
                 payload = client.search(query, algorithm)
-                roots = [fragment["root"]
-                         for fragment in payload["fragments"]]
+                roots = [f"{entry['doc']}:{fragment['root']}"
+                         for entry in payload["documents"]
+                         for fragment in entry["result"]["fragments"]]
                 print(f"{algorithm:>9}: {payload['count']} fragment(s), "
                       f"roots {roots}")
 
@@ -68,10 +72,12 @@ def main() -> None:
 
             print("\n== served ValidRTF-vs-MaxMatch comparison ==")
             comparison = client.compare(query)
-            report = comparison["report"]
-            print(f"RTFs: {report['lca_count']}  CFR: {report['cfr']:.3f}  "
-                  f"APR': {report['apr_prime']:.3f}  "
-                  f"Max APR: {report['max_apr']:.3f}")
+            for entry in comparison["documents"]:
+                report = entry["report"]
+                print(f"[{entry['doc']}] RTFs: {report['lca_count']}  "
+                      f"CFR: {report['cfr']:.3f}  "
+                      f"APR': {report['apr_prime']:.3f}  "
+                      f"Max APR: {report['max_apr']:.3f}")
 
             print("\n== server statistics ==")
             stats = client.stats()

@@ -32,6 +32,10 @@ rm -rf "$(dirname "$smoke_db")"
 echo "== end-to-end: ranked top-k retrieval (search --top-k) =="
 python -m repro.cli search --dataset figure-1a --top-k 3 "xml keyword search"
 
+echo "== end-to-end: early-terminated top-k on one document =="
+python -m repro.cli search --dataset figure-1a --top-k 3 --early-terminate \
+    "xml keyword search"
+
 echo "== end-to-end: served rank op (threshold top-k over the wire) =="
 python - <<'PY'
 from repro.datasets import publications_tree, team_tree
@@ -74,5 +78,11 @@ python -m repro.cli bench --dataset dblp --figure 5 --repetitions 1 --cache
 echo "== end-to-end: tiny service load run (pool + batcher + TCP) =="
 python -m repro.cli loadtest --backend memory --workers 2 --requests 30 \
     --concurrency 3 --output -
+
+echo "== examples: every examples/*.py runs =="
+for example in examples/*.py; do
+    echo "-- $example"
+    python "$example" > /dev/null
+done
 
 echo "SMOKE OK"

@@ -228,7 +228,7 @@ def run_corpus_bench(doc_count: int = 3, publications_per_doc: int = 200,
     trees = {f"dblp-{seed:02d}": generate_dblp(
                  DBLPConfig(publications=publications_per_doc, seed=seed))
              for seed in range(doc_count)}
-    corpus_engine = CorpusSearchEngine.from_trees(trees, backend="memory")
+    corpus_engine = CorpusSearchEngine.from_trees(trees)
     per_doc_engines = {doc_id: SearchEngine(tree)
                        for doc_id, tree in sorted(trees.items())}
     queries = list(dblp_workload())
@@ -293,7 +293,7 @@ def run_ranking_bench(doc_count: int = 6, publications_per_doc: int = 120,
     provably skipping the remaining documents.
     """
     trees = _partitioned_dblp_corpus(doc_count, publications_per_doc)
-    engine = CorpusSearchEngine.from_trees(trees, backend="memory")
+    engine = CorpusSearchEngine.from_trees(trees)
     queries = list(dblp_workload())
     if limit is not None:
         queries = queries[:limit]

@@ -170,8 +170,8 @@ def engine_for_backend(tree: XMLTree, backend: str = "memory",
 
         # A one-document corpus over the dataset: measures the corpus
         # layer's per-document dispatch overhead against the flat backends.
-        return CorpusSearchEngine.from_trees(
-            {document: tree}, backend="memory", cache_size=cache_size)
+        return CorpusSearchEngine.from_trees({document: tree},
+                                             cache_size=cache_size)
     raise ValueError(
         f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}")
 

@@ -19,11 +19,14 @@ Sub-commands
 ``search``
     Run a keyword query against an XML file, a built-in dataset, an indexed
     sqlite store (``--db file.db --backend sqlite``), or a whole corpus
-    (``--backend corpus``, results tagged with doc ids) with ValidRTF or
-    MaxMatch and print the resulting fragments.
+    (``--backend corpus``) with ValidRTF or MaxMatch and print the resulting
+    fragments.  Every backend is searched as a corpus — a single document is
+    a corpus of one, named after its file stem, dataset or ``--doc`` — so
+    results are tagged with doc ids and ``--top-k --early-terminate`` works
+    everywhere.
 ``compare``
     Run both algorithms on one query and print the CFR / APR' / Max APR
-    metrics together with the differing fragments.
+    metrics per document together with the differing fragments.
 ``bench``
     Regenerate the Figure 5 / Figure 6 panels for the built-in datasets,
     optionally over the disk-backed (``--backend sqlite``) posting backend.
@@ -62,7 +65,7 @@ from .bench import (
 )
 from .core import SearchEngine
 from .corpus import CorpusSearchEngine
-from .storage import SegmentedStore, source_for_store
+from .storage import SegmentedStore
 from .storage.errors import DocumentNotFound
 from .datasets import (
     DBLPConfig,
@@ -171,10 +174,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="rank the fragments (corpus-comparable scores) "
                              "and print only the K best")
     search.add_argument("--early-terminate", action="store_true",
-                        help="with --top-k on a corpus backend: visit "
-                             "documents in score-upper-bound order and stop "
-                             "once the K-th score provably cannot be beaten "
-                             "(same answer, fewer documents searched)")
+                        help="with --top-k: visit documents in "
+                             "score-upper-bound order and stop once the K-th "
+                             "score provably cannot be beaten (same answer, "
+                             "fewer documents searched)")
     search.set_defaults(handler=_command_search)
 
     compare = subparsers.add_parser("compare",
@@ -540,53 +543,38 @@ def _command_search(arguments: argparse.Namespace) -> int:
         return _ranked_search(engine, query, arguments)
     if arguments.early_terminate:
         raise CliError("--early-terminate needs --top-k")
+    trace = None
     if arguments.trace:
-        from .obs import render_trace
-
         result, trace = engine.search_traced(query, arguments.algorithm)
     else:
         result = engine.search(query, arguments.algorithm)
     print(f"query: {result.query}  algorithm: {result.algorithm}  "
           f"backend: {engine.backend_id}  fragments: {result.count}")
     print(engine.render_result(result, show_text=not arguments.no_text))
-    if arguments.trace:
-        print()
-        print(render_trace(trace))
+    _print_trace(trace)
     return 0
 
 
-def _ranked_search(engine, query: str, arguments: argparse.Namespace) -> int:
+def _ranked_search(engine: CorpusSearchEngine, query: str,
+                   arguments: argparse.Namespace) -> int:
     """``search --top-k``: corpus-comparable ranked retrieval."""
     from .core import EmptyQueryError, explain_score, render_score_explanation
 
     if arguments.top_k < 0:
         raise CliError("--top-k must be non-negative")
     try:
-        if isinstance(engine, CorpusSearchEngine):
-            outcome = engine.rank_search(
-                query, arguments.algorithm, top_k=arguments.top_k,
-                early_terminate=arguments.early_terminate)
-            rows = [(entry.doc_id, entry.ranked) for entry in outcome.ranked]
-            visit_note = (f"  documents visited: {outcome.docs_visited}"
-                          f"/{outcome.docs_selected}")
-        else:
-            if arguments.early_terminate:
-                raise CliError("--early-terminate needs a corpus backend "
-                               "(serve several documents with "
-                               "--backend corpus)")
-            ranked = engine.rank(engine.search(query, arguments.algorithm))
-            rows = [(None, fragment)
-                    for fragment in ranked[:arguments.top_k]]
-            visit_note = ""
+        outcome = engine.rank_search(
+            query, arguments.algorithm, top_k=arguments.top_k,
+            early_terminate=arguments.early_terminate)
     except EmptyQueryError as error:
         raise CliError(str(error)) from None
     print(f"query: {query}  algorithm: {arguments.algorithm}  "
-          f"backend: {engine.backend_id}  top-k: {arguments.top_k}"
-          f"{visit_note}")
-    for position, (doc_id, fragment) in enumerate(rows, start=1):
-        where = f"[{doc_id}] " if doc_id is not None else ""
-        print(f"{position:3d}. {where}root {fragment.fragment.root}")
-        print(render_score_explanation(explain_score(fragment),
+          f"backend: {engine.backend_id}  top-k: {arguments.top_k}  "
+          f"documents visited: {outcome.docs_visited}"
+          f"/{outcome.docs_selected}")
+    for position, entry in enumerate(outcome.ranked, start=1):
+        print(f"{position:3d}. [{entry.doc_id}] root {entry.fragment.root}")
+        print(render_score_explanation(explain_score(entry.ranked),
                                        indent="     "))
     return 0
 
@@ -599,19 +587,15 @@ def _command_compare(arguments: argparse.Namespace) -> int:
         outcome, trace = engine.compare_traced(query)
     else:
         outcome = engine.compare(query)
+    summary = outcome.summary
     print(f"query: {query}")
-    if isinstance(engine, CorpusSearchEngine):
-        summary = outcome.summary
-        print(f"documents: {len(outcome.documents)}  "
-              f"mean CFR: {summary['mean_cfr']:.3f}  "
-              f"mean APR': {summary['mean_apr_prime']:.3f}  "
-              f"mean Max APR: {summary['mean_max_apr']:.3f}")
-        for doc_id, document_outcome in outcome.documents:
-            _print_comparison_report(document_outcome.report,
-                                     prefix=f"[{doc_id}] ")
-        _print_trace(trace)
-        return 0
-    _print_comparison_report(outcome.report)
+    print(f"documents: {len(outcome.documents)}  "
+          f"mean CFR: {summary['mean_cfr']:.3f}  "
+          f"mean APR': {summary['mean_apr_prime']:.3f}  "
+          f"mean Max APR: {summary['mean_max_apr']:.3f}")
+    for doc_id, document_outcome in outcome.documents:
+        _print_comparison_report(document_outcome.report,
+                                 prefix=f"[{doc_id}] ")
     _print_trace(trace)
     return 0
 
@@ -956,7 +940,7 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
             raise CliError(f"--db needs --backend sqlite or corpus, "
                            f"not {backend!r}")
         tree = _load_tree(arguments)
-        document = getattr(arguments, "dataset", None) or "service"
+        document = _document_name(arguments)
     if arguments.workers < 1:
         raise CliError(f"--workers must be positive, got {arguments.workers}")
     if arguments.batch_size < 1:
@@ -1037,43 +1021,46 @@ def _load_tree(arguments: argparse.Namespace) -> XMLTree:
     return _BUILTIN_TREES[arguments.dataset]()
 
 
+def _document_name(arguments: argparse.Namespace) -> str:
+    """The doc id of a ``--file`` or ``--dataset`` document."""
+    return Path(arguments.file).stem if arguments.file else arguments.dataset
+
+
 class CliError(RuntimeError):
     """Raised by helpers when a command cannot proceed; printed, exit 2."""
 
 
-def _build_engine(arguments: argparse.Namespace) -> SearchEngine:
-    """The engine for a search/compare invocation, per the chosen backend.
+def _build_engine(arguments: argparse.Namespace) -> CorpusSearchEngine:
+    """The corpus engine for a search/compare invocation.
 
-    ``--backend memory`` (the default) parses/generates the document and
-    searches the in-memory index.  ``--backend sqlite`` with ``--db`` opens an
-    indexed store and searches **disk-backed, without the document in RAM**
-    (rendering degrades to Dewey/label output); without ``--db`` the document
-    is shredded into an in-process store first.
+    ``--db`` opens an indexed database and searches **disk-backed, without
+    any document in RAM** (rendering degrades to Dewey/label output): every
+    stored document with ``--backend corpus`` (or the ``--doc`` subset), the
+    one ``--doc`` document with ``--backend sqlite``.  The segmented store
+    serves documents living in delta segments (``index --update``) exactly
+    like base-generation ones.  Without ``--db`` the ``--file`` or
+    ``--dataset`` document is a one-document corpus named after its file
+    stem or dataset name: held in memory (``memory``, ``corpus``) or
+    shredded into an in-process store first (``sqlite``).
     """
-    from .bench import engine_for_backend
-
     backend = arguments.backend or ("sqlite" if arguments.db else "memory")
-    if backend == "corpus" and arguments.db:
-        # Corpus path: serve every document of the database (or the --doc
-        # subset) with doc-id-tagged answers, no XML parse at all.  The
-        # segmented store serves documents living in delta segments
-        # (index --update) exactly like base-generation ones.
-        documents = _resolve_corpus_documents(arguments)
-        store = SegmentedStore(arguments.db)
-        return CorpusSearchEngine.from_store(store, documents=documents)
-    if backend == "sqlite" and arguments.db:
-        # Disk-backed path: open an indexed database, no XML parse at all.
-        document = _resolve_stored_document(arguments)
-        store = SegmentedStore(arguments.db)
-        return SearchEngine(source=source_for_store(store, document))
     if arguments.db:
-        raise CliError(f"--db needs --backend sqlite or corpus, "
-                       f"not {backend!r}")
-    try:
-        return engine_for_backend(_load_tree(arguments), backend,
-                                  document="cli")
-    except ValueError as error:
-        raise CliError(str(error)) from None
+        if backend == "corpus":
+            documents = _resolve_corpus_documents(arguments)
+        elif backend == "sqlite":
+            documents = [_resolve_stored_document(arguments)]
+        else:
+            raise CliError(f"--db needs --backend sqlite or corpus, "
+                           f"not {backend!r}")
+        return CorpusSearchEngine.from_store(SegmentedStore(arguments.db),
+                                             documents=documents)
+    tree = _load_tree(arguments)
+    name = _document_name(arguments)
+    if backend == "sqlite":
+        store = SegmentedStore()
+        store.store_tree(tree, name)
+        return CorpusSearchEngine.from_store(store)
+    return CorpusSearchEngine.from_trees({name: tree})
 
 
 def _resolve_query(raw: str) -> str:

@@ -1,16 +1,22 @@
-"""The public search facade: one object, one call per query.
+"""The per-document search pipeline: one object, one call per query.
 
-:class:`SearchEngine` owns the document, its inverted index and one instance
-of each registered algorithm, so repeated queries share all per-document
-work.  It is the API the examples, the CLI and the benchmark harness use.
+:class:`SearchEngine` owns one document's posting source (by default an
+inverted index over its tree) and one instance of each registered
+algorithm, so repeated queries share all per-document work.  The query
+engine of the serving stack and the CLI is
+:class:`~repro.corpus.engine.CorpusSearchEngine`, which runs one
+:class:`SearchEngine` per document (a single document is a corpus of one);
+the paper examples, ``repro.cli explain`` and the Figure 5 drivers call
+this class directly.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 
-from ..index import InvertedIndex, PackedDeweyList, PostingSource, keyword_impact
+from ..index import InvertedIndex, PackedDeweyList, PostingSource
 from ..obs import MetricsRegistry, Trace
 from ..obs import names as metric_names
 from ..text import ContentAnalyzer
@@ -30,13 +36,6 @@ from .metrics import EffectivenessReport, effectiveness
 from .node_record import CID_MODES
 from .pipeline import FragmentPipeline
 from .query import Query, QueryLike
-from .ranking import (
-    RankedFragment,
-    RankingWeights,
-    ScoreBounds,
-    bounds_from_impacts,
-    rank_result,
-)
 from .validrtf import ValidRTF, ValidRTFSLCA
 
 #: Names accepted by :meth:`SearchEngine.search`.
@@ -187,19 +186,6 @@ class SearchEngine:
         self._cache.put(key, result)
         return result
 
-    def search_traced(self, query: QueryLike, algorithm: str = "validrtf"
-                      ) -> Tuple[SearchResult, Trace]:
-        """Run one query under a fresh trace; returns ``(result, trace)``.
-
-        The trace root covers the whole call, with one child span per
-        pipeline stage — render it with :func:`repro.obs.render_trace`.
-        """
-        trace = Trace("search")
-        trace.root.note(algorithm=algorithm, backend=self.backend_id)
-        result = self.search(query, algorithm, trace=trace)
-        trace.finish()
-        return result, trace
-
     def search_many(self, queries: Sequence[QueryLike],
                     algorithm: str = "validrtf") -> List[SearchResult]:
         """Run a batch of queries, sharing posting-list retrieval.
@@ -232,6 +218,10 @@ class SearchEngine:
                 continue
             if self._cache is not None:
                 cached = self._cache.get(cache_key)
+                if self.metrics is not None:
+                    self.metrics.counter(
+                        metric_names.CACHE_HITS if cached is not None
+                        else metric_names.CACHE_MISSES).inc()
                 if cached is not None:
                     resolved[cache_key] = cached
                     continue
@@ -286,53 +276,24 @@ class SearchEngine:
         self.cid_mode = cid_mode
         self._build_algorithms()
 
-    def compare(self, query: QueryLike) -> ComparisonOutcome:
-        """Run ValidRTF and revised MaxMatch and compute the Figure 6 metrics."""
-        validrtf_result = self.search(query, "validrtf")
-        maxmatch_result = self.search(query, "maxmatch")
-        report = effectiveness(maxmatch_result, validrtf_result)
+    def compare(self, query: QueryLike,
+                trace: Optional[Trace] = None) -> ComparisonOutcome:
+        """Run ValidRTF and revised MaxMatch and compute the Figure 6 metrics.
+
+        ``trace`` attaches one span per algorithm run and one for the
+        metrics under the trace's currently open span.
+        """
+        def span(name: str) -> ContextManager[object]:
+            return trace.span(name) if trace is not None else nullcontext()
+
+        with span("validrtf"):
+            validrtf_result = self.search(query, "validrtf", trace=trace)
+        with span("maxmatch"):
+            maxmatch_result = self.search(query, "maxmatch", trace=trace)
+        with span("effectiveness"):
+            report = effectiveness(maxmatch_result, validrtf_result)
         return ComparisonOutcome(validrtf=validrtf_result, maxmatch=maxmatch_result,
                                  report=report)
-
-    def compare_traced(self, query: QueryLike
-                       ) -> Tuple[ComparisonOutcome, Trace]:
-        """Like :meth:`compare`, under one trace with a span per algorithm."""
-        trace = Trace("compare")
-        trace.root.note(backend=self.backend_id)
-        with trace.span("validrtf"):
-            validrtf_result = self.search(query, "validrtf", trace=trace)
-        with trace.span("maxmatch"):
-            maxmatch_result = self.search(query, "maxmatch", trace=trace)
-        with trace.span("effectiveness"):
-            report = effectiveness(maxmatch_result, validrtf_result)
-        trace.finish()
-        outcome = ComparisonOutcome(validrtf=validrtf_result,
-                                    maxmatch=maxmatch_result, report=report)
-        return outcome, trace
-
-    def score_bounds(self, query: QueryLike) -> ScoreBounds:
-        """Normalization bounds for one query, from impact metadata.
-
-        Derived from the per-keyword impact metadata of this document's
-        posting source — never from a result's fragments — so the same
-        query always ranks on the same scale regardless of what matched.
-        """
-        parsed = Query.parse(query)
-        return bounds_from_impacts(keyword_impact(self.source, keyword)
-                                   for keyword in parsed.keywords)
-
-    def rank(self, result: SearchResult,
-             weights: RankingWeights = RankingWeights(),
-             bounds: Optional[ScoreBounds] = None) -> List[RankedFragment]:
-        """Rank a result's fragments (future-work extension, Section 7).
-
-        ``bounds`` defaults to this document's own :meth:`score_bounds`;
-        corpus callers pass the corpus-global bounds instead so per-document
-        scores stay comparable across documents.
-        """
-        if bounds is None:
-            bounds = self.score_bounds(result.query)
-        return rank_result(result, weights, bounds=bounds)
 
     # ------------------------------------------------------------------ #
     # Explanations

@@ -2,17 +2,16 @@
 
 The ROADMAP's north star is a system serving a *corpus* — all of DBLP's
 records, many uploaded documents — in one request, not one XML document per
-index.  This package layers that workload onto the existing stack without
-forking it:
+index.  A single document is a corpus of one, so the serving stack and the
+CLI query every backend through this package:
 
 * :mod:`repro.corpus.source` — :class:`CorpusPostingSource`, the
-  doc-partitioned posting organisation (one per-document posting source per
-  doc id, in sorted doc-id order), honouring the
-  :class:`~repro.index.source.PostingSource` protocol corpus-wide through
-  doc-ordinal-prefixed Dewey codes;
+  doc-partitioned posting organisation: one per-document posting source per
+  doc id, in sorted doc-id order;
 * :mod:`repro.corpus.engine` — :class:`CorpusSearchEngine`, which runs the
-  SLCA/ELCA/RTF pipeline per document and unions the doc-id-tagged answers,
-  with cross-document top-k rank merging;
+  per-document SLCA/ELCA/RTF pipeline
+  (:class:`~repro.core.engine.SearchEngine`) on each document and unions the
+  doc-id-tagged answers, with cross-document top-k rank merging;
 * :mod:`repro.corpus.result` — the doc-tagged result model.
 
 The correctness contract — **corpus results equal the union of per-document
@@ -22,15 +21,9 @@ single-document results** — is enforced by the differential fuzz harness
 
 from .engine import CorpusComparisonOutcome, CorpusSearchEngine
 from .result import CorpusSearchResult, DocumentResult
-from .source import (
-    CORPUS_DOC_BACKENDS,
-    CorpusPostingSource,
-    corpus_from_store,
-    corpus_from_trees,
-)
+from .source import CorpusPostingSource, corpus_from_store, corpus_from_trees
 
 __all__ = [
-    "CORPUS_DOC_BACKENDS",
     "CorpusComparisonOutcome",
     "CorpusPostingSource",
     "CorpusSearchEngine",

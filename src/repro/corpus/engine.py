@@ -1,19 +1,17 @@
-"""Cross-document keyword search: one engine over a whole corpus.
+"""Cross-document keyword search: the engine every backend is queried through.
 
-:class:`CorpusSearchEngine` mirrors the :class:`~repro.core.engine.SearchEngine`
-surface (``search`` / ``search_many`` / ``compare`` / ``rank`` /
-``render_result`` / cache plumbing) so the serving stack, the CLI and the
-benchmark harness can drive a corpus exactly like a single document — the
-differences are that every answer is doc-id-tagged
+:class:`CorpusSearchEngine` is the query engine of the serving stack and the
+CLI.  A single document is a corpus of one, so every answer is doc-id-tagged
 (:class:`~repro.corpus.result.CorpusSearchResult`), every retrieval method
 accepts a ``doc_filter``, and ranking merges the per-document rankings into
 one corpus-level top-k (:func:`~repro.core.ranking.merge_ranked`).
 
-Internally the engine owns one single-document :class:`SearchEngine` per
-corpus document, each running over the corpus source's per-document posting
-source — the SLCA/ELCA/RTF pipeline runs per document (LCA semantics never
-cross documents) and the corpus answer is the union of the per-document
-answers, the contract the differential fuzz harness enforces.
+Internally the engine owns one per-document
+:class:`~repro.core.engine.SearchEngine` per corpus document, each running
+over that document's posting source — the SLCA/ELCA/RTF pipeline runs per
+document (LCA semantics never cross documents) and the corpus answer is the
+union of the per-document answers, the contract the differential fuzz
+harness enforces.
 """
 
 from __future__ import annotations
@@ -88,7 +86,7 @@ class CorpusComparisonOutcome:
 
 
 class CorpusSearchEngine:
-    """Keyword search over many XML documents with doc-id-tagged answers.
+    """Keyword search over one or many XML documents, doc-id-tagged.
 
     Parameters
     ----------
@@ -97,16 +95,12 @@ class CorpusSearchEngine:
         per-document posting sources.
     trees:
         Optional resident trees per doc id (memory-backed corpora keep them;
-        disk-backed corpora run tree-free like the single-document sqlite
-        engines).  Resident trees enable full fragment rendering; search
-        and ranking never need them.
+        disk-backed corpora run tree-free).  Resident trees enable full
+        fragment rendering; search and ranking never need them.
     cid_mode, cache_size:
         Forwarded to every per-document engine; cached results are keyed per
         document (each per-document engine owns its cache).
     """
-
-    #: Duck-typing marker the serving layer dispatches ``doc_filter`` on.
-    is_corpus = True
 
     def __init__(self, source: CorpusPostingSource,
                  trees: Optional[Mapping[str, XMLTree]] = None,
@@ -135,19 +129,12 @@ class CorpusSearchEngine:
     # Construction helpers
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_trees(cls, trees: Mapping[str, XMLTree], backend: str = "memory",
+    def from_trees(cls, trees: Mapping[str, XMLTree],
                    cid_mode: str = "minmax", cache_size: int = 0,
                    metrics: Optional[MetricsRegistry] = None
                    ) -> "CorpusSearchEngine":
-        """Ingest one tree per doc id and build the corpus engine.
-
-        ``backend`` picks the per-document source kind (see
-        :func:`~repro.corpus.source.corpus_from_trees`).  Only the memory
-        backend keeps the trees resident; the disk backends run tree-free.
-        """
-        source = corpus_from_trees(trees, backend=backend)
-        resident = trees if backend == "memory" else None
-        return cls(source, trees=resident, cid_mode=cid_mode,
+        """A memory corpus over one resident tree per doc id."""
+        return cls(corpus_from_trees(trees), trees=trees, cid_mode=cid_mode,
                    cache_size=cache_size, metrics=metrics)
 
     @classmethod
@@ -287,7 +274,8 @@ class CorpusSearchEngine:
         for doc_id in self._selected(doc_filter):
             if trace is not None:
                 with trace.span("doc", doc=doc_id):
-                    outcome = self._engines[doc_id].compare(parsed)
+                    outcome = self._engines[doc_id].compare(parsed,
+                                                            trace=trace)
             else:
                 outcome = self._engines[doc_id].compare(parsed)
             if self._contributes(outcome.validrtf):
@@ -454,17 +442,6 @@ class CorpusSearchEngine:
                 metric_names.CORPUS_RANK_DOCS_SKIPPED).inc(
                     outcome.docs_skipped)
         return outcome
-
-    def search_ranked(self, query: QueryLike, algorithm: str = "validrtf",
-                      top_k: Optional[int] = None,
-                      doc_filter: Optional[Sequence[str]] = None,
-                      weights: RankingWeights = RankingWeights(),
-                      early_terminate: bool = False
-                      ) -> List[DocumentRankedFragment]:
-        """Search the corpus and return the merged top-k ranked fragments."""
-        return list(self.rank_search(
-            query, algorithm, top_k=top_k, doc_filter=doc_filter,
-            weights=weights, early_terminate=early_terminate).ranked)
 
     # ------------------------------------------------------------------ #
     # Cache / mode plumbing (aggregated over the per-document engines)

@@ -48,11 +48,9 @@ __all__ = [
     "PackedDeweyList",
     "as_packed",
     "common_prefix_len",
-    "concat_packed",
     "iter_matches",
     "pack_component_tuples",
     "pack_deweys",
-    "prefix_packed",
 ]
 
 #: Blob header magic (versioned so the on-disk format can evolve).
@@ -465,51 +463,3 @@ def iter_matches(lists: Sequence[PackedDeweyList]
             cursor = boundary
         if cursor < count:
             heappush(heap, (plist.slice(cursor), index, cursor))
-
-
-def prefix_packed(plist: PackedDeweyList, prefix: int) -> PackedDeweyList:
-    """Prepend one component to every code of a packed list.
-
-    This is the doc-id prefixing primitive of the corpus layer
-    (:mod:`repro.corpus`): a corpus keeps one packed column set per document
-    and exposes corpus-wide posting lists by prefixing each document's codes
-    with the document's ordinal.  Prefixing preserves relative document order
-    inside the list, so the result is still strictly sorted and
-    duplicate-free.
-    """
-    count = len(plist)
-    if not count:
-        return EMPTY_PACKED
-    old_data, old_offsets = plist.data, plist.offsets
-    data = array("I")
-    offsets = array("I", [0])
-    append_offset = offsets.append
-    for i in range(count):
-        data.append(prefix)
-        data.extend(old_data[old_offsets[i]:old_offsets[i + 1]])
-        append_offset(len(data))
-    return PackedDeweyList(data, offsets)
-
-
-def concat_packed(lists: Sequence[PackedDeweyList]) -> PackedDeweyList:
-    """Concatenate packed lists that are already globally sorted.
-
-    The caller promises that every code of ``lists[i]`` precedes every code of
-    ``lists[i + 1]`` in document order — true by construction for per-document
-    lists prefixed with strictly increasing doc ordinals
-    (:func:`prefix_packed`) — so no merge is needed: the columns are stitched
-    together with two array extends per list.
-    """
-    useful = [plist for plist in lists if len(plist)]
-    if not useful:
-        return EMPTY_PACKED
-    if len(useful) == 1:
-        return useful[0]
-    data = array("I")
-    offsets = array("I", [0])
-    for plist in useful:
-        base = len(data)
-        data.extend(plist.data)
-        offsets.extend(array("I", (base + cut for cut in plist.offsets[1:])))
-    return PackedDeweyList(data, offsets)
-

@@ -5,9 +5,10 @@ the ROADMAP's "heavy traffic" direction — without adding any dependency
 beyond the standard library:
 
 * :mod:`~repro.service.engine_pool` — a pool of per-worker
-  :class:`~repro.core.engine.SearchEngine` instances sharing one immutable
-  posting-source snapshot, so queries run in parallel threads while
-  per-document work (index build, shredding) is paid once.
+  :class:`~repro.corpus.engine.CorpusSearchEngine` instances sharing one
+  immutable posting-source snapshot, so queries run in parallel threads
+  while per-document work (index build, shredding) is paid once.  Every
+  backend is served as a corpus; a single document is a corpus of one.
 * :mod:`~repro.service.batcher` — a request coalescer that collects
   in-flight queries into ``search_many`` batches, amortizing the shared
   posting-fetch fast path across concurrent callers.

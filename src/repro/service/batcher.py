@@ -1,9 +1,10 @@
 """Request coalescing: concurrent searches become ``search_many`` batches.
 
 Concurrent callers frequently query overlapping keywords (hot queries, shared
-vocabulary).  :meth:`SearchEngine.search_many` already amortizes stage 1 by
-fetching the posting lists of a batch's keyword *union* once — the batcher is
-the asyncio shim that turns independent in-flight requests into such batches:
+vocabulary).  :meth:`CorpusSearchEngine.search_many` already amortizes
+stage 1 by fetching the posting lists of a batch's keyword *union* once per
+document — the batcher is the asyncio shim that turns independent in-flight
+requests into such batches:
 
 * requests are bucketed by ``(algorithm, cid_mode)`` (the two knobs a batch
   must agree on),

@@ -190,8 +190,8 @@ class ServiceClient:
                doc_filter: Optional[list] = None) -> Dict[str, object]:
         """One search; returns the canonical result payload.
 
-        ``doc_filter`` restricts a corpus backend's search to the given doc
-        ids (typed ``unsupported`` error on single-document backends).
+        ``doc_filter`` restricts the search to the given served doc ids
+        (typed ``bad_request`` error on an unknown id).
         """
         message: Dict[str, object] = {"op": "search", "query": query,
                                       "algorithm": algorithm}
@@ -219,7 +219,7 @@ class ServiceClient:
         """Ranked fragment payload for one query (any backend).
 
         ``top_k`` truncates to the k best fragments; ``early_terminate``
-        (corpus backends, requires ``top_k``) lets the threshold driver skip
+        (requires ``top_k``) lets the threshold driver skip
         provably-unneeded documents; ``explain`` attaches a per-component
         score breakdown to every row.
         """
@@ -234,8 +234,8 @@ class ServiceClient:
                       top_k: Optional[int] = None,
                       early_terminate: bool = False,
                       explain: bool = False) -> Dict[str, object]:
-        """The full rank response — ``ranking`` plus (on corpus backends)
-        the ``rank_stats`` visit accounting of the retrieval driver."""
+        """The full rank response — ``ranking`` plus the ``rank_stats``
+        visit accounting of the retrieval driver."""
         message: Dict[str, object] = {"op": "rank", "query": query,
                                       "algorithm": algorithm}
         if cid_mode is not None:

@@ -1,21 +1,22 @@
-"""A pool of per-worker search engines over one shared document snapshot.
+"""A pool of per-worker corpus engines over one shared snapshot.
 
 The search pipelines are CPU-bound Python with mutable per-engine state
 (memoization caches, posting LRUs), so the pool gives every worker thread its
-**own** :class:`~repro.core.engine.SearchEngine` while sharing the expensive
-immutable substrate exactly once per document:
+**own** :class:`~repro.corpus.engine.CorpusSearchEngine` while sharing the
+expensive immutable substrate exactly once.  Every backend is served as a
+corpus — a single document is a corpus of one, tagged with its name:
 
-* ``memory`` — one :class:`~repro.index.inverted.InvertedIndex` snapshot is
-  built once and shared by every worker engine (posting lists are read-only
-  after the build; the shared analyzer's memoization writes are idempotent).
-* ``sqlite`` — one :class:`~repro.storage.sqlite_backend.SQLiteStore` is
-  shared, and each worker engine wraps it in its own
-  :class:`~repro.storage.posting_source.SQLitePostingSource` (private posting
+* ``memory`` and ``corpus`` without a database — one set of per-document
+  :class:`~repro.index.inverted.InvertedIndex` snapshots is built once and
+  shared by every worker engine (posting lists are read-only after the
+  build; the shared analyzers' memoization writes are idempotent).
+* ``sqlite`` and ``corpus`` with a database — one shared segment-aware
+  :class:`~repro.storage.segments.SegmentedStore`, so documents absorbed
+  through ``index --update`` serve their live generation.  Each worker
+  engine wraps it in its own per-document posting sources (private posting
   LRUs); the store hands every thread its own sqlite connection, so disk
-  reads genuinely parallelize.
-* ``corpus`` — one shared segment-aware store (``db_path``) or one shared
-  set of per-document memory indexes, with a
-  :class:`~repro.corpus.engine.CorpusSearchEngine` per worker.
+  reads genuinely parallelize.  ``sqlite`` serves one document of the
+  store, ``corpus`` every document (or a pinned subset).
 
 Work is executed on a :class:`~concurrent.futures.ThreadPoolExecutor`; every
 submission receives the calling thread's engine as its first argument.  The
@@ -32,23 +33,21 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from types import TracebackType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
-from ..core import SearchEngine
 from ..core.cache import CacheStats
-from ..core.engine import ComparisonOutcome
-from ..core.fragments import SearchResult
 from ..core.query import QueryLike
-from ..corpus import CorpusSearchEngine, corpus_from_trees
+from ..corpus import (
+    CorpusComparisonOutcome,
+    CorpusSearchEngine,
+    CorpusSearchResult,
+    corpus_from_trees,
+)
+from ..corpus.engine import RankedCorpusSearch
 from ..faults import FaultPlan
-from ..index import InvertedIndex
 from ..obs import MetricsRegistry, Snapshot, merge_snapshots
 from ..obs import names as metric_names
-from .protocol import ERROR_DEGRADED, ServiceError
-from ..storage import (
-    DEFAULT_POSTING_LRU_SIZE,
-    SegmentedStore,
-    SQLitePostingSource,
-    SQLiteStore,
-)
+from .protocol import ERROR_BAD_REQUEST, ERROR_DEGRADED, ServiceError
+from ..storage import SegmentedStore
+from ..storage.errors import DocumentNotFound
 from ..xmltree import XMLTree
 
 #: Default number of worker threads (and therefore engines).
@@ -73,7 +72,7 @@ class EnginePool:
         Number of worker threads.
     """
 
-    def __init__(self, engine_factory: Callable[[], SearchEngine],
+    def __init__(self, engine_factory: Callable[[], CorpusSearchEngine],
                  workers: int = DEFAULT_WORKERS,
                  name: str = "repro-service",
                  rebuild_backoff_seconds: float = 0.5,
@@ -96,7 +95,7 @@ class EnginePool:
         self._executor = ThreadPoolExecutor(max_workers=workers,
                                             thread_name_prefix=name)
         self._local = threading.local()
-        self._engines: List[SearchEngine] = []
+        self._engines: List[CorpusSearchEngine] = []
         # One registry per worker engine ever built (kept across engine
         # invalidations so the counters stay cumulative); merged lazily by
         # :meth:`metrics_snapshot`.
@@ -121,39 +120,34 @@ class EnginePool:
                     cache_size: int = DEFAULT_CACHE_SIZE,
                     db_path: Optional[str] = None,
                     document: str = "service",
-                    lru_size: int = DEFAULT_POSTING_LRU_SIZE,
                     trees: Optional[Dict[str, XMLTree]] = None,
                     documents: Optional[Sequence[str]] = None,
                     fault_plan: Optional[FaultPlan] = None) -> "EnginePool":
-        """Build a pool over one document for a named posting backend.
+        """Build a pool of corpus engines for a named posting backend.
 
-        ``memory`` needs ``tree``.  ``sqlite`` serves ``db_path`` when given
-        (ingesting ``tree`` into it only if the document is absent), else an
-        in-process store ingested from ``tree``.  ``corpus`` serves every
-        document of ``db_path`` (a multi-document database written by
-        ``repro.cli index``) — or only the ``documents`` subset when given —
-        with doc-id-tagged answers and per-request ``doc_filter``; without a
-        database it builds a memory corpus from ``trees`` (doc id -> tree)
-        or a one-document corpus from ``tree``.
+        ``memory`` serves ``tree`` as the one-document corpus ``document``.
+        ``sqlite`` serves the document ``document`` of ``db_path`` when
+        given (ingesting ``tree`` into it only if the document is absent),
+        else of an in-process store ingested from ``tree``.  ``corpus``
+        serves every document of ``db_path`` (a multi-document database
+        written by ``repro.cli index``) — or only the ``documents`` subset
+        when given; without a database it builds a memory corpus from
+        ``trees`` (doc id -> tree) or a one-document corpus from ``tree``.
 
-        Under ``memory`` the snapshot shared by all workers holds **one** set
-        of flat posting columns — immutable arrays handed to every worker
-        engine by reference, so N workers cost no more posting memory than
-        one.
+        Without a database the snapshot shared by all workers holds **one**
+        set of flat posting columns per document — immutable arrays handed
+        to every worker engine by reference, so N workers cost no more
+        posting memory than one.
         """
         if fault_plan is not None and backend not in ("sqlite", "corpus"):
             raise ValueError(
                 f"a fault plan needs a store-backed backend (sqlite or "
                 f"corpus), not {backend!r}")
-        if backend == "memory":
-            if tree is None:
-                raise ValueError("the memory backend needs a tree")
-            snapshot = InvertedIndex(tree)
-            return cls(lambda: SearchEngine(tree, source=snapshot,
-                                            cache_size=cache_size),
-                       workers=workers)
+        if backend not in ("memory", "sqlite", "corpus"):
+            raise ValueError(f"unknown backend {backend!r}; "
+                             f"expected memory, sqlite or corpus")
         if backend == "sqlite":
-            store = SQLiteStore(db_path if db_path else ":memory:")
+            store = SegmentedStore(db_path if db_path else ":memory:")
             if document not in store.documents():
                 if tree is None:
                     stored = store.documents()
@@ -163,62 +157,60 @@ class EnginePool:
                 store.store_tree(tree, document)
             if fault_plan is not None:
                 store.set_fault_plan(fault_plan)
-            return cls(lambda: SearchEngine(
-                source=SQLitePostingSource(store, document, lru_size),
-                cache_size=cache_size), workers=workers)
-        if backend == "corpus":
-            if db_path:
-                # Segment-aware store: documents absorbed through
-                # `index --update` (or the live `update` wire op) serve
-                # exactly like base-generation ones, and the pool can keep
-                # taking writes without a restart.
-                store = SegmentedStore(db_path)
-                stored = store.documents()
-                if not stored:
-                    raise ValueError(
-                        f"the corpus database {db_path!r} holds no indexed "
-                        f"documents (run `repro-xks index` first)")
-                served = tuple(documents) if documents else None
-                # Fail at build time, not inside a worker's lazy engine
-                # factory (which would surface as a per-request internal
-                # error).
-                unknown = sorted(set(served or ()) - set(stored))
-                if unknown:
-                    raise ValueError(
-                        f"no document(s) named {', '.join(unknown)} in "
-                        f"{db_path!r}; stored: {', '.join(stored)}")
-                if fault_plan is not None:
-                    store.set_fault_plan(fault_plan)
-                pool = cls(lambda: CorpusSearchEngine.from_store(
-                    store, documents=served,
-                    cache_size=cache_size), workers=workers)
-                if served is None:
-                    # A pinned subset cannot absorb adds/deletes coherently,
-                    # so only serve-everything pools accept live writes.
-                    pool.mutable_store = store
-                return pool
-            corpus_trees = dict(trees) if trees else (
-                {document: tree} if tree is not None else None)
-            if not corpus_trees:
-                raise ValueError("the corpus backend needs trees (or a tree) "
-                                 "or a db_path")
+            return cls(lambda: CorpusSearchEngine.from_store(
+                store, documents=[document], cache_size=cache_size),
+                workers=workers)
+        if backend == "corpus" and db_path:
+            # Segment-aware store: documents absorbed through
+            # `index --update` (or the live `update` wire op) serve exactly
+            # like base-generation ones, and the pool can keep taking
+            # writes without a restart.
+            store = SegmentedStore(db_path)
+            stored = store.documents()
+            if not stored:
+                raise ValueError(
+                    f"the corpus database {db_path!r} holds no indexed "
+                    f"documents (run `repro-xks index` first)")
+            served = tuple(documents) if documents else None
+            # Fail at build time, not inside a worker's lazy engine factory
+            # (which would surface as a per-request internal error).
+            unknown = sorted(set(served or ()) - set(stored))
+            if unknown:
+                raise ValueError(
+                    f"no document(s) named {', '.join(unknown)} in "
+                    f"{db_path!r}; stored: {', '.join(stored)}")
             if fault_plan is not None:
-                raise ValueError("a fault plan needs a database-backed "
-                                 "corpus (pass db_path)")
-            # One set of immutable per-document memory indexes, shared by
-            # every worker engine — same snapshot economics as `memory`.
-            snapshot = corpus_from_trees(corpus_trees, backend="memory")
-            return cls(lambda: CorpusSearchEngine(snapshot,
-                                                  trees=corpus_trees,
-                                                  cache_size=cache_size),
-                       workers=workers)
-        raise ValueError(f"unknown backend {backend!r}; "
-                         f"expected memory, sqlite or corpus")
+                store.set_fault_plan(fault_plan)
+            pool = cls(lambda: CorpusSearchEngine.from_store(
+                store, documents=served, cache_size=cache_size),
+                workers=workers)
+            if served is None:
+                # A pinned subset cannot absorb adds/deletes coherently, so
+                # only serve-everything pools accept live writes.
+                pool.mutable_store = store
+            return pool
+        # `memory`, and `corpus` without a database: one set of immutable
+        # per-document memory indexes, shared by every worker engine.
+        if backend == "corpus" and trees:
+            corpus_trees = dict(trees)
+        elif tree is not None:
+            corpus_trees = {document: tree}
+        else:
+            raise ValueError(f"the {backend} backend needs a tree"
+                             + (", trees or a db_path"
+                                if backend == "corpus" else ""))
+        if fault_plan is not None:
+            raise ValueError("a fault plan needs a database-backed corpus "
+                             "(pass db_path)")
+        snapshot = corpus_from_trees(corpus_trees)
+        return cls(lambda: CorpusSearchEngine(snapshot, trees=corpus_trees,
+                                              cache_size=cache_size),
+                   workers=workers)
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _thread_engine(self) -> SearchEngine:
+    def _thread_engine(self) -> CorpusSearchEngine:
         """This worker thread's engine, built on first use.
 
         An engine built before the last :meth:`invalidate_engines` call is
@@ -266,9 +258,7 @@ class EnginePool:
             # contention between workers on the hot path); snapshots are
             # merged on demand.
             registry = MetricsRegistry()
-            setter = getattr(engine, "set_metrics", None)
-            if setter is not None:
-                setter(registry)
+            engine.set_metrics(registry)
             self._local.engine = engine
             self._local.engine_version = self._engine_version
             with self._engines_lock:
@@ -318,10 +308,13 @@ class EnginePool:
                 ERROR_DEGRADED,
                 f"storage fault while serving the request: {error}"
             ) from error
+        except DocumentNotFound as error:
+            # A doc_filter naming a document the engine does not serve.
+            raise ServiceError(ERROR_BAD_REQUEST, str(error)) from None
 
     @staticmethod
-    def _with_cid_mode(engine: SearchEngine,
-                       cid_mode: Optional[str]) -> SearchEngine:
+    def _with_cid_mode(engine: CorpusSearchEngine,
+                       cid_mode: Optional[str]) -> CorpusSearchEngine:
         """Switch the worker engine's mode when a request overrides it.
 
         Worker engines serve one request at a time, so rebuilding the
@@ -333,49 +326,44 @@ class EnginePool:
         return engine
 
     def search(self, query: QueryLike, algorithm: str = "validrtf",
-               cid_mode: Optional[str] = None) -> "Future[SearchResult]":
+               cid_mode: Optional[str] = None,
+               doc_filter: Optional[Sequence[str]] = None
+               ) -> "Future[CorpusSearchResult]":
         """One query on any worker; returns a future."""
         return self.submit(
-            lambda engine, q, a, m: self._with_cid_mode(engine, m).search(q, a),
-            query, algorithm, cid_mode)
+            lambda engine, q, a, m, f:
+                self._with_cid_mode(engine, m).search(q, a, doc_filter=f),
+            query, algorithm, cid_mode, doc_filter)
 
     def search_many(self, queries: Sequence, algorithm: str = "validrtf",
                     cid_mode: Optional[str] = None
-                    ) -> "Future[List[SearchResult]]":
+                    ) -> "Future[List[CorpusSearchResult]]":
         """One coalesced batch on a single worker (shared posting fetch)."""
         return self.submit(
             lambda engine, qs, a, m:
                 self._with_cid_mode(engine, m).search_many(qs, a),
             queries, algorithm, cid_mode)
 
-    def compare(self, query: QueryLike,
-                cid_mode: Optional[str] = None) -> "Future[ComparisonOutcome]":
+    def compare(self, query: QueryLike, cid_mode: Optional[str] = None,
+                doc_filter: Optional[Sequence[str]] = None
+                ) -> "Future[CorpusComparisonOutcome]":
         """ValidRTF-vs-MaxMatch comparison on any worker."""
         return self.submit(
-            lambda engine, q, m: self._with_cid_mode(engine, m).compare(q),
-            query, cid_mode)
+            lambda engine, q, m, f:
+                self._with_cid_mode(engine, m).compare(q, doc_filter=f),
+            query, cid_mode, doc_filter)
 
     def rank(self, query: QueryLike, algorithm: str = "validrtf",
              cid_mode: Optional[str] = None, top_k: Optional[int] = None,
-             early_terminate: bool = False) -> Future:
-        """Search then rank on one worker, on any backend.
-
-        Corpus engines run the full ranked-retrieval driver (returning a
-        :class:`~repro.corpus.engine.RankedCorpusSearch` with visit
-        accounting); single-document engines rank their one document and
-        truncate to ``top_k`` — there is nothing to early-terminate over,
-        so the flag is a no-op there.
-        """
-        def ranked(engine: SearchEngine, q: QueryLike, a: str,
-                   m: Optional[str], k: Optional[int], early: bool) -> object:
-            engine = self._with_cid_mode(engine, m)
-            if getattr(engine, "is_corpus", False):
-                return engine.rank_search(q, a, top_k=k,
-                                          early_terminate=early)
-            fragments = engine.rank(engine.search(q, a))
-            return fragments if k is None else fragments[:k]
-        return self.submit(ranked, query, algorithm, cid_mode, top_k,
-                           early_terminate)
+             early_terminate: bool = False,
+             doc_filter: Optional[Sequence[str]] = None
+             ) -> "Future[RankedCorpusSearch]":
+        """Ranked retrieval on one worker, with visit accounting."""
+        return self.submit(
+            lambda engine, q, a, m, k, early, f:
+                self._with_cid_mode(engine, m).rank_search(
+                    q, a, top_k=k, doc_filter=f, early_terminate=early),
+            query, algorithm, cid_mode, top_k, early_terminate, doc_filter)
 
     # ------------------------------------------------------------------ #
     # Lifecycle / introspection
@@ -434,22 +422,26 @@ class EnginePool:
                                 for registry in registries])
 
     def stats(self) -> Dict[str, object]:
-        """Pool-level counters for the ``stats`` endpoint."""
+        """Pool-level counters for the ``stats`` endpoint.
+
+        Cache hits and misses come from the merged registry, so they stay
+        cumulative across engine rebuilds; the other cache fields describe
+        the live engines' caches.
+        """
         cache = self.cache_stats()
-        snapshot = self.metrics.snapshot()
+        counters = self.metrics_snapshot()["counters"]
         return {
             "workers": self.workers,
             "engines": self.engine_count,
             "backend": self.backend_id,
-            "rebuilds": snapshot["counters"].get(
-                metric_names.POOL_REBUILDS, 0),
-            "rebuild_failures": snapshot["counters"].get(
+            "rebuilds": counters.get(metric_names.POOL_REBUILDS, 0),
+            "rebuild_failures": counters.get(
                 metric_names.POOL_REBUILD_FAILURES, 0),
-            "quarantine_refusals": snapshot["counters"].get(
+            "quarantine_refusals": counters.get(
                 metric_names.POOL_QUARANTINE_REFUSALS, 0),
             "cache": {
-                "hits": cache.hits,
-                "misses": cache.misses,
+                "hits": counters.get(metric_names.CACHE_HITS, 0),
+                "misses": counters.get(metric_names.CACHE_MISSES, 0),
                 "evictions": cache.evictions,
                 "size": cache.size,
                 "max_size": cache.max_size,

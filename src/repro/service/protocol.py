@@ -12,11 +12,11 @@ Responses are ``{"ok": true, ...payload...}`` or
 Two properties matter here:
 
 * **Determinism** — :func:`result_payload` is the *canonical* serialization
-  of a :class:`~repro.core.fragments.SearchResult`.  It deliberately excludes
-  timings, and :func:`encode_message` fixes key order and separators, so a
-  result served through the TCP front end is byte-identical to the same
-  result serialized directly — which is exactly what the service-parity
-  suite (``tests/test_service_parity.py``) asserts.
+  of a search result.  It deliberately excludes timings, and
+  :func:`encode_message` fixes key order and separators, so a result served
+  through the TCP front end is byte-identical to the same result serialized
+  directly — which is exactly what the service-parity suite
+  (``tests/test_service_parity.py``) asserts.
 * **Typed errors** — every failure mode the admission controller or the
   dispatch layer can produce has a stable error code, so load generators and
   clients can distinguish shed load (``overloaded``) from timeouts from
@@ -28,11 +28,10 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..core.engine import ComparisonOutcome
 from ..core.explain import ScoreExplanation, explain_score
 from ..core.fragments import SearchResult
 from ..core.metrics import EffectivenessReport
-from ..core.ranking import DocumentRankedFragment, RankedFragment
+from ..core.ranking import DocumentRankedFragment
 from ..corpus.engine import CorpusComparisonOutcome, RankedCorpusSearch
 from ..corpus.result import CorpusSearchResult
 
@@ -45,7 +44,7 @@ ERROR_OVERLOADED = "overloaded"
 #: The per-request deadline elapsed before a result was ready.
 ERROR_TIMEOUT = "timeout"
 #: The operation is valid but not available on this engine configuration
-#: (e.g. ``doc_filter`` on a single-document backend).
+#: (e.g. a live ``update`` on a backend not served from a database).
 ERROR_UNSUPPORTED = "unsupported"
 #: Anything unexpected; the message carries the exception text.
 ERROR_INTERNAL = "internal"
@@ -82,8 +81,11 @@ def result_payload(result: Union[SearchResult, CorpusSearchResult]
 
     Everything the parity contract covers — roots, kept node sets, raw node
     sets, keyword nodes, SLCA flags, LCA list — and nothing
-    non-deterministic (no timings).  Corpus results serialize to the
-    doc-id-tagged form of :func:`corpus_result_payload`.
+    non-deterministic (no timings).  Every served answer is a corpus result
+    and serializes to the doc-id-tagged form of
+    :func:`corpus_result_payload`; a per-document
+    :class:`~repro.core.fragments.SearchResult` serializes to the form each
+    document entry carries.
     """
     if isinstance(result, CorpusSearchResult):
         return corpus_result_payload(result)
@@ -130,28 +132,19 @@ def _single_result_payload(result: SearchResult) -> Dict[str, object]:
     }
 
 
-def comparison_payload(
-        outcome: Union[ComparisonOutcome, CorpusComparisonOutcome]
-) -> Dict[str, object]:
+def comparison_payload(outcome: CorpusComparisonOutcome) -> Dict[str, object]:
     """The canonical payload of a ValidRTF-vs-MaxMatch comparison.
 
-    Corpus outcomes carry one report per contributing document plus the
-    corpus-level summary instead of the single-document report.
+    One report per contributing document plus the corpus-level summary.
     """
-    if isinstance(outcome, CorpusComparisonOutcome):
-        return {
-            "validrtf": corpus_result_payload(outcome.validrtf),
-            "maxmatch": corpus_result_payload(outcome.maxmatch),
-            "documents": [
-                {"doc": doc_id, "report": _report_payload(entry.report)}
-                for doc_id, entry in outcome.documents
-            ],
-            "summary": dict(outcome.summary),
-        }
     return {
-        "validrtf": result_payload(outcome.validrtf),
-        "maxmatch": result_payload(outcome.maxmatch),
-        "report": _report_payload(outcome.report),
+        "validrtf": corpus_result_payload(outcome.validrtf),
+        "maxmatch": corpus_result_payload(outcome.maxmatch),
+        "documents": [
+            {"doc": doc_id, "report": _report_payload(entry.report)}
+            for doc_id, entry in outcome.documents
+        ],
+        "summary": dict(outcome.summary),
     }
 
 
@@ -174,32 +167,26 @@ def _report_payload(report: EffectivenessReport) -> Dict[str, object]:
     }
 
 
-def ranking_payload(ranked: Sequence,
+def ranking_payload(ranked: Sequence[DocumentRankedFragment],
                     explain: bool = False) -> List[Dict[str, object]]:
-    """The canonical payload of a ranked fragment list.
+    """The canonical payload of a ranked fragment list, one row per fragment.
 
-    Corpus rankings (:class:`DocumentRankedFragment` entries) additionally
-    carry the owning doc id.  With ``explain=True`` each row also carries a
-    per-component score breakdown (:func:`~repro.core.explain.explain_score`)
-    whose contributions sum to the served score bit for bit.
+    Each row carries the owning doc id.  With ``explain=True`` it also
+    carries a per-component score breakdown
+    (:func:`~repro.core.explain.explain_score`) whose contributions sum to
+    the served score bit for bit.
     """
     payload: List[Dict[str, object]] = []
     for entry in ranked:
-        if isinstance(entry, DocumentRankedFragment):
-            doc_id: Optional[str] = entry.doc_id
-            fragment: RankedFragment = entry.ranked
-        else:
-            doc_id = None
-            fragment = entry
+        fragment = entry.ranked
         row: Dict[str, object] = {
             "root": str(fragment.fragment.root),
             "score": fragment.score,
             "specificity": fragment.specificity,
             "compactness": fragment.compactness,
             "coverage": fragment.coverage,
+            "doc": entry.doc_id,
         }
-        if doc_id is not None:
-            row["doc"] = doc_id
         if explain:
             row["explanation"] = score_explanation_payload(
                 explain_score(fragment))

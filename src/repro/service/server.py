@@ -22,16 +22,18 @@ Supported operations::
     {"op": "algorithms"}
     {"op": "search",  "query": ..., "algorithm": ..., "cid_mode": ...,
                       "doc_filter": [...]}
-    {"op": "compare", "query": ..., "cid_mode": ...}
-    {"op": "rank",    "query": ..., "algorithm": ..., "cid_mode": ...}
+    {"op": "compare", "query": ..., "cid_mode": ..., "doc_filter": [...]}
+    {"op": "rank",    "query": ..., "algorithm": ..., "cid_mode": ...,
+                      "doc_filter": [...]}
     {"op": "update",     "doc": ..., "xml": ..., "key": ...}
     {"op": "delete_doc", "doc": ..., "key": ...}
     {"op": "compact"}
 
-Every request may carry an ``id``, echoed verbatim in the response.
-``doc_filter`` (a list of doc ids) restricts a search to a subset of a corpus
-backend's documents; on non-corpus backends it answers with the typed
-``unsupported`` error.
+Every request may carry an ``id``, echoed verbatim in the response.  Every
+backend serves a corpus (a single document is a corpus of one), so every
+answer is doc-tagged, and ``doc_filter`` (a list of doc ids) restricts a
+request to a subset of the served documents; an unknown id answers the
+typed ``bad_request`` error.
 
 ``update`` and ``delete_doc`` are the live-mutation operations: the first
 shreds the ``xml`` payload into a delta segment under the given doc id
@@ -61,12 +63,10 @@ import threading
 from dataclasses import dataclass
 from time import perf_counter
 from types import TracebackType
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, List, Optional, Tuple, Type, Union
 
-from ..core import ALGORITHM_NAMES, Query, SearchEngine
+from ..core import ALGORITHM_NAMES, Query
 from ..core.errors import EmptyQueryError
-from ..corpus import CorpusSearchEngine
-from ..corpus.engine import RankedCorpusSearch
 from ..core.node_record import CID_MODES
 from ..faults import FaultPlan
 from ..obs import MetricsRegistry, Snapshot, merge_snapshots, split_series_key
@@ -338,49 +338,6 @@ class SearchService:
                 "doc_filter must be a non-empty list of document ids")
         return doc_filter
 
-    @staticmethod
-    def _run_filtered(engine: Union[SearchEngine, CorpusSearchEngine],
-                      cid_mode: Optional[str], doc_filter: Sequence[str],
-                      run: Callable[[CorpusSearchEngine], object]) -> object:
-        """Worker-side dispatch of a doc-filtered operation (corpus only)."""
-        if not getattr(engine, "is_corpus", False):
-            raise ServiceError(
-                ERROR_UNSUPPORTED,
-                "doc_filter needs a corpus backend (serve with "
-                "--backend corpus)")
-        engine = EnginePool._with_cid_mode(engine, cid_mode)
-        try:
-            return run(engine)
-        except DocumentNotFound as error:
-            raise ServiceError(ERROR_BAD_REQUEST, str(error)) from None
-
-    @staticmethod
-    def _filtered_search(engine: Union[SearchEngine, CorpusSearchEngine],
-                         query: str, algorithm: str, cid_mode: Optional[str],
-                         doc_filter: Sequence[str]) -> object:
-        return SearchService._run_filtered(
-            engine, cid_mode, doc_filter,
-            lambda e: e.search(query, algorithm, doc_filter=doc_filter))
-
-    @staticmethod
-    def _filtered_compare(engine: Union[SearchEngine, CorpusSearchEngine],
-                          query: str, cid_mode: Optional[str],
-                          doc_filter: Sequence[str]) -> object:
-        return SearchService._run_filtered(
-            engine, cid_mode, doc_filter,
-            lambda e: e.compare(query, doc_filter=doc_filter))
-
-    @staticmethod
-    def _filtered_rank(engine: Union[SearchEngine, CorpusSearchEngine],
-                       query: str, algorithm: str, cid_mode: Optional[str],
-                       doc_filter: Sequence[str], top_k: Optional[int],
-                       early_terminate: bool) -> object:
-        return SearchService._run_filtered(
-            engine, cid_mode, doc_filter,
-            lambda e: e.rank_search(query, algorithm, top_k=top_k,
-                                    doc_filter=doc_filter,
-                                    early_terminate=early_terminate))
-
     async def _search(self, request: Dict[str, object]) -> Dict[str, object]:
         query, algorithm, cid_mode = self._validated(request)
         doc_filter = self._doc_filter(request)
@@ -393,20 +350,16 @@ class SearchService:
                 # its document subset, and filtered traffic is rare enough
                 # that coalescing it would mostly create one-request batches.
                 result = await self.admission.run(asyncio.wrap_future(
-                    self.pool.submit(self._filtered_search, query, algorithm,
-                                     cid_mode, doc_filter)))
+                    self.pool.search(query, algorithm, cid_mode,
+                                     doc_filter=doc_filter)))
         return ok_response(result=result_payload(result))
 
     async def _compare(self, request: Dict[str, object]) -> Dict[str, object]:
         query, _, cid_mode = self._validated(request)
         doc_filter = self._doc_filter(request)
         with self.admission:
-            if doc_filter is None:
-                future = self.pool.compare(query, cid_mode)
-            else:
-                future = self.pool.submit(self._filtered_compare, query,
-                                          cid_mode, doc_filter)
-            outcome = await self.admission.run(asyncio.wrap_future(future))
+            outcome = await self.admission.run(asyncio.wrap_future(
+                self.pool.compare(query, cid_mode, doc_filter=doc_filter)))
         return ok_response(comparison=comparison_payload(outcome))
 
     @staticmethod
@@ -436,20 +389,13 @@ class SearchService:
         doc_filter = self._doc_filter(request)
         top_k, early_terminate, explain = self._rank_options(request)
         with self.admission:
-            if doc_filter is None:
-                future = self.pool.rank(query, algorithm, cid_mode,
-                                        top_k=top_k,
-                                        early_terminate=early_terminate)
-            else:
-                future = self.pool.submit(
-                    self._filtered_rank, query, algorithm, cid_mode,
-                    doc_filter, top_k, early_terminate)
-            ranked = await self.admission.run(asyncio.wrap_future(future))
-        if isinstance(ranked, RankedCorpusSearch):
-            return ok_response(
-                ranking=ranking_payload(ranked.ranked, explain=explain),
-                rank_stats=rank_stats_payload(ranked))
-        return ok_response(ranking=ranking_payload(ranked, explain=explain))
+            ranked = await self.admission.run(asyncio.wrap_future(
+                self.pool.rank(query, algorithm, cid_mode, top_k=top_k,
+                               early_terminate=early_terminate,
+                               doc_filter=doc_filter)))
+        return ok_response(
+            ranking=ranking_payload(ranked.ranked, explain=explain),
+            rank_stats=rank_stats_payload(ranked))
 
     # ------------------------------------------------------------------ #
     # Live mutations

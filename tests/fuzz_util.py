@@ -25,14 +25,18 @@ import random
 from typing import Callable, Dict, List
 
 from repro.core import ALGORITHM_NAMES, SearchEngine
-from repro.corpus import CorpusSearchEngine, corpus_from_store
+from repro.corpus import (
+    CorpusPostingSource,
+    CorpusSearchEngine,
+    corpus_from_store,
+)
 from repro.service.protocol import (
     comparison_payload,
     encode_message,
     ranking_payload,
     result_payload,
 )
-from repro.storage import SegmentedStore
+from repro.storage import SegmentedStore, SQLiteStore
 from repro.xmltree import SubtreeSpec, XMLTree, tree_from_spec
 
 #: Small label/word pools keep keyword collisions (and therefore non-trivial
@@ -86,17 +90,24 @@ def random_queries(seed: int, count: int = 4,
     return queries
 
 
+def store_corpus(trees: Dict[str, XMLTree],
+                 store: SQLiteStore) -> CorpusPostingSource:
+    """Store every document into ``store`` and serve them as a corpus, the
+    one-store layout a database-served corpus runs (tree-free)."""
+    for name in sorted(trees):
+        store.store_tree(trees[name], name)
+    return corpus_from_store(store)
+
+
 def build_corpus_engine(trees: Dict[str, XMLTree],
                         backend: str) -> CorpusSearchEngine:
-    """A corpus engine over ``trees`` for one backend; ``segmented`` stores
-    every document into one :class:`SegmentedStore`, the layout a served
-    corpus database runs."""
-    if backend == "segmented":
-        store = SegmentedStore()
-        for name in sorted(trees):
-            store.store_tree(trees[name], name)
-        return CorpusSearchEngine(corpus_from_store(store))
-    return CorpusSearchEngine.from_trees(trees, backend=backend)
+    """A corpus engine over ``trees`` for one backend: ``memory`` keeps one
+    inverted index per document, ``sqlite`` stores every document into one
+    :class:`SQLiteStore` and ``segmented`` into one :class:`SegmentedStore`."""
+    if backend == "memory":
+        return CorpusSearchEngine.from_trees(trees)
+    store = SegmentedStore() if backend == "segmented" else SQLiteStore()
+    return CorpusSearchEngine(store_corpus(trees, store))
 
 
 def reference_engines(trees: Dict[str, XMLTree]) -> Dict[str, SearchEngine]:
@@ -167,7 +178,7 @@ def wire_lines(engine: CorpusSearchEngine,
              "comparison": comparison_payload(engine.compare(query))}))
         lines.append(encode_message(
             {"query": query,
-             "ranking": ranking_payload(engine.search_ranked(query))}))
+             "ranking": ranking_payload(engine.rank_search(query).ranked)}))
     return lines
 
 
@@ -179,7 +190,7 @@ def segmented_engine(store: SegmentedStore) -> CorpusSearchEngine:
 
 def fresh_oracle(state: Dict[str, XMLTree]) -> CorpusSearchEngine:
     """The update oracle: the live state re-shredded from scratch."""
-    return CorpusSearchEngine.from_trees(state, backend="memory")
+    return CorpusSearchEngine.from_trees(state)
 
 
 def assert_segmented_matches_fresh(store: SegmentedStore,

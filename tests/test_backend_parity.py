@@ -30,8 +30,10 @@ from repro.core import (
     SearchEngine,
     build_fragment,
     build_record_tree,
+    rank_result,
 )
-from repro.corpus import CorpusSearchEngine, corpus_from_trees
+from fuzz_util import store_corpus
+from repro.corpus import CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES
 from repro.storage import (
     MemoryStore,
@@ -43,7 +45,7 @@ from repro.storage import (
     source_for_store,
 )
 from repro.text import ContentAnalyzer
-from repro.xmltree import DeweyCode, SubtreeSpec, XMLTree, tree_from_spec
+from repro.xmltree import SubtreeSpec, XMLTree, tree_from_spec
 
 BACKENDS = ("memory", "sqlite", "corpus", "segmented")
 
@@ -54,8 +56,7 @@ BACKENDS = ("memory", "sqlite", "corpus", "segmented")
 PARITY_SOURCES = {
     "InvertedIndex": ("memory",),
     "StorePostingSource": ("sqlite",),
-    "SQLitePostingSource": ("sqlite",),
-    "CorpusPostingSource": ("corpus",),
+    "SQLitePostingSource": ("sqlite", "corpus"),
     "SegmentedPostingSource": ("segmented",),
 }
 
@@ -68,9 +69,10 @@ PARITY_SOURCES = {
 ROW_DECODE_INPUTS = ("memorystore", "sqlite-legacy", "segmented-legacy")
 
 #: Store inputs whose document shares one sqlite store with other
-#: documents: ``corpus-store`` is the document's source in a corpus built by
-#: ``corpus_from_trees(backend="sqlite")``, stored between two mirrored
-#: copies of itself, so every word it holds is also stored for a neighbour.
+#: documents: ``corpus-store`` is the document's source in a corpus served
+#: by ``corpus_from_store`` out of one ``SQLiteStore``, stored between two
+#: mirrored copies of itself, so every word it holds is also stored for a
+#: neighbour.
 SHARED_STORE_INPUTS = ("corpus-store",)
 
 #: Everything the matrix compares against the memory reference engine.
@@ -144,9 +146,9 @@ def build_source(tree, backend: str, name: str = "doc"):
         # sit between its neighbours' in the one store, and no neighbour
         # row may reach its answers.
         mirror = mirrored(tree)
-        corpus = corpus_from_trees(
+        corpus = store_corpus(
             {"0-mirror": mirror, name: tree, "~mirror": mirror},
-            backend="sqlite")
+            SQLiteStore())
         return corpus.document_source(name)
     raise ValueError(backend)
 
@@ -156,10 +158,10 @@ def build_engine(tree, backend: str, name: str = "doc") -> SearchEngine:
     if backend == "memory":
         return SearchEngine(tree)
     if backend == "corpus":
-        # A one-document corpus over disk-backed per-document stores: the
-        # corpus answer must equal the single-document answer exactly (the
-        # union of one document is that document's result).
-        return CorpusSearchEngine.from_trees({name: tree}, backend="sqlite")
+        # A one-document corpus served out of a sqlite store: the corpus
+        # answer must equal the single-document answer exactly (the union
+        # of one document is that document's result).
+        return CorpusSearchEngine(store_corpus({name: tree}, SQLiteStore()))
     return SearchEngine(source=build_source(tree, backend, name))
 
 
@@ -234,36 +236,35 @@ def test_batch_search_parity(engines, backend):
 # ---------------------------------------------------------------------- #
 # Record trees: the search path's seed-and-fold against the definition
 # ---------------------------------------------------------------------- #
-def record_fields(record, local=lambda code: code):
-    """What a record holds, with its codes mapped into the document."""
-    return (local(record.dewey), record.label, record.keyword_mask,
+def record_fields(record):
+    """What a record holds."""
+    return (record.dewey, record.label, record.keyword_mask,
             record.content_feature, record.is_keyword_node,
-            [local(child.dewey) for child in record.children])
+            [child.dewey for child in record.children])
+
+
+#: The record-tree inputs: every backend's per-document source (the
+#: ``corpus`` entry's is a ``sqlite`` source, so ``corpus-store`` stands in
+#: for it) and the row-decode inputs.
+RECORD_TREE_INPUTS = (tuple(b for b in BACKENDS if b != "corpus")
+                      + ROW_DECODE_INPUTS + SHARED_STORE_INPUTS)
 
 
 @pytest.mark.parametrize("cid_mode", CID_MODES)
-@pytest.mark.parametrize("backend", BACKENDS + ROW_DECODE_INPUTS)
+@pytest.mark.parametrize("backend", RECORD_TREE_INPUTS)
 @pytest.mark.parametrize("dataset,query_names", DATASETS)
 def test_record_trees_equal_the_definition(request, dataset, query_names,
                                            backend, cid_mode):
     """Every record the search path builds — masks from ``getRTF``,
     features from node lookups, one fold — equals the one
     ``build_record_tree`` derives from the document's node contents:
-    label, mask, feature, keyword flag and children.  ``corpus`` runs a
-    tree-free engine over the corpus-wide source, so its codes carry the
-    document's ordinal and its lookups route on it."""
+    label, mask, feature, keyword flag and children."""
     tree = request.getfixturevalue(dataset)
     if backend == "memory":
         engine = SearchEngine(tree, cid_mode=cid_mode)
-    elif backend == "corpus":
-        corpus = corpus_from_trees({dataset: tree}, backend="sqlite")
-        engine = SearchEngine(source=corpus, cid_mode=cid_mode)
     else:
         engine = SearchEngine(source=build_source(tree, backend, dataset),
                               cid_mode=cid_mode)
-
-    def local(code):
-        return DeweyCode(code.components[1:]) if backend == "corpus" else code
 
     analyzer = ContentAnalyzer(tree)
     checked = 0
@@ -275,15 +276,15 @@ def test_record_trees_equal_the_definition(request, dataset, query_names,
                 records = pipeline.record_tree(query, fragment)
                 reference = build_record_tree(
                     tree, analyzer, query,
-                    build_fragment(tree, local(fragment.root),
-                                   [local(code) for code in fragment.keyword_nodes],
+                    build_fragment(tree, fragment.root,
+                                   list(fragment.keyword_nodes),
                                    fragment.is_slca),
                     cid_mode)
-                assert [local(code) for code in records.by_dewey] == \
-                    list(reference.by_dewey), (algorithm, query_name)
+                assert list(records.by_dewey) == list(reference.by_dewey), \
+                    (algorithm, query_name)
                 for code, record in records.by_dewey.items():
-                    assert record_fields(record, local) == record_fields(
-                        reference.record(local(code))), \
+                    assert record_fields(record) == record_fields(
+                        reference.record(code)), \
                         (algorithm, query_name, str(code))
                     checked += 1
     assert checked, "the queries must build record trees"
@@ -315,8 +316,7 @@ def test_coverage_equals_the_definition(request, engines, dataset,
     for query_name in query_names:
         query = Query.parse(PAPER_QUERIES[query_name])
         for algorithm in ALGORITHM_NAMES:
-            for row in engine.rank(engine.search(query, algorithm)):
-                ranked = getattr(row, "ranked", row)  # corpus rows wrap it
+            for ranked in rank_result(engine.search(query, algorithm)):
                 assert ranked.coverage == tree_coverage(
                     tree, query, ranked.fragment), \
                     (query_name, algorithm, str(ranked.fragment.root))
@@ -377,14 +377,12 @@ def test_source_for_store_picks_specialization(publications, store_class):
 # ---------------------------------------------------------------------- #
 def test_parity_sources_cover_backends():
     """PARITY_SOURCES names real PostingSource classes and covers BACKENDS."""
-    from repro.corpus.source import CorpusPostingSource
     from repro.index import InvertedIndex
 
     classes = {
         "InvertedIndex": InvertedIndex,
         "StorePostingSource": StorePostingSource,
         "SQLitePostingSource": SQLitePostingSource,
-        "CorpusPostingSource": CorpusPostingSource,
         "SegmentedPostingSource": SegmentedPostingSource,
     }
     assert set(classes) == set(PARITY_SOURCES)

@@ -34,7 +34,17 @@ class TestSearchCommand:
         path.write_text("<a><b>xml keyword</b><c>other</c></a>", encoding="utf-8")
         exit_code = main(["search", "--file", str(path), "xml keyword"])
         assert exit_code == 0
-        assert "fragments: 1" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "fragments: 1" in output
+        assert "=== document doc (1 fragment) ===" in output
+
+    def test_search_early_terminate_on_one_document(self, capsys):
+        exit_code = main(["search", "--dataset", "figure-1a", "--top-k", "3",
+                          "--early-terminate", "xml keyword search"])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert "documents visited: 1/1" in output
+        assert "  1. [figure-1a] root " in output
 
 
 class TestCompareCommand:

@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+from fuzz_util import build_corpus_engine, store_corpus
 from golden_loader import corpus_result_payload, load_golden, save_golden
 from repro.core import ALGORITHM_NAMES
 from repro.corpus import (
@@ -26,9 +27,8 @@ from repro.corpus import (
     corpus_from_trees,
 )
 from repro.datasets import PAPER_QUERIES, publications_tree, team_tree
-from repro.index.packed import PackedDeweyList
 from repro.service import rank_stats_payload, ranking_payload
-from repro.storage import SQLitePostingSource
+from repro.storage import SQLitePostingSource, SQLiteStore
 from repro.storage.errors import DocumentNotFound
 from repro.xmltree import SubtreeSpec, tree_from_spec
 
@@ -97,7 +97,7 @@ def corpus_updated_store():
 @pytest.fixture(scope="module")
 def corpus3_engines():
     trees = corpus3_trees()
-    return {backend: CorpusSearchEngine.from_trees(trees, backend=backend)
+    return {backend: build_corpus_engine(trees, backend)
             for backend in CORPUS3_BACKENDS}
 
 
@@ -170,12 +170,13 @@ RANKED_CORPUS3_ENGINES = CORPUS3_BACKENDS + ("sqlite-tree-free",)
 def ranked_corpus3_engines():
     """corpus3 engines per entry of :data:`RANKED_CORPUS3_ENGINES`."""
     trees = corpus3_trees()
-    engines = {backend: CorpusSearchEngine(
-        corpus_from_trees(trees, backend=backend), trees=trees)
-        for backend in CORPUS3_BACKENDS}
-    engines["sqlite-tree-free"] = CorpusSearchEngine(
-        corpus_from_trees(trees, backend="sqlite"))
-    return engines
+    return {
+        "memory": CorpusSearchEngine(corpus_from_trees(trees), trees=trees),
+        "sqlite": CorpusSearchEngine(store_corpus(trees, SQLiteStore()),
+                                     trees=trees),
+        "sqlite-tree-free": CorpusSearchEngine(
+            store_corpus(trees, SQLiteStore())),
+    }
 
 
 def _ranked_entry(engine, text, algorithm):
@@ -213,62 +214,22 @@ def test_ranked_golden_accounting_is_consistent():
 
 
 # ---------------------------------------------------------------------- #
-# Corpus posting-source invariants (the PostingSource contract)
+# Corpus posting sources: a sorted doc-id map, one store per disk corpus
 # ---------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def corpus3_source() -> CorpusPostingSource:
-    return corpus_from_trees(corpus3_trees(), backend="memory")
-
-
-def test_corpus_postings_are_sorted_and_prefixed(corpus3_source):
-    for keyword in ("name", "xml", "team"):
-        postings = corpus3_source.postings(keyword)
-        codes = list(postings)
-        assert codes == sorted(set(codes)), keyword
-        ordinals = [code.components[0] for code in codes]
-        assert all(0 <= o < len(corpus3_source.doc_ids) for o in ordinals)
-        assert ordinals == sorted(ordinals), "doc ordinals must be grouped"
-        assert len(postings) == corpus3_source.frequency(keyword)
-
-
-def test_corpus_keyword_nodes_match_postings(corpus3_source):
-    lists = corpus3_source.keyword_nodes(["name", "xml", "absentkeyword"])
-    assert list(lists["name"]) == list(corpus3_source.postings("name").deweys)
-    assert len(lists["absentkeyword"]) == 0
-    assert isinstance(lists["name"], PackedDeweyList)  # packed corpus
-
-
-def test_corpus_node_lookups_route_on_ordinal(corpus3_source):
-    postings = corpus3_source.postings("name")
-    first = postings.deweys[0]
-    assert corpus3_source.node_label(first) is not None
-    words = corpus3_source.node_words(first)
-    assert "name" in words
-    assert corpus3_source.node_cid(first) == (min(words), max(words))
-    # Codes outside the corpus answer absently, never raise.
-    from repro.xmltree import DeweyCode
-    assert corpus3_source.node_label(DeweyCode((99, 0))) is None
-    assert corpus3_source.node_cid(DeweyCode((99, 0))) == ("", "")
-    assert corpus3_source.node_words(DeweyCode((99, 0))) == frozenset()
-
-
-def test_corpus_vocabulary_is_document_union(corpus3_source):
-    vocabulary = set(corpus3_source.vocabulary())
-    for doc_id in corpus3_source.doc_ids:
-        assert set(corpus3_source.document_source(doc_id).vocabulary()) <= \
-            vocabulary
+    return corpus_from_trees(corpus3_trees())
 
 
 def test_sqlite_corpus_holds_every_document_in_one_store():
-    """``corpus_from_trees(backend="sqlite")`` stores every document into
-    one store and serves it as ``corpus_from_store`` does (the layout a
-    database-served corpus runs)."""
+    """``corpus_from_store`` serves every document of one store (the layout
+    a database-served corpus runs) through that one store."""
     trees = corpus3_trees()
-    source = corpus_from_trees(trees, backend="sqlite")
+    store = SQLiteStore()
+    source = store_corpus(trees, store)
     documents = [source.document_source(doc_id) for doc_id in source.doc_ids]
     assert all(isinstance(document, SQLitePostingSource)
                for document in documents)
-    store = documents[0].store
     assert all(document.store is store for document in documents)
     assert [document.document for document in documents] == \
         list(source.doc_ids) == store.documents() == sorted(trees)
@@ -298,12 +259,12 @@ def test_corpus_cache_round_trip():
 
 def test_corpus_rank_merges_across_documents():
     engine = CorpusSearchEngine.from_trees(corpus3_trees())
-    ranked = engine.search_ranked("name", top_k=3)
+    ranked = engine.rank_search("name", top_k=3).ranked
     assert 0 < len(ranked) <= 3
     scores = [entry.score for entry in ranked]
     assert scores == sorted(scores, reverse=True)
     assert len({entry.doc_id for entry in
-                engine.search_ranked("name")}) >= 2
+                engine.rank_search("name").ranked}) >= 2
 
 
 # ---------------------------------------------------------------------- #

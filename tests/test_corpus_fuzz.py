@@ -34,14 +34,13 @@ from fuzz_util import (
     wire_lines,
 )
 from repro.core import ALGORITHM_NAMES
-from repro.corpus import CORPUS_DOC_BACKENDS
 from repro.faults import InjectedCrash
 from repro.service.protocol import encode_message, ranking_payload
 from repro.storage import SegmentedStore, verify_database
 
 SEEDS = (1, 2, 3)
 #: Every per-document source kind a corpus is built over.
-BACKENDS = CORPUS_DOC_BACKENDS
+BACKENDS = ("memory", "sqlite")
 #: The backends plus ``segmented``: every document in one segmented store.
 LAYOUTS = BACKENDS + ("segmented",)
 
@@ -249,19 +248,19 @@ def test_ranked_answers_deterministic_across_backends():
     any drift, including float-formatting differences in the scores.  The
     engines hold no trees: ranking runs on what the search computed.
     """
-    from repro.corpus import CorpusSearchEngine, corpus_from_trees
+    from repro.corpus import CorpusSearchEngine
 
     for seed in SEEDS:
         trees = random_corpus(seed)
         queries = random_queries(seed)
         rankings = {}
         for backend in BACKENDS:
-            engine = CorpusSearchEngine(corpus_from_trees(trees,
-                                                          backend=backend))
+            engine = CorpusSearchEngine(
+                build_corpus_engine(trees, backend).source)
             rankings[backend] = [
                 encode_message({"query": query,
                                 "ranking": ranking_payload(
-                                    engine.search_ranked(query))})
+                                    engine.rank_search(query).ranked)})
                 for query in queries]
         reference = rankings["memory"]
         for backend, lines in rankings.items():

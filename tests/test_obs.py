@@ -5,7 +5,7 @@ Three layers under test:
 * the :mod:`repro.obs` primitives themselves (catalogue-validated series,
   fixed-bucket histograms, snapshot/merge semantics, Prometheus text);
 * the trace span tree (nesting, timing accounting, rendering);
-* the pipeline instrumentation — ``search_traced`` must produce one span
+* the pipeline instrumentation — a traced search must produce one span
   per stage on every algorithm and every backend, and an attached registry
   must fill the stage counters without changing any answer.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ALGORITHM_NAMES, SearchEngine
-from repro.corpus import CorpusSearchEngine
+from repro.corpus import CorpusPostingSource, CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES
 from repro.obs import (
     DEFAULT_COUNT_BUCKETS,
@@ -40,20 +40,21 @@ TRACE_BACKENDS = ("memory", "sqlite", "corpus", "segmented")
 
 
 def build_engine(tree, backend: str, name: str = "doc"):
-    if backend == "memory":
-        return SearchEngine(tree)
+    """A one-document corpus engine, the engine the CLI and service hold."""
+    if backend in ("memory", "corpus"):
+        return CorpusSearchEngine.from_trees({name: tree})
     if backend == "sqlite":
         store = SQLiteStore()
         store.store_tree(tree, name)
-        return SearchEngine(source=SQLitePostingSource(store, name))
-    if backend == "corpus":
-        return CorpusSearchEngine.from_trees({name: tree}, backend="memory")
-    if backend == "segmented":
+        source = SQLitePostingSource(store, name)
+    elif backend == "segmented":
         store = SegmentedStore()
         store.store_tree(tree, name)
         store.update_document(tree, name)  # shadow: force the segment path
-        return SearchEngine(source=SegmentedPostingSource(store, name))
-    raise ValueError(backend)
+        source = SegmentedPostingSource(store, name)
+    else:
+        raise ValueError(backend)
+    return CorpusSearchEngine(CorpusPostingSource({name: source}))
 
 
 # ---------------------------------------------------------------------- #
@@ -287,11 +288,14 @@ def test_set_metrics_none_detaches(publications):
 
 
 def test_compare_traced_nests_per_algorithm(publications):
-    engine = SearchEngine(publications)
+    engine = build_engine(publications, "memory", "publications")
     outcome, trace = engine.compare_traced(PAPER_QUERIES["Q2"])
-    names = [span.name for span in trace.root.children]
+    [doc_span] = trace.root.children
+    assert doc_span.notes["doc"] == "publications"
+    names = [span.name for span in doc_span.children]
     assert names == ["validrtf", "maxmatch", "effectiveness"]
-    assert outcome.report.lca_count >= 1
+    [(_, document_outcome)] = outcome.documents
+    assert document_outcome.report.lca_count >= 1
     rendered = render_trace(trace)
     for name in names:
         assert name in rendered
@@ -299,7 +303,7 @@ def test_compare_traced_nests_per_algorithm(publications):
 
 def test_corpus_trace_has_per_document_spans(publications, team):
     engine = CorpusSearchEngine.from_trees(
-        {"publications": publications, "team": team}, backend="memory")
+        {"publications": publications, "team": team})
     registry = MetricsRegistry()
     engine.set_metrics(registry)
     result, trace = engine.search_traced("xml")

@@ -46,6 +46,14 @@ def _deep_shallow_trees():
             "a-shallow": tree_from_spec(shallow, name="a-shallow")}
 
 
+def _document_ranking(tree, query, weights=RankingWeights()):
+    """The ranked fragments of ``tree`` alone: a one-document corpus, so
+    the scores are normalized by the document's own impact bounds."""
+    engine = CorpusSearchEngine.from_trees({"doc": tree})
+    return [entry.ranked for entry in
+            engine.rank_search(query, weights=weights).ranked]
+
+
 def _three_doc_trees():
     """The deep/shallow pair plus a document missing the query keywords."""
     trees = _deep_shallow_trees()
@@ -110,7 +118,7 @@ class TestCorpusComparableScores:
         # best fragments 1.0 and the tie-break served the shallow document
         # first.  Global bounds must rank the deeper fragment on top.
         engine = CorpusSearchEngine.from_trees(_deep_shallow_trees())
-        ranked = engine.search_ranked("apple banana", top_k=2)
+        ranked = engine.rank_search("apple banana", top_k=2).ranked
         assert ranked[0].doc_id == "z-deep"
         assert str(ranked[0].fragment.root) == "0.0.0.0"
         assert ranked[0].score > ranked[1].score
@@ -119,10 +127,10 @@ class TestCorpusComparableScores:
         # Bounds are corpus-global, never filter-relative: a document's
         # fragments score identically alone and corpus-wide.
         engine = CorpusSearchEngine.from_trees(_deep_shallow_trees())
-        alone = engine.search_ranked("apple banana",
-                                     doc_filter=["a-shallow"])
+        alone = engine.rank_search("apple banana",
+                                   doc_filter=["a-shallow"]).ranked
         corpus_wide = [entry for entry
-                       in engine.search_ranked("apple banana")
+                       in engine.rank_search("apple banana").ranked
                        if entry.doc_id == "a-shallow"]
         assert [(str(e.fragment.root), e.score) for e in alone] == \
             [(str(e.fragment.root), e.score) for e in corpus_wide]
@@ -130,7 +138,8 @@ class TestCorpusComparableScores:
     def test_specificity_is_absolute_depth_over_corpus_max(self):
         engine = CorpusSearchEngine.from_trees(_deep_shallow_trees())
         by_doc = {entry.doc_id: entry.ranked
-                  for entry in engine.search_ranked("apple banana", top_k=2)}
+                  for entry in engine.rank_search("apple banana",
+                                                  top_k=2).ranked}
         # Corpus max depth is 3 (the deep leaf); the shallow fragment root
         # sits at level 1.
         assert by_doc["z-deep"].specificity == pytest.approx(1.0)
@@ -179,20 +188,18 @@ class TestThresholdDriver:
             [(e.doc_id, str(e.fragment.root), e.score)
              for e in early.ranked]
 
-    def test_rank_of_search_equals_search_ranked(self):
+    def test_rank_of_search_equals_rank_search(self):
         engine = CorpusSearchEngine.from_trees(_three_doc_trees())
         via_rank = engine.rank(engine.search("apple banana"))
-        direct = engine.search_ranked("apple banana")
+        direct = engine.rank_search("apple banana").ranked
         assert [(e.doc_id, str(e.fragment.root), e.score)
                 for e in via_rank] == \
             [(e.doc_id, str(e.fragment.root), e.score) for e in direct]
 
 
 class TestScoreExplanation:
-    def test_contributions_reproduce_score(self, publications_engine,
-                                           publications):
-        result = publications_engine.search(PAPER_QUERIES["Q2"], "validrtf")
-        for item in publications_engine.rank(result):
+    def test_contributions_reproduce_score(self, publications):
+        for item in _document_ranking(publications, PAPER_QUERIES["Q2"]):
             explanation = explain_score(item)
             assert sum(c.contribution for c in explanation.components) == \
                 pytest.approx(explanation.score)
@@ -223,26 +230,23 @@ class TestRankResult:
         assert str(ranked[0].fragment.root) == "0.2.0.3.0"
         assert ranked[0].score >= ranked[1].score
 
-    def test_scores_monotone_in_order(self, publications_engine, publications):
-        result = publications_engine.search(PAPER_QUERIES["Q3"], "validrtf")
-        ranked = publications_engine.rank(result)
+    def test_scores_monotone_in_order(self, publications):
+        ranked = _document_ranking(publications, PAPER_QUERIES["Q3"])
         scores = [item.score for item in ranked]
         assert scores == sorted(scores, reverse=True)
 
-    def test_components_in_unit_range(self, publications_engine, publications):
-        result = publications_engine.search(PAPER_QUERIES["Q2"], "validrtf")
-        for item in publications_engine.rank(result):
+    def test_components_in_unit_range(self, publications):
+        for item in _document_ranking(publications, PAPER_QUERIES["Q2"]):
             assert 0.0 <= item.specificity <= 1.0
             assert 0.0 <= item.coverage <= 1.0
             assert item.compactness <= 1.0
 
-    def test_coverage_counts_all_keywords(self, publications_engine, publications):
-        result = publications_engine.search(PAPER_QUERIES["Q2"], "validrtf")
-        ranked = publications_engine.rank(result)
+    def test_coverage_counts_all_keywords(self, publications):
+        ranked = _document_ranking(publications, PAPER_QUERIES["Q2"])
         assert all(item.coverage == pytest.approx(1.0) for item in ranked)
 
-    def test_weights_change_order(self, team_engine, team):
-        result = team_engine.search(PAPER_QUERIES["Q4"], "validrtf")
-        default_ranked = team_engine.rank(result)
-        compact_only = team_engine.rank(result, RankingWeights(0.0001, 1.0, 0.0001))
+    def test_weights_change_order(self, team):
+        default_ranked = _document_ranking(team, PAPER_QUERIES["Q4"])
+        compact_only = _document_ranking(team, PAPER_QUERIES["Q4"],
+                                         RankingWeights(0.0001, 1.0, 0.0001))
         assert len(default_ranked) == len(compact_only) == 1

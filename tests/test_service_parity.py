@@ -4,11 +4,13 @@ The serving-layer counterpart of ``tests/test_backend_parity.py`` and the
 convention new service endpoints must follow (see ROADMAP, Serving layer):
 for every posting backend and every algorithm, the canonical payload a
 client receives over the wire must be **byte-identical** (canonical JSON
-encoding) to serializing a direct :meth:`SearchEngine.search` on the same
-backend — batching, pooling and admission must be completely transparent.
-The matrix also serves both datasets from one segmented corpus database, the
-``serve --db --backend corpus`` path, diffed against a direct
-:meth:`CorpusSearchEngine.from_store` engine over the same file.
+encoding) to serializing a direct :meth:`CorpusSearchEngine.search` on the
+same backend — batching, pooling and admission must be completely
+transparent.  A single-document backend serves a one-document corpus, so
+its reference is one too.  The matrix also serves both datasets from one
+segmented corpus database, the ``serve --db --backend corpus`` path, diffed
+against a direct :meth:`CorpusSearchEngine.from_store` engine over the same
+file.
 
 The concurrent-hammer test drives one server from many threads with
 distinct per-thread queries and asserts every response matches its own
@@ -22,8 +24,8 @@ import threading
 
 import pytest
 
-from repro.core import ALGORITHM_NAMES, SearchEngine
-from repro.corpus import CorpusSearchEngine
+from repro.core import ALGORITHM_NAMES
+from repro.corpus import CorpusSearchEngine, corpus_from_store
 from repro.datasets import PAPER_QUERIES, publications_tree, team_tree
 from repro.service import (
     EnginePool,
@@ -33,9 +35,12 @@ from repro.service import (
     ServiceError,
     comparison_payload,
     encode_message,
+    rank_stats_payload,
+    ranking_payload,
     result_payload,
 )
-from repro.storage import SegmentedStore, SQLitePostingSource, SQLiteStore
+from repro.storage import SegmentedStore, SQLiteStore
+from repro.xmltree import parse_string, to_xml_string
 
 BACKENDS = ("memory", "sqlite")
 #: Everything the parity matrix serves: the single-document backends plus
@@ -49,15 +54,16 @@ DATASETS = (
 )
 
 
-def build_reference_engine(tree, backend: str, name: str) -> SearchEngine:
-    """A direct (unserved) engine for one backend, as in the backend-parity
-    suite — the truth the served payloads are diffed against."""
+def build_reference_engine(tree, backend: str,
+                           name: str) -> CorpusSearchEngine:
+    """A direct (unserved) one-document corpus for one backend — the truth
+    the served payloads are diffed against."""
     if backend == "memory":
-        return SearchEngine(tree)
+        return CorpusSearchEngine.from_trees({name: tree})
     if backend == "sqlite":
         store = SQLiteStore()
         store.store_tree(tree, name)
-        return SearchEngine(source=SQLitePostingSource(store, name))
+        return CorpusSearchEngine(corpus_from_store(store))
     raise ValueError(backend)
 
 
@@ -124,7 +130,8 @@ def test_served_compare_is_byte_identical(served, backend):
 
 def test_served_cid_mode_is_byte_identical(served, publications):
     server, _ = served[("publications", "memory")]
-    exact_engine = SearchEngine(publications, cid_mode="exact")
+    exact_engine = CorpusSearchEngine.from_trees(
+        {"publications": publications}, cid_mode="exact")
     with ServiceClient(*server.address) as client:
         query = PAPER_QUERIES["Q2"]
         over_the_wire = client.search(query, cid_mode="exact")
@@ -174,7 +181,7 @@ def test_stats_reports_every_layer(served):
         stats = client.stats()
     assert set(stats) == {"pool", "batcher", "admission", "server"}
     assert stats["pool"]["workers"] == 2
-    assert stats["pool"]["backend"].startswith("memory")
+    assert stats["pool"]["backend"] == "corpus[publications=memory]"
     assert stats["server"]["requests"].get("search", 0) >= 1
 
 
@@ -235,6 +242,10 @@ def test_stats_and_metrics_can_never_disagree(served):
     assert admission["admitted"] == counters.get("admission.admitted", 0)
     assert admission["rejected"] == counters.get("admission.rejected", 0)
     assert admission["timed_out"] == counters.get("admission.timed_out", 0)
+    cache = stats["pool"]["cache"]
+    assert cache["hits"] + cache["misses"] >= 1
+    assert cache["hits"] == counters.get("cache.hits", 0)
+    assert cache["misses"] == counters.get("cache.misses", 0)
 
 
 def test_algorithms_lists_the_engine_registry(served):
@@ -258,7 +269,7 @@ def served_corpus():
     """One corpus server over the two figure documents + its reference."""
     trees = {"publications": publications_tree(), "team": team_tree()}
     pool = EnginePool.for_backend("corpus", trees=trees, workers=2)
-    reference = CorpusSearchEngine.from_trees(trees, backend="memory")
+    reference = CorpusSearchEngine.from_trees(trees)
     with ServerThread(pool) as server:
         yield server, reference
     pool.shutdown()
@@ -311,10 +322,9 @@ def test_served_corpus_rank_honours_doc_filter(served_corpus):
         ranking = client.rank(query, doc_filter=["publications"])
         assert ranking and all(entry["doc"] == "publications"
                                for entry in ranking)
-        direct = reference.search_ranked(query,
-                                         doc_filter=["publications"])
+        direct = reference.rank_search(query, doc_filter=["publications"])
         assert [entry["root"] for entry in ranking] == \
-            [str(entry.fragment.root) for entry in direct]
+            [str(entry.fragment.root) for entry in direct.ranked]
 
 
 def test_corpus_doc_filter_errors_are_typed(served_corpus):
@@ -331,19 +341,29 @@ def test_corpus_doc_filter_errors_are_typed(served_corpus):
         assert response["error"]["code"] == "bad_request"
 
 
-def test_doc_filter_on_single_document_backend_is_unsupported(served):
-    server, _ = served[("publications", "memory")]
-    with ServiceClient(*server.address) as client:
-        with pytest.raises(ServiceError) as excinfo:
-            client.search("xml", doc_filter=["publications"])
-        assert excinfo.value.code == "unsupported"
+def test_doc_filter_on_single_document_backends(served):
+    """A single-document backend serves a corpus of one: a ``doc_filter``
+    naming its document answers exactly what no filter answers, and any
+    other id is a typed ``bad_request``."""
+    query = PAPER_QUERIES["Q2"]
+    for backend in BACKENDS:
+        server, _ = served[("publications", backend)]
+        with ServiceClient(*server.address) as client:
+            for op in ("search", "compare", "rank"):
+                request = {"op": op, "query": query}
+                filtered = dict(request, doc_filter=["publications"])
+                assert encode_message(client.request(filtered)) == \
+                    encode_message(client.request(request)), (backend, op)
+                response = client.request(dict(request,
+                                               doc_filter=["team"]))
+                assert response["error"]["code"] == "bad_request", \
+                    (backend, op)
 
 
 @pytest.mark.parametrize("dataset,query_names", DATASETS)
 def test_served_tree_free_rank_is_byte_identical(served, dataset,
                                                  query_names):
     """The tree-free sqlite server ranks exactly as the memory engine."""
-    from repro.service import ranking_payload
 
     server, _ = served[(dataset, "sqlite")]
     _, memory = served[(dataset, "memory")]
@@ -352,24 +372,50 @@ def test_served_tree_free_rank_is_byte_identical(served, dataset,
             query = PAPER_QUERIES[query_name]
             for algorithm in ALGORITHM_NAMES:
                 for top_k, explain in ((None, False), (1, True)):
-                    over_the_wire = client.rank(query, algorithm,
-                                                top_k=top_k, explain=explain)
-                    ranked = memory.rank(memory.search(query, algorithm))
-                    direct = ranking_payload(ranked[:top_k],
-                                             explain=explain)
-                    assert encode_message({"ranking": over_the_wire}) == \
-                        encode_message({"ranking": direct}), \
+                    response = client.rank_response(
+                        query, algorithm, top_k=top_k, explain=explain)
+                    ranked = memory.rank_search(query, algorithm,
+                                                top_k=top_k)
+                    assert encode_message(
+                        {"ranking": response["ranking"],
+                         "rank_stats": response["rank_stats"]}) == \
+                        encode_message(
+                            {"ranking": ranking_payload(ranked.ranked,
+                                                        explain=explain),
+                             "rank_stats": rank_stats_payload(ranked)}), \
                         (query_name, algorithm, top_k)
 
 
 def test_rank_on_memory_backend_works(served, publications):
     server, reference = served[("publications", "memory")]
     with ServiceClient(*server.address) as client:
-        ranking = client.rank(PAPER_QUERIES["Q2"])
+        response = client.rank_response(PAPER_QUERIES["Q2"])
+        ranking = response["ranking"]
         assert ranking, "expected at least one ranked fragment"
-        direct = reference.rank(reference.search(PAPER_QUERIES["Q2"]))
+        direct = reference.rank_search(PAPER_QUERIES["Q2"])
         assert [entry["root"] for entry in ranking] == \
-            [str(fragment.fragment.root) for fragment in direct]
+            [str(entry.fragment.root) for entry in direct.ranked]
+        assert response["rank_stats"] == rank_stats_payload(direct)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_single_document_early_termination_is_exhaustive(served, backend):
+    """``early_terminate`` takes effect on a single-document backend and
+    answers exactly the exhaustive ranking."""
+    server, _ = served[("publications", backend)]
+    with ServiceClient(*server.address) as client:
+        for query_name in ("Q1", "Q2", "Q3"):
+            query = PAPER_QUERIES[query_name]
+            for top_k in (0, 1, 2, 10):
+                exhaustive = client.rank_response(query, top_k=top_k)
+                early = client.rank_response(query, top_k=top_k,
+                                             early_terminate=True)
+                assert early["ranking"] == exhaustive["ranking"], \
+                    (query_name, top_k)
+                stats = early["rank_stats"]
+                assert stats["early_terminated"] is True
+                assert stats["docs_selected"] == 1
+                assert stats["docs_visited"] + stats["docs_skipped"] == 1
 
 
 #: (doc_filter, rank options) the tree-free corpus server is diffed over.
@@ -387,7 +433,6 @@ def test_served_tree_free_corpus_rank_is_byte_identical(
     """A corpus served from a database runs tree-free; its ``rank`` rows
     and visit accounting equal an in-process memory corpus over the same
     trees, with and without every rank option."""
-    from repro.service import rank_stats_payload, ranking_payload
 
     server, _ = served[("publications", "corpus-db")]
     memory = CorpusSearchEngine.from_trees({"publications": publications,
@@ -414,8 +459,6 @@ def test_served_tree_free_corpus_rank_is_byte_identical(
 
 
 def test_served_corpus_rank_top_k_is_byte_identical(served_corpus):
-    from repro.service import rank_stats_payload, ranking_payload
-
     server, reference = served_corpus
     query = PAPER_QUERIES["Q2"]
     with ServiceClient(*server.address) as client:
@@ -483,13 +526,11 @@ def served_mutable(tmp_path):
 def test_served_update_is_byte_identical(served_mutable):
     """An absorbed update serves answers byte-identical to a direct engine
     over the post-update corpus — no restart, no stale snapshot."""
-    from repro.xmltree import parse_string, to_xml_string
-
     server = served_mutable
     xml = to_xml_string(team_tree()).replace("Conley", "Morant")
     reference = CorpusSearchEngine.from_trees(
         {"publications": publications_tree(),
-         "team": parse_string(xml, "team")}, backend="memory")
+         "team": parse_string(xml, "team")})
     with ServiceClient(*server.address) as client:
         outcome = client.update("team", xml)
         assert outcome["updated"] == "team" and outcome["segment"] == 1
@@ -516,7 +557,7 @@ def test_served_update_adds_a_new_document(served_mutable):
 def test_served_delete_doc_is_byte_identical(served_mutable):
     server = served_mutable
     reference = CorpusSearchEngine.from_trees(
-        {"publications": publications_tree()}, backend="memory")
+        {"publications": publications_tree()})
     with ServiceClient(*server.address) as client:
         outcome = client.delete_doc("team")
         assert outcome["deleted"] == "team"
@@ -550,6 +591,58 @@ def test_mutation_errors_are_typed(served_mutable):
             client.delete_doc("publications")
         assert excinfo.value.code == "bad_request"
         assert "last live" in excinfo.value.message
+
+
+def test_pool_cache_counters_survive_an_update(served_mutable):
+    """``stats.pool.cache`` hits and misses are the registry's cumulative
+    counters: an update rebuilds every worker engine (and its cache), and
+    the counters neither reset nor drift from the metrics."""
+    server = served_mutable
+    xml = to_xml_string(team_tree()).replace("Conley", "Morant")
+    with ServiceClient(*server.address) as client:
+        for _ in range(3):
+            client.compare(PAPER_QUERIES["Q2"])
+        before = client.stats("pool")["pool"]["cache"]
+        client.update("team", xml)
+        after = client.stats("pool")["pool"]["cache"]
+        counters = client.metrics()["counters"]
+    assert before["hits"] > 0 and before["misses"] > 0, before
+    assert (after["hits"], after["misses"]) == \
+        (before["hits"], before["misses"])
+    assert (after["hits"], after["misses"]) == \
+        (counters.get("cache.hits", 0), counters.get("cache.misses", 0))
+
+
+def test_served_sqlite_document_is_the_live_generation(tmp_path):
+    """``--backend sqlite`` serves a database document's live generation:
+    an absorbed update is what it answers, and a deleted document is not
+    servable."""
+    db = str(tmp_path / "live.db")
+    store = SegmentedStore(db)
+    store.store_tree(publications_tree(), "publications")
+    store.store_tree(team_tree(), "team")
+    xml = to_xml_string(team_tree()).replace("Conley", "Morant")
+    store.update_document(parse_string(xml, "team"), "team")
+    store.delete_document("publications")
+    store.close()
+    reference = CorpusSearchEngine.from_store(SegmentedStore(db),
+                                              documents=["team"])
+    pool = EnginePool.for_backend("sqlite", db_path=db, document="team",
+                                  workers=2)
+    with ServerThread(pool) as server:
+        with ServiceClient(*server.address) as client:
+            assert client.search("Morant guard")["count"] == 1
+            assert client.search("Conley guard")["count"] == 0
+            for query in ("Morant guard", PAPER_QUERIES["Q4"]):
+                for algorithm in ALGORITHM_NAMES:
+                    over_the_wire = client.search(query, algorithm)
+                    direct = result_payload(reference.search(query,
+                                                             algorithm))
+                    assert encode_message(over_the_wire) == \
+                        encode_message(direct), (query, algorithm)
+    pool.shutdown()
+    with pytest.raises(ValueError, match="no document"):
+        EnginePool.for_backend("sqlite", db_path=db, document="publications")
 
 
 def test_mutations_on_single_document_backends_are_unsupported(served):
@@ -589,13 +682,11 @@ def test_mutations_on_pinned_subset_corpus_are_unsupported(tmp_path):
 def test_served_compact_wire_op(served_mutable):
     """The ``compact`` op folds segments live; served answers stay
     byte-identical to a direct engine over the compacted corpus."""
-    from repro.xmltree import parse_string, to_xml_string
-
     server = served_mutable
     xml = to_xml_string(team_tree()).replace("Conley", "Morant")
     reference = CorpusSearchEngine.from_trees(
         {"publications": publications_tree(),
-         "team": parse_string(xml, "team")}, backend="memory")
+         "team": parse_string(xml, "team")})
     with ServiceClient(*server.address) as client:
         client.update("team", xml)
         outcome = client.compact()
@@ -666,11 +757,12 @@ def _flaky_pool(failures: int, backoff: float = 0.05) -> EnginePool:
     """A pool whose engine factory fails the first ``failures`` times."""
     state = {"left": failures}
 
-    def factory() -> SearchEngine:
+    def factory() -> CorpusSearchEngine:
         if state["left"] > 0:
             state["left"] -= 1
             raise RuntimeError("simulated engine-build failure")
-        return SearchEngine(publications_tree())
+        return CorpusSearchEngine.from_trees(
+            {"publications": publications_tree()})
 
     return EnginePool(factory, workers=1,
                       rebuild_backoff_seconds=backoff,
@@ -766,15 +858,18 @@ def test_concurrent_hammer_no_cross_request_bleed(served, backend):
     assert stats["batcher"]["requests"] >= threads * iterations
 
 
-def test_concurrent_burst_actually_batches(publications, publications_engine):
+def test_concurrent_burst_actually_batches(publications):
     """Sanity check on the hammer's premise: a synchronized burst of
     identical requests from many connections coalesces into at least one
     multi-request engine batch (and still answers correctly)."""
-    pool = EnginePool.for_backend("memory", tree=publications, workers=2)
+    pool = EnginePool.for_backend("memory", tree=publications, workers=2,
+                                  document="publications")
     service = SearchService(pool)
     service.batcher.max_wait_seconds = 0.05  # generous window for CI boxes
+    reference = build_reference_engine(publications, "memory",
+                                       "publications")
     expected = encode_message(
-        result_payload(publications_engine.search(PAPER_QUERIES["Q2"])))
+        result_payload(reference.search(PAPER_QUERIES["Q2"])))
     threads = 8
     barrier = threading.Barrier(threads)
     errors = []

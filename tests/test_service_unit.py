@@ -13,7 +13,6 @@ import threading
 
 import pytest
 
-from repro.core import SearchEngine
 from repro.corpus import CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES
 from repro.service import (
@@ -28,6 +27,13 @@ from repro.service import (
     result_payload,
 )
 from repro.storage import SegmentedStore
+
+
+def one_document_corpus(tree, name: str = "service",
+                        **kwargs) -> CorpusSearchEngine:
+    """The direct engine a pool serves ``tree`` through, as doc ``name``
+    (``service`` is the pools' default document name)."""
+    return CorpusSearchEngine.from_trees({name: tree}, **kwargs)
 
 
 # ---------------------------------------------------------------------- #
@@ -56,7 +62,7 @@ class TestEnginePool:
             assert pool.engine_count == 0
             assert pool.warm() == 3
             assert pool.engine_count == 3
-            assert pool.backend_id == "memory"
+            assert pool.backend_id == "corpus[service=memory]"
 
     def test_workers_share_one_memory_snapshot(self, publications):
         with EnginePool.for_backend("memory", tree=publications,
@@ -65,19 +71,18 @@ class TestEnginePool:
             sources = {id(engine.source) for engine in pool._engines}
             assert len(sources) == 1
 
-    def test_search_matches_direct_engine(self, publications,
-                                          publications_engine):
+    def test_search_matches_direct_engine(self, publications):
+        direct_engine = one_document_corpus(publications)
         with EnginePool.for_backend("memory", tree=publications,
                                     workers=2) as pool:
             for name in ("Q1", "Q2", "Q3"):
                 served = pool.search(PAPER_QUERIES[name]).result(30)
-                direct = publications_engine.search(PAPER_QUERIES[name])
+                direct = direct_engine.search(PAPER_QUERIES[name])
                 assert result_payload(served) == result_payload(direct)
 
     @pytest.mark.parametrize("backend", ["sqlite", "corpus"])
     def test_disk_backends_serve_concurrently(self, tmp_path, publications,
-                                              team, publications_engine,
-                                              backend):
+                                              team, backend):
         """12 concurrent searches through 3 workers answer like one engine.
 
         ``corpus`` is the ``serve --db --backend corpus`` path: a pool over a
@@ -100,7 +105,7 @@ class TestEnginePool:
         else:
             queries = [PAPER_QUERIES["Q2"]]
             expected = {queries[0]: result_payload(
-                publications_engine.search(queries[0]))}
+                one_document_corpus(publications, "pub").search(queries[0]))}
             pool = EnginePool.for_backend("sqlite", tree=publications,
                                           workers=3, document="pub")
         sent = [queries[i % len(queries)] for i in range(12)]
@@ -112,13 +117,13 @@ class TestEnginePool:
     def test_per_request_cid_mode_switch(self, publications):
         with EnginePool.for_backend("memory", tree=publications,
                                     workers=1) as pool:
-            direct = SearchEngine(publications, cid_mode="exact")
+            direct = one_document_corpus(publications, cid_mode="exact")
             served = pool.search(PAPER_QUERIES["Q2"],
                                  cid_mode="exact").result(30)
             assert result_payload(served) == \
                 result_payload(direct.search(PAPER_QUERIES["Q2"]))
             # ...and back: the default mode still answers correctly.
-            default = SearchEngine(publications)
+            default = one_document_corpus(publications)
             served = pool.search(PAPER_QUERIES["Q2"],
                                  cid_mode="minmax").result(30)
             assert result_payload(served) == \
@@ -159,7 +164,7 @@ class TestRequestBatcher:
             RequestBatcher(memory_pool, max_wait_seconds=-1)
 
     def test_concurrent_submissions_coalesce(self, memory_pool,
-                                             publications_engine):
+                                             publications):
         batcher = RequestBatcher(memory_pool, max_batch_size=8,
                                  max_wait_seconds=0.05)
         queries = [PAPER_QUERIES[name] for name in ("Q1", "Q2", "Q3")]
@@ -169,9 +174,10 @@ class TestRequestBatcher:
                 *(batcher.submit(query) for query in queries))
 
         results = asyncio.run(drive())
+        direct = one_document_corpus(publications)
         for query, result in zip(queries, results):
             assert result_payload(result) == \
-                result_payload(publications_engine.search(query))
+                result_payload(direct.search(query))
         stats = batcher.stats()
         assert stats["requests"] == 3
         assert stats["batches"] == 1  # one window, one engine-level batch

@@ -3,7 +3,8 @@
 Section 5.2 measures nothing about the shredding store itself, but the paper's
 pipeline depends on it (keyword nodes come back from SQL).  These benchmarks
 document the cost of the substitution (sqlite3 instead of PostgreSQL) and
-check that the store-backed stage-1 lookups agree with the in-memory index.
+check that the posting sources' stage-1 lookups, the only reads of a store's
+rows, agree with the in-memory index.
 """
 
 from __future__ import annotations
@@ -11,7 +12,17 @@ from __future__ import annotations
 import pytest
 
 from repro.index import InvertedIndex
-from repro.storage import MemoryStore, SQLiteStore, shred_tree
+from repro.storage import (
+    SegmentedPostingSource,
+    SegmentedStore,
+    SQLitePostingSource,
+    SQLiteStore,
+    shred_tree,
+    source_for_store,
+)
+
+#: The posting source each store is read through.
+SOURCES = {"sqlite": SQLitePostingSource, "segmented": SegmentedPostingSource}
 
 
 @pytest.fixture(scope="module")
@@ -20,17 +31,15 @@ def dblp_tree(engines):
 
 
 @pytest.fixture(scope="module")
-def sqlite_store(dblp_tree):
-    store = SQLiteStore()
-    store.store_tree(dblp_tree, "dblp")
-    return store
-
-
-@pytest.fixture(scope="module")
-def memory_store(dblp_tree):
-    store = MemoryStore()
-    store.store_tree(dblp_tree, "dblp")
-    return store
+def stores(dblp_tree):
+    """The document in a plain store, and in a segmented store's delta
+    segment (stored, then shadowed by an identical update)."""
+    sqlite_store = SQLiteStore()
+    sqlite_store.store_tree(dblp_tree, "dblp")
+    segmented_store = SegmentedStore()
+    segmented_store.store_tree(dblp_tree, "dblp")
+    segmented_store.update_document(dblp_tree, "dblp")
+    return {"sqlite": sqlite_store, "segmented": segmented_store}
 
 
 def test_benchmark_shredding(benchmark, dblp_tree):
@@ -53,25 +62,34 @@ def test_benchmark_sqlite_bulk_load(benchmark, dblp_tree):
     assert benchmark(load) == dblp_tree.size()
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "memory", "inverted-index"])
-def test_benchmark_keyword_lookup(benchmark, backend, sqlite_store, memory_store,
-                                  engines):
-    """Stage 1 (getKeywordNodes) served by each backend."""
+@pytest.mark.parametrize("backend", ["sqlite", "segmented", "inverted-index"])
+def test_benchmark_keyword_lookup(benchmark, backend, stores, engines):
+    """Stage 1 (getKeywordNodes) served by each backend.
+
+    The disk sources run with their posting LRU off, so every round reads
+    the packed blobs from the store.
+    """
     keywords = ["xml", "keyword", "data", "retrieval", "algorithm"]
     benchmark.group = "storage-keyword-lookup"
     benchmark.name = backend
-    if backend == "sqlite":
-        benchmark(lambda: sqlite_store.keyword_nodes("dblp", keywords))
-    elif backend == "memory":
-        benchmark(lambda: memory_store.keyword_nodes("dblp", keywords))
-    else:
+    if backend == "inverted-index":
         index = engines["dblp"].index
         benchmark(lambda: index.keyword_nodes(keywords))
+        return
+    source = SOURCES[backend](stores[backend], "dblp", lru_size=0)
+    lists = benchmark(lambda: source.keyword_nodes(keywords))
+    assert list(lists) == keywords
+    assert source.read_stats()["lru_hits"] == 0
 
 
-def test_backends_agree_with_index(sqlite_store, memory_store, engines):
+def test_backends_agree_with_index(stores, engines):
     index: InvertedIndex = engines["dblp"].index
-    for keyword in ("xml", "keyword", "data", "vldb", "henry"):
-        expected = list(index.postings(keyword).deweys)
-        assert sqlite_store.keyword_deweys("dblp", keyword) == expected
-        assert memory_store.keyword_deweys("dblp", keyword) == expected
+    for backend, store in stores.items():
+        source = source_for_store(store, "dblp")
+        assert type(source) is SOURCES[backend]
+        for keyword in ("xml", "keyword", "data", "vldb", "henry"):
+            expected = index.postings(keyword).deweys
+            assert source.postings(keyword).deweys == expected, \
+                (backend, keyword)
+            assert source.frequency(keyword) == len(expected), \
+                (backend, keyword)

@@ -12,10 +12,11 @@ Sub-commands
     Fold the delta segments written by ``index --update`` / ``--delete``
     into the database's base generation.
 ``verify``
-    Run the storage integrity checks (SQLite's page check, mutation
-    ledger, catalog, liveness, posting blobs) against an indexed database;
-    exits nonzero when any check fails, so scripts can gate on a clean
-    store.
+    Run the storage integrity checks (SQLite's page check, schema version,
+    catalog, liveness, posting blobs, content ids) against an indexed
+    database; exits nonzero when any check fails, so scripts can gate on a
+    clean store.  Every command that opens a ``--db`` file written with
+    another schema version prints the re-index message and exits 2.
 ``search``
     Run a keyword query against an XML file, a built-in dataset, an indexed
     sqlite store (``--db file.db --backend sqlite``), or a whole corpus
@@ -65,7 +66,7 @@ from .bench import (
 )
 from .core import SearchEngine
 from .corpus import CorpusSearchEngine
-from .storage import SegmentedStore
+from .storage import SchemaVersionError, SegmentedStore
 from .storage.errors import DocumentNotFound
 from .datasets import (
     DBLPConfig,
@@ -96,7 +97,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = arguments.handler
     try:
         return handler(arguments)
-    except CliError as error:
+    except (CliError, SchemaVersionError) as error:
         print(error, file=sys.stderr)
         return 2
 

@@ -203,7 +203,6 @@ class FragmentPipeline:
         "lru_misses": metric_names.POSTING_LRU_MISSES,
         "bytes": metric_names.POSTING_BYTES,
         "packed_fetches": metric_names.POSTING_PACKED_FETCHES,
-        "fallback_fetches": metric_names.POSTING_FALLBACK_FETCHES,
         "segment_reads": metric_names.SEGMENT_READS,
         "base_reads": metric_names.SEGMENT_BASE_READS,
         "tombstone_hits": metric_names.SEGMENT_TOMBSTONE_HITS,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.cache import CacheStats
 from ..core.engine import ComparisonOutcome, SearchEngine
@@ -38,7 +38,7 @@ from ..core.ranking import (
     rank_result,
 )
 from ..index import KeywordImpact, keyword_impact
-from ..storage import MemoryStore, SQLiteStore
+from ..storage import SQLiteStore
 from ..storage.errors import DocumentNotFound
 from ..xmltree import XMLTree
 from .result import CorpusSearchResult, DocumentResult
@@ -138,7 +138,7 @@ class CorpusSearchEngine:
                    cache_size=cache_size, metrics=metrics)
 
     @classmethod
-    def from_store(cls, store: "Union[MemoryStore, SQLiteStore]",
+    def from_store(cls, store: SQLiteStore,
                    documents: Optional[Sequence[str]] = None,
                    cid_mode: str = "minmax",
                    cache_size: int = 0,

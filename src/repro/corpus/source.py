@@ -21,10 +21,10 @@ posting source.  A single document is a corpus of one.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..index import InvertedIndex, PostingSource
-from ..storage import MemoryStore, SQLiteStore, source_for_store
+from ..storage import SQLiteStore, source_for_store
 from ..storage.errors import DocumentNotFound
 from ..xmltree import XMLTree
 
@@ -90,7 +90,7 @@ def corpus_from_trees(trees: Mapping[str, XMLTree]) -> CorpusPostingSource:
                                 for doc_id, tree in trees.items()})
 
 
-def corpus_from_store(store: Union[MemoryStore, SQLiteStore],
+def corpus_from_store(store: SQLiteStore,
                       documents: Optional[Sequence[str]] = None
                       ) -> CorpusPostingSource:
     """A corpus source over the documents of one (already-ingested) store.

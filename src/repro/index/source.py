@@ -110,8 +110,8 @@ class KeywordImpact:
     ``count`` is the keyword's posting-list length (its document frequency
     within one document) and ``max_depth`` the deepest Dewey **level** (root
     = 0) of any node containing the keyword.  Both are exact integers derived
-    from the posting list alone, so every backend — packed blobs written at
-    shred time, legacy databases, in-memory indexes — agrees bit for bit,
+    from the posting list alone, so every backend — posting rows written at
+    shred time, in-memory indexes — agrees bit for bit,
     which is what lets the corpus ranking derive score bounds from them
     without consulting the posting lists themselves.
 
@@ -137,7 +137,7 @@ def impact_from_postings(deweys: Sequence[DeweyCode]) -> KeywordImpact:
 
     This is the lazy fallback every source without precomputed metadata
     shares, and the definition the precomputed paths must agree with.
-    Non-packed input (a store's decoded rows) is packed once first; the
+    Non-packed input (a sequence of Dewey codes) is packed once first; the
     depths then come straight off the offset table — no DeweyCode objects
     are materialized (depth = component count = level + 1).
     """

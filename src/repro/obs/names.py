@@ -39,7 +39,6 @@ POSTING_BYTES = "posting.bytes"
 POSTING_LRU_HITS = "posting.lru.hits"
 POSTING_LRU_MISSES = "posting.lru.misses"
 POSTING_PACKED_FETCHES = "posting.decode.packed_fetches"
-POSTING_FALLBACK_FETCHES = "posting.decode.fallback_fetches"
 
 # Segmented (live-update) stores: where reads were resolved.
 SEGMENT_READS = "segment.reads"

@@ -1,8 +1,20 @@
-"""Relational shredding store: the Section 5.2 schema on sqlite3 / in-memory."""
+"""Relational shredding store: the Section 5.2 schema on sqlite3.
 
-from .errors import DocumentAlreadyStored, DocumentNotFound, StorageError
+:class:`SQLiteStore` (and its segmented subclass) writes a document's rows
+into a database file stamped with :data:`SCHEMA_VERSION`, and refuses a file
+carrying any other version (:class:`SchemaVersionError`: re-index it).  A
+posting source (:func:`source_for_store`) is the only reader of those rows.
+"""
+
+from .errors import (
+    DocumentAlreadyStored,
+    DocumentNotFound,
+    SchemaVersionError,
+    StorageError,
+)
 from .schema import (
     CREATE_TABLES_SQL,
+    SCHEMA_VERSION,
     ElementRow,
     LabelRow,
     ValueRow,
@@ -10,7 +22,6 @@ from .schema import (
     encode_dewey,
 )
 from .shredder import ShreddedDocument, packed_posting_rows, shred_tree
-from .memory_backend import MemoryStore
 from .sqlite_backend import SQLiteStore
 from .segments import (
     BASE_GENERATION,
@@ -22,8 +33,6 @@ from .segments import (
 from .posting_source import (
     DEFAULT_POSTING_LRU_SIZE,
     SQLitePostingSource,
-    StorePostingSource,
-    agreement_with_index,
     source_for_store,
 )
 from .verify import IntegrityFinding, IntegrityReport, verify_database
@@ -32,27 +41,26 @@ __all__ = [
     "StorageError",
     "DocumentNotFound",
     "DocumentAlreadyStored",
+    "SchemaVersionError",
     "LabelRow",
     "ElementRow",
     "ValueRow",
     "CREATE_TABLES_SQL",
+    "SCHEMA_VERSION",
     "encode_dewey",
     "decode_dewey",
     "ShreddedDocument",
     "packed_posting_rows",
     "shred_tree",
-    "MemoryStore",
     "SQLiteStore",
     "SegmentedStore",
     "SegmentedPostingSource",
     "BASE_GENERATION",
     "SEGMENT_KIND_DOC",
     "SEGMENT_KIND_TOMBSTONE",
-    "StorePostingSource",
     "SQLitePostingSource",
     "DEFAULT_POSTING_LRU_SIZE",
     "source_for_store",
-    "agreement_with_index",
     "IntegrityFinding",
     "IntegrityReport",
     "verify_database",

@@ -13,3 +13,11 @@ class DocumentNotFound(StorageError):
 
 class DocumentAlreadyStored(StorageError):
     """Raised when shredding a document under an already-used name."""
+
+
+class SchemaVersionError(StorageError):
+    """Raised when a database file does not carry the current schema version.
+
+    Files are never migrated: one written with another layout (or before
+    files were stamped at all) is re-indexed into a new file.
+    """

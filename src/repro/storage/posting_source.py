@@ -1,23 +1,23 @@
-"""Disk-backed :class:`~repro.index.source.PostingSource`\\ s.
+"""The disk-backed :class:`~repro.index.source.PostingSource`: the only
+reader of a store's rows.
 
-These adapters put the shredded relational store behind the same posting-list
-interface the in-memory :class:`~repro.index.inverted.InvertedIndex` serves,
-so one :class:`~repro.core.engine.SearchEngine` can run over either — the
+:class:`SQLitePostingSource` puts one document of a
+:class:`~repro.storage.sqlite_backend.SQLiteStore` behind the same
+posting-list interface the in-memory
+:class:`~repro.index.inverted.InvertedIndex` serves, so one
+:class:`~repro.core.engine.SearchEngine` can run over either — the
 EMBANKS-style disk-based retrieval setup of the paper's Section 5, without the
-full document resident in RAM.
+full document resident in RAM.  Its segment-aware subclass
+(:class:`~repro.storage.segments.SegmentedPostingSource`) reads a delta
+segment's rows instead; no other code reads a store's rows.
 
-* :class:`StorePostingSource` — generic adapter over any store backend
-  (memory or sqlite).  Lazy: nothing is fetched at construction; packed
-  posting lists are kept in a per-keyword LRU so hot keywords pay the
-  store round-trip once.
-* :class:`SQLitePostingSource` — specialization for :class:`SQLiteStore` that
-  loads each keyword as one packed blob and fetches all of a query's
-  uncached posting lists in **one** batched ``IN (...)`` statement, which is
-  what the engine's ``search_many`` batch path funnels a whole workload's
-  keyword union through.
-
-Both serve :class:`~repro.index.packed.PackedDeweyList` columns and satisfy
-the parity contract: posting lists strictly sorted in document order,
+The source is lazy: nothing is fetched at construction.  Each keyword loads
+as **one** packed blob from the ``posting`` table, a query's uncached lists
+come in one batched ``IN (...)`` statement (the path the engine's
+``search_many`` funnels a whole workload's keyword union through), and
+packed lists and node rows stay in LRUs so hot keywords and nodes pay the
+round-trip once.  Every list is a :class:`~repro.index.packed.PackedDeweyList`
+that satisfies the parity contract: strictly sorted in document order,
 duplicate-free, and identical to the memory backend's
 (``tests/test_backend_parity.py`` / ``tests/test_posting_properties.py``).
 """
@@ -28,23 +28,18 @@ from collections import OrderedDict, defaultdict
 from typing import (DefaultDict, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Sized, Tuple)
 
-from ..index import InvertedIndex, PostingList
+from ..index import PostingList
 from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
-from ..index.packed import (
-    EMPTY_PACKED,
-    PackedDeweyList,
-    pack_component_tuples,
-    pack_deweys,
-)
+from ..index.packed import EMPTY_PACKED, PackedDeweyList
 from ..text import EMPTY_CID
-from ..xmltree import DeweyCode, XMLTree
-from .schema import UNKNOWN_MAX_DEPTH, decode_dewey, encode_dewey
+from ..xmltree import DeweyCode
+from .schema import encode_dewey
 from .sqlite_backend import SQLiteStore
 
 #: Default capacity of the per-keyword decoded-posting-list LRU.
 DEFAULT_POSTING_LRU_SIZE = 256
 
-#: Default capacity of the per-node element-row and word-set LRUs.
+#: Capacity of the per-node element-row and word-set LRUs.
 DEFAULT_NODE_LRU_SIZE = 8192
 
 #: Batched ``IN (...)`` statements stay under sqlite's default host-variable
@@ -58,14 +53,21 @@ _MISSING = object()
 ElementRow = Tuple[str, Tuple[str, str]]
 
 
-class StorePostingSource:
-    """Posting source over one document of a shredded store backend.
+class SQLitePostingSource:
+    """Disk-backed posting source over one :class:`SQLiteStore` document.
+
+    A multi-keyword :meth:`keyword_nodes` call fetches every LRU-missed
+    posting list in a single batched ``SELECT ... WHERE keyword IN (...)``
+    statement, and each list is loaded as **one prefix-truncated blob** from
+    the ``posting`` table — one row per keyword, rebuilt into flat columns at
+    C speed, with no per-posting string decode and no per-posting object.
+    Every statement the source runs, batched or single-row, reads the rows
+    :meth:`_scope` names.
 
     Parameters
     ----------
     store:
-        A :class:`MemoryStore` or :class:`SQLiteStore` (anything serving the
-        shared store query interface).
+        The :class:`SQLiteStore` holding the document.
     document:
         Name of the stored document to serve.
     lru_size:
@@ -73,33 +75,34 @@ class StorePostingSource:
         disables caching (every lookup goes back to the store).
     """
 
-    def __init__(self, store, document: str,
-                 lru_size: int = DEFAULT_POSTING_LRU_SIZE,
-                 node_lru_size: int = DEFAULT_NODE_LRU_SIZE):
+    def __init__(self, store: SQLiteStore, document: str,
+                 lru_size: int = DEFAULT_POSTING_LRU_SIZE):
+        if not isinstance(store, SQLiteStore):
+            raise TypeError(
+                f"SQLitePostingSource needs a SQLiteStore, got {type(store).__name__}")
         self.store = store
         self.document = document
         self.tokenizer = store.tokenizer
         self.lru_size = lru_size
-        self.node_lru_size = node_lru_size
         self._lru: "OrderedDict[str, PackedDeweyList]" = OrderedDict()
         # One element row per node: ``(label, cID)``, or ``None`` if absent.
         self._elements: "OrderedDict[DeweyCode, Optional[ElementRow]]" = OrderedDict()
         self._words: "OrderedDict[DeweyCode, FrozenSet[str]]" = OrderedDict()
+        self._document_checked = False
         self.lru_hits = 0
         self.lru_misses = 0
         # Read accounting (pre-aggregated per fetch, harvested per query by
         # the instrumented pipeline through :meth:`read_stats`).
         self.bytes_read = 0
         self.packed_fetches = 0
-        self.fallback_fetches = 0
 
     # ------------------------------------------------------------------ #
     # PostingSource protocol
     # ------------------------------------------------------------------ #
     @property
     def source_id(self) -> str:
-        """Backend identity used in query-cache keys."""
-        return f"{self._backend_name()}:{self.document}"
+        """Backend identity including the database path."""
+        return f"sqlite:{self.store.path}#{self.document}"
 
     def postings(self, keyword: str) -> PostingList:
         """The posting list of one (raw, un-normalized) keyword."""
@@ -107,57 +110,70 @@ class StorePostingSource:
         return PostingList(normalized, self._deweys(normalized))
 
     def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
-        """The ``D_i`` lists for every keyword of a query.
+        """Batched ``getKeywordNodes``: one ``IN (...)`` fetch for all misses.
 
-        The immutable cached columns themselves are returned.
+        The batch statement reads whole blobs from the ``posting`` table (one
+        row per LRU-missed keyword); the immutable cached columns themselves
+        are returned.
         """
-        return {keyword: self._deweys(keyword)
-                for keyword in self.tokenizer.normalize_query(query)}
+        normalized = self.tokenizer.normalize_query(query)
+        result, missing = self._split_cached(normalized)
+        if missing:
+            fetched = self._fetch_blob_rows(missing)
+            for keyword in missing:
+                packed = fetched.get(keyword, EMPTY_PACKED)
+                self._lru_put(keyword, packed)
+                result[keyword] = packed
+        return {keyword: result[keyword] for keyword in normalized}
 
     def frequency(self, keyword: str) -> int:
-        """Number of keyword nodes containing ``keyword``."""
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        cached = self._lru_get(normalized)
-        if cached is not None:
-            return len(cached)
-        return self.store.keyword_frequency(self.document, normalized)
+        """Number of keyword nodes containing ``keyword`` (its impact's
+        posting count)."""
+        return self.impact(self.tokenizer.normalize_keyword(keyword)).count
 
     def impact(self, keyword: str) -> KeywordImpact:
         """Posting count + deepest node level of one normalized keyword.
 
-        An LRU-resident posting list answers locally; otherwise the store's
-        metadata path (shred-time ``max_depth`` column on sqlite, lazy scan
-        elsewhere) answers without decoding a posting list.
+        An LRU-resident posting list answers locally; otherwise the
+        shred-time ``cardinality`` and ``max_depth`` columns of one
+        ``posting`` row of this source's scope answer, without a blob.
         """
         cached = self._lru_get(keyword)
         if cached is not None:
             return impact_from_postings(cached)
-        store_impact = getattr(self.store, "keyword_impact", None)
-        if store_impact is not None:
-            return store_impact(self.document, keyword)
-        return impact_from_postings(self._deweys(keyword))
+        prefix, where, scope = self._scope()
+        row = self.store._connection.execute(
+            f"SELECT cardinality, max_depth FROM {prefix}posting "
+            f"WHERE {where} AND keyword = ?", (*scope, keyword)).fetchone()
+        if row is None:
+            return EMPTY_IMPACT
+        return KeywordImpact(count=int(row[0]), max_depth=int(row[1]))
 
     def vocabulary(self) -> List[str]:
         """Every indexed word of the document, sorted."""
-        return self.store.vocabulary(self.document)
+        prefix, where, scope = self._scope()
+        cursor = self.store._connection.execute(
+            f"SELECT DISTINCT keyword FROM {prefix}value WHERE {where} "
+            f"ORDER BY keyword", scope)
+        return [keyword for (keyword,) in cursor]
 
     def node_label(self, dewey: DeweyCode) -> Optional[str]:
         """The label of one node, or ``None`` when the code is absent."""
-        row = self._element_row(dewey)
+        row = self._element(dewey)
         return row[0] if row is not None else None
 
     def node_cid(self, dewey: DeweyCode) -> Tuple[str, str]:
         """The cID of one node, stored in its element row."""
-        row = self._element_row(dewey)
+        row = self._element(dewey)
         return row[1] if row is not None else EMPTY_CID
 
-    def _element_row(self, dewey: DeweyCode) -> Optional[ElementRow]:
+    def _element(self, dewey: DeweyCode) -> Optional[ElementRow]:
         """One node's ``(label, cID)``, LRU-cached (absence is cached too)."""
         cached = self._elements.get(dewey, _MISSING)
         if cached is not _MISSING:
             self._elements.move_to_end(dewey)
             return cached
-        row = self._fetch_element_rows([dewey])[dewey]
+        row = self._fetch_elements([dewey])[dewey]
         self._cache_node(self._elements, dewey, row)
         return row
 
@@ -177,66 +193,51 @@ class StorePostingSource:
 
         Fetches the missing element rows of ``nodes`` and word sets of
         ``keyword_nodes`` through the same two fetches a single cache miss
-        uses; the sqlite specialization serves each in chunked ``IN (...)``
-        statements, one per cache instead of one per node.  Absent codes
-        are cached negatively, so a later lookup of a code the document
-        lacks answers without touching the store.
+        uses, in chunked ``IN (...)`` statements: one per cache instead of
+        one per node.  Absent codes are cached negatively, so a later lookup
+        of a code the document lacks answers without touching the store.
         """
         missing_rows = [dewey for dewey in nodes if dewey not in self._elements]
-        for dewey, row in self._fetch_element_rows(missing_rows).items():
+        for dewey, row in self._fetch_elements(missing_rows).items():
             self._cache_node(self._elements, dewey, row)
         missing_words = [dewey for dewey in keyword_nodes
                          if dewey not in self._words]
         for dewey, words in self._fetch_word_sets(missing_words).items():
             self._cache_node(self._words, dewey, words)
 
-    def _fetch_element_rows(self, deweys: Sequence[DeweyCode]
-                            ) -> Dict[DeweyCode, Optional[ElementRow]]:
-        """Each node's ``(label, cID)`` element row, ``None`` when absent.
-
-        The generic store interface reads one node per call; the sqlite
-        specialization overrides it with a batched read of its own rows.
-        """
-        return {dewey: self.store.element_row(self.document, dewey)
-                for dewey in deweys}
-
-    def _fetch_word_sets(self, deweys: Sequence[DeweyCode]
-                         ) -> Dict[DeweyCode, FrozenSet[str]]:
-        """Each node's content word set (empty when absent)."""
-        return {dewey: self.store.node_words(self.document, dewey)
-                for dewey in deweys}
-
-    # ------------------------------------------------------------------ #
-    # LRU plumbing (shared with the sqlite batch path)
-    # ------------------------------------------------------------------ #
-    def _deweys(self, normalized: str) -> PackedDeweyList:
-        cached = self._lru_get(normalized)
-        if cached is not None:
-            return cached
-        packed = self._fetch_packed(normalized)
-        self._lru_put(normalized, packed)
-        return packed
-
-    def _fetch_packed(self, normalized: str) -> PackedDeweyList:
-        """One keyword's packed columns from the store.
-
-        The generic store interface only exposes decoded codes, so this packs
-        them; the sqlite specialization overrides it with the direct
-        blob-per-keyword load.
-        """
-        self.fallback_fetches += 1
-        return pack_deweys(self.store.keyword_deweys(self.document, normalized),
-                           presorted=True)
-
     def read_stats(self) -> Dict[str, int]:
-        """Cumulative read counters (cache traffic, decode paths, bytes)."""
+        """Cumulative read counters (cache traffic, blob fetches, bytes)."""
         return {
             "lru_hits": self.lru_hits,
             "lru_misses": self.lru_misses,
             "bytes": self.bytes_read,
             "packed_fetches": self.packed_fetches,
-            "fallback_fetches": self.fallback_fetches,
         }
+
+    # ------------------------------------------------------------------ #
+    # LRU plumbing
+    # ------------------------------------------------------------------ #
+    def _deweys(self, normalized: str) -> PackedDeweyList:
+        cached = self._lru_get(normalized)
+        if cached is not None:
+            return cached
+        packed = self._fetch_blob_rows([normalized]).get(normalized,
+                                                         EMPTY_PACKED)
+        self._lru_put(normalized, packed)
+        return packed
+
+    def _split_cached(self, normalized: List[str]
+                      ) -> Tuple[Dict[str, PackedDeweyList], List[str]]:
+        """Partition a query into LRU-answered results and missed keywords."""
+        result: Dict[str, PackedDeweyList] = {}
+        missing: List[str] = []
+        for keyword in normalized:
+            cached = self._lru_get(keyword)
+            if cached is not None:
+                result[keyword] = cached
+            elif keyword not in missing:
+                missing.append(keyword)
+        return result, missing
 
     def _lru_get(self, normalized: str) -> Optional[PackedDeweyList]:
         cached = self._lru.get(normalized)
@@ -256,106 +257,18 @@ class StorePostingSource:
             self._lru.popitem(last=False)
 
     def _cache_node(self, cache: "OrderedDict", dewey: DeweyCode, value) -> None:
-        if self.node_lru_size <= 0:
-            return
         cache[dewey] = value
         cache.move_to_end(dewey)
-        while len(cache) > self.node_lru_size:
+        while len(cache) > DEFAULT_NODE_LRU_SIZE:
             cache.popitem(last=False)
-
-    def _backend_name(self) -> str:
-        return type(self.store).__name__.replace("Store", "").lower() or "store"
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.source_id!r}, "
                 f"lru={len(self._lru)}/{self.lru_size})")
 
-
-class SQLitePostingSource(StorePostingSource):
-    """Disk-backed posting source over a :class:`SQLiteStore` document.
-
-    Identical semantics to :class:`StorePostingSource`, with two additions: a
-    multi-keyword :meth:`keyword_nodes` call fetches every LRU-missed posting
-    list in a single batched ``SELECT ... WHERE keyword IN (...)`` statement
-    instead of one round-trip per keyword, and each list is loaded as **one
-    prefix-truncated blob** from the ``posting`` table — one row per keyword,
-    rebuilt into flat columns at C speed, with no per-posting string decode
-    and no per-posting object.  Database files written before packed
-    ingestion existed (no ``posting`` rows) fall back to a per-row decode,
-    packed once, transparently.  Every statement the source runs, batched
-    or single-row, reads the rows :meth:`_scope` names.
-    """
-
-    def __init__(self, store: SQLiteStore, document: str,
-                 lru_size: int = DEFAULT_POSTING_LRU_SIZE,
-                 node_lru_size: int = DEFAULT_NODE_LRU_SIZE):
-        if not isinstance(store, SQLiteStore):
-            raise TypeError(
-                f"SQLitePostingSource needs a SQLiteStore, got {type(store).__name__}")
-        super().__init__(store, document, lru_size, node_lru_size)
-        self._document_checked = False
-        self._blobs_on_disk: Optional[bool] = None
-
-    def _has_blobs(self) -> bool:
-        """Whether the rows this source reads carry packed blobs (checked
-        once); documents ingested before the ``posting`` table say no."""
-        if self._blobs_on_disk is None:
-            prefix, where, scope = self._scope()
-            self._blobs_on_disk = bool(self.store._scalar(
-                f"SELECT EXISTS (SELECT 1 FROM {prefix}posting "
-                f"WHERE {where})", *scope))
-        return self._blobs_on_disk
-
-    def _fetch_packed(self, normalized: str) -> PackedDeweyList:
-        """Blob-per-keyword load, falling back to row decode on legacy files.
-
-        The one-keyword case of the batched fetches, so it reads the same
-        rows.  The (cached) blob-presence check runs first: a legacy
-        document would otherwise pay one doomed ``SELECT ... FROM posting``
-        per keyword on top of every row-decode fallback.
-        """
-        if self._has_blobs():
-            return self._fetch_blob_rows([normalized]).get(normalized,
-                                                           EMPTY_PACKED)
-        return pack_component_tuples(
-            self._fetch_value_rows([normalized]).get(normalized, []),
-            presorted=True)
-
-    def frequency(self, keyword: str) -> int:
-        """Number of keyword nodes containing ``keyword`` (its impact's
-        posting count)."""
-        return self.impact(self.tokenizer.normalize_keyword(keyword)).count
-
-    def impact(self, keyword: str) -> KeywordImpact:
-        """Posting count + deepest node level of one normalized keyword.
-
-        An LRU-resident posting list answers locally; otherwise one
-        ``posting`` row of this source's scope answers from its shred-time
-        columns.  Rows predating the ``max_depth`` column and documents
-        predating packed ingestion fall back to the posting list itself.
-        """
-        cached = self._lru_get(keyword)
-        if cached is not None:
-            return impact_from_postings(cached)
-        if self._has_blobs():
-            prefix, where, scope = self._scope()
-            row = self.store._connection.execute(
-                f"SELECT cardinality, max_depth FROM {prefix}posting "
-                f"WHERE {where} AND keyword = ?", (*scope, keyword)).fetchone()
-            if row is None:
-                return EMPTY_IMPACT
-            if int(row[1]) != UNKNOWN_MAX_DEPTH:
-                return KeywordImpact(count=int(row[0]), max_depth=int(row[1]))
-        return impact_from_postings(self._deweys(keyword))
-
-    def vocabulary(self) -> List[str]:
-        """Every indexed word of the document, sorted."""
-        prefix, where, scope = self._scope()
-        cursor = self.store._connection.execute(
-            f"SELECT DISTINCT keyword FROM {prefix}value WHERE {where} "
-            f"ORDER BY keyword", scope)
-        return [keyword for (keyword,) in cursor]
-
+    # ------------------------------------------------------------------ #
+    # Statements
+    # ------------------------------------------------------------------ #
     def _check_document(self) -> None:
         """Raise :class:`DocumentNotFound` (once) for a misnamed document.
 
@@ -366,48 +279,6 @@ class SQLitePostingSource(StorePostingSource):
         if not self._document_checked:
             self.store._require(self.document)
             self._document_checked = True
-
-    @property
-    def source_id(self) -> str:
-        """Backend identity including the database path."""
-        return f"sqlite:{self.store.path}#{self.document}"
-
-    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
-        """Batched ``getKeywordNodes``: one ``IN (...)`` fetch for all misses.
-
-        The batch statement reads whole blobs from the ``posting`` table (one
-        row per LRU-missed keyword).
-        """
-        normalized = self.tokenizer.normalize_query(query)
-        result, missing = self._split_cached(normalized)
-        if missing:
-            if self._has_blobs():
-                fetched: Dict[str, PackedDeweyList] = \
-                    self._fetch_blob_rows(missing)
-            else:
-                # Legacy file without blobs: batched row decode, packed once.
-                fetched = {keyword: pack_component_tuples(components,
-                                                          presorted=True)
-                           for keyword, components
-                           in self._fetch_value_rows(missing).items()}
-            for keyword in missing:
-                packed = fetched.get(keyword, EMPTY_PACKED)
-                self._lru_put(keyword, packed)
-                result[keyword] = packed
-        return {keyword: result[keyword] for keyword in normalized}
-
-    def _split_cached(self, normalized: List[str]
-                      ) -> Tuple[Dict[str, PackedDeweyList], List[str]]:
-        """Partition a query into LRU-answered results and missed keywords."""
-        result: Dict[str, PackedDeweyList] = {}
-        missing: List[str] = []
-        for keyword in normalized:
-            cached = self._lru_get(keyword)
-            if cached is not None:
-                result[keyword] = cached
-            elif keyword not in missing:
-                missing.append(keyword)
-        return result, missing
 
     def _scope(self) -> Tuple[str, str, Tuple[object, ...]]:
         """The rows this source reads: ``(table prefix, row filter, filter
@@ -439,24 +310,7 @@ class SQLitePostingSource(StorePostingSource):
         self.packed_fetches += len(fetched)
         return fetched
 
-    def _fetch_value_rows(self, missing: Sequence[str]
-                          ) -> Dict[str, List[Tuple[int, ...]]]:
-        """Decoded component tuples per keyword, one chunked ``IN`` batch."""
-        prefix, where, scope = self._scope()
-        rows: Dict[str, List[Tuple[int, ...]]] = {}
-        for chunk in _chunked(missing):
-            cursor = self.store._connection.execute(
-                f"SELECT DISTINCT keyword, dewey FROM {prefix}value "
-                f"WHERE {where} AND keyword IN ({_placeholders(chunk)}) "
-                f"ORDER BY keyword, dewey",
-                (*scope, *chunk),
-            )
-            for keyword, dewey_text in cursor:
-                rows.setdefault(keyword, []).append(decode_dewey(dewey_text))
-        self.fallback_fetches += len(rows)
-        return rows
-
-    def _fetch_element_rows(self, deweys: Sequence[DeweyCode]
+    def _fetch_elements(self, deweys: Sequence[DeweyCode]
                             ) -> Dict[DeweyCode, Optional[ElementRow]]:
         """Element rows of ``deweys`` in chunked ``IN (...)`` statements.
 
@@ -518,30 +372,11 @@ def _placeholders(values: Sized) -> str:
     return ",".join("?" * len(values))
 
 
-def source_for_store(store, document: str,
-                     lru_size: int = DEFAULT_POSTING_LRU_SIZE
-                     ) -> StorePostingSource:
-    """The most specific posting source for a store backend."""
+def source_for_store(store: SQLiteStore, document: str) -> SQLitePostingSource:
+    """The posting source of one document of a store: segment-aware for a
+    :class:`~repro.storage.segments.SegmentedStore`."""
     # Local import: segments.py builds on this module's classes.
     from .segments import SegmentedPostingSource, SegmentedStore
     if isinstance(store, SegmentedStore):
-        return SegmentedPostingSource(store, document, lru_size)
-    if isinstance(store, SQLiteStore):
-        return SQLitePostingSource(store, document, lru_size)
-    return StorePostingSource(store, document, lru_size)
-
-
-def agreement_with_index(tree: XMLTree, store, name: str,
-                         keywords) -> Dict[str, bool]:
-    """Check that store-backed posting lists equal the inverted-index ones.
-
-    The backend-parity suite exposes this as the ``store_agreement`` fixture;
-    the function form stays for scripts.
-    """
-    index = InvertedIndex(tree)
-    agreement: Dict[str, bool] = {}
-    for keyword in keywords:
-        from_store = store.keyword_deweys(name, keyword)
-        from_index = list(index.postings(keyword).deweys)
-        agreement[keyword] = from_store == from_index
-    return agreement
+        return SegmentedPostingSource(store, document)
+    return SQLitePostingSource(store, document)

@@ -11,9 +11,10 @@ Section 5.2 stores the shredded records in PostgreSQL using three tables:
   pair over the node's label, text and attributes; this is the table keyword
   lookups run against.
 
-This module defines the row dataclasses and the SQL DDL shared by the sqlite
-and in-memory backends (the PostgreSQL → sqlite substitution is documented in
-DESIGN.md).
+This module defines the row dataclasses, the SQL DDL of the sqlite store
+(the PostgreSQL → sqlite substitution is documented in DESIGN.md) and the
+:data:`SCHEMA_VERSION` every database file is stamped with: a file is
+created with this layout, or refused (``PRAGMA user_version``).
 """
 
 from __future__ import annotations
@@ -95,15 +96,14 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
     # is the keyword's impact metadata (deepest Dewey level of its nodes,
     # root = 0) written at shred time; together with ``cardinality`` it lets
     # the corpus ranking derive score upper bounds without reading a single
-    # blob.  ``-1`` marks rows written before the column existed — readers
-    # recompute lazily from the value table.
+    # blob.
     """
     CREATE TABLE IF NOT EXISTS posting (
         document    TEXT NOT NULL,
         keyword     TEXT NOT NULL,
         cardinality INTEGER NOT NULL,
         blob        BLOB NOT NULL,
-        max_depth   INTEGER NOT NULL DEFAULT -1,
+        max_depth   INTEGER NOT NULL,
         PRIMARY KEY (document, keyword)
     )
     """,
@@ -119,9 +119,7 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
     # kind ``tombstone`` marks the document deleted as of that segment.  A
     # document's live version is decided by its highest-numbered event;
     # ``compact()`` folds live versions into the base tables and clears all
-    # five segment tables.  The DDL is idempotent, so any database opened by
-    # a segment-aware store is upgraded in place (legacy files simply start
-    # with empty segment tables).
+    # five segment tables.
     """
     CREATE TABLE IF NOT EXISTS segment (
         segment_id INTEGER NOT NULL,
@@ -169,7 +167,7 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
         keyword     TEXT NOT NULL,
         cardinality INTEGER NOT NULL,
         blob        BLOB NOT NULL,
-        max_depth   INTEGER NOT NULL DEFAULT -1,
+        max_depth   INTEGER NOT NULL,
         PRIMARY KEY (segment_id, document, keyword)
     )
     """,
@@ -181,54 +179,27 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
     "ON segment_value (segment_id, document, dewey)",
     # ------------------------------------------------------------------ #
     # The idempotency ledger (repro.storage.segments).  A mutation that
-    # carries an ``idempotency_key`` writes one ``done`` row inside its own
+    # carries an ``idempotency_key`` writes one row inside its own
     # transaction, so the row exists exactly when the mutation committed
     # and a retry with the same key answers the recorded ``segment_id``.
-    # ``expected`` is unused (ledger rows store ``'{}'``); ``pending`` rows
-    # exist only in files written by the older two-step journal, and
-    # ``verify --db`` reports them.  The DDL is idempotent, so legacy
-    # databases grow the ledger on first open.
     """
     CREATE TABLE IF NOT EXISTS mutation_journal (
         journal_id      INTEGER PRIMARY KEY AUTOINCREMENT,
         kind            TEXT NOT NULL,
         document        TEXT NOT NULL,
         segment_id      INTEGER NOT NULL,
-        expected        TEXT NOT NULL,
-        idempotency_key TEXT,
-        state           TEXT NOT NULL
+        idempotency_key TEXT
     )
     """,
     "CREATE INDEX IF NOT EXISTS idx_mutation_journal_key "
     "ON mutation_journal (idempotency_key)",
 )
 
-#: ``max_depth`` value marking a posting row written before the impact
-#: column existed; readers treat it as "unknown" and recompute lazily.
-UNKNOWN_MAX_DEPTH = -1
-
-#: Tables carrying the per-keyword impact column (added after the packed
-#: posting tables shipped, hence the in-place upgrade below).
-IMPACT_COLUMN_TABLES: Tuple[str, ...] = ("posting", "segment_posting")
-
-
-def ensure_impact_columns(connection) -> None:
-    """Grow the ``max_depth`` impact column on legacy database files.
-
-    ``CREATE TABLE IF NOT EXISTS`` never alters an existing table, so files
-    written before the impact metadata existed would keep the four-column
-    layout forever; this adds the column (defaulted to
-    :data:`UNKNOWN_MAX_DEPTH`, i.e. "recompute lazily") the first time such
-    a file is opened.  Idempotent and cheap — one ``PRAGMA table_info`` per
-    table on every open, ``ALTER TABLE`` only on the first.
-    """
-    for table in IMPACT_COLUMN_TABLES:
-        columns = {row[1] for row in
-                   connection.execute(f"PRAGMA table_info({table})")}
-        if columns and "max_depth" not in columns:
-            connection.execute(
-                f"ALTER TABLE {table} ADD COLUMN max_depth INTEGER "
-                f"NOT NULL DEFAULT {UNKNOWN_MAX_DEPTH}")
+#: The layout :data:`CREATE_TABLES_SQL` creates, stamped into every new
+#: database file as ``PRAGMA user_version``.  A store refuses any file
+#: carrying another version (:class:`~repro.storage.errors.SchemaVersionError`);
+#: such a file is re-indexed into a new one, never migrated.
+SCHEMA_VERSION = 1
 
 
 def encode_dewey(components: Tuple[int, ...]) -> str:

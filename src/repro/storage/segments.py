@@ -19,8 +19,8 @@ sequence of immutable **delta segments**:
   keyword read loads the one packed blob of the document's live generation.
 * :meth:`SegmentedStore.compact` folds every document's live version into the
   base tables and clears the segment tables, leaving the database
-  byte-for-byte equivalent (as observed through every query method) to one
-  re-shredded from scratch at the same logical state.
+  byte-for-byte equivalent (as observed through every posting-source
+  read) to one re-shredded from scratch at the same logical state.
 * Every mutation (update/delete/compact) is **one SQLite transaction**, so
   it is all-or-nothing under any failure, process death included: SQLite's
   rollback journal undoes a transaction that never committed the next time
@@ -35,11 +35,8 @@ sequence of immutable **delta segments**:
 :func:`~repro.corpus.source.corpus_from_store` unchanged.  It inherits the
 batched ``IN (...)`` machinery of
 :class:`~repro.storage.posting_source.SQLitePostingSource` and points its
-scope at the segment tables when the document lives in a delta segment.
-Base-resident documents keep the full legacy story: a database file
-written before the ``posting`` table existed still answers through the
-per-row decode fallback — absorbing an update must never turn the untouched
-documents of a legacy file into silent empty posting lists.
+scope at the segment tables when the document lives in a delta segment; it
+is the only reader of a segmented document's rows.
 """
 
 from __future__ import annotations
@@ -49,18 +46,12 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..index.packed import PackedDeweyList
-from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
 from ..obs import MetricsRegistry
 from ..obs import names as metric_names
 from ..text import DEFAULT_TOKENIZER, Tokenizer
-from ..xmltree import DeweyCode, XMLTree
+from ..xmltree import XMLTree
 from .errors import DocumentAlreadyStored, DocumentNotFound
-from .posting_source import (
-    DEFAULT_NODE_LRU_SIZE,
-    DEFAULT_POSTING_LRU_SIZE,
-    SQLitePostingSource,
-)
-from .schema import UNKNOWN_MAX_DEPTH, decode_dewey, encode_dewey
+from .posting_source import DEFAULT_POSTING_LRU_SIZE, SQLitePostingSource
 from .shredder import ShreddedDocument, packed_posting_rows, shred_tree
 from .sqlite_backend import SQLiteStore
 
@@ -80,10 +71,11 @@ _SEGMENT_TABLES = ("segment", "segment_label", "segment_element",
 class SegmentedStore(SQLiteStore):
     """A sqlite store that absorbs document updates as immutable segments.
 
-    All :class:`SQLiteStore` query methods keep their exact semantics; they
-    are rerouted per document to the live generation (base tables or the
-    newest ``doc`` segment), with tombstoned documents answering
-    :class:`~repro.storage.errors.DocumentNotFound` everywhere.  Writes
+    :meth:`documents` and :meth:`document_stats` keep their
+    :class:`SQLiteStore` semantics over each document's live generation
+    (base tables or the newest ``doc`` segment), with tombstoned documents
+    answering :class:`~repro.storage.errors.DocumentNotFound`; reads of a
+    document's rows go through :class:`SegmentedPostingSource`.  Writes
     (base ingestion, updates, deletes, compaction) serialize on one
     store-level lock; readers see each committed mutation atomically.
     """
@@ -121,7 +113,7 @@ class SegmentedStore(SQLiteStore):
             return None
         row = self._connection.execute(
             "SELECT segment_id FROM mutation_journal "
-            "WHERE idempotency_key = ? AND state = 'done' "
+            "WHERE idempotency_key = ? "
             "ORDER BY journal_id DESC LIMIT 1", (idempotency_key,)).fetchone()
         if row is None:
             return None
@@ -138,14 +130,12 @@ class SegmentedStore(SQLiteStore):
                           idempotency_key: Optional[str]) -> None:
         """Record a keyed mutation inside its own open transaction.
 
-        The row commits exactly when the mutation does.  The schema's
-        ``expected`` column is unused; ledger rows fill it with ``'{}'``.
+        The row commits exactly when the mutation does.
         """
         if idempotency_key is not None:
             self._connection.execute(
                 "INSERT INTO mutation_journal (kind, document, segment_id, "
-                "expected, idempotency_key, state) "
-                "VALUES (?, ?, ?, '{}', ?, 'done')",
+                "idempotency_key) VALUES (?, ?, ?, ?)",
                 (kind, document, segment_id, idempotency_key))
 
     def _committed(self, kind: str) -> None:
@@ -402,7 +392,7 @@ class SegmentedStore(SQLiteStore):
             "SELECT COALESCE(MAX(segment_id), 0) FROM segment") + 1
 
     # ------------------------------------------------------------------ #
-    # Queries (rerouted to the live generation)
+    # Catalogue (per live generation)
     # ------------------------------------------------------------------ #
     def documents(self) -> List[str]:
         """Names of the **live** documents (tombstoned ones are gone)."""
@@ -429,111 +419,6 @@ class SegmentedStore(SQLiteStore):
             "WHERE segment_id = ? AND document = ?", location, name)
         return {"nodes": nodes, "values": values, "labels": labels}
 
-    def keyword_deweys(self, name: str, keyword: str) -> List[DeweyCode]:
-        location = self._live_location(name)
-        if location == BASE_GENERATION:
-            return super().keyword_deweys(name, keyword)
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        cursor = self._connection.execute(
-            "SELECT DISTINCT dewey FROM segment_value "
-            "WHERE segment_id = ? AND document = ? AND keyword = ? "
-            "ORDER BY dewey",
-            (location, name, normalized))
-        return [DeweyCode(decode_dewey(text)) for (text,) in cursor]
-
-    def has_packed_postings(self, name: str) -> bool:
-        location = self.location_of(name)
-        if location is None or location == BASE_GENERATION:
-            # Base documents keep the legacy answer: files written before
-            # the ``posting`` table existed say False here and fall back to
-            # per-row decoding — segments never mask that.
-            return super().has_packed_postings(name)
-        return bool(self._scalar(
-            "SELECT EXISTS (SELECT 1 FROM segment_posting "
-            "WHERE segment_id = ? AND document = ?)", location, name))
-
-    def keyword_frequency(self, name: str, keyword: str) -> int:
-        location = self._live_location(name)
-        if location == BASE_GENERATION:
-            return super().keyword_frequency(name, keyword)
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        return self._scalar(
-            "SELECT COUNT(DISTINCT dewey) FROM segment_value "
-            "WHERE segment_id = ? AND document = ? AND keyword = ?",
-            location, name, normalized)
-
-    def keyword_impact(self, name: str, keyword: str) -> KeywordImpact:
-        location = self._live_location(name)
-        if location == BASE_GENERATION:
-            return super().keyword_impact(name, keyword)
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        row = self._connection.execute(
-            "SELECT cardinality, max_depth FROM segment_posting "
-            "WHERE segment_id = ? AND document = ? AND keyword = ?",
-            (location, name, normalized)).fetchone()
-        if row is None:
-            # Segments always carry packed rows, so absence means the
-            # keyword does not occur in this document version.
-            return EMPTY_IMPACT
-        if int(row[1]) != UNKNOWN_MAX_DEPTH:
-            return KeywordImpact(count=int(row[0]), max_depth=int(row[1]))
-        # A sentinel row: derive the impact from the posting list.
-        return impact_from_postings(self.keyword_deweys(name, normalized))
-
-    def vocabulary(self, name: str) -> List[str]:
-        location = self._live_location(name)
-        if location == BASE_GENERATION:
-            return super().vocabulary(name)
-        cursor = self._connection.execute(
-            "SELECT DISTINCT keyword FROM segment_value "
-            "WHERE segment_id = ? AND document = ? ORDER BY keyword",
-            (location, name))
-        return [keyword for (keyword,) in cursor]
-
-    def node_words(self, name: str, dewey: DeweyCode) -> frozenset:
-        location = self._live_location(name)
-        if location == BASE_GENERATION:
-            return super().node_words(name, dewey)
-        # No DISTINCT, as in SQLiteStore.node_words.
-        cursor = self._connection.execute(
-            "SELECT keyword FROM segment_value "
-            "WHERE segment_id = ? AND document = ? AND dewey = ?",
-            (location, name, encode_dewey(dewey.components)))
-        return frozenset(keyword for (keyword,) in cursor)
-
-    def element_row(self, name: str, dewey: DeweyCode
-                    ) -> Optional[Tuple[str, Tuple[str, str]]]:
-        location = self._live_location(name)
-        if location == BASE_GENERATION:
-            return super().element_row(name, dewey)
-        row = self._connection.execute(
-            "SELECT label, content_feature_min, content_feature_max "
-            "FROM segment_element "
-            "WHERE segment_id = ? AND document = ? AND dewey = ?",
-            (location, name, encode_dewey(dewey.components))).fetchone()
-        return (row[0], (row[1], row[2])) if row else None
-
-    def labels(self, name: str) -> List[str]:
-        location = self._live_location(name)
-        if location == BASE_GENERATION:
-            return super().labels(name)
-        rows = self._connection.execute(
-            "SELECT label FROM segment_label "
-            "WHERE segment_id = ? AND document = ? ORDER BY label",
-            (location, name)).fetchall()
-        return [row[0] for row in rows]
-
-    def label_number_sequence(self, name: str,
-                              dewey: DeweyCode) -> Optional[str]:
-        location = self._live_location(name)
-        if location == BASE_GENERATION:
-            return super().label_number_sequence(name, dewey)
-        row = self._connection.execute(
-            "SELECT label_number_sequence FROM segment_element "
-            "WHERE segment_id = ? AND document = ? AND dewey = ?",
-            (location, name, encode_dewey(dewey.components))).fetchone()
-        return row[0] if row else None
-
 
 class SegmentedPostingSource(SQLitePostingSource):
     """Posting source over one live document of a :class:`SegmentedStore`.
@@ -545,13 +430,14 @@ class SegmentedPostingSource(SQLitePostingSource):
     :attr:`source_id`).
     """
 
+    store: SegmentedStore
+
     def __init__(self, store: SegmentedStore, document: str,
-                 lru_size: int = DEFAULT_POSTING_LRU_SIZE,
-                 node_lru_size: int = DEFAULT_NODE_LRU_SIZE):
+                 lru_size: int = DEFAULT_POSTING_LRU_SIZE):
         if not isinstance(store, SegmentedStore):
             raise TypeError(f"SegmentedPostingSource needs a SegmentedStore, "
                             f"got {type(store).__name__}")
-        super().__init__(store, document, lru_size, node_lru_size)
+        super().__init__(store, document, lru_size)
         self._location: Optional[int] = None
         # How many posting fetches were resolved from a delta segment vs the
         # base generation (one increment per fetched keyword, hoisted after
@@ -562,8 +448,7 @@ class SegmentedPostingSource(SQLitePostingSource):
     def _resolve_location(self) -> int:
         """The generation this source serves (pinned at first resolution)."""
         if self._location is None:
-            store: SegmentedStore = self.store
-            self._location = store._live_location(self.document)
+            self._location = self.store._live_location(self.document)
         return self._location
 
     @property
@@ -575,10 +460,9 @@ class SegmentedPostingSource(SQLitePostingSource):
     def read_stats(self) -> Dict[str, int]:
         """Base read counters plus segment-resolution accounting."""
         stats = super().read_stats()
-        store: SegmentedStore = self.store
         stats["segment_reads"] = self.segment_reads
         stats["base_reads"] = self.base_reads
-        stats["tombstone_hits"] = store.tombstone_hits
+        stats["tombstone_hits"] = self.store.tombstone_hits
         return stats
 
     def _scope(self) -> Tuple[str, str, Tuple[object, ...]]:
@@ -595,12 +479,6 @@ class SegmentedPostingSource(SQLitePostingSource):
         fetched = super()._fetch_blob_rows(missing)
         self._count_reads(len(fetched))
         return fetched
-
-    def _fetch_value_rows(self, missing: Sequence[str]
-                          ) -> Dict[str, List[Tuple[int, ...]]]:
-        rows = super()._fetch_value_rows(missing)
-        self._count_reads(len(rows))
-        return rows
 
     def _count_reads(self, keywords: int) -> None:
         """Credit one batch's fetched keywords to the generation read."""

@@ -2,8 +2,9 @@
 
 Plays the role of the PostgreSQL 8.2 instance of Section 5.2 (substitution
 documented in DESIGN.md): documents are shredded into the ``label`` /
-``element`` / ``value`` tables and keyword-node retrieval is a SQL query
-against the ``value`` table.
+``element`` / ``value`` tables (plus one packed ``posting`` blob per keyword).
+The store writes and manages those rows; every query reads them through a
+:class:`~repro.storage.posting_source.SQLitePostingSource`.
 """
 
 from __future__ import annotations
@@ -12,25 +13,50 @@ import itertools
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Union
 
-from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
 from ..text import DEFAULT_TOKENIZER, Tokenizer
-from ..xmltree import DeweyCode, XMLTree
-from .errors import DocumentAlreadyStored, DocumentNotFound
-from .schema import (
-    CREATE_TABLES_SQL,
-    UNKNOWN_MAX_DEPTH,
-    decode_dewey,
-    encode_dewey,
-    ensure_impact_columns,
-)
+from ..xmltree import XMLTree
+from .errors import DocumentAlreadyStored, DocumentNotFound, SchemaVersionError
+from .schema import CREATE_TABLES_SQL, SCHEMA_VERSION
 from .shredder import ShreddedDocument, packed_posting_rows, shred_tree
 
 
 #: Distinguishes the shared-cache URIs of concurrently-alive ``:memory:``
 #: stores, so two stores never alias one in-process database.
 _MEMORY_DB_COUNTER = itertools.count()
+
+
+def check_schema(connection: sqlite3.Connection, path: str) -> None:
+    """Accept a file stamped with :data:`SCHEMA_VERSION`, create (and stamp)
+    the schema in a file with no tables, refuse anything else.
+
+    One statement reads the stamp and the table count together, so a
+    concurrent opener's create-and-stamp commit is seen whole or not at
+    all, and a stamped file opens with that one statement.  Python's
+    ``sqlite3`` opens no transaction before DDL, hence the explicit
+    ``BEGIN IMMEDIATE``; the DDL keeps ``IF NOT EXISTS``, so two openers
+    racing on a new file both succeed.
+    """
+    version, objects = connection.execute(
+        "SELECT user_version, (SELECT COUNT(*) FROM sqlite_master) "
+        "FROM pragma_user_version").fetchone()
+    if version == SCHEMA_VERSION:
+        return
+    if version or objects:
+        raise SchemaVersionError(
+            f"{path} has database schema version {version}, but this "
+            f"program reads version {SCHEMA_VERSION}; re-index the documents "
+            f"into a new file with `repro-xks index`")
+    connection.execute("BEGIN IMMEDIATE")
+    try:
+        for statement in CREATE_TABLES_SQL:
+            connection.execute(statement)
+        connection.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+        connection.commit()
+    except BaseException:
+        connection.rollback()
+        raise
 
 
 class SQLiteStore:
@@ -40,7 +66,10 @@ class SQLiteStore:
     ----------
     path:
         Database file path, or ``":memory:"`` (default) for an in-process
-        database.
+        database.  A file with no tables gets the schema, stamped with
+        :data:`~repro.storage.schema.SCHEMA_VERSION`; any other file must
+        carry that stamp, or opening it raises
+        :class:`~repro.storage.errors.SchemaVersionError`.
     tokenizer:
         Tokenizer shared with the query side.
 
@@ -101,11 +130,11 @@ class SQLiteStore:
             else:
                 connection = sqlite3.connect(self.path,
                                              check_same_thread=False)
-            for statement in CREATE_TABLES_SQL:
-                connection.execute(statement)
-            # Legacy files predate the impact column; grow it in place.
-            ensure_impact_columns(connection)
-            connection.commit()
+            try:
+                check_schema(connection, self.path)
+            except BaseException:
+                connection.close()
+                raise
             with self._connections_lock:
                 self._connections.append(connection)
             if self._fault_plan is not None:
@@ -185,7 +214,7 @@ class SQLiteStore:
                 cursor.execute(f"DELETE FROM {table} WHERE document = ?", (name,))
 
     # ------------------------------------------------------------------ #
-    # Queries
+    # Catalogue
     # ------------------------------------------------------------------ #
     def documents(self) -> List[str]:
         """Names of the stored documents."""
@@ -201,123 +230,6 @@ class SQLiteStore:
         values = self._scalar("SELECT COUNT(*) FROM value WHERE document = ?", name)
         labels = self._scalar("SELECT COUNT(*) FROM label WHERE document = ?", name)
         return {"nodes": nodes, "values": values, "labels": labels}
-
-    def keyword_deweys(self, name: str, keyword: str) -> List[DeweyCode]:
-        """Sorted Dewey codes of the nodes containing ``keyword``.
-
-        Rows are decoded while streaming off the cursor, so a frequent
-        keyword's posting list never exists as both an undecoded row list and
-        a decoded Dewey list at the same time.
-        """
-        self._require(name)
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        cursor = self._connection.execute(
-            "SELECT DISTINCT dewey FROM value WHERE document = ? AND keyword = ? "
-            "ORDER BY dewey",
-            (name, normalized),
-        )
-        return [DeweyCode(decode_dewey(text)) for (text,) in cursor]
-
-    def has_packed_postings(self, name: str) -> bool:
-        """Whether the document was ingested with packed posting blobs.
-
-        Database files written before the ``posting`` table existed answer
-        ``False``; the posting sources then fall back to per-row decoding.
-        """
-        return self._has_rows("posting", name)
-
-    def keyword_impact(self, name: str, keyword: str) -> KeywordImpact:
-        """Posting count + deepest node level of one keyword.
-
-        Served straight from the shred-time ``posting`` row when the impact
-        column carries a real value; rows predating the column (``max_depth
-        == -1``) and documents predating packed ingestion fall back to a
-        value-table scan, so legacy files stay rankable without a rewrite.
-        """
-        self._require(name)
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        row = self._connection.execute(
-            "SELECT cardinality, max_depth FROM posting "
-            "WHERE document = ? AND keyword = ?",
-            (name, normalized),
-        ).fetchone()
-        if row is not None and int(row[1]) != UNKNOWN_MAX_DEPTH:
-            return KeywordImpact(count=int(row[0]), max_depth=int(row[1]))
-        if row is None and self.has_packed_postings(name):
-            # Packed-era document, keyword simply absent.
-            return EMPTY_IMPACT
-        return impact_from_postings(self.keyword_deweys(name, normalized))
-
-    def keyword_nodes(self, name: str, keywords: Iterable[str]
-                      ) -> Dict[str, List[DeweyCode]]:
-        """The ``D_i`` posting lists for a whole query."""
-        result: Dict[str, List[DeweyCode]] = {}
-        for keyword in self.tokenizer.normalize_query(keywords):
-            result[keyword] = self.keyword_deweys(name, keyword)
-        return result
-
-    def keyword_frequency(self, name: str, keyword: str) -> int:
-        """Number of nodes containing ``keyword``."""
-        self._require(name)
-        normalized = self.tokenizer.normalize_keyword(keyword)
-        return self._scalar(
-            "SELECT COUNT(DISTINCT dewey) FROM value "
-            "WHERE document = ? AND keyword = ?",
-            name, normalized,
-        )
-
-    def vocabulary(self, name: str) -> List[str]:
-        """Every distinct keyword of one document, sorted."""
-        self._require(name)
-        cursor = self._connection.execute(
-            "SELECT DISTINCT keyword FROM value WHERE document = ? "
-            "ORDER BY keyword",
-            (name,),
-        )
-        return [keyword for (keyword,) in cursor]
-
-    def node_words(self, name: str, dewey: DeweyCode) -> frozenset:
-        """The content word set of one node (empty when the code is absent).
-
-        No ``DISTINCT``: the ``frozenset`` folds the repeated rows of a word
-        that is in the node's label, text or attributes more than once, and
-        with ``DISTINCT`` sqlite scans every value row of the document.
-        """
-        self._require(name)
-        cursor = self._connection.execute(
-            "SELECT keyword FROM value WHERE document = ? AND dewey = ?",
-            (name, encode_dewey(dewey.components)),
-        )
-        return frozenset(keyword for (keyword,) in cursor)
-
-    def element_row(self, name: str, dewey: DeweyCode
-                    ) -> Optional[Tuple[str, Tuple[str, str]]]:
-        """One node's ``(label, cID)`` from its element row, or ``None``."""
-        self._require(name)
-        row = self._connection.execute(
-            "SELECT label, content_feature_min, content_feature_max "
-            "FROM element WHERE document = ? AND dewey = ?",
-            (name, encode_dewey(dewey.components)),
-        ).fetchone()
-        return (row[0], (row[1], row[2])) if row else None
-
-    def labels(self, name: str) -> List[str]:
-        """The distinct labels of one document."""
-        self._require(name)
-        rows = self._connection.execute(
-            "SELECT label FROM label WHERE document = ? ORDER BY label", (name,)
-        ).fetchall()
-        return [row[0] for row in rows]
-
-    def label_number_sequence(self, name: str, dewey: DeweyCode) -> Optional[str]:
-        """The stored ancestor-label-number path of one node."""
-        self._require(name)
-        row = self._connection.execute(
-            "SELECT label_number_sequence FROM element "
-            "WHERE document = ? AND dewey = ?",
-            (name, encode_dewey(dewey.components)),
-        ).fetchone()
-        return row[0] if row else None
 
     # ------------------------------------------------------------------ #
     def _scalar(self, sql: str, *params) -> int:

@@ -1,25 +1,26 @@
 """Database integrity verification (``repro.cli verify --db``).
 
 Treats integrity checking as a first-class database operation: run
-SQLite's own page-level check, open the store, then sweep the catalog,
-liveness and posting-blob invariants that the segmented mutation model
-guarantees.  Returns a typed :class:`IntegrityReport` instead of printing,
-so the CLI, the chaos smoke and the crash-point fuzzer all assert on the
-same object.
+SQLite's own page-level check, open the store (which checks the file's
+schema stamp), then sweep the catalog, liveness, posting-blob and
+content-id invariants that the segmented mutation model guarantees.
+Returns a typed :class:`IntegrityReport` instead of printing, so the CLI,
+the chaos smoke and the crash-point fuzzer all assert on the same object.
 
 Checked invariants:
 
 * **sqlite** — ``PRAGMA integrity_check`` reads ``ok`` and the store
   opens; otherwise the report holds this one finding and the sweep stops.
-* **journal** — no ``pending`` ledger row exists.  Only a file written by
-  the older two-step mutation journal can hold one, left by a crash;
-  nothing resolves it now.
+* **schema version** — the file carries
+  :data:`~repro.storage.schema.SCHEMA_VERSION` (``PRAGMA user_version``);
+  otherwise the report holds this one finding and the sweep stops, since
+  no other check means anything on another layout.
 * **catalog** — every ``doc`` segment event owns label *and* element rows;
   tombstone events own no payload rows; no payload row is orphaned from
   the ``segment`` catalog.
 * **liveness** — every document named by any base table has element rows
-  (the base row sets are complete), and live documents resolve to exactly
-  one location.
+  (the base row sets are complete), and every value row, base and
+  segment, names a node of its generation's element rows.
 * **posting blobs** — each packed posting blob (base and segment) decodes,
   its recorded cardinality matches the decoded length, and the decoded
   Dewey list equals the distinct value-row deweys for that
@@ -36,9 +37,10 @@ import sqlite3
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from ..index.packed import PackedDeweyList
+from .errors import SchemaVersionError
 from .schema import decode_dewey
 from .segments import SEGMENT_KIND_DOC, SEGMENT_KIND_TOMBSTONE, SegmentedStore
 
@@ -103,7 +105,8 @@ def verify_database(path: Union[str, Path]) -> IntegrityReport:
     """Check ``path`` with SQLite, then open it and sweep every invariant.
 
     A file SQLite cannot read yields the one ``sqlite-integrity`` error
-    finding instead of an exception.
+    finding instead of an exception, and a file with another schema version
+    the one ``schema-version`` finding.
     """
     report = IntegrityReport(path=str(path))
     try:
@@ -112,11 +115,13 @@ def verify_database(path: Union[str, Path]) -> IntegrityReport:
     except sqlite3.DatabaseError as error:
         report.error("sqlite-integrity", str(error))
         return report
+    except SchemaVersionError as error:
+        report.error("schema-version", str(error))
+        return report
     try:
         report.documents = len(store.documents())
         report.segments = store.segment_count()
         connection = store._connection
-        _check_journal(connection, report)
         _check_catalog(connection, report)
         _check_liveness(connection, report)
         _check_posting_blobs(connection, report)
@@ -139,16 +144,6 @@ def _check_sqlite(path: Union[str, Path]) -> None:
     if problems != ["ok"]:
         raise sqlite3.DatabaseError(
             f"PRAGMA integrity_check failed: {'; '.join(problems[:5])}")
-
-
-def _check_journal(connection: Any, report: IntegrityReport) -> None:
-    pending = connection.execute(
-        "SELECT COUNT(*) FROM mutation_journal "
-        "WHERE state = 'pending'").fetchone()[0]
-    if pending:
-        report.error("journal-pending",
-                     f"{pending} pending intent row(s) of an interrupted "
-                     f"mutation under the older two-step journal")
 
 
 def _check_catalog(connection: Any, report: IntegrityReport) -> None:
@@ -208,13 +203,19 @@ def _check_liveness(connection: Any, report: IntegrityReport) -> None:
                     "base-orphan-rows",
                     f"base {table} rows for {document!r} have no element "
                     f"rows")
-    for (document,) in connection.execute(
-            "SELECT DISTINCT document FROM value WHERE (document, dewey) "
-            "NOT IN (SELECT document, dewey FROM element)"):
-        report.error(
-            "value-dangling-node",
-            f"base value rows of {document!r} name deweys missing from "
-            f"element")
+    for value, element, key in (
+            ("value", "element", ("document", "dewey")),
+            ("segment_value", "segment_element",
+             ("segment_id", "document", "dewey"))):
+        columns = ", ".join(key)
+        for owner in connection.execute(
+                f"SELECT DISTINCT {', '.join(key[:-1])} FROM {value} "
+                f"WHERE ({columns}) NOT IN "
+                f"(SELECT {columns} FROM {element})"):
+            report.error(
+                "value-dangling-node",
+                f"{_owner(owner)}: {value} rows name deweys missing from "
+                f"{element}")
 
 
 def _check_posting_blobs(connection: Any, report: IntegrityReport) -> None:
@@ -281,10 +282,16 @@ def _check_content_ids(connection: Any, report: IntegrityReport) -> None:
                 f"OR MIN(e.content_feature_max) "
                 f"IS NOT COALESCE(MAX(v.keyword), '')"):
             *owner, dewey = row
-            where = (f"segment {owner[0]} of {owner[1]!r}" if len(owner) == 2
-                     else f"base document {owner[0]!r}")
             node = ".".join(str(part) for part in decode_dewey(dewey))
             report.error(
                 "cid-mismatch",
-                f"{where}: node {node} stores a cID that is not the "
+                f"{_owner(owner)}: node {node} stores a cID that is not the "
                 f"(min, max) of its {value} keywords")
+
+
+def _owner(owner: Sequence[Any]) -> str:
+    """Name one row set: ``(document,)`` of the base tables or
+    ``(segment_id, document)`` of a delta segment."""
+    if len(owner) == 2:
+        return f"segment {owner[0]} of {owner[1]!r}"
+    return f"base document {owner[0]!r}"

@@ -110,7 +110,7 @@ class XMLTree:
         return nodes
 
     def fragment_nodes(
-        self, root_dewey: DeweyLike, keyword_deweys: Iterable[DeweyLike]
+        self, root_dewey: DeweyLike, keyword_nodes: Iterable[DeweyLike]
     ) -> List[XMLNode]:
         """All nodes of the fragment rooted at ``root_dewey``.
 
@@ -119,7 +119,7 @@ class XMLTree:
         result is sorted in document order and contains no duplicates.
         """
         seen: Dict[DeweyCode, XMLNode] = {}
-        for keyword_dewey in keyword_deweys:
+        for keyword_dewey in keyword_nodes:
             for node in self.path_nodes(root_dewey, keyword_dewey):
                 seen[node.dewey] = node
         return [seen[code] for code in sorted(seen)]

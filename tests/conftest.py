@@ -116,25 +116,6 @@ def make_random_keyword_lists():
 # Backend-parity helpers
 # ---------------------------------------------------------------------- #
 @pytest.fixture
-def store_agreement():
-    """Assert that a store's posting lists equal the inverted-index ones.
-
-    The fixture form of :func:`repro.storage.agreement_with_index`: call it
-    with ``(tree, store, name, keywords)`` and it fails the test naming every
-    disagreeing keyword.
-    """
-    from repro.storage import agreement_with_index
-
-    def check(tree, store, name, keywords):
-        agreement = agreement_with_index(tree, store, name, keywords)
-        disagreeing = sorted(k for k, ok in agreement.items() if not ok)
-        assert not disagreeing, (
-            f"store postings disagree with the inverted index for {disagreeing}")
-
-    return check
-
-
-@pytest.fixture
 def store_engine():
     """Build a tree-free engine whose every stage reads from a store.
 

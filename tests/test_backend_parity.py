@@ -12,9 +12,10 @@ The disk-backed engines deliberately run *without* a resident tree, so this
 suite also proves the purely source-backed pipeline (Dewey-arithmetic
 fragments, lookup-driven record trees) against the tree-backed one.
 
-Next to the backends the matrix runs the ``ROW_DECODE_INPUTS``: stores whose
-postings are decoded from value rows and packed once instead of loaded as
-packed blobs, so the one packed form is reached by its second way in.  The
+Next to the backends the matrix runs the ``LAYOUT_INPUTS``: stores that reach
+the one stored layout by other routes (the segmented source's base-generation
+routing, a compacted delta version, a document stored under a dropped name),
+so the packed rows are read after every mutation that writes them.  The
 ``SHARED_STORE_INPUTS`` serve the document from a sqlite store it shares with
 other documents, the one-store layout every disk-backed corpus runs.
 """
@@ -36,12 +37,11 @@ from fuzz_util import store_corpus
 from repro.corpus import CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES
 from repro.storage import (
-    MemoryStore,
+    BASE_GENERATION,
     SegmentedPostingSource,
     SegmentedStore,
     SQLitePostingSource,
     SQLiteStore,
-    StorePostingSource,
     source_for_store,
 )
 from repro.text import ContentAnalyzer
@@ -55,18 +55,21 @@ BACKENDS = ("memory", "sqlite", "corpus", "segmented")
 #: entries it serves, and together the entries must cover all of BACKENDS.
 PARITY_SOURCES = {
     "InvertedIndex": ("memory",),
-    "StorePostingSource": ("sqlite",),
     "SQLitePostingSource": ("sqlite", "corpus"),
     "SegmentedPostingSource": ("segmented",),
 }
 
-#: Store inputs the matrix runs besides BACKENDS, all tree-free.
-#: ``memorystore`` is the generic ``StorePostingSource`` over a
-#: ``MemoryStore``, which packs the codes the store decodes; the ``-legacy``
-#: entries are sqlite and segmented databases with no ``posting`` rows (a
-#: file written before packed ingestion, a supported input), which fall back
-#: to the value-row decode, packed once.
-ROW_DECODE_INPUTS = ("memorystore", "sqlite-legacy", "segmented-legacy")
+#: Store inputs the matrix runs besides BACKENDS, all tree-free, whose rows
+#: sit in the base tables but got there by another route than one plain
+#: ``store_tree``: ``segmented-base`` is a base document served through the
+#: segmented source's base-generation routing (no delta segment shadows it);
+#: ``segmented-compacted`` is a delta version, shadowing another version of
+#: the name in the base tables, folded into them by ``compact``;
+#: ``sqlite-restored`` is stored under a name whose earlier document was
+#: dropped.  The earlier versions are the document mirrored: the same labels
+#: and words on other Dewey codes, so any row of theirs left behind changes
+#: an answer.
+LAYOUT_INPUTS = ("segmented-base", "segmented-compacted", "sqlite-restored")
 
 #: Store inputs whose document shares one sqlite store with other
 #: documents: ``corpus-store`` is the document's source in a corpus served
@@ -76,7 +79,7 @@ ROW_DECODE_INPUTS = ("memorystore", "sqlite-legacy", "segmented-legacy")
 SHARED_STORE_INPUTS = ("corpus-store",)
 
 #: Everything the matrix compares against the memory reference engine.
-CANDIDATES = (tuple(b for b in BACKENDS if b != "memory") + ROW_DECODE_INPUTS
+CANDIDATES = (tuple(b for b in BACKENDS if b != "memory") + LAYOUT_INPUTS
               + SHARED_STORE_INPUTS)
 
 #: (dataset fixture name, queries) pairs the parity matrix runs over.
@@ -86,14 +89,6 @@ DATASETS = (
 )
 
 SMALL_DBLP_QUERIES = ("xml keyword", "data algorithm", "tree query pattern")
-
-
-def drop_packed_postings(store, name: str) -> None:
-    """Make ``name`` a legacy document: no packed ``posting`` rows."""
-    store._connection.execute("DELETE FROM posting WHERE document = ?",
-                              (name,))
-    store._connection.commit()
-    assert not store.has_packed_postings(name)
 
 
 def mirrored(tree: XMLTree) -> XMLTree:
@@ -125,22 +120,18 @@ def build_source(tree, backend: str, name: str = "doc"):
         store = SegmentedStore()
         store.store_tree(tree, name)
         return SegmentedPostingSource(store, name)
-    if backend == "memorystore":
-        store = MemoryStore()
-        store.store_tree(tree, name)
-        return StorePostingSource(store, name)
-    if backend == "sqlite-legacy":
-        store = SQLiteStore()
-        store.store_tree(tree, name)
-        drop_packed_postings(store, name)
-        return SQLitePostingSource(store, name)
-    if backend == "segmented-legacy":
-        # A legacy base document served through the segmented source's
-        # base-generation routing (no delta segment shadows it).
+    if backend == "segmented-compacted":
         store = SegmentedStore()
-        store.store_tree(tree, name)
-        drop_packed_postings(store, name)
+        store.store_tree(mirrored(tree), name)
+        store.update_document(tree, name)
+        store.compact()
         return SegmentedPostingSource(store, name)
+    if backend == "sqlite-restored":
+        store = SQLiteStore()
+        store.store_tree(mirrored(tree), name)
+        store.drop_document(name)
+        store.store_tree(tree, name)
+        return SQLitePostingSource(store, name)
     if backend == "corpus-store":
         # Doc ids sort "0-mirror" < name < "~mirror": the document's rows
         # sit between its neighbours' in the one store, and no neighbour
@@ -245,9 +236,9 @@ def record_fields(record):
 
 #: The record-tree inputs: every backend's per-document source (the
 #: ``corpus`` entry's is a ``sqlite`` source, so ``corpus-store`` stands in
-#: for it) and the row-decode inputs.
+#: for it) and the layout inputs.
 RECORD_TREE_INPUTS = (tuple(b for b in BACKENDS if b != "corpus")
-                      + ROW_DECODE_INPUTS + SHARED_STORE_INPUTS)
+                      + LAYOUT_INPUTS + SHARED_STORE_INPUTS)
 
 
 @pytest.mark.parametrize("cid_mode", CID_MODES)
@@ -324,48 +315,48 @@ def test_coverage_equals_the_definition(request, engines, dataset,
     assert checked, "the queries must rank fragments"
 
 
-@pytest.mark.parametrize("store_input", ROW_DECODE_INPUTS)
-def test_row_decode_inputs_never_load_packed_blobs(publications, store_input):
-    """Each row-decode input builds its packed lists from decoded rows only.
+# ---------------------------------------------------------------------- #
+# The layout inputs are what they claim
+# ---------------------------------------------------------------------- #
+def base_rows(store, name: str) -> dict:
+    """Every row of document ``name`` in the four base tables, sorted."""
+    return {table: sorted(store._connection.execute(
+                f"SELECT * FROM {table} WHERE document = ?", (name,)))
+            for table in ("label", "element", "value", "posting")}
 
-    Guards the matrix entries above: a store input that loaded packed blobs
-    after all would repeat a backend's entries instead of covering the
-    decode-then-pack path, through both the batched and the per-keyword
-    fetch.
+
+@pytest.mark.parametrize("store_input", LAYOUT_INPUTS)
+def test_layout_inputs_hold_the_fresh_rows(publications, store_input):
+    """Each layout input serves the document from the base tables alone,
+    which hold exactly the rows a fresh ``store_tree`` writes.
+
+    Guards the matrix entries above: an input still read from a delta
+    segment would repeat the ``segmented`` entries instead of covering its
+    route, and a row of the name's earlier version left behind would be a
+    stale answer the matrix only catches where a query happens to hit it.
     """
     source = build_source(publications, store_input, "publications")
-    engine = SearchEngine(source=source)
-    engine.search_many([PAPER_QUERIES[name] for name in ("Q1", "Q2", "Q3")])
-    batched = source.read_stats()["fallback_fetches"]
-    assert batched > 0, store_input
-    assert list(source.postings("proceedings").deweys), store_input
-    stats = source.read_stats()
-    assert stats["fallback_fetches"] == batched + 1, stats
-    assert stats["packed_fetches"] == 0, stats
+    store = source.store
+    fresh = SQLiteStore()
+    fresh.store_tree(publications, "publications")
+    assert store.documents() == ["publications"]
+    assert base_rows(store, "publications") == \
+        base_rows(fresh, "publications")
+    if isinstance(store, SegmentedStore):
+        assert store.segment_count() == 0, store_input
+        assert store.location_of("publications") == BASE_GENERATION
+    fresh.close()
 
 
 # ---------------------------------------------------------------------- #
-# Posting-list agreement (the promoted agreement_with_index fixture)
+# Store dispatch
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("store_class", [MemoryStore, SQLiteStore])
-def test_store_postings_agree_with_index(store_agreement, publications,
-                                         store_class):
-    store = store_class()
-    store.store_tree(publications, "pub")
-    store_agreement(publications, store, "pub",
-                    ["xml", "keyword", "search", "liu", "vldb", "title",
-                     "article", "absentkeyword"])
-
-
-@pytest.mark.parametrize("store_class", [MemoryStore, SQLiteStore,
-                                         SegmentedStore])
+@pytest.mark.parametrize("store_class", [SQLiteStore, SegmentedStore])
 def test_source_for_store_picks_specialization(publications, store_class):
     store = store_class()
     store.store_tree(publications, "pub")
     source = source_for_store(store, "pub")
-    assert isinstance(source, StorePostingSource)
-    assert isinstance(source, SQLitePostingSource) == \
-        isinstance(store, SQLiteStore)
+    assert isinstance(source, SQLitePostingSource)
     # The segmented store must get the liveness-aware source (its cache
     # identity carries the document's segment generation).
     assert isinstance(source, SegmentedPostingSource) == \
@@ -381,7 +372,6 @@ def test_parity_sources_cover_backends():
 
     classes = {
         "InvertedIndex": InvertedIndex,
-        "StorePostingSource": StorePostingSource,
         "SQLitePostingSource": SQLitePostingSource,
         "SegmentedPostingSource": SegmentedPostingSource,
     }

@@ -42,7 +42,12 @@ from repro.faults import FaultPlan, InjectedCrash, InjectedFault
 from repro.obs import MetricsRegistry
 from repro.obs import names as metric_names
 from repro.service import RetryPolicy
-from repro.storage import SegmentedStore, SQLiteStore, verify_database
+from repro.storage import (
+    SegmentedStore,
+    SQLiteStore,
+    encode_dewey,
+    verify_database,
+)
 
 
 # ---------------------------------------------------------------------- #
@@ -472,6 +477,15 @@ class TestVerifyDatabase:
         assert len(findings) == 1
         assert "base document 'publications'" in findings[0].message
 
+    def test_min_only_cid_mismatch_is_detected(self, db):
+        with sqlite3.connect(db) as connection:
+            connection.execute(
+                "UPDATE element SET content_feature_min = '' "
+                "WHERE rowid = (SELECT MIN(rowid) FROM element)")
+        report = verify_database(db)
+        assert [finding.code for finding in report.findings] == \
+            ["cid-mismatch"]
+
     def test_segment_cid_mismatch_is_detected(self, db):
         # A node stripped of its value rows must store ("", "").
         with sqlite3.connect(db) as connection:
@@ -482,6 +496,19 @@ class TestVerifyDatabase:
         findings = [finding for finding in report.findings
                     if finding.code == "cid-mismatch"]
         assert len(findings) == 1
+        assert "segment 1 of 'team'" in findings[0].message
+
+    def test_segment_value_rows_without_element_are_detected(self, db):
+        # Node 0.1.2.2 of the team document holds the words "number" and
+        # "22"; its segment element row goes, its value rows stay.
+        with sqlite3.connect(db) as connection:
+            connection.execute(
+                "DELETE FROM segment_element WHERE dewey = ?",
+                (encode_dewey((0, 1, 2, 2)),))
+        report = verify_database(db)
+        findings = [finding for finding in report.findings
+                    if finding.code == "value-dangling-node"]
+        assert len(findings) == 1, report.render()
         assert "segment 1 of 'team'" in findings[0].message
 
     def test_torn_doc_segment_is_detected(self, db):
@@ -503,16 +530,6 @@ class TestVerifyDatabase:
         assert "FAIL" in report.render()
         assert main(["verify", "--db", db]) == 1
         assert "sqlite-integrity" in capsys.readouterr().out
-
-    def test_pending_row_is_reported(self, db):
-        with sqlite3.connect(db) as connection:
-            connection.execute(
-                "INSERT INTO mutation_journal (kind, document, segment_id, "
-                "expected, state) VALUES ('update', 'team', 2, '{}', "
-                "'pending')")
-        report = verify_database(db)
-        assert [finding.code for finding in report.findings] == \
-            ["journal-pending"]
 
 
 # ---------------------------------------------------------------------- #

@@ -17,13 +17,13 @@ from repro.core import ALGORITHM_NAMES
 from repro.datasets import publications_tree, team_tree
 from test_backend_parity import (
     BACKENDS,
-    ROW_DECODE_INPUTS,
+    LAYOUT_INPUTS,
     SHARED_STORE_INPUTS,
     build_engine,
 )
 
 _TREES = {"publications": publications_tree, "team": team_tree}
-GOLDEN_INPUTS = BACKENDS + ROW_DECODE_INPUTS + SHARED_STORE_INPUTS
+GOLDEN_INPUTS = BACKENDS + LAYOUT_INPUTS + SHARED_STORE_INPUTS
 
 
 def test_golden_files_exist():

@@ -15,14 +15,14 @@ import pytest
 from repro.bench import DatasetSpec, figure6_summary, run_workload
 from repro.core import SearchEngine, ValidRTF, effectiveness
 from repro.datasets import PAPER_QUERIES, dblp_workload, xmark_workload
-from repro.storage import MemoryStore, SQLiteStore
+from repro.storage import SegmentedStore, SQLiteStore
 from repro.xmltree import parse_string, to_xml_string
 
 
 class TestStoreBackedSearchMatchesEngine:
     """Stage 1 via SQL must give exactly the same final fragments."""
 
-    @pytest.mark.parametrize("backend_class", [MemoryStore, SQLiteStore])
+    @pytest.mark.parametrize("backend_class", [SQLiteStore, SegmentedStore])
     def test_dblp_workload_subset(self, store_engine, small_dblp,
                                   backend_class):
         engine = SearchEngine(small_dblp)

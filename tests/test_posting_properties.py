@@ -4,8 +4,8 @@ Seeded random documents (the shared ``random_tree`` generator from
 ``conftest``) are indexed two ways — in-memory inverted index and sqlite
 store — and for every word of the vocabulary the backends must agree on the
 :class:`PostingSource` contract (the segmented source and the parity
-matrix's row-decode store inputs are checked one by one against the memory
-index):
+matrix's layout and shared-store inputs are checked one by one against the
+memory index):
 
 * posting lists strictly sorted in document (Dewey) order, duplicate-free;
 * ``encode_dewey`` / ``decode_dewey`` round-trips every posting;
@@ -13,12 +13,12 @@ index):
 * identical vocabularies and identical posting lists across backends;
 * the batched ``keyword_nodes`` path equals per-keyword ``postings``;
 * every backend serves :class:`PackedDeweyList` columns whose stored blobs
-  round-trip, and legacy databases without blobs answer identically;
+  round-trip;
 * node labels, cIDs and word sets, looked up one node at a time or
-  prefetched in a batch, equal the document's on a memory store, on sqlite
-  and on a segmented base and delta generation, also where the value table
-  repeats a (dewey, keyword) row; a stored cID is the (min, max) of the
-  node's word set.
+  prefetched in a batch, equal the document's on sqlite, on a segmented
+  base and delta generation and on every layout input, also where the value
+  table repeats a (dewey, keyword) row; a stored cID is the (min, max) of
+  the node's word set.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.storage import (
 )
 from repro.xmltree import DeweyCode, spec, tree_from_spec
 from test_backend_parity import (
-    ROW_DECODE_INPUTS,
+    LAYOUT_INPUTS,
     SHARED_STORE_INPUTS,
     build_source,
 )
@@ -50,9 +50,9 @@ from test_backend_parity import (
 SEEDS = (3, 11, 29, 47, 101)
 
 #: Sources the cross-backend loops leave out: the segmented delta-segment
-#: path, the store inputs whose postings are decoded from rows and the
-#: document served from a store it shares with other documents.
-SINGLE_SOURCES = ("segmented",) + ROW_DECODE_INPUTS + SHARED_STORE_INPUTS
+#: path, the stores whose rows reached the base tables by another route and
+#: the document served from a store it shares with other documents.
+SINGLE_SOURCES = ("segmented",) + LAYOUT_INPUTS + SHARED_STORE_INPUTS
 
 
 def build_sources(tree):
@@ -180,11 +180,10 @@ def repeated_words_tree():
         spec("author", "kong")), name="repeated")
 
 
-@pytest.mark.parametrize("layout", ("memorystore", "sqlite", "segmented-base",
-                                    "segmented"))
+@pytest.mark.parametrize("layout", ("sqlite", "segmented") + LAYOUT_INPUTS)
 @pytest.mark.parametrize("document", ("random", "repeated-words"))
 def test_node_lookups_agree_with_tree(make_random_tree, document, layout):
-    """node_label / node_cid / node_words of store backends match the
+    """node_label / node_cid / node_words of the disk sources match the
     document, looked up one node at a time, after one batched prefetch of
     every node's element row and words, and after one of element rows
     alone (the ``minmax`` record-tree prefetch)."""
@@ -218,139 +217,12 @@ def test_packed_blobs_round_trip_per_keyword(sources):
     """Every stored blob rebuilds the exact posting columns."""
     memory = sources["memory"]
     sqlite_source = sources["sqlite"]
-    store = sqlite_source.store
-    assert store.has_packed_postings(sqlite_source.document)
     for word in memory.vocabulary():
         packed = sqlite_source.postings(word).deweys
         assert PackedDeweyList.from_blob(packed.to_blob()) == packed
         assert list(packed) == list(memory.postings(word).deweys), word
-
-
-def test_legacy_store_without_blobs_falls_back(make_random_tree):
-    """A database ingested without ``posting`` rows still answers packed."""
-    tree = make_random_tree(19)
-    store = SQLiteStore()
-    store.store_tree(tree, "doc")
-    store._connection.execute("DELETE FROM posting WHERE document = ?",
-                              ("doc",))
-    store._connection.commit()
-    assert not store.has_packed_postings("doc")
-    legacy = SQLitePostingSource(store, "doc")
-    reference = InvertedIndex(tree)
-    words = reference.vocabulary()
-    for word in words[:10]:
-        packed = legacy.postings(word).deweys
-        assert isinstance(packed, PackedDeweyList)
-        assert list(packed) == list(reference.postings(word).deweys), word
-    batch = legacy.keyword_nodes(words[:5] + ["definitelyabsentword"])
-    for word in words[:5]:
-        assert list(batch[word]) == list(reference.postings(word).deweys)
-    assert list(batch["definitelyabsentword"]) == []
-
-
-def test_predates_posting_table_row_decode_identical_to_packed(
-        make_random_tree, tmp_path):
-    """A database file written before the ``posting`` table existed answers
-    every path — including a query containing an empty (absent) keyword —
-    identically to a freshly packed database.
-
-    Unlike ``test_legacy_store_without_blobs_falls_back`` (which empties the
-    table) this crafts the raw pre-``posting`` schema on disk, runs the whole
-    engine over it and diffs full search results against the packed store.
-    """
-    import sqlite3
-
-    from repro.core import SearchEngine
-    from repro.storage import CREATE_TABLES_SQL, shred_tree
-
-    tree = make_random_tree(23)
-    shredded = shred_tree(tree, "doc")
-    legacy_path = tmp_path / "legacy.db"
-    connection = sqlite3.connect(legacy_path)
-    for statement in CREATE_TABLES_SQL:
-        if "posting" in statement:
-            continue  # the pre-packed schema had no posting table
-        connection.execute(statement)
-    connection.executemany(
-        "INSERT INTO label (document, label, id) VALUES (?, ?, ?)",
-        [(shredded.name, row.label, row.label_id) for row in shredded.labels])
-    connection.executemany(
-        "INSERT INTO element (document, label, dewey, level, "
-        "label_number_sequence, content_feature_min, content_feature_max) "
-        "VALUES (?, ?, ?, ?, ?, ?, ?)",
-        [(shredded.name, row.label, row.dewey, row.level,
-          row.label_number_sequence, row.content_feature_min,
-          row.content_feature_max) for row in shredded.elements])
-    connection.executemany(
-        "INSERT INTO value (document, label, dewey, attribute, keyword) "
-        "VALUES (?, ?, ?, ?, ?)",
-        [(shredded.name, row.label, row.dewey, row.attribute, row.keyword)
-         for row in shredded.values])
-    connection.commit()
-    connection.close()
-
-    legacy_store = SQLiteStore(legacy_path)
-    packed_store = SQLiteStore()
-    packed_store.store_tree(tree, "doc")
-    assert not legacy_store.has_packed_postings("doc")
-    assert packed_store.has_packed_postings("doc")
-
-    words = InvertedIndex(tree).vocabulary()
-    # A query mixing present keywords with an empty (zero-posting) keyword.
-    mixed_query = words[:2] + ["definitelyabsentword"]
-    legacy = SQLitePostingSource(legacy_store, "doc")
-    packed = SQLitePostingSource(packed_store, "doc")
-    legacy_lists = legacy.keyword_nodes(mixed_query)
-    packed_lists = packed.keyword_nodes(mixed_query)
-    assert set(legacy_lists) == set(packed_lists)
-    for keyword in legacy_lists:
-        assert list(legacy_lists[keyword]) == \
-            list(packed_lists[keyword]), keyword
-    assert list(legacy.postings("definitelyabsentword").deweys) == []
-    assert legacy.frequency("definitelyabsentword") == 0
-    for algorithm in ("validrtf", "maxmatch"):
-        legacy_result = SearchEngine(
-            source=SQLitePostingSource(legacy_store, "doc")).search(
-                " ".join(mixed_query), algorithm)
-        packed_result = SearchEngine(
-            source=SQLitePostingSource(packed_store, "doc")).search(
-                " ".join(mixed_query), algorithm)
-        assert legacy_result.roots() == packed_result.roots()
-        assert [f.kept_nodes for f in legacy_result] == \
-            [f.kept_nodes for f in packed_result], algorithm
-    legacy_store.close()
-    packed_store.close()
-
-
-def test_legacy_fallback_skips_pointless_blob_probes(make_random_tree):
-    """On a no-blob document, per-keyword fetches go straight to row decode.
-
-    Regression guard for the legacy fast path: once ``has_packed_postings``
-    answered False, ``postings()`` must not keep issuing one doomed
-    ``SELECT ... FROM posting`` per keyword before each row-decode fallback.
-    """
-    tree = make_random_tree(29)
-    store = SQLiteStore()
-    store.store_tree(tree, "doc")
-    store._connection.execute("DELETE FROM posting WHERE document = ?",
-                              ("doc",))
-    store._connection.commit()
-    source = SQLitePostingSource(store, "doc", lru_size=0)
-    words = source.vocabulary()[:5]
-    for word in words:
-        source.postings(word)  # prime the has-blobs check
-
-    probes = []
-    store._connection.set_trace_callback(
-        lambda statement: probes.append(statement)
-        if "FROM posting" in statement else None)
-    try:
-        for word in words:
-            assert list(source.postings(word).deweys)
-    finally:
-        store._connection.set_trace_callback(None)
-    assert probes == [], "legacy documents must not probe the posting table " \
-                         "once its absence is known"
+    assert sqlite_source.read_stats()["packed_fetches"] == \
+        len(memory.vocabulary())
 
 
 def test_posting_lru_serves_repeats(make_random_tree):

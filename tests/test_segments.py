@@ -1,11 +1,10 @@
-"""SegmentedStore unit tests + the legacy row-decode fallback regression.
+"""SegmentedStore unit tests.
 
 The segment lifecycle (delta segments, tombstones, liveness resolution,
 compaction) is property-tested end to end in ``tests/test_corpus_fuzz.py``;
-this module pins the store-level semantics directly — and one regression the
-differential harness cannot see: a **legacy** database (indexed before the
-packed ``posting`` table existed) opened segment-aware must keep answering
-through the value-row decode fallback, not degrade to an empty baseline.
+this module pins the store-level semantics directly, including the event
+orders tier-1's bounded fuzz does not reach: two updates of one document
+before a compaction, and an update followed by a delete.
 """
 
 from __future__ import annotations
@@ -227,38 +226,32 @@ def test_plain_sqlite_store_still_opens_segmented_databases(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# The legacy fallback regression
+# The latest event of a document wins everywhere, not only in location_of
 # ---------------------------------------------------------------------- #
-def test_legacy_database_survives_segmented_updates(tmp_path):
-    """A pre-``posting``-table database opened with updates keeps answering.
+def versioned(word: str):
+    return tree_from_spec(spec("doc", None, spec("title", f"xml {word}")))
 
-    Regression: segmented reads route packed-blob lookups per document, and
-    a bug that consulted only the segment tables would serve legacy base
-    documents an **empty** posting baseline instead of the value-row decode
-    fallback.
-    """
-    db = str(tmp_path / "legacy.db")
-    old = SQLiteStore(db)
-    old.store_tree(publications_tree(), "pub")
-    old.store_tree(team_tree(), "team")
-    # Simulate a database from before the packed posting table existed.
-    connection = old._connection
-    connection.execute("DELETE FROM posting")
-    connection.commit()
-    assert not old.has_packed_postings("pub")
-    old.close()
 
-    store = SegmentedStore(db)
-    segment = store.update_document(team_tree(), "team")
-    assert segment == 1
-    # The legacy base document still answers through the row-decode
-    # fallback (non-empty!), the updated one through its segment blobs.
-    assert not store.has_packed_postings("pub")
-    assert store.has_packed_postings("team")
-    assert_answers_like_memory(store, "pub", publications_tree(),
-                               PAPER_QUERIES["Q1"])
-    assert_answers_like_memory(store, "team", team_tree(),
-                               PAPER_QUERIES["Q4"])
-    reference = SearchEngine(publications_tree()).search(PAPER_QUERIES["Q1"])
-    assert reference.count > 0, "the regression query must be non-trivial"
+def test_compact_folds_the_latest_of_two_updates():
+    """Stored, updated twice, then compacted: the document answers with its
+    second update's words before and after ``compact()``."""
+    store = SegmentedStore()
+    store.store_tree(versioned("alpha"), "doc")
+    store.update_document(versioned("beta"), "doc")
+    store.update_document(versioned("gamma"), "doc")
+    for phase in ("segments", "compacted"):
+        if phase == "compacted":
+            assert store.compact()["folded"] == 1
+        source = source_for_store(store, "doc")
+        assert [word for word in ("alpha", "beta", "gamma")
+                if source.frequency(word)] == ["gamma"], phase
+        assert_answers_like_memory(store, "doc", versioned("gamma"),
+                                   "xml gamma")
     store.close()
+
+
+def test_update_then_delete_leaves_the_document_out(store):
+    store.update_document(team_tree(), "team")
+    store.delete_document("team")
+    assert store.documents() == ["pub"]
+    assert store.tombstoned_documents() == ["team"]

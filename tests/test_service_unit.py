@@ -2,8 +2,9 @@
 
 Engine pool (per-worker engines over one shared snapshot), request batcher
 (coalescing, flush-on-size, flush-on-window, error fan-out), admission
-controller (bounded depth, typed shedding, deadlines) and the protocol's
-canonical encoding — each exercised on its own, without a TCP socket.
+controller (bounded depth, typed shedding, deadlines), the background
+compactor's trigger and the protocol's canonical encoding — each exercised
+on its own, without a TCP socket.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import threading
 import pytest
 
 from repro.corpus import CorpusSearchEngine
-from repro.datasets import PAPER_QUERIES
+from repro.datasets import PAPER_QUERIES, team_tree
 from repro.service import (
     ERROR_OVERLOADED,
     ERROR_TIMEOUT,
     AdmissionController,
+    BackgroundCompactor,
     EnginePool,
     RequestBatcher,
     ServiceError,
@@ -290,6 +292,34 @@ class TestAdmissionController:
         stats = admission.stats()
         assert stats["inflight"] == 0
         assert stats["admitted"] + stats["rejected"] == 8 * 200
+
+
+# ---------------------------------------------------------------------- #
+# BackgroundCompactor: the trigger threshold
+# ---------------------------------------------------------------------- #
+class CountingPool:
+    """The one pool call the compactor makes."""
+
+    def __init__(self) -> None:
+        self.invalidations = 0
+
+    def invalidate_engines(self) -> None:
+        self.invalidations += 1
+
+
+class TestBackgroundCompactor:
+    @pytest.mark.parametrize("segments,compacts", [(3, True), (2, False)])
+    def test_tick_compacts_at_max_segments(self, segments, compacts):
+        store = SegmentedStore()
+        for _ in range(segments):
+            store.update_document(team_tree(), "team")
+        pool = CountingPool()
+        compactor = BackgroundCompactor(store, pool, max_segments=3)
+        assert compactor._tick() == compactor.interval_seconds
+        assert store.segment_count() == (0 if compacts else segments)
+        assert pool.invalidations == (1 if compacts else 0)
+        assert compactor.stats()["runs"] == (1 if compacts else 0)
+        store.close()
 
 
 # ---------------------------------------------------------------------- #

@@ -1,23 +1,33 @@
-"""Tests for the relational shredding store (schema, shredder, both backends)."""
+"""Tests for the relational shredding store: schema and its version stamp,
+shredder, and both stores read through their posting sources."""
 
 from __future__ import annotations
 
 import re
+import sqlite3
+import threading
+from contextlib import closing
 
 import pytest
 
+from repro.cli import main
 from repro.core import SearchEngine, UnknownAlgorithmError
+from repro.index import EMPTY_IMPACT, InvertedIndex, impact_from_postings
 from repro.storage import (
+    SCHEMA_VERSION,
     DocumentAlreadyStored,
     DocumentNotFound,
-    MemoryStore,
+    SchemaVersionError,
+    SegmentedStore,
     SQLitePostingSource,
     SQLiteStore,
-    agreement_with_index,
     decode_dewey,
     encode_dewey,
     shred_tree,
+    source_for_store,
+    verify_database,
 )
+from repro.storage.sqlite_backend import check_schema
 from repro.datasets import PAPER_QUERIES
 from repro.text import ContentAnalyzer
 from repro.xmltree import DeweyCode, spec, tree_from_spec
@@ -25,7 +35,7 @@ from test_backend_parity import build_source
 
 D = DeweyCode.parse
 
-BACKENDS = [MemoryStore, SQLiteStore]
+BACKENDS = [SQLiteStore, SegmentedStore]
 
 
 class TestDeweyEncoding:
@@ -90,33 +100,34 @@ class TestBackends:
         with pytest.raises(DocumentNotFound):
             store.document_stats("missing")
         with pytest.raises(DocumentNotFound):
-            store.keyword_deweys("missing", "xml")
+            source_for_store(store, "missing").postings("xml")
 
     def test_keyword_lookup_matches_paper_lists(self, backend_class, publications):
         store = backend_class()
         store.store_tree(publications, "pub")
-        assert [str(code) for code in store.keyword_deweys("pub", "liu")] == \
+        source = source_for_store(store, "pub")
+        assert [str(code) for code in source.postings("liu").deweys] == \
             ["0.2.0.0.0.0", "0.2.0.3.0"]
-        assert [str(code) for code in store.keyword_deweys("pub", "VLDB")] == ["0.0"]
-        assert store.keyword_deweys("pub", "absent") == []
+        assert [str(code) for code in source.postings("VLDB").deweys] == ["0.0"]
+        assert list(source.postings("absent").deweys) == []
 
     def test_keyword_nodes_for_query(self, backend_class, publications):
         store = backend_class()
         store.store_tree(publications, "pub")
-        lists = store.keyword_nodes("pub", ["Liu", "keyword"])
+        lists = source_for_store(store, "pub").keyword_nodes(["Liu", "keyword"])
         assert set(lists) == {"liu", "keyword"}
         assert len(lists["keyword"]) == 3
 
     def test_frequency_and_labels(self, backend_class, publications):
         store = backend_class()
         store.store_tree(publications, "pub")
-        assert store.keyword_frequency("pub", "title") == 3
-        assert "article" in store.labels("pub")
+        source = source_for_store(store, "pub")
+        assert source.frequency("title") == 3
         words = ContentAnalyzer(publications).node_content(
             publications.node(D("0.2.0")))
-        assert store.element_row("pub", D("0.2.0")) == \
-            ("article", (min(words), max(words)))
-        assert store.element_row("pub", D("0.9.9")) is None
+        assert source.node_label(D("0.2.0")) == "article"
+        assert source.node_cid(D("0.2.0")) == (min(words), max(words))
+        assert source.node_label(D("0.9.9")) is None
 
     def test_drop_document(self, backend_class, publications):
         store = backend_class()
@@ -129,49 +140,49 @@ class TestBackends:
     def test_agreement_with_inverted_index(self, backend_class, publications):
         store = backend_class()
         store.store_tree(publications, "pub")
-        agreement = agreement_with_index(
-            publications, store, "pub",
-            ["xml", "keyword", "liu", "vldb", "skyline", "article"])
-        assert all(agreement.values())
+        source = source_for_store(store, "pub")
+        index = InvertedIndex(publications)
+        for keyword in ("xml", "keyword", "liu", "vldb", "skyline", "article",
+                        "absentkeyword"):
+            assert source.postings(keyword).deweys == \
+                index.postings(keyword).deweys, keyword
 
     def test_multiple_documents(self, backend_class, publications, team):
         store = backend_class()
         store.store_tree(publications, "pub")
         store.store_tree(team, "team")
         assert store.documents() == ["pub", "team"]
-        assert store.keyword_frequency("team", "position") == 3
-        assert store.keyword_frequency("pub", "position") == 0
+        assert source_for_store(store, "team").frequency("position") == 3
+        assert source_for_store(store, "pub").frequency("position") == 0
 
 
 @pytest.mark.parametrize("backend_class", BACKENDS)
 class TestKeywordImpact:
     def test_impact_agrees_with_posting_scan(self, backend_class,
                                              publications):
-        from repro.index import impact_from_postings
-
         store = backend_class()
         store.store_tree(publications, "pub")
+        # A cold source answers the impact from the posting row's columns.
+        source = source_for_store(store, "pub")
         for keyword in ("liu", "xml", "keyword", "vldb", "article"):
-            impact = store.keyword_impact("pub", keyword)
+            impact = source.impact(keyword)
             expected = impact_from_postings(
-                store.keyword_deweys("pub", keyword))
+                source_for_store(store, "pub").postings(keyword).deweys)
             assert impact == expected
-            assert impact.count == store.keyword_frequency("pub", keyword)
+            assert impact.count == source.frequency(keyword)
 
     def test_absent_keyword_impact_is_empty(self, backend_class,
                                             publications):
-        from repro.index import EMPTY_IMPACT
-
         store = backend_class()
         store.store_tree(publications, "pub")
-        impact = store.keyword_impact("pub", "absent")
+        impact = source_for_store(store, "pub").impact("absent")
         assert impact == EMPTY_IMPACT
         assert impact.empty
 
     def test_missing_document_raises(self, backend_class):
         store = backend_class()
         with pytest.raises(DocumentNotFound):
-            store.keyword_impact("missing", "xml")
+            source_for_store(store, "missing").impact("xml")
 
 
 class TestSQLiteSpecifics:
@@ -181,52 +192,113 @@ class TestSQLiteSpecifics:
             store.store_tree(publications, "pub")
         with SQLiteStore(path) as reopened:
             assert reopened.documents() == ["pub"]
-            assert reopened.keyword_frequency("pub", "xml") == 3
+            assert SQLitePostingSource(reopened, "pub").frequency("xml") == 3
 
-    def test_label_number_sequence_query(self, publications):
-        with SQLiteStore() as store:
-            store.store_tree(publications, "pub")
-            sequence = store.label_number_sequence("pub", D("0.2.0"))
-            assert sequence is not None
-            assert len(sequence.split(".")) == 3
-            assert store.label_number_sequence("pub", D("0.9")) is None
 
-    def test_legacy_sentinel_rows_recompute_impact(self, tmp_path,
-                                                   publications):
-        # Rows written before the impact-metadata column carry the -1
-        # sentinel; the impact must then come from a lazy posting scan.
-        import sqlite3
+# ---------------------------------------------------------------------- #
+# The schema version stamp: a file is created stamped, or refused
+# ---------------------------------------------------------------------- #
+def stamped(path) -> int:
+    with closing(sqlite3.connect(path)) as connection:
+        return connection.execute("PRAGMA user_version").fetchone()[0]
 
-        from repro.index import impact_from_postings
 
-        path = tmp_path / "legacy.db"
-        with SQLiteStore(path) as store:
-            store.store_tree(publications, "pub")
-        with sqlite3.connect(path) as connection:
-            connection.execute("UPDATE posting SET max_depth = -1")
-        with SQLiteStore(path) as reopened:
-            impact = reopened.keyword_impact("pub", "liu")
-            assert impact == impact_from_postings(
-                reopened.keyword_deweys("pub", "liu"))
-            assert not impact.empty
+def restamp(path, version: int) -> None:
+    with closing(sqlite3.connect(path)) as connection:
+        connection.execute(f"PRAGMA user_version = {version}")
 
-    def test_impact_column_added_to_pre_impact_database(self, tmp_path,
-                                                        publications):
-        # Opening a database created before the max_depth column migrates
-        # it in place (ALTER TABLE with the sentinel default).
-        import sqlite3
 
-        path = tmp_path / "old.db"
-        with SQLiteStore(path) as store:
-            store.store_tree(publications, "pub")
-        with sqlite3.connect(path) as connection:
-            connection.execute("ALTER TABLE posting DROP COLUMN max_depth")
-        with SQLiteStore(path) as reopened:
-            columns = {row[1] for row in reopened._connection.execute(
-                "PRAGMA table_info(posting)")}
-            assert "max_depth" in columns
-            impact = reopened.keyword_impact("pub", "liu")
-            assert impact.count == reopened.keyword_frequency("pub", "liu")
+@pytest.fixture
+def foreign_db(request, tmp_path, publications):
+    """A database file with tables and the stamp ``request.param``: ``0`` is
+    a file written before files were stamped, any other value a file with
+    another layout."""
+    path = str(tmp_path / "foreign.db")
+    with SQLiteStore(path) as store:
+        store.store_tree(publications, "pub")
+    restamp(path, request.param)
+    return path
+
+
+FOREIGN_VERSIONS = pytest.mark.parametrize(
+    "foreign_db", [0, SCHEMA_VERSION + 1], indirect=True,
+    ids=["unstamped", "other-version"])
+
+
+class TestSchemaVersion:
+    @pytest.mark.parametrize("store_class", BACKENDS)
+    def test_new_files_are_stamped(self, tmp_path, store_class):
+        path = str(tmp_path / "new.db")
+        with store_class(path):
+            pass
+        assert stamped(path) == SCHEMA_VERSION
+        with store_class() as in_memory:
+            assert in_memory._connection.execute(
+                "PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION
+
+    def test_stamped_file_opens_with_one_statement(self, tmp_path):
+        path = str(tmp_path / "stamped.db")
+        SQLiteStore(path).close()
+        seen = []
+        with closing(sqlite3.connect(path)) as connection:
+            connection.set_trace_callback(seen.append)
+            check_schema(connection, path)
+        # sqlite traces the pragma's own nested read as a "--" comment.
+        statements = [text for text in seen if not text.startswith("--")]
+        assert len(statements) == 1 and "CREATE" not in statements[0], seen
+
+    @FOREIGN_VERSIONS
+    @pytest.mark.parametrize("store_class", BACKENDS)
+    def test_stores_refuse_other_versions(self, foreign_db, store_class):
+        found = stamped(foreign_db)
+        with pytest.raises(SchemaVersionError) as refused:
+            store_class(foreign_db)
+        message = str(refused.value)
+        assert foreign_db in message
+        assert f"version {found}" in message
+        assert f"version {SCHEMA_VERSION}" in message
+        assert "re-index" in message and "repro-xks index" in message
+        assert stamped(foreign_db) == found, "a refusal must not restamp"
+
+    @FOREIGN_VERSIONS
+    def test_verify_reports_one_schema_version_finding(self, foreign_db,
+                                                       capsys):
+        report = verify_database(foreign_db)
+        assert [finding.code for finding in report.findings] == \
+            ["schema-version"]
+        assert main(["verify", "--db", foreign_db]) == 1
+        assert "schema-version" in capsys.readouterr().out
+
+    @FOREIGN_VERSIONS
+    @pytest.mark.parametrize("command", [
+        ["search", "--backend", "sqlite", "xml"],
+        ["index", "--dataset", "figure-1a", "--add"]], ids=["search", "index"])
+    def test_cli_refuses_with_the_reindex_message(self, foreign_db, command,
+                                                  capsys):
+        assert main(command + ["--db", foreign_db]) == 2
+        err = capsys.readouterr().err
+        assert "re-index the documents into a new file" in err
+        assert "Traceback" not in err
+
+    def test_racing_openers_of_a_new_file_all_succeed(self, tmp_path):
+        path = str(tmp_path / "raced.db")
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def open_store() -> None:
+            barrier.wait()
+            try:
+                SegmentedStore(path).close()
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        threads = [threading.Thread(target=open_store) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors, errors
+        assert stamped(path) == SCHEMA_VERSION
 
 
 # ---------------------------------------------------------------------- #
@@ -263,11 +335,11 @@ def read_costs(records: int, layout: str):
     """VM steps of each cold node fetch and existence check of one store."""
     source = build_source(bibliography(records), layout)
     store, title = source.store, D("0.0.0")
+    fresh = type(source)(store, "doc")
     calls = {
         "prefetch_nodes": lambda: source.prefetch_nodes([title], [title]),
-        "node_words": lambda: store.node_words("doc", title),
+        "node_words": lambda: fresh.node_words(title),
         "_require": lambda: store._require("doc"),
-        "has_packed_postings": lambda: store.has_packed_postings("doc"),
     }
     if layout != "sqlite":
         calls["location_of"] = lambda: store.location_of("doc")
@@ -282,9 +354,9 @@ def read_costs(records: int, layout: str):
 
 class TestReadCostIsPerRow:
     """A cold tree-free read must not scan the document: fetching one
-    node's label and words, and checking that a document or its packed
-    postings exist, take the same sqlite VM steps on a document a hundred
-    times larger.  This pins the query plans (index seeks, ``EXISTS``) as a
+    node's label and words (one word fetch through a fresh source), and
+    checking that a document exists, take the same sqlite VM steps on a
+    document a hundred times larger.  This pins the query plans (index seeks, ``EXISTS``) as a
     deterministic count, where a scan through the wrong index or a
     ``COUNT(*)`` grows with the document."""
 
@@ -343,23 +415,23 @@ class TestStoreBackedSearch:
             assert stored_nodes == engine_nodes
 
     def test_maxmatch_via_store(self, store_engine, team):
-        search = store_engine(team, MemoryStore(), "team")
+        search = store_engine(team, SegmentedStore(), "team")
         result = search.search(PAPER_QUERIES["Q4"], "maxmatch")
         assert result.count == 1
 
     def test_unknown_algorithm_rejected(self, store_engine, team):
-        search = store_engine(team, MemoryStore(), "team")
+        search = store_engine(team, SegmentedStore(), "team")
         with pytest.raises(UnknownAlgorithmError):
             search.search("grizzlies", "bogus")
 
     def test_frequency_report(self, store_engine, publications):
-        search = store_engine(publications, MemoryStore(), "pub")
+        search = store_engine(publications, SegmentedStore(), "pub")
         report = {keyword: search.source.frequency(keyword)
                   for keyword in ("xml", "vldb", "absent")}
         assert report == {"xml": 3, "vldb": 1, "absent": 0}
 
     def test_keyword_nodes_from_store(self, store_engine, publications):
-        search = store_engine(publications, MemoryStore(), "pub")
+        search = store_engine(publications, SegmentedStore(), "pub")
         assert search.keyword_nodes("xml")["xml"]
 
 
@@ -372,8 +444,6 @@ class TestSQLiteStoreThreading:
         """Worker threads searching one shared SQLiteStore agree with the
         in-memory engine — every thread gets its own connection but sees the
         same (shared-cache) database."""
-        import threading
-
         store = SQLiteStore()
         store.store_tree(publications, "pub")
         expected = {
@@ -410,8 +480,6 @@ class TestSQLiteStoreThreading:
 
     def test_file_store_reopens_across_threads(self, publications, tmp_path):
         """A file-backed store built on one thread serves another thread."""
-        import threading
-
         path = tmp_path / "threaded.db"
         store = SQLiteStore(path)
         store.store_tree(publications, "pub")
@@ -419,7 +487,7 @@ class TestSQLiteStoreThreading:
 
         def read() -> None:
             seen["docs"] = store.documents()
-            seen["freq"] = store.keyword_frequency("pub", "xml")
+            seen["freq"] = SQLitePostingSource(store, "pub").frequency("xml")
 
         thread = threading.Thread(target=read)
         thread.start()

@@ -13,8 +13,8 @@ The demo walks the whole serving stack of :mod:`repro.service`:
    (2 ms window) and admission control (bounded in-flight depth);
 3. talks to it like any remote caller would, through
    :class:`~repro.service.client.ServiceClient` — search with a per-request
-   algorithm and ``cid_mode`` (answers are doc-tagged: one entry per
-   matching document), a ValidRTF-vs-MaxMatch comparison, and the server's
+   algorithm (answers are doc-tagged: one entry per matching document), a
+   ValidRTF-vs-MaxMatch comparison, and the server's
    own pool/batcher/admission/server statistics;
 4. scrapes the live metrics registry (the same merged snapshot the
    ``stats`` wire op and ``python -m repro.cli metrics`` expose) and prints
@@ -65,10 +65,6 @@ def main() -> None:
                          for fragment in entry["result"]["fragments"]]
                 print(f"{algorithm:>9}: {payload['count']} fragment(s), "
                       f"roots {roots}")
-
-            print("\n== per-request cid_mode override ==")
-            payload = client.search(query, cid_mode="exact")
-            print(f"exact-mode answer: {payload['count']} fragment(s)")
 
             print("\n== served ValidRTF-vs-MaxMatch comparison ==")
             comparison = client.compare(query)

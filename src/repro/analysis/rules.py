@@ -288,7 +288,7 @@ class ParityRegistrationRule(Rule):
     ANCHOR = "tests/test_backend_parity.py"
     PROTOCOL_MEMBERS = frozenset({
         "source_id", "postings", "keyword_nodes", "frequency",
-        "vocabulary", "node_label", "node_words",
+        "vocabulary", "node_label", "node_cid",
     })
 
     def check(self, project: Project) -> Iterator[Diagnostic]:

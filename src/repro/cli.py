@@ -362,9 +362,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                              "front door before load shedding")
     parser.add_argument("--request-timeout", type=float, default=None,
                         help="per-request deadline in seconds (default: none)")
-    parser.add_argument("--cid-mode", default="minmax",
-                        help="default content-feature mode (per-request "
-                             "override via the protocol)")
     parser.add_argument("--slow-query-ms", type=float, default=None,
                         help="log (to stderr) and count requests slower than "
                              "this many milliseconds (default: off)")
@@ -921,7 +918,6 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
     ``remote=True`` (load-testing an already-running server) no document is
     loaded or probed at all — the config only annotates the report.
     """
-    from .core.node_record import CID_MODES
     from .service import ServiceConfig
 
     backend = arguments.backend or ("sqlite" if arguments.db else "memory")
@@ -956,9 +952,6 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
     if arguments.request_timeout is not None and arguments.request_timeout <= 0:
         raise CliError(f"--request-timeout must be positive, got "
                        f"{arguments.request_timeout}")
-    if arguments.cid_mode not in CID_MODES:
-        raise CliError(f"unknown --cid-mode {arguments.cid_mode!r}; "
-                       f"expected one of {list(CID_MODES)}")
     if arguments.slow_query_ms is not None and arguments.slow_query_ms < 0:
         raise CliError(f"--slow-query-ms must be >= 0, got "
                        f"{arguments.slow_query_ms}")
@@ -988,7 +981,6 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
         cache_size=max(0, arguments.cache_size),
         db_path=arguments.db,
         document=document,
-        cid_mode=arguments.cid_mode,
         max_batch_size=arguments.batch_size,
         batch_window_seconds=arguments.batch_window / 1000.0,
         max_inflight=arguments.max_inflight,

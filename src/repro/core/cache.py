@@ -9,8 +9,6 @@ as long as the cache key captures everything the answer depends on:
 * the algorithm name (each pipeline prunes differently),
 * the normalized keyword tuple (so ``"XML search"`` and ``["xml", "search"]``
   share one entry),
-* the engine's ``cid_mode`` (the record-tree content features, and therefore
-  the pruning decisions, depend on it),
 * the backend identity (``PostingSource.source_id``), so results computed
   against one posting backend are never replayed for another (backends must
   agree — the parity suite enforces it — but distinct stores behind one
@@ -39,8 +37,8 @@ from .fragments import SearchResult
 from .query import Query
 
 #: A fully-resolved cache key:
-#: (algorithm, normalized keywords, cid_mode, backend identity).
-CacheKey = Tuple[str, Tuple[str, ...], str, str]
+#: (algorithm, normalized keywords, backend identity).
+CacheKey = Tuple[str, Tuple[str, ...], str]
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,10 @@ class CacheStats:
 
 
 class QueryResultCache:
-    """LRU cache mapping ``(algorithm, keywords, cid_mode)`` -> result.
+    """LRU cache mapping ``(algorithm, keywords, backend)`` -> result.
+
+    One engine owns each cache, and an engine's content-feature mode is
+    fixed when it is built, so the mode is not part of the key.
 
     Parameters
     ----------
@@ -94,14 +95,12 @@ class QueryResultCache:
     # Key construction
     # ------------------------------------------------------------------ #
     @staticmethod
-    def key_for(algorithm: str, query: Query, cid_mode: str,
-                backend: str = "memory") -> CacheKey:
+    def key_for(algorithm: str, query: Query, backend: str) -> CacheKey:
         """The cache key of one (already parsed/normalized) query.
 
-        ``backend`` is the serving source's ``source_id``; it defaults to the
-        in-memory backend so existing three-argument callers keep their keys.
+        ``backend`` is the serving source's ``source_id``.
         """
-        return (algorithm, query.keywords, cid_mode, backend)
+        return (algorithm, query.keywords, backend)
 
     # ------------------------------------------------------------------ #
     # Core operations

@@ -33,7 +33,6 @@ from .explain import (
 from .fragments import SearchResult
 from .maxmatch import MaxMatch, MaxMatchSLCA
 from .metrics import EffectivenessReport, effectiveness
-from .node_record import CID_MODES
 from .pipeline import FragmentPipeline
 from .query import Query, QueryLike
 from .validrtf import ValidRTF, ValidRTFSLCA
@@ -62,11 +61,12 @@ class SearchEngine:
         (disk-backed retrieval) and fragment rendering degrades gracefully
         to Dewey/label output.
     cid_mode:
-        Content-feature mode forwarded to record-tree construction.
+        Content-feature mode of record-tree construction, fixed for the
+        engine's lifetime; ``"exact"`` (the cID ablation) needs a ``tree``.
     cache_size:
         When positive, completed :class:`SearchResult` objects are kept in an
         LRU :class:`~repro.core.cache.QueryResultCache` keyed on
-        ``(algorithm, normalized keywords, cid_mode, backend identity)`` and
+        ``(algorithm, normalized keywords, backend identity)`` and
         repeated queries are answered without re-running the pipeline.  ``0``
         (the default) disables caching, preserving the paper's measurement
         protocol where every repetition pays full cost.
@@ -88,7 +88,6 @@ class SearchEngine:
         if tree is None and source is None:
             raise ValueError("SearchEngine needs a tree, a source=, or both")
         self.tree = tree
-        self.cid_mode = cid_mode
         self.source: PostingSource = (
             source if source is not None else InvertedIndex(tree))
         # Legacy alias: before the PostingSource seam the engine always owned
@@ -97,10 +96,6 @@ class SearchEngine:
         self._cache: Optional[QueryResultCache] = (
             QueryResultCache(cache_size) if cache_size else None)
         self.metrics: Optional[MetricsRegistry] = metrics
-        self._build_algorithms()
-
-    def _build_algorithms(self) -> None:
-        tree, cid_mode = self.tree, self.cid_mode
         # One content analyzer shared by all four pipelines, so they share
         # one memoization cache instead of re-tokenizing per algorithm.
         analyzer = getattr(self.source, "analyzer", None)
@@ -117,7 +112,7 @@ class SearchEngine:
                                           analyzer=analyzer),
         }
         for pipeline in self._algorithms.values():
-            pipeline.metrics = self.metrics
+            pipeline.metrics = metrics
 
     def set_metrics(self, metrics: Optional[MetricsRegistry]) -> None:
         """Attach (or detach) a metrics registry after construction.
@@ -171,8 +166,7 @@ class SearchEngine:
         if self._cache is None:
             return pipeline.search(query, trace=trace)
         parsed = Query.parse(query)
-        key = QueryResultCache.key_for(algorithm, parsed, self.cid_mode,
-                                       self.backend_id)
+        key = QueryResultCache.key_for(algorithm, parsed, self.backend_id)
         cached = self._cache.get(key)
         hit = cached is not None
         if self.metrics is not None:
@@ -194,7 +188,9 @@ class SearchEngine:
         fetched from the posting source once and shared across the batch, so
         a keyword appearing in many queries pays its ``getKeywordNodes`` cost
         once instead of once per query — and a batching backend (the sqlite
-        source's ``IN (...)`` fetch) serves the whole union in one round-trip.  When the
+        source's ``IN (...)`` fetch) serves the whole union in one round-trip.
+        The fetch records the posting metrics a :meth:`search` records, each
+        fetched keyword counted once per batch.  When the
         result cache is enabled it is consulted per query first and updated
         with every freshly computed result.  Results come back in input
         order with the same answers (fragments, roots) as looping
@@ -205,8 +201,7 @@ class SearchEngine:
         """
         pipeline = self.algorithm(algorithm)
         parsed_queries = [Query.parse(query) for query in queries]
-        order = [QueryResultCache.key_for(algorithm, parsed, self.cid_mode,
-                                          self.backend_id)
+        order = [QueryResultCache.key_for(algorithm, parsed, self.backend_id)
                  for parsed in parsed_queries]
 
         # Resolve each distinct query once: duplicates within the batch share
@@ -235,7 +230,7 @@ class SearchEngine:
                     if keyword not in seen:
                         seen.add(keyword)
                         union.append(keyword)
-            shared_lists = self.source.keyword_nodes(union)
+            shared_lists = pipeline.fetch_postings(union)
             for cache_key, parsed in pending.items():
                 result = pipeline.search_with_lists(parsed, shared_lists)
                 if self._cache is not None:
@@ -260,21 +255,6 @@ class SearchEngine:
         """Drop every cached result (no-op when caching is disabled)."""
         if self._cache is not None:
             self._cache.clear()
-
-    def set_cid_mode(self, cid_mode: str) -> None:
-        """Switch the content-feature mode, rebuilding the pipelines.
-
-        Cached results are keyed by ``cid_mode``, so entries computed under
-        the previous mode stay stored but can no longer be returned for the
-        new mode — and become valid again if the mode is switched back.
-        """
-        if cid_mode not in CID_MODES:
-            raise ValueError(
-                f"unknown cid_mode {cid_mode!r}; expected one of {CID_MODES}")
-        if cid_mode == self.cid_mode:
-            return
-        self.cid_mode = cid_mode
-        self._build_algorithms()
 
     def compare(self, query: QueryLike,
                 trace: Optional[Trace] = None) -> ComparisonOutcome:

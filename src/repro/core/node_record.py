@@ -27,8 +27,9 @@ as a seed and a fold on exactly what the record holds:
 Two content-feature modes are supported:
 
 * ``"minmax"`` — the paper's approximate ``(min, max)`` pair;
-* ``"exact"`` — the full tree content set.  Used by the ablation benchmark to
-  quantify how often the approximation misidentifies duplicate content.
+* ``"exact"`` — the full tree content set, read off a resident tree.  Used by
+  the ablation benchmark to quantify how often the approximation
+  misidentifies duplicate content.
 
 :func:`build_record_tree` computes every record from its definition instead
 (node contents, no fold); it is the reference the search path is tested
@@ -193,8 +194,8 @@ def build_record_tree_from_lookups(
     pass in reverse document order then folds every record into its
     parent: bit-OR for the mask, min/max for cID pairs, union for word
     sets.  ``label_of`` resolves a node's label.  Any
-    :class:`~repro.index.source.PostingSource` provides the lookups
-    (``node_label``, ``node_cid``, ``node_words``), which is how disk-backed
+    :class:`~repro.index.source.PostingSource` provides the ``minmax``
+    lookups (``node_label``, ``node_cid``), which is how disk-backed
     searches run the pruning stage without the document resident.
     """
     _check_cid_mode(cid_mode)

@@ -59,7 +59,9 @@ class FragmentPipeline:
     pruner:
         The filtering mechanism applied to every RTF's record tree.
     cid_mode:
-        Content-feature mode forwarded to the record-tree construction.
+        Content-feature mode of the record-tree construction: ``"minmax"``
+        (the stored cID, on any source) or ``"exact"`` (full content sets,
+        read off the resident tree; refused without one).
     name:
         Algorithm name recorded on results.
     analyzer:
@@ -83,6 +85,10 @@ class FragmentPipeline:
                 raise ValueError(
                     "FragmentPipeline needs a tree, a posting source, or both")
             index = InvertedIndex(tree)
+        if cid_mode == "exact" and tree is None:
+            raise ValueError("cid_mode='exact' reads full content sets off "
+                             "the resident tree; a tree-free pipeline uses "
+                             "the stored (min, max) cID")
         self.tree = tree
         self.index = index
         self.source: PostingSource = index
@@ -129,26 +135,26 @@ class FragmentPipeline:
         The keyword masks ride on the fragment (``build_rtfs`` built it from
         ``query``'s posting lists), so only labels and each keyword node's
         own content feature are looked up: from the resident tree and its
-        analyzer when there is one, else from the posting source.
+        analyzer when there is one, else the label and stored cID from the
+        posting source.
         """
-        minmax = self.cid_mode == "minmax"
         if self.tree is not None:
             node, analyzer = self.tree.node, self.analyzer
-            content = analyzer.node_cid if minmax else analyzer.node_content
+            content = (analyzer.node_cid if self.cid_mode == "minmax"
+                       else analyzer.node_content)
             return build_record_tree_from_lookups(
                 lambda dewey: node(dewey).label,
                 lambda dewey: content(node(dewey)),
                 fragment, cid_mode=self.cid_mode)
         source = self.source
         # Batching sources warm their node caches in one round-trip per
-        # fragment instead of one per node.  A cID is read with the label,
-        # so only exact mode fetches the keyword nodes' word sets.
+        # fragment instead of one per node; the cID rides on the label's
+        # element row.
         prefetch = getattr(source, "prefetch_nodes", None)
         if prefetch is not None:
-            prefetch(fragment.nodes, () if minmax else fragment.keyword_nodes)
-        return build_record_tree_from_lookups(
-            source.node_label, source.node_cid if minmax else source.node_words,
-            fragment, cid_mode=self.cid_mode)
+            prefetch(fragment.nodes, ())
+        return build_record_tree_from_lookups(source.node_label,
+                                              source.node_cid, fragment)
 
     # ------------------------------------------------------------------ #
     # Full run
@@ -167,35 +173,52 @@ class FragmentPipeline:
             lists = self.source.keyword_nodes(parsed.keywords)
             return self._run_stages(parsed, lists, started)
 
-        read_stats = getattr(self.source, "read_stats", None)
-        reads_before = read_stats() if read_stats is not None else None
         started = time.perf_counter()
         parsed = Query.parse(query)
         tokenized = time.perf_counter()
-        lists = self.source.keyword_nodes(parsed.keywords)
-        fetched = time.perf_counter()
-        rows = sum(len(postings) for postings in lists.values())
         if trace is not None:
             trace.record("tokenize", started, tokenized,
                          keywords=len(parsed.keywords))
-            span = trace.record("postings", tokenized, fetched,
-                                keywords=len(lists), rows=rows)
-            if reads_before is not None and read_stats is not None:
-                for key, value in read_stats().items():
-                    delta = value - reads_before.get(key, 0)
-                    if delta:
-                        span.note(**{key: delta})
+        if self.metrics is not None:
+            self.metrics.histogram(
+                metric_names.STAGE_TOKENIZE_SECONDS).observe(tokenized - started)
+        lists = self.fetch_postings(parsed.keywords, trace=trace)
+        return self._run_stages(parsed, lists, started, trace=trace)
+
+    def fetch_postings(self, keywords: Sequence[str],
+                       trace: Optional[Trace] = None
+                       ) -> Dict[str, PackedDeweyList]:
+        """Stage 1 on normalized ``keywords``: the one place a posting
+        fetch is measured (stage histogram, keyword and row counters, the
+        source's read deltas, a ``postings`` span).  :meth:`search` fetches
+        one query, ``SearchEngine.search_many`` a batch's keyword union."""
+        if self.metrics is None and trace is None:
+            return self.source.keyword_nodes(keywords)
+        read_stats = getattr(self.source, "read_stats", dict)
+        before = read_stats()
+        started = time.perf_counter()
+        lists = self.source.keyword_nodes(keywords)
+        fetched = time.perf_counter()
+        rows = sum(len(postings) for postings in lists.values())
+        reads = {key: value - before.get(key, 0)
+                 for key, value in read_stats().items()
+                 if value != before.get(key, 0)}
+        if trace is not None:
+            trace.record("postings", started, fetched, keywords=len(lists),
+                         rows=rows, **reads)
         if self.metrics is not None:
             registry = self.metrics
             registry.histogram(
-                metric_names.STAGE_TOKENIZE_SECONDS).observe(tokenized - started)
-            registry.histogram(
-                metric_names.STAGE_POSTINGS_SECONDS).observe(fetched - tokenized)
+                metric_names.STAGE_POSTINGS_SECONDS).observe(fetched - started)
             registry.counter(metric_names.POSTING_KEYWORDS).inc(len(lists))
             registry.counter(metric_names.POSTING_ROWS).inc(rows)
-            if reads_before is not None and read_stats is not None:
-                self._record_read_deltas(registry, reads_before, read_stats())
-        return self._run_stages(parsed, lists, started, trace=trace)
+            for key, delta in reads.items():
+                name = self._READ_COUNTERS.get(key)
+                if name is not None:
+                    # name is a value of the _READ_COUNTERS mapping, whose
+                    # values are catalogue constants
+                    registry.counter(name).inc(delta)  # lint: allow(metrics-discipline)
+        return lists
 
     #: Posting-source ``read_stats()`` keys folded into registry counters.
     _READ_COUNTERS = {
@@ -207,17 +230,6 @@ class FragmentPipeline:
         "base_reads": metric_names.SEGMENT_BASE_READS,
         "tombstone_hits": metric_names.SEGMENT_TOMBSTONE_HITS,
     }
-
-    def _record_read_deltas(self, registry: MetricsRegistry,
-                            before: Mapping[str, int],
-                            after: Mapping[str, int]) -> None:
-        """Fold one fetch's posting-source counter deltas into the registry."""
-        for key, name in self._READ_COUNTERS.items():
-            delta = after.get(key, 0) - before.get(key, 0)
-            if delta > 0:
-                # name iterates the _READ_COUNTERS mapping, whose values are
-                # catalogue constants
-                registry.counter(name).inc(delta)  # lint: allow(metrics-discipline)
 
     def search_with_lists(self, query: QueryLike,
                           lists: Mapping[str, Sequence[DeweyCode]]) -> SearchResult:

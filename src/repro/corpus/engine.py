@@ -97,14 +97,14 @@ class CorpusSearchEngine:
         Optional resident trees per doc id (memory-backed corpora keep them;
         disk-backed corpora run tree-free).  Resident trees enable full
         fragment rendering; search and ranking never need them.
-    cid_mode, cache_size:
+    cache_size:
         Forwarded to every per-document engine; cached results are keyed per
         document (each per-document engine owns its cache).
     """
 
     def __init__(self, source: CorpusPostingSource,
                  trees: Optional[Mapping[str, XMLTree]] = None,
-                 cid_mode: str = "minmax", cache_size: int = 0,
+                 cache_size: int = 0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.source = source
         trees = trees or {}
@@ -112,7 +112,6 @@ class CorpusSearchEngine:
         if unknown:
             raise ValueError(f"trees for unknown corpus document(s): "
                              f"{', '.join(unknown)}")
-        self.cid_mode = cid_mode
         self.cache_size = cache_size
         # One registry shared by every per-document engine, so the corpus
         # reports one merged view instead of N disjoint ones.
@@ -120,8 +119,7 @@ class CorpusSearchEngine:
         self._engines: Dict[str, SearchEngine] = {
             doc_id: SearchEngine(tree=trees.get(doc_id),
                                  source=source.document_source(doc_id),
-                                 cid_mode=cid_mode, cache_size=cache_size,
-                                 metrics=metrics)
+                                 cache_size=cache_size, metrics=metrics)
             for doc_id in source.doc_ids
         }
 
@@ -129,25 +127,22 @@ class CorpusSearchEngine:
     # Construction helpers
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_trees(cls, trees: Mapping[str, XMLTree],
-                   cid_mode: str = "minmax", cache_size: int = 0,
+    def from_trees(cls, trees: Mapping[str, XMLTree], cache_size: int = 0,
                    metrics: Optional[MetricsRegistry] = None
                    ) -> "CorpusSearchEngine":
         """A memory corpus over one resident tree per doc id."""
-        return cls(corpus_from_trees(trees), trees=trees, cid_mode=cid_mode,
+        return cls(corpus_from_trees(trees), trees=trees,
                    cache_size=cache_size, metrics=metrics)
 
     @classmethod
     def from_store(cls, store: SQLiteStore,
                    documents: Optional[Sequence[str]] = None,
-                   cid_mode: str = "minmax",
                    cache_size: int = 0,
                    metrics: Optional[MetricsRegistry] = None
                    ) -> "CorpusSearchEngine":
         """A corpus engine over the documents of an already-indexed store."""
         source = corpus_from_store(store, documents=documents)
-        return cls(source, cid_mode=cid_mode, cache_size=cache_size,
-                   metrics=metrics)
+        return cls(source, cache_size=cache_size, metrics=metrics)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -217,11 +212,7 @@ class CorpusSearchEngine:
                 result = self._engines[doc_id].search(parsed, algorithm)
             if self._contributes(result):
                 documents.append(DocumentResult(doc_id, result))
-        if self.metrics is not None:
-            self.metrics.counter(
-                metric_names.CORPUS_DOCS_SEARCHED).inc(len(selected))
-            self.metrics.counter(
-                metric_names.CORPUS_DOCS_MATCHED).inc(len(documents))
+        self._noted_search(len(selected), len(documents))
         return CorpusSearchResult(
             query=parsed, algorithm=algorithm, documents=tuple(documents),
             elapsed_seconds=time.perf_counter() - started)
@@ -246,7 +237,8 @@ class CorpusSearchEngine:
         Each per-document engine serves the whole batch through its own
         ``search_many`` fast path (one union posting fetch per document), so
         the corpus batch pays one stage-1 round per (document, batch) instead
-        of one per (document, query).
+        of one per (document, query).  The corpus counters are recorded per
+        query, as :meth:`search` records them.
         """
         parsed_queries = [Query.parse(query) for query in queries]
         selected = self._selected(doc_filter)
@@ -259,9 +251,18 @@ class CorpusSearchEngine:
                 DocumentResult(doc_id, per_doc[doc_id][position])
                 for doc_id in selected
                 if self._contributes(per_doc[doc_id][position]))
+            self._noted_search(len(selected), len(documents))
             results.append(CorpusSearchResult(
                 query=parsed, algorithm=algorithm, documents=documents))
         return results
+
+    def _noted_search(self, searched: int, matched: int) -> None:
+        """Count one query's searched and matching documents."""
+        if self.metrics is not None:
+            self.metrics.counter(
+                metric_names.CORPUS_DOCS_SEARCHED).inc(searched)
+            self.metrics.counter(
+                metric_names.CORPUS_DOCS_MATCHED).inc(matched)
 
     def compare(self, query: QueryLike,
                 doc_filter: Optional[Sequence[str]] = None,
@@ -444,7 +445,7 @@ class CorpusSearchEngine:
         return outcome
 
     # ------------------------------------------------------------------ #
-    # Cache / mode plumbing (aggregated over the per-document engines)
+    # Cache / metrics plumbing (aggregated over the per-document engines)
     # ------------------------------------------------------------------ #
     @property
     def cache_enabled(self) -> bool:
@@ -466,12 +467,6 @@ class CorpusSearchEngine:
         """Drop every document engine's cached results."""
         for engine in self._engines.values():
             engine.clear_cache()
-
-    def set_cid_mode(self, cid_mode: str) -> None:
-        """Switch the content-feature mode on every document engine."""
-        for engine in self._engines.values():
-            engine.set_cid_mode(cid_mode)
-        self.cid_mode = cid_mode
 
     def set_metrics(self, metrics: "Optional[MetricsRegistry]") -> None:
         """Attach (or detach) a registry on the corpus and every doc engine."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -81,16 +80,13 @@ class InvertedIndex:
         self.tokenizer = tokenizer
         self.analyzer = ContentAnalyzer(tree, tokenizer)
         self._postings: Dict[str, PackedDeweyList] = {}
-        self._node_words: Dict[DeweyCode, FrozenSet[str]] = {}
         self._impacts: Dict[str, KeywordImpact] = {}
         self._build()
 
     def _build(self) -> None:
         postings: Dict[str, List[DeweyCode]] = {}
         for node in self.tree.iter_preorder():
-            words = self.analyzer.node_content(node)
-            self._node_words[node.dewey] = words
-            for word in words:
+            for word in self.analyzer.node_content(node):
                 postings.setdefault(word, []).append(node.dewey)
         # iter_preorder yields document order, so the per-word lists are
         # already sorted and duplicate-free (node_content is a set per node).
@@ -139,10 +135,6 @@ class InvertedIndex:
     def source_id(self) -> str:
         """Backend identity used in query-cache keys."""
         return "memory"
-
-    def node_words(self, dewey: DeweyCode) -> FrozenSet[str]:
-        """The indexed content word set of one node."""
-        return self._node_words.get(dewey, frozenset())
 
     def node_label(self, dewey: DeweyCode) -> Optional[str]:
         """The label of one node, or ``None`` when the code is absent."""

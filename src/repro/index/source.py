@@ -15,11 +15,11 @@ The protocol has two layers:
 
 * the four retrieval methods (``postings``, ``keyword_nodes``, ``frequency``,
   ``vocabulary``) every stage-1 caller needs, and
-* three node lookups (``node_label``, ``node_cid``, ``node_words``) that let
-  the later pipeline stages (record-tree construction, degraded rendering)
-  run without a resident :class:`~repro.xmltree.tree.XMLTree`.  A ``minmax``
-  record tree needs only labels and cIDs, which a store reads from one
-  element row per node; ``node_words`` serves the ``exact`` mode.
+* two node lookups (``node_label``, ``node_cid``) that let the later
+  pipeline stages (record-tree construction, degraded rendering) run
+  without a resident :class:`~repro.xmltree.tree.XMLTree`.  A record tree
+  needs only labels and the paper's ``(min, max)`` cIDs, which a store
+  reads from one element row per node.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -94,12 +93,8 @@ class PostingSource(Protocol):
         ...
 
     def node_cid(self, dewey: DeweyCode) -> Tuple[str, str]:
-        """The cID of one document node: the ``(min, max)`` of its
-        ``node_words`` in lexical order, ``("", "")`` when absent."""
-        ...
-
-    def node_words(self, dewey: DeweyCode) -> FrozenSet[str]:
-        """The content word set ``C_v`` of one document node."""
+        """The cID of one document node: the ``(min, max)`` of its content
+        word set ``C_v`` in lexical order, ``("", "")`` when absent."""
         ...
 
 

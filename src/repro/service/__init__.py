@@ -15,8 +15,8 @@ beyond the standard library:
 * :mod:`~repro.service.admission` — bounded in-flight depth, per-request
   timeouts and load shedding with typed error responses.
 * :mod:`~repro.service.server` — an asyncio newline-delimited-JSON TCP
-  front end exposing search / compare / rank with per-request algorithm and
-  ``cid_mode``.
+  front end exposing search / compare / rank with a per-request algorithm
+  and ``doc_filter``.
 * :mod:`~repro.service.client` — a blocking client for the same protocol.
 * :mod:`~repro.service.loadgen` — open/closed-loop load generation with
   throughput and p50/p95/p99 latency reporting (the ``BENCH_service.json``

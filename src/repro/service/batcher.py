@@ -6,8 +6,8 @@ stage 1 by fetching the posting lists of a batch's keyword *union* once per
 document — the batcher is the asyncio shim that turns independent in-flight
 requests into such batches:
 
-* requests are bucketed by ``(algorithm, cid_mode)`` (the two knobs a batch
-  must agree on),
+* requests are bucketed by algorithm (the one knob a batch must agree
+  on),
 * a bucket flushes when it reaches ``max_batch_size`` **or** when
   ``max_wait_seconds`` elapses since its first request — the classic
   size-or-deadline window, so a lone request pays at most the window in
@@ -30,8 +30,8 @@ import asyncio
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..core.fragments import SearchResult
 from ..core.query import QueryLike
+from ..corpus import CorpusSearchResult
 from ..obs import DEFAULT_COUNT_BUCKETS, MetricsRegistry
 from ..obs import names as metric_names
 from .engine_pool import EnginePool
@@ -43,15 +43,15 @@ DEFAULT_MAX_BATCH_SIZE = 16
 #: Default flush-on-deadline window (seconds).
 DEFAULT_MAX_WAIT_SECONDS = 0.002
 
-#: A bucket key: the knobs all requests of one batch must share.
-BatchKey = Tuple[str, Optional[str]]
+#: A bucket key: the algorithm all requests of one batch share.
+BatchKey = str
 
 #: One queued request: (query, its future, its enqueue timestamp).
 _Entry = Tuple[object, "asyncio.Future", float]
 
 
 class _Bucket:
-    """The open batch of one ``(algorithm, cid_mode)`` key."""
+    """The open batch of one algorithm."""
 
     __slots__ = ("entries", "timer")
 
@@ -91,25 +91,24 @@ class RequestBatcher:
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    async def submit(self, query: QueryLike, algorithm: str = "validrtf",
-                     cid_mode: Optional[str] = None) -> SearchResult:
+    async def submit(self, query: QueryLike,
+                     algorithm: str = "validrtf") -> CorpusSearchResult:
         """Enqueue one query; resolves when its batch has been computed."""
         if self._closed:
             raise ServiceError(ERROR_INTERNAL, "the batcher is shut down")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        key: BatchKey = (algorithm, cid_mode)
-        bucket = self._buckets.get(key)
+        bucket = self._buckets.get(algorithm)
         if bucket is None:
-            bucket = self._buckets[key] = _Bucket()
+            bucket = self._buckets[algorithm] = _Bucket()
         bucket.entries.append((query, future, time.monotonic()))
         self.metrics.counter(metric_names.BATCHER_REQUESTS).inc()
         if len(bucket.entries) >= self.max_batch_size:
             self.metrics.counter(metric_names.BATCHER_SIZE_FLUSHES).inc()
-            self._flush(key)
+            self._flush(algorithm)
         elif bucket.timer is None:
             bucket.timer = loop.call_later(self.max_wait_seconds,
-                                           self._timer_flush, key)
+                                           self._timer_flush, algorithm)
         return await future
 
     # ------------------------------------------------------------------ #
@@ -141,12 +140,12 @@ class RequestBatcher:
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
 
-    async def _run_batch(self, key: BatchKey, entries: List[_Entry]) -> None:
-        algorithm, cid_mode = key
+    async def _run_batch(self, algorithm: BatchKey,
+                         entries: List[_Entry]) -> None:
         queries = [query for query, _, _ in entries]
         try:
             results = await asyncio.wrap_future(
-                self.pool.search_many(queries, algorithm, cid_mode))
+                self.pool.search_many(queries, algorithm))
         except Exception as error:  # noqa: BLE001 - fan the failure out  # lint: allow(exception-discipline)
             for _, future, _ in entries:
                 if not future.done():

@@ -186,7 +186,6 @@ class ServiceClient:
         return bool(self._checked({"op": "ping"}).get("pong"))
 
     def search(self, query: str, algorithm: str = "validrtf",
-               cid_mode: Optional[str] = None,
                doc_filter: Optional[list] = None) -> Dict[str, object]:
         """One search; returns the canonical result payload.
 
@@ -195,24 +194,19 @@ class ServiceClient:
         """
         message: Dict[str, object] = {"op": "search", "query": query,
                                       "algorithm": algorithm}
-        if cid_mode is not None:
-            message["cid_mode"] = cid_mode
         if doc_filter is not None:
             message["doc_filter"] = list(doc_filter)
         return self._checked(message)["result"]
 
-    def compare(self, query: str, cid_mode: Optional[str] = None,
+    def compare(self, query: str,
                 doc_filter: Optional[list] = None) -> Dict[str, object]:
         """ValidRTF-vs-MaxMatch comparison payload for one query."""
         message: Dict[str, object] = {"op": "compare", "query": query}
-        if cid_mode is not None:
-            message["cid_mode"] = cid_mode
         if doc_filter is not None:
             message["doc_filter"] = list(doc_filter)
         return self._checked(message)["comparison"]
 
     def rank(self, query: str, algorithm: str = "validrtf",
-             cid_mode: Optional[str] = None,
              doc_filter: Optional[list] = None,
              top_k: Optional[int] = None, early_terminate: bool = False,
              explain: bool = False) -> Dict[str, object]:
@@ -224,12 +218,11 @@ class ServiceClient:
         score breakdown to every row.
         """
         return self.rank_response(
-            query, algorithm, cid_mode=cid_mode, doc_filter=doc_filter,
+            query, algorithm, doc_filter=doc_filter,
             top_k=top_k, early_terminate=early_terminate,
             explain=explain)["ranking"]
 
     def rank_response(self, query: str, algorithm: str = "validrtf",
-                      cid_mode: Optional[str] = None,
                       doc_filter: Optional[list] = None,
                       top_k: Optional[int] = None,
                       early_terminate: bool = False,
@@ -238,8 +231,6 @@ class ServiceClient:
         visit accounting of the retrieval driver."""
         message: Dict[str, object] = {"op": "rank", "query": query,
                                       "algorithm": algorithm}
-        if cid_mode is not None:
-            message["cid_mode"] = cid_mode
         if doc_filter is not None:
             message["doc_filter"] = list(doc_filter)
         if top_k is not None:
@@ -314,10 +305,9 @@ class ServiceClient:
         return self._checked({"op": "stats"})["metrics"]
 
     def algorithms(self) -> Dict[str, object]:
-        """The algorithm and cid-mode names the server accepts."""
+        """The algorithm names the server accepts."""
         response = self._checked({"op": "algorithms"})
-        return {"algorithms": response["algorithms"],
-                "cid_modes": response["cid_modes"]}
+        return {"algorithms": response["algorithms"]}
 
     def __repr__(self) -> str:
         state = "connected" if self._socket is not None else "disconnected"

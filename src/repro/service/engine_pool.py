@@ -312,58 +312,38 @@ class EnginePool:
             # A doc_filter naming a document the engine does not serve.
             raise ServiceError(ERROR_BAD_REQUEST, str(error)) from None
 
-    @staticmethod
-    def _with_cid_mode(engine: CorpusSearchEngine,
-                       cid_mode: Optional[str]) -> CorpusSearchEngine:
-        """Switch the worker engine's mode when a request overrides it.
-
-        Worker engines serve one request at a time, so rebuilding the
-        pipelines here is race-free; results stay correct across switches
-        because every cache key carries the mode.
-        """
-        if cid_mode is not None and cid_mode != engine.cid_mode:
-            engine.set_cid_mode(cid_mode)
-        return engine
-
     def search(self, query: QueryLike, algorithm: str = "validrtf",
-               cid_mode: Optional[str] = None,
                doc_filter: Optional[Sequence[str]] = None
                ) -> "Future[CorpusSearchResult]":
         """One query on any worker; returns a future."""
         return self.submit(
-            lambda engine, q, a, m, f:
-                self._with_cid_mode(engine, m).search(q, a, doc_filter=f),
-            query, algorithm, cid_mode, doc_filter)
+            lambda engine, q, a, f: engine.search(q, a, doc_filter=f),
+            query, algorithm, doc_filter)
 
-    def search_many(self, queries: Sequence, algorithm: str = "validrtf",
-                    cid_mode: Optional[str] = None
+    def search_many(self, queries: Sequence, algorithm: str = "validrtf"
                     ) -> "Future[List[CorpusSearchResult]]":
         """One coalesced batch on a single worker (shared posting fetch)."""
         return self.submit(
-            lambda engine, qs, a, m:
-                self._with_cid_mode(engine, m).search_many(qs, a),
-            queries, algorithm, cid_mode)
+            lambda engine, qs, a: engine.search_many(qs, a),
+            queries, algorithm)
 
-    def compare(self, query: QueryLike, cid_mode: Optional[str] = None,
+    def compare(self, query: QueryLike,
                 doc_filter: Optional[Sequence[str]] = None
                 ) -> "Future[CorpusComparisonOutcome]":
         """ValidRTF-vs-MaxMatch comparison on any worker."""
         return self.submit(
-            lambda engine, q, m, f:
-                self._with_cid_mode(engine, m).compare(q, doc_filter=f),
-            query, cid_mode, doc_filter)
+            lambda engine, q, f: engine.compare(q, doc_filter=f),
+            query, doc_filter)
 
     def rank(self, query: QueryLike, algorithm: str = "validrtf",
-             cid_mode: Optional[str] = None, top_k: Optional[int] = None,
-             early_terminate: bool = False,
+             top_k: Optional[int] = None, early_terminate: bool = False,
              doc_filter: Optional[Sequence[str]] = None
              ) -> "Future[RankedCorpusSearch]":
         """Ranked retrieval on one worker, with visit accounting."""
         return self.submit(
-            lambda engine, q, a, m, k, early, f:
-                self._with_cid_mode(engine, m).rank_search(
-                    q, a, top_k=k, doc_filter=f, early_terminate=early),
-            query, algorithm, cid_mode, top_k, early_terminate, doc_filter)
+            lambda engine, q, a, k, early, f: engine.rank_search(
+                q, a, top_k=k, doc_filter=f, early_terminate=early),
+            query, algorithm, top_k, early_terminate, doc_filter)
 
     # ------------------------------------------------------------------ #
     # Lifecycle / introspection

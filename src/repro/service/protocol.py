@@ -4,7 +4,7 @@ One JSON object per line in both directions (newline-delimited JSON over a
 plain TCP stream).  Requests carry an ``op`` plus op-specific fields::
 
     {"op": "search", "query": "xml keyword search",
-     "algorithm": "validrtf", "cid_mode": "minmax"}
+     "algorithm": "validrtf"}
 
 Responses are ``{"ok": true, ...payload...}`` or
 ``{"ok": false, "error": {"code": ..., "message": ...}}``.

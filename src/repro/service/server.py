@@ -20,11 +20,10 @@ Supported operations::
     {"op": "ping"}
     {"op": "stats"}
     {"op": "algorithms"}
-    {"op": "search",  "query": ..., "algorithm": ..., "cid_mode": ...,
-                      "doc_filter": [...]}
-    {"op": "compare", "query": ..., "cid_mode": ..., "doc_filter": [...]}
-    {"op": "rank",    "query": ..., "algorithm": ..., "cid_mode": ...,
-                      "doc_filter": [...]}
+    {"op": "search",  "query": ..., "algorithm": ..., "doc_filter": [...]}
+    {"op": "compare", "query": ..., "doc_filter": [...]}
+    {"op": "rank",    "query": ..., "algorithm": ..., "doc_filter": [...],
+                      "top_k": ..., "early_terminate": ..., "explain": ...}
     {"op": "update",     "doc": ..., "xml": ..., "key": ...}
     {"op": "delete_doc", "doc": ..., "key": ...}
     {"op": "compact"}
@@ -33,7 +32,8 @@ Every request may carry an ``id``, echoed verbatim in the response.  Every
 backend serves a corpus (a single document is a corpus of one), so every
 answer is doc-tagged, and ``doc_filter`` (a list of doc ids) restricts a
 request to a subset of the served documents; an unknown id answers the
-typed ``bad_request`` error.
+typed ``bad_request`` error, as does a request carrying the removed
+per-request content-feature option (the served cID is always (min, max)).
 
 ``update`` and ``delete_doc`` are the live-mutation operations: the first
 shreds the ``xml`` payload into a delta segment under the given doc id
@@ -67,7 +67,6 @@ from typing import Dict, List, Optional, Tuple, Type, Union
 
 from ..core import ALGORITHM_NAMES, Query
 from ..core.errors import EmptyQueryError
-from ..core.node_record import CID_MODES
 from ..faults import FaultPlan
 from ..obs import MetricsRegistry, Snapshot, merge_snapshots, split_series_key
 from ..obs import names as metric_names
@@ -125,7 +124,6 @@ class ServiceConfig:
     cache_size: int = DEFAULT_CACHE_SIZE
     db_path: Optional[str] = None
     document: str = "service"
-    cid_mode: str = "minmax"
     max_batch_size: int = DEFAULT_MAX_BATCH_SIZE
     batch_window_seconds: float = DEFAULT_MAX_WAIT_SECONDS
     max_inflight: int = DEFAULT_MAX_INFLIGHT
@@ -184,7 +182,6 @@ class ServiceConfig:
             admission=AdmissionController(self.max_inflight,
                                           self.timeout_seconds,
                                           metrics=metrics),
-            default_cid_mode=self.cid_mode,
             owns_pool=True,
             metrics=metrics,
             slow_query_seconds=self.slow_query_seconds,
@@ -202,10 +199,14 @@ class SearchService:
     #: :meth:`stats` call).
     _INTROSPECTION_OPS = frozenset({"ping", "stats", "algorithms"})
 
+    #: The measured ops the dispatcher serves; every other op string is
+    #: recorded as ``unknown``, so clients cannot grow the series unbounded.
+    _SERVED_OPS = frozenset({"search", "compare", "rank", "update",
+                             "delete_doc", "compact"})
+
     def __init__(self, pool: EnginePool,
                  batcher: Optional[RequestBatcher] = None,
                  admission: Optional[AdmissionController] = None,
-                 default_cid_mode: str = "minmax",
                  owns_pool: bool = False,
                  metrics: Optional[MetricsRegistry] = None,
                  slow_query_seconds: Optional[float] = None,
@@ -218,7 +219,6 @@ class SearchService:
         self.batcher = batcher if batcher is not None else RequestBatcher(pool)
         self.admission = (admission if admission is not None
                           else AdmissionController())
-        self.default_cid_mode = default_cid_mode
         self.metrics: MetricsRegistry = (
             metrics if metrics is not None else MetricsRegistry())
         self.slow_query_seconds = slow_query_seconds
@@ -235,6 +235,8 @@ class SearchService:
         request_id = request.get("id")
         op = str(request.get("op", "search"))
         measured = op not in self._INTROSPECTION_OPS
+        if op not in self._SERVED_OPS:
+            op = "unknown"
         started = perf_counter() if measured else 0.0
         try:
             response = await self._dispatch(request)
@@ -282,8 +284,7 @@ class SearchService:
         if op == "stats":
             return ok_response(**self._stats_payload(request))
         if op == "algorithms":
-            return ok_response(algorithms=list(ALGORITHM_NAMES),
-                               cid_modes=list(CID_MODES))
+            return ok_response(algorithms=list(ALGORITHM_NAMES))
         if op == "search":
             return await self._search(request)
         if op == "compare":
@@ -301,8 +302,12 @@ class SearchService:
     # ------------------------------------------------------------------ #
     # Operations
     # ------------------------------------------------------------------ #
-    def _validated(self, request: Dict[str, object]) -> Tuple[str, str, str]:
-        """Extract and validate (query, algorithm, cid_mode)."""
+    def _validated(self, request: Dict[str, object]) -> Tuple[str, str]:
+        """Extract and validate (query, algorithm)."""
+        if "cid_mode" in request:
+            raise ServiceError(ERROR_BAD_REQUEST, (
+                "the per-request 'cid_mode' option was removed: every served "
+                "record tree uses the (min, max) cID"))
         query = request.get("query")
         if not isinstance(query, str) or not query.strip():
             raise ServiceError(ERROR_BAD_REQUEST,
@@ -317,13 +322,7 @@ class SearchService:
                 ERROR_UNKNOWN_ALGORITHM,
                 f"unknown algorithm {algorithm!r}; "
                 f"expected one of {list(ALGORITHM_NAMES)}")
-        cid_mode = request.get("cid_mode", self.default_cid_mode)
-        if cid_mode not in CID_MODES:
-            raise ServiceError(
-                ERROR_BAD_REQUEST,
-                f"unknown cid_mode {cid_mode!r}; "
-                f"expected one of {list(CID_MODES)}")
-        return query, algorithm, cid_mode
+        return query, algorithm
 
     @staticmethod
     def _doc_filter(request: Dict[str, object]) -> Optional[List[str]]:
@@ -339,27 +338,27 @@ class SearchService:
         return doc_filter
 
     async def _search(self, request: Dict[str, object]) -> Dict[str, object]:
-        query, algorithm, cid_mode = self._validated(request)
+        query, algorithm = self._validated(request)
         doc_filter = self._doc_filter(request)
         with self.admission:
             if doc_filter is None:
                 result = await self.admission.run(
-                    self.batcher.submit(query, algorithm, cid_mode))
+                    self.batcher.submit(query, algorithm))
             else:
                 # Filtered requests skip the batcher: a batch must agree on
                 # its document subset, and filtered traffic is rare enough
                 # that coalescing it would mostly create one-request batches.
                 result = await self.admission.run(asyncio.wrap_future(
-                    self.pool.search(query, algorithm, cid_mode,
+                    self.pool.search(query, algorithm,
                                      doc_filter=doc_filter)))
         return ok_response(result=result_payload(result))
 
     async def _compare(self, request: Dict[str, object]) -> Dict[str, object]:
-        query, _, cid_mode = self._validated(request)
+        query, _ = self._validated(request)
         doc_filter = self._doc_filter(request)
         with self.admission:
             outcome = await self.admission.run(asyncio.wrap_future(
-                self.pool.compare(query, cid_mode, doc_filter=doc_filter)))
+                self.pool.compare(query, doc_filter=doc_filter)))
         return ok_response(comparison=comparison_payload(outcome))
 
     @staticmethod
@@ -385,12 +384,12 @@ class SearchService:
         return top_k, flags["early_terminate"], flags["explain"]
 
     async def _rank(self, request: Dict[str, object]) -> Dict[str, object]:
-        query, algorithm, cid_mode = self._validated(request)
+        query, algorithm = self._validated(request)
         doc_filter = self._doc_filter(request)
         top_k, early_terminate, explain = self._rank_options(request)
         with self.admission:
             ranked = await self.admission.run(asyncio.wrap_future(
-                self.pool.rank(query, algorithm, cid_mode, top_k=top_k,
+                self.pool.rank(query, algorithm, top_k=top_k,
                                early_terminate=early_terminate,
                                doc_filter=doc_filter)))
         return ok_response(

@@ -24,9 +24,8 @@ duplicate-free, and identical to the memory backend's
 
 from __future__ import annotations
 
-from collections import OrderedDict, defaultdict
-from typing import (DefaultDict, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Sized, Tuple)
+from collections import OrderedDict
+from typing import Dict, Iterable, List, Optional, Sequence, Sized, Tuple
 
 from ..index import PostingList
 from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
@@ -39,7 +38,7 @@ from .sqlite_backend import SQLiteStore
 #: Default capacity of the per-keyword decoded-posting-list LRU.
 DEFAULT_POSTING_LRU_SIZE = 256
 
-#: Capacity of the per-node element-row and word-set LRUs.
+#: Capacity of the per-node element-row LRU.
 DEFAULT_NODE_LRU_SIZE = 8192
 
 #: Batched ``IN (...)`` statements stay under sqlite's default host-variable
@@ -87,7 +86,6 @@ class SQLitePostingSource:
         self._lru: "OrderedDict[str, PackedDeweyList]" = OrderedDict()
         # One element row per node: ``(label, cID)``, or ``None`` if absent.
         self._elements: "OrderedDict[DeweyCode, Optional[ElementRow]]" = OrderedDict()
-        self._words: "OrderedDict[DeweyCode, FrozenSet[str]]" = OrderedDict()
         self._document_checked = False
         self.lru_hits = 0
         self.lru_misses = 0
@@ -174,36 +172,22 @@ class SQLitePostingSource:
             self._elements.move_to_end(dewey)
             return cached
         row = self._fetch_elements([dewey])[dewey]
-        self._cache_node(self._elements, dewey, row)
+        self._cache_element(dewey, row)
         return row
-
-    def node_words(self, dewey: DeweyCode) -> FrozenSet[str]:
-        """The content word set of one node, LRU-cached."""
-        cached = self._words.get(dewey, _MISSING)
-        if cached is not _MISSING:
-            self._words.move_to_end(dewey)
-            return cached
-        words = self._fetch_word_sets([dewey])[dewey]
-        self._cache_node(self._words, dewey, words)
-        return words
 
     def prefetch_nodes(self, nodes: Iterable[DeweyCode],
                        keyword_nodes: Iterable[DeweyCode]) -> None:
-        """Warm the node caches ahead of record-tree construction.
+        """Warm the element-row cache ahead of record-tree construction.
 
-        Fetches the missing element rows of ``nodes`` and word sets of
-        ``keyword_nodes`` through the same two fetches a single cache miss
-        uses, in chunked ``IN (...)`` statements: one per cache instead of
-        one per node.  Absent codes are cached negatively, so a later lookup
-        of a code the document lacks answers without touching the store.
+        Fetches the missing element rows of ``nodes`` in chunked ``IN
+        (...)`` statements instead of one per node, caching absent codes
+        too.  ``keyword_nodes`` is unused (a cID rides on its element row);
+        it stays because ``benchmarks/e2e/tracing.py``'s traced source
+        forwards two positional arguments.
         """
-        missing_rows = [dewey for dewey in nodes if dewey not in self._elements]
-        for dewey, row in self._fetch_elements(missing_rows).items():
-            self._cache_node(self._elements, dewey, row)
-        missing_words = [dewey for dewey in keyword_nodes
-                         if dewey not in self._words]
-        for dewey, words in self._fetch_word_sets(missing_words).items():
-            self._cache_node(self._words, dewey, words)
+        missing = [dewey for dewey in nodes if dewey not in self._elements]
+        for dewey, row in self._fetch_elements(missing).items():
+            self._cache_element(dewey, row)
 
     def read_stats(self) -> Dict[str, int]:
         """Cumulative read counters (cache traffic, blob fetches, bytes)."""
@@ -256,8 +240,10 @@ class SQLitePostingSource:
         while len(self._lru) > self.lru_size:
             self._lru.popitem(last=False)
 
-    def _cache_node(self, cache: "OrderedDict", dewey: DeweyCode, value) -> None:
-        cache[dewey] = value
+    def _cache_element(self, dewey: DeweyCode,
+                       row: Optional[ElementRow]) -> None:
+        cache = self._elements
+        cache[dewey] = row
         cache.move_to_end(dewey)
         while len(cache) > DEFAULT_NODE_LRU_SIZE:
             cache.popitem(last=False)
@@ -315,7 +301,7 @@ class SQLitePostingSource:
         """Element rows of ``deweys`` in chunked ``IN (...)`` statements.
 
         The statement reads each node's label and stored cID together, so a
-        ``minmax`` record tree touches no value row.
+        record tree touches no value row.
         """
         prefix, where, scope = self._scope()
         rows: Dict[DeweyCode, Optional[ElementRow]] = {}
@@ -332,29 +318,6 @@ class SQLitePostingSource:
             for dewey_text, dewey in encoded.items():
                 rows[dewey] = found.get(dewey_text)
         return rows
-
-    def _fetch_word_sets(self, deweys: Sequence[DeweyCode]
-                         ) -> Dict[DeweyCode, FrozenSet[str]]:
-        """Word sets of ``deweys`` in chunked ``IN (...)`` statements.
-
-        No ``DISTINCT``: a word in a node's label, text or attributes has
-        one value row for each, the ``frozenset`` folds them, and with
-        ``DISTINCT`` sqlite plans a one-node fetch as a scan of every value
-        row of the document.
-        """
-        prefix, where, scope = self._scope()
-        sets: Dict[DeweyCode, FrozenSet[str]] = {}
-        for chunk in _chunked(deweys):
-            encoded = {encode_dewey(dewey.components): dewey for dewey in chunk}
-            words: DefaultDict[str, List[str]] = defaultdict(list)
-            for dewey_text, keyword in self.store._connection.execute(
-                    f"SELECT dewey, keyword FROM {prefix}value "
-                    f"WHERE {where} AND dewey IN ({_placeholders(encoded)})",
-                    (*scope, *encoded)):
-                words[dewey_text].append(keyword)
-            for dewey_text, dewey in encoded.items():
-                sets[dewey] = frozenset(words.get(dewey_text, ()))
-        return sets
 
 
 # ---------------------------------------------------------------------- #

@@ -16,6 +16,7 @@ from repro.core import (
 from repro.datasets import PAPER_QUERIES
 from repro.index import InvertedIndex
 from repro.lca import indexed_lookup_eager_slca, indexed_stack_elca
+from repro.text import ContentAnalyzer
 from repro.xmltree import DeweyCode
 
 D = DeweyCode.parse
@@ -63,14 +64,15 @@ class TestPipelineInvariants:
     def test_pruned_result_still_covers_query(self, publications, algorithm_class):
         """Pruning never removes the last occurrence of a keyword."""
         algorithm = algorithm_class(publications)
-        index = InvertedIndex(publications)
+        analyzer = ContentAnalyzer(publications)
         for query_name in ("Q1", "Q2", "Q3"):
             query = Query.parse(PAPER_QUERIES[query_name])
             for pruned in algorithm.search(query):
                 covered = set()
                 for dewey in pruned.kept_keyword_nodes():
+                    content = analyzer.node_content(publications.node(dewey))
                     covered |= {keyword for keyword in query.keywords
-                                if keyword in index.node_words(dewey)}
+                                if keyword in content}
                 assert covered == set(query.keywords)
 
     def test_unmatched_keyword_gives_empty_result(self, publications):

@@ -75,8 +75,8 @@ MINI_SOURCE = """
         def node_label(self, dewey):
             return None
 
-        def node_words(self, dewey):
-            return frozenset()
+        def node_cid(self, dewey):
+            return ("", "")
 """
 
 

@@ -240,9 +240,17 @@ def record_fields(record):
 RECORD_TREE_INPUTS = (tuple(b for b in BACKENDS if b != "corpus")
                       + LAYOUT_INPUTS + SHARED_STORE_INPUTS)
 
+#: The tree-free record-tree inputs: they read the stored cID and refuse
+#: the ``exact`` content-set mode, which only a resident tree serves.
+TREE_FREE_INPUTS = tuple(b for b in RECORD_TREE_INPUTS if b != "memory")
 
-@pytest.mark.parametrize("cid_mode", CID_MODES)
-@pytest.mark.parametrize("backend", RECORD_TREE_INPUTS)
+#: (input, cid mode) pairs: every input in ``minmax``, and the memory
+#: engine, the one with a resident tree, in every mode.
+RECORD_TREE_CASES = ([("memory", mode) for mode in CID_MODES]
+                     + [(backend, "minmax") for backend in TREE_FREE_INPUTS])
+
+
+@pytest.mark.parametrize("backend,cid_mode", RECORD_TREE_CASES)
 @pytest.mark.parametrize("dataset,query_names", DATASETS)
 def test_record_trees_equal_the_definition(request, dataset, query_names,
                                            backend, cid_mode):
@@ -279,6 +287,18 @@ def test_record_trees_equal_the_definition(request, dataset, query_names,
                         (algorithm, query_name, str(code))
                     checked += 1
     assert checked, "the queries must build record trees"
+
+
+@pytest.mark.parametrize("backend", TREE_FREE_INPUTS)
+def test_tree_free_engine_refuses_exact(publications, backend):
+    """``exact`` compares full content sets, which only a resident tree
+    holds: a tree-free engine refuses the mode when it is built instead of
+    answering in another one."""
+    source = build_source(publications, backend, "publications")
+    with pytest.raises(ValueError, match="resident tree"):
+        SearchEngine(source=source, cid_mode="exact")
+    assert SearchEngine(source=source).algorithm("validrtf").cid_mode == \
+        "minmax"
 
 
 # ---------------------------------------------------------------------- #
@@ -377,7 +397,7 @@ def test_parity_sources_cover_backends():
     }
     assert set(classes) == set(PARITY_SOURCES)
     protocol_members = ("source_id", "postings", "keyword_nodes", "frequency",
-                        "vocabulary", "node_label", "node_cid", "node_words")
+                        "vocabulary", "node_label", "node_cid")
     claimed = set()
     for name, entries in PARITY_SOURCES.items():
         for member in protocol_members:
@@ -415,8 +435,8 @@ def test_cached_results_keyed_by_backend(publications):
     # ...and their keys differ, so a hypothetical shared cache cannot mix them.
     from repro.core import Query, QueryResultCache
     parsed = Query.parse(query)
-    memory_key = QueryResultCache.key_for("validrtf", parsed, "minmax",
+    memory_key = QueryResultCache.key_for("validrtf", parsed,
                                           memory_engine.backend_id)
-    sqlite_key = QueryResultCache.key_for("validrtf", parsed, "minmax",
+    sqlite_key = QueryResultCache.key_for("validrtf", parsed,
                                           sqlite_engine.backend_id)
     assert memory_key != sqlite_key

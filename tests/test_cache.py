@@ -2,9 +2,10 @@
 
 Covers the :class:`QueryResultCache` LRU/statistics semantics on their own,
 the cache wiring inside :class:`SearchEngine` (cached and uncached searches
-must return identical results, including across ``cid_mode`` changes), and
-the ``search_many`` batch API — equivalence with looped ``search`` plus the
-repeated-workload speedup the cache statistics make visible.
+must return identical results; one engine owns its cache and builds every
+record tree in one fixed content-feature mode), and the ``search_many``
+batch API — equivalence with looped ``search`` plus the repeated-workload
+speedup the cache statistics make visible.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def make_result(name: str) -> SearchResult:
 
 
 def key(name: str) -> tuple:
-    return QueryResultCache.key_for("validrtf", Query.parse(name), "minmax")
+    return QueryResultCache.key_for("validrtf", Query.parse(name), "memory")
 
 
 # ---------------------------------------------------------------------- #
@@ -54,11 +55,11 @@ class TestQueryResultCache:
         assert stats.lookups == 2
         assert stats.hit_rate == pytest.approx(0.5)
 
-    def test_key_includes_algorithm_and_cid_mode(self):
+    def test_key_includes_algorithm_and_backend(self):
         query = Query.parse("alpha beta")
-        keys = {QueryResultCache.key_for(algorithm, query, cid_mode)
+        keys = {QueryResultCache.key_for(algorithm, query, backend)
                 for algorithm in ("validrtf", "maxmatch")
-                for cid_mode in ("minmax", "exact")}
+                for backend in ("memory", "sqlite::memory:#doc")}
         assert len(keys) == 4
 
     def test_key_normalizes_query_forms(self):
@@ -154,24 +155,6 @@ class TestEngineCache:
         engine = SearchEngine(publications, cache_size=8)
         with pytest.raises(UnknownAlgorithmError):
             engine.search("xml", algorithm="bogus")
-
-    def test_cid_mode_change_does_not_serve_stale_results(self, publications):
-        cached = SearchEngine(publications, cache_size=16)
-        query = PAPER_QUERIES["Q2"]
-        minmax_answer = cached.search(query)
-        cached.set_cid_mode("exact")
-        assert cached.cid_mode == "exact"
-        assert_same_answer(
-            cached.search(query),
-            SearchEngine(publications, cid_mode="exact").search(query))
-        # Switching back revalidates the original entries.
-        cached.set_cid_mode("minmax")
-        assert cached.search(query) is minmax_answer
-
-    def test_set_cid_mode_rejects_unknown_mode(self, publications):
-        engine = SearchEngine(publications, cache_size=4)
-        with pytest.raises(ValueError):
-            engine.set_cid_mode("bogus")
 
     def test_query_spellings_share_one_entry(self, publications):
         engine = SearchEngine(publications, cache_size=8)

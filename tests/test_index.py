@@ -13,7 +13,7 @@ from repro.index import (
     merge_keyword_nodes,
     top_keywords,
 )
-from repro.xmltree import DeweyCode, parse_string
+from repro.xmltree import parse_string
 
 DOCUMENT = """
 <publications>
@@ -58,11 +58,6 @@ class TestInvertedIndex:
         assert "xml" in index.vocabulary()
         assert index.vocabulary_size() == len(index.vocabulary())
         assert index.total_postings() >= index.vocabulary_size()
-
-    def test_node_words(self, index):
-        words = index.node_words(DeweyCode.parse("0.1.1"))
-        assert {"abstract", "dynamic", "skyline"} == set(words)
-        assert index.node_words(DeweyCode.parse("0.9")) == frozenset()
 
     def test_merge_keyword_nodes(self, index):
         lists = index.keyword_nodes(["skyline", "dynamic"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ALGORITHM_NAMES, SearchEngine
+from repro.core import ALGORITHM_NAMES, Query, SearchEngine
 from repro.corpus import CorpusPostingSource, CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES
 from repro.obs import (
@@ -274,6 +274,49 @@ def test_set_metrics_fills_stage_series(publications, backend):
     if backend == "segmented":
         # The shadowing update forces reads through the delta segment.
         assert counters[metric_names.SEGMENT_READS] > 0
+
+
+def storage_and_corpus_counters(registry: MetricsRegistry) -> dict:
+    """The posting, segment and corpus counters of one registry."""
+    return {key: value
+            for key, value in registry.snapshot()["counters"].items()
+            if key.startswith(("posting.", "segment.", "corpus."))}
+
+
+@pytest.mark.parametrize("corpus", ("memory", "database"))
+def test_batched_search_records_what_search_records(publications, corpus):
+    """A one-query ``search_many`` — the path every unfiltered served search
+    takes through the batcher — records the posting, segment and corpus
+    counters a ``search`` of that query records, each on a fresh corpus;
+    a two-query batch counts its keyword union once and each query's
+    documents."""
+    def fresh(registry: MetricsRegistry) -> CorpusSearchEngine:
+        if corpus == "memory":
+            return CorpusSearchEngine.from_trees({"pub": publications},
+                                                 metrics=registry)
+        store = SegmentedStore()
+        store.store_tree(publications, "pub")
+        return CorpusSearchEngine.from_store(store, metrics=registry)
+
+    query = PAPER_QUERIES["Q1"]
+    searched, batched = MetricsRegistry(), MetricsRegistry()
+    fresh(searched).search(query)
+    fresh(batched).search_many([query])
+    expected = storage_and_corpus_counters(searched)
+    assert expected[metric_names.POSTING_ROWS] > 0
+    assert expected[metric_names.CORPUS_DOCS_SEARCHED] == 1
+    if corpus == "database":
+        assert expected[metric_names.POSTING_BYTES] > 0
+        assert expected[metric_names.SEGMENT_BASE_READS] > 0
+    assert storage_and_corpus_counters(batched) == expected
+
+    pair = MetricsRegistry()
+    queries = [PAPER_QUERIES["Q1"], PAPER_QUERIES["Q2"]]
+    fresh(pair).search_many(queries)
+    union = {keyword for text in queries for keyword in Query.parse(text).keywords}
+    counters = storage_and_corpus_counters(pair)
+    assert counters[metric_names.POSTING_KEYWORDS] == len(union)
+    assert counters[metric_names.CORPUS_DOCS_SEARCHED] == 2
 
 
 def test_set_metrics_none_detaches(publications):

@@ -40,6 +40,7 @@ from repro.storage import (
     encode_dewey,
     shred_tree,
 )
+from repro.text import ContentAnalyzer
 from repro.xmltree import DeweyCode, spec, tree_from_spec
 from test_backend_parity import (
     LAYOUT_INPUTS,
@@ -183,32 +184,31 @@ def repeated_words_tree():
 @pytest.mark.parametrize("layout", ("sqlite", "segmented") + LAYOUT_INPUTS)
 @pytest.mark.parametrize("document", ("random", "repeated-words"))
 def test_node_lookups_agree_with_tree(make_random_tree, document, layout):
-    """node_label / node_cid / node_words of the disk sources match the
-    document, looked up one node at a time, after one batched prefetch of
-    every node's element row and words, and after one of element rows
-    alone (the ``minmax`` record-tree prefetch)."""
+    """node_label / node_cid of the disk sources match the document,
+    looked up one node at a time and after one batched prefetch of every
+    node's element row (the record-tree prefetch).  The expected cID is
+    the ``(min, max)`` of the node's content words, read by the analyzer
+    off the tree."""
     tree = (make_random_tree(7) if document == "random"
             else repeated_words_tree())
     if document == "repeated-words":
         rows = [(row.dewey, row.keyword) for row in shred_tree(tree).values]
         assert len(rows) > len(set(rows)), "the input must repeat a row"
     index = InvertedIndex(tree)
+    analyzer = ContentAnalyzer(tree)
     single = build_source(tree, layout, tree.name)
     prefetched = type(single)(single.store, tree.name)
-    element_rows = type(single)(single.store, tree.name)
     nodes = [node.dewey for node in tree.iter_preorder()]
-    prefetched.prefetch_nodes(nodes, nodes)
-    element_rows.prefetch_nodes(nodes, ())
+    prefetched.prefetch_nodes(nodes, ())
     for node in tree.iter_preorder():
-        words = index.node_words(node.dewey)
+        words = analyzer.node_content(node)
         cid = (min(words), max(words)) if words else ("", "")
         assert index.node_cid(node.dewey) == cid
-        for source in (single, prefetched, element_rows):
+        for source in (single, prefetched):
             assert source.node_label(node.dewey) == node.label
             assert source.node_cid(node.dewey) == cid
-            assert source.node_words(node.dewey) == words
     absent = DeweyCode((0, 999))
-    for source in (index, single, prefetched, element_rows):
+    for source in (index, single, prefetched):
         assert source.node_label(absent) is None
         assert source.node_cid(absent) == ("", "")
 

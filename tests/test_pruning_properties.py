@@ -22,7 +22,7 @@ from typing import Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.core import MaxMatch, Query, ValidRTF
-from repro.index import InvertedIndex
+from repro.text import ContentAnalyzer
 from repro.xmltree import SubtreeSpec, XMLTree, tree_from_spec
 
 LABELS = ("article", "title", "author", "section", "note")
@@ -95,14 +95,15 @@ def test_kept_nodes_connected(case):
 @given(documents_and_queries())
 def test_pruning_preserves_query_coverage(case):
     tree, query = case
-    index = InvertedIndex(tree)
+    analyzer = ContentAnalyzer(tree)
     for algorithm_class in (ValidRTF, MaxMatch):
         result = algorithm_class(tree).search(query)
         for fragment in result:
             covered = set()
             for dewey in fragment.kept_keyword_nodes():
+                content = analyzer.node_content(tree.node(dewey))
                 covered |= {keyword for keyword in query.keywords
-                            if keyword in index.node_words(dewey)}
+                            if keyword in content}
             assert covered == set(query.keywords)
 
 

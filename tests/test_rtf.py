@@ -78,12 +78,13 @@ class TestBuildRtfs:
 
     def test_every_fragment_covers_the_query(self, q2_pieces):
         tree, query, lists, roots = q2_pieces
-        index = InvertedIndex(tree)
+        analyzer = ContentAnalyzer(tree)
         for fragment in build_rtfs(roots, lists):
             covered = set()
             for dewey in fragment.keyword_nodes:
+                content = analyzer.node_content(tree.node(dewey))
                 covered |= {keyword for keyword in query.keywords
-                            if keyword in index.node_words(dewey)}
+                            if keyword in content}
             assert covered == set(query.keywords)
 
     def test_fragments_partition_assigned_keyword_nodes(self, q2_pieces):

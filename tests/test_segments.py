@@ -170,8 +170,6 @@ SINGLE_ROW_READS = {
         source.node_label(code) for code in codes],
     "node_cid": lambda source, words, codes: [
         source.node_cid(code) for code in codes],
-    "node_words": lambda source, words, codes: [
-        source.node_words(code) for code in codes],
 }
 
 

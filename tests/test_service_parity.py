@@ -128,15 +128,23 @@ def test_served_compare_is_byte_identical(served, backend):
         assert encode_message(over_the_wire) == encode_message(direct)
 
 
-def test_served_cid_mode_is_byte_identical(served, publications):
-    server, _ = served[("publications", "memory")]
-    exact_engine = CorpusSearchEngine.from_trees(
-        {"publications": publications}, cid_mode="exact")
+@pytest.mark.parametrize("cid_mode", ("minmax", "exact"))
+@pytest.mark.parametrize("op", ("search", "compare", "rank"))
+@pytest.mark.parametrize("backend", SERVED)
+def test_removed_cid_mode_is_a_bad_request(served, backend, op, cid_mode):
+    """Every served record tree uses the (min, max) cID, and the
+    per-request ``cid_mode`` option is gone.  A request still carrying it,
+    even with the one mode served, answers the typed ``bad_request`` naming
+    the option: ignoring the key would answer a client that asked for
+    ``exact`` with (min, max) results."""
+    server, _ = served[("publications", backend)]
     with ServiceClient(*server.address) as client:
-        query = PAPER_QUERIES["Q2"]
-        over_the_wire = client.search(query, cid_mode="exact")
-        direct = result_payload(exact_engine.search(query))
-        assert encode_message(over_the_wire) == encode_message(direct)
+        response = client.request({"op": op, "query": PAPER_QUERIES["Q2"],
+                                   "cid_mode": cid_mode, "id": 5})
+    assert response["ok"] is False
+    assert response["error"]["code"] == "bad_request"
+    assert "cid_mode" in response["error"]["message"]
+    assert response["id"] == 5
 
 
 # ---------------------------------------------------------------------- #
@@ -249,16 +257,33 @@ def test_stats_and_metrics_can_never_disagree(served):
 
 
 def test_algorithms_lists_the_engine_registry(served):
-    from repro.core.node_record import CID_MODES
-
     server, _ = served[("publications", "memory")]
     with ServiceClient(*server.address) as client:
         payload = client.algorithms()
         raw = client.request({"op": "algorithms"})
-    assert payload["algorithms"] == list(ALGORITHM_NAMES)
-    assert payload["cid_modes"] == list(CID_MODES)
-    assert raw == {"ok": True, "algorithms": list(ALGORITHM_NAMES),
-                   "cid_modes": list(CID_MODES)}
+    assert payload == {"algorithms": list(ALGORITHM_NAMES)}
+    assert raw == {"ok": True, "algorithms": list(ALGORITHM_NAMES)}
+
+
+def test_unfiltered_served_search_records_storage_metrics(tmp_path,
+                                                          publications):
+    """An unfiltered served search rides the batcher into ``search_many``;
+    its posting fetch and its corpus counters reach the metrics as a
+    filtered search's do."""
+    db = str(tmp_path / "pub.db")
+    store = SegmentedStore(db)
+    store.store_tree(publications, "pub")
+    store.close()
+    pool = EnginePool.for_backend("corpus", db_path=db, workers=1,
+                                  cache_size=0)
+    with pool, ServerThread(pool) as server, \
+            ServiceClient(*server.address) as client:
+        client.search(PAPER_QUERIES["Q1"])
+        counters = client.metrics()["counters"]
+    assert counters.get("batcher.requests") == 1
+    assert counters.get("posting.rows", 0) > 0
+    assert counters.get("segment.base_reads", 0) > 0
+    assert counters.get("corpus.docs_searched") == 1
 
 
 # ---------------------------------------------------------------------- #

@@ -23,6 +23,7 @@ from repro.service import (
     BackgroundCompactor,
     EnginePool,
     RequestBatcher,
+    SearchService,
     ServiceError,
     decode_message,
     encode_message,
@@ -31,11 +32,10 @@ from repro.service import (
 from repro.storage import SegmentedStore
 
 
-def one_document_corpus(tree, name: str = "service",
-                        **kwargs) -> CorpusSearchEngine:
+def one_document_corpus(tree, name: str = "service") -> CorpusSearchEngine:
     """The direct engine a pool serves ``tree`` through, as doc ``name``
     (``service`` is the pools' default document name)."""
-    return CorpusSearchEngine.from_trees({name: tree}, **kwargs)
+    return CorpusSearchEngine.from_trees({name: tree})
 
 
 # ---------------------------------------------------------------------- #
@@ -115,21 +115,6 @@ class TestEnginePool:
             futures = [pool.search(query) for query in sent]
             for query, future in zip(sent, futures):
                 assert result_payload(future.result(30)) == expected[query]
-
-    def test_per_request_cid_mode_switch(self, publications):
-        with EnginePool.for_backend("memory", tree=publications,
-                                    workers=1) as pool:
-            direct = one_document_corpus(publications, cid_mode="exact")
-            served = pool.search(PAPER_QUERIES["Q2"],
-                                 cid_mode="exact").result(30)
-            assert result_payload(served) == \
-                result_payload(direct.search(PAPER_QUERIES["Q2"]))
-            # ...and back: the default mode still answers correctly.
-            default = one_document_corpus(publications)
-            served = pool.search(PAPER_QUERIES["Q2"],
-                                 cid_mode="minmax").result(30)
-            assert result_payload(served) == \
-                result_payload(default.search(PAPER_QUERIES["Q2"]))
 
     def test_cache_stats_aggregate_across_workers(self, publications):
         with EnginePool.for_backend("memory", tree=publications, workers=2,
@@ -223,6 +208,43 @@ class TestRequestBatcher:
                 await batcher.submit("")
 
         asyncio.run(drive())
+
+
+# ---------------------------------------------------------------------- #
+# SearchService dispatch
+# ---------------------------------------------------------------------- #
+class TestSearchService:
+    def test_unknown_ops_share_one_metric_series(self, memory_pool):
+        """Requests for ops the dispatcher does not serve are recorded
+        under one ``unknown`` label, so a client sending arbitrary op
+        strings cannot grow the registry (and every scrape) without bound;
+        a served op keeps its own label."""
+        service = SearchService(memory_pool)
+
+        async def drive():
+            answers = [await service.handle({"op": f"bogus-{index}"})
+                       for index in range(50)]
+            answers.append(await service.handle(
+                {"op": "search", "query": PAPER_QUERIES["Q1"]}))
+            return answers
+
+        answers = asyncio.run(drive())
+        assert [answer["error"]["code"] for answer in answers[:50]] == \
+            ["bad_request"] * 50
+        assert answers[50]["ok"] is True
+        snapshot = service.metrics.snapshot()
+        requests = {key: value
+                    for key, value in snapshot["counters"].items()
+                    if key.startswith("server.requests")}
+        assert requests == {'server.requests{op="unknown"}': 50,
+                            'server.requests{op="search"}': 1}
+        assert snapshot["counters"]['server.errors{code="bad_request"}'] == 50
+        assert sorted(key for key in snapshot["histograms"]
+                      if key.startswith("server.request_seconds")) == \
+            ['server.request_seconds{op="search"}',
+             'server.request_seconds{op="unknown"}']
+        assert service.stats()["server"]["requests"] == \
+            {"search": 1, "unknown": 50}
 
 
 # ---------------------------------------------------------------------- #

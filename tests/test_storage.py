@@ -337,28 +337,28 @@ def read_costs(records: int, layout: str):
     store, title = source.store, D("0.0.0")
     fresh = type(source)(store, "doc")
     calls = {
-        "prefetch_nodes": lambda: source.prefetch_nodes([title], [title]),
-        "node_words": lambda: fresh.node_words(title),
+        "prefetch_nodes": lambda: source.prefetch_nodes([title], ()),
+        "node_cid": lambda: fresh.node_cid(title),
         "_require": lambda: store._require("doc"),
     }
     if layout != "sqlite":
         calls["location_of"] = lambda: store.location_of("doc")
     costs = {name: vm_steps(store, call) for name, call in calls.items()}
-    # The prefetch filled the caches: the steps bought the right rows.
+    # The fetches filled the caches: the steps bought the right rows.
     assert source.node_label(title) == "title"
-    assert source.node_words(title) == {"title", "xml", "keyword", "search",
-                                        "0"}
+    assert source.node_cid(title) == fresh.node_cid(title) == ("0", "xml")
     store.close()
     return costs
 
 
 class TestReadCostIsPerRow:
     """A cold tree-free read must not scan the document: fetching one
-    node's label and words (one word fetch through a fresh source), and
-    checking that a document exists, take the same sqlite VM steps on a
-    document a hundred times larger.  This pins the query plans (index seeks, ``EXISTS``) as a
-    deterministic count, where a scan through the wrong index or a
-    ``COUNT(*)`` grows with the document."""
+    node's element row (its label and cID, batched through
+    ``prefetch_nodes`` and as one ``node_cid`` miss through a fresh source),
+    and checking that a document exists, take the same sqlite VM steps on a
+    document a hundred times larger.  This pins the query plans (index
+    seeks, ``EXISTS``) as a deterministic count, where a scan through the
+    wrong index or a ``COUNT(*)`` grows with the document."""
 
     @pytest.mark.parametrize("layout", ("sqlite", "segmented-base",
                                         "segmented"))
@@ -378,19 +378,16 @@ def statements(store, call) -> list:
     return seen
 
 
-class TestMinmaxReadsNoValueRows:
-    """A ``minmax`` record tree takes each node's cID from the element row
+class TestTreeFreeSearchReadsNoValueRows:
+    """A tree-free record tree takes each node's cID from the element row
     its label comes from, so a tree-free search with packed postings runs
-    no statement on the value tables; ``exact`` mode still reads the
-    keyword nodes' words there."""
+    no statement on the value tables."""
 
     @pytest.mark.parametrize("layout", ("sqlite", "segmented-base",
                                         "segmented"))
-    @pytest.mark.parametrize("cid_mode", ("minmax", "exact"))
-    def test_value_tables_only_in_exact_mode(self, publications, layout,
-                                             cid_mode):
+    def test_search_reads_no_value_row(self, publications, layout):
         source = build_source(publications, layout)
-        engine = SearchEngine(source=source, cid_mode=cid_mode)
+        engine = SearchEngine(source=source)
         seen = statements(source.store, lambda: [
             engine.search(PAPER_QUERIES[name]) for name in ("Q1", "Q2", "Q3")])
         assert any("FROM element" in statement
@@ -398,7 +395,7 @@ class TestMinmaxReadsNoValueRows:
                    for statement in seen)
         value_reads = [statement for statement in seen
                        if re.search(r"\bFROM (segment_)?value\b", statement)]
-        assert bool(value_reads) == (cid_mode == "exact"), value_reads
+        assert not value_reads, value_reads
 
 
 class TestStoreBackedSearch:

@@ -25,7 +25,7 @@ from fuzz_util import (  # noqa: E402 - needs the tests dir on sys.path
     run_mutation_sequence,
 )
 from repro.core import ALGORITHM_NAMES  # noqa: E402
-from repro.storage import SegmentedStore  # noqa: E402
+from repro.storage import SQLiteStore  # noqa: E402
 
 DEEP_SEEDS = tuple(range(10, 18))
 BACKENDS = ("memory", "sqlite")
@@ -51,7 +51,7 @@ def test_deep_mutation_sequence_sweep():
     byte-for-byte (canonical search / compare / rank payloads)."""
     for seed in MUTATION_DEEP_SEEDS:
         state = random_corpus(seed, min_docs=2, max_docs=5, max_nodes=60)
-        store = SegmentedStore()
+        store = SQLiteStore()
         for name in sorted(state):
             store.store_tree(state[name], name)
         queries = random_queries(seed, count=4)

@@ -12,17 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.index import InvertedIndex
-from repro.storage import (
-    SegmentedPostingSource,
-    SegmentedStore,
-    SQLitePostingSource,
-    SQLiteStore,
-    shred_tree,
-    source_for_store,
-)
-
-#: The posting source each store is read through.
-SOURCES = {"sqlite": SQLitePostingSource, "segmented": SegmentedPostingSource}
+from repro.storage import SQLitePostingSource, SQLiteStore, shred_tree
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +22,11 @@ def dblp_tree(engines):
 
 @pytest.fixture(scope="module")
 def stores(dblp_tree):
-    """The document in a plain store, and in a segmented store's delta
+    """The document in a store's base tables, and in another store's delta
     segment (stored, then shadowed by an identical update)."""
     sqlite_store = SQLiteStore()
     sqlite_store.store_tree(dblp_tree, "dblp")
-    segmented_store = SegmentedStore()
+    segmented_store = SQLiteStore()
     segmented_store.store_tree(dblp_tree, "dblp")
     segmented_store.update_document(dblp_tree, "dblp")
     return {"sqlite": sqlite_store, "segmented": segmented_store}
@@ -76,7 +66,7 @@ def test_benchmark_keyword_lookup(benchmark, backend, stores, engines):
         index = engines["dblp"].index
         benchmark(lambda: index.keyword_nodes(keywords))
         return
-    source = SOURCES[backend](stores[backend], "dblp", lru_size=0)
+    source = SQLitePostingSource(stores[backend], "dblp", lru_size=0)
     lists = benchmark(lambda: source.keyword_nodes(keywords))
     assert list(lists) == keywords
     assert source.read_stats()["lru_hits"] == 0
@@ -85,11 +75,13 @@ def test_benchmark_keyword_lookup(benchmark, backend, stores, engines):
 def test_backends_agree_with_index(stores, engines):
     index: InvertedIndex = engines["dblp"].index
     for backend, store in stores.items():
-        source = source_for_store(store, "dblp")
-        assert type(source) is SOURCES[backend]
+        source = SQLitePostingSource(store, "dblp")
         for keyword in ("xml", "keyword", "data", "vldb", "henry"):
             expected = index.postings(keyword).deweys
             assert source.postings(keyword).deweys == expected, \
                 (backend, keyword)
             assert source.frequency(keyword) == len(expected), \
                 (backend, keyword)
+        stats = source.read_stats()
+        read_from = "segment_reads" if backend == "segmented" else "base_reads"
+        assert stats[read_from] == stats["packed_fetches"] > 0, backend

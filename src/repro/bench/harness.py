@@ -154,9 +154,11 @@ def engine_for_backend(tree: XMLTree, backend: str = "memory",
     if backend == "sqlite":
         store = SQLiteStore(db_path if db_path else ":memory:")
         if document in store.documents():
-            # Reuse an already-indexed file only when it still matches the
-            # generated tree (node count is a cheap fingerprint); a stale
-            # corpus would silently skew every measurement.
+            # Reuse an already-indexed file only when its live document
+            # still matches the generated tree (node count is a cheap
+            # fingerprint); a stale corpus would silently skew every
+            # measurement.  The drop purges every generation of the name,
+            # so the file then holds the one copy this engine times.
             if store.document_stats(document)["nodes"] != tree.size():
                 store.drop_document(document)
                 store.store_tree(tree, document)

@@ -66,7 +66,7 @@ from .bench import (
 )
 from .core import SearchEngine
 from .corpus import CorpusSearchEngine
-from .storage import SchemaVersionError, SegmentedStore
+from .storage import SchemaVersionError, SQLiteStore
 from .storage.errors import DocumentNotFound
 from .datasets import (
     DBLPConfig,
@@ -421,7 +421,7 @@ def _command_index(arguments: argparse.Namespace) -> int:
               f"(rename the files or index them separately with --name)",
               file=sys.stderr)
         return 2
-    store = SegmentedStore(arguments.db)
+    store = SQLiteStore(arguments.db)
     stored = store.documents()
     if arguments.update:
         # Delta-segment path: new and changed versions land as immutable
@@ -483,7 +483,7 @@ def _command_index_delete(arguments: argparse.Namespace) -> int:
     if not Path(arguments.db).exists():
         print(f"no such database file: {arguments.db}", file=sys.stderr)
         return 2
-    store = SegmentedStore(arguments.db)
+    store = SQLiteStore(arguments.db)
     for name in arguments.delete:
         try:
             segment = store.delete_document(name)
@@ -507,7 +507,7 @@ def _command_compact(arguments: argparse.Namespace) -> int:
     if not Path(arguments.db).exists():
         raise CliError(f"no such database file: {arguments.db} "
                        f"(create it with `repro-xks index`)")
-    store = SegmentedStore(arguments.db)
+    store = SQLiteStore(arguments.db)
     stats = store.compact()
     documents = store.documents()
     print(f"compacted {arguments.db}: folded {stats['folded']} updated "
@@ -866,7 +866,7 @@ def _resolve_stored_document(arguments: argparse.Namespace) -> str:
     if not Path(arguments.db).exists():
         raise CliError(f"no such database file: {arguments.db} "
                        f"(create it with `repro-xks index`)")
-    store = SegmentedStore(arguments.db)
+    store = SQLiteStore(arguments.db)
     documents = store.documents()
     store.close()
     if not documents:
@@ -895,7 +895,7 @@ def _resolve_corpus_documents(arguments: argparse.Namespace):
     if not Path(arguments.db).exists():
         raise CliError(f"no such database file: {arguments.db} "
                        f"(create it with `repro-xks index`)")
-    store = SegmentedStore(arguments.db)
+    store = SQLiteStore(arguments.db)
     documents = store.documents()
     store.close()
     if not documents:
@@ -1029,9 +1029,10 @@ def _build_engine(arguments: argparse.Namespace) -> CorpusSearchEngine:
     ``--db`` opens an indexed database and searches **disk-backed, without
     any document in RAM** (rendering degrades to Dewey/label output): every
     stored document with ``--backend corpus`` (or the ``--doc`` subset), the
-    one ``--doc`` document with ``--backend sqlite``.  The segmented store
-    serves documents living in delta segments (``index --update``) exactly
-    like base-generation ones.  Without ``--db`` the ``--file`` or
+    one ``--doc`` document with ``--backend sqlite``.  Each document serves
+    its live generation, so one living in a delta segment (``index
+    --update``) answers exactly like a base-generation one.  Without
+    ``--db`` the ``--file`` or
     ``--dataset`` document is a one-document corpus named after its file
     stem or dataset name: held in memory (``memory``, ``corpus``) or
     shredded into an in-process store first (``sqlite``).
@@ -1045,12 +1046,12 @@ def _build_engine(arguments: argparse.Namespace) -> CorpusSearchEngine:
         else:
             raise CliError(f"--db needs --backend sqlite or corpus, "
                            f"not {backend!r}")
-        return CorpusSearchEngine.from_store(SegmentedStore(arguments.db),
+        return CorpusSearchEngine.from_store(SQLiteStore(arguments.db),
                                              documents=documents)
     tree = _load_tree(arguments)
     name = _document_name(arguments)
     if backend == "sqlite":
-        store = SegmentedStore()
+        store = SQLiteStore()
         store.store_tree(tree, name)
         return CorpusSearchEngine.from_store(store)
     return CorpusSearchEngine.from_trees({name: tree})

@@ -228,7 +228,6 @@ class FragmentPipeline:
         "packed_fetches": metric_names.POSTING_PACKED_FETCHES,
         "segment_reads": metric_names.SEGMENT_READS,
         "base_reads": metric_names.SEGMENT_BASE_READS,
-        "tombstone_hits": metric_names.SEGMENT_TOMBSTONE_HITS,
     }
 
     def search_with_lists(self, query: QueryLike,

@@ -11,8 +11,9 @@ reasons, in order:
 * Incremental ingestion (``repro.cli index --add``) appends one new column
   set without rewriting any existing one.
 * The per-document sources are the existing, already-parity-tested backends
-  (:class:`~repro.index.inverted.InvertedIndex`, the sqlite/segmented
-  sources), reused unchanged.
+  (:class:`~repro.index.inverted.InvertedIndex` and
+  :class:`~repro.storage.posting_source.SQLitePostingSource`), reused
+  unchanged.
 
 So :class:`CorpusPostingSource` is only a sorted map from doc id to that
 document's :class:`~repro.index.source.PostingSource`; it is not itself a
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..index import InvertedIndex, PostingSource
-from ..storage import SQLiteStore, source_for_store
+from ..storage import SQLitePostingSource, SQLiteStore
 from ..storage.errors import DocumentNotFound
 from ..xmltree import XMLTree
 
@@ -93,16 +94,18 @@ def corpus_from_trees(trees: Mapping[str, XMLTree]) -> CorpusPostingSource:
 def corpus_from_store(store: SQLiteStore,
                       documents: Optional[Sequence[str]] = None
                       ) -> CorpusPostingSource:
-    """A corpus source over the documents of one (already-ingested) store.
+    """A corpus source over the live documents of one (already-ingested)
+    store: one :class:`SQLitePostingSource` per document, each serving the
+    generation its document lives in at its first read.
 
-    ``documents`` defaults to every document the store holds.
+    ``documents`` defaults to every live document the store holds.
     """
-    doc_ids = list(documents) if documents is not None else store.documents()
+    stored = store.documents()
+    doc_ids = list(documents) if documents is not None else stored
     if not doc_ids:
         raise ValueError("the store holds no indexed documents")
-    stored = set(store.documents())
-    unknown = sorted(set(doc_ids) - stored)
+    unknown = sorted(set(doc_ids) - set(stored))
     if unknown:
-        raise unknown_documents_error(unknown, sorted(stored))
-    sources = {doc_id: source_for_store(store, doc_id) for doc_id in doc_ids}
-    return CorpusPostingSource(sources)
+        raise unknown_documents_error(unknown, stored)
+    return CorpusPostingSource({doc_id: SQLitePostingSource(store, doc_id)
+                                for doc_id in doc_ids})

@@ -9,7 +9,7 @@ same faults, which keeps chaos runs reproducible.
 ``execute``/``executemany`` consults the plan first (errors + latency).
 ``SQLiteStore`` wraps each per-thread connection when a plan is set.
 :class:`InjectedCrash` is the crash tests' simulated process death at a
-``SegmentedStore`` fault point.
+``SQLiteStore`` fault point.
 
 Injected errors subclass ``sqlite3.OperationalError`` so the serving
 stack's degraded-mode handling treats real and injected storage trouble

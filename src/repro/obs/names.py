@@ -40,10 +40,10 @@ POSTING_LRU_HITS = "posting.lru.hits"
 POSTING_LRU_MISSES = "posting.lru.misses"
 POSTING_PACKED_FETCHES = "posting.decode.packed_fetches"
 
-# Segmented (live-update) stores: where reads were resolved.
+# Disk posting sources: the generation each fetched keyword was read from
+# (a delta segment, or the base tables).
 SEGMENT_READS = "segment.reads"
 SEGMENT_BASE_READS = "segment.base_reads"
-SEGMENT_TOMBSTONE_HITS = "segment.tombstone_hits"
 
 # --------------------------------------------------------------------- #
 # Corpus layer (doc-partitioned dispatch)

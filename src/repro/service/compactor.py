@@ -17,7 +17,7 @@ from typing import Dict, Optional
 
 from ..obs import MetricsRegistry
 from ..obs import names as metric_names
-from ..storage import SegmentedStore
+from ..storage import SQLiteStore
 from .engine_pool import EnginePool
 
 __all__ = ["BackgroundCompactor"]
@@ -29,7 +29,7 @@ class BackgroundCompactor:
     Parameters
     ----------
     store, pool:
-        The mutable segmented store and the pool whose engines must be
+        The mutable store and the pool whose engines must be
         invalidated after each fold.
     max_segments:
         Compact once ``store.segment_count() >= max_segments``.
@@ -41,7 +41,7 @@ class BackgroundCompactor:
         success.
     """
 
-    def __init__(self, store: SegmentedStore, pool: EnginePool,
+    def __init__(self, store: SQLiteStore, pool: EnginePool,
                  max_segments: int, interval_seconds: float = 0.5,
                  failure_backoff_seconds: float = 2.0,
                  max_backoff_seconds: float = 60.0,

@@ -10,9 +10,10 @@ corpus — a single document is a corpus of one, tagged with its name:
   :class:`~repro.index.inverted.InvertedIndex` snapshots is built once and
   shared by every worker engine (posting lists are read-only after the
   build; the shared analyzers' memoization writes are idempotent).
-* ``sqlite`` and ``corpus`` with a database — one shared segment-aware
-  :class:`~repro.storage.segments.SegmentedStore`, so documents absorbed
-  through ``index --update`` serve their live generation.  Each worker
+* ``sqlite`` and ``corpus`` with a database — one shared
+  :class:`~repro.storage.sqlite_backend.SQLiteStore`; every document serves
+  its live generation, including one absorbed through ``index --update``
+  into a delta segment.  Each worker
   engine wraps it in its own per-document posting sources (private posting
   LRUs); the store hands every thread its own sqlite connection, so disk
   reads genuinely parallelize.  ``sqlite`` serves one document of the
@@ -46,7 +47,7 @@ from ..faults import FaultPlan
 from ..obs import MetricsRegistry, Snapshot, merge_snapshots
 from ..obs import names as metric_names
 from .protocol import ERROR_BAD_REQUEST, ERROR_DEGRADED, ServiceError
-from ..storage import SegmentedStore
+from ..storage import SQLiteStore
 from ..storage.errors import DocumentNotFound
 from ..xmltree import XMLTree
 
@@ -106,10 +107,10 @@ class EnginePool:
         #: an older generation are discarded and rebuilt on next use.
         self._engine_version = 0
         #: Set by the corpus-database builder: the shared
-        #: :class:`~repro.storage.segments.SegmentedStore` live updates are
-        #: written to (``None`` for immutable backends, and for corpus pools
-        #: pinned to a document subset).
-        self.mutable_store: Optional[SegmentedStore] = None
+        #: :class:`~repro.storage.sqlite_backend.SQLiteStore` live updates
+        #: are written to (``None`` for immutable backends, and for corpus
+        #: pools pinned to a document subset).
+        self.mutable_store: Optional[SQLiteStore] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -147,7 +148,7 @@ class EnginePool:
             raise ValueError(f"unknown backend {backend!r}; "
                              f"expected memory, sqlite or corpus")
         if backend == "sqlite":
-            store = SegmentedStore(db_path if db_path else ":memory:")
+            store = SQLiteStore(db_path if db_path else ":memory:")
             if document not in store.documents():
                 if tree is None:
                     stored = store.documents()
@@ -161,11 +162,10 @@ class EnginePool:
                 store, documents=[document], cache_size=cache_size),
                 workers=workers)
         if backend == "corpus" and db_path:
-            # Segment-aware store: documents absorbed through
-            # `index --update` (or the live `update` wire op) serve exactly
-            # like base-generation ones, and the pool can keep taking
-            # writes without a restart.
-            store = SegmentedStore(db_path)
+            # Documents absorbed through `index --update` (or the live
+            # `update` wire op) serve exactly like base-generation ones,
+            # and the pool can keep taking writes without a restart.
+            store = SQLiteStore(db_path)
             stored = store.documents()
             if not stored:
                 raise ValueError(

@@ -70,7 +70,7 @@ from ..core.errors import EmptyQueryError
 from ..faults import FaultPlan
 from ..obs import MetricsRegistry, Snapshot, merge_snapshots, split_series_key
 from ..obs import names as metric_names
-from ..storage import SegmentedStore
+from ..storage import SQLiteStore
 from ..storage.errors import DocumentNotFound
 from ..xmltree import ParseError, XMLTree, parse_string
 from .admission import DEFAULT_MAX_INFLIGHT, AdmissionController
@@ -399,7 +399,7 @@ class SearchService:
     # ------------------------------------------------------------------ #
     # Live mutations
     # ------------------------------------------------------------------ #
-    def _mutable_store(self) -> "SegmentedStore":
+    def _mutable_store(self) -> "SQLiteStore":
         """The pool's writable store, or the typed ``unsupported`` error."""
         store = self.pool.mutable_store
         if store is None:

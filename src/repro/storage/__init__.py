@@ -1,9 +1,12 @@
 """Relational shredding store: the Section 5.2 schema on sqlite3.
 
-:class:`SQLiteStore` (and its segmented subclass) writes a document's rows
-into a database file stamped with :data:`SCHEMA_VERSION`, and refuses a file
-carrying any other version (:class:`SchemaVersionError`: re-index it).  A
-posting source (:func:`source_for_store`) is the only reader of those rows.
+:class:`SQLiteStore` writes a document's rows into a database file stamped
+with :data:`SCHEMA_VERSION`, and refuses a file carrying any other version
+(:class:`SchemaVersionError`: re-index it).  It keeps the base tables and
+the delta segments that live updates, deletes and compaction write, and
+answers its catalogue over each document's live generation.  A
+:class:`SQLitePostingSource` is the only reader of those rows; it serves the
+generation its document lived in at its first read.
 """
 
 from .errors import (
@@ -22,20 +25,18 @@ from .schema import (
     encode_dewey,
 )
 from .shredder import ShreddedDocument, packed_posting_rows, shred_tree
-from .sqlite_backend import SQLiteStore
-from .segments import (
+from .sqlite_backend import (
     BASE_GENERATION,
     SEGMENT_KIND_DOC,
     SEGMENT_KIND_TOMBSTONE,
-    SegmentedPostingSource,
-    SegmentedStore,
+    SQLiteStore,
 )
-from .posting_source import (
-    DEFAULT_POSTING_LRU_SIZE,
-    SQLitePostingSource,
-    source_for_store,
-)
+from .posting_source import DEFAULT_POSTING_LRU_SIZE, SQLitePostingSource
 from .verify import IntegrityFinding, IntegrityReport, verify_database
+
+#: The old name of :class:`SQLiteStore`, kept for its one remaining user,
+#: ``benchmarks/e2e/workloads.py``; nothing else may import it.
+SegmentedStore = SQLiteStore
 
 __all__ = [
     "StorageError",
@@ -53,14 +54,11 @@ __all__ = [
     "packed_posting_rows",
     "shred_tree",
     "SQLiteStore",
-    "SegmentedStore",
-    "SegmentedPostingSource",
     "BASE_GENERATION",
     "SEGMENT_KIND_DOC",
     "SEGMENT_KIND_TOMBSTONE",
     "SQLitePostingSource",
     "DEFAULT_POSTING_LRU_SIZE",
-    "source_for_store",
     "IntegrityFinding",
     "IntegrityReport",
     "verify_database",

@@ -7,9 +7,10 @@ posting-list interface the in-memory
 :class:`~repro.index.inverted.InvertedIndex` serves, so one
 :class:`~repro.core.engine.SearchEngine` can run over either — the
 EMBANKS-style disk-based retrieval setup of the paper's Section 5, without the
-full document resident in RAM.  Its segment-aware subclass
-(:class:`~repro.storage.segments.SegmentedPostingSource`) reads a delta
-segment's rows instead; no other code reads a store's rows.
+full document resident in RAM.  At its first read the source resolves the
+document's live location (the base tables, or the delta segment of its
+newest update) and pins it, so every later read serves that one generation;
+no other code reads a store's rows.
 
 The source is lazy: nothing is fetched at construction.  Each keyword loads
 as **one** packed blob from the ``posting`` table, a query's uncached lists
@@ -30,10 +31,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Sized, Tuple
 from ..index import PostingList
 from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
 from ..index.packed import EMPTY_PACKED, PackedDeweyList
-from ..text import EMPTY_CID
+from ..text import DEFAULT_TOKENIZER, EMPTY_CID
 from ..xmltree import DeweyCode
 from .schema import encode_dewey
-from .sqlite_backend import SQLiteStore
+from .sqlite_backend import BASE_GENERATION, SQLiteStore, generation_rows
 
 #: Default capacity of the per-keyword decoded-posting-list LRU.
 DEFAULT_POSTING_LRU_SIZE = 256
@@ -61,7 +62,9 @@ class SQLitePostingSource:
     the ``posting`` table — one row per keyword, rebuilt into flat columns at
     C speed, with no per-posting string decode and no per-posting object.
     Every statement the source runs, batched or single-row, reads the rows
-    :meth:`_scope` names.
+    :meth:`_scope` names: those of the generation the document lived in at
+    the source's first read.  After a mutation, build a fresh source (the
+    corpus and service layers rebuild their engines).
 
     Parameters
     ----------
@@ -76,35 +79,45 @@ class SQLitePostingSource:
 
     def __init__(self, store: SQLiteStore, document: str,
                  lru_size: int = DEFAULT_POSTING_LRU_SIZE):
-        if not isinstance(store, SQLiteStore):
-            raise TypeError(
-                f"SQLitePostingSource needs a SQLiteStore, got {type(store).__name__}")
         self.store = store
         self.document = document
-        self.tokenizer = store.tokenizer
         self.lru_size = lru_size
         self._lru: "OrderedDict[str, PackedDeweyList]" = OrderedDict()
         # One element row per node: ``(label, cID)``, or ``None`` if absent.
         self._elements: "OrderedDict[DeweyCode, Optional[ElementRow]]" = OrderedDict()
-        self._document_checked = False
+        # The pinned live location and its rows, set by the first _scope().
+        self._location: Optional[int] = None
+        self._rows: Optional[Tuple[str, str, Tuple[object, ...]]] = None
         self.lru_hits = 0
         self.lru_misses = 0
         # Read accounting (pre-aggregated per fetch, harvested per query by
         # the instrumented pipeline through :meth:`read_stats`).
         self.bytes_read = 0
         self.packed_fetches = 0
+        # Fetched keywords served from a delta segment vs the base tables.
+        self.segment_reads = 0
+        self.base_reads = 0
 
     # ------------------------------------------------------------------ #
     # PostingSource protocol
     # ------------------------------------------------------------------ #
     @property
     def source_id(self) -> str:
-        """Backend identity including the database path."""
-        return f"sqlite:{self.store.path}#{self.document}"
+        """Backend identity: the database path, the document and the pinned
+        generation.
+
+        A segment id is unique only between compactions: ``compact()``
+        empties the segment catalogue, so the next update reuses id 1 and
+        two versions of a document can share one id.  The id is safe as a
+        cache key only because no cache outlives its engine, and every
+        mutation rebuilds the engines.
+        """
+        self._scope()
+        return f"sqlite:{self.store.path}#{self.document}@g{self._location}"
 
     def postings(self, keyword: str) -> PostingList:
         """The posting list of one (raw, un-normalized) keyword."""
-        normalized = self.tokenizer.normalize_keyword(keyword)
+        normalized = DEFAULT_TOKENIZER.normalize_keyword(keyword)
         return PostingList(normalized, self._deweys(normalized))
 
     def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
@@ -114,7 +127,7 @@ class SQLitePostingSource:
         row per LRU-missed keyword); the immutable cached columns themselves
         are returned.
         """
-        normalized = self.tokenizer.normalize_query(query)
+        normalized = DEFAULT_TOKENIZER.normalize_query(query)
         result, missing = self._split_cached(normalized)
         if missing:
             fetched = self._fetch_blob_rows(missing)
@@ -127,7 +140,7 @@ class SQLitePostingSource:
     def frequency(self, keyword: str) -> int:
         """Number of keyword nodes containing ``keyword`` (its impact's
         posting count)."""
-        return self.impact(self.tokenizer.normalize_keyword(keyword)).count
+        return self.impact(DEFAULT_TOKENIZER.normalize_keyword(keyword)).count
 
     def impact(self, keyword: str) -> KeywordImpact:
         """Posting count + deepest node level of one normalized keyword.
@@ -190,12 +203,15 @@ class SQLitePostingSource:
             self._cache_element(dewey, row)
 
     def read_stats(self) -> Dict[str, int]:
-        """Cumulative read counters (cache traffic, blob fetches, bytes)."""
+        """Cumulative read counters of this source (cache traffic, blob
+        fetches, bytes, and the generation each fetched keyword came from)."""
         return {
             "lru_hits": self.lru_hits,
             "lru_misses": self.lru_misses,
             "bytes": self.bytes_read,
             "packed_fetches": self.packed_fetches,
+            "segment_reads": self.segment_reads,
+            "base_reads": self.base_reads,
         }
 
     # ------------------------------------------------------------------ #
@@ -255,27 +271,21 @@ class SQLitePostingSource:
     # ------------------------------------------------------------------ #
     # Statements
     # ------------------------------------------------------------------ #
-    def _check_document(self) -> None:
-        """Raise :class:`DocumentNotFound` (once) for a misnamed document.
-
-        This source's raw-SQL reads bypass the store's per-call ``_require``
-        guard for speed; :meth:`_scope` runs this check first, so a typo'd
-        document name raises instead of answering with empty lists.
-        """
-        if not self._document_checked:
-            self.store._require(self.document)
-            self._document_checked = True
-
     def _scope(self) -> Tuple[str, str, Tuple[object, ...]]:
         """The rows this source reads: ``(table prefix, row filter, filter
         parameters)``, spliced into every statement this source runs.
 
-        The segmented source overrides it to read a delta segment's
-        ``segment_*`` tables, so every read of one source, batched or
-        single-row, sees the one generation it pinned.
+        The first call resolves the document's live location and pins it,
+        so every read of one source, batched or single-row, sees one
+        generation: the base tables, or one delta segment's ``segment_*``
+        tables.  An absent or tombstoned document raises
+        :class:`~repro.storage.errors.DocumentNotFound` instead of
+        answering with empty lists.
         """
-        self._check_document()
-        return "", "document = ?", (self.document,)
+        if self._rows is None:
+            self._location = self.store._live_location(self.document)
+            self._rows = generation_rows(self.document, self._location)
+        return self._rows
 
     def _fetch_blob_rows(self, missing: Sequence[str]
                          ) -> Dict[str, PackedDeweyList]:
@@ -294,6 +304,10 @@ class SQLitePostingSource:
                 blob_bytes += len(blob)
         self.bytes_read += blob_bytes
         self.packed_fetches += len(fetched)
+        if self._location == BASE_GENERATION:
+            self.base_reads += len(fetched)
+        else:
+            self.segment_reads += len(fetched)
         return fetched
 
     def _fetch_elements(self, deweys: Sequence[DeweyCode]
@@ -333,13 +347,3 @@ def _chunked(items: Sequence[DeweyCode],
 def _placeholders(values: Sized) -> str:
     """The ``?,?,...`` placeholder list of one ``IN (...)`` chunk."""
     return ",".join("?" * len(values))
-
-
-def source_for_store(store: SQLiteStore, document: str) -> SQLitePostingSource:
-    """The posting source of one document of a store: segment-aware for a
-    :class:`~repro.storage.segments.SegmentedStore`."""
-    # Local import: segments.py builds on this module's classes.
-    from .segments import SegmentedPostingSource, SegmentedStore
-    if isinstance(store, SegmentedStore):
-        return SegmentedPostingSource(store, document)
-    return SQLitePostingSource(store, document)

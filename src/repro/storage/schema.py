@@ -111,7 +111,7 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
     "CREATE INDEX IF NOT EXISTS idx_value_dewey ON value (document, dewey)",
     "CREATE INDEX IF NOT EXISTS idx_element_label ON element (document, label)",
     # ------------------------------------------------------------------ #
-    # Segmented incremental updates (repro.storage.segments).  The four
+    # Segmented incremental updates (repro.storage.sqlite_backend).  The four
     # tables above are the **base generation**; every update/delete lands in
     # an immutable delta segment instead of rewriting base rows.  ``segment``
     # is the catalog: one row per (segment, document) event — kind ``doc``
@@ -178,7 +178,7 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
     "CREATE INDEX IF NOT EXISTS idx_segment_value_dewey "
     "ON segment_value (segment_id, document, dewey)",
     # ------------------------------------------------------------------ #
-    # The idempotency ledger (repro.storage.segments).  A mutation that
+    # The idempotency ledger (repro.storage.sqlite_backend).  A mutation that
     # carries an ``idempotency_key`` writes one row inside its own
     # transaction, so the row exists exactly when the mutation committed
     # and a retry with the same key answers the recorded ``segment_id``.

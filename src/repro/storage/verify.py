@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 from ..index.packed import PackedDeweyList
 from .errors import SchemaVersionError
 from .schema import decode_dewey
-from .segments import SEGMENT_KIND_DOC, SEGMENT_KIND_TOMBSTONE, SegmentedStore
+from .sqlite_backend import SEGMENT_KIND_DOC, SEGMENT_KIND_TOMBSTONE, SQLiteStore
 
 __all__ = ["IntegrityFinding", "IntegrityReport", "verify_database"]
 
@@ -111,7 +111,7 @@ def verify_database(path: Union[str, Path]) -> IntegrityReport:
     report = IntegrityReport(path=str(path))
     try:
         _check_sqlite(path)
-        store = SegmentedStore(path)
+        store = SQLiteStore(path)
     except sqlite3.DatabaseError as error:
         report.error("sqlite-integrity", str(error))
         return report

@@ -120,12 +120,12 @@ def store_engine():
     """Build a tree-free engine whose every stage reads from a store.
 
     Call it with ``(tree, store, name)``: the tree is stored under ``name``
-    and the engine searches it through ``source_for_store`` alone.
+    and the engine searches it through its ``SQLitePostingSource`` alone.
     """
-    from repro.storage import source_for_store
+    from repro.storage import SQLitePostingSource
 
     def build(tree, store, name):
         store.store_tree(tree, name)
-        return SearchEngine(source=source_for_store(store, name))
+        return SearchEngine(source=SQLitePostingSource(store, name))
 
     return build

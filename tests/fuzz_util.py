@@ -36,7 +36,7 @@ from repro.service.protocol import (
     ranking_payload,
     result_payload,
 )
-from repro.storage import SegmentedStore, SQLiteStore
+from repro.storage import SQLiteStore
 from repro.xmltree import SubtreeSpec, XMLTree, tree_from_spec
 
 #: Small label/word pools keep keyword collisions (and therefore non-trivial
@@ -102,12 +102,18 @@ def store_corpus(trees: Dict[str, XMLTree],
 def build_corpus_engine(trees: Dict[str, XMLTree],
                         backend: str) -> CorpusSearchEngine:
     """A corpus engine over ``trees`` for one backend: ``memory`` keeps one
-    inverted index per document, ``sqlite`` stores every document into one
-    :class:`SQLiteStore` and ``segmented`` into one :class:`SegmentedStore`."""
+    inverted index per document, ``sqlite`` stores every document into the
+    base tables of one :class:`SQLiteStore`, and ``segmented`` then shadows
+    each with an identical delta-segment version, so every document is read
+    from the segment tables."""
     if backend == "memory":
         return CorpusSearchEngine.from_trees(trees)
-    store = SegmentedStore() if backend == "segmented" else SQLiteStore()
-    return CorpusSearchEngine(store_corpus(trees, store))
+    store = SQLiteStore()
+    for name in sorted(trees):
+        store.store_tree(trees[name], name)
+        if backend == "segmented":
+            store.update_document(trees[name], name)
+    return CorpusSearchEngine(corpus_from_store(store))
 
 
 def reference_engines(trees: Dict[str, XMLTree]) -> Dict[str, SearchEngine]:
@@ -158,7 +164,7 @@ def assert_corpus_equals_union(corpus_result, references, query: str,
 # add / update / delete / compact mutations must answer **byte-identically**
 # (canonical wire payloads of search, compare and rank) to a corpus
 # re-shredded from scratch out of the same live documents.  The driver below
-# mirrors every mutation it applies to a ``SegmentedStore`` into a plain
+# mirrors every mutation it applies to a ``SQLiteStore`` into a plain
 # ``{doc_id: tree}`` dict — that dict *is* the oracle state, and a fresh
 # in-memory corpus engine built from it is the reference answer.
 
@@ -182,9 +188,9 @@ def wire_lines(engine: CorpusSearchEngine,
     return lines
 
 
-def segmented_engine(store: SegmentedStore) -> CorpusSearchEngine:
-    """A tree-free corpus engine over the segmented store's current live
-    documents, as a database-served corpus runs."""
+def segmented_engine(store: SQLiteStore) -> CorpusSearchEngine:
+    """A tree-free corpus engine over the store's current live documents,
+    as a database-served corpus runs."""
     return CorpusSearchEngine(corpus_from_store(store))
 
 
@@ -193,7 +199,7 @@ def fresh_oracle(state: Dict[str, XMLTree]) -> CorpusSearchEngine:
     return CorpusSearchEngine.from_trees(state)
 
 
-def assert_segmented_matches_fresh(store: SegmentedStore,
+def assert_segmented_matches_fresh(store: SQLiteStore,
                                    state: Dict[str, XMLTree],
                                    queries: List[str],
                                    context=()) -> None:
@@ -204,7 +210,7 @@ def assert_segmented_matches_fresh(store: SegmentedStore,
         "mutated segmented corpus diverged from a fresh rebuild", *context)
 
 
-def run_mutation_sequence(store: SegmentedStore, state: Dict[str, XMLTree],
+def run_mutation_sequence(store: SQLiteStore, state: Dict[str, XMLTree],
                           seed: int, steps: int,
                           check: Callable[[str], None],
                           max_nodes: int = 25) -> List[str]:

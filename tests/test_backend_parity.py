@@ -2,9 +2,10 @@
 
 This is the repo's cross-backend transparency contract: the paper-example
 documents and a synthetic corpus are searched through the in-memory inverted
-index, the disk-backed sqlite source, a one-document corpus and the segmented
-source, and the complete :class:`SearchResult` — roots, kept node sets, SLCA
-flags, LCA node list — must be identical for all four algorithms.  **Any new
+index, the disk-backed sqlite source over the base tables, a one-document
+corpus and the sqlite source over a delta segment, and the complete
+:class:`SearchResult` — roots, kept node sets, SLCA flags, LCA node list —
+must be identical for all four algorithms.  **Any new
 backend must be added to ``BACKENDS`` here and pass unchanged** (see
 ROADMAP, Open items).
 
@@ -13,9 +14,9 @@ suite also proves the purely source-backed pipeline (Dewey-arithmetic
 fragments, lookup-driven record trees) against the tree-backed one.
 
 Next to the backends the matrix runs the ``LAYOUT_INPUTS``: stores that reach
-the one stored layout by other routes (the segmented source's base-generation
-routing, a compacted delta version, a document stored under a dropped name),
-so the packed rows are read after every mutation that writes them.  The
+a stored layout by other routes (a new name written as a delta segment alone,
+a compacted delta version, a document stored under a dropped or a tombstoned
+name), so the packed rows are read after every mutation that writes them.  The
 ``SHARED_STORE_INPUTS`` serve the document from a sqlite store it shares with
 other documents, the one-store layout every disk-backed corpus runs.
 """
@@ -36,14 +37,7 @@ from repro.core import (
 from fuzz_util import store_corpus
 from repro.corpus import CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES
-from repro.storage import (
-    BASE_GENERATION,
-    SegmentedPostingSource,
-    SegmentedStore,
-    SQLitePostingSource,
-    SQLiteStore,
-    source_for_store,
-)
+from repro.storage import SQLitePostingSource, SQLiteStore
 from repro.text import ContentAnalyzer
 from repro.xmltree import SubtreeSpec, XMLTree, tree_from_spec
 
@@ -55,21 +49,23 @@ BACKENDS = ("memory", "sqlite", "corpus", "segmented")
 #: entries it serves, and together the entries must cover all of BACKENDS.
 PARITY_SOURCES = {
     "InvertedIndex": ("memory",),
-    "SQLitePostingSource": ("sqlite", "corpus"),
-    "SegmentedPostingSource": ("segmented",),
+    "SQLitePostingSource": ("sqlite", "corpus", "segmented"),
 }
 
 #: Store inputs the matrix runs besides BACKENDS, all tree-free, whose rows
-#: sit in the base tables but got there by another route than one plain
-#: ``store_tree``: ``segmented-base`` is a base document served through the
-#: segmented source's base-generation routing (no delta segment shadows it);
-#: ``segmented-compacted`` is a delta version, shadowing another version of
-#: the name in the base tables, folded into them by ``compact``;
-#: ``sqlite-restored`` is stored under a name whose earlier document was
-#: dropped.  The earlier versions are the document mirrored: the same labels
-#: and words on other Dewey codes, so any row of theirs left behind changes
-#: an answer.
-LAYOUT_INPUTS = ("segmented-base", "segmented-compacted", "sqlite-restored")
+#: got where they are by another route than the backends' writes:
+#: ``segment-only`` is a new name written by ``update_document`` alone, a
+#: delta segment with no base rows under it (what ``index --update`` and the
+#: wire ``update`` op write); ``tombstone-restored`` is stored by
+#: ``store_tree`` under a name whose earlier document was stored, shadowed
+#: by a delta segment and tombstoned; ``segmented-compacted`` is a delta
+#: version, shadowing another version of the name in the base tables, folded
+#: into them by ``compact``; ``sqlite-restored`` is stored under a name whose
+#: earlier document was dropped.  The earlier versions are the document
+#: mirrored: the same labels and words on other Dewey codes, so any row of
+#: theirs left behind changes an answer.
+LAYOUT_INPUTS = ("segment-only", "tombstone-restored", "segmented-compacted",
+                 "sqlite-restored")
 
 #: Store inputs whose document shares one sqlite store with other
 #: documents: ``corpus-store`` is the document's source in a corpus served
@@ -109,23 +105,28 @@ def build_source(tree, backend: str, name: str = "doc"):
     if backend == "segmented":
         # Store the tree, then shadow the base copy with an identical
         # delta-segment version: parity runs through the segment read path
-        # (segment_posting / segment_value / segment_element), not just the
-        # base-generation routing that mirrors plain sqlite.
-        store = SegmentedStore()
+        # (segment_posting / segment_value / segment_element).
+        store = SQLiteStore()
         store.store_tree(tree, name)
         store.update_document(tree, name)
-        return SegmentedPostingSource(store, name)
-    if backend == "segmented-base":
-        # The segmented source's base-generation routing, blobs intact.
-        store = SegmentedStore()
+        return SQLitePostingSource(store, name)
+    if backend == "segment-only":
+        store = SQLiteStore()
+        store.update_document(tree, name)
+        return SQLitePostingSource(store, name)
+    if backend == "tombstone-restored":
+        store = SQLiteStore()
+        store.store_tree(mirrored(tree), name)
+        store.update_document(mirrored(tree), name)
+        store.delete_document(name)
         store.store_tree(tree, name)
-        return SegmentedPostingSource(store, name)
+        return SQLitePostingSource(store, name)
     if backend == "segmented-compacted":
-        store = SegmentedStore()
+        store = SQLiteStore()
         store.store_tree(mirrored(tree), name)
         store.update_document(tree, name)
         store.compact()
-        return SegmentedPostingSource(store, name)
+        return SQLitePostingSource(store, name)
     if backend == "sqlite-restored":
         store = SQLiteStore()
         store.store_tree(mirrored(tree), name)
@@ -338,49 +339,41 @@ def test_coverage_equals_the_definition(request, engines, dataset,
 # ---------------------------------------------------------------------- #
 # The layout inputs are what they claim
 # ---------------------------------------------------------------------- #
-def base_rows(store, name: str) -> dict:
-    """Every row of document ``name`` in the four base tables, sorted."""
+def stored_rows(store, name: str) -> dict:
+    """Every row of document ``name`` in the base and segment tables,
+    sorted."""
     return {table: sorted(store._connection.execute(
                 f"SELECT * FROM {table} WHERE document = ?", (name,)))
-            for table in ("label", "element", "value", "posting")}
+            for table in ("label", "element", "value", "posting", "segment",
+                          "segment_label", "segment_element",
+                          "segment_value", "segment_posting")}
 
 
 @pytest.mark.parametrize("store_input", LAYOUT_INPUTS)
 def test_layout_inputs_hold_the_fresh_rows(publications, store_input):
-    """Each layout input serves the document from the base tables alone,
-    which hold exactly the rows a fresh ``store_tree`` writes.
+    """Each layout input holds exactly the rows one fresh write of its
+    layout leaves: ``segment-only`` a fresh ``update_document``'s segment
+    rows and no base row, every other input a fresh ``store_tree``'s base
+    rows and no segment row.
 
-    Guards the matrix entries above: an input still read from a delta
-    segment would repeat the ``segmented`` entries instead of covering its
-    route, and a row of the name's earlier version left behind would be a
-    stale answer the matrix only catches where a query happens to hit it.
+    Guards the matrix entries above: a base-table input still read from a
+    delta segment would repeat the ``segmented`` entries instead of
+    covering its route, and a row of the name's earlier version left behind
+    would be a stale answer the matrix only catches where a query happens
+    to hit it.
     """
-    source = build_source(publications, store_input, "publications")
-    store = source.store
+    store = build_source(publications, store_input, "publications").store
     fresh = SQLiteStore()
-    fresh.store_tree(publications, "publications")
+    if store_input == "segment-only":
+        fresh.update_document(publications, "publications")
+    else:
+        fresh.store_tree(publications, "publications")
     assert store.documents() == ["publications"]
-    assert base_rows(store, "publications") == \
-        base_rows(fresh, "publications")
-    if isinstance(store, SegmentedStore):
-        assert store.segment_count() == 0, store_input
-        assert store.location_of("publications") == BASE_GENERATION
+    assert stored_rows(store, "publications") == \
+        stored_rows(fresh, "publications")
+    assert store.location_of("publications") == \
+        fresh.location_of("publications")
     fresh.close()
-
-
-# ---------------------------------------------------------------------- #
-# Store dispatch
-# ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("store_class", [SQLiteStore, SegmentedStore])
-def test_source_for_store_picks_specialization(publications, store_class):
-    store = store_class()
-    store.store_tree(publications, "pub")
-    source = source_for_store(store, "pub")
-    assert isinstance(source, SQLitePostingSource)
-    # The segmented store must get the liveness-aware source (its cache
-    # identity carries the document's segment generation).
-    assert isinstance(source, SegmentedPostingSource) == \
-        isinstance(store, SegmentedStore)
 
 
 # ---------------------------------------------------------------------- #
@@ -393,7 +386,6 @@ def test_parity_sources_cover_backends():
     classes = {
         "InvertedIndex": InvertedIndex,
         "SQLitePostingSource": SQLitePostingSource,
-        "SegmentedPostingSource": SegmentedPostingSource,
     }
     assert set(classes) == set(PARITY_SOURCES)
     protocol_members = ("source_id", "postings", "keyword_nodes", "frequency",

@@ -81,9 +81,7 @@ def corpus_updated_store():
     Base generation holds all three documents; ``notes`` is then shadowed by
     an updated delta-segment version and ``team`` is tombstoned.
     """
-    from repro.storage import SegmentedStore
-
-    store = SegmentedStore()
+    store = SQLiteStore()
     for doc_id, tree in corpus3_trees().items():
         store.store_tree(tree, doc_id)
     store.update_document(updated_notes_tree(), "notes")

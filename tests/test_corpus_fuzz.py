@@ -2,7 +2,8 @@
 
 Seeded random corpora (2–8 random trees) are searched through the corpus
 engine across every corpus document backend (memory, sqlite) and the
-segmented store a served corpus database runs × all four algorithms, and
+segmented layout (every document of the store read from its delta
+segment) × all four algorithms, and
 each answer is cross-checked against the union of the per-document results
 computed by plain single-document memory engines.  This is the corpus
 layer's core correctness contract (see ROADMAP, "Corpus retrieval").
@@ -36,12 +37,13 @@ from fuzz_util import (
 from repro.core import ALGORITHM_NAMES
 from repro.faults import InjectedCrash
 from repro.service.protocol import encode_message, ranking_payload
-from repro.storage import SegmentedStore, verify_database
+from repro.storage import SQLiteStore, verify_database
 
 SEEDS = (1, 2, 3)
 #: Every per-document source kind a corpus is built over.
 BACKENDS = ("memory", "sqlite")
-#: The backends plus ``segmented``: every document in one segmented store.
+#: The backends plus ``segmented``: every document of one store read from
+#: its delta segment.
 LAYOUTS = BACKENDS + ("segmented",)
 
 #: Bounded mutation-sequence fuzz (the deep sweep lives in benchmarks/).
@@ -101,7 +103,7 @@ def test_mutated_corpus_equals_fresh_rebuild():
     """
     for seed in MUTATION_SEEDS:
         state = random_corpus(seed, min_docs=2, max_docs=3, max_nodes=25)
-        store = SegmentedStore()
+        store = SQLiteStore()
         for name in sorted(state):
             store.store_tree(state[name], name)
         queries = random_queries(seed, count=3)
@@ -125,7 +127,7 @@ def test_mutated_corpus_equals_per_document_union():
     """The mutated store also honours the original union contract."""
     seed = 9
     state = random_corpus(seed, min_docs=2, max_docs=3, max_nodes=25)
-    store = SegmentedStore()
+    store = SQLiteStore()
     for name in sorted(state):
         store.store_tree(state[name], name)
 
@@ -186,7 +188,7 @@ def test_crash_at_every_kill_point_recovers(tmp_path):
     seed = 11
     state = random_corpus(seed, min_docs=2, max_docs=3, max_nodes=20)
     db = str(tmp_path / "crash.db")
-    store = SegmentedStore(db)
+    store = SQLiteStore(db)
     for name in sorted(state):
         store.store_tree(state[name], name)
     queries = random_queries(seed, count=2)
@@ -212,13 +214,13 @@ def test_crash_at_every_kill_point_recovers(tmp_path):
             trial_no += 1
             trial = str(tmp_path / f"trial-{trial_no}.db")
             shutil.copy(db, trial)
-            victim = SegmentedStore(trial)
+            victim = SQLiteStore(trial)
             victim.fault_hook = _kill_hook(point)
             with pytest.raises(InjectedCrash):
                 _apply(victim, dict(state), kind, name, tree)
             victim.close()
             committed = point.endswith(".applied")
-            survivor = SegmentedStore(trial)
+            survivor = SQLiteStore(trial)
             outcome = post_state if committed else pre_state
             assert set(survivor.documents()) == set(outcome), (kind, point)
             got = wire_lines(segmented_engine(survivor), queries)
@@ -228,7 +230,7 @@ def test_crash_at_every_kill_point_recovers(tmp_path):
             report = verify_database(trial)
             assert report.clean, (kind, point, report.render())
         # The kill points survived; now apply the mutation for real.
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         _apply(store, state, kind, name, tree)
     store.close()
     assert verify_database(db).clean

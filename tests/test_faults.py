@@ -4,8 +4,8 @@ Unit coverage of the robustness substrate:
 
 * :class:`repro.faults.FaultPlan` — spec parsing, deterministic schedules,
   fault budget / warm-up delay, metrics routing, connection wrapping.
-* One transaction per write of :class:`repro.storage.SQLiteStore` and
-  :class:`repro.storage.SegmentedStore` — a failure or crash before the
+* One transaction per write of :class:`repro.storage.SQLiteStore` — a
+  failure or crash before the
   commit leaves the pre-mutation store, one after it the post-mutation
   store, with keyed replays answering the original segment id.  Killing
   a child process with ``SIGKILL`` mid-mutation proves SQLite's rollback
@@ -42,12 +42,7 @@ from repro.faults import FaultPlan, InjectedCrash, InjectedFault
 from repro.obs import MetricsRegistry
 from repro.obs import names as metric_names
 from repro.service import RetryPolicy
-from repro.storage import (
-    SegmentedStore,
-    SQLiteStore,
-    encode_dewey,
-    verify_database,
-)
+from repro.storage import SQLiteStore, encode_dewey, verify_database
 
 
 # ---------------------------------------------------------------------- #
@@ -172,14 +167,13 @@ class TestFaultingConnection:
             store.documents()
         store.close()
 
-    @pytest.mark.parametrize("store_class", [SQLiteStore, SegmentedStore])
     def test_failed_ingestion_leaks_no_rows_into_the_next_commit(
-            self, tmp_path, store_class):
+            self, tmp_path):
         # Fail each statement of store_tree in turn; the same handle's next
         # write must commit nothing of the failed document.
         for delay in itertools.count():
             path = str(tmp_path / f"ingest-{delay}.db")
-            store = store_class(path)
+            store = SQLiteStore(path)
             store.set_fault_plan(FaultPlan(error_rate=1.0, delay=delay,
                                            max_faults=1))
             try:
@@ -217,14 +211,14 @@ class TestJournalRecovery:
     @pytest.fixture
     def db(self, tmp_path):
         path = str(tmp_path / "journal.db")
-        store = SegmentedStore(path)
+        store = SQLiteStore(path)
         store.store_tree(publications_tree(), "publications")
         store.store_tree(team_tree(), "team")
         store.close()
         return path
 
     def crashed_update(self, db, hook):
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         store.fault_hook = hook
         with pytest.raises(InjectedCrash):
             store.update_document(team_tree(), "team")
@@ -232,7 +226,7 @@ class TestJournalRecovery:
 
     def test_crash_before_commit_leaves_the_pre_state(self, db):
         self.crashed_update(db, crash_at("update.apply"))
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         assert store.documents() == ["publications", "team"]
         assert store.segment_count() == 0
         store.close()
@@ -240,37 +234,37 @@ class TestJournalRecovery:
 
     def test_crash_after_commit_leaves_the_post_state(self, db):
         self.crashed_update(db, crash_at("update.applied"))
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         assert store.segment_count() == 1
         assert store.location_of("team") == 1
         store.close()
         assert verify_database(db).clean
 
     def test_crash_before_delete_commit_keeps_the_document(self, db):
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         store.fault_hook = crash_at("delete.apply")
         with pytest.raises(InjectedCrash):
             store.delete_document("team")
         store.close()
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         assert store.documents() == ["publications", "team"]
         assert store.segment_count() == 0
         store.close()
         assert verify_database(db).clean
 
     def test_crash_after_delete_commit_removes_the_document(self, db):
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         store.fault_hook = crash_at("delete.applied")
         with pytest.raises(InjectedCrash):
             store.delete_document("team")
         store.close()
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         assert store.documents() == ["publications"]
         store.close()
         assert verify_database(db).clean
 
     def test_same_handle_applies_the_next_mutation(self, db):
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         store.fault_hook = crash_at("update.apply")
         with pytest.raises(InjectedCrash):
             store.update_document(team_tree(), "team")
@@ -284,7 +278,7 @@ class TestJournalRecovery:
         assert verify_database(db).clean
 
     def test_keyed_replay_answers_the_original_segment(self, db):
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         segment = store.update_document(team_tree(), "team",
                                         idempotency_key="put-7")
         assert store.replay_of("put-7") == segment
@@ -298,13 +292,13 @@ class TestJournalRecovery:
         store.close()
 
     def test_keyed_mutation_crashed_after_commit_is_replayable(self, db):
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         store.fault_hook = crash_at("update.applied")
         with pytest.raises(InjectedCrash):
             store.update_document(team_tree(), "team",
                                   idempotency_key="put-9")
         store.close()
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         # The ledger row committed with the segment: a retry is a no-op.
         assert store.replay_of("put-9") == 1
         assert store.update_document(team_tree(), "team",
@@ -313,7 +307,7 @@ class TestJournalRecovery:
         store.close()
 
     def test_failed_keyed_update_leaves_no_ledger_row(self, db):
-        store = SegmentedStore(db)
+        store = SQLiteStore(db)
         store.fault_hook = crash_at("update.apply", InjectedFault)
         with pytest.raises(InjectedFault):
             store.update_document(team_tree(), "team",
@@ -336,10 +330,10 @@ class TestJournalRecovery:
 CRASH_CHILD = """
 import os, signal, sys
 from repro.datasets import default_dblp_tree
-from repro.storage import SegmentedStore
+from repro.storage import SQLiteStore
 
 path, case = sys.argv[1], sys.argv[2]
-store = SegmentedStore(path)
+store = SQLiteStore(path)
 connection = store._connection
 connection.execute("PRAGMA cache_size = 10")
 
@@ -380,7 +374,7 @@ class TestRealCrashes:
     @pytest.fixture
     def corpus_file(self, tmp_path):
         path = str(tmp_path / "corpus.db")
-        store = SegmentedStore(path)
+        store = SQLiteStore(path)
         store.store_tree(publications_tree(), "publications")
         store.store_tree(team_tree(), "team")
         store.close()
@@ -410,7 +404,7 @@ class TestRealCrashes:
         state = {"publications": publications_tree(), "team": team_tree()}
         if committed:
             state["dblp"] = default_dblp_tree(publications=200)
-        store = SegmentedStore(path)
+        store = SQLiteStore(path)
         try:
             assert wire_lines(segmented_engine(store), CRASH_QUERIES) == \
                 wire_lines(fresh_oracle(state), CRASH_QUERIES)
@@ -427,7 +421,7 @@ class TestVerifyDatabase:
     @pytest.fixture
     def db(self, tmp_path):
         path = str(tmp_path / "verify.db")
-        store = SegmentedStore(path)
+        store = SQLiteStore(path)
         store.store_tree(publications_tree(), "publications")
         store.update_document(team_tree(), "team")
         store.close()

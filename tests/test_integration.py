@@ -15,18 +15,16 @@ import pytest
 from repro.bench import DatasetSpec, figure6_summary, run_workload
 from repro.core import SearchEngine, ValidRTF, effectiveness
 from repro.datasets import PAPER_QUERIES, dblp_workload, xmark_workload
-from repro.storage import SegmentedStore, SQLiteStore
+from repro.storage import SQLiteStore
 from repro.xmltree import parse_string, to_xml_string
 
 
 class TestStoreBackedSearchMatchesEngine:
     """Stage 1 via SQL must give exactly the same final fragments."""
 
-    @pytest.mark.parametrize("backend_class", [SQLiteStore, SegmentedStore])
-    def test_dblp_workload_subset(self, store_engine, small_dblp,
-                                  backend_class):
+    def test_dblp_workload_subset(self, store_engine, small_dblp):
         engine = SearchEngine(small_dblp)
-        stored = store_engine(small_dblp, backend_class(), "dblp")
+        stored = store_engine(small_dblp, SQLiteStore(), "dblp")
         for workload_query in dblp_workload()[:6]:
             query = workload_query.text
             for algorithm in ("validrtf", "maxmatch"):

@@ -28,12 +28,7 @@ from repro.obs import (
     split_series_key,
 )
 from repro.obs import names as metric_names
-from repro.storage import (
-    SegmentedPostingSource,
-    SegmentedStore,
-    SQLitePostingSource,
-    SQLiteStore,
-)
+from repro.storage import DocumentNotFound, SQLitePostingSource, SQLiteStore
 
 #: The four posting backends the traced-search matrix runs over.
 TRACE_BACKENDS = ("memory", "sqlite", "corpus", "segmented")
@@ -48,10 +43,10 @@ def build_engine(tree, backend: str, name: str = "doc"):
         store.store_tree(tree, name)
         source = SQLitePostingSource(store, name)
     elif backend == "segmented":
-        store = SegmentedStore()
+        store = SQLiteStore()
         store.store_tree(tree, name)
         store.update_document(tree, name)  # shadow: force the segment path
-        source = SegmentedPostingSource(store, name)
+        source = SQLitePostingSource(store, name)
     else:
         raise ValueError(backend)
     return CorpusSearchEngine(CorpusPostingSource({name: source}))
@@ -294,7 +289,7 @@ def test_batched_search_records_what_search_records(publications, corpus):
         if corpus == "memory":
             return CorpusSearchEngine.from_trees({"pub": publications},
                                                  metrics=registry)
-        store = SegmentedStore()
+        store = SQLiteStore()
         store.store_tree(publications, "pub")
         return CorpusSearchEngine.from_store(store, metrics=registry)
 
@@ -317,6 +312,40 @@ def test_batched_search_records_what_search_records(publications, corpus):
     counters = storage_and_corpus_counters(pair)
     assert counters[metric_names.POSTING_KEYWORDS] == len(union)
     assert counters[metric_names.CORPUS_DOCS_SEARCHED] == 2
+
+
+def test_search_counters_ignore_other_lookups_of_the_store(publications,
+                                                          team):
+    """A search records its own source's reads: another request's
+    lookup of a tombstoned name on the shared store, landing inside the
+    search's posting fetch (as a concurrent ``delete_doc`` does), changes
+    none of the search's counters."""
+    store = SQLiteStore()
+    store.store_tree(publications, "pub")
+    store.store_tree(team, "team")
+    store.delete_document("team")
+    with pytest.raises(DocumentNotFound):
+        store.delete_document("team")
+
+    def counters(interleave: bool) -> dict:
+        registry = MetricsRegistry()
+        engine = CorpusSearchEngine.from_store(store, metrics=registry)
+        source = engine.source.document_source("pub")
+        fetch = source.keyword_nodes
+
+        def keyword_nodes(query):
+            if interleave:
+                store.location_of("team")
+            return fetch(query)
+
+        source.keyword_nodes = keyword_nodes
+        engine.search(PAPER_QUERIES["Q1"])
+        return storage_and_corpus_counters(registry)
+
+    alone = counters(interleave=False)
+    assert alone[metric_names.POSTING_ROWS] > 0
+    assert counters(interleave=True) == alone
+    store.close()
 
 
 def test_set_metrics_none_detaches(publications):

@@ -1,28 +1,33 @@
-"""SegmentedStore unit tests.
+"""Segment lifecycle unit tests of :class:`~repro.storage.SQLiteStore`.
 
 The segment lifecycle (delta segments, tombstones, liveness resolution,
 compaction) is property-tested end to end in ``tests/test_corpus_fuzz.py``;
 this module pins the store-level semantics directly, including the event
 orders tier-1's bounded fuzz does not reach: two updates of one document
-before a compaction, and an update followed by a delete.
+before a compaction, and an update followed by a delete.  Every store and
+every :class:`~repro.storage.SQLitePostingSource` opened on a database file
+serves each document's live generation, including one that lives only in
+a delta segment.
 """
 
 from __future__ import annotations
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 
+from repro.bench import engine_for_backend
 from repro.core import SearchEngine
+from repro.corpus import CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES, publications_tree, team_tree
 from repro.index import InvertedIndex
 from repro.storage import (
     BASE_GENERATION,
     SEGMENT_KIND_DOC,
     SEGMENT_KIND_TOMBSTONE,
-    SegmentedPostingSource,
-    SegmentedStore,
     SQLitePostingSource,
     SQLiteStore,
-    source_for_store,
 )
 from repro.storage.errors import DocumentAlreadyStored, DocumentNotFound
 from repro.xmltree import spec, tree_from_spec
@@ -30,7 +35,7 @@ from repro.xmltree import spec, tree_from_spec
 
 @pytest.fixture
 def store():
-    segmented = SegmentedStore()
+    segmented = SQLiteStore()
     segmented.store_tree(publications_tree(), "pub")
     segmented.store_tree(team_tree(), "team")
     yield segmented
@@ -40,7 +45,7 @@ def store():
 def assert_answers_like_memory(store, document, tree, query):
     reference = SearchEngine(tree).search(query)
     candidate = SearchEngine(
-        source=source_for_store(store, document)).search(query)
+        source=SQLitePostingSource(store, document)).search(query)
     assert candidate.roots() == reference.roots(), (document, query)
     assert [f.kept_nodes for f in candidate] == \
         [f.kept_nodes for f in reference], (document, query)
@@ -78,7 +83,7 @@ def test_packed_read_takes_the_live_segment_row():
         tree_from_spec(spec("doc", None, spec("author", "beta"),
                             spec("venue", None, spec("title", "xml")))),
     ]
-    store = SegmentedStore()
+    store = SQLiteStore()
     store.store_tree(versions[0], "doc")
     for step in range(4):
         live = versions[step % 2]
@@ -86,7 +91,7 @@ def test_packed_read_takes_the_live_segment_row():
             assert store.update_document(live, "doc") == step
         fresh = SQLiteStore()
         fresh.store_tree(live, "doc")
-        segmented = SegmentedPostingSource(store, "doc")
+        segmented = SQLitePostingSource(store, "doc")
         plain = SQLitePostingSource(fresh, "doc")
         for word in ("xml", "alpha", "beta", "title", "author", "venue"):
             assert segmented.postings(word).deweys == \
@@ -111,6 +116,8 @@ def test_delete_is_a_tombstone_not_a_purge(store):
     assert (segment, "team", SEGMENT_KIND_TOMBSTONE) in store.segment_events()
     with pytest.raises(DocumentNotFound):
         store.delete_document("team")
+    with pytest.raises(DocumentNotFound):
+        SQLitePostingSource(store, "team").postings("grizzlies")
 
 
 def test_store_over_live_document_is_refused(store):
@@ -146,10 +153,10 @@ def test_compact_folds_segments_into_base(store):
 
 
 def test_segmented_source_id_carries_the_generation(store):
-    base = SegmentedPostingSource(store, "team")
-    assert base.source_id.endswith("#team@g0")
+    base = SQLitePostingSource(store, "team")
+    assert base.source_id == "sqlite::memory:#team@g0"
     store.update_document(team_tree(), "team")
-    shadowed = SegmentedPostingSource(store, "team")
+    shadowed = SQLitePostingSource(store, "team")
     assert shadowed.source_id.endswith("#team@g1")
     # A source pins its snapshot at first resolution: the pre-update source
     # keeps its identity (engine rebuilds pick up the new generation).
@@ -188,11 +195,11 @@ def test_pinned_source_reads_only_its_generation():
                    | set(InvertedIndex(new).vocabulary()))
     codes = sorted({node.dewey for tree in (old, new)
                     for node in tree.iter_preorder()})
-    store = SegmentedStore()
+    store = SQLiteStore()
     store.store_tree(old, "doc")
 
-    def pinned() -> SegmentedPostingSource:
-        source = SegmentedPostingSource(store, "doc")
+    def pinned() -> SQLitePostingSource:
+        source = SQLitePostingSource(store, "doc")
         assert source.source_id.endswith("#doc@g0")  # resolves and pins
         return source
 
@@ -203,24 +210,11 @@ def test_pinned_source_reads_only_its_generation():
     memory = InvertedIndex(new)
     for kind, read in SINGLE_ROW_READS.items():
         assert read(sources[kind], words, codes) == before[kind], kind
-        fresh = SegmentedPostingSource(store, "doc")
+        fresh = SQLitePostingSource(store, "doc")
         assert read(fresh, words, codes) == read(memory, words, codes), kind
         assert before[kind] != read(memory, words, codes), \
             f"the two versions must differ on {kind}"
     store.close()
-
-
-def test_plain_sqlite_store_still_opens_segmented_databases(tmp_path):
-    """The segment tables are additive: a plain SQLiteStore sees the base
-    generation of the same file (old readers never break)."""
-    db = str(tmp_path / "shared.db")
-    segmented = SegmentedStore(db)
-    segmented.store_tree(publications_tree(), "pub")
-    segmented.update_document(team_tree(), "team")
-    segmented.close()
-    plain = SQLiteStore(db)
-    assert plain.documents() == ["pub"]  # segment-resident docs invisible
-    plain.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -233,14 +227,14 @@ def versioned(word: str):
 def test_compact_folds_the_latest_of_two_updates():
     """Stored, updated twice, then compacted: the document answers with its
     second update's words before and after ``compact()``."""
-    store = SegmentedStore()
+    store = SQLiteStore()
     store.store_tree(versioned("alpha"), "doc")
     store.update_document(versioned("beta"), "doc")
     store.update_document(versioned("gamma"), "doc")
     for phase in ("segments", "compacted"):
         if phase == "compacted":
             assert store.compact()["folded"] == 1
-        source = source_for_store(store, "doc")
+        source = SQLitePostingSource(store, "doc")
         assert [word for word in ("alpha", "beta", "gamma")
                 if source.frequency(word)] == ["gamma"], phase
         assert_answers_like_memory(store, "doc", versioned("gamma"),
@@ -253,3 +247,60 @@ def test_update_then_delete_leaves_the_document_out(store):
     store.delete_document("team")
     assert store.documents() == ["pub"]
     assert store.tombstoned_documents() == ["team"]
+
+
+# ---------------------------------------------------------------------- #
+# Every reader of a file serves the live generation
+# ---------------------------------------------------------------------- #
+def rows_of(path: str, document: str) -> dict:
+    """How many rows ``document`` owns in the base element table and in
+    the segment catalogue and element table of the file at ``path``."""
+    with closing(sqlite3.connect(path)) as connection:
+        return {table: connection.execute(
+                    f"SELECT COUNT(*) FROM {table} WHERE document = ?",
+                    (document,)).fetchone()[0]
+                for table in ("element", "segment", "segment_element")}
+
+
+def test_fresh_store_serves_a_document_added_by_update(tmp_path):
+    """``update_document`` of a new name, what ``index --update`` and the
+    wire ``update`` op write, leaves the document in a delta segment alone;
+    a store opened afresh on the file lists it, and a source over it
+    answers the live postings."""
+    path = str(tmp_path / "live.db")
+    tree = publications_tree()
+    with SQLiteStore(path) as writer:
+        writer.update_document(tree, "pub")
+    assert rows_of(path, "pub")["element"] == 0
+    memory = InvertedIndex(tree)
+    with SQLiteStore(path) as reader:
+        assert reader.documents() == ["pub"]
+        source = SQLitePostingSource(reader, "pub")
+        for word in memory.vocabulary():
+            assert source.postings(word).deweys == \
+                memory.postings(word).deweys, word
+        assert source.read_stats()["base_reads"] == 0
+
+
+def test_figure5_driver_times_the_live_document(tmp_path):
+    """The Figure 5 disk driver over a file whose document lives in a delta
+    segment replaces that live version with its own tree: the file then
+    holds one generation of the document, and a corpus engine over the
+    file answers like the engine the driver times."""
+    path = str(tmp_path / "bench.db")
+    old, tree = team_tree(), publications_tree()
+    assert old.size() != tree.size()
+    with SQLiteStore(path) as writer:
+        writer.update_document(old, "dblp")
+    timed = engine_for_backend(tree, "sqlite", db_path=path, document="dblp")
+    assert rows_of(path, "dblp") == {
+        "element": tree.size(), "segment": 0, "segment_element": 0}
+    with SQLiteStore(path) as reader:
+        served = CorpusSearchEngine.from_store(reader)
+        for name in ("Q1", "Q2", "Q3"):
+            expected = timed.search(PAPER_QUERIES[name])
+            answer = served.search(PAPER_QUERIES[name]).by_doc()["dblp"]
+            assert answer.roots() == expected.roots(), name
+            assert [f.kept_nodes for f in answer] == \
+                [f.kept_nodes for f in expected], name
+    timed.source.store.close()

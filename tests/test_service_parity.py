@@ -39,7 +39,7 @@ from repro.service import (
     ranking_payload,
     result_payload,
 )
-from repro.storage import SegmentedStore, SQLiteStore
+from repro.storage import SQLiteStore
 from repro.xmltree import parse_string, to_xml_string
 
 BACKENDS = ("memory", "sqlite")
@@ -83,7 +83,7 @@ def served(publications, team, tmp_path_factory):
             reference = build_reference_engine(tree, backend, dataset)
             servers[(dataset, backend)] = (server, reference)
     db = str(tmp_path_factory.mktemp("served") / "corpus.db")
-    store = SegmentedStore(db)
+    store = SQLiteStore(db)
     for dataset, tree in trees.items():
         store.store_tree(tree, dataset)
     pool = EnginePool.for_backend("corpus", db_path=db, workers=2)
@@ -271,7 +271,7 @@ def test_unfiltered_served_search_records_storage_metrics(tmp_path,
     its posting fetch and its corpus counters reach the metrics as a
     filtered search's do."""
     db = str(tmp_path / "pub.db")
-    store = SegmentedStore(db)
+    store = SQLiteStore(db)
     store.store_tree(publications, "pub")
     store.close()
     pool = EnginePool.for_backend("corpus", db_path=db, workers=1,
@@ -535,10 +535,8 @@ def served_mutable(tmp_path):
     Function-scoped on purpose: mutation tests change the served corpus, so
     each gets its own fresh database and server.
     """
-    from repro.storage import SegmentedStore
-
     db = str(tmp_path / "live.db")
-    store = SegmentedStore(db)
+    store = SQLiteStore(db)
     store.store_tree(publications_tree(), "publications")
     store.store_tree(team_tree(), "team")
     store.close()
@@ -643,14 +641,14 @@ def test_served_sqlite_document_is_the_live_generation(tmp_path):
     an absorbed update is what it answers, and a deleted document is not
     servable."""
     db = str(tmp_path / "live.db")
-    store = SegmentedStore(db)
+    store = SQLiteStore(db)
     store.store_tree(publications_tree(), "publications")
     store.store_tree(team_tree(), "team")
     xml = to_xml_string(team_tree()).replace("Conley", "Morant")
     store.update_document(parse_string(xml, "team"), "team")
     store.delete_document("publications")
     store.close()
-    reference = CorpusSearchEngine.from_store(SegmentedStore(db),
+    reference = CorpusSearchEngine.from_store(SQLiteStore(db),
                                               documents=["team"])
     pool = EnginePool.for_backend("sqlite", db_path=db, document="team",
                                   workers=2)
@@ -686,10 +684,8 @@ def test_mutations_on_single_document_backends_are_unsupported(served):
 
 def test_mutations_on_pinned_subset_corpus_are_unsupported(tmp_path):
     """A corpus pool pinned to a document subset cannot absorb writes."""
-    from repro.storage import SegmentedStore
-
     db = str(tmp_path / "subset.db")
-    store = SegmentedStore(db)
+    store = SQLiteStore(db)
     store.store_tree(publications_tree(), "publications")
     store.store_tree(team_tree(), "team")
     store.close()

@@ -29,7 +29,7 @@ from repro.service import (
     encode_message,
     result_payload,
 )
-from repro.storage import SegmentedStore
+from repro.storage import SQLiteStore
 
 
 def one_document_corpus(tree, name: str = "service") -> CorpusSearchEngine:
@@ -88,14 +88,14 @@ class TestEnginePool:
         """12 concurrent searches through 3 workers answer like one engine.
 
         ``corpus`` is the ``serve --db --backend corpus`` path: a pool over a
-        segment-aware database file holding two documents.  Its queries mix
+        database file holding two documents.  Its queries mix
         ``name`` (both documents) with the two-keyword Q2 and Q4 (one
         document each).
         """
         if backend == "corpus":
             queries = ["name", PAPER_QUERIES["Q2"], PAPER_QUERIES["Q4"]]
             db_path = str(tmp_path / "corpus.db")
-            store = SegmentedStore(db_path)
+            store = SQLiteStore(db_path)
             store.store_tree(publications, "pub")
             store.store_tree(team, "team")
             direct = CorpusSearchEngine.from_store(store)
@@ -332,7 +332,7 @@ class CountingPool:
 class TestBackgroundCompactor:
     @pytest.mark.parametrize("segments,compacts", [(3, True), (2, False)])
     def test_tick_compacts_at_max_segments(self, segments, compacts):
-        store = SegmentedStore()
+        store = SQLiteStore()
         for _ in range(segments):
             store.update_document(team_tree(), "team")
         pool = CountingPool()

@@ -1,5 +1,5 @@
 """Tests for the relational shredding store: schema and its version stamp,
-shredder, and both stores read through their posting sources."""
+shredder, and the store read through its posting source."""
 
 from __future__ import annotations
 
@@ -18,13 +18,11 @@ from repro.storage import (
     DocumentAlreadyStored,
     DocumentNotFound,
     SchemaVersionError,
-    SegmentedStore,
     SQLitePostingSource,
     SQLiteStore,
     decode_dewey,
     encode_dewey,
     shred_tree,
-    source_for_store,
     verify_database,
 )
 from repro.storage.sqlite_backend import check_schema
@@ -34,8 +32,6 @@ from repro.xmltree import DeweyCode, spec, tree_from_spec
 from test_backend_parity import build_source
 
 D = DeweyCode.parse
-
-BACKENDS = [SQLiteStore, SegmentedStore]
 
 
 class TestDeweyEncoding:
@@ -79,49 +75,48 @@ class TestShredder:
         assert "#text" in origins     # text word
 
 
-@pytest.mark.parametrize("backend_class", BACKENDS)
 class TestBackends:
-    def test_store_and_stats(self, backend_class, publications):
-        store = backend_class()
+    def test_store_and_stats(self, publications):
+        store = SQLiteStore()
         store.store_tree(publications, "pub")
         stats = store.document_stats("pub")
         assert stats["nodes"] == publications.size()
         assert stats["labels"] == len(publications.labels())
         assert store.documents() == ["pub"]
 
-    def test_duplicate_name_rejected(self, backend_class, publications):
-        store = backend_class()
+    def test_duplicate_name_rejected(self, publications):
+        store = SQLiteStore()
         store.store_tree(publications, "pub")
         with pytest.raises(DocumentAlreadyStored):
             store.store_tree(publications, "pub")
 
-    def test_missing_document_raises(self, backend_class):
-        store = backend_class()
+    def test_missing_document_raises(self):
+        store = SQLiteStore()
         with pytest.raises(DocumentNotFound):
             store.document_stats("missing")
         with pytest.raises(DocumentNotFound):
-            source_for_store(store, "missing").postings("xml")
+            SQLitePostingSource(store, "missing").postings("xml")
 
-    def test_keyword_lookup_matches_paper_lists(self, backend_class, publications):
-        store = backend_class()
+    def test_keyword_lookup_matches_paper_lists(self, publications):
+        store = SQLiteStore()
         store.store_tree(publications, "pub")
-        source = source_for_store(store, "pub")
+        source = SQLitePostingSource(store, "pub")
         assert [str(code) for code in source.postings("liu").deweys] == \
             ["0.2.0.0.0.0", "0.2.0.3.0"]
         assert [str(code) for code in source.postings("VLDB").deweys] == ["0.0"]
         assert list(source.postings("absent").deweys) == []
 
-    def test_keyword_nodes_for_query(self, backend_class, publications):
-        store = backend_class()
+    def test_keyword_nodes_for_query(self, publications):
+        store = SQLiteStore()
         store.store_tree(publications, "pub")
-        lists = source_for_store(store, "pub").keyword_nodes(["Liu", "keyword"])
+        lists = SQLitePostingSource(store, "pub").keyword_nodes(["Liu", "keyword"])
         assert set(lists) == {"liu", "keyword"}
         assert len(lists["keyword"]) == 3
 
-    def test_frequency_and_labels(self, backend_class, publications):
-        store = backend_class()
+    def test_frequency_and_labels(self, publications):
+        store = SQLiteStore()
         store.store_tree(publications, "pub")
-        source = source_for_store(store, "pub")
+        source = SQLitePostingSource(store, "pub")
         assert source.frequency("title") == 3
         words = ContentAnalyzer(publications).node_content(
             publications.node(D("0.2.0")))
@@ -129,60 +124,57 @@ class TestBackends:
         assert source.node_cid(D("0.2.0")) == (min(words), max(words))
         assert source.node_label(D("0.9.9")) is None
 
-    def test_drop_document(self, backend_class, publications):
-        store = backend_class()
+    def test_drop_document(self, publications):
+        store = SQLiteStore()
         store.store_tree(publications, "pub")
         store.drop_document("pub")
         assert store.documents() == []
         with pytest.raises(DocumentNotFound):
             store.drop_document("pub")
 
-    def test_agreement_with_inverted_index(self, backend_class, publications):
-        store = backend_class()
+    def test_agreement_with_inverted_index(self, publications):
+        store = SQLiteStore()
         store.store_tree(publications, "pub")
-        source = source_for_store(store, "pub")
+        source = SQLitePostingSource(store, "pub")
         index = InvertedIndex(publications)
         for keyword in ("xml", "keyword", "liu", "vldb", "skyline", "article",
                         "absentkeyword"):
             assert source.postings(keyword).deweys == \
                 index.postings(keyword).deweys, keyword
 
-    def test_multiple_documents(self, backend_class, publications, team):
-        store = backend_class()
+    def test_multiple_documents(self, publications, team):
+        store = SQLiteStore()
         store.store_tree(publications, "pub")
         store.store_tree(team, "team")
         assert store.documents() == ["pub", "team"]
-        assert source_for_store(store, "team").frequency("position") == 3
-        assert source_for_store(store, "pub").frequency("position") == 0
+        assert SQLitePostingSource(store, "team").frequency("position") == 3
+        assert SQLitePostingSource(store, "pub").frequency("position") == 0
 
 
-@pytest.mark.parametrize("backend_class", BACKENDS)
 class TestKeywordImpact:
-    def test_impact_agrees_with_posting_scan(self, backend_class,
-                                             publications):
-        store = backend_class()
+    def test_impact_agrees_with_posting_scan(self, publications):
+        store = SQLiteStore()
         store.store_tree(publications, "pub")
         # A cold source answers the impact from the posting row's columns.
-        source = source_for_store(store, "pub")
+        source = SQLitePostingSource(store, "pub")
         for keyword in ("liu", "xml", "keyword", "vldb", "article"):
             impact = source.impact(keyword)
             expected = impact_from_postings(
-                source_for_store(store, "pub").postings(keyword).deweys)
+                SQLitePostingSource(store, "pub").postings(keyword).deweys)
             assert impact == expected
             assert impact.count == source.frequency(keyword)
 
-    def test_absent_keyword_impact_is_empty(self, backend_class,
-                                            publications):
-        store = backend_class()
+    def test_absent_keyword_impact_is_empty(self, publications):
+        store = SQLiteStore()
         store.store_tree(publications, "pub")
-        impact = source_for_store(store, "pub").impact("absent")
+        impact = SQLitePostingSource(store, "pub").impact("absent")
         assert impact == EMPTY_IMPACT
         assert impact.empty
 
-    def test_missing_document_raises(self, backend_class):
-        store = backend_class()
+    def test_missing_document_raises(self):
+        store = SQLiteStore()
         with pytest.raises(DocumentNotFound):
-            source_for_store(store, "missing").impact("xml")
+            SQLitePostingSource(store, "missing").impact("xml")
 
 
 class TestSQLiteSpecifics:
@@ -226,13 +218,12 @@ FOREIGN_VERSIONS = pytest.mark.parametrize(
 
 
 class TestSchemaVersion:
-    @pytest.mark.parametrize("store_class", BACKENDS)
-    def test_new_files_are_stamped(self, tmp_path, store_class):
+    def test_new_files_are_stamped(self, tmp_path):
         path = str(tmp_path / "new.db")
-        with store_class(path):
+        with SQLiteStore(path):
             pass
         assert stamped(path) == SCHEMA_VERSION
-        with store_class() as in_memory:
+        with SQLiteStore() as in_memory:
             assert in_memory._connection.execute(
                 "PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION
 
@@ -248,11 +239,10 @@ class TestSchemaVersion:
         assert len(statements) == 1 and "CREATE" not in statements[0], seen
 
     @FOREIGN_VERSIONS
-    @pytest.mark.parametrize("store_class", BACKENDS)
-    def test_stores_refuse_other_versions(self, foreign_db, store_class):
+    def test_stores_refuse_other_versions(self, foreign_db):
         found = stamped(foreign_db)
         with pytest.raises(SchemaVersionError) as refused:
-            store_class(foreign_db)
+            SQLiteStore(foreign_db)
         message = str(refused.value)
         assert foreign_db in message
         assert f"version {found}" in message
@@ -288,7 +278,7 @@ class TestSchemaVersion:
         def open_store() -> None:
             barrier.wait()
             try:
-                SegmentedStore(path).close()
+                SQLiteStore(path).close()
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
@@ -335,14 +325,12 @@ def read_costs(records: int, layout: str):
     """VM steps of each cold node fetch and existence check of one store."""
     source = build_source(bibliography(records), layout)
     store, title = source.store, D("0.0.0")
-    fresh = type(source)(store, "doc")
+    fresh = SQLitePostingSource(store, "doc")
     calls = {
         "prefetch_nodes": lambda: source.prefetch_nodes([title], ()),
         "node_cid": lambda: fresh.node_cid(title),
-        "_require": lambda: store._require("doc"),
+        "location_of": lambda: store.location_of("doc"),
     }
-    if layout != "sqlite":
-        calls["location_of"] = lambda: store.location_of("doc")
     costs = {name: vm_steps(store, call) for name, call in calls.items()}
     # The fetches filled the caches: the steps bought the right rows.
     assert source.node_label(title) == "title"
@@ -360,8 +348,7 @@ class TestReadCostIsPerRow:
     seeks, ``EXISTS``) as a deterministic count, where a scan through the
     wrong index or a ``COUNT(*)`` grows with the document."""
 
-    @pytest.mark.parametrize("layout", ("sqlite", "segmented-base",
-                                        "segmented"))
+    @pytest.mark.parametrize("layout", ("sqlite", "segmented"))
     def test_steps_do_not_grow_with_the_document(self, layout):
         assert read_costs(3, layout) == read_costs(303, layout)
 
@@ -383,8 +370,7 @@ class TestTreeFreeSearchReadsNoValueRows:
     its label comes from, so a tree-free search with packed postings runs
     no statement on the value tables."""
 
-    @pytest.mark.parametrize("layout", ("sqlite", "segmented-base",
-                                        "segmented"))
+    @pytest.mark.parametrize("layout", ("sqlite", "segmented"))
     def test_search_reads_no_value_row(self, publications, layout):
         source = build_source(publications, layout)
         engine = SearchEngine(source=source)
@@ -396,6 +382,30 @@ class TestTreeFreeSearchReadsNoValueRows:
         value_reads = [statement for statement in seen
                        if re.search(r"\bFROM (segment_)?value\b", statement)]
         assert not value_reads, value_reads
+
+
+class TestOneLocationResolution:
+    """A fresh source resolves its document's live location once, at its
+    first read, and every later statement reads that generation's rows: a
+    cold Q1 search runs the ``segment`` lookup, then (for a base-generation
+    document only) the ``EXISTS`` check of the base tables, then one
+    posting fetch and one element-row prefetch."""
+
+    @pytest.mark.parametrize("layout,expected", (
+        ("sqlite", {"statements": 4, "segment lookups": 1, "EXISTS": 1}),
+        ("segmented", {"statements": 3, "segment lookups": 1, "EXISTS": 0}),
+    ), ids=("sqlite", "segmented"))
+    def test_cold_search_resolves_the_location_once(self, publications,
+                                                    layout, expected):
+        store = build_source(publications, layout).store
+        engine = SearchEngine(source=SQLitePostingSource(store, "doc"))
+        seen = statements(store, lambda: engine.search(PAPER_QUERIES["Q1"]))
+        assert {"statements": len(seen),
+                "segment lookups": sum(
+                    bool(re.search(r"\bFROM segment\b", statement))
+                    for statement in seen),
+                "EXISTS": sum("EXISTS" in statement for statement in seen),
+                } == expected, seen
 
 
 class TestStoreBackedSearch:
@@ -412,23 +422,23 @@ class TestStoreBackedSearch:
             assert stored_nodes == engine_nodes
 
     def test_maxmatch_via_store(self, store_engine, team):
-        search = store_engine(team, SegmentedStore(), "team")
+        search = store_engine(team, SQLiteStore(), "team")
         result = search.search(PAPER_QUERIES["Q4"], "maxmatch")
         assert result.count == 1
 
     def test_unknown_algorithm_rejected(self, store_engine, team):
-        search = store_engine(team, SegmentedStore(), "team")
+        search = store_engine(team, SQLiteStore(), "team")
         with pytest.raises(UnknownAlgorithmError):
             search.search("grizzlies", "bogus")
 
     def test_frequency_report(self, store_engine, publications):
-        search = store_engine(publications, SegmentedStore(), "pub")
+        search = store_engine(publications, SQLiteStore(), "pub")
         report = {keyword: search.source.frequency(keyword)
                   for keyword in ("xml", "vldb", "absent")}
         assert report == {"xml": 3, "vldb": 1, "absent": 0}
 
     def test_keyword_nodes_from_store(self, store_engine, publications):
-        search = store_engine(publications, SegmentedStore(), "pub")
+        search = store_engine(publications, SQLiteStore(), "pub")
         assert search.keyword_nodes("xml")["xml"]
 
 

@@ -20,12 +20,12 @@ from repro.index import frequency_table
 
 @pytest.fixture(scope="module")
 def dataset_indexes(engines):
-    return {name: engine.index for name, engine in engines.items()}
+    return {name: engine.source for name, engine in engines.items()}
 
 
 def test_benchmark_frequency_lookup(benchmark, engines):
     """Time the keyword-frequency lookups that drive workload construction."""
-    index = engines["dblp"].index
+    index = engines["dblp"].source
     keywords = list(DBLP_PAPER_FREQUENCIES)
     benchmark.group = "section5.1-frequencies"
     benchmark.name = "dblp-20-keywords"

@@ -63,7 +63,7 @@ def test_benchmark_keyword_lookup(benchmark, backend, stores, engines):
     benchmark.group = "storage-keyword-lookup"
     benchmark.name = backend
     if backend == "inverted-index":
-        index = engines["dblp"].index
+        index = engines["dblp"].source
         benchmark(lambda: index.keyword_nodes(keywords))
         return
     source = SQLitePostingSource(stores[backend], "dblp", lru_size=0)
@@ -73,7 +73,7 @@ def test_benchmark_keyword_lookup(benchmark, backend, stores, engines):
 
 
 def test_backends_agree_with_index(stores, engines):
-    index: InvertedIndex = engines["dblp"].index
+    index: InvertedIndex = engines["dblp"].source
     for backend, store in stores.items():
         source = SQLitePostingSource(store, "dblp")
         for keyword in ("xml", "keyword", "data", "vldb", "henry"):

@@ -42,7 +42,7 @@ def main() -> None:
     # 1. Generate the corpus and profile it (reusing the engine's index).
     tree = generate_dblp(DBLPConfig(publications=publications))
     memory_engine = SearchEngine(tree)
-    profile = document_profile(tree, memory_engine.index, name="dblp-synthetic")
+    profile = document_profile(tree, memory_engine.source, name="dblp-synthetic")
     print(f"corpus: {profile.node_count} nodes, {profile.distinct_labels} labels, "
           f"{profile.vocabulary_size} distinct words")
 

@@ -9,8 +9,10 @@ The demo walks the whole serving stack of :mod:`repro.service`:
    immutable in-memory posting snapshot of the Figure 1(a) document, served
    as the one-document corpus ``figure-1a``;
 2. hosts the newline-delimited-JSON TCP front end on a background thread
-   (:class:`~repro.service.server.ServerThread`), with request batching
-   (2 ms window) and admission control (bounded in-flight depth);
+   (:class:`~repro.service.server.ServerThread`), with request batching (a
+   search dispatches at once while a worker is free; searches arriving
+   while all four are busy coalesce into one batch) and admission control
+   (bounded in-flight depth);
 3. talks to it like any remote caller would, through
    :class:`~repro.service.client.ServiceClient` — search with a per-request
    algorithm (answers are doc-tagged: one entry per matching document), a
@@ -46,9 +48,7 @@ from repro.service import (
 def main() -> None:
     tree = publications_tree()
     config = ServiceConfig(backend="memory", workers=4,
-                           document="figure-1a",
-                           max_batch_size=16, batch_window_seconds=0.002,
-                           max_inflight=64)
+                           document="figure-1a", max_inflight=64)
 
     print("== starting the serving stack (pool + batcher + admission) ==")
     with ServerThread(config, tree=tree) as server:

@@ -26,7 +26,7 @@ python -m repro.cli index --dataset figure-1b --db "$db" --add
 
 echo "== serve under a seeded fault plan (bounded budget) =="
 python -m repro.cli serve --db "$db" --backend corpus --workers 2 \
-    --port 0 --cache-size 0 --compact-segments 4 --compact-interval-ms 200 \
+    --port 0 --cache-size 0 --compact-segments 4 \
     --fault-plan "seed=7,error=0.2,latency=0.05,latency-ms=2,delay=40,max-faults=12" \
     > "$workdir/serve.log" 2>&1 &
 server_pid=$!

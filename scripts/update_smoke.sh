@@ -2,16 +2,23 @@
 # Update smoke: the full segmented-corpus lifecycle through the CLI.
 # ingest -> incremental add -> live update (delta segment) -> verify ->
 # doc-tagged search, single-document disk search and ranked top-k ->
-# delete (tombstone) -> compact -> verify -> search and rank again.
-# Guards the `index --update` / `index --delete` / `compact` surface end
-# to end; must stay fast (well under 30 s) — it runs inside `make smoke`
-# and CI.
+# delete (tombstone) -> compact -> verify -> search and rank again ->
+# serve with `--compact-segments 2`: two wire updates, the second of which
+# folds both segments -> verify.
+# Guards the `index --update` / `index --delete` / `compact` surface and
+# compaction on a served write end to end; must stay fast (well under
+# 30 s) — it runs inside `make smoke` and CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 workdir="$(mktemp -d)"
-trap 'rm -rf "$workdir"' EXIT
+server_pid=""
+cleanup() {
+    [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
+    rm -rf "$workdir"
+}
+trap cleanup EXIT
 db="$workdir/corpus.db"
 
 echo "== ingest: base generation =="
@@ -62,5 +69,37 @@ echo "$out" | grep -q "figure-1b" || { echo "compacted corpus not ranked"; exit 
 if python -m repro.cli search --db "$db" --backend corpus "Dewey XML" | grep -q "figure-1a"; then
     echo "tombstoned document still answering"; exit 1
 fi
+
+echo "== serve: the write that reaches --compact-segments folds the log =="
+python -m repro.cli serve --db "$db" --backend corpus --workers 2 \
+    --port 0 --compact-segments 2 > "$workdir/serve.log" 2>&1 &
+server_pid=$!
+address=""
+for _ in $(seq 1 50); do
+    address="$(sed -n 's/.* on \([0-9.]*:[0-9]*\).*/\1/p' "$workdir/serve.log")"
+    [ -n "$address" ] && break
+    sleep 0.2
+done
+[ -n "$address" ] || { echo "server never came up"; cat "$workdir/serve.log"; exit 1; }
+python - "$address" "$workdir/figure-1b.xml" <<'PYEOF'
+import sys
+from repro.service import ServiceClient
+host, port = sys.argv[1].rsplit(":", 1)
+with open(sys.argv[2], encoding="utf-8") as handle:
+    xml = handle.read()
+with ServiceClient(host, int(port)) as client:
+    for name in ("Brunson", "Hart"):
+        client.update("figure-1b", xml.replace("Morant", name))
+    compactor = client.stats("compactor")["compactor"]
+    assert compactor["runs"] == 1, compactor
+    assert compactor["segments_folded"] == 2, compactor
+    docs = [entry["doc"] for entry in client.search("Hart guard")["documents"]]
+    assert docs == ["figure-1b"], docs
+    print(f"two served updates, one compaction: {compactor}")
+PYEOF
+kill "$server_pid"
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
+python -m repro.cli verify --db "$db"
 
 echo "UPDATE SMOKE OK"

@@ -61,7 +61,7 @@ The rules and what they protect:
     ``except Exception`` / ``except BaseException`` handler that swallows
     the failure (a handler body with no ``raise``).  The self-healing
     stack deliberately swallows at a few sites (retry loops, quarantine,
-    the compactor's policy loop, the wire front door) — those declare
+    the compaction a write triggers, the wire front door) — those declare
     themselves with ``# lint: allow(exception-discipline)`` on the
     ``except`` line.  Everything else either catches the specific
     exception it can handle or re-raises.

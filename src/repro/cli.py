@@ -38,7 +38,8 @@ Sub-commands
     Run the concurrent query-serving front end (newline-delimited JSON over
     TCP) with an engine pool, request batching and admission control.
     ``--fault-plan`` injects deterministic storage faults for chaos
-    testing; ``--compact-segments`` starts the background compactor.
+    testing; ``--compact-segments N`` folds the delta segments on the write
+    that leaves N or more.
 ``loadtest``
     Drive a server (self-hosted by default) with an open- or closed-loop
     load generator and report throughput + p50/p95/p99 latency, exporting
@@ -353,10 +354,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-size", type=int, default=256,
                         help="per-worker query-result cache capacity "
                              "(0 disables caching)")
-    parser.add_argument("--batch-size", type=int, default=16,
-                        help="flush a request batch at this size")
-    parser.add_argument("--batch-window", type=float, default=2.0,
-                        help="max milliseconds a request waits to be batched")
     parser.add_argument("--max-inflight", type=int, default=64,
                         help="admission bound: concurrent requests past the "
                              "front door before load shedding")
@@ -372,12 +369,9 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                              "(needs a store-backed backend)")
     parser.add_argument("--compact-segments", type=int, default=None,
                         metavar="N",
-                        help="background-compact once N delta segments "
-                             "accumulate (needs --backend corpus --db; "
+                        help="compact on the write that leaves N or more "
+                             "delta segments (needs --backend corpus --db; "
                              "default: off)")
-    parser.add_argument("--compact-interval-ms", type=float, default=500.0,
-                        help="poll period of the background compactor's "
-                             "trigger check in milliseconds (default: 500)")
 
 
 # ---------------------------------------------------------------------- #
@@ -741,8 +735,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     async def main() -> None:
         host, port = await server.start()
         print(f"serving backend={config.backend} workers={config.workers} "
-              f"batch={config.max_batch_size}/"
-              f"{config.batch_window_seconds * 1000:g}ms "
               f"on {host}:{port} (Ctrl-C stops)")
         await server.serve_forever()
 
@@ -940,12 +932,6 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
         document = _document_name(arguments)
     if arguments.workers < 1:
         raise CliError(f"--workers must be positive, got {arguments.workers}")
-    if arguments.batch_size < 1:
-        raise CliError(f"--batch-size must be positive, got "
-                       f"{arguments.batch_size}")
-    if arguments.batch_window < 0:
-        raise CliError(f"--batch-window must be >= 0, got "
-                       f"{arguments.batch_window}")
     if arguments.max_inflight < 1:
         raise CliError(f"--max-inflight must be positive, got "
                        f"{arguments.max_inflight}")
@@ -972,17 +958,12 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
         if backend != "corpus" or not arguments.db or documents is not None:
             raise CliError("--compact-segments needs a mutable corpus "
                            "backend (--backend corpus --db, without --doc)")
-    if arguments.compact_interval_ms <= 0:
-        raise CliError(f"--compact-interval-ms must be positive, got "
-                       f"{arguments.compact_interval_ms}")
     config = ServiceConfig(
         backend=backend,
         workers=arguments.workers,
         cache_size=max(0, arguments.cache_size),
         db_path=arguments.db,
         document=document,
-        max_batch_size=arguments.batch_size,
-        batch_window_seconds=arguments.batch_window / 1000.0,
         max_inflight=arguments.max_inflight,
         timeout_seconds=arguments.request_timeout,
         documents=documents,
@@ -990,7 +971,6 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
                             if arguments.slow_query_ms is not None else None),
         fault_plan=None if remote else arguments.fault_plan,
         compact_segments=None if remote else arguments.compact_segments,
-        compact_interval_seconds=arguments.compact_interval_ms / 1000.0,
     )
     return config, tree
 

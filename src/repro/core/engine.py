@@ -90,9 +90,6 @@ class SearchEngine:
         self.tree = tree
         self.source: PostingSource = (
             source if source is not None else InvertedIndex(tree))
-        # Legacy alias: before the PostingSource seam the engine always owned
-        # an InvertedIndex under this name.
-        self.index = self.source
         self._cache: Optional[QueryResultCache] = (
             QueryResultCache(cache_size) if cache_size else None)
         self.metrics: Optional[MetricsRegistry] = metrics

@@ -25,12 +25,12 @@ from .query import QueryLike
 class MaxMatch(FragmentPipeline):
     """Revised MaxMatch over RTFs (the paper's experimental baseline)."""
 
-    def __init__(self, tree: Optional[XMLTree], index: Optional[PostingSource] = None,
+    def __init__(self, tree: Optional[XMLTree], source: Optional[PostingSource] = None,
                  cid_mode: str = "minmax", analyzer=None):
         super().__init__(
             tree,
             pruner=lambda records: prune_with_contributor(records, "maxmatch"),
-            index=index,
+            source=source,
             lca_function=elca_roots,
             cid_mode=cid_mode,
             analyzer=analyzer,
@@ -41,12 +41,12 @@ class MaxMatch(FragmentPipeline):
 class MaxMatchSLCA(FragmentPipeline):
     """Original MaxMatch: SLCA-rooted fragments with the contributor filter."""
 
-    def __init__(self, tree: Optional[XMLTree], index: Optional[PostingSource] = None,
+    def __init__(self, tree: Optional[XMLTree], source: Optional[PostingSource] = None,
                  cid_mode: str = "minmax", analyzer=None):
         super().__init__(
             tree,
             pruner=lambda records: prune_with_contributor(records, "maxmatch-slca"),
-            index=index,
+            source=source,
             lca_function=slca_roots,
             cid_mode=cid_mode,
             analyzer=analyzer,
@@ -55,8 +55,8 @@ class MaxMatchSLCA(FragmentPipeline):
 
 
 def run_maxmatch(tree: Optional[XMLTree], query: QueryLike,
-                 index: Optional[PostingSource] = None,
+                 source: Optional[PostingSource] = None,
                  slca_only: bool = False) -> SearchResult:
     """One-shot convenience wrapper around the two MaxMatch variants."""
-    algorithm = MaxMatchSLCA(tree, index) if slca_only else MaxMatch(tree, index)
+    algorithm = MaxMatchSLCA(tree, source) if slca_only else MaxMatch(tree, source)
     return algorithm.search(query)

@@ -48,7 +48,7 @@ class FragmentPipeline:
     tree:
         The document, or ``None`` for a purely source-backed pipeline (every
         stage then runs off the posting source's node lookups).
-    index:
+    source:
         Any :class:`~repro.index.source.PostingSource` serving stage 1 —
         the in-memory :class:`InvertedIndex` or a disk-backed source.
         Built on demand (as an inverted index) when omitted and a tree is
@@ -74,28 +74,27 @@ class FragmentPipeline:
         self,
         tree: Optional[XMLTree],
         pruner: Pruner,
-        index: Optional[PostingSource] = None,
+        source: Optional[PostingSource] = None,
         lca_function: LcaFunction = elca_roots,
         cid_mode: str = "minmax",
         name: str = "pipeline",
         analyzer: Optional[ContentAnalyzer] = None,
     ):
-        if index is None:
+        if source is None:
             if tree is None:
                 raise ValueError(
                     "FragmentPipeline needs a tree, a posting source, or both")
-            index = InvertedIndex(tree)
+            source = InvertedIndex(tree)
         if cid_mode == "exact" and tree is None:
             raise ValueError("cid_mode='exact' reads full content sets off "
                              "the resident tree; a tree-free pipeline uses "
                              "the stored (min, max) cID")
         self.tree = tree
-        self.index = index
-        self.source: PostingSource = index
+        self.source: PostingSource = source
         # Record-tree construction prefers the resident tree (authoritative
         # and memoized); without one it falls back to the source's lookups.
         if analyzer is None:
-            analyzer = getattr(index, "analyzer", None)
+            analyzer = getattr(source, "analyzer", None)
             if analyzer is None and tree is not None:
                 analyzer = ContentAnalyzer(tree)
         self.analyzer: Optional[ContentAnalyzer] = analyzer

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
-from ..text import DEFAULT_TOKENIZER, Tokenizer
+from ..text import DEFAULT_TOKENIZER
 from .errors import EmptyQueryError
 
 QueryLike = Union["Query", str, Sequence[str]]
@@ -37,22 +37,25 @@ class Query:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def parse(cls, raw: QueryLike, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> "Query":
-        """Build a query from a string ("xml keyword search") or keyword list."""
+    def parse(cls, raw: QueryLike) -> "Query":
+        """Build a query from a string ("xml keyword search") or keyword list.
+
+        Keywords are normalized by :data:`~repro.text.DEFAULT_TOKENIZER`,
+        the tokenizer every index and store is built with.
+        """
         if isinstance(raw, Query):
             return raw
         if isinstance(raw, str):
-            keywords = tokenizer.normalize_query(raw.split())
+            keywords = DEFAULT_TOKENIZER.normalize_query(raw.split())
         else:
-            keywords = tokenizer.normalize_query(raw)
+            keywords = DEFAULT_TOKENIZER.normalize_query(raw)
         if not keywords:
             raise EmptyQueryError(f"query {raw!r} normalizes to zero keywords")
         return cls(tuple(keywords))
 
-    def extended(self, keyword: str,
-                 tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> "Query":
+    def extended(self, keyword: str) -> "Query":
         """A new query with one more keyword appended (query-monotonicity tests)."""
-        normalized = tokenizer.normalize_keyword(keyword)
+        normalized = DEFAULT_TOKENIZER.normalize_keyword(keyword)
         if normalized in self.keywords:
             return self
         return Query(self.keywords + (normalized,))

@@ -25,12 +25,12 @@ from .valid_contributor import prune_with_valid_contributor
 class ValidRTF(FragmentPipeline):
     """The paper's ValidRTF algorithm over all interesting LCA nodes."""
 
-    def __init__(self, tree: Optional[XMLTree], index: Optional[PostingSource] = None,
+    def __init__(self, tree: Optional[XMLTree], source: Optional[PostingSource] = None,
                  cid_mode: str = "minmax", analyzer=None):
         super().__init__(
             tree,
             pruner=lambda records: prune_with_valid_contributor(records, "validrtf"),
-            index=index,
+            source=source,
             lca_function=elca_roots,
             cid_mode=cid_mode,
             analyzer=analyzer,
@@ -41,13 +41,13 @@ class ValidRTF(FragmentPipeline):
 class ValidRTFSLCA(FragmentPipeline):
     """ValidRTF restricted to SLCA roots (used by ablation benchmarks)."""
 
-    def __init__(self, tree: Optional[XMLTree], index: Optional[PostingSource] = None,
+    def __init__(self, tree: Optional[XMLTree], source: Optional[PostingSource] = None,
                  cid_mode: str = "minmax", analyzer=None):
         super().__init__(
             tree,
             pruner=lambda records: prune_with_valid_contributor(records,
                                                                 "validrtf-slca"),
-            index=index,
+            source=source,
             lca_function=slca_roots,
             cid_mode=cid_mode,
             analyzer=analyzer,
@@ -56,12 +56,12 @@ class ValidRTFSLCA(FragmentPipeline):
 
 
 def run_validrtf(tree: Optional[XMLTree], query: QueryLike,
-                 index: Optional[PostingSource] = None,
+                 source: Optional[PostingSource] = None,
                  slca_only: bool = False,
                  cid_mode: str = "minmax") -> SearchResult:
     """One-shot convenience wrapper around the two ValidRTF variants."""
     if slca_only:
-        algorithm: FragmentPipeline = ValidRTFSLCA(tree, index, cid_mode=cid_mode)
+        algorithm: FragmentPipeline = ValidRTFSLCA(tree, source, cid_mode=cid_mode)
     else:
-        algorithm = ValidRTF(tree, index, cid_mode=cid_mode)
+        algorithm = ValidRTF(tree, source, cid_mode=cid_mode)
     return algorithm.search(query)

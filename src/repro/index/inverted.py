@@ -20,7 +20,7 @@ from typing import (
     Tuple,
 )
 
-from ..text import EMPTY_CID, ContentAnalyzer, DEFAULT_TOKENIZER, Tokenizer
+from ..text import EMPTY_CID, ContentAnalyzer, DEFAULT_TOKENIZER
 from ..xmltree import DeweyCode, XMLTree
 from .packed import EMPTY_PACKED, PackedDeweyList, as_packed, pack_deweys
 from .source import KeywordImpact, impact_from_postings
@@ -61,24 +61,18 @@ class InvertedIndex:
     sources in :mod:`repro.storage.posting_source` must agree with it
     keyword by keyword (enforced by ``tests/test_backend_parity.py``).
 
-    Parameters
-    ----------
-    tree:
-        The document to index.
-    tokenizer:
-        Tokenizer shared with the query side so document words and query
-        keywords normalize identically.
+    Words are normalized by :data:`~repro.text.DEFAULT_TOKENIZER`, the
+    tokenizer :meth:`Query.parse` uses: an index and its queries must
+    tokenize alike, or matches are silently lost.
 
     Every posting list is stored as flat
     :class:`~repro.index.packed.PackedDeweyList` columns, which the SLCA/RTF
     hot loops consume without materializing :class:`DeweyCode` objects.
     """
 
-    def __init__(self, tree: XMLTree,
-                 tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> None:
+    def __init__(self, tree: XMLTree) -> None:
         self.tree = tree
-        self.tokenizer = tokenizer
-        self.analyzer = ContentAnalyzer(tree, tokenizer)
+        self.analyzer = ContentAnalyzer(tree)
         self._postings: Dict[str, PackedDeweyList] = {}
         self._impacts: Dict[str, KeywordImpact] = {}
         self._build()
@@ -98,7 +92,7 @@ class InvertedIndex:
     # ------------------------------------------------------------------ #
     def postings(self, keyword: str) -> PostingList:
         """The posting list for a (raw, un-normalized) keyword."""
-        normalized = self.tokenizer.normalize_keyword(keyword)
+        normalized = DEFAULT_TOKENIZER.normalize_keyword(keyword)
         return PostingList(normalized,
                            self._postings.get(normalized, EMPTY_PACKED))
 
@@ -110,7 +104,7 @@ class InvertedIndex:
         columns themselves are returned (they are never mutated).
         """
         return {keyword: self._postings.get(keyword, EMPTY_PACKED)
-                for keyword in self.tokenizer.normalize_query(query)}
+                for keyword in DEFAULT_TOKENIZER.normalize_query(query)}
 
     def frequency(self, keyword: str) -> int:
         """Number of keyword nodes containing ``keyword``."""
@@ -159,17 +153,16 @@ class InvertedIndex:
         return sum(len(posting) for posting in self._postings.values())
 
     def __contains__(self, keyword: str) -> bool:
-        return self.tokenizer.normalize_keyword(keyword) in self._postings
+        return DEFAULT_TOKENIZER.normalize_keyword(keyword) in self._postings
 
     def __repr__(self) -> str:
         return (f"InvertedIndex(words={self.vocabulary_size()}, "
                 f"postings={self.total_postings()})")
 
 
-def build_index(tree: XMLTree,
-                tokenizer: Optional[Tokenizer] = None) -> InvertedIndex:
+def build_index(tree: XMLTree) -> InvertedIndex:
     """Convenience factory mirroring the facade naming used in examples."""
-    return InvertedIndex(tree, tokenizer or DEFAULT_TOKENIZER)
+    return InvertedIndex(tree)
 
 
 def merge_keyword_nodes(lists: Mapping[str, Sequence[DeweyCode]]) -> List[DeweyCode]:

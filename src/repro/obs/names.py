@@ -66,8 +66,6 @@ SERVER_REQUEST_SECONDS = "server.request_seconds"
 
 BATCHER_REQUESTS = "batcher.requests"
 BATCHER_BATCHES = "batcher.batches"
-BATCHER_SIZE_FLUSHES = "batcher.size_flushes"
-BATCHER_TIMER_FLUSHES = "batcher.timer_flushes"
 BATCHER_BATCH_SIZE = "batcher.batch_size"
 BATCHER_QUEUE_WAIT_SECONDS = "batcher.queue_wait_seconds"
 

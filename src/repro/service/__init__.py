@@ -9,14 +9,18 @@ beyond the standard library:
   immutable posting-source snapshot, so queries run in parallel threads
   while per-document work (index build, shredding) is paid once.  Every
   backend is served as a corpus; a single document is a corpus of one.
-* :mod:`~repro.service.batcher` — a request coalescer that collects
-  in-flight queries into ``search_many`` batches, amortizing the shared
-  posting-fetch fast path across concurrent callers.
+* :mod:`~repro.service.batcher` — a request coalescer: a search is
+  dispatched the moment a worker is free, and searches that arrive while
+  every worker is busy queue into one ``search_many`` batch per
+  ``(algorithm, doc_filter)``, amortizing the shared posting fetch.  No
+  timer runs.
 * :mod:`~repro.service.admission` — bounded in-flight depth, per-request
   timeouts and load shedding with typed error responses.
 * :mod:`~repro.service.server` — an asyncio newline-delimited-JSON TCP
   front end exposing search / compare / rank with a per-request algorithm
-  and ``doc_filter``.
+  and ``doc_filter``, plus live ``update`` / ``delete_doc`` / ``compact``
+  on a database-served corpus; an optional segment-count trigger folds the
+  segments on the write that crosses it, so no thread polls for it.
 * :mod:`~repro.service.client` — a blocking client for the same protocol.
 * :mod:`~repro.service.loadgen` — open/closed-loop load generation with
   throughput and p50/p95/p99 latency reporting (the ``BENCH_service.json``
@@ -40,7 +44,6 @@ Or from the command line: ``python -m repro.cli serve`` /
 from .admission import AdmissionController
 from .batcher import RequestBatcher
 from .client import RetryPolicy, ServiceClient
-from .compactor import BackgroundCompactor
 from .engine_pool import EnginePool
 from .loadgen import (
     LoadReport,
@@ -76,7 +79,6 @@ from .server import SearchServer, SearchService, ServerThread, ServiceConfig
 
 __all__ = [
     "AdmissionController",
-    "BackgroundCompactor",
     "EnginePool",
     "LoadReport",
     "RequestBatcher",

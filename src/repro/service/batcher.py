@@ -4,31 +4,35 @@ Concurrent callers frequently query overlapping keywords (hot queries, shared
 vocabulary).  :meth:`CorpusSearchEngine.search_many` already amortizes
 stage 1 by fetching the posting lists of a batch's keyword *union* once per
 document — the batcher is the asyncio shim that turns independent in-flight
-requests into such batches:
+requests into such batches, without ever holding a request while a worker
+is free:
 
-* requests are bucketed by algorithm (the one knob a batch must agree
-  on),
-* a bucket flushes when it reaches ``max_batch_size`` **or** when
-  ``max_wait_seconds`` elapses since its first request — the classic
-  size-or-deadline window, so a lone request pays at most the window in
-  added latency and a burst pays (almost) none,
-* each flush dispatches one :meth:`EnginePool.search_many` call to a single
-  worker and fans the results back out to the per-request futures.
+* a search is dispatched the moment it arrives while fewer batches are in
+  flight than the pool has workers;
+* otherwise it queues under its ``(algorithm, doc_filter)`` key — what
+  every request of one batch must agree on — and each batch that completes
+  dispatches the key whose oldest request has waited longest, up to
+  :data:`MAX_BATCH_SIZE` of its requests;
+* each dispatch is one :meth:`EnginePool.search_many` call on a single
+  worker, whose results fan back out to the per-request futures.
 
-Failures propagate to every request of the batch; requests whose future was
-already cancelled (deadline hit while queued) are skipped.
+So requests coalesce exactly when they would otherwise wait for a worker,
+and no timer runs.  Failures propagate to every request of the batch; a
+queued request whose future is already done (its deadline expired) is
+dropped at dispatch and never reaches a worker.
 
-All batching counters — requests, batches, flush causes — plus the
-queue-wait and batch-occupancy histograms live in a
-:class:`~repro.obs.MetricsRegistry`; :meth:`RequestBatcher.stats` is derived
-from it, so the ``stats`` wire op and a metrics scrape always agree.
+All batching counters — requests, batches — plus the queue-wait and
+batch-occupancy histograms live in a :class:`~repro.obs.MetricsRegistry`;
+:meth:`RequestBatcher.stats` is derived from it, so the ``stats`` wire op
+and a metrics scrape always agree.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.query import QueryLike
 from ..corpus import CorpusSearchResult
@@ -37,27 +41,14 @@ from ..obs import names as metric_names
 from .engine_pool import EnginePool
 from .protocol import ERROR_INTERNAL, ServiceError
 
-#: Default flush-on-size bound.
-DEFAULT_MAX_BATCH_SIZE = 16
+#: The most requests one batch carries.
+MAX_BATCH_SIZE = 16
 
-#: Default flush-on-deadline window (seconds).
-DEFAULT_MAX_WAIT_SECONDS = 0.002
-
-#: A bucket key: the algorithm all requests of one batch share.
-BatchKey = str
+#: A batch key: the algorithm and document subset its requests share.
+BatchKey = Tuple[str, Optional[Tuple[str, ...]]]
 
 #: One queued request: (query, its future, its enqueue timestamp).
-_Entry = Tuple[object, "asyncio.Future", float]
-
-
-class _Bucket:
-    """The open batch of one algorithm."""
-
-    __slots__ = ("entries", "timer")
-
-    def __init__(self) -> None:
-        self.entries: List[_Entry] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
+_Entry = Tuple[QueryLike, "asyncio.Future[CorpusSearchResult]", float]
 
 
 class RequestBatcher:
@@ -68,102 +59,94 @@ class RequestBatcher:
     """
 
     def __init__(self, pool: EnginePool,
-                 max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
-                 max_wait_seconds: float = DEFAULT_MAX_WAIT_SECONDS,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        if max_batch_size < 1:
-            raise ValueError(
-                f"max_batch_size must be positive, got {max_batch_size}")
-        if max_wait_seconds < 0:
-            raise ValueError(
-                f"max_wait_seconds must be >= 0, got {max_wait_seconds}")
         self.pool = pool
-        self.max_batch_size = max_batch_size
-        self.max_wait_seconds = max_wait_seconds
         self.metrics: MetricsRegistry = (
             metrics if metrics is not None else MetricsRegistry())
-        self._buckets: Dict[BatchKey, _Bucket] = {}
-        # Strong references to in-flight flush tasks: the event loop only
-        # keeps weak ones, and a collected task would drop its whole batch.
-        self._tasks: set = set()
+        self._queues: Dict[BatchKey, List[_Entry]] = {}
+        self._in_flight = 0
         self._closed = False
 
     # ------------------------------------------------------------------ #
     # Submission
     # ------------------------------------------------------------------ #
-    async def submit(self, query: QueryLike,
-                     algorithm: str = "validrtf") -> CorpusSearchResult:
-        """Enqueue one query; resolves when its batch has been computed."""
+    def submit(self, query: QueryLike, algorithm: str = "validrtf",
+               doc_filter: Optional[Sequence[str]] = None
+               ) -> "asyncio.Future[CorpusSearchResult]":
+        """Enqueue one query; the future resolves with its result.
+
+        When a worker is free the query is dispatched before this returns.
+        """
         if self._closed:
             raise ServiceError(ERROR_INTERNAL, "the batcher is shut down")
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        bucket = self._buckets.get(algorithm)
-        if bucket is None:
-            bucket = self._buckets[algorithm] = _Bucket()
-        bucket.entries.append((query, future, time.monotonic()))
+        future = asyncio.get_running_loop().create_future()
+        key = (algorithm, None if doc_filter is None else tuple(doc_filter))
+        self._queues.setdefault(key, []).append(
+            (query, future, time.monotonic()))
         self.metrics.counter(metric_names.BATCHER_REQUESTS).inc()
-        if len(bucket.entries) >= self.max_batch_size:
-            self.metrics.counter(metric_names.BATCHER_SIZE_FLUSHES).inc()
-            self._flush(algorithm)
-        elif bucket.timer is None:
-            bucket.timer = loop.call_later(self.max_wait_seconds,
-                                           self._timer_flush, algorithm)
-        return await future
+        self._pump()
+        return future
 
     # ------------------------------------------------------------------ #
-    # Flushing
+    # Dispatch
     # ------------------------------------------------------------------ #
-    def _timer_flush(self, key: BatchKey) -> None:
-        if key in self._buckets:
-            self.metrics.counter(metric_names.BATCHER_TIMER_FLUSHES).inc()
-            self._flush(key)
+    def _pump(self) -> None:
+        """Dispatch queued work while a worker is free."""
+        while self._queues and self._in_flight < self.pool.workers:
+            self._dispatch_oldest()
 
-    def _flush(self, key: BatchKey) -> None:
-        bucket = self._buckets.pop(key, None)
-        if bucket is None:
-            return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-        if bucket.entries:
-            self.metrics.counter(metric_names.BATCHER_BATCHES).inc()
-            self.metrics.histogram(
-                metric_names.BATCHER_BATCH_SIZE,
-                buckets=DEFAULT_COUNT_BUCKETS,
-            ).observe(len(bucket.entries))
-            flushed_at = time.monotonic()
-            waits = self.metrics.histogram(
-                metric_names.BATCHER_QUEUE_WAIT_SECONDS)
-            for _, _, enqueued_at in bucket.entries:
-                waits.observe(flushed_at - enqueued_at)
-            task = asyncio.ensure_future(self._run_batch(key, bucket.entries))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+    def _dispatch_oldest(self) -> None:
+        key = min(self._queues, key=lambda queued: self._queues[queued][0][2])
+        live = [entry for entry in self._queues.pop(key)
+                if not entry[1].done()]
+        if len(live) > MAX_BATCH_SIZE:
+            self._queues[key] = live[MAX_BATCH_SIZE:]
+        if live:
+            self._dispatch(key, live[:MAX_BATCH_SIZE])
 
-    async def _run_batch(self, algorithm: BatchKey,
-                         entries: List[_Entry]) -> None:
-        queries = [query for query, _, _ in entries]
+    def _dispatch(self, key: BatchKey, batch: List[_Entry]) -> None:
+        self.metrics.counter(metric_names.BATCHER_BATCHES).inc()
+        self.metrics.histogram(
+            metric_names.BATCHER_BATCH_SIZE,
+            buckets=DEFAULT_COUNT_BUCKETS,
+        ).observe(len(batch))
+        dispatched_at = time.monotonic()
+        waits = self.metrics.histogram(metric_names.BATCHER_QUEUE_WAIT_SECONDS)
+        for _, _, enqueued_at in batch:
+            waits.observe(dispatched_at - enqueued_at)
+        algorithm, doc_filter = key
         try:
-            results = await asyncio.wrap_future(
-                self.pool.search_many(queries, algorithm))
+            pending = self.pool.search_many(
+                [query for query, _, _ in batch], algorithm,
+                doc_filter=doc_filter)
         except Exception as error:  # noqa: BLE001 - fan the failure out  # lint: allow(exception-discipline)
-            for _, future, _ in entries:
-                if not future.done():
-                    future.set_exception(_as_service_error(error))
+            _fail(batch, error)
             return
-        for (_, future, _), result in zip(entries, results):
-            if not future.done():
-                future.set_result(result)
+        self._in_flight += 1
+        # The callback runs on the loop the requests wait on; once that loop
+        # has closed, wrap_future drops the result instead of raising.
+        completion = asyncio.wrap_future(pending,
+                                         loop=batch[0][1].get_loop())
+        completion.add_done_callback(functools.partial(self._complete, batch))
 
-    def flush_all(self) -> None:
-        """Flush every open bucket immediately (used on shutdown)."""
-        for key in list(self._buckets):
-            self._flush(key)
+    def _complete(self, batch: List[_Entry],
+                  done: "asyncio.Future[List[CorpusSearchResult]]") -> None:
+        self._in_flight -= 1
+        try:
+            results = done.result()
+        except Exception as error:  # noqa: BLE001 - fan the failure out  # lint: allow(exception-discipline)
+            _fail(batch, error)
+        else:
+            for (_, future, _), result in zip(batch, results):
+                if not future.done():
+                    future.set_result(result)
+        self._pump()
 
     def close(self) -> None:
-        """Flush pending work and refuse new submissions."""
+        """Dispatch everything still queued, then refuse new submissions."""
+        while self._queues:
+            self._dispatch_oldest()
         self._closed = True
-        self.flush_all()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -183,15 +166,9 @@ class RequestBatcher:
         sizes = histograms.get(metric_names.BATCHER_BATCH_SIZE)
         waits = histograms.get(metric_names.BATCHER_QUEUE_WAIT_SECONDS)
         return {
-            "max_batch_size": self.max_batch_size,
-            "max_wait_seconds": self.max_wait_seconds,
             "requests": requests,
             "batches": batches,
             "largest_batch": int(sizes["max"]) if sizes else 0,
-            "size_flushes": counters.get(
-                metric_names.BATCHER_SIZE_FLUSHES, 0),
-            "timer_flushes": counters.get(
-                metric_names.BATCHER_TIMER_FLUSHES, 0),
             "mean_batch_size": (requests / batches if batches else 0.0),
             "mean_queue_wait_ms": (
                 round(waits["sum"] / waits["count"] * 1000.0, 4)
@@ -199,8 +176,16 @@ class RequestBatcher:
         }
 
     def __repr__(self) -> str:
-        return (f"RequestBatcher(max_batch_size={self.max_batch_size}, "
-                f"window={self.max_wait_seconds}s, open={len(self._buckets)})")
+        queued = sum(len(queue) for queue in self._queues.values())
+        return (f"RequestBatcher(in_flight={self._in_flight}/"
+                f"{self.pool.workers}, queued={queued})")
+
+
+def _fail(batch: List[_Entry], error: Exception) -> None:
+    """Answer every still-waiting request of a batch with ``error``."""
+    for _, future, _ in batch:
+        if not future.done():
+            future.set_exception(_as_service_error(error))
 
 
 def _as_service_error(error: Exception) -> ServiceError:

@@ -269,9 +269,10 @@ class EnginePool:
     def invalidate_engines(self) -> None:
         """Discard every worker's engine; they rebuild lazily on next use.
 
-        Called after a live mutation (``update`` / ``delete_doc``) commits:
-        worker engines are snapshots over the shared store, so absorbing a
-        write means rebuilding them — in-flight requests finish on their old
+        Called once after a live mutation (``update`` / ``delete_doc``, and
+        the compaction it may trigger) or a ``compact`` commits: worker
+        engines are snapshots over the shared store, so absorbing a write
+        means rebuilding them — in-flight requests finish on their old
         snapshot, later ones see the new state.
         """
         with self._engines_lock:
@@ -312,20 +313,14 @@ class EnginePool:
             # A doc_filter naming a document the engine does not serve.
             raise ServiceError(ERROR_BAD_REQUEST, str(error)) from None
 
-    def search(self, query: QueryLike, algorithm: str = "validrtf",
-               doc_filter: Optional[Sequence[str]] = None
-               ) -> "Future[CorpusSearchResult]":
-        """One query on any worker; returns a future."""
-        return self.submit(
-            lambda engine, q, a, f: engine.search(q, a, doc_filter=f),
-            query, algorithm, doc_filter)
-
-    def search_many(self, queries: Sequence, algorithm: str = "validrtf"
+    def search_many(self, queries: Sequence[QueryLike],
+                    algorithm: str = "validrtf",
+                    doc_filter: Optional[Sequence[str]] = None
                     ) -> "Future[List[CorpusSearchResult]]":
-        """One coalesced batch on a single worker (shared posting fetch)."""
+        """One batch on a single worker (shared posting fetch)."""
         return self.submit(
-            lambda engine, qs, a: engine.search_many(qs, a),
-            queries, algorithm)
+            lambda engine, qs, a, f: engine.search_many(qs, a, doc_filter=f),
+            queries, algorithm, doc_filter)
 
     def compare(self, query: QueryLike,
                 doc_filter: Optional[Sequence[str]] = None

@@ -6,8 +6,8 @@ Three layers, assembled by :class:`ServiceConfig.build` or by hand:
   request, runs it through admission control (bounded in-flight depth +
   deadline) and answers with the canonical payloads of
   :mod:`~repro.service.protocol`.  ``search`` goes through the
-  :class:`~repro.service.batcher.RequestBatcher`; ``compare`` and ``rank``
-  dispatch straight to the pool.
+  :class:`~repro.service.batcher.RequestBatcher`; ``compare``, ``rank`` and
+  the mutations dispatch straight to the pool.
 * :class:`SearchServer` — binds the service to a TCP socket with
   :func:`asyncio.start_server`; one JSON object per line in, one per line
   out, requests of one connection answered in order.
@@ -48,10 +48,12 @@ document list.
 Mutations may carry an idempotency ``key``: replaying a keyed mutation
 whose response was lost answers the original outcome from the idempotency
 ledger instead of applying it twice.  ``compact`` folds every delta
-segment into the base generation on demand (the background compactor does
-the same on a segment-count trigger).  Storage faults during a mutation
-answer the typed ``degraded`` error — safe to retry, because each mutation
-is one SQLite transaction that a fault rolls back whole.
+segment into the base generation on demand; with ``compact_segments=N``
+the worker that commits an ``update`` or ``delete_doc`` leaving N or more
+segments folds them in the same step, before the pool's engines are
+invalidated (once for both).  Storage faults during a mutation answer the
+typed ``degraded`` error — safe to retry, because each mutation is one
+SQLite transaction that a fault rolls back whole.
 """
 
 from __future__ import annotations
@@ -74,12 +76,7 @@ from ..storage import SQLiteStore
 from ..storage.errors import DocumentNotFound
 from ..xmltree import ParseError, XMLTree, parse_string
 from .admission import DEFAULT_MAX_INFLIGHT, AdmissionController
-from .batcher import (
-    DEFAULT_MAX_BATCH_SIZE,
-    DEFAULT_MAX_WAIT_SECONDS,
-    RequestBatcher,
-)
-from .compactor import BackgroundCompactor
+from .batcher import RequestBatcher
 from .engine_pool import DEFAULT_CACHE_SIZE, DEFAULT_WORKERS, EnginePool
 from .protocol import (
     ERROR_BAD_REQUEST,
@@ -113,10 +110,11 @@ def _label_value(label_body: str, key: str) -> str:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Every knob of the serving stack in one place.
+    """Every setting of the serving stack in one place.
 
-    The defaults favour a laptop demo: four workers, 2 ms batch window,
-    64 in-flight requests, no deadline.
+    The defaults favour a laptop demo: four workers, a 256-entry result
+    cache per worker, 64 in-flight requests, no deadline, no compaction
+    trigger.
     """
 
     backend: str = "memory"
@@ -124,8 +122,6 @@ class ServiceConfig:
     cache_size: int = DEFAULT_CACHE_SIZE
     db_path: Optional[str] = None
     document: str = "service"
-    max_batch_size: int = DEFAULT_MAX_BATCH_SIZE
-    batch_window_seconds: float = DEFAULT_MAX_WAIT_SECONDS
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     timeout_seconds: Optional[float] = None
     #: Corpus backend only: serve this doc-id subset of the database
@@ -138,11 +134,10 @@ class ServiceConfig:
     #: storage seam; ``None`` serves faithfully.  Needs a store-backed
     #: backend (sqlite, or corpus with ``db_path``).
     fault_plan: Optional[str] = None
-    #: Start a background compactor folding delta segments once this many
-    #: pile up; ``None`` disables it.  Needs a mutable corpus backend.
+    #: Fold the delta segments on the write that leaves this many or more;
+    #: ``None`` leaves compaction to the ``compact`` op.  Needs a mutable
+    #: corpus backend.
     compact_segments: Optional[int] = None
-    #: Poll period of the background compactor's trigger check.
-    compact_interval_seconds: float = 0.5
 
     def build(self, tree: Optional[XMLTree] = None) -> "SearchService":
         """Assemble pool + batcher + admission into a ready service.
@@ -164,29 +159,21 @@ class ServiceConfig:
             plan.bind(metrics)
         if pool.mutable_store is not None:
             pool.mutable_store.set_metrics(metrics)
-        compactor: Optional[BackgroundCompactor] = None
-        if self.compact_segments is not None:
-            if pool.mutable_store is None:
-                pool.shutdown()
-                raise ValueError(
-                    "background compaction needs a mutable corpus backend "
-                    "(--backend corpus --db ...)")
-            compactor = BackgroundCompactor(
-                pool.mutable_store, pool, self.compact_segments,
-                self.compact_interval_seconds, metrics=metrics)
-        return SearchService(
-            pool,
-            batcher=RequestBatcher(pool, self.max_batch_size,
-                                   self.batch_window_seconds,
-                                   metrics=metrics),
-            admission=AdmissionController(self.max_inflight,
-                                          self.timeout_seconds,
-                                          metrics=metrics),
-            owns_pool=True,
-            metrics=metrics,
-            slow_query_seconds=self.slow_query_seconds,
-            compactor=compactor,
-        )
+        try:
+            return SearchService(
+                pool,
+                batcher=RequestBatcher(pool, metrics=metrics),
+                admission=AdmissionController(self.max_inflight,
+                                              self.timeout_seconds,
+                                              metrics=metrics),
+                owns_pool=True,
+                metrics=metrics,
+                slow_query_seconds=self.slow_query_seconds,
+                compact_segments=self.compact_segments,
+            )
+        except ValueError:
+            pool.shutdown()
+            raise
 
 
 class SearchService:
@@ -210,11 +197,19 @@ class SearchService:
                  owns_pool: bool = False,
                  metrics: Optional[MetricsRegistry] = None,
                  slow_query_seconds: Optional[float] = None,
-                 compactor: Optional[BackgroundCompactor] = None) -> None:
+                 compact_segments: Optional[int] = None) -> None:
+        # Constructor-time misconfiguration raises ValueError, not a wire
+        # answer.
         if slow_query_seconds is not None and slow_query_seconds < 0:
-            # Constructor-time misconfiguration, not a wire answer.
             raise ValueError(f"slow_query_seconds must be >= 0, "  # lint: allow(typed-errors)
                              f"got {slow_query_seconds}")
+        if compact_segments is not None and compact_segments < 1:
+            raise ValueError(f"compact_segments must be positive, "  # lint: allow(typed-errors)
+                             f"got {compact_segments}")
+        if compact_segments is not None and pool.mutable_store is None:
+            raise ValueError(  # lint: allow(typed-errors)
+                "compaction needs a mutable corpus backend "
+                "(--backend corpus --db ...)")
         self.pool = pool
         self.batcher = batcher if batcher is not None else RequestBatcher(pool)
         self.admission = (admission if admission is not None
@@ -223,9 +218,7 @@ class SearchService:
             metrics if metrics is not None else MetricsRegistry())
         self.slow_query_seconds = slow_query_seconds
         self._owns_pool = owns_pool
-        self.compactor = compactor
-        if compactor is not None:
-            compactor.start()
+        self.compact_segments = compact_segments
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -341,16 +334,8 @@ class SearchService:
         query, algorithm = self._validated(request)
         doc_filter = self._doc_filter(request)
         with self.admission:
-            if doc_filter is None:
-                result = await self.admission.run(
-                    self.batcher.submit(query, algorithm))
-            else:
-                # Filtered requests skip the batcher: a batch must agree on
-                # its document subset, and filtered traffic is rare enough
-                # that coalescing it would mostly create one-request batches.
-                result = await self.admission.run(asyncio.wrap_future(
-                    self.pool.search(query, algorithm,
-                                     doc_filter=doc_filter)))
+            result = await self.admission.run(
+                self.batcher.submit(query, algorithm, doc_filter))
         return ok_response(result=result_payload(result))
 
     async def _compare(self, request: Dict[str, object]) -> Dict[str, object]:
@@ -435,6 +420,30 @@ class SearchService:
         return (f"storage fault during the mutation ({error}); it rolled "
                 f"back whole, so a retry is clean")
 
+    def _absorb_write(self, store: SQLiteStore) -> None:
+        """After a write commits: compact on the trigger, then invalidate.
+
+        Runs on the writing worker.  A failure anywhere in the compaction
+        step, the trigger read included, is counted and never changes the
+        write's answer: a failed fold rolls back whole, and the next write
+        or the ``compact`` op retries it.  Worker engines are snapshots, so
+        they are rebuilt — once for the write and its compaction — and
+        every request dispatched from here on sees the post-write corpus.
+        """
+        if self.compact_segments is not None:
+            try:
+                if store.segment_count() >= self.compact_segments:
+                    outcome = store.compact()
+                    self.metrics.counter(metric_names.COMPACTOR_RUNS).inc()
+                    self.metrics.counter(
+                        metric_names.COMPACTOR_SEGMENTS_FOLDED).inc(
+                            int(outcome["segments"]))
+            except Exception as error:  # lint: allow(exception-discipline)
+                self.metrics.counter(metric_names.COMPACTOR_FAILURES).inc()
+                print(f"[compaction] failed after a committed write: "
+                      f"{type(error).__name__}: {error}", file=sys.stderr)
+        self.pool.invalidate_engines()
+
     async def _update(self, request: Dict[str, object]) -> Dict[str, object]:
         store = self._mutable_store()
         doc = self._required_doc(request)
@@ -460,9 +469,7 @@ class SearchService:
             except sqlite3.OperationalError as error:
                 raise ServiceError(ERROR_DEGRADED,
                                    self._degraded_message(error)) from error
-            # Worker engines are snapshots; rebuild them so every request
-            # dispatched from here on sees the post-update corpus.
-            self.pool.invalidate_engines()
+            self._absorb_write(store)
             return segment, documents
 
         with self.admission:
@@ -509,7 +516,7 @@ class SearchService:
             except sqlite3.OperationalError as error:
                 raise ServiceError(ERROR_DEGRADED,
                                    self._degraded_message(error)) from error
-            self.pool.invalidate_engines()
+            self._absorb_write(store)
             return segment, documents
 
         with self.admission:
@@ -557,8 +564,8 @@ class SearchService:
     def stats(self) -> Dict[str, object]:
         """One merged stats payload: pool, batcher, admission, server.
 
-        A ``compactor`` section appears only when a background compactor
-        is attached — the key set stays stable for every other stack.
+        A ``compactor`` section appears only when a compaction trigger is
+        set — the key set stays stable for every other stack.
         """
         stats: Dict[str, object] = {
             "pool": self.pool.stats(),
@@ -566,8 +573,15 @@ class SearchService:
             "admission": self.admission.stats(),
             "server": self._server_stats(),
         }
-        if self.compactor is not None:
-            stats["compactor"] = self.compactor.stats()
+        if self.compact_segments is not None:
+            counters = self.metrics.snapshot()["counters"]
+            stats["compactor"] = {
+                "max_segments": self.compact_segments,
+                "runs": counters.get(metric_names.COMPACTOR_RUNS, 0),
+                "failures": counters.get(metric_names.COMPACTOR_FAILURES, 0),
+                "segments_folded": counters.get(
+                    metric_names.COMPACTOR_SEGMENTS_FOLDED, 0),
+            }
         return stats
 
     def _server_stats(self) -> Dict[str, object]:
@@ -604,9 +618,7 @@ class SearchService:
         return merge_snapshots(snapshots)
 
     def close(self) -> None:
-        """Stop the compactor, flush the batcher, stop an owned pool."""
-        if self.compactor is not None:
-            self.compactor.stop()
+        """Dispatch the batcher's queue, then stop an owned pool."""
         self.batcher.close()
         if self._owns_pool:
             self.pool.shutdown()

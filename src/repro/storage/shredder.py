@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Set, Tuple
 
 from ..index.packed import pack_component_tuples
-from ..text import DEFAULT_TOKENIZER, Tokenizer, content_id
+from ..text import DEFAULT_TOKENIZER, content_id
 from ..xmltree import XMLNode, XMLTree
 from .schema import ElementRow, LabelRow, ValueRow, decode_dewey, encode_dewey
 
@@ -29,9 +29,11 @@ class ShreddedDocument:
         return len(self.values)
 
 
-def shred_tree(tree: XMLTree, name: str = "",
-               tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> ShreddedDocument:
+def shred_tree(tree: XMLTree, name: str = "") -> ShreddedDocument:
     """Shred a tree into ``label`` / ``element`` / ``value`` rows.
+
+    Words are normalized by :data:`~repro.text.DEFAULT_TOKENIZER`, as the
+    memory index and :meth:`Query.parse` normalize them.
 
     The ``value`` table receives one row per (node, word) pair, split by
     origin: the node's label words carry ``attribute=""``, attribute words
@@ -48,7 +50,7 @@ def shred_tree(tree: XMLTree, name: str = "",
         label_id = label_ids.setdefault(node.label, len(label_ids))
         dewey_text = encode_dewey(node.dewey.components)
         sequence = _label_number_sequence(node, label_ids)
-        feature = content_id(tokenizer.word_set(node.raw_strings()))
+        feature = content_id(DEFAULT_TOKENIZER.word_set(node.raw_strings()))
         elements.append(ElementRow(
             document=document,
             label=node.label,
@@ -58,7 +60,7 @@ def shred_tree(tree: XMLTree, name: str = "",
             content_feature_min=feature[0],
             content_feature_max=feature[1],
         ))
-        values.extend(_value_rows(document, node, dewey_text, tokenizer))
+        values.extend(_value_rows(document, node, dewey_text))
 
     labels = tuple(LabelRow(label=label, label_id=label_id)
                    for label, label_id in sorted(label_ids.items(),
@@ -103,18 +105,18 @@ def _label_number_sequence(node: XMLNode, label_ids: Dict[str, int]) -> str:
     return ".".join(numbers)
 
 
-def _value_rows(document: str, node: XMLNode, dewey_text: str,
-                tokenizer: Tokenizer) -> Iterator[ValueRow]:
-    for word in tokenizer.tokenize(node.label):
+def _value_rows(document: str, node: XMLNode,
+                dewey_text: str) -> Iterator[ValueRow]:
+    for word in DEFAULT_TOKENIZER.tokenize(node.label):
         yield ValueRow(document=document, label=node.label, dewey=dewey_text,
                        attribute="", keyword=word)
     if node.text:
-        for word in set(tokenizer.tokenize(node.text)):
+        for word in set(DEFAULT_TOKENIZER.tokenize(node.text)):
             yield ValueRow(document=document, label=node.label, dewey=dewey_text,
                            attribute="#text", keyword=word)
     for attribute, value in node.attributes.items():
-        attribute_words = set(tokenizer.tokenize(attribute))
-        attribute_words |= set(tokenizer.tokenize(value or ""))
+        attribute_words = set(DEFAULT_TOKENIZER.tokenize(attribute))
+        attribute_words |= set(DEFAULT_TOKENIZER.tokenize(value or ""))
         for word in attribute_words:
             yield ValueRow(document=document, label=node.label, dewey=dewey_text,
                            attribute=attribute, keyword=word)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Collection, Dict, FrozenSet, Iterable, Set, Tuple
 
 from ..xmltree import DeweyCode, XMLNode, XMLTree
-from .tokenizer import DEFAULT_TOKENIZER, Tokenizer
+from .tokenizer import DEFAULT_TOKENIZER
 
 #: The cID of an empty word set.
 EMPTY_CID: Tuple[str, str] = ("", "")
@@ -42,9 +42,8 @@ class ContentAnalyzer:
     algorithms repeatedly ask for the same contents while building RTFs.
     """
 
-    def __init__(self, tree: XMLTree, tokenizer: Tokenizer = DEFAULT_TOKENIZER):
+    def __init__(self, tree: XMLTree):
         self.tree = tree
-        self.tokenizer = tokenizer
         self._content_cache: Dict[DeweyCode, FrozenSet[str]] = {}
         self._cid_cache: Dict[DeweyCode, Tuple[str, str]] = {}
         self._subtree_cache: Dict[DeweyCode, FrozenSet[str]] = {}
@@ -57,7 +56,7 @@ class ContentAnalyzer:
         cached = self._content_cache.get(node.dewey)
         if cached is not None:
             return cached
-        words = frozenset(self.tokenizer.word_set(node.raw_strings()))
+        words = frozenset(DEFAULT_TOKENIZER.word_set(node.raw_strings()))
         self._content_cache[node.dewey] = words
         return words
 

@@ -30,6 +30,7 @@ from repro.corpus import (
     CorpusSearchEngine,
     corpus_from_store,
 )
+from repro.faults import InjectedCrash
 from repro.service.protocol import (
     comparison_payload,
     encode_message,
@@ -254,3 +255,11 @@ def run_mutation_sequence(store: SQLiteStore, state: Dict[str, XMLTree],
         labels.append(label)
         check(label)
     return labels
+
+
+def crash_at(point: str, error: type = InjectedCrash):
+    """A store fault hook raising ``error`` at one named fault point."""
+    def hook(name):
+        if name == point:
+            raise error(f"killed at {name}")
+    return hook

@@ -88,7 +88,7 @@ class TestPipelineInvariants:
         index = InvertedIndex(publications)
         validrtf = ValidRTF(publications, index)
         maxmatch = MaxMatch(publications, index)
-        assert validrtf.index is maxmatch.index is index
+        assert validrtf.source is maxmatch.source is index
 
 
 class TestValidRTFKeepsMoreOrEqualKeywordNodes:

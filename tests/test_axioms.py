@@ -145,7 +145,7 @@ class TestAxiomsOnRandomTrees:
     def test_validrtf_axioms_random(self, seed, make_random_tree):
         tree = make_random_tree(seed, max_nodes=25)
         engine = SearchEngine(tree)
-        vocabulary = engine.index.vocabulary()
+        vocabulary = engine.source.vocabulary()
         if len(vocabulary) < 3:
             pytest.skip("degenerate random tree without enough vocabulary")
         query = " ".join(vocabulary[:2])

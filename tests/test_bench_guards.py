@@ -154,11 +154,9 @@ class TestServiceBenchGuard:
         # The stats dict is derived from the registry, so a report whose two
         # views disagree can only mean double bookkeeping crept back in.
         report = good_report(
-            server_stats={"batcher": {"requests": 5, "batches": 1,
-                                      "size_flushes": 0, "timer_flushes": 1}},
+            server_stats={"batcher": {"requests": 5, "batches": 1}},
             server_metrics={"counters": {"batcher.requests": 3,
-                                         "batcher.batches": 1,
-                                         "batcher.timer_flushes": 1},
+                                         "batcher.batches": 1},
                             "gauges": {}, "histograms": {}},
         )
         with pytest.raises(ServiceBenchIntegrityError,

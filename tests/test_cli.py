@@ -123,3 +123,14 @@ class TestArgumentHandling:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             main(["search", "--dataset", "figure-1a", "--algorithm", "bogus", "xml"])
+
+    @pytest.mark.parametrize("command", ["serve", "loadtest"])
+    @pytest.mark.parametrize("flag", ["--batch-size", "--batch-window",
+                                      "--compact-interval-ms"])
+    def test_removed_service_flags_are_rejected(self, capsys, command, flag):
+        # Batches dispatch when a worker is free and compaction runs on the
+        # write that crosses --compact-segments: no window, no poll period.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, "4"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

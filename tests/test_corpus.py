@@ -320,7 +320,7 @@ def test_service_config_serves_corpus_document_subset(tmp_path):
                            documents=("team",))
     service = config.build()
     try:
-        result = service.pool.search("name").result(timeout=30)
+        result, = service.pool.search_many(["name"]).result(timeout=30)
         assert set(result.doc_ids) == {"team"}
         engine_id = service.pool.backend_id
         assert "team" in engine_id and "notes" not in engine_id

@@ -35,7 +35,7 @@ from random import Random
 import pytest
 
 import repro
-from fuzz_util import fresh_oracle, segmented_engine, wire_lines
+from fuzz_util import crash_at, fresh_oracle, segmented_engine, wire_lines
 from repro.cli import main
 from repro.datasets import default_dblp_tree, publications_tree, team_tree
 from repro.faults import FaultPlan, InjectedCrash, InjectedFault
@@ -199,14 +199,6 @@ class TestFaultingConnection:
 # Crash atomicity: a crash before the commit leaves the pre state, one
 # after it the post state
 # ---------------------------------------------------------------------- #
-def crash_at(point: str, error: type = InjectedCrash):
-    """A fault hook raising ``error`` at one named fault point."""
-    def hook(name):
-        if name == point:
-            raise error(f"killed at {name}")
-    return hook
-
-
 class TestJournalRecovery:
     @pytest.fixture
     def db(self, tmp_path):

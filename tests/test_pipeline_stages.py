@@ -79,14 +79,14 @@ class TestSearchBehaviour:
     def test_index_built_on_demand(self, publications):
         pipeline = FragmentPipeline(publications,
                                     pruner=prune_with_valid_contributor)
-        assert pipeline.index is not None
-        assert pipeline.analyzer is pipeline.index.analyzer
+        assert isinstance(pipeline.source, InvertedIndex)
+        assert pipeline.analyzer is pipeline.source.analyzer
 
     def test_shared_index_instance(self, publications):
         index = InvertedIndex(publications)
-        pipeline = FragmentPipeline(publications, index=index,
+        pipeline = FragmentPipeline(publications, source=index,
                                     pruner=prune_with_valid_contributor)
-        assert pipeline.index is index
+        assert pipeline.source is index
 
     def test_cid_mode_forwarded_to_records(self, publications):
         pipeline = FragmentPipeline(publications,

@@ -32,9 +32,11 @@ from repro.service import (
     SearchService,
     ServerThread,
     ServiceClient,
+    ServiceConfig,
     ServiceError,
     comparison_payload,
     encode_message,
+    loadtest,
     rank_stats_payload,
     ranking_payload,
     result_payload,
@@ -880,18 +882,42 @@ def test_concurrent_hammer_no_cross_request_bleed(served, backend):
 
 
 def test_concurrent_burst_actually_batches(publications):
-    """Sanity check on the hammer's premise: a synchronized burst of
-    identical requests from many connections coalesces into at least one
-    multi-request engine batch (and still answers correctly)."""
+    """Sanity check on the hammer's premise: a burst of identical requests
+    from many connections, arriving while both workers are busy, coalesces
+    into one multi-request engine batch (and still answers correctly).
+
+    The first two batches block on their worker until the whole burst has
+    been submitted, so the test needs no timing window."""
     pool = EnginePool.for_backend("memory", tree=publications, workers=2,
                                   document="publications")
     service = SearchService(pool)
-    service.batcher.max_wait_seconds = 0.05  # generous window for CI boxes
+    threads = 8
+    admitted = threading.Event()
+
+    def gated_search_many(queries, algorithm, doc_filter=None):
+        def run(engine):
+            admitted.wait(30)
+            return engine.search_many(queries, algorithm,
+                                      doc_filter=doc_filter)
+        return pool.submit(run)
+
+    pool.search_many = gated_search_many
+    submitted = 0
+    submit = service.batcher.submit
+
+    def counted_submit(*args, **kwargs):
+        nonlocal submitted
+        future = submit(*args, **kwargs)
+        submitted += 1
+        if submitted == threads:
+            admitted.set()
+        return future
+
+    service.batcher.submit = counted_submit
     reference = build_reference_engine(publications, "memory",
                                        "publications")
     expected = encode_message(
         result_payload(reference.search(PAPER_QUERIES["Q2"])))
-    threads = 8
     barrier = threading.Barrier(threads)
     errors = []
     with ServerThread(service) as server:
@@ -912,5 +938,33 @@ def test_concurrent_burst_actually_batches(publications):
         stats = service.stats()["batcher"]
     pool.shutdown()
     assert not errors, errors
-    assert stats["largest_batch"] >= 2, stats
-    assert stats["batches"] < stats["requests"], stats
+    # Two lone batches held both workers; the six requests that queued
+    # behind them left as one batch when the first worker came free.
+    assert stats["requests"] == threads, stats
+    assert (stats["batches"], stats["largest_batch"]) == (3, 6), stats
+
+
+# ---------------------------------------------------------------------- #
+# A load report against a running server
+# ---------------------------------------------------------------------- #
+def test_remote_loadtest_records_only_what_the_client_chose(tmp_path,
+                                                            publications,
+                                                            team):
+    """Against ``address`` the report's config holds the client's own
+    choices; the server's settings come from its stats, never from the
+    local config's defaults (which read memory / 4 workers here)."""
+    db = str(tmp_path / "corpus.db")
+    store = SQLiteStore(db)
+    store.store_tree(publications, "pub")
+    store.store_tree(team, "team")
+    store.close()
+    pool = EnginePool.for_backend("corpus", db_path=db, workers=2)
+    with pool, ServerThread(pool) as server:
+        report = loadtest(ServiceConfig(), ["name", PAPER_QUERIES["Q2"]],
+                          address=server.address, requests=6,
+                          concurrency=2, fetch_stats=True)
+    assert report.completed == 6
+    assert report.config == {"query_mix": 2, "mode": "closed",
+                             "concurrency": 2}
+    assert report.server_stats["pool"]["workers"] == 2
+    assert report.server_stats["pool"]["backend"].startswith("corpus[")

@@ -1,26 +1,29 @@
 """Unit behaviour of the serving-layer components.
 
 Engine pool (per-worker engines over one shared snapshot), request batcher
-(coalescing, flush-on-size, flush-on-window, error fan-out), admission
-controller (bounded depth, typed shedding, deadlines), the background
-compactor's trigger and the protocol's canonical encoding — each exercised
-on its own, without a TCP socket.
+(dispatch while a worker is free, queueing per key, coalescing on
+completion, dropped expired requests, error fan-out), admission controller
+(bounded depth, typed shedding, deadlines), the compaction trigger of a
+write and the protocol's canonical encoding — each exercised on its own,
+without a TCP socket.  The batcher and compaction tests are event-driven:
+no sleeps, no windows.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+from concurrent.futures import Future
 
 import pytest
 
+from fuzz_util import crash_at
 from repro.corpus import CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES, team_tree
 from repro.service import (
     ERROR_OVERLOADED,
     ERROR_TIMEOUT,
     AdmissionController,
-    BackgroundCompactor,
     EnginePool,
     RequestBatcher,
     SearchService,
@@ -29,7 +32,9 @@ from repro.service import (
     encode_message,
     result_payload,
 )
+from repro.service.batcher import MAX_BATCH_SIZE
 from repro.storage import SQLiteStore
+from repro.xmltree import to_xml_string
 
 
 def one_document_corpus(tree, name: str = "service") -> CorpusSearchEngine:
@@ -77,10 +82,22 @@ class TestEnginePool:
         direct_engine = one_document_corpus(publications)
         with EnginePool.for_backend("memory", tree=publications,
                                     workers=2) as pool:
-            for name in ("Q1", "Q2", "Q3"):
-                served = pool.search(PAPER_QUERIES[name]).result(30)
-                direct = direct_engine.search(PAPER_QUERIES[name])
-                assert result_payload(served) == result_payload(direct)
+            queries = [PAPER_QUERIES[name] for name in ("Q1", "Q2", "Q3")]
+            served = pool.search_many(queries).result(30)
+            for query, result in zip(queries, served):
+                assert result_payload(result) == \
+                    result_payload(direct_engine.search(query))
+
+    def test_search_many_honours_doc_filter(self, publications, team):
+        trees = {"publications": publications, "team": team}
+        direct = CorpusSearchEngine.from_trees(trees)
+        with EnginePool.for_backend("corpus", trees=trees,
+                                    workers=1) as pool:
+            served = pool.search_many(["name"], doc_filter=["team"]
+                                      ).result(30)
+        assert served[0].doc_ids == ("team",)
+        assert result_payload(served[0]) == \
+            result_payload(direct.search("name", doc_filter=["team"]))
 
     @pytest.mark.parametrize("backend", ["sqlite", "corpus"])
     def test_disk_backends_serve_concurrently(self, tmp_path, publications,
@@ -112,15 +129,16 @@ class TestEnginePool:
                                           workers=3, document="pub")
         sent = [queries[i % len(queries)] for i in range(12)]
         with pool:
-            futures = [pool.search(query) for query in sent]
+            futures = [pool.search_many([query]) for query in sent]
             for query, future in zip(sent, futures):
-                assert result_payload(future.result(30)) == expected[query]
+                assert result_payload(future.result(30)[0]) == \
+                    expected[query]
 
     def test_cache_stats_aggregate_across_workers(self, publications):
         with EnginePool.for_backend("memory", tree=publications, workers=2,
                                     cache_size=16) as pool:
             for _ in range(6):
-                pool.search(PAPER_QUERIES["Q1"]).result(30)
+                pool.search_many([PAPER_QUERIES["Q1"]]).result(30)
             stats = pool.cache_stats()
             assert stats.lookups == 6
             assert stats.hits + stats.misses == 6
@@ -130,7 +148,7 @@ class TestEnginePool:
         pool = EnginePool.for_backend("memory", tree=publications, workers=1)
         pool.shutdown()
         with pytest.raises(RuntimeError):
-            pool.search("xml")
+            pool.search_many(["xml"])
 
 
 # ---------------------------------------------------------------------- #
@@ -143,17 +161,163 @@ def memory_pool(publications):
         yield pool
 
 
-class TestRequestBatcher:
-    def test_knob_validation(self, memory_pool):
-        with pytest.raises(ValueError):
-            RequestBatcher(memory_pool, max_batch_size=0)
-        with pytest.raises(ValueError):
-            RequestBatcher(memory_pool, max_wait_seconds=-1)
+class StubPool:
+    """Two workers whose batches the test resolves by hand."""
 
-    def test_concurrent_submissions_coalesce(self, memory_pool,
-                                             publications):
-        batcher = RequestBatcher(memory_pool, max_batch_size=8,
-                                 max_wait_seconds=0.05)
+    workers = 2
+
+    def __init__(self) -> None:
+        #: Every dispatched batch: (queries, algorithm, doc_filter, future).
+        self.batches = []
+
+    def search_many(self, queries, algorithm="validrtf", doc_filter=None):
+        future = Future()
+        self.batches.append((list(queries), algorithm, doc_filter, future))
+        return future
+
+    def dispatched(self):
+        return [(queries, algorithm, doc_filter)
+                for queries, algorithm, doc_filter, _ in self.batches]
+
+    def resolve(self, index: int) -> None:
+        queries, _, _, future = self.batches[index]
+        future.set_result([f"answer:{query}" for query in queries])
+
+
+class TestRequestBatcher:
+    def test_lone_submissions_dispatch_inside_submit(self):
+        pool = StubPool()
+        batcher = RequestBatcher(pool)
+
+        async def drive():
+            first = batcher.submit("q1")
+            assert pool.dispatched() == [(["q1"], "validrtf", None)]
+            second = batcher.submit("q2", "maxmatch")
+            assert pool.dispatched() == [(["q1"], "validrtf", None),
+                                         (["q2"], "maxmatch", None)]
+            pool.resolve(1)
+            pool.resolve(0)
+            return await first, await second
+
+        assert asyncio.run(drive()) == ("answer:q1", "answer:q2")
+        stats = batcher.stats()
+        assert (stats["requests"], stats["batches"]) == (2, 2)
+
+    def test_submissions_queue_while_every_worker_is_busy(self):
+        pool = StubPool()
+        batcher = RequestBatcher(pool)
+
+        async def drive():
+            batcher.submit("q1")
+            batcher.submit("q2")
+            batcher.submit("q3")
+            batcher.submit("q4")
+            assert len(pool.batches) == 2
+            assert batcher.stats()["requests"] == 4
+            # Closing dispatches whatever is still queued, workers busy or
+            # not, so no request is stranded by a shutdown.
+            batcher.close()
+            assert pool.dispatched()[2:] == [(["q3", "q4"], "validrtf",
+                                              None)]
+
+        asyncio.run(drive())
+
+    def test_a_completed_batch_dispatches_the_queue_as_one_batch(self):
+        pool = StubPool()
+        batcher = RequestBatcher(pool)
+
+        async def drive():
+            first = batcher.submit("q1")
+            batcher.submit("q2")
+            third = batcher.submit("q3")
+            fourth = batcher.submit("q4")
+            pool.resolve(0)
+            assert await first == "answer:q1"
+            assert pool.dispatched()[2] == (["q3", "q4"], "validrtf", None)
+            pool.resolve(2)
+            return await third, await fourth
+
+        assert asyncio.run(drive()) == ("answer:q3", "answer:q4")
+        stats = batcher.stats()
+        assert (stats["batches"], stats["largest_batch"]) == (3, 2)
+
+    def test_a_batch_carries_at_most_max_batch_size(self):
+        pool = StubPool()
+        batcher = RequestBatcher(pool)
+        queued = [f"q{index}" for index in range(MAX_BATCH_SIZE + 2)]
+
+        async def drive():
+            first = batcher.submit("first")
+            second = batcher.submit("second")
+            for query in queued:
+                batcher.submit(query)
+            pool.resolve(0)
+            await first
+            pool.resolve(1)
+            await second
+
+        asyncio.run(drive())
+        assert [queries for queries, _, _ in pool.dispatched()[2:]] == \
+            [queued[:MAX_BATCH_SIZE], queued[MAX_BATCH_SIZE:]]
+
+    def test_expired_request_is_never_dispatched(self):
+        pool = StubPool()
+        batcher = RequestBatcher(pool)
+
+        async def drive():
+            first = batcher.submit("q1")
+            batcher.submit("q2")
+            expired = batcher.submit("q3")
+            kept = batcher.submit("q4")
+            # A zero deadline expires at once: the admission controller's
+            # timeout cancels the queued future the same way.
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(expired, 0)
+            pool.resolve(0)
+            await first
+            assert pool.dispatched()[2] == (["q4"], "validrtf", None)
+            pool.resolve(2)
+            return await kept
+
+        assert asyncio.run(drive()) == "answer:q4"
+        waits = batcher.metrics.snapshot()["histograms"][
+            "batcher.queue_wait_seconds"]
+        assert waits["count"] == 3  # q1, q2 and q4: q3 never left the queue
+
+    def test_keys_never_mix(self):
+        pool = StubPool()
+        batcher = RequestBatcher(pool)
+
+        async def drive():
+            first = batcher.submit("q1")
+            second = batcher.submit("q2")
+            queued = [batcher.submit("a1"),
+                      batcher.submit("b1", "maxmatch"),
+                      batcher.submit("c1", doc_filter=["pub"]),
+                      batcher.submit("a2"),
+                      batcher.submit("b2", "maxmatch"),
+                      batcher.submit("c2", doc_filter=["pub"])]
+            pool.resolve(0)
+            await first
+            pool.resolve(1)
+            await second
+            pool.resolve(2)
+            await queued[0]
+            for index in (3, 4):
+                pool.resolve(index)
+            return await asyncio.gather(*queued)
+
+        answers = asyncio.run(drive())
+        assert answers == [f"answer:{query}" for query in
+                           ("a1", "b1", "c1", "a2", "b2", "c2")]
+        assert pool.dispatched()[2:] == [
+            (["a1", "a2"], "validrtf", None),
+            (["b1", "b2"], "maxmatch", None),
+            (["c1", "c2"], "validrtf", ("pub",)),
+        ]
+
+    def test_answers_match_the_engine(self, memory_pool, publications):
+        batcher = RequestBatcher(memory_pool)
         queries = [PAPER_QUERIES[name] for name in ("Q1", "Q2", "Q3")]
 
         async def drive():
@@ -165,28 +329,10 @@ class TestRequestBatcher:
         for query, result in zip(queries, results):
             assert result_payload(result) == \
                 result_payload(direct.search(query))
-        stats = batcher.stats()
-        assert stats["requests"] == 3
-        assert stats["batches"] == 1  # one window, one engine-level batch
-        assert stats["largest_batch"] == 3
-
-    def test_flush_on_size_beats_the_window(self, memory_pool):
-        batcher = RequestBatcher(memory_pool, max_batch_size=2,
-                                 max_wait_seconds=30.0)
-
-        async def drive():
-            return await asyncio.wait_for(
-                asyncio.gather(batcher.submit(PAPER_QUERIES["Q1"]),
-                               batcher.submit(PAPER_QUERIES["Q2"])),
-                timeout=10)
-
-        results = asyncio.run(drive())
-        assert len(results) == 2
-        assert batcher.stats()["size_flushes"] == 1
+        assert batcher.stats()["requests"] == 3
 
     def test_algorithms_batch_separately(self, memory_pool):
-        batcher = RequestBatcher(memory_pool, max_batch_size=8,
-                                 max_wait_seconds=0.02)
+        batcher = RequestBatcher(memory_pool)
 
         async def drive():
             return await asyncio.gather(
@@ -198,14 +344,23 @@ class TestRequestBatcher:
         assert batcher.stats()["batches"] == 2
 
     def test_worker_failure_fans_out_as_service_error(self, memory_pool):
-        batcher = RequestBatcher(memory_pool, max_batch_size=2,
-                                 max_wait_seconds=0.01)
+        batcher = RequestBatcher(memory_pool)
 
         async def drive():
             # The empty query fails engine-side (EmptyQueryError); the
             # batcher must surface the worker's failure as a typed error.
             with pytest.raises(ServiceError):
                 await batcher.submit("")
+
+        asyncio.run(drive())
+
+    def test_closed_batcher_refuses_work(self):
+        batcher = RequestBatcher(StubPool())
+        batcher.close()
+
+        async def drive():
+            with pytest.raises(ServiceError):
+                batcher.submit("q1")
 
         asyncio.run(drive())
 
@@ -317,31 +472,74 @@ class TestAdmissionController:
 
 
 # ---------------------------------------------------------------------- #
-# BackgroundCompactor: the trigger threshold
+# Compaction on the write that crosses the trigger
 # ---------------------------------------------------------------------- #
-class CountingPool:
-    """The one pool call the compactor makes."""
-
-    def __init__(self) -> None:
-        self.invalidations = 0
-
-    def invalidate_engines(self) -> None:
-        self.invalidations += 1
-
-
-class TestBackgroundCompactor:
-    @pytest.mark.parametrize("segments,compacts", [(3, True), (2, False)])
-    def test_tick_compacts_at_max_segments(self, segments, compacts):
-        store = SQLiteStore()
-        for _ in range(segments):
-            store.update_document(team_tree(), "team")
-        pool = CountingPool()
-        compactor = BackgroundCompactor(store, pool, max_segments=3)
-        assert compactor._tick() == compactor.interval_seconds
-        assert store.segment_count() == (0 if compacts else segments)
-        assert pool.invalidations == (1 if compacts else 0)
-        assert compactor.stats()["runs"] == (1 if compacts else 0)
+class TestCompactionTrigger:
+    @pytest.fixture()
+    def service(self, tmp_path, publications):
+        db = str(tmp_path / "live.db")
+        store = SQLiteStore(db)
+        store.store_tree(publications, "pub")
+        store.store_tree(team_tree(), "team")
         store.close()
+        pool = EnginePool.for_backend("corpus", db_path=db, workers=1)
+        service = SearchService(pool, owns_pool=True, compact_segments=3)
+        yield service
+        service.close()
+
+    @staticmethod
+    def update(service: SearchService):
+        return asyncio.run(service.handle({
+            "op": "update", "doc": "team",
+            "xml": to_xml_string(team_tree())}))
+
+    def test_the_write_that_reaches_the_trigger_compacts(self, service):
+        store = service.pool.mutable_store
+        invalidations = []
+        invalidate = service.pool.invalidate_engines
+
+        def counted() -> None:
+            invalidations.append(1)
+            invalidate()
+
+        service.pool.invalidate_engines = counted
+        for segments in (1, 2):
+            assert self.update(service)["ok"]
+            assert store.segment_count() == segments
+        assert service.stats()["compactor"]["runs"] == 0
+        answer = self.update(service)
+        assert answer["ok"] and answer["documents"] == ["pub", "team"]
+        assert store.segment_count() == 0
+        assert service.stats()["compactor"] == {
+            "max_segments": 3, "runs": 1, "failures": 0,
+            "segments_folded": 3}
+        assert len(invalidations) == 3  # once per write, fold included
+        assert "repro-compactor" not in {
+            thread.name for thread in threading.enumerate()}
+
+    def test_a_failed_fold_still_answers_the_write(self, service, capsys):
+        store = service.pool.mutable_store
+        store.fault_hook = crash_at("compact.apply")
+        for _ in range(3):
+            assert self.update(service)["ok"]
+        assert store.segment_count() == 3  # the fold rolled back whole
+        assert "[compaction] failed" in capsys.readouterr().err
+        compactor = service.stats()["compactor"]
+        assert (compactor["runs"], compactor["failures"]) == (0, 1)
+        store.fault_hook = None
+        assert self.update(service)["ok"]  # the next write retries
+        assert store.segment_count() == 0
+        compactor = service.stats()["compactor"]
+        assert (compactor["runs"], compactor["failures"],
+                compactor["segments_folded"]) == (1, 1, 4)
+
+    def test_trigger_needs_a_mutable_store(self, memory_pool):
+        with pytest.raises(ValueError, match="mutable corpus backend"):
+            SearchService(memory_pool, compact_segments=3)
+
+    def test_trigger_must_be_positive(self, service):
+        with pytest.raises(ValueError, match="positive"):
+            SearchService(service.pool, compact_segments=0)
 
 
 # ---------------------------------------------------------------------- #

@@ -13,7 +13,7 @@ from typing import Sequence
 import pytest
 
 from repro.core import Query
-from repro.core.valid_contributor import _is_covered
+from repro.core.contributor import covering_siblings
 
 from .conftest import representative_queries
 
@@ -27,7 +27,8 @@ def _set_based_is_covered(keywords: frozenset,
 
 @pytest.fixture(scope="module")
 def label_groups(engines, dataset_specs):
-    """All multi-child label groups appearing in one workload's record trees."""
+    """The key numbers of every multi-child label group appearing in one
+    workload's record trees."""
     engine = engines["xmark-data1"]
     pipeline = engine.algorithm("validrtf")
     groups = []
@@ -35,29 +36,29 @@ def label_groups(engines, dataset_specs):
         query = Query.parse(workload_query.text)
         for fragment in pipeline.raw_fragments(query):
             records = pipeline.record_tree(query, fragment)
-            for record in records.root.iter_records():
-                for group in record.label_groups():
-                    if group.counter > 1:
-                        groups.append((query, group.children))
+            for position in range(records.size()):
+                for group in records.label_groups(position):
+                    if len(group) > 1:
+                        groups.append(
+                            (query, [records.masks[child] for child in group]))
     assert groups, "expected at least one multi-child label group"
     return groups
 
 
 def _bitmask_pass(groups) -> int:
     covered = 0
-    for _query, children in groups:
-        key_numbers = [child.key_number for child in children]
-        for child in children:
-            if _is_covered(child.key_number, key_numbers):
+    for _query, key_numbers in groups:
+        for coverer in covering_siblings(range(len(key_numbers)), key_numbers):
+            if coverer >= 0:
                 covered += 1
     return covered
 
 
 def _set_pass(groups) -> int:
     covered = 0
-    for query, children in groups:
-        keyword_sets = [frozenset(query.keywords_of(child.key_number))
-                        for child in children]
+    for query, key_numbers in groups:
+        keyword_sets = [frozenset(query.keywords_of(key_number))
+                        for key_number in key_numbers]
         for child_set in keyword_sets:
             if _set_based_is_covered(child_set, keyword_sets):
                 covered += 1

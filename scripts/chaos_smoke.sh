@@ -5,7 +5,9 @@
 # -> keyed mutations under chaos -> kill the server -> verify database
 # integrity (sqlite pages, ledger, catalog, posting blobs).  Deterministic by
 # construction: the plan is seeded and its fault budget is finite, so a
-# bounded retry policy always wins.  Must stay fast (well under 30 s) —
+# bounded retry policy always wins.  The plan's short delay lets the reads'
+# statements meet faults and its budget outlasts them, so both phases assert
+# that they retried at least once.  Must stay fast (well under 30 s) —
 # it runs inside `make smoke` and CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,7 +29,7 @@ python -m repro.cli index --dataset figure-1b --db "$db" --add
 echo "== serve under a seeded fault plan (bounded budget) =="
 python -m repro.cli serve --db "$db" --backend corpus --workers 2 \
     --port 0 --cache-size 0 --compact-segments 4 \
-    --fault-plan "seed=7,error=0.2,latency=0.05,latency-ms=2,delay=40,max-faults=12" \
+    --fault-plan "seed=7,error=0.2,latency=0.05,latency-ms=2,delay=10,max-faults=16" \
     > "$workdir/serve.log" 2>&1 &
 server_pid=$!
 address=""
@@ -48,6 +50,7 @@ with open(sys.argv[1]) as handle:
     report = json.load(handle)["service_bench"][0]
 assert report["completed"] == report["requests"] == 40, report
 assert not report["errors"], report["errors"]
+assert report["retries"] >= 1, "no read met a fault: the read retries went unexercised"
 print(f"completed {report['completed']}/{report['requests']} requests; "
       f"{report['retries']} retries healed degraded answers")
 PYEOF
@@ -71,6 +74,7 @@ with ServiceClient(host, int(port), retry=retry) as client:
     assert "chaos-doc" not in outcome["documents"], outcome
     folded = client.compact()
     assert folded["segments"] == 0, folded
+    assert client.retries >= 1, "no mutation met a fault: the keyed retries went unexercised"
     print(f"update/delete/compact healed; {client.retries} client retries")
 PYEOF
 

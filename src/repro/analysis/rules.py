@@ -155,6 +155,7 @@ class HotLoopPurityRule(Rule):
 
     name = "hot-loop-purity"
     description = ("hot modules (lca/, core/rtf.py, core/node_record.py, "
+                   "core/contributor.py, core/valid_contributor.py, "
                    "index/packed.py) must not construct DeweyCode, touch "
                    ".components in loops, or re-read hot columns per "
                    "iteration, except at declared result boundaries")
@@ -163,6 +164,8 @@ class HotLoopPurityRule(Rule):
     HOT_FILES = frozenset({
         "src/repro/core/rtf.py",
         "src/repro/core/node_record.py",
+        "src/repro/core/contributor.py",
+        "src/repro/core/valid_contributor.py",
         "src/repro/index/packed.py",
     })
     #: Columns of the packed representation that loops must hoist.

@@ -15,67 +15,65 @@ keeps same-label siblings whose matched content is identical).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
-from ..xmltree import DeweyCode
 from .fragments import PrunedFragment
-from .node_record import NodeRecord, RecordTree
+from .node_record import RecordTree
 
 
-def _strictly_covered(mask: int, masks: Sequence[int], skip: int = -1) -> bool:
-    """Whether some mask other than position ``skip`` strictly covers ``mask``.
+def covering_siblings(siblings: Sequence[int],
+                      masks: Sequence[int]) -> List[int]:
+    """For each sibling position, the first sibling (document order) whose
+    keyword mask strictly covers its own, or ``-1`` when none does.
 
-    The single contributor kernel: both :func:`is_contributor` (the
-    definitional API, used by the explanations) and the pruning loop below
-    decide through this test, so the rule can never diverge between
-    explaining and pruning.
+    The single cover kernel: the contributor test, Definition 4's rule 2(a)
+    (over one label group) and both explanations decide through it, so the
+    rule can never diverge between explaining and pruning.
     """
-    for position, other in enumerate(masks):
-        if position != skip and mask != other and (mask & other) == mask:
-            return True
-    return False
+    sibling_masks = [masks[sibling] for sibling in siblings]
+    # Siblings with equal masks share a verdict: one scan per distinct mask.
+    coverer: Dict[int, int] = {}
+    for mask in set(sibling_masks):
+        for other, other_mask in zip(siblings, sibling_masks):
+            if mask != other_mask and mask & other_mask == mask:
+                coverer[mask] = other
+                break
+    return [coverer.get(mask, -1) for mask in sibling_masks]
 
 
-def is_contributor(record: NodeRecord, siblings: Sequence[NodeRecord]) -> bool:
+def is_contributor(position: int, siblings: Sequence[int],
+                   masks: Sequence[int]) -> bool:
     """MaxMatch's contributor test for one node against its siblings.
 
-    ``siblings`` are the other children of the node's parent within the
-    fragment (any label).  The node fails iff some sibling's keyword mask is a
-    strict superset of its own.
+    ``siblings`` are the positions of the children of the node's parent
+    within the fragment (any label, the node included) and ``masks`` the
+    record tree's mask column.  The node fails iff some sibling's keyword
+    mask is a strict superset of its own.
     """
-    return not _strictly_covered(
-        record.keyword_mask,
-        [sibling.keyword_mask for sibling in siblings
-         if sibling.dewey != record.dewey])
+    return covering_siblings(siblings, masks)[list(siblings).index(position)] < 0
 
 
-def prune_with_contributor(record_tree: RecordTree,
+def prune_with_contributor(records: RecordTree,
                            algorithm: str = "maxmatch") -> PrunedFragment:
     """Apply MaxMatch's contributor filter to one RTF / SLCA fragment.
 
-    Top-down breadth-first traversal from the fragment root: a child is kept
-    iff it is a contributor among its parent's children; subtrees of discarded
-    children are never visited (so they are discarded wholesale), matching the
-    pruneMatches behaviour of MaxMatch.
+    Top-down breadth-first traversal from the fragment root (position 0): a
+    child is kept iff it is a contributor among its parent's children;
+    subtrees of discarded children are never visited (so they are discarded
+    wholesale), matching the pruneMatches behaviour of MaxMatch.
     """
-    fragment = record_tree.fragment
-    kept: List[DeweyCode] = [fragment.root]
-    queue = deque([record_tree.root])
-    while queue:
-        parent = queue.popleft()
-        children = parent.children
-        # The shared kernel on the raw mask ints; positions distinguish
-        # siblings, so no per-pair Dewey comparison is needed.
-        masks = [child.keyword_mask for child in children]
-        for index, child in enumerate(children):
-            if not _strictly_covered(masks[index], masks, skip=index):
-                kept.append(child.dewey)
-                queue.append(child)
-    return PrunedFragment(fragment=fragment, kept_nodes=tuple(sorted(set(kept))),
+    children, masks = records.children, records.masks
+    kept = [0]
+    for parent in kept:  # the kept list doubles as the breadth-first queue
+        kids = children[parent]
+        if len(kids) == 1:  # an only child has no sibling to cover it
+            kept.append(kids[0])
+        elif kids:
+            kept.extend(child for child, coverer
+                        in zip(kids, covering_siblings(kids, masks))
+                        if coverer < 0)
+    kept.sort()
+    nodes = records.fragment.nodes
+    return PrunedFragment(fragment=records.fragment,
+                          kept_nodes=tuple([nodes[i] for i in kept]),
                           algorithm=algorithm)
-
-
-def contributor_survivors(record_tree: RecordTree) -> List[DeweyCode]:
-    """The kept node list only (convenience wrapper used in tests)."""
-    return list(prune_with_contributor(record_tree).kept_nodes)

@@ -19,7 +19,6 @@ from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 from ..index import InvertedIndex, PackedDeweyList, PostingSource
 from ..obs import MetricsRegistry, Trace
 from ..obs import names as metric_names
-from ..text import ContentAnalyzer
 from ..xmltree import DeweyCode, XMLTree, parse_file, parse_string, render_nodes
 from .cache import CacheStats, QueryResultCache
 from .errors import UnknownAlgorithmError
@@ -93,20 +92,11 @@ class SearchEngine:
         self._cache: Optional[QueryResultCache] = (
             QueryResultCache(cache_size) if cache_size else None)
         self.metrics: Optional[MetricsRegistry] = metrics
-        # One content analyzer shared by all four pipelines, so they share
-        # one memoization cache instead of re-tokenizing per algorithm.
-        analyzer = getattr(self.source, "analyzer", None)
-        if analyzer is None and tree is not None:
-            analyzer = ContentAnalyzer(tree)
         self._algorithms: Dict[str, FragmentPipeline] = {
-            "validrtf": ValidRTF(tree, self.source, cid_mode=cid_mode,
-                                 analyzer=analyzer),
-            "maxmatch": MaxMatch(tree, self.source, cid_mode=cid_mode,
-                                 analyzer=analyzer),
-            "validrtf-slca": ValidRTFSLCA(tree, self.source, cid_mode=cid_mode,
-                                          analyzer=analyzer),
-            "maxmatch-slca": MaxMatchSLCA(tree, self.source, cid_mode=cid_mode,
-                                          analyzer=analyzer),
+            "validrtf": ValidRTF(tree, self.source, cid_mode=cid_mode),
+            "maxmatch": MaxMatch(tree, self.source, cid_mode=cid_mode),
+            "validrtf-slca": ValidRTFSLCA(tree, self.source, cid_mode=cid_mode),
+            "maxmatch-slca": MaxMatchSLCA(tree, self.source, cid_mode=cid_mode),
         }
         for pipeline in self._algorithms.values():
             pipeline.metrics = metrics

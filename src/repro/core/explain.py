@@ -16,16 +16,16 @@ command and the examples build on it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..xmltree import DeweyCode
-from .contributor import is_contributor
+from .contributor import covering_siblings
 from .fragments import SearchResult
-from .node_record import NodeRecord, RecordTree
+from .node_record import RecordTree
 from .query import Query
+from .valid_contributor import discarding_siblings
 
 
 class Decision(str, Enum):
@@ -130,83 +130,72 @@ class ComparisonExplanation:
 # ---------------------------------------------------------------------- #
 # Per-fragment explanations
 # ---------------------------------------------------------------------- #
-def explain_valid_contributor(record_tree: RecordTree,
+def explain_valid_contributor(records: RecordTree,
                               query: Query) -> FragmentExplanation:
     """Per-node decisions of the valid-contributor filter (Definition 4)."""
-    decisions: Dict[DeweyCode, NodeDecision] = {}
-    root = record_tree.root
-    decisions[root.dewey] = NodeDecision(
-        dewey=root.dewey, label=root.label, kept=True, decision=Decision.ROOT,
-        keywords=_keywords(root, query))
+    masks, features = records.masks, records.features
 
-    queue = deque([root])
-    while queue:
-        parent = queue.popleft()
-        parent_kept = decisions[parent.dewey].kept
-        for group in parent.label_groups():
-            children = sorted(group.children, key=lambda record: record.dewey)
-            key_numbers = [child.key_number for child in children]
-            seen_contents: Dict[int, Dict[object, DeweyCode]] = {}
-            for child in children:
-                if not parent_kept:
-                    decision = NodeDecision(
-                        dewey=child.dewey, label=child.label, kept=False,
-                        decision=Decision.ANCESTOR_DISCARDED,
-                        keywords=_keywords(child, query),
-                        because_of=parent.dewey)
-                elif len(children) == 1:
-                    decision = NodeDecision(
-                        dewey=child.dewey, label=child.label, kept=True,
-                        decision=Decision.UNIQUE_LABEL,
-                        keywords=_keywords(child, query))
+    def decide(parent: int) -> Iterator[Tuple[int, Decision, int]]:
+        for group in records.label_groups(parent):
+            blamed = discarding_siblings(group, masks, features)
+            for child, sibling in zip(group, blamed):
+                if len(group) == 1:
+                    yield child, Decision.UNIQUE_LABEL, -1
+                elif sibling >= 0:
+                    yield child, (Decision.COVERED
+                                  if masks[sibling] != masks[child]
+                                  else Decision.DUPLICATE_CONTENT), sibling
+                elif any(masks[other] == masks[child]
+                         for other in group if other != child):
+                    yield child, Decision.DISTINCT_CONTENT, -1
                 else:
-                    decision = _valid_contributor_decision(
-                        child, children, key_numbers, seen_contents, query)
-                decisions[child.dewey] = decision
-                queue.append(child)
+                    yield child, Decision.NOT_COVERED, -1
 
-    ordered = tuple(decisions[dewey] for dewey in sorted(decisions))
-    return FragmentExplanation(root=record_tree.fragment.root,
-                               algorithm="validrtf", decisions=ordered)
+    return _explain(records, query, "validrtf", decide)
 
 
-def explain_contributor(record_tree: RecordTree,
+def explain_contributor(records: RecordTree,
                         query: Query) -> FragmentExplanation:
     """Per-node decisions of MaxMatch's contributor filter."""
-    decisions: Dict[DeweyCode, NodeDecision] = {}
-    root = record_tree.root
-    decisions[root.dewey] = NodeDecision(
-        dewey=root.dewey, label=root.label, kept=True, decision=Decision.ROOT,
-        keywords=_keywords(root, query))
+    def decide(parent: int) -> Iterator[Tuple[int, Decision, int]]:
+        children = records.children[parent]
+        for child, coverer in zip(children,
+                                  covering_siblings(children, records.masks)):
+            yield child, (Decision.CONTRIBUTOR if coverer < 0
+                          else Decision.COVERED), coverer
 
-    queue = deque([root])
-    while queue:
-        parent = queue.popleft()
-        parent_kept = decisions[parent.dewey].kept
-        children = parent.children
-        for child in children:
-            if not parent_kept:
-                decision = NodeDecision(
-                    dewey=child.dewey, label=child.label, kept=False,
-                    decision=Decision.ANCESTOR_DISCARDED,
-                    keywords=_keywords(child, query), because_of=parent.dewey)
-            elif is_contributor(child, children):
-                decision = NodeDecision(
-                    dewey=child.dewey, label=child.label, kept=True,
-                    decision=Decision.CONTRIBUTOR,
-                    keywords=_keywords(child, query))
-            else:
-                coverer = _covering_sibling(child, children)
-                decision = NodeDecision(
-                    dewey=child.dewey, label=child.label, kept=False,
-                    decision=Decision.COVERED,
-                    keywords=_keywords(child, query), because_of=coverer)
-            decisions[child.dewey] = decision
-            queue.append(child)
+    return _explain(records, query, "maxmatch", decide)
 
-    ordered = tuple(decisions[dewey] for dewey in sorted(decisions))
-    return FragmentExplanation(root=record_tree.fragment.root,
-                               algorithm="maxmatch", decisions=ordered)
+
+def _explain(records: RecordTree, query: Query, algorithm: str,
+             decide: Callable[[int], Iterator[Tuple[int, Decision, int]]]
+             ) -> FragmentExplanation:
+    """Every node's decision, top-down in document order (parents precede
+    their children).  ``decide`` rules on a kept node's children as
+    ``(child, decision, blamed sibling)`` triples, the sibling ``-1`` for a
+    kept child; every child of a discarded node is discarded with it."""
+    nodes, labels, masks = records.fragment.nodes, records.labels, records.masks
+
+    def decision(position: int, verdict: Decision,
+                 blamed: int = -1) -> NodeDecision:
+        return NodeDecision(
+            dewey=nodes[position], label=labels[position],
+            kept=blamed < 0, decision=verdict,
+            keywords=tuple(sorted(query.keywords_of(masks[position]))),
+            because_of=nodes[blamed] if blamed >= 0 else None)
+
+    # Every entry after the root's is overwritten when its parent is reached.
+    decisions: List[NodeDecision] = [decision(0, Decision.ROOT)] * len(nodes)
+    for parent in range(len(nodes)):
+        if decisions[parent].kept:
+            for child, verdict, blamed in decide(parent):
+                decisions[child] = decision(child, verdict, blamed)
+        else:
+            for child in records.children[parent]:
+                decisions[child] = decision(child, Decision.ANCESTOR_DISCARDED,
+                                            parent)
+    return FragmentExplanation(root=records.fragment.root,
+                               algorithm=algorithm, decisions=tuple(decisions))
 
 
 # ---------------------------------------------------------------------- #
@@ -252,62 +241,6 @@ def render_explanation(explanation: FragmentExplanation,
         lines.append(f"  {decision.dewey} <{decision.label}> — "
                      f"{decision.decision.value}{keywords}{blame}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------- #
-# Internal helpers
-# ---------------------------------------------------------------------- #
-def _keywords(record: NodeRecord, query: Query) -> Tuple[str, ...]:
-    return tuple(sorted(query.keywords_of(record.keyword_mask)))
-
-
-def _valid_contributor_decision(child: NodeRecord,
-                                children: Sequence[NodeRecord],
-                                key_numbers: Sequence[int],
-                                seen_contents: Dict[int, Dict[object, DeweyCode]],
-                                query: Query) -> NodeDecision:
-    key = child.key_number
-    coverer = _strictly_covering_same_label_sibling(child, children)
-    if coverer is not None:
-        return NodeDecision(dewey=child.dewey, label=child.label, kept=False,
-                            decision=Decision.COVERED,
-                            keywords=_keywords(child, query),
-                            because_of=coverer)
-    contents = seen_contents.setdefault(key, {})
-    feature = child.content_feature
-    if feature in contents:
-        return NodeDecision(dewey=child.dewey, label=child.label, kept=False,
-                            decision=Decision.DUPLICATE_CONTENT,
-                            keywords=_keywords(child, query),
-                            because_of=contents[feature])
-    contents[feature] = child.dewey
-    duplicate_key = any(other.key_number == key and other.dewey != child.dewey
-                        for other in children)
-    decision = Decision.DISTINCT_CONTENT if duplicate_key else Decision.NOT_COVERED
-    return NodeDecision(dewey=child.dewey, label=child.label, kept=True,
-                        decision=decision, keywords=_keywords(child, query))
-
-
-def _strictly_covering_same_label_sibling(
-        child: NodeRecord, children: Sequence[NodeRecord]) -> Optional[DeweyCode]:
-    for other in children:
-        if other.dewey == child.dewey:
-            continue
-        if other.key_number != child.key_number and \
-                (child.key_number & other.key_number) == child.key_number:
-            return other.dewey
-    return None
-
-
-def _covering_sibling(child: NodeRecord,
-                      children: Sequence[NodeRecord]) -> Optional[DeweyCode]:
-    for other in children:
-        if other.dewey == child.dewey:
-            continue
-        if other.keyword_mask != child.keyword_mask and \
-                (child.keyword_mask & other.keyword_mask) == child.keyword_mask:
-            return other.dewey
-    return None
 
 
 # ---------------------------------------------------------------------- #

@@ -3,7 +3,8 @@
 A fragment is identified by its root (an interesting LCA node) and carries
 
 * the keyword nodes assigned to that root (the partition of Definitions 1/2),
-  and, when ``getRTF`` built it, each keyword node's keyword mask,
+  and, when ``getRTF`` built it, each keyword node's keyword mask and the
+  fragment's shape as node positions,
 * the full node set — the union of root-to-keyword-node paths, i.e.
   ``I(ECT_Q,j)`` of Definition 2,
 * after pruning, the subset of nodes kept by the filtering mechanism.
@@ -27,11 +28,19 @@ from .query import Query
 class Fragment:
     """A raw (unpruned) result fragment rooted at an interesting LCA node.
 
-    ``keyword_masks`` runs parallel to ``keyword_nodes``: bit *i* of a mask
-    is set iff the node is in the *i*-th posting list, i.e. contains the
-    *i*-th query keyword.  :func:`~repro.core.rtf.build_rtfs` fills it in;
-    fragments built from codes alone (:func:`build_fragment`) carry none.
-    It is derived data, so it takes no part in equality.
+    :func:`~repro.core.rtf.build_rtfs` also records the fragment's shape,
+    as positions in ``nodes`` (document order, so the root is position 0):
+
+    * ``keyword_masks`` runs parallel to ``keyword_nodes``: bit *i* of a
+      mask is set iff the node is in the *i*-th posting list, i.e. contains
+      the *i*-th query keyword;
+    * ``parents`` runs parallel to ``nodes``: each node's parent position,
+      ``-1`` for the root;
+    * ``keyword_positions`` runs parallel to ``keyword_nodes``: each keyword
+      node's position.
+
+    Fragments built from codes alone (:func:`build_fragment`) carry none of
+    the three.  They are derived data, so they take no part in equality.
     """
 
     root: DeweyCode
@@ -39,6 +48,8 @@ class Fragment:
     nodes: Tuple[DeweyCode, ...]
     is_slca: bool = True
     keyword_masks: Tuple[int, ...] = field(default=(), compare=False)
+    parents: Tuple[int, ...] = field(default=(), compare=False)
+    keyword_positions: Tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         for keyword_node in self.keyword_nodes:

@@ -26,14 +26,13 @@ class MaxMatch(FragmentPipeline):
     """Revised MaxMatch over RTFs (the paper's experimental baseline)."""
 
     def __init__(self, tree: Optional[XMLTree], source: Optional[PostingSource] = None,
-                 cid_mode: str = "minmax", analyzer=None):
+                 cid_mode: str = "minmax"):
         super().__init__(
             tree,
             pruner=lambda records: prune_with_contributor(records, "maxmatch"),
             source=source,
             lca_function=elca_roots,
             cid_mode=cid_mode,
-            analyzer=analyzer,
             name="maxmatch",
         )
 
@@ -42,14 +41,13 @@ class MaxMatchSLCA(FragmentPipeline):
     """Original MaxMatch: SLCA-rooted fragments with the contributor filter."""
 
     def __init__(self, tree: Optional[XMLTree], source: Optional[PostingSource] = None,
-                 cid_mode: str = "minmax", analyzer=None):
+                 cid_mode: str = "minmax"):
         super().__init__(
             tree,
             pruner=lambda records: prune_with_contributor(records, "maxmatch-slca"),
             source=source,
             lca_function=slca_roots,
             cid_mode=cid_mode,
-            analyzer=analyzer,
             name="maxmatch-slca",
         )
 

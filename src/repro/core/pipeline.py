@@ -19,7 +19,7 @@ from ..obs import names as metric_names
 from ..text import ContentAnalyzer
 from ..xmltree import DeweyCode, XMLTree
 from .fragments import Fragment, PrunedFragment, SearchResult
-from .node_record import RecordTree, build_record_tree_from_lookups
+from .node_record import ContentFeature, RecordTree, check_cid_mode, fold_records
 from .query import Query, QueryLike
 from .rtf import build_rtfs
 
@@ -46,13 +46,15 @@ class FragmentPipeline:
     Parameters
     ----------
     tree:
-        The document, or ``None`` for a purely source-backed pipeline (every
-        stage then runs off the posting source's node lookups).
+        The document, or ``None`` for a purely source-backed pipeline.
+        Every stage runs off the posting source and its node lookups; the
+        tree only builds the default source and serves the ``exact`` mode's
+        word sets.
     source:
-        Any :class:`~repro.index.source.PostingSource` serving stage 1 —
-        the in-memory :class:`InvertedIndex` or a disk-backed source.
-        Built on demand (as an inverted index) when omitted and a tree is
-        given.
+        Any :class:`~repro.index.source.PostingSource` serving stage 1 and
+        the node lookups — the in-memory :class:`InvertedIndex` or a
+        disk-backed source.  Built on demand (as an inverted index) when
+        omitted and a tree is given.
     lca_function:
         The ``getLCA`` stage; defaults to the ELCA (Indexed Stack) semantics
         used by the paper.
@@ -64,10 +66,6 @@ class FragmentPipeline:
         read off the resident tree; refused without one).
     name:
         Algorithm name recorded on results.
-    analyzer:
-        A prebuilt :class:`ContentAnalyzer` to share across pipelines (the
-        engine passes one so all four algorithms share a memoization cache);
-        derived from the source or the tree when omitted.
     """
 
     def __init__(
@@ -78,26 +76,25 @@ class FragmentPipeline:
         lca_function: LcaFunction = elca_roots,
         cid_mode: str = "minmax",
         name: str = "pipeline",
-        analyzer: Optional[ContentAnalyzer] = None,
     ):
         if source is None:
             if tree is None:
                 raise ValueError(
                     "FragmentPipeline needs a tree, a posting source, or both")
             source = InvertedIndex(tree)
+        check_cid_mode(cid_mode)
         if cid_mode == "exact" and tree is None:
             raise ValueError("cid_mode='exact' reads full content sets off "
                              "the resident tree; a tree-free pipeline uses "
                              "the stored (min, max) cID")
         self.tree = tree
         self.source: PostingSource = source
-        # Record-tree construction prefers the resident tree (authoritative
-        # and memoized); without one it falls back to the source's lookups.
-        if analyzer is None:
-            analyzer = getattr(source, "analyzer", None)
-            if analyzer is None and tree is not None:
-                analyzer = ContentAnalyzer(tree)
-        self.analyzer: Optional[ContentAnalyzer] = analyzer
+        # The exact ablation reads each keyword node's word set off the
+        # resident tree; every other lookup goes to the source.
+        self._word_set: Optional[Callable[[DeweyCode], ContentFeature]] = None
+        if tree is not None and cid_mode == "exact":
+            node, content = tree.node, ContentAnalyzer(tree).node_content
+            self._word_set = lambda dewey: content(node(dewey))
         self.lca_function = lca_function
         self.pruner = pruner
         self.cid_mode = cid_mode
@@ -131,29 +128,33 @@ class FragmentPipeline:
     def record_tree(self, query: QueryLike, fragment: Fragment) -> RecordTree:
         """The constructing step of ``pruneRTF`` for one fragment.
 
-        The keyword masks ride on the fragment (``build_rtfs`` built it from
-        ``query``'s posting lists), so only labels and each keyword node's
-        own content feature are looked up: from the resident tree and its
-        analyzer when there is one, else the label and stored cID from the
-        posting source.
+        The keyword masks and the fragment's shape ride on the fragment
+        (``build_rtfs`` built it from ``query``'s posting lists), so only
+        labels and each keyword node's own content feature are looked up,
+        from the posting source: one ``node_label`` per node and one
+        ``node_cid`` per keyword node (word sets off the resident tree in
+        ``exact`` mode), then one fold.  Batching sources warm their node
+        caches first, in one round-trip per fragment instead of one per
+        node; the cID rides on the label's element row.
         """
-        if self.tree is not None:
-            node, analyzer = self.tree.node, self.analyzer
-            content = (analyzer.node_cid if self.cid_mode == "minmax"
-                       else analyzer.node_content)
-            return build_record_tree_from_lookups(
-                lambda dewey: node(dewey).label,
-                lambda dewey: content(node(dewey)),
-                fragment, cid_mode=self.cid_mode)
+        nodes, keyword_nodes = fragment.nodes, fragment.keyword_nodes
+        masks, parents = fragment.keyword_masks, fragment.parents
+        if len(masks) != len(keyword_nodes) or len(parents) != len(nodes):
+            raise ValueError(
+                f"fragment {fragment.root} carries {len(masks)} keyword masks "
+                f"for {len(keyword_nodes)} keyword nodes and {len(parents)} "
+                f"parent positions for {len(nodes)} nodes; build it with "
+                f"build_rtfs, or use build_record_tree")
         source = self.source
-        # Batching sources warm their node caches in one round-trip per
-        # fragment instead of one per node; the cID rides on the label's
-        # element row.
         prefetch = getattr(source, "prefetch_nodes", None)
         if prefetch is not None:
-            prefetch(fragment.nodes, ())
-        return build_record_tree_from_lookups(source.node_label,
-                                              source.node_cid, fragment)
+            prefetch(nodes, ())
+        node_label = source.node_label
+        feature_of = self._word_set or source.node_cid
+        return fold_records(
+            fragment, [node_label(node) or "" for node in nodes],
+            [feature_of(node) for node in keyword_nodes],
+            self.cid_mode)
 
     # ------------------------------------------------------------------ #
     # Full run

@@ -19,6 +19,7 @@ from bisect import bisect_right
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..index.packed import as_packed, iter_matches
+from ..lca import elca_is_slca
 from ..xmltree import DeweyCode
 from .fragments import Fragment
 
@@ -79,20 +80,18 @@ def build_rtfs(
     Each fragment also keeps the merge's mask of every keyword node
     (``Fragment.keyword_masks``): bit *i* is set iff the node is in the
     *i*-th list of ``keyword_lists``, which is the node's keyword mask when
-    the lists are in query-keyword order, as the pipeline passes them.
+    the lists are in query-keyword order, as the pipeline passes them.  It
+    keeps its shape as positions in its sorted node tuples
+    (``Fragment.parents``, ``Fragment.keyword_positions``), which the record
+    tree is folded over.
     """
     sorted_lcas = sorted(lca_nodes)
     if not sorted_lcas:
         return []
     if slca_flags and len(slca_flags) == len(lca_nodes):
-        # lint: allow(hot-loop-purity) boxed LCA roots are the result keys
-        flag_by_code = {DeweyCode.coerce(code): flag
-                        for code, flag in zip(lca_nodes, slca_flags)}
+        flag_by_code = dict(zip(lca_nodes, slca_flags))
     else:
-        flag_by_code = {
-            code: not any(code.is_ancestor_of(other) for other in sorted_lcas)
-            for code in sorted_lcas
-        }
+        flag_by_code = dict(zip(sorted_lcas, elca_is_slca(sorted_lcas)))
     packed = [as_packed(deweys) for deweys in keyword_lists.values()]
     # lint: allow(hot-loop-purity) unpacking the (small) root set once
     lca_arrays = [array("I", code.components) for code in sorted_lcas]
@@ -117,14 +116,29 @@ def build_rtfs(
         if not keyword_tuples:
             continue
         root_depth = len(root.components)  # lint: allow(hot-loop-purity) per-root, not per-node
-        prefixes: set = set()
-        add = prefixes.add
+        # The keyword nodes arrive in document order, so the prefixes each
+        # one adds (those below its nearest ancestor already present), taken
+        # top-down, follow every node added before it: the paths are built
+        # in document order, each after its parent.
+        placed: Dict[Tuple[int, ...], int] = {}
+        find = placed.get
+        paths: List[Tuple[int, ...]] = []
+        parents: List[int] = []
+        keyword_positions: List[int] = []
         for parts in keyword_tuples:
-            for size in range(len(parts), root_depth - 1, -1):
-                prefix = parts[:size]
-                if prefix in prefixes:
+            size = len(parts)
+            parent = -1
+            while size >= root_depth:
+                parent = find(parts[:size], -1)
+                if parent >= 0:
                     break  # every shorter prefix is already present
-                add(prefix)
+                size -= 1
+            for size in range(size + 1, len(parts) + 1):
+                prefix = parts[:size]
+                parents.append(parent)
+                parent = placed[prefix] = len(paths)
+                paths.append(prefix)
+            keyword_positions.append(parent)
         fragments.append(Fragment(
             root=root,
             # The merged stream is in document order, so per-root assignment
@@ -133,9 +147,11 @@ def build_rtfs(
             keyword_nodes=tuple(from_tuple(parts)
                                 for parts in keyword_tuples),
             # lint: allow(hot-loop-purity) fragments are ever boxed
-            nodes=tuple(from_tuple(parts) for parts in sorted(prefixes)),
+            nodes=tuple(from_tuple(parts) for parts in paths),
             is_slca=flag_by_code[root],
             keyword_masks=tuple(keyword_masks),
+            parents=tuple(parents),
+            keyword_positions=tuple(keyword_positions),
         ))
     return fragments
 

@@ -22,47 +22,56 @@ Content equality uses the node record's content feature: the paper's
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Tuple
 
-from ..xmltree import DeweyCode
+from .contributor import covering_siblings
 from .fragments import PrunedFragment
-from .node_record import ContentFeature, LabelGroup, NodeRecord, RecordTree
+from .node_record import ContentFeature, RecordTree
 
 
-def is_valid_contributor(record: NodeRecord, group: Sequence[NodeRecord]) -> bool:
+def discarding_siblings(group: Sequence[int], masks: Sequence[int],
+                        features: Sequence[ContentFeature]) -> List[int]:
+    """Definition 4 over one label group (positions, document order): for
+    each member, ``-1`` when it is a valid contributor, else the position of
+    the sibling that discards it.
+
+    That is the first sibling whose mask strictly covers its own (rule
+    2(a)), or else the first sibling with its mask and content feature (rule
+    2(b)).  A lone member is kept (rule 1).  The single Definition 4 kernel,
+    shared by :func:`is_valid_contributor`, the pruning loop and the
+    explanation, so the rules can never diverge between them.
+    """
+    blame = covering_siblings(group, masks)
+    first: Dict[Tuple[int, ContentFeature], int] = {}
+    for index, child in enumerate(group):
+        if blame[index] < 0:
+            earlier = first.setdefault((masks[child], features[child]), child)
+            if earlier != child:
+                blame[index] = earlier
+    return blame
+
+
+def is_valid_contributor(position: int, group: Sequence[int],
+                         masks: Sequence[int],
+                         features: Sequence[ContentFeature]) -> bool:
     """Definition 4 test for one node against its same-label siblings.
 
-    ``group`` must be the children of the node's parent that share its label
-    (including the node itself), in document order.  The duplicate-content
+    ``group`` must be the positions of the children of the node's parent
+    that share its label (the node included), in document order, and
+    ``masks`` / ``features`` the record tree's columns.  The duplicate-content
     rule 2(b) keeps the *first* sibling of each (key number, content feature)
     pair, so the test depends on document order for exact ties.
     """
-    members = list(group)
-    if len(members) <= 1:
-        return True
-    mask = record.keyword_mask
-    for sibling in members:
-        if sibling.dewey == record.dewey:
-            continue
-        other = sibling.keyword_mask
-        # Rule 2(a): discarded when a same-label sibling strictly covers it.
-        if mask != other and (mask & other) == mask:
-            return False
-        # Rule 2(b): equal keyword sets with identical content keep only the
-        # earliest sibling in document order.
-        if mask == other and sibling.content_feature == record.content_feature \
-                and sibling.dewey < record.dewey:
-            return False
-    return True
+    return discarding_siblings(group, masks, features)[
+        list(group).index(position)] < 0
 
 
-def prune_with_valid_contributor(record_tree: RecordTree,
+def prune_with_valid_contributor(records: RecordTree,
                                  algorithm: str = "validrtf") -> PrunedFragment:
     """The pruning step of ``pruneRTF`` (Algorithm 1, lines 16–26).
 
-    Breadth-first traversal of the record tree; for every node, its children
-    are examined per distinct label:
+    Breadth-first traversal of the record tree from the root (position 0);
+    for every node, its children are examined per distinct label:
 
     * a label group with a single child keeps that child (rule 1, line 26),
     * otherwise each child is kept iff (i) its key number is not strictly
@@ -73,49 +82,19 @@ def prune_with_valid_contributor(record_tree: RecordTree,
     Children that are discarded are not traversed further, so their whole
     subtrees leave the meaningful RTF.
     """
-    fragment = record_tree.fragment
-    kept: List[DeweyCode] = [fragment.root]
-    queue = deque([record_tree.root])
-    while queue:
-        parent = queue.popleft()
-        for group in parent.label_groups():
-            for child in _select_valid_children(group):
-                kept.append(child.dewey)
-                queue.append(child)
-    return PrunedFragment(fragment=fragment, kept_nodes=tuple(sorted(set(kept))),
+    children, masks, features = records.children, records.masks, records.features
+    kept = [0]
+    for parent in kept:  # the kept list doubles as the breadth-first queue
+        kids = children[parent]
+        if len(kids) == 1:  # a unique label (rule 1)
+            kept.append(kids[0])
+        elif kids:
+            for group in records.label_groups(parent):
+                kept.extend(child for child, blame in zip(
+                    group, discarding_siblings(group, masks, features))
+                    if blame < 0)
+    kept.sort()
+    nodes = records.fragment.nodes
+    return PrunedFragment(fragment=records.fragment,
+                          kept_nodes=tuple([nodes[i] for i in kept]),
                           algorithm=algorithm)
-
-
-def _select_valid_children(group: LabelGroup) -> List[NodeRecord]:
-    """The children of one label group that are valid contributors."""
-    children = sorted(group.children, key=lambda record: record.dewey)
-    if len(children) == 1:
-        return children
-
-    key_numbers = [child.key_number for child in children]
-    survivors: List[NodeRecord] = []
-    used_contents: Dict[int, Set[ContentFeature]] = {}
-    for child in children:
-        key = child.key_number
-        if _is_covered(key, key_numbers):
-            continue
-        seen = used_contents.setdefault(key, set())
-        feature = child.content_feature
-        if feature in seen:
-            continue
-        seen.add(feature)
-        survivors.append(child)
-    return survivors
-
-
-def _is_covered(key: int, key_numbers: Sequence[int]) -> bool:
-    """True iff some other key number is a strict superset of ``key``."""
-    for other in key_numbers:
-        if other != key and (key & other) == key:
-            return True
-    return False
-
-
-def valid_contributor_survivors(record_tree: RecordTree) -> List[DeweyCode]:
-    """The kept node list only (convenience wrapper used in tests)."""
-    return list(prune_with_valid_contributor(record_tree).kept_nodes)

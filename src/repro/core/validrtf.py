@@ -26,14 +26,13 @@ class ValidRTF(FragmentPipeline):
     """The paper's ValidRTF algorithm over all interesting LCA nodes."""
 
     def __init__(self, tree: Optional[XMLTree], source: Optional[PostingSource] = None,
-                 cid_mode: str = "minmax", analyzer=None):
+                 cid_mode: str = "minmax"):
         super().__init__(
             tree,
             pruner=lambda records: prune_with_valid_contributor(records, "validrtf"),
             source=source,
             lca_function=elca_roots,
             cid_mode=cid_mode,
-            analyzer=analyzer,
             name="validrtf",
         )
 
@@ -42,7 +41,7 @@ class ValidRTFSLCA(FragmentPipeline):
     """ValidRTF restricted to SLCA roots (used by ablation benchmarks)."""
 
     def __init__(self, tree: Optional[XMLTree], source: Optional[PostingSource] = None,
-                 cid_mode: str = "minmax", analyzer=None):
+                 cid_mode: str = "minmax"):
         super().__init__(
             tree,
             pruner=lambda records: prune_with_valid_contributor(records,
@@ -50,7 +49,6 @@ class ValidRTFSLCA(FragmentPipeline):
             source=source,
             lca_function=slca_roots,
             cid_mode=cid_mode,
-            analyzer=analyzer,
             name="validrtf-slca",
         )
 

@@ -73,6 +73,7 @@ class InvertedIndex:
     def __init__(self, tree: XMLTree) -> None:
         self.tree = tree
         self.analyzer = ContentAnalyzer(tree)
+        self._nodes = tree.node_table
         self._postings: Dict[str, PackedDeweyList] = {}
         self._impacts: Dict[str, KeywordImpact] = {}
         self._build()
@@ -131,13 +132,14 @@ class InvertedIndex:
         return "memory"
 
     def node_label(self, dewey: DeweyCode) -> Optional[str]:
-        """The label of one node, or ``None`` when the code is absent."""
-        node = self.tree.get(dewey)
+        """The label of one node, or ``None`` when the code is absent (one
+        read of the tree's node table)."""
+        node = self._nodes.get(dewey)
         return node.label if node is not None else None
 
     def node_cid(self, dewey: DeweyCode) -> Tuple[str, str]:
         """The cID of one node, memoized by the analyzer."""
-        node = self.tree.get(dewey)
+        node = self._nodes.get(dewey)
         return self.analyzer.node_cid(node) if node is not None else EMPTY_CID
 
     def vocabulary(self) -> List[str]:

@@ -18,6 +18,7 @@ from .naive import (
     naive_common_ancestors,
     naive_elca,
     naive_elca_exhaustive,
+    naive_elca_is_slca,
     naive_lca_candidates,
     naive_slca,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "naive_slca",
     "naive_elca",
     "naive_elca_exhaustive",
+    "naive_elca_is_slca",
     "indexed_lookup_eager_slca",
     "scan_eager_slca",
     "stack_slca",

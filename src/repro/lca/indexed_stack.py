@@ -94,16 +94,17 @@ def _scan(stream: Iterator[Tuple[Iterable[int], int]],
 
 
 def elca_is_slca(elcas: List[DeweyCode]) -> List[bool]:
-    """For each ELCA (document order), whether it is also an SLCA.
+    """For each ELCA (distinct, document order), whether it is also an SLCA.
 
     An ELCA is an SLCA exactly when no other ELCA is its strict descendant —
     handy for distinguishing "SLCA-related RTFs" (Section 2) without a second
-    pass over the data.
+    pass over the data.  A subtree is contiguous in document order, so a
+    root has a strict-descendant root exactly when the next root is one: one
+    look at each successor decides (:func:`~repro.lca.naive.naive_elca_is_slca`
+    is the all-pairs definition).
     """
-    flags: List[bool] = []
-    for code in elcas:
-        has_descendant = any(
-            code.is_ancestor_of(other) for other in elcas if other != code
-        )
-        flags.append(not has_descendant)
+    flags = [not code.is_ancestor_of(successor)
+             for code, successor in zip(elcas, elcas[1:])]
+    if elcas:
+        flags.append(True)
     return flags

@@ -123,3 +123,14 @@ def naive_elca_exhaustive(lists: KeywordLists) -> List[DeweyCode]:
         if remaining == target:
             elcas.append(candidate)
     return sorted(elcas)
+
+
+def naive_elca_is_slca(elcas: List[DeweyCode]) -> List[bool]:
+    """For each root, whether no other root is its strict descendant.
+
+    The all-pairs definition :func:`~repro.lca.indexed_stack.elca_is_slca`
+    is tested against.
+    """
+    return [not any(code.is_ancestor_of(other) for other in elcas
+                    if other != code)
+            for code in elcas]

@@ -452,13 +452,15 @@ class SearchService:
         if not isinstance(xml, str) or not xml.strip():
             raise ServiceError(ERROR_BAD_REQUEST,
                                "a non-empty string 'xml' is required")
-        try:
-            tree = parse_string(xml, doc)
-        except ParseError as error:
-            raise ServiceError(ERROR_BAD_REQUEST,
-                               f"unparsable xml: {error}") from None
 
         def mutate() -> Tuple[int, List[str]]:
+            # The parse runs here, on the worker, so a large document never
+            # stalls the event loop's reads of every other connection.
+            try:
+                tree = parse_string(xml, doc)
+            except ParseError as error:
+                raise ServiceError(ERROR_BAD_REQUEST,
+                                   f"unparsable xml: {error}") from None
             # The post-mutation reads stay inside this worker-side try as
             # well: under a fault plan they can fault too, and they must
             # answer `degraded`, not `internal`.

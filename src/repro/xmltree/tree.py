@@ -9,7 +9,7 @@ used by the axiomatic property checkers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from .dewey import DeweyCode, DeweyLike, lca_of_codes
 from .errors import DuplicateNode, NodeNotFound
@@ -62,6 +62,12 @@ class XMLTree:
     def get(self, dewey: DeweyLike) -> Optional[XMLNode]:
         """Like :meth:`node` but returns ``None`` instead of raising."""
         return self._nodes.get(DeweyCode.coerce(dewey))
+
+    @property
+    def node_table(self) -> Mapping[DeweyCode, XMLNode]:
+        """Every node by its :class:`DeweyCode`, without coercion: the
+        lookup per-node hot paths read."""
+        return self._nodes
 
     def iter_preorder(self) -> Iterator[XMLNode]:
         """Yield every node in pre-order (document order)."""

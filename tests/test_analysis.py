@@ -161,6 +161,18 @@ class TestHotLoopPurity:
         assert rules_of(diagnostics) == ["hot-loop-purity"]
         assert "DeweyCode materialization" in diagnostics[0].message
 
+    @pytest.mark.parametrize("pruner", ["contributor", "valid_contributor"])
+    def test_dewey_construction_in_pruner_loop_fails(self, tmp_path, pruner):
+        diagnostics = lint(tmp_path, {
+            f"src/repro/core/{pruner}.py": """
+                def kept_codes(records, kept):
+                    for position in kept:
+                        yield DeweyCode(records.fragment.nodes[position])
+            """,
+        }, rules=["hot-loop-purity"])
+        assert rules_of(diagnostics) == ["hot-loop-purity"]
+        assert "DeweyCode materialization" in diagnostics[0].message
+
     def test_constructor_alias_is_caught(self, tmp_path):
         diagnostics = lint(tmp_path, {
             "src/repro/lca/algo.py": """

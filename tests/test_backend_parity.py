@@ -228,11 +228,21 @@ def test_batch_search_parity(engines, backend):
 # ---------------------------------------------------------------------- #
 # Record trees: the search path's seed-and-fold against the definition
 # ---------------------------------------------------------------------- #
-def record_fields(record):
-    """What a record holds."""
-    return (record.dewey, record.label, record.keyword_mask,
-            record.content_feature, record.is_keyword_node,
-            [child.dewey for child in record.children])
+def record_fields(records):
+    """What a record tree holds, column by column: each node's code,
+    label, mask, feature, parent and children, and the keyword nodes."""
+    fragment = records.fragment
+    return {
+        "nodes": list(fragment.nodes),
+        "labels": list(records.labels),
+        "masks": list(records.masks),
+        "features": list(records.features),
+        "parents": list(records.parents),
+        "children": [list(children) for children in records.children],
+        "keyword_nodes": [fragment.nodes[position] for position in (
+            fragment.keyword_positions or
+            [fragment.nodes.index(code) for code in fragment.keyword_nodes])],
+    }
 
 
 #: The record-tree inputs: every backend's per-document source (the
@@ -255,10 +265,11 @@ RECORD_TREE_CASES = ([("memory", mode) for mode in CID_MODES]
 @pytest.mark.parametrize("dataset,query_names", DATASETS)
 def test_record_trees_equal_the_definition(request, dataset, query_names,
                                            backend, cid_mode):
-    """Every record the search path builds — masks from ``getRTF``,
-    features from node lookups, one fold — equals the one
-    ``build_record_tree`` derives from the document's node contents:
-    label, mask, feature, keyword flag and children."""
+    """Every column the search path builds — shape and masks from
+    ``getRTF``, labels and features from node lookups, one fold — equals
+    the one ``build_record_tree`` derives from the document's node contents
+    and Dewey codes: labels, masks, features, parents, children and the
+    keyword nodes."""
     tree = request.getfixturevalue(dataset)
     if backend == "memory":
         engine = SearchEngine(tree, cid_mode=cid_mode)
@@ -280,13 +291,11 @@ def test_record_trees_equal_the_definition(request, dataset, query_names,
                                    list(fragment.keyword_nodes),
                                    fragment.is_slca),
                     cid_mode)
-                assert list(records.by_dewey) == list(reference.by_dewey), \
-                    (algorithm, query_name)
-                for code, record in records.by_dewey.items():
-                    assert record_fields(record) == record_fields(
-                        reference.record(code)), \
-                        (algorithm, query_name, str(code))
-                    checked += 1
+                expected = record_fields(reference)
+                for column, values in record_fields(records).items():
+                    assert values == expected[column], \
+                        (algorithm, query_name, str(fragment.root), column)
+                checked += records.size()
     assert checked, "the queries must build record trees"
 
 

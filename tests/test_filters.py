@@ -13,72 +13,70 @@ from repro.core import (
     prune_with_contributor,
     prune_with_valid_contributor,
 )
-from repro.core.node_record import NodeRecord
 from repro.text import ContentAnalyzer, content_id
 from repro.xmltree import DeweyCode, spec, tree_from_spec
 
 D = DeweyCode.parse
 
 
-def record(dewey: str, label: str, mask: int, words=()) -> NodeRecord:
-    return NodeRecord(dewey=D(dewey), label=label, keyword_mask=mask,
-                      content_feature=content_id(frozenset(words)))
+def columns(*siblings):
+    """The mask and feature columns of sibling positions 0, 1, ... built
+    from ``(mask, words)`` pairs, in document order."""
+    masks = [mask for mask, _ in siblings]
+    features = [content_id(frozenset(words)) for _, words in siblings]
+    return masks, features
 
 
 class TestContributorPredicate:
     def test_strict_superset_sibling_discards(self):
-        node = record("0.1", "title", 0b011)
-        sibling = record("0.2", "abstract", 0b111)
-        assert not is_contributor(node, [node, sibling])
+        masks, _ = columns((0b011, ()), (0b111, ()))  # title, abstract
+        assert not is_contributor(0, [0, 1], masks)
 
     def test_equal_masks_keep_both(self):
-        first = record("0.1", "player", 0b01)
-        second = record("0.2", "player", 0b01)
-        assert is_contributor(first, [first, second])
-        assert is_contributor(second, [first, second])
+        masks, _ = columns((0b01, ()), (0b01, ()))
+        assert is_contributor(0, [0, 1], masks)
+        assert is_contributor(1, [0, 1], masks)
 
     def test_incomparable_masks_keep_both(self):
-        first = record("0.1", "a", 0b01)
-        second = record("0.2", "b", 0b10)
-        assert is_contributor(first, [first, second])
+        masks, _ = columns((0b01, ()), (0b10, ()))
+        assert is_contributor(0, [0, 1], masks)
 
     def test_label_is_ignored_by_contributor(self):
         # MaxMatch compares against every sibling regardless of label — the
-        # source of the false-positive problem.
-        node = record("0.1", "title", 0b011)
-        sibling = record("0.2", "abstract", 0b111)
-        assert not is_contributor(node, [node, sibling])
+        # source of the false-positive problem: the test reads no label.
+        masks, _ = columns((0b011, ()), (0b111, ()))  # title, abstract
+        assert not is_contributor(0, [0, 1], masks)
+        assert is_contributor(1, [0, 1], masks)
 
     def test_single_child_is_contributor(self):
-        node = record("0.1", "title", 0b001)
-        assert is_contributor(node, [node])
+        masks, _ = columns((0b001, ()))
+        assert is_contributor(0, [0], masks)
 
 
 class TestValidContributorPredicate:
     def test_unique_label_always_kept(self):
-        node = record("0.1", "title", 0b011)
-        assert is_valid_contributor(node, [node])
+        masks, features = columns((0b011, ()))
+        assert is_valid_contributor(0, [0], masks, features)
 
     def test_rule_2a_strict_cover_discards(self):
-        weak = record("0.1", "player", 0b01)
-        strong = record("0.2", "player", 0b11)
-        assert not is_valid_contributor(weak, [weak, strong])
-        assert is_valid_contributor(strong, [weak, strong])
+        masks, features = columns((0b01, ()), (0b11, ()))
+        assert not is_valid_contributor(0, [0, 1], masks, features)
+        assert is_valid_contributor(1, [0, 1], masks, features)
 
     def test_rule_2b_duplicate_content_keeps_first(self):
-        first = record("0.1", "player", 0b01, {"position", "forward"})
-        second = record("0.2", "player", 0b01, {"position", "guard"})
-        third = record("0.3", "player", 0b01, {"position", "forward"})
-        group = [first, second, third]
-        assert is_valid_contributor(first, group)
-        assert is_valid_contributor(second, group)
-        assert not is_valid_contributor(third, group)
+        masks, features = columns((0b01, {"position", "forward"}),
+                                  (0b01, {"position", "guard"}),
+                                  (0b01, {"position", "forward"}))
+        group = [0, 1, 2]
+        assert is_valid_contributor(0, group, masks, features)
+        assert is_valid_contributor(1, group, masks, features)
+        assert not is_valid_contributor(2, group, masks, features)
 
     def test_rule_2b_distinct_content_keeps_all(self):
-        first = record("0.1", "player", 0b01, {"position", "forward"})
-        second = record("0.2", "player", 0b01, {"position", "guard"})
-        assert is_valid_contributor(first, [first, second])
-        assert is_valid_contributor(second, [first, second])
+        masks, features = columns((0b01, {"position", "forward"}),
+                                  (0b01, {"position", "guard"}))
+        assert is_valid_contributor(0, [0, 1], masks, features)
+        assert is_valid_contributor(1, [0, 1], masks, features)
 
 
 @pytest.fixture
@@ -130,7 +128,8 @@ class TestPruning:
             kept = pruned.kept_set()
             for code in kept:
                 ancestor = code.parent()
-                while ancestor is not None and ancestor in records.by_dewey:
+                while ancestor is not None and \
+                        ancestor in records.fragment.nodes:
                     assert ancestor in kept
                     ancestor = ancestor.parent()
 

@@ -23,6 +23,7 @@ from repro.lca import (
     naive_common_ancestors,
     naive_elca,
     naive_elca_exhaustive,
+    naive_elca_is_slca,
     naive_slca,
     scan_eager_slca,
     stack_slca,
@@ -76,6 +77,22 @@ def test_build_rtfs_matches_reference_dispatch(lists: Dict[str, List[DeweyCode]]
         assert fragment.keyword_masks == tuple(
             sum(1 << j for j, member in enumerate(members) if node in member)
             for node in fragment.keyword_nodes)
+
+
+#: A nested chain: one code and every ancestor of it.
+nested_chains = dewey_codes.map(
+    lambda code: {DeweyCode(code.components[:size])
+                  for size in range(1, len(code) + 1)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(dewey_codes, max_size=8), nested_chains)
+def test_elca_is_slca_matches_the_all_pairs_definition(codes, chain):
+    """The successor test equals "no other root is a strict descendant" on
+    distinct document-ordered roots: scattered, one nested chain, and both
+    mixed."""
+    for roots in (sorted(codes), sorted(chain), sorted(codes | chain)):
+        assert elca_is_slca(roots) == naive_elca_is_slca(roots)
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    Query,
-    build_fragment,
-    build_record_tree,
-    build_record_tree_from_lookups,
-)
-from repro.text import ContentAnalyzer
+from repro.core import Query, SearchEngine, build_fragment, build_record_tree
+from repro.core.node_record import fold_records
+from repro.text import EMPTY_CID, ContentAnalyzer
 from repro.xmltree import DeweyCode
 
 D = DeweyCode.parse
@@ -29,34 +25,44 @@ def q3_records(publications):
     return query, records
 
 
+def at(records, code: str) -> int:
+    """The position of one fragment node."""
+    return records.fragment.nodes.index(D(code))
+
+
+def mask_at(records, code: str) -> int:
+    return records.masks[at(records, code)]
+
+
 class TestConstructingStep:
     def test_one_record_per_fragment_node(self, q3_records):
         query, records = q3_records
         assert records.size() == records.fragment.size
-        assert records.root.dewey == D("0")
+        assert records.fragment.nodes[0] == D("0")
+        for column in (records.labels, records.masks, records.features,
+                       records.parents, records.children):
+            assert len(column) == records.fragment.size
 
     def test_keyword_masks_aggregate_upwards(self, q3_records):
         query, records = q3_records
         # 0.2 sees title/xml/keyword/search through its descendants but not vldb.
-        articles = records.record(D("0.2"))
-        assert query.keywords_of(articles.keyword_mask) == \
+        assert query.keywords_of(mask_at(records, "0.2")) == \
             {"title", "xml", "keyword", "search"}
         # 0.2.1 only contributes "title".
-        assert query.keywords_of(records.record(D("0.2.1")).keyword_mask) == {"title"}
+        assert query.keywords_of(mask_at(records, "0.2.1")) == {"title"}
         # The root sees every keyword (Example 7: key number covers the query).
-        assert query.covers(records.record(D("0")).keyword_mask)
+        assert query.covers(mask_at(records, "0"))
 
     def test_leaf_keyword_node_mask_is_its_own_content(self, q3_records):
         query, records = q3_records
-        title_record = records.record(D("0.2.0.1"))
-        assert title_record.is_keyword_node
-        assert query.keywords_of(title_record.keyword_mask) == \
+        assert D("0.2.0.1") in records.fragment.keyword_nodes
+        assert query.keywords_of(mask_at(records, "0.2.0.1")) == \
             {"title", "xml", "keyword", "search"}
 
     def test_internal_path_nodes_are_not_keyword_nodes(self, q3_records):
         query, records = q3_records
-        assert not records.record(D("0.2")).is_keyword_node
-        assert not records.record(D("0.2.0.3")).is_keyword_node
+        assert D("0.2") not in records.fragment.keyword_nodes
+        assert D("0.2.0.3") not in records.fragment.keyword_nodes
 
     def test_cid_spans_union_of_keyword_node_contents(self, q3_records,
                                                        publications):
@@ -70,67 +76,76 @@ class TestConstructingStep:
             for keyword_node in records.fragment.keyword_nodes
             if article.is_ancestor_or_self(keyword_node)))
         assert {"reasoning", "keyword", "xml", "sigmod"} <= union
-        assert records.record(article).content_feature == \
+        assert records.features[records.fragment.nodes.index(article)] == \
             (min(union), max(union))
 
     def test_content_feature_is_min_max_pair(self, q3_records, publications):
         query, records = q3_records
-        record = records.record(D("0.2.0.1"))
-        feature = record.content_feature
+        feature = records.features[at(records, "0.2.0.1")]
         assert isinstance(feature, tuple) and len(feature) == 2
         ordered = sorted(ContentAnalyzer(publications).node_content(
-            publications.node(record.dewey)))
+            publications.node(D("0.2.0.1"))))
         assert feature == (ordered[0], ordered[-1])
 
-    def test_fold_needs_the_masks_of_getrtf(self, q3_records):
-        # build_fragment carries no masks: only build_rtfs's fragments can
-        # seed the fold.
+    def test_fold_needs_the_shape_of_getrtf(self, q3_records, publications):
+        # build_fragment carries no masks and no parent positions: only
+        # build_rtfs's fragments can seed the fold.
         query, records = q3_records
+        pipeline = SearchEngine(publications).algorithm("validrtf")
         with pytest.raises(ValueError, match="build_rtfs"):
-            build_record_tree_from_lookups(lambda dewey: "x",
-                                           lambda dewey: ("", ""),
-                                           records.fragment)
+            pipeline.record_tree(query, records.fragment)
 
     def test_tree_keyword_set_decodes_mask(self, q3_records):
         query, records = q3_records
-        assert records.record(D("0.2.1")).tree_keyword_set(query) == {"title"}
+        assert frozenset(query.keywords_of(mask_at(records, "0.2.1"))) == \
+            {"title"}
 
-    def test_empty_content_feature(self, q3_records):
-        query, records = q3_records
-        # A pure path node with no keyword node in its subtree would have an
-        # empty feature; simulate by checking the default of a fresh record.
-        from repro.core import NodeRecord
-        empty = NodeRecord(dewey=D("0.9"), label="x")
-        assert empty.content_feature == ("", "")
+    def test_empty_content_feature(self, publications):
+        # Positions whose subtree seeds no content keep the empty pair: fold
+        # a getRTF fragment with every keyword node's feature empty.
+        query = Query.parse("VLDB title XML keyword search")
+        fragment = SearchEngine(publications).algorithm(
+            "validrtf").raw_fragments(query)[0]
+        records = fold_records(fragment, [""] * fragment.size,
+                               [EMPTY_CID] * len(fragment.keyword_nodes))
+        assert set(records.features) == {("", "")}
+        assert query.covers(records.masks[0])
 
 
 class TestChildrenInfo:
     def test_label_groups(self, q3_records):
         query, records = q3_records
-        articles = records.record(D("0.2"))
-        groups = articles.label_groups()
-        assert [group.label for group in groups] == ["article"]
-        assert groups[0].counter == 2
-        assert groups[0].key_numbers() == sorted(
-            child.key_number for child in groups[0].children)
+        groups = records.label_groups(at(records, "0.2"))
+        assert [records.labels[group[0]] for group in groups] == ["article"]
+        assert [len(group) for group in groups] == [2]
+        assert [records.fragment.nodes[child] for child in groups[0]] == \
+            [D("0.2.0"), D("0.2.1")]
 
     def test_group_for(self, q3_records):
         query, records = q3_records
-        root_record = records.record(D("0"))
-        assert root_record.group_for("title").counter == 1
-        assert root_record.group_for("Articles").counter == 1
-        assert root_record.group_for("missing") is None
+        counters = {records.labels[group[0]]: len(group)
+                    for group in records.label_groups(0)}
+        assert counters["title"] == 1
+        assert counters["Articles"] == 1
+        assert "missing" not in counters
 
     def test_children_sorted_in_document_order(self, q3_records):
         query, records = q3_records
-        for record in records.root.iter_records():
-            deweys = [child.dewey for child in record.children]
-            assert deweys == sorted(deweys)
+        for position, children in enumerate(records.children):
+            assert children == sorted(children)
+            assert all(records.parents[child] == position
+                       for child in children)
+            assert all(records.fragment.nodes[child].parent()
+                       == records.fragment.nodes[position]
+                       for child in children)
 
-    def test_iter_records_covers_fragment(self, q3_records):
+    def test_children_reach_the_whole_fragment(self, q3_records):
         query, records = q3_records
-        visited = {record.dewey for record in records.root.iter_records()}
-        assert visited == set(records.fragment.nodes)
+        reached = [0]
+        for position in reached:
+            reached.extend(records.children[position])
+        assert sorted(reached) == list(range(records.fragment.size))
+        assert records.parents[0] == -1
 
 
 class TestCidModes:
@@ -141,7 +156,7 @@ class TestCidModes:
         analyzer = ContentAnalyzer(publications)
         records = build_record_tree(publications, analyzer, query, fragment,
                                     cid_mode="exact")
-        feature = records.record(D("0.2.0.1")).content_feature
+        feature = records.features[at(records, "0.2.0.1")]
         assert isinstance(feature, frozenset)
 
     def test_unknown_mode_rejected(self, publications):

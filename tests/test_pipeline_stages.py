@@ -56,8 +56,9 @@ class TestStageHelpers:
     def test_record_tree_stage(self, pipeline):
         fragments = pipeline.raw_fragments(PAPER_QUERIES["Q2"])
         records = pipeline.record_tree(PAPER_QUERIES["Q2"], fragments[0])
-        assert records.root.dewey == fragments[0].root
+        assert records.fragment.nodes[0] == fragments[0].root
         assert records.size() == fragments[0].size
+        assert list(records.parents) == list(fragments[0].parents)
 
 
 class TestSearchBehaviour:
@@ -80,7 +81,7 @@ class TestSearchBehaviour:
         pipeline = FragmentPipeline(publications,
                                     pruner=prune_with_valid_contributor)
         assert isinstance(pipeline.source, InvertedIndex)
-        assert pipeline.analyzer is pipeline.source.analyzer
+        assert pipeline.source.tree is publications
 
     def test_shared_index_instance(self, publications):
         index = InvertedIndex(publications)
@@ -94,4 +95,9 @@ class TestSearchBehaviour:
                                     cid_mode="exact")
         fragments = pipeline.raw_fragments(PAPER_QUERIES["Q2"])
         records = pipeline.record_tree(PAPER_QUERIES["Q2"], fragments[0])
-        assert isinstance(records.root.content_feature, frozenset)
+        assert isinstance(records.features[0], frozenset)
+
+    def test_unknown_cid_mode_rejected(self, publications):
+        with pytest.raises(ValueError, match="unknown cid_mode"):
+            FragmentPipeline(publications, pruner=prune_with_valid_contributor,
+                             cid_mode="bogus")

@@ -543,6 +543,47 @@ class TestCompactionTrigger:
 
 
 # ---------------------------------------------------------------------- #
+# The update op parses its document on a worker
+# ---------------------------------------------------------------------- #
+class TestUpdateParse:
+    @pytest.fixture()
+    def service(self, tmp_path, publications):
+        db = str(tmp_path / "live.db")
+        store = SQLiteStore(db)
+        store.store_tree(publications, "pub")
+        store.close()
+        pool = EnginePool.for_backend("corpus", db_path=db, workers=1)
+        service = SearchService(pool, owns_pool=True)
+        yield service
+        service.close()
+
+    def test_the_xml_parses_off_the_event_loop(self, service, monkeypatch):
+        import repro.service.server as server_module
+        parse = server_module.parse_string
+        parsed_on = []
+
+        def recording_parse(*args, **kwargs):
+            parsed_on.append(threading.get_ident())
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "parse_string", recording_parse)
+
+        async def drive():
+            good = await service.handle({
+                "op": "update", "doc": "team",
+                "xml": to_xml_string(team_tree())})
+            bad = await service.handle({
+                "op": "update", "doc": "team", "xml": "<team><player></team>"})
+            return threading.get_ident(), good, bad
+
+        loop_thread, good, bad = asyncio.run(drive())
+        assert good["ok"] and good["documents"] == ["pub", "team"]
+        assert bad["error"]["code"] == "bad_request"
+        assert bad["error"]["message"].startswith("unparsable xml: ")
+        assert len(parsed_on) == 2 and loop_thread not in parsed_on
+
+
+# ---------------------------------------------------------------------- #
 # Protocol framing
 # ---------------------------------------------------------------------- #
 class TestProtocol:

@@ -46,12 +46,12 @@ def main() -> None:
     print(f"corpus: {profile.node_count} nodes, {profile.distinct_labels} labels, "
           f"{profile.vocabulary_size} distinct words")
 
-    # 2. Shred it into the relational store (label / element / value tables).
+    # 2. Shred it into the relational store (label / element / posting tables).
     store = SQLiteStore()
     store.store_tree(tree, "dblp")
     stats = store.document_stats("dblp")
     print(f"shredded into sqlite: {stats['nodes']} element rows, "
-          f"{stats['values']} value rows, {stats['labels']} labels\n")
+          f"{stats['keywords']} keywords, {stats['labels']} labels\n")
 
     # 3. The disk-backed counterpart never touches `tree` again.
     disk_engine = SearchEngine(source=SQLitePostingSource(store, "dblp"))

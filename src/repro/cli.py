@@ -426,7 +426,7 @@ def _command_index(arguments: argparse.Namespace) -> int:
             verb = "updated" if name in stored else "added"
             print(f"{verb} {name!r} in {arguments.db} (delta segment "
                   f"{segment}): {stats['nodes']} element rows, "
-                  f"{stats['values']} value rows, {stats['labels']} labels")
+                  f"{stats['keywords']} keywords, {stats['labels']} labels")
         print(f"{arguments.db} now carries {store.segment_count()} delta "
               f"segment(s); fold them with `repro-xks compact "
               f"--db {arguments.db}`")
@@ -454,7 +454,7 @@ def _command_index(arguments: argparse.Namespace) -> int:
         store.store_tree(tree_factory(), name)
         stats = store.document_stats(name)
         print(f"indexed {name!r} into {arguments.db}: {stats['nodes']} "
-              f"element rows, {stats['values']} value rows, "
+              f"element rows, {stats['keywords']} keywords, "
               f"{stats['labels']} labels")
     documents = store.documents()
     if len(documents) > 1:

@@ -1,4 +1,4 @@
-"""Deterministic fault injection and crash simulation (``repro.faults``).
+"""Seeded fault injection and crash simulation (``repro.faults``).
 
 The package owns the chaos-testing vocabulary: a seeded
 :class:`~repro.faults.plan.FaultPlan` injects transient sqlite errors and

@@ -1,9 +1,11 @@
-"""Deterministic fault injection for the storage seam.
+"""Seeded fault injection for the storage seam.
 
 A :class:`FaultPlan` is a seeded schedule of storage-level misbehaviour —
-transient ``sqlite3.OperationalError``\\ s and latency spikes.  The plan is
-deterministic: the same seed and the same statement sequence produce the
-same faults, which keeps chaos runs reproducible.
+transient ``sqlite3.OperationalError``\\ s and latency spikes.  The same
+seed and the same statement sequence produce the same faults.  Threads
+that share a plan interleave their statements differently from run to run,
+so a multi-worker chaos run meets a different set of faults each time; its
+finite ``max_faults`` budget is what bounds them.
 
 :meth:`FaultPlan.wrap` wraps a ``sqlite3.Connection`` so every
 ``execute``/``executemany`` consults the plan first (errors + latency).

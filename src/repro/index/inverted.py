@@ -146,6 +146,11 @@ class InvertedIndex:
         """Every indexed word, sorted."""
         return sorted(self._postings)
 
+    def packed_postings(self) -> Iterator[Tuple[str, PackedDeweyList]]:
+        """Every ``(word, packed Dewey list)`` pair, sorted by word (the
+        rows the sqlite shredder serializes)."""
+        return ((word, self._postings[word]) for word in self.vocabulary())
+
     def vocabulary_size(self) -> int:
         """Number of distinct indexed words."""
         return len(self._postings)

@@ -20,11 +20,10 @@ from .schema import (
     SCHEMA_VERSION,
     ElementRow,
     LabelRow,
-    ValueRow,
     decode_dewey,
     encode_dewey,
 )
-from .shredder import ShreddedDocument, packed_posting_rows, shred_tree
+from .shredder import ShreddedDocument, shred_tree
 from .sqlite_backend import (
     BASE_GENERATION,
     SEGMENT_KIND_DOC,
@@ -45,13 +44,11 @@ __all__ = [
     "SchemaVersionError",
     "LabelRow",
     "ElementRow",
-    "ValueRow",
     "CREATE_TABLES_SQL",
     "SCHEMA_VERSION",
     "encode_dewey",
     "decode_dewey",
     "ShreddedDocument",
-    "packed_posting_rows",
     "shred_tree",
     "SQLiteStore",
     "BASE_GENERATION",

@@ -164,7 +164,7 @@ class SQLitePostingSource:
         """Every indexed word of the document, sorted."""
         prefix, where, scope = self._scope()
         cursor = self.store._connection.execute(
-            f"SELECT DISTINCT keyword FROM {prefix}value WHERE {where} "
+            f"SELECT keyword FROM {prefix}posting WHERE {where} "
             f"ORDER BY keyword", scope)
         return [keyword for (keyword,) in cursor]
 
@@ -314,8 +314,7 @@ class SQLitePostingSource:
                             ) -> Dict[DeweyCode, Optional[ElementRow]]:
         """Element rows of ``deweys`` in chunked ``IN (...)`` statements.
 
-        The statement reads each node's label and stored cID together, so a
-        record tree touches no value row.
+        The statement reads each node's label and stored cID together.
         """
         prefix, where, scope = self._scope()
         rows: Dict[DeweyCode, Optional[ElementRow]] = {}

@@ -11,6 +11,12 @@ Section 5.2 stores the shredded records in PostgreSQL using three tables:
   pair over the node's label, text and attributes; this is the table keyword
   lookups run against.
 
+This layout (schema 2) holds the first two of them and replaces the third:
+``label``, ``element`` without ``level`` (a node's depth is its Dewey
+length) and the cID stored as two strings, and one packed ``posting`` blob
+per keyword, the keyword's sorted Dewey list, which is what every keyword
+lookup reads.  No ``value`` row is stored.
+
 This module defines the row dataclasses, the SQL DDL of the sqlite store
 (the PostgreSQL → sqlite substitution is documented in DESIGN.md) and the
 :data:`SCHEMA_VERSION` every database file is stamped with: a file is
@@ -38,21 +44,9 @@ class ElementRow:
     document: str
     label: str
     dewey: str
-    level: int
     label_number_sequence: str
     content_feature_min: str
     content_feature_max: str
-
-
-@dataclass(frozen=True)
-class ValueRow:
-    """One row of the ``value`` table."""
-
-    document: str
-    label: str
-    dewey: str
-    attribute: str
-    keyword: str
 
 
 #: SQL DDL for the sqlite backend.  The ``document`` column lets one store
@@ -71,32 +65,20 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
         document              TEXT NOT NULL,
         label                 TEXT NOT NULL,
         dewey                 TEXT NOT NULL,
-        level                 INTEGER NOT NULL,
         label_number_sequence TEXT NOT NULL,
         content_feature_min   TEXT NOT NULL,
         content_feature_max   TEXT NOT NULL,
         PRIMARY KEY (document, dewey)
     )
     """,
-    """
-    CREATE TABLE IF NOT EXISTS value (
-        document  TEXT NOT NULL,
-        label     TEXT NOT NULL,
-        dewey     TEXT NOT NULL,
-        attribute TEXT NOT NULL,
-        keyword   TEXT NOT NULL
-    )
-    """,
     # One packed columnar posting blob per (document, keyword): the
     # prefix-truncated serialization of the keyword's sorted Dewey list
-    # (see repro.index.packed).  Loading a posting list becomes one row
-    # fetch + one C-speed column rebuild instead of one string decode per
-    # posting row.  The value table remains the row-per-(node, word) ground
-    # truth; the blob is a derived, ingestion-time artefact.  ``max_depth``
-    # is the keyword's impact metadata (deepest Dewey level of its nodes,
-    # root = 0) written at shred time; together with ``cardinality`` it lets
-    # the corpus ranking derive score upper bounds without reading a single
-    # blob.
+    # (see repro.index.packed).  This is the keyword index: loading a
+    # posting list is one row fetch + one C-speed column rebuild, and no
+    # row per (node, word) pair is stored.  ``max_depth`` is the keyword's
+    # impact metadata (deepest Dewey level of its nodes, root = 0) written
+    # at shred time; together with ``cardinality`` it lets the corpus
+    # ranking derive score upper bounds without reading a single blob.
     """
     CREATE TABLE IF NOT EXISTS posting (
         document    TEXT NOT NULL,
@@ -107,11 +89,8 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
         PRIMARY KEY (document, keyword)
     )
     """,
-    "CREATE INDEX IF NOT EXISTS idx_value_keyword ON value (document, keyword)",
-    "CREATE INDEX IF NOT EXISTS idx_value_dewey ON value (document, dewey)",
-    "CREATE INDEX IF NOT EXISTS idx_element_label ON element (document, label)",
     # ------------------------------------------------------------------ #
-    # Segmented incremental updates (repro.storage.sqlite_backend).  The four
+    # Segmented incremental updates (repro.storage.sqlite_backend).  The three
     # tables above are the **base generation**; every update/delete lands in
     # an immutable delta segment instead of rewriting base rows.  ``segment``
     # is the catalog: one row per (segment, document) event — kind ``doc``
@@ -119,7 +98,7 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
     # kind ``tombstone`` marks the document deleted as of that segment.  A
     # document's live version is decided by its highest-numbered event;
     # ``compact()`` folds live versions into the base tables and clears all
-    # five segment tables.
+    # four segment tables.
     """
     CREATE TABLE IF NOT EXISTS segment (
         segment_id INTEGER NOT NULL,
@@ -143,21 +122,10 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
         document              TEXT NOT NULL,
         label                 TEXT NOT NULL,
         dewey                 TEXT NOT NULL,
-        level                 INTEGER NOT NULL,
         label_number_sequence TEXT NOT NULL,
         content_feature_min   TEXT NOT NULL,
         content_feature_max   TEXT NOT NULL,
         PRIMARY KEY (segment_id, document, dewey)
-    )
-    """,
-    """
-    CREATE TABLE IF NOT EXISTS segment_value (
-        segment_id INTEGER NOT NULL,
-        document   TEXT NOT NULL,
-        label      TEXT NOT NULL,
-        dewey      TEXT NOT NULL,
-        attribute  TEXT NOT NULL,
-        keyword    TEXT NOT NULL
     )
     """,
     """
@@ -173,10 +141,6 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
     """,
     "CREATE INDEX IF NOT EXISTS idx_segment_document "
     "ON segment (document, segment_id)",
-    "CREATE INDEX IF NOT EXISTS idx_segment_value_keyword "
-    "ON segment_value (segment_id, document, keyword)",
-    "CREATE INDEX IF NOT EXISTS idx_segment_value_dewey "
-    "ON segment_value (segment_id, document, dewey)",
     # ------------------------------------------------------------------ #
     # The idempotency ledger (repro.storage.sqlite_backend).  A mutation that
     # carries an ``idempotency_key`` writes one row inside its own
@@ -198,8 +162,10 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
 #: The layout :data:`CREATE_TABLES_SQL` creates, stamped into every new
 #: database file as ``PRAGMA user_version``.  A store refuses any file
 #: carrying another version (:class:`~repro.storage.errors.SchemaVersionError`);
-#: such a file is re-indexed into a new one, never migrated.
-SCHEMA_VERSION = 1
+#: such a file is re-indexed into a new one, never migrated.  Version 1
+#: also stored a ``value`` row per (node, word) pair and an element
+#: ``level``; version 2 dropped both.
+SCHEMA_VERSION = 2
 
 
 def encode_dewey(components: Tuple[int, ...]) -> str:

@@ -1,15 +1,16 @@
 """sqlite3 backend for the shredded relational store.
 
 Plays the role of the PostgreSQL 8.2 instance of Section 5.2 (substitution
-documented in DESIGN.md): documents are shredded into the ``label`` /
-``element`` / ``value`` tables (plus one packed ``posting`` blob per
-keyword).  Those four tables are the **base generation**; live updates land
-in a Lucene-style sequence of immutable **delta segments**:
+documented in DESIGN.md): documents are shredded into Section 5.2's
+``label`` and ``element`` tables, and one packed ``posting`` blob per
+keyword takes the place of its ``value`` table, which is not stored.  Those
+three tables are the **base generation**; live updates land in a
+Lucene-style sequence of immutable **delta segments**:
 
 * :meth:`SQLiteStore.update_document` shreds the new document version once
-  and writes its complete row set — including the per-keyword packed posting
-  blobs of :func:`~repro.storage.shredder.packed_posting_rows` — into the
-  ``segment_*`` tables under a fresh, monotonically increasing segment id.
+  and writes its complete row set — including its per-keyword packed posting
+  blobs — into the ``segment_*`` tables under a fresh, monotonically
+  increasing segment id.
   No base row is rewritten; the previous version is merely *shadowed*.
 * :meth:`SQLiteStore.delete_document` appends a **tombstone** event: a
   ``segment`` catalog row with no row payload.  Tombstones are consulted at
@@ -58,7 +59,7 @@ from ..obs import names as metric_names
 from ..xmltree import XMLTree
 from .errors import DocumentAlreadyStored, DocumentNotFound, SchemaVersionError
 from .schema import CREATE_TABLES_SQL, SCHEMA_VERSION
-from .shredder import ShreddedDocument, packed_posting_rows, shred_tree
+from .shredder import ShreddedDocument, shred_tree
 
 
 #: Distinguishes the shared-cache URIs of concurrently-alive ``:memory:``
@@ -72,14 +73,13 @@ SEGMENT_KIND_TOMBSTONE = "tombstone"
 #: The pseudo-location of documents served from the classic base tables.
 BASE_GENERATION = 0
 
-#: The columns of the four tables one document version fills, after its
+#: The columns of the three tables one document version fills, after its
 #: key: ``document`` in the base tables, ``segment_id, document`` in their
 #: ``segment_*`` twins.
 _GENERATION_COLUMNS = {
     "label": ("label", "id"),
-    "element": ("label", "dewey", "level", "label_number_sequence",
+    "element": ("label", "dewey", "label_number_sequence",
                 "content_feature_min", "content_feature_max"),
-    "value": ("label", "dewey", "attribute", "keyword"),
     "posting": ("keyword", "cardinality", "blob", "max_depth"),
 }
 
@@ -141,12 +141,10 @@ def _version_rows(shredded: ShreddedDocument
     :data:`_GENERATION_COLUMNS`.  Lazy, so an insert streams its rows and
     never holds two tables' row lists at once."""
     yield "label", ((row.label, row.label_id) for row in shredded.labels)
-    yield "element", ((row.label, row.dewey, row.level,
-                       row.label_number_sequence, row.content_feature_min,
-                       row.content_feature_max) for row in shredded.elements)
-    yield "value", ((row.label, row.dewey, row.attribute, row.keyword)
-                    for row in shredded.values)
-    yield "posting", packed_posting_rows(shredded)
+    yield "element", ((row.label, row.dewey, row.label_number_sequence,
+                       row.content_feature_min, row.content_feature_max)
+                      for row in shredded.elements)
+    yield "posting", shredded.postings
 
 
 class SQLiteStore:
@@ -544,12 +542,14 @@ class SQLiteStore:
         return sorted(live)
 
     def document_stats(self, name: str) -> Dict[str, int]:
-        """Node / value / label counts of one live document."""
+        """Node / keyword (posting row) / label counts of one live
+        document."""
         prefix, where, scope = generation_rows(name, self._live_location(name))
         return {key: self._scalar(
                     f"SELECT COUNT(*) FROM {prefix}{table} WHERE {where}",
                     *scope)
-                for key, table in (("nodes", "element"), ("values", "value"),
+                for key, table in (("nodes", "element"),
+                                   ("keywords", "posting"),
                                    ("labels", "label"))}
 
     # ------------------------------------------------------------------ #

@@ -18,17 +18,29 @@ Checked invariants:
 * **catalog** — every ``doc`` segment event owns label *and* element rows;
   tombstone events own no payload rows; no payload row is orphaned from
   the ``segment`` catalog.
-* **liveness** — every document named by any base table has element rows
-  (the base row sets are complete), and every value row, base and
-  segment, names a node of its generation's element rows.
-* **posting blobs** — each packed posting blob (base and segment) decodes,
-  its recorded cardinality matches the decoded length, and the decoded
-  Dewey list equals the distinct value-row deweys for that
-  (document, keyword) — the blob is a faithful derived artefact.
+* **liveness** — every document named by the base ``label`` or ``posting``
+  table has element rows (the base row sets are complete).
+
+Then, generation by generation (a base document's rows, or one delta
+segment's rows of one document), the posting blobs are inverted into each
+node's word set and checked:
+
+* **posting blobs** — each blob decodes, its recorded cardinality matches
+  the decoded length, its Dewey codes are strictly increasing in document
+  order, its recorded ``max_depth`` is the decoded list's deepest level
+  (the impact the corpus ranking bounds scores with), and every code it
+  names has an element row (``posting-dangling-node``).
 * **content ids** — each element row's stored cID (``content_feature_min``,
-  ``content_feature_max``, base and segment) equals the MIN/MAX keyword of
-  the node's value rows, or ``("", "")`` without any; ``minmax`` record
-  trees read the cID from there instead of the value rows.
+  ``content_feature_max``) is the (min, max) of the words whose blobs hold
+  the node, or ``("", "")`` without any; record trees read the cID from
+  there.
+* **label words** — every word the tokenizer takes from an element's stored
+  label has a blob holding the node.  Labels are stored apart from the
+  blobs, so this checks the blobs against a second source.
+
+What is not caught: a blob that loses or gains a node for a word that is
+none of that node's min, max or label words.  No stored row repeats that
+fact, so the file cannot contradict the blob.
 """
 
 from __future__ import annotations
@@ -37,12 +49,19 @@ import sqlite3
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Set, Tuple, Union
 
-from ..index.packed import PackedDeweyList
+from ..index import PackedDeweyList, impact_from_postings
+from ..text import DEFAULT_TOKENIZER, content_id
 from .errors import SchemaVersionError
 from .schema import decode_dewey
-from .sqlite_backend import SEGMENT_KIND_DOC, SEGMENT_KIND_TOMBSTONE, SQLiteStore
+from .sqlite_backend import (
+    BASE_GENERATION,
+    SEGMENT_KIND_DOC,
+    SEGMENT_KIND_TOMBSTONE,
+    SQLiteStore,
+    generation_rows,
+)
 
 __all__ = ["IntegrityFinding", "IntegrityReport", "verify_database"]
 
@@ -124,8 +143,8 @@ def verify_database(path: Union[str, Path]) -> IntegrityReport:
         connection = store._connection
         _check_catalog(connection, report)
         _check_liveness(connection, report)
-        _check_posting_blobs(connection, report)
-        _check_content_ids(connection, report)
+        for owner in _generations(connection):
+            _check_generation(connection, owner, report)
         return report
     finally:
         store.close()
@@ -157,8 +176,7 @@ def _check_catalog(connection: Any, report: IntegrityReport) -> None:
                 "catalog-unknown-kind",
                 f"segment {segment} of {document!r} has unknown kind "
                 f"{kind!r}")
-    payload_tables = ("segment_label", "segment_element", "segment_value",
-                      "segment_posting")
+    payload_tables = ("segment_label", "segment_element", "segment_posting")
     owned: Dict[Tuple[int, str], Dict[str, int]] = {}
     for table in payload_tables:
         for segment, document, count in connection.execute(
@@ -195,7 +213,7 @@ def _check_catalog(connection: Any, report: IntegrityReport) -> None:
 def _check_liveness(connection: Any, report: IntegrityReport) -> None:
     elements = {document for (document,) in connection.execute(
         "SELECT DISTINCT document FROM element")}
-    for table in ("label", "value", "posting"):
+    for table in ("label", "posting"):
         for (document,) in connection.execute(
                 f"SELECT DISTINCT document FROM {table}"):
             if document not in elements:
@@ -203,90 +221,81 @@ def _check_liveness(connection: Any, report: IntegrityReport) -> None:
                     "base-orphan-rows",
                     f"base {table} rows for {document!r} have no element "
                     f"rows")
-    for value, element, key in (
-            ("value", "element", ("document", "dewey")),
-            ("segment_value", "segment_element",
-             ("segment_id", "document", "dewey"))):
-        columns = ", ".join(key)
-        for owner in connection.execute(
-                f"SELECT DISTINCT {', '.join(key[:-1])} FROM {value} "
-                f"WHERE ({columns}) NOT IN "
-                f"(SELECT {columns} FROM {element})"):
+
+
+def _generations(connection: Any) -> List[Tuple[Any, ...]]:
+    """Every generation with element rows: ``(document,)`` of the base
+    tables, then ``(segment_id, document)`` of each delta segment.  Rows of
+    a generation without element rows are reported by the catalog and
+    liveness checks."""
+    return (connection.execute(
+                "SELECT DISTINCT document FROM element "
+                "ORDER BY document").fetchall()
+            + connection.execute(
+                "SELECT DISTINCT segment_id, document FROM segment_element "
+                "ORDER BY segment_id, document").fetchall())
+
+
+def _check_generation(connection: Any, owner: Sequence[Any],
+                      report: IntegrityReport) -> None:
+    """Check one generation's blobs, then its element rows against the word
+    sets the blobs give each node."""
+    location = owner[0] if len(owner) == 2 else BASE_GENERATION
+    prefix, where, scope = generation_rows(owner[-1], location)
+    name = _owner(owner)
+    words: Dict[Tuple[int, ...], Set[str]] = {}
+    for keyword, cardinality, blob, max_depth in connection.execute(
+            f"SELECT keyword, cardinality, blob, max_depth "
+            f"FROM {prefix}posting WHERE {where}", scope).fetchall():
+        try:
+            decoded = PackedDeweyList.from_blob(blob)
+        except (ValueError, TypeError) as error:
             report.error(
-                "value-dangling-node",
-                f"{_owner(owner)}: {value} rows name deweys missing from "
-                f"{element}")
-
-
-def _check_posting_blobs(connection: Any, report: IntegrityReport) -> None:
-    checks = (
-        ("posting", "value",
-         "SELECT document, keyword, cardinality, blob FROM posting",
-         "SELECT DISTINCT dewey FROM value "
-         "WHERE document = ? AND keyword = ? ORDER BY dewey", ()),
-        ("segment_posting", "segment_value",
-         "SELECT segment_id, document, keyword, cardinality, blob "
-         "FROM segment_posting",
-         "SELECT DISTINCT dewey FROM segment_value WHERE segment_id = ? "
-         "AND document = ? AND keyword = ? ORDER BY dewey", ("segment_id",)),
-    )
-    for blob_table, truth_table, blob_sql, truth_sql, extra in checks:
-        for row in connection.execute(blob_sql).fetchall():
-            if extra:
-                segment, document, keyword, cardinality, blob = row
-                truth_key: Tuple[Any, ...] = (segment, document, keyword)
-                where = f"segment {segment} of {document!r}"
-            else:
-                document, keyword, cardinality, blob = row
-                truth_key = (document, keyword)
-                where = f"base document {document!r}"
-            try:
-                decoded = PackedDeweyList.from_blob(blob)
-            except (ValueError, TypeError) as error:
-                report.error(
-                    "posting-blob-corrupt",
-                    f"{where}: blob for keyword {keyword!r} does not "
-                    f"decode ({error})")
-                continue
-            if len(decoded) != int(cardinality):
-                report.error(
-                    "posting-cardinality-mismatch",
-                    f"{where}: keyword {keyword!r} records cardinality "
-                    f"{cardinality} but the blob holds {len(decoded)} "
-                    f"posting(s)")
-                continue
-            truth = [decode_dewey(text) for (text,) in
-                     connection.execute(truth_sql, truth_key)]
-            blob_deweys = [tuple(dewey.components) for dewey in decoded]
-            if blob_deweys != truth:
-                report.error(
-                    "posting-blob-mismatch",
-                    f"{where}: blob deweys for keyword {keyword!r} do not "
-                    f"match the {truth_table} ground truth")
-
-
-def _check_content_ids(connection: Any, report: IntegrityReport) -> None:
-    # SQLite compares TEXT bytewise (BINARY), which for UTF-8 is the
-    # code-point order Python's min/max used when the rows were shredded.
-    for element, value, key in (
-            ("element", "value", ("document", "dewey")),
-            ("segment_element", "segment_value",
-             ("segment_id", "document", "dewey"))):
-        columns = ", ".join(f"e.{column}" for column in key)
-        joined = " AND ".join(f"v.{column} = e.{column}" for column in key)
-        for row in connection.execute(
-                f"SELECT {columns} FROM {element} AS e "
-                f"LEFT JOIN {value} AS v ON {joined} GROUP BY {columns} "
-                f"HAVING MIN(e.content_feature_min) "
-                f"IS NOT COALESCE(MIN(v.keyword), '') "
-                f"OR MIN(e.content_feature_max) "
-                f"IS NOT COALESCE(MAX(v.keyword), '')"):
-            *owner, dewey = row
-            node = ".".join(str(part) for part in decode_dewey(dewey))
+                "posting-blob-corrupt",
+                f"{name}: blob for keyword {keyword!r} does not decode "
+                f"({error})")
+            continue
+        nodes = [tuple(components) for components in decoded.iter_slices()]
+        if len(nodes) != int(cardinality):
+            report.error(
+                "posting-cardinality-mismatch",
+                f"{name}: keyword {keyword!r} records cardinality "
+                f"{cardinality} but the blob holds {len(nodes)} posting(s)")
+        if any(left >= right for left, right in zip(nodes, nodes[1:])):
+            report.error(
+                "posting-blob-order",
+                f"{name}: blob for keyword {keyword!r} is not strictly "
+                f"increasing in document order")
+        deepest = impact_from_postings(decoded).max_depth
+        if deepest != int(max_depth):
+            report.error(
+                "posting-impact-mismatch",
+                f"{name}: keyword {keyword!r} records max_depth "
+                f"{max_depth} but its deepest posting is at level {deepest}")
+        for node in nodes:
+            words.setdefault(node, set()).add(keyword)
+    for dewey, label, low, high in connection.execute(
+            f"SELECT dewey, label, content_feature_min, content_feature_max "
+            f"FROM {prefix}element WHERE {where}", scope):
+        components = decode_dewey(dewey)
+        held = words.pop(components, set())
+        node = ".".join(str(part) for part in components)
+        if (low, high) != content_id(held):
             report.error(
                 "cid-mismatch",
-                f"{_owner(owner)}: node {node} stores a cID that is not the "
-                f"(min, max) of its {value} keywords")
+                f"{name}: node {node} stores a cID that is not the "
+                f"(min, max) of the words whose posting blobs hold it")
+        missing = sorted(set(DEFAULT_TOKENIZER.tokenize(label)) - held)
+        if missing:
+            report.error(
+                "label-word-missing",
+                f"{name}: no posting blob of label word(s) "
+                f"{', '.join(missing)} holds node {node}")
+    if words:
+        report.error(
+            "posting-dangling-node",
+            f"{name}: posting blobs name {len(words)} node(s) missing from "
+            f"{prefix}element")
 
 
 def _owner(owner: Sequence[Any]) -> str:

@@ -105,7 +105,7 @@ def build_source(tree, backend: str, name: str = "doc"):
     if backend == "segmented":
         # Store the tree, then shadow the base copy with an identical
         # delta-segment version: parity runs through the segment read path
-        # (segment_posting / segment_value / segment_element).
+        # (segment_posting / segment_element).
         store = SQLiteStore()
         store.store_tree(tree, name)
         store.update_document(tree, name)
@@ -353,9 +353,9 @@ def stored_rows(store, name: str) -> dict:
     sorted."""
     return {table: sorted(store._connection.execute(
                 f"SELECT * FROM {table} WHERE document = ?", (name,)))
-            for table in ("label", "element", "value", "posting", "segment",
+            for table in ("label", "element", "posting", "segment",
                           "segment_label", "segment_element",
-                          "segment_value", "segment_posting")}
+                          "segment_posting")}
 
 
 @pytest.mark.parametrize("store_input", LAYOUT_INPUTS)

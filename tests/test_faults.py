@@ -39,6 +39,7 @@ from fuzz_util import crash_at, fresh_oracle, segmented_engine, wire_lines
 from repro.cli import main
 from repro.datasets import default_dblp_tree, publications_tree, team_tree
 from repro.faults import FaultPlan, InjectedCrash, InjectedFault
+from repro.index import PackedDeweyList, pack_component_tuples
 from repro.obs import MetricsRegistry
 from repro.obs import names as metric_names
 from repro.service import RetryPolicy
@@ -187,7 +188,7 @@ class TestFaultingConnection:
             assert store.documents() == ["publications"], delay
             store.close()
             with closing(sqlite3.connect(path)) as connection:
-                for table in ("label", "element", "value", "posting"):
+                for table in ("label", "element", "posting"):
                     assert connection.execute(
                         f"SELECT COUNT(*) FROM {table} "
                         f"WHERE document = 'team'").fetchone() == (0,), \
@@ -409,6 +410,22 @@ class TestRealCrashes:
 # ---------------------------------------------------------------------- #
 # verify_database: clean passes, corruption surfaces typed findings
 # ---------------------------------------------------------------------- #
+def rewrite_blob(path, table, keyword, edit) -> None:
+    """Re-pack ``keyword``'s blob in ``table`` from ``edit(nodes)``, given
+    its nodes as component tuples, and record the new cardinality."""
+    with sqlite3.connect(path) as connection:
+        (blob,) = connection.execute(
+            f"SELECT blob FROM {table} WHERE keyword = ?",
+            (keyword,)).fetchone()
+        nodes = edit([tuple(components) for components in
+                      PackedDeweyList.from_blob(blob).iter_slices()])
+        connection.execute(
+            f"UPDATE {table} SET blob = ?, cardinality = ? "
+            f"WHERE keyword = ?",
+            (pack_component_tuples(nodes, presorted=True).to_blob(),
+             len(nodes), keyword))
+
+
 class TestVerifyDatabase:
     @pytest.fixture
     def db(self, tmp_path):
@@ -473,29 +490,82 @@ class TestVerifyDatabase:
             ["cid-mismatch"]
 
     def test_segment_cid_mismatch_is_detected(self, db):
-        # A node stripped of its value rows must store ("", "").
-        with sqlite3.connect(db) as connection:
-            connection.execute(
-                "DELETE FROM segment_value WHERE dewey = "
-                "(SELECT MIN(dewey) FROM segment_value)")
+        # Node 0.1.0.1 of the team document holds "position" and "forward",
+        # its cID's min; the segment's "forward" blob loses the node.
+        rewrite_blob(db, "segment_posting", "forward",
+                     lambda nodes: [node for node in nodes
+                                    if node != (0, 1, 0, 1)])
         report = verify_database(db)
-        findings = [finding for finding in report.findings
-                    if finding.code == "cid-mismatch"]
-        assert len(findings) == 1
-        assert "segment 1 of 'team'" in findings[0].message
+        assert [finding.code for finding in report.findings] == \
+            ["cid-mismatch"], report.render()
+        assert "segment 1 of 'team'" in report.findings[0].message
+        assert "node 0.1.0.1" in report.findings[0].message
 
-    def test_segment_value_rows_without_element_are_detected(self, db):
+    def test_segment_blob_nodes_without_element_are_detected(self, db):
         # Node 0.1.2.2 of the team document holds the words "number" and
-        # "22"; its segment element row goes, its value rows stay.
+        # "22"; its segment element row goes, the blobs naming it stay.
         with sqlite3.connect(db) as connection:
             connection.execute(
                 "DELETE FROM segment_element WHERE dewey = ?",
                 (encode_dewey((0, 1, 2, 2)),))
         report = verify_database(db)
-        findings = [finding for finding in report.findings
-                    if finding.code == "value-dangling-node"]
-        assert len(findings) == 1, report.render()
-        assert "segment 1 of 'team'" in findings[0].message
+        assert [finding.code for finding in report.findings] == \
+            ["posting-dangling-node"], report.render()
+        assert "segment 1 of 'team'" in report.findings[0].message
+
+    def test_label_word_without_blob_is_detected(self, db):
+        # The base "title" blob loses node 0.0, labelled "title"; its cID
+        # is ("2008", "vldb"), so only the label check can see the loss.
+        rewrite_blob(db, "posting", "title",
+                     lambda nodes: [node for node in nodes if node != (0, 0)])
+        report = verify_database(db)
+        assert [finding.code for finding in report.findings] == \
+            ["label-word-missing"], report.render()
+        assert "base document 'publications'" in report.findings[0].message
+
+    def test_reversed_blob_is_detected(self, db):
+        rewrite_blob(db, "posting", "title", lambda nodes: nodes[::-1])
+        report = verify_database(db)
+        assert [finding.code for finding in report.findings] == \
+            ["posting-blob-order"], report.render()
+
+    def test_wrong_impact_metadata_is_detected(self, db):
+        # "liu" is held by 0.2.0.0.0.0, at level 5.
+        with sqlite3.connect(db) as connection:
+            connection.execute(
+                "UPDATE posting SET max_depth = 0 WHERE keyword = 'liu'")
+        report = verify_database(db)
+        assert [finding.code for finding in report.findings] == \
+            ["posting-impact-mismatch"], report.render()
+
+    def test_unknown_segment_kind_is_detected(self, db):
+        with sqlite3.connect(db) as connection:
+            connection.execute("UPDATE segment SET kind = 'snapshot'")
+        report = verify_database(db)
+        assert [finding.code for finding in report.findings] == \
+            ["catalog-unknown-kind"], report.render()
+
+    def test_tombstone_with_rows_is_detected(self, db):
+        with SQLiteStore(db) as store:
+            tombstone = store.delete_document("publications")
+        with sqlite3.connect(db) as connection:
+            connection.execute(
+                "INSERT INTO segment_element (segment_id, document, label, "
+                "dewey, label_number_sequence, content_feature_min, "
+                "content_feature_max) VALUES (?, 'publications', 'bib', ?, "
+                "'0', '', '')", (tombstone, encode_dewey((0,))))
+        report = verify_database(db)
+        assert "tombstone-with-rows" in [finding.code
+                                         for finding in report.findings]
+
+    def test_base_rows_without_elements_are_detected(self, db):
+        with sqlite3.connect(db) as connection:
+            connection.execute(
+                "DELETE FROM element WHERE document = 'publications'")
+        report = verify_database(db)
+        assert [(finding.code, finding.message.split()[1])
+                for finding in report.findings] == \
+            [("base-orphan-rows", "label"), ("base-orphan-rows", "posting")]
 
     def test_torn_doc_segment_is_detected(self, db):
         with sqlite3.connect(db) as connection:

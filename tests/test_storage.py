@@ -12,7 +12,12 @@ import pytest
 
 from repro.cli import main
 from repro.core import SearchEngine, UnknownAlgorithmError
-from repro.index import EMPTY_IMPACT, InvertedIndex, impact_from_postings
+from repro.index import (
+    EMPTY_IMPACT,
+    InvertedIndex,
+    PackedDeweyList,
+    impact_from_postings,
+)
 from repro.storage import (
     SCHEMA_VERSION,
     DocumentAlreadyStored,
@@ -50,14 +55,14 @@ class TestShredder:
         shredded = shred_tree(publications, "pub")
         assert shredded.name == "pub"
         assert shredded.node_count == publications.size()
-        assert shredded.value_count > 0
+        assert [keyword for keyword, *_ in shredded.postings] == \
+            InvertedIndex(publications).vocabulary()
         assert len(shredded.labels) == len(publications.labels())
 
     def test_label_number_sequence_matches_depth(self, publications):
         shredded = shred_tree(publications, "pub")
         by_dewey = {row.dewey: row for row in shredded.elements}
         row = by_dewey[encode_dewey((0, 2, 0, 1))]
-        assert row.level == 3
         assert len(row.label_number_sequence.split(".")) == 4
 
     def test_content_feature_is_min_max(self, publications):
@@ -66,13 +71,11 @@ class TestShredder:
         row = by_dewey[encode_dewey((0, 0))]
         assert row.content_feature_min <= row.content_feature_max
 
-    def test_value_rows_split_by_origin(self, team):
-        shredded = shred_tree(team, "team")
-        name_rows = [row for row in shredded.values
-                     if row.dewey == encode_dewey((0, 0))]
-        origins = {row.attribute for row in name_rows}
-        assert "" in origins          # label word
-        assert "#text" in origins     # text word
+    def test_label_and_text_words_index_the_node(self, team):
+        holders = {keyword: PackedDeweyList.from_blob(blob)
+                   for keyword, _, blob, _ in shred_tree(team).postings}
+        assert D("0.0") in holders["name"]       # label word
+        assert D("0.0") in holders["grizzlies"]  # text word
 
 
 class TestBackends:
@@ -81,6 +84,8 @@ class TestBackends:
         store.store_tree(publications, "pub")
         stats = store.document_stats("pub")
         assert stats["nodes"] == publications.size()
+        assert stats["keywords"] == \
+            InvertedIndex(publications).vocabulary_size()
         assert stats["labels"] == len(publications.labels())
         assert store.documents() == ["pub"]
 
@@ -213,8 +218,8 @@ def foreign_db(request, tmp_path, publications):
 
 
 FOREIGN_VERSIONS = pytest.mark.parametrize(
-    "foreign_db", [0, SCHEMA_VERSION + 1], indirect=True,
-    ids=["unstamped", "other-version"])
+    "foreign_db", [0, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1], indirect=True,
+    ids=["unstamped", "retired-version", "other-version"])
 
 
 class TestSchemaVersion:
@@ -226,6 +231,28 @@ class TestSchemaVersion:
         with SQLiteStore() as in_memory:
             assert in_memory._connection.execute(
                 "PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION
+
+    def test_new_files_hold_no_value_rows(self, tmp_path):
+        """Schema 2: the posting blobs are the keyword index, so no table
+        holds a row per (node, word) pair, elements carry no ``level`` and
+        no index serves a label filter."""
+        path = str(tmp_path / "new.db")
+        SQLiteStore(path).close()
+        with closing(sqlite3.connect(path)) as connection:
+            tables = {name for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'")}
+            indexes = {name for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index' "
+                "AND sql IS NOT NULL")}
+            columns = {table: [row[1] for row in connection.execute(
+                           f"PRAGMA table_info({table})")]
+                       for table in ("element", "segment_element")}
+        assert tables == {"label", "element", "posting", "segment",
+                          "segment_label", "segment_element",
+                          "segment_posting", "mutation_journal",
+                          "sqlite_sequence"}
+        assert indexes == {"idx_segment_document", "idx_mutation_journal_key"}
+        assert all("level" not in names for names in columns.values())
 
     def test_stamped_file_opens_with_one_statement(self, tmp_path):
         path = str(tmp_path / "stamped.db")
@@ -363,25 +390,6 @@ def statements(store, call) -> list:
     finally:
         connection.set_trace_callback(None)
     return seen
-
-
-class TestTreeFreeSearchReadsNoValueRows:
-    """A tree-free record tree takes each node's cID from the element row
-    its label comes from, so a tree-free search with packed postings runs
-    no statement on the value tables."""
-
-    @pytest.mark.parametrize("layout", ("sqlite", "segmented"))
-    def test_search_reads_no_value_row(self, publications, layout):
-        source = build_source(publications, layout)
-        engine = SearchEngine(source=source)
-        seen = statements(source.store, lambda: [
-            engine.search(PAPER_QUERIES[name]) for name in ("Q1", "Q2", "Q3")])
-        assert any("FROM element" in statement
-                   or "FROM segment_element" in statement
-                   for statement in seen)
-        value_reads = [statement for statement in seen
-                       if re.search(r"\bFROM (segment_)?value\b", statement)]
-        assert not value_reads, value_reads
 
 
 class TestOneLocationResolution:

@@ -4,8 +4,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-all coverage bench bench-collect bench-export smoke \
-	loadtest-smoke perf-smoke fuzz-smoke update-smoke obs-smoke \
-	chaos-smoke lint
+	perf-smoke fuzz-smoke update-smoke obs-smoke chaos-smoke lint
 
 test:            ## fast unit suite (tier-1)
 	$(PYTHON) -m pytest -x -q
@@ -48,10 +47,6 @@ bench-collect:   ## benchmark suite collection check only
 
 smoke:           ## tier-1 + collection guard + one tiny end-to-end bench query
 	bash scripts/smoke.sh
-
-loadtest-smoke:  ## tiny serving-layer run guarding repro.service end to end
-	$(PYTHON) -m repro.cli loadtest --backend memory --workers 2 \
-	    --requests 50 --concurrency 4 --output BENCH_service.json
 
 bench-export:    ## BENCH_core.json: per-algorithm/backend timings
 	$(PYTHON) -m repro.cli bench-export --backend memory --backend sqlite \

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Serve XML keyword search concurrently and load-test it, in one process.
+"""Serve XML keyword search concurrently and query it, in one process.
 
 The demo walks the whole serving stack of :mod:`repro.service`:
 
@@ -20,9 +20,7 @@ The demo walks the whole serving stack of :mod:`repro.service`:
    own pool/batcher/admission/server statistics;
 4. scrapes the live metrics registry (the same merged snapshot the
    ``stats`` wire op and ``python -m repro.cli metrics`` expose) and prints
-   a few headline series;
-5. finishes with a tiny closed-loop load test and prints throughput plus
-   p50/p95/p99 latency.
+   a few headline series.
 
 Run with::
 
@@ -31,18 +29,13 @@ Run with::
 The equivalent command-line entry points are::
 
     python -m repro.cli serve --dataset figure-1a --workers 4
-    python -m repro.cli loadtest --backend memory --workers 4
+    python -m repro.cli metrics --address 127.0.0.1:8765
 """
 
 from __future__ import annotations
 
 from repro.datasets import PAPER_QUERIES, publications_tree
-from repro.service import (
-    ServerThread,
-    ServiceClient,
-    ServiceConfig,
-    loadtest,
-)
+from repro.service import ServerThread, ServiceClient, ServiceConfig
 
 
 def main() -> None:
@@ -95,12 +88,6 @@ def main() -> None:
                 if key.startswith(("query.count", "server.requests",
                                    "batcher.", "admission.")):
                     print(f"  {key} = {value}")
-
-        print("\n== closed-loop load test against the same server ==")
-        report = loadtest(config, list(PAPER_QUERIES.values()),
-                          address=(host, port), mode="closed",
-                          requests=100, concurrency=4)
-        print(report.summary())
 
 
 if __name__ == "__main__":

@@ -44,17 +44,29 @@ done
 echo "listening on $address (faults armed)"
 
 echo "== read traffic with a retrying client: zero visible failures =="
-python -m repro.cli loadtest --address "$address" --requests 40 \
-    --concurrency 4 --retries 8 --output "$workdir/load.json" > /dev/null
-python - "$workdir/load.json" <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as handle:
-    report = json.load(handle)["service_bench"][0]
-assert report["completed"] == report["requests"] == 40, report
-assert not report["errors"], report["errors"]
-assert report["retries"] >= 1, "no read met a fault: the read retries went unexercised"
-print(f"completed {report['completed']}/{report['requests']} requests; "
-      f"{report['retries']} retries healed degraded answers")
+python - "$address" <<'PYEOF'
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from repro.datasets import PAPER_QUERIES
+from repro.service import RetryPolicy, ServiceClient
+host, port = sys.argv[1].rsplit(":", 1)
+queries = list(PAPER_QUERIES.values())
+def reader(offset):
+    # Ten of the 40 searches over one retrying connection.  A search that
+    # still fails after its retries raises here and fails the smoke.
+    answered = 0
+    with ServiceClient(host, int(port), retry=RetryPolicy(attempts=9)) as client:
+        for serial in range(offset, 40, 4):
+            client.search(queries[serial % len(queries)])
+            answered += 1
+        return answered, client.retries
+with ThreadPoolExecutor(max_workers=4) as pool:
+    results = list(pool.map(reader, range(4)))
+answered = sum(count for count, _ in results)
+retries = sum(count for _, count in results)
+assert answered == 40, answered
+assert retries >= 1, "no read met a fault: the read retries went unexercised"
+print(f"completed {answered}/40 requests; {retries} retries healed degraded answers")
 PYEOF
 
 echo "== keyed mutations under chaos =="

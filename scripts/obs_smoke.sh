@@ -42,8 +42,17 @@ done
 echo "listening on $address"
 
 echo "== traffic through the wire =="
-python -m repro.cli loadtest --address "$address" --requests 20 \
-    --concurrency 2 --stats --output - > /dev/null
+python - "$address" <<'PYEOF'
+import sys
+from repro.datasets import PAPER_QUERIES
+from repro.service import ServiceClient
+host, port = sys.argv[1].rsplit(":", 1)
+queries = list(PAPER_QUERIES.values())
+with ServiceClient(host, int(port)) as client:
+    for serial in range(20):
+        client.search(queries[serial % len(queries)])
+print("20 searches answered")
+PYEOF
 
 echo "== metrics scrape (Prometheus text off the stats op) =="
 scrape="$(python -m repro.cli metrics --address "$address")"

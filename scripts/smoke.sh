@@ -75,10 +75,6 @@ make chaos-smoke
 echo "== end-to-end: tiny cached benchmark run =="
 python -m repro.cli bench --dataset dblp --figure 5 --repetitions 1 --cache
 
-echo "== end-to-end: tiny service load run (pool + batcher + TCP) =="
-python -m repro.cli loadtest --backend memory --workers 2 --requests 30 \
-    --concurrency 3 --output -
-
 echo "== examples: every examples/*.py runs =="
 for example in examples/*.py; do
     echo "-- $example"

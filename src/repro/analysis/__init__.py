@@ -22,7 +22,7 @@ The shipped rules (see :mod:`repro.analysis.rules` for the full docstrings):
 * ``sqlite-discipline`` — ``sqlite3.connect`` only inside ``repro/storage/``
   and never stored on shared objects.
 * ``bench-honesty`` — functions writing ``BENCH_*.json`` artefacts call a
-  result-parity / union-verify guard first.
+  result-parity / equivalence guard first.
 
 Suppression: append ``# lint: allow(<rule>)`` to the offending line (or put
 the comment alone on the line above); ``# lint: allow-file(<rule>)`` anywhere

@@ -45,9 +45,9 @@ The rules and what they protect:
 ``bench-honesty``
     A function that writes a ``BENCH_*.json`` artefact must first call one
     of the verification guards (``require_verified_payload``,
-    ``verify_service_reports``, ``_verify_answers``, ``_verify_corpus_union``,
-    ``_verify_ranking_equivalence`` or ``run_core_bench`` itself) so no
-    fast-but-wrong number is ever persisted.
+    ``_verify_answers``, ``_verify_ranking_equivalence`` or
+    ``run_core_bench`` itself) so no fast-but-wrong number is ever
+    persisted.
 
 ``metrics-discipline``
     Every ``registry.counter(...)`` / ``.gauge(...)`` / ``.histogram(...)``
@@ -652,13 +652,11 @@ class BenchHonestyRule(Rule):
 
     name = "bench-honesty"
     description = ("functions writing BENCH_*.json artefacts must call a "
-                   "result-parity / union-verify guard first")
+                   "result-parity / equivalence guard first")
 
     GUARDS = frozenset({
         "require_verified_payload",
-        "verify_service_reports",
         "_verify_answers",
-        "_verify_corpus_union",
         "_verify_ranking_equivalence",
         "run_core_bench",
     })

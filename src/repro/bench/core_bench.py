@@ -44,9 +44,8 @@ DEFAULT_ALGORITHMS = ("validrtf", "maxmatch")
 class AnswerParityError(AssertionError):
     """A measured engine answered wrong (never acceptable).
 
-    Raised when a backend disagrees with the memory engine, when the memory
-    engine's LCA roots disagree with the naive definitions, or when a corpus
-    answer is not the union of its per-document answers."""
+    Raised when a backend disagrees with the memory engine, or when the
+    memory engine's LCA roots disagree with the naive definitions."""
 
 
 class RankingEquivalenceError(AssertionError):
@@ -75,15 +74,16 @@ def run_core_bench(datasets: Sequence[str] = ("dblp",),
                    repetitions: int = 2,
                    limit: Optional[int] = None,
                    verify: bool = True,
-                   specs: Optional[Dict[str, DatasetSpec]] = None,
-                   corpus_docs: int = 3
+                   specs: Optional[Dict[str, DatasetSpec]] = None
                    ) -> Dict[str, object]:
     """Measure the workload over every (dataset, backend).
 
     Returns the ``BENCH_core.json`` payload: one entry per (dataset, backend,
     algorithm, query) with the Figure-5 protocol average (``repetitions``
     timed passes after a discarded warm-up), plus per-(dataset, backend,
-    algorithm) total-time summaries.
+    algorithm) total-time summaries, the ``ranking`` section
+    (:func:`run_ranking_bench`) and the ``observability`` section
+    (:func:`run_obs_overhead_bench`).
 
     ``limit`` trims each dataset's workload to its first N queries (the CI
     perf-smoke uses 1); ``verify=True`` runs :func:`_verify_answers` before
@@ -123,11 +123,8 @@ def run_core_bench(datasets: Sequence[str] = ("dblp",),
         },
         "entries": entries,
         "summary": _summaries(entries),
-        "corpus": run_corpus_bench(doc_count=corpus_docs,
-                                   repetitions=repetitions, limit=limit,
-                                   verify=verify) if corpus_docs else None,
         "ranking": run_ranking_bench(repetitions=repetitions, limit=limit,
-                                     verify=verify) if corpus_docs else None,
+                                     verify=verify),
         "observability": run_obs_overhead_bench(
             repetitions=repetitions, limit=limit, specs=specs),
     }
@@ -206,68 +203,6 @@ def run_obs_overhead_bench(dataset: str = "dblp",
             round(instrumented_total / plain_total, 4)
             if plain_total else None),
         "queries_recorded": recorded,
-    }
-
-
-def run_corpus_bench(doc_count: int = 3, publications_per_doc: int = 200,
-                     algorithms: Sequence[str] = ("validrtf", "maxmatch"),
-                     repetitions: int = 2, limit: Optional[int] = None,
-                     verify: bool = True) -> Dict[str, object]:
-    """The corpus workload row of ``BENCH_core.json``.
-
-    Builds a ``doc_count``-document DBLP-like corpus (distinct seeds per
-    document) and times the dblp workload through the corpus engine against
-    the *sequential-per-document* baseline — looping the same query over one
-    plain :class:`SearchEngine` per document, the retrieval a client without
-    the corpus layer would have to do.  ``corpus_over_sequential`` < 1 means
-    the corpus engine's shared dispatch beats the loop; ~1 means the layer is
-    overhead-free.  ``verify=True`` additionally asserts the corpus answer
-    equals the union of the per-document answers before timing (the
-    differential fuzz contract, enforced here on the measured workload too).
-    """
-    trees = {f"dblp-{seed:02d}": generate_dblp(
-                 DBLPConfig(publications=publications_per_doc, seed=seed))
-             for seed in range(doc_count)}
-    corpus_engine = CorpusSearchEngine.from_trees(trees)
-    per_doc_engines = {doc_id: SearchEngine(tree)
-                       for doc_id, tree in sorted(trees.items())}
-    queries = list(dblp_workload())
-    if limit is not None:
-        queries = queries[:limit]
-    entries: List[Dict[str, object]] = []
-    corpus_total = 0.0
-    sequential_total = 0.0
-    for query in queries:
-        for algorithm in algorithms:
-            if verify:
-                _verify_corpus_union(corpus_engine, per_doc_engines,
-                                     query, algorithm)
-            corpus_seconds = time_algorithm(corpus_engine, query.text,
-                                            algorithm, repetitions)
-            sequential_seconds = _average_timed_passes(
-                lambda q=query.text, a=algorithm: [
-                    engine.search(q, a)
-                    for engine in per_doc_engines.values()],
-                repetitions)
-            corpus_total += corpus_seconds
-            sequential_total += sequential_seconds
-            entries.append({
-                "query": query.label,
-                "keywords": query.text,
-                "algorithm": algorithm,
-                "corpus_ms": round(corpus_seconds * 1000.0, 4),
-                "sequential_ms": round(sequential_seconds * 1000.0, 4),
-            })
-    return {
-        "documents": doc_count,
-        "publications_per_document": publications_per_doc,
-        "verified_union": bool(verify),
-        "entries": entries,
-        "corpus_total_ms": round(corpus_total * 1000.0, 4),
-        "sequential_total_ms": round(sequential_total * 1000.0, 4),
-        "corpus_over_sequential": (
-            round(corpus_total / sequential_total, 4)
-            if sequential_total else None),
     }
 
 
@@ -396,28 +331,6 @@ def _verify_ranking_equivalence(engine, query, algorithm, top_k) -> None:
             f"ranking/{algorithm}/{query.label}: early-terminated top-"
             f"{top_k} diverged from the exhaustive ranking "
             f"(visited {early.docs_visited}/{early.docs_selected} documents)")
-
-
-def _verify_corpus_union(corpus_engine, per_doc_engines, query,
-                         algorithm) -> None:
-    """Corpus answer must equal the union of the per-document answers."""
-    corpus_result = corpus_engine.search(query.text, algorithm)
-    by_doc = corpus_result.by_doc()
-    expected = {doc_id: result
-                for doc_id, result in
-                ((doc_id, engine.search(query.text, algorithm))
-                 for doc_id, engine in per_doc_engines.items())
-                if result.count or result.lca_nodes}
-    if set(by_doc) != set(expected):
-        raise AnswerParityError(
-            f"corpus/{algorithm}/{query.label}: corpus answered documents "
-            f"{sorted(by_doc)} but the per-document union holds "
-            f"{sorted(expected)}")
-    for doc_id, reference in expected.items():
-        if _result_fingerprint(by_doc[doc_id]) != _result_fingerprint(reference):
-            raise AnswerParityError(
-                f"corpus/{algorithm}/{query.label}: document {doc_id!r} "
-                f"disagrees with its single-document engine")
 
 
 def _verify_answers(dataset, tree, queries, algorithms, engines) -> None:

@@ -110,10 +110,10 @@ def require_verified_payload(payload: Dict[str, object]) -> None:
     """Refuse core-bench payloads whose verification guards did not run.
 
     :func:`~repro.bench.core_bench.run_core_bench` records whether its answer
-    checks (backends vs. memory, memory vs. the naive LCA definitions, and
-    the corpus union check) ran under ``protocol.verified_parity``, and
-    whether the ranking section's early-vs-exhaustive equality guard ran
-    under ``ranking.verified_equivalence``.  An unverified payload may contain
+    checks (backends vs. memory, memory vs. the naive LCA definitions) ran
+    under ``protocol.verified_parity``, and whether the ranking section's
+    early-vs-exhaustive equality guard ran under
+    ``ranking.verified_equivalence``.  An unverified payload may contain
     fast-but-wrong numbers, so persisting it as the ``BENCH_core.json``
     artefact is forbidden — re-run with verify=True.
     """

@@ -40,15 +40,13 @@ Sub-commands
     ``--fault-plan`` injects deterministic storage faults for chaos
     testing; ``--compact-segments N`` folds the delta segments on the write
     that leaves N or more.
-``loadtest``
-    Drive a server (self-hosted by default) with an open- or closed-loop
-    load generator and report throughput + p50/p95/p99 latency, exporting
-    ``BENCH_service.json`` (``--stats`` folds the server's own counters and
-    metrics snapshot into the report).
 ``metrics``
-    Render a metrics-registry snapshot — scraped live from a server
-    (``--address``) or read from a JSON artefact (``--input``) — as
-    Prometheus exposition text.
+    Scrape a running server's merged metrics registry (``--address``) and
+    print it as Prometheus exposition text.
+
+Served throughput and latency are measured by the repository benchmark,
+``python -m benchmarks.e2e --workload served-read|served-rw``, which drives
+a ``serve --db`` process.
 """
 
 from __future__ import annotations
@@ -276,53 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="bind port (0 picks a free one)")
     serve.set_defaults(handler=_command_serve)
 
-    loadtest = subparsers.add_parser(
-        "loadtest", help="measure serving throughput and latency percentiles")
-    _add_document_arguments(loadtest)
-    _add_backend_arguments(loadtest)
-    _add_service_arguments(loadtest)
-    loadtest.add_argument("--address", default=None, metavar="HOST:PORT",
-                          help="drive an already-running server instead of "
-                               "self-hosting one in-process")
-    loadtest.add_argument("--mode", default="closed",
-                          choices=("closed", "open"),
-                          help="closed: N users back-to-back; open: fixed "
-                               "arrival rate (default: closed)")
-    loadtest.add_argument("--requests", type=int, default=200,
-                          help="total requests (closed loop)")
-    loadtest.add_argument("--concurrency", type=int, default=4,
-                          help="simulated users / client connections")
-    loadtest.add_argument("--rate", type=float, default=100.0,
-                          help="target aggregate requests/second (open loop)")
-    loadtest.add_argument("--duration", type=float, default=2.0,
-                          help="run length in seconds (open loop)")
-    loadtest.add_argument("--algorithm", default="validrtf",
-                          choices=("validrtf", "maxmatch", "validrtf-slca",
-                                   "maxmatch-slca"))
-    loadtest.add_argument("--query", action="append", default=None,
-                          help="add a query to the mix (repeatable; default: "
-                               "the dataset's workload / paper queries)")
-    loadtest.add_argument("--output", default="BENCH_service.json",
-                          help="write the JSON report here ('-' disables)")
-    loadtest.add_argument("--retries", type=int, default=0,
-                          help="client-side retries per request on "
-                               "overloaded/timeout/degraded answers "
-                               "(default: 0 — fail fast)")
-    loadtest.add_argument("--stats", action="store_true",
-                          help="fetch the server's stats + metrics snapshot "
-                               "after the run and fold them into the report "
-                               "(self-hosted runs always capture them)")
-    loadtest.set_defaults(handler=_command_loadtest)
-
     metrics = subparsers.add_parser(
-        "metrics", help="render a metrics snapshot as Prometheus text")
-    source = metrics.add_mutually_exclusive_group(required=True)
-    source.add_argument("--address", default=None, metavar="HOST:PORT",
-                        help="scrape a running server's merged registry")
-    source.add_argument("--input", default=None, metavar="FILE",
-                        help="read a snapshot from a JSON file (a raw "
-                             "snapshot, or a loadtest report carrying "
-                             "server_metrics)")
+        "metrics", help="scrape a server's metrics as Prometheus text")
+    metrics.add_argument("--address", required=True, metavar="HOST:PORT",
+                         help="scrape a running server's merged registry")
     metrics.set_defaults(handler=_command_metrics)
 
     return parser
@@ -685,14 +640,6 @@ def _command_bench_export(arguments: argparse.Namespace) -> int:
     for summary in payload["summary"]:
         print(f"{summary['dataset']}/{summary['backend']}/"
               f"{summary['algorithm']}: {summary['total_ms']:.2f} ms")
-    corpus = payload.get("corpus")
-    if corpus:
-        ratio = corpus.get("corpus_over_sequential")
-        ratio_text = f"  corpus/sequential: {ratio:.3f}" if ratio else ""
-        print(f"corpus[{corpus['documents']} docs]: "
-              f"corpus {corpus['corpus_total_ms']:.2f} ms, "
-              f"sequential-per-doc {corpus['sequential_total_ms']:.2f} ms"
-              f"{ratio_text}")
     if arguments.output and arguments.output != "-":
         try:
             path = write_core_bench(payload, arguments.output)
@@ -745,100 +692,24 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _command_loadtest(arguments: argparse.Namespace) -> int:
-    from .service import RetryPolicy, loadtest, write_service_bench
-
-    address = None
-    if arguments.address:
-        host, _, port = arguments.address.rpartition(":")
-        if not host or not port.isdigit():
-            raise CliError(f"--address must be HOST:PORT, got "
-                           f"{arguments.address!r}")
-        address = (host, int(port))
-    if arguments.retries < 0:
-        raise CliError(f"--retries must be >= 0, got {arguments.retries}")
-    retry = (RetryPolicy(attempts=arguments.retries + 1)
-             if arguments.retries else None)
-    # Driving a remote server needs no local document or database at all.
-    config, tree = _service_setup(arguments, remote=address is not None)
-    queries = arguments.query or _default_query_mix(arguments)
-    try:
-        report = loadtest(config, queries, tree=tree, address=address,
-                          mode=arguments.mode, requests=arguments.requests,
-                          concurrency=arguments.concurrency,
-                          rate=arguments.rate, duration=arguments.duration,
-                          algorithm=arguments.algorithm,
-                          fetch_stats=arguments.stats, retry=retry)
-    except ValueError as error:
-        raise CliError(str(error)) from None
-    print(report.summary())
-    if arguments.stats and report.server_stats:
-        batcher = report.server_stats.get("batcher", {})
-        admission = report.server_stats.get("admission", {})
-        print(f"server: batches={batcher.get('batches', 0)} "
-              f"mean_batch={batcher.get('mean_batch_size', 0.0):.2f} "
-              f"queue_wait_ms={batcher.get('mean_queue_wait_ms', 0.0):.3f}  "
-              f"shed={admission.get('rejected', 0)} "
-              f"timed_out={admission.get('timed_out', 0)} "
-              f"peak_inflight={admission.get('peak_inflight', 0)}")
-    if arguments.output and arguments.output != "-":
-        path = write_service_bench(report, arguments.output)
-        print(f"report written to {path}")
-    return 0
-
-
 def _command_metrics(arguments: argparse.Namespace) -> int:
-    """Render a registry snapshot (live server or JSON file) as Prometheus
+    """Scrape a live server's merged registry and print it as Prometheus
     exposition text."""
-    import json
-
     from .obs import render_prometheus
+    from .service import ServiceClient
 
-    if arguments.address:
-        from .service import ServiceClient
-
-        host, _, port = arguments.address.rpartition(":")
-        if not host or not port.isdigit():
-            raise CliError(f"--address must be HOST:PORT, got "
-                           f"{arguments.address!r}")
-        try:
-            with ServiceClient(host, int(port)) as client:
-                snapshot = client.metrics()
-        except (ConnectionError, OSError) as error:
-            raise CliError(f"cannot scrape {arguments.address}: "
-                           f"{error}") from None
-    else:
-        if not Path(arguments.input).exists():
-            raise CliError(f"no such file: {arguments.input}")
-        with open(arguments.input, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        snapshot = _snapshot_from_payload(payload)
-        if snapshot is None:
-            raise CliError(
-                f"{arguments.input} carries no metrics snapshot (expected a "
-                f"raw counters/gauges/histograms object, a loadtest report "
-                f"with server_metrics, or a BENCH_service.json artefact)")
+    host, _, port = arguments.address.rpartition(":")
+    if not host or not port.isdigit():
+        raise CliError(f"--address must be HOST:PORT, got "
+                       f"{arguments.address!r}")
+    try:
+        with ServiceClient(host, int(port)) as client:
+            snapshot = client.metrics()
+    except (ConnectionError, OSError) as error:
+        raise CliError(f"cannot scrape {arguments.address}: "
+                       f"{error}") from None
     print(render_prometheus(snapshot), end="")
     return 0
-
-
-def _snapshot_from_payload(payload: object):
-    """Find a registry snapshot inside a JSON payload, or ``None``."""
-    if not isinstance(payload, dict):
-        return None
-    if "counters" in payload and "histograms" in payload:
-        return payload
-    if isinstance(payload.get("server_metrics"), dict) and \
-            payload["server_metrics"]:
-        return payload["server_metrics"]
-    reports = payload.get("service_bench")
-    if isinstance(reports, list):
-        # The newest report with a captured snapshot wins.
-        for report in reversed(reports):
-            found = _snapshot_from_payload(report)
-            if found is not None:
-                return found
-    return None
 
 
 # ---------------------------------------------------------------------- #
@@ -848,7 +719,7 @@ def _resolve_stored_document(arguments: argparse.Namespace) -> str:
     """The document name a ``--db`` invocation should serve.
 
     Shared by ``search``/``compare`` (:func:`_build_engine`) and
-    ``serve``/``loadtest`` (:func:`_service_setup`): validates the database
+    ``serve`` (:func:`_service_setup`): validates the database
     file exists and holds documents, and resolves ``--doc`` (defaulting to
     the only stored document).
     """
@@ -901,14 +772,12 @@ def _resolve_corpus_documents(arguments: argparse.Namespace):
     return None
 
 
-def _service_setup(arguments: argparse.Namespace, remote: bool = False):
-    """The (ServiceConfig, tree) pair of a serve/loadtest invocation.
+def _service_setup(arguments: argparse.Namespace):
+    """The (ServiceConfig, tree) pair of a serve invocation.
 
     Mirrors :func:`_build_engine`'s backend resolution: ``--db`` serves an
     already-indexed sqlite file without parsing any XML; otherwise the
-    document is loaded/generated and handed to the pool builder.  With
-    ``remote=True`` (load-testing an already-running server) no document is
-    loaded or probed at all — the config only annotates the report.
+    document is loaded/generated and handed to the pool builder.
     """
     from .service import ServiceConfig
 
@@ -916,9 +785,7 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
     tree = None
     document = "service"
     documents = None
-    if remote:
-        pass  # the serving process owns the document
-    elif backend == "sqlite" and arguments.db:
+    if backend == "sqlite" and arguments.db:
         document = _resolve_stored_document(arguments)
     elif backend == "corpus" and arguments.db:
         # Validates the database; --doc restricts the served subset.
@@ -941,7 +808,7 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
     if arguments.slow_query_ms is not None and arguments.slow_query_ms < 0:
         raise CliError(f"--slow-query-ms must be >= 0, got "
                        f"{arguments.slow_query_ms}")
-    if arguments.fault_plan and not remote:
+    if arguments.fault_plan:
         from .faults import FaultPlan
         try:
             FaultPlan.parse(arguments.fault_plan)
@@ -951,7 +818,7 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
                 (backend == "corpus" and not arguments.db):
             raise CliError("--fault-plan needs a store-backed backend "
                            "(--backend sqlite, or corpus with --db)")
-    if arguments.compact_segments is not None and not remote:
+    if arguments.compact_segments is not None:
         if arguments.compact_segments < 1:
             raise CliError(f"--compact-segments must be positive, got "
                            f"{arguments.compact_segments}")
@@ -969,23 +836,10 @@ def _service_setup(arguments: argparse.Namespace, remote: bool = False):
         documents=documents,
         slow_query_seconds=(arguments.slow_query_ms / 1000.0
                             if arguments.slow_query_ms is not None else None),
-        fault_plan=None if remote else arguments.fault_plan,
-        compact_segments=None if remote else arguments.compact_segments,
+        fault_plan=arguments.fault_plan,
+        compact_segments=arguments.compact_segments,
     )
     return config, tree
-
-
-def _default_query_mix(arguments: argparse.Namespace) -> List[str]:
-    """The loadtest query mix: the dataset's workload, or the paper queries."""
-    from .datasets import workload_for
-
-    dataset = getattr(arguments, "dataset", None)
-    if dataset:
-        try:
-            return [query.text for query in workload_for(dataset)]
-        except ValueError:
-            pass
-    return list(PAPER_QUERIES.values())
 
 
 def _load_tree(arguments: argparse.Namespace) -> XMLTree:

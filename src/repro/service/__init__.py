@@ -22,9 +22,10 @@ beyond the standard library:
   on a database-served corpus; an optional segment-count trigger folds the
   segments on the write that crosses it, so no thread polls for it.
 * :mod:`~repro.service.client` — a blocking client for the same protocol.
-* :mod:`~repro.service.loadgen` — open/closed-loop load generation with
-  throughput and p50/p95/p99 latency reporting (the ``BENCH_service.json``
-  artefact).
+
+Served throughput and latency are measured by the repository benchmark,
+``python -m benchmarks.e2e --workload served-read`` (or ``served-rw``),
+which drives a ``serve --db`` process with its own load generator.
 
 Quickstart (in-process)::
 
@@ -37,24 +38,14 @@ Quickstart (in-process)::
         with ServiceClient(*server.address) as client:
             print(client.search("xml keyword search")["count"])
 
-Or from the command line: ``python -m repro.cli serve`` /
-``python -m repro.cli loadtest``.
+Or from the command line: ``python -m repro.cli serve`` (and
+``python -m repro.cli metrics --address HOST:PORT`` to scrape it).
 """
 
 from .admission import AdmissionController
 from .batcher import RequestBatcher
 from .client import RetryPolicy, ServiceClient
 from .engine_pool import EnginePool
-from .loadgen import (
-    LoadReport,
-    ServiceBenchIntegrityError,
-    loadtest,
-    percentile,
-    run_closed_loop,
-    run_open_loop,
-    verify_service_reports,
-    write_service_bench,
-)
 from .protocol import (
     ERROR_BAD_REQUEST,
     ERROR_DEGRADED,
@@ -80,7 +71,6 @@ from .server import SearchServer, SearchService, ServerThread, ServiceConfig
 __all__ = [
     "AdmissionController",
     "EnginePool",
-    "LoadReport",
     "RequestBatcher",
     "RetryPolicy",
     "SearchServer",
@@ -102,15 +92,8 @@ __all__ = [
     "encode_message",
     "error_response",
     "ok_response",
-    "loadtest",
-    "percentile",
     "rank_stats_payload",
     "ranking_payload",
     "result_payload",
     "score_explanation_payload",
-    "run_closed_loop",
-    "run_open_loop",
-    "ServiceBenchIntegrityError",
-    "verify_service_reports",
-    "write_service_bench",
 ]

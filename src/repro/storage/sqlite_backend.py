@@ -313,16 +313,18 @@ class SQLiteStore:
     def location_of(self, name: str) -> Optional[int]:
         """Where ``name`` currently lives.
 
-        ``None`` — absent (never stored, or tombstoned);
+        ``None`` — absent (never stored, or its latest event is not a
+        ``doc`` event: a tombstone, or a kind this store never writes);
         :data:`BASE_GENERATION` — the classic base tables; a positive
-        integer — that delta segment.  The highest-numbered event decides.
+        integer — that delta segment.  The highest-numbered event decides,
+        by the same rule as :meth:`documents` and :meth:`compact`.
         """
         row = self._connection.execute(
             "SELECT segment_id, kind FROM segment WHERE document = ? "
             "ORDER BY segment_id DESC LIMIT 1", (name,)).fetchone()
         if row is not None:
             segment_id, kind = row
-            return None if kind == SEGMENT_KIND_TOMBSTONE else int(segment_id)
+            return int(segment_id) if kind == SEGMENT_KIND_DOC else None
         # EXISTS stops at the first index entry, so the check costs the same
         # on a document of any size (a COUNT(*) reads every row).
         exists = self._scalar(

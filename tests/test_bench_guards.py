@@ -1,8 +1,7 @@
 """Regression tests for the bench-honesty guards the lint gate requires.
 
-``write_core_bench`` and ``write_service_bench`` are the two ``BENCH_*.json``
-writers; both must refuse to persist an artefact whose verification did not
-run (or whose numbers are internally inconsistent).  These tests pin the
+``write_core_bench`` is the one ``BENCH_*.json`` writer; it must refuse to
+persist an artefact whose verification did not run.  These tests pin the
 refusal paths the ``bench-honesty`` lint rule assumes exist.
 """
 
@@ -13,20 +12,6 @@ import pytest
 
 from repro.bench import require_verified_payload, write_core_bench
 from repro.bench.core_bench import AnswerParityError
-from repro.service import (
-    LoadReport,
-    ServiceBenchIntegrityError,
-    verify_service_reports,
-    write_service_bench,
-)
-
-
-def good_report(**overrides):
-    fields = dict(mode="closed", requests=4, concurrency=2,
-                  algorithm="validrtf", elapsed_seconds=0.5,
-                  latencies_ms=[1.0, 2.0, 3.0, 4.0])
-    fields.update(overrides)
-    return LoadReport(**fields)
 
 
 class TestCoreBenchGuard:
@@ -78,7 +63,7 @@ class TestCoreBenchAnswerChecks:
         monkeypatch.setattr(core_bench, "engine_for_backend",
                             corrupting_engine_for_backend)
         return core_bench.run_core_bench(
-            backends=backends, repetitions=1, corpus_docs=0,
+            backends=backends, repetitions=1,
             specs={"dblp": paper_q2_spec()})
 
     def test_clean_engines_pass(self, monkeypatch):
@@ -113,70 +98,6 @@ class TestCoreBenchAnswerChecks:
 
         with pytest.raises(AnswerParityError, match="naive_elca"):
             self.run(monkeypatch, drop_last_root, ("memory",))
-
-
-class TestServiceBenchGuard:
-    def test_good_report_passes_and_is_written(self, tmp_path):
-        report = good_report()
-        verify_service_reports([report])  # does not raise
-        path = write_service_bench(report, tmp_path / "BENCH_service.json")
-        payload = json.loads(path.read_text())
-        assert payload["service_bench"][0]["completed"] == 4
-
-    def test_empty_report_list_is_refused(self):
-        with pytest.raises(ServiceBenchIntegrityError):
-            verify_service_reports([])
-
-    def test_run_that_answered_nothing_is_refused(self, tmp_path):
-        report = good_report(latencies_ms=[])
-        with pytest.raises(ServiceBenchIntegrityError):
-            write_service_bench(report, tmp_path / "BENCH_service.json")
-        assert not (tmp_path / "BENCH_service.json").exists()
-
-    def test_non_positive_elapsed_is_refused(self):
-        with pytest.raises(ServiceBenchIntegrityError):
-            verify_service_reports([good_report(elapsed_seconds=0.0)])
-
-    def test_negative_latency_is_refused(self):
-        with pytest.raises(ServiceBenchIntegrityError):
-            verify_service_reports([good_report(latencies_ms=[1.0, -0.5])])
-
-    def test_error_only_run_still_counts_as_answered(self):
-        report = good_report(latencies_ms=[],
-                             errors={"overloaded": 4})
-        verify_service_reports([report])  # typed errors are real answers
-
-    def test_integrity_error_is_an_assertion(self):
-        # The guard doubles as a test-style assertion for harness callers.
-        assert issubclass(ServiceBenchIntegrityError, AssertionError)
-
-    def test_stats_metrics_divergence_is_refused(self):
-        # The stats dict is derived from the registry, so a report whose two
-        # views disagree can only mean double bookkeeping crept back in.
-        report = good_report(
-            server_stats={"batcher": {"requests": 5, "batches": 1}},
-            server_metrics={"counters": {"batcher.requests": 3,
-                                         "batcher.batches": 1},
-                            "gauges": {}, "histograms": {}},
-        )
-        with pytest.raises(ServiceBenchIntegrityError,
-                           match="batcher.requests"):
-            verify_service_reports([report])
-
-    def test_impossible_counter_and_histogram_are_refused(self):
-        negative = good_report(server_metrics={
-            "counters": {"batcher.requests": -1},
-            "gauges": {}, "histograms": {}})
-        with pytest.raises(ServiceBenchIntegrityError, match="impossible"):
-            verify_service_reports([negative])
-        torn = good_report(server_metrics={
-            "counters": {},
-            "gauges": {},
-            "histograms": {"batcher.queue_wait.seconds": {
-                "buckets": [1.0], "counts": [1, 0], "count": 3,
-                "sum": 0.5, "max": 0.5}}})
-        with pytest.raises(ServiceBenchIntegrityError, match="bucket"):
-            verify_service_reports([torn])
 
 
 class TestObservabilityOverheadBench:

@@ -124,13 +124,73 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit):
             main(["search", "--dataset", "figure-1a", "--algorithm", "bogus", "xml"])
 
-    @pytest.mark.parametrize("command", ["serve", "loadtest"])
     @pytest.mark.parametrize("flag", ["--batch-size", "--batch-window",
                                       "--compact-interval-ms"])
-    def test_removed_service_flags_are_rejected(self, capsys, command, flag):
+    def test_removed_service_flags_are_rejected(self, capsys, flag):
         # Batches dispatch when a worker is free and compaction runs on the
         # write that crosses --compact-segments: no window, no poll period.
         with pytest.raises(SystemExit) as excinfo:
-            main([command, flag, "4"])
+            main(["serve", flag, "4"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["loadtest"],
+                                      ["metrics", "--input", "f.json"]],
+                             ids=["loadtest", "metrics-input"])
+    def test_removed_load_commands_are_rejected(self, argv):
+        # Served load is measured by `python -m benchmarks.e2e`; `metrics`
+        # only scrapes a running server.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+
+class TestMetricsCommand:
+    def test_scrapes_a_server_that_answered_a_search(self, capsys):
+        from repro.datasets import PAPER_QUERIES, publications_tree
+        from repro.service import EnginePool, ServerThread, ServiceClient
+
+        pool = EnginePool.for_backend("memory", tree=publications_tree(),
+                                      workers=1)
+        with pool, ServerThread(pool) as server:
+            with ServiceClient(*server.address) as client:
+                client.search(PAPER_QUERIES["Q2"])
+            host, port = server.address
+            exit_code = main(["metrics", "--address", f"{host}:{port}"])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        for series in ("repro_server_requests_total",
+                       "repro_query_count_total",
+                       "repro_batcher_requests_total",
+                       "repro_admission_admitted_total"):
+            assert f"# TYPE {series} counter" in output, series
+        requests = [float(line.rsplit(None, 1)[1])
+                    for line in output.splitlines()
+                    if line.startswith("repro_server_requests_total")]
+        assert requests and sum(requests) > 0, output
+
+    def test_address_is_required(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["metrics"])
+        assert excinfo.value.code == 2
+        assert "--address" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("address", ["localhost", "localhost:",
+                                         ":8765", "localhost:http"])
+    def test_malformed_address_is_a_usage_error(self, capsys, address):
+        assert main(["metrics", "--address", address]) == 2
+        assert "--address must be HOST:PORT" in capsys.readouterr().err
+
+    def test_unreachable_server_is_a_usage_error(self, capsys):
+        import socket
+
+        # A bound socket that never listens refuses every connection, and
+        # holding it keeps the port from being handed to anyone else.
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            host, port = closed.getsockname()
+            exit_code = main(["metrics", "--address", f"{host}:{port}"])
+        assert exit_code == 2
+        error = capsys.readouterr().err
+        assert f"cannot scrape {host}:{port}" in error
+        assert "Traceback" not in error

@@ -28,6 +28,7 @@ from repro.storage import (
     SEGMENT_KIND_TOMBSTONE,
     SQLitePostingSource,
     SQLiteStore,
+    verify_database,
 )
 from repro.storage.errors import DocumentAlreadyStored, DocumentNotFound
 from repro.xmltree import spec, tree_from_spec
@@ -247,6 +248,44 @@ def test_update_then_delete_leaves_the_document_out(store):
     store.delete_document("team")
     assert store.documents() == ["pub"]
     assert store.tombstoned_documents() == ["team"]
+
+
+def test_an_event_of_unknown_kind_leaves_the_document_out(tmp_path):
+    """Only a ``doc`` event is live: a document whose latest catalog event
+    has a kind the store never writes is absent from ``documents()``, from
+    ``location_of`` and from a fresh posting source alike, and ``verify``
+    names the event."""
+    path = str(tmp_path / "unknown-kind.db")
+    with SQLiteStore(path) as writer:
+        writer.store_tree(publications_tree(), "publications")
+        writer.update_document(team_tree(), "team")
+    with closing(sqlite3.connect(path)) as connection, connection:
+        connection.execute("UPDATE segment SET kind = 'snapshot'")
+    with SQLiteStore(path) as reader:
+        assert reader.documents() == ["publications"]
+        assert reader.location_of("team") is None
+        with pytest.raises(DocumentNotFound):
+            SQLitePostingSource(reader, "team").postings("forward")
+    assert [finding.code for finding in verify_database(path).findings] == \
+        ["catalog-unknown-kind"]
+
+
+def test_compact_drops_what_an_unknown_kind_left_out(tmp_path):
+    """``compact`` follows the catalogue's rule: the document whose latest
+    event has an unknown kind is dropped, not folded, so the compacted file
+    serves exactly the documents it listed before."""
+    path = str(tmp_path / "unknown-kind.db")
+    with SQLiteStore(path) as writer:
+        writer.store_tree(publications_tree(), "publications")
+        writer.update_document(team_tree(), "team")
+    with closing(sqlite3.connect(path)) as connection, connection:
+        connection.execute("UPDATE segment SET kind = 'snapshot'")
+    with SQLiteStore(path) as store:
+        assert store.compact() == {"folded": 0, "dropped": 1, "segments": 1}
+        assert store.documents() == ["publications"]
+        assert store.location_of("team") is None
+        assert store.segment_count() == 0
+    assert verify_database(path).findings == []
 
 
 # ---------------------------------------------------------------------- #

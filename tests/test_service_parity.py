@@ -32,11 +32,9 @@ from repro.service import (
     SearchService,
     ServerThread,
     ServiceClient,
-    ServiceConfig,
     ServiceError,
     comparison_payload,
     encode_message,
-    loadtest,
     rank_stats_payload,
     ranking_payload,
     result_payload,
@@ -222,6 +220,39 @@ def test_stats_metrics_snapshot_reaches_the_wire(served):
     assert counters.get('server.requests{op="search"}', 0) >= 1
     # Engine-level series cross the pool-worker merge into the snapshot.
     assert any(key.startswith("query.count") for key in counters)
+
+
+@pytest.mark.parametrize("backend", SERVED)
+def test_stats_report_the_served_pool(served, backend):
+    """A client learns the server's setup from the server: the pool's own
+    worker count and the served corpus's source identity, which names
+    every document and its posting backend."""
+    server, reference = served[("publications", backend)]
+    with ServiceClient(*server.address) as client:
+        client.search(PAPER_QUERIES["Q2"])
+        pool = client.stats(section="pool")["pool"]
+    assert pool["workers"] == 2
+    assert pool["backend"] == reference.backend_id
+
+
+@pytest.mark.parametrize("backend", SERVED)
+def test_merged_metrics_snapshot_is_consistent(served, backend):
+    """The snapshot folds every worker's registry into the server's: no
+    counter is negative, and each histogram's per-bucket counts (plus the
+    overflow slot) add up to its count."""
+    server, _ = served[("publications", backend)]
+    with ServiceClient(*server.address) as client:
+        for name in ("Q1", "Q2", "Q3"):
+            client.search(PAPER_QUERIES[name])
+        metrics = client.metrics()
+    assert metrics["counters"]
+    assert all(value >= 0 for value in metrics["counters"].values())
+    assert metrics["histograms"]
+    for key, series in metrics["histograms"].items():
+        assert len(series["counts"]) == len(series["buckets"]) + 1, key
+        assert all(count >= 0 for count in series["counts"]), key
+        assert sum(series["counts"]) == series["count"] > 0, key
+        assert 0 <= series["max"] <= series["sum"], key
 
 
 def test_stats_section_filter_and_typed_error(served):
@@ -942,29 +973,3 @@ def test_concurrent_burst_actually_batches(publications):
     # behind them left as one batch when the first worker came free.
     assert stats["requests"] == threads, stats
     assert (stats["batches"], stats["largest_batch"]) == (3, 6), stats
-
-
-# ---------------------------------------------------------------------- #
-# A load report against a running server
-# ---------------------------------------------------------------------- #
-def test_remote_loadtest_records_only_what_the_client_chose(tmp_path,
-                                                            publications,
-                                                            team):
-    """Against ``address`` the report's config holds the client's own
-    choices; the server's settings come from its stats, never from the
-    local config's defaults (which read memory / 4 workers here)."""
-    db = str(tmp_path / "corpus.db")
-    store = SQLiteStore(db)
-    store.store_tree(publications, "pub")
-    store.store_tree(team, "team")
-    store.close()
-    pool = EnginePool.for_backend("corpus", db_path=db, workers=2)
-    with pool, ServerThread(pool) as server:
-        report = loadtest(ServiceConfig(), ["name", PAPER_QUERIES["Q2"]],
-                          address=server.address, requests=6,
-                          concurrency=2, fetch_stats=True)
-    assert report.completed == 6
-    assert report.config == {"query_mix": 2, "mode": "closed",
-                             "concurrency": 2}
-    assert report.server_stats["pool"]["workers"] == 2
-    assert report.server_stats["pool"]["backend"].startswith("corpus[")

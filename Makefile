@@ -4,7 +4,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-all coverage bench bench-collect bench-export smoke \
-	perf-smoke fuzz-smoke update-smoke obs-smoke chaos-smoke lint
+	perf-smoke e2e-gates fuzz-smoke update-smoke obs-smoke chaos-smoke lint
 
 test:            ## fast unit suite (tier-1)
 	$(PYTHON) -m pytest -x -q
@@ -55,6 +55,10 @@ bench-export:    ## BENCH_core.json: per-algorithm/backend timings
 perf-smoke:      ## one tiny query per backend (memory, sqlite) checked against the oracles (CI)
 	$(PYTHON) -m repro.cli bench-export --backend memory --backend sqlite \
 	    --limit 1 --repetitions 1 --output /tmp/bench_core_smoke.json
+
+e2e-gates:       ## full-scale answer gates + pinned digests of the in-process e2e workloads (exit 3 on a failure)
+	$(PYTHON) benchmarks/e2e/run.py --workload paper-mem disk-cold rank-topk \
+	    --seconds 1
 
 fuzz-smoke:      ## seeded differential corpus fuzz: fast tier-1 + deep sweep
 	$(PYTHON) -m pytest tests/test_corpus_fuzz.py \

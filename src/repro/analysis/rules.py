@@ -15,11 +15,14 @@ The rules and what they protect:
     modules (``lca/``, ``core/rtf.py``, ``core/node_record.py``,
     ``index/packed.py``) this rule flags every :class:`DeweyCode`
     construction (including calls through local aliases such as
-    ``from_tuple = DeweyCode._from_tuple``), every ``.components`` tuple
-    access inside a loop or comprehension, and every per-iteration
-    ``.data``/``.offsets`` lookup on a loop-invariant name (hoist it:
-    ``data, offsets = plist.data, plist.offsets`` before the loop).
-    Result boundaries declare themselves with ``# lint: allow(hot-loop-purity)``.
+    ``from_tuple = DeweyCode._from_tuple``), every ``.components`` access
+    inside a loop or comprehension (a code is a ``tuple`` subclass and
+    ``components`` copies it into a plain tuple; slice or iterate the code
+    itself), and every per-iteration ``.data``/``.offsets`` lookup on a
+    loop-invariant name (hoist it: ``data, offsets = plist.data,
+    plist.offsets`` before the loop).  Result boundaries, where each result
+    node is boxed once, declare themselves with
+    ``# lint: allow(hot-loop-purity)``.
 
 ``parity-registration``
     Any class in ``src/`` that structurally implements the

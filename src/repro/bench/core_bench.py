@@ -48,12 +48,13 @@ class AnswerParityError(AssertionError):
     memory engine's LCA roots disagree with the naive definitions."""
 
 
-class RankingEquivalenceError(AssertionError):
+class RankingEquivalenceError(AnswerParityError):
     """Early-terminated top-k disagreed with the exhaustive ranking.
 
     The threshold driver's entire claim is "same answer, fewer documents";
     a bench that timed a divergent run would be quoting the speed of a
-    wrong result."""
+    wrong result.  A top-k that differs from the exhaustive one is a wrong
+    answer, so this is an answer-parity failure."""
 
 
 def _result_fingerprint(result) -> Tuple:

@@ -244,11 +244,10 @@ def dewey_fragment_nodes(root: DeweyCode,
         if not root.is_ancestor_or_self(keyword_node):
             raise FragmentError(
                 f"keyword node {keyword_node} is outside fragment root {root}")
-        components = keyword_node.components
-        for size in range(root_depth, len(components) + 1):
+        for size in range(root_depth, len(keyword_node) + 1):
             # Prefix slices of a validated code are valid; skip re-validation
             # on this per-fragment inner loop.
-            codes.add(DeweyCode._from_tuple(components[:size]))
+            codes.add(DeweyCode._from_tuple(keyword_node[:size]))
     return sorted(codes)
 
 

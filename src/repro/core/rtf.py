@@ -72,10 +72,11 @@ def build_rtfs(
     :func:`~repro.index.packed.as_packed`; the k-way merge deduplicates
     across lists); each node is dispatched by one ``bisect_right`` over the
     roots' component arrays and a backward prefix-compare scan, and the
-    fragment node set is the union of root-to-keyword-node prefix tuples.
-    :class:`DeweyCode` objects are materialized only for the fragments
-    actually returned — dropped keyword nodes (outside every interesting LCA)
-    never become objects at all.
+    fragment node set is the union of root-to-keyword-node prefixes.  Each
+    node of a returned fragment is boxed as a :class:`DeweyCode` once: a
+    keyword node straight from its merge slice, and it is its own path node,
+    so only the missing ancestor prefixes are boxed besides.  Dropped
+    keyword nodes (outside every interesting LCA) never become objects.
 
     Each fragment also keeps the merge's mask of every keyword node
     (``Fragment.keyword_masks``): bit *i* is set iff the node is in the
@@ -93,9 +94,9 @@ def build_rtfs(
     else:
         flag_by_code = dict(zip(sorted_lcas, elca_is_slca(sorted_lcas)))
     packed = [as_packed(deweys) for deweys in keyword_lists.values()]
-    # lint: allow(hot-loop-purity) unpacking the (small) root set once
-    lca_arrays = [array("I", code.components) for code in sorted_lcas]
-    assigned: List[List[Tuple[int, ...]]] = [[] for _ in sorted_lcas]
+    lca_arrays = [array("I", code) for code in sorted_lcas]
+    from_tuple = DeweyCode._from_tuple
+    assigned: List[List[DeweyCode]] = [[] for _ in sorted_lcas]
     masks: List[List[int]] = [[] for _ in sorted_lcas]
     for comps, mask in iter_matches(packed):
         position = bisect_right(lca_arrays, comps)
@@ -106,48 +107,53 @@ def build_rtfs(
                 # Among the ancestors of the node, deeper ones come later in
                 # document order, so the first ancestor found scanning
                 # backwards is the nearest enclosing one.
-                assigned[index].append(tuple(comps))
+                # lint: allow(hot-loop-purity) result boundary: an assigned node
+                assigned[index].append(from_tuple(comps))
                 masks[index].append(mask)
                 break
-    from_tuple = DeweyCode._from_tuple
     fragments: List[Fragment] = []
-    for root, keyword_tuples, keyword_masks in zip(sorted_lcas, assigned,
-                                                   masks):
-        if not keyword_tuples:
+    for root, keyword_codes, keyword_masks in zip(sorted_lcas, assigned,
+                                                  masks):
+        if not keyword_codes:
             continue
-        root_depth = len(root.components)  # lint: allow(hot-loop-purity) per-root, not per-node
+        root_depth = len(root)
         # The keyword nodes arrive in document order, so the prefixes each
         # one adds (those below its nearest ancestor already present), taken
         # top-down, follow every node added before it: the paths are built
-        # in document order, each after its parent.
+        # in document order, each after its parent.  A code equals the
+        # tuple of its components, so prefix slices find codes in
+        # ``placed``.
         placed: Dict[Tuple[int, ...], int] = {}
         find = placed.get
-        paths: List[Tuple[int, ...]] = []
+        paths: List[DeweyCode] = []
         parents: List[int] = []
         keyword_positions: List[int] = []
-        for parts in keyword_tuples:
-            size = len(parts)
+        for code in keyword_codes:
+            # The merge is duplicate-free and a node's ancestors precede it,
+            # so the keyword node itself is not yet placed.
+            size = len(code) - 1
             parent = -1
             while size >= root_depth:
-                parent = find(parts[:size], -1)
+                parent = find(code[:size], -1)
                 if parent >= 0:
                     break  # every shorter prefix is already present
                 size -= 1
-            for size in range(size + 1, len(parts) + 1):
-                prefix = parts[:size]
+            for size in range(size + 1, len(code)):
+                # lint: allow(hot-loop-purity) result boundary: a path node
+                prefix = from_tuple(code[:size])
                 parents.append(parent)
                 parent = placed[prefix] = len(paths)
                 paths.append(prefix)
+            parents.append(parent)
+            parent = placed[code] = len(paths)
+            paths.append(code)
             keyword_positions.append(parent)
         fragments.append(Fragment(
             root=root,
             # The merged stream is in document order, so per-root assignment
             # order already matches the sorted keyword list.
-            # lint: allow(hot-loop-purity) result boundary: only surviving
-            keyword_nodes=tuple(from_tuple(parts)
-                                for parts in keyword_tuples),
-            # lint: allow(hot-loop-purity) fragments are ever boxed
-            nodes=tuple(from_tuple(parts) for parts in paths),
+            keyword_nodes=tuple(keyword_codes),
+            nodes=tuple(paths),
             is_slca=flag_by_code[root],
             keyword_masks=tuple(keyword_masks),
             parents=tuple(parents),

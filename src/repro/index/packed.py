@@ -2,10 +2,10 @@
 
 The paper's stage-1/stage-2 cost (``getKeywordNodes`` + SLCA/RTF matching) is
 dominated in a pure-Python reproduction by object churn: every posting used to
-be a boxed :class:`~repro.xmltree.dewey.DeweyCode` (tuple + cached hash per
-node), and the merge/stack loops materialized millions of derived codes per
-benchmark run.  This module stores a keyword's sorted Dewey list as two flat
-``array('I')`` columns instead:
+be a boxed :class:`~repro.xmltree.dewey.DeweyCode` (at least one heap object
+per node), and the merge/stack loops materialized millions of derived codes
+per benchmark run.  This module stores a keyword's sorted Dewey list as two
+flat ``array('I')`` columns instead:
 
 * ``data`` — the concatenated integer components of every code, and
 * ``offsets`` — ``n + 1`` cut points, so code ``i`` occupies
@@ -21,7 +21,8 @@ primitives on unboxed integers:
 * **binary search / galloping** bisect the ``offsets`` column directly.
 
 :class:`DeweyCode` objects are materialized only at result boundaries
-(fragment roots, kept nodes, public API returns).  The serialized form
+(LCA roots, fragment nodes, public API returns), each straight from its
+component slice.  The serialized form
 (:meth:`PackedDeweyList.to_blob`) adds prefix truncation between consecutive
 codes — each code stores only the suffix it does not share with its
 predecessor — which is what the sqlite backend persists as one blob per
@@ -116,14 +117,14 @@ class PackedDeweyList(_SequenceABC):
             raise IndexError("packed posting index out of range")
         # lint: allow(hot-loop-purity) result boundary: one boxed code out
         return DeweyCode._from_tuple(
-            tuple(self.data[offsets[index]:offsets[index + 1]]))
+            self.data[offsets[index]:offsets[index + 1]])
 
     def __iter__(self) -> Iterator[DeweyCode]:
         data, offsets = self.data, self.offsets
         from_tuple = DeweyCode._from_tuple
         for i in range(len(offsets) - 1):
             # lint: allow(hot-loop-purity) boxing IS this method's contract
-            yield from_tuple(tuple(data[offsets[i]:offsets[i + 1]]))
+            yield from_tuple(data[offsets[i]:offsets[i + 1]])
 
     def __bool__(self) -> bool:
         return len(self.offsets) > 1
@@ -134,9 +135,7 @@ class PackedDeweyList(_SequenceABC):
         if isinstance(other, (list, tuple)):
             # Drop-in Sequence[DeweyCode] compatibility: compare by content.
             return len(other) == len(self) and all(
-                isinstance(code, DeweyCode)
-                # lint: allow(hot-loop-purity) comparing against boxed input
-                and comps == code.components
+                isinstance(code, DeweyCode) and comps == code
                 for comps, code in zip(self._component_tuples(), other))
         return NotImplemented
 
@@ -346,10 +345,9 @@ def pack_component_tuples(components: Iterable[Sequence[int]],
 
 def pack_deweys(deweys: Iterable[DeweyCode],
                 presorted: bool = False) -> PackedDeweyList:
-    """Pack :class:`DeweyCode` objects (the object→packed conversion)."""
-    return pack_component_tuples(
-        # lint: allow(hot-loop-purity) the object→packed conversion boundary
-        (code.components for code in deweys), presorted=presorted)
+    """Pack :class:`DeweyCode` objects (the object→packed conversion; a
+    code is the tuple of its components)."""
+    return pack_component_tuples(deweys, presorted=presorted)
 
 
 def as_packed(postings: Sequence) -> PackedDeweyList:
@@ -391,7 +389,7 @@ def deepest_neighbor_prefix_len(node: Sequence[int], plist: PackedDeweyList,
     if not best:
         raise InvalidDeweyCode(
             # lint: allow(hot-loop-purity) error path, never taken when hot
-            f"{DeweyCode._from_tuple(tuple(node))} shares no common "
+            f"{DeweyCode._from_tuple(node)} shares no common "
             f"prefix with the posting list (different roots)")
     return best
 

@@ -55,4 +55,4 @@ def indexed_lookup_eager_slca(lists: KeywordLists) -> List[DeweyCode]:
         if not current:
             return []
     # lint: allow(hot-loop-purity) result boundary: the final SLCA set
-    return [DeweyCode._from_tuple(tuple(comps)) for comps in current]
+    return [DeweyCode._from_tuple(comps) for comps in current]

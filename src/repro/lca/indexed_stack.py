@@ -64,7 +64,7 @@ def _scan(stream: Iterator[Tuple[Iterable[int], int]],
         exclusive = exclusive_masks.pop()
         if exclusive == target:
             # lint: allow(hot-loop-purity) result boundary: ELCAs survive
-            results.append(DeweyCode._from_tuple(tuple(components)))
+            results.append(DeweyCode._from_tuple(components))
         components.pop()
         if subtree_masks:
             subtree_masks[-1] |= subtree

@@ -36,7 +36,7 @@ def scan_eager_slca(lists: KeywordLists) -> List[DeweyCode]:
         return []
     if len(packed) == 1:
         # lint: allow(hot-loop-purity) result boundary: the final SLCA set
-        return [DeweyCode._from_tuple(tuple(comps))
+        return [DeweyCode._from_tuple(comps)
                 for comps in remove_ancestors_slices(
                     list(packed[0].iter_slices()))]
     anchor = min(packed, key=len)
@@ -55,5 +55,5 @@ def scan_eager_slca(lists: KeywordLists) -> List[DeweyCode]:
                 depth = best
         append(node[:depth])
     # lint: allow(hot-loop-purity) result boundary: the final SLCA set
-    return [DeweyCode._from_tuple(tuple(comps))
+    return [DeweyCode._from_tuple(comps)
             for comps in remove_ancestors_slices(candidates)]

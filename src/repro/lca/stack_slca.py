@@ -49,7 +49,7 @@ def _scan(stream: Iterator[Tuple[Iterable[int], int]],
         is_slca = mask == target and not flag
         if is_slca:
             # lint: allow(hot-loop-purity) result boundary: SLCAs survive
-            results.append(DeweyCode._from_tuple(tuple(components)))
+            results.append(DeweyCode._from_tuple(components))
         components.pop()
         if masks:
             masks[-1] |= mask

@@ -319,7 +319,7 @@ class SQLitePostingSource:
         prefix, where, scope = self._scope()
         rows: Dict[DeweyCode, Optional[ElementRow]] = {}
         for chunk in _chunked(deweys):
-            encoded = {encode_dewey(dewey.components): dewey for dewey in chunk}
+            encoded = {encode_dewey(dewey): dewey for dewey in chunk}
             found = {dewey_text: (label, (low, high))
                      for dewey_text, label, low, high in
                      self.store._connection.execute(

@@ -57,7 +57,7 @@ def shred_tree(tree: XMLTree, name: str = "") -> ShreddedDocument:
         elements.append(ElementRow(
             document=document,
             label=node.label,
-            dewey=encode_dewey(node.dewey.components),
+            dewey=encode_dewey(node.dewey),
             label_number_sequence=_label_number_sequence(node, label_ids),
             content_feature_min=low,
             content_feature_max=high,

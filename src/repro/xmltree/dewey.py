@@ -9,8 +9,8 @@ the root ``0``.  Dewey codes are the backbone of the paper's algorithms:
 * ancestor/descendant tests are prefix tests,
 * the LCA of two nodes is the longest common prefix of their codes.
 
-The class is an immutable value object so codes can be used as dictionary
-keys, set members and sort keys throughout the library.
+The class is a ``tuple`` subclass, so codes are dictionary keys, set members
+and sort keys throughout the library at C speed.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .errors import InvalidDeweyCode
 DeweyLike = Union["DeweyCode", str, Sequence[int]]
 
 
-class DeweyCode:
-    """An immutable Dewey code.
+class DeweyCode(tuple):
+    """An immutable Dewey code: the ``tuple`` of its integer components.
 
     Parameters
     ----------
@@ -31,11 +31,17 @@ class DeweyCode:
         The integer components of the code, e.g. ``(0, 2, 0, 1)`` for
         ``"0.2.0.1"``.  Every component must be a non-negative integer and the
         sequence must be non-empty.
+
+    Hashing, equality and document order are the tuple's own, so they run in
+    C, and a code equals, hashes and orders like the plain tuple of its
+    components: a code and its tuple are one dictionary key.  Tuple
+    arithmetic answers plain tuples (``code + (1,)``, ``code[:2]``); only
+    the string forms are the code's own.
     """
 
-    __slots__ = ("_components", "_hash")
+    __slots__ = ()
 
-    def __init__(self, components: Iterable[int]):
+    def __new__(cls, components: Iterable[int]) -> "DeweyCode":
         parts = tuple(components)
         if not parts:
             raise InvalidDeweyCode("a Dewey code needs at least one component")
@@ -44,26 +50,22 @@ class DeweyCode:
                 raise InvalidDeweyCode(f"Dewey component {part!r} is not an integer")
             if part < 0:
                 raise InvalidDeweyCode(f"Dewey component {part!r} is negative")
-        self._components: Tuple[int, ...] = parts
-        self._hash = hash(parts)
+        return tuple.__new__(cls, parts)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
     @classmethod
-    def _from_tuple(cls, parts: Tuple[int, ...]) -> "DeweyCode":
+    def _from_tuple(cls, parts: Iterable[int]) -> "DeweyCode":
         """Validation-free constructor for components known to be well formed.
 
-        Every derived code (parent, child, ancestor prefix, common prefix) is
-        built from the components of an already-validated code, so the
-        per-component checks of ``__init__`` would only re-prove what is
-        already known — and those checks dominate the cost of the millions of
-        codes the SLCA/RTF inner loops materialize.
+        Every derived code (parent, child, ancestor prefix, common prefix,
+        a posting's component slice) is built from components that are
+        already valid, so the per-component checks of ``__new__`` would only
+        re-prove what is already known.  ``parts`` is any iterable of the
+        components: a tuple, a list or an ``array('I')`` slice.
         """
-        code = object.__new__(cls)
-        code._components = parts
-        code._hash = hash(parts)
-        return code
+        return tuple.__new__(cls, parts)
 
     @classmethod
     def parse(cls, text: str) -> "DeweyCode":
@@ -94,29 +96,29 @@ class DeweyCode:
     # ------------------------------------------------------------------ #
     @property
     def components(self) -> Tuple[int, ...]:
-        """The tuple of integer components."""
-        return self._components
+        """The components as a plain tuple (a copy, ``tuple(code)``)."""
+        return tuple(self)
 
     @property
     def depth(self) -> int:
         """Number of components; the root has depth 1."""
-        return len(self._components)
+        return len(self)
 
     @property
     def level(self) -> int:
         """Zero-based tree level (root is level 0)."""
-        return len(self._components) - 1
+        return len(self) - 1
 
     @property
     def ordinal(self) -> int:
         """The last component: the index of this node among its siblings."""
-        return self._components[-1]
+        return self[-1]
 
     def parent(self) -> Optional["DeweyCode"]:
         """The parent code, or ``None`` for the root-level code."""
-        if len(self._components) == 1:
+        if len(self) == 1:
             return None
-        return DeweyCode._from_tuple(self._components[:-1])
+        return DeweyCode._from_tuple(self[:-1])
 
     def child(self, ordinal: int) -> "DeweyCode":
         """The code of the ``ordinal``-th child of this node."""
@@ -124,29 +126,26 @@ class DeweyCode:
             raise InvalidDeweyCode(f"child ordinal {ordinal!r} is not an integer")
         if ordinal < 0:
             raise InvalidDeweyCode(f"child ordinal {ordinal} is negative")
-        return DeweyCode._from_tuple(self._components + (ordinal,))
+        return DeweyCode._from_tuple(self + (ordinal,))
 
     def ancestors(self, include_self: bool = False) -> Iterator["DeweyCode"]:
         """Yield ancestor codes from the root down to the parent (or self)."""
-        stop = len(self._components) if include_self else len(self._components) - 1
+        stop = len(self) if include_self else len(self) - 1
         for size in range(1, stop + 1):
-            yield DeweyCode._from_tuple(self._components[:size])
+            yield DeweyCode._from_tuple(self[:size])
 
     def ancestors_bottom_up(self, include_self: bool = False) -> Iterator["DeweyCode"]:
         """Yield ancestor codes from the parent (or self) up to the root."""
-        start = len(self._components) if include_self else len(self._components) - 1
+        start = len(self) if include_self else len(self) - 1
         for size in range(start, 0, -1):
-            yield DeweyCode._from_tuple(self._components[:size])
+            yield DeweyCode._from_tuple(self[:size])
 
     # ------------------------------------------------------------------ #
     # Relationships
     # ------------------------------------------------------------------ #
     def is_ancestor_of(self, other: "DeweyCode") -> bool:
         """True iff ``self`` is a strict ancestor of ``other``."""
-        return (
-            len(self._components) < len(other._components)
-            and other._components[: len(self._components)] == self._components
-        )
+        return len(self) < len(other) and other[:len(self)] == self
 
     def is_descendant_of(self, other: "DeweyCode") -> bool:
         """True iff ``self`` is a strict descendant of ``other``."""
@@ -154,16 +153,13 @@ class DeweyCode:
 
     def is_ancestor_or_self(self, other: "DeweyCode") -> bool:
         """True iff ``self`` is ``other`` or an ancestor of it."""
-        return (
-            len(self._components) <= len(other._components)
-            and other._components[: len(self._components)] == self._components
-        )
+        return len(self) <= len(other) and other[:len(self)] == self
 
     def is_sibling_of(self, other: "DeweyCode") -> bool:
         """True iff the two codes share a parent and differ."""
         if self == other:
             return False
-        return self._components[:-1] == other._components[:-1]
+        return self[:-1] == other[:-1]
 
     def common_prefix(self, other: "DeweyCode") -> "DeweyCode":
         """The Dewey code of the lowest common ancestor of the two nodes.
@@ -171,17 +167,15 @@ class DeweyCode:
         Raises :class:`InvalidDeweyCode` if the codes share no prefix (they
         then belong to different trees / different roots).
         """
-        mine = self._components
-        theirs = other._components
-        limit = min(len(mine), len(theirs))
+        limit = min(len(self), len(other))
         shared = 0
-        while shared < limit and mine[shared] == theirs[shared]:
+        while shared < limit and self[shared] == other[shared]:
             shared += 1
         if not shared:
             raise InvalidDeweyCode(
                 f"{self} and {other} share no common prefix (different roots)"
             )
-        return DeweyCode._from_tuple(mine[:shared])
+        return DeweyCode._from_tuple(self[:shared])
 
     def relative_to(self, ancestor: "DeweyCode") -> Tuple[int, ...]:
         """The component suffix of ``self`` below ``ancestor``.
@@ -190,59 +184,13 @@ class DeweyCode:
         """
         if not ancestor.is_ancestor_or_self(self):
             raise InvalidDeweyCode(f"{ancestor} is not an ancestor of {self}")
-        return self._components[len(ancestor._components):]
+        return self[len(ancestor):]
 
     # ------------------------------------------------------------------ #
-    # Dunder protocol
+    # String forms
     # ------------------------------------------------------------------ #
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DeweyCode):
-            return self._components == other._components
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        if isinstance(other, DeweyCode):
-            return self._components != other._components
-        return NotImplemented
-
-    # The four ordering dunders are written out by hand (instead of
-    # ``functools.total_ordering``) because the wrapper indirection is
-    # measurable in the SLCA/RTF inner loops, where Dewey comparison is the
-    # single hottest operation.
-    def __lt__(self, other: "DeweyCode") -> bool:
-        if not isinstance(other, DeweyCode):
-            return NotImplemented
-        return self._components < other._components
-
-    def __le__(self, other: "DeweyCode") -> bool:
-        if not isinstance(other, DeweyCode):
-            return NotImplemented
-        return self._components <= other._components
-
-    def __gt__(self, other: "DeweyCode") -> bool:
-        if not isinstance(other, DeweyCode):
-            return NotImplemented
-        return self._components > other._components
-
-    def __ge__(self, other: "DeweyCode") -> bool:
-        if not isinstance(other, DeweyCode):
-            return NotImplemented
-        return self._components >= other._components
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __len__(self) -> int:
-        return len(self._components)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._components)
-
-    def __getitem__(self, index):
-        return self._components[index]
-
     def __str__(self) -> str:
-        return ".".join(str(part) for part in self._components)
+        return ".".join(map(str, self))
 
     def __repr__(self) -> str:
         return f"DeweyCode({str(self)!r})"

@@ -112,7 +112,7 @@ class XMLTree:
             raise ValueError(f"{top} is not an ancestor of {bottom}")
         nodes = []
         for size in range(len(top), len(bottom) + 1):
-            nodes.append(self.node(DeweyCode(bottom.components[:size])))
+            nodes.append(self.node(DeweyCode(bottom[:size])))
         return nodes
 
     def fragment_nodes(

@@ -111,6 +111,27 @@ class TestBenchCommand:
         assert not db_path.exists()
 
 
+class TestBenchExportCommand:
+    def test_ranking_guard_failure_is_an_answer_parity_error(
+            self, tmp_path, capsys, monkeypatch):
+        import repro.bench
+        from repro.bench import RankingEquivalenceError
+
+        def diverging_ranking(**_):
+            raise RankingEquivalenceError(
+                "ranking/validrtf/kc: early-terminated top-k differs")
+
+        monkeypatch.setattr(repro.bench, "run_core_bench", diverging_ranking)
+        output = tmp_path / "bench.json"
+        exit_code = main(["bench-export", "--limit", "1", "--repetitions", "1",
+                          "--output", str(output)])
+        err = capsys.readouterr().err
+        assert exit_code == 1
+        assert "answer parity violated: ranking/validrtf/kc" in err
+        assert "Traceback" not in err
+        assert not output.exists()
+
+
 class TestArgumentHandling:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -130,7 +132,9 @@ class TestProperties:
     @given(components)
     def test_string_round_trip(self, parts):
         code = DeweyCode(parts)
-        assert DeweyCode.parse(str(code)) == code
+        assert str(code) == ".".join(str(part) for part in parts)
+        parsed = DeweyCode.parse(str(code))
+        assert type(parsed) is DeweyCode and parsed == code
 
     @given(components, components)
     def test_lca_is_common_ancestor(self, left_parts, right_parts):
@@ -162,3 +166,19 @@ class TestProperties:
     def test_hashable_and_equal(self, parts):
         assert hash(DeweyCode(parts)) == hash(DeweyCode(tuple(parts)))
         assert DeweyCode(parts) == DeweyCode(tuple(parts))
+        # A code equals and hashes like its plain tuple: one dictionary key.
+        plain = tuple(parts)
+        code = DeweyCode(parts)
+        assert code == plain and hash(code) == hash(plain)
+        assert type(code.components) is tuple and code.components == plain
+        boxed = DeweyCode._from_tuple(array("I", plain))
+        assert type(boxed) is DeweyCode and boxed == code
+        # Tuple arithmetic answers plain tuples.
+        assert type(code + (1,)) is tuple and type(code[:1]) is tuple
+
+    @given(st.lists(components, max_size=12))
+    def test_sorting_codes_is_sorting_their_tuples(self, many):
+        codes = sorted(DeweyCode(parts) for parts in many)
+        assert all(type(code) is DeweyCode for code in codes)
+        assert [tuple(code) for code in codes] == \
+            sorted(tuple(parts) for parts in many)

@@ -71,6 +71,10 @@ def test_build_rtfs_matches_reference_dispatch(lists: Dict[str, List[DeweyCode]]
                 for root, flag in zip(roots, flags) if assignment[root]]
     fragments = build_rtfs(roots, lists, flags)
     assert fragments == expected
+    # A plain tuple would compare equal to its code but render "(0, 1)".
+    for fragment in fragments:
+        assert all(type(node) is DeweyCode
+                   for node in fragment.nodes + fragment.keyword_nodes)
     # Bit j of a keyword node's mask is set iff the node is in list j.
     members = [set(deweys) for deweys in lists.values()]
     for fragment in fragments:

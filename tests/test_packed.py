@@ -104,6 +104,9 @@ class TestSequenceProtocol:
         assert packed == tuple(original)     # tuple of DeweyCode
         assert packed != original[:1]
         assert packed == pack_deweys(original, presorted=True)
+        # A single code is a tuple of as many components as the list has
+        # codes, not a sequence of codes.
+        assert packed.__eq__(DeweyCode.parse("0.1")) is False
 
     def test_hashable_like_the_object_representation(self):
         from repro.index import PostingList

@@ -205,6 +205,8 @@ def test_node_lookups_agree_with_tree(make_random_tree, document, layout):
         words = analyzer.node_content(node)
         cid = (min(words), max(words)) if words else ("", "")
         assert index.node_cid(node.dewey) == cid
+        # A code and its plain tuple are one node-table key.
+        assert index.node_label(node.dewey.components) == node.label
         for source in (single, prefetched):
             assert source.node_label(node.dewey) == node.label
             assert source.node_cid(node.dewey) == cid

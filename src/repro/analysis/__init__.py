@@ -27,7 +27,10 @@ The shipped rules (see :mod:`repro.analysis.rules` for the full docstrings):
 Suppression: append ``# lint: allow(<rule>)`` to the offending line (or put
 the comment alone on the line above); ``# lint: allow-file(<rule>)`` anywhere
 in a file suppresses the rule for the whole file.  Every pragma in the tree
-is a *declared* exception — grep for ``lint: allow`` to audit them.
+is a *declared* exception — grep for ``lint: allow`` to audit them — and a
+pragma that suppresses none of a rule's findings is itself reported
+(``unused-pragma``, judged for the rules that ran; ``*`` only when every
+rule ran), so no suppression outlives the code it excused.
 """
 
 from .diagnostics import Diagnostic, format_diagnostics

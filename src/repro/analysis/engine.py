@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from .diagnostics import Diagnostic
 from .pragmas import PragmaIndex, parse_pragmas
@@ -147,7 +147,9 @@ def load_project(paths: Sequence[str], root: Optional[Path] = None) -> Project:
 def run_analysis(paths: Sequence[str],
                  rules: Optional[Sequence[str]] = None,
                  root: Optional[Path] = None) -> List[Diagnostic]:
-    """Run ``rules`` (default: all) over ``paths``; pragma-filtered findings."""
+    """Run ``rules`` (default: all) over ``paths``; pragma-filtered findings,
+    plus an ``unused-pragma`` finding for each pragma that suppressed
+    nothing."""
     from .rules import RULES, get_rule
 
     project = load_project(paths, root=root)
@@ -170,5 +172,29 @@ def run_analysis(paths: Sequence[str],
                     diagnostic.line, diagnostic.rule):
                 continue
             diagnostics.append(diagnostic)
+    ran = {rule.name for rule in active}
+    diagnostics.extend(_unused_pragmas(project, ran, len(ran) == len(RULES)))
     diagnostics.sort(key=Diagnostic.sort_key)
     return diagnostics
+
+
+def _unused_pragmas(project: Project, ran: Set[str],
+                    every_rule_ran: bool) -> List[Diagnostic]:
+    """One ``unused-pragma`` finding per rule name a requested file's
+    pragma gives that suppressed none of that rule's findings.
+
+    Only the rules in ``ran`` are judged (``--rule X`` judges only the
+    pragmas naming X), and ``*`` only when every rule ran.
+    """
+    found: List[Diagnostic] = []
+    for f in project.iter_requested():
+        if f.syntax_error is not None:
+            continue
+        for pragma, name in f.pragmas.unused(ran, every_rule_ran):
+            found.append(Diagnostic(
+                path=f.relpath, line=pragma.line, col=0,
+                rule="unused-pragma",
+                message=f"'# lint: {pragma.kind}({name})' suppresses no "
+                        f"{'finding' if name == '*' else name + ' finding'}; "
+                        f"remove it"))
+    return found

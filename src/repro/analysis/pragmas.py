@@ -10,6 +10,9 @@ Syntax (inside a regular ``#`` comment)::
 the closing parenthesis is encouraged — it is the human justification for
 the declared exception.
 
+A pragma that suppresses nothing is itself a finding (``unused-pragma``,
+reported by the engine), so no suppression outlives the code it excused.
+
 Comments are found with :mod:`tokenize` so pragma-looking text inside string
 literals never suppresses anything; files that fail to tokenize (the engine
 only analyzes files that parse, so this is rare) fall back to a conservative
@@ -22,37 +25,65 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import FrozenSet, Iterator, List, Set, Tuple
 
 _PRAGMA = re.compile(r"#\s*lint:\s*(allow|allow-file)\(([^)]*)\)")
 
 
 @dataclass
-class PragmaIndex:
-    """Which rules are allowed on which lines (plus file-wide allowances)."""
+class Pragma:
+    """One ``allow`` / ``allow-file`` comment and the rules it has suppressed."""
 
-    line_allows: Dict[int, Set[str]] = field(default_factory=dict)
-    file_allows: Set[str] = field(default_factory=set)
+    line: int
+    kind: str
+    rules: FrozenSet[str]
+    standalone: bool
+    used: Set[str] = field(default_factory=set)
+
+    def covers(self, line: int, rule: str) -> bool:
+        """True when this pragma suppresses ``rule`` at ``line``."""
+        if rule not in self.rules and "*" not in self.rules:
+            return False
+        if self.kind == "allow-file":
+            return True
+        # A pragma comment alone on its line covers the next line too, so
+        # multi-line statements can carry the pragma above them.
+        return line == self.line or (self.standalone and line == self.line + 1)
+
+
+@dataclass
+class PragmaIndex:
+    """Every pragma of one file, and which rules each has suppressed."""
+
+    pragmas: List[Pragma] = field(default_factory=list)
 
     def allows(self, line: int, rule: str) -> bool:
-        """True when ``rule`` is suppressed at ``line``."""
-        if rule in self.file_allows or "*" in self.file_allows:
-            return True
-        allowed = self.line_allows.get(line)
-        if not allowed:
-            return False
-        return rule in allowed or "*" in allowed
+        """True when ``rule`` is suppressed at ``line``; every pragma that
+        suppresses it is marked as used for ``rule``."""
+        allowed = False
+        for pragma in self.pragmas:
+            if pragma.covers(line, rule):
+                pragma.used.add(rule)
+                allowed = True
+        return allowed
+
+    def unused(self, ran: Set[str], every_rule_ran: bool
+               ) -> Iterator[Tuple[Pragma, str]]:
+        """``(pragma, name)`` for each rule name a pragma gives that
+        suppressed nothing: a named rule among ``ran`` with none of its
+        findings suppressed, or ``*`` with no finding at all suppressed,
+        judged only when ``every_rule_ran``."""
+        for pragma in self.pragmas:
+            for name in sorted(pragma.rules):
+                if name == "*":
+                    if every_rule_ran and not pragma.used:
+                        yield pragma, name
+                elif name in ran and name not in pragma.used:
+                    yield pragma, name
 
     def _add(self, kind: str, names: Set[str], line: int,
              standalone: bool) -> None:
-        if kind == "allow-file":
-            self.file_allows |= names
-            return
-        self.line_allows.setdefault(line, set()).update(names)
-        if standalone:
-            # A pragma comment alone on its line covers the next line too,
-            # so multi-line statements can carry the pragma above them.
-            self.line_allows.setdefault(line + 1, set()).update(names)
+        self.pragmas.append(Pragma(line, kind, frozenset(names), standalone))
 
 
 def _parse_comment(text: str) -> Tuple[str, Set[str]]:

@@ -19,7 +19,7 @@ it checks against).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import SearchEngine
 from ..corpus import CorpusSearchEngine
@@ -30,7 +30,6 @@ from ..obs import names as metric_names
 from ..xmltree import TreeBuilder, XMLTree
 from .harness import (
     DatasetSpec,
-    _average_timed_passes,
     default_datasets,
     engine_for_backend,
     time_algorithm,
@@ -144,9 +143,10 @@ def run_obs_overhead_bench(dataset: str = "dblp",
     pooled server engine runs in).  Sub-millisecond queries make sequential
     A-then-B timing systematically unfair (whatever drift hits the second
     side is charged to instrumentation), so each repetition times the two
-    engines back-to-back with the order *alternating* per pass, and each
-    side keeps its best (minimum) pass — scheduler noise only ever adds
-    time, so the minimum is the faithful per-query cost on both sides.
+    engines back-to-back with the order *alternating* per pass
+    (:func:`_alternating_passes`), and each side keeps its best (minimum)
+    pass — scheduler noise only ever adds time, so the minimum is the
+    faithful per-query cost on both sides.
     ``instrumented_over_plain`` is the total-time ratio — the observability
     acceptance bar keeps it within a few percent of 1.0.  The registry's
     own ``query.count`` is returned too, proving the instrumented side
@@ -167,20 +167,10 @@ def run_obs_overhead_bench(dataset: str = "dblp",
     instrumented_total = 0.0
     for query in queries:
         for algorithm in algorithms:
-            plain.search(query.text, algorithm)         # warm-up, discarded
-            instrumented.search(query.text, algorithm)
-            plain_passes: List[float] = []
-            instrumented_passes: List[float] = []
-            for repetition in range(repetitions):
-                ordered = (plain, instrumented) if repetition % 2 == 0 \
-                    else (instrumented, plain)
-                timed = {}
-                for engine in ordered:
-                    started = time.perf_counter()
-                    engine.search(query.text, algorithm)
-                    timed[id(engine)] = time.perf_counter() - started
-                plain_passes.append(timed[id(plain)])
-                instrumented_passes.append(timed[id(instrumented)])
+            plain_passes, instrumented_passes = _alternating_passes(
+                lambda q=query.text, a=algorithm: plain.search(q, a),
+                lambda q=query.text, a=algorithm: instrumented.search(q, a),
+                repetitions)
             plain_seconds = min(plain_passes)
             instrumented_seconds = min(instrumented_passes)
             plain_total += plain_seconds
@@ -219,7 +209,9 @@ def run_ranking_bench(doc_count: int = 6, publications_per_doc: int = 120,
     bibliography — genuinely live in only a few documents, the regime
     where keyword-impact upper bounds have teeth) and, per workload
     query, times top-k retrieval exhaustively versus with the
-    threshold-algorithm driver.
+    threshold-algorithm driver: one discarded warm-up pass of each, then
+    ``repetitions`` passes of each in alternating order
+    (:func:`_alternating_passes`), averaged.
 
     ``verify=True`` (the bench-honesty contract) first asserts the two
     paths return the *identical* ranking — same documents, roots and
@@ -243,15 +235,15 @@ def run_ranking_bench(doc_count: int = 6, publications_per_doc: int = 120,
             _verify_ranking_equivalence(engine, query, algorithm, top_k)
         outcome = engine.rank_search(query.text, algorithm, top_k=top_k,
                                      early_terminate=True)
-        exhaustive_seconds = _average_timed_passes(
+        exhaustive_passes, early_passes = _alternating_passes(
             lambda q=query.text: engine.rank_search(q, algorithm,
                                                     top_k=top_k),
-            repetitions)
-        early_seconds = _average_timed_passes(
             lambda q=query.text: engine.rank_search(q, algorithm,
                                                     top_k=top_k,
                                                     early_terminate=True),
             repetitions)
+        exhaustive_seconds = sum(exhaustive_passes) / repetitions
+        early_seconds = sum(early_passes) / repetitions
         exhaustive_total += exhaustive_seconds
         early_total += early_seconds
         visited_total += outcome.docs_visited
@@ -282,6 +274,29 @@ def run_ranking_bench(doc_count: int = 6, publications_per_doc: int = 120,
             round(visited_total / selected_total, 4)
             if selected_total else None),
     }
+
+
+def _alternating_passes(first: Callable[[], object],
+                        second: Callable[[], object],
+                        repetitions: int) -> Tuple[List[float], List[float]]:
+    """Seconds of ``repetitions`` timed passes of each of two runs.
+
+    One warm-up pass of each is discarded; then each repetition times both
+    back-to-back, ``first`` leading in even repetitions and ``second`` in
+    odd ones, so neither always runs right after the other.
+    """
+    if repetitions < 1:
+        raise ValueError("repetitions must be positive")
+    first()
+    second()
+    runs = (first, second)
+    passes: Tuple[List[float], List[float]] = ([], [])
+    for repetition in range(repetitions):
+        for which in ((0, 1) if repetition % 2 == 0 else (1, 0)):
+            started = time.perf_counter()
+            runs[which]()
+            passes[which].append(time.perf_counter() - started)
+    return passes
 
 
 def _partitioned_dblp_corpus(doc_count: int, publications_per_doc: int,

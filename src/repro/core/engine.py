@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 
-from ..index import InvertedIndex, PackedDeweyList, PostingSource
+from ..index import InvertedIndex, PostingSource, QueryLists
 from ..obs import MetricsRegistry, Trace
 from ..obs import names as metric_names
 from ..xmltree import DeweyCode, XMLTree, parse_file, parse_string, render_nodes
@@ -304,7 +304,7 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     # Introspection helpers used by examples / CLI
     # ------------------------------------------------------------------ #
-    def keyword_nodes(self, query: QueryLike) -> Dict[str, PackedDeweyList]:
+    def keyword_nodes(self, query: QueryLike) -> QueryLists:
         """The ``D_i`` posting lists of a query."""
         parsed = Query.parse(query)
         return self.source.keyword_nodes(parsed.keywords)

@@ -10,9 +10,9 @@ filtering mechanism.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
 
-from ..index import InvertedIndex, PackedDeweyList, PostingSource
+from ..index import EMPTY_PACKED, InvertedIndex, PostingSource, QueryLists
 from ..lca import elca_is_slca, indexed_stack_elca, indexed_lookup_eager_slca
 from ..obs import MetricsRegistry, Trace
 from ..obs import names as metric_names
@@ -106,7 +106,7 @@ class FragmentPipeline:
     # ------------------------------------------------------------------ #
     # Stage helpers (also exposed individually for tests and examples)
     # ------------------------------------------------------------------ #
-    def keyword_nodes(self, query: QueryLike) -> Dict[str, PackedDeweyList]:
+    def keyword_nodes(self, query: QueryLike) -> QueryLists:
         """Stage 1 — ``getKeywordNodes`` (served by the posting source)."""
         parsed = Query.parse(query)
         return self.source.keyword_nodes(parsed.keywords)
@@ -186,8 +186,7 @@ class FragmentPipeline:
         return self._run_stages(parsed, lists, started, trace=trace)
 
     def fetch_postings(self, keywords: Sequence[str],
-                       trace: Optional[Trace] = None
-                       ) -> Dict[str, PackedDeweyList]:
+                       trace: Optional[Trace] = None) -> QueryLists:
         """Stage 1 on normalized ``keywords``: the one place a posting
         fetch is measured (stage histogram, keyword and row counters, the
         source's read deltas, a ``postings`` span).  :meth:`search` fetches
@@ -239,12 +238,13 @@ class FragmentPipeline:
         once and shares them across the batch, so ``getKeywordNodes`` is not
         re-run per query.  ``lists`` must map each normalized query keyword to
         its sorted Dewey list (missing keywords mean an empty result, exactly
-        as in :meth:`search`).  The lists are never mutated.
+        as in :meth:`search`).  The lists are never mutated; the query's own
+        go into a fresh :class:`QueryLists`, so its stages share one merge.
         """
         parsed = Query.parse(query)
         started = time.perf_counter()
-        per_query = {keyword: lists.get(keyword, ())
-                     for keyword in parsed.keywords}
+        per_query = QueryLists.of({keyword: lists.get(keyword, EMPTY_PACKED)
+                                   for keyword in parsed.keywords})
         return self._run_stages(parsed, per_query, started)
 
     def _run_stages(self, parsed: Query,

@@ -9,7 +9,8 @@ Fragment (Definition 2; see the analysis in Section 4.3-(1)).
 
 Keyword nodes that are not descendants of any interesting LCA node belong to
 no partition and are dropped (they cannot complete a fragment covering the
-query).
+query).  :func:`build_rtfs` dispatches the query's match list with a stack of
+open roots; :func:`assign_keyword_nodes` is its per-code reference.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from array import array
 from bisect import bisect_right
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from ..index.packed import as_packed, iter_matches
+from ..index.packed import QueryLists
 from ..lca import elca_is_slca
 from ..xmltree import DeweyCode
 from .fragments import Fragment
@@ -67,16 +68,18 @@ def build_rtfs(
     an SLCA iff no other LCA node is its strict descendant).  Fragments are
     assembled from Dewey arithmetic alone, so no tree is needed.
 
-    The merged document-order stream comes straight from the packed posting
-    columns (non-packed lists are packed once with
-    :func:`~repro.index.packed.as_packed`; the k-way merge deduplicates
-    across lists); each node is dispatched by one ``bisect_right`` over the
-    roots' component arrays and a backward prefix-compare scan, and the
-    fragment node set is the union of root-to-keyword-node prefixes.  Each
-    node of a returned fragment is boxed as a :class:`DeweyCode` once: a
-    keyword node straight from its merge slice, and it is its own path node,
-    so only the missing ancestor prefixes are boxed besides.  Dropped
-    keyword nodes (outside every interesting LCA) never become objects.
+    The keyword nodes come from the query's match list
+    (:meth:`~repro.index.packed.QueryLists.matches`, the merge the ELCA
+    scan already paid for; any other mapping is packed and merged here).
+    Each goes to the innermost of a stack of open roots: every root at or
+    before the node in document order is pushed, and roots that do not
+    enclose it are popped.  A subtree is contiguous in document order, so
+    a root popped for one match encloses no later match.  The fragment
+    node set is the union of root-to-keyword-node prefixes.  Each node of
+    a returned fragment is boxed as a :class:`DeweyCode` once: a keyword
+    node straight from its match slice, and it is its own path node, so
+    only the missing ancestor prefixes are boxed besides.  Dropped keyword
+    nodes (outside every root) never become objects.
 
     Each fragment also keeps the merge's mask of every keyword node
     (``Fragment.keyword_masks``): bit *i* is set iff the node is in the
@@ -93,30 +96,29 @@ def build_rtfs(
         flag_by_code = dict(zip(lca_nodes, slca_flags))
     else:
         flag_by_code = dict(zip(sorted_lcas, elca_is_slca(sorted_lcas)))
-    packed = [as_packed(deweys) for deweys in keyword_lists.values()]
-    lca_arrays = [array("I", code) for code in sorted_lcas]
+    # One entry per root: its components, depth, keyword nodes and masks.
+    entries = [(array("I", code), len(code), [], []) for code in sorted_lcas]
+    root_count = len(entries)
     from_tuple = DeweyCode._from_tuple
-    assigned: List[List[DeweyCode]] = [[] for _ in sorted_lcas]
-    masks: List[List[int]] = [[] for _ in sorted_lcas]
-    for comps, mask in iter_matches(packed):
-        position = bisect_right(lca_arrays, comps)
-        for index in range(position - 1, -1, -1):
-            candidate = lca_arrays[index]
-            if len(candidate) <= len(comps) \
-                    and comps[:len(candidate)] == candidate:
-                # Among the ancestors of the node, deeper ones come later in
-                # document order, so the first ancestor found scanning
-                # backwards is the nearest enclosing one.
+    open_roots: List[Tuple[array, int, List[DeweyCode], List[int]]] = []
+    following = 0  # the first root not pushed yet
+    for comps, mask in QueryLists.of(keyword_lists).matches():
+        while following < root_count and entries[following][0] <= comps:
+            open_roots.append(entries[following])
+            following += 1
+        while open_roots:
+            root_comps, root_depth, codes, root_masks = open_roots[-1]
+            if comps[:root_depth] == root_comps:
                 # lint: allow(hot-loop-purity) result boundary: an assigned node
-                assigned[index].append(from_tuple(comps))
-                masks[index].append(mask)
+                codes.append(from_tuple(comps))
+                root_masks.append(mask)
                 break
+            open_roots.pop()
     fragments: List[Fragment] = []
-    for root, keyword_codes, keyword_masks in zip(sorted_lcas, assigned,
-                                                  masks):
+    for root, (_, root_depth, keyword_codes, keyword_masks) in zip(
+            sorted_lcas, entries):
         if not keyword_codes:
             continue
-        root_depth = len(root)
         # The keyword nodes arrive in document order, so the prefixes each
         # one adds (those below its nearest ancestor already present), taken
         # top-down, follow every node added before it: the paths are built

@@ -4,8 +4,9 @@ from .inverted import InvertedIndex, PostingList, build_index, merge_keyword_nod
 from .packed import (
     EMPTY_PACKED,
     PackedDeweyList,
+    QueryLists,
     as_packed,
-    iter_matches,
+    match_list,
     pack_component_tuples,
     pack_deweys,
 )
@@ -35,8 +36,9 @@ __all__ = [
     "PackedDeweyList",
     "PostingList",
     "PostingSource",
+    "QueryLists",
     "as_packed",
-    "iter_matches",
+    "match_list",
     "pack_component_tuples",
     "pack_deweys",
     "build_index",

@@ -22,7 +22,7 @@ from typing import (
 
 from ..text import EMPTY_CID, ContentAnalyzer, DEFAULT_TOKENIZER
 from ..xmltree import DeweyCode, XMLTree
-from .packed import EMPTY_PACKED, PackedDeweyList, as_packed, pack_deweys
+from .packed import EMPTY_PACKED, PackedDeweyList, QueryLists, as_packed, pack_deweys
 from .source import KeywordImpact, impact_from_postings
 
 
@@ -97,15 +97,17 @@ class InvertedIndex:
         return PostingList(normalized,
                            self._postings.get(normalized, EMPTY_PACKED))
 
-    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
+    def keyword_nodes(self, query: Iterable[str]) -> QueryLists:
         """The ``D_i`` lists for every keyword of a query (getKeywordNodes).
 
         The result maps each *normalized* keyword to its sorted Dewey list;
         keywords with no match map to an empty list.  The shared immutable
-        columns themselves are returned (they are never mutated).
+        columns themselves are returned (they are never mutated), in a fresh
+        :class:`~repro.index.packed.QueryLists` per query.
         """
-        return {keyword: self._postings.get(keyword, EMPTY_PACKED)
-                for keyword in DEFAULT_TOKENIZER.normalize_query(query)}
+        postings = self._postings
+        return QueryLists((keyword, postings.get(keyword, EMPTY_PACKED))
+                          for keyword in DEFAULT_TOKENIZER.normalize_query(query))
 
     def frequency(self, keyword: str) -> int:
         """Number of keyword nodes containing ``keyword``."""

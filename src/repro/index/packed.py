@@ -20,6 +20,10 @@ primitives on unboxed integers:
   ``b`` iff ``b[:len(a)] == a``,
 * **binary search / galloping** bisect the ``offsets`` column directly.
 
+A query's lists ``D_1..D_k`` merge into one document-order match list
+(:func:`match_list`); sources hand them out as a :class:`QueryLists`, which
+merges them once for both the stack scans and ``getRTF``.
+
 :class:`DeweyCode` objects are materialized only at result boundaries
 (LCA roots, fragment nodes, public API returns), each straight from its
 component slice.  The serialized form
@@ -38,18 +42,30 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Sequence as _SequenceABC
-from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..xmltree import DeweyCode
 from ..xmltree.errors import InvalidDeweyCode
 
 __all__ = [
     "EMPTY_PACKED",
+    "Match",
     "PackedDeweyList",
+    "QueryLists",
     "as_packed",
     "common_prefix_len",
-    "iter_matches",
+    "match_list",
     "pack_component_tuples",
     "pack_deweys",
 ]
@@ -203,7 +219,7 @@ class PackedDeweyList(_SequenceABC):
         """First position ``>= start`` whose code is ``>= comps``.
 
         Exponential probe from ``start`` followed by a bisect of the bracketed
-        window — the skip primitive of the k-way posting merge.
+        window — the skip primitive of the Scan Eager cursors.
         """
         data, offsets = self.data, self.offsets
         n = len(offsets) - 1
@@ -395,69 +411,63 @@ def deepest_neighbor_prefix_len(node: Sequence[int], plist: PackedDeweyList,
 
 
 # ---------------------------------------------------------------------- #
-# K-way merge kernel
+# A query's match list
 # ---------------------------------------------------------------------- #
-def iter_matches(lists: Sequence[PackedDeweyList]
-                 ) -> Iterator[Tuple[array, int]]:
-    """Merge packed lists into one document-order ``(components, mask)`` stream.
+#: A keyword node's components and the mask of the lists holding it.
+Match = Tuple[array, int]
 
-    The packed counterpart of :func:`repro.lca.base.merge_matches`: a node
-    occurring in several lists is emitted once with all the corresponding bits
-    set (list ``i`` sets bit ``1 << i``).  Implementation: a heap-based k-way
-    merge whose per-list cursors **gallop** — after emitting the head of list
-    ``i``, every following element of ``i`` still below the new heap minimum
-    is emitted in one bulk run (found by exponential search), skipping the
-    heap entirely.  Skewed frequency distributions, the common case for
-    keyword postings, therefore pay roughly one heap operation per *run*
-    rather than one per posting.
 
-    Yields raw ``array('I')`` component slices; nothing is materialized.
+def match_list(lists: Sequence[PackedDeweyList]) -> List[Match]:
+    """Merge packed lists into one document-order ``(components, mask)`` list.
+
+    The packed :func:`repro.lca.base.merge_matches`: a node in several lists
+    appears once, list ``i`` setting bit ``1 << i`` of its mask.  The lists'
+    slices are concatenated and sorted once (Timsort merges the k presorted
+    runs in C, comparing raw ``array('I')`` slices), then equal neighbours'
+    masks are ORed.  One long list against a short one pays for every
+    posting of the long one.
     """
-    active = [(index, plist) for index, plist in enumerate(lists) if len(plist)]
-    if not active:
-        return
-    if len(active) == 1:
-        index, plist = active[0]
+    entries: List[Match] = []
+    for index, plist in enumerate(lists):
         bit = 1 << index
-        for comps in plist.iter_slices():
-            yield comps, bit
-        return
-    # Heap entries: (components, list index, cursor).  Components compare
-    # first (array lexicographic order == document order); the list index
-    # breaks ties so cursors are never compared.
-    heap = [(plist.slice(0), index, 0) for index, plist in active]
-    heapify(heap)
-    while heap:
-        comps, index, cursor = heappop(heap)
-        mask = 1 << index
-        while heap and heap[0][0] == comps:
-            _, other_index, other_cursor = heappop(heap)
-            mask |= 1 << other_index
-            other = lists[other_index]
-            if other_cursor + 1 < len(other):
-                heappush(heap, (other.slice(other_cursor + 1),
-                                other_index, other_cursor + 1))
-        yield comps, mask
-        plist = lists[index]
-        count = len(plist)
-        cursor += 1
-        if cursor >= count:
-            continue
-        if not heap:
-            # Every other list is exhausted: drain the rest as one run.
-            bit = 1 << index
-            data, offsets = plist.data, plist.offsets
-            for i in range(cursor, count):
-                yield data[offsets[i]:offsets[i + 1]], bit
-            return
-        # Gallop: emit the run of elements still below the heap minimum.
-        top = heap[0][0]
-        boundary = plist.gallop_left(top, cursor)
-        if boundary > cursor:
-            bit = 1 << index
-            data, offsets = plist.data, plist.offsets
-            for i in range(cursor, boundary):
-                yield data[offsets[i]:offsets[i + 1]], bit
-            cursor = boundary
-        if cursor < count:
-            heappush(heap, (plist.slice(cursor), index, cursor))
+        data, offsets = plist.data, plist.offsets
+        entries += [(data[offsets[i]:offsets[i + 1]], bit)
+                    for i in range(len(offsets) - 1)]
+    entries.sort(key=itemgetter(0))
+    merged: List[Match] = []
+    append = merged.append
+    last = None
+    for comps, bit in entries:
+        if comps == last:
+            merged[-1] = (comps, merged[-1][1] | bit)
+        else:
+            append((comps, bit))
+            last = comps
+    return merged
+
+
+class QueryLists(Dict[str, PackedDeweyList]):
+    """A query's posting lists ``D_1..D_k`` and their one match list.
+
+    Maps each normalized keyword, in query order, to its packed list (every
+    source's ``keyword_nodes`` returns one); :meth:`matches` merges them on
+    first use and keeps the result for ``getLCA`` and ``getRTF`` of the same
+    search.  Never mutated after it is built.
+    """
+
+    __slots__ = ("_matches",)
+
+    @classmethod
+    def of(cls, lists: Mapping[str, Sequence]) -> "QueryLists":
+        """``lists`` itself if it is one, else its lists packed, in order."""
+        if isinstance(lists, cls):
+            return lists
+        return cls((keyword, as_packed(postings))
+                   for keyword, postings in lists.items())
+
+    def matches(self) -> List[Match]:
+        """The match list; bit *i* of a mask is the mapping's *i*-th list."""
+        matches = getattr(self, "_matches", None)
+        if matches is None:
+            matches = self._matches = match_list(list(self.values()))
+        return matches

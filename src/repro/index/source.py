@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Dict,
     Iterable,
     List,
     Optional,
@@ -38,7 +37,7 @@ from typing import (
 )
 
 from ..xmltree import DeweyCode
-from .packed import PackedDeweyList, as_packed
+from .packed import QueryLists, as_packed
 
 if TYPE_CHECKING:  # inverted.py imports this module at run time
     from .inverted import PostingList
@@ -66,17 +65,19 @@ class PostingSource(Protocol):
         """The posting list of one (raw, un-normalized) keyword."""
         ...
 
-    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
+    def keyword_nodes(self, query: Iterable[str]) -> QueryLists:
         """The ``D_i`` lists of a whole query (``getKeywordNodes``).
 
         Maps each *normalized* keyword, in query order, to its sorted Dewey
         list in the one posting form,
         :class:`~repro.index.packed.PackedDeweyList`; keywords with no match
         map to an empty list.  The order matters: ``getRTF`` gives list *i*
-        bit *i* of the keyword masks.  Backends are encouraged to batch
-        this (one round-trip for the whole query) — the engine's
-        ``search_many`` fast path funnels the union of a batch's keywords
-        through one call.
+        bit *i* of the keyword masks.  The mapping is a fresh
+        :class:`~repro.index.packed.QueryLists` per call, so ``getLCA`` and
+        ``getRTF`` of one search share its one merge.  Backends are
+        encouraged to batch this (one round-trip for the whole query) — the
+        engine's ``search_many`` fast path funnels the union of a batch's
+        keywords through one call.
         """
         ...
 

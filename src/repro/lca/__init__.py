@@ -6,10 +6,9 @@ from .base import (
     KeywordMatch,
     common_ancestor_masks,
     full_mask,
-    keyword_bit_index,
     merge_matches,
     normalize_lists,
-    prepare_lists,
+    query_lists,
     remove_ancestors,
     remove_ancestors_slices,
     remove_descendants,
@@ -46,14 +45,13 @@ __all__ = [
     "KeywordLists",
     "KeywordMatch",
     "normalize_lists",
-    "prepare_lists",
+    "query_lists",
     "remove_ancestors_slices",
     "full_mask",
     "merge_matches",
     "remove_ancestors",
     "remove_descendants",
     "common_ancestor_masks",
-    "keyword_bit_index",
     "naive_lca_candidates",
     "naive_common_ancestors",
     "naive_slca",

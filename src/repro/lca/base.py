@@ -19,9 +19,9 @@ Terminology used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence
 
-from ..index.packed import PackedDeweyList, as_packed
+from ..index.packed import QueryLists
 from ..xmltree import DeweyCode
 
 KeywordLists = Mapping[str, Sequence[DeweyCode]]
@@ -62,22 +62,21 @@ def normalize_lists(lists: KeywordLists) -> List[List[DeweyCode]]:
     return normalized
 
 
-def prepare_lists(lists: KeywordLists) -> List[PackedDeweyList]:
-    """The posting lists in packed form, ready for the hot loops.
+def query_lists(lists: KeywordLists) -> QueryLists:
+    """The posting lists as a :class:`~repro.index.packed.QueryLists`.
 
-    Packed lists (sorted and duplicate-free by construction) pass through
-    untouched; any other Dewey sequence is packed once with
-    :func:`~repro.index.packed.as_packed`, which sorts and deduplicates it.
-    Raises :class:`EmptyKeywordList` exactly like :func:`normalize_lists`
-    when the query is empty or any keyword has no occurrence.
+    A source's lists pass through, so the scan and ``getRTF`` of one search
+    share one merge; any other mapping's lists are packed once
+    (:meth:`QueryLists.of`).  Raises :class:`EmptyKeywordList` like
+    :func:`normalize_lists` when the query is empty or any keyword has no
+    occurrence.
     """
     if not lists:
         raise EmptyKeywordList("the query has no keywords")
-    packed: List[PackedDeweyList] = []
-    for keyword, deweys in lists.items():
-        if not deweys:
+    packed = QueryLists.of(lists)
+    for keyword, plist in packed.items():
+        if not plist:
             raise EmptyKeywordList(f"keyword {keyword!r} has no occurrence")
-        packed.append(as_packed(deweys))
     return packed
 
 
@@ -163,16 +162,3 @@ def common_ancestor_masks(matches: Sequence[KeywordMatch]) -> Dict[DeweyCode, in
         for ancestor in match.dewey.ancestors(include_self=True):
             masks[ancestor] = masks.get(ancestor, 0) | match.mask
     return masks
-
-
-def keyword_bit_index(lists: KeywordLists) -> Dict[str, int]:
-    """Stable keyword -> bit position mapping (insertion order of the query)."""
-    return {keyword: index for index, keyword in enumerate(lists)}
-
-
-def witness_tuple(
-    masks: Mapping[DeweyCode, int], code: DeweyCode, keyword_count: int
-) -> Tuple[bool, int]:
-    """Convenience: (is the node a CA, its subtree mask)."""
-    mask = masks.get(code, 0)
-    return mask == full_mask(keyword_count), mask

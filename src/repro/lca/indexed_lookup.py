@@ -23,7 +23,7 @@ from ..xmltree import DeweyCode
 from .base import (
     EmptyKeywordList,
     KeywordLists,
-    prepare_lists,
+    query_lists,
     remove_ancestors_slices,
 )
 
@@ -38,7 +38,7 @@ def indexed_lookup_eager_slca(lists: KeywordLists) -> List[DeweyCode]:
     final SLCA set.
     """
     try:
-        packed = prepare_lists(lists)
+        packed = query_lists(lists).values()
     except EmptyKeywordList:
         return []
     # Fold starting from the smallest list (the paper's eager strategy).

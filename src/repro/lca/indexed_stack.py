@@ -9,8 +9,8 @@ Dewey posting lists.
 
 Implementation note (substitution documented in DESIGN.md): rather than
 transliterating the original Indexed Stack pseudo-code, we use an equivalent
-single-pass stack formulation.  The stream of keyword matches is processed in
-document order with a path stack; each frame accrues two masks:
+single-pass stack formulation.  The query's match list, shared with ``getRTF``,
+is walked in document order with a path stack; each frame accrues two masks:
 
 * ``subtree_mask`` — keywords anywhere in the frame's subtree (so CA nodes can
   be recognized), and
@@ -26,11 +26,11 @@ output equals the naive per-definition computation (property-tested in
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List
 
-from ..index.packed import iter_matches
+from ..index.packed import Match
 from ..xmltree import DeweyCode
-from .base import EmptyKeywordList, KeywordLists, full_mask, prepare_lists
+from .base import EmptyKeywordList, KeywordLists, full_mask, query_lists
 
 
 def indexed_stack_elca(lists: KeywordLists) -> List[DeweyCode]:
@@ -39,57 +39,55 @@ def indexed_stack_elca(lists: KeywordLists) -> List[DeweyCode]:
     This is the drop-in ``getLCA`` of Algorithm 1: the returned Dewey codes
     are sorted in document (pre-order) order as the later stages require.
 
-    The scan consumes a document-order ``(components, mask)`` stream fed
-    from the flat packed columns (heap merge with galloping skips) and keeps
-    the path stack as three parallel lists of unboxed values; only the
-    reported ELCAs are materialized as :class:`DeweyCode`.
+    The scan reads the query's document-order match list
+    (:meth:`~repro.index.packed.QueryLists.matches`, merged once per query
+    and shared with ``getRTF``) and keeps the path stack as three parallel
+    lists of unboxed values; only the reported ELCAs are materialized as
+    :class:`DeweyCode`.
     """
     try:
-        packed = prepare_lists(lists)
+        packed = query_lists(lists)
     except EmptyKeywordList:
         return []
-    return _scan(iter_matches(packed), full_mask(len(packed)))
+    return _scan(packed.matches(), full_mask(len(packed)))
 
 
-def _scan(stream: Iterator[Tuple[Iterable[int], int]],
-          target: int) -> List[DeweyCode]:
-    """One pass over the match stream, accruing the two per-frame masks."""
+def _scan(matches: Iterable[Match], target: int) -> List[DeweyCode]:
+    """One pass over the match list, accruing the two per-frame masks."""
     components: List[int] = []      # the path stack, one entry per frame
     subtree_masks: List[int] = []   # keywords anywhere in the frame's subtree
     exclusive_masks: List[int] = [] # own matches + non-CA children's subtrees
     results: List[DeweyCode] = []
 
-    def pop_frame() -> None:
-        subtree = subtree_masks.pop()
-        exclusive = exclusive_masks.pop()
-        if exclusive == target:
-            # lint: allow(hot-loop-purity) result boundary: ELCAs survive
-            results.append(DeweyCode._from_tuple(components))
-        components.pop()
-        if subtree_masks:
-            subtree_masks[-1] |= subtree
-            if subtree != target:
-                # Only non-CA children contribute to the parent's exclusive
-                # ("after exclusion") keyword set.
-                exclusive_masks[-1] |= subtree
-
-    for comps, mask in stream:
+    # An empty match after the last pops every frame still open.
+    for comps, mask in [*matches, ((), 0)]:
         depth = len(components)
         limit = min(depth, len(comps))
         shared = 0
         while shared < limit and components[shared] == comps[shared]:
             shared += 1
-        while len(components) > shared:
-            pop_frame()
+        while depth > shared:
+            # Pop the frame: it is not an ancestor of the incoming match.
+            subtree = subtree_masks.pop()
+            if exclusive_masks.pop() == target:
+                # lint: allow(hot-loop-purity) result boundary: ELCAs survive
+                results.append(DeweyCode._from_tuple(components))
+            components.pop()
+            depth -= 1
+            if depth:
+                subtree_masks[-1] |= subtree
+                if subtree != target:
+                    # Only non-CA children contribute to the parent's
+                    # exclusive ("after exclusion") keyword set.
+                    exclusive_masks[-1] |= subtree
+        if not comps:
+            break
         for component in comps[shared:]:
             components.append(component)
             subtree_masks.append(0)
             exclusive_masks.append(0)
         subtree_masks[-1] |= mask
         exclusive_masks[-1] |= mask
-
-    while components:
-        pop_frame()
     return sorted(results)
 
 

@@ -16,7 +16,7 @@ from ..xmltree import DeweyCode
 from .base import (
     EmptyKeywordList,
     KeywordLists,
-    prepare_lists,
+    query_lists,
     remove_ancestors_slices,
 )
 
@@ -31,7 +31,7 @@ def scan_eager_slca(lists: KeywordLists) -> List[DeweyCode]:
     reachable below it).  Nothing is materialized until the final SLCA set.
     """
     try:
-        packed = prepare_lists(lists)
+        packed = list(query_lists(lists).values())
     except EmptyKeywordList:
         return []
     if len(packed) == 1:

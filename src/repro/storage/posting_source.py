@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Sized, Tuple
 
 from ..index import PostingList
 from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
-from ..index.packed import EMPTY_PACKED, PackedDeweyList
+from ..index.packed import EMPTY_PACKED, PackedDeweyList, QueryLists
 from ..text import DEFAULT_TOKENIZER, EMPTY_CID
 from ..xmltree import DeweyCode
 from .schema import encode_dewey
@@ -120,12 +120,12 @@ class SQLitePostingSource:
         normalized = DEFAULT_TOKENIZER.normalize_keyword(keyword)
         return PostingList(normalized, self._deweys(normalized))
 
-    def keyword_nodes(self, query: Iterable[str]) -> Dict[str, PackedDeweyList]:
+    def keyword_nodes(self, query: Iterable[str]) -> QueryLists:
         """Batched ``getKeywordNodes``: one ``IN (...)`` fetch for all misses.
 
         The batch statement reads whole blobs from the ``posting`` table (one
         row per LRU-missed keyword); the immutable cached columns themselves
-        are returned.
+        are returned, in a fresh :class:`QueryLists` per query.
         """
         normalized = DEFAULT_TOKENIZER.normalize_query(query)
         result, missing = self._split_cached(normalized)
@@ -135,7 +135,8 @@ class SQLitePostingSource:
                 packed = fetched.get(keyword, EMPTY_PACKED)
                 self._lru_put(keyword, packed)
                 result[keyword] = packed
-        return {keyword: result[keyword] for keyword in normalized}
+        return QueryLists((keyword, result[keyword])
+                          for keyword in normalized)
 
     def frequency(self, keyword: str) -> int:
         """Number of keyword nodes containing ``keyword`` (its impact's

@@ -114,6 +114,95 @@ class TestPragmas:
         assert not index.allows(1, "some-rule")
 
 
+class TestUnusedPragmas:
+    """A pragma that suppresses nothing is an ``unused-pragma`` finding."""
+
+    #: The old ``build_rtfs`` loop with its per-root pragma put back: the
+    #: line reads a tuple length, which the rule never flagged.
+    STALE_RTF = """
+        def build(sorted_lcas, assigned, masks):
+            for root, keyword_codes, keyword_masks in zip(sorted_lcas,
+                                                          assigned, masks):
+                root_depth = len(root)  # lint: allow(hot-loop-purity) per-root, not per-node
+                yield root_depth, keyword_codes, keyword_masks
+    """
+
+    #: A boxed code in a hot loop, the finding its pragmas suppress.
+    BOXED = """
+        from repro.xmltree import DeweyCode
+
+        def box(slices):
+            out = []
+            for comps in slices:
+                {pragma_above}
+                out.append(DeweyCode._from_tuple(comps)){pragma_inline}
+            return out
+    """
+
+    def boxed(self, above="", inline=""):
+        return self.BOXED.format(pragma_above=above, pragma_inline=inline)
+
+    @staticmethod
+    def unused(diagnostics):
+        """The ``unused-pragma`` findings as ``(path, line)`` pairs (a run of
+        every rule also reports the mini-project's missing anchors)."""
+        return sorted((d.path, d.line) for d in diagnostics
+                      if d.rule == "unused-pragma")
+
+    def test_stale_pragma_on_rtf_fails(self, tmp_path):
+        files = {"src/repro/core/rtf.py": self.STALE_RTF}
+        diagnostics = lint(tmp_path, files, rules=["hot-loop-purity"])
+        assert [(d.rule, d.line) for d in diagnostics] == \
+            [("unused-pragma", 5)]
+        assert "allow(hot-loop-purity)" in diagnostics[0].message
+        assert self.unused(lint(tmp_path, files)) == \
+            [("src/repro/core/rtf.py", 5)]
+        from repro.analysis.__main__ import main
+        assert main(["--rule", "hot-loop-purity",
+                     str(tmp_path / "src")]) == 1
+
+    def test_used_pragma_passes(self, tmp_path):
+        files = {"src/repro/lca/box.py": self.boxed(
+            inline="  # lint: allow(hot-loop-purity) result boundary")}
+        assert lint(tmp_path, files, rules=["hot-loop-purity"]) == []
+        assert self.unused(lint(tmp_path, files)) == []
+
+    def test_standalone_pragma_covers_the_next_line(self, tmp_path):
+        files = {"src/repro/lca/box.py": self.boxed(
+            above="# lint: allow(hot-loop-purity) result boundary")}
+        assert lint(tmp_path, files, rules=["hot-loop-purity"]) == []
+        assert self.unused(lint(tmp_path, files)) == []
+
+    def test_rule_filter_judges_only_its_own_pragmas(self, tmp_path):
+        # Under --rule hot-loop-purity neither the second name of a shared
+        # pragma nor a wildcard is judged; a run of every rule judges both.
+        files = {
+            "src/repro/lca/box.py": self.boxed(
+                inline="  # lint: allow(hot-loop-purity, sqlite-discipline)"),
+            "src/repro/util.py": "x = 1  # lint: allow(*)\n",
+        }
+        assert lint(tmp_path, files, rules=["hot-loop-purity"]) == []
+        everything = [d for d in lint(tmp_path, files)
+                      if d.rule == "unused-pragma"]
+        assert sorted((d.path, d.message) for d in everything) == [
+            ("src/repro/lca/box.py",
+             "'# lint: allow(sqlite-discipline)' suppresses no "
+             "sqlite-discipline finding; remove it"),
+            ("src/repro/util.py",
+             "'# lint: allow(*)' suppresses no finding; remove it"),
+        ]
+
+    def test_another_rules_pragma_is_not_judged_by_a_filtered_run(
+            self, tmp_path):
+        diagnostics = lint(tmp_path, {
+            "src/repro/lca/box.py": self.boxed(
+                inline="  # lint: allow(hot-loop-purity) result boundary"),
+            "src/repro/util.py":
+                "x = 1  # lint: allow(sqlite-discipline) stale\n",
+        }, rules=["hot-loop-purity"])
+        assert diagnostics == []
+
+
 # ---------------------------------------------------------------------- #
 # Engine / CLI surface
 # ---------------------------------------------------------------------- #

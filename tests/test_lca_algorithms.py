@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.index import InvertedIndex, PackedDeweyList, pack_deweys
+from repro.index import InvertedIndex, PackedDeweyList, QueryLists, pack_deweys
 from repro.lca import (
     ELCA_ALGORITHMS,
     SLCA_ALGORITHMS,
@@ -18,7 +18,7 @@ from repro.lca import (
     naive_elca_exhaustive,
     naive_lca_candidates,
     naive_slca,
-    prepare_lists,
+    query_lists,
     remove_ancestors,
     remove_descendants,
     scan_eager_slca,
@@ -58,22 +58,29 @@ class TestHelpers:
         by_code = {str(match.dewey): match.mask for match in matches}
         assert by_code == {"0.1": 1, "0.2": 3}
 
-    def test_prepare_lists_passes_packed_lists_through(self):
+    def test_query_lists_passes_packed_lists_through(self):
         packed = pack_deweys(codes("0.1", "0.2"))
-        assert prepare_lists({"w1": packed})[0] is packed
+        assert query_lists({"w1": packed})["w1"] is packed
+        lists = QueryLists({"w1": packed})
+        assert query_lists(lists) is lists
 
-    def test_prepare_lists_packs_unsorted_repeats_once(self):
-        prepared = prepare_lists({"w1": codes("0.2", "0.1", "0.2"),
-                                  "w2": (D("0.0"),)})
-        assert all(isinstance(deweys, PackedDeweyList) for deweys in prepared)
-        assert [list(deweys) for deweys in prepared] == \
-            [codes("0.1", "0.2"), codes("0.0")]
+    def test_query_lists_packs_unsorted_repeats_once(self):
+        prepared = query_lists({"w1": codes("0.2", "0.1", "0.2"),
+                                "w2": (D("0.0"),)})
+        assert isinstance(prepared, QueryLists)
+        assert all(isinstance(deweys, PackedDeweyList)
+                   for deweys in prepared.values())
+        assert {keyword: list(deweys) for keyword, deweys in prepared.items()} \
+            == {"w1": codes("0.1", "0.2"), "w2": codes("0.0")}
+        assert [(tuple(comps), mask) for comps, mask in prepared.matches()] \
+            == [((0, 0), 2), ((0, 1), 1), ((0, 2), 1)]
+        assert prepared.matches() is prepared.matches()
 
-    def test_prepare_lists_rejects_empty_queries_and_lists(self):
+    def test_query_lists_rejects_empty_queries_and_lists(self):
         with pytest.raises(EmptyKeywordList):
-            prepare_lists({})
+            query_lists({})
         with pytest.raises(EmptyKeywordList, match="w2"):
-            prepare_lists({"w1": codes("0.1"), "w2": []})
+            query_lists({"w1": codes("0.1"), "w2": []})
 
 
 class TestNaive:

@@ -13,13 +13,15 @@ from __future__ import annotations
 from typing import Dict, List
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import assign_keyword_nodes, build_fragment, build_rtfs
+from repro.index.packed import as_packed, match_list
 from repro.lca import (
     elca_is_slca,
     indexed_lookup_eager_slca,
     indexed_stack_elca,
+    merge_matches,
     naive_common_ancestors,
     naive_elca,
     naive_elca_exhaustive,
@@ -60,11 +62,9 @@ def test_indexed_stack_elca_matches_naive(lists: Dict[str, List[DeweyCode]]):
     assert indexed_stack_elca(lists) == naive_elca(lists)
 
 
-@settings(max_examples=200, deadline=None)
-@given(keyword_lists)
-def test_build_rtfs_matches_reference_dispatch(lists: Dict[str, List[DeweyCode]]):
-    """The packed ``getRTF`` loop equals the per-code reference dispatch."""
-    roots = naive_elca(lists)
+def assert_build_rtfs_matches_reference(roots, lists):
+    """``build_rtfs`` equals the per-code reference dispatch on ``roots``."""
+    roots = sorted(roots)
     flags = elca_is_slca(roots)
     assignment = assign_keyword_nodes(roots, lists)
     expected = [build_fragment(None, root, assignment[root], is_slca=flag)
@@ -83,10 +83,58 @@ def test_build_rtfs_matches_reference_dispatch(lists: Dict[str, List[DeweyCode]]
             for node in fragment.keyword_nodes)
 
 
+@settings(max_examples=200, deadline=None)
+@given(keyword_lists)
+def test_build_rtfs_matches_reference_dispatch(lists: Dict[str, List[DeweyCode]]):
+    """The packed ``getRTF`` loop equals the per-code reference dispatch."""
+    assert_build_rtfs_matches_reference(naive_elca(lists), lists)
+
+
 #: A nested chain: one code and every ancestor of it.
 nested_chains = dewey_codes.map(
     lambda code: {DeweyCode(code.components[:size])
                   for size in range(1, len(code) + 1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyword_lists, st.sets(dewey_codes, max_size=6), nested_chains)
+def test_build_rtfs_dispatch_on_other_root_sets(lists, scattered, chain):
+    """The stack dispatch equals the reference on root sets other than the
+    ELCAs: the SLCAs (keyword nodes under no root are dropped), every CA
+    (nested roots), one nested chain, scattered codes (roots with no
+    keyword node below them) and all of them at once."""
+    slcas, cas = naive_slca(lists), naive_common_ancestors(lists)
+    for roots in (slcas, cas, chain, scattered,
+                  set(slcas) | set(cas) | chain | scattered):
+        assert_build_rtfs_matches_reference(roots, lists)
+
+
+#: A long run of siblings, the shape a frequent keyword's list takes.
+long_runs = st.integers(min_value=0, max_value=80).map(
+    lambda count: [DeweyCode([0, 1, index]) for index in range(count)])
+
+#: 0-4 lists, each a short random list (possibly empty) or a long run.
+merge_inputs = st.lists(
+    st.one_of(st.lists(dewey_codes, max_size=6), long_runs), max_size=4)
+
+RUN = [DeweyCode([0, 1, index]) for index in range(200)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_inputs)
+@example([])
+@example([[]])
+@example([[], [DeweyCode([0, 1])]])
+@example([[DeweyCode([0, 2]), DeweyCode([0]), DeweyCode([0, 2, 1])]])
+@example([RUN, [DeweyCode([0, 1, 50]), DeweyCode([0, 2])]])
+def test_match_list_equals_merge_matches(lists):
+    """The sort merge gives the naive merge's codes and masks."""
+    expected = [(match.dewey, match.mask)
+                for match in merge_matches(lists)]
+    got = [(tuple(comps), mask)
+           for comps, mask in match_list([as_packed(deweys)
+                                          for deweys in lists])]
+    assert got == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,7 +2,7 @@
 
 Covers the flat-column invariants, the Sequence[DeweyCode] drop-in contract,
 the binary-search/galloping cursor primitives, the prefix-truncated blob codec
-and the k-way merge kernels — each against a straightforward object-side
+and the match-list merge — each against a straightforward object-side
 reference.  Cross-backend *search* parity lives in ``test_backend_parity.py``
 / ``test_posting_properties.py``; this file pins down the packed module
 itself.
@@ -11,6 +11,7 @@ itself.
 from __future__ import annotations
 
 import random
+import sys
 from array import array
 from bisect import bisect_left
 
@@ -22,7 +23,7 @@ from repro.index.packed import (
     as_packed,
     common_prefix_len,
     deepest_neighbor_prefix_len,
-    iter_matches,
+    match_list,
     pack_component_tuples,
     pack_deweys,
 )
@@ -195,6 +196,59 @@ class TestBlobCodec:
         raw_bytes = 4 * len(packed.data)
         assert len(blob) < raw_bytes
 
+    @staticmethod
+    def reference_blob(components):
+        """The blob format, each shared prefix found one component at a
+        time."""
+        prefix_lens, suffix_lens = array("H"), array("H")
+        suffixes = array("I")
+        previous = ()
+        for code in components:
+            limit = min(len(code), len(previous))
+            shared = 0
+            while shared < limit and code[shared] == previous[shared]:
+                shared += 1
+            prefix_lens.append(shared)
+            suffix_lens.append(len(code) - shared)
+            suffixes.extend(code[shared:])
+            previous = code
+        counts = array("I", [len(components), len(suffixes)])
+        columns = (counts, prefix_lens, suffix_lens, suffixes)
+        if sys.byteorder == "big":
+            for column in columns:
+                column.byteswap()
+        return b"PKD1<" + b"".join(column.tobytes() for column in columns)
+
+    @staticmethod
+    def shaped_lists(rng):
+        """Random sorted lists of the shapes the prefix search must get
+        right: depth-1 codes, long shared prefixes, and ancestors followed
+        by their descendants."""
+        depth_one = {(rng.randint(0, 40),) for _ in range(rng.randint(1, 30))}
+        stem = tuple(rng.randint(0, 3) for _ in range(rng.randint(8, 40)))
+        long_prefixes = {stem[:rng.randint(1, len(stem))]
+                         + tuple(rng.randint(0, 3)
+                                 for _ in range(rng.randint(0, 3)))
+                         for _ in range(rng.randint(1, 30))}
+        chains = set()
+        for _ in range(rng.randint(1, 6)):
+            code = (0,) + tuple(rng.randint(0, 4)
+                                for _ in range(rng.randint(0, 12)))
+            chains.update(code[:size] for size in range(1, len(code) + 1))
+        mixed = depth_one | long_prefixes | chains
+        return [sorted(shape) for shape in
+                (depth_one, long_prefixes, chains, mixed)]
+
+    def test_blob_equals_per_component_reference(self):
+        rng = random.Random(2009)
+        for _ in range(60):
+            for components in self.shaped_lists(rng):
+                packed = pack_component_tuples(components, presorted=True)
+                blob = packed.to_blob()
+                assert blob == self.reference_blob(components)
+                assert PackedDeweyList.from_blob(blob) == packed
+        assert EMPTY_PACKED.to_blob() == self.reference_blob([])
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             PackedDeweyList.from_blob(b"NOPE" + b"<" + b"\0" * 16)
@@ -208,7 +262,7 @@ class TestBlobCodec:
 # ---------------------------------------------------------------------- #
 # Merge kernel
 # ---------------------------------------------------------------------- #
-class TestMergeKernels:
+class TestMatchList:
     def reference_masks(self, lists):
         masks = {}
         for index, components in enumerate(lists):
@@ -216,29 +270,35 @@ class TestMergeKernels:
                 masks[parts] = masks.get(parts, 0) | (1 << index)
         return sorted(masks.items())
 
-    def test_iter_matches_masks_and_order(self):
+    def test_match_list_masks_and_order(self):
         rng = random.Random(31)
         for _ in range(50):
             lists = [random_component_lists(rng, rng.randint(1, 40))
                      for _ in range(rng.randint(1, 5))]
             packed = [pack_component_tuples(parts, presorted=True)
                       for parts in lists]
-            got = [(tuple(comps), mask) for comps, mask in iter_matches(packed)]
+            got = [(tuple(comps), mask) for comps, mask in match_list(packed)]
             assert got == self.reference_masks(lists)
 
-    def test_iter_matches_skewed_lists_gallop(self):
-        # One long run against one sparse list: the gallop path's bread and
-        # butter.  Same reference semantics as the random trials.
+    def test_match_list_long_run_against_sparse_list(self):
+        # One long run against one sparse list, one of whose nodes is also
+        # in the run.  Same reference semantics as the random trials.
         long = [(0, i) for i in range(500)]
         sparse = [(0, 250), (0, 900)]
         packed = [pack_component_tuples(long, presorted=True),
                   pack_component_tuples(sparse, presorted=True)]
-        got = [(tuple(comps), mask) for comps, mask in iter_matches(packed)]
+        got = [(tuple(comps), mask) for comps, mask in match_list(packed)]
         assert got == self.reference_masks([long, sparse])
 
-    def test_iter_matches_empty_inputs(self):
-        assert list(iter_matches([])) == []
-        assert list(iter_matches([EMPTY_PACKED, EMPTY_PACKED])) == []
+    def test_match_list_empty_inputs(self):
+        assert match_list([]) == []
+        assert match_list([EMPTY_PACKED, EMPTY_PACKED]) == []
+
+    def test_match_list_yields_raw_slices(self):
+        packed = pack_component_tuples([(0, 1), (0, 2)], presorted=True)
+        matches = match_list([packed, packed])
+        assert [mask for _, mask in matches] == [3, 3]
+        assert all(type(comps) is array for comps, _ in matches)
 
 
 # ---------------------------------------------------------------------- #

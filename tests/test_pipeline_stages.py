@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Query
+from repro.core import Query, SearchEngine
 from repro.core.pipeline import FragmentPipeline, elca_roots, slca_roots
 from repro.core.valid_contributor import prune_with_valid_contributor
 from repro.datasets import PAPER_QUERIES
@@ -101,3 +101,51 @@ class TestSearchBehaviour:
         with pytest.raises(ValueError, match="unknown cid_mode"):
             FragmentPipeline(publications, pruner=prune_with_valid_contributor,
                              cid_mode="bogus")
+
+
+class TestOneMergePerSearch:
+    """``getLCA`` and ``getRTF`` of one ELCA search read one match list:
+    the query's lists are merged exactly once."""
+
+    QUERY = PAPER_QUERIES["Q2"]
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        from repro.index import packed
+
+        calls = []
+        merge = packed.match_list
+
+        def counting(lists):
+            calls.append(len(lists))
+            return merge(lists)
+
+        monkeypatch.setattr(packed, "match_list", counting)
+        return calls
+
+    def test_memory_search_merges_once(self, publications, merges):
+        engine = SearchEngine(publications)
+        result = engine.search(self.QUERY, "validrtf")
+        assert result.fragments
+        assert merges == [2]
+
+    def test_cold_sqlite_search_merges_once(self, publications, store_engine,
+                                            tmp_path, merges):
+        from repro.storage import SQLiteStore
+
+        store = SQLiteStore(tmp_path / "one.db")
+        try:
+            engine = store_engine(publications, store, "pub")
+            result = engine.search(self.QUERY, "validrtf")
+        finally:
+            store.close()
+        assert result.fragments
+        assert merges == [2]
+
+    def test_each_batched_query_merges_once(self, publications, merges):
+        engine = SearchEngine(publications)
+        queries = [self.QUERY, PAPER_QUERIES["Q3"], "xml keyword search"]
+        results = engine.search_many(queries, "validrtf")
+        assert all(result.fragments for result in results)
+        assert merges == [len(Query.parse(query).keywords)
+                          for query in queries]

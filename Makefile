@@ -48,12 +48,12 @@ bench-collect:   ## benchmark suite collection check only
 smoke:           ## tier-1 + collection guard + one tiny end-to-end bench query
 	bash scripts/smoke.sh
 
-bench-export:    ## BENCH_core.json: per-algorithm/backend timings
-	$(PYTHON) -m repro.cli bench-export --backend memory --backend sqlite \
+bench-export:    ## BENCH_core.json: Figures 5 + 6 on all four datasets, memory and sqlite
+	$(PYTHON) -m repro.cli bench --backend memory --backend sqlite \
 	    --repetitions 3 --output BENCH_core.json
 
-perf-smoke:      ## one tiny query per backend (memory, sqlite) checked against the oracles (CI)
-	$(PYTHON) -m repro.cli bench-export --backend memory --backend sqlite \
+perf-smoke:      ## each dataset's first query on memory and sqlite, checked against the oracles (CI)
+	$(PYTHON) -m repro.cli bench --backend memory --backend sqlite \
 	    --limit 1 --repetitions 1 --output /tmp/bench_core_smoke.json
 
 e2e-gates:       ## full-scale answer gates + pinned digests of the in-process e2e workloads (exit 3 on a failure)

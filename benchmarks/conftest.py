@@ -1,16 +1,16 @@
 """Shared fixtures for the benchmark suite.
 
 The benchmark datasets are scaled-down stand-ins for the paper's DBLP and
-XMark documents (see DESIGN.md).  Engines and workload runs are built once per
-session and shared between the Figure 5 and Figure 6 drivers so the whole
-suite stays laptop-friendly.
+XMark documents (see DESIGN.md).  Engines and the one verified Figure 5 + 6
+run are built once per session and shared between the Figure 5 and Figure 6
+tests so the whole suite stays laptop-friendly.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import DatasetSpec, default_datasets, run_workload
+from repro.bench import DatasetSpec, default_datasets, run_core_bench
 from repro.core import SearchEngine
 
 #: Sizes of the benchmark documents (publications / base items).
@@ -46,13 +46,9 @@ def engines(dataset_specs):
 
 
 @pytest.fixture(scope="session")
-def workload_runs(dataset_specs, engines):
-    """The full Figure 5 + Figure 6 measurement campaign, computed once."""
-    runs = {}
-    for name, spec in dataset_specs.items():
-        runs[name] = run_workload(spec, engine=engines[name],
-                                  repetitions=REPETITIONS)
-    return runs
+def core_payload(dataset_specs):
+    """The Figure 5 + Figure 6 run over every dataset, computed once."""
+    return run_core_bench(repetitions=REPETITIONS, specs=dataset_specs)
 
 
 def representative_queries(spec: DatasetSpec, count: int = 2):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import time_algorithm, time_batch
+from repro.bench import alternating_passes
 from repro.core import SearchEngine
 
 from .conftest import REPETITIONS, representative_queries
@@ -65,16 +65,18 @@ def test_cache_speedup_and_accounting(dataset_specs, workload_texts):
     uncached = SearchEngine(tree)
     cached = SearchEngine(tree, cache_size=256)
 
-    cold = sum(time_algorithm(uncached, text, "validrtf", REPETITIONS)
-               for text in workload_texts)
-    hot = time_batch(cached, workload_texts, "validrtf", REPETITIONS)
-
-    for text in workload_texts:
-        assert cached.search(text).fragments == uncached.search(text).fragments
+    cold_passes, hot_passes = alternating_passes(
+        [lambda: [uncached.search(text) for text in workload_texts],
+         lambda: cached.search_many(workload_texts, "validrtf")],
+        REPETITIONS)
+    cold = sum(cold_passes) / REPETITIONS
+    hot = sum(hot_passes) / REPETITIONS
 
     stats = cached.cache_stats()
-    assert stats.misses == len(workload_texts)   # first pass only
-    assert stats.hits >= REPETITIONS * len(workload_texts)
+    assert stats.misses == len(workload_texts)   # the warm-up pass only
+    assert stats.hits == REPETITIONS * len(workload_texts)
+    for text in workload_texts:
+        assert cached.search(text).fragments == uncached.search(text).fragments
     print(f"\nablation-cache: cold loop {cold * 1000:.1f} ms vs cached batch "
           f"{hot * 1000:.1f} ms per pass over {len(workload_texts)} queries "
           f"({stats})")

@@ -52,15 +52,15 @@ def test_benchmark_dblp_query_high_frequency(benchmark, engines, dataset_specs,
     benchmark(lambda: engine.search(query.text, algorithm))
 
 
-def test_figure5a_table_and_shape(workload_runs):
+def test_figure5a_table_and_shape(core_payload):
     """Regenerate the Figure 5(a) panel and check its qualitative shape."""
-    run = workload_runs[DATASET]
     print()
-    print(render_figure5(run))
-    summary = figure5_summary(run)
+    print(render_figure5(core_payload, DATASET))
+    summary = figure5_summary(core_payload, DATASET)
     assert summary["queries"] == 20
     # "Competent performance": ValidRTF stays within a small factor of the
     # revised MaxMatch on average (the paper shows near-identical bars).
     assert summary["mean_time_ratio"] < 3.0
     # Every query produced at least one RTF.
-    assert all(measurement.rtf_count >= 1 for measurement in run.measurements)
+    assert all(row["rtfs"] >= 1
+               for row in core_payload["figures"][DATASET]["rows"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import figure5_summary, render_figure5
+from repro.bench import figure5_rows, figure5_summary, render_figure5
 
 from .conftest import representative_queries
 
@@ -29,30 +29,32 @@ def test_benchmark_xmark_mixed_query(benchmark, engines, dataset_specs,
 
 
 @pytest.mark.parametrize("dataset", SCALES)
-def test_figure5_panel_shape(workload_runs, dataset):
+def test_figure5_panel_shape(core_payload, dataset):
     """Regenerate one XMark panel and check the qualitative claims."""
-    run = workload_runs[dataset]
     print()
-    print(render_figure5(run))
-    summary = figure5_summary(run)
+    print(render_figure5(core_payload, dataset))
+    summary = figure5_summary(core_payload, dataset)
     assert summary["queries"] == 18
     assert summary["mean_time_ratio"] < 3.0
-    assert all(measurement.rtf_count >= 1 for measurement in run.measurements)
+    assert all(row["rtfs"] >= 1
+               for row in core_payload["figures"][dataset]["rows"])
 
 
-def test_rtf_counts_grow_with_scale(workload_runs):
+def test_rtf_counts_grow_with_scale(core_payload):
     """The same workload finds (weakly) more RTFs on larger documents."""
     totals = {
-        dataset: sum(m.rtf_count for m in workload_runs[dataset].measurements)
+        dataset: sum(row["rtfs"]
+                     for row in core_payload["figures"][dataset]["rows"])
         for dataset in SCALES
     }
     assert totals["xmark-standard"] <= totals["xmark-data1"] <= totals["xmark-data2"]
 
 
-def test_elapsed_time_grows_with_scale(workload_runs):
+def test_elapsed_time_grows_with_scale(core_payload):
     """Total per-workload time grows with the document size."""
     totals = {
-        dataset: sum(m.validrtf_seconds for m in workload_runs[dataset].measurements)
+        dataset: sum(row["validrtf_ms"]
+                     for row in figure5_rows(core_payload, dataset))
         for dataset in SCALES
     }
     assert totals["xmark-standard"] < totals["xmark-data2"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import figure6_summary, render_figure6
+from repro.bench import render_figure6
 from repro.core import effectiveness
 
 from .conftest import representative_queries
@@ -39,11 +39,10 @@ def test_benchmark_effectiveness_pipeline(benchmark, engines, dataset_specs, sta
         benchmark(lambda: effectiveness(maxmatch, validrtf))
 
 
-def test_figure6a_table_and_shape(workload_runs):
-    run = workload_runs[DATASET]
+def test_figure6a_table_and_shape(core_payload):
     print()
-    print(render_figure6(run))
-    summary = figure6_summary(run)
+    print(render_figure6(core_payload, DATASET))
+    summary = core_payload["figures"][DATASET]["summary"]
     assert summary["queries"] == 20
     # Real-data shape: APR' stays at (or very near) zero on regular fragments.
     assert summary["mean_apr_prime"] <= 0.05
@@ -55,14 +54,17 @@ def test_figure6a_table_and_shape(workload_runs):
     assert summary["mean_max_apr"] > 0.05
 
 
-def test_every_cfr_below_one_has_a_reason(workload_runs):
+def test_every_cfr_below_one_has_a_reason(core_payload, engines):
     """Whenever CFR < 1, the differing fragments either lost nodes (extra
     pruning) or gained nodes (false-positive fix) — never silently."""
-    run = workload_runs[DATASET]
-    for measurement in run.measurements:
-        if measurement.report.cfr == 1.0:
+    engine = engines[DATASET]
+    for row in core_payload["figures"][DATASET]["rows"]:
+        if row["cfr"] == 1.0:
             continue
-        differing = [comparison for comparison in measurement.report.comparisons
+        report = effectiveness(engine.search(row["keywords"], "maxmatch"),
+                               engine.search(row["keywords"], "validrtf"))
+        assert round(report.cfr, 4) == row["cfr"]
+        differing = [comparison for comparison in report.comparisons
                      if not comparison.identical]
         assert differing
         for comparison in differing:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import figure6_summary, render_figure6
+from repro.bench import render_figure6
 
 from .conftest import representative_queries
 
@@ -30,11 +30,10 @@ def test_benchmark_compare_on_scale(benchmark, engines, dataset_specs, dataset):
 
 
 @pytest.mark.parametrize("dataset", SCALES)
-def test_figure6_panel_shape(workload_runs, dataset):
-    run = workload_runs[dataset]
+def test_figure6_panel_shape(core_payload, dataset):
     print()
-    print(render_figure6(run))
-    summary = figure6_summary(run)
+    print(render_figure6(core_payload, dataset))
+    summary = core_payload["figures"][dataset]["summary"]
     assert summary["queries"] == 18
     # ValidRTF prunes beyond MaxMatch on a substantial share of the queries.
     assert summary["queries_with_extra_pruning"] >= 6
@@ -43,23 +42,20 @@ def test_figure6_panel_shape(workload_runs, dataset):
     assert summary["queries_with_positive_apr_prime"] >= 1
 
 
-def test_extra_pruning_strengthens_with_scale(workload_runs):
+def test_extra_pruning_strengthens_with_scale(core_payload):
     """Max APR / APR' grow (weakly) as the documents get larger."""
-    means = {dataset: figure6_summary(workload_runs[dataset])["mean_max_apr"]
-             for dataset in SCALES}
-    assert means["xmark-data2"] >= means["xmark-standard"]
-    apr_counts = {
-        dataset: figure6_summary(workload_runs[dataset])[
-            "queries_with_positive_apr_prime"]
-        for dataset in SCALES
-    }
-    assert apr_counts["xmark-data2"] >= apr_counts["xmark-standard"]
+    summaries = {dataset: core_payload["figures"][dataset]["summary"]
+                 for dataset in SCALES}
+    assert summaries["xmark-data2"]["mean_max_apr"] >= \
+        summaries["xmark-standard"]["mean_max_apr"]
+    assert summaries["xmark-data2"]["queries_with_positive_apr_prime"] >= \
+        summaries["xmark-standard"]["queries_with_positive_apr_prime"]
 
 
-def test_xmark_prunes_more_than_dblp(workload_runs):
+def test_xmark_prunes_more_than_dblp(core_payload):
     """Cross-dataset shape: synthetic data shows more APR' activity than the
     bibliographic data (Figure 6(b)-(d) vs Figure 6(a))."""
-    dblp = figure6_summary(workload_runs["dblp"])
-    data2 = figure6_summary(workload_runs["xmark-data2"])
+    dblp = core_payload["figures"]["dblp"]["summary"]
+    data2 = core_payload["figures"]["xmark-data2"]["summary"]
     assert data2["queries_with_positive_apr_prime"] >= \
         dblp["queries_with_positive_apr_prime"]

@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Profile one benchmark query: cProfile + top-20 cumulative report.
 
-The companion of ``repro.cli bench-export``: where BENCH_core.json tells you
+The companion of ``repro.cli bench``: where BENCH_core.json tells you
 *whether* a path got faster, this tells you *where the time goes*.  Runs one
-workload query through a fresh engine for the chosen dataset / backend and
+workload query through a fresh engine for the chosen dataset / backend
+(``memory`` or ``sqlite``, built like the bench builds them) and
 prints the top functions by cumulative time, twice: once for the first,
 cold run (posting and node caches empty; with ``--backend sqlite`` the only
 run that reaches the node fetches and existence checks) and once for the

@@ -72,8 +72,8 @@ make obs-smoke
 echo "== chaos (fault-injected serving, self-healing clients, verify) =="
 make chaos-smoke
 
-echo "== end-to-end: tiny cached benchmark run =="
-python -m repro.cli bench --dataset dblp --figure 5 --repetitions 1 --cache
+echo "== end-to-end: tiny verified benchmark run =="
+python -m repro.cli bench --dataset dblp --limit 1 --repetitions 1
 
 echo "== examples: every examples/*.py runs =="
 for example in examples/*.py; do

@@ -1,52 +1,28 @@
-"""Benchmark harness for regenerating the paper's Figures 5 and 6."""
+"""Benchmark runner for the paper's Figures 5 and 6 (``BENCH_core.json``)."""
 
 from .harness import (
     BACKEND_NAMES,
     DatasetSpec,
-    QueryMeasurement,
-    WorkloadRun,
-    cached_engine,
     default_datasets,
     engine_for_backend,
-    measure_query,
-    run_all,
-    run_workload,
-    time_algorithm,
-    time_batch,
 )
-from .figure5 import (
-    FIGURE5_COLUMNS,
-    figure5_rows,
-    figure5_series,
-    figure5_summary,
-    render_figure5,
-    run_figure5,
-)
-from .figure6 import (
-    FIGURE6_COLUMNS,
-    figure6_rows,
-    figure6_series,
-    figure6_summary,
-    render_figure6,
-    run_figure6,
-)
-from .reporting import format_series, format_summary, format_table
 from .core_bench import (
     AnswerParityError,
     RankingEquivalenceError,
+    alternating_passes,
+    require_verified_payload,
     run_core_bench,
     run_ranking_bench,
-)
-from .export import (
-    ascii_bar_chart,
-    chart_figure5,
-    chart_figure6,
-    export_run,
-    require_verified_payload,
-    run_payload,
     write_core_bench,
-    write_csv,
-    write_json,
+)
+from .figures import (
+    FIGURE5_COLUMNS,
+    FIGURE6_COLUMNS,
+    figure5_rows,
+    figure5_summary,
+    format_table,
+    render_figure5,
+    render_figure6,
 )
 
 __all__ = [
@@ -54,40 +30,18 @@ __all__ = [
     "BACKEND_NAMES",
     "DatasetSpec",
     "RankingEquivalenceError",
+    "alternating_passes",
+    "default_datasets",
+    "engine_for_backend",
+    "require_verified_payload",
     "run_core_bench",
     "run_ranking_bench",
-    "require_verified_payload",
     "write_core_bench",
-    "QueryMeasurement",
-    "WorkloadRun",
-    "default_datasets",
-    "cached_engine",
-    "engine_for_backend",
-    "measure_query",
-    "run_workload",
-    "run_all",
-    "time_algorithm",
-    "time_batch",
-    "figure5_rows",
-    "figure5_series",
-    "figure5_summary",
-    "render_figure5",
-    "run_figure5",
     "FIGURE5_COLUMNS",
-    "figure6_rows",
-    "figure6_series",
-    "figure6_summary",
-    "render_figure6",
-    "run_figure6",
     "FIGURE6_COLUMNS",
+    "figure5_rows",
+    "figure5_summary",
     "format_table",
-    "format_series",
-    "format_summary",
-    "write_csv",
-    "write_json",
-    "ascii_bar_chart",
-    "run_payload",
-    "export_run",
-    "chart_figure5",
-    "chart_figure6",
+    "render_figure5",
+    "render_figure6",
 ]

@@ -1,43 +1,48 @@
-"""BENCH_core.json — the core-engine perf trajectory artefact.
+"""BENCH_core.json: the paper's Figures 5 and 6 and the engine's timings.
 
-The Figure 5/6 drivers measure MaxMatch-vs-ValidRTF per query; this module
-records the *systems* axes on top of the paper's: per-algorithm and
-per-backend timings over the same workloads, so every PR that touches a hot
-path leaves a comparable number behind.
+:func:`run_core_bench` is the one driver.  For each dataset of the
+experiment table (:func:`~repro.bench.harness.default_datasets`: DBLP and
+the three XMark scales) it
 
-The run doubles as a correctness guard: before anything is timed, every
-measured backend answers every (query, algorithm) pair and the results must
-equal the memory engine's — roots, kept node sets, SLCA flags — whose
-ELCA/SLCA roots must in turn equal the naive definitions
-(:func:`~repro.lca.naive_elca` / :func:`~repro.lca.naive_slca`) on the same
-posting lists.  A drifting backend or hot loop fails the bench instead of
-producing fast-but-wrong numbers (this is what the CI perf-smoke step runs,
-scaled down, on the memory backend alone — so the independent oracle is what
-it checks against).
+1. checks every answer before it times the dataset (:func:`_verify_answers`):
+   the memory engine's ELCA and SLCA roots must equal the naive definitions
+   (:func:`~repro.lca.naive_elca` / :func:`~repro.lca.naive_slca`) on the
+   same posting lists, and every measured backend must answer every
+   (query, algorithm) pair exactly like the memory engine (roots, kept and
+   fragment node sets, SLCA flags);
+2. records Figure 6 from those same verified results: per query the RTF
+   count, the LCA roots, the nodes each algorithm keeps, and CFR, APR' and
+   Max APR (:func:`~repro.core.effectiveness`), with the dataset's
+   :func:`~repro.core.summarize_reports`;
+3. times Figure 5: each query's (backend, algorithm) runs in one
+   alternating loop (:func:`alternating_passes`).
+
+The ``figures`` section is deterministic: a change in it is a change of
+answers.  The ranking and observability sections time their two sides with
+the same loop.  The ``bench`` command prints the Figure 5 and 6 panels as
+renderings of this payload (:mod:`repro.bench.figures`), and
+:func:`write_core_bench` persists it only when its guards ran.
 """
 
 from __future__ import annotations
 
+import gc
+import json
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core import SearchEngine
+from ..core import SearchEngine, effectiveness, summarize_reports
 from ..corpus import CorpusSearchEngine
-from ..datasets import DBLPConfig, dblp_workload, generate_dblp
+from ..datasets import DBLPConfig, WorkloadQuery, dblp_workload, generate_dblp
 from ..lca import naive_elca, naive_slca
 from ..obs import MetricsRegistry
 from ..obs import names as metric_names
 from ..xmltree import TreeBuilder, XMLTree
-from .harness import (
-    DatasetSpec,
-    default_datasets,
-    engine_for_backend,
-    time_algorithm,
-)
+from .harness import DatasetSpec, default_datasets, engine_for_backend
 
-#: Axes measured by default.
-DEFAULT_BACKENDS = ("memory",)
-DEFAULT_ALGORITHMS = ("validrtf", "maxmatch")
+#: The two algorithms the paper's figures compare, in timing order.
+ALGORITHMS = ("validrtf", "maxmatch")
 
 
 class AnswerParityError(AssertionError):
@@ -68,70 +73,71 @@ def _result_fingerprint(result) -> Tuple:
     )
 
 
-def run_core_bench(datasets: Sequence[str] = ("dblp",),
-                   backends: Sequence[str] = DEFAULT_BACKENDS,
-                   algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
+def run_core_bench(datasets: Optional[Sequence[str]] = None,
+                   backends: Sequence[str] = ("memory",),
                    repetitions: int = 2,
                    limit: Optional[int] = None,
-                   verify: bool = True,
                    specs: Optional[Dict[str, DatasetSpec]] = None
                    ) -> Dict[str, object]:
-    """Measure the workload over every (dataset, backend).
+    """Verify, record Figure 6 and time Figure 5 over every dataset.
 
-    Returns the ``BENCH_core.json`` payload: one entry per (dataset, backend,
-    algorithm, query) with the Figure-5 protocol average (``repetitions``
-    timed passes after a discarded warm-up), plus per-(dataset, backend,
-    algorithm) total-time summaries, the ``ranking`` section
-    (:func:`run_ranking_bench`) and the ``observability`` section
-    (:func:`run_obs_overhead_bench`).
+    Returns the ``BENCH_core.json`` payload: one timing entry per (dataset,
+    backend, algorithm, query), the mean of ``repetitions`` alternating
+    passes after a discarded warm-up; per-(dataset, backend, algorithm)
+    totals; the deterministic ``figures`` section per dataset; the
+    ``ranking`` section (:func:`run_ranking_bench`) and the
+    ``observability`` section (:func:`run_obs_overhead_bench`, on the
+    first dataset).
 
-    ``limit`` trims each dataset's workload to its first N queries (the CI
-    perf-smoke uses 1); ``verify=True`` runs :func:`_verify_answers` before
-    timing and raises :class:`AnswerParityError` on any mismatch.
+    ``datasets`` defaults to every dataset of ``specs`` (the four of
+    :func:`default_datasets`); a dataset or backend named twice runs once.
+    ``limit`` keeps each workload's first N queries.  Raises :class:`AnswerParityError`, before the dataset is
+    timed, when one of its answers is wrong.
     """
     specs = specs if specs is not None else default_datasets()
+    datasets = tuple(dict.fromkeys(datasets if datasets is not None else specs))
     entries: List[Dict[str, object]] = []
+    figures: Dict[str, object] = {}
     for dataset in datasets:
-        spec = specs[dataset]
-        queries = list(spec.workload)
-        if limit is not None:
-            queries = queries[:limit]
-        tree = spec.tree_factory()
+        queries = _first(specs[dataset].workload, limit)
+        tree = specs[dataset].tree_factory()
         engines = {backend: engine_for_backend(tree, backend, document=dataset)
                    for backend in backends}
-        if verify:
-            _verify_answers(dataset, tree, queries, algorithms, engines)
-        for backend, engine in engines.items():
-            for query in queries:
-                for algorithm in algorithms:
-                    seconds = time_algorithm(engine, query.text, algorithm,
-                                             repetitions)
-                    entries.append({
-                        "dataset": dataset,
-                        "backend": backend,
-                        "algorithm": algorithm,
-                        "query": query.label,
-                        "keywords": query.text,
-                        "ms": round(seconds * 1000.0, 4),
-                    })
+        figures[dataset] = _verify_answers(dataset, tree, queries, engines)
+        runs = [(backend, algorithm) for backend in engines
+                for algorithm in ALGORITHMS]
+        for query in queries:
+            passes = alternating_passes(
+                [lambda e=engines[backend], a=algorithm, q=query.text:
+                 e.search(q, a) for backend, algorithm in runs],
+                repetitions)
+            for (backend, algorithm), seconds in zip(runs, passes):
+                entries.append({
+                    "dataset": dataset,
+                    "backend": backend,
+                    "algorithm": algorithm,
+                    "query": query.label,
+                    "keywords": query.text,
+                    "ms": round(sum(seconds) / repetitions * 1000.0, 4),
+                })
     return {
         "benchmark": "core",
         "protocol": {
             "repetitions": repetitions,
             "warmup_discarded": True,
-            "verified_parity": bool(verify),
+            "alternating": True,
+            "verified_parity": True,
         },
         "entries": entries,
         "summary": _summaries(entries),
-        "ranking": run_ranking_bench(repetitions=repetitions, limit=limit,
-                                     verify=verify),
+        "figures": figures,
+        "ranking": run_ranking_bench(repetitions=repetitions, limit=limit),
         "observability": run_obs_overhead_bench(
-            repetitions=repetitions, limit=limit, specs=specs),
+            datasets[0], repetitions=repetitions, limit=limit, specs=specs),
     }
 
 
 def run_obs_overhead_bench(dataset: str = "dblp",
-                           algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
                            repetitions: int = 2,
                            limit: Optional[int] = None,
                            specs: Optional[Dict[str, DatasetSpec]] = None
@@ -142,11 +148,10 @@ def run_obs_overhead_bench(dataset: str = "dblp",
     :class:`~repro.obs.MetricsRegistry` attached (the configuration every
     pooled server engine runs in).  Sub-millisecond queries make sequential
     A-then-B timing systematically unfair (whatever drift hits the second
-    side is charged to instrumentation), so each repetition times the two
-    engines back-to-back with the order *alternating* per pass
-    (:func:`_alternating_passes`), and each side keeps its best (minimum)
-    pass — scheduler noise only ever adds time, so the minimum is the
-    faithful per-query cost on both sides.
+    side is charged to instrumentation), so the two engines are timed in
+    alternating order (:func:`alternating_passes`), and each side keeps
+    its best (minimum) pass — scheduler noise only ever adds time, so the
+    minimum is the faithful per-query cost on both sides.
     ``instrumented_over_plain`` is the total-time ratio — the observability
     acceptance bar keeps it within a few percent of 1.0.  The registry's
     own ``query.count`` is returned too, proving the instrumented side
@@ -154,9 +159,7 @@ def run_obs_overhead_bench(dataset: str = "dblp",
     """
     specs = specs if specs is not None else default_datasets()
     spec = specs[dataset]
-    queries = list(spec.workload)
-    if limit is not None:
-        queries = queries[:limit]
+    queries = _first(spec.workload, limit)
     tree = spec.tree_factory()
     plain = SearchEngine(tree)
     instrumented = SearchEngine(tree)
@@ -166,10 +169,10 @@ def run_obs_overhead_bench(dataset: str = "dblp",
     plain_total = 0.0
     instrumented_total = 0.0
     for query in queries:
-        for algorithm in algorithms:
-            plain_passes, instrumented_passes = _alternating_passes(
-                lambda q=query.text, a=algorithm: plain.search(q, a),
-                lambda q=query.text, a=algorithm: instrumented.search(q, a),
+        for algorithm in ALGORITHMS:
+            plain_passes, instrumented_passes = alternating_passes(
+                [lambda q=query.text, a=algorithm: plain.search(q, a),
+                 lambda q=query.text, a=algorithm: instrumented.search(q, a)],
                 repetitions)
             plain_seconds = min(plain_passes)
             instrumented_seconds = min(instrumented_passes)
@@ -199,8 +202,8 @@ def run_obs_overhead_bench(dataset: str = "dblp",
 
 def run_ranking_bench(doc_count: int = 6, publications_per_doc: int = 120,
                       top_k: int = 5, algorithm: str = "validrtf",
-                      repetitions: int = 2, limit: Optional[int] = None,
-                      verify: bool = True) -> Dict[str, object]:
+                      repetitions: int = 2, limit: Optional[int] = None
+                      ) -> Dict[str, object]:
     """The ranked-retrieval row of ``BENCH_core.json``.
 
     Partitions one ``doc_count * publications_per_doc``-record DBLP
@@ -209,38 +212,33 @@ def run_ranking_bench(doc_count: int = 6, publications_per_doc: int = 120,
     bibliography — genuinely live in only a few documents, the regime
     where keyword-impact upper bounds have teeth) and, per workload
     query, times top-k retrieval exhaustively versus with the
-    threshold-algorithm driver: one discarded warm-up pass of each, then
-    ``repetitions`` passes of each in alternating order
-    (:func:`_alternating_passes`), averaged.
+    threshold-algorithm driver in alternating order
+    (:func:`alternating_passes`), averaged.
 
-    ``verify=True`` (the bench-honesty contract) first asserts the two
-    paths return the *identical* ranking — same documents, roots and
-    bit-identical scores — and raises :class:`RankingEquivalenceError`
-    otherwise; only then is anything timed.  ``docs_visited_over_selected``
-    < 1 is the observable win: the driver answered the same top-k while
-    provably skipping the remaining documents.
+    Each query first passes the bench-honesty guard: the two paths must
+    return the *identical* ranking — same documents, roots and
+    bit-identical scores — or :class:`RankingEquivalenceError` is raised
+    before anything is timed.  ``docs_visited_over_selected`` < 1 is the
+    observable win: the driver answered the same top-k while provably
+    skipping the remaining documents.
     """
     trees = _partitioned_dblp_corpus(doc_count, publications_per_doc)
     engine = CorpusSearchEngine.from_trees(trees)
-    queries = list(dblp_workload())
-    if limit is not None:
-        queries = queries[:limit]
     entries: List[Dict[str, object]] = []
     exhaustive_total = 0.0
     early_total = 0.0
     visited_total = 0
     selected_total = 0
-    for query in queries:
-        if verify:
-            _verify_ranking_equivalence(engine, query, algorithm, top_k)
+    for query in _first(dblp_workload(), limit):
+        _verify_ranking_equivalence(engine, query, algorithm, top_k)
         outcome = engine.rank_search(query.text, algorithm, top_k=top_k,
                                      early_terminate=True)
-        exhaustive_passes, early_passes = _alternating_passes(
-            lambda q=query.text: engine.rank_search(q, algorithm,
-                                                    top_k=top_k),
-            lambda q=query.text: engine.rank_search(q, algorithm,
-                                                    top_k=top_k,
-                                                    early_terminate=True),
+        exhaustive_passes, early_passes = alternating_passes(
+            [lambda q=query.text: engine.rank_search(q, algorithm,
+                                                     top_k=top_k),
+             lambda q=query.text: engine.rank_search(q, algorithm,
+                                                     top_k=top_k,
+                                                     early_terminate=True)],
             repetitions)
         exhaustive_seconds = sum(exhaustive_passes) / repetitions
         early_seconds = sum(early_passes) / repetitions
@@ -261,7 +259,7 @@ def run_ranking_bench(doc_count: int = 6, publications_per_doc: int = 120,
         "documents": doc_count,
         "publications_per_document": publications_per_doc,
         "top_k": top_k,
-        "verified_equivalence": bool(verify),
+        "verified_equivalence": True,
         "entries": entries,
         "exhaustive_total_ms": round(exhaustive_total * 1000.0, 4),
         "early_total_ms": round(early_total * 1000.0, 4),
@@ -276,27 +274,44 @@ def run_ranking_bench(doc_count: int = 6, publications_per_doc: int = 120,
     }
 
 
-def _alternating_passes(first: Callable[[], object],
-                        second: Callable[[], object],
-                        repetitions: int) -> Tuple[List[float], List[float]]:
-    """Seconds of ``repetitions`` timed passes of each of two runs.
+def alternating_passes(runs: Sequence[Callable[[], object]],
+                       repetitions: int) -> List[List[float]]:
+    """Seconds of ``repetitions`` timed passes of each run, per run.
 
-    One warm-up pass of each is discarded; then each repetition times both
-    back-to-back, ``first`` leading in even repetitions and ``second`` in
-    odd ones, so neither always runs right after the other.
+    One warm-up pass of each run is discarded; then each repetition times
+    every run back-to-back, the first run rotating by one per repetition,
+    so no run always leads or always follows the same neighbour.  The
+    cyclic garbage collector is off while the runs execute, as in
+    :mod:`timeit`: one full collection of the process's heap outlasts many
+    sub-millisecond passes, and the allocation history, not the runs,
+    decides which pass it lands in.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
-    first()
-    second()
-    runs = (first, second)
-    passes: Tuple[List[float], List[float]] = ([], [])
-    for repetition in range(repetitions):
-        for which in ((0, 1) if repetition % 2 == 0 else (1, 0)):
-            started = time.perf_counter()
-            runs[which]()
-            passes[which].append(time.perf_counter() - started)
+    passes: List[List[float]] = [[] for _ in runs]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for run in runs:
+            run()
+        for repetition in range(repetitions):
+            for offset in range(len(runs)):
+                which = (repetition + offset) % len(runs)
+                started = time.perf_counter()
+                runs[which]()
+                passes[which].append(time.perf_counter() - started)
+    finally:
+        if collecting:
+            gc.enable()
     return passes
+
+
+def _first(workload: Sequence[WorkloadQuery],
+           limit: Optional[int]) -> List[WorkloadQuery]:
+    """The workload's first ``limit`` queries (all of them for None)."""
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    return list(workload)[:limit]
 
 
 def _partitioned_dblp_corpus(doc_count: int, publications_per_doc: int,
@@ -349,8 +364,8 @@ def _verify_ranking_equivalence(engine, query, algorithm, top_k) -> None:
             f"(visited {early.docs_visited}/{early.docs_selected} documents)")
 
 
-def _verify_answers(dataset, tree, queries, algorithms, engines) -> None:
-    """Check every measured answer against two references before timing.
+def _verify_answers(dataset, tree, queries, engines) -> Dict[str, object]:
+    """Check every measured answer, and return the Figure 6 it gives.
 
     1. The memory engine's ELCA and SLCA roots equal :func:`naive_elca` /
        :func:`naive_slca` on the same posting lists — the independent
@@ -358,9 +373,14 @@ def _verify_answers(dataset, tree, queries, algorithms, engines) -> None:
     2. Every measured backend answers every (query, algorithm) pair exactly
        like the memory engine (reused when measured, else built over
        ``tree``).
+
+    The memory engine's verified results then give the dataset's Figure 6
+    section: one row per query and the workload summary.
     """
     reference = engines["memory"] if "memory" in engines \
         else SearchEngine(tree)
+    rows: List[Dict[str, object]] = []
+    reports = []
     for query in queries:
         lists = reference.keyword_nodes(query.text)
         for pipeline, oracle in (("validrtf", naive_elca),
@@ -370,9 +390,10 @@ def _verify_answers(dataset, tree, queries, algorithms, engines) -> None:
                 raise AnswerParityError(
                     f"{dataset}/memory/{pipeline}/{query.label}: LCA roots "
                     f"differ from {oracle.__name__}")
-        for algorithm in algorithms:
-            expected = _result_fingerprint(
-                reference.search(query.text, algorithm))
+        results = {}
+        for algorithm in ALGORITHMS:
+            results[algorithm] = reference.search(query.text, algorithm)
+            expected = _result_fingerprint(results[algorithm])
             for backend, engine in engines.items():
                 if engine is reference:
                     continue
@@ -381,6 +402,22 @@ def _verify_answers(dataset, tree, queries, algorithms, engines) -> None:
                     raise AnswerParityError(
                         f"{dataset}/{backend}/{algorithm}/{query.label}: "
                         f"answer differs from the memory engine")
+        report = effectiveness(results["maxmatch"], results["validrtf"])
+        reports.append(report)
+        rows.append({
+            "query": query.label,
+            "keywords": query.text,
+            "rtfs": results["validrtf"].count,
+            "lca_roots": len(results["validrtf"].lca_nodes),
+            "maxmatch_kept": results["maxmatch"].total_kept_nodes(),
+            "validrtf_kept": results["validrtf"].total_kept_nodes(),
+            "cfr": round(report.cfr, 4),
+            "apr_prime": round(report.apr_prime, 4),
+            "max_apr": round(report.max_apr, 4),
+        })
+    summary = {key: round(value, 4)
+               for key, value in summarize_reports(reports).items()}
+    return {"rows": rows, "summary": summary}
 
 
 def _summaries(entries: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
@@ -392,3 +429,45 @@ def _summaries(entries: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
     return [{"dataset": dataset, "backend": backend, "algorithm": algorithm,
              "total_ms": round(total, 4)}
             for (dataset, backend, algorithm), total in sorted(totals.items())]
+
+
+def require_verified_payload(payload: Dict[str, object]) -> None:
+    """Refuse core-bench payloads whose verification guards did not run.
+
+    :func:`run_core_bench` records that its answer checks (backends vs.
+    memory, memory vs. the naive LCA definitions) ran under
+    ``protocol.verified_parity``, and that the ranking section's
+    early-vs-exhaustive equality guard ran under
+    ``ranking.verified_equivalence``.  A payload without them may contain
+    fast-but-wrong numbers, so persisting it as the ``BENCH_core.json``
+    artefact is forbidden.
+    """
+    protocol = payload.get("protocol")
+    verified = isinstance(protocol, dict) and protocol.get("verified_parity")
+    if not verified:
+        raise AnswerParityError(
+            "refusing to persist an unverified core-bench payload "
+            "(protocol.verified_parity is not set)")
+    ranking = payload.get("ranking")
+    if ranking is not None and not (
+            isinstance(ranking, dict) and
+            ranking.get("verified_equivalence")):
+        raise RankingEquivalenceError(
+            "refusing to persist a core-bench payload whose ranking section "
+            "skipped the early-vs-exhaustive equality guard "
+            "(ranking.verified_equivalence is not set)")
+
+
+def write_core_bench(payload: Dict[str, object],
+                     path: Union[str, Path] = "BENCH_core.json") -> Path:
+    """Persist a :func:`run_core_bench` payload as JSON.
+
+    Calls :func:`require_verified_payload` first: the artefact is only ever
+    written from an answer-verified run (the bench-honesty contract the lint
+    gate enforces on every ``BENCH_*.json`` writer).
+    """
+    require_verified_payload(payload)
+    target = Path(path)
+    target.write_text(json.dumps(payload, indent=2, sort_keys=True),
+                      encoding="utf-8")
+    return target

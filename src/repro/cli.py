@@ -29,8 +29,10 @@ Sub-commands
     Run both algorithms on one query and print the CFR / APR' / Max APR
     metrics per document together with the differing fragments.
 ``bench``
-    Regenerate the Figure 5 / Figure 6 panels for the built-in datasets,
-    optionally over the disk-backed (``--backend sqlite``) posting backend.
+    Check the answers on the built-in datasets, then regenerate the Figure 5
+    and Figure 6 panels from one verified, alternating timing run (memory
+    and/or the disk-backed ``--backend sqlite``); ``--output`` writes the
+    run as ``BENCH_core.json``.
 ``datasets``
     Generate and describe the built-in synthetic datasets (optionally writing
     them to XML files).
@@ -56,13 +58,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .bench import (
-    BACKEND_NAMES,
-    default_datasets,
-    render_figure5,
-    render_figure6,
-    run_workload,
-)
+from .bench import BACKEND_NAMES, default_datasets
 from .core import SearchEngine
 from .corpus import CorpusSearchEngine
 from .storage import SchemaVersionError, SQLiteStore
@@ -200,61 +196,25 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="only list discarded nodes")
     explain.set_defaults(handler=_command_explain)
 
-    bench = subparsers.add_parser("bench", help="regenerate Figure 5 / Figure 6")
-    bench.add_argument("--dataset", default="dblp",
+    bench = subparsers.add_parser(
+        "bench",
+        help="check answers, then regenerate Figure 5 / Figure 6 from one "
+             "alternating timing run (optionally written as BENCH_core.json)")
+    bench.add_argument("--dataset", action="append", default=None,
                        choices=sorted(default_datasets()),
-                       help="benchmark dataset")
-    bench.add_argument("--figure", default="both", choices=("5", "6", "both"))
-    bench.add_argument("--repetitions", type=int, default=2,
-                       help="timed repetitions per query (first run discarded)")
-    bench.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                       default=False,
-                       help="enable the query-result cache, so repetitions "
-                            "after the first measure the hot (cache-hit) path; "
-                            "--no-cache (the default) reproduces the paper's "
-                            "cold per-repetition protocol")
-    bench.add_argument("--cache-size", type=int, default=256,
-                       help="LRU capacity of the query-result cache "
-                            "(only with --cache)")
-    bench.add_argument("--backend", default="memory", choices=BACKEND_NAMES,
-                       help="posting backend: hot in-memory index, disk-backed "
-                            "sqlite, or a one-document corpus "
-                            "(default: memory)")
-    bench.add_argument("--db", default=None,
-                       help="sqlite database file for --backend sqlite "
-                            "(default: in-process database)")
+                       help="dataset(s) to run (repeatable; default: all four)")
+    bench.add_argument("--backend", action="append", default=None,
+                       choices=BACKEND_NAMES,
+                       help="backend(s) to time (repeatable; default: memory)")
+    bench.add_argument("--repetitions", type=_positive_int, default=2,
+                       help="timed passes per query and run, after one "
+                            "discarded warm-up")
+    bench.add_argument("--limit", type=_positive_int, default=None,
+                       help="only the first N workload queries per dataset")
+    bench.add_argument("--output", default=None,
+                       help="write the verified run to this path "
+                            "(BENCH_core.json)")
     bench.set_defaults(handler=_command_bench)
-
-    bench_export = subparsers.add_parser(
-        "bench-export",
-        help="write BENCH_core.json: per-algorithm / per-backend timings, "
-             "checked against the memory engine and the naive LCA "
-             "definitions before timing")
-    bench_export.add_argument("--dataset", action="append", default=None,
-                              choices=sorted(default_datasets()),
-                              help="dataset(s) to measure (repeatable; "
-                                   "default: dblp)")
-    bench_export.add_argument("--backend", action="append", default=None,
-                              choices=BACKEND_NAMES,
-                              help="backend(s) to measure (repeatable; "
-                                   "default: memory)")
-    bench_export.add_argument("--algorithm", action="append", default=None,
-                              choices=("validrtf", "maxmatch",
-                                       "validrtf-slca", "maxmatch-slca"),
-                              help="algorithm(s) to time (repeatable; "
-                                   "default: validrtf + maxmatch)")
-    bench_export.add_argument("--repetitions", type=int, default=2,
-                              help="timed repetitions per query "
-                                   "(first run discarded)")
-    bench_export.add_argument("--limit", type=int, default=None,
-                              help="only the first N workload queries per "
-                                   "dataset (smoke runs use 1)")
-    bench_export.add_argument("--no-verify", action="store_true",
-                              help="skip the answer checks (memory engine, "
-                                   "naive LCA definitions) before timing")
-    bench_export.add_argument("--output", default="BENCH_core.json",
-                              help="artefact path ('-' prints to stdout only)")
-    bench_export.set_defaults(handler=_command_bench_export)
 
     datasets = subparsers.add_parser("datasets",
                                      help="describe / export the built-in datasets")
@@ -292,7 +252,8 @@ def _add_document_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default=None, choices=BACKEND_NAMES,
+    parser.add_argument("--backend", default=None,
+                        choices=("memory", "sqlite", "corpus"),
                         help="posting backend (default: memory, or sqlite "
                              "when --db is given)")
     parser.add_argument("--db", default=None,
@@ -301,6 +262,18 @@ def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--doc", default=None,
                         help="document name inside --db (default: the only "
                              "stored document)")
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, not {text!r}")
+    return value
 
 
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
@@ -592,62 +565,28 @@ def _command_explain(arguments: argparse.Namespace) -> int:
 
 
 def _command_bench(arguments: argparse.Namespace) -> int:
-    from .bench import engine_for_backend
+    from .bench import (AnswerParityError, render_figure5, render_figure6,
+                        run_core_bench, write_core_bench)
 
-    specs = default_datasets()
-    spec = specs[arguments.dataset]
-    cache_size = arguments.cache_size if arguments.cache else 0
-    if arguments.cache and arguments.cache_size <= 0:
-        print("--cache requires a positive --cache-size", file=sys.stderr)
-        return 2
+    backends = list(dict.fromkeys(arguments.backend or ["memory"]))
     try:
-        engine = engine_for_backend(spec.tree_factory(), arguments.backend,
-                                    cache_size=cache_size,
-                                    db_path=arguments.db, document=spec.name)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    run = run_workload(spec, engine=engine, repetitions=arguments.repetitions)
-    if arguments.figure in ("5", "both"):
-        print(render_figure5(run))
-        print()
-    if arguments.figure in ("6", "both"):
-        print(render_figure6(run))
-    if arguments.cache:
-        print()
-        print(f"query cache: {engine.cache_stats()}")
-    return 0
-
-
-def _command_bench_export(arguments: argparse.Namespace) -> int:
-    from .bench import AnswerParityError, run_core_bench, write_core_bench
-
-    datasets = arguments.dataset or ["dblp"]
-    backends = arguments.backend or ["memory"]
-    algorithms = tuple(arguments.algorithm or ("validrtf", "maxmatch"))
-    try:
-        payload = run_core_bench(
-            datasets=datasets,
-            backends=backends,
-            algorithms=algorithms,
-            repetitions=arguments.repetitions,
-            limit=arguments.limit,
-            verify=not arguments.no_verify,
-        )
+        payload = run_core_bench(datasets=arguments.dataset, backends=backends,
+                                 repetitions=arguments.repetitions,
+                                 limit=arguments.limit)
     except AnswerParityError as error:
         print(f"answer parity violated: {error}", file=sys.stderr)
         return 1
+    for dataset in payload["figures"]:
+        for backend in backends:
+            print(render_figure5(payload, dataset, backend))
+            print()
+        print(render_figure6(payload, dataset))
+        print()
     for summary in payload["summary"]:
         print(f"{summary['dataset']}/{summary['backend']}/"
               f"{summary['algorithm']}: {summary['total_ms']:.2f} ms")
-    if arguments.output and arguments.output != "-":
-        try:
-            path = write_core_bench(payload, arguments.output)
-        except AnswerParityError as error:
-            # --no-verify runs can print summaries but never persist the
-            # artefact: BENCH_core.json is only written from verified runs.
-            print(f"artefact not written: {error}", file=sys.stderr)
-            return 1
+    if arguments.output:
+        path = write_core_bench(payload, arguments.output)
         print(f"artefact written to {path}")
     return 0
 

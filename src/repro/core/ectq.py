@@ -26,9 +26,15 @@ paper's Definition 2 phrases this through arbitrary keyword-node subsets, but
 the partitions its own pipeline materializes are exactly those rooted at the
 interesting LCA (ELCA) nodes returned by ``getLCA`` — so the executable
 specification identifies "deeper partitions" with subtrees of ELCA nodes
-strictly below ``LCA(U)``.  With that reading the specification coincides with
-``getLCA`` + ``getRTF`` (checked by tests on the figure instances, Examples 3
-and 4, and random inputs).
+strictly below ``LCA(U)``.
+
+With that reading the specification agrees with ``getLCA`` + ``getRTF`` on
+the figure instances (Examples 3 and 4) and on most small random inputs, but
+not on all of them.  ``getRTF`` gives every keyword node to its nearest ELCA
+root, so a root's partition can hold two keyword nodes, one per keyword,
+whose own LCA lies below the root and is no ELCA; condition 1 rejects that
+partition, and ``getRTF`` keeps it.  ``tests/test_ectq.py`` pins two such
+inputs, and DESIGN.md section 9 records the departure.
 """
 
 from __future__ import annotations

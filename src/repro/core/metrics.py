@@ -148,11 +148,14 @@ def summarize_reports(reports: Sequence[EffectivenessReport]) -> Dict[str, float
     """Aggregate Figure 6 style numbers over a whole workload."""
     if not reports:
         return {"queries": 0, "mean_cfr": 1.0, "mean_apr_prime": 0.0,
-                "mean_max_apr": 0.0, "queries_with_extra_pruning": 0}
+                "mean_max_apr": 0.0, "queries_with_extra_pruning": 0,
+                "queries_with_positive_apr_prime": 0}
     return {
         "queries": len(reports),
         "mean_cfr": sum(report.cfr for report in reports) / len(reports),
         "mean_apr_prime": sum(report.apr_prime for report in reports) / len(reports),
         "mean_max_apr": sum(report.max_apr for report in reports) / len(reports),
         "queries_with_extra_pruning": sum(1 for report in reports if report.cfr < 1.0),
+        "queries_with_positive_apr_prime": sum(1 for report in reports
+                                               if report.apr_prime > 0.0),
     }

@@ -16,7 +16,7 @@ from repro.core import (
     check_query_monotonicity,
 )
 from repro.datasets import PAPER_QUERIES, publications_tree, team_tree
-from repro.xmltree import DeweyCode, SubtreeSpec
+from repro.xmltree import DeweyCode, SubtreeSpec, parse_string
 
 D = DeweyCode.parse
 
@@ -154,3 +154,51 @@ class TestAxiomsOnRandomTrees:
         report = check_all_axioms(validrtf_factory, tree, query,
                                   tree.root.dewey, insertion, extra_keyword)
         assert report.all_satisfied, [check.detail for check in report.failed()]
+
+
+class TestMaxMatchDataConsistencyCounterexample:
+    """``maxmatch`` on ELCA roots can fail data consistency; ValidRTF holds.
+
+    The tree is ``tests/fuzz_util.py``'s ``random_document(934,
+    max_nodes=25)`` (22 nodes), written out.  Inserting ``<e><b>eta</b></e>``
+    under 0.1.0.1 makes the root an ELCA of ``alpha eta``.  MaxMatch's
+    contributor rule then prunes 0.1, because its sibling 0.0 covers a
+    strict superset of 0.1's keywords, so the new fragment leaves out the
+    inserted node that created it.  The paper claims the four properties for
+    ValidRTF only (DESIGN.md section 10).
+    """
+
+    XML = ("<d>alpha<b>zeta gamma beta<c><d><e/><e>beta gamma zeta</e>"
+           "<e>beta beta alpha</e></d><a><e>delta beta</e><a>eta alpha</a>"
+           "<d>eta gamma</d></a></c></b><d><a><d/><e><b/><e>zeta</e>"
+           "<b>delta</b></e><d>delta beta<b>gamma delta</b>"
+           "<c>zeta delta</c></d></a><a/></d></d>")
+    INSERTION = SubtreeSpec("e", None, children=[SubtreeSpec("b", "eta")])
+    PARENT = D("0.1.0.1")
+
+    @pytest.mark.parametrize("keyword", ["beta", "gamma", "zeta", "delta"])
+    def test_maxmatch_fails_data_consistency_only(self, keyword):
+        tree = parse_string(self.XML)
+        assert tree.size() == 22
+        maxmatch = check_all_axioms(maxmatch_factory, tree, "alpha eta",
+                                    self.PARENT, self.INSERTION, keyword)
+        assert [check.property_name for check in maxmatch.failed()] == \
+            ["data consistency"]
+        validrtf = check_all_axioms(validrtf_factory, tree, "alpha eta",
+                                    self.PARENT, self.INSERTION, keyword)
+        assert validrtf.all_satisfied, \
+            [check.detail for check in validrtf.failed()]
+
+    def test_the_contributor_rule_prunes_the_inserted_branch(self):
+        tree = parse_string(self.XML)
+        mutated = tree.with_inserted_subtree(self.PARENT, self.INSERTION)
+        inserted = D("0.1.0.1.3")
+        assert MaxMatch(tree).search("alpha eta").roots() == (D("0.0.0.1.1"),)
+        maxmatch = MaxMatch(mutated).search("alpha eta").by_root()[D("0")]
+        validrtf = ValidRTF(mutated).search("alpha eta").by_root()[D("0")]
+        # The inserted eta node is the root fragment's keyword node on both
+        # sides, but only ValidRTF keeps the branch that leads to it.
+        assert inserted.child(0) in maxmatch.fragment.keyword_nodes
+        assert D("0.1") not in maxmatch.kept_nodes
+        assert inserted not in maxmatch.kept_nodes
+        assert {D("0.1"), inserted} <= set(validrtf.kept_nodes)

@@ -47,6 +47,26 @@ def paper_q2_spec():
     )
 
 
+def drop_last_sqlite_fragment(engine, backend):
+    """Corrupt the sqlite engine: every answer loses its last fragment."""
+    if backend != "sqlite":
+        return
+    search = engine.search
+
+    def corrupted(query, algorithm="validrtf"):
+        result = search(query, algorithm)
+        return replace(result, fragments=result.fragments[:-1])
+
+    engine.search = corrupted
+
+
+def drop_last_root(engine, backend):
+    """Corrupt the ELCA stage: ``getLCA`` loses its last root."""
+    pipeline = engine.algorithm("validrtf")
+    lca_function = pipeline.lca_function
+    pipeline.lca_function = lambda lists: lca_function(lists)[:-1]
+
+
 class TestCoreBenchAnswerChecks:
     """``run_core_bench`` refuses to time an engine that answers wrong."""
 
@@ -74,31 +94,30 @@ class TestCoreBenchAnswerChecks:
             {"memory", "sqlite"}
 
     def test_backend_answer_differing_from_memory_raises(self, monkeypatch):
-        def drop_last_fragment(engine, backend):
-            if backend != "sqlite":
-                return
-            search = engine.search
-
-            def corrupted(query, algorithm="validrtf"):
-                result = search(query, algorithm)
-                return replace(result, fragments=result.fragments[:-1])
-
-            engine.search = corrupted
-
         with pytest.raises(AnswerParityError, match="sqlite"):
-            self.run(monkeypatch, drop_last_fragment, ("memory", "sqlite"))
+            self.run(monkeypatch, drop_last_sqlite_fragment,
+                     ("memory", "sqlite"))
 
     def test_memory_roots_differing_from_naive_raise(self, monkeypatch):
         # A memory-only run (what CI's perf-smoke does) still has the naive
         # ELCA/SLCA definitions to answer to.
-        def drop_last_root(engine, backend):
-            pipeline = engine.algorithm("validrtf")
-            lca_function = pipeline.lca_function
-            pipeline.lca_function = lambda lists: lca_function(lists)[:-1]
-
         with pytest.raises(AnswerParityError, match="naive_elca"):
             self.run(monkeypatch, drop_last_root, ("memory",))
 
+    @pytest.mark.parametrize("corrupt,backends", [
+        (drop_last_sqlite_fragment, ("memory", "sqlite")),
+        (drop_last_root, ("memory",)),
+    ], ids=["backend-parity", "naive-oracle"])
+    def test_nothing_is_timed_before_the_checks_pass(self, monkeypatch,
+                                                      corrupt, backends):
+        import repro.bench.core_bench as core_bench
+
+        timed = []
+        monkeypatch.setattr(core_bench, "alternating_passes",
+                            lambda runs, repetitions: timed.append(runs))
+        with pytest.raises(AnswerParityError):
+            self.run(monkeypatch, corrupt, backends)
+        assert timed == []
 
 class TestObservabilityOverheadBench:
     def test_overhead_section_shape(self):

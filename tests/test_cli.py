@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -78,40 +80,86 @@ class TestDatasetsCommand:
 
 
 class TestBenchCommand:
-    def test_bench_figure5_with_cache(self, capsys):
-        exit_code = main(["bench", "--dataset", "dblp", "--figure", "5",
-                          "--repetitions", "1", "--cache"])
+    def test_prints_both_panels_and_the_totals(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        exit_code = main(["bench", "--dataset", "dblp", "--limit", "1",
+                          "--repetitions", "1"])
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert "query cache:" in output
-        assert "hits=" in output
+        assert "Figure 5 — dblp (memory)" in output
+        assert "Figure 6 — dblp: CFR / APR' / Max APR" in output
+        assert "dblp/memory/validrtf:" in output
+        assert "dblp/memory/maxmatch:" in output
+        assert "artefact written" not in output
+        assert list(tmp_path.iterdir()) == []
 
-    def test_bench_no_cache_prints_no_stats(self, capsys):
-        exit_code = main(["bench", "--dataset", "dblp", "--figure", "6",
-                          "--repetitions", "1", "--no-cache"])
-        output = capsys.readouterr().out
+    def test_output_writes_the_verified_run(self, tmp_path, capsys):
+        output = tmp_path / "BENCH_core.json"
+        exit_code = main(["bench", "--dataset", "dblp",
+                          "--dataset", "xmark-standard",
+                          "--backend", "memory", "--backend", "sqlite",
+                          "--limit", "1", "--repetitions", "1",
+                          "--output", str(output)])
         assert exit_code == 0
-        assert "query cache:" not in output
+        assert f"artefact written to {output}" in capsys.readouterr().out
+        payload = json.loads(output.read_text())
+        assert payload["protocol"]["verified_parity"]
+        assert list(payload["figures"]) == ["dblp", "xmark-standard"]
+        assert {(total["dataset"], total["backend"])
+                for total in payload["summary"]} == {
+            (dataset, backend) for dataset in ("dblp", "xmark-standard")
+            for backend in ("memory", "sqlite")}
 
-    def test_bench_rejects_non_positive_cache_size(self, capsys):
-        exit_code = main(["bench", "--dataset", "dblp", "--figure", "5",
-                          "--repetitions", "1", "--cache", "--cache-size", "0"])
-        assert exit_code == 2
-        assert "positive" in capsys.readouterr().err
+    def test_a_repeated_dataset_or_backend_runs_once(self, tmp_path, capsys):
+        output = tmp_path / "BENCH_core.json"
+        exit_code = main(["bench", "--dataset", "dblp", "--dataset", "dblp",
+                          "--backend", "memory", "--backend", "memory",
+                          "--limit", "1", "--repetitions", "1",
+                          "--output", str(output)])
+        printed = capsys.readouterr().out
+        assert exit_code == 0
+        assert printed.count("Figure 5 — dblp (memory)") == 1
+        assert printed.count("dblp/memory/validrtf:") == 1
+        payload = json.loads(output.read_text())
+        keys = [(entry["dataset"], entry["backend"], entry["algorithm"],
+                 entry["query"]) for entry in payload["entries"]]
+        assert len(keys) == len(set(keys)) == 2
+        assert len(payload["summary"]) == 2
+        assert len(payload["figures"]["dblp"]["rows"]) == 1
 
-    @pytest.mark.parametrize("backend", ["memory", "corpus"])
-    def test_bench_rejects_db_without_sqlite_backend(self, tmp_path, capsys,
-                                                     backend):
-        db_path = tmp_path / "bench.db"
-        exit_code = main(["bench", "--dataset", "dblp", "--figure", "5",
-                          "--repetitions", "1", "--backend", backend,
-                          "--db", str(db_path)])
-        assert exit_code == 2
-        assert "sqlite" in capsys.readouterr().err
-        assert not db_path.exists()
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--repetitions", "--limit"])
+    def test_counts_must_be_positive(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--dataset", "dblp", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer" in err
+        assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["bench-export"],
+        ["bench", "--figure", "5"],
+        ["bench", "--cache"],
+        ["bench", "--no-cache"],
+        ["bench", "--cache-size", "8"],
+        ["bench", "--db", "bench.db"],
+        ["bench", "--algorithm", "validrtf"],
+        ["bench", "--no-verify"],
+    ], ids=["bench-export", "figure", "cache", "no-cache", "cache-size", "db",
+            "algorithm", "no-verify"])
+    def test_removed_bench_surface_is_rejected(self, tmp_path, capsys,
+                                               monkeypatch, argv):
+        # One runner: `bench` verifies, records Figure 6 and times Figure 5
+        # over the datasets, with no cache, figure or file-reuse knob.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-class TestBenchExportCommand:
     def test_ranking_guard_failure_is_an_answer_parity_error(
             self, tmp_path, capsys, monkeypatch):
         import repro.bench
@@ -123,7 +171,7 @@ class TestBenchExportCommand:
 
         monkeypatch.setattr(repro.bench, "run_core_bench", diverging_ranking)
         output = tmp_path / "bench.json"
-        exit_code = main(["bench-export", "--limit", "1", "--repetitions", "1",
+        exit_code = main(["bench", "--limit", "1", "--repetitions", "1",
                           "--output", str(output)])
         err = capsys.readouterr().err
         assert exit_code == 1

@@ -8,11 +8,9 @@ documents so they stay fast.
 
 from __future__ import annotations
 
-import gc
-
 import pytest
 
-from repro.bench import DatasetSpec, figure6_summary, run_workload
+from repro.bench import DatasetSpec, figure5_rows, run_core_bench
 from repro.core import SearchEngine, ValidRTF, effectiveness
 from repro.datasets import PAPER_QUERIES, dblp_workload, xmark_workload
 from repro.storage import SQLiteStore
@@ -74,36 +72,30 @@ class TestWorkloadLevelConsistency:
         spec = DatasetSpec(name="dblp-small",
                            tree_factory=lambda: small_dblp,
                            workload=tuple(dblp_workload()[:8]))
-        # Each query is timed once, and one full collection of the test
-        # session's heap (55-85 ms on a shared 2-core VM) outlasts 20 passes
-        # of a 2.5-ms query: keep the collector out of the timed passes so
-        # the bound below compares the algorithms, not the collector.
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return run_workload(spec, repetitions=1)
-        finally:
-            if was_enabled:
-                gc.enable()
+        # Each query is timed once; `alternating_passes` keeps the collector
+        # out of the timed passes, so the bound below compares the
+        # algorithms, not a collection of the test session's heap.
+        return run_core_bench(repetitions=1, limit=8,
+                              specs={"dblp-small": spec})
 
     def test_summary_bounds(self, small_run):
-        summary = figure6_summary(small_run)
+        summary = small_run["figures"]["dblp-small"]["summary"]
         assert 0.0 <= summary["mean_cfr"] <= 1.0
         assert 0.0 <= summary["mean_max_apr"] <= 1.0
         assert summary["queries"] == 8
 
     def test_validrtf_never_slower_by_orders_of_magnitude(self, small_run):
-        for measurement in small_run.measurements:
-            assert measurement.validrtf_seconds < measurement.maxmatch_seconds * 20
+        for row in figure5_rows(small_run, "dblp-small"):
+            assert row["validrtf_ms"] < row["maxmatch_ms"] * 20
 
     def test_effectiveness_recomputable_from_results(self, small_dblp, small_run):
         engine = SearchEngine(small_dblp)
-        for measurement in small_run.measurements[:3]:
-            validrtf = engine.search(measurement.query, "validrtf")
-            maxmatch = engine.search(measurement.query, "maxmatch")
+        for row in small_run["figures"]["dblp-small"]["rows"][:3]:
+            validrtf = engine.search(row["keywords"], "validrtf")
+            maxmatch = engine.search(row["keywords"], "maxmatch")
             report = effectiveness(maxmatch, validrtf)
-            assert report.cfr == pytest.approx(measurement.report.cfr)
-            assert report.max_apr == pytest.approx(measurement.report.max_apr)
+            assert round(report.cfr, 4) == row["cfr"]
+            assert round(report.max_apr, 4) == row["max_apr"]
 
 
 class TestCrossAlgorithmRelationships:

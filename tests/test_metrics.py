@@ -150,6 +150,18 @@ class TestSummarizeReports:
         assert summary["mean_cfr"] == pytest.approx(0.75)
         assert summary["queries_with_extra_pruning"] == 1
 
+    def test_counts_queries_with_positive_apr_prime(self):
+        def report(apr_prime):
+            return EffectivenessReport(query="q", lca_count=3,
+                                       common_fragments=0,
+                                       differing_fragments=3, cfr=0.0,
+                                       apr=0.3, apr_prime=apr_prime,
+                                       max_apr=0.5)
+
+        summary = summarize_reports([report(0.0), report(0.25), report(0.1)])
+        assert summary["queries_with_positive_apr_prime"] == 2
+        assert summarize_reports([])["queries_with_positive_apr_prime"] == 0
+
     def test_report_as_row(self):
         report = EffectivenessReport(query="a", lca_count=2, common_fragments=1,
                                      differing_fragments=1, cfr=0.5, apr=0.25,

@@ -17,9 +17,7 @@ from contextlib import closing
 
 import pytest
 
-from repro.bench import engine_for_backend
 from repro.core import SearchEngine
-from repro.corpus import CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES, publications_tree, team_tree
 from repro.index import InvertedIndex
 from repro.storage import (
@@ -319,27 +317,3 @@ def test_fresh_store_serves_a_document_added_by_update(tmp_path):
             assert source.postings(word).deweys == \
                 memory.postings(word).deweys, word
         assert source.read_stats()["base_reads"] == 0
-
-
-def test_figure5_driver_times_the_live_document(tmp_path):
-    """The Figure 5 disk driver over a file whose document lives in a delta
-    segment replaces that live version with its own tree: the file then
-    holds one generation of the document, and a corpus engine over the
-    file answers like the engine the driver times."""
-    path = str(tmp_path / "bench.db")
-    old, tree = team_tree(), publications_tree()
-    assert old.size() != tree.size()
-    with SQLiteStore(path) as writer:
-        writer.update_document(old, "dblp")
-    timed = engine_for_backend(tree, "sqlite", db_path=path, document="dblp")
-    assert rows_of(path, "dblp") == {
-        "element": tree.size(), "segment": 0, "segment_element": 0}
-    with SQLiteStore(path) as reader:
-        served = CorpusSearchEngine.from_store(reader)
-        for name in ("Q1", "Q2", "Q3"):
-            expected = timed.search(PAPER_QUERIES[name])
-            answer = served.search(PAPER_QUERIES[name]).by_doc()["dblp"]
-            assert answer.roots() == expected.roots(), name
-            assert [f.kept_nodes for f in answer] == \
-                [f.kept_nodes for f in expected], name
-    timed.source.store.close()

@@ -20,7 +20,7 @@ from repro.lca import (
 
 from .conftest import representative_queries
 
-SLCA_ALGORITHMS = {
+SLCA_FUNCTIONS = {
     "indexed-lookup-eager": indexed_lookup_eager_slca,
     "scan-eager": scan_eager_slca,
     "stack": stack_slca,
@@ -35,11 +35,11 @@ def posting_lists(engines, dataset_specs):
     return engine.keyword_nodes(query.text)
 
 
-@pytest.mark.parametrize("name", sorted(SLCA_ALGORITHMS))
+@pytest.mark.parametrize("name", sorted(SLCA_FUNCTIONS))
 def test_benchmark_slca_algorithms(benchmark, posting_lists, name):
     benchmark.group = "ablation-lca-slca"
     benchmark.name = name
-    benchmark(lambda: SLCA_ALGORITHMS[name](posting_lists))
+    benchmark(lambda: SLCA_FUNCTIONS[name](posting_lists))
 
 
 def test_benchmark_elca_indexed_stack(benchmark, posting_lists):
@@ -50,7 +50,7 @@ def test_benchmark_elca_indexed_stack(benchmark, posting_lists):
 
 def test_slca_algorithms_agree(posting_lists):
     reference = naive_slca(posting_lists)
-    for name, algorithm in SLCA_ALGORITHMS.items():
+    for name, algorithm in SLCA_FUNCTIONS.items():
         assert algorithm(posting_lists) == reference, name
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ValidRTF, check_all_axioms
+from repro.core import SearchEngine, check_all_axioms
 from repro.xmltree import SubtreeSpec
 
 INSERTIONS = {
@@ -32,7 +32,7 @@ SCENARIOS = {
 
 
 def validrtf_factory(tree):
-    return ValidRTF(tree).search
+    return SearchEngine(tree).algorithm("validrtf").search
 
 
 @pytest.mark.parametrize("dataset", sorted(SCENARIOS))

@@ -14,13 +14,13 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core import ValidRTF, check_all_axioms
+from repro.core import SearchEngine, check_all_axioms
 from repro.datasets import publications_tree
 from repro.xmltree import DeweyCode, SubtreeSpec
 
 
 def validrtf_factory(tree):
-    return ValidRTF(tree).search
+    return SearchEngine(tree).algorithm("validrtf").search
 
 
 def main() -> None:

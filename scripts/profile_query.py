@@ -39,6 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench import BACKEND_NAMES, default_datasets, engine_for_backend
+from repro.core import ALGORITHM_NAMES
 from repro.datasets import PAPER_QUERIES
 
 
@@ -60,8 +61,7 @@ def main(argv=None) -> int:
                         help="workload label, paper query name, or keyword "
                              "text (default: the dataset's first query)")
     parser.add_argument("--algorithm", default="validrtf",
-                        choices=("validrtf", "maxmatch", "validrtf-slca",
-                                 "maxmatch-slca"))
+                        choices=ALGORITHM_NAMES)
     parser.add_argument("--backend", default="memory", choices=BACKEND_NAMES)
     parser.add_argument("--repeat", type=int, default=5,
                         help="profiled warm repetitions (after the cold "

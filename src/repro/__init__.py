@@ -22,17 +22,11 @@ from .core import (
     ComparisonOutcome,
     Fragment,
     QueryResultCache,
-    MaxMatch,
-    MaxMatchSLCA,
     PrunedFragment,
     Query,
     SearchEngine,
     SearchResult,
-    ValidRTF,
-    ValidRTFSLCA,
     effectiveness,
-    run_maxmatch,
-    run_validrtf,
 )
 from .corpus import (
     CorpusPostingSource,
@@ -69,12 +63,6 @@ __all__ = [
     "Fragment",
     "PrunedFragment",
     "SearchResult",
-    "ValidRTF",
-    "ValidRTFSLCA",
-    "MaxMatch",
-    "MaxMatchSLCA",
-    "run_validrtf",
-    "run_maxmatch",
     "effectiveness",
     "InvertedIndex",
     "DeweyCode",

@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .bench import BACKEND_NAMES, default_datasets
-from .core import SearchEngine
+from .core import ALGORITHM_NAMES, EmptyQueryError, SearchEngine
 from .corpus import CorpusSearchEngine
 from .storage import SchemaVersionError, SQLiteStore
 from .storage.errors import DocumentNotFound
@@ -92,7 +92,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = arguments.handler
     try:
         return handler(arguments)
-    except (CliError, SchemaVersionError) as error:
+    except (CliError, EmptyQueryError, SchemaVersionError) as error:
         print(error, file=sys.stderr)
         return 2
 
@@ -159,8 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("query", help="keyword query, e.g. 'xml keyword search' "
                                       "or a paper query name like Q3")
     search.add_argument("--algorithm", default="validrtf",
-                        choices=("validrtf", "maxmatch", "validrtf-slca",
-                                 "maxmatch-slca"))
+                        choices=ALGORITHM_NAMES)
     search.add_argument("--no-text", action="store_true",
                         help="hide node text in the rendering")
     search.add_argument("--trace", action="store_true",
@@ -478,16 +477,13 @@ def _command_search(arguments: argparse.Namespace) -> int:
 def _ranked_search(engine: CorpusSearchEngine, query: str,
                    arguments: argparse.Namespace) -> int:
     """``search --top-k``: corpus-comparable ranked retrieval."""
-    from .core import EmptyQueryError, explain_score, render_score_explanation
+    from .core import explain_score, render_score_explanation
 
     if arguments.top_k < 0:
         raise CliError("--top-k must be non-negative")
-    try:
-        outcome = engine.rank_search(
-            query, arguments.algorithm, top_k=arguments.top_k,
-            early_terminate=arguments.early_terminate)
-    except EmptyQueryError as error:
-        raise CliError(str(error)) from None
+    outcome = engine.rank_search(
+        query, arguments.algorithm, top_k=arguments.top_k,
+        early_terminate=arguments.early_terminate)
     print(f"query: {query}  algorithm: {arguments.algorithm}  "
           f"backend: {engine.backend_id}  top-k: {arguments.top_k}  "
           f"documents visited: {outcome.docs_visited}"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from ..index import InvertedIndex, PostingSource, QueryLists
@@ -30,14 +31,12 @@ from .explain import (
     explain_valid_contributor,
 )
 from .fragments import SearchResult
-from .maxmatch import MaxMatch, MaxMatchSLCA
 from .metrics import EffectivenessReport, effectiveness
-from .pipeline import FragmentPipeline
+from .pipeline import ALGORITHMS, FragmentPipeline
 from .query import Query, QueryLike
-from .validrtf import ValidRTF, ValidRTFSLCA
 
 #: Names accepted by :meth:`SearchEngine.search`.
-ALGORITHM_NAMES = ("validrtf", "maxmatch", "validrtf-slca", "maxmatch-slca")
+ALGORITHM_NAMES = tuple(ALGORITHMS)
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,6 @@ class SearchEngine:
         engine then runs every stage off the posting source's node lookups
         (disk-backed retrieval) and fragment rendering degrades gracefully
         to Dewey/label output.
-    cid_mode:
-        Content-feature mode of record-tree construction, fixed for the
-        engine's lifetime; ``"exact"`` (the cID ablation) needs a ``tree``.
     cache_size:
         When positive, completed :class:`SearchResult` objects are kept in an
         LRU :class:`~repro.core.cache.QueryResultCache` keyed on
@@ -81,8 +77,8 @@ class SearchEngine:
         it; when ``None`` (the default) instrumentation costs one branch.
     """
 
-    def __init__(self, tree: Optional[XMLTree] = None, cid_mode: str = "minmax",
-                 cache_size: int = 0, source: Optional[PostingSource] = None,
+    def __init__(self, tree: Optional[XMLTree] = None, cache_size: int = 0,
+                 source: Optional[PostingSource] = None,
                  metrics: Optional[MetricsRegistry] = None):
         if tree is None and source is None:
             raise ValueError("SearchEngine needs a tree, a source=, or both")
@@ -93,11 +89,9 @@ class SearchEngine:
             QueryResultCache(cache_size) if cache_size else None)
         self.metrics: Optional[MetricsRegistry] = metrics
         self._algorithms: Dict[str, FragmentPipeline] = {
-            "validrtf": ValidRTF(tree, self.source, cid_mode=cid_mode),
-            "maxmatch": MaxMatch(tree, self.source, cid_mode=cid_mode),
-            "validrtf-slca": ValidRTFSLCA(tree, self.source, cid_mode=cid_mode),
-            "maxmatch-slca": MaxMatchSLCA(tree, self.source, cid_mode=cid_mode),
-        }
+            name: FragmentPipeline(self.source, lca_function,
+                                   partial(prune, algorithm=name), name)
+            for name, (lca_function, prune) in ALGORITHMS.items()}
         for pipeline in self._algorithms.values():
             pipeline.metrics = metrics
 

@@ -9,9 +9,9 @@ A fragment is identified by its root (an interesting LCA node) and carries
   ``I(ECT_Q,j)`` of Definition 2,
 * after pruning, the subset of nodes kept by the filtering mechanism.
 
-Fragments are plain immutable data; the algorithms in
-:mod:`repro.core.maxmatch` and :mod:`repro.core.validrtf` produce them and the
-metrics in :mod:`repro.core.metrics` compare them.
+Fragments are plain immutable data; the pipeline in
+:mod:`repro.core.pipeline` produces them and the metrics in
+:mod:`repro.core.metrics` compare them.
 """
 
 from __future__ import annotations

@@ -28,22 +28,18 @@ fragment.  It runs as a seed and a fold on exactly what the record holds:
 
 * **seed** — each keyword node's position takes its keyword mask from the
   fragment (the mask ``getRTF`` computed while merging the posting lists)
-  and its own content feature from a node lookup: the node's stored cID, or
-  its content word set;
+  and its own cID from a node lookup;
 * **fold** — one pass in reverse document order folds every position into
   its parent's, once per fragment edge: bit-OR for the masks, min/max for
-  cID pairs, union for word sets.
-
-Two content-feature modes are supported:
-
-* ``"minmax"`` — the paper's approximate ``(min, max)`` pair;
-* ``"exact"`` — the full tree content set, read off a resident tree.  Used by
-  the ablation benchmark to quantify how often the approximation
-  misidentifies duplicate content.
+  the cID pairs.
 
 :func:`build_record_tree` computes every record from its definition instead
 (node contents, no fold); it is the reference the search path is tested
-against.
+against.  It is also the one home of the second content-feature mode
+(:data:`CID_MODES`): ``"exact"`` keeps the full tree content set instead of
+the paper's approximate ``(min, max)`` pair, which the cID ablation
+benchmark uses to quantify how often the approximation misidentifies
+duplicate content.
 """
 
 from __future__ import annotations
@@ -110,7 +106,8 @@ def build_record_tree(
     code.  Quadratic in the fragment; the search path runs
     :func:`fold_records`, and the tests compare the two column by column.
     """
-    check_cid_mode(cid_mode)
+    if cid_mode not in CID_MODES:
+        raise ValueError(f"unknown cid_mode {cid_mode!r}; expected one of {CID_MODES}")
     contents = {dewey: analyzer.node_content(tree.node(dewey))
                 for dewey in fragment.keyword_nodes}
     position = {dewey: index for index, dewey in enumerate(fragment.nodes)}
@@ -136,46 +133,37 @@ def build_record_tree(
 def fold_records(
     fragment: Fragment,
     labels: List[str],
-    keyword_features: Sequence[ContentFeature],
-    cid_mode: str = "minmax",
+    keyword_cids: Sequence[Tuple[str, str]],
 ) -> RecordTree:
     """The constructing step as a seed and a fold (the search path).
 
     ``fragment`` carries the shape ``build_rtfs`` records (``keyword_masks``,
     ``parents``, ``keyword_positions``); ``labels`` runs parallel to its
-    nodes and ``keyword_features`` to its keyword nodes (each one's own cID
-    pair in ``minmax`` mode, its content word set in ``exact`` mode).  Each
-    keyword position is seeded with its mask and feature; one pass in
-    reverse document order then folds every position into its parent's:
-    bit-OR for the mask, min/max for cID pairs, union for word sets.
+    nodes and ``keyword_cids`` to its keyword nodes (each one's own cID
+    pair).  Each keyword position is seeded with its mask and cID; one pass
+    in reverse document order then folds every position into its parent's:
+    bit-OR for the mask, min/max for the cID pair.
     """
     parents = fragment.parents
     size = len(parents)
-    minmax = cid_mode == "minmax"
     masks = [0] * size
-    features: List[ContentFeature] = [EMPTY_CID if minmax else frozenset()] * size
+    features: List[ContentFeature] = [EMPTY_CID] * size
     for position, mask, feature in zip(fragment.keyword_positions,
                                        fragment.keyword_masks,
-                                       keyword_features):
+                                       keyword_cids):
         masks[position] = mask
         features[position] = feature
-    if minmax:
-        for child in range(size - 1, 0, -1):
-            parent = parents[child]
-            masks[parent] |= masks[child]
-            low, high = features[child]
-            if not high:  # an empty pair has an empty maximum
-                continue
-            parent_low, parent_high = features[parent]
-            if not parent_high:
-                features[parent] = features[child]
-            elif low < parent_low or high > parent_high:
-                features[parent] = (min(low, parent_low), max(high, parent_high))
-    else:
-        for child in range(size - 1, 0, -1):
-            parent = parents[child]
-            masks[parent] |= masks[child]
-            features[parent] = features[parent] | features[child]
+    for child in range(size - 1, 0, -1):
+        parent = parents[child]
+        masks[parent] |= masks[child]
+        low, high = features[child]
+        if not high:  # an empty pair has an empty maximum
+            continue
+        parent_low, parent_high = features[parent]
+        if not parent_high:
+            features[parent] = features[child]
+        elif low < parent_low or high > parent_high:
+            features[parent] = (min(low, parent_low), max(high, parent_high))
     return RecordTree(fragment, labels, masks, features, parents,
                       child_positions(parents))
 
@@ -187,9 +175,3 @@ def child_positions(parents: Sequence[int]) -> List[List[int]]:
     for child in range(1, len(parents)):
         children[parents[child]].append(child)
     return children
-
-
-def check_cid_mode(cid_mode: str) -> None:
-    """Refuse a content-feature mode outside :data:`CID_MODES`."""
-    if cid_mode not in CID_MODES:
-        raise ValueError(f"unknown cid_mode {cid_mode!r}; expected one of {CID_MODES}")

@@ -1,27 +1,28 @@
 """The shared four-stage XKS pipeline of Algorithm 1.
 
-Both MaxMatch (revised for RTFs, the paper's baseline) and ValidRTF share the
-first three stages — ``getKeywordNodes``, ``getLCA`` and ``getRTF`` — and
-differ only in the pruning stage.  This module implements the shared pipeline
-once; :mod:`repro.core.maxmatch` and :mod:`repro.core.validrtf` plug in their
-filtering mechanism.
+Every algorithm of the paper runs the same four stages —
+``getKeywordNodes``, ``getLCA``, ``getRTF`` and ``pruneRTF`` — and differs
+only in its ``getLCA`` function and its pruning filter.  This module
+implements the stages once, and :data:`ALGORITHMS` names each algorithm's
+pair.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..index import EMPTY_PACKED, InvertedIndex, PostingSource, QueryLists
-from ..lca import elca_is_slca, indexed_stack_elca, indexed_lookup_eager_slca
+from ..index import EMPTY_PACKED, PostingSource, QueryLists
+from ..lca import elca_is_slca, indexed_lookup_eager_slca, indexed_stack_elca
 from ..obs import MetricsRegistry, Trace
 from ..obs import names as metric_names
-from ..text import ContentAnalyzer
-from ..xmltree import DeweyCode, XMLTree
+from ..xmltree import DeweyCode
+from .contributor import prune_with_contributor
 from .fragments import Fragment, PrunedFragment, SearchResult
-from .node_record import ContentFeature, RecordTree, check_cid_mode, fold_records
+from .node_record import RecordTree, fold_records
 from .query import Query, QueryLike
 from .rtf import build_rtfs
+from .valid_contributor import prune_with_valid_contributor
 
 #: Signature of a ``getLCA`` stage: posting lists -> interesting LCA roots.
 LcaFunction = Callable[[Mapping[str, Sequence[DeweyCode]]], List[DeweyCode]]
@@ -29,75 +30,44 @@ LcaFunction = Callable[[Mapping[str, Sequence[DeweyCode]]], List[DeweyCode]]
 #: Signature of a pruning stage: record tree -> pruned fragment.
 Pruner = Callable[[RecordTree], PrunedFragment]
 
-
-def slca_roots(lists: Mapping[str, Sequence[DeweyCode]]) -> List[DeweyCode]:
-    """``getLCA`` restricted to SLCA nodes (the original MaxMatch setting)."""
-    return indexed_lookup_eager_slca(lists)
-
-
-def elca_roots(lists: Mapping[str, Sequence[DeweyCode]]) -> List[DeweyCode]:
-    """``getLCA`` returning all interesting LCA nodes (Indexed Stack / ELCA)."""
-    return indexed_stack_elca(lists)
+#: The paper's algorithms: name -> (``getLCA`` stage, pruning filter); the
+#: filter also takes the name it records on each fragment.  ValidRTF
+#: (Algorithm 1) keeps the valid contributors; revised MaxMatch, the
+#: paper's baseline, keeps MaxMatch's contributors of the same RTFs.  Each
+#: ``-slca`` variant roots its fragments at SLCA nodes only (the original
+#: MaxMatch setting) instead of at every interesting LCA node.
+ALGORITHMS: Dict[str, Tuple[LcaFunction,
+                            Callable[[RecordTree, str], PrunedFragment]]] = {
+    "validrtf": (indexed_stack_elca, prune_with_valid_contributor),
+    "maxmatch": (indexed_stack_elca, prune_with_contributor),
+    "validrtf-slca": (indexed_lookup_eager_slca, prune_with_valid_contributor),
+    "maxmatch-slca": (indexed_lookup_eager_slca, prune_with_contributor),
+}
 
 
 class FragmentPipeline:
-    """The four-stage pipeline with a pluggable pruning mechanism.
+    """The four-stage pipeline with a pluggable ``getLCA`` and pruning.
 
     Parameters
     ----------
-    tree:
-        The document, or ``None`` for a purely source-backed pipeline.
-        Every stage runs off the posting source and its node lookups; the
-        tree only builds the default source and serves the ``exact`` mode's
-        word sets.
     source:
-        Any :class:`~repro.index.source.PostingSource` serving stage 1 and
-        the node lookups — the in-memory :class:`InvertedIndex` or a
-        disk-backed source.  Built on demand (as an inverted index) when
-        omitted and a tree is given.
+        The :class:`~repro.index.source.PostingSource` serving stage 1 and
+        the node lookups — the in-memory ``InvertedIndex`` or a disk-backed
+        source.  Every stage runs off it; no stage reads a tree.
     lca_function:
-        The ``getLCA`` stage; defaults to the ELCA (Indexed Stack) semantics
-        used by the paper.
+        The ``getLCA`` stage: ELCA roots (Indexed Stack) for the paper's
+        algorithms, SLCA roots for their ``-slca`` variants.
     pruner:
         The filtering mechanism applied to every RTF's record tree.
-    cid_mode:
-        Content-feature mode of the record-tree construction: ``"minmax"``
-        (the stored cID, on any source) or ``"exact"`` (full content sets,
-        read off the resident tree; refused without one).
     name:
         Algorithm name recorded on results.
     """
 
-    def __init__(
-        self,
-        tree: Optional[XMLTree],
-        pruner: Pruner,
-        source: Optional[PostingSource] = None,
-        lca_function: LcaFunction = elca_roots,
-        cid_mode: str = "minmax",
-        name: str = "pipeline",
-    ):
-        if source is None:
-            if tree is None:
-                raise ValueError(
-                    "FragmentPipeline needs a tree, a posting source, or both")
-            source = InvertedIndex(tree)
-        check_cid_mode(cid_mode)
-        if cid_mode == "exact" and tree is None:
-            raise ValueError("cid_mode='exact' reads full content sets off "
-                             "the resident tree; a tree-free pipeline uses "
-                             "the stored (min, max) cID")
-        self.tree = tree
-        self.source: PostingSource = source
-        # The exact ablation reads each keyword node's word set off the
-        # resident tree; every other lookup goes to the source.
-        self._word_set: Optional[Callable[[DeweyCode], ContentFeature]] = None
-        if tree is not None and cid_mode == "exact":
-            node, content = tree.node, ContentAnalyzer(tree).node_content
-            self._word_set = lambda dewey: content(node(dewey))
+    def __init__(self, source: PostingSource, lca_function: LcaFunction,
+                 pruner: Pruner, name: str):
+        self.source = source
         self.lca_function = lca_function
         self.pruner = pruner
-        self.cid_mode = cid_mode
         self.name = name
         # Metrics are opt-in: the owning engine assigns a shared registry
         # after construction; ``None`` keeps every report behind one branch.
@@ -130,10 +100,9 @@ class FragmentPipeline:
 
         The keyword masks and the fragment's shape ride on the fragment
         (``build_rtfs`` built it from ``query``'s posting lists), so only
-        labels and each keyword node's own content feature are looked up,
-        from the posting source: one ``node_label`` per node and one
-        ``node_cid`` per keyword node (word sets off the resident tree in
-        ``exact`` mode), then one fold.  Batching sources warm their node
+        labels and each keyword node's own cID are looked up, from the
+        posting source: one ``node_label`` per node and one ``node_cid`` per
+        keyword node, then one fold.  Batching sources warm their node
         caches first, in one round-trip per fragment instead of one per
         node; the cID rides on the label's element row.
         """
@@ -149,12 +118,10 @@ class FragmentPipeline:
         prefetch = getattr(source, "prefetch_nodes", None)
         if prefetch is not None:
             prefetch(nodes, ())
-        node_label = source.node_label
-        feature_of = self._word_set or source.node_cid
-        return fold_records(
-            fragment, [node_label(node) or "" for node in nodes],
-            [feature_of(node) for node in keyword_nodes],
-            self.cid_mode)
+        node_label, node_cid = source.node_label, source.node_cid
+        return fold_records(fragment,
+                            [node_label(node) or "" for node in nodes],
+                            [node_cid(node) for node in keyword_nodes])
 
     # ------------------------------------------------------------------ #
     # Full run

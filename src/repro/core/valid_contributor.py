@@ -16,8 +16,8 @@ Rule 1 fixes MaxMatch's false-positive problem, rule 2(a) keeps the good part
 of the contributor filter and rule 2(b) fixes the redundancy problem.
 
 Content equality uses the node record's content feature: the paper's
-``(min, max)`` word pair (``cid_mode="minmax"``) or the exact tree content set
-(``cid_mode="exact"``, ablation).
+``(min, max)`` word pair on the search path, or the exact tree content set
+in the reference record trees of the cID ablation.
 """
 
 from __future__ import annotations

@@ -26,20 +26,6 @@ from .scan_eager import scan_eager_slca
 from .stack_slca import stack_slca
 from .indexed_stack import elca_is_slca, indexed_stack_elca
 
-# Registry used by the engine, the CLI and the ablation benchmarks.
-SLCA_ALGORITHMS = {
-    "naive": naive_slca,
-    "indexed-lookup-eager": indexed_lookup_eager_slca,
-    "scan-eager": scan_eager_slca,
-    "stack": stack_slca,
-}
-
-ELCA_ALGORITHMS = {
-    "naive": naive_elca,
-    "naive-exhaustive": naive_elca_exhaustive,
-    "indexed-stack": indexed_stack_elca,
-}
-
 __all__ = [
     "EmptyKeywordList",
     "KeywordLists",
@@ -63,6 +49,4 @@ __all__ = [
     "stack_slca",
     "indexed_stack_elca",
     "elca_is_slca",
-    "SLCA_ALGORITHMS",
-    "ELCA_ALGORITHMS",
 ]

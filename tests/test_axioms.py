@@ -6,9 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import (
-    MaxMatch,
     SearchEngine,
-    ValidRTF,
     check_all_axioms,
     check_data_consistency,
     check_data_monotonicity,
@@ -22,13 +20,11 @@ D = DeweyCode.parse
 
 
 def validrtf_factory(tree):
-    algorithm = ValidRTF(tree)
-    return algorithm.search
+    return SearchEngine(tree).algorithm("validrtf").search
 
 
 def maxmatch_factory(tree):
-    algorithm = MaxMatch(tree)
-    return algorithm.search
+    return SearchEngine(tree).algorithm("maxmatch").search
 
 
 NEW_ARTICLE = SubtreeSpec("article", None, children=[
@@ -193,9 +189,11 @@ class TestMaxMatchDataConsistencyCounterexample:
         tree = parse_string(self.XML)
         mutated = tree.with_inserted_subtree(self.PARENT, self.INSERTION)
         inserted = D("0.1.0.1.3")
-        assert MaxMatch(tree).search("alpha eta").roots() == (D("0.0.0.1.1"),)
-        maxmatch = MaxMatch(mutated).search("alpha eta").by_root()[D("0")]
-        validrtf = ValidRTF(mutated).search("alpha eta").by_root()[D("0")]
+        assert SearchEngine(tree).search("alpha eta", "maxmatch").roots() == \
+            (D("0.0.0.1.1"),)
+        engine = SearchEngine(mutated)
+        maxmatch = engine.search("alpha eta", "maxmatch").by_root()[D("0")]
+        validrtf = engine.search("alpha eta", "validrtf").by_root()[D("0")]
         # The inserted eta node is the root fragment's keyword node on both
         # sides, but only ValidRTF keeps the branch that leads to it.
         assert inserted.child(0) in maxmatch.fragment.keyword_nodes

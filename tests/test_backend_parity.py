@@ -27,7 +27,6 @@ import pytest
 
 from repro.core import (
     ALGORITHM_NAMES,
-    CID_MODES,
     Query,
     SearchEngine,
     build_fragment,
@@ -251,31 +250,21 @@ def record_fields(records):
 RECORD_TREE_INPUTS = (tuple(b for b in BACKENDS if b != "corpus")
                       + LAYOUT_INPUTS + SHARED_STORE_INPUTS)
 
-#: The tree-free record-tree inputs: they read the stored cID and refuse
-#: the ``exact`` content-set mode, which only a resident tree serves.
-TREE_FREE_INPUTS = tuple(b for b in RECORD_TREE_INPUTS if b != "memory")
 
-#: (input, cid mode) pairs: every input in ``minmax``, and the memory
-#: engine, the one with a resident tree, in every mode.
-RECORD_TREE_CASES = ([("memory", mode) for mode in CID_MODES]
-                     + [(backend, "minmax") for backend in TREE_FREE_INPUTS])
-
-
-@pytest.mark.parametrize("backend,cid_mode", RECORD_TREE_CASES)
+@pytest.mark.parametrize("backend", RECORD_TREE_INPUTS)
 @pytest.mark.parametrize("dataset,query_names", DATASETS)
 def test_record_trees_equal_the_definition(request, dataset, query_names,
-                                           backend, cid_mode):
+                                           backend):
     """Every column the search path builds — shape and masks from
-    ``getRTF``, labels and features from node lookups, one fold — equals
-    the one ``build_record_tree`` derives from the document's node contents
-    and Dewey codes: labels, masks, features, parents, children and the
-    keyword nodes."""
+    ``getRTF``, labels and cIDs from node lookups, one fold — equals the one
+    ``build_record_tree`` derives from the document's node contents and
+    Dewey codes: labels, masks, features, parents, children and the keyword
+    nodes."""
     tree = request.getfixturevalue(dataset)
     if backend == "memory":
-        engine = SearchEngine(tree, cid_mode=cid_mode)
+        engine = SearchEngine(tree)
     else:
-        engine = SearchEngine(source=build_source(tree, backend, dataset),
-                              cid_mode=cid_mode)
+        engine = SearchEngine(source=build_source(tree, backend, dataset))
 
     analyzer = ContentAnalyzer(tree)
     checked = 0
@@ -289,26 +278,13 @@ def test_record_trees_equal_the_definition(request, dataset, query_names,
                     tree, analyzer, query,
                     build_fragment(tree, fragment.root,
                                    list(fragment.keyword_nodes),
-                                   fragment.is_slca),
-                    cid_mode)
+                                   fragment.is_slca))
                 expected = record_fields(reference)
                 for column, values in record_fields(records).items():
                     assert values == expected[column], \
                         (algorithm, query_name, str(fragment.root), column)
                 checked += records.size()
     assert checked, "the queries must build record trees"
-
-
-@pytest.mark.parametrize("backend", TREE_FREE_INPUTS)
-def test_tree_free_engine_refuses_exact(publications, backend):
-    """``exact`` compares full content sets, which only a resident tree
-    holds: a tree-free engine refuses the mode when it is built instead of
-    answering in another one."""
-    source = build_source(publications, backend, "publications")
-    with pytest.raises(ValueError, match="resident tree"):
-        SearchEngine(source=source, cid_mode="exact")
-    assert SearchEngine(source=source).algorithm("validrtf").cid_mode == \
-        "minmax"
 
 
 # ---------------------------------------------------------------------- #

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import ALGORITHM_NAMES
 from repro.xmltree import parse_file
 
 
@@ -192,6 +193,29 @@ class TestArgumentHandling:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
             main(["search", "--dataset", "figure-1a", "--algorithm", "bogus", "xml"])
+
+    def test_unknown_algorithm_lists_every_name(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["search", "--dataset", "figure-1a", "--algorithm", "bogus",
+                  "xml"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert all(f"'{name}'" in err for name in ALGORITHM_NAMES)
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--dataset", "figure-1a", ""],
+        ["search", "--dataset", "figure-1a", "   "],
+        ["search", "--dataset", "figure-1a", "--top-k", "1", ""],
+        ["compare", "--dataset", "figure-1a", ""],
+        ["explain", "--dataset", "figure-1a", ""],
+    ], ids=["search", "search-blank", "search-top-k", "compare", "explain"])
+    def test_empty_query_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"query {argv[-1]!r} normalizes to zero keywords" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flag", ["--batch-size", "--batch-window",
                                       "--compact-interval-ms"])

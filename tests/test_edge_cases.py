@@ -6,9 +6,7 @@ import pytest
 
 from repro.core import (
     EmptyQueryError,
-    MaxMatch,
     SearchEngine,
-    ValidRTF,
     build_fragment,
     effectiveness,
 )
@@ -34,7 +32,7 @@ class TestDegenerateDocuments:
             spec("report", "xml keyword",
                  spec("section", "introduction"),
                  spec("section", "conclusion")))
-        result = ValidRTF(tree).search("xml keyword")
+        result = SearchEngine(tree).search("xml keyword", "validrtf")
         assert [str(code) for code in result.roots()] == ["0"]
         # Children carry no keyword, so the meaningful RTF is just the root.
         assert result.fragments[0].kept_nodes == (D("0"),)
@@ -45,12 +43,12 @@ class TestDegenerateDocuments:
                              spec("c", None,
                                   spec("d", "xml keyword search"))))
         tree = tree_from_spec(document)
-        result = ValidRTF(tree).search("xml search")
+        result = SearchEngine(tree).search("xml search", "validrtf")
         assert [str(code) for code in result.roots()] == ["0.0.0.0"]
 
     def test_keyword_node_is_an_interesting_lca_itself(self, publications):
         # The ref node contains every keyword of this query on its own.
-        result = ValidRTF(publications).search("liu xml")
+        result = SearchEngine(publications).search("liu xml", "validrtf")
         by_root = result.by_root()
         assert D("0.2.0.3.0") in by_root
         assert by_root[D("0.2.0.3.0")].kept_nodes == (D("0.2.0.3.0"),)
@@ -58,8 +56,9 @@ class TestDegenerateDocuments:
     def test_document_with_repeated_identical_records(self):
         children = [spec("entry", "xml keyword") for _ in range(5)]
         tree = tree_from_spec(spec("list", None, *children))
-        validrtf = ValidRTF(tree).search("xml keyword")
-        maxmatch = MaxMatch(tree).search("xml keyword")
+        engine = SearchEngine(tree)
+        validrtf = engine.search("xml keyword", "validrtf")
+        maxmatch = engine.search("xml keyword", "maxmatch")
         # Every entry is an interesting LCA on its own, so both algorithms
         # return five single-node fragments and nothing is deduplicated
         # across fragments.
@@ -72,8 +71,9 @@ class TestDegenerateDocuments:
                  spec("entry", "beta common"),
                  spec("entry", "beta common"),
                  spec("entry", "beta common")))
-        validrtf = ValidRTF(tree).search("alpha beta")
-        maxmatch = MaxMatch(tree).search("alpha beta")
+        engine = SearchEngine(tree)
+        validrtf = engine.search("alpha beta", "validrtf")
+        maxmatch = engine.search("alpha beta", "maxmatch")
         v_kept = validrtf.fragments[0].kept_set()
         m_kept = maxmatch.fragments[0].kept_set()
         # ValidRTF keeps a single representative entry; MaxMatch keeps all.

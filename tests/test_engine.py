@@ -60,11 +60,6 @@ class TestSearchAndCompare:
         slca = publications_engine.lca_nodes("liu keyword", "maxmatch-slca")
         assert set(slca) <= set(elca)
 
-    def test_cid_mode_forwarded(self, publications):
-        exact_engine = SearchEngine(publications, cid_mode="exact")
-        result = exact_engine.search(PAPER_QUERIES["Q3"])
-        assert result.count == 1
-
 
 class TestRendering:
     def test_render_fragment_marks_keyword_nodes(self, publications_engine):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import DatasetSpec, figure5_rows, run_core_bench
-from repro.core import SearchEngine, ValidRTF, effectiveness
+from repro.core import SearchEngine, effectiveness
 from repro.datasets import PAPER_QUERIES, dblp_workload, xmark_workload
 from repro.storage import SQLiteStore
 from repro.xmltree import parse_string, to_xml_string
@@ -59,8 +59,8 @@ class TestSerializationRoundTrip:
     def test_synthetic_round_trip(self, small_dblp):
         reparsed = parse_string(to_xml_string(small_dblp))
         assert reparsed.size() == small_dblp.size()
-        original = ValidRTF(small_dblp).search("xml keyword")
-        round_tripped = ValidRTF(reparsed).search("xml keyword")
+        original = SearchEngine(small_dblp).search("xml keyword", "validrtf")
+        round_tripped = SearchEngine(reparsed).search("xml keyword", "validrtf")
         assert original.roots() == round_tripped.roots()
 
 

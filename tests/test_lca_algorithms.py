@@ -6,8 +6,6 @@ import pytest
 
 from repro.index import InvertedIndex, PackedDeweyList, QueryLists, pack_deweys
 from repro.lca import (
-    ELCA_ALGORITHMS,
-    SLCA_ALGORITHMS,
     EmptyKeywordList,
     elca_is_slca,
     indexed_lookup_eager_slca,
@@ -192,12 +190,15 @@ class TestIndexedStackELCA:
 # ---------------------------------------------------------------------- #
 # Input forms: every algorithm takes any Dewey sequence
 # ---------------------------------------------------------------------- #
-#: Every registered algorithm, with the naive reference of its family.
+#: Every LCA algorithm, with the naive reference of its family.
 ALGORITHMS = {
-    **{f"slca-{name}": (function, naive_slca)
-       for name, function in SLCA_ALGORITHMS.items()},
-    **{f"elca-{name}": (function, naive_elca)
-       for name, function in ELCA_ALGORITHMS.items()},
+    "slca-naive": (naive_slca, naive_slca),
+    "slca-indexed-lookup-eager": (indexed_lookup_eager_slca, naive_slca),
+    "slca-scan-eager": (scan_eager_slca, naive_slca),
+    "slca-stack": (stack_slca, naive_slca),
+    "elca-naive": (naive_elca, naive_elca),
+    "elca-naive-exhaustive": (naive_elca_exhaustive, naive_elca),
+    "elca-indexed-stack": (indexed_stack_elca, naive_elca),
 }
 
 #: Ways to hand over one sorted posting list: the packed columns every

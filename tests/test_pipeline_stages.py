@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Query, SearchEngine
-from repro.core.pipeline import FragmentPipeline, elca_roots, slca_roots
+from repro.core import ALGORITHM_NAMES, Query, SearchEngine
+from repro.core.pipeline import FragmentPipeline
 from repro.core.valid_contributor import prune_with_valid_contributor
 from repro.datasets import PAPER_QUERIES
 from repro.index import InvertedIndex
@@ -18,10 +18,9 @@ D = DeweyCode.parse
 @pytest.fixture
 def pipeline(publications):
     return FragmentPipeline(
-        publications,
-        pruner=lambda records: prune_with_valid_contributor(records, "custom"),
-        name="custom-pipeline",
-    )
+        InvertedIndex(publications), indexed_stack_elca,
+        lambda records: prune_with_valid_contributor(records, "custom"),
+        "custom-pipeline")
 
 
 class TestStageHelpers:
@@ -32,14 +31,13 @@ class TestStageHelpers:
             ["0.2.0.0.0.0", "0.2.0.3.0"]
 
     def test_lca_nodes_stage_uses_configured_semantics(self, publications):
+        index = InvertedIndex(publications)
         elca_pipeline = FragmentPipeline(
-            publications, pruner=prune_with_valid_contributor,
-            lca_function=elca_roots)
+            index, indexed_stack_elca, prune_with_valid_contributor, "elca")
         slca_pipeline = FragmentPipeline(
-            publications, pruner=prune_with_valid_contributor,
-            lca_function=slca_roots)
-        lists = InvertedIndex(publications).keyword_nodes(
-            Query.parse("Liu keyword").keywords)
+            index, indexed_lookup_eager_slca, prune_with_valid_contributor,
+            "slca")
+        lists = index.keyword_nodes(Query.parse("Liu keyword").keywords)
         assert elca_pipeline.lca_nodes("Liu keyword") == indexed_stack_elca(lists)
         assert slca_pipeline.lca_nodes("Liu keyword") == \
             indexed_lookup_eager_slca(lists)
@@ -78,29 +76,18 @@ class TestSearchBehaviour:
         assert from_string.roots() == from_list.roots() == from_query.roots()
 
     def test_index_built_on_demand(self, publications):
-        pipeline = FragmentPipeline(publications,
-                                    pruner=prune_with_valid_contributor)
-        assert isinstance(pipeline.source, InvertedIndex)
-        assert pipeline.source.tree is publications
+        # The engine builds one index over its tree for every pipeline.
+        engine = SearchEngine(publications)
+        assert isinstance(engine.source, InvertedIndex)
+        assert engine.source.tree is publications
+        assert all(engine.algorithm(name).source is engine.source
+                   for name in ALGORITHM_NAMES)
 
     def test_shared_index_instance(self, publications):
         index = InvertedIndex(publications)
-        pipeline = FragmentPipeline(publications, source=index,
-                                    pruner=prune_with_valid_contributor)
+        pipeline = FragmentPipeline(index, indexed_stack_elca,
+                                    prune_with_valid_contributor, "validrtf")
         assert pipeline.source is index
-
-    def test_cid_mode_forwarded_to_records(self, publications):
-        pipeline = FragmentPipeline(publications,
-                                    pruner=prune_with_valid_contributor,
-                                    cid_mode="exact")
-        fragments = pipeline.raw_fragments(PAPER_QUERIES["Q2"])
-        records = pipeline.record_tree(PAPER_QUERIES["Q2"], fragments[0])
-        assert isinstance(records.features[0], frozenset)
-
-    def test_unknown_cid_mode_rejected(self, publications):
-        with pytest.raises(ValueError, match="unknown cid_mode"):
-            FragmentPipeline(publications, pruner=prune_with_valid_contributor,
-                             cid_mode="bogus")
 
 
 class TestOneMergePerSearch:

@@ -21,7 +21,7 @@ from typing import Tuple
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import MaxMatch, Query, ValidRTF
+from repro.core import Query, SearchEngine
 from repro.text import ContentAnalyzer
 from repro.xmltree import SubtreeSpec, XMLTree, tree_from_spec
 
@@ -66,8 +66,8 @@ SETTINGS = settings(max_examples=60, deadline=None)
 @given(documents_and_queries())
 def test_roots_kept_and_subsets(case):
     tree, query = case
-    for algorithm_class in (ValidRTF, MaxMatch):
-        result = algorithm_class(tree).search(query)
+    for name in ("validrtf", "maxmatch"):
+        result = SearchEngine(tree).search(query, name)
         for fragment in result:
             assert fragment.root in fragment.kept_set()
             assert fragment.kept_set() <= fragment.fragment.node_set()
@@ -77,8 +77,8 @@ def test_roots_kept_and_subsets(case):
 @given(documents_and_queries())
 def test_kept_nodes_connected(case):
     tree, query = case
-    for algorithm_class in (ValidRTF, MaxMatch):
-        result = algorithm_class(tree).search(query)
+    for name in ("validrtf", "maxmatch"):
+        result = SearchEngine(tree).search(query, name)
         for fragment in result:
             kept = fragment.kept_set()
             raw = fragment.fragment.node_set()
@@ -96,8 +96,8 @@ def test_kept_nodes_connected(case):
 def test_pruning_preserves_query_coverage(case):
     tree, query = case
     analyzer = ContentAnalyzer(tree)
-    for algorithm_class in (ValidRTF, MaxMatch):
-        result = algorithm_class(tree).search(query)
+    for name in ("validrtf", "maxmatch"):
+        result = SearchEngine(tree).search(query, name)
         for fragment in result:
             covered = set()
             for dewey in fragment.kept_keyword_nodes():
@@ -111,7 +111,7 @@ def test_pruning_preserves_query_coverage(case):
 @given(documents_and_queries())
 def test_fragments_are_disjoint(case):
     tree, query = case
-    result = ValidRTF(tree).search(query)
+    result = SearchEngine(tree).search(query, "validrtf")
     seen: set = set()
     for fragment in result:
         keyword_nodes = set(fragment.fragment.keyword_nodes)
@@ -123,8 +123,9 @@ def test_fragments_are_disjoint(case):
 @given(documents_and_queries())
 def test_roots_agree_between_algorithms(case):
     tree, query = case
-    validrtf = ValidRTF(tree).search(query)
-    maxmatch = MaxMatch(tree).search(query)
+    engine = SearchEngine(tree)
+    validrtf = engine.search(query, "validrtf")
+    maxmatch = engine.search(query, "maxmatch")
     assert validrtf.roots() == maxmatch.roots()
     assert validrtf.lca_nodes == maxmatch.lca_nodes
 
@@ -133,7 +134,7 @@ def test_roots_agree_between_algorithms(case):
 @given(documents_and_queries())
 def test_unique_label_children_never_pruned_by_validrtf(case):
     tree, query = case
-    result = ValidRTF(tree).search(query)
+    result = SearchEngine(tree).search(query, "validrtf")
     for fragment in result:
         raw = fragment.fragment.node_set()
         kept = fragment.kept_set()
@@ -154,8 +155,8 @@ def test_unique_label_children_never_pruned_by_validrtf(case):
 @given(documents_and_queries())
 def test_results_deterministic(case):
     tree, query = case
-    first = ValidRTF(tree).search(query)
-    second = ValidRTF(tree).search(query)
+    first = SearchEngine(tree).search(query, "validrtf")
+    second = SearchEngine(tree).search(query, "validrtf")
     assert first.roots() == second.roots()
     assert [fragment.kept_set() for fragment in first] == \
         [fragment.kept_set() for fragment in second]

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Observability smoke: the repro.obs surface end to end through the CLI.
-# index -> traced query (span tree) -> live server with a slow-query
-# threshold -> traffic -> Prometheus scrape off the stats wire op ->
-# assert the counters actually moved.  Must stay fast (well under 30 s) —
-# it runs inside `make smoke` and CI.
+# index -> traced query and traced ranked query (span trees) -> live
+# server with a slow-query threshold -> traffic -> Prometheus scrape off
+# the stats wire op -> assert the counters actually moved.  Must stay
+# fast (well under 30 s) — it runs inside `make smoke` and CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -20,12 +20,18 @@ db="$workdir/obs.db"
 echo "== index: disk-backed document =="
 python -m repro.cli index --dataset figure-1a --db "$db"
 
-echo "== traced query: per-stage span tree =="
+echo "== traced queries: per-stage span trees =="
 out="$(python -m repro.cli search --db "$db" --backend sqlite \
     "xml keyword search" --trace)"
 echo "$out"
 for stage in tokenize postings lca fragments; do
     echo "$out" | grep -q "$stage" || { echo "trace missing $stage span"; exit 1; }
+done
+out="$(python -m repro.cli search --db "$db" --backend sqlite \
+    "xml keyword search" --top-k 3 --early-terminate --trace)"
+echo "$out"
+for span in impacts doc; do
+    echo "$out" | grep -q "─ $span " || { echo "ranked trace missing $span span"; exit 1; }
 done
 
 echo "== serve with a slow-query log threshold =="

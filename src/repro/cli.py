@@ -478,12 +478,20 @@ def _ranked_search(engine: CorpusSearchEngine, query: str,
                    arguments: argparse.Namespace) -> int:
     """``search --top-k``: corpus-comparable ranked retrieval."""
     from .core import explain_score, render_score_explanation
+    from .obs import Trace
 
     if arguments.top_k < 0:
         raise CliError("--top-k must be non-negative")
+    trace = None
+    if arguments.trace:
+        trace = Trace("rank")
+        trace.root.note(algorithm=arguments.algorithm,
+                        backend=engine.backend_id)
     outcome = engine.rank_search(
         query, arguments.algorithm, top_k=arguments.top_k,
-        early_terminate=arguments.early_terminate)
+        early_terminate=arguments.early_terminate, trace=trace)
+    if trace is not None:
+        trace.finish()
     print(f"query: {query}  algorithm: {arguments.algorithm}  "
           f"backend: {engine.backend_id}  top-k: {arguments.top_k}  "
           f"documents visited: {outcome.docs_visited}"
@@ -492,6 +500,7 @@ def _ranked_search(engine: CorpusSearchEngine, query: str,
         print(f"{position:3d}. [{entry.doc_id}] root {entry.fragment.root}")
         print(render_score_explanation(explain_score(entry.ranked),
                                        indent="     "))
+    _print_trace(trace)
     return 0
 
 

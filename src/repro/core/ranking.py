@@ -33,6 +33,7 @@ without running the search pipeline on the document.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
 from itertools import islice
@@ -53,11 +54,12 @@ class RankingWeights:
     def normalized(self) -> "RankingWeights":
         for name in ("specificity", "compactness", "coverage"):
             value = getattr(self, name)
-            if value < 0:
+            if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
-                    f"ranking weight {name!r} must be non-negative, got "
-                    f"{value!r} (a negative weight would silently invert "
-                    f"the component it scales)")
+                    f"ranking weight {name!r} must be finite and "
+                    f"non-negative, got {value!r} (a negative weight would "
+                    f"silently invert the component it scales, a NaN or "
+                    f"infinite one makes every score NaN)")
         total = self.specificity + self.compactness + self.coverage
         if total <= 0:
             raise ValueError("ranking weights must sum to a positive value")

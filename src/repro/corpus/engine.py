@@ -12,6 +12,13 @@ over that document's posting source — the SLCA/ELCA/RTF pipeline runs per
 document (LCA semantics never cross documents) and the corpus answer is the
 union of the per-document answers, the contract the differential fuzz
 harness enforces.
+
+Ranking reads one :class:`KeywordDocuments` table per query keyword: where
+the keyword occurs in the corpus and how deep.  The engine fills a
+keyword's table the first time a query uses it, with one
+:func:`~repro.index.source.keyword_impact` call per document, and keeps it
+for its own lifetime, so a ranked query costs the documents that can hold
+an answer, not the corpus.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.cache import CacheStats
 from ..core.engine import ComparisonOutcome, SearchEngine
@@ -30,14 +37,14 @@ from ..obs import MetricsRegistry, Trace
 from ..obs import names as metric_names
 from ..core.ranking import (
     DocumentRankedFragment,
+    RankedFragment,
     RankingWeights,
     ScoreBounds,
-    bounds_from_impacts,
     combine_score,
     merge_ranked,
     rank_result,
 )
-from ..index import KeywordImpact, keyword_impact
+from ..index import keyword_impact
 from ..storage import SQLiteStore
 from ..storage.errors import DocumentNotFound
 from ..xmltree import XMLTree
@@ -73,6 +80,61 @@ class RankedCorpusSearch:
     docs_visited: int
     docs_skipped: int
     bounds: ScoreBounds
+
+
+@dataclass(frozen=True)
+class KeywordDocuments:
+    """Where one normalized keyword occurs in a corpus: ranking metadata.
+
+    ``depths`` maps the doc id of every document where the keyword's
+    :class:`~repro.index.source.KeywordImpact` is non-empty to that
+    impact's ``max_depth``; ``deepest`` is the largest of them (0 when no
+    document holds the keyword).  It is index metadata, not a result
+    cache: memory indexes never change, and a store-backed document's
+    source pins its generation at its first read.
+    """
+
+    depths: Mapping[str, int]
+    deepest: int
+
+
+def _bounds(tables: Sequence[KeywordDocuments]) -> ScoreBounds:
+    """The deepest level of any query keyword in the corpus, floor 1."""
+    return ScoreBounds(max_depth=max(max(table.deepest for table in tables),
+                                     1))
+
+
+def threshold_candidates(tables: Sequence[KeywordDocuments],
+                         bounds: ScoreBounds, normalized: RankingWeights,
+                         wanted: Optional[AbstractSet[str]] = None
+                         ) -> List[Tuple[float, str]]:
+    """The threshold driver's visit order: ``(-upper bound, doc id)`` pairs.
+
+    The candidates are the documents of the smallest table that every other
+    table also holds (and ``wanted``, when given, names).  A candidate's
+    upper bound combines its reachable specificity — the smallest of its
+    keywords' deepest levels over ``bounds``, since a fragment root is an
+    ancestor of one node per keyword — with the trivial component bounds
+    1.0, through the float expression real scores use
+    (:func:`~repro.core.ranking.combine_score`).  Sorted best bound first,
+    ties by doc id.
+    """
+    smallest = min(tables, key=lambda table: len(table.depths))
+    candidates: List[Tuple[float, str]] = []
+    for doc_id, depth in smallest.depths.items():
+        if wanted is not None and doc_id not in wanted:
+            continue
+        for table in tables:
+            level = table.depths.get(doc_id)
+            if level is None:
+                break  # a missing keyword provably empties the result
+            depth = min(depth, level)
+        else:
+            upper = combine_score(normalized, depth / bounds.max_depth,
+                                  1.0, 1.0)
+            candidates.append((-upper, doc_id))
+    candidates.sort()
+    return candidates
 
 
 @dataclass(frozen=True)
@@ -122,6 +184,9 @@ class CorpusSearchEngine:
                                  cache_size=cache_size, metrics=metrics)
             for doc_id in source.doc_ids
         }
+        # One table per normalized keyword, filled on the keyword's first
+        # ranked query.  Two threads racing on a keyword build equal tables.
+        self._keyword_documents: Dict[str, KeywordDocuments] = {}
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -204,18 +269,22 @@ class CorpusSearchEngine:
         documents: List[DocumentResult] = []
         selected = self._selected(doc_filter)
         for doc_id in selected:
-            if trace is not None:
-                with trace.span("doc", doc=doc_id):
-                    result = self._engines[doc_id].search(parsed, algorithm,
-                                                          trace=trace)
-            else:
-                result = self._engines[doc_id].search(parsed, algorithm)
+            result = self._search_document(doc_id, parsed, algorithm, trace)
             if self._contributes(result):
                 documents.append(DocumentResult(doc_id, result))
         self._noted_search(len(selected), len(documents))
         return CorpusSearchResult(
             query=parsed, algorithm=algorithm, documents=tuple(documents),
             elapsed_seconds=time.perf_counter() - started)
+
+    def _search_document(self, doc_id: str, parsed: Query, algorithm: str,
+                         trace: Optional[Trace]) -> SearchResult:
+        """One document's pipeline, under a ``doc`` span when traced."""
+        engine = self._engines[doc_id]
+        if trace is None:
+            return engine.search(parsed, algorithm)
+        with trace.span("doc", doc=doc_id):
+            return engine.search(parsed, algorithm, trace=trace)
 
     def search_traced(self, query: QueryLike, algorithm: str = "validrtf",
                       doc_filter: Optional[Sequence[str]] = None
@@ -317,18 +386,34 @@ class CorpusSearchEngine:
         ranked alone, filtered, or corpus-wide — the comparability contract
         :func:`~repro.core.ranking.merge_ranked` relies on.
         """
-        parsed = Query.parse(query)
-        return bounds_from_impacts(
-            impact
-            for doc_id in self.source.doc_ids
-            for impact in self._keyword_impacts(doc_id, parsed))
+        return _bounds(self._keyword_tables(Query.parse(query)))
 
-    def _keyword_impacts(self, doc_id: str,
-                         parsed: Query) -> List[KeywordImpact]:
-        """The per-keyword impact metadata of one document."""
-        source = self._engines[doc_id].source
-        return [keyword_impact(source, keyword)
-                for keyword in parsed.keywords]
+    def keyword_documents(self, keyword: str) -> KeywordDocuments:
+        """The table of one normalized keyword, built on its first use.
+
+        One :func:`keyword_impact` call per corpus document fills it, and
+        the engine keeps it for its lifetime.
+        """
+        table = self._keyword_documents.get(keyword)
+        if table is None:
+            depths: Dict[str, int] = {}
+            for doc_id, engine in self._engines.items():
+                impact = keyword_impact(engine.source, keyword)
+                if not impact.empty:
+                    depths[doc_id] = impact.max_depth
+            table = KeywordDocuments(depths, max(depths.values(), default=0))
+            self._keyword_documents[keyword] = table
+        return table
+
+    def _keyword_tables(self, parsed: Query, trace: Optional[Trace] = None
+                        ) -> List[KeywordDocuments]:
+        """One table per query keyword, under an ``impacts`` span if traced."""
+        if trace is None:
+            return [self.keyword_documents(keyword)
+                    for keyword in parsed.keywords]
+        with trace.span("impacts", keywords=parsed.size):
+            return [self.keyword_documents(keyword)
+                    for keyword in parsed.keywords]
 
     def rank(self, result: CorpusSearchResult,
              weights: RankingWeights = RankingWeights(),
@@ -352,23 +437,23 @@ class CorpusSearchEngine:
                     top_k: Optional[int] = None,
                     doc_filter: Optional[Sequence[str]] = None,
                     weights: RankingWeights = RankingWeights(),
-                    early_terminate: bool = False) -> RankedCorpusSearch:
+                    early_terminate: bool = False,
+                    trace: Optional[Trace] = None) -> RankedCorpusSearch:
         """Ranked corpus retrieval, optionally with early termination.
 
         The exhaustive path searches every selected document, ranks, and
         merges.  With ``early_terminate=True`` (which requires ``top_k``) a
         threshold-algorithm driver runs instead: documents are visited in
-        descending score-upper-bound order — the bound combines each
-        document's reachable specificity (``min`` over the query keywords of
-        the keyword's deepest node level, since a fragment root is an
-        ancestor of one node per keyword) with the trivial component bounds
-        1.0, through the same float expression real scores use — and the
-        loop stops as soon as the k-th ranked score **strictly** exceeds the
-        next document's bound (a tie must keep going: doc-id ordering could
-        still admit the tied document).  Documents lacking any query keyword
-        are skipped outright (an empty posting list empties the whole
-        result).  Both paths return byte-identical rankings; only the visit
-        counters differ.
+        descending score-upper-bound order (:func:`threshold_candidates`)
+        and the loop stops as soon as the k-th ranked score **strictly**
+        exceeds the next document's bound (a tie must keep going: doc-id
+        ordering could still admit the tied document).  Documents lacking
+        any query keyword are never candidates (an empty posting list
+        empties the whole result).  Both paths return byte-identical
+        rankings; only the visit counters differ.
+
+        ``trace`` gets an ``impacts`` span around the keyword-table reads
+        and a ``doc`` span around each visited document's pipeline.
         """
         parsed = Query.parse(query)
         if early_terminate and top_k is None:
@@ -376,9 +461,11 @@ class CorpusSearchEngine:
                              "terminate against")
         normalized = weights.normalized()
         selected = self._selected(doc_filter)
-        if not early_terminate:
-            bounds = self.score_bounds(parsed)
-            result = self.search(parsed, algorithm, doc_filter=doc_filter)
+        tables = self._keyword_tables(parsed, trace)
+        bounds = _bounds(tables)
+        if not early_terminate or top_k is None:
+            result = self.search(parsed, algorithm, doc_filter=doc_filter,
+                                 trace=trace)
             ranked = self.rank(result, weights=weights, top_k=top_k,
                                bounds=bounds)
             outcome = RankedCorpusSearch(
@@ -388,25 +475,10 @@ class CorpusSearchEngine:
                 docs_skipped=0, bounds=bounds)
             return self._noted_rank(outcome)
 
-        # One impact fetch per (document, keyword): the same pass feeds the
-        # corpus-global bounds and the per-document upper bounds.
-        impacts_by_doc = {doc_id: self._keyword_impacts(doc_id, parsed)
-                          for doc_id in self.source.doc_ids}
-        bounds = bounds_from_impacts(
-            impact for impacts in impacts_by_doc.values()
-            for impact in impacts)
-        candidates: List[Tuple[float, str]] = []
-        for doc_id in selected:
-            impacts = impacts_by_doc[doc_id]
-            if any(impact.empty for impact in impacts):
-                continue  # a missing keyword provably empties the result
-            reachable = (min(impact.max_depth for impact in impacts)
-                         / bounds.max_depth)
-            upper = combine_score(normalized, reachable, 1.0, 1.0)
-            candidates.append((-upper, doc_id))
-        candidates.sort()
-
-        per_document: Dict[str, List] = {}
+        candidates = threshold_candidates(
+            tables, bounds, normalized,
+            None if doc_filter is None else frozenset(selected))
+        per_document: Dict[str, List[RankedFragment]] = {}
         # Min-heap of the k best scores seen so far; its root is the k-th
         # ranked score, the only value the stop test needs — the full merge
         # happens once, after the loop.
@@ -416,7 +488,8 @@ class CorpusSearchEngine:
             for negative_bound, doc_id in candidates:
                 if len(kth_best) >= top_k and kth_best[0] > -negative_bound:
                     break  # the k-th score provably cannot be beaten
-                result = self._engines[doc_id].search(parsed, algorithm)
+                result = self._search_document(doc_id, parsed, algorithm,
+                                               trace)
                 visited += 1
                 if self._contributes(result):
                     ranked = rank_result(result, weights, bounds=bounds)

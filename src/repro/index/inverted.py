@@ -75,7 +75,6 @@ class InvertedIndex:
         self.analyzer = ContentAnalyzer(tree)
         self._nodes = tree.node_table
         self._postings: Dict[str, PackedDeweyList] = {}
-        self._impacts: Dict[str, KeywordImpact] = {}
         self._build()
 
     def _build(self) -> None:
@@ -117,16 +116,12 @@ class InvertedIndex:
         """Posting count + deepest node level of one normalized keyword.
 
         The memory backend has no shred-time metadata to read back, so the
-        impact is derived from the resident posting list on first request
-        and cached — the lazy-compute arm of the ranking metadata seam
-        (:func:`repro.index.source.keyword_impact`).
+        impact is derived from the resident posting list — the
+        lazy-compute arm of the ranking metadata seam
+        (:func:`repro.index.source.keyword_impact`).  The corpus engine
+        keeps it in its per-keyword tables, so it is not cached here.
         """
-        cached = self._impacts.get(keyword)
-        if cached is None:
-            cached = impact_from_postings(
-                self._postings.get(keyword, EMPTY_PACKED))
-            self._impacts[keyword] = cached
-        return cached
+        return impact_from_postings(self._postings.get(keyword, EMPTY_PACKED))
 
     @property
     def source_id(self) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -48,6 +49,34 @@ class TestSearchCommand:
         assert exit_code == 0
         assert "documents visited: 1/1" in output
         assert "  1. [figure-1a] root " in output
+
+    def test_ranked_trace_has_one_doc_span_per_visited_document(
+            self, tmp_path, capsys):
+        documents = {
+            "deep": "<a><b><c><d>apple banana</d></c></b><e>apple</e>"
+                    "<f>banana</f></a>",
+            "shallow": "<r><x>apple banana</x></r>",
+            "partial": "<u><v>cherry</v><w>apple</w></u>",
+        }
+        paths = []
+        for name, text in documents.items():
+            path = tmp_path / f"{name}.xml"
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        db = str(tmp_path / "corpus.db")
+        assert main(["index", *paths, "--db", db]) == 0
+        capsys.readouterr()
+        exit_code = main(["search", "--db", db, "--backend", "corpus",
+                          "--top-k", "1", "--early-terminate", "--trace",
+                          "apple banana"])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        visited, selected = map(int, re.search(
+            r"documents visited: (\d+)/(\d+)", output).groups())
+        assert 0 < visited < selected == 3
+        spans = re.findall(r"[├└]─ (\S+)", output)
+        assert spans.count("impacts") == 1
+        assert spans.count("doc") == visited
 
 
 class TestCompareCommand:

@@ -16,7 +16,9 @@ trees); the deep sweep with more seeds and larger documents lives behind the
 
 from __future__ import annotations
 
+import collections
 import itertools
+import random
 import shutil
 
 import pytest
@@ -34,8 +36,17 @@ from fuzz_util import (
     segmented_engine,
     wire_lines,
 )
-from repro.core import ALGORITHM_NAMES
+from repro.core import (
+    ALGORITHM_NAMES,
+    Query,
+    RankingWeights,
+    bounds_from_impacts,
+    combine_score,
+)
+from repro.corpus.engine import threshold_candidates
 from repro.faults import InjectedCrash
+from repro.index import keyword_impact
+from repro.obs import Trace
 from repro.service.protocol import encode_message, ranking_payload
 from repro.storage import SQLiteStore, verify_database
 
@@ -298,3 +309,144 @@ def test_early_termination_is_byte_identical_to_exhaustive():
                     early.docs_selected, context
                 assert exhaustive.docs_visited == \
                     exhaustive.docs_selected, context
+
+
+# ---------------------------------------------------------------------- #
+# The per-keyword document tables behind both ranking paths
+# ---------------------------------------------------------------------- #
+def _reference_plan(engine, query, doc_filter, weights):
+    """The threshold driver's bounds and visit order, computed without
+    tables: one ``keyword_impact`` per (document, keyword), then
+    ``bounds_from_impacts``."""
+    parsed = Query.parse(query)
+    normalized = weights.normalized()
+    impacts = {doc_id: [keyword_impact(engine.document_engine(doc_id).source,
+                                       keyword)
+                        for keyword in parsed.keywords]
+               for doc_id in engine.doc_ids}
+    bounds = bounds_from_impacts(impact for row in impacts.values()
+                                 for impact in row)
+    candidates = []
+    for doc_id in engine.doc_ids:
+        if doc_filter is not None and doc_id not in doc_filter:
+            continue
+        if any(impact.empty for impact in impacts[doc_id]):
+            continue
+        reachable = (min(impact.max_depth for impact in impacts[doc_id])
+                     / bounds.max_depth)
+        candidates.append(
+            (-combine_score(normalized, reachable, 1.0, 1.0), doc_id))
+    candidates.sort()
+    return bounds, candidates
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_keyword_tables_give_the_per_document_impact_plan(layout):
+    """Bounds and visit order from the tables equal the per-document
+    impact pass, for random doc filters and weights; the traced driver
+    visits a prefix of that order."""
+    for seed in SEEDS:
+        rng = random.Random(seed * 4099 + 17)
+        trees = random_corpus(seed)
+        engine = build_corpus_engine(trees, layout)
+        for query in random_queries(seed, count=6):
+            doc_filter = None
+            if rng.random() < 0.7:
+                doc_filter = sorted(rng.sample(
+                    sorted(trees), rng.randint(1, len(trees))))
+            weights = RankingWeights(rng.uniform(0.0, 2.0),
+                                     rng.uniform(0.0, 2.0),
+                                     rng.uniform(0.1, 2.0))
+            context = (seed, layout, query, doc_filter, weights)
+            bounds, candidates = _reference_plan(engine, query, doc_filter,
+                                                 weights)
+            tables = [engine.keyword_documents(keyword)
+                      for keyword in Query.parse(query).keywords]
+            assert engine.score_bounds(query) == bounds, context
+            wanted = None if doc_filter is None else frozenset(doc_filter)
+            assert threshold_candidates(tables, bounds, weights.normalized(),
+                                        wanted) == candidates, context
+            trace = Trace("rank")
+            outcome = engine.rank_search(query, top_k=rng.randint(1, 3),
+                                         doc_filter=doc_filter,
+                                         weights=weights,
+                                         early_terminate=True, trace=trace)
+            assert outcome.bounds == bounds, context
+            visits = [span.notes["doc"] for span in trace.root.children
+                      if span.name == "doc"]
+            assert visits == [doc_id for _, doc_id
+                              in candidates[:outcome.docs_visited]], context
+
+
+def test_keyword_impact_runs_once_per_document_and_keyword(monkeypatch):
+    """Two passes of one query list: the first fills one table per
+    distinct keyword with one impact read per document, the second reads
+    none."""
+    import repro.corpus.engine as corpus_engine
+
+    calls = collections.Counter()
+    original = corpus_engine.keyword_impact
+
+    def counting(source, keyword):
+        calls[(source, keyword)] += 1
+        return original(source, keyword)
+
+    monkeypatch.setattr(corpus_engine, "keyword_impact", counting)
+    seed = 2
+    trees = random_corpus(seed)
+    engine = build_corpus_engine(trees, "sqlite")
+    queries = random_queries(seed, count=6)
+    keywords = {keyword for query in queries
+                for keyword in Query.parse(query).keywords}
+    sources = {engine.document_engine(doc_id).source: doc_id
+               for doc_id in engine.doc_ids}
+    once = {(doc_id, keyword): 1 for doc_id in engine.doc_ids
+            for keyword in keywords}
+    for _ in range(2):
+        for query in queries:
+            engine.rank_search(query, top_k=2, early_terminate=True)
+            engine.rank_search(query, top_k=2)
+            engine.score_bounds(query)
+        assert {(sources[source], keyword): count
+                for (source, keyword), count in calls.items()} == once
+
+
+def test_keyword_tables_live_as_long_as_the_pinned_sources():
+    """A write after a ranked query leaves the engine answering from the
+    generation its sources pinned; an engine built after the write ranks
+    the written document."""
+    from repro.corpus import CorpusSearchEngine
+    from repro.xmltree import SubtreeSpec, tree_from_spec
+
+    def document(name, texts):
+        root = SubtreeSpec("r")
+        for text in texts:
+            root.add(SubtreeSpec("x", text))
+        return tree_from_spec(root, name=name)
+
+    store = SQLiteStore()
+    store.store_tree(document("a", ["alpha omega", "beta"]), "a")
+    store.store_tree(document("b", ["alpha", "beta"]), "b")
+    query = "alpha omega"
+
+    def ranking(engine, **options):
+        return encode_message({"ranking": ranking_payload(
+            engine.rank_search(query, **options).ranked)})
+
+    paths = ({"top_k": 5}, {"top_k": 5, "early_terminate": True})
+    before_write = CorpusSearchEngine.from_store(store)
+    pinned = [ranking(before_write, **options) for options in paths]
+    assert {entry.doc_id for entry
+            in before_write.rank_search(query).ranked} == {"a"}
+    # Another engine's sources pin on a different keyword, so its table
+    # for the query's keywords is built after the write.
+    other_keyword = CorpusSearchEngine.from_store(store)
+    other_keyword.rank_search("beta")
+    store.update_document(document("b", ["alpha omega", "beta"]), "b")
+    for options, answer in zip(paths, pinned):
+        assert ranking(before_write, **options) == answer, options
+        assert ranking(other_keyword, **options) == answer, options
+    after_write = CorpusSearchEngine.from_store(store)
+    outcome = after_write.rank_search(query, top_k=5, early_terminate=True)
+    assert {entry.doc_id for entry in outcome.ranked} == {"a", "b"}
+    assert outcome.docs_visited == 2

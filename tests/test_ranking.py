@@ -87,6 +87,19 @@ class TestRankingWeights:
         with pytest.raises(ValueError, match="non-negative"):
             RankingWeights(*weights).normalized()
 
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_weight_rejected_at_every_position(self, position,
+                                                          value):
+        # NaN passed the negativity test and an infinite weight normalized
+        # to (nan, 0.0, 0.0); either way every score came out NaN.
+        weights = [1.0, 1.0, 1.0]
+        weights[position] = value
+        name = ("specificity", "compactness", "coverage")[position]
+        with pytest.raises(ValueError, match=f"{name}.*finite"):
+            RankingWeights(*weights).normalized()
+
 
 class TestScoreBounds:
     def test_max_depth_must_be_positive(self):

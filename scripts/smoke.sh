@@ -29,6 +29,21 @@ python -m repro.cli index --dataset figure-1b --db "$smoke_db" --add
 python -m repro.cli search --db "$smoke_db" --backend corpus "xml keyword search"
 rm -rf "$(dirname "$smoke_db")"
 
+echo "== end-to-end: a document nested 3,000 deep (index, sqlite search, verify) =="
+deep_dir="$(mktemp -d)"
+python -c "print('<a>' * 3000 + 'deep word' + '</a>' * 3000)" > "$deep_dir/deep.xml"
+python -m repro.cli index "$deep_dir/deep.xml" --db "$deep_dir/deep.db"
+python -m repro.cli search --db "$deep_dir/deep.db" --backend sqlite \
+    "deep word" > "$deep_dir/answer.txt"
+summary="$(head -n 1 "$deep_dir/answer.txt")"
+echo "$summary"
+[[ "$summary" == *"fragments: 1" ]] || {
+    echo "the deep document should answer one fragment" >&2
+    exit 1
+}
+python -m repro.cli verify --db "$deep_dir/deep.db"
+rm -rf "$deep_dir"
+
 echo "== end-to-end: ranked top-k retrieval (search --top-k) =="
 python -m repro.cli search --dataset figure-1a --top-k 3 "xml keyword search"
 

@@ -56,6 +56,8 @@ class Query:
     def extended(self, keyword: str) -> "Query":
         """A new query with one more keyword appended (query-monotonicity tests)."""
         normalized = DEFAULT_TOKENIZER.normalize_keyword(keyword)
+        if not normalized:
+            raise EmptyQueryError(f"keyword {keyword!r} normalizes to no word")
         if normalized in self.keywords:
             return self
         return Query(self.keywords + (normalized,))

@@ -20,7 +20,7 @@ from typing import (
     Tuple,
 )
 
-from ..text import EMPTY_CID, ContentAnalyzer, DEFAULT_TOKENIZER
+from ..text import EMPTY_CID, DEFAULT_TOKENIZER, content_id
 from ..xmltree import DeweyCode, XMLTree
 from .packed import EMPTY_PACKED, PackedDeweyList, QueryLists, as_packed, pack_deweys
 from .source import KeywordImpact, impact_from_postings
@@ -68,22 +68,32 @@ class InvertedIndex:
     Every posting list is stored as flat
     :class:`~repro.index.packed.PackedDeweyList` columns, which the SLCA/RTF
     hot loops consume without materializing :class:`DeweyCode` objects.
+
+    The build records each node's cID (Section 4.1) and keeps no word set;
+    nothing writes the index after the build, so engines may share it.
     """
 
     def __init__(self, tree: XMLTree) -> None:
         self.tree = tree
-        self.analyzer = ContentAnalyzer(tree)
         self._nodes = tree.node_table
+        self._cids: Dict[DeweyCode, Tuple[str, str]] = {}
         self._postings: Dict[str, PackedDeweyList] = {}
         self._build()
 
     def _build(self) -> None:
         postings: Dict[str, List[DeweyCode]] = {}
+        # One string per distinct word, shared by the posting keys and the
+        # cIDs, through a table that lives only for the build.
+        shared: Dict[str, str] = {}
         for node in self.tree.iter_preorder():
-            for word in self.analyzer.node_content(node):
-                postings.setdefault(word, []).append(node.dewey)
+            dewey = node.dewey
+            words = [shared.setdefault(word, word)
+                     for word in DEFAULT_TOKENIZER.word_set(node.raw_strings())]
+            self._cids[dewey] = content_id(words)
+            for word in words:
+                postings.setdefault(word, []).append(dewey)
         # iter_preorder yields document order, so the per-word lists are
-        # already sorted and duplicate-free (node_content is a set per node).
+        # already sorted and duplicate-free (word_set has no duplicates).
         self._postings = {word: pack_deweys(deweys, presorted=True)
                           for word, deweys in postings.items()}
 
@@ -135,9 +145,8 @@ class InvertedIndex:
         return node.label if node is not None else None
 
     def node_cid(self, dewey: DeweyCode) -> Tuple[str, str]:
-        """The cID of one node, memoized by the analyzer."""
-        node = self._nodes.get(dewey)
-        return self.analyzer.node_cid(node) if node is not None else EMPTY_CID
+        """The cID of one node, recorded by the build."""
+        return self._cids.get(dewey, EMPTY_CID)
 
     def vocabulary(self) -> List[str]:
         """Every indexed word, sorted."""

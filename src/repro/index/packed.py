@@ -42,6 +42,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Sequence as _SequenceABC
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import (
     Dict,
@@ -347,16 +348,10 @@ def pack_component_tuples(components: Iterable[Sequence[int]],
     Deduplicates and sorts unless ``presorted`` promises the input is already
     strictly sorted in document order.
     """
-    items: Iterable[Sequence[int]] = components
-    if not presorted:
-        items = sorted({tuple(parts) for parts in components})
-    data = array("I")
-    offsets = array("I", [0])
-    append_offset = offsets.append
-    for parts in items:
-        data.extend(parts)
-        append_offset(len(data))
-    return PackedDeweyList(data, offsets)
+    items = (list(components) if presorted
+             else sorted({tuple(parts) for parts in components}))
+    return PackedDeweyList(array("I", chain.from_iterable(items)),
+                           array("I", accumulate(map(len, items), initial=0)))
 
 
 def pack_deweys(deweys: Iterable[DeweyCode],

@@ -8,8 +8,8 @@ corpus — a single document is a corpus of one, tagged with its name:
 
 * ``memory`` and ``corpus`` without a database — one set of per-document
   :class:`~repro.index.inverted.InvertedIndex` snapshots is built once and
-  shared by every worker engine (posting lists are read-only after the
-  build; the shared analyzers' memoization writes are idempotent).
+  shared by every worker engine (posting lists and node cIDs are read-only
+  after the build, so queries never write the shared snapshot).
 * ``sqlite`` and ``corpus`` with a database — one shared
   :class:`~repro.storage.sqlite_backend.SQLiteStore`; every document serves
   its live generation, including one absorbed through ``index --update``

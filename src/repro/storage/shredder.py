@@ -38,22 +38,22 @@ def shred_tree(tree: XMLTree, name: str = "") -> ShreddedDocument:
     """Shred a tree into ``label`` / ``element`` / ``posting`` rows.
 
     Each node is tokenized once, by the :class:`~repro.index.InvertedIndex`
-    the memory backend serves, and both its stored cID and the posting rows
-    come from that one word set, so the disk and memory backends cannot
-    tokenize apart.  A ``posting`` row is ``(keyword, cardinality, blob,
-    max_depth)``: the keyword's document-order Dewey list as one
-    prefix-truncated packed blob, and its impact (posting count and deepest
-    Dewey level, root = 0), the shred-time metadata the corpus ranking
-    derives its score bounds from.
+    the memory backend serves: its stored cID is the one the index recorded
+    and the posting rows are the index's lists, so the disk and memory
+    backends cannot tokenize apart.  A ``posting`` row is ``(keyword,
+    cardinality, blob, max_depth)``: the keyword's document-order Dewey list
+    as one prefix-truncated packed blob, and its impact (posting count and
+    deepest Dewey level, root = 0), the shred-time metadata the corpus
+    ranking derives its score bounds from.
     """
     document = name or tree.name or "document"
     index = InvertedIndex(tree)
-    node_cid = index.analyzer.node_cid
+    node_cid = index.node_cid
     label_ids: Dict[str, int] = {}
     elements: List[ElementRow] = []
     for node in tree.iter_preorder():
         label_ids.setdefault(node.label, len(label_ids))
-        low, high = node_cid(node)
+        low, high = node_cid(node.dewey)
         elements.append(ElementRow(
             document=document,
             label=node.label,

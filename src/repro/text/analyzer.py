@@ -36,16 +36,15 @@ def content_id(words: Collection[str]) -> Tuple[str, str]:
 
 
 class ContentAnalyzer:
-    """Compute node content sets over an :class:`XMLTree`.
+    """Compute node content sets over an :class:`XMLTree`, by definition.
 
-    Results are memoized per node (keyed by Dewey code) because the search
-    algorithms repeatedly ask for the same contents while building RTFs.
+    Results are memoized per node (keyed by Dewey code) for the reference
+    record builder and the tests; the search path never reads them.
     """
 
     def __init__(self, tree: XMLTree):
         self.tree = tree
         self._content_cache: Dict[DeweyCode, FrozenSet[str]] = {}
-        self._cid_cache: Dict[DeweyCode, Tuple[str, str]] = {}
         self._subtree_cache: Dict[DeweyCode, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------ #
@@ -59,14 +58,6 @@ class ContentAnalyzer:
         words = frozenset(DEFAULT_TOKENIZER.word_set(node.raw_strings()))
         self._content_cache[node.dewey] = words
         return words
-
-    def node_cid(self, node: XMLNode) -> Tuple[str, str]:
-        """The cID of a single node's content ``C_v`` (memoized)."""
-        cached = self._cid_cache.get(node.dewey)
-        if cached is None:
-            cached = content_id(self.node_content(node))
-            self._cid_cache[node.dewey] = cached
-        return cached
 
     def is_keyword_node(self, node: XMLNode, keywords: Iterable[str]) -> bool:
         """True iff the node's own content intersects the query."""
@@ -115,5 +106,4 @@ class ContentAnalyzer:
     def clear_cache(self) -> None:
         """Drop memoized content sets (after tree mutation in tests)."""
         self._content_cache.clear()
-        self._cid_cache.clear()
         self._subtree_cache.clear()

@@ -60,20 +60,26 @@ class Tokenizer:
         return tokens
 
     def tokenize_many(self, texts: Iterable[str]) -> List[str]:
-        """Tokenize several strings and concatenate the token lists."""
-        tokens: List[str] = []
-        for text in texts:
-            tokens.extend(self.tokenize(text))
-        return tokens
+        """Tokenize several strings and concatenate the token lists, in one
+        pass over the strings joined by a space (no word spans one)."""
+        return self.tokenize(" ".join(texts))
 
     def word_set(self, texts: Iterable[str]) -> Set[str]:
         """The set of distinct tokens across several strings."""
         return set(self.tokenize_many(texts))
 
     def normalize_keyword(self, keyword: str) -> str:
-        """Normalize a query keyword the same way document words are."""
+        """Normalize a query keyword the same way document words are.
+
+        A keyword with no letter or digit (``"&"``) normalizes to ``""``,
+        which :meth:`normalize_query` drops: no indexed word could match
+        it.  A word outside the indexed alphabet (``"Москва"``) is kept, so
+        an AND query holding it still matches nothing.
+        """
         tokens = self.tokenize(keyword)
         if not tokens:
+            if not any(char.isalnum() for char in keyword):
+                return ""
             # A keyword that is entirely a stop word still needs a canonical
             # form so queries like "the" do not silently vanish.
             fallback = _WORD_PATTERN.findall(keyword)

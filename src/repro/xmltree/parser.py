@@ -2,7 +2,7 @@
 
 The paper's system parses documents with Xerces; this substrate uses the
 standard-library :mod:`xml.etree.ElementTree` parser, assigning Dewey codes in
-document order during a single pre-order walk.
+one walk of the element tree with an explicit stack.
 """
 
 from __future__ import annotations
@@ -37,7 +37,12 @@ def parse_file(path: Union[str, Path], name: str = "") -> XMLTree:
 
 
 def to_xml_string(tree: XMLTree, indent: str = "  ") -> str:
-    """Serialize a whole tree back to an XML string (round-trip helper)."""
+    """Serialize a whole tree back to an XML string (round-trip helper).
+
+    ElementTree's writer recurses once per level, so, unlike parsing, this
+    is bounded by Python's recursion limit: a tree nested about a thousand
+    levels deep raises ``RecursionError``.
+    """
     element = _to_element(tree.root)
     _indent_element(element, indent)
     return ET.tostring(element, encoding="unicode")
@@ -52,21 +57,27 @@ def write_xml_file(tree: XMLTree, path: Union[str, Path], indent: str = "  ") ->
 # Internal conversion helpers
 # ---------------------------------------------------------------------- #
 def _convert(element: ET.Element, name: str) -> XMLTree:
-    root = _convert_element(element, DeweyCode.root())
+    """Convert an ElementTree walked with an explicit stack, so a document's
+    depth is not bounded by Python's recursion limit."""
+    root = _new_node(element, DeweyCode.root())
+    stack = [(element, root)]
+    while stack:
+        parent, node = stack.pop()
+        for index, child in enumerate(parent):
+            child_node = _new_node(child, node.dewey.child(index))
+            node.attach_child(child_node)
+            stack.append((child, child_node))
+            tail = (child.tail or "").strip()
+            if tail:
+                # Mixed content: append the tail text to the parent's text so
+                # no words are lost for keyword matching.
+                node.text = f"{node.text} {tail}" if node.text else tail
     return XMLTree(root, name=name)
 
 
-def _convert_element(element: ET.Element, dewey: DeweyCode) -> XMLNode:
-    text = element.text.strip() if element.text and element.text.strip() else None
-    node = XMLNode(dewey, _local_name(element.tag), text, dict(element.attrib))
-    for index, child in enumerate(element):
-        node.attach_child(_convert_element(child, dewey.child(index)))
-        tail = child.tail.strip() if child.tail and child.tail.strip() else None
-        if tail:
-            # Mixed content: append the tail text to the parent's text so no
-            # words are lost for keyword matching.
-            node.text = f"{node.text} {tail}" if node.text else tail
-    return node
+def _new_node(element: ET.Element, dewey: DeweyCode) -> XMLNode:
+    text = (element.text or "").strip() or None
+    return XMLNode(dewey, _local_name(element.tag), text, dict(element.attrib))
 
 
 def _local_name(tag: str) -> str:

@@ -42,6 +42,25 @@ class TestSearchCommand:
         assert "fragments: 1" in output
         assert "=== document doc (1 fragment) ===" in output
 
+    @pytest.mark.parametrize("raw, plain", [
+        ("xml & keyword search", "xml keyword search"),
+        ("xml - keyword", "xml keyword"),
+    ])
+    def test_wordless_keyword_is_dropped(self, capsys, raw, plain):
+        # A keyword with no word in it matches nothing; it must not empty
+        # the answer of the words around it.
+        assert main(["search", "--dataset", "figure-1a", raw]) == 0
+        with_symbol = capsys.readouterr().out
+        assert main(["search", "--dataset", "figure-1a", plain]) == 0
+        assert with_symbol == capsys.readouterr().out
+        assert f"query: {plain} " in with_symbol
+
+    def test_unindexed_word_keeps_the_query_conjunctive(self, capsys):
+        # A real word no node holds is kept, so nothing answers all words.
+        assert main(["search", "--dataset", "figure-1a",
+                     "xml \u041c\u043e\u0441\u043a\u0432\u0430"]) == 0
+        assert "fragments: 0" in capsys.readouterr().out
+
     def test_search_early_terminate_on_one_document(self, capsys):
         exit_code = main(["search", "--dataset", "figure-1a", "--top-k", "3",
                           "--early-terminate", "xml keyword search"])
@@ -238,7 +257,9 @@ class TestArgumentHandling:
         ["search", "--dataset", "figure-1a", "--top-k", "1", ""],
         ["compare", "--dataset", "figure-1a", ""],
         ["explain", "--dataset", "figure-1a", ""],
-    ], ids=["search", "search-blank", "search-top-k", "compare", "explain"])
+        ["search", "--dataset", "figure-1a", "&"],
+    ], ids=["search", "search-blank", "search-top-k", "compare", "explain",
+            "search-symbol"])
     def test_empty_query_is_a_usage_error(self, capsys, argv):
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -2,8 +2,19 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.core import ALGORITHM_NAMES, SearchEngine
+from repro.datasets import (
+    DBLPConfig,
+    XMarkConfig,
+    generate_dblp,
+    generate_xmark,
+    publications_tree,
+)
 from repro.index import (
     InvertedIndex,
     build_index,
@@ -13,6 +24,8 @@ from repro.index import (
     merge_keyword_nodes,
     top_keywords,
 )
+from repro.storage import shred_tree
+from repro.text import ContentAnalyzer
 from repro.xmltree import parse_string
 
 DOCUMENT = """
@@ -66,10 +79,57 @@ class TestInvertedIndex:
 
     def test_matches_analyzer_content(self, index):
         # Every posting really contains its keyword according to the analyzer.
+        analyzer = ContentAnalyzer(index.tree)
         for word in ("xml", "skyline", "article"):
             for dewey in index.postings(word):
                 node = index.tree.node(dewey)
-                assert word in index.analyzer.node_content(node)
+                assert word in analyzer.node_content(node)
+
+
+class TestIndexFootprint:
+    """The index keeps each node's cID, not its word set."""
+
+    @pytest.mark.parametrize("dataset", ["dblp", "xmark"])
+    def test_retains_at_most_500_bytes_per_node(self, dataset):
+        tree = (generate_dblp(DBLPConfig(publications=400, keyword_scale=0.01,
+                                         seed=2009))
+                if dataset == "dblp"
+                else generate_xmark(XMarkConfig(scale="data1", base_items=40)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = InvertedIndex(tree)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert index.vocabulary_size() > 0
+        assert retained / len(tree) <= 500, \
+            f"{retained / len(tree):.0f} bytes retained per node"
+
+    def test_build_shred_and_search_never_read_node_contents(self,
+                                                             monkeypatch):
+        # Contents by definition are for the reference record builder
+        # only; the index answers from its posting lists and cID table.
+        reads = []
+        node_content = ContentAnalyzer.node_content
+
+        def counted(analyzer, node):
+            reads.append(node.dewey)
+            return node_content(analyzer, node)
+
+        monkeypatch.setattr(ContentAnalyzer, "node_content", counted)
+        tree = publications_tree()
+        index = InvertedIndex(tree)
+        shred_tree(tree)
+        engine = SearchEngine(source=index)
+        answered = 0
+        for name in ALGORITHM_NAMES:
+            for query in ("xml keyword search", "skyline query", "liu chen"):
+                answered += engine.search(query, name).count
+        assert answered > 0
+        assert reads == []
 
 
 class TestStatistics:

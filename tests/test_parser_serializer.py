@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.xmltree import (
+    DeweyCode,
     ParseError,
     fragment_summary,
     parse_file,
@@ -72,6 +73,17 @@ class TestParsing:
         tree = parse_string("<a>head<b>inner</b>tail</a>")
         assert "tail" in (tree.root.text or "")
         assert tree.node("0.0").text == "inner"
+
+    def test_deep_document_parses(self):
+        # The element tree is walked with an explicit stack, so depth is
+        # not bounded by Python's recursion limit.
+        depth = 3000
+        tree = parse_string("<a>" * depth + "deep word" + "</a>" * depth)
+        deepest = tree.node(DeweyCode((0,) * depth))
+        assert len(tree) == depth
+        assert len(deepest.dewey) == depth
+        assert deepest.is_leaf and deepest.text == "deep word"
+        assert tree.root.text is None
 
 
 class TestRendering:

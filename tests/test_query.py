@@ -37,6 +37,21 @@ class TestParsing:
         with pytest.raises(EmptyQueryError):
             Query(("xml", "xml"))
 
+    @pytest.mark.parametrize("raw, keywords", [
+        ("xml & keyword search", ("xml", "keyword", "search")),
+        ("xml - keyword", ("xml", "keyword")),
+        (["xml", "&&", "keyword"], ("xml", "keyword")),
+        # A word outside the indexed alphabet is kept, and matches nothing.
+        ("xml \u041c\u043e\u0441\u043a\u0432\u0430",
+         ("xml", "\u043c\u043e\u0441\u043a\u0432\u0430")),
+    ])
+    def test_wordless_keywords_dropped(self, raw, keywords):
+        assert Query.parse(raw).keywords == keywords
+
+    def test_wordless_query_rejected(self):
+        with pytest.raises(EmptyQueryError):
+            Query.parse("& -")
+
     def test_as_query(self):
         assert as_query("xml keyword").size == 2
 
@@ -74,6 +89,10 @@ class TestExtension:
         assert extended.keywords == ("xml", "keyword", "search")
         # The original is unchanged (frozen dataclass).
         assert query.size == 2
+
+    def test_extended_rejects_wordless_keyword(self):
+        with pytest.raises(EmptyQueryError):
+            Query.parse("xml keyword").extended("&")
 
     def test_extended_ignores_existing(self):
         query = Query.parse("xml keyword")

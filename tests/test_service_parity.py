@@ -166,6 +166,10 @@ def test_bad_query_is_typed(served):
         assert response["error"]["code"] == "bad_request"
         response = client.request({"op": "search", "query": "   "})
         assert response["error"]["code"] == "bad_request"
+        # A query of symbols normalizes to zero keywords.
+        response = client.request({"op": "search", "query": "&"})
+        assert response["error"]["code"] == "bad_request"
+        assert "normalizes to zero keywords" in response["error"]["message"]
         response = client.request({"op": "nonsense", "id": 9})
         assert response["error"]["code"] == "bad_request"
         assert response["id"] == 9  # request ids echo on errors too

@@ -68,6 +68,8 @@ class TestTokenizer:
         assert words == {"xml", "keyword", "search"}
         tokens = tokenizer.tokenize_many(["xml keyword", "keyword search"])
         assert tokens == ["xml", "keyword", "keyword", "search"]
+        # Words at the ends of two strings stay two words.
+        assert tokenizer.tokenize_many(["xml", "keyword"]) == ["xml", "keyword"]
 
     def test_normalize_keyword(self):
         tokenizer = Tokenizer()

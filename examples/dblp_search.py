@@ -46,7 +46,7 @@ def main() -> None:
     print(f"corpus: {profile.node_count} nodes, {profile.distinct_labels} labels, "
           f"{profile.vocabulary_size} distinct words")
 
-    # 2. Shred it into the relational store (label / element / posting tables).
+    # 2. Shred it into the relational store (element / posting tables).
     store = SQLiteStore()
     store.store_tree(tree, "dblp")
     stats = store.document_stats("dblp")

@@ -29,19 +29,35 @@ python -m repro.cli index --dataset figure-1b --db "$smoke_db" --add
 python -m repro.cli search --db "$smoke_db" --backend corpus "xml keyword search"
 rm -rf "$(dirname "$smoke_db")"
 
-echo "== end-to-end: a document nested 3,000 deep (index, sqlite search, verify) =="
+echo "== end-to-end: a document nested 3,000 deep (index, search, update, compact, each verified) =="
 deep_dir="$(mktemp -d)"
-python -c "print('<a>' * 3000 + 'deep word' + '</a>' * 3000)" > "$deep_dir/deep.xml"
-python -m repro.cli index "$deep_dir/deep.xml" --db "$deep_dir/deep.db"
-python -m repro.cli search --db "$deep_dir/deep.db" --backend sqlite \
-    "deep word" > "$deep_dir/answer.txt"
-summary="$(head -n 1 "$deep_dir/answer.txt")"
-echo "$summary"
-[[ "$summary" == *"fragments: 1" ]] || {
-    echo "the deep document should answer one fragment" >&2
-    exit 1
+deep_db="$deep_dir/deep.db"
+deep_document() {  # WORDS: the 3,000-deep chain holding them at its leaf
+    python -c "print('<a>' * 3000 + '$1' + '</a>' * 3000)" > "$deep_dir/deep.xml"
 }
-python -m repro.cli verify --db "$deep_dir/deep.db"
+deep_search() {  # QUERY GENERATION: one fragment, served from generation N
+    python -m repro.cli search --db "$deep_db" --backend sqlite "$1" \
+        > "$deep_dir/answer.txt"
+    summary="$(head -n 1 "$deep_dir/answer.txt")"
+    echo "$summary"
+    [[ "$summary" == *"@g$2]"*"fragments: 1" ]] || {
+        echo "the deep document should answer one fragment from generation $2" >&2
+        exit 1
+    }
+}
+deep_document "deep word"
+python -m repro.cli index "$deep_dir/deep.xml" --db "$deep_db"
+deep_search "deep word" 0
+python -m repro.cli verify --db "$deep_db"
+deep_document "deep change"
+python -m repro.cli index --update "$deep_dir/deep.xml" --db "$deep_db"
+python -m repro.cli verify --db "$deep_db"
+deep_search "deep change" 1
+python -m repro.cli verify --db "$deep_db"
+python -m repro.cli compact --db "$deep_db"
+python -m repro.cli verify --db "$deep_db"
+deep_search "deep change" 0
+python -m repro.cli verify --db "$deep_db"
 rm -rf "$deep_dir"
 
 echo "== end-to-end: ranked top-k retrieval (search --top-k) =="

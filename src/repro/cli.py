@@ -16,7 +16,9 @@ Sub-commands
     catalog, liveness, posting blobs, content ids) against an indexed
     database; exits nonzero when any check fails, so scripts can gate on a
     clean store.  Every command that opens a ``--db`` file written with
-    another schema version prints the re-index message and exits 2.
+    another schema version prints the re-index message and exits 2; one
+    given a ``--db`` path that is no database, or an XML file that does not
+    parse, prints one line naming the path and exits 2.
 ``search``
     Run a keyword query against an XML file, a built-in dataset, an indexed
     sqlite store (``--db file.db --backend sqlite``), or a whole corpus
@@ -61,7 +63,7 @@ from typing import List, Optional, Sequence
 from .bench import BACKEND_NAMES, default_datasets
 from .core import ALGORITHM_NAMES, EmptyQueryError, SearchEngine
 from .corpus import CorpusSearchEngine
-from .storage import SchemaVersionError, SQLiteStore
+from .storage import DatabaseFileError, SchemaVersionError, SQLiteStore
 from .storage.errors import DocumentNotFound
 from .datasets import (
     DBLPConfig,
@@ -73,7 +75,7 @@ from .datasets import (
     team_tree,
 )
 from .index import InvertedIndex, document_profile
-from .xmltree import XMLTree, parse_file, write_xml_file
+from .xmltree import ParseError, XMLTree, parse_file, write_xml_file
 
 _BUILTIN_TREES = {
     "figure-1a": publications_tree,
@@ -92,7 +94,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = arguments.handler
     try:
         return handler(arguments)
-    except (CliError, EmptyQueryError, SchemaVersionError) as error:
+    except (CliError, EmptyQueryError, ParseError, SchemaVersionError,
+            DatabaseFileError) as error:
         print(error, file=sys.stderr)
         return 2
 

@@ -1,15 +1,19 @@
 """Relational shredding store: the Section 5.2 schema on sqlite3.
 
-:class:`SQLiteStore` writes a document's rows into a database file stamped
-with :data:`SCHEMA_VERSION`, and refuses a file carrying any other version
-(:class:`SchemaVersionError`: re-index it).  It keeps the base tables and
-the delta segments that live updates, deletes and compaction write, and
-answers its catalogue over each document's live generation.  A
+:class:`SQLiteStore` writes a document's ``element`` and ``posting`` rows
+into a database file stamped with :data:`SCHEMA_VERSION`, and refuses a
+file carrying any other version (:class:`SchemaVersionError`: re-index it)
+or no database at all (:class:`DatabaseFileError`).  Every row belongs to a
+generation: the base (:data:`BASE_GENERATION`) or the delta segment a live
+update wrote; deletes are tombstones in the segment catalogue, and
+compaction renumbers each live version to the base.  The store answers its
+catalogue over each document's live generation.  A
 :class:`SQLitePostingSource` is the only reader of those rows; it serves the
 generation its document lived in at its first read.
 """
 
 from .errors import (
+    DatabaseFileError,
     DocumentAlreadyStored,
     DocumentNotFound,
     SchemaVersionError,
@@ -19,7 +23,6 @@ from .schema import (
     CREATE_TABLES_SQL,
     SCHEMA_VERSION,
     ElementRow,
-    LabelRow,
     decode_dewey,
     encode_dewey,
 )
@@ -42,7 +45,7 @@ __all__ = [
     "DocumentNotFound",
     "DocumentAlreadyStored",
     "SchemaVersionError",
-    "LabelRow",
+    "DatabaseFileError",
     "ElementRow",
     "CREATE_TABLES_SQL",
     "SCHEMA_VERSION",

@@ -21,3 +21,8 @@ class SchemaVersionError(StorageError):
     Files are never migrated: one written with another layout (or before
     files were stamped at all) is re-indexed into a new file.
     """
+
+
+class DatabaseFileError(StorageError):
+    """Raised when a store's path cannot be opened as a SQLite database:
+    a directory, a missing directory, or a file that is not a database."""

@@ -8,9 +8,9 @@ posting-list interface the in-memory
 :class:`~repro.core.engine.SearchEngine` can run over either — the
 EMBANKS-style disk-based retrieval setup of the paper's Section 5, without the
 full document resident in RAM.  At its first read the source resolves the
-document's live location (the base tables, or the delta segment of its
-newest update) and pins it, so every later read serves that one generation;
-no other code reads a store's rows.
+document's live location (the base generation, or the delta segment of its
+newest update) and pins it, so every statement it runs filters on that one
+``(document, generation)`` pair; no other code reads a store's rows.
 
 The source is lazy: nothing is fetched at construction.  Each keyword loads
 as **one** packed blob from the ``posting`` table, a query's uncached lists
@@ -44,7 +44,7 @@ DEFAULT_NODE_LRU_SIZE = 8192
 
 #: Batched ``IN (...)`` statements stay under sqlite's default host-variable
 #: limit (999 in older builds) by chunking at this size; the scope filter's
-#: parameters (at most two) ride on top of each chunk.
+#: parameters (two) ride on top of each chunk.
 _IN_CHUNK = 400
 
 _MISSING = object()
@@ -87,14 +87,14 @@ class SQLitePostingSource:
         self._elements: "OrderedDict[DeweyCode, Optional[ElementRow]]" = OrderedDict()
         # The pinned live location and its rows, set by the first _scope().
         self._location: Optional[int] = None
-        self._rows: Optional[Tuple[str, str, Tuple[object, ...]]] = None
+        self._rows: Optional[Tuple[str, Tuple[object, ...]]] = None
         self.lru_hits = 0
         self.lru_misses = 0
         # Read accounting (pre-aggregated per fetch, harvested per query by
         # the instrumented pipeline through :meth:`read_stats`).
         self.bytes_read = 0
         self.packed_fetches = 0
-        # Fetched keywords served from a delta segment vs the base tables.
+        # Fetched keywords served from a delta segment vs the base.
         self.segment_reads = 0
         self.base_reads = 0
 
@@ -153,9 +153,9 @@ class SQLitePostingSource:
         cached = self._lru_get(keyword)
         if cached is not None:
             return impact_from_postings(cached)
-        prefix, where, scope = self._scope()
+        where, scope = self._scope()
         row = self.store._connection.execute(
-            f"SELECT cardinality, max_depth FROM {prefix}posting "
+            "SELECT cardinality, max_depth FROM posting "
             f"WHERE {where} AND keyword = ?", (*scope, keyword)).fetchone()
         if row is None:
             return EMPTY_IMPACT
@@ -163,10 +163,10 @@ class SQLitePostingSource:
 
     def vocabulary(self) -> List[str]:
         """Every indexed word of the document, sorted."""
-        prefix, where, scope = self._scope()
+        where, scope = self._scope()
         cursor = self.store._connection.execute(
-            f"SELECT keyword FROM {prefix}posting WHERE {where} "
-            f"ORDER BY keyword", scope)
+            f"SELECT keyword FROM posting WHERE {where} ORDER BY keyword",
+            scope)
         return [keyword for (keyword,) in cursor]
 
     def node_label(self, dewey: DeweyCode) -> Optional[str]:
@@ -272,14 +272,14 @@ class SQLitePostingSource:
     # ------------------------------------------------------------------ #
     # Statements
     # ------------------------------------------------------------------ #
-    def _scope(self) -> Tuple[str, str, Tuple[object, ...]]:
-        """The rows this source reads: ``(table prefix, row filter, filter
-        parameters)``, spliced into every statement this source runs.
+    def _scope(self) -> Tuple[str, Tuple[object, ...]]:
+        """The rows this source reads: ``(row filter, filter parameters)``,
+        spliced into every statement this source runs.
 
         The first call resolves the document's live location and pins it,
         so every read of one source, batched or single-row, sees one
-        generation: the base tables, or one delta segment's ``segment_*``
-        tables.  An absent or tombstoned document raises
+        generation: the base, or one delta segment.  An absent or
+        tombstoned document raises
         :class:`~repro.storage.errors.DocumentNotFound` instead of
         answering with empty lists.
         """
@@ -291,12 +291,12 @@ class SQLitePostingSource:
     def _fetch_blob_rows(self, missing: Sequence[str]
                          ) -> Dict[str, PackedDeweyList]:
         """Rebuilt packed columns per keyword, one chunked ``IN`` batch."""
-        prefix, where, scope = self._scope()
+        where, scope = self._scope()
         fetched: Dict[str, PackedDeweyList] = {}
         blob_bytes = 0
         for chunk in _chunked(missing):
             cursor = self.store._connection.execute(
-                f"SELECT keyword, blob FROM {prefix}posting "
+                "SELECT keyword, blob FROM posting "
                 f"WHERE {where} AND keyword IN ({_placeholders(chunk)})",
                 (*scope, *chunk),
             )
@@ -317,15 +317,15 @@ class SQLitePostingSource:
 
         The statement reads each node's label and stored cID together.
         """
-        prefix, where, scope = self._scope()
+        where, scope = self._scope()
         rows: Dict[DeweyCode, Optional[ElementRow]] = {}
         for chunk in _chunked(deweys):
             encoded = {encode_dewey(dewey): dewey for dewey in chunk}
             found = {dewey_text: (label, (low, high))
                      for dewey_text, label, low, high in
                      self.store._connection.execute(
-                         f"SELECT dewey, label, content_feature_min, "
-                         f"content_feature_max FROM {prefix}element "
+                         "SELECT dewey, label, content_feature_min, "
+                         "content_feature_max FROM element "
                          f"WHERE {where} AND dewey IN "
                          f"({_placeholders(encoded)})",
                          (*scope, *encoded))}

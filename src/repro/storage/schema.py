@@ -3,23 +3,24 @@
 Section 5.2 stores the shredded records in PostgreSQL using three tables:
 
 * ``label (label, id)`` — every distinct element label and its number;
-* ``element (label, dewey, level, label_number_sequence, content_feature)`` —
-  one row per node, where ``label_number_sequence`` encodes the labels of the
-  node's ancestors from the root (used to rebuild ancestor information) and
-  ``content_feature`` is the node's cID;
+* ``element`` — one row per node: its label, Dewey code, level, the label
+  numbers of its ancestors from the root (used to rebuild ancestor
+  information) and ``content_feature``, the node's cID;
 * ``value (label, dewey, attribute, keyword)`` — one row per (node, word)
   pair over the node's label, text and attributes; this is the table keyword
   lookups run against.
 
-This layout (schema 2) holds the first two of them and replaces the third:
-``label``, ``element`` without ``level`` (a node's depth is its Dewey
-length) and the cID stored as two strings, and one packed ``posting`` blob
-per keyword, the keyword's sorted Dewey list, which is what every keyword
-lookup reads.  No ``value`` row is stored.
+This layout (schema 3) keeps what the queries read of them: one ``element``
+row per node (its label, Dewey code and the cID as two strings; a node's
+depth is its Dewey length) and, in place of ``value``, one packed
+``posting`` blob per keyword, the keyword's sorted Dewey list.  No query
+reads the label numbers, so neither the ``label`` table nor the label
+number sequence is stored.  Every row carries the ``generation`` it belongs
+to: 0 for the base, N for delta segment N.
 
-This module defines the row dataclasses, the SQL DDL of the sqlite store
-(the PostgreSQL → sqlite substitution is documented in DESIGN.md) and the
-:data:`SCHEMA_VERSION` every database file is stamped with: a file is
+This module defines the element row dataclass, the SQL DDL of the sqlite
+store (the PostgreSQL → sqlite substitution is documented in DESIGN.md) and
+the :data:`SCHEMA_VERSION` every database file is stamped with: a file is
 created with this layout, or refused (``PRAGMA user_version``).
 """
 
@@ -30,49 +31,33 @@ from typing import Tuple
 
 
 @dataclass(frozen=True)
-class LabelRow:
-    """One row of the ``label`` table."""
-
-    label: str
-    label_id: int
-
-
-@dataclass(frozen=True)
 class ElementRow:
-    """One row of the ``element`` table."""
+    """One row of the ``element`` table, without its key's ``document``
+    and ``generation``."""
 
-    document: str
     label: str
     dewey: str
-    label_number_sequence: str
     content_feature_min: str
     content_feature_max: str
 
 
 #: SQL DDL for the sqlite backend.  The ``document`` column lets one store
-#: hold several shredded documents (the paper uses one database per dataset).
+#: hold several shredded documents (the paper uses one database per
+#: dataset), and the ``generation`` column several versions of one.
 CREATE_TABLES_SQL: Tuple[str, ...] = (
     """
-    CREATE TABLE IF NOT EXISTS label (
-        document TEXT NOT NULL,
-        label    TEXT NOT NULL,
-        id       INTEGER NOT NULL,
-        PRIMARY KEY (document, label)
-    )
-    """,
-    """
     CREATE TABLE IF NOT EXISTS element (
-        document              TEXT NOT NULL,
-        label                 TEXT NOT NULL,
-        dewey                 TEXT NOT NULL,
-        label_number_sequence TEXT NOT NULL,
-        content_feature_min   TEXT NOT NULL,
-        content_feature_max   TEXT NOT NULL,
-        PRIMARY KEY (document, dewey)
+        document            TEXT NOT NULL,
+        generation          INTEGER NOT NULL,
+        label               TEXT NOT NULL,
+        dewey               TEXT NOT NULL,
+        content_feature_min TEXT NOT NULL,
+        content_feature_max TEXT NOT NULL,
+        PRIMARY KEY (document, generation, dewey)
     )
     """,
-    # One packed columnar posting blob per (document, keyword): the
-    # prefix-truncated serialization of the keyword's sorted Dewey list
+    # One packed columnar posting blob per (document, generation, keyword):
+    # the prefix-truncated serialization of the keyword's sorted Dewey list
     # (see repro.index.packed).  This is the keyword index: loading a
     # posting list is one row fetch + one C-speed column rebuild, and no
     # row per (node, word) pair is stored.  ``max_depth`` is the keyword's
@@ -82,61 +67,31 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
     """
     CREATE TABLE IF NOT EXISTS posting (
         document    TEXT NOT NULL,
+        generation  INTEGER NOT NULL,
         keyword     TEXT NOT NULL,
         cardinality INTEGER NOT NULL,
         blob        BLOB NOT NULL,
         max_depth   INTEGER NOT NULL,
-        PRIMARY KEY (document, keyword)
+        PRIMARY KEY (document, generation, keyword)
     )
     """,
     # ------------------------------------------------------------------ #
-    # Segmented incremental updates (repro.storage.sqlite_backend).  The three
-    # tables above are the **base generation**; every update/delete lands in
-    # an immutable delta segment instead of rewriting base rows.  ``segment``
-    # is the catalog: one row per (segment, document) event — kind ``doc``
-    # carries a full replacement row set in the ``segment_*`` tables below,
-    # kind ``tombstone`` marks the document deleted as of that segment.  A
-    # document's live version is decided by its highest-numbered event;
-    # ``compact()`` folds live versions into the base tables and clears all
-    # four segment tables.
+    # Segmented incremental updates (repro.storage.sqlite_backend).  The
+    # rows of generation 0 are the **base**; every update/delete lands in
+    # an immutable delta segment instead of rewriting base rows.
+    # ``segment`` is the catalog: one row per (segment, document) event —
+    # kind ``doc`` owns a full replacement row set, the rows of generation
+    # ``segment_id``; kind ``tombstone`` marks the document deleted as of
+    # that segment.  A document's live version is decided by its
+    # highest-numbered event; ``compact()`` renumbers each live version to
+    # generation 0, deletes the catalogued documents' other generations,
+    # and empties the catalog.
     """
     CREATE TABLE IF NOT EXISTS segment (
         segment_id INTEGER NOT NULL,
         document   TEXT NOT NULL,
         kind       TEXT NOT NULL,
         PRIMARY KEY (segment_id, document)
-    )
-    """,
-    """
-    CREATE TABLE IF NOT EXISTS segment_label (
-        segment_id INTEGER NOT NULL,
-        document   TEXT NOT NULL,
-        label      TEXT NOT NULL,
-        id         INTEGER NOT NULL,
-        PRIMARY KEY (segment_id, document, label)
-    )
-    """,
-    """
-    CREATE TABLE IF NOT EXISTS segment_element (
-        segment_id            INTEGER NOT NULL,
-        document              TEXT NOT NULL,
-        label                 TEXT NOT NULL,
-        dewey                 TEXT NOT NULL,
-        label_number_sequence TEXT NOT NULL,
-        content_feature_min   TEXT NOT NULL,
-        content_feature_max   TEXT NOT NULL,
-        PRIMARY KEY (segment_id, document, dewey)
-    )
-    """,
-    """
-    CREATE TABLE IF NOT EXISTS segment_posting (
-        segment_id  INTEGER NOT NULL,
-        document    TEXT NOT NULL,
-        keyword     TEXT NOT NULL,
-        cardinality INTEGER NOT NULL,
-        blob        BLOB NOT NULL,
-        max_depth   INTEGER NOT NULL,
-        PRIMARY KEY (segment_id, document, keyword)
     )
     """,
     "CREATE INDEX IF NOT EXISTS idx_segment_document "
@@ -164,22 +119,21 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
 #: carrying another version (:class:`~repro.storage.errors.SchemaVersionError`);
 #: such a file is re-indexed into a new one, never migrated.  Version 1
 #: also stored a ``value`` row per (node, word) pair and an element
-#: ``level``; version 2 dropped both.
-SCHEMA_VERSION = 2
+#: ``level``; version 2 dropped both, and still stored a ``label`` table,
+#: each element's label number sequence, zero-padded Dewey text and every
+#: delta segment in ``segment_*`` twin tables; version 3 dropped those.
+SCHEMA_VERSION = 3
 
 
 def encode_dewey(components: Tuple[int, ...]) -> str:
-    """Encode Dewey components as a sortable dotted string.
+    """Encode Dewey components as dotted text, ``0.2.10``.
 
-    Each component is zero-padded to six digits, which keeps the
-    lexicographic string order identical to document order for components
-    below 10**6.  The format is a literal: this runs once per shredded and
-    once per prefetched node, and a literal ``%`` format in a list join is
-    the cheapest spelling of it.
+    Element rows are looked up by equality on this text and never ordered
+    by it, so it carries no padding.
     """
-    return ".".join(["%06d" % component for component in components])
+    return ".".join(map(str, components))
 
 
 def decode_dewey(text: str) -> Tuple[int, ...]:
-    """Decode the sortable dotted string back into integer components."""
-    return tuple(int(piece) for piece in text.split("."))
+    """Decode the dotted text back into integer components."""
+    return tuple(map(int, text.split(".")))

@@ -2,16 +2,17 @@
 
 Plays the role of the PostgreSQL 8.2 instance of Section 5.2 (substitution
 documented in DESIGN.md): documents are shredded into Section 5.2's
-``label`` and ``element`` tables, and one packed ``posting`` blob per
-keyword takes the place of its ``value`` table, which is not stored.  Those
-three tables are the **base generation**; live updates land in a
-Lucene-style sequence of immutable **delta segments**:
+``element`` table, and one packed ``posting`` blob per keyword takes the
+place of its ``value`` table, which is not stored.  Every row carries a
+``generation``: generation 0 (:data:`BASE_GENERATION`) is the **base**, and
+live updates land in a Lucene-style sequence of immutable **delta
+segments**, generation N holding segment N:
 
 * :meth:`SQLiteStore.update_document` shreds the new document version once
   and writes its complete row set — including its per-keyword packed posting
-  blobs — into the ``segment_*`` tables under a fresh, monotonically
-  increasing segment id.
-  No base row is rewritten; the previous version is merely *shadowed*.
+  blobs — into the two tables under a fresh, monotonically increasing
+  segment id.  No base row is rewritten; the previous version is merely
+  *shadowed*.
 * :meth:`SQLiteStore.delete_document` appends a **tombstone** event: a
   ``segment`` catalog row with no row payload.  Tombstones are consulted at
   read time; nothing is physically removed until compaction.
@@ -20,9 +21,9 @@ Lucene-style sequence of immutable **delta segments**:
   generation.  Because the corpus layer is doc-partitioned (the unit of
   update is a whole document), LCA semantics never mix generations — a
   keyword read loads the one packed blob of the document's live generation.
-* :meth:`SQLiteStore.compact` folds every document's live version into the
-  base tables and clears the segment tables, leaving the database
-  byte-for-byte equivalent (as observed through every posting-source
+* :meth:`SQLiteStore.compact` renumbers every document's live version to
+  the base generation and deletes its other generations and the catalog,
+  leaving the database equivalent (as observed through every posting-source
   read) to one re-shredded from scratch at the same logical state.
 * Every mutation (store/update/delete/drop/compact) is **one SQLite
   transaction**, so it is all-or-nothing under any failure, process death
@@ -43,21 +44,17 @@ import itertools
 import sqlite3
 import threading
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..obs import MetricsRegistry
 from ..obs import names as metric_names
 from ..xmltree import XMLTree
-from .errors import DocumentAlreadyStored, DocumentNotFound, SchemaVersionError
+from .errors import (
+    DatabaseFileError,
+    DocumentAlreadyStored,
+    DocumentNotFound,
+    SchemaVersionError,
+)
 from .schema import CREATE_TABLES_SQL, SCHEMA_VERSION
 from .shredder import ShreddedDocument, shred_tree
 
@@ -70,23 +67,8 @@ _MEMORY_DB_COUNTER = itertools.count()
 SEGMENT_KIND_DOC = "doc"
 SEGMENT_KIND_TOMBSTONE = "tombstone"
 
-#: The pseudo-location of documents served from the classic base tables.
+#: The generation of the base rows; generation N holds delta segment N.
 BASE_GENERATION = 0
-
-#: The columns of the three tables one document version fills, after its
-#: key: ``document`` in the base tables, ``segment_id, document`` in their
-#: ``segment_*`` twins.
-_GENERATION_COLUMNS = {
-    "label": ("label", "id"),
-    "element": ("label", "dewey", "label_number_sequence",
-                "content_feature_min", "content_feature_max"),
-    "posting": ("keyword", "cardinality", "blob", "max_depth"),
-}
-
-#: The base tables and their matching delta-segment tables.
-_BASE_TABLES = tuple(_GENERATION_COLUMNS)
-_SEGMENT_TABLES = ("segment",) + tuple(f"segment_{table}"
-                                       for table in _BASE_TABLES)
 
 
 def check_schema(connection: sqlite3.Connection, path: str) -> None:
@@ -122,37 +104,19 @@ def check_schema(connection: sqlite3.Connection, path: str) -> None:
 
 
 def generation_rows(document: str, location: int
-                    ) -> Tuple[str, str, Tuple[object, ...]]:
-    """The rows of one generation of ``document``: ``(table prefix, row
-    filter, filter parameters)``, spliced into a statement as
-    ``FROM {prefix}element WHERE {filter}``.
-
-    :data:`BASE_GENERATION` names the base tables; any other location the
-    ``segment_*`` tables of that delta segment.
-    """
-    if location == BASE_GENERATION:
-        return "", "document = ?", (document,)
-    return "segment_", "segment_id = ? AND document = ?", (location, document)
-
-
-def _version_rows(shredded: ShreddedDocument
-                  ) -> Iterator[Tuple[str, Iterable[Tuple]]]:
-    """One document version's rows, table by table, in the column order of
-    :data:`_GENERATION_COLUMNS`.  Lazy, so an insert streams its rows and
-    never holds two tables' row lists at once."""
-    yield "label", ((row.label, row.label_id) for row in shredded.labels)
-    yield "element", ((row.label, row.dewey, row.label_number_sequence,
-                       row.content_feature_min, row.content_feature_max)
-                      for row in shredded.elements)
-    yield "posting", shredded.postings
+                    ) -> Tuple[str, Tuple[object, ...]]:
+    """The rows of one generation of ``document`` as ``(row filter, filter
+    parameters)``, spliced into a statement as ``FROM element WHERE
+    {filter}``; ``location`` is :data:`BASE_GENERATION` or a segment id."""
+    return "document = ? AND generation = ?", (document, location)
 
 
 class SQLiteStore:
     """sqlite3-backed implementation of the shredded document store.
 
     :meth:`documents` and :meth:`document_stats` answer over each
-    document's live generation (the base tables or its newest ``doc``
-    segment); a tombstoned document answers
+    document's live generation (the base, or its newest ``doc`` segment);
+    a tombstoned document answers
     :class:`~repro.storage.errors.DocumentNotFound`.
 
     Parameters
@@ -162,7 +126,8 @@ class SQLiteStore:
         database.  A file with no tables gets the schema, stamped with
         :data:`~repro.storage.schema.SCHEMA_VERSION`; any other file must
         carry that stamp, or opening it raises
-        :class:`~repro.storage.errors.SchemaVersionError`.
+        :class:`~repro.storage.errors.SchemaVersionError`.  A path that is
+        no database raises :class:`~repro.storage.errors.DatabaseFileError`.
 
     Thread use
     ----------
@@ -221,22 +186,41 @@ class SQLiteStore:
                 "Cannot operate on a closed SQLiteStore")
         connection = getattr(self._local, "connection", None)
         if connection is None:
+            connection = self._open()
+            with self._connections_lock:
+                self._connections.append(connection)
+            if self._fault_plan is not None:
+                connection = self._fault_plan.wrap(connection)
+            self._local.connection = connection
+        return connection
+
+    def _open(self) -> sqlite3.Connection:
+        """A new connection to the store's database, its schema checked.
+
+        A path SQLite cannot open, or a file that is not a database, raises
+        :class:`~repro.storage.errors.DatabaseFileError` naming the path.
+        """
+        try:
             if self._uri is not None:
                 connection = sqlite3.connect(self._uri, uri=True,
                                              check_same_thread=False)
             else:
                 connection = sqlite3.connect(self.path,
                                              check_same_thread=False)
-            try:
-                check_schema(connection, self.path)
-            except BaseException:
-                connection.close()
-                raise
-            with self._connections_lock:
-                self._connections.append(connection)
-            if self._fault_plan is not None:
-                connection = self._fault_plan.wrap(connection)
-            self._local.connection = connection
+        except sqlite3.OperationalError as error:
+            raise DatabaseFileError(f"cannot open {self.path}: {error}") \
+                from None
+        try:
+            check_schema(connection, self.path)
+        except BaseException as error:
+            connection.close()
+            # sqlite reports a file that is no database, or a damaged one,
+            # as a plain DatabaseError; its subclasses (a locked file, say)
+            # are not about the file's format.
+            if type(error) is sqlite3.DatabaseError:
+                raise DatabaseFileError(f"cannot open {self.path}: {error}") \
+                    from None
+            raise
         return connection
 
     # ------------------------------------------------------------------ #
@@ -315,8 +299,8 @@ class SQLiteStore:
 
         ``None`` — absent (never stored, or its latest event is not a
         ``doc`` event: a tombstone, or a kind this store never writes);
-        :data:`BASE_GENERATION` — the classic base tables; a positive
-        integer — that delta segment.  The highest-numbered event decides,
+        :data:`BASE_GENERATION` — the base rows; a positive integer — that
+        delta segment.  The highest-numbered event decides,
         by the same rule as :meth:`documents` and :meth:`compact`.
         """
         row = self._connection.execute(
@@ -327,8 +311,9 @@ class SQLiteStore:
             return int(segment_id) if kind == SEGMENT_KIND_DOC else None
         # EXISTS stops at the first index entry, so the check costs the same
         # on a document of any size (a COUNT(*) reads every row).
+        where, scope = generation_rows(name, BASE_GENERATION)
         exists = self._scalar(
-            "SELECT EXISTS (SELECT 1 FROM element WHERE document = ?)", name)
+            f"SELECT EXISTS (SELECT 1 FROM element WHERE {where})", *scope)
         return BASE_GENERATION if exists else None
 
     def _live_location(self, name: str) -> int:
@@ -373,7 +358,7 @@ class SQLiteStore:
         return self.store_shredded(shred_tree(tree, name))
 
     def store_shredded(self, shredded: ShreddedDocument) -> ShreddedDocument:
-        """Insert already-shredded rows into the base tables.
+        """Insert already-shredded rows into the base generation.
 
         A live name is refused.  A dead name (deleted, or replaced by a
         newer segment that was itself deleted) may still own stale base or
@@ -401,23 +386,26 @@ class SQLiteStore:
 
     def _purge(self, name: str) -> None:
         cursor = self._connection.cursor()
-        for table in _BASE_TABLES + _SEGMENT_TABLES:
+        for table in ("element", "posting", "segment"):
             cursor.execute(f"DELETE FROM {table} WHERE document = ?", (name,))
 
     def _insert_version(self, shredded: ShreddedDocument,
                         location: int) -> None:
-        """Insert one document version's rows into the generation
-        ``location`` names, inside the caller's open transaction."""
-        prefix, _, key = generation_rows(shredded.name, location)
-        key_columns = (("document",) if location == BASE_GENERATION
-                       else ("segment_id", "document"))
+        """Insert one document version's rows into generation ``location``
+        (:data:`BASE_GENERATION` or a segment id), inside the caller's open
+        transaction."""
+        key = (shredded.name, location)
         cursor = self._connection.cursor()
-        for table, rows in _version_rows(shredded):
-            columns = key_columns + _GENERATION_COLUMNS[table]
-            cursor.executemany(
-                f"INSERT INTO {prefix}{table} ({', '.join(columns)}) "
-                f"VALUES ({', '.join('?' * len(columns))})",
-                (key + row for row in rows))
+        cursor.executemany(
+            "INSERT INTO element (document, generation, label, dewey, "
+            "content_feature_min, content_feature_max) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
+            (key + (row.label, row.dewey, row.content_feature_min,
+                    row.content_feature_max) for row in shredded.elements))
+        cursor.executemany(
+            "INSERT INTO posting (document, generation, keyword, "
+            "cardinality, blob, max_depth) VALUES (?, ?, ?, ?, ?, ?)",
+            (key + row for row in shredded.postings))
 
     # ------------------------------------------------------------------ #
     # Mutations
@@ -487,13 +475,16 @@ class SQLiteStore:
     def compact(self) -> Dict[str, int]:
         """Fold every live delta version into the base generation.
 
-        Shadowed base rows and tombstoned documents are physically removed,
-        the surviving segment row sets are copied into the base tables, and
-        all segment tables are cleared, in one transaction.  Afterwards the
-        store answers every query exactly as a freshly re-shredded one
-        would.  Returns counters: ``folded`` documents materialized from
-        segments, ``dropped`` tombstoned documents removed, ``segments``
-        delta segments absorbed.
+        In one transaction, each document the catalog names keeps only its
+        live version: the rows of its newest ``doc`` segment, renumbered to
+        the base generation.  Its other generations go, base included, and
+        a document whose newest event is a tombstone loses every row.
+        Then the catalog is emptied.  Every statement reads one document's
+        rows through the primary key, so a fold costs the documents it
+        touches, not the base.  Afterwards the store answers every query
+        exactly as a freshly re-shredded one would.  Returns counters:
+        ``folded`` documents materialized from segments, ``dropped``
+        tombstoned documents removed, ``segments`` delta segments absorbed.
         """
         with self._write_lock:
             segments = self.segment_count()
@@ -503,23 +494,25 @@ class SQLiteStore:
                 cursor = connection.cursor()
                 for document in sorted(latest):
                     segment_id, kind = latest[document]
-                    for table in _BASE_TABLES:
-                        cursor.execute(
-                            f"DELETE FROM {table} WHERE document = ?",
-                            (document,))
-                    if kind == SEGMENT_KIND_DOC:
-                        for table, columns in _GENERATION_COLUMNS.items():
-                            names = ", ".join(("document",) + columns)
+                    for table in ("element", "posting"):
+                        if kind == SEGMENT_KIND_DOC:
                             cursor.execute(
-                                f"INSERT INTO {table} ({names}) "
-                                f"SELECT {names} FROM segment_{table} "
-                                f"WHERE segment_id = ? AND document = ?",
-                                (segment_id, document))
+                                f"DELETE FROM {table} "
+                                f"WHERE document = ? AND generation != ?",
+                                (document, segment_id))
+                            cursor.execute(
+                                f"UPDATE {table} SET generation = ? "
+                                f"WHERE document = ? AND generation = ?",
+                                (BASE_GENERATION, document, segment_id))
+                        else:
+                            cursor.execute(
+                                f"DELETE FROM {table} WHERE document = ?",
+                                (document,))
+                    if kind == SEGMENT_KIND_DOC:
                         folded += 1
                     else:
                         dropped += 1
-                for table in _SEGMENT_TABLES:
-                    cursor.execute(f"DELETE FROM {table}")
+                cursor.execute("DELETE FROM segment")
                 self._fault_point("compact.apply")
             self._committed("compact")
             return {"folded": folded, "dropped": dropped,
@@ -535,7 +528,8 @@ class SQLiteStore:
     def documents(self) -> List[str]:
         """Names of the **live** documents (tombstoned ones are gone)."""
         live = {document for (document,) in self._connection.execute(
-            "SELECT DISTINCT document FROM element")}
+            "SELECT DISTINCT document FROM element WHERE generation = ?",
+            (BASE_GENERATION,))}
         for document, (_, kind) in self._latest_events().items():
             if kind == SEGMENT_KIND_DOC:
                 live.add(document)
@@ -544,15 +538,14 @@ class SQLiteStore:
         return sorted(live)
 
     def document_stats(self, name: str) -> Dict[str, int]:
-        """Node / keyword (posting row) / label counts of one live
+        """Node / keyword (posting row) / distinct label counts of one live
         document."""
-        prefix, where, scope = generation_rows(name, self._live_location(name))
-        return {key: self._scalar(
-                    f"SELECT COUNT(*) FROM {prefix}{table} WHERE {where}",
-                    *scope)
-                for key, table in (("nodes", "element"),
-                                   ("keywords", "posting"),
-                                   ("labels", "label"))}
+        where, scope = generation_rows(name, self._live_location(name))
+        return {key: self._scalar(f"SELECT {count} WHERE {where}", *scope)
+                for key, count in (
+                    ("nodes", "COUNT(*) FROM element"),
+                    ("keywords", "COUNT(*) FROM posting"),
+                    ("labels", "COUNT(DISTINCT label) FROM element"))}
 
     # ------------------------------------------------------------------ #
     def _scalar(self, sql: str, *params) -> int:

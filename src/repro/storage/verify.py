@@ -15,15 +15,15 @@ Checked invariants:
   :data:`~repro.storage.schema.SCHEMA_VERSION` (``PRAGMA user_version``);
   otherwise the report holds this one finding and the sweep stops, since
   no other check means anything on another layout.
-* **catalog** — every ``doc`` segment event owns label *and* element rows;
-  tombstone events own no payload rows; no payload row is orphaned from
-  the ``segment`` catalog.
-* **liveness** — every document named by the base ``label`` or ``posting``
-  table has element rows (the base row sets are complete).
+* **catalog** — every ``doc`` segment event owns element rows of its
+  generation; tombstone events own no rows; no row of a delta generation
+  is orphaned from the ``segment`` catalog.
+* **liveness** — every document with base ``posting`` rows has base
+  element rows (the base row sets are complete).
 
-Then, generation by generation (a base document's rows, or one delta
-segment's rows of one document), the posting blobs are inverted into each
-node's word set and checked:
+Then, generation by generation (the rows of one ``(document, generation)``
+pair: a base document, or one delta segment of one document), the posting
+blobs are inverted into each node's word set and checked:
 
 * **posting blobs** — each blob decodes, its recorded cardinality matches
   the decoded length, its Dewey codes are strictly increasing in document
@@ -49,11 +49,11 @@ import sqlite3
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Set, Tuple, Union
 
 from ..index import PackedDeweyList, impact_from_postings
 from ..text import DEFAULT_TOKENIZER, content_id
-from .errors import SchemaVersionError
+from .errors import DatabaseFileError, SchemaVersionError
 from .schema import decode_dewey
 from .sqlite_backend import (
     BASE_GENERATION,
@@ -131,7 +131,7 @@ def verify_database(path: Union[str, Path]) -> IntegrityReport:
     try:
         _check_sqlite(path)
         store = SQLiteStore(path)
-    except sqlite3.DatabaseError as error:
+    except (sqlite3.DatabaseError, DatabaseFileError) as error:
         report.error("sqlite-integrity", str(error))
         return report
     except SchemaVersionError as error:
@@ -143,8 +143,10 @@ def verify_database(path: Union[str, Path]) -> IntegrityReport:
         connection = store._connection
         _check_catalog(connection, report)
         _check_liveness(connection, report)
-        for owner in _generations(connection):
-            _check_generation(connection, owner, report)
+        for generation, document in connection.execute(
+                "SELECT DISTINCT generation, document FROM element "
+                "ORDER BY generation, document").fetchall():
+            _check_generation(connection, document, generation, report)
         return report
     finally:
         store.close()
@@ -176,77 +178,60 @@ def _check_catalog(connection: Any, report: IntegrityReport) -> None:
                 "catalog-unknown-kind",
                 f"segment {segment} of {document!r} has unknown kind "
                 f"{kind!r}")
-    payload_tables = ("segment_label", "segment_element", "segment_posting")
     owned: Dict[Tuple[int, str], Dict[str, int]] = {}
-    for table in payload_tables:
-        for segment, document, count in connection.execute(
-                f"SELECT segment_id, document, COUNT(*) FROM {table} "
-                f"GROUP BY segment_id, document"):
-            owner = owned.setdefault((int(segment), document), {})
+    for table in ("element", "posting"):
+        for generation, document, count in connection.execute(
+                f"SELECT generation, document, COUNT(*) FROM {table} "
+                f"WHERE generation != ? GROUP BY generation, document",
+                (BASE_GENERATION,)):
+            owner = owned.setdefault((int(generation), document), {})
             owner[table] = int(count)
-    for key, counts in sorted(owned.items()):
-        segment, document = key
-        kind = events.get(key)
+    for (generation, document), counts in sorted(owned.items()):
+        kind = events.get((generation, document))
         if kind is None:
             report.error(
                 "catalog-orphan-rows",
-                f"{sum(counts.values())} payload row(s) for segment "
-                f"{segment} of {document!r} have no catalog entry")
+                f"{sum(counts.values())} row(s) of generation {generation} "
+                f"of {document!r} have no catalog entry")
         elif kind == SEGMENT_KIND_TOMBSTONE:
             report.error(
                 "tombstone-with-rows",
-                f"tombstone segment {segment} of {document!r} owns "
-                f"{sum(counts.values())} payload row(s)")
-    for key, kind in sorted(events.items()):
-        if kind != SEGMENT_KIND_DOC:
-            continue
-        segment, document = key
-        counts = owned.get(key, {})
-        for table in ("segment_label", "segment_element"):
-            if not counts.get(table):
-                report.error(
-                    "catalog-missing-rows",
-                    f"doc segment {segment} of {document!r} has no "
-                    f"{table} rows — torn write")
+                f"tombstone segment {generation} of {document!r} owns "
+                f"{sum(counts.values())} row(s)")
+    for (segment, document), kind in sorted(events.items()):
+        if kind == SEGMENT_KIND_DOC and \
+                not owned.get((segment, document), {}).get("element"):
+            report.error(
+                "catalog-missing-rows",
+                f"doc segment {segment} of {document!r} has no element "
+                f"rows — torn write")
 
 
 def _check_liveness(connection: Any, report: IntegrityReport) -> None:
     elements = {document for (document,) in connection.execute(
-        "SELECT DISTINCT document FROM element")}
-    for table in ("label", "posting"):
-        for (document,) in connection.execute(
-                f"SELECT DISTINCT document FROM {table}"):
-            if document not in elements:
-                report.error(
-                    "base-orphan-rows",
-                    f"base {table} rows for {document!r} have no element "
-                    f"rows")
+        "SELECT DISTINCT document FROM element WHERE generation = ?",
+        (BASE_GENERATION,))}
+    for (document,) in connection.execute(
+            "SELECT DISTINCT document FROM posting WHERE generation = ?",
+            (BASE_GENERATION,)):
+        if document not in elements:
+            report.error(
+                "base-orphan-rows",
+                f"base posting rows for {document!r} have no element rows")
 
 
-def _generations(connection: Any) -> List[Tuple[Any, ...]]:
-    """Every generation with element rows: ``(document,)`` of the base
-    tables, then ``(segment_id, document)`` of each delta segment.  Rows of
-    a generation without element rows are reported by the catalog and
-    liveness checks."""
-    return (connection.execute(
-                "SELECT DISTINCT document FROM element "
-                "ORDER BY document").fetchall()
-            + connection.execute(
-                "SELECT DISTINCT segment_id, document FROM segment_element "
-                "ORDER BY segment_id, document").fetchall())
-
-
-def _check_generation(connection: Any, owner: Sequence[Any],
+def _check_generation(connection: Any, document: str, generation: int,
                       report: IntegrityReport) -> None:
     """Check one generation's blobs, then its element rows against the word
-    sets the blobs give each node."""
-    location = owner[0] if len(owner) == 2 else BASE_GENERATION
-    prefix, where, scope = generation_rows(owner[-1], location)
-    name = _owner(owner)
+    sets the blobs give each node.  Rows of a generation without element
+    rows are reported by the catalog and liveness checks."""
+    where, scope = generation_rows(document, generation)
+    name = (f"base document {document!r}" if generation == BASE_GENERATION
+            else f"segment {generation} of {document!r}")
     words: Dict[Tuple[int, ...], Set[str]] = {}
     for keyword, cardinality, blob, max_depth in connection.execute(
             f"SELECT keyword, cardinality, blob, max_depth "
-            f"FROM {prefix}posting WHERE {where}", scope).fetchall():
+            f"FROM posting WHERE {where}", scope).fetchall():
         try:
             decoded = PackedDeweyList.from_blob(blob)
         except (ValueError, TypeError) as error:
@@ -276,31 +261,22 @@ def _check_generation(connection: Any, owner: Sequence[Any],
             words.setdefault(node, set()).add(keyword)
     for dewey, label, low, high in connection.execute(
             f"SELECT dewey, label, content_feature_min, content_feature_max "
-            f"FROM {prefix}element WHERE {where}", scope):
-        components = decode_dewey(dewey)
-        held = words.pop(components, set())
-        node = ".".join(str(part) for part in components)
+            f"FROM element WHERE {where}", scope):
+        held = words.pop(decode_dewey(dewey), set())
         if (low, high) != content_id(held):
             report.error(
                 "cid-mismatch",
-                f"{name}: node {node} stores a cID that is not the "
+                f"{name}: node {dewey} stores a cID that is not the "
                 f"(min, max) of the words whose posting blobs hold it")
         missing = sorted(set(DEFAULT_TOKENIZER.tokenize(label)) - held)
         if missing:
             report.error(
                 "label-word-missing",
                 f"{name}: no posting blob of label word(s) "
-                f"{', '.join(missing)} holds node {node}")
+                f"{', '.join(missing)} holds node {dewey}")
     if words:
         report.error(
             "posting-dangling-node",
-            f"{name}: posting blobs name {len(words)} node(s) missing from "
-            f"{prefix}element")
+            f"{name}: posting blobs name {len(words)} node(s) with no "
+            f"element row")
 
-
-def _owner(owner: Sequence[Any]) -> str:
-    """Name one row set: ``(document,)`` of the base tables or
-    ``(segment_id, document)`` of a delta segment."""
-    if len(owner) == 2:
-        return f"segment {owner[0]} of {owner[1]!r}"
-    return f"base document {owner[0]!r}"

@@ -104,7 +104,7 @@ def build_source(tree, backend: str, name: str = "doc"):
     if backend == "segmented":
         # Store the tree, then shadow the base copy with an identical
         # delta-segment version: parity runs through the segment read path
-        # (segment_posting / segment_element).
+        # (the generation-1 posting and element rows).
         store = SQLiteStore()
         store.store_tree(tree, name)
         store.update_document(tree, name)
@@ -325,13 +325,11 @@ def test_coverage_equals_the_definition(request, engines, dataset,
 # The layout inputs are what they claim
 # ---------------------------------------------------------------------- #
 def stored_rows(store, name: str) -> dict:
-    """Every row of document ``name`` in the base and segment tables,
-    sorted."""
+    """Every row of document ``name``, of every generation, and its
+    catalogue rows, sorted."""
     return {table: sorted(store._connection.execute(
                 f"SELECT * FROM {table} WHERE document = ?", (name,)))
-            for table in ("label", "element", "posting", "segment",
-                          "segment_label", "segment_element",
-                          "segment_posting")}
+            for table in ("element", "posting", "segment")}
 
 
 @pytest.mark.parametrize("store_input", LAYOUT_INPUTS)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import ALGORITHM_NAMES
+from repro.storage import verify_database
 from repro.xmltree import parse_file
 
 
@@ -337,3 +338,66 @@ class TestMetricsCommand:
         error = capsys.readouterr().err
         assert f"cannot scrape {host}:{port}" in error
         assert "Traceback" not in error
+
+
+class TestUnreadableInputs:
+    """An input file the program cannot read is a usage error, like a
+    database file of another schema version: one line on stderr naming the
+    path, exit 2, and no traceback."""
+
+    @pytest.fixture(params=["malformed", "missing"])
+    def xml_path(self, request, tmp_path):
+        path = tmp_path / "broken.xml"
+        if request.param == "malformed":
+            path.write_text("<a><b>x</a>", encoding="utf-8")
+        return str(path)
+
+    @pytest.fixture(params=["not-a-database", "directory"])
+    def db_path(self, request, tmp_path):
+        path = tmp_path / "broken.db"
+        if request.param == "directory":
+            path.mkdir()
+        else:
+            path.write_text("plain text, not a database\n", encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def assert_one_line_naming(capsys, exit_code, path):
+        error = capsys.readouterr().err
+        assert exit_code == 2, error
+        assert path in error
+        assert "Traceback" not in error
+        assert len(error.strip().splitlines()) == 1, error
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--file", "{xml}", "xml"],
+        ["compare", "--file", "{xml}", "xml"],
+        ["explain", "--file", "{xml}", "xml"],
+        ["serve", "--file", "{xml}"],
+        ["index", "{xml}", "--db", "{db}"],
+        ["index", "--update", "{xml}", "--db", "{db}"],
+    ], ids=["search", "compare", "explain", "serve", "index", "index-update"])
+    def test_an_unparsable_xml_file_is_named(self, capsys, tmp_path,
+                                             xml_path, argv):
+        db = str(tmp_path / "fresh.db")
+        exit_code = main([arg.format(xml=xml_path, db=db) for arg in argv])
+        self.assert_one_line_naming(capsys, exit_code, xml_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--db", "{db}", "--backend", "sqlite", "xml"],
+        ["search", "--db", "{db}", "--backend", "corpus", "xml"],
+        ["compact", "--db", "{db}"],
+        ["index", "--dataset", "figure-1a", "--db", "{db}"],
+        ["index", "--delete", "figure-1a", "--db", "{db}"],
+    ], ids=["search", "search-corpus", "compact", "index", "index-delete"])
+    def test_a_path_that_is_no_database_is_named(self, capsys, db_path,
+                                                 argv):
+        exit_code = main([arg.format(db=db_path) for arg in argv])
+        self.assert_one_line_naming(capsys, exit_code, db_path)
+
+    def test_verify_reports_it_as_one_integrity_finding(self, capsys,
+                                                        db_path):
+        assert [finding.code for finding in
+                verify_database(db_path).findings] == ["sqlite-integrity"]
+        assert main(["verify", "--db", db_path]) == 1
+        assert "sqlite-integrity" in capsys.readouterr().out

@@ -141,6 +141,53 @@ class TestFaultPlanSchedules:
 # ---------------------------------------------------------------------- #
 # The storage seam: wrapped connections and stores
 # ---------------------------------------------------------------------- #
+def table_rows(path) -> dict:
+    """Every row of every table of the file at ``path``, sorted."""
+    with closing(sqlite3.connect(path)) as connection:
+        tables = [name for (name,) in connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")]
+        return {table: sorted(connection.execute(f"SELECT * FROM {table}"))
+                for table in tables}
+
+
+def two_documents(store) -> None:
+    store.store_tree(publications_tree(), "publications")
+    store.store_tree(team_tree(), "team")
+
+
+def segments_to_fold(store) -> None:
+    """A fold and a drop for ``compact``: ``team`` updated, ``publications``
+    deleted."""
+    two_documents(store)
+    store.update_document(team_tree(), "team")
+    store.delete_document("publications")
+
+
+#: mutation -> (store it runs on, the mutation, the handle's next one).
+MUTATIONS = {
+    "store_tree": (
+        lambda store: None,
+        lambda store: store.store_tree(team_tree(), "team"),
+        lambda store: store.store_tree(publications_tree(), "publications")),
+    "update_document": (
+        two_documents,
+        lambda store: store.update_document(team_tree(), "team",
+                                            idempotency_key="put-team"),
+        lambda store: store.update_document(publications_tree(),
+                                            "publications")),
+    "delete_document": (
+        two_documents,
+        lambda store: store.delete_document("team",
+                                            idempotency_key="drop-team"),
+        lambda store: store.delete_document("publications")),
+    "compact": (
+        segments_to_fold,
+        lambda store: store.compact(),
+        lambda store: store.update_document(publications_tree(),
+                                            "publications")),
+}
+
+
 class TestFaultingConnection:
     def test_wrapped_execute_consults_the_plan(self):
         plan = FaultPlan(error_rate=1.0)
@@ -168,32 +215,36 @@ class TestFaultingConnection:
             store.documents()
         store.close()
 
-    def test_failed_ingestion_leaks_no_rows_into_the_next_commit(
-            self, tmp_path):
-        # Fail each statement of store_tree in turn; the same handle's next
-        # write must commit nothing of the failed document.
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_a_failed_mutation_leaks_no_rows_into_the_next_commit(
+            self, tmp_path, mutation):
+        # Fail each statement of the mutation in turn: every table keeps
+        # the rows it held before, and the same handle's next mutation
+        # commits what it commits on a store that never saw the failure.
+        prepare, mutate, follow_up = MUTATIONS[mutation]
+        reference = str(tmp_path / "reference.db")
+        with SQLiteStore(reference) as store:
+            prepare(store)
+            follow_up(store)
         for delay in itertools.count():
-            path = str(tmp_path / f"ingest-{delay}.db")
+            path = str(tmp_path / f"{mutation}-{delay}.db")
             store = SQLiteStore(path)
+            prepare(store)
+            before = table_rows(path)
             store.set_fault_plan(FaultPlan(error_rate=1.0, delay=delay,
                                            max_faults=1))
             try:
-                store.store_tree(team_tree(), "team")
+                mutate(store)
             except InjectedFault:
                 pass
             else:
                 store.close()
                 break
-            store.store_tree(publications_tree(), "publications")
-            assert store.documents() == ["publications"], delay
+            assert table_rows(path) == before, delay
+            follow_up(store)
             store.close()
-            with closing(sqlite3.connect(path)) as connection:
-                for table in ("label", "element", "posting"):
-                    assert connection.execute(
-                        f"SELECT COUNT(*) FROM {table} "
-                        f"WHERE document = 'team'").fetchone() == (0,), \
-                        (delay, table)
-        assert delay >= 5  # every statement of store_tree failed once
+            assert table_rows(path) == table_rows(reference), delay
+        assert delay >= 4  # every statement of the mutation failed once
 
 
 # ---------------------------------------------------------------------- #
@@ -342,11 +393,11 @@ def kill_at(prefix):
 
 dblp = default_dblp_tree(publications=200)
 if case == "update":
-    kill_at("INSERT INTO segment_posting")
+    kill_at("INSERT INTO posting")
     store.update_document(dblp, "dblp")
 elif case == "compact":
     store.update_document(dblp, "dblp")
-    kill_at("INSERT INTO posting")
+    kill_at("UPDATE posting")
     store.compact()
 elif case == "add":
     kill_at("INSERT INTO posting")
@@ -410,20 +461,20 @@ class TestRealCrashes:
 # ---------------------------------------------------------------------- #
 # verify_database: clean passes, corruption surfaces typed findings
 # ---------------------------------------------------------------------- #
-def rewrite_blob(path, table, keyword, edit) -> None:
-    """Re-pack ``keyword``'s blob in ``table`` from ``edit(nodes)``, given
-    its nodes as component tuples, and record the new cardinality."""
+def rewrite_blob(path, generation, keyword, edit) -> None:
+    """Re-pack ``keyword``'s blob in ``generation`` from ``edit(nodes)``,
+    given its nodes as component tuples, and record the new cardinality."""
     with sqlite3.connect(path) as connection:
         (blob,) = connection.execute(
-            f"SELECT blob FROM {table} WHERE keyword = ?",
-            (keyword,)).fetchone()
+            "SELECT blob FROM posting WHERE generation = ? AND keyword = ?",
+            (generation, keyword)).fetchone()
         nodes = edit([tuple(components) for components in
                       PackedDeweyList.from_blob(blob).iter_slices()])
         connection.execute(
-            f"UPDATE {table} SET blob = ?, cardinality = ? "
-            f"WHERE keyword = ?",
+            "UPDATE posting SET blob = ?, cardinality = ? "
+            "WHERE generation = ? AND keyword = ?",
             (pack_component_tuples(nodes, presorted=True).to_blob(),
-             len(nodes), keyword))
+             len(nodes), generation, keyword))
 
 
 class TestVerifyDatabase:
@@ -463,7 +514,8 @@ class TestVerifyDatabase:
 
     def test_corrupt_posting_blob_is_detected(self, db):
         with sqlite3.connect(db) as connection:
-            connection.execute("UPDATE segment_posting SET blob = X'00'")
+            connection.execute(
+                "UPDATE posting SET blob = X'00' WHERE generation = 1")
         report = verify_database(db)
         assert any(finding.code == "posting-blob-corrupt"
                    for finding in report.findings)
@@ -492,7 +544,7 @@ class TestVerifyDatabase:
     def test_segment_cid_mismatch_is_detected(self, db):
         # Node 0.1.0.1 of the team document holds "position" and "forward",
         # its cID's min; the segment's "forward" blob loses the node.
-        rewrite_blob(db, "segment_posting", "forward",
+        rewrite_blob(db, 1, "forward",
                      lambda nodes: [node for node in nodes
                                     if node != (0, 1, 0, 1)])
         report = verify_database(db)
@@ -506,7 +558,7 @@ class TestVerifyDatabase:
         # "22"; its segment element row goes, the blobs naming it stay.
         with sqlite3.connect(db) as connection:
             connection.execute(
-                "DELETE FROM segment_element WHERE dewey = ?",
+                "DELETE FROM element WHERE generation = 1 AND dewey = ?",
                 (encode_dewey((0, 1, 2, 2)),))
         report = verify_database(db)
         assert [finding.code for finding in report.findings] == \
@@ -516,7 +568,7 @@ class TestVerifyDatabase:
     def test_label_word_without_blob_is_detected(self, db):
         # The base "title" blob loses node 0.0, labelled "title"; its cID
         # is ("2008", "vldb"), so only the label check can see the loss.
-        rewrite_blob(db, "posting", "title",
+        rewrite_blob(db, 0, "title",
                      lambda nodes: [node for node in nodes if node != (0, 0)])
         report = verify_database(db)
         assert [finding.code for finding in report.findings] == \
@@ -524,7 +576,7 @@ class TestVerifyDatabase:
         assert "base document 'publications'" in report.findings[0].message
 
     def test_reversed_blob_is_detected(self, db):
-        rewrite_blob(db, "posting", "title", lambda nodes: nodes[::-1])
+        rewrite_blob(db, 0, "title", lambda nodes: nodes[::-1])
         report = verify_database(db)
         assert [finding.code for finding in report.findings] == \
             ["posting-blob-order"], report.render()
@@ -550,10 +602,10 @@ class TestVerifyDatabase:
             tombstone = store.delete_document("publications")
         with sqlite3.connect(db) as connection:
             connection.execute(
-                "INSERT INTO segment_element (segment_id, document, label, "
-                "dewey, label_number_sequence, content_feature_min, "
-                "content_feature_max) VALUES (?, 'publications', 'bib', ?, "
-                "'0', '', '')", (tombstone, encode_dewey((0,))))
+                "INSERT INTO element (document, generation, label, dewey, "
+                "content_feature_min, content_feature_max) "
+                "VALUES ('publications', ?, 'bib', ?, '', '')",
+                (tombstone, encode_dewey((0,))))
         report = verify_database(db)
         assert "tombstone-with-rows" in [finding.code
                                          for finding in report.findings]
@@ -565,11 +617,11 @@ class TestVerifyDatabase:
         report = verify_database(db)
         assert [(finding.code, finding.message.split()[1])
                 for finding in report.findings] == \
-            [("base-orphan-rows", "label"), ("base-orphan-rows", "posting")]
+            [("base-orphan-rows", "posting")]
 
     def test_torn_doc_segment_is_detected(self, db):
         with sqlite3.connect(db) as connection:
-            connection.execute("DELETE FROM segment_element")
+            connection.execute("DELETE FROM element WHERE generation = 1")
         report = verify_database(db)
         assert any(finding.code == "catalog-missing-rows"
                    for finding in report.findings)

@@ -290,13 +290,15 @@ def test_compact_drops_what_an_unknown_kind_left_out(tmp_path):
 # Every reader of a file serves the live generation
 # ---------------------------------------------------------------------- #
 def rows_of(path: str, document: str) -> dict:
-    """How many rows ``document`` owns in the base element table and in
-    the segment catalogue and element table of the file at ``path``."""
+    """How many catalogue rows ``document`` owns in the file at ``path``,
+    and how many element rows in each generation."""
     with closing(sqlite3.connect(path)) as connection:
-        return {table: connection.execute(
-                    f"SELECT COUNT(*) FROM {table} WHERE document = ?",
-                    (document,)).fetchone()[0]
-                for table in ("element", "segment", "segment_element")}
+        return {"segment": connection.execute(
+                    "SELECT COUNT(*) FROM segment WHERE document = ?",
+                    (document,)).fetchone()[0],
+                "element": dict(connection.execute(
+                    "SELECT generation, COUNT(*) FROM element "
+                    "WHERE document = ? GROUP BY generation", (document,)))}
 
 
 def test_fresh_store_serves_a_document_added_by_update(tmp_path):
@@ -308,7 +310,8 @@ def test_fresh_store_serves_a_document_added_by_update(tmp_path):
     tree = publications_tree()
     with SQLiteStore(path) as writer:
         writer.update_document(tree, "pub")
-    assert rows_of(path, "pub")["element"] == 0
+    assert rows_of(path, "pub") == {"segment": 1,
+                                    "element": {1: tree.size()}}
     memory = InvertedIndex(tree)
     with SQLiteStore(path) as reader:
         assert reader.documents() == ["pub"]

@@ -33,7 +33,7 @@ from repro.storage import (
 from repro.storage.sqlite_backend import check_schema
 from repro.datasets import PAPER_QUERIES
 from repro.text import ContentAnalyzer
-from repro.xmltree import DeweyCode, spec, tree_from_spec
+from repro.xmltree import DeweyCode, XMLNode, parse_string, spec, tree_from_spec
 from test_backend_parity import build_source
 
 D = DeweyCode.parse
@@ -44,10 +44,8 @@ class TestDeweyEncoding:
         components = (0, 2, 10, 3)
         assert decode_dewey(encode_dewey(components)) == components
 
-    def test_string_order_matches_document_order(self):
-        first = encode_dewey((0, 2))
-        second = encode_dewey((0, 10))
-        assert first < second  # zero padding keeps 2 < 10
+    def test_text_is_unpadded(self):
+        assert encode_dewey((0, 2, 10)) == "0.2.10"
 
 
 class TestShredder:
@@ -57,13 +55,25 @@ class TestShredder:
         assert shredded.node_count == publications.size()
         assert [keyword for keyword, *_ in shredded.postings] == \
             InvertedIndex(publications).vocabulary()
-        assert len(shredded.labels) == len(publications.labels())
+        assert sorted({row.label for row in shredded.elements}) == \
+            publications.labels()
 
-    def test_label_number_sequence_matches_depth(self, publications):
-        shredded = shred_tree(publications, "pub")
-        by_dewey = {row.dewey: row for row in shredded.elements}
-        row = by_dewey[encode_dewey((0, 2, 0, 1))]
-        assert len(row.label_number_sequence.split(".")) == 4
+    def test_a_deep_chain_shreds_without_walking_ancestors(self,
+                                                           monkeypatch):
+        # No element row holds a path from the root, so shredding costs
+        # per node, not per (node, ancestor) pair.
+        tree = parse_string("<a>" * 3000 + "deep word" + "</a>" * 3000)
+        walks = []
+        iter_ancestors = XMLNode.iter_ancestors
+
+        def counted(node, include_self=False):
+            walks.append(node.dewey)
+            return iter_ancestors(node, include_self)
+
+        monkeypatch.setattr(XMLNode, "iter_ancestors", counted)
+        shredded = shred_tree(tree, "deep")
+        assert shredded.node_count == 3000
+        assert walks == []
 
     def test_content_feature_is_min_max(self, publications):
         shredded = shred_tree(publications, "pub")
@@ -232,10 +242,11 @@ class TestSchemaVersion:
             assert in_memory._connection.execute(
                 "PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION
 
-    def test_new_files_hold_no_value_rows(self, tmp_path):
-        """Schema 2: the posting blobs are the keyword index, so no table
-        holds a row per (node, word) pair, elements carry no ``level`` and
-        no index serves a label filter."""
+    def test_new_files_hold_only_what_is_read(self, tmp_path):
+        """Schema 3: the posting blobs are the keyword index, so no table
+        holds a row per (node, word) pair; no label numbers are stored; a
+        delta segment is a generation value in the two row tables, not a
+        set of twin tables; and no index serves a label filter."""
         path = str(tmp_path / "new.db")
         SQLiteStore(path).close()
         with closing(sqlite3.connect(path)) as connection:
@@ -246,13 +257,15 @@ class TestSchemaVersion:
                 "AND sql IS NOT NULL")}
             columns = {table: [row[1] for row in connection.execute(
                            f"PRAGMA table_info({table})")]
-                       for table in ("element", "segment_element")}
-        assert tables == {"label", "element", "posting", "segment",
-                          "segment_label", "segment_element",
-                          "segment_posting", "mutation_journal",
-                          "sqlite_sequence"}
+                       for table in ("element", "posting")}
+        assert tables == {"element", "posting", "segment",
+                          "mutation_journal", "sqlite_sequence"}
         assert indexes == {"idx_segment_document", "idx_mutation_journal_key"}
-        assert all("level" not in names for names in columns.values())
+        assert columns == {
+            "element": ["document", "generation", "label", "dewey",
+                        "content_feature_min", "content_feature_max"],
+            "posting": ["document", "generation", "keyword", "cardinality",
+                        "blob", "max_depth"]}
 
     def test_stamped_file_opens_with_one_statement(self, tmp_path):
         path = str(tmp_path / "stamped.db")
@@ -378,6 +391,28 @@ class TestReadCostIsPerRow:
     @pytest.mark.parametrize("layout", ("sqlite", "segmented"))
     def test_steps_do_not_grow_with_the_document(self, layout):
         assert read_costs(3, layout) == read_costs(303, layout)
+
+
+class TestFoldCostIsPerDocument:
+    """``compact`` reads each catalogued document's rows through the
+    primary key, so folding one updated document takes the same sqlite VM
+    steps beside one other stored document as beside twenty; a statement
+    that scanned every generation's rows would grow with the base."""
+
+    @staticmethod
+    def fold_steps(others: int) -> int:
+        store = SQLiteStore()
+        for index in range(others):
+            store.store_tree(bibliography(30), f"other-{index}")
+        store.store_tree(bibliography(3), "doc")
+        store.update_document(bibliography(4), "doc")
+        steps = vm_steps(store, store.compact)
+        assert store.location_of("doc") == 0
+        store.close()
+        return steps
+
+    def test_steps_do_not_grow_with_the_base(self):
+        assert self.fold_steps(1) == self.fold_steps(20)
 
 
 def statements(store, call) -> list:

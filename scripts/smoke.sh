@@ -29,7 +29,7 @@ python -m repro.cli index --dataset figure-1b --db "$smoke_db" --add
 python -m repro.cli search --db "$smoke_db" --backend corpus "xml keyword search"
 rm -rf "$(dirname "$smoke_db")"
 
-echo "== end-to-end: a document nested 3,000 deep (index, search, update, compact, each verified) =="
+echo "== end-to-end: a document nested 3,000 deep (index, search, update, compact, each verified; compact shrinks the file) =="
 deep_dir="$(mktemp -d)"
 deep_db="$deep_dir/deep.db"
 deep_document() {  # WORDS: the 3,000-deep chain holding them at its leaf
@@ -47,6 +47,7 @@ deep_search() {  # QUERY GENERATION: one fragment, served from generation N
 }
 deep_document "deep word"
 python -m repro.cli index "$deep_dir/deep.xml" --db "$deep_db"
+indexed_bytes="$(wc -c < "$deep_db")"
 deep_search "deep word" 0
 python -m repro.cli verify --db "$deep_db"
 deep_document "deep change"
@@ -55,6 +56,12 @@ python -m repro.cli verify --db "$deep_db"
 deep_search "deep change" 1
 python -m repro.cli verify --db "$deep_db"
 python -m repro.cli compact --db "$deep_db"
+compacted_bytes="$(wc -c < "$deep_db")"
+echo "deep.db: $indexed_bytes bytes after index, $compacted_bytes after compact"
+(( compacted_bytes <= indexed_bytes )) || {
+    echo "compact should give the update's pages back to the file system" >&2
+    exit 1
+}
 python -m repro.cli verify --db "$deep_db"
 deep_search "deep change" 0
 python -m repro.cli verify --db "$deep_db"

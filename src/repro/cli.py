@@ -10,7 +10,8 @@ Sub-commands
     documents with ``--delete``).
 ``compact``
     Fold the delta segments written by ``index --update`` / ``--delete``
-    into the database's base generation.
+    into the database's base generation, then ``VACUUM`` the file so it
+    shrinks to its live rows.
 ``verify``
     Run the storage integrity checks (SQLite's page check, schema version,
     catalog, liveness, posting blobs, content ids) against an indexed
@@ -143,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compact = subparsers.add_parser(
         "compact", help="fold index --update/--delete delta segments into "
-                        "the base generation")
+                        "the base generation, then shrink the file to its "
+                        "live rows (VACUUM)")
     compact.add_argument("--db", required=True, help="sqlite database file")
     compact.set_defaults(handler=_command_compact)
 
@@ -301,7 +303,10 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="N",
                         help="compact on the write that leaves N or more "
                              "delta segments (needs --backend corpus --db; "
-                             "default: off)")
+                             "default: off); like the served compact op it "
+                             "does not shrink the file: later writes reuse "
+                             "the freed pages, and `repro-xks compact` "
+                             "gives them back")
 
 
 # ---------------------------------------------------------------------- #
@@ -345,7 +350,24 @@ def _command_index(arguments: argparse.Namespace) -> int:
               f"(rename the files or index them separately with --name)",
               file=sys.stderr)
         return 2
+    # A failed run leaves no file at a --db path that did not exist before.
+    created = not Path(arguments.db).exists()
     store = SQLiteStore(arguments.db)
+    status = 1
+    try:
+        status = _ingest(store, pending, arguments)
+    finally:
+        if status and created:
+            store.close()
+            Path(arguments.db).unlink(missing_ok=True)
+    return status
+
+
+def _ingest(store: SQLiteStore, pending: List[tuple],
+            arguments: argparse.Namespace) -> int:
+    """Parse and store each pending document in turn (one tree resident at
+    a time); the exit status of ``index``."""
+    names = [name for name, _ in pending]
     stored = store.documents()
     if arguments.update:
         # Delta-segment path: new and changed versions land as immutable
@@ -427,12 +449,14 @@ def _command_index_delete(arguments: argparse.Namespace) -> int:
 
 
 def _command_compact(arguments: argparse.Namespace) -> int:
-    """``compact --db``: fold delta segments into the base generation."""
+    """``compact --db``: fold delta segments into the base generation,
+    then shrink the file once the fold has committed."""
     if not Path(arguments.db).exists():
         raise CliError(f"no such database file: {arguments.db} "
                        f"(create it with `repro-xks index`)")
     store = SQLiteStore(arguments.db)
     stats = store.compact()
+    store.vacuum()
     documents = store.documents()
     print(f"compacted {arguments.db}: folded {stats['folded']} updated "
           f"document(s), dropped {stats['dropped']} deleted document(s), "

@@ -8,6 +8,7 @@ document so repeated queries only cost a dictionary lookup per keyword.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -22,7 +23,13 @@ from typing import (
 
 from ..text import EMPTY_CID, DEFAULT_TOKENIZER, content_id
 from ..xmltree import DeweyCode, XMLTree
-from .packed import EMPTY_PACKED, PackedDeweyList, QueryLists, as_packed, pack_deweys
+from .packed import (
+    EMPTY_PACKED,
+    PackedDeweyList,
+    QueryLists,
+    as_packed,
+    pack_component_tuples,
+)
 from .source import KeywordImpact, impact_from_postings
 
 
@@ -82,20 +89,25 @@ class InvertedIndex:
 
     def _build(self) -> None:
         postings: Dict[str, List[DeweyCode]] = {}
-        # One string per distinct word, shared by the posting keys and the
-        # cIDs, through a table that lives only for the build.
+        # One object per distinct word, cID pair and offsets column, shared
+        # by every node and posting list holding it, through tables that
+        # live only for the build.
         shared: Dict[str, str] = {}
+        pairs: Dict[Tuple[str, str], Tuple[str, str]] = {}
+        columns: Dict[bytes, "array[int]"] = {}
         for node in self.tree.iter_preorder():
             dewey = node.dewey
             words = [shared.setdefault(word, word)
                      for word in DEFAULT_TOKENIZER.word_set(node.raw_strings())]
-            self._cids[dewey] = content_id(words)
+            cid = content_id(words)
+            self._cids[dewey] = pairs.setdefault(cid, cid)
             for word in words:
                 postings.setdefault(word, []).append(dewey)
         # iter_preorder yields document order, so the per-word lists are
         # already sorted and duplicate-free (word_set has no duplicates).
-        self._postings = {word: pack_deweys(deweys, presorted=True)
-                          for word, deweys in postings.items()}
+        self._postings = {
+            word: pack_component_tuples(deweys, presorted=True, shared=columns)
+            for word, deweys in postings.items()}
 
     # ------------------------------------------------------------------ #
     # Lookup

@@ -342,16 +342,22 @@ EMPTY_PACKED = PackedDeweyList(array("I"), array("I", [0]))
 # Packing constructors
 # ---------------------------------------------------------------------- #
 def pack_component_tuples(components: Iterable[Sequence[int]],
-                          presorted: bool = False) -> PackedDeweyList:
+                          presorted: bool = False,
+                          shared: Optional[Dict[bytes, "array[int]"]] = None
+                          ) -> PackedDeweyList:
     """Pack an iterable of component sequences into flat columns.
 
     Deduplicates and sorts unless ``presorted`` promises the input is already
-    strictly sorted in document order.
+    strictly sorted in document order.  With ``shared``, a table of columns
+    by content, an offsets column equal to one already in the table is the
+    table's object: columns are never mutated, so equal ones may be one.
     """
     items = (list(components) if presorted
              else sorted({tuple(parts) for parts in components}))
-    return PackedDeweyList(array("I", chain.from_iterable(items)),
-                           array("I", accumulate(map(len, items), initial=0)))
+    offsets = array("I", accumulate(map(len, items), initial=0))
+    if shared is not None:
+        offsets = shared.setdefault(offsets.tobytes(), offsets)
+    return PackedDeweyList(array("I", chain.from_iterable(items)), offsets)
 
 
 def pack_deweys(deweys: Iterable[DeweyCode],

@@ -518,6 +518,18 @@ class SQLiteStore:
             return {"folded": folded, "dropped": dropped,
                     "segments": segments}
 
+    def vacuum(self) -> None:
+        """Rebuild the file without its free pages (``VACUUM``).
+
+        Deleting rows, as :meth:`compact` does, only puts their pages on
+        the freelist for later writes to reuse.  ``VACUUM`` rewrites the
+        whole file and fails while another connection reads it, so
+        ``repro-xks compact`` runs it after the fold has committed, and a
+        serving store never does.
+        """
+        with self._write_lock:
+            self._connection.execute("VACUUM")
+
     def _next_segment_id(self) -> int:
         return self._scalar(
             "SELECT COALESCE(MAX(segment_id), 0) FROM segment") + 1

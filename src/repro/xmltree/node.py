@@ -9,9 +9,14 @@ evaluated against.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from types import MappingProxyType
+from typing import Iterator, List, Mapping, Optional, Tuple, Union
 
 from .dewey import DeweyCode
+
+#: The attribute mapping of every node built without attributes: one
+#: shared read-only mapping instead of an empty ``dict`` per node.
+NO_ATTRIBUTES: Mapping[str, str] = MappingProxyType({})
 
 
 class XMLNode:
@@ -30,7 +35,12 @@ class XMLNode:
         The text value of the node, or ``None``.  In the paper's model only
         leaf nodes carry text, but mixed content is tolerated.
     attributes:
-        Attribute name/value mapping (possibly empty).
+        Attribute name/value mapping: the node's own ``dict`` copy, or the
+        shared read-only :data:`NO_ATTRIBUTES` when it has none.
+
+    A leaf holds the shared empty tuple as its children until
+    :meth:`attach_child` gives it a list, so a resident tree pays for
+    containers only where they hold something.
     """
 
     __slots__ = ("dewey", "label", "text", "attributes", "_parent", "_children")
@@ -40,14 +50,15 @@ class XMLNode:
         dewey: DeweyCode,
         label: str,
         text: Optional[str] = None,
-        attributes: Optional[Dict[str, str]] = None,
+        attributes: Optional[Mapping[str, str]] = None,
     ):
         self.dewey = dewey
         self.label = label
         self.text = text
-        self.attributes: Dict[str, str] = dict(attributes) if attributes else {}
+        self.attributes: Mapping[str, str] = (dict(attributes) if attributes
+                                              else NO_ATTRIBUTES)
         self._parent: Optional["XMLNode"] = None
-        self._children: List["XMLNode"] = []
+        self._children: Union[Tuple[()], List["XMLNode"]] = ()
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -84,7 +95,10 @@ class XMLNode:
     def attach_child(self, child: "XMLNode") -> None:
         """Wire ``child`` as the last child of this node (builder use only)."""
         child._parent = self
-        self._children.append(child)
+        if isinstance(self._children, list):
+            self._children.append(child)
+        else:
+            self._children = [child]
 
     # ------------------------------------------------------------------ #
     # Traversal

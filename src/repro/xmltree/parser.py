@@ -77,7 +77,7 @@ def _convert(element: ET.Element, name: str) -> XMLTree:
 
 def _new_node(element: ET.Element, dewey: DeweyCode) -> XMLNode:
     text = (element.text or "").strip() or None
-    return XMLNode(dewey, _local_name(element.tag), text, dict(element.attrib))
+    return XMLNode(dewey, _local_name(element.tag), text, element.attrib)
 
 
 def _local_name(tag: str) -> str:

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import re
+import sqlite3
 
 import pytest
 
 from repro.cli import main
 from repro.core import ALGORITHM_NAMES
+from repro.datasets import DBLPConfig, generate_dblp
 from repro.storage import verify_database
-from repro.xmltree import parse_file
+from repro.xmltree import parse_file, write_xml_file
 
 
 class TestSearchCommand:
@@ -340,6 +342,25 @@ class TestMetricsCommand:
         assert "Traceback" not in error
 
 
+class TestCompactCommand:
+    def test_compact_gives_freed_pages_back(self, capsys, tmp_path):
+        xml = tmp_path / "publications.xml"
+        write_xml_file(generate_dblp(DBLPConfig(publications=20, seed=2009)),
+                       xml)
+        db = str(tmp_path / "corpus.db")
+        assert main(["index", str(xml), "--db", db]) == 0
+        assert main(["index", "--update", str(xml), "--db", db]) == 0
+        assert main(["compact", "--db", db]) == 0
+        connection = sqlite3.connect(db)
+        try:
+            free_pages = connection.execute(
+                "PRAGMA freelist_count").fetchone()[0]
+        finally:
+            connection.close()
+        assert free_pages == 0
+        assert main(["verify", "--db", db]) == 0, capsys.readouterr().out
+
+
 class TestUnreadableInputs:
     """An input file the program cannot read is a usage error, like a
     database file of another schema version: one line on stderr naming the
@@ -379,9 +400,29 @@ class TestUnreadableInputs:
     ], ids=["search", "compare", "explain", "serve", "index", "index-update"])
     def test_an_unparsable_xml_file_is_named(self, capsys, tmp_path,
                                              xml_path, argv):
-        db = str(tmp_path / "fresh.db")
+        db = tmp_path / "fresh.db"
         exit_code = main([arg.format(xml=xml_path, db=db) for arg in argv])
         self.assert_one_line_naming(capsys, exit_code, xml_path)
+        # A failed index leaves no database it created behind.
+        assert not db.exists()
+
+    def test_a_failed_multi_file_index_removes_only_a_new_database(
+            self, capsys, tmp_path, xml_path):
+        good = tmp_path / "good.xml"
+        good.write_text("<a><b>xml</b></a>", encoding="utf-8")
+        fresh = tmp_path / "fresh.db"
+        exit_code = main(["index", str(good), xml_path, "--db", str(fresh)])
+        self.assert_one_line_naming(capsys, exit_code, xml_path)
+        assert not fresh.exists()
+        # An existing file keeps what the run stored before it failed.
+        kept = tmp_path / "kept.db"
+        assert main(["index", "--dataset", "figure-1a", "--db",
+                     str(kept)]) == 0
+        capsys.readouterr()
+        exit_code = main(["index", "--add", str(good), xml_path, "--db",
+                          str(kept)])
+        self.assert_one_line_naming(capsys, exit_code, xml_path)
+        assert kept.exists() and verify_database(str(kept)).clean
 
     @pytest.mark.parametrize("argv", [
         ["search", "--db", "{db}", "--backend", "sqlite", "xml"],

@@ -26,7 +26,7 @@ from repro.index import (
 )
 from repro.storage import shred_tree
 from repro.text import ContentAnalyzer
-from repro.xmltree import parse_string
+from repro.xmltree import DeweyCode, parse_string
 
 DOCUMENT = """
 <publications>
@@ -90,7 +90,7 @@ class TestIndexFootprint:
     """The index keeps each node's cID, not its word set."""
 
     @pytest.mark.parametrize("dataset", ["dblp", "xmark"])
-    def test_retains_at_most_500_bytes_per_node(self, dataset):
+    def test_retains_at_most_225_bytes_per_node(self, dataset):
         tree = (generate_dblp(DBLPConfig(publications=400, keyword_scale=0.01,
                                          seed=2009))
                 if dataset == "dblp"
@@ -105,8 +105,22 @@ class TestIndexFootprint:
         finally:
             tracemalloc.stop()
         assert index.vocabulary_size() > 0
-        assert retained / len(tree) <= 500, \
+        assert retained / len(tree) <= 225, \
             f"{retained / len(tree):.0f} bytes retained per node"
+
+    def test_equal_values_are_one_object(self):
+        # Two <year>2008</year> nodes have equal cIDs, and every list
+        # holding one three-component code has the offsets column [0, 3].
+        tree = parse_string(DOCUMENT.replace("<year>2008</year>",
+                                             "<year>2008</year>" * 2))
+        index = InvertedIndex(tree)
+        assert index.node_cid(DeweyCode((0, 0, 1))) \
+            is index.node_cid(DeweyCode((0, 0, 2)))
+        title = index.keyword_nodes(["keyword"])["keyword"]
+        abstract = index.keyword_nodes(["dynamic"])["dynamic"]
+        assert list(title.offsets) == list(abstract.offsets) == [0, 3]
+        assert title.offsets is abstract.offsets
+        assert title.data is not abstract.data
 
     def test_build_shred_and_search_never_read_node_contents(self,
                                                              monkeypatch):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro.datasets import DBLPConfig, XMarkConfig, generate_dblp, generate_xmark
 from repro.xmltree import (
     DeweyCode,
     DuplicateNode,
@@ -13,6 +17,7 @@ from repro.xmltree import (
     XMLNode,
     XMLTree,
     XMLTreeError,
+    parse_string,
     spec,
     tree_from_spec,
 )
@@ -180,3 +185,80 @@ class TestBuilder:
         builder.element("child")
         assert builder.current.label == "child"
         assert builder.depth == 2
+
+
+class TestResidentFootprint:
+    """A node stores a fresh container only where it holds something."""
+
+    @staticmethod
+    def attributeless_nodes():
+        built = TreeBuilder("root")
+        built.text_element("leaf", "text")
+        parsed = parse_string('<root><leaf id="1">text</leaf><leaf/></root>')
+        specced = tree_from_spec(spec("root", None, spec("leaf", "text")))
+        trees = [built.build(), parsed, specced, parsed.copy()]
+        return [node for tree in trees for node in tree.iter_preorder()
+                if not node.attributes]
+
+    def test_nodes_without_attributes_share_one_read_only_mapping(self):
+        nodes = self.attributeless_nodes()
+        assert len(nodes) == 8
+        assert len({id(node.attributes) for node in nodes}) == 1
+        with pytest.raises(TypeError):
+            nodes[0].attributes["id"] = "1"  # type: ignore[index]
+        assert nodes[0].attributes == {}
+
+    def test_a_node_with_attributes_keeps_its_own_copy(self):
+        given = {"id": "b1"}
+        node = XMLNode(DeweyCode.root(), "book", attributes=given)
+        given["id"] = "changed"
+        assert node.attributes == {"id": "b1"}
+        parsed = parse_string('<a><b id="1"/><b id="2"/></a>')
+        first, second = parsed.root.children
+        assert first.attributes is not second.attributes
+        assert parsed.copy().node("0.0").attributes is not first.attributes
+
+    def test_a_leaf_hands_out_a_fresh_empty_list(self, library_tree):
+        # Every leaf holds the one shared empty tuple, not a list of its own.
+        leaves = list(library_tree.iter_leaves())
+        assert len({id(leaf._children) for leaf in leaves}) == 1
+        leaf = library_tree.node("0.0.0")
+        assert leaf.is_leaf and leaf.child_count() == 0
+        children = leaf.children
+        assert children == [] and children is not leaf.children
+        children.append(library_tree.root)
+        assert leaf.is_leaf and leaf.children == []
+        assert leaf.find_children("title") == []
+        assert list(leaf.iter_subtree()) == [leaf]
+
+    def test_inserting_under_a_leaf_gives_it_the_child(self, library_tree):
+        grown = library_tree.with_inserted_subtree(
+            "0.0.0", SubtreeSpec("note", "first edition"))
+        leaf = grown.node("0.0.0")
+        assert not leaf.is_leaf and leaf.child_count() == 1
+        # The leaves, the new one included, still share one empty container.
+        assert len({id(node._children) for node in grown.iter_leaves()}) == 1
+        assert grown.node("0.0.1").is_leaf
+        assert [child.label for child in leaf.children] == ["note"]
+        assert grown.node("0.0.0.0").parent is leaf
+        assert library_tree.node("0.0.0").is_leaf
+
+    @pytest.mark.parametrize("dataset", ["dblp", "xmark"])
+    def test_a_generated_tree_retains_at_most_350_bytes_per_node(self,
+                                                                 dataset):
+        # The generator's strings count too: they are what the tree keeps.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = (generate_dblp(DBLPConfig(publications=400,
+                                             keyword_scale=0.01, seed=2009))
+                    if dataset == "dblp"
+                    else generate_xmark(XMarkConfig(scale="data1",
+                                                    base_items=40)))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(tree) <= 350, \
+            f"{retained / len(tree):.0f} bytes retained per node"

@@ -1,10 +1,10 @@
-"""Ablation — the query-result cache and the ``search_many`` batch fast path.
+"""Ablation — the query-result cache.
 
 Benchmark workloads repeat every query several times per repetition, which the
-seed harness paid full pipeline cost for.  This ablation measures (a) a cold
-``search`` loop, (b) the same loop on a cache-enabled engine, and (c) the
-``search_many`` batch API, and checks the cache statistics counters account
-for exactly the reuse observed.
+seed harness paid full pipeline cost for.  This ablation measures (a) one
+query's ``search`` on a cold engine, (b) the same on a cache-enabled engine,
+and (c) a ``search`` loop over the whole workload on each, and checks the
+cache statistics counters account for exactly the reuse observed.
 
 Run with ``pytest benchmarks/test_cache_ablation.py --benchmark-only`` for the
 timing panels, or without ``--benchmark-only`` for the semantics checks.
@@ -45,17 +45,20 @@ def test_benchmark_search_cached(benchmark, cached_dblp_engine, dataset_specs):
     benchmark(lambda: cached_dblp_engine.search(query.text, "validrtf"))
 
 
-def test_benchmark_batch_uncached(benchmark, engines, workload_texts):
+def test_benchmark_workload_uncached(benchmark, engines, workload_texts):
     engine = engines["dblp"]
     benchmark.group = "ablation-cache-workload"
-    benchmark.name = "search_many-uncached"
-    benchmark(lambda: engine.search_many(workload_texts, "validrtf"))
+    benchmark.name = "search-loop-uncached"
+    benchmark(lambda: [engine.search(text, "validrtf")
+                       for text in workload_texts])
 
 
-def test_benchmark_batch_cached(benchmark, cached_dblp_engine, workload_texts):
+def test_benchmark_workload_cached(benchmark, cached_dblp_engine,
+                                   workload_texts):
     benchmark.group = "ablation-cache-workload"
-    benchmark.name = "search_many-cached"
-    benchmark(lambda: cached_dblp_engine.search_many(workload_texts, "validrtf"))
+    benchmark.name = "search-loop-cached"
+    benchmark(lambda: [cached_dblp_engine.search(text, "validrtf")
+                       for text in workload_texts])
 
 
 def test_cache_speedup_and_accounting(dataset_specs, workload_texts):
@@ -67,7 +70,7 @@ def test_cache_speedup_and_accounting(dataset_specs, workload_texts):
 
     cold_passes, hot_passes = alternating_passes(
         [lambda: [uncached.search(text) for text in workload_texts],
-         lambda: cached.search_many(workload_texts, "validrtf")],
+         lambda: [cached.search(text) for text in workload_texts]],
         REPETITIONS)
     cold = sum(cold_passes) / REPETITIONS
     hot = sum(hot_passes) / REPETITIONS
@@ -77,7 +80,7 @@ def test_cache_speedup_and_accounting(dataset_specs, workload_texts):
     assert stats.hits == REPETITIONS * len(workload_texts)
     for text in workload_texts:
         assert cached.search(text).fragments == uncached.search(text).fragments
-    print(f"\nablation-cache: cold loop {cold * 1000:.1f} ms vs cached batch "
+    print(f"\nablation-cache: cold loop {cold * 1000:.1f} ms vs cached loop "
           f"{hot * 1000:.1f} ms per pass over {len(workload_texts)} queries "
           f"({stats})")
     assert hot < cold, (hot, cold)

@@ -15,7 +15,7 @@ from repro.datasets import (
     DBLP_PAPER_FREQUENCIES,
     XMARK_PAPER_FREQUENCIES,
 )
-from repro.index import frequency_table
+from repro.index import keyword_frequencies, keyword_frequency_table
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +29,12 @@ def test_benchmark_frequency_lookup(benchmark, engines):
     keywords = list(DBLP_PAPER_FREQUENCIES)
     benchmark.group = "section5.1-frequencies"
     benchmark.name = "dblp-20-keywords"
-    benchmark(lambda: [index.frequency(keyword) for keyword in keywords])
+    benchmark(lambda: keyword_frequencies(index, keywords))
 
 
 def test_dblp_frequency_table(dataset_indexes):
-    rows = frequency_table({"dblp": dataset_indexes["dblp"]},
-                           list(DBLP_PAPER_FREQUENCIES))
+    rows = keyword_frequency_table({"dblp": dataset_indexes["dblp"]},
+                                   list(DBLP_PAPER_FREQUENCIES))
     print()
     print(format_table(rows, ("keyword", "dblp"),
                        title="Section 5.1 — DBLP keyword frequencies (scaled)"))
@@ -50,8 +50,9 @@ def test_dblp_frequency_table(dataset_indexes):
 
 def test_xmark_frequency_table(dataset_indexes):
     names = ("xmark-standard", "xmark-data1", "xmark-data2")
-    rows = frequency_table({name: dataset_indexes[name] for name in names},
-                           list(XMARK_PAPER_FREQUENCIES))
+    rows = keyword_frequency_table(
+        {name: dataset_indexes[name] for name in names},
+        list(XMARK_PAPER_FREQUENCIES))
     print()
     print(format_table(rows, ("keyword",) + names,
                        title="Section 5.1 — XMark keyword frequencies (scaled)"))

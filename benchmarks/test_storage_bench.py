@@ -77,10 +77,10 @@ def test_backends_agree_with_index(stores, engines):
     for backend, store in stores.items():
         source = SQLitePostingSource(store, "dblp")
         for keyword in ("xml", "keyword", "data", "vldb", "henry"):
-            expected = index.postings(keyword).deweys
-            assert source.postings(keyword).deweys == expected, \
+            expected = index.keyword_nodes([keyword])[keyword]
+            assert source.keyword_nodes([keyword])[keyword] == expected, \
                 (backend, keyword)
-            assert source.frequency(keyword) == len(expected), \
+            assert source.impact(keyword).count == len(expected), \
                 (backend, keyword)
         stats = source.read_stats()
         read_from = "segment_reads" if backend == "segmented" else "base_reads"

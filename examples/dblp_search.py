@@ -27,6 +27,7 @@ from repro.core import SearchEngine
 from repro.datasets import DBLPConfig, DBLP_PAPER_FREQUENCIES, generate_dblp
 from repro.index import document_profile
 from repro.storage import SQLitePostingSource, SQLiteStore
+from repro.text import DEFAULT_TOKENIZER
 
 QUERIES = (
     "xml keyword retrieval",
@@ -61,7 +62,8 @@ def main() -> None:
     print("workload keyword frequencies (scaled-down corpus):")
     for keyword in ("data", "algorithm", "xml", "keyword", "vldb"):
         paper = DBLP_PAPER_FREQUENCIES[keyword]
-        here = disk_engine.source.frequency(keyword)
+        word = DEFAULT_TOKENIZER.normalize_keyword(keyword)
+        here = disk_engine.source.impact(word).count
         print(f"  {keyword:<10} paper={paper:<6} here={here}")
     print()
 

@@ -292,9 +292,10 @@ class ParityRegistrationRule(Rule):
                    "(PARITY_SOURCES keys mapped to BACKENDS entries)")
 
     ANCHOR = "tests/test_backend_parity.py"
+    #: The members ``PostingSource`` declares (``src/repro/index/source.py``).
     PROTOCOL_MEMBERS = frozenset({
-        "source_id", "postings", "keyword_nodes", "frequency",
-        "vocabulary", "node_label", "node_cid",
+        "source_id", "keyword_nodes", "impact", "vocabulary", "node_label",
+        "node_cid",
     })
 
     def check(self, project: Project) -> Iterator[Diagnostic]:

@@ -799,7 +799,7 @@ def _service_setup(arguments: argparse.Namespace):
     config = ServiceConfig(
         backend=backend,
         workers=arguments.workers,
-        cache_size=max(0, arguments.cache_size),
+        cache_size=arguments.cache_size,
         db_path=arguments.db,
         document=document,
         max_inflight=arguments.max_inflight,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import ContextManager, Dict, List, Optional, Sequence, Tuple
+from typing import ContextManager, Dict, List, Optional
 
 from ..index import InvertedIndex, PostingSource, QueryLists
 from ..obs import MetricsRegistry, Trace
@@ -160,65 +160,6 @@ class SearchEngine:
         result = pipeline.search(parsed, trace=trace)
         self._cache.put(key, result)
         return result
-
-    def search_many(self, queries: Sequence[QueryLike],
-                    algorithm: str = "validrtf") -> List[SearchResult]:
-        """Run a batch of queries, sharing posting-list retrieval.
-
-        The postings for the *union* of all (uncached) queries' keywords are
-        fetched from the posting source once and shared across the batch, so
-        a keyword appearing in many queries pays its ``getKeywordNodes`` cost
-        once instead of once per query — and a batching backend (the sqlite
-        source's ``IN (...)`` fetch) serves the whole union in one round-trip.
-        The fetch records the posting metrics a :meth:`search` records, each
-        fetched keyword counted once per batch.  When the
-        result cache is enabled it is consulted per query first and updated
-        with every freshly computed result.  Results come back in input
-        order with the same answers (fragments, roots) as looping
-        :meth:`search` over ``queries`` — though duplicate queries within a
-        batch share one :class:`SearchResult` object, and the
-        ``elapsed_seconds`` of cached or batch-computed results reflects the
-        original computation, not this call.
-        """
-        pipeline = self.algorithm(algorithm)
-        parsed_queries = [Query.parse(query) for query in queries]
-        order = [QueryResultCache.key_for(algorithm, parsed, self.backend_id)
-                 for parsed in parsed_queries]
-
-        # Resolve each distinct query once: duplicates within the batch share
-        # one computation (and one cache lookup at most).
-        resolved: Dict[Tuple, SearchResult] = {}
-        pending: Dict[Tuple, Query] = {}
-        for cache_key, parsed in zip(order, parsed_queries):
-            if cache_key in resolved or cache_key in pending:
-                continue
-            if self._cache is not None:
-                cached = self._cache.get(cache_key)
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        metric_names.CACHE_HITS if cached is not None
-                        else metric_names.CACHE_MISSES).inc()
-                if cached is not None:
-                    resolved[cache_key] = cached
-                    continue
-            pending[cache_key] = parsed
-
-        if pending:
-            union: List[str] = []
-            seen: set = set()
-            for parsed in pending.values():
-                for keyword in parsed.keywords:
-                    if keyword not in seen:
-                        seen.add(keyword)
-                        union.append(keyword)
-            shared_lists = pipeline.fetch_postings(union)
-            for cache_key, parsed in pending.items():
-                result = pipeline.search_with_lists(parsed, shared_lists)
-                if self._cache is not None:
-                    self._cache.put(cache_key, result)
-                resolved[cache_key] = result
-
-        return [resolved[cache_key] for cache_key in order]
 
     # ------------------------------------------------------------------ #
     # Cache management

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..index import EMPTY_PACKED, PostingSource, QueryLists
+from ..index import PostingSource, QueryLists
 from ..lca import elca_is_slca, indexed_lookup_eager_slca, indexed_stack_elca
 from ..obs import MetricsRegistry, Trace
 from ..obs import names as metric_names
@@ -154,12 +154,10 @@ class FragmentPipeline:
 
     def fetch_postings(self, keywords: Sequence[str],
                        trace: Optional[Trace] = None) -> QueryLists:
-        """Stage 1 on normalized ``keywords``: the one place a posting
-        fetch is measured (stage histogram, keyword and row counters, the
-        source's read deltas, a ``postings`` span).  :meth:`search` fetches
-        one query, ``SearchEngine.search_many`` a batch's keyword union."""
-        if self.metrics is None and trace is None:
-            return self.source.keyword_nodes(keywords)
+        """Stage 1 on one query's normalized ``keywords``: the one place a
+        posting fetch is measured (stage histogram, keyword and row
+        counters, the source's read deltas, a ``postings`` span) when
+        :meth:`search` runs observed."""
         read_stats = getattr(self.source, "read_stats", dict)
         before = read_stats()
         started = time.perf_counter()
@@ -195,24 +193,6 @@ class FragmentPipeline:
         "segment_reads": metric_names.SEGMENT_READS,
         "base_reads": metric_names.SEGMENT_BASE_READS,
     }
-
-    def search_with_lists(self, query: QueryLike,
-                          lists: Mapping[str, Sequence[DeweyCode]]) -> SearchResult:
-        """Run stages 2–4 on precomputed ``D_i`` posting lists.
-
-        This is the batch fast path used by ``SearchEngine.search_many``: the
-        caller fetches the postings for the union of several queries' keywords
-        once and shares them across the batch, so ``getKeywordNodes`` is not
-        re-run per query.  ``lists`` must map each normalized query keyword to
-        its sorted Dewey list (missing keywords mean an empty result, exactly
-        as in :meth:`search`).  The lists are never mutated; the query's own
-        go into a fresh :class:`QueryLists`, so its stages share one merge.
-        """
-        parsed = Query.parse(query)
-        started = time.perf_counter()
-        per_query = QueryLists.of({keyword: lists.get(keyword, EMPTY_PACKED)
-                                   for keyword in parsed.keywords})
-        return self._run_stages(parsed, per_query, started)
 
     def _run_stages(self, parsed: Query,
                     lists: Mapping[str, Sequence[DeweyCode]],

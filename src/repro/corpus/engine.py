@@ -297,34 +297,6 @@ class CorpusSearchEngine:
         trace.finish()
         return result, trace
 
-    def search_many(self, queries: Sequence[QueryLike],
-                    algorithm: str = "validrtf",
-                    doc_filter: Optional[Sequence[str]] = None
-                    ) -> List[CorpusSearchResult]:
-        """Batch counterpart of :meth:`search`.
-
-        Each per-document engine serves the whole batch through its own
-        ``search_many`` fast path (one union posting fetch per document), so
-        the corpus batch pays one stage-1 round per (document, batch) instead
-        of one per (document, query).  The corpus counters are recorded per
-        query, as :meth:`search` records them.
-        """
-        parsed_queries = [Query.parse(query) for query in queries]
-        selected = self._selected(doc_filter)
-        per_doc = {doc_id: self._engines[doc_id].search_many(parsed_queries,
-                                                             algorithm)
-                   for doc_id in selected}
-        results: List[CorpusSearchResult] = []
-        for position, parsed in enumerate(parsed_queries):
-            documents = tuple(
-                DocumentResult(doc_id, per_doc[doc_id][position])
-                for doc_id in selected
-                if self._contributes(per_doc[doc_id][position]))
-            self._noted_search(len(selected), len(documents))
-            results.append(CorpusSearchResult(
-                query=parsed, algorithm=algorithm, documents=documents))
-        return results
-
     def _noted_search(self, searched: int, matched: int) -> None:
         """Count one query's searched and matching documents."""
         if self.metrics is not None:

@@ -1,6 +1,6 @@
 """Inverted index substrate: keyword posting lists and corpus statistics."""
 
-from .inverted import InvertedIndex, PostingList, build_index, merge_keyword_nodes
+from .inverted import InvertedIndex
 from .packed import (
     EMPTY_PACKED,
     PackedDeweyList,
@@ -21,7 +21,7 @@ from .statistics import (
     DocumentProfile,
     KeywordFrequency,
     document_profile,
-    frequency_table,
+    keyword_frequency_table,
     keyword_frequencies,
     top_keywords,
 )
@@ -34,19 +34,16 @@ __all__ = [
     "impact_from_postings",
     "keyword_impact",
     "PackedDeweyList",
-    "PostingList",
     "PostingSource",
     "QueryLists",
     "as_packed",
     "match_list",
     "pack_component_tuples",
     "pack_deweys",
-    "build_index",
-    "merge_keyword_nodes",
     "KeywordFrequency",
     "DocumentProfile",
     "keyword_frequencies",
-    "frequency_table",
+    "keyword_frequency_table",
     "document_profile",
     "top_keywords",
 ]

@@ -9,17 +9,7 @@ document so repeated queries only cost a dictionary lookup per keyword.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..text import EMPTY_CID, DEFAULT_TOKENIZER, content_id
 from ..xmltree import DeweyCode, XMLTree
@@ -27,37 +17,9 @@ from .packed import (
     EMPTY_PACKED,
     PackedDeweyList,
     QueryLists,
-    as_packed,
     pack_component_tuples,
 )
 from .source import KeywordImpact, impact_from_postings
-
-
-@dataclass(frozen=True)
-class PostingList:
-    """The sorted Dewey codes of the nodes containing one keyword.
-
-    ``deweys`` is always a :class:`~repro.index.packed.PackedDeweyList`:
-    immutable packed columns pass through untouched and any other Dewey
-    sequence is packed once with :func:`~repro.index.packed.as_packed`, so a
-    posting list can never alias — and later observe mutations of — a
-    caller's list.
-    """
-
-    keyword: str
-    deweys: PackedDeweyList
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "deweys", as_packed(self.deweys))
-
-    def __len__(self) -> int:
-        return len(self.deweys)
-
-    def __iter__(self) -> Iterator[DeweyCode]:
-        return iter(self.deweys)
-
-    def __bool__(self) -> bool:
-        return bool(self.deweys)
 
 
 class InvertedIndex:
@@ -112,35 +74,24 @@ class InvertedIndex:
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def postings(self, keyword: str) -> PostingList:
-        """The posting list for a (raw, un-normalized) keyword."""
-        normalized = DEFAULT_TOKENIZER.normalize_keyword(keyword)
-        return PostingList(normalized,
-                           self._postings.get(normalized, EMPTY_PACKED))
-
-    def keyword_nodes(self, query: Iterable[str]) -> QueryLists:
+    def keyword_nodes(self, keywords: Iterable[str]) -> QueryLists:
         """The ``D_i`` lists for every keyword of a query (getKeywordNodes).
 
-        The result maps each *normalized* keyword to its sorted Dewey list;
-        keywords with no match map to an empty list.  The shared immutable
-        columns themselves are returned (they are never mutated), in a fresh
-        :class:`~repro.index.packed.QueryLists` per query.
+        The result maps each normalized keyword, taken as given, to its
+        sorted Dewey list; keywords with no match map to an empty list.  The
+        shared immutable columns themselves are returned (they are never
+        mutated), in a fresh :class:`~repro.index.packed.QueryLists` per
+        query.
         """
         postings = self._postings
         return QueryLists((keyword, postings.get(keyword, EMPTY_PACKED))
-                          for keyword in DEFAULT_TOKENIZER.normalize_query(query))
-
-    def frequency(self, keyword: str) -> int:
-        """Number of keyword nodes containing ``keyword``."""
-        return len(self.postings(keyword))
+                          for keyword in keywords)
 
     def impact(self, keyword: str) -> KeywordImpact:
         """Posting count + deepest node level of one normalized keyword.
 
         The memory backend has no shred-time metadata to read back, so the
-        impact is derived from the resident posting list — the
-        lazy-compute arm of the ranking metadata seam
-        (:func:`repro.index.source.keyword_impact`).  The corpus engine
+        impact is derived from the resident posting list.  The corpus engine
         keeps it in its per-keyword tables, so it is not cached here.
         """
         return impact_from_postings(self._postings.get(keyword, EMPTY_PACKED))
@@ -177,20 +128,7 @@ class InvertedIndex:
         """Total number of (word, node) pairs in the index."""
         return sum(len(posting) for posting in self._postings.values())
 
-    def __contains__(self, keyword: str) -> bool:
-        return DEFAULT_TOKENIZER.normalize_keyword(keyword) in self._postings
-
     def __repr__(self) -> str:
         return (f"InvertedIndex(words={self.vocabulary_size()}, "
                 f"postings={self.total_postings()})")
 
-
-def build_index(tree: XMLTree) -> InvertedIndex:
-    """Convenience factory mirroring the facade naming used in examples."""
-    return InvertedIndex(tree)
-
-
-def merge_keyword_nodes(lists: Mapping[str, Sequence[DeweyCode]]) -> List[DeweyCode]:
-    """Union of all ``D_i`` lists, deduplicated, in document order."""
-    merged = {dewey for deweys in lists.values() for dewey in deweys}
-    return sorted(merged)

@@ -162,7 +162,7 @@ class PackedDeweyList(_SequenceABC):
 
     def __hash__(self) -> int:
         # Instances are immutable; hashing keeps containers of posting lists
-        # (e.g. a frozen PostingList dataclass) hashable.  Hashing the
+        # (e.g. a frozen dataclass holding one) hashable.  Hashing the
         # materialized code tuple keeps the eq/hash contract intact with the
         # tuple-of-codes form __eq__ accepts — a container holding both sees
         # one entry, not two.  Computed lazily and cached; hashing posting

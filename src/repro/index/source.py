@@ -1,7 +1,7 @@
 """The backend-agnostic posting-source seam.
 
-Every retrieval path of the library — the search pipelines, the engine's
-batch API, the benchmark drivers — fetches keyword posting lists through the
+Every retrieval path of the library — the search pipelines, the corpus
+ranking, the benchmarks — fetches keyword posting lists through the
 :class:`PostingSource` protocol instead of talking to a concrete index.  The
 in-memory :class:`~repro.index.inverted.InvertedIndex` is the reference
 implementation; the disk-backed sources of :mod:`repro.storage` implement the
@@ -13,8 +13,10 @@ backend.
 
 The protocol has two layers:
 
-* the four retrieval methods (``postings``, ``keyword_nodes``, ``frequency``,
-  ``vocabulary``) every stage-1 caller needs, and
+* the retrieval methods (``keyword_nodes``, ``impact``, ``vocabulary``):
+  one query's ``D_i`` lists, one keyword's ranking metadata and the
+  indexed words.  Keywords arrive normalized: :meth:`Query.parse
+  <repro.core.query.Query.parse>` is the one place a query is tokenized.
 * two node lookups (``node_label``, ``node_cid``) that let the later
   pipeline stages (record-tree construction, degraded rendering) run
   without a resident :class:`~repro.xmltree.tree.XMLTree`.  A record tree
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Iterable,
     List,
     Optional,
@@ -39,21 +40,18 @@ from typing import (
 from ..xmltree import DeweyCode
 from .packed import QueryLists, as_packed
 
-if TYPE_CHECKING:  # inverted.py imports this module at run time
-    from .inverted import PostingList
-
 
 @runtime_checkable
 class PostingSource(Protocol):
     """What every posting-list backend must provide.
 
     Implementations promise that posting lists are
-    :class:`~repro.index.packed.PackedDeweyList` columns (``postings`` wraps
-    them in a :class:`~repro.index.inverted.PostingList`), **strictly sorted
-    in document (Dewey) order and duplicate-free**, that keywords are normalized
-    with the same tokenizer the query side uses, and that ``frequency(w) ==
-    len(postings(w))`` — the invariants the property suite
-    (``tests/test_posting_properties.py``) checks across backends.
+    :class:`~repro.index.packed.PackedDeweyList` columns, **strictly sorted
+    in document (Dewey) order and duplicate-free**, that words are indexed
+    with the tokenizer the query side normalizes with, and that
+    ``impact(w).count == len(keyword_nodes([w])[w])`` — the invariants the
+    property suite (``tests/test_posting_properties.py``) checks across
+    backends.
     """
 
     @property
@@ -61,28 +59,24 @@ class PostingSource(Protocol):
         """Stable identity of the backend (used in query-cache keys)."""
         ...
 
-    def postings(self, keyword: str) -> PostingList:
-        """The posting list of one (raw, un-normalized) keyword."""
-        ...
-
-    def keyword_nodes(self, query: Iterable[str]) -> QueryLists:
+    def keyword_nodes(self, keywords: Iterable[str]) -> QueryLists:
         """The ``D_i`` lists of a whole query (``getKeywordNodes``).
 
-        Maps each *normalized* keyword, in query order, to its sorted Dewey
-        list in the one posting form,
-        :class:`~repro.index.packed.PackedDeweyList`; keywords with no match
-        map to an empty list.  The order matters: ``getRTF`` gives list *i*
-        bit *i* of the keyword masks.  The mapping is a fresh
-        :class:`~repro.index.packed.QueryLists` per call, so ``getLCA`` and
-        ``getRTF`` of one search share its one merge.  Backends are
-        encouraged to batch this (one round-trip for the whole query) — the
-        engine's ``search_many`` fast path funnels the union of a batch's
-        keywords through one call.
+        ``keywords`` are taken as given: normalized and duplicate-free, as
+        every :attr:`Query.keywords <repro.core.query.Query.keywords>` is.
+        Maps each keyword, in query order, to its sorted Dewey list in the
+        one posting form, :class:`~repro.index.packed.PackedDeweyList`;
+        keywords with no match map to an empty list.  The order matters:
+        ``getRTF`` gives list *i* bit *i* of the keyword masks.  The mapping
+        is a fresh :class:`~repro.index.packed.QueryLists` per call, so
+        ``getLCA`` and ``getRTF`` of one search share its one merge.  A
+        store-backed source fetches a query's lists in one round-trip.
         """
         ...
 
-    def frequency(self, keyword: str) -> int:
-        """Number of keyword nodes containing ``keyword``."""
+    def impact(self, keyword: str) -> KeywordImpact:
+        """The ranking metadata of one normalized keyword: its posting
+        count and deepest node level."""
         ...
 
     def vocabulary(self) -> List[str]:
@@ -131,8 +125,8 @@ EMPTY_IMPACT = KeywordImpact(count=0, max_depth=0)
 def impact_from_postings(deweys: Sequence[DeweyCode]) -> KeywordImpact:
     """Compute a :class:`KeywordImpact` directly from a posting list.
 
-    This is the lazy fallback every source without precomputed metadata
-    shares, and the definition the precomputed paths must agree with.
+    The memory backend derives every impact this way, and it is the
+    definition the shred-time ``posting`` columns must agree with.
     Non-packed input (a sequence of Dewey codes) is packed once first; the
     depths then come straight off the offset table — no DeweyCode objects
     are materialized (depth = component count = level + 1).
@@ -148,14 +142,6 @@ def impact_from_postings(deweys: Sequence[DeweyCode]) -> KeywordImpact:
 def keyword_impact(source: PostingSource, keyword: str) -> KeywordImpact:
     """The impact metadata of one normalized keyword on any posting source.
 
-    ``keyword`` is taken as normalized, as every ``Query.keywords`` entry
-    is, and so is the optional ``impact(keyword)`` method that sources
-    precomputing (or cheaply deriving) the metadata expose; everything else
-    falls back to a posting-list scan.  ``impact`` is deliberately *not*
-    part of the :class:`PostingSource` protocol — backends opt in, and the
-    fallback keeps every existing source rankable.
+    The corpus ranking reads every impact through this one function.
     """
-    impact = getattr(source, "impact", None)
-    if impact is not None:
-        return impact(keyword)
-    return impact_from_postings(source.postings(keyword).deweys)
+    return source.impact(keyword)

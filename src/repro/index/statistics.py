@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
+from ..text import DEFAULT_TOKENIZER
 from ..xmltree import XMLTree
 from .inverted import InvertedIndex
 
@@ -41,21 +42,27 @@ class DocumentProfile:
                 self.vocabulary_size, self.total_postings)
 
 
+def _frequency(index: InvertedIndex, keyword: str) -> int:
+    """The posting count of one raw workload keyword, normalized once."""
+    return index.impact(DEFAULT_TOKENIZER.normalize_keyword(keyword)).count
+
+
 def keyword_frequencies(index: InvertedIndex,
                         keywords: Iterable[str]) -> List[KeywordFrequency]:
     """Frequencies of the given keywords in the indexed document."""
-    return [KeywordFrequency(keyword, index.frequency(keyword))
+    return [KeywordFrequency(keyword, _frequency(index, keyword))
             for keyword in keywords]
 
 
-def frequency_table(indexes: Mapping[str, InvertedIndex],
-                    keywords: Sequence[str]) -> List[Dict[str, object]]:
+def keyword_frequency_table(indexes: Mapping[str, InvertedIndex],
+                            keywords: Sequence[str]
+                            ) -> List[Dict[str, object]]:
     """The Section 5.1 style table: one row per keyword, one column per dataset."""
     rows: List[Dict[str, object]] = []
     for keyword in keywords:
         row: Dict[str, object] = {"keyword": keyword}
         for dataset_name, index in indexes.items():
-            row[dataset_name] = index.frequency(keyword)
+            row[dataset_name] = _frequency(index, keyword)
         rows.append(row)
     return rows
 
@@ -77,6 +84,6 @@ def document_profile(tree: XMLTree, index: InvertedIndex,
 
 def top_keywords(index: InvertedIndex, limit: int = 20) -> List[KeywordFrequency]:
     """The ``limit`` most frequent indexed words (useful to design workloads)."""
-    pairs = [(word, index.frequency(word)) for word in index.vocabulary()]
+    pairs = [(word, index.impact(word).count) for word in index.vocabulary()]
     pairs.sort(key=lambda pair: (-pair[1], pair[0]))
     return [KeywordFrequency(word, freq) for word, freq in pairs[:limit]]

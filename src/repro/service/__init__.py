@@ -11,9 +11,9 @@ beyond the standard library:
   backend is served as a corpus; a single document is a corpus of one.
 * :mod:`~repro.service.batcher` — a request coalescer: a search is
   dispatched the moment a worker is free, and searches that arrive while
-  every worker is busy queue into one ``search_many`` batch per
-  ``(algorithm, doc_filter)``, amortizing the shared posting fetch.  No
-  timer runs.
+  every worker is busy queue into one batch per ``(algorithm,
+  doc_filter)``, run as one worker task of per-request searches.  No timer
+  runs.
 * :mod:`~repro.service.admission` — bounded in-flight depth, per-request
   timeouts and load shedding with typed error responses.
 * :mod:`~repro.service.server` — an asyncio newline-delimited-JSON TCP

@@ -1,10 +1,7 @@
-"""Request coalescing: concurrent searches become ``search_many`` batches.
+"""Request coalescing: concurrent searches share one worker task.
 
-Concurrent callers frequently query overlapping keywords (hot queries, shared
-vocabulary).  :meth:`CorpusSearchEngine.search_many` already amortizes
-stage 1 by fetching the posting lists of a batch's keyword *union* once per
-document — the batcher is the asyncio shim that turns independent in-flight
-requests into such batches, without ever holding a request while a worker
+The batcher is the asyncio shim between independent in-flight search
+requests and the engine pool, and it never holds a request while a worker
 is free:
 
 * a search is dispatched the moment it arrives while fewer batches are in
@@ -13,8 +10,11 @@ is free:
   every request of one batch must agree on — and each batch that completes
   dispatches the key whose oldest request has waited longest, up to
   :data:`MAX_BATCH_SIZE` of its requests;
-* each dispatch is one :meth:`EnginePool.search_many` call on a single
-  worker, whose results fan back out to the per-request futures.
+* each dispatch is one pool task that runs
+  :meth:`~repro.corpus.engine.CorpusSearchEngine.search` for each of the
+  batch's requests in turn, on a single worker, and fans the results back
+  out to the per-request futures.  The searches share no posting fetch; a
+  query repeated in a batch is a result-cache hit when the cache is on.
 
 So requests coalesce exactly when they would otherwise wait for a worker,
 and no timer runs.  Failures propagate to every request of the batch; a
@@ -35,7 +35,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.query import QueryLike
-from ..corpus import CorpusSearchResult
+from ..corpus import CorpusSearchEngine, CorpusSearchResult
 from ..obs import DEFAULT_COUNT_BUCKETS, MetricsRegistry
 from ..obs import names as metric_names
 from .engine_pool import EnginePool
@@ -116,9 +116,9 @@ class RequestBatcher:
             waits.observe(dispatched_at - enqueued_at)
         algorithm, doc_filter = key
         try:
-            pending = self.pool.search_many(
-                [query for query, _, _ in batch], algorithm,
-                doc_filter=doc_filter)
+            pending = self.pool.submit(
+                _search_each, [query for query, _, _ in batch], algorithm,
+                doc_filter)
         except Exception as error:  # noqa: BLE001 - fan the failure out  # lint: allow(exception-discipline)
             _fail(batch, error)
             return
@@ -179,6 +179,14 @@ class RequestBatcher:
         queued = sum(len(queue) for queue in self._queues.values())
         return (f"RequestBatcher(in_flight={self._in_flight}/"
                 f"{self.pool.workers}, queued={queued})")
+
+
+def _search_each(engine: CorpusSearchEngine, queries: List[QueryLike],
+                 algorithm: str, doc_filter: Optional[Sequence[str]]
+                 ) -> List[CorpusSearchResult]:
+    """One batch's task on a worker: each request's search, in order."""
+    return [engine.search(query, algorithm, doc_filter=doc_filter)
+            for query in queries]
 
 
 def _fail(batch: List[_Entry], error: Exception) -> None:

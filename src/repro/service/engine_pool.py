@@ -39,7 +39,6 @@ from ..core.query import QueryLike
 from ..corpus import (
     CorpusComparisonOutcome,
     CorpusSearchEngine,
-    CorpusSearchResult,
     corpus_from_trees,
 )
 from ..corpus.engine import RankedCorpusSearch
@@ -140,6 +139,9 @@ class EnginePool:
         to every worker engine by reference, so N workers cost no more
         posting memory than one.
         """
+        if cache_size < 0:
+            raise ValueError(f"cache size must be >= 0 (0 disables "
+                             f"caching), got {cache_size}")
         if fault_plan is not None and backend not in ("sqlite", "corpus"):
             raise ValueError(
                 f"a fault plan needs a store-backed backend (sqlite or "
@@ -312,15 +314,6 @@ class EnginePool:
         except DocumentNotFound as error:
             # A doc_filter naming a document the engine does not serve.
             raise ServiceError(ERROR_BAD_REQUEST, str(error)) from None
-
-    def search_many(self, queries: Sequence[QueryLike],
-                    algorithm: str = "validrtf",
-                    doc_filter: Optional[Sequence[str]] = None
-                    ) -> "Future[List[CorpusSearchResult]]":
-        """One batch on a single worker (shared posting fetch)."""
-        return self.submit(
-            lambda engine, qs, a, f: engine.search_many(qs, a, doc_filter=f),
-            queries, algorithm, doc_filter)
 
     def compare(self, query: QueryLike,
                 doc_filter: Optional[Sequence[str]] = None

@@ -14,13 +14,12 @@ newest update) and pins it, so every statement it runs filters on that one
 
 The source is lazy: nothing is fetched at construction.  Each keyword loads
 as **one** packed blob from the ``posting`` table, a query's uncached lists
-come in one batched ``IN (...)`` statement (the path the engine's
-``search_many`` funnels a whole workload's keyword union through), and
-packed lists and node rows stay in LRUs so hot keywords and nodes pay the
-round-trip once.  Every list is a :class:`~repro.index.packed.PackedDeweyList`
-that satisfies the parity contract: strictly sorted in document order,
-duplicate-free, and identical to the memory backend's
-(``tests/test_backend_parity.py`` / ``tests/test_posting_properties.py``).
+come in one batched ``IN (...)`` statement, and packed lists and node rows
+stay in LRUs so hot keywords and nodes pay the round-trip once.  Every list
+is a :class:`~repro.index.packed.PackedDeweyList` that satisfies the parity
+contract: strictly sorted in document order, duplicate-free, and identical
+to the memory backend's (``tests/test_backend_parity.py`` /
+``tests/test_posting_properties.py``).
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Sized, Tuple
 
-from ..index import PostingList
 from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
 from ..index.packed import EMPTY_PACKED, PackedDeweyList, QueryLists
-from ..text import DEFAULT_TOKENIZER, EMPTY_CID
+from ..text import EMPTY_CID
 from ..xmltree import DeweyCode
 from .schema import encode_dewey
 from .sqlite_backend import BASE_GENERATION, SQLiteStore, generation_rows
@@ -115,33 +113,23 @@ class SQLitePostingSource:
         self._scope()
         return f"sqlite:{self.store.path}#{self.document}@g{self._location}"
 
-    def postings(self, keyword: str) -> PostingList:
-        """The posting list of one (raw, un-normalized) keyword."""
-        normalized = DEFAULT_TOKENIZER.normalize_keyword(keyword)
-        return PostingList(normalized, self._deweys(normalized))
-
-    def keyword_nodes(self, query: Iterable[str]) -> QueryLists:
+    def keyword_nodes(self, keywords: Iterable[str]) -> QueryLists:
         """Batched ``getKeywordNodes``: one ``IN (...)`` fetch for all misses.
 
-        The batch statement reads whole blobs from the ``posting`` table (one
-        row per LRU-missed keyword); the immutable cached columns themselves
-        are returned, in a fresh :class:`QueryLists` per query.
+        ``keywords`` are taken as normalized.  The batch statement reads
+        whole blobs from the ``posting`` table (one row per LRU-missed
+        keyword); the immutable cached columns themselves are returned, in a
+        fresh :class:`QueryLists` per query.
         """
-        normalized = DEFAULT_TOKENIZER.normalize_query(query)
-        result, missing = self._split_cached(normalized)
+        keywords = list(keywords)
+        result, missing = self._split_cached(keywords)
         if missing:
             fetched = self._fetch_blob_rows(missing)
             for keyword in missing:
                 packed = fetched.get(keyword, EMPTY_PACKED)
                 self._lru_put(keyword, packed)
                 result[keyword] = packed
-        return QueryLists((keyword, result[keyword])
-                          for keyword in normalized)
-
-    def frequency(self, keyword: str) -> int:
-        """Number of keyword nodes containing ``keyword`` (its impact's
-        posting count)."""
-        return self.impact(DEFAULT_TOKENIZER.normalize_keyword(keyword)).count
+        return QueryLists((keyword, result[keyword]) for keyword in keywords)
 
     def impact(self, keyword: str) -> KeywordImpact:
         """Posting count + deepest node level of one normalized keyword.
@@ -218,21 +206,12 @@ class SQLitePostingSource:
     # ------------------------------------------------------------------ #
     # LRU plumbing
     # ------------------------------------------------------------------ #
-    def _deweys(self, normalized: str) -> PackedDeweyList:
-        cached = self._lru_get(normalized)
-        if cached is not None:
-            return cached
-        packed = self._fetch_blob_rows([normalized]).get(normalized,
-                                                         EMPTY_PACKED)
-        self._lru_put(normalized, packed)
-        return packed
-
-    def _split_cached(self, normalized: List[str]
+    def _split_cached(self, keywords: List[str]
                       ) -> Tuple[Dict[str, PackedDeweyList], List[str]]:
         """Partition a query into LRU-answered results and missed keywords."""
         result: Dict[str, PackedDeweyList] = {}
         missing: List[str] = []
-        for keyword in normalized:
+        for keyword in keywords:
             cached = self._lru_get(keyword)
             if cached is not None:
                 result[keyword] = cached

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from .dewey import DeweyCode
 from .errors import XMLTreeError
 from .node import XMLNode
-from .tree import SubtreeSpec, XMLTree
+from .tree import SubtreeSpec, XMLTree, _materialize_spec
 
 
 class TreeBuilder:
@@ -90,19 +90,11 @@ class TreeBuilder:
 
 def tree_from_spec(spec: SubtreeSpec, name: str = "") -> XMLTree:
     """Materialize a nested :class:`SubtreeSpec` into a full tree."""
-    root = _materialize(spec, DeweyCode.root())
-    return XMLTree(root, name=name)
+    return XMLTree(_materialize_spec(spec, DeweyCode.root()), name=name)
 
 
 def spec(label: str, text: Optional[str] = None, *children: SubtreeSpec,
          attributes: Optional[Dict[str, str]] = None) -> SubtreeSpec:
     """Shorthand factory for :class:`SubtreeSpec` literals in fixtures."""
     node = SubtreeSpec(label, text, attributes, list(children))
-    return node
-
-
-def _materialize(subtree: SubtreeSpec, dewey: DeweyCode) -> XMLNode:
-    node = XMLNode(dewey, subtree.label, subtree.text, subtree.attributes)
-    for index, child in enumerate(subtree.children):
-        node.attach_child(_materialize(child, dewey.child(index)))
     return node

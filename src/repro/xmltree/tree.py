@@ -204,21 +204,45 @@ class SubtreeSpec:
 
     def node_count(self) -> int:
         """Number of nodes this spec will materialize into."""
-        return 1 + sum(child.node_count() for child in self.children)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
     def __repr__(self) -> str:
         return f"SubtreeSpec({self.label!r}, children={len(self.children)})"
 
 
 def _copy_subtree(node: XMLNode) -> XMLNode:
-    clone = XMLNode(node.dewey, node.label, node.text, node.attributes)
-    for child in node.children:
-        clone.attach_child(_copy_subtree(child))
-    return clone
+    """A deep copy of ``node``'s subtree, Dewey codes kept.
+
+    An explicit stack walks it, so a tree as deep as the parser reads
+    copies without recursion; children are popped, and attached, in order.
+    """
+    root = XMLNode(node.dewey, node.label, node.text, node.attributes)
+    stack = [(child, root) for child in reversed(node.children)]
+    while stack:
+        original, parent = stack.pop()
+        clone = XMLNode(original.dewey, original.label, original.text,
+                        original.attributes)
+        parent.attach_child(clone)
+        stack.extend((child, clone) for child in reversed(original.children))
+    return root
 
 
 def _materialize_spec(spec: SubtreeSpec, dewey: DeweyCode) -> XMLNode:
-    node = XMLNode(dewey, spec.label, spec.text, spec.attributes)
-    for index, child_spec in enumerate(spec.children):
-        node.attach_child(_materialize_spec(child_spec, dewey.child(index)))
-    return node
+    """The nodes of ``spec`` rooted at ``dewey``, built with an explicit
+    stack like :func:`_copy_subtree`; child ``i`` gets ``dewey.child(i)``."""
+    root = XMLNode(dewey, spec.label, spec.text, spec.attributes)
+    stack = [(child, dewey.child(index), root)
+             for index, child in reversed(list(enumerate(spec.children)))]
+    while stack:
+        child_spec, code, parent = stack.pop()
+        node = XMLNode(code, child_spec.label, child_spec.text,
+                       child_spec.attributes)
+        parent.attach_child(node)
+        stack.extend((grandchild, code.child(index), node)
+                     for index, grandchild
+                     in reversed(list(enumerate(child_spec.children))))
+    return root

@@ -9,6 +9,7 @@ a ``BACKENDS`` entry, adding a boxed ``DeweyCode(...)`` construction to an
 LCA hot loop) must fail the lint.
 """
 
+import ast
 import subprocess
 import sys
 import textwrap
@@ -25,6 +26,7 @@ from repro.analysis import (
     run_analysis,
 )
 from repro.analysis.pragmas import parse_pragmas
+from repro.analysis.rules import ParityRegistrationRule
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,14 +62,11 @@ MINI_SOURCE = """
     class MiniSource:
         source_id = "memory"
 
-        def postings(self, keyword):
-            return ()
-
-        def keyword_nodes(self, query):
+        def keyword_nodes(self, keywords):
             return {}
 
-        def frequency(self, keyword):
-            return 0
+        def impact(self, keyword):
+            return None
 
         def vocabulary(self):
             return []
@@ -406,6 +405,23 @@ class TestParityRegistration:
             "src/repro/index/mini.py": protocol_class,
         }, rules=["parity-registration"])
         assert not any("MiniSource" in d.message for d in diagnostics)
+
+    def test_protocol_members_are_the_protocols(self):
+        # The rule keeps its own copy of the member list; it must name
+        # exactly the members PostingSource declares.
+        module = ast.parse(
+            (REPO_ROOT / "src/repro/index/source.py").read_text())
+        protocol, = [node for node in module.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "PostingSource"]
+        declared = set()
+        for member in protocol.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                declared.add(member.name)
+            elif isinstance(member, ast.AnnAssign) and \
+                    isinstance(member.target, ast.Name):
+                declared.add(member.target.id)
+        assert declared == ParityRegistrationRule.PROTOCOL_MEMBERS
 
     def test_pragma_suppresses_registration(self, tmp_path):
         suppressed = MINI_SOURCE.replace(

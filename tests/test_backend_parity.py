@@ -212,18 +212,6 @@ def test_synthetic_corpus_identical_across_backends(engines, algorithm, backend)
                            ("small_dblp", query, algorithm, backend))
 
 
-@pytest.mark.parametrize("backend", CANDIDATES)
-def test_batch_search_parity(engines, backend):
-    """search_many (the batched union fetch) agrees with looped search."""
-    reference_engine = engines[("publications", "memory")]
-    candidate_engine = engines[("publications", backend)]
-    queries = [PAPER_QUERIES[name] for name in ("Q1", "Q2", "Q3")]
-    batched = candidate_engine.search_many(queries, "validrtf")
-    for query, candidate in zip(queries, batched):
-        assert_same_result(reference_engine.search(query, "validrtf"),
-                           candidate, (query, backend))
-
-
 # ---------------------------------------------------------------------- #
 # Record trees: the search path's seed-and-fold against the definition
 # ---------------------------------------------------------------------- #
@@ -371,8 +359,8 @@ def test_parity_sources_cover_backends():
         "SQLitePostingSource": SQLitePostingSource,
     }
     assert set(classes) == set(PARITY_SOURCES)
-    protocol_members = ("source_id", "postings", "keyword_nodes", "frequency",
-                        "vocabulary", "node_label", "node_cid")
+    protocol_members = ("source_id", "keyword_nodes", "impact", "vocabulary",
+                        "node_label", "node_cid")
     claimed = set()
     for name, entries in PARITY_SOURCES.items():
         for member in protocol_members:

@@ -1,11 +1,10 @@
-"""Tests for the query-result cache and the batch-search fast path.
+"""Tests for the query-result cache.
 
 Covers the :class:`QueryResultCache` LRU/statistics semantics on their own,
 the cache wiring inside :class:`SearchEngine` (cached and uncached searches
 must return identical results; one engine owns its cache and builds every
-record tree in one fixed content-feature mode), and the ``search_many``
-batch API — equivalence with looped ``search`` plus the repeated-workload
-speedup the cache statistics make visible.
+record tree in one fixed content-feature mode), and a ``search`` loop over
+a repeated workload — the speedup the cache statistics make visible.
 """
 
 from __future__ import annotations
@@ -164,57 +163,30 @@ class TestEngineCache:
 
 
 # ---------------------------------------------------------------------- #
-# search_many: equivalence and the shared fast path
+# A search loop over a repeated workload
 # ---------------------------------------------------------------------- #
-class TestSearchMany:
-    QUERIES = ("xml keyword search", "liu keyword", "search algorithm", "xml")
-
-    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
-    def test_matches_looped_search(self, publications, algorithm):
-        engine = SearchEngine(publications)
-        batch = engine.search_many(self.QUERIES, algorithm)
-        assert len(batch) == len(self.QUERIES)
-        for query, result in zip(self.QUERIES, batch):
-            assert_same_answer(result, engine.search(query, algorithm))
-
-    def test_empty_batch(self, publications_engine):
-        assert publications_engine.search_many([]) == []
-
-    def test_results_in_input_order_with_duplicates(self, publications):
-        engine = SearchEngine(publications, cache_size=8)
-        batch = engine.search_many(["xml", "liu keyword", "xml"])
-        assert batch[0].query == batch[2].query == Query.parse("xml")
-        assert batch[1].query == Query.parse("liu keyword")
-        # Duplicates within one batch share a single computation and lookup.
-        assert batch[0] is batch[2]
-        stats = engine.cache_stats()
-        assert (stats.hits, stats.misses) == (0, 2)
-
-    def test_duplicates_deduped_without_cache_too(self, publications):
-        engine = SearchEngine(publications)
-        batch = engine.search_many(["xml", "xml keyword", "xml"])
-        assert batch[0] is batch[2]
-
+class TestRepeatedSearches:
     def test_unmatched_keyword_yields_empty_result(self, publications):
         engine = SearchEngine(publications)
-        batch = engine.search_many(["xml", "zzzunmatchedzzz"])
-        assert batch[0].count > 0
-        assert batch[1].count == 0
+        assert engine.search("xml").count > 0
+        assert engine.search("zzzunmatchedzzz").count == 0
 
-    def test_cache_hits_across_batches(self, small_dblp):
+    def test_cache_hits_across_passes(self, small_dblp):
         engine = SearchEngine(small_dblp, cache_size=32)
         queries = ["xml keyword", "database query", "xml keyword"]
-        engine.search_many(queries)
+        for query in queries:
+            engine.search(query)
         stats = engine.cache_stats()
-        assert (stats.hits, stats.misses) == (0, 2)
-        engine.search_many(queries)
+        assert (stats.hits, stats.misses) == (1, 2)
+        for query in queries:
+            engine.search(query)
         stats = engine.cache_stats()
-        assert (stats.hits, stats.misses) == (2, 2)
+        assert (stats.hits, stats.misses) == (4, 2)
 
     def test_repeated_workload_speedup(self, small_dblp):
-        """Acceptance check: cached ``search_many`` beats the uncached
-        ``search`` loop on a repeated-query workload, with identical answers
-        and the reuse made visible by the cache statistics counters."""
+        """Acceptance check: a cached ``search`` loop beats the uncached
+        one on a repeated-query workload, with identical answers and the
+        reuse made visible by the cache statistics counters."""
         unique = ["xml keyword", "database query", "query processing",
                   "xml database"]
         passes = 5
@@ -227,18 +199,17 @@ class TestSearchMany:
 
         cached = SearchEngine(small_dblp, cache_size=64)
         started = time.perf_counter()
-        batched = []
-        for _ in range(passes):
-            batched.extend(cached.search_many(unique))
+        repeated = [cached.search(query)
+                    for _ in range(passes) for query in unique]
         cached_seconds = time.perf_counter() - started
 
-        for slow, fast in zip(looped, batched):
+        for slow, fast in zip(looped, repeated):
             assert_same_answer(slow, fast)
         stats = cached.cache_stats()
         assert stats.misses == len(unique)
         assert stats.hits == (passes - 1) * len(unique)
         assert cached_seconds < uncached_seconds, (
-            f"cached batches ({cached_seconds:.4f}s) not faster than uncached "
+            f"cached loop ({cached_seconds:.4f}s) not faster than uncached "
             f"loop ({uncached_seconds:.4f}s) despite {stats.hits} cache hits")
 
 

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core import ALGORITHM_NAMES
 from repro.datasets import DBLPConfig, generate_dblp
@@ -289,6 +294,23 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+class TestServeSettings:
+    def test_a_negative_cache_size_exits_2(self):
+        # Run in a child: a serve that accepts the value would serve until
+        # the timeout instead of exiting.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--cache-size", "-1",
+             "--port", "0"],
+            env=env, capture_output=True, text=True, timeout=30)
+        assert child.returncode == 2, child.stderr
+        assert "cache size must be >= 0" in child.stderr
+        assert "Traceback" not in child.stderr
+        assert len(child.stderr.strip().splitlines()) == 1
 
 
 class TestMetricsCommand:

@@ -30,6 +30,7 @@ from repro.datasets import PAPER_QUERIES, publications_tree, team_tree
 from repro.service import rank_stats_payload, ranking_payload
 from repro.storage import SQLitePostingSource, SQLiteStore
 from repro.storage.errors import DocumentNotFound
+from repro.text import Tokenizer
 from repro.xmltree import SubtreeSpec, tree_from_spec
 
 #: The corpus golden's query set: one per-document query per figure document
@@ -320,7 +321,8 @@ def test_service_config_serves_corpus_document_subset(tmp_path):
                            documents=("team",))
     service = config.build()
     try:
-        result, = service.pool.search_many(["name"]).result(timeout=30)
+        result = service.pool.submit(
+            lambda engine: engine.search("name")).result(timeout=30)
         assert set(result.doc_ids) == {"team"}
         engine_id = service.pool.backend_id
         assert "team" in engine_id and "notes" not in engine_id
@@ -331,6 +333,34 @@ def test_service_config_serves_corpus_document_subset(tmp_path):
 # ---------------------------------------------------------------------- #
 # Regeneration entry point (not a test)
 # ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", CORPUS3_BACKENDS)
+@pytest.mark.parametrize("call", ["search", "compare", "rank-early"])
+def test_a_corpus_query_is_normalized_once(monkeypatch, backend, call):
+    """``Query.parse`` normalizes a query's keywords; no document's
+    posting source normalizes them again."""
+    engine = build_corpus_engine({"publications": publications_tree(),
+                                  "team": team_tree()}, backend)
+    calls = []
+    normalize_query = Tokenizer.normalize_query
+
+    def counting(self, keywords):
+        calls.append(keywords)
+        return normalize_query(self, keywords)
+
+    monkeypatch.setattr(Tokenizer, "normalize_query", counting)
+    if call == "search":
+        result = engine.search("Name")
+        assert result.doc_ids == ("publications", "team")
+    elif call == "compare":
+        outcome = engine.compare("Name")
+        assert [doc_id for doc_id, _ in outcome.documents] == \
+            ["publications", "team"]
+    else:
+        ranked = engine.rank_search("Name", top_k=1, early_terminate=True)
+        assert ranked.early_terminated and ranked.docs_visited >= 1
+    assert len(calls) == 1, calls
+
+
 def _golden_payload(engine, dataset: str, queries) -> dict:
     payload = {"dataset": dataset, "queries": {}}
     for query_name, text in queries.items():

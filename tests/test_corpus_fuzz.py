@@ -75,20 +75,6 @@ def test_corpus_equals_per_document_union(backend):
                     algorithm, context=(seed, backend))
 
 
-@pytest.mark.parametrize("backend", LAYOUTS)
-def test_corpus_batch_equals_per_document_union(backend):
-    """search_many (per-document batch fast path) honours the same union."""
-    seed = 4
-    trees = random_corpus(seed)
-    corpus = build_corpus_engine(trees, backend)
-    references = reference_engines(trees)
-    queries = random_queries(seed, count=5)
-    batched = corpus.search_many(queries, "validrtf")
-    for query, result in zip(queries, batched):
-        assert_corpus_equals_union(result, references, query, "validrtf",
-                                   context=(seed, backend, "batch"))
-
-
 def test_corpus_doc_filter_is_a_sub_union():
     """A doc_filter answer equals the union restricted to the filter."""
     seed = 5

@@ -96,8 +96,8 @@ class TestDBLPGenerator:
         index = InvertedIndex(tree)
         # Frequent paper keywords are present and respect the relative order
         # (data is the most frequent keyword in the paper's table).
-        assert index.frequency("data") > index.frequency("xml") > 0
-        assert index.frequency("keyword") >= 1
+        assert index.impact("data").count > index.impact("xml").count > 0
+        assert index.impact("keyword").count >= 1
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +130,7 @@ class TestXMarkGenerator:
     def test_keyword_frequencies_grow_with_scale(self):
         suite = xmark_suite(base_items=10, seed=5)
         frequencies = {
-            scale: InvertedIndex(suite[scale]).frequency("preventions")
+            scale: InvertedIndex(suite[scale]).impact("preventions").count
             for scale in XMARK_SCALES
         }
         assert frequencies["standard"] < frequencies["data1"] < frequencies["data2"]
@@ -139,7 +139,7 @@ class TestXMarkGenerator:
         tree = generate_xmark(XMarkConfig(scale="standard", base_items=10, seed=5))
         index = InvertedIndex(tree)
         for keyword in ("particle", "dominator", "threshold"):
-            assert index.frequency(keyword) >= 1
+            assert index.impact(keyword).count >= 1
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

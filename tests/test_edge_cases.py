@@ -151,7 +151,7 @@ class TestMixedContentAndAttributes:
     def test_mixed_content_text_is_searchable(self):
         tree = parse_string("<doc>xml<b>keyword</b>search</doc>")
         index = InvertedIndex(tree)
-        assert index.frequency("xml") == 1
-        assert index.frequency("search") == 1
+        assert index.impact("xml").count == 1
+        assert index.impact("search").count == 1
         result = SearchEngine(tree).search("xml search")
         assert result.count == 1

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from repro.core import ALGORITHM_NAMES, SearchEngine
+from repro.core import ALGORITHM_NAMES, Query, SearchEngine
 from repro.datasets import (
     DBLPConfig,
     XMarkConfig,
@@ -17,11 +17,9 @@ from repro.datasets import (
 )
 from repro.index import (
     InvertedIndex,
-    build_index,
     document_profile,
-    frequency_table,
+    keyword_frequency_table,
     keyword_frequencies,
-    merge_keyword_nodes,
     top_keywords,
 )
 from repro.storage import shred_tree
@@ -38,50 +36,52 @@ DOCUMENT = """
 
 @pytest.fixture(scope="module")
 def index() -> InvertedIndex:
-    return build_index(parse_string(DOCUMENT, name="mini"))
+    return InvertedIndex(parse_string(DOCUMENT, name="mini"))
+
+
+def postings(index, word):
+    """One normalized word's posting list."""
+    return index.keyword_nodes([word])[word]
 
 
 class TestInvertedIndex:
     def test_postings_sorted_document_order(self, index):
-        postings = index.postings("skyline")
-        assert [str(code) for code in postings] == ["0.1.0", "0.1.1"]
-        assert postings.keyword == "skyline"
-        assert len(postings) == 2 and bool(postings)
+        lists = index.keyword_nodes(["skyline"])
+        assert list(lists) == ["skyline"]
+        assert [str(code) for code in lists["skyline"]] == ["0.1.0", "0.1.1"]
+        assert len(lists["skyline"]) == 2 and bool(lists["skyline"])
 
     def test_postings_case_insensitive(self, index):
-        assert [str(code) for code in index.postings("SKYLINE")] == \
-            [str(code) for code in index.postings("skyline")]
+        # Query.parse normalizes; the index takes the keywords as given.
+        lists = index.keyword_nodes(Query.parse("SKYLINE").keywords)
+        assert [str(code) for code in lists["skyline"]] == \
+            [str(code) for code in postings(index, "skyline")]
 
     def test_missing_keyword_empty(self, index):
-        postings = index.postings("absent")
-        assert len(postings) == 0 and not postings
+        absent = postings(index, "absent")
+        assert len(absent) == 0 and not absent
 
     def test_keyword_nodes_for_query(self, index):
-        lists = index.keyword_nodes(["xml", "skyline", "xml"])
-        assert set(lists) == {"xml", "skyline"}
+        lists = index.keyword_nodes(
+            Query.parse(["xml", "skyline", "xml"]).keywords)
+        assert list(lists) == ["xml", "skyline"]
         assert [str(code) for code in lists["xml"]] == ["0.0.0"]
 
     def test_labels_are_indexed(self, index):
-        assert index.frequency("article") == 2
-        assert index.frequency("title") == 2
+        assert index.impact("article").count == 2
+        assert index.impact("title").count == 2
 
     def test_contains_and_vocabulary(self, index):
-        assert "skyline" in index
-        assert "absent" not in index
-        assert "xml" in index.vocabulary()
+        assert "skyline" in index.vocabulary()
+        assert "absent" not in index.vocabulary()
         assert index.vocabulary_size() == len(index.vocabulary())
         assert index.total_postings() >= index.vocabulary_size()
-
-    def test_merge_keyword_nodes(self, index):
-        lists = index.keyword_nodes(["skyline", "dynamic"])
-        merged = merge_keyword_nodes(lists)
-        assert [str(code) for code in merged] == ["0.1.0", "0.1.1"]
 
     def test_matches_analyzer_content(self, index):
         # Every posting really contains its keyword according to the analyzer.
         analyzer = ContentAnalyzer(index.tree)
         for word in ("xml", "skyline", "article"):
-            for dewey in index.postings(word):
+            for dewey in postings(index, word):
                 node = index.tree.node(dewey)
                 assert word in analyzer.node_content(node)
 
@@ -148,12 +148,14 @@ class TestIndexFootprint:
 
 class TestStatistics:
     def test_keyword_frequencies(self, index):
-        rows = keyword_frequencies(index, ["skyline", "absent"])
+        rows = keyword_frequencies(index, ["skyline", "absent", "SKYLINE"])
         assert rows[0].keyword == "skyline" and rows[0].frequency == 2
         assert rows[1].frequency == 0
+        # A raw workload keyword is normalized before the lookup.
+        assert rows[2].keyword == "SKYLINE" and rows[2].frequency == 2
 
     def test_frequency_table(self, index):
-        table = frequency_table({"mini": index}, ["xml", "skyline"])
+        table = keyword_frequency_table({"mini": index}, ["xml", "skyline"])
         assert table[0] == {"keyword": "xml", "mini": 1}
         assert table[1]["mini"] == 2
 

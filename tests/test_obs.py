@@ -29,6 +29,8 @@ from repro.obs import (
 )
 from repro.obs import names as metric_names
 from repro.storage import DocumentNotFound, SQLitePostingSource, SQLiteStore
+from repro.service import EnginePool
+from test_service_unit import queued_batch
 
 #: The four posting backends the traced-search matrix runs over.
 TRACE_BACKENDS = ("memory", "sqlite", "corpus", "segmented")
@@ -271,47 +273,44 @@ def test_set_metrics_fills_stage_series(publications, backend):
         assert counters[metric_names.SEGMENT_READS] > 0
 
 
-def storage_and_corpus_counters(registry: MetricsRegistry) -> dict:
-    """The posting, segment and corpus counters of one registry."""
-    return {key: value
-            for key, value in registry.snapshot()["counters"].items()
+def storage_and_corpus_counters(snapshot: dict) -> dict:
+    """The posting, segment and corpus counters of one metrics snapshot."""
+    return {key: value for key, value in snapshot["counters"].items()
             if key.startswith(("posting.", "segment.", "corpus."))}
 
 
 @pytest.mark.parametrize("corpus", ("memory", "database"))
 def test_batched_search_records_what_search_records(publications, corpus):
-    """A one-query ``search_many`` — the path every unfiltered served search
-    takes through the batcher — records the posting, segment and corpus
-    counters a ``search`` of that query records, each on a fresh corpus;
-    a two-query batch counts its keyword union once and each query's
-    documents."""
-    def fresh(registry: MetricsRegistry) -> CorpusSearchEngine:
-        if corpus == "memory":
-            return CorpusSearchEngine.from_trees({"pub": publications},
-                                                 metrics=registry)
-        store = SQLiteStore()
-        store.store_tree(publications, "pub")
-        return CorpusSearchEngine.from_store(store, metrics=registry)
+    """A batch of the batcher — the path every unfiltered served search
+    takes — records the posting, segment and corpus counters its searches
+    record on a direct engine: each query fetches its own postings, a
+    query repeated in the batch too, with no fetch shared."""
+    lead, queries = PAPER_QUERIES["Q2"], [PAPER_QUERIES["Q1"],
+                                          PAPER_QUERIES["Q2"]]
+    backend = "memory" if corpus == "memory" else "sqlite"
+    with EnginePool.for_backend(backend, tree=publications, workers=1,
+                                cache_size=0) as pool:
+        queued_batch(pool, queries, lead=lead)
+        served = storage_and_corpus_counters(pool.metrics_snapshot())
 
-    query = PAPER_QUERIES["Q1"]
-    searched, batched = MetricsRegistry(), MetricsRegistry()
-    fresh(searched).search(query)
-    fresh(batched).search_many([query])
-    expected = storage_and_corpus_counters(searched)
-    assert expected[metric_names.POSTING_ROWS] > 0
-    assert expected[metric_names.CORPUS_DOCS_SEARCHED] == 1
+    registry = MetricsRegistry()
+    if corpus == "memory":
+        direct = CorpusSearchEngine.from_trees({"service": publications},
+                                               metrics=registry)
+    else:
+        store = SQLiteStore()
+        store.store_tree(publications, "service")
+        direct = CorpusSearchEngine.from_store(store, metrics=registry)
+    for query in [lead] + queries:
+        direct.search(query)
+    expected = storage_and_corpus_counters(registry.snapshot())
+    assert served == expected
+    assert expected[metric_names.POSTING_KEYWORDS] == sum(
+        len(Query.parse(query).keywords) for query in [lead] + queries)
+    assert expected[metric_names.CORPUS_DOCS_SEARCHED] == 3
     if corpus == "database":
         assert expected[metric_names.POSTING_BYTES] > 0
         assert expected[metric_names.SEGMENT_BASE_READS] > 0
-    assert storage_and_corpus_counters(batched) == expected
-
-    pair = MetricsRegistry()
-    queries = [PAPER_QUERIES["Q1"], PAPER_QUERIES["Q2"]]
-    fresh(pair).search_many(queries)
-    union = {keyword for text in queries for keyword in Query.parse(text).keywords}
-    counters = storage_and_corpus_counters(pair)
-    assert counters[metric_names.POSTING_KEYWORDS] == len(union)
-    assert counters[metric_names.CORPUS_DOCS_SEARCHED] == 2
 
 
 def test_search_counters_ignore_other_lookups_of_the_store(publications,
@@ -340,7 +339,7 @@ def test_search_counters_ignore_other_lookups_of_the_store(publications,
 
         source.keyword_nodes = keyword_nodes
         engine.search(PAPER_QUERIES["Q1"])
-        return storage_and_corpus_counters(registry)
+        return storage_and_corpus_counters(registry.snapshot())
 
     alone = counters(interleave=False)
     assert alone[metric_names.POSTING_ROWS] > 0

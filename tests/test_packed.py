@@ -74,6 +74,12 @@ class TestConstruction:
         packed = pack_deweys(codes("0", "0.1"))
         assert as_packed(packed) is packed
         assert list(as_packed(["0.1", "0"])) == codes("0", "0.1")
+        # A mutable input is copied, so the packed list never aliases it.
+        deweys = [DeweyCode.parse("0.2"), DeweyCode.parse("0.1")]
+        copied = as_packed(deweys)
+        deweys.append(DeweyCode.parse("0.3"))
+        assert isinstance(copied, PackedDeweyList)
+        assert list(copied) == codes("0.1", "0.2")
 
 
 class TestSequenceProtocol:
@@ -110,8 +116,6 @@ class TestSequenceProtocol:
         assert packed.__eq__(DeweyCode.parse("0.1")) is False
 
     def test_hashable_like_the_object_representation(self):
-        from repro.index import PostingList
-
         original = codes("0", "0.1.2")
         first = pack_deweys(original, presorted=True)
         second = pack_deweys(original, presorted=True)
@@ -120,9 +124,8 @@ class TestSequenceProtocol:
         # eq/hash contract with the tuple form __eq__ accepts: one entry.
         assert hash(first) == hash(tuple(original))
         assert len({first, tuple(original)}) == 1
-        # PostingList is a frozen dataclass holding packed columns; it must
-        # stay hashable.
-        assert hash(PostingList("w", first)) == hash(PostingList("w", second))
+        # A container holding packed columns stays hashable.
+        assert hash(("w", first)) == hash(("w", second))
 
     def test_depth_and_slice_cursors(self):
         packed = pack_deweys(codes("0", "0.1.2"))
@@ -299,20 +302,3 @@ class TestMatchList:
         matches = match_list([packed, packed])
         assert [mask for _, mask in matches] == [3, 3]
         assert all(type(comps) is array for comps, _ in matches)
-
-
-# ---------------------------------------------------------------------- #
-# PostingList holds the one posting form
-# ---------------------------------------------------------------------- #
-class TestPostingList:
-    def test_posting_list_packs_mutable_input(self):
-        from repro.index import PostingList
-
-        deweys = [DeweyCode.parse("0.2"), DeweyCode.parse("0.1")]
-        posting = PostingList("word", deweys)
-        assert isinstance(posting.deweys, PackedDeweyList)
-        assert list(posting) == codes("0.1", "0.2")  # sorted once, packed
-        deweys.append(DeweyCode.parse("0.3"))
-        assert len(posting) == 2  # no aliasing of the caller's list
-        packed = pack_deweys(deweys)
-        assert PostingList("word", packed).deweys is packed

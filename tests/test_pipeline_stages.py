@@ -10,7 +10,9 @@ from repro.core.valid_contributor import prune_with_valid_contributor
 from repro.datasets import PAPER_QUERIES
 from repro.index import InvertedIndex
 from repro.lca import indexed_lookup_eager_slca, indexed_stack_elca
+from repro.service import EnginePool
 from repro.xmltree import DeweyCode
+from test_service_unit import queued_batch
 
 D = DeweyCode.parse
 
@@ -130,9 +132,12 @@ class TestOneMergePerSearch:
         assert merges == [2]
 
     def test_each_batched_query_merges_once(self, publications, merges):
-        engine = SearchEngine(publications)
+        """Each request of a served batch runs its own search: one merge
+        per query, none shared across the batch."""
         queries = [self.QUERY, PAPER_QUERIES["Q3"], "xml keyword search"]
-        results = engine.search_many(queries, "validrtf")
-        assert all(result.fragments for result in results)
+        with EnginePool.for_backend("memory", tree=publications, workers=1,
+                                    cache_size=0) as pool:
+            answers = queued_batch(pool, queries, lead=self.QUERY)
+        assert all(answer.documents for answer in answers)
         assert merges == [len(Query.parse(query).keywords)
-                          for query in queries]
+                          for query in [self.QUERY] + queries]

@@ -9,9 +9,10 @@ memory index):
 
 * posting lists strictly sorted in document (Dewey) order, duplicate-free;
 * ``encode_dewey`` / ``decode_dewey`` round-trips every posting;
-* ``frequency(w) == len(postings(w))``;
+* ``impact(w).count == len(keyword_nodes([w])[w])``;
 * identical vocabularies and identical posting lists across backends;
-* the batched ``keyword_nodes`` path equals per-keyword ``postings``;
+* one ``keyword_nodes`` call over several keywords equals one call per
+  keyword;
 * every backend serves :class:`PackedDeweyList` columns whose stored blobs
   round-trip;
 * node labels, cIDs and word sets, looked up one node at a time or
@@ -55,6 +56,12 @@ SEEDS = (3, 11, 29, 47, 101)
 SINGLE_SOURCES = ("segmented",) + LAYOUT_INPUTS + SHARED_STORE_INPUTS
 
 
+def postings(source, word):
+    """The posting list of one normalized word, read through the one
+    stage-1 entry point."""
+    return source.keyword_nodes([word])[word]
+
+
 def build_sources(tree):
     """The two backends over one document, keyed by name."""
     index = InvertedIndex(tree)
@@ -73,7 +80,7 @@ def test_sources_satisfy_protocol(sources):
     for source in sources.values():
         assert isinstance(source, PostingSource)
         word = source.vocabulary()[0]
-        assert isinstance(source.postings(word).deweys, PackedDeweyList)
+        assert isinstance(postings(source, word), PackedDeweyList)
         batch = source.keyword_nodes([word, "definitelyabsentword"])
         assert all(isinstance(deweys, PackedDeweyList)
                    for deweys in batch.values())
@@ -89,8 +96,8 @@ def test_vocabulary_equal_across_backends(sources):
 def test_posting_lists_identical_and_strictly_sorted(sources):
     vocabulary = sources["memory"].vocabulary()
     for word in vocabulary:
-        reference = list(sources["memory"].postings(word).deweys)
-        assert list(sources["sqlite"].postings(word).deweys) == reference, \
+        reference = list(postings(sources["memory"], word))
+        assert list(postings(sources["sqlite"], word)) == reference, \
             word
         assert reference, f"vocabulary word {word!r} with empty postings"
         for left, right in zip(reference, reference[1:]):
@@ -101,14 +108,14 @@ def test_frequency_equals_posting_length(sources):
     vocabulary = sources["memory"].vocabulary()
     for name, source in sources.items():
         for word in vocabulary:
-            assert source.frequency(word) == len(source.postings(word)), \
+            assert source.impact(word).count == len(postings(source, word)), \
                 (name, word)
-        assert source.frequency("definitelyabsentword") == 0, name
+        assert source.impact("definitelyabsentword").count == 0, name
 
 
 def test_encode_decode_round_trips_every_posting(sources):
     for word in sources["memory"].vocabulary():
-        for dewey in sources["memory"].postings(word):
+        for dewey in postings(sources["memory"], word):
             components = tuple(dewey.components)
             assert decode_dewey(encode_dewey(components)) == components
 
@@ -119,7 +126,7 @@ def test_batched_keyword_nodes_equals_postings(sources):
     for name, source in sources.items():
         batched = source.keyword_nodes(probe)
         for word in probe:
-            assert batched[word] == list(source.postings(word).deweys), \
+            assert batched[word] == list(postings(source, word)), \
                 (name, word)
 
 
@@ -128,9 +135,10 @@ def test_batched_keyword_nodes_equals_postings(sources):
 def test_source_serves_memory_postings(make_random_tree, seed, backend):
     """One source serves the memory index's lists, packed, on every path.
 
-    A cold batched lookup (with an absent keyword), then ``frequency`` and
-    ``postings`` of every keyword (cold past the five batched ones), must
-    each equal the in-memory index as a :class:`PackedDeweyList`.
+    A cold batched lookup (with an absent keyword), then the impact count
+    and the one-keyword list of every keyword (cold past the five batched
+    ones), must each equal the in-memory index as a
+    :class:`PackedDeweyList`.
     """
     tree = make_random_tree(seed)
     reference = InvertedIndex(tree)
@@ -142,12 +150,12 @@ def test_source_serves_memory_postings(make_random_tree, seed, backend):
     assert list(batched) == probe, backend
     for word in probe:
         assert isinstance(batched[word], PackedDeweyList), (backend, word)
-        assert batched[word] == reference.postings(word).deweys, \
+        assert batched[word] == postings(reference, word), \
             (backend, word)
     for word in vocabulary + ["definitelyabsentword"]:
-        expected = reference.postings(word).deweys
-        assert source.frequency(word) == len(expected), (backend, word)
-        deweys = source.postings(word).deweys
+        expected = postings(reference, word)
+        assert source.impact(word).count == len(expected), (backend, word)
+        deweys = postings(source, word)
         assert isinstance(deweys, PackedDeweyList), (backend, word)
         assert deweys == expected, (backend, word)
 
@@ -168,7 +176,7 @@ def test_keyword_impact_is_the_posting_scan(make_random_tree, layout):
             for keyword in query.keywords:
                 impact = keyword_impact(source, keyword)
                 assert impact == impact_from_postings(
-                    source.postings(keyword).deweys), (layout, seed, keyword)
+                    postings(source, keyword)), (layout, seed, keyword)
 
 
 def repeated_words_tree():
@@ -221,9 +229,9 @@ def test_packed_blobs_round_trip_per_keyword(sources):
     memory = sources["memory"]
     sqlite_source = sources["sqlite"]
     for word in memory.vocabulary():
-        packed = sqlite_source.postings(word).deweys
+        packed = postings(sqlite_source, word)
         assert PackedDeweyList.from_blob(packed.to_blob()) == packed
-        assert list(packed) == list(memory.postings(word).deweys), word
+        assert list(packed) == list(postings(memory, word)), word
     assert sqlite_source.read_stats()["packed_fetches"] == \
         len(memory.vocabulary())
 
@@ -235,8 +243,8 @@ def test_posting_lru_serves_repeats(make_random_tree):
     store.store_tree(tree, "doc")
     source = SQLitePostingSource(store, "doc", lru_size=4)
     word = source.vocabulary()[0]
-    first = source.postings(word).deweys
+    first = postings(source, word)
     misses = source.lru_misses
-    assert source.postings(word).deweys == first
+    assert postings(source, word) == first
     assert source.lru_misses == misses  # second lookup hit the LRU
     assert source.lru_hits >= 1

@@ -304,9 +304,9 @@ def test_algorithms_lists_the_engine_registry(served):
 
 def test_unfiltered_served_search_records_storage_metrics(tmp_path,
                                                           publications):
-    """An unfiltered served search rides the batcher into ``search_many``;
-    its posting fetch and its corpus counters reach the metrics as a
-    filtered search's do."""
+    """An unfiltered served search rides the batcher into a pool task of
+    ``search`` calls; its posting fetch and its corpus counters reach the
+    metrics as a filtered search's do."""
     db = str(tmp_path / "pub.db")
     store = SQLiteStore(db)
     store.store_tree(publications, "pub")
@@ -929,14 +929,15 @@ def test_concurrent_burst_actually_batches(publications):
     threads = 8
     admitted = threading.Event()
 
-    def gated_search_many(queries, algorithm, doc_filter=None):
-        def run(engine):
-            admitted.wait(30)
-            return engine.search_many(queries, algorithm,
-                                      doc_filter=doc_filter)
-        return pool.submit(run)
+    submit_task = pool.submit
 
-    pool.search_many = gated_search_many
+    def gated_submit(task, *args):
+        def run(engine, *task_args):
+            admitted.wait(30)
+            return task(engine, *task_args)
+        return submit_task(run, *args)
+
+    pool.submit = gated_submit
     submitted = 0
     submit = service.batcher.submit
 

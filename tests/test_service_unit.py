@@ -2,7 +2,8 @@
 
 Engine pool (per-worker engines over one shared snapshot), request batcher
 (dispatch while a worker is free, queueing per key, coalescing on
-completion, dropped expired requests, error fan-out), admission controller
+completion, dropped expired requests, error fan-out, a queued batch's one
+task of searches on a real pool), admission controller
 (bounded depth, typed shedding, deadlines), the compaction trigger of a
 write and the protocol's canonical encoding — each exercised on its own,
 without a TCP socket.  The batcher and compaction tests are event-driven:
@@ -18,6 +19,7 @@ from concurrent.futures import Future
 import pytest
 
 from fuzz_util import crash_at
+from repro.core import ALGORITHM_NAMES, Query
 from repro.corpus import CorpusSearchEngine
 from repro.datasets import PAPER_QUERIES, team_tree
 from repro.service import (
@@ -27,6 +29,7 @@ from repro.service import (
     EnginePool,
     RequestBatcher,
     SearchService,
+    ServiceConfig,
     ServiceError,
     decode_message,
     encode_message,
@@ -35,6 +38,37 @@ from repro.service import (
 from repro.service.batcher import MAX_BATCH_SIZE
 from repro.storage import SQLiteStore
 from repro.xmltree import to_xml_string
+
+
+def search_on(pool, query, doc_filter=None) -> Future:
+    """One search on a pool worker: the task a one-request batch runs."""
+    return pool.submit(
+        lambda engine: engine.search(query, doc_filter=doc_filter))
+
+
+def queued_batch(pool, queries, algorithm="validrtf", doc_filter=None,
+                 lead="xml") -> list:
+    """The answers to ``queries`` served as one batch of the batcher.
+
+    On a one-worker pool a ``lead`` request takes the worker, the
+    ``queries`` queue behind it under one key, and its completion
+    dispatches them together as one pool task.  A failed request's entry
+    is its exception.
+    """
+    assert pool.workers == 1
+    batcher = RequestBatcher(pool)
+
+    async def drive():
+        first = batcher.submit(lead, algorithm, doc_filter)
+        queued = [batcher.submit(query, algorithm, doc_filter)
+                  for query in queries]
+        await first
+        return await asyncio.gather(*queued, return_exceptions=True)
+
+    answers = asyncio.run(drive())
+    stats = batcher.stats()
+    assert (stats["batches"], stats["largest_batch"]) == (2, len(queries))
+    return answers
 
 
 def one_document_corpus(tree, name: str = "service") -> CorpusSearchEngine:
@@ -58,6 +92,14 @@ class TestEnginePool:
     def test_memory_backend_needs_tree(self):
         with pytest.raises(ValueError):
             EnginePool.for_backend("memory")
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite", "corpus"])
+    def test_negative_cache_size_is_refused_at_build(self, publications,
+                                                      backend):
+        # A permanent mistake, not a worker fault to retry.
+        with pytest.raises(ValueError, match="cache size must be >= 0"):
+            ServiceConfig(backend=backend, cache_size=-1,
+                          workers=1).build(publications)
 
     def test_sqlite_backend_without_tree_or_document(self):
         with pytest.raises(ValueError):
@@ -83,20 +125,20 @@ class TestEnginePool:
         with EnginePool.for_backend("memory", tree=publications,
                                     workers=2) as pool:
             queries = [PAPER_QUERIES[name] for name in ("Q1", "Q2", "Q3")]
-            served = pool.search_many(queries).result(30)
-            for query, result in zip(queries, served):
+            served = [search_on(pool, query) for query in queries]
+            for query, result in zip(queries,
+                                     (future.result(30) for future in served)):
                 assert result_payload(result) == \
                     result_payload(direct_engine.search(query))
 
-    def test_search_many_honours_doc_filter(self, publications, team):
+    def test_search_honours_doc_filter(self, publications, team):
         trees = {"publications": publications, "team": team}
         direct = CorpusSearchEngine.from_trees(trees)
         with EnginePool.for_backend("corpus", trees=trees,
                                     workers=1) as pool:
-            served = pool.search_many(["name"], doc_filter=["team"]
-                                      ).result(30)
-        assert served[0].doc_ids == ("team",)
-        assert result_payload(served[0]) == \
+            served = search_on(pool, "name", doc_filter=["team"]).result(30)
+        assert served.doc_ids == ("team",)
+        assert result_payload(served) == \
             result_payload(direct.search("name", doc_filter=["team"]))
 
     @pytest.mark.parametrize("backend", ["sqlite", "corpus"])
@@ -129,16 +171,15 @@ class TestEnginePool:
                                           workers=3, document="pub")
         sent = [queries[i % len(queries)] for i in range(12)]
         with pool:
-            futures = [pool.search_many([query]) for query in sent]
+            futures = [search_on(pool, query) for query in sent]
             for query, future in zip(sent, futures):
-                assert result_payload(future.result(30)[0]) == \
-                    expected[query]
+                assert result_payload(future.result(30)) == expected[query]
 
     def test_cache_stats_aggregate_across_workers(self, publications):
         with EnginePool.for_backend("memory", tree=publications, workers=2,
                                     cache_size=16) as pool:
             for _ in range(6):
-                pool.search_many([PAPER_QUERIES["Q1"]]).result(30)
+                search_on(pool, PAPER_QUERIES["Q1"]).result(30)
             stats = pool.cache_stats()
             assert stats.lookups == 6
             assert stats.hits + stats.misses == 6
@@ -148,7 +189,7 @@ class TestEnginePool:
         pool = EnginePool.for_backend("memory", tree=publications, workers=1)
         pool.shutdown()
         with pytest.raises(RuntimeError):
-            pool.search_many(["xml"])
+            search_on(pool, "xml")
 
 
 # ---------------------------------------------------------------------- #
@@ -170,7 +211,7 @@ class StubPool:
         #: Every dispatched batch: (queries, algorithm, doc_filter, future).
         self.batches = []
 
-    def search_many(self, queries, algorithm="validrtf", doc_filter=None):
+    def submit(self, task, queries, algorithm, doc_filter):
         future = Future()
         self.batches.append((list(queries), algorithm, doc_filter, future))
         return future
@@ -353,6 +394,54 @@ class TestRequestBatcher:
                 await batcher.submit("")
 
         asyncio.run(drive())
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+    def test_a_queued_batch_answers_as_looped_search(self, publications,
+                                                     algorithm):
+        queries = ["xml keyword search", "liu keyword", "search algorithm",
+                   "xml"]
+        with EnginePool.for_backend("memory", tree=publications,
+                                    workers=1) as pool:
+            answers = queued_batch(pool, queries, algorithm)
+        direct = one_document_corpus(publications)
+        for query, answer in zip(queries, answers):
+            assert result_payload(answer) == \
+                result_payload(direct.search(query, algorithm))
+
+    def test_a_query_repeated_in_a_batch_is_a_cache_hit(self, publications):
+        queries = ["xml", "liu keyword", "xml"]
+        with EnginePool.for_backend("memory", tree=publications, workers=1,
+                                    cache_size=8) as pool:
+            answers = queued_batch(pool, queries, lead="xml")
+            stats = pool.cache_stats()
+        # Answers come back in input order; the lead cached "xml", so the
+        # batch misses only on "liu keyword".
+        assert [answer.query for answer in answers] == \
+            [Query.parse(query) for query in queries]
+        assert (stats.hits, stats.misses) == (2, 2)
+
+    def test_a_queued_batch_carries_its_doc_filter(self, publications, team):
+        trees = {"publications": publications, "team": team}
+        # "name" matches both documents; every search of the batch keeps
+        # to the filter.
+        queries = ["name", PAPER_QUERIES["Q4"], "name"]
+        with EnginePool.for_backend("corpus", trees=trees,
+                                    workers=1) as pool:
+            answers = queued_batch(pool, queries, doc_filter=["team"],
+                                   lead="name")
+        direct = CorpusSearchEngine.from_trees(trees)
+        for query, answer in zip(queries, answers):
+            assert answer.doc_ids == ("team",)
+            assert result_payload(answer) == result_payload(
+                direct.search(query, doc_filter=["team"]))
+
+    def test_a_failing_request_fails_its_whole_batch(self, publications):
+        with EnginePool.for_backend("memory", tree=publications,
+                                    workers=1) as pool:
+            # The empty query fails engine-side (EmptyQueryError) inside
+            # the batch's one task, so no request of the batch is answered.
+            answers = queued_batch(pool, ["xml", "", "liu keyword"])
+        assert all(isinstance(answer, ServiceError) for answer in answers)
 
     def test_closed_batcher_refuses_work(self):
         batcher = RequestBatcher(StubPool())

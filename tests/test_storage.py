@@ -11,7 +11,7 @@ from contextlib import closing
 import pytest
 
 from repro.cli import main
-from repro.core import SearchEngine, UnknownAlgorithmError
+from repro.core import Query, SearchEngine, UnknownAlgorithmError
 from repro.index import (
     EMPTY_IMPACT,
     InvertedIndex,
@@ -110,29 +110,31 @@ class TestBackends:
         with pytest.raises(DocumentNotFound):
             store.document_stats("missing")
         with pytest.raises(DocumentNotFound):
-            SQLitePostingSource(store, "missing").postings("xml")
+            SQLitePostingSource(store, "missing").keyword_nodes(["xml"])
 
     def test_keyword_lookup_matches_paper_lists(self, publications):
         store = SQLiteStore()
         store.store_tree(publications, "pub")
         source = SQLitePostingSource(store, "pub")
-        assert [str(code) for code in source.postings("liu").deweys] == \
+        lists = source.keyword_nodes(Query.parse("liu VLDB absent").keywords)
+        assert [str(code) for code in lists["liu"]] == \
             ["0.2.0.0.0.0", "0.2.0.3.0"]
-        assert [str(code) for code in source.postings("VLDB").deweys] == ["0.0"]
-        assert list(source.postings("absent").deweys) == []
+        assert [str(code) for code in lists["vldb"]] == ["0.0"]
+        assert list(lists["absent"]) == []
 
     def test_keyword_nodes_for_query(self, publications):
         store = SQLiteStore()
         store.store_tree(publications, "pub")
-        lists = SQLitePostingSource(store, "pub").keyword_nodes(["Liu", "keyword"])
-        assert set(lists) == {"liu", "keyword"}
+        lists = SQLitePostingSource(store, "pub").keyword_nodes(
+            Query.parse(["Liu", "keyword"]).keywords)
+        assert list(lists) == ["liu", "keyword"]
         assert len(lists["keyword"]) == 3
 
     def test_frequency_and_labels(self, publications):
         store = SQLiteStore()
         store.store_tree(publications, "pub")
         source = SQLitePostingSource(store, "pub")
-        assert source.frequency("title") == 3
+        assert source.impact("title").count == 3
         words = ContentAnalyzer(publications).node_content(
             publications.node(D("0.2.0")))
         assert source.node_label(D("0.2.0")) == "article"
@@ -154,16 +156,16 @@ class TestBackends:
         index = InvertedIndex(publications)
         for keyword in ("xml", "keyword", "liu", "vldb", "skyline", "article",
                         "absentkeyword"):
-            assert source.postings(keyword).deweys == \
-                index.postings(keyword).deweys, keyword
+            assert source.keyword_nodes([keyword])[keyword] == \
+                index.keyword_nodes([keyword])[keyword], keyword
 
     def test_multiple_documents(self, publications, team):
         store = SQLiteStore()
         store.store_tree(publications, "pub")
         store.store_tree(team, "team")
         assert store.documents() == ["pub", "team"]
-        assert SQLitePostingSource(store, "team").frequency("position") == 3
-        assert SQLitePostingSource(store, "pub").frequency("position") == 0
+        assert SQLitePostingSource(store, "team").impact("position").count == 3
+        assert SQLitePostingSource(store, "pub").impact("position").count == 0
 
 
 class TestKeywordImpact:
@@ -174,10 +176,10 @@ class TestKeywordImpact:
         source = SQLitePostingSource(store, "pub")
         for keyword in ("liu", "xml", "keyword", "vldb", "article"):
             impact = source.impact(keyword)
-            expected = impact_from_postings(
-                SQLitePostingSource(store, "pub").postings(keyword).deweys)
-            assert impact == expected
-            assert impact.count == source.frequency(keyword)
+            deweys = SQLitePostingSource(store, "pub").keyword_nodes(
+                [keyword])[keyword]
+            assert impact == impact_from_postings(deweys)
+            assert impact.count == len(deweys)
 
     def test_absent_keyword_impact_is_empty(self, publications):
         store = SQLiteStore()
@@ -199,7 +201,8 @@ class TestSQLiteSpecifics:
             store.store_tree(publications, "pub")
         with SQLiteStore(path) as reopened:
             assert reopened.documents() == ["pub"]
-            assert SQLitePostingSource(reopened, "pub").frequency("xml") == 3
+            assert SQLitePostingSource(reopened,
+                                       "pub").impact("xml").count == 3
 
 
 # ---------------------------------------------------------------------- #
@@ -476,7 +479,7 @@ class TestStoreBackedSearch:
 
     def test_frequency_report(self, store_engine, publications):
         search = store_engine(publications, SQLiteStore(), "pub")
-        report = {keyword: search.source.frequency(keyword)
+        report = {keyword: search.source.impact(keyword).count
                   for keyword in ("xml", "vldb", "absent")}
         assert report == {"xml": 3, "vldb": 1, "absent": 0}
 
@@ -537,7 +540,8 @@ class TestSQLiteStoreThreading:
 
         def read() -> None:
             seen["docs"] = store.documents()
-            seen["freq"] = SQLitePostingSource(store, "pub").frequency("xml")
+            seen["freq"] = SQLitePostingSource(store,
+                                               "pub").impact("xml").count
 
         thread = threading.Thread(target=read)
         thread.start()

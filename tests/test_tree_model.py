@@ -37,6 +37,12 @@ def library_tree() -> XMLTree:
     return tree_from_spec(document, name="library")
 
 
+def preorder(tree):
+    """Every node's ``(dewey, label, text)``, in document order."""
+    return [(str(node.dewey), node.label, node.text)
+            for node in tree.iter_preorder()]
+
+
 class TestNode:
     def test_structure_accessors(self, library_tree):
         root = library_tree.root
@@ -144,6 +150,39 @@ class TestTreeMutation:
         assert grown.node("0.2.0").text == "graph databases"
         # The original tree is untouched.
         assert library_tree.get("0.2") is None
+
+    def test_copy_keeps_order_and_codes(self, library_tree):
+        assert preorder(library_tree.copy()) == preorder(library_tree)
+
+    def test_inserted_spec_children_keep_their_order(self, library_tree):
+        insertion = SubtreeSpec("book", children=[
+            SubtreeSpec("title", "graphs", children=[SubtreeSpec("sub")]),
+            SubtreeSpec("author", "carol")])
+        grown = library_tree.with_inserted_subtree("0.1", insertion)
+        assert preorder(grown)[-4:] == [
+            ("0.1.2", "book", None), ("0.1.2.0", "title", "graphs"),
+            ("0.1.2.0.0", "sub", None), ("0.1.2.1", "author", "carol")]
+
+    def test_a_tree_the_parser_reads_can_be_copied(self):
+        # Deeper than the interpreter's recursion limit: the copy and the
+        # insertion walk an explicit stack.
+        tree = parse_string("<a>" * 3000 + "deep" + "</a>" * 3000)
+        assert preorder(tree.copy()) == preorder(tree)
+        deepest = max(tree.iter_preorder(), key=lambda node: len(node.dewey))
+        grown = tree.with_inserted_subtree(deepest.dewey,
+                                           SubtreeSpec("b", text="x"))
+        added = grown.node(deepest.dewey.child(0))
+        assert (added.label, added.text) == ("b", "x")
+        assert grown.size() == tree.size() + 1
+
+    def test_a_deep_spec_materializes(self):
+        deep = SubtreeSpec("a", text="deep")
+        for _ in range(2999):
+            deep = SubtreeSpec("a", children=[deep])
+        assert deep.node_count() == 3000
+        tree = tree_from_spec(deep)
+        assert preorder(tree) == preorder(
+            parse_string("<a>" * 3000 + "deep" + "</a>" * 3000))
 
     def test_subtree_spec_node_count(self):
         insertion = SubtreeSpec("a", children=[SubtreeSpec("b"), SubtreeSpec("c")])

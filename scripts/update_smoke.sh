@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Update smoke: the full segmented-corpus lifecycle through the CLI.
-# ingest -> incremental add -> live update (delta segment) -> verify ->
-# doc-tagged search, single-document disk search and ranked top-k ->
+# ingest -> incremental add -> live update (delta segment) -> verify -> a
+# replacement that does not parse (exit 2, answers unchanged; `--force` is
+# gone) -> doc-tagged search, single-document disk search and ranked top-k ->
 # delete (tombstone) -> compact -> verify -> search and rank again ->
 # serve with `--compact-segments 2`: two wire updates, the second of which
 # folds both segments -> verify.
@@ -32,6 +33,23 @@ sed -i 's/Conley/Morant/' "$workdir/figure-1b.xml"
 echo "== live update: delta segment =="
 python -m repro.cli index --update "$workdir/figure-1b.xml" --db "$db"
 python -m repro.cli verify --db "$db"
+
+echo "== a replacement that does not parse changes nothing =="
+python -m repro.cli search --db "$db" --backend corpus "Morant guard" \
+    > "$workdir/before.txt"
+printf '<team><player>broken</team>\n' > "$workdir/broken.xml"
+status=0
+python -m repro.cli index --update "$workdir/broken.xml" --name figure-1b \
+    --db "$db" || status=$?
+[ "$status" -eq 2 ] || { echo "unparsable replacement exited $status"; exit 1; }
+python -m repro.cli search --db "$db" --backend corpus "Morant guard" \
+    > "$workdir/after.txt"
+cmp "$workdir/before.txt" "$workdir/after.txt" || {
+    echo "a failed replacement changed the answers"; exit 1; }
+status=0
+python -m repro.cli index "$workdir/figure-1b.xml" --db "$db" --force \
+    2> /dev/null || status=$?
+[ "$status" -eq 2 ] || { echo "index --force exited $status"; exit 1; }
 
 echo "== search spans base + segment documents =="
 out="$(python -m repro.cli search --db "$db" --backend corpus "Morant guard")"

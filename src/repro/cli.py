@@ -59,13 +59,15 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .bench import BACKEND_NAMES, default_datasets
 from .core import ALGORITHM_NAMES, EmptyQueryError, SearchEngine
-from .corpus import CorpusSearchEngine
-from .storage import DatabaseFileError, SchemaVersionError, SQLiteStore
-from .storage.errors import DocumentNotFound
+from .corpus import CORPUS_BACKENDS, CorpusSearchEngine, open_corpus
+from .service.admission import DEFAULT_MAX_INFLIGHT
+from .service.engine_pool import DEFAULT_CACHE_SIZE, DEFAULT_WORKERS
+from .storage import (DatabaseFileError, SchemaVersionError, SQLiteStore,
+                      existing_database)
 from .datasets import (
     DBLPConfig,
     PAPER_QUERIES,
@@ -129,13 +131,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="incrementally add to a database that already "
                             "holds other documents (guards against "
                             "accidentally mixing corpora)")
-    index.add_argument("--force", action="store_true",
-                       help="replace documents that are already stored")
     index.add_argument("--update", action="store_true",
                        help="absorb the document(s) as immutable delta "
-                            "segments (new or changed versions) instead of "
-                            "rewriting base rows; serve them immediately, "
-                            "fold them later with `repro-xks compact`")
+                            "segments (new or changed versions): the way "
+                            "to replace a stored document; served "
+                            "immediately, folded later with `repro-xks "
+                            "compact`")
     index.add_argument("--delete", action="append", default=None,
                        metavar="DOC_ID",
                        help="tombstone a stored document (repeatable); "
@@ -257,7 +258,7 @@ def _add_document_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=None,
-                        choices=("memory", "sqlite", "corpus"),
+                        choices=CORPUS_BACKENDS,
                         help="posting backend (default: memory, or sqlite "
                              "when --db is given)")
     parser.add_argument("--db", default=None,
@@ -281,12 +282,14 @@ def _positive_int(text: str) -> int:
 
 
 def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=4,
-                        help="engine-pool worker threads (default: 4)")
-    parser.add_argument("--cache-size", type=int, default=256,
+    parser.add_argument("--workers", type=int, default=DEFAULT_WORKERS,
+                        help="engine-pool worker threads (default: "
+                             "%(default)s)")
+    parser.add_argument("--cache-size", type=int, default=DEFAULT_CACHE_SIZE,
                         help="per-worker query-result cache capacity "
                              "(0 disables caching)")
-    parser.add_argument("--max-inflight", type=int, default=64,
+    parser.add_argument("--max-inflight", type=int,
+                        default=DEFAULT_MAX_INFLIGHT,
                         help="admission bound: concurrent requests past the "
                              "front door before load shedding")
     parser.add_argument("--request-timeout", type=float, default=None,
@@ -317,11 +320,6 @@ def _command_index(arguments: argparse.Namespace) -> int:
         return _command_index_delete(arguments)
     if arguments.documents and arguments.dataset:
         print("give XML file(s) or --dataset, not both", file=sys.stderr)
-        return 2
-    if arguments.update and arguments.force:
-        print("--update and --force are different write paths: --update "
-              "shadows the old version in a delta segment, --force rewrites "
-              "base rows; pick one", file=sys.stderr)
         return 2
     if arguments.name and len(arguments.documents) > 1:
         print("--name only applies to a single document; corpus ingestion "
@@ -385,9 +383,8 @@ def _ingest(store: SQLiteStore, pending: List[tuple],
         return 0
     foreign = sorted(set(stored) - set(names))
     growing = [name for name in names if name not in stored]
-    # --force only governs replacing same-named documents; adding *new*
-    # documents next to existing ones grows a corpus and needs an explicit
-    # --add so corpora are never mixed by accident.
+    # Adding new documents next to existing ones grows a corpus and needs
+    # an explicit --add, so corpora are never mixed by accident.
     if foreign and growing and not arguments.add:
         print(f"{arguments.db} already holds other document(s): "
               f"{', '.join(foreign)} (use --add to grow the corpus)",
@@ -396,13 +393,11 @@ def _ingest(store: SQLiteStore, pending: List[tuple],
     # Every conflict is decidable up front; report before ingesting anything
     # so a failed run never leaves the database partially grown.
     replaced = [name for name in names if name in stored]
-    if replaced and not arguments.force:
+    if replaced:
         print(f"document(s) {', '.join(replaced)} already stored in "
-              f"{arguments.db} (use --force to replace)", file=sys.stderr)
+              f"{arguments.db} (use --update to replace)", file=sys.stderr)
         return 1
     for name, tree_factory in pending:
-        if name in stored:
-            store.drop_document(name)
         store.store_tree(tree_factory(), name)
         stats = store.document_stats(name)
         print(f"indexed {name!r} into {arguments.db}: {stats['nodes']} "
@@ -422,23 +417,24 @@ def _command_index_delete(arguments: argparse.Namespace) -> int:
         print("--delete removes stored documents; it takes no XML file or "
               "--dataset", file=sys.stderr)
         return 2
-    if arguments.update or arguments.force or arguments.add:
-        print("--delete cannot be combined with --update/--force/--add",
+    if arguments.update or arguments.add:
+        print("--delete cannot be combined with --update/--add",
               file=sys.stderr)
         return 2
-    if not Path(arguments.db).exists():
-        print(f"no such database file: {arguments.db}", file=sys.stderr)
-        return 2
-    store = SQLiteStore(arguments.db)
-    for name in arguments.delete:
-        try:
-            segment = store.delete_document(name)
-        except DocumentNotFound:
-            stored = store.documents()
-            print(f"no document {name!r} in {arguments.db}"
-                  + (f"; stored: {', '.join(stored)}" if stored else ""),
-                  file=sys.stderr)
-            return 1
+    store = SQLiteStore(existing_database(arguments.db))
+    stored = store.documents()
+    names = list(dict.fromkeys(arguments.delete))
+    # Every name is checked before the first tombstone, so a run that
+    # fails deletes nothing.
+    missing = [name for name in names if name not in stored]
+    if missing:
+        print(f"no document(s) {', '.join(map(repr, missing))} in "
+              f"{arguments.db}"
+              + (f"; stored: {', '.join(stored)}" if stored else ""),
+              file=sys.stderr)
+        return 1
+    for name in names:
+        segment = store.delete_document(name)
         print(f"deleted {name!r} from {arguments.db} (tombstone segment "
               f"{segment})")
     remaining = store.documents()
@@ -451,10 +447,7 @@ def _command_index_delete(arguments: argparse.Namespace) -> int:
 def _command_compact(arguments: argparse.Namespace) -> int:
     """``compact --db``: fold delta segments into the base generation,
     then shrink the file once the fold has committed."""
-    if not Path(arguments.db).exists():
-        raise CliError(f"no such database file: {arguments.db} "
-                       f"(create it with `repro-xks index`)")
-    store = SQLiteStore(arguments.db)
+    store = SQLiteStore(existing_database(arguments.db))
     stats = store.compact()
     store.vacuum()
     documents = store.documents()
@@ -471,9 +464,6 @@ def _command_verify(arguments: argparse.Namespace) -> int:
 
     from .storage import verify_database
 
-    if not Path(arguments.db).exists():
-        raise CliError(f"no such database file: {arguments.db} "
-                       f"(create it with `repro-xks index`)")
     report = verify_database(arguments.db)
     if arguments.json:
         print(json.dumps(report.payload(), indent=2, sort_keys=True))
@@ -641,9 +631,21 @@ def _command_datasets(arguments: argparse.Namespace) -> int:
 def _command_serve(arguments: argparse.Namespace) -> int:
     import asyncio
 
-    from .service import SearchServer
+    from .service import SearchServer, ServiceConfig
 
-    config, tree = _service_setup(arguments)
+    opening = _corpus_arguments(arguments)
+    tree = opening.pop("tree")
+    config = ServiceConfig(
+        **opening,
+        workers=arguments.workers,
+        cache_size=arguments.cache_size,
+        max_inflight=arguments.max_inflight,
+        timeout_seconds=arguments.request_timeout,
+        slow_query_seconds=(arguments.slow_query_ms / 1000.0
+                            if arguments.slow_query_ms is not None else None),
+        fault_plan=arguments.fault_plan,
+        compact_segments=arguments.compact_segments,
+    )
     try:
         service = config.build(tree)
     except ValueError as error:
@@ -686,133 +688,6 @@ def _command_metrics(arguments: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------- #
 # Helpers
 # ---------------------------------------------------------------------- #
-def _resolve_stored_document(arguments: argparse.Namespace) -> str:
-    """The document name a ``--db`` invocation should serve.
-
-    Shared by ``search``/``compare`` (:func:`_build_engine`) and
-    ``serve`` (:func:`_service_setup`): validates the database
-    file exists and holds documents, and resolves ``--doc`` (defaulting to
-    the only stored document).
-    """
-    if arguments.file:
-        raise CliError("--db and --file are different documents; give "
-                       "one or the other")
-    if not Path(arguments.db).exists():
-        raise CliError(f"no such database file: {arguments.db} "
-                       f"(create it with `repro-xks index`)")
-    store = SQLiteStore(arguments.db)
-    documents = store.documents()
-    store.close()
-    if not documents:
-        raise CliError(f"{arguments.db} holds no indexed documents "
-                       f"(run `repro-xks index` first)")
-    document = arguments.doc or (
-        documents[0] if len(documents) == 1 else None)
-    if document is None:
-        raise CliError(f"{arguments.db} holds several documents "
-                       f"({', '.join(documents)}); pick one with --doc")
-    if document not in documents:
-        raise CliError(f"no document {document!r} in {arguments.db}; "
-                       f"stored: {', '.join(documents)}")
-    return document
-
-
-def _resolve_corpus_documents(arguments: argparse.Namespace):
-    """The document subset a corpus ``--db`` invocation should serve.
-
-    ``None`` means every stored document; ``--doc`` restricts to one (doc ids
-    can also be filtered per request through the service's ``doc_filter``).
-    """
-    if arguments.file:
-        raise CliError("--db and --file are different documents; give "
-                       "one or the other")
-    if not Path(arguments.db).exists():
-        raise CliError(f"no such database file: {arguments.db} "
-                       f"(create it with `repro-xks index`)")
-    store = SQLiteStore(arguments.db)
-    documents = store.documents()
-    store.close()
-    if not documents:
-        raise CliError(f"{arguments.db} holds no indexed documents "
-                       f"(run `repro-xks index` first)")
-    if arguments.doc:
-        if arguments.doc not in documents:
-            raise CliError(f"no document {arguments.doc!r} in {arguments.db}; "
-                           f"stored: {', '.join(documents)}")
-        return [arguments.doc]
-    return None
-
-
-def _service_setup(arguments: argparse.Namespace):
-    """The (ServiceConfig, tree) pair of a serve invocation.
-
-    Mirrors :func:`_build_engine`'s backend resolution: ``--db`` serves an
-    already-indexed sqlite file without parsing any XML; otherwise the
-    document is loaded/generated and handed to the pool builder.
-    """
-    from .service import ServiceConfig
-
-    backend = arguments.backend or ("sqlite" if arguments.db else "memory")
-    tree = None
-    document = "service"
-    documents = None
-    if backend == "sqlite" and arguments.db:
-        document = _resolve_stored_document(arguments)
-    elif backend == "corpus" and arguments.db:
-        # Validates the database; --doc restricts the served subset.
-        resolved = _resolve_corpus_documents(arguments)
-        documents = tuple(resolved) if resolved else None
-    else:
-        if arguments.db:
-            raise CliError(f"--db needs --backend sqlite or corpus, "
-                           f"not {backend!r}")
-        tree = _load_tree(arguments)
-        document = _document_name(arguments)
-    if arguments.workers < 1:
-        raise CliError(f"--workers must be positive, got {arguments.workers}")
-    if arguments.max_inflight < 1:
-        raise CliError(f"--max-inflight must be positive, got "
-                       f"{arguments.max_inflight}")
-    if arguments.request_timeout is not None and arguments.request_timeout <= 0:
-        raise CliError(f"--request-timeout must be positive, got "
-                       f"{arguments.request_timeout}")
-    if arguments.slow_query_ms is not None and arguments.slow_query_ms < 0:
-        raise CliError(f"--slow-query-ms must be >= 0, got "
-                       f"{arguments.slow_query_ms}")
-    if arguments.fault_plan:
-        from .faults import FaultPlan
-        try:
-            FaultPlan.parse(arguments.fault_plan)
-        except ValueError as error:
-            raise CliError(f"bad --fault-plan: {error}") from None
-        if backend not in ("sqlite", "corpus") or \
-                (backend == "corpus" and not arguments.db):
-            raise CliError("--fault-plan needs a store-backed backend "
-                           "(--backend sqlite, or corpus with --db)")
-    if arguments.compact_segments is not None:
-        if arguments.compact_segments < 1:
-            raise CliError(f"--compact-segments must be positive, got "
-                           f"{arguments.compact_segments}")
-        if backend != "corpus" or not arguments.db or documents is not None:
-            raise CliError("--compact-segments needs a mutable corpus "
-                           "backend (--backend corpus --db, without --doc)")
-    config = ServiceConfig(
-        backend=backend,
-        workers=arguments.workers,
-        cache_size=arguments.cache_size,
-        db_path=arguments.db,
-        document=document,
-        max_inflight=arguments.max_inflight,
-        timeout_seconds=arguments.request_timeout,
-        documents=documents,
-        slow_query_seconds=(arguments.slow_query_ms / 1000.0
-                            if arguments.slow_query_ms is not None else None),
-        fault_plan=arguments.fault_plan,
-        compact_segments=arguments.compact_segments,
-    )
-    return config, tree
-
-
 def _load_tree(arguments: argparse.Namespace) -> XMLTree:
     if getattr(arguments, "file", None):
         return parse_file(arguments.file)
@@ -828,38 +703,43 @@ class CliError(RuntimeError):
     """Raised by helpers when a command cannot proceed; printed, exit 2."""
 
 
-def _build_engine(arguments: argparse.Namespace) -> CorpusSearchEngine:
-    """The corpus engine for a search/compare invocation.
+def _corpus_arguments(arguments: argparse.Namespace) -> Dict[str, Any]:
+    """The :func:`~repro.corpus.open_corpus` keywords of a search, compare
+    or serve invocation.
 
-    ``--db`` opens an indexed database and searches **disk-backed, without
-    any document in RAM** (rendering degrades to Dewey/label output): every
-    stored document with ``--backend corpus`` (or the ``--doc`` subset), the
-    one ``--doc`` document with ``--backend sqlite``.  Each document serves
-    its live generation, so one living in a delta segment (``index
-    --update``) answers exactly like a base-generation one.  Without
-    ``--db`` the ``--file`` or
-    ``--dataset`` document is a one-document corpus named after its file
-    stem or dataset name: held in memory (``memory``, ``corpus``) or
-    shredded into an in-process store first (``sqlite``).
+    ``--db`` serves stored documents without parsing any XML: the ``--doc``
+    document (by default the only one) with ``--backend sqlite``, every
+    document or the ``--doc`` one with ``--backend corpus``.  Otherwise the
+    ``--file`` or ``--dataset`` tree is a corpus of one named after its file
+    stem or dataset.
     """
+    if arguments.db and arguments.file:
+        raise CliError("--db and --file are different documents; give "
+                       "one or the other")
     backend = arguments.backend or ("sqlite" if arguments.db else "memory")
     if arguments.db:
-        if backend == "corpus":
-            documents = _resolve_corpus_documents(arguments)
-        elif backend == "sqlite":
-            documents = [_resolve_stored_document(arguments)]
-        else:
-            raise CliError(f"--db needs --backend sqlite or corpus, "
-                           f"not {backend!r}")
-        return CorpusSearchEngine.from_store(SQLiteStore(arguments.db),
-                                             documents=documents)
-    tree = _load_tree(arguments)
-    name = _document_name(arguments)
-    if backend == "sqlite":
-        store = SQLiteStore()
-        store.store_tree(tree, name)
-        return CorpusSearchEngine.from_store(store)
-    return CorpusSearchEngine.from_trees({name: tree})
+        return {"backend": backend, "db_path": arguments.db,
+                "document": arguments.doc,
+                "documents": (arguments.doc,) if arguments.doc else None,
+                "tree": None}
+    return {"backend": backend, "document": _document_name(arguments),
+            "tree": _load_tree(arguments)}
+
+
+def _build_engine(arguments: argparse.Namespace) -> CorpusSearchEngine:
+    """The corpus engine of a search or compare invocation.
+
+    A ``--db`` corpus is searched disk-backed, without any document in RAM
+    (rendering degrades to Dewey/label output); each document serves its
+    live generation, so one living in a delta segment (``index --update``)
+    answers exactly like a base-generation one.
+    """
+    settings = _corpus_arguments(arguments)
+    try:
+        factory, _ = open_corpus(**settings)
+    except ValueError as error:
+        raise CliError(str(error)) from None
+    return factory()
 
 
 def _resolve_query(raw: str) -> str:

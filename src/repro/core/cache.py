@@ -126,22 +126,10 @@ class QueryResultCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def peek(self, key: CacheKey) -> Optional[SearchResult]:
-        """Like :meth:`get` but without touching recency or the counters."""
-        with self._lock:
-            return self._entries.get(key)
-
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""
         with self._lock:
             self._entries.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters (entries are preserved)."""
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -20,7 +20,7 @@ from typing import ContextManager, Dict, List, Optional
 from ..index import InvertedIndex, PostingSource, QueryLists
 from ..obs import MetricsRegistry, Trace
 from ..obs import names as metric_names
-from ..xmltree import DeweyCode, XMLTree, parse_file, parse_string, render_nodes
+from ..xmltree import DeweyCode, XMLTree, render_nodes
 from .cache import CacheStats, QueryResultCache
 from .errors import UnknownAlgorithmError
 from .explain import (
@@ -114,16 +114,6 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_string(cls, document: str, **kwargs) -> "SearchEngine":
-        """Build an engine from an XML string."""
-        return cls(parse_string(document), **kwargs)
-
-    @classmethod
-    def from_file(cls, path, **kwargs) -> "SearchEngine":
-        """Build an engine from an XML file."""
-        return cls(parse_file(path), **kwargs)
-
     # ------------------------------------------------------------------ #
     # Search
     # ------------------------------------------------------------------ #

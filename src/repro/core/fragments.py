@@ -74,10 +74,6 @@ class Fragment:
         """The raw node set as a frozen set."""
         return frozenset(self.nodes)
 
-    def keyword_node_set(self) -> FrozenSet[DeweyCode]:
-        """The keyword nodes as a frozen set."""
-        return frozenset(self.keyword_nodes)
-
     def contains(self, dewey: DeweyCode) -> bool:
         """True iff the node belongs to the raw fragment."""
         return dewey in set(self.nodes)
@@ -129,20 +125,10 @@ class PrunedFragment:
         kept = self.kept_set()
         return tuple(node for node in self.fragment.nodes if node not in kept)
 
-    def pruning_ratio(self) -> float:
-        """Fraction of the raw fragment's nodes that were discarded."""
-        if not self.fragment.nodes:
-            return 0.0
-        return len(self.pruned_nodes()) / len(self.fragment.nodes)
-
     def kept_keyword_nodes(self) -> Tuple[DeweyCode, ...]:
         """The keyword nodes of the fragment that survived pruning."""
         kept = self.kept_set()
         return tuple(node for node in self.fragment.keyword_nodes if node in kept)
-
-    def same_nodes_as(self, other: "PrunedFragment") -> bool:
-        """True iff both prunings kept exactly the same node set."""
-        return self.kept_set() == other.kept_set()
 
     def __repr__(self) -> str:
         return (f"PrunedFragment(root={self.root}, kept={len(self.kept_nodes)}/"
@@ -176,14 +162,6 @@ class SearchResult:
     def total_kept_nodes(self) -> int:
         """Total number of kept nodes across all fragments."""
         return sum(fragment.size for fragment in self.fragments)
-
-    def total_raw_nodes(self) -> int:
-        """Total number of raw fragment nodes across all fragments."""
-        return sum(fragment.fragment.size for fragment in self.fragments)
-
-    def slca_fragments(self) -> Tuple[PrunedFragment, ...]:
-        """Only the fragments whose root is an SLCA node."""
-        return tuple(fragment for fragment in self.fragments if fragment.is_slca)
 
     def with_timing(self, elapsed_seconds: float) -> "SearchResult":
         """A copy of the result carrying a measured elapsed time."""

@@ -9,7 +9,7 @@ is order-insensitive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
+from typing import Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
 from ..text import DEFAULT_TOKENIZER
 from .errors import EmptyQueryError
@@ -75,14 +75,6 @@ class Query:
         """Bitmask with one bit per keyword, all set."""
         return (1 << len(self.keywords)) - 1
 
-    def bit_of(self, keyword: str) -> int:
-        """The bit assigned to ``keyword``; raises ``KeyError`` if absent."""
-        return 1 << self.keywords.index(keyword)
-
-    def bit_index(self) -> Dict[str, int]:
-        """Mapping keyword -> bit position."""
-        return {keyword: index for index, keyword in enumerate(self.keywords)}
-
     def mask_of(self, keywords: Iterable[str]) -> int:
         """Bitmask ("key number") of a keyword subset; unknown words ignored."""
         mask = 0
@@ -114,11 +106,6 @@ class Query:
 
     def __str__(self) -> str:
         return " ".join(self.keywords)
-
-
-def as_query(raw: QueryLike) -> Query:
-    """Coerce strings / keyword lists / queries into a :class:`Query`."""
-    return Query.parse(raw)
 
 
 def subset_masks(mask: int) -> List[int]:

@@ -12,7 +12,10 @@ CLI query every backend through this package:
   per-document SLCA/ELCA/RTF pipeline
   (:class:`~repro.core.engine.SearchEngine`) on each document and unions the
   doc-id-tagged answers, with cross-document top-k rank merging;
-* :mod:`repro.corpus.result` — the doc-tagged result model.
+* :mod:`repro.corpus.result` — the doc-tagged result model;
+* :mod:`repro.corpus.opener` — :func:`open_corpus`, the one opener of a
+  served corpus: the CLI and the engine pool check what a backend may serve
+  there, once.
 
 The correctness contract — **corpus results equal the union of per-document
 single-document results** — is enforced by the differential fuzz harness
@@ -20,10 +23,12 @@ single-document results** — is enforced by the differential fuzz harness
 """
 
 from .engine import CorpusComparisonOutcome, CorpusSearchEngine
+from .opener import CORPUS_BACKENDS, open_corpus
 from .result import CorpusSearchResult, DocumentResult
 from .source import CorpusPostingSource, corpus_from_store, corpus_from_trees
 
 __all__ = [
+    "CORPUS_BACKENDS",
     "CorpusComparisonOutcome",
     "CorpusPostingSource",
     "CorpusSearchEngine",
@@ -31,4 +36,5 @@ __all__ = [
     "DocumentResult",
     "corpus_from_store",
     "corpus_from_trees",
+    "open_corpus",
 ]

@@ -68,12 +68,6 @@ class CorpusSearchResult:
         """Mapping doc id -> that document's :class:`SearchResult`."""
         return {entry.doc_id: entry.result for entry in self.documents}
 
-    def tagged_fragments(self) -> Tuple[Tuple[str, PrunedFragment], ...]:
-        """Every fragment paired with the id of the document it came from."""
-        return tuple((entry.doc_id, fragment)
-                     for entry in self.documents
-                     for fragment in entry.result.fragments)
-
     # ------------------------------------------------------------------ #
     # SearchResult-compatible aggregate accessors
     # ------------------------------------------------------------------ #

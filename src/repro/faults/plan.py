@@ -24,7 +24,7 @@ import sqlite3
 import threading
 import time
 from random import Random
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..obs import MetricsRegistry
 from ..obs import names as metric_names

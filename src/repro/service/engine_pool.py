@@ -19,6 +19,7 @@ corpus — a single document is a corpus of one, tagged with its name:
   reads genuinely parallelize.  ``sqlite`` serves one document of the
   store, ``corpus`` every document (or a pinned subset).
 
+What a backend serves is decided once, by :func:`~repro.corpus.open_corpus`.
 Work is executed on a :class:`~concurrent.futures.ThreadPoolExecutor`; every
 submission receives the calling thread's engine as its first argument.  The
 asyncio front end bridges the returned futures with
@@ -36,11 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from ..core.cache import CacheStats
 from ..core.query import QueryLike
-from ..corpus import (
-    CorpusComparisonOutcome,
-    CorpusSearchEngine,
-    corpus_from_trees,
-)
+from ..corpus import CorpusComparisonOutcome, CorpusSearchEngine, open_corpus
 from ..corpus.engine import RankedCorpusSearch
 from ..faults import FaultPlan
 from ..obs import MetricsRegistry, Snapshot, merge_snapshots
@@ -105,7 +102,7 @@ class EnginePool:
         #: Bumped by :meth:`invalidate_engines`; worker engines built under
         #: an older generation are discarded and rebuilt on next use.
         self._engine_version = 0
-        #: Set by the corpus-database builder: the shared
+        #: Set by :meth:`for_backend`: the shared
         #: :class:`~repro.storage.sqlite_backend.SQLiteStore` live updates
         #: are written to (``None`` for immutable backends, and for corpus
         #: pools pinned to a document subset).
@@ -119,95 +116,22 @@ class EnginePool:
                     workers: int = DEFAULT_WORKERS,
                     cache_size: int = DEFAULT_CACHE_SIZE,
                     db_path: Optional[str] = None,
-                    document: str = "service",
+                    document: Optional[str] = "service",
                     trees: Optional[Dict[str, XMLTree]] = None,
                     documents: Optional[Sequence[str]] = None,
                     fault_plan: Optional[FaultPlan] = None) -> "EnginePool":
-        """Build a pool of corpus engines for a named posting backend.
-
-        ``memory`` serves ``tree`` as the one-document corpus ``document``.
-        ``sqlite`` serves the document ``document`` of ``db_path`` when
-        given (ingesting ``tree`` into it only if the document is absent),
-        else of an in-process store ingested from ``tree``.  ``corpus``
-        serves every document of ``db_path`` (a multi-document database
-        written by ``repro.cli index``) — or only the ``documents`` subset
-        when given; without a database it builds a memory corpus from
-        ``trees`` (doc id -> tree) or a one-document corpus from ``tree``.
-
-        Without a database the snapshot shared by all workers holds **one**
-        set of flat posting columns per document — immutable arrays handed
-        to every worker engine by reference, so N workers cost no more
-        posting memory than one.
+        """A pool of ``workers`` engines over what
+        :func:`~repro.corpus.open_corpus` opens for ``backend``: it holds
+        every rule about what a backend serves.  The pool takes live writes
+        when the opened corpus does (:attr:`mutable_store`).
         """
-        if cache_size < 0:
-            raise ValueError(f"cache size must be >= 0 (0 disables "
-                             f"caching), got {cache_size}")
-        if fault_plan is not None and backend not in ("sqlite", "corpus"):
-            raise ValueError(
-                f"a fault plan needs a store-backed backend (sqlite or "
-                f"corpus), not {backend!r}")
-        if backend not in ("memory", "sqlite", "corpus"):
-            raise ValueError(f"unknown backend {backend!r}; "
-                             f"expected memory, sqlite or corpus")
-        if backend == "sqlite":
-            store = SQLiteStore(db_path if db_path else ":memory:")
-            if document not in store.documents():
-                if tree is None:
-                    stored = store.documents()
-                    raise ValueError(
-                        f"no document {document!r} in the sqlite store"
-                        + (f"; stored: {', '.join(stored)}" if stored else ""))
-                store.store_tree(tree, document)
-            if fault_plan is not None:
-                store.set_fault_plan(fault_plan)
-            return cls(lambda: CorpusSearchEngine.from_store(
-                store, documents=[document], cache_size=cache_size),
-                workers=workers)
-        if backend == "corpus" and db_path:
-            # Documents absorbed through `index --update` (or the live
-            # `update` wire op) serve exactly like base-generation ones,
-            # and the pool can keep taking writes without a restart.
-            store = SQLiteStore(db_path)
-            stored = store.documents()
-            if not stored:
-                raise ValueError(
-                    f"the corpus database {db_path!r} holds no indexed "
-                    f"documents (run `repro-xks index` first)")
-            served = tuple(documents) if documents else None
-            # Fail at build time, not inside a worker's lazy engine factory
-            # (which would surface as a per-request internal error).
-            unknown = sorted(set(served or ()) - set(stored))
-            if unknown:
-                raise ValueError(
-                    f"no document(s) named {', '.join(unknown)} in "
-                    f"{db_path!r}; stored: {', '.join(stored)}")
-            if fault_plan is not None:
-                store.set_fault_plan(fault_plan)
-            pool = cls(lambda: CorpusSearchEngine.from_store(
-                store, documents=served, cache_size=cache_size),
-                workers=workers)
-            if served is None:
-                # A pinned subset cannot absorb adds/deletes coherently, so
-                # only serve-everything pools accept live writes.
-                pool.mutable_store = store
-            return pool
-        # `memory`, and `corpus` without a database: one set of immutable
-        # per-document memory indexes, shared by every worker engine.
-        if backend == "corpus" and trees:
-            corpus_trees = dict(trees)
-        elif tree is not None:
-            corpus_trees = {document: tree}
-        else:
-            raise ValueError(f"the {backend} backend needs a tree"
-                             + (", trees or a db_path"
-                                if backend == "corpus" else ""))
-        if fault_plan is not None:
-            raise ValueError("a fault plan needs a database-backed corpus "
-                             "(pass db_path)")
-        snapshot = corpus_from_trees(corpus_trees)
-        return cls(lambda: CorpusSearchEngine(snapshot, trees=corpus_trees,
-                                              cache_size=cache_size),
-                   workers=workers)
+        factory, store = open_corpus(
+            backend, db_path=db_path, document=document, documents=documents,
+            tree=tree, trees=trees, fault_plan=fault_plan,
+            cache_size=cache_size)
+        pool = cls(factory, workers=workers)
+        pool.mutable_store = store
+        return pool
 
     # ------------------------------------------------------------------ #
     # Execution

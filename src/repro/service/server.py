@@ -121,7 +121,10 @@ class ServiceConfig:
     workers: int = DEFAULT_WORKERS
     cache_size: int = DEFAULT_CACHE_SIZE
     db_path: Optional[str] = None
-    document: str = "service"
+    #: The document served: the name of the tree given to :meth:`build`,
+    #: or the stored document of a sqlite ``db_path`` (``None``: its only
+    #: document).
+    document: Optional[str] = "service"
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     timeout_seconds: Optional[float] = None
     #: Corpus backend only: serve this doc-id subset of the database

@@ -3,11 +3,12 @@
 :class:`SQLiteStore` writes a document's ``element`` and ``posting`` rows
 into a database file stamped with :data:`SCHEMA_VERSION`, and refuses a
 file carrying any other version (:class:`SchemaVersionError`: re-index it)
-or no database at all (:class:`DatabaseFileError`).  Every row belongs to a
-generation: the base (:data:`BASE_GENERATION`) or the delta segment a live
-update wrote; deletes are tombstones in the segment catalogue, and
-compaction renumbers each live version to the base.  The store answers its
-catalogue over each document's live generation.  A
+or no database at all (:class:`DatabaseFileError`).  A reader checks its
+path with :func:`existing_database`, so no read creates a file.  Every row
+belongs to a generation: the base (:data:`BASE_GENERATION`) or the delta
+segment a live update wrote; deletes are tombstones in the segment
+catalogue, and compaction renumbers each live version to the base.  The
+store answers its catalogue over each document's live generation.  A
 :class:`SQLitePostingSource` is the only reader of those rows; it serves the
 generation its document lived in at its first read.
 """
@@ -32,6 +33,7 @@ from .sqlite_backend import (
     SEGMENT_KIND_DOC,
     SEGMENT_KIND_TOMBSTONE,
     SQLiteStore,
+    existing_database,
 )
 from .posting_source import DEFAULT_POSTING_LRU_SIZE, SQLitePostingSource
 from .verify import IntegrityFinding, IntegrityReport, verify_database
@@ -54,6 +56,7 @@ __all__ = [
     "ShreddedDocument",
     "shred_tree",
     "SQLiteStore",
+    "existing_database",
     "BASE_GENERATION",
     "SEGMENT_KIND_DOC",
     "SEGMENT_KIND_TOMBSTONE",

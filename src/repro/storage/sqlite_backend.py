@@ -25,7 +25,7 @@ segments**, generation N holding segment N:
   the base generation and deletes its other generations and the catalog,
   leaving the database equivalent (as observed through every posting-source
   read) to one re-shredded from scratch at the same logical state.
-* Every mutation (store/update/delete/drop/compact) is **one SQLite
+* Every mutation (store/update/delete/compact) is **one SQLite
   transaction**, so it is all-or-nothing under any failure, process death
   included: SQLite's rollback journal undoes a transaction that never
   committed the next time the file is opened.  A mutation carrying an
@@ -103,6 +103,20 @@ def check_schema(connection: sqlite3.Connection, path: str) -> None:
         raise
 
 
+def existing_database(path: Union[str, Path]) -> str:
+    """``path``, if something is there to open; a missing path raises
+    :class:`~repro.storage.errors.DatabaseFileError`.
+
+    ``SQLiteStore(path)`` and ``sqlite3.connect`` create a missing file, as
+    ``index`` wants, so every reader of a database file passes its path
+    through here first and no read creates a database.
+    """
+    if not Path(path).exists():
+        raise DatabaseFileError(f"no such database file: {path} (create it "
+                                f"with `repro-xks index`)")
+    return str(path)
+
+
 def generation_rows(document: str, location: int
                     ) -> Tuple[str, Tuple[object, ...]]:
     """The rows of one generation of ``document`` as ``(row filter, filter
@@ -123,7 +137,9 @@ class SQLiteStore:
     ----------
     path:
         Database file path, or ``":memory:"`` (default) for an in-process
-        database.  A file with no tables gets the schema, stamped with
+        database.  A missing file is created (a reader checks its path with
+        :func:`existing_database` first).  A file with no tables gets the
+        schema, stamped with
         :data:`~repro.storage.schema.SCHEMA_VERSION`; any other file must
         carry that stamp, or opening it raises
         :class:`~repro.storage.errors.SchemaVersionError`.  A path that is
@@ -137,7 +153,7 @@ class SQLiteStore:
     lets the concurrent serving layer (:mod:`repro.service`) run one worker
     pool over a single store — disk reads genuinely parallelize, with no
     cross-thread cursor sharing.  Writes (ingestion, updates, deletes,
-    drops, compaction) serialize on one store-level lock, and readers see
+    compaction) serialize on one store-level lock, and readers see
     each committed mutation atomically.
     """
 
@@ -375,14 +391,6 @@ class SQLiteStore:
                 self._purge(name)
                 self._insert_version(shredded, BASE_GENERATION)
         return shredded
-
-    def drop_document(self, name: str) -> None:
-        """Physically remove every trace of one live document (all tables),
-        in one transaction."""
-        with self._write_lock:
-            self._live_location(name)
-            with self._connection:
-                self._purge(name)
 
     def _purge(self, name: str) -> None:
         cursor = self._connection.cursor()

@@ -60,6 +60,7 @@ from .sqlite_backend import (
     SEGMENT_KIND_DOC,
     SEGMENT_KIND_TOMBSTONE,
     SQLiteStore,
+    existing_database,
     generation_rows,
 )
 
@@ -125,9 +126,11 @@ def verify_database(path: Union[str, Path]) -> IntegrityReport:
 
     A file SQLite cannot read yields the one ``sqlite-integrity`` error
     finding instead of an exception, and a file with another schema version
-    the one ``schema-version`` finding.
+    the one ``schema-version`` finding.  A missing path raises
+    :class:`~repro.storage.errors.DatabaseFileError`: there is nothing to
+    check, and connecting would create the file.
     """
-    report = IntegrityReport(path=str(path))
+    report = IntegrityReport(path=existing_database(path))
     try:
         _check_sqlite(path)
         store = SQLiteStore(path)

@@ -59,11 +59,6 @@ class ContentAnalyzer:
         self._content_cache[node.dewey] = words
         return words
 
-    def is_keyword_node(self, node: XMLNode, keywords: Iterable[str]) -> bool:
-        """True iff the node's own content intersects the query."""
-        content = self.node_content(node)
-        return any(keyword in content for keyword in keywords)
-
     def matched_keywords(self, node: XMLNode, keywords: Iterable[str]) -> Set[str]:
         """The query keywords present in the node's own content."""
         content = self.node_content(node)
@@ -89,11 +84,6 @@ class ContentAnalyzer:
         frozen = frozenset(words)
         self._subtree_cache[node.dewey] = frozen
         return frozen
-
-    def subtree_keywords(self, node: XMLNode, keywords: Iterable[str]) -> Set[str]:
-        """``TK_v`` over the full subtree: subtree content intersected with Q."""
-        content = self.subtree_content(node)
-        return {keyword for keyword in keywords if keyword in content}
 
     # ------------------------------------------------------------------ #
     # Query helpers

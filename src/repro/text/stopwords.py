@@ -8,7 +8,7 @@ no network access is required.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable
+from typing import FrozenSet
 
 # The Lucene StandardAnalyzer English stop set ...
 _LUCENE_ENGLISH = (
@@ -32,15 +32,3 @@ _EXTENDED = (
 )
 
 DEFAULT_STOPWORDS: FrozenSet[str] = frozenset(_LUCENE_ENGLISH) | frozenset(_EXTENDED)
-
-
-def is_stopword(word: str, stopwords: Iterable[str] = DEFAULT_STOPWORDS) -> bool:
-    """True iff ``word`` (case-insensitively) is a stop word."""
-    return word.lower() in stopwords
-
-
-def filter_stopwords(words: Iterable[str],
-                     stopwords: Iterable[str] = DEFAULT_STOPWORDS) -> list:
-    """Drop stop words from a word sequence, preserving order."""
-    stop = set(stopwords)
-    return [word for word in words if word.lower() not in stop]

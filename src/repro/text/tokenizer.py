@@ -3,61 +3,36 @@
 Keyword matching in the paper is word based: the content ``C_v`` of a node is
 a *word set*, and a node is a keyword node when its content intersects the
 query.  The tokenizer therefore lower-cases, splits on non-alphanumeric
-boundaries and (optionally) removes stop words and single characters.
+boundaries and removes stop words.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Set
+from typing import Iterable, List, Set
 
 from .stopwords import DEFAULT_STOPWORDS
 
 _WORD_PATTERN = re.compile(r"[A-Za-z0-9]+")
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Configuration of the tokenizer.
-
-    Attributes
-    ----------
-    lowercase:
-        Lower-case every token (the paper's matching is case-insensitive).
-    remove_stopwords:
-        Drop English stop words (the paper filters them with Lucene).
-    min_token_length:
-        Drop tokens shorter than this many characters.
-    stopwords:
-        The stop-word set used when ``remove_stopwords`` is true.
-    """
-
-    lowercase: bool = True
-    remove_stopwords: bool = True
-    min_token_length: int = 1
-    stopwords: FrozenSet[str] = field(default=DEFAULT_STOPWORDS)
-
-
 class Tokenizer:
-    """Split raw strings into the word tokens used for keyword matching."""
+    """Split raw strings into the word tokens used for keyword matching.
 
-    def __init__(self, config: TokenizerConfig = TokenizerConfig()):
-        self.config = config
+    One fixed rule: lower-case (the paper's matching is case-insensitive),
+    split on non-alphanumeric boundaries and drop
+    :data:`~repro.text.stopwords.DEFAULT_STOPWORDS` (the paper filters stop
+    words with Lucene).  A database file records no tokenizer setting, so
+    the index and :meth:`~repro.core.query.Query.parse` agree only because
+    there is no other.
+    """
 
     def tokenize(self, text: str) -> List[str]:
         """Tokenize one string into a list of tokens (order preserved)."""
         if not text:
             return []
-        tokens = _WORD_PATTERN.findall(text)
-        if self.config.lowercase:
-            tokens = [token.lower() for token in tokens]
-        if self.config.min_token_length > 1:
-            tokens = [t for t in tokens if len(t) >= self.config.min_token_length]
-        if self.config.remove_stopwords:
-            stop = self.config.stopwords
-            tokens = [t for t in tokens if t.lower() not in stop]
-        return tokens
+        return [token for token in map(str.lower, _WORD_PATTERN.findall(text))
+                if token not in DEFAULT_STOPWORDS]
 
     def tokenize_many(self, texts: Iterable[str]) -> List[str]:
         """Tokenize several strings and concatenate the token lists, in one

@@ -134,12 +134,6 @@ class DeweyCode(tuple):
         for size in range(1, stop + 1):
             yield DeweyCode._from_tuple(self[:size])
 
-    def ancestors_bottom_up(self, include_self: bool = False) -> Iterator["DeweyCode"]:
-        """Yield ancestor codes from the parent (or self) up to the root."""
-        start = len(self) if include_self else len(self) - 1
-        for size in range(start, 0, -1):
-            yield DeweyCode._from_tuple(self[:size])
-
     # ------------------------------------------------------------------ #
     # Relationships
     # ------------------------------------------------------------------ #
@@ -147,19 +141,9 @@ class DeweyCode(tuple):
         """True iff ``self`` is a strict ancestor of ``other``."""
         return len(self) < len(other) and other[:len(self)] == self
 
-    def is_descendant_of(self, other: "DeweyCode") -> bool:
-        """True iff ``self`` is a strict descendant of ``other``."""
-        return other.is_ancestor_of(self)
-
     def is_ancestor_or_self(self, other: "DeweyCode") -> bool:
         """True iff ``self`` is ``other`` or an ancestor of it."""
         return len(self) <= len(other) and other[:len(self)] == self
-
-    def is_sibling_of(self, other: "DeweyCode") -> bool:
-        """True iff the two codes share a parent and differ."""
-        if self == other:
-            return False
-        return self[:-1] == other[:-1]
 
     def common_prefix(self, other: "DeweyCode") -> "DeweyCode":
         """The Dewey code of the lowest common ancestor of the two nodes.

@@ -147,13 +147,6 @@ class XMLNode:
                 pieces.append(value)
         return pieces
 
-    def subtree_strings(self) -> List[str]:
-        """Raw content strings of this node and all descendants."""
-        strings: List[str] = []
-        for node in self.iter_subtree():
-            strings.extend(node.raw_strings())
-        return strings
-
     # ------------------------------------------------------------------ #
     # Dunder protocol
     # ------------------------------------------------------------------ #

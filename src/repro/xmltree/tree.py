@@ -130,10 +130,6 @@ class XMLTree:
                 seen[node.dewey] = node
         return [seen[code] for code in sorted(seen)]
 
-    def descendants_of(self, dewey: DeweyLike) -> List[XMLNode]:
-        """All strict descendants of a node, in document order."""
-        return list(self.node(dewey).iter_descendants())
-
     # ------------------------------------------------------------------ #
     # Structural statistics
     # ------------------------------------------------------------------ #

@@ -15,8 +15,8 @@ fragments, lookup-driven record trees) against the tree-backed one.
 
 Next to the backends the matrix runs the ``LAYOUT_INPUTS``: stores that reach
 a stored layout by other routes (a new name written as a delta segment alone,
-a compacted delta version, a document stored under a dropped or a tombstoned
-name), so the packed rows are read after every mutation that writes them.  The
+a compacted delta version, a document stored under a tombstoned name), so
+the packed rows are read after every mutation that writes them.  The
 ``SHARED_STORE_INPUTS`` serve the document from a sqlite store it shares with
 other documents, the one-store layout every disk-backed corpus runs.
 """
@@ -59,12 +59,10 @@ PARITY_SOURCES = {
 #: ``store_tree`` under a name whose earlier document was stored, shadowed
 #: by a delta segment and tombstoned; ``segmented-compacted`` is a delta
 #: version, shadowing another version of the name in the base tables, folded
-#: into them by ``compact``; ``sqlite-restored`` is stored under a name whose
-#: earlier document was dropped.  The earlier versions are the document
+#: into them by ``compact``.  The earlier versions are the document
 #: mirrored: the same labels and words on other Dewey codes, so any row of
 #: theirs left behind changes an answer.
-LAYOUT_INPUTS = ("segment-only", "tombstone-restored", "segmented-compacted",
-                 "sqlite-restored")
+LAYOUT_INPUTS = ("segment-only", "tombstone-restored", "segmented-compacted")
 
 #: Store inputs whose document shares one sqlite store with other
 #: documents: ``corpus-store`` is the document's source in a corpus served
@@ -125,12 +123,6 @@ def build_source(tree, backend: str, name: str = "doc"):
         store.store_tree(mirrored(tree), name)
         store.update_document(tree, name)
         store.compact()
-        return SQLitePostingSource(store, name)
-    if backend == "sqlite-restored":
-        store = SQLiteStore()
-        store.store_tree(mirrored(tree), name)
-        store.drop_document(name)
-        store.store_tree(tree, name)
         return SQLitePostingSource(store, name)
     if backend == "corpus-store":
         # Doc ids sort "0-mirror" < name < "~mirror": the document's rows

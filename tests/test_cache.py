@@ -86,24 +86,13 @@ class TestQueryResultCache:
         assert key("b") not in cache
         assert len(cache) == 2
 
-    def test_peek_does_not_touch_recency_or_stats(self):
-        cache = QueryResultCache(2)
-        cache.put(key("a"), make_result("a"))
-        cache.put(key("b"), make_result("b"))
-        cache.peek(key("a"))                     # "a" stays LRU
-        cache.put(key("c"), make_result("c"))
-        assert key("a") not in cache
-        assert cache.stats.hits == 0 and cache.stats.misses == 0
-
-    def test_clear_and_reset_stats(self):
+    def test_clear_keeps_the_counters(self):
         cache = QueryResultCache(2)
         cache.put(key("a"), make_result("a"))
         cache.get(key("a"))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.hits == 1             # counters survive clear()
-        cache.reset_stats()
-        assert cache.stats.hits == 0 and cache.stats.misses == 0
 
 
 # ---------------------------------------------------------------------- #

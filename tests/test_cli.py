@@ -16,8 +16,39 @@ import repro
 from repro.cli import main
 from repro.core import ALGORITHM_NAMES
 from repro.datasets import DBLPConfig, generate_dblp
-from repro.storage import verify_database
+from repro.storage import SQLiteStore, verify_database
 from repro.xmltree import parse_file, write_xml_file
+
+
+def run_cli(*argv: str, cwd=None) -> subprocess.CompletedProcess:
+    """``repro-xks argv`` in a child process.  A ``serve`` that accepts its
+    settings serves until the timeout instead of exiting, so every test
+    that expects ``serve`` to refuse runs it here."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                          env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=30)
+
+
+def assert_one_line_naming(capsys, exit_code: int, named: str) -> None:
+    """An in-process command exited 2 with one stderr line naming
+    ``named`` and no traceback."""
+    error = capsys.readouterr().err
+    assert exit_code == 2, error
+    assert named in error
+    assert "Traceback" not in error
+    assert len(error.strip().splitlines()) == 1, error
+
+
+def assert_one_line_refusal(child: subprocess.CompletedProcess) -> str:
+    """The child exited 2 with one stderr line and no traceback; that line."""
+    assert child.returncode == 2, child.stderr
+    assert "Traceback" not in child.stderr
+    lines = child.stderr.strip().splitlines()
+    assert len(lines) == 1, child.stderr
+    return lines[0]
 
 
 class TestSearchCommand:
@@ -298,19 +329,44 @@ class TestArgumentHandling:
 
 class TestServeSettings:
     def test_a_negative_cache_size_exits_2(self):
-        # Run in a child: a serve that accepts the value would serve until
-        # the timeout instead of exiting.
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(repro.__file__).parents[1]),
-             os.environ.get("PYTHONPATH", "")]))
-        child = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "serve", "--cache-size", "-1",
-             "--port", "0"],
-            env=env, capture_output=True, text=True, timeout=30)
-        assert child.returncode == 2, child.stderr
-        assert "cache size must be >= 0" in child.stderr
-        assert "Traceback" not in child.stderr
-        assert len(child.stderr.strip().splitlines()) == 1
+        child = run_cli("serve", "--cache-size", "-1", "--port", "0")
+        assert "cache size must be >= 0" in assert_one_line_refusal(child)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--workers", "0"], "workers"),
+        (["--max-inflight", "0"], "inflight"),
+        (["--request-timeout", "0"], "timeout"),
+        (["--slow-query-ms", "-1"], "slow"),
+        (["--fault-plan", "nonsense"], "fault.plan"),
+        (["--fault-plan", "seed=7,error=0.5"], "fault.plan"),
+        (["--compact-segments", "0"], "compact"),
+        (["--compact-segments", "2"], "compact"),
+    ], ids=["workers", "max-inflight", "request-timeout", "slow-query-ms",
+            "fault-plan-syntax", "fault-plan-memory", "compact-segments",
+            "compact-segments-memory"])
+    def test_a_bad_setting_exits_2(self, flags, named):
+        # The memory backend serves the default dataset: no store to fault
+        # and no corpus database to compact.
+        line = assert_one_line_refusal(
+            run_cli("serve", *flags, "--port", "0"))
+        assert re.search(named, line), line
+
+
+class TestMissingDatabase:
+    @pytest.mark.parametrize("argv", [
+        ["search", "--db", "missing.db", "xml"],
+        ["search", "--db", "missing.db", "--backend", "corpus", "xml"],
+        ["compare", "--db", "missing.db", "xml"],
+        ["serve", "--db", "missing.db", "--backend", "corpus", "--port", "0"],
+        ["compact", "--db", "missing.db"],
+        ["verify", "--db", "missing.db"],
+        ["index", "--delete", "figure-1a", "--db", "missing.db"],
+    ], ids=["search", "search-corpus", "compare", "serve", "compact",
+            "verify", "index-delete"])
+    def test_a_read_exits_2_and_creates_no_file(self, tmp_path, argv):
+        line = assert_one_line_refusal(run_cli(*argv, cwd=tmp_path))
+        assert "missing.db" in line
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMetricsCommand:
@@ -383,6 +439,130 @@ class TestCompactCommand:
         assert main(["verify", "--db", db]) == 0, capsys.readouterr().out
 
 
+class TestStoredDocumentRefusals:
+    """What ``--db``, ``--doc`` and ``--backend`` name is checked where the
+    corpus is opened; the CLI prints the refusal as one line, exit 2."""
+
+    @pytest.fixture(scope="class")
+    def databases(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("stored")
+        two = str(root / "two.db")
+        for dataset in ("figure-1a", "figure-1b"):
+            assert main(["index", "--dataset", dataset, "--db", two,
+                         "--add"]) == 0
+        empty = str(root / "empty.db")
+        SQLiteStore(empty).close()
+        return {"two": two, "empty": empty}
+
+    @pytest.mark.parametrize("argv, named", [
+        (["search", "--db", "{two}", "xml"], "pick one with --doc"),
+        (["search", "--db", "{two}", "--doc", "nothere", "xml"],
+         "nothere"),
+        (["search", "--db", "{two}", "--backend", "corpus", "--doc",
+          "nothere", "xml"], "nothere"),
+        (["compare", "--db", "{two}", "--doc", "nothere", "xml"],
+         "nothere"),
+        (["search", "--db", "{two}", "--backend", "memory", "xml"],
+         "memory"),
+        (["search", "--db", "{two}", "--file", "x.xml", "xml"], "--file"),
+        (["search", "--db", "{empty}", "xml"], "no indexed documents"),
+        (["search", "--db", "{empty}", "--backend", "corpus", "xml"],
+         "no indexed documents"),
+    ], ids=["several", "unknown-doc", "corpus-unknown-doc",
+            "compare-unknown-doc", "memory-backend", "with-file", "empty",
+            "corpus-empty"])
+    def test_search_and_compare(self, capsys, databases, argv, named):
+        exit_code = main([arg.format(**databases) for arg in argv])
+        assert_one_line_naming(capsys, exit_code, named)
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--db", "{two}", "--doc", "nothere"], "nothere"),
+        (["--db", "{two}"], "pick one with --doc"),
+        (["--db", "{empty}", "--backend", "corpus"], "no indexed documents"),
+    ], ids=["unknown-doc", "several", "empty"])
+    def test_serve(self, databases, argv, named):
+        line = assert_one_line_refusal(run_cli(
+            "serve", *[arg.format(**databases) for arg in argv],
+            "--port", "0"))
+        assert named in line
+
+
+class TestIndexCommand:
+    """``index --update`` is the one way to replace a stored document: one
+    transaction, so a replacement that fails to parse leaves the stored
+    version answering."""
+
+    @pytest.fixture
+    def stored(self, tmp_path, capsys):
+        (tmp_path / "a.xml").write_text(
+            "<lib><book><title>xml search</title></book></lib>",
+            encoding="utf-8")
+        (tmp_path / "b.xml").write_text(
+            "<lib><book><title>xml trees</title></book></lib>",
+            encoding="utf-8")
+        db = str(tmp_path / "x.db")
+        assert main(["index", str(tmp_path / "a.xml"),
+                     str(tmp_path / "b.xml"), "--db", db]) == 0
+        capsys.readouterr()
+        return tmp_path, db
+
+    @staticmethod
+    def answers(capsys, db):
+        assert main(["search", "--db", db, "--backend", "corpus",
+                     "xml"]) == 0
+        return capsys.readouterr().out
+
+    def test_a_failed_update_keeps_the_document(self, capsys, stored):
+        tmp_path, db = stored
+        before = self.answers(capsys, db)
+        broken = tmp_path / "a.xml"
+        broken.write_text("<lib><book><title>broken</book></lib>",
+                          encoding="utf-8")
+        assert main(["index", "--update", str(broken), "--db", db]) == 2
+        assert "cannot parse" in capsys.readouterr().err
+        assert SQLiteStore(db).documents() == ["a", "b"]
+        assert self.answers(capsys, db) == before
+
+    def test_force_is_rejected(self, capsys, stored):
+        # --force dropped the stored document before parsing its
+        # replacement, so a file that failed to parse lost it.
+        tmp_path, db = stored
+        before = self.answers(capsys, db)
+        broken = tmp_path / "a.xml"
+        broken.write_text("<lib><book><title>broken</book></lib>",
+                          encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["index", str(broken), "--db", db, "--force"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --force" in capsys.readouterr().err
+        assert SQLiteStore(db).documents() == ["a", "b"]
+        assert self.answers(capsys, db) == before
+
+    def test_a_stored_name_is_refused_and_names_update(self, capsys,
+                                                       stored):
+        tmp_path, db = stored
+        assert main(["index", str(tmp_path / "a.xml"), "--db", db]) == 1
+        assert "use --update to replace" in capsys.readouterr().err
+
+    def test_delete_checks_every_name_before_the_first_tombstone(
+            self, capsys, stored):
+        _, db = stored
+        assert main(["index", "--delete", "a", "--delete", "nothere",
+                     "--db", db]) == 1
+        assert "'nothere'" in capsys.readouterr().err
+        store = SQLiteStore(db)
+        assert store.documents() == ["a", "b"]
+        assert store.segment_count() == 0
+
+    def test_a_repeated_delete_tombstones_once(self, capsys, stored):
+        _, db = stored
+        assert main(["index", "--delete", "a", "--delete", "a",
+                     "--db", db]) == 0
+        store = SQLiteStore(db)
+        assert store.documents() == ["b"]
+        assert store.segment_count() == 1
+
+
 class TestUnreadableInputs:
     """An input file the program cannot read is a usage error, like a
     database file of another schema version: one line on stderr naming the
@@ -404,14 +584,6 @@ class TestUnreadableInputs:
             path.write_text("plain text, not a database\n", encoding="utf-8")
         return str(path)
 
-    @staticmethod
-    def assert_one_line_naming(capsys, exit_code, path):
-        error = capsys.readouterr().err
-        assert exit_code == 2, error
-        assert path in error
-        assert "Traceback" not in error
-        assert len(error.strip().splitlines()) == 1, error
-
     @pytest.mark.parametrize("argv", [
         ["search", "--file", "{xml}", "xml"],
         ["compare", "--file", "{xml}", "xml"],
@@ -424,7 +596,7 @@ class TestUnreadableInputs:
                                              xml_path, argv):
         db = tmp_path / "fresh.db"
         exit_code = main([arg.format(xml=xml_path, db=db) for arg in argv])
-        self.assert_one_line_naming(capsys, exit_code, xml_path)
+        assert_one_line_naming(capsys, exit_code, xml_path)
         # A failed index leaves no database it created behind.
         assert not db.exists()
 
@@ -434,7 +606,7 @@ class TestUnreadableInputs:
         good.write_text("<a><b>xml</b></a>", encoding="utf-8")
         fresh = tmp_path / "fresh.db"
         exit_code = main(["index", str(good), xml_path, "--db", str(fresh)])
-        self.assert_one_line_naming(capsys, exit_code, xml_path)
+        assert_one_line_naming(capsys, exit_code, xml_path)
         assert not fresh.exists()
         # An existing file keeps what the run stored before it failed.
         kept = tmp_path / "kept.db"
@@ -443,7 +615,7 @@ class TestUnreadableInputs:
         capsys.readouterr()
         exit_code = main(["index", "--add", str(good), xml_path, "--db",
                           str(kept)])
-        self.assert_one_line_naming(capsys, exit_code, xml_path)
+        assert_one_line_naming(capsys, exit_code, xml_path)
         assert kept.exists() and verify_database(str(kept)).clean
 
     @pytest.mark.parametrize("argv", [
@@ -456,7 +628,7 @@ class TestUnreadableInputs:
     def test_a_path_that_is_no_database_is_named(self, capsys, db_path,
                                                  argv):
         exit_code = main([arg.format(db=db_path) for arg in argv])
-        self.assert_one_line_naming(capsys, exit_code, db_path)
+        assert_one_line_naming(capsys, exit_code, db_path)
 
     def test_verify_reports_it_as_one_integrity_finding(self, capsys,
                                                         db_path):

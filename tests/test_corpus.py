@@ -25,8 +25,10 @@ from repro.corpus import (
     CorpusSearchEngine,
     corpus_from_store,
     corpus_from_trees,
+    open_corpus,
 )
 from repro.datasets import PAPER_QUERIES, publications_tree, team_tree
+from repro.faults import FaultPlan
 from repro.service import rank_stats_payload, ranking_payload
 from repro.storage import SQLitePostingSource, SQLiteStore
 from repro.storage.errors import DocumentNotFound
@@ -267,6 +269,73 @@ def test_corpus_rank_merges_across_documents():
 
 
 # ---------------------------------------------------------------------- #
+# open_corpus: each rule about what a backend serves, checked at open time
+# ---------------------------------------------------------------------- #
+class TestOpenCorpus:
+    @pytest.fixture
+    def two_documents(self, tmp_path):
+        db = str(tmp_path / "two.db")
+        store = SQLiteStore(db)
+        store.store_tree(publications_tree(), "publications")
+        store.store_tree(team_tree(), "team")
+        store.close()
+        return db
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"backend": "sqlite"}, "holds several documents"),
+        ({"backend": "sqlite", "document": "nothere"},
+         "no corpus document named nothere"),
+        ({"backend": "corpus", "documents": ["team", "nothere"]},
+         "no corpus document named nothere"),
+        ({"backend": "memory"}, "sqlite or corpus backend"),
+        ({"backend": "corpus", "cache_size": -1}, "cache size"),
+    ], ids=["sqlite-several", "sqlite-unknown", "corpus-unknown",
+            "memory-database", "cache-size"])
+    def test_a_refusal_comes_at_open_time(self, two_documents, settings,
+                                          message):
+        with pytest.raises(ValueError, match=message):
+            open_corpus(db_path=two_documents, **settings)
+
+    @pytest.mark.parametrize("backend", ["sqlite", "corpus"])
+    def test_an_empty_database_is_refused(self, tmp_path, backend):
+        db = str(tmp_path / "empty.db")
+        SQLiteStore(db).close()
+        with pytest.raises(ValueError, match="holds no indexed documents"):
+            open_corpus(backend, db_path=db)
+
+    def test_only_a_whole_database_corpus_takes_writes(self, two_documents):
+        assert open_corpus("corpus", db_path=two_documents)[1] is not None
+        factory, store = open_corpus("corpus", db_path=two_documents,
+                                     documents=["team"])
+        assert store is None and factory().doc_ids == ("team",)
+        factory, store = open_corpus("sqlite", db_path=two_documents,
+                                     document="team")
+        assert store is None and factory().doc_ids == ("team",)
+
+    def test_sqlite_serves_the_only_document_by_default(self, tmp_path):
+        db = str(tmp_path / "one.db")
+        store = SQLiteStore(db)
+        store.store_tree(team_tree(), "team")
+        store.close()
+        factory, _ = open_corpus("sqlite", db_path=db)
+        assert factory().doc_ids == ("team",)
+
+    def test_a_fault_plan_needs_a_store(self):
+        with pytest.raises(ValueError, match="fault plan needs a store"):
+            open_corpus("memory", tree=publications_tree(),
+                        fault_plan=FaultPlan())
+        factory, _ = open_corpus("sqlite", tree=publications_tree(),
+                                 document="pub", fault_plan=FaultPlan())
+        assert factory().doc_ids == ("pub",)
+
+    def test_memory_engines_share_one_index_set(self):
+        factory, store = open_corpus("memory", tree=publications_tree(),
+                                     document="pub")
+        assert store is None
+        assert factory().source is factory().source
+
+
+# ---------------------------------------------------------------------- #
 # CLI round trip: multi-file index, corpus search/compare, doc filter
 # ---------------------------------------------------------------------- #
 def test_cli_corpus_round_trip(tmp_path, capsys):
@@ -282,16 +351,14 @@ def test_cli_corpus_round_trip(tmp_path, capsys):
     assert main(["index", *paths, "--db", db]) == 0
     out = capsys.readouterr().out
     assert "3 documents" in out and "--backend corpus" in out
-    # Growing the corpus without --add is refused (no accidental mixing),
-    # and --force does not bypass the guard (it only replaces same names)...
+    # Growing the corpus without --add is refused (no accidental mixing)...
     extra = tmp_path / "extra.xml"
     write_xml_file(notes_tree(), extra)
     assert main(["index", str(extra), "--db", db]) == 1
-    assert main(["index", str(extra), "--db", db, "--force"]) == 1
     capsys.readouterr()
-    # ...while --force replaces a same-named document in place.
-    assert main(["index", str(tmp_path / "notes.xml"), "--db", db,
-                 "--force"]) == 0
+    # ...while --update replaces a same-named document.
+    assert main(["index", "--update", str(tmp_path / "notes.xml"), "--db",
+                 db]) == 0
     capsys.readouterr()
 
     assert main(["search", "--db", db, "--backend", "corpus", "name"]) == 0

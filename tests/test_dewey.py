@@ -73,26 +73,14 @@ class TestNavigation:
         assert [str(a) for a in code.ancestors(include_self=True)] == \
             ["0", "0.2", "0.2.1"]
 
-    def test_ancestors_bottom_up(self):
-        code = DeweyCode.parse("0.2.1")
-        assert [str(a) for a in code.ancestors_bottom_up()] == ["0.2", "0"]
-        assert [str(a) for a in code.ancestors_bottom_up(include_self=True)] == \
-            ["0.2.1", "0.2", "0"]
-
 
 class TestRelationships:
     def test_ancestor_descendant(self):
         top = DeweyCode.parse("0.2")
         bottom = DeweyCode.parse("0.2.1.0")
         assert top.is_ancestor_of(bottom)
-        assert bottom.is_descendant_of(top)
         assert not top.is_ancestor_of(top)
         assert top.is_ancestor_or_self(top)
-
-    def test_sibling(self):
-        assert DeweyCode.parse("0.1").is_sibling_of(DeweyCode.parse("0.2"))
-        assert not DeweyCode.parse("0.1").is_sibling_of(DeweyCode.parse("0.1"))
-        assert not DeweyCode.parse("0.1").is_sibling_of(DeweyCode.parse("0.1.0"))
 
     def test_common_prefix(self):
         left = DeweyCode.parse("0.2.0.3")

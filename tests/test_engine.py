@@ -6,31 +6,12 @@ import pytest
 
 from repro.core import ALGORITHM_NAMES, SearchEngine, UnknownAlgorithmError
 from repro.datasets import PAPER_QUERIES
-from repro.xmltree import DeweyCode, to_xml_string
+from repro.xmltree import DeweyCode
 
 D = DeweyCode.parse
 
-DOCUMENT = """
-<catalog>
-  <book><title>xml databases</title></book>
-  <book><title>keyword search</title></book>
-</catalog>
-"""
-
 
 class TestConstruction:
-    def test_from_string(self):
-        engine = SearchEngine.from_string(DOCUMENT)
-        assert engine.tree.root.label == "catalog"
-        result = engine.search("xml")
-        assert result.count == 1
-
-    def test_from_file(self, tmp_path, publications):
-        path = tmp_path / "pub.xml"
-        path.write_text(to_xml_string(publications), encoding="utf-8")
-        engine = SearchEngine.from_file(path)
-        assert engine.tree.size() == publications.size()
-
     def test_all_algorithms_registered(self, publications_engine):
         for name in ALGORITHM_NAMES:
             assert publications_engine.algorithm(name) is not None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import EmptyQueryError, Query, as_query, subset_masks
+from repro.core import EmptyQueryError, Query, subset_masks
 
 
 class TestParsing:
@@ -52,9 +52,6 @@ class TestParsing:
         with pytest.raises(EmptyQueryError):
             Query.parse("& -")
 
-    def test_as_query(self):
-        assert as_query("xml keyword").size == 2
-
 
 class TestBitmasks:
     def test_full_mask_and_size(self):
@@ -62,13 +59,10 @@ class TestBitmasks:
         assert query.size == 3
         assert query.full_mask == 0b111
 
-    def test_bit_of_and_mask_of(self):
+    def test_mask_of(self):
         query = Query.parse("xml keyword search")
-        assert query.bit_of("xml") == 1
-        assert query.bit_of("search") == 4
         assert query.mask_of(["keyword", "search"]) == 0b110
         assert query.mask_of(["missing"]) == 0
-        assert query.bit_index() == {"xml": 0, "keyword": 1, "search": 2}
 
     def test_keywords_of_and_covers(self):
         query = Query.parse("xml keyword search")

@@ -701,7 +701,8 @@ def test_served_sqlite_document_is_the_live_generation(tmp_path):
                     assert encode_message(over_the_wire) == \
                         encode_message(direct), (query, algorithm)
     pool.shutdown()
-    with pytest.raises(ValueError, match="no document"):
+    with pytest.raises(ValueError, match="no corpus document named "
+                                         "publications"):
         EnginePool.for_backend("sqlite", db_path=db, document="publications")
 
 

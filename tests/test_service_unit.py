@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +37,7 @@ from repro.service import (
     result_payload,
 )
 from repro.service.batcher import MAX_BATCH_SIZE
-from repro.storage import SQLiteStore
+from repro.storage import DatabaseFileError, SQLiteStore
 from repro.xmltree import to_xml_string
 
 
@@ -104,6 +105,20 @@ class TestEnginePool:
     def test_sqlite_backend_without_tree_or_document(self):
         with pytest.raises(ValueError):
             EnginePool.for_backend("sqlite")
+
+    @pytest.mark.parametrize("open_missing", [
+        lambda db: EnginePool.for_backend("corpus", db_path=db),
+        lambda db: EnginePool.for_backend("sqlite", db_path=db,
+                                          document="x"),
+        lambda db: ServiceConfig(backend="sqlite", db_path=db,
+                                 document="x").build(),
+    ], ids=["pool-corpus", "pool-sqlite", "config-sqlite"])
+    def test_a_missing_database_is_refused_not_created(self, tmp_path,
+                                                       open_missing):
+        db = tmp_path / "typo.db"
+        with pytest.raises(DatabaseFileError, match="no such database file"):
+            open_missing(str(db))
+        assert not db.exists()
 
     def test_warm_builds_one_engine_per_worker(self, publications):
         with EnginePool.for_backend("memory", tree=publications,

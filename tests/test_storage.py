@@ -20,6 +20,7 @@ from repro.index import (
 )
 from repro.storage import (
     SCHEMA_VERSION,
+    DatabaseFileError,
     DocumentAlreadyStored,
     DocumentNotFound,
     SchemaVersionError,
@@ -140,14 +141,6 @@ class TestBackends:
         assert source.node_label(D("0.2.0")) == "article"
         assert source.node_cid(D("0.2.0")) == (min(words), max(words))
         assert source.node_label(D("0.9.9")) is None
-
-    def test_drop_document(self, publications):
-        store = SQLiteStore()
-        store.store_tree(publications, "pub")
-        store.drop_document("pub")
-        assert store.documents() == []
-        with pytest.raises(DocumentNotFound):
-            store.drop_document("pub")
 
     def test_agreement_with_inverted_index(self, publications):
         store = SQLiteStore()
@@ -380,6 +373,13 @@ def read_costs(records: int, layout: str):
     assert source.node_cid(title) == fresh.node_cid(title) == ("0", "xml")
     store.close()
     return costs
+
+
+def test_verify_refuses_a_missing_path_without_creating_it(tmp_path):
+    missing = tmp_path / "nothere.db"
+    with pytest.raises(DatabaseFileError, match="no such database file"):
+        verify_database(str(missing))
+    assert not missing.exists()
 
 
 class TestReadCostIsPerRow:

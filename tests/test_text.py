@@ -5,33 +5,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.text import (
-    ContentAnalyzer,
-    DEFAULT_STOPWORDS,
-    Tokenizer,
-    TokenizerConfig,
-    filter_stopwords,
-    is_stopword,
-)
+from repro.text import ContentAnalyzer, DEFAULT_STOPWORDS, Tokenizer
 from repro.xmltree import parse_string
 
 
 class TestStopwords:
     def test_common_words_are_stopwords(self):
         for word in ("the", "and", "of", "is", "with"):
-            assert is_stopword(word)
-            assert is_stopword(word.upper())
+            assert word in DEFAULT_STOPWORDS
+            assert Tokenizer().tokenize(word.upper()) == []
 
     def test_content_words_are_not(self):
         for word in ("xml", "keyword", "skyline", "database"):
-            assert not is_stopword(word)
-
-    def test_filter_preserves_order(self):
-        assert filter_stopwords(["the", "xml", "and", "keyword"]) == \
-            ["xml", "keyword"]
-
-    def test_custom_stopword_set(self):
-        assert filter_stopwords(["alpha", "beta"], stopwords={"alpha"}) == ["beta"]
+            assert word not in DEFAULT_STOPWORDS
 
 
 class TestTokenizer:
@@ -44,14 +30,6 @@ class TestTokenizer:
         tokenizer = Tokenizer()
         assert tokenizer.tokenize("the keyword of the search") == \
             ["keyword", "search"]
-
-    def test_stopwords_kept_when_disabled(self):
-        tokenizer = Tokenizer(TokenizerConfig(remove_stopwords=False))
-        assert "the" in tokenizer.tokenize("the keyword")
-
-    def test_min_token_length(self):
-        tokenizer = Tokenizer(TokenizerConfig(min_token_length=3))
-        assert tokenizer.tokenize("go xml a1 keyword") == ["xml", "keyword"]
 
     def test_numbers_are_tokens(self):
         tokenizer = Tokenizer()
@@ -114,11 +92,9 @@ class TestContentAnalyzer:
         title_content = content_analyzer.node_content(tree.node("0.0"))
         assert title_content == {"title", "dynamic", "skyline", "query"}
 
-    def test_is_keyword_node_and_matched_keywords(self, analyzer):
+    def test_matched_keywords(self, analyzer):
         content_analyzer, tree = analyzer
         title = tree.node("0.0")
-        assert content_analyzer.is_keyword_node(title, ["skyline", "missing"])
-        assert not content_analyzer.is_keyword_node(title, ["missing"])
         assert content_analyzer.matched_keywords(title, ["skyline", "query", "user"]) \
             == {"skyline", "query"}
 
@@ -126,12 +102,6 @@ class TestContentAnalyzer:
         content_analyzer, tree = analyzer
         subtree_words = content_analyzer.subtree_content(tree.root)
         assert {"skyline", "preferences", "ada", "fu", "name"} <= subtree_words
-
-    def test_subtree_keywords(self, analyzer):
-        content_analyzer, tree = analyzer
-        keywords = content_analyzer.subtree_keywords(tree.root,
-                                                     ["skyline", "fu", "absent"])
-        assert keywords == {"skyline", "fu"}
 
     def test_keyword_nodes_in_document_order(self, analyzer):
         content_analyzer, tree = analyzer

@@ -48,12 +48,12 @@ deep_search() {  # QUERY GENERATION: one fragment, served from generation N
 deep_document "deep word"
 python -m repro.cli index "$deep_dir/deep.xml" --db "$deep_db"
 indexed_bytes="$(wc -c < "$deep_db")"
-deep_search "deep word" 0
+deep_search "deep word" 1
 python -m repro.cli verify --db "$deep_db"
 deep_document "deep change"
 python -m repro.cli index --update "$deep_dir/deep.xml" --db "$deep_db"
 python -m repro.cli verify --db "$deep_db"
-deep_search "deep change" 1
+deep_search "deep change" 2
 python -m repro.cli verify --db "$deep_db"
 python -m repro.cli compact --db "$deep_db"
 compacted_bytes="$(wc -c < "$deep_db")"
@@ -63,7 +63,7 @@ echo "deep.db: $indexed_bytes bytes after index, $compacted_bytes after compact"
     exit 1
 }
 python -m repro.cli verify --db "$deep_db"
-deep_search "deep change" 0
+deep_search "deep change" 2  # compaction renumbers nothing
 python -m repro.cli verify --db "$deep_db"
 rm -rf "$deep_dir"
 

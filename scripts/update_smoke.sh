@@ -5,7 +5,8 @@
 # gone) -> doc-tagged search, single-document disk search and ranked top-k ->
 # delete (tombstone) -> compact -> verify -> search and rank again ->
 # serve with `--compact-segments 2`: two wire updates, the second of which
-# folds both segments -> verify.
+# folds both segments -> verify -> `verify` and `search` of a 0-byte file
+# refuse it and leave it 0 bytes.
 # Guards the `index --update` / `index --delete` / `compact` surface and
 # compaction on a served write end to end; must stay fast (well under
 # 30 s) — it runs inside `make smoke` and CI.
@@ -22,7 +23,7 @@ cleanup() {
 trap cleanup EXIT
 db="$workdir/corpus.db"
 
-echo "== ingest: base generation =="
+echo "== ingest: two stored documents =="
 python -m repro.cli index --dataset figure-1a --db "$db"
 python -m repro.cli index --dataset figure-1b --db "$db" --add
 
@@ -119,5 +120,19 @@ kill "$server_pid"
 wait "$server_pid" 2>/dev/null || true
 server_pid=""
 python -m repro.cli verify --db "$db"
+
+echo "== readers refuse a file with no tables and leave it 0 bytes =="
+zero="$workdir/zero.db"
+: > "$zero"
+status=0
+python -m repro.cli verify --db "$zero" || status=$?
+[ "$status" -eq 1 ] || { echo "verify of a 0-byte file exited $status"; exit 1; }
+status=0
+python -m repro.cli search --db "$zero" --backend corpus xml \
+    2> "$workdir/zero.err" || status=$?
+[ "$status" -eq 2 ] || { echo "search of a 0-byte file exited $status"; exit 1; }
+grep -q "holds no tables" "$workdir/zero.err" || {
+    echo "search of a 0-byte file did not say why"; exit 1; }
+[ ! -s "$zero" ] || { echo "a read wrote a schema into the 0-byte file"; exit 1; }
 
 echo "UPDATE SMOKE OK"

@@ -200,7 +200,9 @@ class SearchEngine:
         pipeline = self.algorithm(algorithm)
         parsed = Query.parse(query)
         explanations: List[FragmentExplanation] = []
-        for fragment in pipeline.raw_fragments(parsed):
+        fragments = pipeline.raw_fragments(parsed)
+        pipeline.warm_nodes(fragments)
+        for fragment in fragments:
             records = pipeline.record_tree(parsed, fragment)
             if algorithm == "validrtf":
                 explanations.append(explain_valid_contributor(records, parsed))

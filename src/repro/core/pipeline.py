@@ -95,6 +95,16 @@ class FragmentPipeline:
         flags = elca_is_slca(roots)
         return build_rtfs(roots, lists, flags)
 
+    def warm_nodes(self, fragments: Sequence[Fragment]) -> None:
+        """Warm a batching source's node cache for ``fragments``: one
+        ``prefetch_nodes`` call with every fragment's nodes, so the element
+        rows of a whole query come in one round-trip.  Sources without a
+        node cache (the in-memory index) have no such member."""
+        prefetch = getattr(self.source, "prefetch_nodes", None)
+        if prefetch is not None and fragments:
+            prefetch([node for fragment in fragments
+                      for node in fragment.nodes], ())
+
     def record_tree(self, query: QueryLike, fragment: Fragment) -> RecordTree:
         """The constructing step of ``pruneRTF`` for one fragment.
 
@@ -102,9 +112,8 @@ class FragmentPipeline:
         (``build_rtfs`` built it from ``query``'s posting lists), so only
         labels and each keyword node's own cID are looked up, from the
         posting source: one ``node_label`` per node and one ``node_cid`` per
-        keyword node, then one fold.  Batching sources warm their node
-        caches first, in one round-trip per fragment instead of one per
-        node; the cID rides on the label's element row.
+        keyword node, then one fold.  A batching source answers them from
+        the cache :meth:`warm_nodes` filled for the whole query.
         """
         nodes, keyword_nodes = fragment.nodes, fragment.keyword_nodes
         masks, parents = fragment.keyword_masks, fragment.parents
@@ -115,9 +124,6 @@ class FragmentPipeline:
                 f"parent positions for {len(nodes)} nodes; build it with "
                 f"build_rtfs, or use build_record_tree")
         source = self.source
-        prefetch = getattr(source, "prefetch_nodes", None)
-        if prefetch is not None:
-            prefetch(nodes, ())
         node_label, node_cid = source.node_label, source.node_cid
         return fold_records(fragment,
                             [node_label(node) or "" for node in nodes],
@@ -210,8 +216,9 @@ class FragmentPipeline:
         lca_ended = time.perf_counter() if observing else 0.0
         fragments: List[PrunedFragment] = []
         if roots:
-            flags = elca_is_slca(roots)
-            for fragment in build_rtfs(roots, lists, flags):
+            raw = build_rtfs(roots, lists, elca_is_slca(roots))
+            self.warm_nodes(raw)
+            for fragment in raw:
                 fragments.append(self.pruner(self.record_tree(parsed, fragment)))
         elapsed = time.perf_counter() - started
         if observing:

@@ -4,11 +4,10 @@
 into a database file stamped with :data:`SCHEMA_VERSION`, and refuses a
 file carrying any other version (:class:`SchemaVersionError`: re-index it)
 or no database at all (:class:`DatabaseFileError`).  A reader checks its
-path with :func:`existing_database`, so no read creates a file.  Every row
-belongs to a generation: the base (:data:`BASE_GENERATION`) or the delta
-segment a live update wrote; deletes are tombstones in the segment
-catalogue, and compaction renumbers each live version to the base.  The
-store answers its catalogue over each document's live generation.  A
+path with :func:`existing_database`, so no read creates a file or a schema.
+Every row is keyed by a generation the file never reuses; the catalogue
+maps each live document to its generation, and the segment log records the
+generations updates and deletes made dead, which compaction deletes.  A
 :class:`SQLitePostingSource` is the only reader of those rows; it serves the
 generation its document lived in at its first read.
 """
@@ -29,7 +28,6 @@ from .schema import (
 )
 from .shredder import ShreddedDocument, shred_tree
 from .sqlite_backend import (
-    BASE_GENERATION,
     SEGMENT_KIND_DOC,
     SEGMENT_KIND_TOMBSTONE,
     SQLiteStore,
@@ -57,7 +55,6 @@ __all__ = [
     "shred_tree",
     "SQLiteStore",
     "existing_database",
-    "BASE_GENERATION",
     "SEGMENT_KIND_DOC",
     "SEGMENT_KIND_TOMBSTONE",
     "SQLitePostingSource",

@@ -8,14 +8,15 @@ posting-list interface the in-memory
 :class:`~repro.core.engine.SearchEngine` can run over either — the
 EMBANKS-style disk-based retrieval setup of the paper's Section 5, without the
 full document resident in RAM.  At its first read the source resolves the
-document's live location (the base generation, or the delta segment of its
-newest update) and pins it, so every statement it runs filters on that one
-``(document, generation)`` pair; no other code reads a store's rows.
+document's generation with one primary-key read of the catalogue and pins
+it, so every statement it runs filters on that one generation; no other
+code reads a store's rows.
 
 The source is lazy: nothing is fetched at construction.  Each keyword loads
 as **one** packed blob from the ``posting`` table, a query's uncached lists
-come in one batched ``IN (...)`` statement, and packed lists and node rows
-stay in LRUs so hot keywords and nodes pay the round-trip once.  Every list
+come in one batched ``IN (...)`` statement, and so do the element rows of
+all its fragments' nodes.  Packed lists stay in an LRU and node rows in a
+bounded cache, so hot keywords and nodes pay the round-trip once.  Every list
 is a :class:`~repro.index.packed.PackedDeweyList` that satisfies the parity
 contract: strictly sorted in document order, duplicate-free, and identical
 to the memory backend's (``tests/test_backend_parity.py`` /
@@ -25,6 +26,7 @@ to the memory backend's (``tests/test_backend_parity.py`` /
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Sized, Tuple
 
 from ..index.source import EMPTY_IMPACT, KeywordImpact, impact_from_postings
@@ -32,17 +34,18 @@ from ..index.packed import EMPTY_PACKED, PackedDeweyList, QueryLists
 from ..text import EMPTY_CID
 from ..xmltree import DeweyCode
 from .schema import encode_dewey
-from .sqlite_backend import BASE_GENERATION, SQLiteStore, generation_rows
+from .sqlite_backend import SEGMENT_KIND_DOC, SQLiteStore
 
 #: Default capacity of the per-keyword decoded-posting-list LRU.
 DEFAULT_POSTING_LRU_SIZE = 256
 
-#: Capacity of the per-node element-row LRU.
+#: Capacity of the per-node element-row cache, which evicts in insertion
+#: order.
 DEFAULT_NODE_LRU_SIZE = 8192
 
 #: Batched ``IN (...)`` statements stay under sqlite's default host-variable
-#: limit (999 in older builds) by chunking at this size; the scope filter's
-#: parameters (two) ride on top of each chunk.
+#: limit (999 in older builds) by chunking at this size; the generation
+#: parameter rides on top of each chunk.
 _IN_CHUNK = 400
 
 _MISSING = object()
@@ -60,9 +63,9 @@ class SQLitePostingSource:
     the ``posting`` table — one row per keyword, rebuilt into flat columns at
     C speed, with no per-posting string decode and no per-posting object.
     Every statement the source runs, batched or single-row, reads the rows
-    :meth:`_scope` names: those of the generation the document lived in at
-    the source's first read.  After a mutation, build a fresh source (the
-    corpus and service layers rebuild their engines).
+    of the generation :meth:`_scope` pinned: the one the document lived in
+    at the source's first read.  After a mutation, build a fresh source
+    (the corpus and service layers rebuild their engines).
 
     Parameters
     ----------
@@ -81,20 +84,20 @@ class SQLitePostingSource:
         self.document = document
         self.lru_size = lru_size
         self._lru: "OrderedDict[str, PackedDeweyList]" = OrderedDict()
-        # One element row per node: ``(label, cID)``, or ``None`` if absent.
-        self._elements: "OrderedDict[DeweyCode, Optional[ElementRow]]" = OrderedDict()
-        # The pinned live location and its rows, set by the first _scope().
-        self._location: Optional[int] = None
-        self._rows: Optional[Tuple[str, Tuple[object, ...]]] = None
+        # One element row per node: ``(label, cID)``, or ``None`` if absent,
+        # in insertion order; a hit does not reorder it.
+        self._elements: Dict[DeweyCode, Optional[ElementRow]] = {}
+        # The pinned generation, set by the first _scope().
+        self._generation: Optional[int] = None
+        # Whether a pending ``doc`` event of the log wrote that generation,
+        # read once, by the first read_stats() after a fetch.
+        self._from_segment: Optional[bool] = None
         self.lru_hits = 0
         self.lru_misses = 0
         # Read accounting (pre-aggregated per fetch, harvested per query by
         # the instrumented pipeline through :meth:`read_stats`).
         self.bytes_read = 0
         self.packed_fetches = 0
-        # Fetched keywords served from a delta segment vs the base.
-        self.segment_reads = 0
-        self.base_reads = 0
 
     # ------------------------------------------------------------------ #
     # PostingSource protocol
@@ -102,16 +105,10 @@ class SQLitePostingSource:
     @property
     def source_id(self) -> str:
         """Backend identity: the database path, the document and the pinned
-        generation.
-
-        A segment id is unique only between compactions: ``compact()``
-        empties the segment catalogue, so the next update reuses id 1 and
-        two versions of a document can share one id.  The id is safe as a
-        cache key only because no cache outlives its engine, and every
-        mutation rebuilds the engines.
+        generation.  The file never reuses a generation number, so two
+        versions of a document never share an id, compactions included.
         """
-        self._scope()
-        return f"sqlite:{self.store.path}#{self.document}@g{self._location}"
+        return f"sqlite:{self.store.path}#{self.document}@g{self._scope()}"
 
     def keyword_nodes(self, keywords: Iterable[str]) -> QueryLists:
         """Batched ``getKeywordNodes``: one ``IN (...)`` fetch for all misses.
@@ -141,20 +138,19 @@ class SQLitePostingSource:
         cached = self._lru_get(keyword)
         if cached is not None:
             return impact_from_postings(cached)
-        where, scope = self._scope()
         row = self.store._connection.execute(
             "SELECT cardinality, max_depth FROM posting "
-            f"WHERE {where} AND keyword = ?", (*scope, keyword)).fetchone()
+            "WHERE generation = ? AND keyword = ?",
+            (self._scope(), keyword)).fetchone()
         if row is None:
             return EMPTY_IMPACT
         return KeywordImpact(count=int(row[0]), max_depth=int(row[1]))
 
     def vocabulary(self) -> List[str]:
         """Every indexed word of the document, sorted."""
-        where, scope = self._scope()
         cursor = self.store._connection.execute(
-            f"SELECT keyword FROM posting WHERE {where} ORDER BY keyword",
-            scope)
+            "SELECT keyword FROM posting WHERE generation = ? "
+            "ORDER BY keyword", (self._scope(),))
         return [keyword for (keyword,) in cursor]
 
     def node_label(self, dewey: DeweyCode) -> Optional[str]:
@@ -168,14 +164,12 @@ class SQLitePostingSource:
         return row[1] if row is not None else EMPTY_CID
 
     def _element(self, dewey: DeweyCode) -> Optional[ElementRow]:
-        """One node's ``(label, cID)``, LRU-cached (absence is cached too)."""
+        """One node's ``(label, cID)``, cached (absence is cached too)."""
         cached = self._elements.get(dewey, _MISSING)
-        if cached is not _MISSING:
-            self._elements.move_to_end(dewey)
-            return cached
-        row = self._fetch_elements([dewey])[dewey]
-        self._cache_element(dewey, row)
-        return row
+        if cached is _MISSING:
+            self._fetch_elements([dewey])
+            cached = self._elements[dewey]
+        return cached
 
     def prefetch_nodes(self, nodes: Iterable[DeweyCode],
                        keyword_nodes: Iterable[DeweyCode]) -> None:
@@ -183,24 +177,38 @@ class SQLitePostingSource:
 
         Fetches the missing element rows of ``nodes`` in chunked ``IN
         (...)`` statements instead of one per node, caching absent codes
-        too.  ``keyword_nodes`` is unused (a cID rides on its element row);
-        it stays because ``benchmarks/e2e/tracing.py``'s traced source
-        forwards two positional arguments.
+        too.  The pipeline calls it once per query, with the nodes of all
+        its fragments.  ``keyword_nodes`` is unused (a cID rides on its
+        element row); it stays because ``benchmarks/e2e/tracing.py``'s
+        traced source forwards two positional arguments.
         """
-        missing = [dewey for dewey in nodes if dewey not in self._elements]
-        for dewey, row in self._fetch_elements(missing).items():
-            self._cache_element(dewey, row)
+        cache = self._elements
+        missing = [dewey for dewey in nodes if dewey not in cache]
+        if missing:
+            self._fetch_elements(missing)
 
     def read_stats(self) -> Dict[str, int]:
         """Cumulative read counters of this source (cache traffic, blob
-        fetches, bytes, and the generation each fetched keyword came from)."""
+        fetches, bytes, and the generation each fetched keyword came from).
+
+        A fetched keyword is a ``segment_reads`` one when a pending ``doc``
+        event of the log wrote the pinned generation (an update not yet
+        compacted), else a ``base_reads`` one.  The log is read once per
+        source, here, so an unobserved search never reads it.
+        """
+        fetched = self.packed_fetches
+        if fetched and self._from_segment is None:
+            self._from_segment = bool(self.store._scalar(
+                "SELECT COUNT(*) FROM segment WHERE segment_id = ? "
+                "AND kind = ?", self._scope(), SEGMENT_KIND_DOC))
+        segment_reads = fetched if self._from_segment else 0
         return {
             "lru_hits": self.lru_hits,
             "lru_misses": self.lru_misses,
             "bytes": self.bytes_read,
-            "packed_fetches": self.packed_fetches,
-            "segment_reads": self.segment_reads,
-            "base_reads": self.base_reads,
+            "packed_fetches": fetched,
+            "segment_reads": segment_reads,
+            "base_reads": fetched - segment_reads,
         }
 
     # ------------------------------------------------------------------ #
@@ -236,14 +244,6 @@ class SQLitePostingSource:
         while len(self._lru) > self.lru_size:
             self._lru.popitem(last=False)
 
-    def _cache_element(self, dewey: DeweyCode,
-                       row: Optional[ElementRow]) -> None:
-        cache = self._elements
-        cache[dewey] = row
-        cache.move_to_end(dewey)
-        while len(cache) > DEFAULT_NODE_LRU_SIZE:
-            cache.popitem(last=False)
-
     def __repr__(self) -> str:
         return (f"{type(self).__name__}({self.source_id!r}, "
                 f"lru={len(self._lru)}/{self.lru_size})")
@@ -251,66 +251,67 @@ class SQLitePostingSource:
     # ------------------------------------------------------------------ #
     # Statements
     # ------------------------------------------------------------------ #
-    def _scope(self) -> Tuple[str, Tuple[object, ...]]:
-        """The rows this source reads: ``(row filter, filter parameters)``,
-        spliced into every statement this source runs.
+    def _scope(self) -> int:
+        """The generation this source reads, spliced into every statement
+        it runs.
 
-        The first call resolves the document's live location and pins it,
-        so every read of one source, batched or single-row, sees one
-        generation: the base, or one delta segment.  An absent or
-        tombstoned document raises
+        The first call resolves the document's generation (one
+        primary-key read of the catalogue) and pins it, so every read of
+        one source, batched or single-row, sees one version of the
+        document.  An absent or deleted document raises
         :class:`~repro.storage.errors.DocumentNotFound` instead of
         answering with empty lists.
         """
-        if self._rows is None:
-            self._location = self.store._live_location(self.document)
-            self._rows = generation_rows(self.document, self._location)
-        return self._rows
+        if self._generation is None:
+            self._generation = self.store._live_location(self.document)
+        return self._generation
 
     def _fetch_blob_rows(self, missing: Sequence[str]
                          ) -> Dict[str, PackedDeweyList]:
         """Rebuilt packed columns per keyword, one chunked ``IN`` batch."""
-        where, scope = self._scope()
+        generation = self._scope()
         fetched: Dict[str, PackedDeweyList] = {}
         blob_bytes = 0
         for chunk in _chunked(missing):
             cursor = self.store._connection.execute(
-                "SELECT keyword, blob FROM posting "
-                f"WHERE {where} AND keyword IN ({_placeholders(chunk)})",
-                (*scope, *chunk),
+                "SELECT keyword, blob FROM posting WHERE generation = ? "
+                f"AND keyword IN ({_placeholders(chunk)})",
+                (generation, *chunk),
             )
             for keyword, blob in cursor:
                 fetched[keyword] = PackedDeweyList.from_blob(blob)
                 blob_bytes += len(blob)
         self.bytes_read += blob_bytes
         self.packed_fetches += len(fetched)
-        if self._location == BASE_GENERATION:
-            self.base_reads += len(fetched)
-        else:
-            self.segment_reads += len(fetched)
         return fetched
 
-    def _fetch_elements(self, deweys: Sequence[DeweyCode]
-                            ) -> Dict[DeweyCode, Optional[ElementRow]]:
-        """Element rows of ``deweys`` in chunked ``IN (...)`` statements.
+    def _fetch_elements(self, deweys: Sequence[DeweyCode]) -> None:
+        """Cache the element rows of ``deweys`` (``None`` for an absent
+        code), fetched in chunked ``IN (...)`` statements that read each
+        node's label and stored cID together.
 
-        The statement reads each node's label and stored cID together.
+        Room is made first, by evicting the oldest entries, so no row of
+        this fetch is evicted by it: a query's rows stay until its record
+        trees are built, even where they alone exceed the bound.
         """
-        where, scope = self._scope()
-        rows: Dict[DeweyCode, Optional[ElementRow]] = {}
+        generation = self._scope()
+        cache = self._elements
+        excess = len(cache) + len(deweys) - DEFAULT_NODE_LRU_SIZE
+        if excess > 0:
+            for dewey in list(islice(cache, excess)):
+                del cache[dewey]
+        connection = self.store._connection
         for chunk in _chunked(deweys):
             encoded = {encode_dewey(dewey): dewey for dewey in chunk}
-            found = {dewey_text: (label, (low, high))
-                     for dewey_text, label, low, high in
-                     self.store._connection.execute(
-                         "SELECT dewey, label, content_feature_min, "
-                         "content_feature_max FROM element "
-                         f"WHERE {where} AND dewey IN "
-                         f"({_placeholders(encoded)})",
-                         (*scope, *encoded))}
-            for dewey_text, dewey in encoded.items():
-                rows[dewey] = found.get(dewey_text)
-        return rows
+            rows = connection.execute(
+                "SELECT dewey, label, content_feature_min, "
+                "content_feature_max FROM element WHERE generation = ? "
+                f"AND dewey IN ({_placeholders(encoded)})",
+                (generation, *encoded)).fetchall()
+            # Only a statement that succeeded caches absences.
+            cache.update(dict.fromkeys(encoded.values()))
+            for dewey_text, label, low, high in rows:
+                cache[encoded[dewey_text]] = (label, (low, high))
 
 
 # ---------------------------------------------------------------------- #

@@ -10,13 +10,15 @@ Section 5.2 stores the shredded records in PostgreSQL using three tables:
   pair over the node's label, text and attributes; this is the table keyword
   lookups run against.
 
-This layout (schema 3) keeps what the queries read of them: one ``element``
+This layout (schema 4) keeps what the queries read of them: one ``element``
 row per node (its label, Dewey code and the cID as two strings; a node's
 depth is its Dewey length) and, in place of ``value``, one packed
 ``posting`` blob per keyword, the keyword's sorted Dewey list.  No query
 reads the label numbers, so neither the ``label`` table nor the label
-number sequence is stored.  Every row carries the ``generation`` it belongs
-to: 0 for the base, N for delta segment N.
+number sequence is stored.  Every row is keyed by the ``generation`` it
+belongs to, a number the file never reuses: each mutation takes the next
+one from ``generation_counter``, and the ``catalogue`` maps each live
+document to its generation, so no row repeats its document's name.
 
 This module defines the element row dataclass, the SQL DDL of the sqlite
 store (the PostgreSQL → sqlite substitution is documented in DESIGN.md) and
@@ -32,8 +34,7 @@ from typing import Tuple
 
 @dataclass(frozen=True)
 class ElementRow:
-    """One row of the ``element`` table, without its key's ``document``
-    and ``generation``."""
+    """One row of the ``element`` table, without its key's ``generation``."""
 
     label: str
     dewey: str
@@ -41,57 +42,76 @@ class ElementRow:
     content_feature_max: str
 
 
-#: SQL DDL for the sqlite backend.  The ``document`` column lets one store
-#: hold several shredded documents (the paper uses one database per
-#: dataset), and the ``generation`` column several versions of one.
+#: SQL DDL for the sqlite backend.  One store holds several shredded
+#: documents (the paper uses one database per dataset), and several
+#: versions of each: every version's rows are keyed by its own generation.
 CREATE_TABLES_SQL: Tuple[str, ...] = (
+    # One row per live document: the generation its rows are keyed by.  A
+    # deleted or never-stored name has no row.  A reader resolves a
+    # document with one primary-key read here.
     """
-    CREATE TABLE IF NOT EXISTS element (
-        document            TEXT NOT NULL,
-        generation          INTEGER NOT NULL,
-        label               TEXT NOT NULL,
-        dewey               TEXT NOT NULL,
-        content_feature_min TEXT NOT NULL,
-        content_feature_max TEXT NOT NULL,
-        PRIMARY KEY (document, generation, dewey)
+    CREATE TABLE IF NOT EXISTS catalogue (
+        document   TEXT PRIMARY KEY,
+        generation INTEGER NOT NULL
+    ) WITHOUT ROWID
+    """,
+    # The last generation number handed out.  Every mutation bumps it in
+    # its own transaction and nothing lowers it, so no number is reused:
+    # not after a delete, and not after a compaction.
+    """
+    CREATE TABLE IF NOT EXISTS generation_counter (
+        last_generation INTEGER NOT NULL
     )
     """,
-    # One packed columnar posting blob per (document, generation, keyword):
-    # the prefix-truncated serialization of the keyword's sorted Dewey list
+    "INSERT INTO generation_counter (last_generation) "
+    "SELECT 0 WHERE NOT EXISTS (SELECT 1 FROM generation_counter)",
+    # Clustered on its key: one node's row is one B-tree probe on an
+    # (integer, text) key, with no second lookup into a rowid table.
+    """
+    CREATE TABLE IF NOT EXISTS element (
+        generation          INTEGER NOT NULL,
+        dewey               TEXT NOT NULL,
+        label               TEXT NOT NULL,
+        content_feature_min TEXT NOT NULL,
+        content_feature_max TEXT NOT NULL,
+        PRIMARY KEY (generation, dewey)
+    ) WITHOUT ROWID
+    """,
+    # One packed columnar posting blob per (generation, keyword): the
+    # prefix-truncated serialization of the keyword's sorted Dewey list
     # (see repro.index.packed).  This is the keyword index: loading a
     # posting list is one row fetch + one C-speed column rebuild, and no
     # row per (node, word) pair is stored.  ``max_depth`` is the keyword's
     # impact metadata (deepest Dewey level of its nodes, root = 0) written
     # at shred time; together with ``cardinality`` it lets the corpus
-    # ranking derive score upper bounds without reading a single blob.
+    # ranking derive score upper bounds without reading a single blob.  It
+    # stays a rowid table: clustered on its key, its blobs overflow the
+    # index pages, and the benchmark's disk document grew from 258,048 to
+    # 335,872 bytes.
     """
     CREATE TABLE IF NOT EXISTS posting (
-        document    TEXT NOT NULL,
         generation  INTEGER NOT NULL,
         keyword     TEXT NOT NULL,
         cardinality INTEGER NOT NULL,
         blob        BLOB NOT NULL,
         max_depth   INTEGER NOT NULL,
-        PRIMARY KEY (document, generation, keyword)
+        PRIMARY KEY (generation, keyword)
     )
     """,
     # ------------------------------------------------------------------ #
-    # Segmented incremental updates (repro.storage.sqlite_backend).  The
-    # rows of generation 0 are the **base**; every update/delete lands in
-    # an immutable delta segment instead of rewriting base rows.
-    # ``segment`` is the catalog: one row per (segment, document) event —
-    # kind ``doc`` owns a full replacement row set, the rows of generation
-    # ``segment_id``; kind ``tombstone`` marks the document deleted as of
-    # that segment.  A document's live version is decided by its
-    # highest-numbered event; ``compact()`` renumbers each live version to
-    # generation 0, deletes the catalogued documents' other generations,
-    # and empties the catalog.
+    # The segment log (repro.storage.sqlite_backend): one row per update
+    # or delete since the last compaction, numbered by the generation the
+    # mutation took.  Kind ``doc`` wrote a new version under that number;
+    # kind ``tombstone`` deleted the document and owns no rows.
+    # ``dead_generation`` is the generation the mutation made dead (the
+    # document's previous one, if any): ``compact()`` deletes exactly
+    # those generations' rows, then empties the log.
     """
     CREATE TABLE IF NOT EXISTS segment (
-        segment_id INTEGER NOT NULL,
-        document   TEXT NOT NULL,
-        kind       TEXT NOT NULL,
-        PRIMARY KEY (segment_id, document)
+        segment_id      INTEGER PRIMARY KEY,
+        document        TEXT NOT NULL,
+        kind            TEXT NOT NULL,
+        dead_generation INTEGER
     )
     """,
     "CREATE INDEX IF NOT EXISTS idx_segment_document "
@@ -121,8 +141,10 @@ CREATE_TABLES_SQL: Tuple[str, ...] = (
 #: also stored a ``value`` row per (node, word) pair and an element
 #: ``level``; version 2 dropped both, and still stored a ``label`` table,
 #: each element's label number sequence, zero-padded Dewey text and every
-#: delta segment in ``segment_*`` twin tables; version 3 dropped those.
-SCHEMA_VERSION = 3
+#: delta segment in ``segment_*`` twin tables; version 3 dropped those, and
+#: still keyed every row by its document's name and a generation that
+#: compaction renumbered to 0; version 4 keys rows by a generation alone.
+SCHEMA_VERSION = 4
 
 
 def encode_dewey(components: Tuple[int, ...]) -> str:

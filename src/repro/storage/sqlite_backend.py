@@ -3,28 +3,30 @@
 Plays the role of the PostgreSQL 8.2 instance of Section 5.2 (substitution
 documented in DESIGN.md): documents are shredded into Section 5.2's
 ``element`` table, and one packed ``posting`` blob per keyword takes the
-place of its ``value`` table, which is not stored.  Every row carries a
-``generation``: generation 0 (:data:`BASE_GENERATION`) is the **base**, and
-live updates land in a Lucene-style sequence of immutable **delta
-segments**, generation N holding segment N:
+place of its ``value`` table, which is not stored.  Every row is keyed by a
+**generation**, a number each mutation takes from one counter that never
+goes back, so no two document versions of one file ever share one.  The
+``catalogue`` maps each live document to its generation:
 
+* :meth:`SQLiteStore.store_tree` shreds a new document and writes its
+  rows under a fresh generation.
 * :meth:`SQLiteStore.update_document` shreds the new document version once
   and writes its complete row set — including its per-keyword packed posting
-  blobs — into the two tables under a fresh, monotonically increasing
-  segment id.  No base row is rewritten; the previous version is merely
-  *shadowed*.
-* :meth:`SQLiteStore.delete_document` appends a **tombstone** event: a
-  ``segment`` catalog row with no row payload.  Tombstones are consulted at
-  read time; nothing is physically removed until compaction.
-* Reads resolve a document to its **live location**: the highest-numbered
-  segment event wins, and a document with no events lives in the base
-  generation.  Because the corpus layer is doc-partitioned (the unit of
+  blobs — under a fresh generation, a Lucene-style immutable **delta
+  segment**.  No existing row is rewritten; the catalogue row moves to the
+  new generation, and the previous one is recorded dead in the ``segment``
+  log.
+* :meth:`SQLiteStore.delete_document` removes the catalogue row and logs a
+  **tombstone** that records the document's generation dead.  Nothing is
+  physically removed until compaction.
+* Reads resolve a document to its generation with one primary-key read of
+  the catalogue.  Because the corpus layer is doc-partitioned (the unit of
   update is a whole document), LCA semantics never mix generations — a
-  keyword read loads the one packed blob of the document's live generation.
-* :meth:`SQLiteStore.compact` renumbers every document's live version to
-  the base generation and deletes its other generations and the catalog,
-  leaving the database equivalent (as observed through every posting-source
-  read) to one re-shredded from scratch at the same logical state.
+  keyword read loads the one packed blob of the document's generation.
+* :meth:`SQLiteStore.compact` deletes the rows of exactly the generations
+  the log recorded dead and empties the log.  It renumbers nothing, so the
+  database then holds exactly the rows of one re-shredded from scratch at
+  the same logical state, under the same numbers as before.
 * Every mutation (store/update/delete/compact) is **one SQLite
   transaction**, so it is all-or-nothing under any failure, process death
   included: SQLite's rollback journal undoes a transaction that never
@@ -35,7 +37,7 @@ segments**, generation N holding segment N:
 
 The store writes and manages those rows; every query reads them through a
 :class:`~repro.storage.posting_source.SQLitePostingSource`, which pins its
-document's live location at its first read.
+document's generation at its first read.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ from __future__ import annotations
 import itertools
 import sqlite3
 import threading
+from contextlib import closing
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..obs import MetricsRegistry
 from ..obs import names as metric_names
@@ -63,17 +66,16 @@ from .shredder import ShreddedDocument, shred_tree
 #: stores, so two stores never alias one in-process database.
 _MEMORY_DB_COUNTER = itertools.count()
 
-#: Segment event kinds recorded in the ``segment`` catalog table.
+#: Event kinds recorded in the ``segment`` log.
 SEGMENT_KIND_DOC = "doc"
 SEGMENT_KIND_TOMBSTONE = "tombstone"
-
-#: The generation of the base rows; generation N holds delta segment N.
-BASE_GENERATION = 0
 
 
 def check_schema(connection: sqlite3.Connection, path: str) -> None:
     """Accept a file stamped with :data:`SCHEMA_VERSION`, create (and stamp)
-    the schema in a file with no tables, refuse anything else.
+    the schema in a file with no tables, refuse anything else.  Readers
+    never reach the creating branch: :func:`existing_database` refuses a
+    file with no tables before a reader opens it.
 
     One statement reads the stamp and the table count together, so a
     concurrent opener's create-and-stamp commit is seen whole or not at
@@ -104,34 +106,44 @@ def check_schema(connection: sqlite3.Connection, path: str) -> None:
 
 
 def existing_database(path: Union[str, Path]) -> str:
-    """``path``, if something is there to open; a missing path raises
+    """``path``, if it holds a database to read; a missing path, or a file
+    that opens with no tables (a 0-byte file, say), raises
     :class:`~repro.storage.errors.DatabaseFileError`.
 
-    ``SQLiteStore(path)`` and ``sqlite3.connect`` create a missing file, as
-    ``index`` wants, so every reader of a database file passes its path
-    through here first and no read creates a database.
+    ``SQLiteStore(path)`` and ``sqlite3.connect`` create a missing file,
+    and the store creates its schema in a file with no tables, as ``index``
+    wants; so every reader of a database file passes its path through here
+    first, and no read creates a database or a schema.
     """
     if not Path(path).exists():
         raise DatabaseFileError(f"no such database file: {path} (create it "
                                 f"with `repro-xks index`)")
+    if _holds_no_tables(str(path)):
+        raise DatabaseFileError(f"{path} holds no tables: no document was "
+                                f"indexed into it (create it with "
+                                f"`repro-xks index`)")
     return str(path)
 
 
-def generation_rows(document: str, location: int
-                    ) -> Tuple[str, Tuple[object, ...]]:
-    """The rows of one generation of ``document`` as ``(row filter, filter
-    parameters)``, spliced into a statement as ``FROM element WHERE
-    {filter}``; ``location`` is :data:`BASE_GENERATION` or a segment id."""
-    return "document = ? AND generation = ?", (document, location)
+def _holds_no_tables(path: str) -> bool:
+    """Whether the existing file at ``path`` opens as a SQLite database with
+    no schema objects.  Reading writes nothing to such a file.  A file that
+    SQLite cannot read answers ``False``: the store's opener reports it."""
+    try:
+        with closing(sqlite3.connect(path)) as connection:
+            (objects,) = connection.execute(
+                "SELECT COUNT(*) FROM sqlite_master").fetchone()
+    except sqlite3.DatabaseError:
+        return False
+    return objects == 0
 
 
 class SQLiteStore:
     """sqlite3-backed implementation of the shredded document store.
 
-    :meth:`documents` and :meth:`document_stats` answer over each
-    document's live generation (the base, or its newest ``doc`` segment);
-    a tombstoned document answers
-    :class:`~repro.storage.errors.DocumentNotFound`.
+    :meth:`documents` and :meth:`document_stats` answer from the
+    catalogue, over each document's live generation; a deleted document
+    answers :class:`~repro.storage.errors.DocumentNotFound`.
 
     Parameters
     ----------
@@ -311,30 +323,17 @@ class SQLiteStore:
     # Location resolution
     # ------------------------------------------------------------------ #
     def location_of(self, name: str) -> Optional[int]:
-        """Where ``name`` currently lives.
-
-        ``None`` — absent (never stored, or its latest event is not a
-        ``doc`` event: a tombstone, or a kind this store never writes);
-        :data:`BASE_GENERATION` — the base rows; a positive integer — that
-        delta segment.  The highest-numbered event decides,
-        by the same rule as :meth:`documents` and :meth:`compact`.
-        """
+        """The generation ``name`` lives in, from one primary-key read of
+        the catalogue; ``None`` when it is absent (never stored, or
+        deleted)."""
         row = self._connection.execute(
-            "SELECT segment_id, kind FROM segment WHERE document = ? "
-            "ORDER BY segment_id DESC LIMIT 1", (name,)).fetchone()
-        if row is not None:
-            segment_id, kind = row
-            return int(segment_id) if kind == SEGMENT_KIND_DOC else None
-        # EXISTS stops at the first index entry, so the check costs the same
-        # on a document of any size (a COUNT(*) reads every row).
-        where, scope = generation_rows(name, BASE_GENERATION)
-        exists = self._scalar(
-            f"SELECT EXISTS (SELECT 1 FROM element WHERE {where})", *scope)
-        return BASE_GENERATION if exists else None
+            "SELECT generation FROM catalogue WHERE document = ?",
+            (name,)).fetchone()
+        return None if row is None else int(row[0])
 
     def _live_location(self, name: str) -> int:
         """:meth:`location_of` a live document; raises
-        :class:`DocumentNotFound` for an absent or tombstoned one."""
+        :class:`DocumentNotFound` for an absent or deleted one."""
         location = self.location_of(name)
         if location is None:
             raise DocumentNotFound(f"no stored document named {name!r}")
@@ -344,76 +343,105 @@ class SQLiteStore:
     # Segment introspection
     # ------------------------------------------------------------------ #
     def segment_events(self) -> List[Tuple[int, str, str]]:
-        """Every ``(segment_id, document, kind)`` catalog row, in order."""
+        """Every ``(segment_id, document, kind)`` row of the log, in order."""
         rows = self._connection.execute(
             "SELECT segment_id, document, kind FROM segment "
-            "ORDER BY segment_id, document").fetchall()
+            "ORDER BY segment_id").fetchall()
         return [(int(seg), doc, kind) for seg, doc, kind in rows]
 
     def segment_count(self) -> int:
-        """Number of delta segments currently on disk (0 after compact)."""
-        return self._scalar("SELECT COUNT(DISTINCT segment_id) FROM segment")
+        """Number of delta segments (updates and deletes) since the last
+        compaction."""
+        return self._scalar("SELECT COUNT(*) FROM segment")
 
     def tombstoned_documents(self) -> List[str]:
-        """Documents whose latest event is a tombstone (dead until re-added)."""
-        return sorted(doc for doc, (_, kind) in self._latest_events().items()
-                      if kind == SEGMENT_KIND_TOMBSTONE)
-
-    def _latest_events(self) -> Dict[str, Tuple[int, str]]:
-        latest: Dict[str, Tuple[int, str]] = {}
-        for seg, doc, kind in self.segment_events():
-            if doc not in latest or seg > latest[doc][0]:
-                latest[doc] = (seg, kind)
-        return latest
+        """Documents the log names that are no longer live (dead until
+        re-added)."""
+        return [document for (document,) in self._connection.execute(
+            "SELECT DISTINCT document FROM segment WHERE document NOT IN "
+            "(SELECT document FROM catalogue) ORDER BY document")]
 
     # ------------------------------------------------------------------ #
-    # Base-generation ingestion
+    # Ingestion
     # ------------------------------------------------------------------ #
     def store_tree(self, tree: XMLTree, name: str = "") -> ShreddedDocument:
         """Shred and store one document; returns the shredded rows."""
         return self.store_shredded(shred_tree(tree, name))
 
     def store_shredded(self, shredded: ShreddedDocument) -> ShreddedDocument:
-        """Insert already-shredded rows into the base generation.
+        """Insert already-shredded rows under a fresh generation.
 
-        A live name is refused.  A dead name (deleted, or replaced by a
-        newer segment that was itself deleted) may still own stale base or
-        segment rows; they are purged first, so re-adding a deleted
-        document behaves exactly like storing it into a fresh database.
-        The purge and the insert are one transaction: a failing statement
-        rolls the whole document back.
+        A live name is refused.  A deleted name may still own dead rows
+        that the log recorded; they and its log rows are purged first, so
+        re-adding a deleted document leaves the rows storing it into a
+        fresh database would.  The purge and the insert are one
+        transaction: a failing statement rolls the whole document back.
         """
         name = shredded.name
         with self._write_lock:
             if self.location_of(name) is not None:
                 raise DocumentAlreadyStored(f"document {name!r} already stored")
-            with self._connection:
+            with self._connection as connection:
+                generation = self._next_generation()
                 self._purge(name)
-                self._insert_version(shredded, BASE_GENERATION)
+                self._insert_version(shredded, generation)
+                connection.execute(
+                    "INSERT INTO catalogue (document, generation) "
+                    "VALUES (?, ?)", (name, generation))
         return shredded
 
     def _purge(self, name: str) -> None:
-        cursor = self._connection.cursor()
-        for table in ("element", "posting", "segment"):
-            cursor.execute(f"DELETE FROM {table} WHERE document = ?", (name,))
+        """Delete the generations the log recorded dead for ``name``, and
+        its log rows, inside the caller's open transaction."""
+        connection = self._connection
+        self._delete_generations(dead for (dead,) in connection.execute(
+            "SELECT dead_generation FROM segment WHERE document = ? "
+            "AND dead_generation IS NOT NULL", (name,)).fetchall())
+        connection.execute("DELETE FROM segment WHERE document = ?", (name,))
 
     def _insert_version(self, shredded: ShreddedDocument,
-                        location: int) -> None:
-        """Insert one document version's rows into generation ``location``
-        (:data:`BASE_GENERATION` or a segment id), inside the caller's open
-        transaction."""
-        key = (shredded.name, location)
+                        generation: int) -> None:
+        """Insert one document version's rows under ``generation``, inside
+        the caller's open transaction.  Element rows go in key order, so
+        each lands at the end of the clustered table."""
         cursor = self._connection.cursor()
         cursor.executemany(
-            "INSERT INTO element (document, generation, label, dewey, "
-            "content_feature_min, content_feature_max) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (key + (row.label, row.dewey, row.content_feature_min,
-                    row.content_feature_max) for row in shredded.elements))
+            "INSERT INTO element (generation, dewey, label, "
+            "content_feature_min, content_feature_max) VALUES (?, ?, ?, ?, ?)",
+            ((generation, row.dewey, row.label, row.content_feature_min,
+              row.content_feature_max)
+             for row in sorted(shredded.elements,
+                               key=lambda row: row.dewey)))
         cursor.executemany(
-            "INSERT INTO posting (document, generation, keyword, "
-            "cardinality, blob, max_depth) VALUES (?, ?, ?, ?, ?, ?)",
-            (key + row for row in shredded.postings))
+            "INSERT INTO posting (generation, keyword, cardinality, blob, "
+            "max_depth) VALUES (?, ?, ?, ?, ?)",
+            ((generation,) + row for row in shredded.postings))
+
+    def _delete_generations(self, generations: Iterable[int]) -> None:
+        """Delete every row of ``generations``, each by its key prefix."""
+        generations = [(generation,) for generation in generations]
+        cursor = self._connection.cursor()
+        for table in ("element", "posting"):
+            cursor.executemany(
+                f"DELETE FROM {table} WHERE generation = ?", generations)
+
+    def _next_generation(self) -> int:
+        """Take the next generation number.  The bump is the mutation's
+        first statement, so it opens the transaction and holds the write
+        lock before anything is read."""
+        [(generation,)] = self._connection.execute(
+            "UPDATE generation_counter SET last_generation = "
+            "last_generation + 1 RETURNING last_generation").fetchall()
+        return int(generation)
+
+    def _log(self, generation: int, name: str, kind: str) -> None:
+        """Log one update or delete of ``name`` under ``generation``, with
+        the generation it makes dead: the catalogue's current one."""
+        self._connection.execute(
+            "INSERT INTO segment (segment_id, document, kind, "
+            "dead_generation) VALUES (?, ?, ?, (SELECT generation "
+            "FROM catalogue WHERE document = ?))",
+            (generation, name, kind, name))
 
     # ------------------------------------------------------------------ #
     # Mutations
@@ -423,9 +451,9 @@ class SQLiteStore:
         """Absorb a new version of one document as a fresh delta segment.
 
         Works for brand-new documents too (an add is an update with no
-        shadowed predecessor).  Returns the new segment id.  A repeated
-        ``idempotency_key`` makes the call a ledger-backed no-op that
-        answers the original segment id.
+        shadowed predecessor).  Returns the new segment id, the version's
+        generation.  A repeated ``idempotency_key`` makes the call a
+        ledger-backed no-op that answers the original segment id.
         """
         document = name or tree.name or "document"
         return self.update_shredded(shred_tree(tree, document),
@@ -435,26 +463,27 @@ class SQLiteStore:
                         idempotency_key: Optional[str] = None) -> int:
         """Write one already-shredded document version as a delta segment.
 
-        The segment rows and, for a keyed call, the ledger row commit as
-        one transaction: a failure or crash before the commit leaves the
-        store as it was, with no ledger row to replay.
+        The rows, the catalogue and log rows and, for a keyed call, the
+        ledger row commit as one transaction: a failure or crash before the
+        commit leaves the store as it was, with no ledger row to replay.
         """
+        name = shredded.name
         with self._write_lock:
             replayed = self.replay_of(idempotency_key)
             if replayed is not None:
                 return replayed
-            segment_id = self._next_segment_id()
             with self._connection as connection:
+                generation = self._next_generation()
+                self._log(generation, name, SEGMENT_KIND_DOC)
+                self._insert_version(shredded, generation)
                 connection.execute(
-                    "INSERT INTO segment (segment_id, document, kind) "
-                    "VALUES (?, ?, ?)",
-                    (segment_id, shredded.name, SEGMENT_KIND_DOC))
-                self._insert_version(shredded, segment_id)
-                self._write_ledger_row("update", shredded.name, segment_id,
+                    "INSERT OR REPLACE INTO catalogue (document, generation) "
+                    "VALUES (?, ?)", (name, generation))
+                self._write_ledger_row("update", name, generation,
                                        idempotency_key)
                 self._fault_point("update.apply")
             self._committed("update")
-            return segment_id
+            return generation
 
     def delete_document(self, name: str,
                         idempotency_key: Optional[str] = None) -> int:
@@ -468,63 +497,45 @@ class SQLiteStore:
             if replayed is not None:
                 return replayed
             self._live_location(name)
-            segment_id = self._next_segment_id()
             with self._connection as connection:
+                generation = self._next_generation()
+                self._log(generation, name, SEGMENT_KIND_TOMBSTONE)
                 connection.execute(
-                    "INSERT INTO segment (segment_id, document, kind) "
-                    "VALUES (?, ?, ?)",
-                    (segment_id, name, SEGMENT_KIND_TOMBSTONE))
-                self._write_ledger_row("delete", name, segment_id,
+                    "DELETE FROM catalogue WHERE document = ?", (name,))
+                self._write_ledger_row("delete", name, generation,
                                        idempotency_key)
                 self._fault_point("delete.apply")
             self._committed("delete")
-            return segment_id
+            return generation
 
     def compact(self) -> Dict[str, int]:
-        """Fold every live delta version into the base generation.
+        """Delete every generation the log recorded dead, then empty it.
 
-        In one transaction, each document the catalog names keeps only its
-        live version: the rows of its newest ``doc`` segment, renumbered to
-        the base generation.  Its other generations go, base included, and
-        a document whose newest event is a tombstone loses every row.
-        Then the catalog is emptied.  Every statement reads one document's
-        rows through the primary key, so a fold costs the documents it
-        touches, not the base.  Afterwards the store answers every query
-        exactly as a freshly re-shredded one would.  Returns counters:
-        ``folded`` documents materialized from segments, ``dropped``
-        tombstoned documents removed, ``segments`` delta segments absorbed.
+        One transaction.  Each dead generation's rows go by their key
+        prefix, so a fold costs the rows it deletes, not the store.  No
+        generation is renumbered: a live document keeps its generation, and
+        a source pinned to it keeps its answers.  Afterwards the store
+        holds the rows a freshly re-shredded one would.  Returns counters:
+        ``folded`` logged documents that are live, ``dropped`` logged
+        documents that are deleted, ``segments`` log rows absorbed.
         """
         with self._write_lock:
-            segments = self.segment_count()
             with self._connection as connection:
-                latest = self._latest_events()
-                folded = dropped = 0
-                cursor = connection.cursor()
-                for document in sorted(latest):
-                    segment_id, kind = latest[document]
-                    for table in ("element", "posting"):
-                        if kind == SEGMENT_KIND_DOC:
-                            cursor.execute(
-                                f"DELETE FROM {table} "
-                                f"WHERE document = ? AND generation != ?",
-                                (document, segment_id))
-                            cursor.execute(
-                                f"UPDATE {table} SET generation = ? "
-                                f"WHERE document = ? AND generation = ?",
-                                (BASE_GENERATION, document, segment_id))
-                        else:
-                            cursor.execute(
-                                f"DELETE FROM {table} WHERE document = ?",
-                                (document,))
-                    if kind == SEGMENT_KIND_DOC:
-                        folded += 1
-                    else:
-                        dropped += 1
-                cursor.execute("DELETE FROM segment")
+                self._delete_generations(dead for (dead,) in connection.execute(
+                    "SELECT dead_generation FROM segment "
+                    "WHERE dead_generation IS NOT NULL").fetchall())
+                logged = [document for (document,) in connection.execute(
+                    "SELECT document FROM segment")]
+                live = {document for (document,) in connection.execute(
+                    "SELECT document FROM catalogue WHERE document IN "
+                    "(SELECT document FROM segment)")}
+                connection.execute("DELETE FROM segment")
                 self._fault_point("compact.apply")
             self._committed("compact")
-            return {"folded": folded, "dropped": dropped,
-                    "segments": segments}
+            documents = set(logged)
+            return {"folded": len(documents & live),
+                    "dropped": len(documents - live),
+                    "segments": len(logged)}
 
     def vacuum(self) -> None:
         """Rebuild the file without its free pages (``VACUUM``).
@@ -538,30 +549,20 @@ class SQLiteStore:
         with self._write_lock:
             self._connection.execute("VACUUM")
 
-    def _next_segment_id(self) -> int:
-        return self._scalar(
-            "SELECT COALESCE(MAX(segment_id), 0) FROM segment") + 1
-
     # ------------------------------------------------------------------ #
-    # Catalogue (per live generation)
+    # Catalogue
     # ------------------------------------------------------------------ #
     def documents(self) -> List[str]:
-        """Names of the **live** documents (tombstoned ones are gone)."""
-        live = {document for (document,) in self._connection.execute(
-            "SELECT DISTINCT document FROM element WHERE generation = ?",
-            (BASE_GENERATION,))}
-        for document, (_, kind) in self._latest_events().items():
-            if kind == SEGMENT_KIND_DOC:
-                live.add(document)
-            else:
-                live.discard(document)
-        return sorted(live)
+        """Names of the **live** documents (deleted ones are gone)."""
+        return [document for (document,) in self._connection.execute(
+            "SELECT document FROM catalogue ORDER BY document")]
 
     def document_stats(self, name: str) -> Dict[str, int]:
         """Node / keyword (posting row) / distinct label counts of one live
         document."""
-        where, scope = generation_rows(name, self._live_location(name))
-        return {key: self._scalar(f"SELECT {count} WHERE {where}", *scope)
+        generation = self._live_location(name)
+        return {key: self._scalar(f"SELECT {count} WHERE generation = ?",
+                                  generation)
                 for key, count in (
                     ("nodes", "COUNT(*) FROM element"),
                     ("keywords", "COUNT(*) FROM posting"),

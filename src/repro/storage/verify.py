@@ -9,21 +9,22 @@ the chaos smoke and the crash-point fuzzer all assert on the same object.
 
 Checked invariants:
 
-* **sqlite** — ``PRAGMA integrity_check`` reads ``ok`` and the store
-  opens; otherwise the report holds this one finding and the sweep stops.
+* **sqlite** — the file holds tables, ``PRAGMA integrity_check`` reads
+  ``ok`` and the store opens; otherwise the report holds this one finding
+  and the sweep stops.
 * **schema version** — the file carries
   :data:`~repro.storage.schema.SCHEMA_VERSION` (``PRAGMA user_version``);
   otherwise the report holds this one finding and the sweep stops, since
   no other check means anything on another layout.
-* **catalog** — every ``doc`` segment event owns element rows of its
-  generation; tombstone events own no rows; no row of a delta generation
-  is orphaned from the ``segment`` catalog.
-* **liveness** — every document with base ``posting`` rows has base
-  element rows (the base row sets are complete).
+* **catalogue** — every event of the ``segment`` log has a known kind;
+  every generation that owns rows is live in the catalogue or recorded
+  dead in the log (``compact`` would never delete it otherwise); every live
+  generation owns element rows; and no live generation is recorded dead
+  (``compact`` would delete a live document's rows).
 
-Then, generation by generation (the rows of one ``(document, generation)``
-pair: a base document, or one delta segment of one document), the posting
-blobs are inverted into each node's word set and checked:
+Then, generation by generation (the rows of one version of one document,
+live or dead), the posting blobs are inverted into each node's word set and
+checked:
 
 * **posting blobs** — each blob decodes, its recorded cardinality matches
   the decoded length, its Dewey codes are strictly increasing in document
@@ -56,12 +57,10 @@ from ..text import DEFAULT_TOKENIZER, content_id
 from .errors import DatabaseFileError, SchemaVersionError
 from .schema import decode_dewey
 from .sqlite_backend import (
-    BASE_GENERATION,
     SEGMENT_KIND_DOC,
     SEGMENT_KIND_TOMBSTONE,
     SQLiteStore,
     existing_database,
-    generation_rows,
 )
 
 __all__ = ["IntegrityFinding", "IntegrityReport", "verify_database"]
@@ -124,17 +123,19 @@ class IntegrityReport:
 def verify_database(path: Union[str, Path]) -> IntegrityReport:
     """Check ``path`` with SQLite, then open it and sweep every invariant.
 
-    A file SQLite cannot read yields the one ``sqlite-integrity`` error
-    finding instead of an exception, and a file with another schema version
-    the one ``schema-version`` finding.  A missing path raises
-    :class:`~repro.storage.errors.DatabaseFileError`: there is nothing to
-    check, and connecting would create the file.
+    A file SQLite cannot read, or one that holds no tables, yields the one
+    ``sqlite-integrity`` error finding instead of an exception, and a file
+    with another schema version the one ``schema-version`` finding.  A
+    missing path raises :class:`~repro.storage.errors.DatabaseFileError`:
+    there is nothing to check, and connecting would create the file.
     """
-    report = IntegrityReport(path=existing_database(path))
+    report = IntegrityReport(path=str(path))
     try:
-        _check_sqlite(path)
+        _check_sqlite(existing_database(path))
         store = SQLiteStore(path)
     except (sqlite3.DatabaseError, DatabaseFileError) as error:
+        if not Path(path).exists():
+            raise
         report.error("sqlite-integrity", str(error))
         return report
     except SchemaVersionError as error:
@@ -144,25 +145,25 @@ def verify_database(path: Union[str, Path]) -> IntegrityReport:
         report.documents = len(store.documents())
         report.segments = store.segment_count()
         connection = store._connection
-        _check_catalog(connection, report)
-        _check_liveness(connection, report)
-        for generation, document in connection.execute(
-                "SELECT DISTINCT generation, document FROM element "
-                "ORDER BY generation, document").fetchall():
-            _check_generation(connection, document, generation, report)
+        names = _check_catalogue(connection, report)
+        for (generation,) in connection.execute(
+                "SELECT DISTINCT generation FROM element "
+                "ORDER BY generation").fetchall():
+            name = names.get(generation, f"generation {generation}")
+            _check_generation(connection, generation, name, report)
         return report
     finally:
         store.close()
 
 
-def _check_sqlite(path: Union[str, Path]) -> None:
+def _check_sqlite(path: str) -> None:
     """Raise ``sqlite3.DatabaseError`` unless SQLite's own check passes.
 
     Runs on a plain connection before the store opens, so the store's
     schema statements never touch a damaged file.  Like any first reader
     of a crashed file, it rolls back a hot rollback journal first.
     """
-    with closing(sqlite3.connect(str(path))) as connection:
+    with closing(sqlite3.connect(path)) as connection:
         problems = [problem for (problem,) in
                     connection.execute("PRAGMA integrity_check")]
     if problems != ["ok"]:
@@ -170,71 +171,64 @@ def _check_sqlite(path: Union[str, Path]) -> None:
             f"PRAGMA integrity_check failed: {'; '.join(problems[:5])}")
 
 
-def _check_catalog(connection: Any, report: IntegrityReport) -> None:
-    events: Dict[Tuple[int, str], str] = {
-        (int(segment), document): kind
-        for segment, document, kind in connection.execute(
-            "SELECT segment_id, document, kind FROM segment")}
-    for (segment, document), kind in sorted(events.items()):
+def _check_catalogue(connection: Any, report: IntegrityReport
+                     ) -> Dict[int, str]:
+    """Check the catalogue and the log against the generations that own
+    rows; returns how the findings name each known generation."""
+    live: Dict[int, str] = {
+        int(generation): document for document, generation in
+        connection.execute("SELECT document, generation FROM catalogue")}
+    dead: Dict[int, str] = {}
+    for segment, document, kind, dead_generation in connection.execute(
+            "SELECT segment_id, document, kind, dead_generation "
+            "FROM segment ORDER BY segment_id"):
         if kind not in (SEGMENT_KIND_DOC, SEGMENT_KIND_TOMBSTONE):
             report.error(
                 "catalog-unknown-kind",
                 f"segment {segment} of {document!r} has unknown kind "
                 f"{kind!r}")
-    owned: Dict[Tuple[int, str], Dict[str, int]] = {}
+        if dead_generation is not None:
+            dead[int(dead_generation)] = document
+    owned: Dict[int, Dict[str, int]] = {}
     for table in ("element", "posting"):
-        for generation, document, count in connection.execute(
-                f"SELECT generation, document, COUNT(*) FROM {table} "
-                f"WHERE generation != ? GROUP BY generation, document",
-                (BASE_GENERATION,)):
-            owner = owned.setdefault((int(generation), document), {})
-            owner[table] = int(count)
-    for (generation, document), counts in sorted(owned.items()):
-        kind = events.get((generation, document))
-        if kind is None:
+        for generation, count in connection.execute(
+                f"SELECT generation, COUNT(*) FROM {table} "
+                f"GROUP BY generation"):
+            owned.setdefault(int(generation), {})[table] = int(count)
+    for generation, counts in sorted(owned.items()):
+        if generation not in live and generation not in dead:
             report.error(
                 "catalog-orphan-rows",
                 f"{sum(counts.values())} row(s) of generation {generation} "
-                f"of {document!r} have no catalog entry")
-        elif kind == SEGMENT_KIND_TOMBSTONE:
-            report.error(
-                "tombstone-with-rows",
-                f"tombstone segment {generation} of {document!r} owns "
-                f"{sum(counts.values())} row(s)")
-    for (segment, document), kind in sorted(events.items()):
-        if kind == SEGMENT_KIND_DOC and \
-                not owned.get((segment, document), {}).get("element"):
+                f"are neither live in the catalogue nor recorded dead in "
+                f"the segment log")
+    for generation, document in sorted(live.items()):
+        if not owned.get(generation, {}).get("element"):
             report.error(
                 "catalog-missing-rows",
-                f"doc segment {segment} of {document!r} has no element "
-                f"rows — torn write")
-
-
-def _check_liveness(connection: Any, report: IntegrityReport) -> None:
-    elements = {document for (document,) in connection.execute(
-        "SELECT DISTINCT document FROM element WHERE generation = ?",
-        (BASE_GENERATION,))}
-    for (document,) in connection.execute(
-            "SELECT DISTINCT document FROM posting WHERE generation = ?",
-            (BASE_GENERATION,)):
-        if document not in elements:
+                f"live generation {generation} of {document!r} has no "
+                f"element rows — torn write")
+        if generation in dead:
             report.error(
-                "base-orphan-rows",
-                f"base posting rows for {document!r} have no element rows")
+                "catalog-dead-live",
+                f"live generation {generation} of {document!r} is recorded "
+                f"dead in the segment log, so compact would delete it")
+    names = {generation: f"dead generation {generation} of {document!r}"
+             for generation, document in dead.items()}
+    names.update({generation: f"generation {generation} of {document!r}"
+                  for generation, document in live.items()})
+    return names
 
 
-def _check_generation(connection: Any, document: str, generation: int,
+def _check_generation(connection: Any, generation: int, name: str,
                       report: IntegrityReport) -> None:
     """Check one generation's blobs, then its element rows against the word
-    sets the blobs give each node.  Rows of a generation without element
-    rows are reported by the catalog and liveness checks."""
-    where, scope = generation_rows(document, generation)
-    name = (f"base document {document!r}" if generation == BASE_GENERATION
-            else f"segment {generation} of {document!r}")
+    sets the blobs give each node.  A live generation without element rows
+    is reported by the catalogue check."""
     words: Dict[Tuple[int, ...], Set[str]] = {}
     for keyword, cardinality, blob, max_depth in connection.execute(
-            f"SELECT keyword, cardinality, blob, max_depth "
-            f"FROM posting WHERE {where}", scope).fetchall():
+            "SELECT keyword, cardinality, blob, max_depth "
+            "FROM posting WHERE generation = ?", (generation,)).fetchall():
         try:
             decoded = PackedDeweyList.from_blob(blob)
         except (ValueError, TypeError) as error:
@@ -263,8 +257,8 @@ def _check_generation(connection: Any, document: str, generation: int,
         for node in nodes:
             words.setdefault(node, set()).add(keyword)
     for dewey, label, low, high in connection.execute(
-            f"SELECT dewey, label, content_feature_min, content_feature_max "
-            f"FROM element WHERE {where}", scope):
+            "SELECT dewey, label, content_feature_min, content_feature_max "
+            "FROM element WHERE generation = ?", (generation,)):
         held = words.pop(decode_dewey(dewey), set())
         if (low, high) != content_id(held):
             report.error(

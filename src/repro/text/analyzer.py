@@ -1,16 +1,16 @@
 """Content extraction for XML nodes.
 
-Implements the paper's notions of node content and tree content:
+Implements the paper's node content and the content id:
 
 * ``C_v`` — the word set implied in a node's label, text and attributes
   (Section 1).
-* ``TC_v`` — the *tree content set* of a node: the union of the contents of
-  all keyword nodes in the subtree rooted at ``v`` (Definition 3).
-* ``TK_v`` — the *tree keyword set*: ``TC_v ∩ Q`` (equal to MaxMatch's
-  ``dMatch``).
 * ``cID`` — the *content id* of a word set: its ``(min, max)`` word pair
   under lexical order (Section 4.1), the approximation of content equality
   the node records carry.
+
+The tree content set ``TC_v`` (Definition 3) and the tree keyword set
+``TK_v`` are built from these by the record construction of
+:mod:`repro.core.node_record`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class ContentAnalyzer:
     def __init__(self, tree: XMLTree):
         self.tree = tree
         self._content_cache: Dict[DeweyCode, FrozenSet[str]] = {}
-        self._subtree_cache: Dict[DeweyCode, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------ #
     # Node-level content
@@ -65,27 +64,6 @@ class ContentAnalyzer:
         return {keyword for keyword in keywords if keyword in content}
 
     # ------------------------------------------------------------------ #
-    # Subtree-level content (Definition 3)
-    # ------------------------------------------------------------------ #
-    def subtree_content(self, node: XMLNode) -> FrozenSet[str]:
-        """All content words in the subtree rooted at ``node``.
-
-        This is the unrestricted variant of ``TC_v`` where every descendant
-        contributes; the RTF-restricted variant (only keyword nodes inside the
-        fragment contribute) is computed by the node-record construction in
-        :mod:`repro.core.node_record`.
-        """
-        cached = self._subtree_cache.get(node.dewey)
-        if cached is not None:
-            return cached
-        words: Set[str] = set()
-        for member in node.iter_subtree():
-            words |= self.node_content(member)
-        frozen = frozenset(words)
-        self._subtree_cache[node.dewey] = frozen
-        return frozen
-
-    # ------------------------------------------------------------------ #
     # Query helpers
     # ------------------------------------------------------------------ #
     def keyword_nodes(self, keyword: str):
@@ -96,4 +74,3 @@ class ContentAnalyzer:
     def clear_cache(self) -> None:
         """Drop memoized content sets (after tree mutation in tests)."""
         self._content_cache.clear()
-        self._subtree_cache.clear()

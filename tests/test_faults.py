@@ -280,7 +280,7 @@ class TestJournalRecovery:
         self.crashed_update(db, crash_at("update.applied"))
         store = SQLiteStore(db)
         assert store.segment_count() == 1
-        assert store.location_of("team") == 1
+        assert store.location_of("team") == 3
         store.close()
         assert verify_database(db).clean
 
@@ -316,7 +316,7 @@ class TestJournalRecovery:
         # the failed transaction rolled back, so the next one starts clean.
         store.fault_hook = None
         segment = store.update_document(team_tree(), "team")
-        assert segment == 1
+        assert segment == 3, "the rollback undid the counter's bump too"
         assert store.location_of("team") == segment
         store.close()
         assert verify_database(db).clean
@@ -344,9 +344,9 @@ class TestJournalRecovery:
         store.close()
         store = SQLiteStore(db)
         # The ledger row committed with the segment: a retry is a no-op.
-        assert store.replay_of("put-9") == 1
+        assert store.replay_of("put-9") == 3
         assert store.update_document(team_tree(), "team",
-                                     idempotency_key="put-9") == 1
+                                     idempotency_key="put-9") == 3
         assert store.segment_count() == 1
         store.close()
 
@@ -397,7 +397,8 @@ if case == "update":
     store.update_document(dblp, "dblp")
 elif case == "compact":
     store.update_document(dblp, "dblp")
-    kill_at("UPDATE posting")
+    store.update_document(dblp, "dblp")
+    kill_at("DELETE FROM posting")
     store.compact()
 elif case == "add":
     kill_at("INSERT INTO posting")
@@ -444,7 +445,7 @@ class TestRealCrashes:
                 "PRAGMA integrity_check").fetchall() == [("ok",)]
         assert verify_database(path).clean
         # ``committed``: the dblp document is live.  The compact case
-        # committed its update before the killed compaction began.
+        # committed its two updates before the killed compaction began.
         state = {"publications": publications_tree(), "team": team_tree()}
         if committed:
             state["dblp"] = default_dblp_tree(publications=200)
@@ -496,13 +497,27 @@ class TestVerifyDatabase:
         assert report.payload()["clean"] is True
 
     def test_orphaned_segment_rows_are_detected(self, db):
+        # A second update records generation 2 dead; without the log, no
+        # record names it and compaction would never delete it.
+        with SQLiteStore(db) as store:
+            store.update_document(team_tree(), "team")
         with sqlite3.connect(db) as connection:
             connection.execute("DELETE FROM segment")
         report = verify_database(db)
         assert not report.clean
-        assert any(finding.code == "catalog-orphan-rows"
-                   for finding in report.findings)
+        assert [finding.code for finding in report.findings] == \
+            ["catalog-orphan-rows"], report.render()
+        assert "generation 2 " in report.findings[0].message
         assert "FAIL" in report.render()
+
+    def test_live_generation_recorded_dead_is_detected(self, db):
+        with sqlite3.connect(db) as connection:
+            connection.execute(
+                "UPDATE segment SET dead_generation = 2 WHERE segment_id = 2")
+        report = verify_database(db)
+        assert [finding.code for finding in report.findings] == \
+            ["catalog-dead-live"], report.render()
+        assert "generation 2 of 'team'" in report.findings[0].message
 
     def test_posting_cardinality_mismatch_is_detected(self, db):
         with sqlite3.connect(db) as connection:
@@ -515,7 +530,7 @@ class TestVerifyDatabase:
     def test_corrupt_posting_blob_is_detected(self, db):
         with sqlite3.connect(db) as connection:
             connection.execute(
-                "UPDATE posting SET blob = X'00' WHERE generation = 1")
+                "UPDATE posting SET blob = X'00' WHERE generation = 2")
         report = verify_database(db)
         assert any(finding.code == "posting-blob-corrupt"
                    for finding in report.findings)
@@ -524,19 +539,19 @@ class TestVerifyDatabase:
         with sqlite3.connect(db) as connection:
             connection.execute(
                 "UPDATE element SET content_feature_max = 'zzzzzz' "
-                "WHERE rowid = (SELECT MIN(rowid) FROM element)")
+                "WHERE generation = 1 AND dewey = '0'")
         report = verify_database(db)
         findings = [finding for finding in report.findings
                     if finding.code == "cid-mismatch"]
         assert not report.clean
         assert len(findings) == 1
-        assert "base document 'publications'" in findings[0].message
+        assert "generation 1 of 'publications'" in findings[0].message
 
     def test_min_only_cid_mismatch_is_detected(self, db):
         with sqlite3.connect(db) as connection:
             connection.execute(
                 "UPDATE element SET content_feature_min = '' "
-                "WHERE rowid = (SELECT MIN(rowid) FROM element)")
+                "WHERE generation = 1 AND dewey = '0'")
         report = verify_database(db)
         assert [finding.code for finding in report.findings] == \
             ["cid-mismatch"]
@@ -544,13 +559,13 @@ class TestVerifyDatabase:
     def test_segment_cid_mismatch_is_detected(self, db):
         # Node 0.1.0.1 of the team document holds "position" and "forward",
         # its cID's min; the segment's "forward" blob loses the node.
-        rewrite_blob(db, 1, "forward",
+        rewrite_blob(db, 2, "forward",
                      lambda nodes: [node for node in nodes
                                     if node != (0, 1, 0, 1)])
         report = verify_database(db)
         assert [finding.code for finding in report.findings] == \
             ["cid-mismatch"], report.render()
-        assert "segment 1 of 'team'" in report.findings[0].message
+        assert "generation 2 of 'team'" in report.findings[0].message
         assert "node 0.1.0.1" in report.findings[0].message
 
     def test_segment_blob_nodes_without_element_are_detected(self, db):
@@ -558,25 +573,25 @@ class TestVerifyDatabase:
         # "22"; its segment element row goes, the blobs naming it stay.
         with sqlite3.connect(db) as connection:
             connection.execute(
-                "DELETE FROM element WHERE generation = 1 AND dewey = ?",
+                "DELETE FROM element WHERE generation = 2 AND dewey = ?",
                 (encode_dewey((0, 1, 2, 2)),))
         report = verify_database(db)
         assert [finding.code for finding in report.findings] == \
             ["posting-dangling-node"], report.render()
-        assert "segment 1 of 'team'" in report.findings[0].message
+        assert "generation 2 of 'team'" in report.findings[0].message
 
     def test_label_word_without_blob_is_detected(self, db):
         # The base "title" blob loses node 0.0, labelled "title"; its cID
         # is ("2008", "vldb"), so only the label check can see the loss.
-        rewrite_blob(db, 0, "title",
+        rewrite_blob(db, 1, "title",
                      lambda nodes: [node for node in nodes if node != (0, 0)])
         report = verify_database(db)
         assert [finding.code for finding in report.findings] == \
             ["label-word-missing"], report.render()
-        assert "base document 'publications'" in report.findings[0].message
+        assert "generation 1 of 'publications'" in report.findings[0].message
 
     def test_reversed_blob_is_detected(self, db):
-        rewrite_blob(db, 0, "title", lambda nodes: nodes[::-1])
+        rewrite_blob(db, 1, "title", lambda nodes: nodes[::-1])
         report = verify_database(db)
         assert [finding.code for finding in report.findings] == \
             ["posting-blob-order"], report.render()
@@ -598,33 +613,27 @@ class TestVerifyDatabase:
             ["catalog-unknown-kind"], report.render()
 
     def test_tombstone_with_rows_is_detected(self, db):
+        # A tombstone's own number is neither live nor recorded dead.
         with SQLiteStore(db) as store:
             tombstone = store.delete_document("publications")
         with sqlite3.connect(db) as connection:
             connection.execute(
-                "INSERT INTO element (document, generation, label, dewey, "
+                "INSERT INTO element (generation, dewey, label, "
                 "content_feature_min, content_feature_max) "
-                "VALUES ('publications', ?, 'bib', ?, '', '')",
+                "VALUES (?, ?, 'bib', '', '')",
                 (tombstone, encode_dewey((0,))))
         report = verify_database(db)
-        assert "tombstone-with-rows" in [finding.code
+        assert "catalog-orphan-rows" in [finding.code
                                          for finding in report.findings]
-
-    def test_base_rows_without_elements_are_detected(self, db):
-        with sqlite3.connect(db) as connection:
-            connection.execute(
-                "DELETE FROM element WHERE document = 'publications'")
-        report = verify_database(db)
-        assert [(finding.code, finding.message.split()[1])
-                for finding in report.findings] == \
-            [("base-orphan-rows", "posting")]
 
     def test_torn_doc_segment_is_detected(self, db):
         with sqlite3.connect(db) as connection:
-            connection.execute("DELETE FROM element WHERE generation = 1")
+            connection.execute("DELETE FROM element WHERE generation = 2")
         report = verify_database(db)
-        assert any(finding.code == "catalog-missing-rows"
-                   for finding in report.findings)
+        assert [(finding.code, finding.message)
+                for finding in report.findings] == \
+            [("catalog-missing-rows", "live generation 2 of 'team' has no "
+              "element rows — torn write")]
 
     def test_zeroed_pages_report_sqlite_integrity(self, db, capsys):
         with open(db, "r+b") as handle:

@@ -7,7 +7,9 @@ orders tier-1's bounded fuzz does not reach: two updates of one document
 before a compaction, and an update followed by a delete.  Every store and
 every :class:`~repro.storage.SQLitePostingSource` opened on a database file
 serves each document's live generation, including one that lives only in
-a delta segment.
+a delta segment.  Each mutation takes the next number of the file's one
+generation counter, so the numbers below are exact: the fixture stores
+``pub`` as generation 1 and ``team`` as generation 2.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from repro.core import SearchEngine
 from repro.datasets import PAPER_QUERIES, publications_tree, team_tree
 from repro.index import InvertedIndex
 from repro.storage import (
-    BASE_GENERATION,
     SEGMENT_KIND_DOC,
     SEGMENT_KIND_TOMBSTONE,
     SQLitePostingSource,
@@ -53,8 +54,9 @@ def assert_answers_like_memory(store, document, tree, query):
 # ---------------------------------------------------------------------- #
 # Lifecycle semantics
 # ---------------------------------------------------------------------- #
-def test_base_documents_live_at_generation_zero(store):
-    assert store.location_of("pub") == BASE_GENERATION
+def test_stored_documents_take_fresh_generations(store):
+    assert store.location_of("pub") == 1
+    assert store.location_of("team") == 2
     assert store.location_of("missing") is None
     assert store.documents() == ["pub", "team"]
     assert store.segment_count() == 0
@@ -62,15 +64,15 @@ def test_base_documents_live_at_generation_zero(store):
 
 def test_update_shadows_base_with_a_delta_segment(store):
     first = store.update_document(team_tree(), "team")
-    assert first == 1 and store.location_of("team") == 1
+    assert first == 3 and store.location_of("team") == 3
     second = store.update_document(team_tree(), "team")
-    assert second == 2, "segment ids are monotonically increasing"
-    assert store.location_of("team") == 2, "the highest event wins"
-    assert store.location_of("pub") == BASE_GENERATION
+    assert second == 4, "segment ids are monotonically increasing"
+    assert store.location_of("team") == 4, "the newest update is live"
+    assert store.location_of("pub") == 1
     assert store.documents() == ["pub", "team"]
     events = store.segment_events()
-    assert events == [(1, "team", SEGMENT_KIND_DOC),
-                      (2, "team", SEGMENT_KIND_DOC)]
+    assert events == [(3, "team", SEGMENT_KIND_DOC),
+                      (4, "team", SEGMENT_KIND_DOC)]
 
 
 def test_packed_read_takes_the_live_segment_row():
@@ -87,7 +89,7 @@ def test_packed_read_takes_the_live_segment_row():
     for step in range(4):
         live = versions[step % 2]
         if step:
-            assert store.update_document(live, "doc") == step
+            assert store.update_document(live, "doc") == step + 1
         fresh = SQLiteStore()
         fresh.store_tree(live, "doc")
         segmented = SQLitePostingSource(store, "doc")
@@ -131,8 +133,9 @@ def test_readd_after_delete_behaves_like_fresh(store):
     store.update_document(team_tree(), "team")
     store.delete_document("team")
     store.store_tree(team_tree(), "team")
-    assert store.location_of("team") == BASE_GENERATION
+    assert store.location_of("team") == 5, "a re-add takes a fresh number"
     assert store.tombstoned_documents() == []
+    assert store.segment_events() == [], "the re-add purged team's log"
     assert_answers_like_memory(store, "team", team_tree(),
                                PAPER_QUERIES["Q4"])
 
@@ -144,7 +147,7 @@ def test_compact_folds_segments_into_base(store):
     assert outcome == {"folded": 1, "dropped": 1, "segments": 2}
     assert store.segment_count() == 0 and store.segment_events() == []
     assert store.documents() == ["team"]
-    assert store.location_of("team") == BASE_GENERATION
+    assert store.location_of("team") == 3, "compact renumbers nothing"
     assert_answers_like_memory(store, "team", team_tree(),
                                PAPER_QUERIES["Q4"])
     # Compacting an already-flat store is a no-op.
@@ -153,13 +156,30 @@ def test_compact_folds_segments_into_base(store):
 
 def test_segmented_source_id_carries_the_generation(store):
     base = SQLitePostingSource(store, "team")
-    assert base.source_id == "sqlite::memory:#team@g0"
+    assert base.source_id == "sqlite::memory:#team@g2"
     store.update_document(team_tree(), "team")
     shadowed = SQLitePostingSource(store, "team")
-    assert shadowed.source_id.endswith("#team@g1")
+    assert shadowed.source_id.endswith("#team@g3")
     # A source pins its snapshot at first resolution: the pre-update source
     # keeps its identity (engine rebuilds pick up the new generation).
-    assert base.source_id.endswith("#team@g0")
+    assert base.source_id.endswith("#team@g2")
+
+
+def test_versions_never_share_a_source_id():
+    """Store, update, compact, update: the two updates take different
+    segment numbers, and their sources different ids.  While compaction
+    renumbered generations, both versions answered to ``@g1``."""
+    store = SQLiteStore()
+    store.store_tree(publications_tree(), "pub")
+    first = store.update_document(publications_tree(), "pub")
+    before = SQLitePostingSource(store, "pub").source_id
+    store.compact()
+    second = store.update_document(publications_tree(), "pub")
+    after = SQLitePostingSource(store, "pub").source_id
+    assert (first, second) == (2, 3)
+    assert (before, after) == ("sqlite::memory:#pub@g2",
+                               "sqlite::memory:#pub@g3")
+    store.close()
 
 
 #: Every single-row read of a posting source, over a list of words and
@@ -197,7 +217,7 @@ def test_pinned_source_reads_only_its_generation():
 
     def pinned() -> SQLitePostingSource:
         source = SQLitePostingSource(store, "doc")
-        assert source.source_id.endswith("#doc@g0")  # resolves and pins
+        assert source.source_id.endswith("#doc@g1")  # resolves and pins
         return source
 
     sources = {kind: pinned() for kind in SINGLE_ROW_READS}
@@ -214,18 +234,16 @@ def test_pinned_source_reads_only_its_generation():
     store.close()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 1: compact() renumbers the pinned segment's rows to "
-    "generation 0, so a source pinned before the fold reads no rows"))
 def test_a_source_pinned_before_a_compaction_keeps_its_answers():
     """A source pinned to a delta segment answers, after ``compact()``
-    folds that segment, what a fresh source answers."""
+    folds that segment, what a fresh source answers: compaction deletes
+    only dead generations and renumbers none."""
     store = SQLiteStore()
     store.store_tree(publications_tree(), "pub")
     store.update_document(publications_tree(), "pub")
     source = SQLitePostingSource(store, "pub")
     assert len(source.keyword_nodes(["xml"])["xml"]) == 3
-    assert source.source_id.endswith("@g1")
+    assert source.source_id.endswith("@g2")
     store.compact()
     fresh = SQLitePostingSource(store, "pub")
     assert len(fresh.keyword_nodes(["keyword"])["keyword"]) == 3
@@ -234,8 +252,24 @@ def test_a_source_pinned_before_a_compaction_keeps_its_answers():
     store.close()
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: compact() deletes the superseded generation a source "
+    "pinned, and no read transaction or snapshot keeps its rows"))
+def test_a_source_pinned_to_a_superseded_generation_survives_compaction():
+    """A source pinned before an update answers, after ``compact()``
+    deletes the generation it pinned, what it answered before."""
+    store = SQLiteStore()
+    store.store_tree(publications_tree(), "pub")
+    source = SQLitePostingSource(store, "pub")
+    assert source.source_id.endswith("@g1")
+    store.update_document(publications_tree(), "pub")
+    store.compact()
+    assert len(source.keyword_nodes(["keyword"])["keyword"]) == 3
+    store.close()
+
+
 # ---------------------------------------------------------------------- #
-# The latest event of a document wins everywhere, not only in location_of
+# The catalogue decides liveness everywhere, not only in location_of
 # ---------------------------------------------------------------------- #
 def versioned(word: str):
     return tree_from_spec(spec("doc", None, spec("title", f"xml {word}")))
@@ -266,11 +300,11 @@ def test_update_then_delete_leaves_the_document_out(store):
     assert store.tombstoned_documents() == ["team"]
 
 
-def test_an_event_of_unknown_kind_leaves_the_document_out(tmp_path):
-    """Only a ``doc`` event is live: a document whose latest catalog event
-    has a kind the store never writes is absent from ``documents()``, from
-    ``location_of`` and from a fresh posting source alike, and ``verify``
-    names the event."""
+def test_an_event_of_unknown_kind_changes_no_reader(tmp_path):
+    """The catalogue alone decides liveness: after the log's event for
+    ``team`` takes a kind the store never writes, ``documents()``,
+    ``location_of`` and a fresh posting source still serve ``team``, and
+    ``verify`` names the event."""
     path = str(tmp_path / "unknown-kind.db")
     with SQLiteStore(path) as writer:
         writer.store_tree(publications_tree(), "publications")
@@ -278,18 +312,38 @@ def test_an_event_of_unknown_kind_leaves_the_document_out(tmp_path):
     with closing(sqlite3.connect(path)) as connection, connection:
         connection.execute("UPDATE segment SET kind = 'snapshot'")
     with SQLiteStore(path) as reader:
+        assert reader.documents() == ["publications", "team"]
+        assert reader.location_of("team") == 2
+        assert SQLitePostingSource(reader, "team").keyword_nodes(
+            ["forward"])["forward"] == \
+            InvertedIndex(team_tree()).keyword_nodes(["forward"])["forward"]
+    assert [finding.code for finding in verify_database(path).findings] == \
+        ["catalog-unknown-kind"]
+
+
+def test_a_document_missing_from_the_catalogue_is_absent(tmp_path):
+    """A document without a catalogue row is absent from ``documents()``,
+    from ``location_of`` and from a fresh posting source alike, and its
+    rows are orphans ``verify`` reports."""
+    path = str(tmp_path / "uncatalogued.db")
+    with SQLiteStore(path) as writer:
+        writer.store_tree(publications_tree(), "publications")
+        writer.update_document(team_tree(), "team")
+    with closing(sqlite3.connect(path)) as connection, connection:
+        connection.execute("DELETE FROM catalogue WHERE document = 'team'")
+    with SQLiteStore(path) as reader:
         assert reader.documents() == ["publications"]
         assert reader.location_of("team") is None
         with pytest.raises(DocumentNotFound):
             SQLitePostingSource(reader, "team").keyword_nodes(["forward"])
     assert [finding.code for finding in verify_database(path).findings] == \
-        ["catalog-unknown-kind"]
+        ["catalog-orphan-rows"]
 
 
-def test_compact_drops_what_an_unknown_kind_left_out(tmp_path):
-    """``compact`` follows the catalogue's rule: the document whose latest
-    event has an unknown kind is dropped, not folded, so the compacted file
-    serves exactly the documents it listed before."""
+def test_compact_counts_from_the_catalogue_not_the_event_kind(tmp_path):
+    """``compact`` reports a logged document as folded when the catalogue
+    lists it, whatever its event's kind says, and the compacted file serves
+    exactly the documents it listed before."""
     path = str(tmp_path / "unknown-kind.db")
     with SQLiteStore(path) as writer:
         writer.store_tree(publications_tree(), "publications")
@@ -297,9 +351,9 @@ def test_compact_drops_what_an_unknown_kind_left_out(tmp_path):
     with closing(sqlite3.connect(path)) as connection, connection:
         connection.execute("UPDATE segment SET kind = 'snapshot'")
     with SQLiteStore(path) as store:
-        assert store.compact() == {"folded": 0, "dropped": 1, "segments": 1}
-        assert store.documents() == ["publications"]
-        assert store.location_of("team") is None
+        assert store.compact() == {"folded": 1, "dropped": 0, "segments": 1}
+        assert store.documents() == ["publications", "team"]
+        assert store.location_of("team") == 2
         assert store.segment_count() == 0
     assert verify_database(path).findings == []
 
@@ -308,15 +362,19 @@ def test_compact_drops_what_an_unknown_kind_left_out(tmp_path):
 # Every reader of a file serves the live generation
 # ---------------------------------------------------------------------- #
 def rows_of(path: str, document: str) -> dict:
-    """How many catalogue rows ``document`` owns in the file at ``path``,
-    and how many element rows in each generation."""
+    """How many log rows ``document`` owns in the file at ``path``, its
+    catalogue generation, and how many element rows each generation of
+    the file holds."""
     with closing(sqlite3.connect(path)) as connection:
         return {"segment": connection.execute(
                     "SELECT COUNT(*) FROM segment WHERE document = ?",
                     (document,)).fetchone()[0],
+                "catalogue": connection.execute(
+                    "SELECT generation FROM catalogue WHERE document = ?",
+                    (document,)).fetchone()[0],
                 "element": dict(connection.execute(
                     "SELECT generation, COUNT(*) FROM element "
-                    "WHERE document = ? GROUP BY generation", (document,)))}
+                    "GROUP BY generation"))}
 
 
 def test_fresh_store_serves_a_document_added_by_update(tmp_path):
@@ -328,7 +386,7 @@ def test_fresh_store_serves_a_document_added_by_update(tmp_path):
     tree = publications_tree()
     with SQLiteStore(path) as writer:
         writer.update_document(tree, "pub")
-    assert rows_of(path, "pub") == {"segment": 1,
+    assert rows_of(path, "pub") == {"segment": 1, "catalogue": 1,
                                     "element": {1: tree.size()}}
     memory = InvertedIndex(tree)
     with SQLiteStore(path) as reader:

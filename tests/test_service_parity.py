@@ -593,7 +593,7 @@ def test_served_update_is_byte_identical(served_mutable):
          "team": parse_string(xml, "team")})
     with ServiceClient(*server.address) as client:
         outcome = client.update("team", xml)
-        assert outcome["updated"] == "team" and outcome["segment"] == 1
+        assert outcome["updated"] == "team" and outcome["segment"] == 3
         assert outcome["documents"] == ["publications", "team"]
         for query in (PAPER_QUERIES["Q4"], PAPER_QUERIES["Q1"],
                       "Morant guard"):

@@ -239,13 +239,17 @@ class TestSchemaVersion:
                 "PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION
 
     def test_new_files_hold_only_what_is_read(self, tmp_path):
-        """Schema 3: the posting blobs are the keyword index, so no table
+        """Schema 4: the posting blobs are the keyword index, so no table
         holds a row per (node, word) pair; no label numbers are stored; a
         delta segment is a generation value in the two row tables, not a
-        set of twin tables; and no index serves a label filter."""
+        set of twin tables; no index serves a label filter; no row table
+        repeats the document's name, which only the catalogue holds; and
+        ``element`` is clustered on its key."""
         path = str(tmp_path / "new.db")
         SQLiteStore(path).close()
         with closing(sqlite3.connect(path)) as connection:
+            objects = connection.execute(
+                "SELECT COUNT(*) FROM sqlite_master").fetchone()[0]
             tables = {name for (name,) in connection.execute(
                 "SELECT name FROM sqlite_master WHERE type = 'table'")}
             indexes = {name for (name,) in connection.execute(
@@ -253,15 +257,25 @@ class TestSchemaVersion:
                 "AND sql IS NOT NULL")}
             columns = {table: [row[1] for row in connection.execute(
                            f"PRAGMA table_info({table})")]
-                       for table in ("element", "posting")}
-        assert tables == {"element", "posting", "segment",
-                          "mutation_journal", "sqlite_sequence"}
+                       for table in ("catalogue", "element", "posting")}
+            clustered = {name for (name,) in connection.execute(
+                "SELECT name FROM pragma_table_list "
+                "WHERE schema = 'main' AND wr")}
+            counter = connection.execute(
+                "SELECT * FROM generation_counter").fetchall()
+        assert objects == 10
+        assert tables == {"catalogue", "generation_counter", "element",
+                          "posting", "segment", "mutation_journal",
+                          "sqlite_sequence"}
         assert indexes == {"idx_segment_document", "idx_mutation_journal_key"}
         assert columns == {
-            "element": ["document", "generation", "label", "dewey",
+            "catalogue": ["document", "generation"],
+            "element": ["generation", "dewey", "label",
                         "content_feature_min", "content_feature_max"],
-            "posting": ["document", "generation", "keyword", "cardinality",
-                        "blob", "max_depth"]}
+            "posting": ["generation", "keyword", "cardinality", "blob",
+                        "max_depth"]}
+        assert clustered == {"catalogue", "element"}
+        assert counter == [(0,)]
 
     def test_stamped_file_opens_with_one_statement(self, tmp_path):
         path = str(tmp_path / "stamped.db")
@@ -382,6 +396,44 @@ def test_verify_refuses_a_missing_path_without_creating_it(tmp_path):
     assert not missing.exists()
 
 
+class TestTablelessFiles:
+    """Only a writer creates the schema: every reader refuses an existing
+    file that holds no tables, a 0-byte one say, and leaves it 0 bytes."""
+
+    @pytest.fixture
+    def zero(self, tmp_path):
+        path = tmp_path / "zero.db"
+        path.touch()
+        return path
+
+    @pytest.mark.parametrize("command", [
+        ["search", "--backend", "sqlite", "xml"],
+        ["search", "--backend", "corpus", "xml"],
+        ["compact"],
+        ["index", "--delete", "doc"],
+    ], ids=["search-sqlite", "search-corpus", "compact", "index-delete"])
+    def test_cli_readers_refuse_with_one_line(self, zero, command, capsys):
+        assert main(command + ["--db", str(zero)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "holds no tables" in err[0], err
+        assert str(zero) in err[0]
+        assert zero.stat().st_size == 0
+
+    def test_verify_reports_one_finding(self, zero, capsys):
+        report = verify_database(str(zero))
+        assert [finding.code for finding in report.findings] == \
+            ["sqlite-integrity"]
+        assert "holds no tables" in report.findings[0].message
+        assert main(["verify", "--db", str(zero)]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        assert zero.stat().st_size == 0
+
+    def test_a_writer_creates_the_schema_in_it(self, zero, publications):
+        with SQLiteStore(zero) as store:
+            store.store_tree(publications, "pub")
+        assert verify_database(str(zero)).clean
+
+
 class TestReadCostIsPerRow:
     """A cold tree-free read must not scan the document: fetching one
     node's element row (its label and cID, batched through
@@ -410,7 +462,7 @@ class TestFoldCostIsPerDocument:
         store.store_tree(bibliography(3), "doc")
         store.update_document(bibliography(4), "doc")
         steps = vm_steps(store, store.compact)
-        assert store.location_of("doc") == 0
+        assert store.location_of("doc") == others + 2, "nothing renumbered"
         store.close()
         return steps
 
@@ -431,27 +483,51 @@ def statements(store, call) -> list:
 
 
 class TestOneLocationResolution:
-    """A fresh source resolves its document's live location once, at its
+    """A fresh source resolves its document's generation once, at its
     first read, and every later statement reads that generation's rows: a
-    cold Q1 search runs the ``segment`` lookup, then (for a base-generation
-    document only) the ``EXISTS`` check of the base tables, then one
-    posting fetch and one element-row prefetch."""
+    cold Q1 search runs one primary-key read of the catalogue, one posting
+    fetch and one element-row prefetch, on a base document and on one
+    that lives in a delta segment alike."""
 
-    @pytest.mark.parametrize("layout,expected", (
-        ("sqlite", {"statements": 4, "segment lookups": 1, "EXISTS": 1}),
-        ("segmented", {"statements": 3, "segment lookups": 1, "EXISTS": 0}),
-    ), ids=("sqlite", "segmented"))
+    @pytest.mark.parametrize("layout", ("sqlite", "segmented"))
     def test_cold_search_resolves_the_location_once(self, publications,
-                                                    layout, expected):
+                                                    layout):
         store = build_source(publications, layout).store
         engine = SearchEngine(source=SQLitePostingSource(store, "doc"))
         seen = statements(store, lambda: engine.search(PAPER_QUERIES["Q1"]))
         assert {"statements": len(seen),
+                "catalogue reads": sum(
+                    bool(re.search(r"\bFROM catalogue\b", statement))
+                    for statement in seen),
+                "posting fetches": sum(
+                    bool(re.search(r"\bFROM posting\b", statement))
+                    for statement in seen),
+                "element fetches": sum(
+                    bool(re.search(r"\bFROM element\b", statement))
+                    for statement in seen),
                 "segment lookups": sum(
                     bool(re.search(r"\bFROM segment\b", statement))
                     for statement in seen),
                 "EXISTS": sum("EXISTS" in statement for statement in seen),
-                } == expected, seen
+                } == {"statements": 3, "catalogue reads": 1,
+                      "posting fetches": 1, "element fetches": 1,
+                      "segment lookups": 0, "EXISTS": 0}, seen
+
+    def test_a_query_fetches_its_node_rows_once(self):
+        """The element rows of every fragment of a query come in one
+        statement: ``xml liu`` roots one fragment at each of the five
+        articles."""
+        store = SQLiteStore()
+        store.store_tree(bibliography(5), "doc")
+        engine = SearchEngine(source=SQLitePostingSource(store, "doc"))
+        result = []
+        seen = statements(store, lambda: result.append(
+            engine.search("xml liu")))
+        assert len(result[0].fragments) == 5
+        assert sum(bool(re.search(r"\bFROM element\b", statement))
+                   for statement in seen) == 1, seen
+        assert len(seen) == 3, seen
+        store.close()
 
 
 class TestStoreBackedSearch:

@@ -98,11 +98,6 @@ class TestContentAnalyzer:
         assert content_analyzer.matched_keywords(title, ["skyline", "query", "user"]) \
             == {"skyline", "query"}
 
-    def test_subtree_content_aggregates(self, analyzer):
-        content_analyzer, tree = analyzer
-        subtree_words = content_analyzer.subtree_content(tree.root)
-        assert {"skyline", "preferences", "ada", "fu", "name"} <= subtree_words
-
     def test_keyword_nodes_in_document_order(self, analyzer):
         content_analyzer, tree = analyzer
         nodes = content_analyzer.keyword_nodes("skyline")
@@ -111,6 +106,5 @@ class TestContentAnalyzer:
     def test_cache_cleared(self, analyzer):
         content_analyzer, tree = analyzer
         content_analyzer.node_content(tree.root)
-        content_analyzer.subtree_content(tree.root)
         content_analyzer.clear_cache()
         assert content_analyzer.node_content(tree.root)
